@@ -8,7 +8,7 @@ GO ?= go
 # `make fuzz-smoke FUZZTIME=5m`.
 FUZZTIME ?= 10s
 
-.PHONY: ci build vet test race bench bench-smoke bench-baseline fuzz-smoke fault-smoke obs-smoke chaos-smoke stream-smoke cluster-smoke mem-smoke mem-bench-smoke qc-smoke
+.PHONY: ci build vet test race bench bench-gate bench-smoke bench-baseline fuzz-smoke fault-smoke obs-smoke chaos-smoke stream-smoke cluster-smoke mem-smoke mem-bench-smoke qc-smoke
 
 ci: vet race fuzz-smoke fault-smoke obs-smoke bench-smoke chaos-smoke stream-smoke cluster-smoke mem-smoke mem-bench-smoke qc-smoke
 
@@ -26,6 +26,13 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...
+
+# bench-gate compares two results files of `go run ./benchmark` (each run
+# appends to .bench_build/benchmark/results.jsonl) and fails on a regression
+# beyond the bound BENCHMARK.json fixes per metric:
+# `make bench-gate BASE=parent.jsonl NEW=change.jsonl`.
+bench-gate:
+	$(GO) run ./benchmark -compare $(BASE) $(NEW)
 
 # bench-smoke exercises the prefix-table ablation path (build, sweep,
 # allocation accounting, kernel cycle model) at unit-test scale.
@@ -72,6 +79,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzReader$$' -fuzztime=$(FUZZTIME) ./internal/fastx
 	$(GO) test -run='^$$' -fuzz='^FuzzReaderGzip$$' -fuzztime=$(FUZZTIME) ./internal/fastx
 	$(GO) test -run='^$$' -fuzz='^FuzzRank$$' -fuzztime=$(FUZZTIME) ./internal/rrr
+	$(GO) test -run='^$$' -fuzz='^FuzzRankPair$$' -fuzztime=$(FUZZTIME) ./internal/rrr
 	$(GO) test -run='^$$' -fuzz='^FuzzSerialization$$' -fuzztime=$(FUZZTIME) ./internal/rrr
 	$(GO) test -run='^$$' -fuzz='^FuzzReadIndex$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzSearchWithFtab$$' -fuzztime=$(FUZZTIME) ./internal/fmindex

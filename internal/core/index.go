@@ -357,8 +357,24 @@ func (ix *Index) RefLength() int { return ix.fm.Len() }
 func (ix *Index) SizeBytes() int { return ix.fm.SizeBytes() }
 
 // StructureBytes returns just the succinct BWT structure plus shared table,
-// the quantity Fig. 5 plots.
+// the quantity Fig. 5 plots, as the host holds it.
 func (ix *Index) StructureBytes() int { return ix.stats.StructureBytes + ix.stats.SharedBytes }
+
+// DeviceStructureBytes is StructureBytes for the structure as a device holds
+// it: the RRR nodes in the paper's array layout, without the host records'
+// padding. The FPGA model's BRAM gate and index transfer charge this, so a
+// host layout change cannot move the model.
+func (ix *Index) DeviceStructureBytes() int { return ix.StructureBytes() - recordPadBytes(ix.fm) }
+
+// recordPadBytes is what the host's cache-line superblock records cost over
+// the paper's arrays (up to 7 bits per superblock), summed over fm's wavelet
+// tree.
+func recordPadBytes(fm *fmindex.Index) int {
+	if occ, ok := fm.OccProvider().(*fmindex.WaveletOcc); ok {
+		return occ.Tree.SizeBytes() - occ.Tree.PackedSizeBytes()
+	}
+	return 0
+}
 
 // MapResult is the outcome of mapping one read and its reverse complement,
 // mirroring what the paper's kernel returns to the host per query.

@@ -261,14 +261,17 @@ func (ix *Index) MemReady() bool {
 }
 
 // MemBytes returns the footprint of the seed-and-extend state (both
-// directions' structures plus the retained text), 0 when not built.
+// directions' structures plus the retained text) as the FPGA model's BRAM
+// gate charges it — RRR nodes in the paper's array layout, see
+// DeviceStructureBytes — 0 when not built.
 func (ix *Index) MemBytes() int {
 	ix.memMu.Lock()
 	defer ix.memMu.Unlock()
 	if ix.mem == nil {
 		return 0
 	}
-	return ix.mem.bi.Forward().SizeBytes() + len(ix.mem.ref)
+	fwd := ix.mem.bi.Forward()
+	return fwd.SizeBytes() - recordPadBytes(fwd) + len(ix.mem.ref)
 }
 
 func (ix *Index) memState() (*memState, error) {

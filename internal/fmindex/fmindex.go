@@ -36,8 +36,9 @@ func (r Range) Count() int {
 // suffix.
 type Index struct {
 	occ OccProvider
-	// wocc is occ's concrete form when it is the wavelet provider. StepAll
-	// calls through it directly: the devirtualized call lets escape analysis
+	// wocc is occ's concrete form when it is the wavelet provider. Step and
+	// StepAll call through it directly, with both ends of the range in one
+	// tree walk; for StepAll the devirtualized call also lets escape analysis
 	// keep the whole-alphabet count buffers on the stack, where the interface
 	// call would force a heap allocation per step.
 	wocc    *WaveletOcc
@@ -143,13 +144,19 @@ func (ix *Index) OccName() string { return ix.occ.Name() }
 // OccProvider exposes the underlying Occ structure (for serialization).
 func (ix *Index) OccProvider() OccProvider { return ix.occ }
 
-// occFull answers Occ over the full transform, adjusting the query position
-// around the sentinel slot — the paper's separate-$ optimisation.
-func (ix *Index) occFull(sym uint8, i int) int {
+// compact translates a position of the full transform to one of the compact
+// BWT data the Occ structure encodes, which leaves the sentinel slot out —
+// the paper's separate-$ optimisation.
+func (ix *Index) compact(i int) int {
 	if i > ix.primary {
 		i--
 	}
-	return ix.occ.Occ(sym, i)
+	return i
+}
+
+// occFull answers Occ over the full transform.
+func (ix *Index) occFull(sym uint8, i int) int {
+	return ix.occ.Occ(sym, ix.compact(i))
 }
 
 // All returns the range covering every row (the empty-pattern interval).
@@ -157,11 +164,18 @@ func (ix *Index) All() Range { return Range{Start: 0, End: ix.n} }
 
 // Step extends the current match range one symbol to the left: if r is the
 // interval of rows prefixed by X, Step(r, a) is the interval for aX
-// (equations 4 and 5 of the paper). The FPGA simulator calls this per base
-// so its cycle accounting mirrors the real kernel's per-step rank pair.
+// (equations 4 and 5 of the paper). On the wavelet provider both ends go
+// down the tree together, as the paper's kernel resolves them in one pass
+// over each node; other providers answer two Occ queries. The FPGA simulator
+// calls this per base so its cycle accounting mirrors the real kernel's
+// per-step rank pair.
 func (ix *Index) Step(r Range, sym uint8) Range {
 	if int(sym) >= ix.sigma {
 		return Range{Start: 1, End: 0}
+	}
+	if ix.wocc != nil {
+		lo, hi := ix.wocc.Tree.RankPair(sym, ix.compact(r.Start), ix.compact(r.End+1))
+		return Range{Start: ix.cFull[sym] + lo, End: ix.cFull[sym] + hi - 1}
 	}
 	return Range{
 		Start: ix.cFull[sym] + ix.occFull(sym, r.Start),
@@ -177,10 +191,11 @@ const maxStepAllSigma = 8
 // StepAll computes Step(r, b) for every symbol b in [0, sigma) into
 // dst[0:sigma]. When the Occ provider supports whole-alphabet queries
 // (OccAller — the wavelet structure does) it resolves all sigma steps with
-// two OccAll traversals, one per interval endpoint: for DNA that is 6
-// bit-vector ranks instead of the 16 that four separate Step calls issue.
-// The bidirectional extension step — the seeding hot loop, which needs every
-// symbol's interval to maintain the mirror range — is built on it.
+// one traversal that carries both interval endpoints: for DNA that is 3
+// paired bit-vector ranks instead of the 16 single ones that four separate
+// Step calls used to issue. The bidirectional extension step — the seeding
+// hot loop, which needs every symbol's interval to maintain the mirror
+// range — is built on it.
 func (ix *Index) StepAll(r Range, dst []Range) {
 	if ix.wocc == nil || ix.sigma > maxStepAllSigma {
 		ix.stepAllGeneric(r, dst)
@@ -191,16 +206,7 @@ func (ix *Index) StepAll(r Range, dst []Range) {
 	// interface-based fallback lives in a separate function, so its escaping
 	// buffers cannot taint this path).
 	var lo, hi [maxStepAllSigma]int
-	i := r.Start
-	if i > ix.primary {
-		i--
-	}
-	j := r.End + 1
-	if j > ix.primary {
-		j--
-	}
-	ix.wocc.Tree.RankAll(i, lo[:ix.sigma])
-	ix.wocc.Tree.RankAll(j, hi[:ix.sigma])
+	ix.wocc.Tree.RankAllPair(ix.compact(r.Start), ix.compact(r.End+1), lo[:ix.sigma], hi[:ix.sigma])
 	for b := 0; b < ix.sigma; b++ {
 		dst[b] = Range{Start: ix.cFull[b] + lo[b], End: ix.cFull[b] + hi[b] - 1}
 	}
@@ -218,16 +224,8 @@ func (ix *Index) stepAllGeneric(r Range, dst []Range) {
 		return
 	}
 	var lo, hi [maxStepAllSigma]int
-	i := r.Start
-	if i > ix.primary {
-		i--
-	}
-	oa.OccAll(i, lo[:ix.sigma])
-	j := r.End + 1
-	if j > ix.primary {
-		j--
-	}
-	oa.OccAll(j, hi[:ix.sigma])
+	oa.OccAll(ix.compact(r.Start), lo[:ix.sigma])
+	oa.OccAll(ix.compact(r.End+1), hi[:ix.sigma])
 	for b := 0; b < ix.sigma; b++ {
 		dst[b] = Range{Start: ix.cFull[b] + lo[b], End: ix.cFull[b] + hi[b] - 1}
 	}
@@ -238,19 +236,13 @@ func (ix *Index) stepAllGeneric(r Range, dst []Range) {
 // becomes empty — the early-exit the paper leans on to explain why unmapped
 // reads are cheaper (Fig. 7 discussion).
 func (ix *Index) Count(pattern []uint8) Range {
-	r := ix.All()
-	for i := len(pattern) - 1; i >= 0; i-- {
-		r = ix.Step(r, pattern[i])
-		if r.Empty() {
-			return r
-		}
-	}
+	r, _ := ix.CountSteps(pattern)
 	return r
 }
 
-// CountSteps runs the backward search and also reports how many steps it
-// performed before matching or dying — one pass instead of Count followed by
-// StepsTaken. The step count drives the FPGA cycle model.
+// CountSteps is Count that also reports how many steps it performed before
+// matching or dying: the full length for a matching read, fewer for one that
+// falls off early. The step count drives the FPGA cycle model.
 func (ix *Index) CountSteps(pattern []uint8) (Range, int) {
 	r := ix.All()
 	for i := len(pattern) - 1; i >= 0; i-- {
@@ -260,20 +252,6 @@ func (ix *Index) CountSteps(pattern []uint8) (Range, int) {
 		}
 	}
 	return r, len(pattern)
-}
-
-// StepsTaken reports how many backward-search steps Count would perform for
-// pattern: the full length for a matching read, fewer for one that falls off
-// early. The FPGA cycle model uses it to price a query.
-func (ix *Index) StepsTaken(pattern []uint8) int {
-	r := ix.All()
-	for i := len(pattern) - 1; i >= 0; i-- {
-		r = ix.Step(r, pattern[i])
-		if r.Empty() {
-			return len(pattern) - i
-		}
-	}
-	return len(pattern)
 }
 
 // LF maps a row to the row of the text position immediately to its left
@@ -292,10 +270,7 @@ func (ix *Index) LF(row int) (int, error) {
 // rowSymbol returns the BWT symbol of a non-sentinel row. It needs symbol
 // access, which every bundled provider supports.
 func (ix *Index) rowSymbol(row int) (uint8, error) {
-	i := row
-	if i > ix.primary {
-		i--
-	}
+	i := ix.compact(row)
 	switch p := ix.occ.(type) {
 	case *WaveletOcc:
 		return p.Tree.Access(i), nil

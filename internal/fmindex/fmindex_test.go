@@ -198,12 +198,64 @@ func TestStepsTaken(t *testing.T) {
 		text[i] = uint8(i % 3)
 	}
 	ix := indexKinds()[0].build(t, text)
-	if got := ix.StepsTaken([]uint8{0, 1, 3}); got != 1 {
+	if _, got := ix.CountSteps([]uint8{0, 1, 3}); got != 1 {
 		t.Errorf("StepsTaken for dead-end tail = %d, want 1", got)
 	}
 	pat := text[10:30]
-	if got := ix.StepsTaken(pat); got != len(pat) {
+	if _, got := ix.CountSteps(pat); got != len(pat) {
 		t.Errorf("StepsTaken for matching pattern = %d, want %d", got, len(pat))
+	}
+}
+
+// TestStepPairMatchesTwoOcc checks the pair-fused Step and StepAll of the
+// wavelet provider (both backends) against equations 4 and 5 written out with
+// two Occ queries, on ranges below, above, next to and across the sentinel
+// row — where the two ends translate to compact positions differently.
+func TestStepPairMatchesTwoOcc(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	text := buildText(rng, 3000)
+	for _, kind := range indexKinds()[:2] {
+		ix := kind.build(t, text)
+		if ix.wocc == nil {
+			t.Fatalf("%s: index does not hold its wavelet provider concretely", kind.name)
+		}
+		p, n := ix.Primary(), ix.Len()
+		if p < 2 || p > n-2 {
+			t.Fatalf("sentinel row %d leaves no room on both sides of [0,%d]", p, n)
+		}
+		ranges := []Range{
+			ix.All(), {0, 0}, {n, n}, {1, 0}, // everything, the two ends, an empty range
+			{0, p - 1}, {p - 1, p - 1}, {p - 2, p - 1}, // below, ending next to the sentinel
+			{p, p}, {p - 1, p}, {p, p + 1}, {p - 1, p + 1}, {0, p}, {p, n}, // containing it
+			{p + 1, p + 1}, {p + 1, p + 2}, {p + 1, n}, // above, starting next to it
+		}
+		for trial := 0; trial < 300; trial++ {
+			start := rng.Intn(n + 1)
+			ranges = append(ranges, Range{start, min(start+rng.Intn(50), n)})
+		}
+		reference := func(r Range, sym uint8) Range {
+			i, j := r.Start, r.End+1
+			if i > p {
+				i--
+			}
+			if j > p {
+				j--
+			}
+			return Range{ix.cFull[sym] + ix.occ.Occ(sym, i), ix.cFull[sym] + ix.occ.Occ(sym, j) - 1}
+		}
+		all := make([]Range, 4)
+		for _, r := range ranges {
+			ix.StepAll(r, all)
+			for sym := uint8(0); sym < 4; sym++ {
+				want := reference(r, sym)
+				if got := ix.Step(r, sym); got != want {
+					t.Fatalf("%s: Step(%v,%d)=%v, two-Occ reference %v (sentinel row %d)", kind.name, r, sym, got, want, p)
+				}
+				if all[sym] != want {
+					t.Fatalf("%s: StepAll(%v)[%d]=%v, two-Occ reference %v (sentinel row %d)", kind.name, r, sym, all[sym], want, p)
+				}
+			}
+		}
 	}
 }
 

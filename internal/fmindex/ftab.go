@@ -22,17 +22,21 @@ import (
 //
 // The table is built in O(4^k) total work by interval refinement: the entry
 // for sX is one Step (two rank queries) from the entry for X, and dead
-// entries are copied, never stepped. Two int32 arrays of 4^k entries each
-// cost 8·4^k bytes — 8 MiB at the default k=10.
+// entries are copied, never stepped. 4^k entries of two int32 each cost
+// 8·4^k bytes — 8 MiB at the default k=10 — and a range's two ends share a
+// cache line, so a lookup misses once.
 type Ftab struct {
-	k      int
-	lo, hi []int32
+	k       int
+	entries []ftabEntry
 
 	// Lookup counters, updated atomically by SearchWithFtab: hits answered
 	// from the table, misses where an out-of-alphabet symbol in the suffix
 	// forced a plain search, and short reads below k bases.
 	hits, misses, short atomic.Uint64
 }
+
+// ftabEntry is one stored range.
+type ftabEntry struct{ lo, hi int32 }
 
 // ftab keys cover the fixed DNA alphabet, independent of the index's sigma;
 // symbols in [4, 255] cannot be encoded and fall back to the plain search,
@@ -59,11 +63,11 @@ type FtabStats struct {
 func (f *Ftab) K() int { return f.k }
 
 // Entries returns the number of k-mers covered (4^k).
-func (f *Ftab) Entries() int { return len(f.lo) }
+func (f *Ftab) Entries() int { return len(f.entries) }
 
 // SizeBytes returns the table's footprint — the quantity the FPGA simulator
 // charges against its BRAM capacity gate.
-func (f *Ftab) SizeBytes() int { return len(f.lo)*4 + len(f.hi)*4 + 16 }
+func (f *Ftab) SizeBytes() int { return len(f.entries)*8 + 16 }
 
 // Stats snapshots the lookup counters.
 func (f *Ftab) Stats() FtabStats {
@@ -73,7 +77,8 @@ func (f *Ftab) Stats() FtabStats {
 // Lookup returns the stored range for a key in [0, 4^k): the big-endian
 // base-4 encoding of the k-mer (first symbol in the highest digit).
 func (f *Ftab) Lookup(key int) Range {
-	return Range{Start: int(f.lo[key]), End: int(f.hi[key])}
+	e := f.entries[key]
+	return Range{Start: int(e.lo), End: int(e.hi)}
 }
 
 // Validate checks every stored range against the index length n, the same
@@ -83,11 +88,11 @@ func (f *Ftab) Validate(n int) error {
 	if f.k < 1 || f.k > MaxFtabK {
 		return fmt.Errorf("fmindex: ftab order %d outside [1,%d]", f.k, MaxFtabK)
 	}
-	if want := 1 << (2 * f.k); len(f.lo) != want || len(f.hi) != want {
-		return fmt.Errorf("fmindex: ftab has %d/%d entries, want %d", len(f.lo), len(f.hi), want)
+	if want := 1 << (2 * f.k); len(f.entries) != want {
+		return fmt.Errorf("fmindex: ftab has %d entries, want %d", len(f.entries), want)
 	}
-	for i := range f.lo {
-		lo, hi := int(f.lo[i]), int(f.hi[i])
+	for i, e := range f.entries {
+		lo, hi := int(e.lo), int(e.hi)
 		if lo < 0 || lo > n+1 || hi < -1 || hi > n || hi-lo+1 > n+1 {
 			return fmt.Errorf("fmindex: ftab entry %d holds range [%d,%d] outside rows [0,%d]", i, lo, hi, n)
 		}
@@ -121,10 +126,9 @@ func (ix *Index) BuildFtab(k int) (*Ftab, error) {
 		}
 		cur = next
 	}
-	f := &Ftab{k: k, lo: make([]int32, len(cur)), hi: make([]int32, len(cur))}
+	f := &Ftab{k: k, entries: make([]ftabEntry, len(cur))}
 	for i, r := range cur {
-		f.lo[i] = int32(r.Start)
-		f.hi[i] = int32(r.End)
+		f.entries[i] = ftabEntry{lo: int32(r.Start), hi: int32(r.End)}
 	}
 	return f, nil
 }
@@ -169,7 +173,7 @@ func (ix *Index) SearchWithFtabSteps(pattern []uint8) (Range, int) {
 		key = key<<2 | int(s)
 	}
 	f.hits.Add(1)
-	r := Range{Start: int(f.lo[key]), End: int(f.hi[key])}
+	r := f.Lookup(key)
 	steps := 1
 	if r.Empty() {
 		// The search died inside the suffix; the stored range is the exact

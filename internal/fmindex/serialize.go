@@ -59,9 +59,9 @@ func ReadSampledSA(r io.Reader) (*SampledSA, error) {
 	return &SampledSA{rate: int(head[1]), marks: marks, values: values}, nil
 }
 
-// WriteTo serializes the prefix table (magic, order, then the two interval
-// arrays). It implements io.WriterTo. Lookup counters are runtime state and
-// are not persisted.
+// WriteTo serializes the prefix table: magic, order, then every range's
+// start followed by every range's end, as two int32 arrays. It implements
+// io.WriterTo. Lookup counters are runtime state and are not persisted.
 func (f *Ftab) WriteTo(w io.Writer) (int64, error) {
 	var written int64
 	head := [2]uint32{ftabMagic, uint32(f.k)}
@@ -69,14 +69,19 @@ func (f *Ftab) WriteTo(w io.Writer) (int64, error) {
 		return written, err
 	}
 	written += 8
-	if err := binary.Write(w, binary.LittleEndian, f.lo); err != nil {
-		return written, err
+	column := make([]int32, len(f.entries))
+	for _, ends := range []bool{false, true} {
+		for i, e := range f.entries {
+			column[i] = e.lo
+			if ends {
+				column[i] = e.hi
+			}
+		}
+		if err := binary.Write(w, binary.LittleEndian, column); err != nil {
+			return written, err
+		}
+		written += int64(len(column)) * 4
 	}
-	written += int64(len(f.lo)) * 4
-	if err := binary.Write(w, binary.LittleEndian, f.hi); err != nil {
-		return written, err
-	}
-	written += int64(len(f.hi)) * 4
 	return written, nil
 }
 
@@ -94,13 +99,19 @@ func ReadFtab(r io.Reader) (*Ftab, error) {
 	if k < 1 || k > MaxFtabK {
 		return nil, fmt.Errorf("fmindex: ftab order %d outside [1,%d]", k, MaxFtabK)
 	}
-	entries := 1 << (2 * k)
-	f := &Ftab{k: k, lo: make([]int32, entries), hi: make([]int32, entries)}
-	if err := binary.Read(r, binary.LittleEndian, f.lo); err != nil {
-		return nil, fmt.Errorf("fmindex: reading ftab intervals: %w", err)
-	}
-	if err := binary.Read(r, binary.LittleEndian, f.hi); err != nil {
-		return nil, fmt.Errorf("fmindex: reading ftab intervals: %w", err)
+	f := &Ftab{k: k, entries: make([]ftabEntry, 1<<(2*k))}
+	column := make([]int32, len(f.entries))
+	for _, ends := range []bool{false, true} {
+		if err := binary.Read(r, binary.LittleEndian, column); err != nil {
+			return nil, fmt.Errorf("fmindex: reading ftab intervals: %w", err)
+		}
+		for i, v := range column {
+			if ends {
+				f.entries[i].hi = v
+			} else {
+				f.entries[i].lo = v
+			}
+		}
 	}
 	return f, nil
 }

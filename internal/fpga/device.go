@@ -222,7 +222,7 @@ func (d *Device) cyclesToTime(cycles uint64) time.Duration {
 // bit-identical results) and its cycle model prices every step, matching
 // what its fabric would actually do.
 func (d *Device) Program(ix *core.Index) (*Kernel, error) {
-	structure := ix.StructureBytes()
+	structure := ix.DeviceStructureBytes()
 	if structure > d.cfg.BRAMBytes {
 		return nil, fmt.Errorf("fpga: index needs %d bytes of BRAM, device has %d — reference too large for on-chip memory",
 			structure, d.cfg.BRAMBytes)

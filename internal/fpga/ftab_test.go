@@ -95,7 +95,7 @@ func TestFtabKernelCycleReduction(t *testing.T) {
 func TestFtabBRAMDegrade(t *testing.T) {
 	const k = 8 // 4^8 intervals = 512 KiB of table
 	ix := buildFtabIndex(t, 60000, k)
-	structure := ix.StructureBytes()
+	structure := ix.DeviceStructureBytes()
 	if ix.FtabBytes() <= 0 {
 		t.Fatal("index has no table to degrade")
 	}
@@ -174,9 +174,9 @@ func TestFtabReport(t *testing.T) {
 	if rep.FtabBytes != ix.FtabBytes() {
 		t.Errorf("report ftab bytes %d, index %d", rep.FtabBytes, ix.FtabBytes())
 	}
-	if rep.StructureBytes != ix.StructureBytes()+ix.FtabBytes() {
+	if rep.StructureBytes != ix.DeviceStructureBytes()+ix.FtabBytes() {
 		t.Errorf("report on-chip bytes %d, want structure %d + ftab %d",
-			rep.StructureBytes, ix.StructureBytes(), ix.FtabBytes())
+			rep.StructureBytes, ix.DeviceStructureBytes(), ix.FtabBytes())
 	}
 	var sb strings.Builder
 	WriteReport(&sb, rep)

@@ -43,6 +43,45 @@ func FuzzRank(f *testing.F) {
 	})
 }
 
+// FuzzRankPair checks Rank1Pair(i, j) against two naive counts — the fused
+// walk (one block, one superblock) and the fallback (two superblocks, i > j)
+// must both equal (Rank1(i), Rank1(j)).
+func FuzzRankPair(f *testing.F) {
+	dense := bytes.Repeat([]byte{0xB5, 0x0F, 0x00, 0xFF, 0x31}, 40) // 1600 bits
+	f.Add(dense, uint8(15), uint8(50), uint16(100), uint16(100))    // i == j
+	f.Add(dense, uint8(15), uint8(50), uint16(0), uint16(1600))     // i = 0, j = n
+	f.Add(dense, uint8(15), uint8(50), uint16(31), uint16(44))      // same block
+	f.Add(dense, uint8(15), uint8(50), uint16(20), uint16(700))     // same superblock
+	f.Add(dense, uint8(15), uint8(50), uint16(740), uint16(760))    // straddling superblocks
+	f.Add(dense, uint8(15), uint8(50), uint16(750), uint16(1500))   // both on superblock starts
+	f.Add(dense, uint8(7), uint8(3), uint16(15), uint16(40))        // odd sf
+	f.Add(dense, uint8(2), uint8(1), uint16(900), uint16(5))        // i > j
+	f.Add([]byte{}, uint8(15), uint8(50), uint16(0), uint16(0))     // n = 0
+	f.Fuzz(func(t *testing.T, raw []byte, bRaw, sfRaw uint8, iRaw, jRaw uint16) {
+		if len(raw) > 4096 {
+			raw = raw[:4096]
+		}
+		b := int(bRaw)%(MaxBlockSize-MinBlockSize+1) + MinBlockSize
+		sf := int(sfRaw)%128 + 1
+		bits := make([]bool, len(raw)*8)
+		for i := range bits {
+			bits[i] = raw[i/8]>>(uint(i)%8)&1 == 1
+		}
+		s, err := FromBools(bits, Params{BlockSize: b, SuperblockFactor: sf})
+		if err != nil {
+			t.Fatalf("valid params rejected: %v", err)
+		}
+		i, j := int(iRaw)%(len(bits)+1), int(jRaw)%(len(bits)+1)
+		wantI, wantJ := naiveRank(bits, i), naiveRank(bits, j)
+		if gotI, gotJ := s.Rank1Pair(i, j); gotI != wantI || gotJ != wantJ {
+			t.Fatalf("b=%d sf=%d n=%d: Rank1Pair(%d,%d)=(%d,%d), want (%d,%d)", b, sf, len(bits), i, j, gotI, gotJ, wantI, wantJ)
+		}
+		if s.Rank1(i) != wantI || s.Rank1(j) != wantJ {
+			t.Fatalf("b=%d sf=%d n=%d: Rank1 disagrees with the naive count at %d or %d", b, sf, len(bits), i, j)
+		}
+	})
+}
+
 // FuzzSerialization checks that ReadSequence never panics on corrupted
 // input and that valid serializations round-trip exactly.
 func FuzzSerialization(f *testing.F) {

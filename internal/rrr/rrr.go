@@ -13,8 +13,10 @@
 package rrr
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -49,24 +51,38 @@ type Sequence struct {
 	sf     int
 	nBlk   int // ceil(n/b)
 	nSuper int // ceil(nBlk/sf)
+	// offBits is lambda, the summed width of all offset fields (the padding
+	// that byte-aligns each superblock's fields is not part of it).
+	offBits int
 
 	table *GlobalRankTable
 
-	// classes holds one 4-bit class per block, two per byte, low nibble
-	// first — exactly the paper's "array of N/b 4-bit fields".
-	classes []uint8
-	// partialSum[s] is the rank (number of 1s) before superblock s;
-	// partialSum[nSuper] is the total.
-	partialSum []uint32
-	// offsets is the variable-width offset bit-vector, LSB-first in words.
-	offsets []uint64
-	offBits int
-	// offsetSum[s] is the bit position in offsets of the first field of
-	// superblock s (the paper's "set sum" array).
-	offsetSum []uint32
+	// divB and divSuper are ceil(2^64/b) and ceil(2^64/(b*sf)): the high word
+	// of their product with i < 2^32 is i/b and i/(b*sf) exactly (Lemire),
+	// which spares every rank two hardware divisions.
+	divB, divSuper uint64
+
+	// recs holds one record per superblock, back to back, so that a rank
+	// reads one or two adjacent cache lines:
+	//
+	//	partial sum  uint32, little endian: the rank before the superblock
+	//	classes      ceil(sf/2) bytes: one 4-bit class per block, block k of
+	//	             the superblock in byte k/2, even k in the low nibble
+	//	offsets      the superblock's variable-width offset fields, LSB-first,
+	//	             zero-padded to a whole byte
+	//
+	// The class field of a short last superblock ends with its last block.
+	// A closing record of a partial sum alone follows: it holds the total
+	// rank, and its 4 bytes keep a 4-byte load at the last offset byte inside
+	// the buffer.
+	recs []byte
+	// dir[s] is the position of superblock s's record in recs, and
+	// dir[nSuper] that of the closing record. It takes the place of the
+	// paper's "set sum" array.
+	dir []uint32
 }
 
-var errTooLong = errors.New("rrr: sequence longer than 2^32-1 ones/offset bits unsupported")
+var errTooLong = errors.New("rrr: sequence longer than 2^32-1 bits, or records beyond 2^32-1 bytes, unsupported")
 
 // BitSource yields bit i of the input; it is how builders avoid
 // materialising a []bool for multi-megabyte inputs.
@@ -80,58 +96,75 @@ func New(src BitSource, n int, p Params) (*Sequence, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("rrr: negative length %d", n)
 	}
+	// The serialized header, the partial sums and locate's multiply-based
+	// division all hold a bit position in 32 bits.
+	if uint64(n) > math.MaxUint32 {
+		return nil, errTooLong
+	}
 	table, err := TableFor(p.BlockSize)
 	if err != nil {
 		return nil, err
 	}
-	b, sf := p.BlockSize, p.SuperblockFactor
-	nBlk := (n + b - 1) / b
-	nSuper := (nBlk + sf - 1) / sf
-
-	s := &Sequence{
-		n: n, b: b, sf: sf, nBlk: nBlk, nSuper: nSuper,
-		table:      table,
-		classes:    make([]uint8, (nBlk+1)/2),
-		partialSum: make([]uint32, nSuper+1),
-		offsetSum:  make([]uint32, nSuper),
-	}
-
-	// First pass: classes, partial sums, and total offset width.
-	totalOnes := uint64(0)
-	totalOffBits := uint64(0)
-	for blk := 0; blk < nBlk; blk++ {
-		if blk%sf == 0 {
-			if totalOnes > 1<<32-1 || totalOffBits > 1<<32-1 {
-				return nil, errTooLong
-			}
-			s.partialSum[blk/sf] = uint32(totalOnes)
-			s.offsetSum[blk/sf] = uint32(totalOffBits)
-		}
-		v := blockValue(src, blk, b, n)
-		c := bits.OnesCount16(v)
-		s.setClass(blk, c)
-		totalOnes += uint64(c)
-		totalOffBits += uint64(table.Width(c))
-	}
-	if totalOnes > 1<<32-1 || totalOffBits > 1<<32-1 {
-		return nil, errTooLong
-	}
-	s.partialSum[nSuper] = uint32(totalOnes)
-	s.offBits = int(totalOffBits)
-	s.offsets = make([]uint64, (totalOffBits+63)/64)
-
-	// Second pass: write the offset fields.
-	pos := 0
-	for blk := 0; blk < nBlk; blk++ {
-		v := blockValue(src, blk, b, n)
-		c := bits.OnesCount16(v)
-		w := table.Width(c)
-		if w > 0 {
-			writeBits(s.offsets, pos, uint64(table.OffsetOf(v)), w)
-		}
-		pos += w
+	s := newSequence(n, p, table)
+	err = s.encode(func(blk int) (int, int) {
+		v := blockValue(src, blk, s.b, n)
+		return bits.OnesCount16(v), table.OffsetOf(v)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return s, nil
+}
+
+func newSequence(n int, p Params, table *GlobalRankTable) *Sequence {
+	b, sf := p.BlockSize, p.SuperblockFactor
+	nBlk := (n + b - 1) / b
+	return &Sequence{
+		n: n, b: b, sf: sf, nBlk: nBlk, nSuper: (nBlk + sf - 1) / sf,
+		table: table,
+		divB:  math.MaxUint64/uint64(b) + 1, divSuper: math.MaxUint64/uint64(b*sf) + 1,
+	}
+}
+
+// encode lays the records out. block(blk) returns block blk's class and its
+// offset within the class; it is called for every block in order, twice: the
+// first pass fills the directory, so that the record buffer is allocated
+// once at its final size, and the second fills the records. The partial sums
+// and lambda fit their 32-bit fields because n does: a block has no more
+// ones, and no wider an offset field, than it has bits.
+func (s *Sequence) encode(block func(blk int) (class, offset int)) error {
+	s.dir = make([]uint32, s.nSuper+1)
+	at := uint64(0)
+	for super := 0; super <= s.nSuper; super++ {
+		if at > math.MaxUint32 {
+			return errTooLong
+		}
+		s.dir[super] = uint32(at)
+		width := 0
+		for blk := super * s.sf; blk < (super+1)*s.sf && blk < s.nBlk; blk++ {
+			c, _ := block(blk)
+			width += s.table.Width(c)
+		}
+		s.offBits += width
+		at += uint64(4 + s.classBytes(super) + (width+7)/8)
+	}
+	s.recs = make([]byte, at)
+
+	sum := 0
+	for super := 0; super <= s.nSuper; super++ {
+		binary.LittleEndian.PutUint32(s.recs[s.dir[super]:], uint32(sum))
+		_, body, pos := s.record(super)
+		for k, blk := 0, super*s.sf; k < s.sf && blk < s.nBlk; k, blk = k+1, blk+1 {
+			c, o := block(blk)
+			setNibble(body, k, c)
+			if w := s.table.Width(c); w > 0 {
+				putBits(body, pos, o)
+				pos += w
+			}
+			sum += c
+		}
+	}
+	return nil
 }
 
 // FromBools encodes a bool slice.
@@ -156,46 +189,96 @@ func blockValue(src BitSource, blk, b, n int) uint16 {
 	return v
 }
 
-func (s *Sequence) setClass(blk, c int) {
-	if blk%2 == 0 {
-		s.classes[blk/2] |= uint8(c)
-	} else {
-		s.classes[blk/2] |= uint8(c) << 4
-	}
+// nibble returns 4-bit field k of buf, even k in the low half of byte k/2 —
+// the packing of the class fields, in a record and in the serialized array.
+func nibble(buf []byte, k int) int { return int(buf[k>>1]>>(uint(k&1)*4)) & 0xF }
+
+func setNibble(buf []byte, k, c int) { buf[k>>1] |= uint8(c) << (uint(k&1) * 4) }
+
+// getBits loads the w <= 16 bits at bit position pos of an LSB-first byte
+// stream. It reads the 4 bytes from pos/8 on, which buf must hold.
+func getBits(buf []byte, pos int, w uint8) int {
+	return int(binary.LittleEndian.Uint32(buf[pos>>3:])>>uint(pos&7)) & (1<<w - 1)
 }
 
-func (s *Sequence) class(blk int) int {
-	v := s.classes[blk/2]
-	if blk%2 == 1 {
-		v >>= 4
-	}
-	return int(v & 0xF)
+// putBits ORs v, of at most 16 bits, into the stream at bit position pos,
+// with getBits' 4-byte footprint.
+func putBits(buf []byte, pos, v int) {
+	p := buf[pos>>3:]
+	binary.LittleEndian.PutUint32(p, binary.LittleEndian.Uint32(p)|uint32(v)<<uint(pos&7))
 }
 
-// writeBits stores the low w bits of v at bit position pos (LSB-first).
-func writeBits(words []uint64, pos int, v uint64, w int) {
-	wi, bi := pos/64, uint(pos%64)
-	words[wi] |= v << bi
-	if int(bi)+w > 64 {
-		words[wi+1] |= v >> (64 - bi)
-	}
+// locate splits bit position i into its block and superblock.
+func (s *Sequence) locate(i int) (blk, super int) {
+	q, _ := bits.Mul64(s.divB, uint64(i))
+	r, _ := bits.Mul64(s.divSuper, uint64(i))
+	return int(q), int(r)
 }
 
-// readBits loads w bits from bit position pos (LSB-first), w <= 16.
-func readBits(words []uint64, pos int, w int) uint64 {
-	wi, bi := pos/64, uint(pos%64)
-	v := words[wi] >> bi
-	if int(bi)+w > 64 {
-		v |= words[wi+1] << (64 - bi)
+// classBytes is the size of superblock super's class field: a nibble per
+// block, of which a last superblock may have fewer than sf and the closing
+// record has none.
+func (s *Sequence) classBytes(super int) int {
+	return (max(0, min(s.sf, s.nBlk-super*s.sf)) + 1) / 2
+}
+
+// record returns the rank before superblock super, the body of its record —
+// the class bytes, then the offset fields — and the bit position in the body
+// of the first offset field.
+func (s *Sequence) record(super int) (sum int, body []byte, offsets int) {
+	rec := s.recs[s.dir[super]:]
+	return int(binary.LittleEndian.Uint32(rec)), rec[4:], 8 * s.classBytes(super)
+}
+
+// scan sums the classes (ones) and the offset-field widths of blocks
+// [from, to) of a record. It is the one reader of the class fields: Rank1,
+// Rank1Pair, Bit and Select1 all walk a record through it. Whole class bytes
+// go through the packed LUTs two blocks at a time; from and to may each
+// leave a stray nibble.
+func (s *Sequence) scan(body []byte, from, to int) (ones, width int) {
+	t := s.table
+	k := from
+	if k&1 == 1 && k < to {
+		c := body[k>>1] >> 4
+		ones, width = int(c), int(t.width[c])
+		k++
 	}
-	return v & (1<<uint(w) - 1)
+	for ; k+2 <= to; k += 2 {
+		v := body[k>>1]
+		ones += int(t.classSum[v])
+		width += int(t.widthSum[v])
+	}
+	if k < to {
+		c := body[k>>1] & 0xF
+		ones += int(c)
+		width += int(t.width[c])
+	}
+	return ones, width
+}
+
+// block decodes block k of a record, whose offset field is at bit position
+// pos of the body, through the global rank table.
+func (s *Sequence) block(body []byte, k, pos int) uint16 {
+	c := nibble(body, k)
+	return s.table.Block(c, getBits(body, pos, s.table.width[c]))
+}
+
+// prefix counts the ones among the first rem bits of that block.
+func (s *Sequence) prefix(body []byte, k, pos, rem int) int {
+	if rem == 0 {
+		return 0 // and k may be one past the superblock's last block
+	}
+	return bits.OnesCount16(s.block(body, k, pos) & (1<<uint(rem) - 1))
 }
 
 // Len returns the number of bits in the sequence.
 func (s *Sequence) Len() int { return s.n }
 
 // Ones returns the total number of set bits.
-func (s *Sequence) Ones() int { return int(s.partialSum[s.nSuper]) }
+func (s *Sequence) Ones() int {
+	sum, _, _ := s.record(s.nSuper)
+	return sum
+}
 
 // Params returns the encoding parameters.
 func (s *Sequence) Params() Params {
@@ -211,57 +294,38 @@ func (s *Sequence) Rank1(i int) int {
 	if i < 0 || i > s.n {
 		panic(fmt.Sprintf("rrr: rank position %d out of range [0,%d]", i, s.n))
 	}
-	sb := s.b * s.sf
-	if i%sb == 0 {
-		return int(s.partialSum[i/sb])
+	blk, super := s.locate(i)
+	sum, body, pos := s.record(super)
+	k := blk - super*s.sf
+	ones, width := s.scan(body, 0, k)
+	return sum + ones + s.prefix(body, k, pos+width, i-blk*s.b)
+}
+
+// Rank1Pair returns Rank1(i) and Rank1(j). When i <= j fall in one
+// superblock — the two ends of a backward-search range, once it has
+// narrowed — they share the record and one scan, the walk to i's block being
+// the first part of the walk to j's, and one decode if they share the block.
+// Any other pair is two independent ranks.
+func (s *Sequence) Rank1Pair(i, j int) (int, int) {
+	bi, super := s.locate(i)
+	bj, superJ := s.locate(j)
+	if i < 0 || i > j || j > s.n || superJ != super {
+		return s.Rank1(i), s.Rank1(j)
 	}
-	super := i / sb
-	count := int(s.partialSum[super])
-	blk := i / s.b
-	if i%s.b == 0 {
-		j := super * s.sf
-		if j&1 == 1 && j < blk {
-			count += int(s.classes[j/2] >> 4)
-			j++
+	sum, body, pos := s.record(super)
+	ki, kj := bi-super*s.sf, bj-super*s.sf
+	remI, remJ := i-bi*s.b, j-bj*s.b
+	ones, width := s.scan(body, 0, ki)
+	ri, pos := sum+ones, pos+width
+	if ki == kj {
+		if remJ == 0 {
+			return ri, ri
 		}
-		for ; j+2 <= blk; j += 2 {
-			count += int(s.table.classSum[s.classes[j/2]])
-		}
-		if j < blk {
-			count += int(s.classes[j/2] & 0xF)
-		}
-		return count
+		v := s.block(body, ki, pos)
+		return ri + bits.OnesCount16(v&(1<<uint(remI)-1)), ri + bits.OnesCount16(v&(1<<uint(remJ)-1))
 	}
-	// Scan the preceding blocks' classes two at a time through the packed
-	// byte LUTs; superblocks start on even block indexes only when sf is
-	// even, so handle a stray nibble at either end.
-	offPos := int(s.offsetSum[super])
-	j := super * s.sf
-	if j&1 == 1 && j < blk {
-		c := int(s.classes[j/2] >> 4)
-		count += c
-		offPos += int(s.table.width[c])
-		j++
-	}
-	for ; j+2 <= blk; j += 2 {
-		v := s.classes[j/2]
-		count += int(s.table.classSum[v])
-		offPos += int(s.table.widthSum[v])
-	}
-	if j < blk {
-		c := int(s.classes[j/2] & 0xF)
-		count += c
-		offPos += int(s.table.width[c])
-	}
-	c := s.class(blk)
-	var v uint16
-	if w := s.table.Width(c); w > 0 {
-		v = s.table.Block(c, int(readBits(s.offsets, offPos, w)))
-	} else {
-		v = s.table.Block(c, 0)
-	}
-	count += bits.OnesCount16(v & (1<<uint(i%s.b) - 1))
-	return count
+	ones, width = s.scan(body, ki, kj)
+	return ri + s.prefix(body, ki, pos, remI), ri + ones + s.prefix(body, kj, pos+width, remJ)
 }
 
 // Rank0 returns the number of 0 bits strictly before position i.
@@ -272,20 +336,11 @@ func (s *Sequence) Bit(i int) bool {
 	if i < 0 || i >= s.n {
 		panic(fmt.Sprintf("rrr: index %d out of range [0,%d)", i, s.n))
 	}
-	blk := i / s.b
-	super := blk / s.sf
-	offPos := int(s.offsetSum[super])
-	for j := super * s.sf; j < blk; j++ {
-		offPos += s.table.Width(s.class(j))
-	}
-	c := s.class(blk)
-	var v uint16
-	if w := s.table.Width(c); w > 0 {
-		v = s.table.Block(c, int(readBits(s.offsets, offPos, w)))
-	} else {
-		v = s.table.Block(c, 0)
-	}
-	return v>>uint(i%s.b)&1 == 1
+	blk, super := s.locate(i)
+	_, body, pos := s.record(super)
+	k := blk - super*s.sf
+	_, width := s.scan(body, 0, k)
+	return s.block(body, k, pos+width)>>uint(i-blk*s.b)&1 == 1
 }
 
 // Select1 returns the position of the k-th set bit (k >= 1), or -1 if there
@@ -298,48 +353,48 @@ func (s *Sequence) Select1(k int) int {
 	lo, hi := 0, s.nSuper-1
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
-		if int(s.partialSum[mid]) < k {
+		if sum, _, _ := s.record(mid); sum < k {
 			lo = mid
 		} else {
 			hi = mid - 1
 		}
 	}
-	rem := k - int(s.partialSum[lo])
-	offPos := int(s.offsetSum[lo])
-	for blk := lo * s.sf; blk < s.nBlk; blk++ {
-		c := s.class(blk)
+	sum, body, pos := s.record(lo)
+	rem := k - sum
+	// Superblock lo holds the k-th one, so the walk ends inside it.
+	for blk := 0; ; blk++ {
+		c, w := s.scan(body, blk, blk+1)
 		if rem <= c {
-			w := s.table.Width(c)
-			var v uint16
-			if w > 0 {
-				v = s.table.Block(c, int(readBits(s.offsets, offPos, w)))
-			} else {
-				v = s.table.Block(c, 0)
+			v := s.block(body, blk, pos)
+			for ; rem > 1; rem-- {
+				v &= v - 1 // drop the lowest set bit
 			}
-			for bit := 0; bit < s.b; bit++ {
-				if v>>uint(bit)&1 == 1 {
-					rem--
-					if rem == 0 {
-						return blk*s.b + bit
-					}
-				}
-			}
+			return (lo*s.sf+blk)*s.b + bits.TrailingZeros16(v)
 		}
 		rem -= c
-		offPos += s.table.Width(c)
+		pos += w
 	}
-	return -1
 }
 
 // OffsetBits returns lambda, the total length in bits of the offset
 // bit-vector — the entropy-dependent part of the structure's size.
 func (s *Sequence) OffsetBits() int { return s.offBits }
 
-// SizeBytes returns the actual memory footprint of this sequence, excluding
-// the shared global rank table (use SharedSizeBytes for that), matching how
-// the paper accounts space when many wavelet nodes share one table.
+// SizeBytes returns the actual memory footprint of this sequence — the
+// records, padding included, the directory and three header words —
+// excluding the shared global rank table (use SharedSizeBytes for that),
+// matching how the paper accounts space when many wavelet nodes share one
+// table.
 func (s *Sequence) SizeBytes() int {
-	return len(s.classes) + len(s.partialSum)*4 + len(s.offsetSum)*4 + (s.offBits+7)/8 + 3*4
+	return len(s.recs) + len(s.dir)*4 + 3*4
+}
+
+// PackedSizeBytes returns the footprint of the same sequence as the paper
+// lays it out and WriteTo serializes it — the class, partial-sum, offset-sum
+// and offset arrays, with no per-superblock padding. It is what a device
+// holding the structure in that layout is charged.
+func (s *Sequence) PackedSizeBytes() int {
+	return (s.nBlk+1)/2 + (2*s.nSuper+1)*4 + (s.offBits+7)/8 + 3*4
 }
 
 // SharedSizeBytes returns the size of the shared global rank table.

@@ -154,6 +154,53 @@ func TestRankMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestRankPairEveryLayout walks every block size, superblock factors that are
+// odd, even and 1, and lengths on and around superblock boundaries (0 and
+// whole multiples of b*sf included), checking Rank1Pair against Rank1 at
+// every i for partners in the same block, the same superblock, the next
+// superblock and the end — and Rank1, Bit and Select1 against the input.
+func TestRankPairEveryLayout(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for b := MinBlockSize; b <= MaxBlockSize; b++ {
+		for _, sf := range []int{1, 2, 3, 7, 50} {
+			sb := b * sf
+			for _, n := range []int{0, 1, sb - 1, sb, sb + 1, 2 * sb, 3*sb - b, 3*sb + b + 1} {
+				in := randomBools(rng, n, 0.4)
+				s, err := FromBools(in, Params{BlockSize: b, SuperblockFactor: sf})
+				if err != nil {
+					t.Fatalf("b=%d sf=%d n=%d: %v", b, sf, n, err)
+				}
+				rank := make([]int, n+1)
+				for i, bit := range in {
+					rank[i+1] = rank[i]
+					if bit {
+						rank[i+1]++
+						if got := s.Select1(rank[i+1]); got != i {
+							t.Fatalf("b=%d sf=%d n=%d: Select1(%d)=%d, want %d", b, sf, n, rank[i+1], got, i)
+						}
+					}
+					if s.Bit(i) != bit {
+						t.Fatalf("b=%d sf=%d n=%d: Bit(%d) wrong", b, sf, n, i)
+					}
+				}
+				for i := 0; i <= n; i++ {
+					if got := s.Rank1(i); got != rank[i] {
+						t.Fatalf("b=%d sf=%d n=%d: Rank1(%d)=%d, want %d", b, sf, n, i, got, rank[i])
+					}
+					for _, j := range []int{i, i + 1, i + b - 1, i + b, i + sb - 1, i + sb, n} {
+						if j > n {
+							continue
+						}
+						if ri, rj := s.Rank1Pair(i, j); ri != rank[i] || rj != rank[j] {
+							t.Fatalf("b=%d sf=%d n=%d: Rank1Pair(%d,%d)=(%d,%d), want (%d,%d)", b, sf, n, i, j, ri, rj, rank[i], rank[j])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestRankOnRunInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	in := runBools(rng, 50000, 40)
@@ -269,6 +316,50 @@ func TestSizeMatchesPaperFormula(t *testing.T) {
 	}
 }
 
+// TestSizeAccounting pins SizeBytes to the record layout, field by field, and
+// bounds what the layout costs over the paper's arrays (PackedSizeBytes): at
+// most 7 pad bits per superblock, a spare class nibble per superblock when
+// sf is odd, and one more directory word.
+func TestSizeAccounting(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	in := runBools(rng, 100000, 30)
+	for _, p := range []Params{{15, 50}, {15, 51}, {15, 1}, {7, 64}, {2, 3}} {
+		s, err := FromBools(in, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, sf := p.BlockSize, p.SuperblockFactor
+		nBlk := (len(in) + b - 1) / b
+		nSuper := (nBlk + sf - 1) / sf
+		want := 4*(nSuper+1) + 4 + 3*4 // directory, closing record, header words
+		for super := 0; super < nSuper; super++ {
+			blocks, width := 0, 0
+			for blk := super * sf; blk < (super+1)*sf && blk < nBlk; blk++ {
+				ones := 0
+				for i := blk * b; i < (blk+1)*b && i < len(in); i++ {
+					if in[i] {
+						ones++
+					}
+				}
+				blocks++
+				width += s.table.Width(ones)
+			}
+			want += 4 + (blocks+1)/2 + (width+7)/8
+		}
+		if got := s.SizeBytes(); got != want {
+			t.Errorf("p=%+v: SizeBytes %d, records add up to %d", p, got, want)
+		}
+		over := s.SizeBytes() - s.PackedSizeBytes()
+		limit := nSuper + 4
+		if sf%2 == 1 {
+			limit += nSuper
+		}
+		if over < 0 || over > limit {
+			t.Errorf("p=%+v: records cost %d bytes over the packed arrays, limit %d", p, over, limit)
+		}
+	}
+}
+
 // TestCompressionOnLowEntropyInput checks the headline property the paper
 // relies on: BWT-like run-structured bit-vectors compress well below the
 // plain 1-bit-per-bit representation.
@@ -315,6 +406,29 @@ func BenchmarkRank(b *testing.B) {
 		b.Run(benchName("sf", sf), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				s.Rank1((i * 7919) % (s.Len() + 1))
+			}
+		})
+	}
+}
+
+// BenchmarkRankPair times both ends of a range in one call: near pairs share
+// a block or a superblock (a narrowed backward-search range, the fused walk),
+// far pairs sit in different superblocks (two independent ranks).
+func BenchmarkRankPair(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	in := runBools(rng, 1<<20, 40)
+	s, err := FromBools(in, DefaultParams)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, gap := range []struct {
+		name string
+		bits int
+	}{{"near", 1}, {"same-superblock", 300}, {"far", 1 << 19}} {
+		b.Run(gap.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				p := (i * 7919) % (s.Len() + 1 - gap.bits)
+				s.Rank1Pair(p, p+gap.bits)
 			}
 		})
 	}

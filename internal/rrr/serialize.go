@@ -15,31 +15,52 @@ import (
 //	offsetSum   [nSuper]uint32
 //	offsets     [ceil(offBits/64)]uint64
 //
+// These are the paper's four arrays, not the in-memory superblock records:
+// WriteTo splits the records' fields back into the arrays (offsetSum[s] is
+// the bit position of superblock s's first field in the unpadded offsets
+// vector) and ReadSequence interleaves them again, so files written before
+// the records existed load unchanged.
+//
 // The shared global rank table is not serialized; it is rebuilt from b on
 // load, exactly as the FPGA host code regenerates it rather than shipping
 // 64 KiB per node.
 const sequenceMagic = 0x52525231 // "RRR1"
 
+// wireOffsetBytes is the length of the serialized offsets vector; its uint64
+// words, little endian, are one LSB-first byte stream.
+func wireOffsetBytes(offBits int) int { return (offBits + 63) / 64 * 8 }
+
+// wireSlack pads a buffer holding that vector: getBits and putBits touch 4
+// bytes from any bit position up to offBits.
+const wireSlack = 4
+
 // WriteTo serializes the sequence. It implements io.WriterTo.
 func (s *Sequence) WriteTo(w io.Writer) (int64, error) {
+	classes := make([]uint8, (s.nBlk+1)/2)
+	sums := make([]uint32, 2*s.nSuper+1) // partialSum, then offsetSum
+	offsets := make([]byte, wireOffsetBytes(s.offBits)+wireSlack)
+	sums[s.nSuper] = uint32(s.Ones())
+	pos := 0
+	for super := 0; super < s.nSuper; super++ {
+		sum, body, at := s.record(super)
+		sums[super], sums[s.nSuper+1+super] = uint32(sum), uint32(pos)
+		for k, blk := 0, super*s.sf; k < s.sf && blk < s.nBlk; k, blk = k+1, blk+1 {
+			c := nibble(body, k)
+			setNibble(classes, blk, c)
+			if w := s.table.width[c]; w > 0 {
+				putBits(offsets, pos, getBits(body, at, w))
+				at += int(w)
+				pos += int(w)
+			}
+		}
+	}
 	cw := &countingWriter{w: w}
 	head := []uint32{sequenceMagic, uint32(s.n), uint32(s.b), uint32(s.sf),
 		uint32(s.nBlk), uint32(s.nSuper), uint32(s.offBits)}
-	for _, v := range head {
-		if err := binary.Write(cw, binary.LittleEndian, v); err != nil {
+	for _, part := range []any{head, classes, sums, offsets[:len(offsets)-wireSlack]} {
+		if err := binary.Write(cw, binary.LittleEndian, part); err != nil {
 			return cw.n, err
 		}
-	}
-	if _, err := cw.Write(s.classes); err != nil {
-		return cw.n, err
-	}
-	for _, arr := range [][]uint32{s.partialSum, s.offsetSum} {
-		if err := binary.Write(cw, binary.LittleEndian, arr); err != nil {
-			return cw.n, err
-		}
-	}
-	if err := binary.Write(cw, binary.LittleEndian, s.offsets); err != nil {
-		return cw.n, err
 	}
 	return cw.n, nil
 }
@@ -70,25 +91,20 @@ func ReadSequence(r io.Reader) (*Sequence, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Sequence{
-		n: n, b: b, sf: sf, nBlk: nBlk, nSuper: nSuper,
-		table:      table,
-		classes:    make([]uint8, (nBlk+1)/2),
-		partialSum: make([]uint32, nSuper+1),
-		offsetSum:  make([]uint32, nSuper),
-		offsets:    make([]uint64, (offBits+63)/64),
-		offBits:    offBits,
-	}
-	if _, err := io.ReadFull(r, s.classes); err != nil {
+	classes := make([]uint8, (nBlk+1)/2)
+	partialSum := make([]uint32, nSuper+1)
+	offsetSum := make([]uint32, nSuper)
+	offsets := make([]byte, wireOffsetBytes(offBits)+wireSlack)
+	if _, err := io.ReadFull(r, classes); err != nil {
 		return nil, fmt.Errorf("rrr: reading classes: %w", err)
 	}
-	if err := binary.Read(r, binary.LittleEndian, s.partialSum); err != nil {
+	if err := binary.Read(r, binary.LittleEndian, partialSum); err != nil {
 		return nil, fmt.Errorf("rrr: reading partial sums: %w", err)
 	}
-	if err := binary.Read(r, binary.LittleEndian, s.offsetSum); err != nil {
+	if err := binary.Read(r, binary.LittleEndian, offsetSum); err != nil {
 		return nil, fmt.Errorf("rrr: reading offset sums: %w", err)
 	}
-	if err := binary.Read(r, binary.LittleEndian, s.offsets); err != nil {
+	if _, err := io.ReadFull(r, offsets[:len(offsets)-wireSlack]); err != nil {
 		return nil, fmt.Errorf("rrr: reading offsets: %w", err)
 	}
 	// Integrity: every stored class must be <= b; the per-superblock
@@ -99,16 +115,16 @@ func ReadSequence(r io.Reader) (*Sequence, error) {
 	for blk := 0; blk < nBlk; blk++ {
 		if blk%sf == 0 {
 			super := blk / sf
-			if int(s.partialSum[super]) != ones {
+			if int(partialSum[super]) != ones {
 				return nil, fmt.Errorf("rrr: partial sum of superblock %d is %d, classes say %d",
-					super, s.partialSum[super], ones)
+					super, partialSum[super], ones)
 			}
-			if int(s.offsetSum[super]) != width {
+			if int(offsetSum[super]) != width {
 				return nil, fmt.Errorf("rrr: offset sum of superblock %d is %d, classes say %d",
-					super, s.offsetSum[super], width)
+					super, offsetSum[super], width)
 			}
 		}
-		c := s.class(blk)
+		c := nibble(classes, blk)
 		if c > b {
 			return nil, fmt.Errorf("rrr: block %d has class %d > b=%d", blk, c, b)
 		}
@@ -117,7 +133,7 @@ func ReadSequence(r io.Reader) (*Sequence, error) {
 				return nil, fmt.Errorf("rrr: offset fields overrun the offset bit-vector at block %d", blk)
 			}
 			run := int(table.ClassOffset[c+1] - table.ClassOffset[c])
-			if off := int(readBits(s.offsets, width, w)); off >= run {
+			if off := getBits(offsets, width, table.width[c]); off >= run {
 				return nil, fmt.Errorf("rrr: block %d stores offset %d for class %d (only %d permutations)",
 					blk, off, c, run)
 			}
@@ -125,17 +141,32 @@ func ReadSequence(r io.Reader) (*Sequence, error) {
 		ones += c
 		width += table.Width(c)
 	}
-	if int(s.partialSum[nSuper]) != ones {
-		return nil, fmt.Errorf("rrr: total partial sum %d, classes say %d", s.partialSum[nSuper], ones)
+	if int(partialSum[nSuper]) != ones {
+		return nil, fmt.Errorf("rrr: total partial sum %d, classes say %d", partialSum[nSuper], ones)
 	}
 	if width != offBits {
 		return nil, fmt.Errorf("rrr: offset bits %d do not match classes (want %d)", offBits, width)
 	}
 	// The last block's class cannot exceed the bits actually present.
 	if nBlk > 0 {
-		if rem := n - (nBlk-1)*b; s.class(nBlk-1) > rem {
-			return nil, fmt.Errorf("rrr: final block class %d exceeds its %d bits", s.class(nBlk-1), rem)
+		if rem, c := n-(nBlk-1)*b, nibble(classes, nBlk-1); c > rem {
+			return nil, fmt.Errorf("rrr: final block class %d exceeds its %d bits", c, rem)
 		}
+	}
+	// The arrays are sound: interleave them into the superblock records.
+	s := newSequence(n, p, table)
+	pos := 0
+	err = s.encode(func(blk int) (int, int) {
+		if blk == 0 {
+			pos = 0 // encode's second pass starts over
+		}
+		c := nibble(classes, blk)
+		off := getBits(offsets, pos, table.width[c])
+		pos += table.Width(c)
+		return c, off
+	})
+	if err != nil {
+		return nil, err
 	}
 	return s, nil
 }

@@ -103,16 +103,17 @@ func ReadTree(r io.Reader) (*Tree, error) {
 		if bounds[0] >= bounds[1] || bounds[1] > sigma {
 			return nil, fmt.Errorf("wavelet: node range [%d,%d) invalid for sigma %d", bounds[0], bounds[1], sigma)
 		}
-		nd := &node{lo: int(bounds[0]), hi: int(bounds[1])}
+		var vec RankVector
 		var err error
 		if kind == backendKindRRR {
-			nd.vec, err = rrr.ReadSequence(r)
+			vec, err = rrr.ReadSequence(r)
 		} else {
-			nd.vec, err = bitvec.ReadVector(r)
+			vec, err = bitvec.ReadVector(r)
 		}
 		if err != nil {
 			return nil, err
 		}
+		nd := newNode(vec, int(bounds[0]), int(bounds[1]))
 		if nd.zero, err = readNode(); err != nil {
 			return nil, err
 		}

@@ -77,9 +77,31 @@ func PlainBackend() Backend { return plainBackend{} }
 // contiguous integer codes the alphabet of a node is fully described by the
 // [lo, hi) code range, stored here in place of the two character arrays.
 type node struct {
-	vec      RankVector
+	vec RankVector
+	// rrr is vec's concrete form under the RRR backend. The rank walks call
+	// through it: direct calls, and both ends of a range in one Rank1Pair.
+	rrr      *rrr.Sequence
 	lo, hi   int // alphabet code range covered by this node
 	zero, on *node
+}
+
+// newNode is the one constructor of nodes, for trees built and trees read
+// back alike, so both take the same rank path.
+func newNode(vec RankVector, lo, hi int) *node {
+	nd := &node{vec: vec, lo: lo, hi: hi}
+	nd.rrr, _ = vec.(*rrr.Sequence)
+	return nd
+}
+
+func (nd *node) rank1Pair(i, j int) (int, int) {
+	if nd.rrr != nil {
+		return nd.rrr.Rank1Pair(i, j)
+	}
+	a := nd.vec.Rank1(i)
+	if j == i {
+		return a, a
+	}
+	return a, nd.vec.Rank1(j)
 }
 
 // Tree is an immutable wavelet tree over symbols 0..sigma-1.
@@ -138,7 +160,7 @@ func build(data []uint8, lo, hi int, backend Backend) (*node, error) {
 			zeroData = append(zeroData, s)
 		}
 	}
-	n := &node{vec: vec, lo: lo, hi: hi}
+	n := newNode(vec, lo, hi)
 	if n.zero, err = build(zeroData, lo, mid, backend); err != nil {
 		return nil, err
 	}
@@ -160,27 +182,39 @@ func (t *Tree) Levels() int { return t.levels }
 // BackendName reports which bit-vector backend encodes the nodes.
 func (t *Tree) BackendName() string { return t.backend }
 
-// Rank returns the number of occurrences of sym in positions [0, i) —
-// the rank query of Fig. 2, resolved by log2(sigma) binary ranks.
-func (t *Tree) Rank(sym uint8, i int) int {
+// checkRank panics unless i is a rank position of the string.
+func (t *Tree) checkRank(i int) {
 	if i < 0 || i > t.n {
 		panic(fmt.Sprintf("wavelet: rank position %d out of range [0,%d]", i, t.n))
 	}
+}
+
+// Rank returns the number of occurrences of sym in positions [0, i) —
+// the rank query of Fig. 2, resolved by log2(sigma) binary ranks.
+func (t *Tree) Rank(sym uint8, i int) int {
+	i, _ = t.RankPair(sym, i, i)
+	return i
+}
+
+// RankPair returns Rank(sym, i) and Rank(sym, j) from one walk down the
+// tree: the two positions take the same branch at every level, so each node
+// answers both with one Rank1Pair — one superblock visit per level when
+// i <= j are the two ends of a narrowed backward-search range.
+func (t *Tree) RankPair(sym uint8, i, j int) (int, int) {
+	t.checkRank(i)
+	t.checkRank(j)
 	if int(sym) >= t.sigma {
 		panic(fmt.Sprintf("wavelet: symbol %d outside alphabet [0,%d)", sym, t.sigma))
 	}
-	nd := t.root
-	for nd != nil {
-		mid := (nd.lo + nd.hi + 1) / 2
-		if int(sym) >= mid {
-			i = nd.vec.Rank1(i)
-			nd = nd.on
+	for nd := t.root; nd != nil; {
+		a, b := nd.rank1Pair(i, j)
+		if int(sym) >= (nd.lo+nd.hi+1)/2 {
+			i, j, nd = a, b, nd.on
 		} else {
-			i = nd.vec.Rank0(i)
-			nd = nd.zero
+			i, j, nd = i-a, j-b, nd.zero
 		}
 	}
-	return i
+	return i, j
 }
 
 // RankAll computes Rank(sym, i) for every symbol in one traversal, writing
@@ -191,30 +225,36 @@ func (t *Tree) Rank(sym uint8, i int) int {
 // the workhorse of the bidirectional index's extension step, which needs
 // occurrence counts for all symbols at the same position.
 func (t *Tree) RankAll(i int, counts []int) {
-	if i < 0 || i > t.n {
-		panic(fmt.Sprintf("wavelet: rank position %d out of range [0,%d]", i, t.n))
-	}
-	if len(counts) < t.sigma {
-		panic(fmt.Sprintf("wavelet: RankAll counts slice too short: %d < %d", len(counts), t.sigma))
-	}
-	rankAllRec(t.root, i, counts)
+	t.RankAllPair(i, i, counts, counts)
 }
 
-func rankAllRec(nd *node, i int, counts []int) {
+// RankAllPair is RankAll at two positions in one traversal, lo[0:sigma]
+// taking the counts at i and hi[0:sigma] those at j, with one Rank1Pair per
+// node.
+func (t *Tree) RankAllPair(i, j int, lo, hi []int) {
+	t.checkRank(i)
+	t.checkRank(j)
+	if len(lo) < t.sigma || len(hi) < t.sigma {
+		panic(fmt.Sprintf("wavelet: RankAll counts slice too short: %d < %d", min(len(lo), len(hi)), t.sigma))
+	}
+	rankAllRec(t.root, i, j, lo, hi)
+}
+
+func rankAllRec(nd *node, i, j int, lo, hi []int) {
 	if nd == nil {
 		return
 	}
-	ones := nd.vec.Rank1(i)
+	a, b := nd.rank1Pair(i, j)
 	mid := (nd.lo + nd.hi + 1) / 2
 	if nd.zero == nil {
-		counts[nd.lo] = i - ones
+		lo[nd.lo], hi[nd.lo] = i-a, j-b
 	} else {
-		rankAllRec(nd.zero, i-ones, counts)
+		rankAllRec(nd.zero, i-a, j-b, lo, hi)
 	}
 	if nd.on == nil {
-		counts[mid] = ones
+		lo[mid], hi[mid] = a, b
 	} else {
-		rankAllRec(nd.on, ones, counts)
+		rankAllRec(nd.on, a, b, lo, hi)
 	}
 }
 
@@ -223,21 +263,15 @@ func (t *Tree) Access(i int) uint8 {
 	if i < 0 || i >= t.n {
 		panic(fmt.Sprintf("wavelet: index %d out of range [0,%d)", i, t.n))
 	}
-	nd := t.root
-	lo, hi := 0, t.sigma
-	for nd != nil {
-		mid := (nd.lo + nd.hi + 1) / 2
+	lo := 0
+	for nd := t.root; nd != nil; {
+		ones, _ := nd.rank1Pair(i, i)
 		if nd.vec.Bit(i) {
-			i = nd.vec.Rank1(i)
-			lo = mid
-			nd = nd.on
+			i, lo, nd = ones, (nd.lo+nd.hi+1)/2, nd.on
 		} else {
-			i = nd.vec.Rank0(i)
-			hi = mid
-			nd = nd.zero
+			i, nd = i-ones, nd.zero
 		}
 	}
-	_ = hi
 	return uint8(lo)
 }
 
@@ -304,13 +338,29 @@ func (t *Tree) Count(sym uint8) int {
 // offsets array are stored only once, and shared among the RRRs encoding all
 // the wavelet nodes"); add SharedSizeBytes once per index.
 func (t *Tree) SizeBytes() int {
+	return t.sumNodes(func(nd *node) int { return nd.vec.SizeBytes() })
+}
+
+// PackedSizeBytes is SizeBytes with every RRR node counted in the paper's
+// array layout (rrr.Sequence.PackedSizeBytes) instead of the host's
+// superblock records: the footprint of the tree on a device.
+func (t *Tree) PackedSizeBytes() int {
+	return t.sumNodes(func(nd *node) int {
+		if nd.rrr != nil {
+			return nd.rrr.PackedSizeBytes()
+		}
+		return nd.vec.SizeBytes()
+	})
+}
+
+func (t *Tree) sumNodes(size func(*node) int) int {
 	total := 0
 	var walk func(*node)
 	walk = func(nd *node) {
 		if nd == nil {
 			return
 		}
-		total += nd.vec.SizeBytes() + 32 // struct overhead: pointers + range
+		total += size(nd) + 32 // struct overhead: pointers + range
 		walk(nd.zero)
 		walk(nd.on)
 	}

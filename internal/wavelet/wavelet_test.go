@@ -75,6 +75,50 @@ func TestRankMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestRankPairMatchesNaive is the pair-walk property: for every alphabet
+// shape (power of two or not, sigma = 2's single node included) and both
+// backends, RankPair and RankAllPair at (i, j) equal the naive counts — and
+// so Rank and RankAll at i and at j — for near pairs, far pairs and i > j.
+func TestRankPairMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for _, be := range testBackends {
+		for _, sigma := range []int{2, 3, 4, 5, 8} {
+			data := randomData(rng, 1200, sigma)
+			tr, err := New(data, sigma, be.b)
+			if err != nil {
+				t.Fatalf("%s sigma=%d: %v", be.name, sigma, err)
+			}
+			lo, hi, one := make([]int, sigma), make([]int, sigma), make([]int, sigma)
+			for trial := 0; trial < 400; trial++ {
+				i := rng.Intn(len(data) + 1)
+				j := rng.Intn(len(data) + 1)
+				if trial%2 == 0 {
+					j = min(i+rng.Intn(40), len(data)) // a narrowed range
+				}
+				tr.RankAllPair(i, j, lo, hi)
+				for sym := 0; sym < sigma; sym++ {
+					wantI, wantJ := naiveRank(data, uint8(sym), i), naiveRank(data, uint8(sym), j)
+					if gotI, gotJ := tr.RankPair(uint8(sym), i, j); gotI != wantI || gotJ != wantJ {
+						t.Fatalf("%s sigma=%d: RankPair(%d,%d,%d)=(%d,%d), want (%d,%d)", be.name, sigma, sym, i, j, gotI, gotJ, wantI, wantJ)
+					}
+					if lo[sym] != wantI || hi[sym] != wantJ {
+						t.Fatalf("%s sigma=%d: RankAllPair(%d,%d)[%d]=(%d,%d), want (%d,%d)", be.name, sigma, i, j, sym, lo[sym], hi[sym], wantI, wantJ)
+					}
+					if got := tr.Rank(uint8(sym), j); got != wantJ {
+						t.Fatalf("%s sigma=%d: Rank(%d,%d)=%d, want %d", be.name, sigma, sym, j, got, wantJ)
+					}
+				}
+				tr.RankAll(j, one)
+				for sym := range one {
+					if one[sym] != hi[sym] {
+						t.Fatalf("%s sigma=%d: RankAll(%d)[%d]=%d, RankAllPair says %d", be.name, sigma, j, sym, one[sym], hi[sym])
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestAccess(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, be := range testBackends {
