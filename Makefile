@@ -15,8 +15,10 @@ ci: vet race fuzz-smoke fault-smoke obs-smoke bench-smoke chaos-smoke stream-smo
 build:
 	$(GO) build ./...
 
+# vet also fails on any file gofmt would rewrite.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...

@@ -99,17 +99,17 @@ func (c Config) withDefaults() Config {
 // and everything needed to re-run it somewhere else if that worker dies. The
 // payload is retained until the job is observed terminal, then freed.
 type routedJob struct {
-	gwID      int
-	key       string // ring key (core.CacheKey of the job's index)
-	idemKey   string // forwarded on every attempt so replays dedupe
-	requestID string
-	deadline  time.Time // zero = no budget
-	method    string
-	path      string // upstream submission path: "/jobs", "/demo", "/api/jobs"
-	query     string
+	gwID        int
+	key         string // ring key (core.CacheKey of the job's index)
+	idemKey     string // forwarded on every attempt so replays dedupe
+	requestID   string
+	deadline    time.Time // zero = no budget
+	method      string
+	path        string // upstream submission path: "/jobs", "/demo", "/api/jobs"
+	query       string
 	contentType string
-	body      []byte
-	chunked   bool // created via POST /api/jobs; payload lives on the worker
+	body        []byte
+	chunked     bool // created via POST /api/jobs; payload lives on the worker
 
 	worker    string // current owner base URL; "" = served locally
 	remoteID  int
@@ -127,27 +127,27 @@ type routedJob struct {
 // submissions across registered workers, fails them over when workers die,
 // and degrades to the embedded local server when none are healthy.
 type Gateway struct {
-	cfg    Config
-	reg    *Registry
-	local  *server.Server
+	cfg          Config
+	reg          *Registry
+	local        *server.Server
 	localHandler http.Handler
-	client *http.Client
-	log    *slog.Logger
+	client       *http.Client
+	log          *slog.Logger
 
 	mu     sync.Mutex
 	routes map[int]*routedJob
 	idem   map[string]int // Idempotency-Key → gateway job ID
 	nextID int
 
-	metrics        *obs.Registry
-	mForwards      *obs.CounterVec
-	mRetries       *obs.CounterVec
-	mFailovers     *obs.CounterVec
-	mLocalJobs     *obs.CounterVec
-	mHeartbeats    *obs.CounterVec
-	mScrapeErrors  *obs.CounterVec
-	mBreakerState  *obs.GaugeVec
-	mWorkerDepth   *obs.GaugeVec
+	metrics       *obs.Registry
+	mForwards     *obs.CounterVec
+	mRetries      *obs.CounterVec
+	mFailovers    *obs.CounterVec
+	mLocalJobs    *obs.CounterVec
+	mHeartbeats   *obs.CounterVec
+	mScrapeErrors *obs.CounterVec
+	mBreakerState *obs.GaugeVec
+	mWorkerDepth  *obs.GaugeVec
 
 	stopOnce  sync.Once
 	startOnce sync.Once

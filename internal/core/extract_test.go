@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"bwaver/internal/readsim"
@@ -41,5 +42,39 @@ func TestExtractAfterSerialization(t *testing.T) {
 	}
 	if !got.Equal(ref) {
 		t.Error("extraction from deserialized index differs")
+	}
+}
+
+// TestExtractBySAMatchesWalk: on a reference long enough to split the rows
+// across workers, the suffix-array scatter and the LF walk both give the
+// reference back.
+func TestExtractBySAMatchesWalk(t *testing.T) {
+	ref := testGenome(t, 200000)
+	for _, cfg := range []IndexConfig{{}, {Locate: LocateSampled}} {
+		got, err := mustBuild(t, ref, cfg).ExtractReference()
+		if err != nil {
+			t.Fatalf("%v: %v", cfg.Locate, err)
+		}
+		if !got.Equal(ref) {
+			t.Fatalf("%v: extracted reference differs", cfg.Locate)
+		}
+	}
+}
+
+// TestExtractBySARejectsCorruptSA: a suffix array that is not a permutation
+// of [0, n] is reported, as the walk reports a misplaced sentinel.
+func TestExtractBySARejectsCorruptSA(t *testing.T) {
+	ref := testGenome(t, 3000)
+	for name, corrupt := range map[string]func(sa []int32, primary int){
+		"duplicate":    func(sa []int32, primary int) { sa[(primary+1)%len(sa)] = sa[(primary+2)%len(sa)] },
+		"out of range": func(sa []int32, primary int) { sa[(primary+1)%len(sa)] = int32(len(sa)) },
+		"negative":     func(sa []int32, primary int) { sa[(primary+1)%len(sa)] = -1 },
+		"second zero":  func(sa []int32, primary int) { sa[(primary+1)%len(sa)] = 0 },
+	} {
+		ix := mustBuild(t, ref, IndexConfig{})
+		corrupt(ix.fm.SA(), ix.fm.Primary())
+		if _, err := ix.ExtractReference(); err == nil || !strings.Contains(err.Error(), "corrupt") {
+			t.Errorf("%s: err = %v, want a corruption error", name, err)
+		}
 	}
 }

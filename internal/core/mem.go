@@ -230,7 +230,12 @@ type memState struct {
 }
 
 // EnsureMem builds the seed-and-extend state if the index does not hold one
-// yet. Safe for concurrent use; parallel callers share one build.
+// yet, and only the part the index lacks: the exact-mapping FM-index is the
+// bidirectional index's forward direction whenever it has the RRR structure
+// and a locate structure, so only the reverse direction and the short-pattern
+// table are built. Count-only and plain-bit-vector indexes get both
+// directions built afresh. Safe for concurrent use; parallel callers share
+// one build.
 func (ix *Index) EnsureMem() error {
 	ix.memMu.Lock()
 	defer ix.memMu.Unlock()
@@ -245,7 +250,12 @@ func (ix *Index) EnsureMem() error {
 	for i, b := range ref {
 		text[i] = uint8(b)
 	}
-	bi, err := fmindex.NewBiIndex(text, dna.AlphabetSize, ix.config.RRR)
+	var bi *fmindex.BiIndex
+	if ix.config.Locate == LocateNone || ix.config.PlainBitvectors {
+		bi, err = fmindex.NewBiIndex(text, dna.AlphabetSize, ix.config.RRR)
+	} else {
+		bi, err = fmindex.NewBiIndexOver(ix.fm, text, ix.config.RRR)
+	}
 	if err != nil {
 		return fmt.Errorf("core: mem state: %w", err)
 	}
@@ -260,10 +270,12 @@ func (ix *Index) MemReady() bool {
 	return ix.mem != nil
 }
 
-// MemBytes returns the footprint of the seed-and-extend state (both
-// directions' structures plus the retained text) as the FPGA model's BRAM
-// gate charges it — RRR nodes in the paper's array layout, see
-// DeviceStructureBytes — 0 when not built.
+// MemBytes returns the footprint of the seed-and-extend state (the forward
+// direction's structure and locate structure plus the retained text) as the
+// FPGA model's BRAM gate charges it, 0 when not built: RRR nodes in the
+// paper's array layout (see DeviceStructureBytes), without the host-side
+// short-pattern table and without the exact path's prefix table, which a
+// forward direction shared with the exact index carries.
 func (ix *Index) MemBytes() int {
 	ix.memMu.Lock()
 	defer ix.memMu.Unlock()
@@ -271,7 +283,11 @@ func (ix *Index) MemBytes() int {
 		return 0
 	}
 	fwd := ix.mem.bi.Forward()
-	return fwd.SizeBytes() - recordPadBytes(fwd) + len(ix.mem.ref)
+	size := fwd.SizeBytes() - recordPadBytes(fwd) + len(ix.mem.ref)
+	if f := fwd.Ftab(); f != nil {
+		size -= f.SizeBytes()
+	}
+	return size
 }
 
 func (ix *Index) memState() (*memState, error) {
@@ -295,8 +311,8 @@ type memCandidate struct {
 // heap allocation per read. Pooled via memScratchPool; not safe for
 // concurrent use.
 type memScratch struct {
-	pattern []uint8     // orientation pattern (symbol codes)
-	rc      dna.Seq     // reverse-complement buffer
+	pattern []uint8 // orientation pattern (symbol codes)
+	rc      dna.Seq // reverse-complement buffer
 	smems   []fmindex.SMEM
 	seeds   []Seed
 	posSlab []int32 // located seed positions (per SMEM)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -293,5 +294,63 @@ func TestMemRecordsValidSAM(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
 	if len(lines) != 2+1+3 { // @HD, @SQ, @PG + three records
 		t.Errorf("%d SAM lines: %q", len(lines), sb.String())
+	}
+}
+
+// TestEnsureMemBuildsOnlyWhatIsMissing: an index with the RRR structure and a
+// locate structure lends its FM-index to the bidirectional index as the
+// forward direction; count-only and plain-bit-vector indexes get a full
+// build. Whichever way the state came to be — built, reloaded from a file,
+// over a sampled suffix array — the batch maps identically, and the default
+// configuration is charged the bytes the FPGA model charged before the
+// forward direction was shared (pinned from the parent commit), with or
+// without a prefix table on the exact index.
+func TestEnsureMemBuildsOnlyWhatIsMissing(t *testing.T) {
+	ref := testGenome(t, 20000)
+	reads := memTestReads(t, ref, 40, 100)
+	opts := MemOptions{Paired: true, MinInsert: 100, MaxInsert: 600}
+	const parentMemBytes = 171694
+
+	base := mustBuild(t, ref, IndexConfig{FtabK: 6})
+	want, _, err := base.MapReadsMem(reads, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "ref.bwx")
+	if err := base.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		ix     *Index
+		shared bool
+		bytes  int // 0: not pinned
+	}{
+		{"built", base, true, parentMemBytes},
+		{"loaded", loaded, true, parentMemBytes},
+		{"no-ftab", mustBuild(t, ref, IndexConfig{}), true, parentMemBytes},
+		{"sampled", mustBuild(t, ref, IndexConfig{Locate: LocateSampled, SampleRate: 16, FtabK: 6}), true, 0},
+		{"count-only", mustBuild(t, ref, IndexConfig{Locate: LocateNone}), false, parentMemBytes},
+		{"plain", mustBuild(t, ref, IndexConfig{PlainBitvectors: true}), false, parentMemBytes},
+	} {
+		got, _, err := tc.ix.MapReadsMem(reads, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: read %d maps as %+v, the built index says %+v", tc.name, i, got[i], want[i])
+			}
+		}
+		if shared := tc.ix.mem.bi.Forward() == tc.ix.fm; shared != tc.shared {
+			t.Errorf("%s: forward direction shared = %v, want %v", tc.name, shared, tc.shared)
+		}
+		if tc.bytes != 0 && tc.ix.MemBytes() != tc.bytes {
+			t.Errorf("%s: MemBytes %d, want %d", tc.name, tc.ix.MemBytes(), tc.bytes)
+		}
 	}
 }

@@ -141,6 +141,48 @@ func BenchmarkSearchWithFtab(b *testing.B) {
 	}
 }
 
+// BenchmarkSMEMs times the seeding search on 150 bp reads with 2 %
+// substitutions, with the short-pattern table and with every extension
+// ranked; steps/op is the extension count, the same on both arms.
+func BenchmarkSMEMs(b *testing.B) {
+	fwd, text := benchIndex(b, func(d []uint8) (OccProvider, error) {
+		return NewWaveletOcc(d, 4, rrr.DefaultParams)
+	})
+	bi, err := NewBiIndexOver(fwd, text, rrr.DefaultParams)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(6))
+	reads := make([][]uint8, 256)
+	for i := range reads {
+		s := rng.Intn(len(text) - 150)
+		reads[i] = append([]uint8(nil), text[s:s+150]...)
+		for j := range reads[i] {
+			if rng.Intn(50) == 0 {
+				reads[i][j] = uint8((int(reads[i][j]) + 1 + rng.Intn(3)) % 4)
+			}
+		}
+	}
+	for _, arm := range []struct {
+		name string
+		bi   *BiIndex
+	}{{fmt.Sprintf("table-k=%d", bi.k), bi}, {"ranked", withoutShort(bi)}} {
+		b.Run(arm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var smems []SMEM
+			steps := 0
+			for i := 0; i < b.N; i++ {
+				var n int
+				if smems, n, err = arm.bi.SMEMsAppend(smems[:0], reads[i%len(reads)], 19); err != nil {
+					b.Fatal(err)
+				}
+				steps += n
+			}
+			b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
+		})
+	}
+}
+
 func BenchmarkCountApprox(b *testing.B) {
 	ix, text := benchIndex(b, func(d []uint8) (OccProvider, error) {
 		return NewWaveletOcc(d, 4, rrr.DefaultParams)

@@ -2,6 +2,7 @@ package fmindex
 
 import (
 	"fmt"
+	"math/bits"
 
 	"bwaver/internal/bwt"
 	"bwaver/internal/rrr"
@@ -18,7 +19,26 @@ import (
 type BiIndex struct {
 	fwd, rev *Index
 	sigma    int
+
+	// short is the short-pattern interval table: the bidirectional interval
+	// of every DNA string of 1..k symbols, level after level (level l starts
+	// at shortBase(l)), each level indexed by the string's big-endian base-4
+	// key. The SMEM search reads from it every extension whose result is at
+	// most k symbols long — the widest intervals, with the worst rank
+	// locality — instead of ranking. It is a host-side cache of rank results:
+	// a lookup still counts as one extension step.
+	k     int
+	short []biEntry
 }
+
+// biEntry is one stored interval; count 0 marks a string absent from the text.
+type biEntry struct{ fwd, rev, count int32 }
+
+// maxShortK caps the table order: 12·(4^11-4)/3 bytes = 16.8 MB at k = 10.
+const maxShortK = 10
+
+// shortBase is the number of entries below level l: 4 + 16 + ... + 4^(l-1).
+func shortBase(l int) int { return (1<<(2*l) - 4) / 3 }
 
 // BiRange is a pair of synchronised intervals: Fwd over the text's rows for
 // the current pattern P, Rev over the reversed text's rows for reverse(P).
@@ -41,15 +61,94 @@ func NewBiIndex(text []uint8, sigma int, params rrr.Params) (*BiIndex, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fmindex: forward index: %w", err)
 	}
+	return NewBiIndexOver(fwd, text, params)
+}
+
+// NewBiIndexOver pairs fwd, an index already built over text, with a freshly
+// built count-only index over the reversed text, and builds the
+// short-pattern table: a caller that holds the forward direction (the exact
+// mapping index) pays for the reverse one only.
+func NewBiIndexOver(fwd *Index, text []uint8, params rrr.Params) (*BiIndex, error) {
+	if fwd.Len() != len(text) {
+		return nil, fmt.Errorf("fmindex: forward index covers %d symbols, text has %d", fwd.Len(), len(text))
+	}
 	reversed := make([]uint8, len(text))
 	for i, c := range text {
 		reversed[len(text)-1-i] = c
 	}
-	rev, err := buildDirection(reversed, sigma, params, false)
+	rev, err := buildDirection(reversed, fwd.sigma, params, false)
 	if err != nil {
 		return nil, fmt.Errorf("fmindex: reverse index: %w", err)
 	}
-	return &BiIndex{fwd: fwd, rev: rev, sigma: sigma}, nil
+	bi := &BiIndex{fwd: fwd, rev: rev, sigma: fwd.sigma}
+	bi.buildShort()
+	return bi, nil
+}
+
+// buildShort fills the short-pattern table by interval refinement, as
+// BuildFtab does: the four left extensions aX of a living X come from one
+// StepAll on X's interval, with the mirror starts laid out as ExtendLeft
+// orders them (sentinel first, then the alphabet); the extensions of an
+// absent X stay the zero entry without any rank work. The order is the
+// largest k <= maxShortK with 4^k <= n, a function of the text length alone.
+func (bi *BiIndex) buildShort() {
+	if bi.sigma > ftabSigma {
+		return // keys cover the DNA alphabet only
+	}
+	k := min(maxShortK, (bits.Len(uint(bi.Len()))-1)/2) // ⌊log₄ n⌋, capped
+	bi.k, bi.short = k, make([]biEntry, shortBase(k+1))
+	var stepped [ftabSigma]Range
+	for l := 0; l < k; l++ {
+		for key := 0; key < 1<<(2*l); key++ {
+			x := bi.All()
+			if l > 0 {
+				x = bi.lookup(l, uint32(key))
+			}
+			if x.Empty() {
+				continue
+			}
+			bi.fwd.StepAll(x.Fwd, stepped[:bi.sigma])
+			rev := x.Rev.End + 1
+			for _, r := range stepped[:bi.sigma] {
+				rev -= r.Count()
+			}
+			for a, r := range stepped[:bi.sigma] {
+				bi.short[shortBase(l+1)+a<<(2*l)+key] = biEntry{fwd: int32(r.Start), rev: int32(rev), count: int32(r.Count())}
+				rev += r.Count()
+			}
+		}
+	}
+}
+
+// lookup returns the stored interval of the l-symbol string with the given
+// key, 1 <= l <= k.
+func (bi *BiIndex) lookup(l int, key uint32) BiRange {
+	e := bi.short[shortBase(l)+int(key)]
+	if e.count == 0 {
+		return emptyBiRange
+	}
+	fwd, rev, last := int(e.fwd), int(e.rev), int(e.count)-1
+	return BiRange{Fwd: Range{Start: fwd, End: fwd + last}, Rev: Range{Start: rev, End: rev + last}}
+}
+
+// extendLeftAt is ExtendLeft for the SMEM search, which knows the pattern r
+// stands for: n symbols long, with table key `key` while n <= k. A result of
+// at most k symbols is read from the table. It returns the result's key.
+func (bi *BiIndex) extendLeftAt(r BiRange, n int, key uint32, a uint8) (BiRange, uint32) {
+	if n < bi.k && a < ftabSigma {
+		key |= uint32(a) << (2 * n)
+		return bi.lookup(n+1, key), key
+	}
+	return bi.ExtendLeft(r, a), key
+}
+
+// extendRightAt is the ExtendRight counterpart of extendLeftAt.
+func (bi *BiIndex) extendRightAt(r BiRange, n int, key uint32, a uint8) (BiRange, uint32) {
+	if n < bi.k && a < ftabSigma {
+		key = key<<2 | uint32(a)
+		return bi.lookup(n+1, key), key
+	}
+	return bi.ExtendRight(r, a), key
 }
 
 func buildDirection(text []uint8, sigma int, params rrr.Params, withSA bool) (*Index, error) {

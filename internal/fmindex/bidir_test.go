@@ -110,3 +110,117 @@ func TestBiRevIntervalIsReverseCount(t *testing.T) {
 		}
 	}
 }
+
+// withoutShort returns bi with the short-pattern table detached: every
+// extension ranks, as before the table existed.
+func withoutShort(bi *BiIndex) *BiIndex {
+	plain := *bi
+	plain.k, plain.short = 0, nil
+	return &plain
+}
+
+// TestShortTableMatchesExtensions is the table's whole contract: every entry
+// of every level is the interval chained extension reaches — from either end
+// — and strings absent from the text read back as the empty interval. The
+// texts cover no table at all (n < 4), n below 4^maxShortK, exact powers of
+// four, a text missing a symbol, and a repetitive one.
+func TestShortTableMatchesExtensions(t *testing.T) {
+	rng := rand.New(rand.NewSource(131))
+	threeSymbols := buildText(rng, 700)
+	for i := range threeSymbols {
+		threeSymbols[i] %= 3
+	}
+	texts := [][]uint8{
+		{2}, {0, 3}, {1, 1, 2}, {0, 1, 2, 3}, {3, 3, 3, 3, 3},
+		buildText(rng, 15), buildText(rng, 16), buildText(rng, 17),
+		buildText(rng, 300), threeSymbols,
+		append(append(buildText(rng, 40), buildText(rng, 40)...), make([]uint8, 200)...),
+		buildText(rng, 5000),
+	}
+	if !testing.Short() {
+		texts = append(texts, buildText(rng, 70000)) // k = 8
+	}
+	for _, text := range texts {
+		bi := buildBi(t, text)
+		wantK := 0
+		for wantK < maxShortK && pow4(wantK+1) <= len(text) {
+			wantK++
+		}
+		if bi.k != wantK || len(bi.short) != shortBase(wantK+1) {
+			t.Fatalf("n=%d: order %d with %d entries, want order %d with %d",
+				len(text), bi.k, len(bi.short), wantK, shortBase(wantK+1))
+		}
+		pattern := make([]uint8, bi.k)
+		for l := 1; l <= bi.k; l++ {
+			for key := 0; key < pow4(l); key++ {
+				p := pattern[:l]
+				for i := range p {
+					p[i] = uint8(key >> (2 * (l - 1 - i)) & 3)
+				}
+				left, right := bi.All(), bi.All()
+				for i := range p {
+					left = bi.ExtendLeft(left, p[l-1-i])
+					right = bi.ExtendRight(right, p[i])
+				}
+				got := bi.lookup(l, uint32(key))
+				if got != left || got != right {
+					t.Fatalf("n=%d %v: table %+v, ExtendLeft chain %+v, ExtendRight chain %+v",
+						len(text), p, got, left, right)
+				}
+				if len(text) > 5000 {
+					continue // the quadratic count below is for the small texts
+				}
+				if occ := len(naiveOccurrences(text, p)); got.Count() != occ || got.Empty() != (occ == 0) {
+					t.Fatalf("n=%d %v: table holds %d rows, text has %d occurrences", len(text), p, got.Count(), occ)
+				}
+			}
+		}
+	}
+}
+
+func pow4(k int) int { return 1 << (2 * k) }
+
+// TestSMEMsShortTableTransparent runs reads with substitutions through the
+// search with and without the table on a text long enough for a deep table:
+// SMEMs, their rows and the step count must not notice it.
+func TestSMEMsShortTableTransparent(t *testing.T) {
+	rng := rand.New(rand.NewSource(132))
+	unit := buildText(rng, 900)
+	var text []uint8
+	for len(text) < 20000 {
+		text = append(text, unit...)
+		text = append(text, buildText(rng, 1500)...)
+	}
+	bi := buildBi(t, text)
+	if bi.k != 7 {
+		t.Fatalf("order %d over %d symbols, want 7", bi.k, len(text))
+	}
+	plain := withoutShort(bi)
+	for trial := 0; trial < 200; trial++ {
+		s := rng.Intn(len(text) - 150)
+		pattern := append([]uint8(nil), text[s:s+150]...)
+		for m := 0; m < 3; m++ {
+			pattern[rng.Intn(len(pattern))] = uint8(rng.Intn(6)) // 4, 5: out of alphabet
+		}
+		if trial%7 == 0 {
+			pattern = pattern[:1+rng.Intn(12)] // reads shorter than the order
+		}
+		want, wantSteps, err := plain.SMEMsSteps(pattern, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, gotSteps, err := bi.SMEMsSteps(pattern, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotSteps != wantSteps || len(got) != len(want) {
+			t.Fatalf("trial %d: %d SMEMs in %d steps with the table, %d in %d without",
+				trial, len(got), gotSteps, len(want), wantSteps)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d: SMEM %d = %+v with the table, %+v without", trial, i, got[i], want[i])
+			}
+		}
+	}
+}

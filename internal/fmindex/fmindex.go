@@ -260,16 +260,17 @@ func (ix *Index) LF(row int) (int, error) {
 	if row == ix.primary {
 		return 0, errors.New("fmindex: LF on sentinel row")
 	}
-	sym, err := ix.rowSymbol(row)
+	sym, err := ix.BWTSymbol(row)
 	if err != nil {
 		return 0, err
 	}
 	return ix.cFull[sym] + ix.occFull(sym, row), nil
 }
 
-// rowSymbol returns the BWT symbol of a non-sentinel row. It needs symbol
-// access, which every bundled provider supports.
-func (ix *Index) rowSymbol(row int) (uint8, error) {
+// BWTSymbol returns the BWT symbol of a non-sentinel row — the text symbol
+// just before the row's suffix. It needs symbol access, which every bundled
+// provider supports.
+func (ix *Index) BWTSymbol(row int) (uint8, error) {
 	i := ix.compact(row)
 	switch p := ix.occ.(type) {
 	case *WaveletOcc:

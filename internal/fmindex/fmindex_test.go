@@ -278,7 +278,7 @@ func TestLFWalkReconstructsText(t *testing.T) {
 		row := 0
 		got := make([]uint8, len(text))
 		for i := len(text) - 1; i >= 0; i-- {
-			sym, err := ix.rowSymbol(row)
+			sym, err := ix.BWTSymbol(row)
 			if err != nil {
 				t.Fatalf("%s: %v", kind.name, err)
 			}

@@ -79,7 +79,7 @@ func TestSearchWithFtabPaths(t *testing.T) {
 			t.Fatalf("pattern %v: ftab %+v != plain %+v", pattern, got, want)
 		}
 	}
-	check(text[10:30])                      // living hit
+	check(text[10:30])                     // living hit
 	check([]uint8{0, 1, 2, 3, 9, 9, 9, 9}) // suffix k-mer with sym>=4: stored death range
 	check([]uint8{9, 9, 0, 1, 2, 3})       // miss: can't encode the suffix, falls back
 	check(text[5 : 5+k-1])                 // short read, falls back

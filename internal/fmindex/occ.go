@@ -59,10 +59,10 @@ func (w *WaveletOcc) Occ(sym uint8, i int) int { return w.Tree.Rank(sym, i) }
 
 // OccAll answers the whole-alphabet query with one tree traversal.
 func (w *WaveletOcc) OccAll(i int, counts []int) { w.Tree.RankAll(i, counts) }
-func (w *WaveletOcc) Len() int                 { return w.Tree.Len() }
-func (w *WaveletOcc) Sigma() int               { return w.Tree.Sigma() }
-func (w *WaveletOcc) SizeBytes() int           { return w.Tree.SizeBytes() + w.Tree.SharedSizeBytes() }
-func (w *WaveletOcc) Name() string             { return "wavelet/" + w.Tree.BackendName() }
+func (w *WaveletOcc) Len() int                   { return w.Tree.Len() }
+func (w *WaveletOcc) Sigma() int                 { return w.Tree.Sigma() }
+func (w *WaveletOcc) SizeBytes() int             { return w.Tree.SizeBytes() + w.Tree.SharedSizeBytes() }
+func (w *WaveletOcc) Name() string               { return "wavelet/" + w.Tree.BackendName() }
 
 // FlatOcc stores Occ(sym, i) for every position — O(1) queries at
 // 4·sigma bytes per symbol. Only sensible for small references and tests;

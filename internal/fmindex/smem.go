@@ -26,6 +26,7 @@ func (s SMEM) Len() int { return s.End - s.Start }
 type biCandidate struct {
 	rows BiRange
 	end  int
+	key  uint32 // short-table key of the match while it is at most k long
 }
 
 // smemScratch holds the per-pivot working state of the SMEM search so a
@@ -93,7 +94,7 @@ func (bi *BiIndex) smemsFromPivot(sc *smemScratch, pattern []uint8, x int) ([]SM
 		return nil, x + 1, steps
 	}
 	steps++
-	ik := bi.ExtendLeft(bi.All(), sym)
+	ik, key := bi.extendLeftAt(bi.All(), 0, 0, sym)
 	if ik.Empty() {
 		return nil, x + 1, steps
 	}
@@ -104,18 +105,18 @@ func (bi *BiIndex) smemsFromPivot(sc *smemScratch, pattern []uint8, x int) ([]SM
 	curr := sc.curr[:0]
 	for i := x + 1; ; i++ {
 		if i == len(pattern) {
-			curr = append(curr, biCandidate{rows: ik, end: i})
+			curr = append(curr, biCandidate{rows: ik, end: i, key: key})
 			break
 		}
 		steps++
-		ik1 := bi.ExtendRight(ik, pattern[i])
+		ik1, key1 := bi.extendRightAt(ik, i-x, key, pattern[i])
 		if ik1.Count() != ik.Count() {
-			curr = append(curr, biCandidate{rows: ik, end: i})
+			curr = append(curr, biCandidate{rows: ik, end: i, key: key})
 		}
 		if ik1.Empty() {
 			break
 		}
-		ik = ik1
+		ik, key = ik1, key1
 	}
 	// Longest first.
 	for a, b := 0, len(curr)-1; a < b; a, b = a+1, b-1 {
@@ -134,12 +135,12 @@ func (bi *BiIndex) smemsFromPivot(sc *smemScratch, pattern []uint8, x int) ([]SM
 		sizeLast := -1
 		emitted := false
 		for _, cand := range curr {
-			var ext BiRange
+			ext := biCandidate{end: cand.end}
 			if j >= 0 {
 				steps++
-				ext = bi.ExtendLeft(cand.rows, pattern[j])
+				ext.rows, ext.key = bi.extendLeftAt(cand.rows, cand.end-j-1, cand.key, pattern[j])
 			}
-			if j < 0 || ext.Empty() {
+			if j < 0 || ext.rows.Empty() {
 				// cand dies here. It is super-maximal iff nothing longer
 				// survived (prev empty) and nothing longer already died at
 				// this same left edge (emitted).
@@ -149,9 +150,9 @@ func (bi *BiIndex) smemsFromPivot(sc *smemScratch, pattern []uint8, x int) ([]SM
 				}
 				continue
 			}
-			if ext.Count() != sizeLast {
-				sizeLast = ext.Count()
-				prev = append(prev, biCandidate{rows: ext, end: cand.end})
+			if ext.rows.Count() != sizeLast {
+				sizeLast = ext.rows.Count()
+				prev = append(prev, ext)
 			}
 		}
 		if len(prev) == 0 {

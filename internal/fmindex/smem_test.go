@@ -152,6 +152,15 @@ func FuzzSMEMs(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 0, 1, 2, 3, 0, 1}, []byte{0, 1, 2}, uint8(1))
 	f.Add([]byte{0, 0, 0, 0, 1, 0, 0, 0, 0}, []byte{0, 0, 1, 0, 0}, uint8(2))
 	f.Add([]byte{1, 2, 1, 2, 1, 2, 1, 2, 3}, []byte{2, 1, 2, 9, 1, 2}, uint8(1))
+	// Long enough for a short-pattern table of order 3; the patterns put
+	// out-of-alphabet symbols (4, 5) and the longest matches — hence the
+	// pivots' table lookups — at either end.
+	long := []byte("\x00\x01\x02\x03\x03\x02\x01\x00\x00\x00\x01\x01\x02\x02\x03\x03\x00\x02\x01\x03" +
+		"\x03\x01\x02\x00\x01\x00\x03\x02\x02\x00\x03\x01\x00\x03\x00\x01\x01\x03\x02\x01\x02\x03\x00\x02" +
+		"\x01\x01\x00\x00\x03\x03\x02\x02\x01\x00\x02\x03\x01\x02\x00\x03\x03\x00\x01\x02\x02\x01\x03\x00")
+	f.Add(long, []byte{4, 0, 1, 2, 3, 3, 2, 1, 0, 0, 5}, uint8(1))
+	f.Add(long, []byte{0, 1, 2, 3, 3, 2, 4, 1, 3, 2, 1, 2, 3, 0, 2}, uint8(3))
+	f.Add(long, []byte{3, 0, 5, 5, 2, 2, 1, 0, 2, 3, 1, 2, 0, 3, 3, 0}, uint8(2))
 	f.Fuzz(func(t *testing.T, textB, patB []byte, minLenB uint8) {
 		if len(textB) == 0 || len(textB) > 300 || len(patB) == 0 || len(patB) > 80 {
 			t.Skip()
@@ -188,6 +197,21 @@ func FuzzSMEMs(f *testing.F) {
 			if got[i].Rows.Count() != len(naiveOccurrences(text, pattern[got[i].Start:got[i].End])) {
 				t.Fatalf("SMEM %d interval size %d, text has %d occurrences",
 					i, got[i].Rows.Count(), len(naiveOccurrences(text, pattern[got[i].Start:got[i].End])))
+			}
+		}
+		// The short-pattern table is a cache of rank results: the search must
+		// not notice whether it is there.
+		plain, plainSteps, err := withoutShort(bi).SMEMsSteps(pattern, minLen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plainSteps != steps || len(plain) != len(got) {
+			t.Fatalf("%d SMEMs in %d steps with the table (order %d), %d in %d without",
+				len(got), steps, bi.k, len(plain), plainSteps)
+		}
+		for i := range got {
+			if got[i] != plain[i] {
+				t.Fatalf("SMEM %d = %+v with the table (order %d), %+v without", i, got[i], bi.k, plain[i])
 			}
 		}
 		// The step count is the kernel cycle driver: it must be positive for

@@ -265,8 +265,10 @@ func (t *Tree) Access(i int) uint8 {
 	}
 	lo := 0
 	for nd := t.root; nd != nil; {
-		ones, _ := nd.rank1Pair(i, i)
-		if nd.vec.Bit(i) {
+		// Bit i is the rank difference across it: one record walk and one
+		// block decode, where Bit and Rank1 would each do their own.
+		ones, next := nd.rank1Pair(i, i+1)
+		if next > ones {
 			i, lo, nd = ones, (nd.lo+nd.hi+1)/2, nd.on
 		} else {
 			i, nd = i-ones, nd.zero
