@@ -37,10 +37,13 @@ bench-gate:
 	$(GO) run ./benchmark -compare $(BASE) $(NEW)
 
 # bench-smoke exercises the prefix-table ablation path (build, sweep,
-# allocation accounting, kernel cycle model) at unit-test scale.
+# allocation accounting, kernel cycle model) at unit-test scale, and one warm
+# job through the served path (submit, journal, map, emit, stream) with its
+# bytes and allocations per job.
 bench-smoke:
 	$(GO) test -run='FtabAblation' ./internal/bench
 	$(GO) test -run='^$$' -bench='BenchmarkMapReads$$' -benchtime=1x ./internal/core
+	$(GO) test -run='^$$' -bench='BenchmarkServedWarmExactJob$$' -benchtime=1x ./internal/server
 
 # bench-baseline records the PR's performance numbers: the reduced-scale
 # prefix-table sweep (reads/sec, allocs/read, modeled FPGA ms, structure

@@ -3,6 +3,8 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -382,11 +384,14 @@ func (g *Gateway) failoverRoute(rj *routedJob) {
 }
 
 // ringKeyForUpload computes the consistent-hash key for a buffered multipart
-// submission: the core.CacheKey of the index the job will need, parsed from
-// the reference part plus the b/sf form fields. Index affinity is the whole
-// point — same reference and parameters always land on the same worker, so
-// its index cache is already warm. Any parse trouble falls back to hashing
-// the raw body (uniform spread, no affinity, still deterministic).
+// submission: server.RingKey over the SHA-256 of the reference part's bytes
+// and the b/sf form fields — the alias key the worker's index cache looks the
+// upload up by, so the gateway never parses a reference. Index affinity is the
+// whole point: the same upload and parameters always land on the same worker,
+// whose cache is already warm. Two byte-different encodings of one sequence
+// hash apart and may land on different workers; each then builds once. Any
+// scan trouble falls back to hashing the raw body (uniform spread, no
+// affinity, still deterministic).
 func (g *Gateway) ringKeyForUpload(contentType string, body []byte) string {
 	key, err := ringKeyFromMultipart(contentType, body, g.cfg.FtabK)
 	if err != nil {
@@ -396,8 +401,9 @@ func (g *Gateway) ringKeyForUpload(contentType string, body []byte) string {
 	return key
 }
 
-// ringKeyFromMultipart extracts (reference, b, sf) from a multipart body and
-// derives the index cache key via server.RingKey.
+// ringKeyFromMultipart scans a multipart body for the reference part (hashed
+// as it streams past, first one wins like the worker's form reader) and the
+// b/sf fields.
 func ringKeyFromMultipart(contentType string, body []byte, ftabK int) (string, error) {
 	mediaType, params, err := mime.ParseMediaType(contentType)
 	if err != nil {
@@ -407,7 +413,7 @@ func ringKeyFromMultipart(contentType string, body []byte, ftabK int) (string, e
 		return "", fmt.Errorf("not multipart: %s", mediaType)
 	}
 	mr := multipart.NewReader(bytes.NewReader(body), params["boundary"])
-	var refRaw []byte
+	refDigest := ""
 	b, sf := server.DefaultB, server.DefaultSF
 	for {
 		part, err := mr.NextPart()
@@ -417,17 +423,18 @@ func ringKeyFromMultipart(contentType string, body []byte, ftabK int) (string, e
 		if err != nil {
 			return "", fmt.Errorf("multipart: %w", err)
 		}
-		switch part.FormName() {
-		case "reference":
-			refRaw, err = io.ReadAll(part)
-			if err != nil {
+		switch name := part.FormName(); {
+		case name == "reference" && part.FileName() != "" && refDigest == "":
+			h := sha256.New()
+			if _, err := io.Copy(h, part); err != nil {
 				return "", fmt.Errorf("reference part: %w", err)
 			}
-		case "b", "sf":
+			refDigest = hex.EncodeToString(h.Sum(nil))
+		case name == "b" || name == "sf":
 			raw, err := io.ReadAll(io.LimitReader(part, 64))
 			if err == nil {
 				if v, perr := strconv.Atoi(strings.TrimSpace(string(raw))); perr == nil {
-					if part.FormName() == "b" {
+					if name == "b" {
 						b = v
 					} else {
 						sf = v
@@ -437,10 +444,10 @@ func ringKeyFromMultipart(contentType string, body []byte, ftabK int) (string, e
 		}
 		part.Close()
 	}
-	if len(refRaw) == 0 {
+	if refDigest == "" {
 		return "", errors.New("no reference part")
 	}
-	return server.RingKey(refRaw, b, sf, ftabK)
+	return server.RingKey(refDigest, b, sf, ftabK), nil
 }
 
 // readAll drains r fully.

@@ -1,9 +1,17 @@
 package cluster
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"io"
+	"mime/multipart"
+	"strings"
 	"sync"
 	"testing"
+
+	"bwaver/internal/server"
 )
 
 // ringKeys renders a deterministic key population shaped like real ring keys
@@ -152,5 +160,66 @@ func TestRingConcurrentAccess(t *testing.T) {
 	wg.Wait()
 	if r.Len() != 0 {
 		t.Fatalf("ring not empty after churn: %v", r.Nodes())
+	}
+}
+
+// The gateway's ring key is the worker's alias key: SHA-256 of the reference
+// part's bytes plus b/sf/ftabK, whatever else the body holds and in whatever
+// order — and it never parses the reference, so a byte-different encoding of
+// one sequence (or plain garbage) hashes like any other bytes.
+func TestRingKeyFromMultipartIsTheAliasKey(t *testing.T) {
+	ref, reads := testUpload(t, 4000, 61)
+	otherRef, otherReads := testUpload(t, 4000, 63)
+	form := func(parts ...[2]string) (string, []byte) {
+		var buf bytes.Buffer
+		mw := multipart.NewWriter(&buf)
+		for _, p := range parts {
+			var w io.Writer
+			if p[0] == "reference" || p[0] == "reads" {
+				w, _ = mw.CreateFormFile(p[0], p[0]+".txt")
+			} else {
+				w, _ = mw.CreateFormField(p[0])
+			}
+			io.WriteString(w, p[1])
+		}
+		mw.Close()
+		return mw.FormDataContentType(), buf.Bytes()
+	}
+	key := func(parts ...[2]string) string {
+		t.Helper()
+		ctype, body := form(parts...)
+		k, err := ringKeyFromMultipart(ctype, body, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	sum := sha256.Sum256(ref)
+	want := server.RingKey(hex.EncodeToString(sum[:]), server.DefaultB, server.DefaultSF, 10)
+	base := key([2]string{"reference", string(ref)}, [2]string{"reads", string(reads)})
+	if base != want {
+		t.Fatalf("ring key %q, want the alias key %q", base, want)
+	}
+	if k := key([2]string{"backend", "cpu"}, [2]string{"reads", string(otherReads)}, [2]string{"reference", string(ref)},
+		[2]string{"reference", string(otherRef)}); k != base {
+		t.Error("ring key depends on the reads, the part order or a later duplicate reference")
+	}
+	if k := key([2]string{"reference", string(ref)}, [2]string{"reads", string(reads)}, [2]string{"b", "12"}); k !=
+		server.RingKey(hex.EncodeToString(sum[:]), 12, server.DefaultSF, 10) {
+		t.Errorf("ring key %q ignores a b field after the files", k)
+	}
+	if key([2]string{"reference", string(otherRef)}, [2]string{"reads", string(reads)}) == base {
+		t.Error("ring key ignores the reference bytes")
+	}
+	lower := strings.ToLower(string(ref[bytes.IndexByte(ref, '\n'):]))
+	if key([2]string{"reference", string(ref[:bytes.IndexByte(ref, '\n')]) + lower}, [2]string{"reads", string(reads)}) == base {
+		t.Error("a lower-case encoding hashed like the original: the gateway must not normalise")
+	}
+	if k := key([2]string{"reference", "not fasta at all\x00"}, [2]string{"reads", string(reads)}); !strings.Contains(k, "|15|50|10") {
+		t.Errorf("unparseable reference: key %q, want a digest key (the worker reports the parse error)", k)
+	}
+	ctype, body := form([2]string{"reads", string(reads)})
+	if _, err := ringKeyFromMultipart(ctype, body, 10); err == nil {
+		t.Error("a body without a reference part produced a ring key")
 	}
 }

@@ -74,6 +74,12 @@ type indexCache struct {
 	evictions uint64
 	diskHits  uint64
 
+	// aliases maps a submission's alias key — RingKey: the SHA-256 of the raw
+	// reference upload plus the build parameters — to the core.CacheKey of the
+	// index those bytes parse to, so a repeat upload finds its index (here or
+	// in the spill directory) without being parsed. Bounded by maxAliases.
+	aliases map[string]string
+
 	// dir, when set, is the spill directory: fresh builds are saved there
 	// (atomic write + checksum trailer via core.SaveFile) and misses try a
 	// LoadFile before rebuilding, so LRU-evicted or post-restart indexes come
@@ -91,7 +97,31 @@ func newIndexCache(capacity int) *indexCache {
 		capacity: capacity,
 		entries:  map[string]*list.Element{},
 		order:    list.New(),
+		aliases:  map[string]string{},
 	}
+}
+
+// maxAliases bounds the alias map. An alias costs ~200 bytes and stays useful
+// after its entry leaves the LRU (the spill directory still holds the index),
+// so the bound sits well above any cache capacity; a full map is emptied, not
+// trimmed — forgetting an alias costs its next upload one parse, nothing else.
+const maxAliases = 1024
+
+// aliasKey returns the cache key recorded for alias, "" when there is none.
+func (c *indexCache) aliasKey(alias string) string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.aliases[alias]
+}
+
+// setAlias records that the upload behind alias parses to the index key.
+func (c *indexCache) setAlias(alias, key string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.aliases[alias]; !ok && len(c.aliases) >= maxAliases {
+		clear(c.aliases)
+	}
+	c.aliases[alias] = key
 }
 
 // getOrBuild returns the entry for key, running build on a miss. Concurrent

@@ -1,15 +1,16 @@
 package server
 
 import (
-	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
 	"time"
 
-	"bwaver/internal/core"
 	"bwaver/internal/obs"
-	"bwaver/internal/rrr"
 )
 
 // Worker-mode hooks: the pieces internal/cluster needs from the server to
@@ -32,19 +33,30 @@ const (
 // budget (see effectiveTimeout).
 const TimeoutBudgetHeader = "X-Bwaver-Timeout-Ms"
 
-// RingKey derives the content address of the index a submission will need:
-// the same core.CacheKey the index cache is keyed by. The cluster gateway
-// hashes this onto its worker ring, so jobs land on the worker whose cache
-// already holds the built index.
-func RingKey(refRaw []byte, b, sf, ftabK int) (string, error) {
-	ref, contigs, _, err := parseReference(bytes.NewReader(refRaw))
+// RingKey is the alias key of a submission: the hex SHA-256 of the raw
+// reference upload joined with the parameters that shape the index built from
+// it. The worker's index cache maps it to the core.CacheKey of the parsed
+// reference (indexCache.aliases); the cluster gateway hashes it onto its
+// worker ring, so a repeat upload lands where that mapping — and the index —
+// already live. Neither side parses the reference to compute it.
+func RingKey(refDigest string, b, sf, ftabK int) string {
+	return fmt.Sprintf("%s|%d|%d|%d", refDigest, b, sf, ftabK)
+}
+
+// digestPayload is the SHA-256 (hex) of one payload part, raw bytes or file:
+// the digest handleSubmit takes on the wire, for the ingest routes that hand
+// launch a payload without one (chunked finalize, journal replay, /demo).
+func digestPayload(raw []byte, path string) (string, error) {
+	rc, err := openPayload(raw, path)
 	if err != nil {
 		return "", err
 	}
-	return core.CacheKey(ref, contigs, core.IndexConfig{
-		RRR:   rrr.Params{BlockSize: b, SuperblockFactor: sf},
-		FtabK: ftabK,
-	}), nil
+	defer rc.Close()
+	h := sha256.New()
+	if _, err := io.Copy(h, rc); err != nil {
+		return "", err
+	}
+	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // effectiveTimeout resolves a submission's job timeout: the server's own

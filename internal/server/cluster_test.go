@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -49,30 +51,38 @@ func TestEffectiveTimeout(t *testing.T) {
 	}
 }
 
-// TestRingKeyDeterministic: the exported ring key is the index cache key — a
-// pure function of reference content and index parameters.
+// TestRingKeyDeterministic: the exported ring key is the index cache's alias
+// key — a pure function of the reference upload's bytes (through their
+// digest, whichever ingest route took it) and the index parameters.
 func TestRingKeyDeterministic(t *testing.T) {
 	refFasta, _, _ := testData(t)
-	k1, err := RingKey(refFasta, DefaultB, DefaultSF, 10)
+	digest, err := digestPayload(refFasta, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	k2, err := RingKey(refFasta, DefaultB, DefaultSF, 10)
-	if err != nil {
+	path := filepath.Join(t.TempDir(), "ref.fa")
+	if err := os.WriteFile(path, refFasta, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if k1 == "" || k1 != k2 {
-		t.Fatalf("RingKey not deterministic: %q vs %q", k1, k2)
+	if fromFile, err := digestPayload(nil, path); err != nil || fromFile != digest {
+		t.Fatalf("digest of the payload file = %q, %v; of the bytes %q", fromFile, err, digest)
 	}
-	k3, err := RingKey(refFasta, DefaultB+1, DefaultSF, 10)
-	if err != nil {
-		t.Fatal(err)
+	k1 := RingKey(digest, DefaultB, DefaultSF, 10)
+	if k1 == "" || k1 != RingKey(digest, DefaultB, DefaultSF, 10) {
+		t.Fatalf("RingKey not deterministic: %q", k1)
 	}
-	if k3 == k1 {
+	if RingKey(digest, DefaultB+1, DefaultSF, 10) == k1 {
 		t.Fatal("RingKey ignores the RRR block size")
 	}
-	if _, err := RingKey([]byte("not fasta at all\x00"), DefaultB, DefaultSF, 10); err == nil {
-		t.Fatal("RingKey accepted an unparseable reference")
+	if RingKey(digest, DefaultB, DefaultSF+1, 10) == k1 || RingKey(digest, DefaultB, DefaultSF, 8) == k1 {
+		t.Fatal("RingKey ignores the superblock factor or the prefix-table order")
+	}
+	other, err := digestPayload(append([]byte(nil), refFasta[:len(refFasta)-1]...), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if RingKey(other, DefaultB, DefaultSF, 10) == k1 {
+		t.Fatal("RingKey ignores the reference bytes")
 	}
 }
 

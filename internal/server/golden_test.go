@@ -1,0 +1,146 @@
+package server
+
+import (
+	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"bwaver/internal/core"
+	"bwaver/internal/readsim"
+)
+
+// updateGolden rewrites testdata/golden from the current code instead of
+// comparing against it. The committed files were written at the commit before
+// the emitter stopped using fmt and encoding/json for its rows, so the test
+// pins the rows to what those packages produced.
+var updateGolden = flag.Bool("update-golden", false, "rewrite internal/server/testdata/golden")
+
+// goldenInput is a two-contig reference with repeats plus reads that reach
+// every branch of the row writers: several sorted positions per strand, a
+// contig-relative position, a hit straddling the contig boundary, unmapped
+// reads, and IDs that need TSV sanitising and every kind of JSON escaping.
+// Read IDs bypass the FASTQ parser (it cuts IDs at whitespace), which is why
+// the jobs launch from parsed input.
+func goldenInput(t *testing.T, paired bool) jobInput {
+	t.Helper()
+	ref, err := readsim.Genome(readsim.GenomeConfig{Length: 6000, Seed: 77, RepeatFraction: 0.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One 40-base segment planted three times, in both contigs, so a read
+	// from it reports several positions (found in suffix-array order, written
+	// sorted).
+	copy(ref[1500:1540], ref[300:340])
+	copy(ref[4000:4040], ref[300:340])
+	const cut = 2500
+	contigs, err := core.NewContigSet([]string{"chr<A>&\"q\"", "chrB\xffé"}, []int{cut, len(ref) - cut})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := jobInput{ref: ref, contigs: contigs}
+	if paired {
+		pairs, err := readsim.SimulatePairs(ref, readsim.PairConfig{
+			Count: 20, ReadLength: 60, InsertMean: 200, InsertStdDev: 20,
+			MappingRatio: 0.8, ErrorRate: 0.02, Seed: 79,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range pairs {
+			in.reads = append(in.reads, p.R1, p.R2)
+			in.ids = append(in.ids, p.ID+"/1", p.ID+"/2")
+		}
+	} else {
+		sim, err := readsim.Simulate(ref, readsim.ReadsConfig{
+			Count: 60, Length: 30, MappingRatio: 0.7, RevCompFraction: 0.5, Seed: 78,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range sim {
+			in.reads = append(in.reads, r.Seq)
+			in.ids = append(in.ids, r.ID)
+		}
+		// A read across the contig boundary, and the planted repeat on each
+		// strand.
+		in.reads = append(in.reads, ref[cut-15:cut+15], ref[305:335], ref[302:338].ReverseComplement())
+		in.ids = append(in.ids, "straddle", "repeat", "repeat-rc")
+	}
+	nasty := []string{
+		"tab\there", `quote"and\backslash`, "<html>&amp;", "bad\xffutf8", "caf\u00e9 \u2028 sep",
+		"", "new\nline\rcr", "ctl\x01\x1f\x7f", "plain-id_1",
+	}
+	for i, id := range nasty {
+		in.ids[i*len(in.ids)/len(nasty)] = id
+	}
+	return in
+}
+
+// TestGoldenRows runs exact, mismatches=1 and mem-pe jobs on both backends
+// and requires the result file and the NDJSON stream to be byte-equal to the
+// golden files.
+func TestGoldenRows(t *testing.T) {
+	cases := []struct {
+		name       string
+		mismatches int
+		mode       string
+	}{
+		{"exact", 0, ""},
+		{"mismatch1", 1, ""},
+		{"mem-pe", 0, ModeMemPE},
+	}
+	for _, c := range cases {
+		for _, backend := range []string{"cpu", "fpga"} {
+			t.Run(c.name+"/"+backend, func(t *testing.T) {
+				// Small batches: headers must appear once, not per batch.
+				s := NewWithConfig(Config{StreamBatch: 16, FtabK: 6})
+				defer s.Close()
+				in := goldenInput(t, c.mode == ModeMemPE)
+				job := s.createJob(backend, DefaultB, DefaultSF, c.mismatches, "golden", len(in.ref), len(in.reads))
+				job.Mode = c.mode
+				s.launch(job, in)
+				s.Wait()
+				if job.State != StateDone {
+					t.Fatalf("job %s: %s", job.State, job.Error)
+				}
+				stream, err := job.stream.readCommitted(0, 1<<30)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The backends are bit-identical, so they share one golden.
+				compareGolden(t, c.name+".results", job.results)
+				compareGolden(t, c.name+".ndjson", stream)
+			})
+		}
+	}
+}
+
+func compareGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", "golden", name)
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if !bytes.Equal(gl[i], wl[i]) {
+			t.Fatalf("%s line %d:\n got %q\nwant %q", name, i+1, gl[i], wl[i])
+		}
+	}
+	t.Fatalf("%s: %d lines, want %d", name, len(gl), len(wl))
+}

@@ -394,11 +394,22 @@ func TestTSVEscapesReadIDs(t *testing.T) {
 
 	ids := []string{"evil\tid\nsecond-line"}
 	reads := []dna.Seq{dna.MustParseSeq("ACGT")}
-	var buf bytes.Buffer
-	writeResultsTSV(&buf, nil, ids, reads, []core.MapResult{{}})
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
+	s := New()
+	exact := s.createJob("cpu", 15, 50, 0, "x", 4, 1)
+	em, err := s.newEmitter(exact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := em.exactBatch(0, ids, reads, []core.MapResult{{}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := em.finish(); err != nil {
+		t.Fatal(err)
+	}
+	tsv := string(exact.results)
+	lines := strings.Split(strings.TrimRight(tsv, "\n"), "\n")
 	if len(lines) != 2 {
-		t.Fatalf("TSV has %d lines, want header + 1 row:\n%s", len(lines), buf.String())
+		t.Fatalf("TSV has %d lines, want header + 1 row:\n%s", len(lines), tsv)
 	}
 	if fields := strings.Split(lines[1], "\t"); len(fields) != 6 {
 		t.Fatalf("row has %d fields, want 6: %q", len(fields), lines[1])
@@ -415,10 +426,8 @@ func TestTSVEscapesReadIDs(t *testing.T) {
 	}
 	entry := &cacheEntry{ix: ix, ready: make(chan struct{})}
 	close(entry.ready)
-	s := New()
 	job := s.createJob("cpu", 15, 50, 1, "x", len(ref), 1)
-	em, err := s.newEmitter(job)
-	if err != nil {
+	if em, err = s.newEmitter(job); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := s.runApprox(context.Background(), job, entry, reads, ids, em); err != nil {

@@ -128,9 +128,18 @@ func TestMetricsAndTraceUnderFaults(t *testing.T) {
 		}()
 	}
 
-	for range 2 {
+	// Job 2 is submitted once job 1 is inside the build closure, that is, owns
+	// the single-flight build: submitted together, either job could win it,
+	// and the assertions below (job 1's trace holds the build phases; one
+	// miss, then one hit) would hold only most of the time.
+	building := make(chan struct{})
+	s.testHookDuringBuild = func(*Job, context.Context) { close(building) }
+	for i := range 2 {
 		submitJob(t, s, ts, map[string]string{"backend": "fpga"},
 			map[string][]byte{"reference": refFasta, "reads": readsFastq})
+		if i == 0 {
+			<-building
+		}
 	}
 	s.Wait()
 	close(stop)

@@ -16,12 +16,15 @@ package server
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"html/template"
 	"io"
 	"log/slog"
+	"mime/multipart"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -246,11 +249,6 @@ const DefaultCacheEntries = 8
 // cross-check.
 const DefaultVerifyStride = 64
 
-// multipartMemoryThreshold is how much of a multipart upload is held in
-// memory before spilling to disk — distinct from MaxUploadBytes, which
-// bounds the total request body.
-const multipartMemoryThreshold = 32 << 20
-
 func (c Config) withDefaults() Config {
 	if c.MaxConcurrentJobs <= 0 {
 		c.MaxConcurrentJobs = DefaultMaxConcurrentJobs
@@ -378,6 +376,9 @@ type Server struct {
 	// testHookDuringBuild, when set, runs inside the index-build closure
 	// before construction; tests use it to cancel jobs mid-build.
 	testHookDuringBuild func(*Job, context.Context)
+	// testHookParseReference, when set, runs before a job parses its raw
+	// reference; tests use it to prove warm jobs never do.
+	testHookParseReference func(*Job)
 }
 
 // DefaultMaxConcurrentJobs bounds simultaneously running pipelines.
@@ -962,8 +963,10 @@ func (s *Server) renderHTML(w http.ResponseWriter, tmpl *template.Template, data
 	w.Write(buf.Bytes())
 }
 
-func formInt(r *http.Request, name string, def int) (int, error) {
-	v := r.FormValue(name)
+// formInt reads an integer parameter through get (r.FormValue, or a
+// submitForm's lookup); an absent or empty value takes def.
+func formInt(get func(string) string, name string, def int) (int, error) {
+	v := get(name)
 	if v == "" {
 		return def, nil
 	}
@@ -972,6 +975,90 @@ func formInt(r *http.Request, name string, def int) (int, error) {
 		return 0, fmt.Errorf("parameter %s: %w", name, err)
 	}
 	return n, nil
+}
+
+// Bounds on the non-file side of a multipart submission, the ones
+// mime/multipart.ReadForm applied: total bytes of plain field values, and
+// parts per body.
+const (
+	maxFormValueBytes = 10 << 20
+	maxFormParts      = 1000
+)
+
+// submitForm is what handleSubmit keeps of a multipart body: the first value
+// of every plain field, the first "reference" and "reads" file parts, and the
+// SHA-256 of the reference part taken while its bytes came off the wire — the
+// first-level key of the index cache (see indexCache.aliases).
+type submitForm struct {
+	values     map[string]string
+	ref, reads []byte // nil = part absent
+	refDigest  string
+}
+
+// readSubmitForm scans the multipart body once. Each kept file part lands in
+// one buffer sized from what Content-Length says the body can still hold
+// (never above maxBytes, which the caller also enforces on the body itself);
+// a body without a length grows its buffers as it is read. Fields may come
+// before or after the files; later duplicates of a part are skipped.
+func readSubmitForm(r *http.Request, maxBytes int64) (*submitForm, error) {
+	mr, err := r.MultipartReader()
+	if err != nil {
+		return nil, err
+	}
+	form := &submitForm{values: map[string]string{}}
+	left := min(r.ContentLength, maxBytes) // negative: chunked, length unknown
+	valueBudget := int64(maxFormValueBytes)
+	for parts := 0; ; parts++ {
+		part, err := mr.NextPart()
+		if err == io.EOF {
+			return form, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if parts == maxFormParts {
+			return nil, multipart.ErrMessageTooLarge
+		}
+		name := part.FormName()
+		switch {
+		case name == "":
+		case part.FileName() == "":
+			var sb strings.Builder
+			n, err := io.Copy(&sb, io.LimitReader(part, valueBudget+1))
+			if err != nil {
+				return nil, err
+			}
+			if valueBudget -= n; valueBudget < 0 {
+				return nil, multipart.ErrMessageTooLarge
+			}
+			if _, dup := form.values[name]; !dup {
+				form.values[name] = sb.String()
+			}
+		case name == "reference" && form.ref == nil:
+			h := sha256.New()
+			if form.ref, err = readFilePart(io.TeeReader(part, h), left); err != nil {
+				return nil, err
+			}
+			form.refDigest = hex.EncodeToString(h.Sum(nil))
+			left -= int64(len(form.ref))
+		case name == "reads" && form.reads == nil:
+			if form.reads, err = readFilePart(part, left); err != nil {
+				return nil, err
+			}
+			left -= int64(len(form.reads))
+		}
+	}
+}
+
+// readFilePart reads one file part to its end into a buffer of capacity hint
+// (plus the slack bytes.Buffer wants free to see EOF without regrowing). The
+// result is never nil, so an empty part still counts as present.
+func readFilePart(part io.Reader, hint int64) ([]byte, error) {
+	buf := bytes.NewBuffer(make([]byte, 0, max(hint, 0)+bytes.MinRead))
+	if _, err := buf.ReadFrom(part); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // handleSubmit validates the request parameters and captures the raw upload
@@ -993,45 +1080,50 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, s.MaxUploadBytes)
-	// The MaxBytesReader enforces the upload cap; the multipart argument is
-	// only the in-memory threshold past which parts spill to temp files.
-	// Passing the 256 MiB cap here would buffer whole uploads in RAM.
-	if err := r.ParseMultipartForm(multipartMemoryThreshold); err != nil {
+	form, err := readSubmitForm(r, s.MaxUploadBytes)
+	if err != nil {
 		httpError(w, r, http.StatusBadRequest, "bad upload: "+err.Error())
 		return
 	}
-	b, err := formInt(r, "b", DefaultB)
+	// A URL-query value outranks a body field of the same name, the order
+	// r.FormValue applied.
+	query := r.URL.Query()
+	get := func(name string) string {
+		if vs := query[name]; len(vs) > 0 {
+			return vs[0]
+		}
+		return form.values[name]
+	}
+	b, err := formInt(get, "b", DefaultB)
 	if err != nil {
 		httpError(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
-	sf, err := formInt(r, "sf", DefaultSF)
+	sf, err := formInt(get, "sf", DefaultSF)
 	if err != nil {
 		httpError(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
-	mismatches, err := formInt(r, "mismatches", 0)
+	mismatches, err := formInt(get, "mismatches", 0)
 	if err != nil {
 		httpError(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
-	backend, mode, err := validateJobParams(r.FormValue("backend"), r.FormValue("mode"), b, sf, mismatches)
+	backend, mode, err := validateJobParams(get("backend"), get("mode"), b, sf, mismatches)
 	if err != nil {
 		httpError(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
-	qcPol, err := qcPolicyFromForm(r.FormValue, mode)
+	qcPol, err := qcPolicyFromForm(get, mode)
 	if err != nil {
 		httpError(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
-	refRaw, err := formFileBytes(r, "reference")
-	if err != nil {
+	if form.ref == nil {
 		httpError(w, r, http.StatusBadRequest, "missing reference upload")
 		return
 	}
-	readsRaw, err := formFileBytes(r, "reads")
-	if err != nil {
+	if form.reads == nil {
 		httpError(w, r, http.StatusBadRequest, "missing reads upload")
 		return
 	}
@@ -1051,7 +1143,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.answerSubmitted(w, r, job, true)
 		return
 	}
-	if err := s.acceptAndLaunch(job, jobInput{refRaw: refRaw, readsRaw: readsRaw}); err != nil {
+	in := jobInput{refRaw: form.ref, readsRaw: form.reads, refDigest: form.refDigest}
+	if err := s.acceptAndLaunch(job, in); err != nil {
 		s.log.Error("accepting job failed", "job", job.ID, "err", err)
 		jsonError(w, http.StatusInternalServerError, "could not persist job")
 		return
@@ -1099,18 +1192,6 @@ func (s *Server) acceptAndLaunch(job *Job, in jobInput) error {
 	}
 	s.launch(job, in)
 	return nil
-}
-
-// formFileBytes copies one multipart file into memory; the multipart buffers
-// are released when the handler returns, so the job goroutine needs its own
-// copy.
-func formFileBytes(r *http.Request, field string) ([]byte, error) {
-	f, _, err := r.FormFile(field)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return io.ReadAll(f)
 }
 
 // DefaultDemoSeed seeds the /demo dataset; pass ?seed=N to override. One
@@ -1268,10 +1349,14 @@ func (s *Server) createJob(backend string, b, sf, mismatches int, refName string
 type jobInput struct {
 	refRaw, readsRaw   []byte
 	refPath, readsPath string
-	ref                dna.Seq
-	contigs            *core.ContigSet
-	reads              []dna.Seq
-	ids                []string
+	// refDigest is the hex SHA-256 of the raw reference when the ingest route
+	// already took it (the multipart handler hashes on the wire); empty means
+	// runJob hashes the payload itself.
+	refDigest string
+	ref       dna.Seq
+	contigs   *core.ContigSet
+	reads     []dna.Seq
+	ids       []string
 }
 
 // hasRawInput reports whether the job must parse its payload itself.
@@ -1423,20 +1508,17 @@ func (s *Server) runJob(ctx context.Context, job *Job, in jobInput) error {
 	}
 
 	ref, contigs, reads, ids := in.ref, in.contigs, in.reads, in.ids
+	idxCfg := core.IndexConfig{
+		RRR:   rrr.Params{BlockSize: job.B, SuperblockFactor: job.SF},
+		FtabK: s.cfg.FtabK,
+	}
+	var key string // the index's core.CacheKey
 	var qcRejects []qc.Reject
 	if in.hasRawInput() {
 		_, parseSpan := obs.StartSpan(ctx, "parse")
 		parseStart := time.Now()
-		var refName string
-		refReader, err := openPayload(in.refRaw, in.refPath)
-		if err != nil {
-			parseSpan.End()
-			return err
-		}
-		// The reference always parses strictly: a corrupt reference is a
-		// hard error, never something to resync past.
-		ref, contigs, refName, err = parseReference(refReader)
-		refReader.Close()
+		var err error
+		key, ref, contigs, err = s.referenceKey(job, in, idxCfg)
 		if err != nil {
 			parseSpan.End()
 			return err
@@ -1454,8 +1536,6 @@ func (s *Server) runJob(ctx context.Context, job *Job, in jobInput) error {
 			return err
 		}
 		s.mu.Lock()
-		job.RefName = refName
-		job.RefLength = len(ref)
 		job.Reads = len(reads)
 		job.ParseTime = time.Since(parseStart)
 		if qcReport != nil {
@@ -1466,6 +1546,8 @@ func (s *Server) runJob(ctx context.Context, job *Job, in jobInput) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
+	} else {
+		key = core.CacheKey(ref, contigs, idxCfg)
 	}
 
 	// Steps 1+2: BWT/SA computation and succinct encoding — through the
@@ -1474,15 +1556,19 @@ func (s *Server) runJob(ctx context.Context, job *Job, in jobInput) error {
 	// the job's context: cancellation aborts at the next phase boundary
 	// instead of finishing a doomed construction while holding a slot, and
 	// a trace on the context collects the per-phase spans.
-	idxCfg := core.IndexConfig{
-		RRR:   rrr.Params{BlockSize: job.B, SuperblockFactor: job.SF},
-		FtabK: s.cfg.FtabK,
-	}
 	buildCtx, buildSpan := obs.StartSpan(ctx, "build")
 	buildStart := time.Now()
-	entry, hit, err := s.cache.getOrBuild(ctx, core.CacheKey(ref, contigs, idxCfg), func(context.Context) (*core.Index, error) {
+	entry, hit, err := s.cache.getOrBuild(ctx, key, func(context.Context) (*core.Index, error) {
 		if hook := s.testHookDuringBuild; hook != nil {
 			hook(job, buildCtx)
+		}
+		if ref == nil {
+			// The alias named the key but neither the cache nor the spill
+			// directory holds the index any more: parse after all.
+			var err error
+			if ref, contigs, _, err = s.loadReference(job, in); err != nil {
+				return nil, err
+			}
 		}
 		// buildCtx carries the same cancellation as the context the cache
 		// passes, plus this job's trace, so the phase spans land here.
@@ -1512,6 +1598,14 @@ func (s *Server) runJob(ctx context.Context, job *Job, in jobInput) error {
 	s.mu.Lock()
 	job.CacheHit = hit
 	job.BuildTime = time.Since(buildStart)
+	if in.hasRawInput() {
+		// The index knows what a parse would have told: an alias hit never
+		// looked at the reference.
+		job.RefName, job.RefLength = "", entry.ix.RefLength()
+		if cs := entry.ix.Contigs(); cs != nil && cs.Count() > 0 {
+			job.RefName = cs.Contig(0).Name
+		}
+	}
 	s.mu.Unlock()
 
 	mapCtx, mapSpan := obs.StartSpan(ctx, "map")
@@ -1555,6 +1649,51 @@ func (s *Server) runJob(ctx context.Context, job *Job, in jobInput) error {
 	job.MapTime = mapTime
 	job.Mapped = mapped
 	return nil
+}
+
+// loadReference parses a job's raw reference payload, bytes or file. The
+// reference always parses strictly: a corrupt reference is a hard error,
+// never something to resync past.
+func (s *Server) loadReference(job *Job, in jobInput) (dna.Seq, *core.ContigSet, string, error) {
+	if hook := s.testHookParseReference; hook != nil {
+		hook(job)
+	}
+	r, err := openPayload(in.refRaw, in.refPath)
+	if err != nil {
+		return nil, nil, "", err
+	}
+	defer r.Close()
+	return parseReference(r)
+}
+
+// referenceKey finds the cache key of a raw reference, without parsing it
+// when this server has seen the same bytes under the same parameters: digest
+// (taken on the wire by handleSubmit, here for the routes that bring none) →
+// alias → key, and ref stays nil for the build closure to parse only if the
+// index is in neither cache tier. On an alias miss the reference is parsed as
+// it always was, the job learns its name and length, and the alias is
+// recorded — after the parse succeeded, so a corrupt upload leaves none.
+func (s *Server) referenceKey(job *Job, in jobInput, cfg core.IndexConfig) (key string, ref dna.Seq, contigs *core.ContigSet, err error) {
+	digest := in.refDigest
+	if digest == "" {
+		if digest, err = digestPayload(in.refRaw, in.refPath); err != nil {
+			return "", nil, nil, err
+		}
+	}
+	alias := RingKey(digest, job.B, job.SF, s.cfg.FtabK)
+	if key = s.cache.aliasKey(alias); key != "" {
+		return key, nil, nil, nil
+	}
+	ref, contigs, refName, err := s.loadReference(job, in)
+	if err != nil {
+		return "", nil, nil, err
+	}
+	s.mu.Lock()
+	job.RefName, job.RefLength = refName, len(ref)
+	s.mu.Unlock()
+	key = core.CacheKey(ref, contigs, cfg)
+	s.cache.setAlias(alias, key)
+	return key, ref, contigs, nil
 }
 
 // farmOptions derives the resilience tuning every cached farm shares.
@@ -1913,46 +2052,6 @@ var idSanitizer = strings.NewReplacer("\t", " ", "\n", " ", "\r", " ")
 
 // sanitizeID makes a read ID safe to embed in a TSV row.
 func sanitizeID(id string) string { return idSanitizer.Replace(id) }
-
-// writeResultsTSV emits one row per read: id, mapped flag, per-strand
-// occurrence counts and positions (contig-relative when the reference had
-// multiple records). It returns the mapped-read count.
-func writeResultsTSV(w io.Writer, contigs *core.ContigSet, ids []string, reads []dna.Seq, results []core.MapResult) int {
-	fmt.Fprintln(w, "read\tmapped\tfw_count\tfw_positions\trc_count\trc_positions")
-	mapped := 0
-	for i, res := range results {
-		if res.Mapped() {
-			mapped++
-		}
-		span := len(reads[i])
-		fmt.Fprintf(w, "%s\t%t\t%d\t%s\t%d\t%s\n",
-			sanitizeID(ids[i]), res.Mapped(),
-			res.Forward.Count(), joinPositions(contigs, res.ForwardPositions, span),
-			res.Reverse.Count(), joinPositions(contigs, res.ReversePositions, span))
-	}
-	return mapped
-}
-
-func joinPositions(contigs *core.ContigSet, ps []int32, span int) string {
-	if len(ps) == 0 {
-		return "-"
-	}
-	sorted := append([]int32(nil), ps...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	parts := make([]string, 0, len(sorted))
-	for _, p := range sorted {
-		if contigs != nil && contigs.Count() > 1 {
-			if c, off, ok := contigs.Resolve(int(p), span); ok {
-				parts = append(parts, fmt.Sprintf("%s:%d", c.Name, off))
-			} else {
-				parts = append(parts, fmt.Sprintf("boundary@%d", p))
-			}
-		} else {
-			parts = append(parts, strconv.Itoa(int(p)))
-		}
-	}
-	return strings.Join(parts, ",")
-}
 
 func (s *Server) jobByRequest(r *http.Request) (*Job, error) {
 	id, err := strconv.Atoi(r.PathValue("id"))

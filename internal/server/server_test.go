@@ -296,18 +296,49 @@ func TestDemoJob(t *testing.T) {
 }
 
 func TestJoinPositions(t *testing.T) {
-	if got := joinPositions(nil, nil, 10); got != "-" {
-		t.Errorf("joinPositions(nil) = %q", got)
+	var em jobEmitter
+	join := func(contigs *core.ContigSet, ps []int32, span int) string {
+		return string(em.appendPositions(nil, contigs, ps, span))
 	}
-	if got := joinPositions(nil, []int32{30, 10, 20}, 10); got != "10,20,30" {
-		t.Errorf("joinPositions = %q, want sorted", got)
+	if got := join(nil, nil, 10); got != "-" {
+		t.Errorf("appendPositions(nil) = %q", got)
+	}
+	if got := join(nil, []int32{7}, 10); got != "7" {
+		t.Errorf("appendPositions(one) = %q", got)
+	}
+	ps := []int32{30, 10, 20}
+	if got := join(nil, ps, 10); got != "10,20,30" {
+		t.Errorf("appendPositions = %q, want sorted", got)
+	}
+	if ps[0] != 30 {
+		t.Error("appendPositions sorted the caller's slice in place")
 	}
 	cs, err := core.NewContigSet([]string{"a", "b"}, []int{100, 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := joinPositions(cs, []int32{150, 95}, 10); got != "boundary@95,b:50" {
-		t.Errorf("contig joinPositions = %q", got)
+	if got := join(cs, []int32{150, 95}, 10); got != "boundary@95,b:50" {
+		t.Errorf("contig appendPositions = %q", got)
+	}
+}
+
+// appendJSONString must agree with encoding/json on every string, whichever
+// of its two paths a string takes.
+func TestAppendJSONStringMatchesEncodingJSON(t *testing.T) {
+	for _, s := range []string{
+		"", "read00000001", "a b", `q"uote`, `back\slash`, "<tag>", "a&b", "tab\there", "nl\n", "\x00\x1f", "del\x7f",
+		"caf\u00e9", "\u2028\u2029", "bad\xff", "\xc3", "emoji \U0001F9EC", "chr1:100,chr2:5",
+	} {
+		want, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendJSONString(nil, s); !bytes.Equal(got, want) {
+			t.Errorf("appendJSONString(%q) = %s, want %s", s, got, want)
+		}
+		if got := appendJSONString([]byte("x"), []byte(s)); !bytes.Equal(got[1:], want) {
+			t.Errorf("appendJSONString([]byte(%q)) = %s, want %s", s, got[1:], want)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -262,7 +263,8 @@ func (s *Server) closeJobStream(job *Job) {
 
 // exactRow is the NDJSON wire form of one exact-matching result. Positions
 // are the same joined, contig-resolved strings the TSV carries, so the two
-// representations are field-for-field identical.
+// representations are field-for-field identical. exactBatch writes the row by
+// hand; the tests decode the stream into this type.
 type exactRow struct {
 	Read        string `json:"read"`
 	Mapped      bool   `json:"mapped"`
@@ -369,6 +371,10 @@ type jobEmitter struct {
 
 	scratchTSV bytes.Buffer // per-batch row staging, reused
 	scratchND  bytes.Buffer
+	// Row-building scratch of exactBatch: the two position cells of the row
+	// in hand, and the ordered copy of a multi-position strand.
+	fw, rc []byte
+	sorted []int32
 
 	mapped int
 	rows   int
@@ -422,51 +428,117 @@ func (em *jobEmitter) flushBatch(lines int) error {
 	return nil
 }
 
-// exactBatch emits one exact-matching batch: ids and reads are the full job
-// slices, results covers [start, start+len(results)).
-func (em *jobEmitter) exactBatch(start int, ids []string, reads []dna.Seq, results []core.MapResult, contigs *core.ContigSet) error {
-	if start == 0 {
-		fmt.Fprintln(&em.scratchTSV, "read\tmapped\tfw_count\tfw_positions\trc_count\trc_positions")
+// appendJSONString appends s as a JSON string literal, byte for byte what
+// encoding/json writes for a string field: printable ASCII outside the
+// characters json escapes (quote, backslash, and <, >, & for HTML safety) is
+// copied between quotes; anything else — control bytes, non-ASCII, invalid
+// UTF-8 — goes through json.Marshal itself.
+func appendJSONString[T string | []byte](dst []byte, s T) []byte {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20 || c >= 0x7f, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			quoted, _ := json.Marshal(string(s)) // a string cannot fail to marshal
+			return append(dst, quoted...)
+		}
 	}
-	enc := json.NewEncoder(&em.scratchND)
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
+}
+
+// appendPositions appends one strand's positions as the TSV cell: "-" for
+// none, else ascending and comma-joined — contig-relative ("name:offset", or
+// "boundary@pos" for a hit straddling two records) when the reference had
+// several records. Two or more positions are ordered in em.sorted, never in
+// the caller's slice.
+func (em *jobEmitter) appendPositions(dst []byte, contigs *core.ContigSet, ps []int32, span int) []byte {
+	if len(ps) == 0 {
+		return append(dst, '-')
+	}
+	if len(ps) > 1 {
+		em.sorted = append(em.sorted[:0], ps...)
+		slices.Sort(em.sorted)
+		ps = em.sorted
+	}
+	multi := contigs != nil && contigs.Count() > 1
+	for i, p := range ps {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		if !multi {
+			dst = strconv.AppendInt(dst, int64(p), 10)
+		} else if c, off, ok := contigs.Resolve(int(p), span); ok {
+			dst = append(append(dst, c.Name...), ':')
+			dst = strconv.AppendInt(dst, int64(off), 10)
+		} else {
+			dst = append(dst, "boundary@"...)
+			dst = strconv.AppendInt(dst, int64(p), 10)
+		}
+	}
+	return dst
+}
+
+// exactBatch emits one exact-matching batch: ids and reads are the full job
+// slices, results covers [start, start+len(results)). Rows are appended with
+// strconv, not formatted by fmt and reflected by encoding/json: at thousands
+// of rows per job those two were a warm job's largest cost outside mapping.
+func (em *jobEmitter) exactBatch(start int, ids []string, reads []dna.Seq, results []core.MapResult, contigs *core.ContigSet) error {
+	tsv, nd := em.scratchTSV.AvailableBuffer(), em.scratchND.AvailableBuffer()
+	if start == 0 {
+		tsv = append(tsv, "read\tmapped\tfw_count\tfw_positions\trc_count\trc_positions\n"...)
+	}
 	for i, res := range results {
 		g := start + i
 		if res.Mapped() {
 			em.mapped++
 		}
-		row := exactRow{
-			Read:        sanitizeID(ids[g]),
-			Mapped:      res.Mapped(),
-			FwCount:     res.Forward.Count(),
-			FwPositions: joinPositions(contigs, res.ForwardPositions, len(reads[g])),
-			RcCount:     res.Reverse.Count(),
-			RcPositions: joinPositions(contigs, res.ReversePositions, len(reads[g])),
-		}
-		fmt.Fprintf(&em.scratchTSV, "%s\t%t\t%d\t%s\t%d\t%s\n",
-			row.Read, row.Mapped, row.FwCount, row.FwPositions, row.RcCount, row.RcPositions)
-		if err := enc.Encode(row); err != nil {
-			return err
-		}
+		id, span := sanitizeID(ids[g]), len(reads[g])
+		em.fw = em.appendPositions(em.fw[:0], contigs, res.ForwardPositions, span)
+		em.rc = em.appendPositions(em.rc[:0], contigs, res.ReversePositions, span)
+
+		tsv = append(append(tsv, id...), '\t')
+		tsv = append(strconv.AppendBool(tsv, res.Mapped()), '\t')
+		tsv = append(strconv.AppendInt(tsv, int64(res.Forward.Count()), 10), '\t')
+		tsv = append(append(tsv, em.fw...), '\t')
+		tsv = append(strconv.AppendInt(tsv, int64(res.Reverse.Count()), 10), '\t')
+		tsv = append(append(tsv, em.rc...), '\n')
+
+		nd = appendJSONString(append(nd, `{"read":`...), id)
+		nd = strconv.AppendBool(append(nd, `,"mapped":`...), res.Mapped())
+		nd = strconv.AppendInt(append(nd, `,"fw_count":`...), int64(res.Forward.Count()), 10)
+		nd = appendJSONString(append(nd, `,"fw_positions":`...), em.fw)
+		nd = strconv.AppendInt(append(nd, `,"rc_count":`...), int64(res.Reverse.Count()), 10)
+		nd = appendJSONString(append(nd, `,"rc_positions":`...), em.rc)
+		nd = append(nd, "}\n"...)
 	}
+	em.scratchTSV.Write(tsv)
+	em.scratchND.Write(nd)
 	return em.flushBatch(len(results))
 }
 
 // approxBatch emits one mismatch-budget batch.
 func (em *jobEmitter) approxBatch(start int, ids []string, rows []approxRow) error {
+	tsv, nd := em.scratchTSV.AvailableBuffer(), em.scratchND.AvailableBuffer()
 	if start == 0 {
-		fmt.Fprintln(&em.scratchTSV, "read\tmapped\tbest_mismatches\toccurrences")
+		tsv = append(tsv, "read\tmapped\tbest_mismatches\toccurrences\n"...)
 	}
-	enc := json.NewEncoder(&em.scratchND)
 	for _, row := range rows {
 		if row.Mapped {
 			em.mapped++
 		}
-		fmt.Fprintf(&em.scratchTSV, "%s\t%t\t%d\t%d\n",
-			row.Read, row.Mapped, row.BestMismatches, row.Occurrences)
-		if err := enc.Encode(row); err != nil {
-			return err
-		}
+		tsv = append(append(tsv, row.Read...), '\t')
+		tsv = append(strconv.AppendBool(tsv, row.Mapped), '\t')
+		tsv = append(strconv.AppendInt(tsv, int64(row.BestMismatches), 10), '\t')
+		tsv = append(strconv.AppendInt(tsv, int64(row.Occurrences), 10), '\n')
+
+		nd = appendJSONString(append(nd, `{"read":`...), row.Read)
+		nd = strconv.AppendBool(append(nd, `,"mapped":`...), row.Mapped)
+		nd = strconv.AppendInt(append(nd, `,"best_mismatches":`...), int64(row.BestMismatches), 10)
+		nd = strconv.AppendInt(append(nd, `,"occurrences":`...), int64(row.Occurrences), 10)
+		nd = append(nd, "}\n"...)
 	}
+	em.scratchTSV.Write(tsv)
+	em.scratchND.Write(nd)
 	return em.flushBatch(len(rows))
 }
 

@@ -170,15 +170,15 @@ func (s *Server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 		var err error
 		backend = r.FormValue("backend")
 		mode = r.FormValue("mode")
-		if b, err = formInt(r, "b", DefaultB); err != nil {
+		if b, err = formInt(r.FormValue, "b", DefaultB); err != nil {
 			jsonError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		if sf, err = formInt(r, "sf", DefaultSF); err != nil {
+		if sf, err = formInt(r.FormValue, "sf", DefaultSF); err != nil {
 			jsonError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		if mismatches, err = formInt(r, "mismatches", 0); err != nil {
+		if mismatches, err = formInt(r.FormValue, "mismatches", 0); err != nil {
 			jsonError(w, http.StatusBadRequest, err.Error())
 			return
 		}
