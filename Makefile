@@ -37,11 +37,13 @@ bench-gate:
 	$(GO) run ./benchmark -compare $(BASE) $(NEW)
 
 # bench-smoke exercises the prefix-table ablation path (build, sweep,
-# allocation accounting, kernel cycle model) at unit-test scale, and one warm
-# job through the served path (submit, journal, map, emit, stream) with its
-# bytes and allocations per job.
+# allocation accounting, kernel cycle model) at unit-test scale, the three
+# suffix-array constructions with their bytes and allocations per build, and
+# one warm job through the served path (submit, journal, map, emit, stream)
+# with its bytes and allocations per job.
 bench-smoke:
 	$(GO) test -run='FtabAblation' ./internal/bench
+	$(GO) test -run='^$$' -bench='BenchmarkSuffixArrayAlgos$$' -benchtime=1x ./internal/suffixarray
 	$(GO) test -run='^$$' -bench='BenchmarkMapReads$$' -benchtime=1x ./internal/core
 	$(GO) test -run='^$$' -bench='BenchmarkServedWarmExactJob$$' -benchtime=1x ./internal/server
 
@@ -89,6 +91,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadIndex$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzSearchWithFtab$$' -fuzztime=$(FUZZTIME) ./internal/fmindex
 	$(GO) test -run='^$$' -fuzz='^FuzzSMEMs$$' -fuzztime=$(FUZZTIME) ./internal/fmindex
+	$(GO) test -run='^$$' -fuzz='^FuzzBuild$$' -fuzztime=$(FUZZTIME) ./internal/suffixarray
 
 # fault-smoke runs the fault-injection and resilience tests, including the
 # end-to-end server scenarios, under the race detector.

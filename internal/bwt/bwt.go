@@ -10,47 +10,59 @@
 package bwt
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 )
 
 // BWT is the compact Burrows-Wheeler transform of a text.
 type BWT struct {
 	// Data holds the n non-sentinel symbols of the transform in order,
-	// with the sentinel slot removed.
+	// with the sentinel slot removed. It must not change once a statistic
+	// (SymbolCounts, RunCount, Entropy) has been asked for.
 	Data []uint8
 	// Primary is the position in the full (n+1)-long transform where the
 	// sentinel sits; Data[j] corresponds to full position j when
 	// j < Primary and j+1 otherwise.
 	Primary int
+
+	// The statistics all come from one pass over Data, made by the first of
+	// them to be asked for.
+	tally  sync.Once
+	counts [256]int // occurrences of each symbol
+	runs   int      // maximal runs of equal symbols
 }
 
 // Transform computes the BWT of text given its suffix array sa (as produced
 // by internal/suffixarray: length len(text)+1, sentinel first).
-func Transform(text []uint8, sa []int32) (*BWT, error) {
+func Transform[E ~uint8](text []E, sa []int32) (*BWT, error) {
 	n := len(text)
 	if len(sa) != n+1 {
 		return nil, fmt.Errorf("bwt: suffix array length %d, want %d", len(sa), n+1)
 	}
-	out := &BWT{Data: make([]uint8, 0, n), Primary: -1}
+	// One slot more than the symbols, so that an array with no zero entry is
+	// reported below rather than written past the end.
+	data, at, primary := make([]uint8, n+1), 0, -1
 	for i, p := range sa {
 		if p == 0 {
-			if out.Primary != -1 {
+			if primary != -1 {
 				return nil, errors.New("bwt: suffix array has multiple zero entries")
 			}
-			out.Primary = i
+			primary = i
 			continue
 		}
-		if int(p) > n {
+		if p < 0 || int(p) > n {
 			return nil, fmt.Errorf("bwt: suffix array entry %d out of range", p)
 		}
-		out.Data = append(out.Data, text[p-1])
+		data[at] = uint8(text[p-1])
+		at++
 	}
-	if out.Primary == -1 {
+	if primary == -1 {
 		return nil, errors.New("bwt: suffix array lacks the sentinel suffix")
 	}
-	return out, nil
+	return &BWT{Data: data[:n], Primary: primary}, nil
 }
 
 // Len returns the number of non-sentinel symbols (the original text length).
@@ -71,14 +83,33 @@ func (b *BWT) CompactPos(i int) int {
 	return i - 1
 }
 
-// SymbolCounts returns the number of occurrences of each symbol in [0,sigma).
+// stats makes the one pass over Data behind every statistic.
+func (b *BWT) stats() {
+	b.tally.Do(func() {
+		var counts [256]int // locals, so that the loop keeps them out of b
+		runs, last := 0, -1
+		for _, c := range b.Data {
+			counts[c]++
+			if int(c) != last {
+				runs++
+			}
+			last = int(c)
+		}
+		b.counts, b.runs = counts, runs
+	})
+}
+
+// SymbolCounts returns the number of occurrences of each symbol in [0,sigma),
+// and an error if Data holds a symbol outside that alphabet.
 func (b *BWT) SymbolCounts(sigma int) ([]int, error) {
+	b.stats()
 	counts := make([]int, sigma)
-	for i, c := range b.Data {
-		if int(c) >= sigma {
+	copy(counts, b.counts[:])
+	for c := sigma; c < len(b.counts); c++ {
+		if b.counts[c] > 0 {
+			i := bytes.IndexByte(b.Data, uint8(c))
 			return nil, fmt.Errorf("bwt: symbol %d at position %d outside alphabet [0,%d)", c, i, sigma)
 		}
-		counts[c]++
 	}
 	return counts, nil
 }
@@ -133,16 +164,8 @@ func (b *BWT) Inverse(sigma int) ([]uint8, error) {
 // RunCount returns the number of maximal runs of equal symbols in Data, a
 // standard measure of BWT compressibility.
 func (b *BWT) RunCount() int {
-	if len(b.Data) == 0 {
-		return 0
-	}
-	runs := 1
-	for i := 1; i < len(b.Data); i++ {
-		if b.Data[i] != b.Data[i-1] {
-			runs++
-		}
-	}
-	return runs
+	b.stats()
+	return b.runs
 }
 
 // Entropy returns the zero-order empirical entropy H0 of Data in bits per

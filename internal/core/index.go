@@ -102,10 +102,18 @@ func (a SAAlgorithm) String() string {
 	}
 }
 
-func (a SAAlgorithm) build(text []uint8, sigma int) ([]int32, error) {
+// build runs the construction over ref. SA-IS, the production path, sorts
+// ref where it lies and stops early when ctx is done; the two cross-check
+// algorithms get a byte copy.
+func (a SAAlgorithm) build(ctx context.Context, ref dna.Seq, sigma int) ([]int32, error) {
+	if a == SAIS {
+		return suffixarray.BuildCtx(ctx, ref, sigma)
+	}
+	text := make([]uint8, len(ref))
+	for i, b := range ref {
+		text[i] = uint8(b)
+	}
 	switch a {
-	case SAIS:
-		return suffixarray.Build(text, sigma)
 	case DC3:
 		return suffixarray.BuildDC3(text, sigma)
 	case Doubling:
@@ -180,8 +188,9 @@ func BuildIndex(ref dna.Seq, cfg IndexConfig) (*Index, error) {
 
 // BuildIndexCtx is BuildIndex with cancellation: the context is checked
 // between the build phases (suffix array, BWT, succinct encoding, locate
-// structure), so a canceled job stops at the next phase boundary instead of
-// running the whole construction to completion while holding resources.
+// structure) and, within the suffix-array phase — most of a build — between
+// the passes of the sort, so a canceled job stops there instead of running
+// the whole construction to completion while holding resources.
 // When the context carries an obs trace, each phase emits a span.
 func BuildIndexCtx(ctx context.Context, ref dna.Seq, cfg IndexConfig) (*Index, error) {
 	cfg = cfg.withDefaults()
@@ -195,11 +204,6 @@ func BuildIndexCtx(ctx context.Context, ref dna.Seq, cfg IndexConfig) (*Index, e
 		return nil, err
 	}
 
-	text := make([]uint8, len(ref))
-	for i, b := range ref {
-		text[i] = uint8(b)
-	}
-
 	var stats BuildStats
 	stats.RefLength = len(ref)
 	stats.UncompressedBytes = len(ref)
@@ -207,7 +211,7 @@ func BuildIndexCtx(ctx context.Context, ref dna.Seq, cfg IndexConfig) (*Index, e
 	start := time.Now()
 	_, saSpan := obs.StartSpan(ctx, "build.sa")
 	saSpan.SetAttr("algorithm", cfg.SAAlgorithm.String())
-	sa, err := cfg.SAAlgorithm.build(text, dna.AlphabetSize)
+	sa, err := cfg.SAAlgorithm.build(ctx, ref, dna.AlphabetSize)
 	saSpan.End()
 	if err != nil {
 		return nil, fmt.Errorf("core: suffix array: %w", err)
@@ -219,7 +223,7 @@ func BuildIndexCtx(ctx context.Context, ref dna.Seq, cfg IndexConfig) (*Index, e
 
 	start = time.Now()
 	_, bwtSpan := obs.StartSpan(ctx, "build.bwt")
-	transform, err := bwt.Transform(text, sa)
+	transform, err := bwt.Transform(ref, sa)
 	bwtSpan.End()
 	if err != nil {
 		return nil, fmt.Errorf("core: bwt: %w", err)

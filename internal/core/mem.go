@@ -246,15 +246,11 @@ func (ix *Index) EnsureMem() error {
 	if err != nil {
 		return fmt.Errorf("core: mem state: %w", err)
 	}
-	text := make([]uint8, len(ref))
-	for i, b := range ref {
-		text[i] = uint8(b)
-	}
 	var bi *fmindex.BiIndex
 	if ix.config.Locate == LocateNone || ix.config.PlainBitvectors {
-		bi, err = fmindex.NewBiIndex(text, dna.AlphabetSize, ix.config.RRR)
+		bi, err = fmindex.NewBiIndex(ref, dna.AlphabetSize, ix.config.RRR)
 	} else {
-		bi, err = fmindex.NewBiIndexOver(ix.fm, text, ix.config.RRR)
+		bi, err = fmindex.NewBiIndexOver(ix.fm, ref, ix.config.RRR)
 	}
 	if err != nil {
 		return fmt.Errorf("core: mem state: %w", err)

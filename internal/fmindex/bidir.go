@@ -56,7 +56,7 @@ func (r BiRange) Count() int { return r.Fwd.Count() }
 // NewBiIndex builds bidirectional FM-indexes over text using the paper's
 // succinct structure for both directions. The forward index carries the
 // full suffix array for locating; the reverse index is count-only.
-func NewBiIndex(text []uint8, sigma int, params rrr.Params) (*BiIndex, error) {
+func NewBiIndex[E ~uint8](text []E, sigma int, params rrr.Params) (*BiIndex, error) {
 	fwd, err := buildDirection(text, sigma, params, true)
 	if err != nil {
 		return nil, fmt.Errorf("fmindex: forward index: %w", err)
@@ -68,13 +68,13 @@ func NewBiIndex(text []uint8, sigma int, params rrr.Params) (*BiIndex, error) {
 // built count-only index over the reversed text, and builds the
 // short-pattern table: a caller that holds the forward direction (the exact
 // mapping index) pays for the reverse one only.
-func NewBiIndexOver(fwd *Index, text []uint8, params rrr.Params) (*BiIndex, error) {
+func NewBiIndexOver[E ~uint8](fwd *Index, text []E, params rrr.Params) (*BiIndex, error) {
 	if fwd.Len() != len(text) {
 		return nil, fmt.Errorf("fmindex: forward index covers %d symbols, text has %d", fwd.Len(), len(text))
 	}
 	reversed := make([]uint8, len(text))
 	for i, c := range text {
-		reversed[len(text)-1-i] = c
+		reversed[len(text)-1-i] = uint8(c)
 	}
 	rev, err := buildDirection(reversed, fwd.sigma, params, false)
 	if err != nil {
@@ -151,7 +151,7 @@ func (bi *BiIndex) extendRightAt(r BiRange, n int, key uint32, a uint8) (BiRange
 	return bi.ExtendRight(r, a), key
 }
 
-func buildDirection(text []uint8, sigma int, params rrr.Params, withSA bool) (*Index, error) {
+func buildDirection[E ~uint8](text []E, sigma int, params rrr.Params, withSA bool) (*Index, error) {
 	sa, err := suffixarray.Build(text, sigma)
 	if err != nil {
 		return nil, err

@@ -101,34 +101,44 @@ func (f *Ftab) Validate(n int) error {
 }
 
 // BuildFtab constructs the order-k table for the index by interval
-// refinement: depth d+1 entries come from one Step on their depth-d parent,
-// dead parents propagate their death range to all children without any rank
-// work. Total Step calls are bounded by both 4^k and k times the number of
-// distinct k-mers in the text, so small references build small-alive tables
-// fast even at high k.
+// refinement: the four depth d+1 entries sX come from one StepAll on their
+// depth-d parent X, dead parents propagate their death range to all children
+// without any rank work. Total StepAll calls are bounded by both 4^k/3 and k
+// times the number of distinct k-mers in the text, so small references build
+// small-alive tables fast even at high k. Only the previous level is kept,
+// and the last one is written straight into the table.
 func (ix *Index) BuildFtab(k int) (*Ftab, error) {
 	if k < 1 || k > MaxFtabK {
 		return nil, fmt.Errorf("fmindex: ftab order %d outside [1,%d]", k, MaxFtabK)
 	}
-	cur := []Range{ix.All()}
-	for d := 0; d < k; d++ {
-		next := make([]Range, len(cur)*ftabSigma)
-		for key, r := range cur {
+	f := &Ftab{k: k, entries: make([]ftabEntry, 1<<(2*k))}
+	all := ix.All()
+	cur := []ftabEntry{{lo: int32(all.Start), hi: int32(all.End)}}
+	// StepAll fills stepped[:sigma]; symbols the index lacks, [sigma, 4), keep
+	// the empty range Step gives them.
+	stepped := make([]Range, max(ix.sigma, ftabSigma))
+	for s := ix.sigma; s < ftabSigma; s++ {
+		stepped[s] = Range{Start: 1, End: 0}
+	}
+	for d := 1; d <= k; d++ {
+		next := f.entries
+		if d < k {
+			next = make([]ftabEntry, len(cur)*ftabSigma)
+		}
+		for key, e := range cur {
+			r := Range{Start: int(e.lo), End: int(e.hi)}
 			if r.Empty() {
 				for s := 0; s < ftabSigma; s++ {
-					next[s*len(cur)+key] = r
+					next[s*len(cur)+key] = e
 				}
 				continue
 			}
+			ix.StepAll(r, stepped)
 			for s := 0; s < ftabSigma; s++ {
-				next[s*len(cur)+key] = ix.Step(r, uint8(s))
+				next[s*len(cur)+key] = ftabEntry{lo: int32(stepped[s].Start), hi: int32(stepped[s].End)}
 			}
 		}
 		cur = next
-	}
-	f := &Ftab{k: k, entries: make([]ftabEntry, len(cur))}
-	for i, r := range cur {
-		f.entries[i] = ftabEntry{lo: int32(r.Start), hi: int32(r.End)}
 	}
 	return f, nil
 }

@@ -2,28 +2,49 @@ package rrr
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
 // FuzzRank checks rank against a naive count for arbitrary bit patterns and
-// parameters — the core correctness contract of the whole repository.
+// parameters — the core correctness contract of the whole repository — and
+// that the word-wise constructor, handed the same bytes as packed words,
+// builds the sequence the bit-by-bit one builds. What bRaw has left after
+// choosing b drops up to seven bits off the end, so lengths are not all
+// multiples of eight and the last word carries bits past n.
 func FuzzRank(f *testing.F) {
 	f.Add([]byte{0xFF, 0x00, 0xAA}, uint8(15), uint8(50))
 	f.Add([]byte{}, uint8(2), uint8(1))
 	f.Add([]byte{0x01}, uint8(7), uint8(3))
+	f.Add(make([]byte, 200), uint8(13), uint8(50))                  // all zero, b = 15
+	f.Add(bytes.Repeat([]byte{0xFF}, 200), uint8(13), uint8(4))     // all one
+	f.Add(bytes.Repeat([]byte{0xFF}, 4), uint8(13+3*14), uint8(50)) // 29 bits: one short of two blocks of 15
+	f.Add(bytes.Repeat([]byte{0x5A}, 17), uint8(6+7*14), uint8(2))  // 129 bits: one past two words, b = 8
 	f.Fuzz(func(t *testing.T, raw []byte, bRaw, sfRaw uint8) {
 		if len(raw) > 4096 {
 			raw = raw[:4096]
 		}
-		b := int(bRaw)%(MaxBlockSize-MinBlockSize+1) + MinBlockSize
+		const choices = MaxBlockSize - MinBlockSize + 1
+		b := int(bRaw)%choices + MinBlockSize
 		sf := int(sfRaw)%128 + 1
-		bits := make([]bool, len(raw)*8)
+		bits := make([]bool, max(0, len(raw)*8-int(bRaw)/choices%8))
 		for i := range bits {
 			bits[i] = raw[i/8]>>(uint(i)%8)&1 == 1
 		}
 		s, err := FromBools(bits, Params{BlockSize: b, SuperblockFactor: sf})
 		if err != nil {
 			t.Fatalf("valid params rejected: %v", err)
+		}
+		words := make([]uint64, (len(raw)+7)/8)
+		for i, c := range raw {
+			words[i/8] |= uint64(c) << (uint(i) % 8 * 8)
+		}
+		fromWords, err := FromWords(words, len(bits), s.Params())
+		if err != nil {
+			t.Fatalf("FromWords: %v", err)
+		}
+		if !reflect.DeepEqual(s, fromWords) {
+			t.Fatalf("b=%d sf=%d n=%d: FromWords and New build different sequences", b, sf, len(bits))
 		}
 		count := 0
 		for i, bit := range bits {

@@ -90,6 +90,32 @@ type BitSource func(i int) bool
 
 // New encodes n bits from src with the given parameters.
 func New(src BitSource, n int, p Params) (*Sequence, error) {
+	return newFromBlocks(n, p, func(blk int) uint16 { return blockValue(src, blk, p.BlockSize, n) })
+}
+
+// FromWords encodes the n bits packed LSB-first in words — bit i is bit i%64
+// of words[i/64], and bits past n are ignored — into the sequence New builds
+// from the same bits. A block is cut out of its one or two words by shift and
+// mask, which is what makes it the constructor for multi-megabyte inputs.
+func FromWords(words []uint64, n int, p Params) (*Sequence, error) {
+	if n > 64*len(words) {
+		return nil, fmt.Errorf("rrr: %d bits do not fit in %d words", n, len(words))
+	}
+	b := p.BlockSize
+	return newFromBlocks(n, p, func(blk int) uint16 {
+		pos := blk * b
+		i, shift := pos>>6, uint(pos&63)
+		v := words[i] >> shift
+		if shift+uint(b) > 64 && i+1 < len(words) {
+			v |= words[i+1] << (64 - shift)
+		}
+		return uint16(v) & (1<<uint(min(b, n-pos)) - 1)
+	})
+}
+
+// newFromBlocks encodes n bits, of which block(blk) returns block blk as a
+// BlockSize-bit LSB-first value, zero-padded past the end of the sequence.
+func newFromBlocks(n int, p Params, block func(blk int) uint16) (*Sequence, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -107,7 +133,7 @@ func New(src BitSource, n int, p Params) (*Sequence, error) {
 	}
 	s := newSequence(n, p, table)
 	err = s.encode(func(blk int) (int, int) {
-		v := blockValue(src, blk, s.b, n)
+		v := block(blk)
 		return bits.OnesCount16(v), table.OffsetOf(v)
 	})
 	if err != nil {

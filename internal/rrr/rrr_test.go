@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -198,6 +199,54 @@ func TestRankPairEveryLayout(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestFromWordsMatchesNew: the word-wise constructor builds, record for
+// record, what the bit-by-bit one builds — for every block size, at lengths
+// around block, word and superblock boundaries, on random, run-structured,
+// all-zero and all-one bits, and with stray bits past n in the last word.
+func TestFromWordsMatchesNew(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for b := MinBlockSize; b <= MaxBlockSize; b++ {
+		for _, sf := range []int{1, 3, 50} {
+			p := Params{BlockSize: b, SuperblockFactor: sf}
+			lengths := []int{0, 1, b - 1, b, b + 1, 63, 64, 65, 127, 128, 129, b*sf - 1, b * sf, b*sf + 1, 5*b*sf - 1, 1000 + rng.Intn(3000)}
+			for _, n := range lengths {
+				for name, bools := range map[string][]bool{
+					"random": randomBools(rng, n, 0.5),
+					"sparse": randomBools(rng, n, 0.03),
+					"runs":   runBools(rng, n, 40),
+					"zeros":  make([]bool, n),
+					"ones":   randomBools(rng, n, 1),
+				} {
+					want, err := FromBools(bools, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					words := make([]uint64, n/64+1)
+					for i := range words {
+						words[i] = rng.Uint64() // stray bits, overwritten below up to n
+					}
+					for i, bit := range bools {
+						words[i/64] &^= 1 << uint(i%64)
+						if bit {
+							words[i/64] |= 1 << uint(i%64)
+						}
+					}
+					got, err := FromWords(words, n, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("b=%d sf=%d n=%d %s: FromWords differs from New", b, sf, n, name)
+					}
+				}
+			}
+		}
+	}
+	if _, err := FromWords(make([]uint64, 1), 65, DefaultParams); err == nil {
+		t.Error("FromWords accepted more bits than its words hold")
 	}
 }
 

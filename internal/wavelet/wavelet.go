@@ -13,6 +13,7 @@
 package wavelet
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -38,16 +39,17 @@ var (
 
 // Backend constructs the bit-vector of one wavelet node.
 type Backend interface {
-	// Build encodes n bits read from src.
-	Build(src func(i int) bool, n int) (RankVector, error)
+	// Build encodes the n bits packed LSB-first in words (bit i is bit i%64
+	// of words[i/64]). It may be called from several goroutines at once.
+	Build(words []uint64, n int) (RankVector, error)
 	// Name identifies the backend in stats output.
 	Name() string
 }
 
 type rrrBackend struct{ p rrr.Params }
 
-func (b rrrBackend) Build(src func(i int) bool, n int) (RankVector, error) {
-	return rrr.New(rrr.BitSource(src), n, b.p)
+func (b rrrBackend) Build(words []uint64, n int) (RankVector, error) {
+	return rrr.FromWords(words, n, b.p)
 }
 func (b rrrBackend) Name() string {
 	return fmt.Sprintf("rrr(b=%d,sf=%d)", b.p.BlockSize, b.p.SuperblockFactor)
@@ -59,10 +61,10 @@ func RRRBackend(p rrr.Params) Backend { return rrrBackend{p} }
 
 type plainBackend struct{}
 
-func (plainBackend) Build(src func(i int) bool, n int) (RankVector, error) {
+func (plainBackend) Build(words []uint64, n int) (RankVector, error) {
 	bld := bitvec.NewBuilder(n)
-	for i := 0; i < n; i++ {
-		bld.Append(src(i))
+	for i := 0; i < n; i += 64 {
+		bld.AppendWord(words[i/64], min(64, n-i))
 	}
 	return bld.Build(), nil
 }
@@ -133,41 +135,76 @@ func New(data []uint8, sigma int, backend Backend) (*Tree, error) {
 	for 1<<uint(levels) < sigma {
 		levels++
 	}
-	root, err := build(data, 0, sigma, backend)
+	root, err := build(data, len(data), 0, sigma, backend)
 	if err != nil {
 		return nil, err
 	}
 	return &Tree{root: root, n: len(data), sigma: sigma, levels: levels, backend: backend.Name()}, nil
 }
 
-func build(data []uint8, lo, hi int, backend Backend) (*node, error) {
+// concurrentBuildMin is the node length from which a node's two subtrees are
+// built on two goroutines: below it the encoding is too short to pay for one.
+const concurrentBuildMin = 1 << 16
+
+// build encodes the node for the code range [lo, hi) and, recursively, its
+// subtrees. The node's string is the n symbols of data that lie in the range,
+// in order; data may hold others, which are skipped. A node whose grandchildren
+// are all leaves therefore hands data on as it is, and each child reads its
+// half of the symbols out of it once; only a child that has subtrees of its
+// own to feed is given a partition holding its symbols alone, so that a level
+// of the tree still costs one pass over the string.
+func build(data []uint8, n, lo, hi int, backend Backend) (*node, error) {
 	if hi-lo <= 1 {
 		return nil, nil // leaf: a single symbol needs no bit-vector
 	}
 	mid := (lo + hi + 1) / 2
-	vec, err := backend.Build(func(i int) bool { return int(data[i]) >= mid }, len(data))
+	words := make([]uint64, (n+63)/64)
+	at := 0
+	for _, s := range data {
+		if int(s) >= lo && int(s) < hi {
+			if int(s) >= mid {
+				words[at>>6] |= 1 << uint(at&63)
+			}
+			at++
+		}
+	}
+	vec, err := backend.Build(words, n)
 	if err != nil {
 		return nil, err
 	}
-	// Partition data into the two children, preserving order.
-	nOnes := vec.Rank1(len(data))
-	zeroData := make([]uint8, 0, len(data)-nOnes)
-	oneData := make([]uint8, 0, nOnes)
-	for _, s := range data {
-		if int(s) >= mid {
-			oneData = append(oneData, s)
-		} else {
-			zeroData = append(zeroData, s)
+	nd := newNode(vec, lo, hi)
+	if hi-lo <= 2 {
+		return nd, nil // both children are leaves
+	}
+	nOnes := vec.Rank1(n)
+	zeroData, oneData := data, data
+	if hi-lo > 4 {
+		zeroData, oneData = make([]uint8, 0, n-nOnes), make([]uint8, 0, nOnes)
+		for _, s := range data {
+			if int(s) >= mid && int(s) < hi {
+				oneData = append(oneData, s)
+			} else if int(s) >= lo && int(s) < mid {
+				zeroData = append(zeroData, s)
+			}
 		}
 	}
-	n := newNode(vec, lo, hi)
-	if n.zero, err = build(zeroData, lo, mid, backend); err != nil {
+	var zeroErr error
+	done := make(chan struct{})
+	buildZero := func() {
+		defer close(done)
+		nd.zero, zeroErr = build(zeroData, n-nOnes, lo, mid, backend)
+	}
+	if n >= concurrentBuildMin {
+		go buildZero()
+	} else {
+		buildZero()
+	}
+	nd.on, err = build(oneData, nOnes, mid, hi, backend)
+	<-done
+	if err = errors.Join(zeroErr, err); err != nil {
 		return nil, err
 	}
-	if n.on, err = build(oneData, mid, hi, backend); err != nil {
-		return nil, err
-	}
-	return n, nil
+	return nd, nil
 }
 
 // Len returns the length of the underlying string.

@@ -2,6 +2,7 @@ package wavelet
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -356,5 +357,68 @@ func TestNodeStats(t *testing.T) {
 	}
 	if s := ft.NodeStats()[0]; s.Entropy != 0 || s.Ones != 0 {
 		t.Errorf("constant-string root stat: %+v", s)
+	}
+}
+
+// referenceBuild is tree construction as it was before nodes were packed into
+// words: every node materialises its children's strings and encodes its own
+// bits one at a time through rrr.New. It is the oracle for build.
+func referenceBuild(t *testing.T, data []uint8, lo, hi int, p rrr.Params) *node {
+	t.Helper()
+	if hi-lo <= 1 {
+		return nil
+	}
+	mid := (lo + hi + 1) / 2
+	vec, err := rrr.New(func(i int) bool { return int(data[i]) >= mid }, len(data), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var zeroData, oneData []uint8
+	for _, s := range data {
+		if int(s) >= mid {
+			oneData = append(oneData, s)
+		} else {
+			zeroData = append(zeroData, s)
+		}
+	}
+	nd := newNode(vec, lo, hi)
+	nd.zero = referenceBuild(t, zeroData, lo, mid, p)
+	nd.on = referenceBuild(t, oneData, mid, hi, p)
+	return nd
+}
+
+// TestBuildMatchesReference: the word-packed, partition-sparing, concurrent
+// build yields node for node the tree of the bit-by-bit construction — on
+// alphabets whose last internal levels filter their parent's string (every
+// sigma > 2), on strings long enough for subtrees to build on two goroutines
+// (which is what -race watches here), and on strings missing some symbols.
+func TestBuildMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	p := rrr.Params{BlockSize: 15, SuperblockFactor: 50}
+	for _, sigma := range []int{2, 3, 4, 5, 7, 8, 9, 16, 200} {
+		for _, n := range []int{0, 1, 63, 64, 65, 1000, 3 * concurrentBuildMin} {
+			data := randomData(rng, n, sigma)
+			if n == 1000 {
+				for i := range data { // runs, and the top symbol absent
+					data[i] = uint8(i / 50 % (sigma - 1))
+				}
+			}
+			tr, err := New(data, sigma, RRRBackend(p))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(tr.root, referenceBuild(t, data, 0, sigma, p)) {
+				t.Fatalf("sigma=%d n=%d: tree differs from the reference construction", sigma, n)
+			}
+			plain, err := New(data, sigma, PlainBackend())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < n; i += 1 + n/500 {
+				if got := plain.Access(i); got != data[i] {
+					t.Fatalf("plain sigma=%d n=%d: Access(%d)=%d, want %d", sigma, n, i, got, data[i])
+				}
+			}
+		}
 	}
 }
