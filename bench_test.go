@@ -261,7 +261,7 @@ func BenchmarkMultiPE(b *testing.B) {
 		}
 		b.Run("pes="+itoa(pes), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				run, err := kernel.MapReads(reads)
+				run, err := kernel.MapReadsOpts(reads, fpga.MapRunOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}

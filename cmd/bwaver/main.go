@@ -483,7 +483,7 @@ func cmdMap(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		run, err := kernel.MapReads(reads)
+		run, err := kernel.MapReadsOpts(reads, fpga.MapRunOptions{})
 		if err != nil {
 			return err
 		}
@@ -580,7 +580,7 @@ func cmdMem(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		run, err := kernel.MapReadsMem(reads, opts)
+		run, err := kernel.MapReadsMemOpts(reads, opts, fpga.MapRunOptions{})
 		if err != nil {
 			return err
 		}
@@ -910,7 +910,7 @@ func mapApprox(out io.Writer, ix *core.Index, reads []dna.Seq, ids []string, bac
 		if err != nil {
 			return err
 		}
-		run, err := kernel.MapReadsTwoPass(reads, k)
+		run, err := kernel.MapReadsTwoPassOpts(reads, k, fpga.MapRunOptions{})
 		if err != nil {
 			return err
 		}

@@ -59,7 +59,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	run, err := kernel.MapReads(reads)
+	run, err := kernel.MapReadsOpts(reads, fpga.MapRunOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

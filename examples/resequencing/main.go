@@ -59,7 +59,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	run, err := kernel.MapReads(readsim.Seqs(reads))
+	run, err := kernel.MapReadsOpts(readsim.Seqs(reads), fpga.MapRunOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

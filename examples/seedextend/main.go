@@ -84,7 +84,7 @@ func main() {
 			meta = append(meta, seedRef{read: ri, offset: off})
 		}
 	}
-	run, err := kernel.MapReads(seeds)
+	run, err := kernel.MapReadsOpts(seeds, fpga.MapRunOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -82,7 +82,7 @@ func main() {
 		log.Fatal(err)
 	}
 	mapStart := time.Now()
-	run, err := kernel.MapReadsTwoPass(readsim.Seqs(reads), 2)
+	run, err := kernel.MapReadsTwoPassOpts(readsim.Seqs(reads), 2, fpga.MapRunOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -136,7 +136,7 @@ func Ablate(s Scale, progress io.Writer) (*AblationResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		run, err := kernel.MapReads(seqs)
+		run, err := kernel.MapReadsOpts(seqs, fpga.MapRunOptions{})
 		if err != nil {
 			return nil, err
 		}

@@ -246,7 +246,7 @@ func Fig7(s Scale, progress io.Writer) ([]Fig7Row, error) {
 				if err != nil {
 					return nil, err
 				}
-				run, err := kernel.MapReads(seqs)
+				run, err := kernel.MapReadsOpts(seqs, fpga.MapRunOptions{})
 				if err != nil {
 					return nil, err
 				}

@@ -129,7 +129,7 @@ func FtabAblate(s Scale, ks []int, progress io.Writer) (*FtabResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		run, err := kernel.MapReads(seqs)
+		run, err := kernel.MapReadsOpts(seqs, fpga.MapRunOptions{})
 		if err != nil {
 			return nil, err
 		}

@@ -150,7 +150,7 @@ func MemBench(s Scale, baseline *MemBenchResult, progress io.Writer) (*MemBenchR
 		if err != nil {
 			return nil, err
 		}
-		run, err := kernel.MapReadsMem(seqs, opts)
+		run, err := kernel.MapReadsMemOpts(seqs, opts, fpga.MapRunOptions{})
 		if err != nil {
 			return nil, err
 		}

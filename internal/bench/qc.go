@@ -165,7 +165,7 @@ func QCBench(s Scale, progress io.Writer) (*QCBenchResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		run, err := kernel.MapReads(ing.Seqs)
+		run, err := kernel.MapReadsOpts(ing.Seqs, fpga.MapRunOptions{})
 		if err != nil {
 			return nil, err
 		}

@@ -95,7 +95,7 @@ func RunTable(ref Reference, readLen int, readCounts []int, s Scale, progress io
 	if err != nil {
 		return nil, err
 	}
-	run, err := kernel.MapReads(seqs)
+	run, err := kernel.MapReadsOpts(seqs, fpga.MapRunOptions{})
 	if err != nil {
 		return nil, err
 	}

@@ -1,10 +1,6 @@
 package core
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-
 	"bwaver/internal/dna"
 	"bwaver/internal/fmindex"
 )
@@ -45,83 +41,44 @@ func (r ApproxResult) BestMismatches() int {
 	return best
 }
 
-// MapReadsApprox maps a batch of reads with up to maxMismatches
-// substitutions each, distributing reads over opts.Workers goroutines
-// (0/1 serial, -1 all CPUs). Locate and Progress options apply as in
-// MapReads; located positions are merged across strata into the flat
-// position fields of the embedded results.
-func (ix *Index) MapReadsApprox(reads []dna.Seq, maxMismatches int, opts MapOptions) ([]ApproxResult, error) {
-	workers := opts.Workers
-	if workers == 0 {
-		workers = 1
-	}
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	results := make([]ApproxResult, len(reads))
-	var done atomic.Int64
-	every := opts.ProgressEvery
-	if every <= 0 {
-		every = 1024
-	}
-	mapOne := func(i int) error {
-		if opts.Context != nil {
-			if err := opts.Context.Err(); err != nil {
-				return err
-			}
-		}
-		res, err := ix.MapReadApprox(reads[i], maxMismatches)
+// approxWork is k-mismatch mapping as a workload value.
+type approxWork struct {
+	pooledBuf
+	ix            *Index
+	maxMismatches int
+}
+
+func (approxWork) unit() int { return 1 }
+
+// chunk is the mem path's: one branching search costs tens of exact lookups.
+func (approxWork) chunk() int { return 16 }
+
+func (w approxWork) mapUnits(buf *mapBuffer, reads []dna.Seq, dst []ApproxResult) error {
+	fm := w.ix.fm
+	for i, read := range reads {
+		fwPattern, rcPattern := buf.patterns(read)
+		fw, fwSteps, err := fm.CountApproxSteps(fwPattern, w.maxMismatches)
 		if err != nil {
 			return err
 		}
-		results[i] = res
-		if opts.Progress != nil {
-			if d := done.Add(1); d%int64(every) == 0 {
-				opts.Progress(int(d), len(reads))
-			}
+		rc, rcSteps, err := fm.CountApproxSteps(rcPattern, w.maxMismatches)
+		if err != nil {
+			return err
 		}
-		return nil
+		dst[i] = ApproxResult{Forward: fw, Reverse: rc, Steps: max(fwSteps, rcSteps)}
 	}
-	if workers == 1 {
-		for i := range reads {
-			if err := mapOne(i); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		var (
-			wg       sync.WaitGroup
-			errMu    sync.Mutex
-			firstErr error
-			next     = make(chan int, workers)
-		)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					if err := mapOne(i); err != nil {
-						errMu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						errMu.Unlock()
-						return
-					}
-				}
-			}()
-		}
-		for i := range reads {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
-		if firstErr != nil {
-			return nil, firstErr
-		}
-	}
-	if opts.Progress != nil {
-		opts.Progress(len(reads), len(reads))
+	return nil
+}
+
+// MapReadsApprox maps a batch of reads with up to maxMismatches
+// substitutions each, distributing reads over opts.Workers goroutines
+// (0/1 serial, -1 all CPUs). Context and Progress apply as in MapReads;
+// Locate is ignored (the result holds match strata, not positions).
+func (ix *Index) MapReadsApprox(reads []dna.Seq, maxMismatches int, opts MapOptions) ([]ApproxResult, error) {
+	results := make([]ApproxResult, len(reads))
+	w := approxWork{ix: ix, maxMismatches: maxMismatches}
+	if err := mapBatch(w, results, reads, opts); err != nil {
+		return nil, err
 	}
 	return results, nil
 }
@@ -129,19 +86,9 @@ func (ix *Index) MapReadsApprox(reads []dna.Seq, maxMismatches int, opts MapOpti
 // MapReadApprox maps one read and its reverse complement with up to
 // maxMismatches substitutions per orientation.
 func (ix *Index) MapReadApprox(read dna.Seq, maxMismatches int) (ApproxResult, error) {
-	fwPattern := make([]uint8, len(read))
-	rcPattern := make([]uint8, len(read))
-	for i, b := range read {
-		fwPattern[i] = uint8(b)
-		rcPattern[len(read)-1-i] = uint8(b.Complement())
-	}
-	fw, fwSteps, err := ix.fm.CountApproxSteps(fwPattern, maxMismatches)
+	results, err := ix.MapReadsApprox([]dna.Seq{read}, maxMismatches, MapOptions{})
 	if err != nil {
 		return ApproxResult{}, err
 	}
-	rc, rcSteps, err := ix.fm.CountApproxSteps(rcPattern, maxMismatches)
-	if err != nil {
-		return ApproxResult{}, err
-	}
-	return ApproxResult{Forward: fw, Reverse: rc, Steps: max(fwSteps, rcSteps)}, nil
+	return results[0], nil
 }

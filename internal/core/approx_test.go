@@ -84,40 +84,3 @@ func TestApproxResultAccessorsEmpty(t *testing.T) {
 		t.Errorf("zero ApproxResult accessors wrong: %+v", r)
 	}
 }
-
-func TestMapReadsApproxParallelMatchesSerial(t *testing.T) {
-	ref := testGenome(t, 15000)
-	rng := rand.New(rand.NewSource(71))
-	var reads []dna.Seq
-	for i := 0; i < 120; i++ {
-		pos := rng.Intn(len(ref) - 40)
-		read := ref[pos : pos+40].Clone()
-		if i%2 == 0 {
-			p := rng.Intn(40)
-			read[p] = dna.Base((int(read[p]) + 1 + rng.Intn(3)) % 4)
-		}
-		reads = append(reads, read)
-	}
-	ix := mustBuild(t, ref, IndexConfig{})
-	serial, err := ix.MapReadsApprox(reads, 1, MapOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := ix.MapReadsApprox(reads, 1, MapOptions{Workers: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range serial {
-		if serial[i].BestMismatches() != parallel[i].BestMismatches() ||
-			serial[i].Occurrences() != parallel[i].Occurrences() {
-			t.Fatalf("read %d: serial and parallel approx mapping differ", i)
-		}
-		if !serial[i].Mapped() {
-			t.Fatalf("read %d with <=1 mismatch did not map", i)
-		}
-	}
-	// Budget validation propagates.
-	if _, err := ix.MapReadsApprox(reads, -1, MapOptions{}); err == nil {
-		t.Error("negative budget accepted")
-	}
-}

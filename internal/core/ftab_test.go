@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"testing"
 
@@ -187,6 +186,9 @@ func TestMapReadsIntoMatchesMapReads(t *testing.T) {
 }
 
 func TestMapReadsIntoZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; counts are meaningless")
+	}
 	ref := testGenome(t, 4000)
 	ix := mustBuild(t, ref, IndexConfig{FtabK: 3})
 	reads, err := readsim.Simulate(ref, readsim.ReadsConfig{
@@ -203,29 +205,10 @@ func TestMapReadsIntoZeroAlloc(t *testing.T) {
 		}
 	}
 	run() // warm the scratch pool
-	// Steady state allocates a small constant per batch (the worker closure
-	// and its escaping cursor/done counters) and nothing per read: the bound
-	// is independent of the read count.
-	if avg := testing.AllocsPerRun(5, run); avg > 8 {
-		t.Errorf("MapReadsInto allocates %.1f times per batch of %d reads", avg, len(seqs))
-	}
-}
-
-func TestMapReadsIntoCancel(t *testing.T) {
-	ref := testGenome(t, 3000)
-	ix := mustBuild(t, ref, IndexConfig{})
-	reads, err := readsim.Simulate(ref, readsim.ReadsConfig{
-		Count: 200, Length: 30, MappingRatio: 1, RevCompFraction: 0, Seed: 9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqs := readsim.Seqs(reads)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	dst := make([]MapResult, len(seqs))
-	if _, err := ix.MapReadsInto(dst, seqs, MapOptions{Context: ctx}); err == nil {
-		t.Error("canceled context not observed")
+	// The gate the mem engine is held to (TestMemBatchSteadyStateZeroAlloc):
+	// nothing per read and nothing per batch.
+	if avg := testing.AllocsPerRun(5, run); avg > 0 {
+		t.Errorf("MapReadsInto allocates %.1f times per batch of %d reads, want 0", avg, len(seqs))
 	}
 }
 

@@ -8,9 +8,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"bwaver/internal/bwt"
@@ -401,11 +399,11 @@ func (m MapResult) Mapped() bool { return !m.Forward.Empty() || !m.Reverse.Empty
 // Occurrences returns the total number of occurrences across both strands.
 func (m MapResult) Occurrences() int { return m.Forward.Count() + m.Reverse.Count() }
 
-// mapBuffer is a worker's reusable scratch for the two search patterns. The
-// locate slab is deliberately not here: located positions outlive the call
-// as subslices of their slab, so that memory belongs to the results.
+// mapBuffer is a worker's reusable scratch: the two search patterns and,
+// while a locating batch runs, the slab its positions are appended to.
 type mapBuffer struct {
 	fw, rc []uint8
+	slab   []int32
 }
 
 // mapBufPool recycles search scratch across calls, the allocation-free
@@ -413,20 +411,27 @@ type mapBuffer struct {
 // allocation per read.
 var mapBufPool = sync.Pool{New: func() any { return new(mapBuffer) }}
 
-// mapReadBuf maps one read using buf's reusable pattern buffers. useFtab
-// gates the prefix-table path so a consumer whose table was evicted (the
-// simulator's BRAM degrade) can stay consistent with its own cycle model.
-func (ix *Index) mapReadBuf(buf *mapBuffer, read dna.Seq, useFtab bool) MapResult {
+// patterns returns the read and its reverse complement as symbol codes, in
+// buf's two reusable pattern buffers.
+func (buf *mapBuffer) patterns(read dna.Seq) (fw, rc []uint8) {
 	m := len(read)
 	if cap(buf.fw) < m {
 		buf.fw = make([]uint8, m)
 		buf.rc = make([]uint8, m)
 	}
-	fw, rc := buf.fw[:m], buf.rc[:m]
+	fw, rc = buf.fw[:m], buf.rc[:m]
 	for i, b := range read {
 		fw[i] = uint8(b)
 		rc[m-1-i] = uint8(b.Complement())
 	}
+	return fw, rc
+}
+
+// mapReadBuf maps one read using buf's reusable pattern buffers. useFtab
+// gates the prefix-table path so a consumer whose table was evicted (the
+// simulator's BRAM degrade) can stay consistent with its own cycle model.
+func (ix *Index) mapReadBuf(buf *mapBuffer, read dna.Seq, useFtab bool) MapResult {
+	fw, rc := buf.patterns(read)
 	var res MapResult
 	var fwSteps, rcSteps int
 	if useFtab {
@@ -445,15 +450,8 @@ func (ix *Index) mapReadBuf(buf *mapBuffer, read dna.Seq, useFtab bool) MapResul
 // MapRead maps one read and its reverse complement (count only), through
 // the prefix table when the index carries one.
 func (ix *Index) MapRead(read dna.Seq) MapResult {
-	return ix.MapReadMode(read, true)
-}
-
-// MapReadMode is MapRead with explicit prefix-table control: useFtab=false
-// forces the plain backward search even on an index that has a table — the
-// mode a BRAM-degraded kernel runs in.
-func (ix *Index) MapReadMode(read dna.Seq, useFtab bool) MapResult {
 	buf := mapBufPool.Get().(*mapBuffer)
-	res := ix.mapReadBuf(buf, read, useFtab)
+	res := ix.mapReadBuf(buf, read, true)
 	mapBufPool.Put(buf)
 	return res
 }
@@ -515,118 +513,97 @@ func (ix *Index) MapReads(reads []dna.Seq, opts MapOptions) ([]MapResult, MapSta
 	return results, stats, nil
 }
 
-// mapChunk is how many reads a worker claims per fetch from the shared
-// cursor: large enough that the atomic add vanishes against the search
-// work, small enough that progress and cancellation stay responsive.
-const mapChunk = 64
+// exactWork is exact matching as a workload value. useFtab=false forces the
+// plain backward search even on an index that has a prefix table.
+type exactWork struct {
+	pooledBuf
+	ix      *Index
+	useFtab bool
+	locate  bool
+}
+
+func (exactWork) unit() int  { return 1 }
+func (exactWork) chunk() int { return 64 }
+
+// pooledBuf is the scratch of the workloads that search with a mapBuffer.
+type pooledBuf struct{}
+
+func (pooledBuf) acquire() *mapBuffer { return mapBufPool.Get().(*mapBuffer) }
+
+// release keeps the slab out of the pool: located positions outlive the call
+// as subslices of it, so that memory belongs to the results.
+func (pooledBuf) release(buf *mapBuffer) {
+	buf.slab = nil
+	mapBufPool.Put(buf)
+}
+
+// locate appends res's occurrence positions to slab — the paper's host-side
+// SA lookup — and leaves subslices of it in res, amortizing locate
+// allocations to the slab's doubling growth. The subslices stay valid across
+// later growth: append copies the prefix, and slab contents are never
+// mutated.
+func (ix *Index) locate(slab []int32, res *MapResult) ([]int32, error) {
+	a := len(slab)
+	slab, err := ix.fm.LocateAppend(slab, res.Forward)
+	if err != nil {
+		return slab, err
+	}
+	b := len(slab)
+	if slab, err = ix.fm.LocateAppend(slab, res.Reverse); err != nil {
+		return slab, err
+	}
+	if b > a {
+		res.ForwardPositions = slab[a:b:b]
+	}
+	if c := len(slab); c > b {
+		res.ReversePositions = slab[b:c:c]
+	}
+	return slab, nil
+}
+
+// LocateResults fills in the occurrence positions of results that were
+// mapped count-only, from one slab for the whole batch.
+func (ix *Index) LocateResults(results []MapResult) (err error) {
+	var slab []int32
+	for i := range results {
+		if slab, err = ix.locate(slab, &results[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// mapUnits locates into the worker's one growing slab.
+func (w exactWork) mapUnits(buf *mapBuffer, reads []dna.Seq, dst []MapResult) (err error) {
+	for i, read := range reads {
+		dst[i] = w.ix.mapReadBuf(buf, read, w.useFtab)
+		if w.locate {
+			if buf.slab, err = w.ix.locate(buf.slab, &dst[i]); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
 
 // MapReadsInto is MapReads writing into a caller-provided result slice
-// (len(dst) must equal len(reads)) — the allocation-free hot path. Workers
-// claim fixed-size chunks off an atomic cursor instead of receiving reads
-// over a channel, and reuse pooled pattern scratch, so the count-only
-// steady state allocates nothing per read. With Locate set, positions are
-// appended to one growing slab per worker and results hold subslices of it,
-// amortizing locate allocations to the slab's doubling growth.
+// (len(dst) must equal len(reads)) — the allocation-free hot path: the
+// count-only steady state allocates nothing, per read or per batch.
 func (ix *Index) MapReadsInto(dst []MapResult, reads []dna.Seq, opts MapOptions) (MapStats, error) {
-	if len(dst) != len(reads) {
-		return MapStats{}, fmt.Errorf("core: result slice holds %d entries for %d reads", len(dst), len(reads))
-	}
-	workers := opts.Workers
-	if workers == 0 {
-		workers = 1
-	}
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	return ix.MapReadsIntoFtab(dst, reads, opts, true)
+}
+
+// MapReadsIntoFtab is MapReadsInto with explicit prefix-table control:
+// useFtab=false leaves the table out of the search even when the index
+// carries one — the mode a BRAM-degraded kernel runs in, whose cycle model
+// prices every step.
+func (ix *Index) MapReadsIntoFtab(dst []MapResult, reads []dna.Seq, opts MapOptions, useFtab bool) (MapStats, error) {
 	start := time.Now()
-
-	every := opts.ProgressEvery
-	if every <= 0 {
-		every = 1024
+	w := exactWork{ix: ix, useFtab: useFtab, locate: opts.Locate}
+	if err := mapBatch(w, dst, reads, opts); err != nil {
+		return MapStats{}, err
 	}
-	var (
-		cursor atomic.Int64
-		done   atomic.Int64
-	)
-	worker := func() error {
-		buf := mapBufPool.Get().(*mapBuffer)
-		defer mapBufPool.Put(buf)
-		var slab []int32
-		for {
-			end := int(cursor.Add(mapChunk))
-			begin := end - mapChunk
-			if begin >= len(reads) {
-				return nil
-			}
-			end = min(end, len(reads))
-			if opts.Context != nil {
-				if err := opts.Context.Err(); err != nil {
-					return err
-				}
-			}
-			for i := begin; i < end; i++ {
-				res := ix.mapReadBuf(buf, reads[i], true)
-				if opts.Locate {
-					var err error
-					a := len(slab)
-					if slab, err = ix.fm.LocateAppend(slab, res.Forward); err != nil {
-						return err
-					}
-					b := len(slab)
-					if slab, err = ix.fm.LocateAppend(slab, res.Reverse); err != nil {
-						return err
-					}
-					// Subslices stay valid across later slab growth: append
-					// copies the prefix, and slab contents are never mutated.
-					if b > a {
-						res.ForwardPositions = slab[a:b:b]
-					}
-					if c := len(slab); c > b {
-						res.ReversePositions = slab[b:c:c]
-					}
-				}
-				dst[i] = res
-			}
-			if opts.Progress != nil {
-				d := done.Add(int64(end - begin))
-				if d/int64(every) != (d-int64(end-begin))/int64(every) {
-					opts.Progress(int(d), len(reads))
-				}
-			}
-		}
-	}
-
-	var firstErr error
-	if workers == 1 {
-		firstErr = worker()
-	} else {
-		var (
-			wg    sync.WaitGroup
-			errMu sync.Mutex
-		)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if err := worker(); err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	if firstErr != nil {
-		return MapStats{}, firstErr
-	}
-	if opts.Progress != nil {
-		opts.Progress(len(reads), len(reads))
-	}
-
-	stats := MapStats{Reads: len(reads), Elapsed: time.Since(start)}
+	stats := MapStats{Reads: len(reads)}
 	for i := range dst {
 		if dst[i].Mapped() {
 			stats.MappedReads++
@@ -634,5 +611,6 @@ func (ix *Index) MapReadsInto(dst []MapResult, reads []dna.Seq, opts MapOptions)
 		stats.Occurrences += dst[i].Occurrences()
 		stats.TotalSteps += dst[i].Steps
 	}
+	stats.Elapsed = time.Since(start)
 	return stats, nil
 }

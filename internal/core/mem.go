@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"strconv"
+	"sync"
 	"time"
 
 	"bwaver/internal/align"
@@ -320,6 +321,10 @@ type memScratch struct {
 	rescueQ dna.Seq           // rescue-query RC buffer
 }
 
+// memScratchPool recycles per-worker mem pipeline scratch across batches
+// and workers.
+var memScratchPool = sync.Pool{New: func() any { return new(memScratch) }}
+
 // memInternCap bounds the CIGAR intern table; real batches repeat a small
 // set of CIGAR shapes, but a pathological input must not grow the table
 // unboundedly.
@@ -348,18 +353,9 @@ func (sc *memScratch) internCIGAR(b []byte) string {
 // seed guard, banded extension of the surviving chains, and MAPQ from the
 // best/second-best score gap.
 func (ix *Index) MapReadMem(read dna.Seq, opts MemOptions) (MemResult, error) {
-	opts = opts.withDefaults()
-	if err := opts.validate(); err != nil {
-		return MemResult{}, err
-	}
-	mem, err := ix.memState()
-	if err != nil {
-		return MemResult{}, err
-	}
-	sc := memScratchPool.Get().(*memScratch)
-	res, err := mem.mapRead(sc, read, opts)
-	memScratchPool.Put(sc)
-	return res, err
+	var dst [1]MemResult
+	_, err := ix.MapReadsMemInto(dst[:], []dna.Seq{read}, opts, MapOptions{})
+	return dst[0], err
 }
 
 func (st *memState) mapRead(sc *memScratch, read dna.Seq, opts MemOptions) (MemResult, error) {
@@ -597,40 +593,30 @@ func MemPairFromResults(r1, r2 MemResult, opts MemOptions) MemPairResult {
 // the insert window implied by its mapped partner), then the proper-pair
 // call against the insert window.
 func (ix *Index) MapPairMem(r1, r2 dna.Seq, opts MemOptions) (MemPairResult, error) {
-	opts = opts.withDefaults()
-	if err := opts.validate(); err != nil {
+	opts.Paired = true
+	var dst [2]MemResult
+	if _, err := ix.MapReadsMemInto(dst[:], []dna.Seq{r1, r2}, opts, MapOptions{}); err != nil {
 		return MemPairResult{}, err
 	}
-	mem, err := ix.memState()
-	if err != nil {
-		return MemPairResult{}, err
-	}
-	sc := memScratchPool.Get().(*memScratch)
-	out, err := mem.mapPair(sc, r1, r2, opts)
-	memScratchPool.Put(sc)
-	return out, err
+	return MemPairFromResults(dst[0], dst[1], opts), nil
 }
 
-// mapPair is the pair pipeline with the state and option plumbing hoisted:
-// batch loops resolve memState and validate options once and call this per
-// pair (the former per-pair re-resolution was pure overhead).
-func (st *memState) mapPair(sc *memScratch, r1, r2 dna.Seq, opts MemOptions) (MemPairResult, error) {
-	var out MemPairResult
-	var err error
-	if out.R1, err = st.mapRead(sc, r1, opts); err != nil {
-		return out, err
+// mapPair maps a mate pair into dst: both mates through the single-end
+// pipeline, then a rescue search for a mate the seeds missed.
+func (st *memState) mapPair(sc *memScratch, r1, r2 dna.Seq, opts MemOptions, dst []MemResult) (err error) {
+	if dst[0], err = st.mapRead(sc, r1, opts); err != nil {
+		return err
 	}
-	if out.R2, err = st.mapRead(sc, r2, opts); err != nil {
-		return out, err
+	if dst[1], err = st.mapRead(sc, r2, opts); err != nil {
+		return err
 	}
 	// Rescue: one mapped mate defines the window the other must fall in.
-	if out.R1.Mapped() && !out.R2.Mapped() {
-		st.rescueMate(sc, &out.R2, r2, out.R1.Best, opts)
-	} else if out.R2.Mapped() && !out.R1.Mapped() {
-		st.rescueMate(sc, &out.R1, r1, out.R2.Best, opts)
+	if dst[0].Mapped() && !dst[1].Mapped() {
+		st.rescueMate(sc, &dst[1], r2, dst[0].Best, opts)
+	} else if dst[1].Mapped() && !dst[0].Mapped() {
+		st.rescueMate(sc, &dst[0], r1, dst[1].Best, opts)
 	}
-	out.Proper, out.Insert = properPair(out.R1, out.R2, opts)
-	return out, nil
+	return nil
 }
 
 // rescueMate searches the insert window implied by the mapped anchor mate
@@ -706,10 +692,9 @@ func properPair(r1, r2 MemResult, opts MemOptions) (bool, int) {
 
 // MapReadsMem maps a batch through the seed-and-extend pipeline, pairing
 // consecutive reads when opts.Paired (an odd batch maps its last read
-// single-end). It delegates to the batch engine with a single worker, the
-// deterministic sequential schedule; MapReadsMemInto with any worker count
-// produces bit-identical results, and the FPGA kernel runs the identical
-// per-read calls, so all backends agree by construction.
+// single-end), on one worker — the sequential schedule. MapReadsMemInto with
+// any worker count produces bit-identical results, and the FPGA kernel maps
+// through the same engine, so all backends agree by construction.
 func (ix *Index) MapReadsMem(reads []dna.Seq, opts MemOptions) ([]MemResult, MemStats, error) {
 	results := make([]MemResult, len(reads))
 	stats, err := ix.MapReadsMemInto(results, reads, opts, MapOptions{})
@@ -717,4 +702,75 @@ func (ix *Index) MapReadsMem(reads []dna.Seq, opts MemOptions) ([]MemResult, Mem
 		return nil, MemStats{}, err
 	}
 	return results, stats, nil
+}
+
+// memWork is seed-and-extend mapping as a workload value; opts carry their
+// defaults and have been validated.
+type memWork struct {
+	st   *memState
+	opts MemOptions
+}
+
+// unit keeps a mate pair with one worker, in order, so rescue and the
+// proper-pair call are identical to the sequential schedule.
+func (w memWork) unit() int {
+	if w.opts.Paired {
+		return 2
+	}
+	return 1
+}
+
+// chunk is smaller than the exact path's: mem reads are ~100x more expensive
+// than exact lookups, so this keeps cancellation and progress responsive
+// without measurable cursor contention.
+func (memWork) chunk() int { return 16 }
+
+func (memWork) acquire() *memScratch   { return memScratchPool.Get().(*memScratch) }
+func (memWork) release(sc *memScratch) { memScratchPool.Put(sc) }
+
+func (w memWork) mapUnits(sc *memScratch, reads []dna.Seq, dst []MemResult) (err error) {
+	i := 0
+	if w.opts.Paired {
+		for ; i+1 < len(reads); i += 2 {
+			if err = w.st.mapPair(sc, reads[i], reads[i+1], w.opts, dst[i:]); err != nil {
+				return err
+			}
+		}
+	}
+	// Single-end reads, and the lone last read of an odd paired batch, mapped
+	// single-end exactly as the sequential loop does.
+	for ; i < len(reads); i++ {
+		if dst[i], err = w.st.mapRead(sc, reads[i], w.opts); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// MapReadsMemInto is MapReadsMem writing into a caller-provided result
+// slice (len(dst) must equal len(reads)) — the allocation-free batch hot
+// path. run.Workers controls parallelism (0 or 1 sequential, -1 all CPUs);
+// results are written by index, so any worker count yields bit-identical
+// output in the same order as the sequential schedule. run.Context is
+// polled between chunks; cancellation abandons the batch mid-flight.
+// run.Locate is ignored (mem results always carry positions).
+func (ix *Index) MapReadsMemInto(dst []MemResult, reads []dna.Seq, opts MemOptions, run MapOptions) (MemStats, error) {
+	opts = opts.withDefaults()
+	if err := opts.validate(); err != nil {
+		return MemStats{}, err
+	}
+	mem, err := ix.memState()
+	if err != nil {
+		return MemStats{}, err
+	}
+	start := time.Now()
+	if err := mapBatch(memWork{st: mem, opts: opts}, dst, reads, run); err != nil {
+		return MemStats{}, err
+	}
+	var stats MemStats
+	for i := range dst {
+		stats.Add(dst[i])
+	}
+	stats.Elapsed = time.Since(start)
+	return stats, nil
 }

@@ -12,7 +12,7 @@ import (
 
 // Streaming batch mapping. The paper's kernel "iteratively fetches query
 // sequences from the host's memory ... until there is no more data to map";
-// MapStream is the host-side equivalent for arbitrarily large FASTQ inputs:
+// MapStreamQC is the host-side equivalent for arbitrarily large FASTQ inputs:
 // records are parsed in fixed-size batches and mapped while the next batch
 // is being parsed, so memory stays bounded by the batch size regardless of
 // input size.
@@ -24,64 +24,18 @@ type StreamResult struct {
 	Res  MapResult
 }
 
-// DefaultStreamBatch is the default batch size for MapStream.
+// DefaultStreamBatch is the default batch size for MapStreamQC.
 const DefaultStreamBatch = 8192
 
-// MapBatches maps an in-memory read set in fixed-size batches through the
-// zero-allocation batched path, invoking emit after every batch with the
-// batch's starting read index and its results. The result slice is reused
-// between batches, so a caller that writes rows out as they arrive holds
-// O(batchSize) result memory no matter how many reads the run covers — the
-// server's streamed-results path depends on exactly that bound. emit must
-// consume (or copy) the results before returning; returning an error aborts
-// the run. batchSize <= 0 selects DefaultStreamBatch. Progress callbacks see
-// global (done, total) counts across the whole read set.
-func (ix *Index) MapBatches(reads []dna.Seq, batchSize int, opts MapOptions, emit func(start int, results []MapResult) error) (MapStats, error) {
-	if batchSize <= 0 {
-		batchSize = DefaultStreamBatch
-	}
-	dst := make([]MapResult, min(batchSize, len(reads)))
-	var agg MapStats
-	start := time.Now()
-	for off := 0; off < len(reads); off += batchSize {
-		end := min(off+batchSize, len(reads))
-		chunk := reads[off:end]
-		sub := opts
-		if opts.Progress != nil {
-			off := off
-			sub.Progress = func(done, total int) { opts.Progress(off+done, len(reads)) }
-		}
-		stats, err := ix.MapReadsInto(dst[:len(chunk)], chunk, sub)
-		if err != nil {
-			return MapStats{}, err
-		}
-		agg.Reads += stats.Reads
-		agg.MappedReads += stats.MappedReads
-		agg.Occurrences += stats.Occurrences
-		agg.TotalSteps += stats.TotalSteps
-		if err := emit(off, dst[:len(chunk)]); err != nil {
-			return MapStats{}, fmt.Errorf("core: emit: %w", err)
-		}
-	}
-	agg.Elapsed = time.Since(start)
-	return agg, nil
-}
-
-// MapStream maps every record of a FASTA/FASTQ stream (plain or gzipped),
-// delivering results to emit in input order. batchSize <= 0 selects
-// DefaultStreamBatch. emit returning an error aborts the run.
-func (ix *Index) MapStream(r io.Reader, opts MapOptions, batchSize int, emit func(StreamResult) error) (MapStats, error) {
-	stats, _, err := ix.MapStreamQC(r, qc.Policy{}, opts, batchSize, emit)
-	return stats, err
-}
-
-// MapStreamQC is MapStream with a quality-control policy applied at ingest:
-// the parser goroutine decodes (tolerantly when the policy asks), trims,
-// gates, and — with QualitySort — stably reorders each batch before it is
-// mapped, so only surviving reads reach the mapping path. Order within a
-// batch is the gate's post-sort order, identical on every backend. The
-// returned report carries the per-reason reject accounting; the zero policy
-// degrades to exactly MapStream.
+// MapStreamQC maps every record of a FASTA/FASTQ stream (plain or gzipped),
+// delivering results to emit in input order; batchSize <= 0 selects
+// DefaultStreamBatch, and emit returning an error aborts the run. A
+// quality-control policy applies at ingest: the parser goroutine decodes
+// (tolerantly when the policy asks), trims, gates, and — with QualitySort —
+// stably reorders each batch before it is mapped, so only surviving reads
+// reach the mapping path. Order within a batch is the gate's post-sort
+// order, identical on every backend. The returned report carries the
+// per-reason reject accounting; the zero policy gates nothing.
 func (ix *Index) MapStreamQC(r io.Reader, pol qc.Policy, opts MapOptions, batchSize int, emit func(StreamResult) error) (MapStats, qc.Report, error) {
 	if batchSize <= 0 {
 		batchSize = DefaultStreamBatch

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -28,6 +29,12 @@ func streamInput(t *testing.T, reads []readsim.Read, gz bool) *bytes.Buffer {
 	return &buf
 }
 
+// mapStream is MapStreamQC under the zero policy, which gates nothing.
+func mapStream(ix *Index, r io.Reader, batchSize int, emit func(StreamResult) error) (MapStats, error) {
+	stats, _, err := ix.MapStreamQC(r, qc.Policy{}, MapOptions{}, batchSize, emit)
+	return stats, err
+}
+
 func TestMapStreamMatchesBatch(t *testing.T) {
 	ref := testGenome(t, 20000)
 	sim, err := readsim.Simulate(ref, readsim.ReadsConfig{
@@ -43,7 +50,7 @@ func TestMapStreamMatchesBatch(t *testing.T) {
 	}
 	for _, batchSize := range []int{0, 1, 7, 100, 5000} {
 		var got []StreamResult
-		stats, err := ix.MapStream(streamInput(t, sim, false), MapOptions{}, batchSize, func(r StreamResult) error {
+		stats, err := mapStream(ix, streamInput(t, sim, false), batchSize, func(r StreamResult) error {
 			got = append(got, r)
 			return nil
 		})
@@ -69,7 +76,7 @@ func TestMapStreamGzip(t *testing.T) {
 	sim, _ := readsim.Simulate(ref, readsim.ReadsConfig{Count: 100, Length: 30, MappingRatio: 1, Seed: 13})
 	ix := mustBuild(t, ref, IndexConfig{})
 	count := 0
-	stats, err := ix.MapStream(streamInput(t, sim, true), MapOptions{}, 16, func(r StreamResult) error {
+	stats, err := mapStream(ix, streamInput(t, sim, true), 16, func(r StreamResult) error {
 		count++
 		if !r.Res.Mapped() {
 			t.Errorf("read %s did not map", r.ID)
@@ -83,7 +90,7 @@ func TestMapStreamGzip(t *testing.T) {
 
 func TestMapStreamEmptyInput(t *testing.T) {
 	ix := mustBuild(t, testGenome(t, 1000), IndexConfig{})
-	stats, err := ix.MapStream(strings.NewReader(""), MapOptions{}, 10, func(StreamResult) error {
+	stats, err := mapStream(ix, strings.NewReader(""), 10, func(StreamResult) error {
 		t.Error("emit called for empty input")
 		return nil
 	})
@@ -97,7 +104,7 @@ func TestMapStreamMalformedMidStream(t *testing.T) {
 	// Two good records, then a truncated one.
 	in := "@r1\nACGT\n+\nIIII\n@r2\nGGTT\n+\nIIII\n@broken\nACG\n"
 	emitted := 0
-	_, err := ix.MapStream(strings.NewReader(in), MapOptions{}, 2, func(StreamResult) error {
+	_, err := mapStream(ix, strings.NewReader(in), 2, func(StreamResult) error {
 		emitted++
 		return nil
 	})
@@ -163,7 +170,7 @@ func TestMapStreamEmitError(t *testing.T) {
 	sim, _ := readsim.Simulate(ref, readsim.ReadsConfig{Count: 50, Length: 20, MappingRatio: 1, Seed: 14})
 	ix := mustBuild(t, ref, IndexConfig{})
 	boom := errors.New("boom")
-	_, err := ix.MapStream(streamInput(t, sim, false), MapOptions{}, 10, func(StreamResult) error {
+	_, err := mapStream(ix, streamInput(t, sim, false), 10, func(StreamResult) error {
 		return boom
 	})
 	if err == nil || !errors.Is(err, boom) {

@@ -25,10 +25,10 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	run, err := kernel.MapReads([]dna.Seq{
+	run, err := kernel.MapReadsOpts([]dna.Seq{
 		dna.MustParseSeq("GGTACC"),
 		dna.MustParseSeq("TTTTTTTT"),
-	})
+	}, fpga.MapRunOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -138,12 +138,6 @@ func (f *Farm) DeviceHealth() []DeviceHealth {
 	return out
 }
 
-// LocateResults resolves occurrence positions on the host through the
-// index's suffix array (see Kernel.LocateResults).
-func (f *Farm) LocateResults(results []core.MapResult) (time.Duration, error) {
-	return f.kernels[0].LocateResults(results)
-}
-
 // healthyDevices returns the indexes of cards whose breaker admits work.
 func (f *Farm) healthyDevices() []int {
 	out := make([]int, 0, len(f.devices))
@@ -280,188 +274,85 @@ func sortEvents(events []Event) {
 	})
 }
 
-// verifyRun is the host's acceptance gate for one shard run: the batch
-// checksum always, plus a sampled CPU cross-check when configured.
-func (f *Farm) verifyRun(k *Kernel, shard []dna.Seq, run *RunResult) error {
-	if err := run.VerifyChecksum(); err != nil {
-		return err
+// runFarm is the one farm run: it stripes reads across the healthy cards —
+// on pair boundaries when the workload pairs reads — and runs each shard
+// under execShard's retry and redistribution, accepting a shard run only
+// when its batch checksum verifies and, when configured, a sampled host
+// cross-check agrees. The profile charges setup once, transfers serially
+// (one shared host bus), the slowest card's kernel time and
+// reconfiguration, and the accrued retry backoff.
+func runFarm[T deviceRun[T]](f *Farm, w deviceWork[T], reads []dna.Seq, opts MapRunOptions) (T, error) {
+	wallStart := time.Now()
+	var none T
+	healthy := f.healthyDevices()
+	if len(healthy) == 0 {
+		f.rec.exhausted()
+		return none, ErrNoHealthyDevices
 	}
-	if s := f.opts.VerifyStride; s > 0 {
-		if err := core.VerifySampled(k.ix, shard, run.Results, s); err != nil {
-			return fmt.Errorf("%w: %v", errCrossCheckFailed, err)
+	n := len(healthy)
+	boundary := func(si int) int {
+		b := len(reads) * si / n
+		if si < n && w.pairAligned() {
+			b &^= 1
 		}
+		return b
 	}
-	return nil
-}
-
-// shardProgress lifts a shard-local progress callback onto the whole batch.
-func shardProgress(opts MapRunOptions, lo, total int) func(done, _ int) {
-	if opts.Progress == nil {
-		return nil
+	out := w.newRun(len(reads))
+	agg, checksum := out.head()
+	agg.Setup = f.kernels[0].dev.cfg.SetupTime
+	var events []Event
+	for si, di := range healthy {
+		lo, hi := boundary(si), boundary(si+1)
+		if lo == hi {
+			continue
+		}
+		shard := reads[lo:hi]
+		runOpts := opts
+		if opts.Progress != nil {
+			// Lift the shard-local progress onto the whole batch.
+			runOpts.Progress = func(done, _ int) { opts.Progress(lo+done, len(reads)) }
+		}
+		run, backoff, winner, err := execShard(f, opts.Context, di, healthy, func(k *Kernel) (T, error) {
+			r, err := runKernel(k, w, shard, runOpts)
+			if err != nil {
+				return none, err
+			}
+			if err := verifyChecksum(r); err != nil {
+				return none, err
+			}
+			if err := w.verify(k.ix, shard, r, f.opts.VerifyStride); err != nil {
+				return none, fmt.Errorf("%w: %v", errCrossCheckFailed, err)
+			}
+			return r, nil
+		})
+		if err != nil {
+			return none, err
+		}
+		p, _ := run.head()
+		f.observeRun(*p, backoff)
+		// The aggregate event log keeps per-shard identity — each shard's
+		// command queue tagged with the device and attempt that produced it —
+		// instead of a synthesized single-queue timeline that would
+		// misattribute recovered runs.
+		events = append(events, tagEvents(p.Events, winner.Device, winner.Attempt, si)...)
+		out.gather(lo, run)
+		agg.IndexTransfer += p.IndexTransfer
+		agg.QueryTransfer += p.QueryTransfer
+		agg.ResultTransfer += p.ResultTransfer
+		agg.RetryBackoff += backoff
+		// Shards run in parallel across cards, so the slowest bounds the batch.
+		agg.Reconfig = max(agg.Reconfig, p.Reconfig)
+		agg.KernelTime = max(agg.KernelTime, p.KernelTime)
+		agg.KernelCycles = max(agg.KernelCycles, p.KernelCycles)
 	}
-	p := opts.Progress
-	return func(done, _ int) { p(lo+done, total) }
+	sortEvents(events)
+	agg.Events = events
+	agg.HostWallTime = time.Since(wallStart)
+	*checksum = out.sum()
+	return out, nil
 }
 
-// MapReads stripes reads across the cards; see MapReadsOpts.
-func (f *Farm) MapReads(reads []dna.Seq) (*RunResult, error) {
-	return f.MapReadsOpts(reads, MapRunOptions{})
-}
-
-// MapReadsOpts stripes reads across the healthy cards with per-shard retry,
-// checksum verification, and redistribution on device failure. The profile
-// charges setup once, transfers serially (one shared host bus), the slowest
-// card's kernel time, and the accrued retry backoff.
+// MapReadsOpts stripes reads across the healthy cards; see runFarm.
 func (f *Farm) MapReadsOpts(reads []dna.Seq, opts MapRunOptions) (*RunResult, error) {
-	wallStart := time.Now()
-	healthy := f.healthyDevices()
-	if len(healthy) == 0 {
-		f.rec.exhausted()
-		return nil, ErrNoHealthyDevices
-	}
-	n := len(healthy)
-	out := &RunResult{Results: make([]core.MapResult, len(reads))}
-	agg := Profile{Setup: f.kernels[0].dev.cfg.SetupTime}
-	var maxKernel time.Duration
-	var maxCycles uint64
-	var events []Event
-	for si, di := range healthy {
-		lo := len(reads) * si / n
-		hi := len(reads) * (si + 1) / n
-		if lo == hi {
-			continue
-		}
-		shard := reads[lo:hi]
-		runOpts := MapRunOptions{
-			Context:       opts.Context,
-			Progress:      shardProgress(opts, lo, len(reads)),
-			ProgressEvery: opts.ProgressEvery,
-			IndexResident: opts.IndexResident,
-		}
-		run, backoff, winner, err := execShard(f, opts.Context, di, healthy, func(k *Kernel) (*RunResult, error) {
-			r, err := k.MapReadsOpts(shard, runOpts)
-			if err != nil {
-				return nil, err
-			}
-			if err := f.verifyRun(k, shard, r); err != nil {
-				return nil, err
-			}
-			return r, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		f.observeRun(run.Profile, backoff)
-		events = append(events, tagEvents(run.Profile.Events, winner.Device, winner.Attempt, si)...)
-		copy(out.Results[lo:hi], run.Results)
-		agg.IndexTransfer += run.Profile.IndexTransfer
-		agg.QueryTransfer += run.Profile.QueryTransfer
-		agg.ResultTransfer += run.Profile.ResultTransfer
-		agg.RetryBackoff += backoff
-		if run.Profile.KernelTime > maxKernel {
-			maxKernel = run.Profile.KernelTime
-		}
-		if run.Profile.KernelCycles > maxCycles {
-			maxCycles = run.Profile.KernelCycles
-		}
-	}
-	agg.KernelTime = maxKernel
-	agg.KernelCycles = maxCycles
-	// The aggregate event log keeps per-shard identity — each shard's
-	// command queue tagged with the device and attempt that produced it —
-	// instead of a synthesized single-queue timeline that would misattribute
-	// recovered runs.
-	sortEvents(events)
-	agg.Events = events
-	agg.HostWallTime = time.Since(wallStart)
-	out.Profile = agg
-	out.Checksum = ChecksumResults(out.Results)
-	return out, nil
-}
-
-// MapReadsTwoPassOpts is the farm's two-pass approximate flow: reads stripe
-// across the healthy cards, each card runs its own exact + reconfigured
-// mismatch pass (see Kernel.MapReadsTwoPassOpts) under the same retry,
-// verification, and redistribution regime as MapReadsOpts. Reconfiguration
-// happens on every card in parallel, so the profile charges the slowest.
-func (f *Farm) MapReadsTwoPassOpts(reads []dna.Seq, maxMismatches int, opts MapRunOptions) (*TwoPassResult, error) {
-	if maxMismatches < 1 {
-		return nil, fmt.Errorf("fpga: two-pass run needs a mismatch budget >= 1, got %d", maxMismatches)
-	}
-	wallStart := time.Now()
-	healthy := f.healthyDevices()
-	if len(healthy) == 0 {
-		f.rec.exhausted()
-		return nil, ErrNoHealthyDevices
-	}
-	n := len(healthy)
-	out := &TwoPassResult{
-		Exact:  make([]core.MapResult, len(reads)),
-		Approx: map[int]core.ApproxResult{},
-	}
-	agg := Profile{Setup: f.kernels[0].dev.cfg.SetupTime}
-	var maxKernel, maxReconfig time.Duration
-	var maxCycles uint64
-	var events []Event
-	for si, di := range healthy {
-		lo := len(reads) * si / n
-		hi := len(reads) * (si + 1) / n
-		if lo == hi {
-			continue
-		}
-		shard := reads[lo:hi]
-		runOpts := MapRunOptions{
-			Context:       opts.Context,
-			Progress:      shardProgress(opts, lo, len(reads)),
-			ProgressEvery: opts.ProgressEvery,
-			IndexResident: opts.IndexResident,
-		}
-		run, backoff, winner, err := execShard(f, opts.Context, di, healthy, func(k *Kernel) (*TwoPassResult, error) {
-			r, err := k.MapReadsTwoPassOpts(shard, maxMismatches, runOpts)
-			if err != nil {
-				return nil, err
-			}
-			if err := r.VerifyChecksum(); err != nil {
-				return nil, err
-			}
-			if s := f.opts.VerifyStride; s > 0 {
-				if err := core.VerifySampled(k.ix, shard, r.Exact, s); err != nil {
-					return nil, fmt.Errorf("%w: %v", errCrossCheckFailed, err)
-				}
-			}
-			return r, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		f.observeRun(run.Profile, backoff)
-		events = append(events, tagEvents(run.Profile.Events, winner.Device, winner.Attempt, si)...)
-		copy(out.Exact[lo:hi], run.Exact)
-		for i, res := range run.Approx {
-			out.Approx[lo+i] = res
-		}
-		out.Rescued += run.Rescued
-		agg.IndexTransfer += run.Profile.IndexTransfer
-		agg.QueryTransfer += run.Profile.QueryTransfer
-		agg.ResultTransfer += run.Profile.ResultTransfer
-		agg.RetryBackoff += backoff
-		if run.Profile.Reconfig > maxReconfig {
-			maxReconfig = run.Profile.Reconfig
-		}
-		if run.Profile.KernelTime > maxKernel {
-			maxKernel = run.Profile.KernelTime
-		}
-		if run.Profile.KernelCycles > maxCycles {
-			maxCycles = run.Profile.KernelCycles
-		}
-	}
-	agg.KernelTime = maxKernel
-	agg.KernelCycles = maxCycles
-	agg.Reconfig = maxReconfig
-	sortEvents(events)
-	agg.Events = events
-	agg.HostWallTime = time.Since(wallStart)
-	out.Profile = agg
-	out.Checksum = ChecksumResults(out.Exact)
-	return out, nil
+	return runFarm(f, exactWork{}, reads, opts)
 }

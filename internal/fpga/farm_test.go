@@ -23,11 +23,11 @@ func TestFarmResultsMatchSingleCard(t *testing.T) {
 	}
 	single, _ := NewDevice(Config{})
 	k, _ := single.Program(ix)
-	want, err := k.MapReads(reads)
+	want, err := k.MapReadsOpts(reads, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := farm.MapReads(reads)
+	got, err := farm.MapReadsOpts(reads, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestFarmMoreCardsThanReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	reads := simReads(t, ix, 3, 30, 1)
-	run, err := farm.MapReads(reads)
+	run, err := farm.MapReadsOpts(reads, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestSimulateCyclesMatchesModel(t *testing.T) {
 	for _, pes := range []int{1, 2, 4, 7} {
 		d, _ := NewDevice(Config{PEs: pes})
 		k, _ := d.Program(ix)
-		run, err := k.MapReads(reads)
+		run, err := k.MapReadsOpts(reads, MapRunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -29,7 +29,7 @@ import (
 type FaultStage int
 
 // The injectable stages. StageCorruption does not error: it silently flips
-// bits in the reported SA ranges after the batch checksum was recorded,
+// a bit in the reported results after the batch checksum was recorded,
 // modeling corruption on the PCIe result transfer that only the host-side
 // checksum verification can catch.
 const (
@@ -238,9 +238,13 @@ func (j *faultInjector) recordLocked(stage FaultStage, persistent bool) {
 }
 
 // at rolls the injector at a stage, returning a *FaultError when a fault
-// fires. Persistent faults fire without consuming a random draw, so adding
-// one to a plan does not shift the transient sequence of other stages.
+// fires; a nil injector — a device without a fault plan — never does.
+// Persistent faults fire without consuming a random draw, so adding one to a
+// plan does not shift the transient sequence of other stages.
 func (j *faultInjector) at(stage FaultStage) error {
+	if j == nil {
+		return nil
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.ops++
@@ -255,31 +259,20 @@ func (j *faultInjector) at(stage FaultStage) error {
 	return nil
 }
 
-// corrupt possibly flips bits in one result of the batch — after the batch
-// checksum was recorded, modeling corruption on the PCIe result transfer.
-// It reports whether corruption was injected.
-func (j *faultInjector) corrupt(results []core.MapResult) bool {
-	if len(results) == 0 {
-		return false
+// corrupt rolls the corruption stage for a batch of n results; it strikes
+// silently, so the roll's error only says it hit. On a hit it picks the
+// result and the bit to flip — after the batch checksum was recorded,
+// modeling corruption on the PCIe result transfer — and the workload applies
+// the flip where its checksum sees it.
+func (j *faultInjector) corrupt(n int) (i int, bit uint64, hit bool) {
+	if n == 0 || j.at(StageCorruption) == nil {
+		return 0, 0, false
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.ops++
-	hit := j.plan.persistentAt(j.device, StageCorruption)
-	persistent := hit
-	if !hit {
-		if p := j.plan.Transient[StageCorruption]; p > 0 && rand01(&j.rng) < p {
-			hit = true
-		}
-	}
-	if !hit {
-		return false
-	}
-	i := int(splitmix64(&j.rng) % uint64(len(results)))
-	bit := splitmix64(&j.rng) % 16
-	results[i].Forward.Start ^= 1 << bit
-	j.recordLocked(StageCorruption, persistent)
-	return true
+	i = int(splitmix64(&j.rng) % uint64(n))
+	bit = splitmix64(&j.rng) % 16
+	return i, bit, true
 }
 
 func (j *faultInjector) events() []FaultEvent {
@@ -300,27 +293,31 @@ func (j *faultInjector) faultCounts() map[string]uint64 {
 	return out
 }
 
+// fnv is the FNV-1a state behind the batch checksums.
+type fnv uint64
+
+const fnvOffset fnv = 14695981039346656037
+
+func (h *fnv) byte(b byte) { *h = (*h ^ fnv(b)) * 1099511628211 }
+
+// word mixes v in, low byte first.
+func (h *fnv) word(v uint64) {
+	for i := 0; i < 8; i++ {
+		h.byte(byte(v))
+		v >>= 8
+	}
+}
+
 // ChecksumResults computes the per-batch FNV-1a checksum the simulated
 // kernel appends to its result stream; the host recomputes it over the
 // received batch to detect transfer corruption before trusting the ranges.
 func ChecksumResults(results []core.MapResult) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime
-			v >>= 8
-		}
-	}
+	h := fnvOffset
 	for _, r := range results {
-		mix(uint64(int64(r.Forward.Start)))
-		mix(uint64(int64(r.Forward.End)))
-		mix(uint64(int64(r.Reverse.Start)))
-		mix(uint64(int64(r.Reverse.End)))
+		h.word(uint64(int64(r.Forward.Start)))
+		h.word(uint64(int64(r.Forward.End)))
+		h.word(uint64(int64(r.Reverse.Start)))
+		h.word(uint64(int64(r.Reverse.End)))
 	}
-	return h
+	return uint64(h)
 }

@@ -68,7 +68,7 @@ func TestPersistentKernelFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = k.MapReads(reads)
+	_, err = k.MapReadsOpts(reads, MapRunOptions{})
 	var fe *FaultError
 	if !errors.As(err, &fe) {
 		t.Fatalf("MapReads error = %v, want FaultError", err)
@@ -80,7 +80,7 @@ func TestPersistentKernelFault(t *testing.T) {
 		t.Error("kernel fault not classified as device failure")
 	}
 	// The fault must keep firing: persistent means the card is dead.
-	if _, err := k.MapReads(reads); !errors.As(err, &fe) {
+	if _, err := k.MapReadsOpts(reads, MapRunOptions{}); !errors.As(err, &fe) {
 		t.Fatalf("second run error = %v", err)
 	}
 	if len(dev.FaultLog()) != 2 || dev.FaultCounts()["kernel"] != 2 {
@@ -101,7 +101,7 @@ func TestCorruptionCaughtByChecksum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := k.MapReads(reads)
+	run, err := k.MapReadsOpts(reads, MapRunOptions{})
 	if err != nil {
 		t.Fatalf("corruption must not error at the device: %v", err)
 	}
@@ -115,7 +115,7 @@ func TestCorruptionCaughtByChecksum(t *testing.T) {
 	// A clean device's batch passes verification.
 	clean, _ := NewDevice(Config{})
 	ck, _ := clean.Program(ix)
-	goodRun, err := ck.MapReads(reads)
+	goodRun, err := ck.MapReadsOpts(reads, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestFaultDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run, runErr := farm.MapReads(reads)
+		run, runErr := farm.MapReadsOpts(reads, MapRunOptions{})
 		logs := make([][]FaultEvent, len(devices))
 		for i, d := range devices {
 			logs[i] = d.FaultLog()

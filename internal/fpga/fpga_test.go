@@ -91,7 +91,7 @@ func TestResultsMatchCPU(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := k.MapReads(reads)
+	run, err := k.MapReadsOpts(reads, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,14 +111,14 @@ func TestQueryRecordLimits(t *testing.T) {
 	d, _ := NewDevice(Config{})
 	k, _ := d.Program(ix)
 	long := make(dna.Seq, MaxQueryBases+1)
-	if _, err := k.MapReads([]dna.Seq{long}); err == nil {
+	if _, err := k.MapReadsOpts([]dna.Seq{long}, MapRunOptions{}); err == nil {
 		t.Error("accepted read longer than the 512-bit record limit")
 	}
-	if _, err := k.MapReads([]dna.Seq{{}}); err == nil {
+	if _, err := k.MapReadsOpts([]dna.Seq{{}}, MapRunOptions{}); err == nil {
 		t.Error("accepted empty read")
 	}
 	ok := make(dna.Seq, MaxQueryBases)
-	if _, err := k.MapReads([]dna.Seq{ok}); err != nil {
+	if _, err := k.MapReadsOpts([]dna.Seq{ok}, MapRunOptions{}); err != nil {
 		t.Errorf("rejected maximum-length read: %v", err)
 	}
 }
@@ -130,7 +130,7 @@ func TestFixedOverheadAmortisation(t *testing.T) {
 	d, _ := NewDevice(Config{})
 	k, _ := d.Program(ix)
 	perRead := func(count int) float64 {
-		run, err := k.MapReads(simReads(t, ix, count, 40, 0.5))
+		run, err := k.MapReadsOpts(simReads(t, ix, count, 40, 0.5), MapRunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,11 +152,11 @@ func TestKernelTimeIndependentOfReferenceSize(t *testing.T) {
 	ks, _ := d.Program(small)
 	kl, _ := d.Program(large)
 	reads := simReads(t, small, 2000, 40, 0) // unmapped reads: same work on both
-	runS, err := ks.MapReads(reads)
+	runS, err := ks.MapReadsOpts(reads, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	runL, err := kl.MapReads(reads)
+	runL, err := kl.MapReadsOpts(reads, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestMappingRatioDrivesKernelTime(t *testing.T) {
 	d, _ := NewDevice(Config{})
 	k, _ := d.Program(ix)
 	cyclesAt := func(ratio float64) uint64 {
-		run, err := k.MapReads(simReads(t, ix, 3000, 100, ratio))
+		run, err := k.MapReadsOpts(simReads(t, ix, 3000, 100, ratio), MapRunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,11 +196,11 @@ func TestMultiPESpeedsKernel(t *testing.T) {
 	quad, _ := NewDevice(Config{PEs: 4})
 	k1, _ := single.Program(ix)
 	k4, _ := quad.Program(ix)
-	r1, err := k1.MapReads(reads)
+	r1, err := k1.MapReadsOpts(reads, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r4, err := k4.MapReads(reads)
+	r4, err := k4.MapReadsOpts(reads, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestProfileAndEvents(t *testing.T) {
 	ix := buildIndex(t, 20000)
 	d, _ := NewDevice(Config{})
 	k, _ := d.Program(ix)
-	run, err := k.MapReads(simReads(t, ix, 500, 35, 0.5))
+	run, err := k.MapReadsOpts(simReads(t, ix, 500, 35, 0.5), MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestLocateResults(t *testing.T) {
 	d, _ := NewDevice(Config{})
 	k, _ := d.Program(ix)
 	reads := simReads(t, ix, 200, 40, 1)
-	run, err := k.MapReads(reads)
+	run, err := k.MapReadsOpts(reads, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,11 +292,11 @@ func TestSequentialRankAblation(t *testing.T) {
 	slow, _ := NewDevice(Config{SequentialRank: true})
 	kf, _ := fast.Program(ix)
 	ks, _ := slow.Program(ix)
-	rf, err := kf.MapReads(reads)
+	rf, err := kf.MapReadsOpts(reads, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := ks.MapReads(reads)
+	rs, err := ks.MapReadsOpts(reads, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,11 +324,11 @@ func TestDoubleBufferOverlap(t *testing.T) {
 	buffered, _ := NewDevice(Config{DoubleBuffer: true})
 	kp, _ := plain.Program(ix)
 	kb, _ := buffered.Program(ix)
-	rp, err := kp.MapReads(reads)
+	rp, err := kp.MapReadsOpts(reads, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := kb.MapReads(reads)
+	rb, err := kb.MapReadsOpts(reads, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,49 +364,55 @@ func TestDoubleBufferOverlap(t *testing.T) {
 	}
 }
 
-// TestBatchSizeAblation checks the batched host flow: results identical,
-// per-batch pipeline fill making small batches costlier.
+// TestBatchSizeAblation checks the batched host flow — hosts with bounded
+// device buffers send queries "in batches to the FPGA", as the server does:
+// one MapReadsOpts per batch, the index resident after the first. Results are
+// identical, and since each batch pays its own pipeline fill, small batches
+// cost more cycles.
 func TestBatchSizeAblation(t *testing.T) {
 	ix := buildIndex(t, 20000)
 	reads := simReads(t, ix, 2000, 40, 0.6)
 	d, _ := NewDevice(Config{})
 	k, _ := d.Program(ix)
-	whole, err := k.MapReads(reads)
+	whole, err := k.MapReadsOpts(reads, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	batched := func(batchSize int) (results []core.MapResult, cycles uint64, indexTransfer time.Duration) {
+		for start := 0; start < len(reads); start += batchSize {
+			end := min(start+batchSize, len(reads))
+			run, err := k.MapReadsOpts(reads[start:end], MapRunOptions{IndexResident: start > 0})
+			if err != nil {
+				t.Fatal(err)
+			}
+			results = append(results, run.Results...)
+			cycles += run.Profile.KernelCycles
+			indexTransfer += run.Profile.IndexTransfer
+		}
+		return results, cycles, indexTransfer
 	}
 	var prevCycles uint64
 	for i, batchSize := range []int{10, 100, 2000} {
-		run, err := k.MapReadsBatched(reads, batchSize)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(run.Results) != len(reads) {
-			t.Fatalf("batch=%d: %d results", batchSize, len(run.Results))
+		results, cycles, indexTransfer := batched(batchSize)
+		if len(results) != len(reads) {
+			t.Fatalf("batch=%d: %d results", batchSize, len(results))
 		}
 		for j := range reads {
-			if run.Results[j].Forward != whole.Results[j].Forward {
+			if results[j].Forward != whole.Results[j].Forward {
 				t.Fatalf("batch=%d: result %d differs", batchSize, j)
 			}
 		}
-		if i > 0 && run.Profile.KernelCycles > prevCycles {
-			t.Errorf("larger batches should not cost more cycles: %d then %d", prevCycles, run.Profile.KernelCycles)
+		if i > 0 && cycles > prevCycles {
+			t.Errorf("larger batches should not cost more cycles: %d then %d", prevCycles, cycles)
 		}
-		prevCycles = run.Profile.KernelCycles
-		// Setup charged once regardless of batch count.
-		if run.Profile.Setup != d.Config().SetupTime {
-			t.Errorf("batch=%d: setup charged %v", batchSize, run.Profile.Setup)
+		prevCycles = cycles
+		// The index is transferred once regardless of batch count.
+		if indexTransfer != whole.Profile.IndexTransfer {
+			t.Errorf("batch=%d: index transfer charged %v, want %v", batchSize, indexTransfer, whole.Profile.IndexTransfer)
 		}
 	}
 	// One big batch must equal the unbatched run exactly.
-	one, err := k.MapReadsBatched(reads, len(reads))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if one.Profile.KernelCycles != whole.Profile.KernelCycles {
-		t.Errorf("single batch cycles %d != unbatched %d", one.Profile.KernelCycles, whole.Profile.KernelCycles)
-	}
-	if _, err := k.MapReadsBatched(reads, 0); err == nil {
-		t.Error("batch size 0 accepted")
+	if prevCycles != whole.Profile.KernelCycles {
+		t.Errorf("single batch cycles %d != unbatched %d", prevCycles, whole.Profile.KernelCycles)
 	}
 }

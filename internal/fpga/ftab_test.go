@@ -50,11 +50,11 @@ func TestFtabKernelCycleReduction(t *testing.T) {
 		t.Errorf("kernel ftab bytes %d, index %d", kFtab.FtabBytes(), withTable.FtabBytes())
 	}
 
-	runPlain, err := kPlain.MapReads(reads)
+	runPlain, err := kPlain.MapReadsOpts(reads, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	runFtab, err := kFtab.MapReads(reads)
+	runFtab, err := kFtab.MapReadsOpts(reads, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,11 +126,11 @@ func TestFtabBRAMDegrade(t *testing.T) {
 		t.Fatal(err)
 	}
 	reads := simReads(t, ix, 300, 35, 0.5)
-	runDeg, err := kernel.MapReads(reads)
+	runDeg, err := kernel.MapReadsOpts(reads, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	runPlain, err := plainKernel.MapReads(reads)
+	runPlain, err := plainKernel.MapReadsOpts(reads, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

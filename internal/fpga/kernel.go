@@ -144,16 +144,16 @@ type RunResult struct {
 
 // VerifyChecksum recomputes the batch checksum over the received results and
 // returns ErrResultCorrupt on mismatch.
-func (r *RunResult) VerifyChecksum() error {
-	if ChecksumResults(r.Results) != r.Checksum {
-		return ErrResultCorrupt
-	}
-	return nil
-}
+func (r *RunResult) VerifyChecksum() error { return verifyChecksum(r) }
+
+func (r *RunResult) head() (*Profile, *uint64)       { return &r.Profile, &r.Checksum }
+func (r *RunResult) sum() uint64                     { return ChecksumResults(r.Results) }
+func (r *RunResult) corrupt(i int, bit uint64)       { r.Results[i].Forward.Start ^= 1 << bit }
+func (r *RunResult) gather(lo int, shard *RunResult) { copy(r.Results[lo:], shard.Results) }
 
 // MapRunOptions control one mapping run on a programmed kernel. The zero
-// value reproduces the historical MapReads behaviour: no cancellation, no
-// progress reporting, and a fresh index transfer charged to the run.
+// value means no cancellation, no progress reporting, and a fresh index
+// transfer charged to the run.
 type MapRunOptions struct {
 	// Context, if non-nil, cancels the run between queries; the call
 	// returns the context's error.
@@ -169,136 +169,227 @@ type MapRunOptions struct {
 	// index transfer — the amortization the paper's fixed-overhead
 	// argument relies on when a service reuses a programmed device.
 	IndexResident bool
-
-	// memReconfigured marks the fabric as already holding the pass-2
-	// alignment array from an earlier mem batch of the same session, so the
-	// run charges no reconfiguration. Set only by MemSession.
-	memReconfigured bool
 }
 
-// MapReads maps a batch of reads on the device. Every read must fit the
-// 512-bit query record (at most MaxQueryBases bases). The search itself is
-// executed bit-for-bit (results are exact); cycles are charged per the
-// pipeline model described in the package comment.
-func (k *Kernel) MapReads(reads []dna.Seq) (*RunResult, error) {
-	return k.MapReadsOpts(reads, MapRunOptions{})
-}
-
-// MapReadsOpts is MapReads with per-run cancellation, progress reporting,
-// and index-residency control.
-func (k *Kernel) MapReadsOpts(reads []dna.Seq, opts MapRunOptions) (*RunResult, error) {
-	wallStart := time.Now()
-	cfg := k.dev.cfg
-
-	// Validate and pack the query records as the host code would. The
-	// packed form is what the query-transfer model charges for.
-	for i, r := range reads {
-		if len(r) == 0 {
-			return nil, fmt.Errorf("fpga: read %d is empty", i)
-		}
-		if len(r) > MaxQueryBases {
-			return nil, fmt.Errorf("fpga: read %d has %d bases; the 512-bit query record holds at most %d",
-				i, len(r), MaxQueryBases)
-		}
-	}
-	records := make([]dna.PackedSeq, len(reads))
-	for i, r := range reads {
-		records[i] = dna.Pack(r)
-	}
-
-	// Injected faults strike in stage order: index load (only when the
-	// structure is not already resident), query streaming, then the kernel
-	// itself — a hang the runtime watchdog reports as a timeout.
-	if inj := k.dev.inj; inj != nil {
-		if !opts.IndexResident {
-			if err := inj.at(StageIndexLoad); err != nil {
-				return nil, err
-			}
-		}
-		if err := inj.at(StageQueryTransfer); err != nil {
-			return nil, err
-		}
-		if err := inj.at(StageKernel); err != nil {
-			return nil, err
-		}
-	}
-
-	every := opts.ProgressEvery
+// host is the run's options as the core batch engine takes them. One worker:
+// a kernel is one simulated card, and its shard maps in the farm's sequence.
+func (o MapRunOptions) host() core.MapOptions {
+	every := o.ProgressEvery
 	if every <= 0 {
 		every = 256
 	}
+	return core.MapOptions{Context: o.Context, Workers: 1, Progress: o.Progress, ProgressEvery: every}
+}
 
-	// Execute the searches functionally while accumulating the cycle model.
-	results := make([]core.MapResult, len(reads))
-	var stepCycles uint64
-	perStep := k.stepCycles()
-	// Wave accounting: reads issue in waves of cfg.PEs lanes; each wave is
-	// charged for its slowest lane.
-	var waveCycles, waveMax uint64
-	lane := 0
-	for i, rec := range records {
-		if opts.Context != nil && i%64 == 0 {
-			if err := opts.Context.Err(); err != nil {
-				return nil, err
-			}
+// deviceRun is what the kernel run and the farm run need of a workload's
+// result type: *RunResult, *TwoPassResult or *MemRunResult.
+type deviceRun[T any] interface {
+	// head is where the run keeps its profile and the device's checksum.
+	head() (*Profile, *uint64)
+	// sum folds the results' deterministic fields into the per-batch FNV-1a
+	// value; corrupt flips one bit it covers, in result i.
+	sum() uint64
+	corrupt(i int, bit uint64)
+	// gather takes a shard's results in at read offset lo.
+	gather(lo int, shard T)
+}
+
+// deviceWork is one kind of mapping as the device layers see it; runKernel
+// and runFarm own everything else.
+type deviceWork[T deviceRun[T]] interface {
+	// pairAligned reports whether consecutive reads are mate pairs, which
+	// must not split across cards: pairing context is shard-local.
+	pairAligned() bool
+	// admit gates a run on what the workload needs of k and returns the
+	// modeled transfer of the structures it keeps BRAM-resident.
+	admit(k *Kernel) (indexTransfer time.Duration, err error)
+	// newRun makes the result of an n-read batch.
+	newRun(n int) T
+	// execute maps reads into run through the same core entry points the CPU
+	// path calls — both backends agree by construction — and prices them.
+	execute(k *Kernel, run T, reads []dna.Seq, opts MapRunOptions) (cost, error)
+	// verify recomputes every stride-th result on the host; none at stride 0.
+	verify(ix *core.Index, reads []dna.Seq, run T, stride int) error
+	// late runs what the workload still does after the batch was checksummed
+	// and returned — pass 2 of the two-pass flow, until ROADMAP item 3 (d)
+	// puts it under the checksum; exact and mem have none. It opens with its
+	// own rollPass and is charged on top of the run.
+	late(k *Kernel, run T, reads []dna.Seq, opts MapRunOptions) (cost, error)
+}
+
+// verifyChecksum recomputes the batch checksum over the received results.
+func verifyChecksum[T deviceRun[T]](run T) error {
+	if _, checksum := run.head(); run.sum() != *checksum {
+		return ErrResultCorrupt
+	}
+	return nil
+}
+
+// cost is what executing a batch charges the device.
+type cost struct {
+	// cycles is the kernel's total, pipeline fills included; waveCycles the
+	// lockstep-dispatcher accounting (see Profile).
+	cycles, waveCycles uint64
+	// queryRecords and resultRecords count the records streamed each way.
+	queryRecords, resultRecords int
+	reconfig                    time.Duration
+}
+
+// charge adds c to the profile at k's clock and bus speed.
+func (k *Kernel) charge(p *Profile, c cost) {
+	p.QueryTransfer += k.dev.transfer(c.queryRecords * QueryRecordBytes)
+	p.KernelTime += k.dev.cyclesToTime(c.cycles)
+	p.ResultTransfer += k.dev.transfer(c.resultRecords * ResultRecordBytes)
+	p.Reconfig += c.reconfig
+	p.KernelCycles += c.cycles
+	p.WaveCycles += c.waveCycles
+}
+
+// validateReads checks that every read fits the 512-bit query record.
+func validateReads(reads []dna.Seq) error {
+	for i, r := range reads {
+		if len(r) == 0 {
+			return fmt.Errorf("fpga: read %d is empty", i)
 		}
-		// The kernel operates on the packed record, mirroring the decode
-		// the hardware performs. The kernel's own ftab mode — not the host
-		// index's — decides the search path, so a BRAM-degraded kernel's
-		// cycle accounting matches the fabric it models.
-		res := k.ix.MapReadMode(rec.Unpack(), k.useFtab)
-		results[i] = res
-		stepCycles += uint64(res.Steps)*perStep + uint64(cfg.QueryOverheadCycles)
-		if s := uint64(res.Steps); s > waveMax {
-			waveMax = s
-		}
-		if lane++; lane == cfg.PEs {
-			waveCycles += waveMax*perStep + uint64(cfg.QueryOverheadCycles)
-			lane, waveMax = 0, 0
-		}
-		if opts.Progress != nil && (i+1)%every == 0 {
-			opts.Progress(i+1, len(reads))
+		if len(r) > MaxQueryBases {
+			return fmt.Errorf("fpga: read %d has %d bases; the 512-bit query record holds at most %d",
+				i, len(r), MaxQueryBases)
 		}
 	}
-	if lane > 0 {
-		waveCycles += waveMax*perStep + uint64(cfg.QueryOverheadCycles)
+	return nil
+}
+
+// rollPass rolls the injectable stages that open a pass, in stage order:
+// index load (only when the structure is not already resident), query
+// streaming, then the kernel itself — a hang the runtime watchdog reports as
+// a timeout.
+func (k *Kernel) rollPass(loadIndex bool) error {
+	inj := k.dev.inj
+	if loadIndex {
+		if err := inj.at(StageIndexLoad); err != nil {
+			return err
+		}
 	}
-	if opts.Progress != nil {
-		opts.Progress(len(reads), len(reads))
+	if err := inj.at(StageQueryTransfer); err != nil {
+		return err
 	}
-	kernelCycles := uint64(cfg.PipelineFillCycles) + stepCycles/uint64(cfg.PEs)
-	waveCycles += uint64(cfg.PipelineFillCycles)
+	return inj.at(StageKernel)
+}
+
+// runKernel is the one device run: validate the reads, roll the stages that
+// open the run, execute and charge cycles, checksum, roll the result
+// transfer, corrupt, and assemble the profile and its events.
+func runKernel[T deviceRun[T]](k *Kernel, w deviceWork[T], reads []dna.Seq, opts MapRunOptions) (T, error) {
+	wallStart := time.Now()
+	cfg := k.dev.cfg
+	var none T
+	if err := validateReads(reads); err != nil {
+		return none, err
+	}
+	indexTransfer, err := w.admit(k)
+	if err != nil {
+		return none, err
+	}
+	if opts.IndexResident {
+		indexTransfer = 0
+	}
+	if err := k.rollPass(!opts.IndexResident); err != nil {
+		return none, err
+	}
+	run := w.newRun(len(reads))
+	c, err := w.execute(k, run, reads, opts)
+	if err != nil {
+		return none, err
+	}
 
 	// The device checksums the batch before the result transfer; a result
 	// transfer fault drops the batch, a corruption fault silently flips
 	// bits afterwards for the host-side verification to catch.
-	checksum := ChecksumResults(results)
-	if inj := k.dev.inj; inj != nil {
-		if err := inj.at(StageResultTransfer); err != nil {
-			return nil, err
-		}
-		inj.corrupt(results)
+	p, checksum := run.head()
+	*checksum = run.sum()
+	if err := k.dev.inj.at(StageResultTransfer); err != nil {
+		return none, err
+	}
+	if i, bit, hit := k.dev.inj.corrupt(len(reads)); hit {
+		run.corrupt(i, bit)
 	}
 
-	indexTransfer := k.indexTransfer
-	if opts.IndexResident {
-		indexTransfer = 0
-	}
-	profile := Profile{
-		Setup:          cfg.SetupTime,
-		IndexTransfer:  indexTransfer,
-		QueryTransfer:  k.dev.transfer(len(reads) * QueryRecordBytes),
-		KernelTime:     k.dev.cyclesToTime(kernelCycles),
-		ResultTransfer: k.dev.transfer(len(reads) * ResultRecordBytes),
-		KernelCycles:   kernelCycles,
-		WaveCycles:     waveCycles,
-	}
+	*p = Profile{Setup: cfg.SetupTime, IndexTransfer: indexTransfer}
+	k.charge(p, c)
 	if cfg.DoubleBuffer {
-		profile.Overlap = min(profile.QueryTransfer, profile.KernelTime)
+		p.Overlap = min(p.QueryTransfer, p.KernelTime)
 	}
-	profile.Events = tagEvents(buildEvents(profile), k.dev.id, 1, 0)
-	profile.HostWallTime = time.Since(wallStart)
-	return &RunResult{Results: results, Profile: profile, Checksum: checksum}, nil
+	if c, err = w.late(k, run, reads, opts); err != nil {
+		return none, err
+	}
+	k.charge(p, c)
+	p.Events = tagEvents(buildEvents(*p), k.dev.id, 1, 0)
+	p.HostWallTime = time.Since(wallStart)
+	return run, nil
+}
+
+// exactWork is exact matching on the device: both orientations of every read
+// through the search pipelines, one step per cycle.
+type exactWork struct{}
+
+func (exactWork) pairAligned() bool                      { return false }
+func (exactWork) admit(k *Kernel) (time.Duration, error) { return k.indexTransfer, nil }
+func (exactWork) newRun(n int) *RunResult                { return &RunResult{Results: make([]core.MapResult, n)} }
+
+func (exactWork) execute(k *Kernel, run *RunResult, reads []dna.Seq, opts MapRunOptions) (cost, error) {
+	return k.searchCost(run.Results, reads, opts)
+}
+
+func (exactWork) verify(ix *core.Index, reads []dna.Seq, run *RunResult, stride int) error {
+	return core.VerifySampled(ix, reads, run.Results, stride)
+}
+
+func (exactWork) late(*Kernel, *RunResult, []dna.Seq, MapRunOptions) (cost, error) {
+	return cost{}, nil
+}
+
+// pipelineCycles is the closed-form pipeline model every pass is priced with:
+// the queries' summed steps plus a fixed overhead each, spread over the PEs,
+// after one pipeline fill.
+func (k *Kernel) pipelineCycles(steps, queries int) uint64 {
+	cfg := k.dev.cfg
+	work := uint64(steps)*k.stepCycles() + uint64(queries)*uint64(cfg.QueryOverheadCycles)
+	return uint64(cfg.PipelineFillCycles) + work/uint64(cfg.PEs)
+}
+
+// searchCost maps reads into dst on the host index and prices them. The
+// kernel's own ftab mode — not the host index's — decides the search path, so
+// a BRAM-degraded kernel's cycle accounting matches the fabric it models.
+func (k *Kernel) searchCost(dst []core.MapResult, reads []dna.Seq, opts MapRunOptions) (cost, error) {
+	stats, err := k.ix.MapReadsIntoFtab(dst, reads, opts.host(), k.useFtab)
+	if err != nil {
+		return cost{}, err
+	}
+	// Wave accounting: reads issue in waves of cfg.PEs lanes; each wave is
+	// charged for its slowest lane.
+	cfg, perStep := k.dev.cfg, k.stepCycles()
+	waveCycles := uint64(cfg.PipelineFillCycles)
+	for lo := 0; lo < len(dst); lo += cfg.PEs {
+		slowest := 0
+		for _, res := range dst[lo:min(lo+cfg.PEs, len(dst))] {
+			slowest = max(slowest, res.Steps)
+		}
+		waveCycles += uint64(slowest)*perStep + uint64(cfg.QueryOverheadCycles)
+	}
+	return cost{
+		cycles:        k.pipelineCycles(stats.TotalSteps, len(reads)),
+		waveCycles:    waveCycles,
+		queryRecords:  len(reads),
+		resultRecords: len(reads),
+	}, nil
+}
+
+// MapReadsOpts maps a batch of reads on the device. Every read must fit the
+// 512-bit query record (at most MaxQueryBases bases). The search itself is
+// executed bit-for-bit (results are exact); cycles are charged per the
+// pipeline model described in the package comment.
+func (k *Kernel) MapReadsOpts(reads []dna.Seq, opts MapRunOptions) (*RunResult, error) {
+	return runKernel(k, exactWork{}, reads, opts)
 }
 
 // tagEvents stamps run identity (device, attempt, shard) onto every event.
@@ -338,39 +429,6 @@ func buildEvents(p Profile) []Event {
 	return events
 }
 
-// MapReadsBatched maps reads in fixed-size batches, as hosts with bounded
-// device buffers must (the paper's related work sends queries "in batches
-// to the FPGA"). Each batch pays its own query/result transfer and pipeline
-// fill, so small batches waste cycles — the batch-size trade-off quantified
-// by TestBatchSizeAblation. Setup and index transfer are still charged
-// once. Results are identical to MapReads.
-func (k *Kernel) MapReadsBatched(reads []dna.Seq, batchSize int) (*RunResult, error) {
-	if batchSize < 1 {
-		return nil, fmt.Errorf("fpga: batch size %d must be >= 1", batchSize)
-	}
-	wallStart := time.Now()
-	out := &RunResult{Results: make([]core.MapResult, 0, len(reads))}
-	agg := Profile{Setup: k.dev.cfg.SetupTime, IndexTransfer: k.indexTransfer}
-	for start := 0; start < len(reads); start += batchSize {
-		end := min(start+batchSize, len(reads))
-		run, err := k.MapReads(reads[start:end])
-		if err != nil {
-			return nil, err
-		}
-		out.Results = append(out.Results, run.Results...)
-		agg.QueryTransfer += run.Profile.QueryTransfer
-		agg.KernelTime += run.Profile.KernelTime
-		agg.ResultTransfer += run.Profile.ResultTransfer
-		agg.KernelCycles += run.Profile.KernelCycles
-		agg.Overlap += run.Profile.Overlap
-	}
-	agg.Events = tagEvents(buildEvents(agg), k.dev.id, 1, 0)
-	agg.HostWallTime = time.Since(wallStart)
-	out.Profile = agg
-	out.Checksum = ChecksumResults(out.Results)
-	return out, nil
-}
-
 // ModelProfile returns the modeled profile for a batch of nReads reads whose
 // mean per-query pipeline occupancy (max of forward/reverse step counts) is
 // avgStepsPerRead, without functionally executing the searches. The bench
@@ -380,15 +438,11 @@ func (k *Kernel) MapReadsBatched(reads []dna.Seq, batchSize int) (*RunResult, er
 func (k *Kernel) ModelProfile(nReads int, avgStepsPerRead float64) Profile {
 	cfg := k.dev.cfg
 	stepCycles := uint64(float64(nReads) * (avgStepsPerRead*float64(k.stepCycles()) + float64(cfg.QueryOverheadCycles)))
-	kernelCycles := uint64(cfg.PipelineFillCycles) + stepCycles/uint64(cfg.PEs)
-	p := Profile{
-		Setup:          cfg.SetupTime,
-		IndexTransfer:  k.indexTransfer,
-		QueryTransfer:  k.dev.transfer(nReads * QueryRecordBytes),
-		KernelTime:     k.dev.cyclesToTime(kernelCycles),
-		ResultTransfer: k.dev.transfer(nReads * ResultRecordBytes),
-		KernelCycles:   kernelCycles,
-	}
+	p := Profile{Setup: cfg.SetupTime, IndexTransfer: k.indexTransfer}
+	k.charge(&p, cost{
+		cycles:       uint64(cfg.PipelineFillCycles) + stepCycles/uint64(cfg.PEs),
+		queryRecords: nReads, resultRecords: nReads,
+	})
 	if cfg.DoubleBuffer {
 		p.Overlap = min(p.QueryTransfer, p.KernelTime)
 	}
@@ -402,26 +456,6 @@ func (k *Kernel) ModelProfile(nReads int, avgStepsPerRead float64) Profile {
 // budget, not the device budget.
 func (k *Kernel) LocateResults(results []core.MapResult) (time.Duration, error) {
 	start := time.Now()
-	fm := k.ix.FM()
-	// One growing slab for the whole batch; results hold subslices of it.
-	// Append never mutates earlier content, so subslices survive regrowth.
-	var slab []int32
-	for i := range results {
-		var err error
-		a := len(slab)
-		if slab, err = fm.LocateAppend(slab, results[i].Forward); err != nil {
-			return 0, err
-		}
-		b := len(slab)
-		if slab, err = fm.LocateAppend(slab, results[i].Reverse); err != nil {
-			return 0, err
-		}
-		if b > a {
-			results[i].ForwardPositions = slab[a:b:b]
-		}
-		if c := len(slab); c > b {
-			results[i].ReversePositions = slab[b:c:c]
-		}
-	}
-	return time.Since(start), nil
+	err := k.ix.LocateResults(results)
+	return time.Since(start), err
 }

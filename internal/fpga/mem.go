@@ -2,6 +2,7 @@ package fpga
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"bwaver/internal/core"
@@ -45,11 +46,21 @@ type MemRunResult struct {
 
 // VerifyChecksum recomputes the batch checksum over the received results and
 // returns ErrResultCorrupt on mismatch.
-func (r *MemRunResult) VerifyChecksum() error {
-	if ChecksumMemResults(r.Results) != r.Checksum {
-		return ErrResultCorrupt
-	}
-	return nil
+func (r *MemRunResult) VerifyChecksum() error { return verifyChecksum(r) }
+
+func (r *MemRunResult) head() (*Profile, *uint64) { return &r.Profile, &r.Checksum }
+func (r *MemRunResult) sum() uint64               { return ChecksumMemResults(r.Results) }
+func (r *MemRunResult) corrupt(i int, bit uint64) { r.Results[i].Best.Pos ^= 1 << bit }
+
+// gather aggregates the per-pass split like KernelTime: shards run in
+// parallel across cards, so the slowest shard's pass bounds the batch.
+func (r *MemRunResult) gather(lo int, shard *MemRunResult) {
+	copy(r.Results[lo:], shard.Results)
+	r.Stats.Merge(shard.Stats)
+	r.SeedCycles = max(r.SeedCycles, shard.SeedCycles)
+	r.ExtendCycles = max(r.ExtendCycles, shard.ExtendCycles)
+	r.SeedTime = max(r.SeedTime, shard.SeedTime)
+	r.ExtendTime = max(r.ExtendTime, shard.ExtendTime)
 }
 
 // ChecksumMemResults folds the deterministic fields of a mem batch into the
@@ -57,25 +68,14 @@ func (r *MemRunResult) VerifyChecksum() error {
 // bytes participate so a corrupted traceback is as detectable as a corrupted
 // position.
 func ChecksumMemResults(results []core.MemResult) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime
-			v >>= 8
-		}
-	}
+	h := fnvOffset
 	for _, r := range results {
-		mix(uint64(int64(r.Best.Pos)))
-		mix(uint64(int64(r.Best.RefSpan)))
-		mix(uint64(int64(r.Best.Score)))
-		mix(uint64(r.Best.MapQ))
-		mix(uint64(int64(r.Best.NM)))
-		mix(uint64(int64(r.SubScore)))
+		h.word(uint64(int64(r.Best.Pos)))
+		h.word(uint64(int64(r.Best.RefSpan)))
+		h.word(uint64(int64(r.Best.Score)))
+		h.word(uint64(r.Best.MapQ))
+		h.word(uint64(int64(r.Best.NM)))
+		h.word(uint64(int64(r.SubScore)))
 		var bits uint64
 		if r.Best.Forward {
 			bits |= 1
@@ -83,150 +83,98 @@ func ChecksumMemResults(results []core.MemResult) uint64 {
 		if r.Rescued {
 			bits |= 2
 		}
-		mix(bits)
+		h.word(bits)
 		for _, b := range []byte(r.Best.CIGAR) {
-			h ^= uint64(b)
-			h *= prime
+			h.byte(b)
 		}
 	}
-	return h
+	return uint64(h)
 }
 
-// MapReadsMem runs the seed-and-extend pipeline on the device; see
-// MapReadsMemOpts.
-func (k *Kernel) MapReadsMem(reads []dna.Seq, memOpts core.MemOptions) (*MemRunResult, error) {
-	return k.MapReadsMemOpts(reads, memOpts, MapRunOptions{})
+// memWork is seed-and-extend mapping as a device workload. When opts.Paired
+// is set, consecutive reads are mate pairs (an odd batch maps its last read
+// single-end), exactly as core.MapReadsMem pairs them.
+type memWork struct {
+	opts core.MemOptions
+	// reconfigured marks the fabric as already holding the pass-2 alignment
+	// array from an earlier batch of the same MemSession.
+	reconfigured bool
 }
 
-// MapReadsMemOpts maps a batch through seed → chain → extend with per-run
-// cancellation, progress reporting, and index-residency control. When
-// memOpts.Paired is set, consecutive reads are mate pairs (an odd batch maps
-// its last read single-end), exactly as core.MapReadsMem pairs them.
-func (k *Kernel) MapReadsMemOpts(reads []dna.Seq, memOpts core.MemOptions, opts MapRunOptions) (*MemRunResult, error) {
-	wallStart := time.Now()
-	cfg := k.dev.cfg
-	for i, r := range reads {
-		if len(r) == 0 {
-			return nil, fmt.Errorf("fpga: read %d is empty", i)
-		}
-		if len(r) > MaxQueryBases {
-			return nil, fmt.Errorf("fpga: read %d has %d bases; the 512-bit query record holds at most %d",
-				i, len(r), MaxQueryBases)
-		}
-	}
+func (w memWork) pairAligned() bool { return w.opts.Paired }
 
-	// The seeding pass needs both directions' structures resident; gate on
-	// BRAM like Program gates the exact index.
+// admit needs both directions' structures resident for the seeding pass and
+// gates them on BRAM like Program gates the exact index.
+func (memWork) admit(k *Kernel) (time.Duration, error) {
 	if err := k.ix.EnsureMem(); err != nil {
-		return nil, err
+		return 0, err
 	}
 	memBytes := k.ix.MemBytes()
-	if memBytes > cfg.BRAMBytes {
-		return nil, fmt.Errorf("fpga: bidirectional index (%d bytes) exceeds device BRAM (%d bytes)",
-			memBytes, cfg.BRAMBytes)
+	if memBytes > k.dev.cfg.BRAMBytes {
+		return 0, fmt.Errorf("fpga: bidirectional index (%d bytes) exceeds device BRAM (%d bytes)",
+			memBytes, k.dev.cfg.BRAMBytes)
 	}
+	return k.dev.transfer(memBytes), nil
+}
 
-	// Pass-1 fault surface: bidirectional index load (unless resident),
-	// query streaming, seeding kernel.
-	if inj := k.dev.inj; inj != nil {
-		if !opts.IndexResident {
-			if err := inj.at(StageIndexLoad); err != nil {
-				return nil, err
-			}
-		}
-		if err := inj.at(StageQueryTransfer); err != nil {
-			return nil, err
-		}
-		if err := inj.at(StageKernel); err != nil {
-			return nil, err
-		}
+func (memWork) newRun(n int) *MemRunResult { return &MemRunResult{Results: make([]core.MemResult, n)} }
+
+func (w memWork) verify(ix *core.Index, reads []dna.Seq, run *MemRunResult, stride int) error {
+	return verifySampledMem(ix, reads, run.Results, w.opts, stride)
+}
+
+// late: both passes of a mem run precede its checksum.
+func (memWork) late(*Kernel, *MemRunResult, []dna.Seq, MapRunOptions) (cost, error) {
+	return cost{}, nil
+}
+
+func (w memWork) execute(k *Kernel, run *MemRunResult, reads []dna.Seq, opts MapRunOptions) (c cost, err error) {
+	if run.Stats, err = k.ix.MapReadsMemInto(run.Results, reads, w.opts, opts.host()); err != nil {
+		return cost{}, err
 	}
-
-	// The mapping itself runs through the core batch engine — pooled
-	// per-worker scratch, pair-boundary chunking — so the simulated device
-	// path is as allocation-free as the CPU path and bit-identical to it by
-	// construction.
-	out := &MemRunResult{Results: make([]core.MemResult, len(reads))}
-	stats, err := k.ix.MapReadsMemInto(out.Results, reads, memOpts, core.MapOptions{
-		Context:       opts.Context,
-		Workers:       1,
-		Progress:      opts.Progress,
-		ProgressEvery: opts.ProgressEvery,
-	})
-	if err != nil {
-		return nil, err
-	}
-	out.Stats = stats
-
 	// Pass-1 cycles: SMEM extension ops through the rank pipelines, same
-	// per-step model as the exact kernel.
-	perStep := k.stepCycles()
-	var seedCycles uint64
-	for _, r := range out.Results {
-		seedCycles += uint64(r.SeedSteps)*perStep + uint64(cfg.QueryOverheadCycles)
-	}
-	pass1Cycles := uint64(cfg.PipelineFillCycles) + seedCycles/uint64(cfg.PEs)
+	// per-step model as the exact kernel. Pass-2 cycles: the array retires
+	// one DP cell per PE per cycle, after a fixed overhead per extension job.
+	cfg := k.dev.cfg
+	cellCycles := uint64(run.Stats.Cells) + uint64(run.Stats.Extensions)*uint64(cfg.QueryOverheadCycles)
+	run.SeedCycles = k.pipelineCycles(run.Stats.SeedSteps, len(reads))
+	run.ExtendCycles = uint64(cfg.PipelineFillCycles) + cellCycles/uint64(cfg.PEs)
 
 	// Reconfiguration swaps the search pipelines for the systolic alignment
 	// array; pass 2 re-rolls the stream/kernel fault stages like a fresh run.
-	if inj := k.dev.inj; inj != nil {
-		if err := inj.at(StageQueryTransfer); err != nil {
-			return nil, err
-		}
-		if err := inj.at(StageKernel); err != nil {
-			return nil, err
-		}
+	if err := k.rollPass(false); err != nil {
+		return cost{}, err
 	}
+	run.SeedTime = k.dev.cyclesToTime(run.SeedCycles)
+	run.ExtendTime = k.dev.cyclesToTime(run.ExtendCycles)
 
-	// Pass-2 cycles: the array retires one DP cell per PE per cycle.
-	var cellCycles uint64
-	for _, r := range out.Results {
-		cellCycles += uint64(r.Cells)
-	}
-	cellCycles += uint64(out.Stats.Extensions) * uint64(cfg.QueryOverheadCycles)
-	pass2Cycles := uint64(cfg.PipelineFillCycles) + cellCycles/uint64(cfg.PEs)
-
-	out.Checksum = ChecksumMemResults(out.Results)
-	if inj := k.dev.inj; inj != nil {
-		if err := inj.at(StageResultTransfer); err != nil {
-			return nil, err
-		}
-	}
-
-	indexTransfer := k.dev.transfer(memBytes)
-	if opts.IndexResident {
-		indexTransfer = 0
+	c = cost{
+		cycles: run.SeedCycles + run.ExtendCycles,
+		// Pass 1 streams the reads; pass 2 streams one extension-job record
+		// per surviving chain.
+		queryRecords:  len(reads) + run.Stats.Extensions,
+		resultRecords: len(reads),
+		reconfig:      DefaultReconfigTime,
 	}
 	// A session run on an already-reconfigured fabric (batch two onward of
 	// the two-pass schedule) charges no reconfiguration: the alignment array
 	// stays programmed and the host takes over seeding.
-	reconfig := DefaultReconfigTime
-	if opts.memReconfigured {
-		reconfig = 0
+	if w.reconfigured {
+		c.reconfig = 0
 	}
-	kernelCycles := pass1Cycles + pass2Cycles
-	out.SeedCycles, out.ExtendCycles = pass1Cycles, pass2Cycles
-	out.SeedTime = k.dev.cyclesToTime(pass1Cycles)
-	out.ExtendTime = k.dev.cyclesToTime(pass2Cycles)
-	profile := Profile{
-		Setup:         cfg.SetupTime,
-		IndexTransfer: indexTransfer,
-		// Pass 1 streams the reads; pass 2 streams one extension-job record
-		// per surviving chain.
-		QueryTransfer:  k.dev.transfer(len(reads)*QueryRecordBytes + out.Stats.Extensions*QueryRecordBytes),
-		KernelTime:     k.dev.cyclesToTime(kernelCycles),
-		ResultTransfer: k.dev.transfer(len(reads) * ResultRecordBytes),
-		Reconfig:       reconfig,
-		KernelCycles:   kernelCycles,
-	}
-	if cfg.DoubleBuffer {
-		profile.Overlap = min(profile.QueryTransfer, profile.KernelTime)
-	}
-	profile.Events = tagEvents(buildEvents(profile), k.dev.id, 1, 0)
-	profile.HostWallTime = time.Since(wallStart)
-	out.Profile = profile
-	out.Stats.Elapsed = profile.HostWallTime
-	return out, nil
+	return c, nil
+}
+
+// MapReadsMemOpts maps a batch through seed → chain → extend on one card.
+func (k *Kernel) MapReadsMemOpts(reads []dna.Seq, memOpts core.MemOptions, opts MapRunOptions) (*MemRunResult, error) {
+	return runKernel(k, memWork{opts: memOpts}, reads, opts)
+}
+
+// MapReadsMemOpts stripes a seed-and-extend batch across the healthy cards.
+// Paired batches stripe on pair boundaries so no mate pair splits across
+// cards (pairing context — rescue, proper-pair calls — is shard-local).
+func (f *Farm) MapReadsMemOpts(reads []dna.Seq, memOpts core.MemOptions, opts MapRunOptions) (*MemRunResult, error) {
+	return runFarm(f, memWork{opts: memOpts}, reads, opts)
 }
 
 // verifySampledMem recomputes every stride-th result on the host and compares
@@ -236,126 +184,20 @@ func verifySampledMem(ix *core.Index, reads []dna.Seq, results []core.MemResult,
 	if stride <= 0 {
 		return nil
 	}
+	unit := 1
+	if memOpts.Paired {
+		unit = 2
+	}
 	for i := 0; i < len(reads); i += stride {
-		if memOpts.Paired && i+1 < len(reads) {
-			j := i &^ 1 // verify the pair the read belongs to
-			pr, err := ix.MapPairMem(reads[j], reads[j+1], memOpts)
-			if err != nil {
-				return err
-			}
-			if pr.R1 != results[j] || pr.R2 != results[j+1] {
-				return fmt.Errorf("fpga: mem cross-check mismatch at pair %d", j/2)
-			}
-			continue
-		}
-		res, err := ix.MapReadMem(reads[i], memOpts)
+		lo := i - i%unit // the pair the read belongs to
+		hi := min(lo+unit, len(reads))
+		want, _, err := ix.MapReadsMem(reads[lo:hi], memOpts)
 		if err != nil {
 			return err
 		}
-		if res != results[i] {
-			return fmt.Errorf("fpga: mem cross-check mismatch at read %d", i)
+		if !slices.Equal(want, results[lo:hi]) {
+			return fmt.Errorf("fpga: mem cross-check mismatch at read %d", lo)
 		}
 	}
 	return nil
-}
-
-// MapReadsMem stripes a mem batch across the farm; see MapReadsMemOpts.
-func (f *Farm) MapReadsMem(reads []dna.Seq, memOpts core.MemOptions) (*MemRunResult, error) {
-	return f.MapReadsMemOpts(reads, memOpts, MapRunOptions{})
-}
-
-// MapReadsMemOpts stripes a seed-and-extend batch across the healthy cards
-// with the farm's usual retry, checksum verification, and redistribution.
-// Paired batches stripe on pair boundaries so no mate pair splits across
-// cards (pairing context — rescue, proper-pair calls — is shard-local).
-func (f *Farm) MapReadsMemOpts(reads []dna.Seq, memOpts core.MemOptions, opts MapRunOptions) (*MemRunResult, error) {
-	wallStart := time.Now()
-	healthy := f.healthyDevices()
-	if len(healthy) == 0 {
-		f.rec.exhausted()
-		return nil, ErrNoHealthyDevices
-	}
-	n := len(healthy)
-	boundary := func(si int) int {
-		if si >= n {
-			return len(reads)
-		}
-		b := len(reads) * si / n
-		if memOpts.Paired {
-			b &^= 1
-		}
-		return b
-	}
-	out := &MemRunResult{Results: make([]core.MemResult, len(reads))}
-	agg := Profile{Setup: f.kernels[0].dev.cfg.SetupTime}
-	var maxKernel, maxReconfig time.Duration
-	var maxCycles uint64
-	var events []Event
-	for si, di := range healthy {
-		lo, hi := boundary(si), boundary(si+1)
-		if lo == hi {
-			continue
-		}
-		shard := reads[lo:hi]
-		runOpts := MapRunOptions{
-			Context:         opts.Context,
-			Progress:        shardProgress(opts, lo, len(reads)),
-			ProgressEvery:   opts.ProgressEvery,
-			IndexResident:   opts.IndexResident,
-			memReconfigured: opts.memReconfigured,
-		}
-		run, backoff, winner, err := execShard(f, opts.Context, di, healthy, func(k *Kernel) (*MemRunResult, error) {
-			r, err := k.MapReadsMemOpts(shard, memOpts, runOpts)
-			if err != nil {
-				return nil, err
-			}
-			if err := r.VerifyChecksum(); err != nil {
-				return nil, err
-			}
-			if s := f.opts.VerifyStride; s > 0 {
-				if err := verifySampledMem(k.ix, shard, r.Results, memOpts, s); err != nil {
-					return nil, fmt.Errorf("%w: %v", errCrossCheckFailed, err)
-				}
-			}
-			return r, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		f.observeRun(run.Profile, backoff)
-		events = append(events, tagEvents(run.Profile.Events, winner.Device, winner.Attempt, si)...)
-		copy(out.Results[lo:hi], run.Results)
-		agg.IndexTransfer += run.Profile.IndexTransfer
-		agg.QueryTransfer += run.Profile.QueryTransfer
-		agg.ResultTransfer += run.Profile.ResultTransfer
-		agg.RetryBackoff += backoff
-		if run.Profile.Reconfig > maxReconfig {
-			maxReconfig = run.Profile.Reconfig
-		}
-		if run.Profile.KernelTime > maxKernel {
-			maxKernel = run.Profile.KernelTime
-		}
-		if run.Profile.KernelCycles > maxCycles {
-			maxCycles = run.Profile.KernelCycles
-		}
-		// The per-pass split aggregates like KernelTime: shards run in
-		// parallel across cards, so the slowest shard's pass bounds the batch.
-		out.SeedCycles = max(out.SeedCycles, run.SeedCycles)
-		out.ExtendCycles = max(out.ExtendCycles, run.ExtendCycles)
-		out.SeedTime = max(out.SeedTime, run.SeedTime)
-		out.ExtendTime = max(out.ExtendTime, run.ExtendTime)
-	}
-	agg.KernelTime = maxKernel
-	agg.KernelCycles = maxCycles
-	agg.Reconfig = maxReconfig
-	sortEvents(events)
-	agg.Events = events
-	agg.HostWallTime = time.Since(wallStart)
-	out.Profile = agg
-	out.Checksum = ChecksumMemResults(out.Results)
-	for _, r := range out.Results {
-		out.Stats.Add(r)
-	}
-	out.Stats.Elapsed = agg.HostWallTime
-	return out, nil
 }

@@ -42,7 +42,7 @@ func TestKernelMemMatchesHost(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := core.MemOptions{Paired: true, MinInsert: 100, MaxInsert: 500}
-	run, err := k.MapReadsMem(reads, opts)
+	run, err := k.MapReadsMemOpts(reads, opts, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,10 +105,10 @@ func TestKernelMemRejectsOversizedRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	long := make(dna.Seq, MaxQueryBases+1)
-	if _, err := k.MapReadsMem([]dna.Seq{long}, core.MemOptions{}); err == nil {
+	if _, err := k.MapReadsMemOpts([]dna.Seq{long}, core.MemOptions{}, MapRunOptions{}); err == nil {
 		t.Error("oversized read accepted")
 	}
-	if _, err := k.MapReadsMem([]dna.Seq{{}}, core.MemOptions{}); err == nil {
+	if _, err := k.MapReadsMemOpts([]dna.Seq{{}}, core.MemOptions{}, MapRunOptions{}); err == nil {
 		t.Error("empty read accepted")
 	}
 }
@@ -129,7 +129,7 @@ func TestFarmMemUnderFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := core.MemOptions{Paired: true, MinInsert: 100, MaxInsert: 500}
-	run, err := farm.MapReadsMem(reads, opts)
+	run, err := farm.MapReadsMemOpts(reads, opts, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestFarmMemPairBoundaries(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := core.MemOptions{Paired: true, MinInsert: 100, MaxInsert: 500}
-	run, err := farm.MapReadsMem(reads, opts)
+	run, err := farm.MapReadsMemOpts(reads, opts, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

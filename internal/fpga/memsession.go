@@ -50,10 +50,9 @@ func (f *Farm) NewMemSession(memOpts core.MemOptions, opts MapRunOptions) *MemSe
 func (s *MemSession) Map(reads []dna.Seq) (*MemRunResult, error) {
 	opts := s.opts
 	if s.batches > 0 {
-		opts.memReconfigured = true
 		opts.IndexResident = true
 	}
-	run, err := s.f.MapReadsMemOpts(reads, s.memOpts, opts)
+	run, err := runFarm(s.f, memWork{opts: s.memOpts, reconfigured: s.batches > 0}, reads, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -91,47 +91,73 @@ func TestMemSessionSingleReconfig(t *testing.T) {
 
 func TestMemSessionUnderFaults(t *testing.T) {
 	ix, reads := memBatch(t, 20000, 24)
-	plan, err := ParseFaultPlan("seed=17,query=0.15,kernel=0.1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	devices := make([]*Device, 3)
-	for i := range devices {
-		devices[i], _ = NewDevice(Config{})
-		devices[i].EnableFaults(plan, i)
-	}
-	// A generous breaker keeps cards available across the session's many
-	// batches — this test is about the schedule, not the breaker.
-	farm, err := NewFarmOpts(devices, ix, FarmOptions{VerifyStride: 4, BreakerThreshold: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
 	opts := core.MemOptions{Paired: true, MinInsert: 100, MaxInsert: 500}
-	session := farm.NewMemSession(opts, MapRunOptions{})
 	host, _, err := ix.MapReadsMem(reads, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Retries and shard redistribution must not disturb the schedule's
-	// correctness: every batch still checksums and matches the host bit for
-	// bit, and the session still charges a single reconfiguration.
-	off := 0
-	for _, batch := range batchesOf(reads, 16) {
-		run, err := session.Map(batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := run.VerifyChecksum(); err != nil {
-			t.Fatal(err)
-		}
-		for i := range run.Results {
-			if run.Results[i] != host[off+i] {
-				t.Fatalf("read %d diverges after faults", off+i)
+	for _, tc := range []struct {
+		name, plan string
+		stride     int
+		// corrupts: the plan flips result bits, which the batch checksum
+		// alone (no sampled cross-check) must catch.
+		corrupts bool
+	}{
+		{"transfer-and-kernel", "seed=17,query=0.15,kernel=0.1", 4, false},
+		{"corrupt", "seed=17,corrupt=0.3", 0, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plan, err := ParseFaultPlan(tc.plan)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		off += len(batch)
-	}
-	if session.Reconfigs() != 1 {
-		t.Errorf("session charged %d reconfigs, want 1", session.Reconfigs())
+			devices := make([]*Device, 3)
+			for i := range devices {
+				devices[i], _ = NewDevice(Config{})
+				devices[i].EnableFaults(plan, i)
+			}
+			// A generous breaker keeps cards available across the session's
+			// many batches — this test is about the schedule, not the breaker.
+			farm, err := NewFarmOpts(devices, ix, FarmOptions{VerifyStride: tc.stride, BreakerThreshold: 100})
+			if err != nil {
+				t.Fatal(err)
+			}
+			session := farm.NewMemSession(opts, MapRunOptions{})
+			// Retries and shard redistribution must not disturb the
+			// schedule's correctness: every batch still checksums and matches
+			// the host bit for bit, and the session still charges a single
+			// reconfiguration.
+			off := 0
+			for _, batch := range batchesOf(reads, 16) {
+				run, err := session.Map(batch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := run.VerifyChecksum(); err != nil {
+					t.Fatal(err)
+				}
+				for i := range run.Results {
+					if run.Results[i] != host[off+i] {
+						t.Fatalf("read %d diverges after faults", off+i)
+					}
+				}
+				off += len(batch)
+			}
+			if session.Reconfigs() != 1 {
+				t.Errorf("session charged %d reconfigs, want 1", session.Reconfigs())
+			}
+			if !tc.corrupts {
+				return
+			}
+			var injected uint64
+			for _, d := range devices {
+				injected += d.FaultCounts()["corrupt"]
+			}
+			stats := farm.Stats()
+			if injected == 0 || stats.ChecksumMismatches != injected || stats.Retries == 0 {
+				t.Errorf("%d corrupted mem batches injected; the host rejected %d and retried %d times",
+					injected, stats.ChecksumMismatches, stats.Retries)
+			}
+		})
 	}
 }

@@ -32,7 +32,7 @@ func TestFarmEventTaggingUnderFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := farm.MapReads(reads)
+	run, err := farm.MapReadsOpts(reads, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestKernelEventTagging(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := k.MapReads(reads)
+	run, err := k.MapReadsOpts(reads, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ func TestMapReadsOptsIndexResident(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := k.MapReads(reads)
+	first, err := k.MapReadsOpts(reads, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,11 @@
 package fpga
 
-import "bwaver/internal/dna"
+import (
+	"bwaver/internal/core"
+	"bwaver/internal/dna"
+)
 
-// Exact pipeline simulation. MapReads prices a batch with a closed form —
+// Exact pipeline simulation. A run prices a batch with a closed form —
 // fill + sum(steps + overhead)/PEs — which ignores how queries actually
 // distribute across processing elements. SimulateCycles steps the schedule
 // explicitly: queries are dealt round-robin to the PEs, each PE is an
@@ -15,58 +18,22 @@ import "bwaver/internal/dna"
 // SimulateCycles returns the exact kernel cycle count for reads under the
 // device's configuration, plus each PE's individual busy cycles.
 func (k *Kernel) SimulateCycles(reads []dna.Seq) (total uint64, perPE []uint64, err error) {
+	if err := validateReads(reads); err != nil {
+		return 0, nil, err
+	}
+	results := make([]core.MapResult, len(reads))
+	if _, err := k.ix.MapReadsIntoFtab(results, reads, core.MapOptions{}, k.useFtab); err != nil {
+		return 0, nil, err
+	}
 	cfg := k.dev.cfg
 	perPE = make([]uint64, cfg.PEs)
 	perStep := k.stepCycles()
-	for i, r := range reads {
-		if len(r) == 0 || len(r) > MaxQueryBases {
-			return 0, nil, errQuerySize(i, len(r))
-		}
-		res := k.ix.MapReadMode(r, k.useFtab)
+	for i, res := range results {
 		perPE[i%cfg.PEs] += uint64(res.Steps)*perStep + uint64(cfg.QueryOverheadCycles)
 	}
 	for _, c := range perPE {
-		if c > total {
-			total = c
-		}
+		total = max(total, c)
 	}
 	total += uint64(cfg.PipelineFillCycles)
 	return total, perPE, nil
-}
-
-func errQuerySize(i, n int) error {
-	return &querySizeError{index: i, bases: n}
-}
-
-type querySizeError struct {
-	index, bases int
-}
-
-func (e *querySizeError) Error() string {
-	if e.bases == 0 {
-		return "fpga: read " + itoa(e.index) + " is empty"
-	}
-	return "fpga: read " + itoa(e.index) + " has " + itoa(e.bases) + " bases; the record holds at most " + itoa(MaxQueryBases)
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }

@@ -99,7 +99,7 @@ func TestFarmRedistributesAroundDeadDevice(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	run, err := farm.MapReads(reads)
+	run, err := farm.MapReadsOpts(reads, MapRunOptions{})
 	if err != nil {
 		t.Fatalf("farm with one healthy device failed: %v", err)
 	}
@@ -127,7 +127,7 @@ func TestFarmRedistributesAroundDeadDevice(t *testing.T) {
 
 	// The next run skips the broken card entirely: no new kernel faults.
 	before := farm.Stats().Faults["kernel"]
-	if _, err := farm.MapReads(reads[:50]); err != nil {
+	if _, err := farm.MapReadsOpts(reads[:50], MapRunOptions{}); err != nil {
 		t.Fatalf("second run: %v", err)
 	}
 	if after := farm.Stats().Faults["kernel"]; after != before {
@@ -155,7 +155,7 @@ func TestFarmAllDevicesBroken(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = farm.MapReads(reads)
+	_, err = farm.MapReadsOpts(reads, MapRunOptions{})
 	if err == nil {
 		t.Fatal("farm with no working devices succeeded")
 	}
@@ -186,7 +186,7 @@ func TestFarmRecoversFromCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := farm.MapReads(reads)
+	run, err := farm.MapReadsOpts(reads, MapRunOptions{})
 	if err != nil {
 		t.Fatalf("farm failed to recover from corruption: %v", err)
 	}
@@ -227,7 +227,7 @@ func TestFarmTwoPassUnderFaults(t *testing.T) {
 	// Compare against a clean single card.
 	clean, _ := NewDevice(Config{})
 	k, _ := clean.Program(ix)
-	want, err := k.MapReadsTwoPass(reads, 1)
+	want, err := k.MapReadsTwoPassOpts(reads, 1, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,93 +38,102 @@ type TwoPassResult struct {
 
 // VerifyChecksum recomputes the pass-1 batch checksum over the received
 // exact results and returns ErrResultCorrupt on mismatch.
-func (t *TwoPassResult) VerifyChecksum() error {
-	if ChecksumResults(t.Exact) != t.Checksum {
-		return ErrResultCorrupt
+func (t *TwoPassResult) VerifyChecksum() error { return verifyChecksum(t) }
+
+func (t *TwoPassResult) head() (*Profile, *uint64) { return &t.Profile, &t.Checksum }
+func (t *TwoPassResult) sum() uint64               { return ChecksumResults(t.Exact) }
+func (t *TwoPassResult) corrupt(i int, bit uint64) { t.Exact[i].Forward.Start ^= 1 << bit }
+
+func (t *TwoPassResult) gather(lo int, shard *TwoPassResult) {
+	copy(t.Exact[lo:], shard.Exact)
+	for i, res := range shard.Approx {
+		t.Approx[lo+i] = res
 	}
-	return nil
+	t.Rescued += shard.Rescued
 }
 
-// MapReadsTwoPass runs the exact kernel, reconfigures, and retries the
-// unaligned reads with up to maxMismatches substitutions. maxMismatches
-// must be at least 1 (use MapReads for exact-only runs).
-func (k *Kernel) MapReadsTwoPass(reads []dna.Seq, maxMismatches int) (*TwoPassResult, error) {
-	return k.MapReadsTwoPassOpts(reads, maxMismatches, MapRunOptions{})
+// twoPassWork is the two-pass flow as a device workload: exact matching for
+// the run proper, then the mismatch kernel over what it left unaligned.
+type twoPassWork struct {
+	maxMismatches int
 }
 
-// MapReadsTwoPassOpts is MapReadsTwoPass with per-run cancellation, progress
-// reporting, and index-residency control. Progress counts pass-1 queries
-// toward (done, total); pass 2 re-processes the unaligned subset under the
+func (twoPassWork) pairAligned() bool { return false }
+
+func (w twoPassWork) admit(k *Kernel) (time.Duration, error) {
+	if w.maxMismatches < 1 {
+		return 0, fmt.Errorf("fpga: two-pass run needs a mismatch budget >= 1, got %d", w.maxMismatches)
+	}
+	return k.indexTransfer, nil
+}
+
+func (twoPassWork) newRun(n int) *TwoPassResult {
+	return &TwoPassResult{Exact: make([]core.MapResult, n), Approx: map[int]core.ApproxResult{}}
+}
+
+func (twoPassWork) execute(k *Kernel, t *TwoPassResult, reads []dna.Seq, opts MapRunOptions) (cost, error) {
+	return k.searchCost(t.Exact, reads, opts)
+}
+
+func (twoPassWork) verify(ix *core.Index, reads []dna.Seq, t *TwoPassResult, stride int) error {
+	return core.VerifySampled(ix, reads, t.Exact, stride)
+}
+
+// late is pass 2: the fabric is reconfigured, one fixed charge, and the reads
+// pass 1 failed to map on either orientation are re-streamed to the mismatch
+// kernel, so it rolls the same injectable stages as a fresh run. Same
+// pipeline model; the branching search simply executes more steps per query.
+// Progress counts pass-1 queries; pass 2 re-processes its subset under the
 // same total.
-func (k *Kernel) MapReadsTwoPassOpts(reads []dna.Seq, maxMismatches int, opts MapRunOptions) (*TwoPassResult, error) {
-	if maxMismatches < 1 {
-		return nil, fmt.Errorf("fpga: two-pass run needs a mismatch budget >= 1, got %d", maxMismatches)
-	}
-	pass1, err := k.MapReadsOpts(reads, opts)
-	if err != nil {
-		return nil, err
-	}
-	out := &TwoPassResult{
-		Exact:    pass1.Results,
-		Approx:   map[int]core.ApproxResult{},
-		Profile:  pass1.Profile,
-		Checksum: pass1.Checksum,
-	}
+func (w twoPassWork) late(k *Kernel, t *TwoPassResult, reads []dna.Seq, opts MapRunOptions) (cost, error) {
 	var unaligned []int
-	for i, res := range pass1.Results {
+	var subset []dna.Seq
+	for i, res := range t.Exact {
 		if !res.Mapped() {
 			unaligned = append(unaligned, i)
+			subset = append(subset, reads[i])
 		}
 	}
 	if len(unaligned) == 0 {
-		return out, nil
+		return cost{}, nil
 	}
-
-	cfg := k.dev.cfg
-	// Fabric reconfiguration: one fixed charge.
-	out.Profile.Reconfig = DefaultReconfigTime
-
-	// Pass 2 re-streams the unaligned subset and runs the mismatch kernel,
-	// so it rolls the same injectable stages as a fresh run.
-	if inj := k.dev.inj; inj != nil {
-		if err := inj.at(StageQueryTransfer); err != nil {
-			return nil, err
-		}
-		if err := inj.at(StageKernel); err != nil {
-			return nil, err
-		}
+	if err := k.rollPass(false); err != nil {
+		return cost{}, err
 	}
-
-	// Pass 2: the mismatch kernel. Same pipeline model; the branching
-	// search simply executes more steps per query.
-	var stepCycles uint64
-	perStep := k.stepCycles()
-	for n, i := range unaligned {
-		if opts.Context != nil && n%64 == 0 {
-			if err := opts.Context.Err(); err != nil {
-				return nil, err
-			}
-		}
-		res, err := k.ix.MapReadApprox(reads[i], maxMismatches)
-		if err != nil {
-			return nil, err
-		}
-		out.Approx[i] = res
+	results, err := k.ix.MapReadsApprox(subset, w.maxMismatches, core.MapOptions{Context: opts.Context})
+	if err != nil {
+		return cost{}, err
+	}
+	steps := 0
+	for n, res := range results {
+		t.Approx[unaligned[n]] = res
 		if res.Mapped() {
-			out.Rescued++
+			t.Rescued++
 		}
-		stepCycles += uint64(res.Steps)*perStep + uint64(cfg.QueryOverheadCycles)
+		steps += res.Steps
 	}
-	if inj := k.dev.inj; inj != nil {
-		if err := inj.at(StageResultTransfer); err != nil {
-			return nil, err
-		}
+	if err := k.dev.inj.at(StageResultTransfer); err != nil {
+		return cost{}, err
 	}
-	pass2Cycles := uint64(cfg.PipelineFillCycles) + stepCycles/uint64(cfg.PEs)
-	out.Profile.KernelCycles += pass2Cycles
-	out.Profile.KernelTime += k.dev.cyclesToTime(pass2Cycles)
-	out.Profile.QueryTransfer += k.dev.transfer(len(unaligned) * QueryRecordBytes)
-	out.Profile.ResultTransfer += k.dev.transfer(len(unaligned) * ResultRecordBytes)
-	out.Profile.Events = tagEvents(buildEvents(out.Profile), k.dev.id, 1, 0)
-	return out, nil
+	return cost{
+		cycles:        k.pipelineCycles(steps, len(unaligned)),
+		queryRecords:  len(unaligned),
+		resultRecords: len(unaligned),
+		reconfig:      DefaultReconfigTime,
+	}, nil
+}
+
+// MapReadsTwoPassOpts runs the exact kernel, reconfigures, and retries the
+// unaligned reads with up to maxMismatches substitutions. maxMismatches
+// must be at least 1 (use MapReadsOpts for exact-only runs).
+func (k *Kernel) MapReadsTwoPassOpts(reads []dna.Seq, maxMismatches int, opts MapRunOptions) (*TwoPassResult, error) {
+	return runKernel(k, twoPassWork{maxMismatches}, reads, opts)
+}
+
+// MapReadsTwoPassOpts is the farm's two-pass approximate flow: every card
+// runs its own exact + reconfigured mismatch pass over its shard.
+// Reconfiguration happens on every card in parallel, so the profile charges
+// the slowest.
+func (f *Farm) MapReadsTwoPassOpts(reads []dna.Seq, maxMismatches int, opts MapRunOptions) (*TwoPassResult, error) {
+	return runFarm(f, twoPassWork{maxMismatches}, reads, opts)
 }

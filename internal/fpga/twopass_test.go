@@ -43,7 +43,7 @@ func TestTwoPassRescuesMutatedReads(t *testing.T) {
 	// Reads with exactly one substitution: exact pass fails, 1-mismatch
 	// pass must rescue them (the planted origin must be reachable).
 	reads, origins := mutatedReads(t, 40000, 50, 50, 1)
-	res, err := k.MapReadsTwoPass(reads, 1)
+	res, err := k.MapReadsTwoPassOpts(reads, 1, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestTwoPassAllExactSkipsReconfig(t *testing.T) {
 	d, _ := NewDevice(Config{})
 	k, _ := d.Program(ix)
 	reads := simReads(t, ix, 100, 40, 1) // all map exactly
-	res, err := k.MapReadsTwoPass(reads, 2)
+	res, err := k.MapReadsTwoPassOpts(reads, 2, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestTwoPassRandomReadsStayUnmapped(t *testing.T) {
 	d, _ := NewDevice(Config{})
 	k, _ := d.Program(ix)
 	reads := simReads(t, ix, 50, 60, 0) // random 60-mers
-	res, err := k.MapReadsTwoPass(reads, 1)
+	res, err := k.MapReadsTwoPassOpts(reads, 1, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestTwoPassValidation(t *testing.T) {
 	ix := buildIndex(t, 5000)
 	d, _ := NewDevice(Config{})
 	k, _ := d.Program(ix)
-	if _, err := k.MapReadsTwoPass(simReads(t, ix, 5, 30, 1), 0); err == nil {
+	if _, err := k.MapReadsTwoPassOpts(simReads(t, ix, 5, 30, 1), 0, MapRunOptions{}); err == nil {
 		t.Error("accepted zero mismatch budget")
 	}
 }
@@ -134,11 +134,11 @@ func TestTwoPassCostsMoreThanExact(t *testing.T) {
 	d, _ := NewDevice(Config{})
 	k, _ := d.Program(ix)
 	reads, _ := mutatedReads(t, 30000, 100, 50, 1)
-	exact, err := k.MapReads(reads)
+	exact, err := k.MapReadsOpts(reads, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	two, err := k.MapReadsTwoPass(reads, 1)
+	two, err := k.MapReadsTwoPassOpts(reads, 1, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

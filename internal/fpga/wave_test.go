@@ -26,7 +26,7 @@ func TestWaveCyclesAccounting(t *testing.T) {
 	// that empties the suffix-array range after a few steps — the maximal
 	// lane-divergence mix. Interleave them so every wave holds both kinds.
 	mixed := simReads(t, ix, 512, 40, 0.5)
-	run, err := k.MapReads(mixed)
+	run, err := k.MapReadsOpts(mixed, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestWaveCyclesAccounting(t *testing.T) {
 	for i, idx := range order {
 		sorted[i] = mixed[idx]
 	}
-	runSorted, err := k.MapReads(sorted)
+	runSorted, err := k.MapReadsOpts(sorted, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

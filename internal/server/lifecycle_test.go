@@ -218,6 +218,54 @@ func TestCancelRunningJob(t *testing.T) {
 	}
 }
 
+// A DELETE that lands while the batch engine is mapping must still end the
+// job: the engine returns the context's error at every worker count (the
+// channel-fed pool k-mismatch mapping once had did not, with more than one
+// worker), so the job reaches canceled and gives its admission slot to the
+// next one.
+func TestCancelMidMappingReleasesSlot(t *testing.T) {
+	refFasta, readsFastq := testDataSmall(t)
+	// Enough two-mismatch work that the job is still mapping when the DELETE
+	// arrives; small batches so its progress shows that mapping has begun.
+	s := NewWithConfig(Config{MaxConcurrentJobs: 1, StreamBatch: 64})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	waitFor := func(id int, what string, ok func(jobJSON) bool) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for !ok(getJobJSON(t, ts, id)) {
+			if time.Now().After(deadline) {
+				t.Fatalf("job %d not %s after 10s: %+v", id, what, getJobJSON(t, ts, id))
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	submitJob(t, s, ts, map[string]string{"backend": "cpu", "mismatches": "2"},
+		map[string][]byte{"reference": refFasta, "reads": bytes.Repeat(readsFastq, 2000)})
+	waitFor(1, "mapping", func(j jobJSON) bool { return j.Done > 0 })
+	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/api/jobs/1", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("cancel returned %d, want 202", resp.StatusCode)
+	}
+	waitFor(1, "canceled", func(j jobJSON) bool { return j.State == string(StateCanceled) })
+
+	// The only slot is free again: a second job runs to completion.
+	submitJob(t, s, ts, map[string]string{"backend": "cpu"},
+		map[string][]byte{"reference": refFasta, "reads": readsFastq})
+	waitFor(2, "done", func(j jobJSON) bool { return j.State == string(StateDone) })
+	s.Wait()
+}
+
 // A job still waiting for a pipeline slot cancels without ever running.
 func TestCancelQueuedJob(t *testing.T) {
 	refFasta, readsFastq := testDataSmall(t)
@@ -430,7 +478,7 @@ func TestTSVEscapesReadIDs(t *testing.T) {
 	if em, err = s.newEmitter(job); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.runApprox(context.Background(), job, entry, reads, ids, em); err != nil {
+	if _, err := runBatches(context.Background(), s, job, entry, reads, approxWork(ix, 1, ids, em)); err != nil {
 		t.Fatal(err)
 	}
 	if err := em.finish(); err != nil {

@@ -1623,15 +1623,17 @@ func (s *Server) runJob(ctx context.Context, job *Job, in jobInput) error {
 			return err
 		}
 	}
-	var mapped int
 	var mapTime time.Duration
 	switch {
 	case job.memMode():
-		mapped, mapTime, err = s.runMem(mapCtx, job, entry, reads, ids, em)
+		var work servedWork[core.MemResult]
+		if work, err = s.memWork(entry.ix, job.Mode == ModeMemPE, reads, ids, em); err == nil {
+			mapTime, err = runBatches(mapCtx, s, job, entry, reads, work)
+		}
 	case job.Mismatches > 0:
-		mapped, mapTime, err = s.runApprox(mapCtx, job, entry, reads, ids, em)
+		mapTime, err = runBatches(mapCtx, s, job, entry, reads, approxWork(entry.ix, job.Mismatches, ids, em))
 	default:
-		mapped, mapTime, err = s.runExact(mapCtx, job, entry, reads, ids, em)
+		mapTime, err = runBatches(mapCtx, s, job, entry, reads, exactWork(entry.ix, reads, ids, em))
 	}
 	mapSpan.SetAttr("reads", len(reads))
 	mapSpan.End()
@@ -1647,7 +1649,7 @@ func (s *Server) runJob(ctx context.Context, job *Job, in jobInput) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	job.MapTime = mapTime
-	job.Mapped = mapped
+	job.Mapped = em.mapped
 	return nil
 }
 
@@ -1733,301 +1735,217 @@ func (s *Server) noteFallback(job *Job, cause error) {
 	s.mu.Unlock()
 }
 
-// runExact is pipeline step 3 for exact matching on either backend, run in
-// StreamBatch-sized slices so results are emitted (TSV + NDJSON stream) as
-// each batch completes instead of accumulating for the whole job. When the
-// FPGA farm fails with a device error and the fallback policy is "cpu", the
-// remaining reads rerun on the CPU baseline — same results (the backends are
-// bit-identical by construction), honest CPU timing; batches already emitted
-// by the FPGA stand.
-func (s *Server) runExact(ctx context.Context, job *Job, entry *cacheEntry, reads []dna.Seq, ids []string, em *jobEmitter) (int, time.Duration, error) {
-	ix := entry.ix
-	contigs := ix.Contigs()
-	batch := s.cfg.StreamBatch
-	if batch <= 0 {
-		batch = DefaultStreamBatch
-	}
-	cpuFrom := func(off int, elapsed time.Duration) (int, time.Duration, error) {
-		stats, err := ix.MapBatches(reads[off:], batch, core.MapOptions{
-			Context: ctx, Locate: true, Workers: -1,
-			Progress: func(done, total int) { s.setJobProgress(job, off+done) },
-		}, func(start int, results []core.MapResult) error {
-			return em.exactBatch(off+start, ids, reads, results, contigs)
-		})
-		if err != nil {
-			return 0, 0, err
-		}
-		return em.mapped, elapsed + stats.Elapsed, nil
-	}
-	if job.Backend != "fpga" {
-		return cpuFrom(0, 0)
-	}
-	var mapTime time.Duration
-	for off := 0; off < len(reads); off += batch {
-		end := min(off+batch, len(reads))
-		chunk := reads[off:end]
-		progress := func(done, total int) { s.setJobProgress(job, off+done) }
-		run, ferr := func() (*fpga.RunResult, error) {
-			// farmFor is cheap after the first batch: the cached farm reports
-			// the index already resident on the devices.
-			farm, resident, err := entry.farmFor(s.devices, s.farmOptions())
-			if err != nil {
-				return nil, err
-			}
-			run, err := farm.MapReadsOpts(chunk, fpga.MapRunOptions{
-				Context: ctx, Progress: progress, IndexResident: resident,
-			})
-			if err != nil {
-				return nil, err
-			}
-			if _, err := farm.LocateResults(run.Results); err != nil {
-				return nil, err
-			}
-			return run, nil
-		}()
-		switch {
-		case ferr == nil:
-			mapTime += run.Profile.Total()
-			addModeledEvents(obs.SpanFrom(ctx), run.Profile.Events)
-			if err := em.exactBatch(off, ids, reads, run.Results, contigs); err != nil {
-				return 0, 0, err
-			}
-		case s.shouldFallback(ctx, ferr):
-			s.noteFallback(job, ferr)
-			obs.SpanFrom(ctx).SetAttr("fallback", ferr.Error())
-			return cpuFrom(off, mapTime)
-		default:
-			return 0, 0, ferr
-		}
-	}
-	return em.mapped, mapTime, nil
+// servedWork is one kind of job as the runner sees it: how one batch maps on
+// the CPU and on the farm to per-read results R, and how those are encoded.
+type servedWork[R any] struct {
+	// paired batches hold whole mate pairs.
+	paired bool
+	// onCPU maps batch into dst, the job's one result buffer; onFarm returns
+	// the device run's own results.
+	onCPU  func(dst []R, batch []dna.Seq, run core.MapOptions) error
+	onFarm func(farm *fpga.Farm, batch []dna.Seq, run fpga.MapRunOptions) ([]R, fpga.Profile, error)
+	// emit encodes the results of the batch that starts at read off.
+	emit func(off int, results []R) error
 }
 
-// runApprox is step 3 with a mismatch budget, batched like runExact: the
-// two-pass reconfigurable flow on the FPGA model, the branching search on the
-// CPU.
-func (s *Server) runApprox(ctx context.Context, job *Job, entry *cacheEntry, reads []dna.Seq, ids []string, em *jobEmitter) (int, time.Duration, error) {
-	ix := entry.ix
+// runBatches is pipeline step 3 for every workload on either backend, run in
+// StreamBatch-sized slices so results are emitted (TSV or SAM, plus the
+// NDJSON stream) as each batch completes instead of accumulating for the
+// whole job. When the FPGA farm fails with a device error and the fallback
+// policy is "cpu", that batch and the remaining reads map on the CPU — same
+// results (the backends are bit-identical by construction), honest CPU
+// timing; batches already emitted by the FPGA stand. It returns the job's
+// mapping time: modeled device time plus wall-clock CPU time.
+func runBatches[R any](ctx context.Context, s *Server, job *Job, entry *cacheEntry, reads []dna.Seq, w servedWork[R]) (time.Duration, error) {
 	batch := s.cfg.StreamBatch
-	if batch <= 0 {
-		batch = DefaultStreamBatch
-	}
-	cpuFrom := func(off int, elapsed time.Duration) (int, time.Duration, error) {
-		start := time.Now()
-		for o := off; o < len(reads); o += batch {
-			end := min(o+batch, len(reads))
-			chunk := reads[o:end]
-			results, err := ix.MapReadsApprox(chunk, job.Mismatches, core.MapOptions{
-				Context: ctx, Workers: -1,
-				Progress: func(done, total int) { s.setJobProgress(job, o+done) },
-			})
-			if err != nil {
-				return 0, 0, err
-			}
-			rows := make([]approxRow, len(results))
-			for i, res := range results {
-				rows[i] = approxRow{
-					Read: sanitizeID(ids[o+i]), Mapped: res.Mapped(),
-					BestMismatches: res.BestMismatches(), Occurrences: res.Occurrences(),
-				}
-			}
-			if err := em.approxBatch(o, ids, rows); err != nil {
-				return 0, 0, err
-			}
-		}
-		return em.mapped, elapsed + time.Since(start), nil
-	}
-	if job.Backend != "fpga" {
-		return cpuFrom(0, 0)
-	}
-	var mapTime time.Duration
-	for off := 0; off < len(reads); off += batch {
-		end := min(off+batch, len(reads))
-		chunk := reads[off:end]
-		progress := func(done, total int) { s.setJobProgress(job, off+done) }
-		run, ferr := func() (*fpga.TwoPassResult, error) {
-			farm, resident, err := entry.farmFor(s.devices, s.farmOptions())
-			if err != nil {
-				return nil, err
-			}
-			return farm.MapReadsTwoPassOpts(chunk, job.Mismatches, fpga.MapRunOptions{
-				Context: ctx, Progress: progress, IndexResident: resident,
-			})
-		}()
-		switch {
-		case ferr == nil:
-			mapTime += run.Profile.Total()
-			addModeledEvents(obs.SpanFrom(ctx), run.Profile.Events)
-			rows := make([]approxRow, len(chunk))
-			for i := range chunk {
-				if exact := run.Exact[i]; exact.Mapped() {
-					rows[i] = approxRow{Read: sanitizeID(ids[off+i]), Mapped: true, Occurrences: exact.Occurrences()}
-					continue
-				}
-				res := run.Approx[i]
-				rows[i] = approxRow{
-					Read: sanitizeID(ids[off+i]), Mapped: res.Mapped(),
-					BestMismatches: res.BestMismatches(), Occurrences: res.Occurrences(),
-				}
-			}
-			if err := em.approxBatch(off, ids, rows); err != nil {
-				return 0, 0, err
-			}
-		case s.shouldFallback(ctx, ferr):
-			s.noteFallback(job, ferr)
-			obs.SpanFrom(ctx).SetAttr("fallback", ferr.Error())
-			return cpuFrom(off, mapTime)
-		default:
-			return 0, 0, ferr
-		}
-	}
-	return em.mapped, mapTime, nil
-}
-
-// runMem is step 3 for mode=mem jobs: the seed-and-extend pipeline (SMEM
-// seeding, collinear chaining, banded extension, MAPQ) on either backend,
-// streamed as SAM text — the job's results file is a valid SAM file — plus
-// one NDJSON row per read. On the FPGA the farm runs the two-pass
-// reconfigurable flow (seeding pass on the FM pipelines, reconfiguration,
-// extension pass on the systolic array) with pair-aligned shard boundaries;
-// the CPU fallback reruns the identical pipeline, so batches already emitted
-// by the FPGA stand — the backends are bit-identical by construction.
-func (s *Server) runMem(ctx context.Context, job *Job, entry *cacheEntry, reads []dna.Seq, ids []string, em *jobEmitter) (int, time.Duration, error) {
-	ix := entry.ix
-	memOpts := core.MemOptions{Paired: job.Mode == ModeMemPE}
-	batch := s.cfg.StreamBatch
-	if batch <= 0 {
-		batch = DefaultStreamBatch
-	}
-	if memOpts.Paired && batch%2 == 1 {
+	if w.paired && batch%2 == 1 {
 		// Pair-aligned batches: a mate pair split across batches would lose
 		// its rescue and proper-pair context.
 		batch++
 	}
+	onDevice := job.Backend == "fpga"
+	var mapTime time.Duration
+	cpuStart := time.Now()
+	var buf []R
+	// One progress callback serves the whole job — a mem session keeps the
+	// first batch's — so it reads the offset of the batch in hand.
+	off := 0
+	progress := func(done, _ int) { s.setJobProgress(job, off+done) }
+	for ; off < len(reads); off += batch {
+		chunk := reads[off:min(off+batch, len(reads))]
+		var results []R
+		if onDevice {
+			// farmFor is cheap after the first batch: the cached farm reports the
+			// index already resident on the devices.
+			farm, resident, err := entry.farmFor(s.devices, s.farmOptions())
+			var profile fpga.Profile
+			if err == nil {
+				results, profile, err = w.onFarm(farm, chunk, fpga.MapRunOptions{Context: ctx, Progress: progress, IndexResident: resident})
+			}
+			switch {
+			case err == nil:
+				mapTime += profile.Total()
+				addModeledEvents(obs.SpanFrom(ctx), profile.Events)
+			case s.shouldFallback(ctx, err):
+				s.noteFallback(job, err)
+				obs.SpanFrom(ctx).SetAttr("fallback", err.Error())
+				onDevice, cpuStart = false, time.Now()
+			default:
+				return 0, err
+			}
+		}
+		if !onDevice {
+			if buf == nil {
+				buf = make([]R, len(chunk)) // the first CPU batch is the longest
+			}
+			results = buf[:len(chunk)]
+			if err := w.onCPU(results, chunk, core.MapOptions{Context: ctx, Workers: -1, Progress: progress}); err != nil {
+				return 0, err
+			}
+		}
+		if err := w.emit(off, results); err != nil {
+			return 0, err
+		}
+	}
+	if !onDevice {
+		mapTime += time.Since(cpuStart)
+	}
+	return mapTime, nil
+}
+
+// exactWork serves exact matching: located positions on both strands.
+func exactWork(ix *core.Index, reads []dna.Seq, ids []string, em *jobEmitter) servedWork[core.MapResult] {
+	contigs := ix.Contigs()
+	return servedWork[core.MapResult]{
+		onCPU: func(dst []core.MapResult, batch []dna.Seq, run core.MapOptions) error {
+			run.Locate = true
+			_, err := ix.MapReadsInto(dst, batch, run)
+			return err
+		},
+		onFarm: func(farm *fpga.Farm, batch []dna.Seq, run fpga.MapRunOptions) ([]core.MapResult, fpga.Profile, error) {
+			r, err := farm.MapReadsOpts(batch, run)
+			if err != nil {
+				return nil, fpga.Profile{}, err
+			}
+			return r.Results, r.Profile, ix.LocateResults(r.Results)
+		},
+		emit: func(off int, results []core.MapResult) error {
+			return em.exactBatch(off, ids, reads, results, contigs)
+		},
+	}
+}
+
+// approxWork serves a mismatch budget: the two-pass reconfigurable flow on the
+// FPGA model, which only rescues reads its exact pass left unmapped, and the
+// branching search on the CPU, which reports every in-budget occurrence.
+func approxWork(ix *core.Index, mismatches int, ids []string, em *jobEmitter) servedWork[approxRow] {
+	approxRowOf := func(res core.ApproxResult) approxRow {
+		return approxRow{Mapped: res.Mapped(), BestMismatches: res.BestMismatches(), Occurrences: res.Occurrences()}
+	}
+	return servedWork[approxRow]{
+		onCPU: func(dst []approxRow, batch []dna.Seq, run core.MapOptions) error {
+			results, err := ix.MapReadsApprox(batch, mismatches, run)
+			for i, res := range results {
+				dst[i] = approxRowOf(res)
+			}
+			return err
+		},
+		onFarm: func(farm *fpga.Farm, batch []dna.Seq, run fpga.MapRunOptions) ([]approxRow, fpga.Profile, error) {
+			r, err := farm.MapReadsTwoPassOpts(batch, mismatches, run)
+			if err != nil {
+				return nil, fpga.Profile{}, err
+			}
+			rows := make([]approxRow, len(batch))
+			for i, exact := range r.Exact {
+				if exact.Mapped() {
+					rows[i] = approxRow{Mapped: true, Occurrences: exact.Occurrences()}
+				} else {
+					rows[i] = approxRowOf(r.Approx[i])
+				}
+			}
+			return rows, r.Profile, nil
+		},
+		emit: func(off int, rows []approxRow) error { return em.approxBatch(off, ids, rows) },
+	}
+}
+
+// memWork serves mode=mem jobs: the seed-and-extend pipeline (SMEM seeding,
+// collinear chaining, banded extension, MAPQ), streamed as SAM text — the
+// job's results file is a valid SAM file — plus one NDJSON row per read. On
+// the FPGA the whole job runs as one two-pass session: the first batch pays
+// the single fabric reconfiguration, later batches keep the alignment array
+// programmed and overlap host seeding with modeled device extension.
+func (s *Server) memWork(ix *core.Index, paired bool, reads []dna.Seq, ids []string, em *jobEmitter) (servedWork[core.MemResult], error) {
+	memOpts := core.MemOptions{Paired: paired}
 	// One SAM writer spans the whole job, so the header lands in the first
 	// batch and every later batch drains as bare records.
 	var samBuf bytes.Buffer
 	sw, err := sam.NewWriter(&samBuf, ix.SAMRefSeqs())
 	if err != nil {
-		return 0, 0, err
+		return servedWork[core.MemResult]{}, err
 	}
-	var total core.MemStats
-	var reconfigs uint64
-	defer func() {
+	count := func(stats core.MemStats, reconfigured bool) {
 		s.mu.Lock()
-		s.memStats.Merge(total)
-		s.memReconfigs += reconfigs
+		s.memStats.Merge(stats)
+		if reconfigured {
+			s.memReconfigs++
+		}
 		s.mu.Unlock()
-	}()
-	emit := func(off int, results []core.MemResult) error {
-		rows := make([]memRow, 0, len(results))
-		write := func(rec sam.Record, res core.MemResult) error {
-			if err := sw.Write(rec); err != nil {
-				return err
-			}
-			rows = append(rows, memRowFrom(rec, res))
-			return nil
-		}
-		for i := 0; i < len(results); {
-			g := off + i
-			if memOpts.Paired && i+1 < len(results) {
-				pr := core.MemPairFromResults(results[i], results[i+1], memOpts)
-				rec1, rec2 := ix.MemPairRecords(samQName(ids[g], g), samQName(ids[g+1], g+1),
-					reads[g], reads[g+1], pr)
-				if err := write(rec1, results[i]); err != nil {
-					return err
-				}
-				if err := write(rec2, results[i+1]); err != nil {
-					return err
-				}
-				i += 2
-				continue
-			}
-			if err := write(ix.MemRecord(samQName(ids[g], g), reads[g], results[i]), results[i]); err != nil {
-				return err
-			}
-			i++
-		}
-		if err := sw.Flush(); err != nil {
-			return err
-		}
-		if err := em.memBatch(samBuf.Bytes(), rows); err != nil {
-			return err
-		}
-		samBuf.Reset()
-		return nil
 	}
-	cpuFrom := func(off int, elapsed time.Duration) (int, time.Duration, error) {
-		start := time.Now()
-		// One result buffer serves every batch: with the zero-allocation
-		// batch engine writing into it, the steady-state loop allocates only
-		// what SAM rendering needs.
-		results := make([]core.MemResult, 0, batch)
-		for o := off; o < len(reads); o += batch {
-			end := min(o+batch, len(reads))
-			results = results[:end-o]
-			stats, err := ix.MapReadsMemInto(results, reads[o:end], memOpts, core.MapOptions{Context: ctx})
-			if err != nil {
-				return 0, 0, err
-			}
-			total.Merge(stats)
-			if err := emit(o, results); err != nil {
-				return 0, 0, err
-			}
-			s.setJobProgress(job, end)
-			if err := ctx.Err(); err != nil {
-				return 0, 0, err
-			}
-		}
-		return em.mapped, elapsed + time.Since(start), nil
-	}
-	if job.Backend != "fpga" {
-		return cpuFrom(0, 0)
-	}
-	// The whole job runs as one two-pass session: the first batch pays the
-	// single fabric reconfiguration, later batches keep the alignment array
-	// programmed and overlap host seeding with modeled device extension.
 	var session *fpga.MemSession
-	var mapTime time.Duration
-	progressBase := 0 // start of the batch the session is currently mapping
-	for off := 0; off < len(reads); off += batch {
-		end := min(off+batch, len(reads))
-		chunk := reads[off:end]
-		progressBase = off
-		run, ferr := func() (*fpga.MemRunResult, error) {
-			farm, resident, err := entry.farmFor(s.devices, s.farmOptions())
-			if err != nil {
-				return nil, err
-			}
-			if session == nil {
-				session = farm.NewMemSession(memOpts, fpga.MapRunOptions{
-					Context:       ctx,
-					Progress:      func(done, total int) { s.setJobProgress(job, progressBase+done) },
-					IndexResident: resident,
-				})
-			}
-			return session.Map(chunk)
-		}()
-		switch {
-		case ferr == nil:
-			mapTime += run.Profile.Total()
-			if run.Profile.Reconfig > 0 {
-				reconfigs++
-			}
-			addModeledEvents(obs.SpanFrom(ctx), run.Profile.Events)
-			total.Merge(run.Stats)
-			if err := emit(off, run.Results); err != nil {
-				return 0, 0, err
-			}
-		case s.shouldFallback(ctx, ferr):
-			s.noteFallback(job, ferr)
-			obs.SpanFrom(ctx).SetAttr("fallback", ferr.Error())
-			return cpuFrom(off, mapTime)
-		default:
-			return 0, 0, ferr
-		}
+	var rows []memRow
+	write := func(rec sam.Record, res core.MemResult) error {
+		rows = append(rows, memRowFrom(rec, res))
+		return sw.Write(rec)
 	}
-	return em.mapped, mapTime, nil
+	return servedWork[core.MemResult]{
+		paired: paired,
+		onCPU: func(dst []core.MemResult, batch []dna.Seq, run core.MapOptions) error {
+			stats, err := ix.MapReadsMemInto(dst, batch, memOpts, run)
+			count(stats, false)
+			return err
+		},
+		onFarm: func(farm *fpga.Farm, batch []dna.Seq, run fpga.MapRunOptions) ([]core.MemResult, fpga.Profile, error) {
+			if session == nil {
+				session = farm.NewMemSession(memOpts, run)
+			}
+			r, err := session.Map(batch)
+			if err != nil {
+				return nil, fpga.Profile{}, err
+			}
+			count(r.Stats, r.Profile.Reconfig > 0)
+			return r.Results, r.Profile, nil
+		},
+		emit: func(off int, results []core.MemResult) error {
+			rows = rows[:0]
+			for i := 0; i < len(results); {
+				g := off + i
+				if paired && i+1 < len(results) {
+					pr := core.MemPairFromResults(results[i], results[i+1], memOpts)
+					rec1, rec2 := ix.MemPairRecords(samQName(ids[g], g), samQName(ids[g+1], g+1),
+						reads[g], reads[g+1], pr)
+					if err := write(rec1, results[i]); err != nil {
+						return err
+					}
+					if err := write(rec2, results[i+1]); err != nil {
+						return err
+					}
+					i += 2
+					continue
+				}
+				if err := write(ix.MemRecord(samQName(ids[g], g), reads[g], results[i]), results[i]); err != nil {
+					return err
+				}
+				i++
+			}
+			if err := sw.Flush(); err != nil {
+				return err
+			}
+			err := em.memBatch(samBuf.Bytes(), rows)
+			samBuf.Reset()
+			return err
+		},
+	}, nil
 }
 
 // samQName makes a read ID usable as a SAM QNAME: the writer rejects

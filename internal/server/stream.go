@@ -516,16 +516,18 @@ func (em *jobEmitter) exactBatch(start int, ids []string, reads []dna.Seq, resul
 	return em.flushBatch(len(results))
 }
 
-// approxBatch emits one mismatch-budget batch.
+// approxBatch emits one mismatch-budget batch: ids is the full job slice, rows
+// covers [start, start+len(rows)) and takes its read names from ids.
 func (em *jobEmitter) approxBatch(start int, ids []string, rows []approxRow) error {
 	tsv, nd := em.scratchTSV.AvailableBuffer(), em.scratchND.AvailableBuffer()
 	if start == 0 {
 		tsv = append(tsv, "read\tmapped\tbest_mismatches\toccurrences\n"...)
 	}
-	for _, row := range rows {
+	for i, row := range rows {
 		if row.Mapped {
 			em.mapped++
 		}
+		row.Read = sanitizeID(ids[start+i])
 		tsv = append(append(tsv, row.Read...), '\t')
 		tsv = append(strconv.AppendBool(tsv, row.Mapped), '\t')
 		tsv = append(strconv.AppendInt(tsv, int64(row.BestMismatches), 10), '\t')
