@@ -41,12 +41,14 @@ bench-gate:
 # bench-smoke runs the benchmarks whose bytes and allocations per operation
 # are worth a glance in CI output: the three suffix-array constructions, the
 # exact batch engine, the mem batch engine and the extension kernels it rests
-# on (50 iterations, so warm-up allocations do not show), and one warm job
-# through the served path (submit, journal, map, emit, stream).
+# on (50 iterations, so warm-up allocations do not show), the read source
+# beside the bare decode loop it must stay close to, and one warm job through
+# the served path (submit, journal, map, emit, stream).
 bench-smoke:
 	$(GO) test -run='^$$' -bench='BenchmarkSuffixArrayAlgos$$' -benchtime=1x ./internal/suffixarray
 	$(GO) test -run='^$$' -bench='BenchmarkMapReads$$' -benchtime=1x ./internal/core
 	$(GO) test -run='^$$' -bench='MapReadsMemInto|Extender' -benchtime=50x ./internal/core ./internal/align
+	$(GO) test -run='^$$' -bench='BenchmarkSource$$' -benchtime=10x ./internal/qc
 	$(GO) test -run='^$$' -bench='BenchmarkServedWarmExactJob$$' -benchtime=1x ./internal/server
 
 # bench-baseline records the PR's performance numbers: the reduced-scale
@@ -69,6 +71,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzTolerantFastq$$' -fuzztime=$(FUZZTIME) ./internal/fastx
 	$(GO) test -run='^$$' -fuzz='^FuzzReader$$' -fuzztime=$(FUZZTIME) ./internal/fastx
 	$(GO) test -run='^$$' -fuzz='^FuzzReaderGzip$$' -fuzztime=$(FUZZTIME) ./internal/fastx
+	$(GO) test -run='^$$' -fuzz='^FuzzSourceBatches$$' -fuzztime=$(FUZZTIME) ./internal/qc
 	$(GO) test -run='^$$' -fuzz='^FuzzRank$$' -fuzztime=$(FUZZTIME) ./internal/rrr
 	$(GO) test -run='^$$' -fuzz='^FuzzRankPair$$' -fuzztime=$(FUZZTIME) ./internal/rrr
 	$(GO) test -run='^$$' -fuzz='^FuzzSerialization$$' -fuzztime=$(FUZZTIME) ./internal/rrr

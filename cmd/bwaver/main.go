@@ -202,28 +202,12 @@ func loadReference(path string) (dna.Seq, *core.ContigSet, error) {
 		return nil, nil, err
 	}
 	defer f.Close()
-	recs, err := fastx.ReadAll(f)
+	seq, contigs, replaced, err := core.ReadReference(f)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if len(recs) == 0 {
-		return nil, nil, fmt.Errorf("%s: no FASTA records", path)
-	}
-	var raw []byte
-	names := make([]string, len(recs))
-	lengths := make([]int, len(recs))
-	for i, rec := range recs {
-		raw = append(raw, rec.Seq...)
-		names[i] = rec.ID
-		lengths[i] = len(rec.Seq)
-	}
-	seq, replaced := dna.Sanitize(raw, dna.A)
 	if replaced > 0 {
 		fmt.Fprintf(os.Stderr, "bwaver: replaced %d ambiguous bases with A\n", replaced)
-	}
-	contigs, err := core.NewContigSet(names, lengths)
-	if err != nil {
-		return nil, nil, err
 	}
 	return seq, contigs, nil
 }
@@ -266,30 +250,19 @@ func loadReads(path string, pol qc.Policy) ([]dna.Seq, []string, error) {
 		return nil, nil, err
 	}
 	defer f.Close()
+	res, err := qc.Ingest(f, pol)
+	if err != nil {
+		return nil, nil, err
+	}
 	if pol.Active() {
-		res, err := qc.Ingest(f, pol)
-		if err != nil {
-			return nil, nil, err
-		}
 		rep := res.Report
 		fmt.Fprintf(os.Stderr, "bwaver: qc: %d/%d reads passed (%d malformed, %d rejected, %d bases trimmed, phred+%d)\n",
 			rep.Passed, rep.Attempted, rep.Malformed, rep.RejectedTotal(), rep.TrimmedBases, rep.PhredOffset)
 		if len(res.Seqs) == 0 {
 			return nil, nil, fmt.Errorf("no reads survived QC in %s", path)
 		}
-		return res.Seqs, res.IDs, nil
 	}
-	recs, err := fastx.ReadAll(f)
-	if err != nil {
-		return nil, nil, err
-	}
-	seqs := make([]dna.Seq, len(recs))
-	ids := make([]string, len(recs))
-	for i, rec := range recs {
-		seqs[i], _ = dna.Sanitize(rec.Seq, dna.A)
-		ids[i] = rec.ID
-	}
-	return seqs, ids, nil
+	return res.Seqs, res.IDs, nil
 }
 
 func cmdIndex(args []string, out io.Writer) error {
@@ -401,7 +374,7 @@ func writeTraceJSON(path string, tr *obs.Trace, out io.Writer) error {
 func cmdMap(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("map", flag.ContinueOnError)
 	indexPath := fs.String("index", "", "index file from `bwaver index`")
-	readsPath := fs.String("reads", "", "reads FASTQ/FASTA file (.gz ok)")
+	readsFile := fs.String("reads", "", "reads FASTQ/FASTA file (.gz ok)")
 	backend := fs.String("backend", "cpu", "mapping backend: cpu or fpga")
 	workers := fs.Int("workers", 1, "CPU worker goroutines (-1 = all cores)")
 	doLocate := fs.Bool("locate", true, "resolve occurrence positions")
@@ -436,7 +409,7 @@ func cmdMap(args []string, out io.Writer) error {
 	if *mismatches > 0 && *format == "sam" {
 		return fmt.Errorf("map: -mismatches currently supports only -format tsv")
 	}
-	if *indexPath == "" || *readsPath == "" {
+	if *indexPath == "" || *readsFile == "" {
 		return fmt.Errorf("map: -index and -reads are required")
 	}
 	ix, err := core.LoadFile(*indexPath)
@@ -447,9 +420,9 @@ func cmdMap(args []string, out io.Writer) error {
 		if *backend != "cpu" || *format != "tsv" || *reads2Path != "" || *mismatches > 0 {
 			return fmt.Errorf("map: -stream supports the cpu backend with tsv output, unpaired, exact")
 		}
-		return mapStreaming(out, ix, *readsPath, qcPol, *doLocate, *workers, *outPath)
+		return mapStreaming(out, ix, *readsFile, qcPol, *doLocate, *workers, *outPath)
 	}
-	reads, ids, err := loadReads(*readsPath, qcPol)
+	reads, ids, err := loadReads(*readsFile, qcPol)
 	if err != nil {
 		return err
 	}
@@ -530,7 +503,7 @@ func cmdMap(args []string, out io.Writer) error {
 func cmdMem(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("mem", flag.ContinueOnError)
 	indexPath := fs.String("index", "", "index file from `bwaver index`")
-	readsPath := fs.String("reads", "", "reads FASTQ/FASTA file (.gz ok)")
+	readsFile := fs.String("reads", "", "reads FASTQ/FASTA file (.gz ok)")
 	backend := fs.String("backend", "cpu", "mapping backend: cpu or fpga")
 	paired := fs.Bool("paired", false, "treat the reads file as interleaved mate pairs")
 	minSeed := fs.Int("min-seed", 0, "minimum SMEM seed length (0 = default 19)")
@@ -543,7 +516,7 @@ func cmdMem(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *indexPath == "" || *readsPath == "" {
+	if *indexPath == "" || *readsFile == "" {
 		return fmt.Errorf("mem: -index and -reads are required")
 	}
 	qcPol, err := qcf.policy(*paired)
@@ -554,7 +527,7 @@ func cmdMem(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	reads, ids, err := loadReads(*readsPath, qcPol)
+	reads, ids, err := loadReads(*readsFile, qcPol)
 	if err != nil {
 		return err
 	}
@@ -693,8 +666,8 @@ func writeProfileJSON(path string, p fpga.Profile, powerWatts float64) error {
 
 // mapStreaming maps an arbitrarily large FASTQ in bounded memory, writing
 // TSV rows as batches complete.
-func mapStreaming(out io.Writer, ix *core.Index, readsPath string, qcPol qc.Policy, doLocate bool, workers int, outPath string) error {
-	f, err := os.Open(readsPath)
+func mapStreaming(out io.Writer, ix *core.Index, readsFile string, qcPol qc.Policy, doLocate bool, workers int, outPath string) error {
+	f, err := os.Open(readsFile)
 	if err != nil {
 		return err
 	}

@@ -24,6 +24,7 @@ import (
 	"io"
 	"os"
 
+	"bwaver/internal/core"
 	"bwaver/internal/dna"
 	"bwaver/internal/fastx"
 	"bwaver/internal/readsim"
@@ -141,18 +142,10 @@ func cmdReads(args []string, out io.Writer) error {
 		return err
 	}
 	defer rf.Close()
-	recs, err := fastx.ReadAll(rf)
+	ref, _, _, err := core.ReadReference(rf)
 	if err != nil {
-		return err
+		return fmt.Errorf("reads: %s: %w", *refPath, err)
 	}
-	if len(recs) == 0 {
-		return fmt.Errorf("reads: %s has no records", *refPath)
-	}
-	var raw []byte
-	for _, rec := range recs {
-		raw = append(raw, rec.Seq...)
-	}
-	ref, _ := dna.Sanitize(raw, dna.A)
 	if *pairs {
 		return writePairs(out, ref, *outPath, *count, *length, *ratio, *errRate,
 			*insertMean, *insertSD, *seed, *gz, useDirty, dirtyCfg)

@@ -7,6 +7,7 @@ import (
 	"io"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"bwaver/internal/fastx"
@@ -175,5 +176,46 @@ func TestMapStreamEmitError(t *testing.T) {
 	})
 	if err == nil || !errors.Is(err, boom) {
 		t.Errorf("emit error not propagated: %v", err)
+	}
+}
+
+// countingReader counts the bytes handed to its consumer.
+type countingReader struct {
+	r io.Reader
+	n atomic.Int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n.Add(int64(n))
+	return n, err
+}
+
+// TestMapStreamStopsReadingOnError: when emit fails in the second of 200
+// batches, MapStreamQC stops its parser instead of decoding the rest of the
+// input before it returns.
+func TestMapStreamStopsReadingOnError(t *testing.T) {
+	ref := testGenome(t, 5000)
+	const batch = 16
+	sim, _ := readsim.Simulate(ref, readsim.ReadsConfig{Count: 200 * batch, Length: 100, MappingRatio: 1, Seed: 16})
+	ix := mustBuild(t, ref, IndexConfig{})
+	in := streamInput(t, sim, false)
+	total := int64(in.Len())
+	cr := &countingReader{r: in}
+	boom := errors.New("boom")
+	emitted := 0
+	_, _, err := ix.MapStreamQC(cr, qc.Policy{}, MapOptions{}, batch, func(StreamResult) error {
+		if emitted++; emitted > batch {
+			return boom
+		}
+		return nil
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want the emit error", err)
+	}
+	// The parser is at most a batch ahead of the mapper; the decoder under it
+	// reads 64 KiB at a time.
+	if got := cr.n.Load(); got > 2<<16 || got >= total/4 {
+		t.Errorf("read %d of %d input bytes before returning; the parser was not stopped", got, total)
 	}
 }

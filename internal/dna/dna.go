@@ -10,6 +10,7 @@ package dna
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -100,7 +101,14 @@ func MustParseSeq(s string) Seq {
 // (such as the ambiguity code 'N', common in reference FASTA files) with the
 // given filler base. It reports how many bytes were replaced.
 func Sanitize(s []byte, filler Base) (Seq, int) {
-	out := make(Seq, len(s))
+	return AppendSanitized(make(Seq, 0, len(s)), s, filler)
+}
+
+// AppendSanitized is Sanitize appending to dst, for callers that assemble one
+// sequence from several records.
+func AppendSanitized(dst Seq, s []byte, filler Base) (Seq, int) {
+	n := len(dst)
+	dst = slices.Grow(dst, len(s))[:n+len(s)]
 	replaced := 0
 	for i, raw := range s {
 		b, ok := FromByte(raw)
@@ -108,9 +116,9 @@ func Sanitize(s []byte, filler Base) (Seq, int) {
 			b = filler
 			replaced++
 		}
-		out[i] = b
+		dst[n+i] = b
 	}
-	return out, replaced
+	return dst, replaced
 }
 
 // String returns the ASCII spelling of the sequence.

@@ -74,8 +74,14 @@ type RecordError struct {
 	Detail string
 }
 
-// Error implements error.
-func (e *RecordError) Error() string { return "fastx: " + e.Detail }
+// Error implements error. Details that name only the record gain the line:
+// deep in a large file it is what finds the record.
+func (e *RecordError) Error() string {
+	if strings.HasPrefix(e.Detail, "line ") {
+		return "fastx: " + e.Detail
+	}
+	return fmt.Sprintf("fastx: line %d: %s", e.Line, e.Detail)
+}
 
 // Record is one sequence record.
 type Record struct {

@@ -13,10 +13,8 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 
 	"bwaver/internal/dna"
-	"bwaver/internal/fastx"
 )
 
 // Reject-reason codes. This is a fixed enum — attacker-controlled input can
@@ -151,18 +149,33 @@ func phredErrProb(q int) float64 {
 // indicates phred+64. Ambiguous input (all bytes in the overlap) defaults
 // to the modern phred+33.
 func DetectOffset(quals ...[]byte) int {
-	sawHigh := false
+	var ev offsetEvidence
 	for _, qual := range quals {
-		for _, b := range qual {
-			if b < 59 {
-				return 33
-			}
-			if b > 74 {
-				sawHigh = true
-			}
+		if ev.add(qual); ev.low {
+			break
 		}
 	}
-	if sawHigh {
+	return ev.offset()
+}
+
+// offsetEvidence is what the quality bytes seen so far say about their
+// encoding: low, a byte only phred+33 produces; high, one only phred+64 does.
+type offsetEvidence struct{ low, high bool }
+
+func (ev *offsetEvidence) add(qual []byte) {
+	for _, b := range qual {
+		if b < 59 {
+			ev.low = true
+			return
+		}
+		if b > 74 {
+			ev.high = true
+		}
+	}
+}
+
+func (ev offsetEvidence) offset() int {
+	if ev.high && !ev.low {
 		return 64
 	}
 	return 33
@@ -233,239 +246,6 @@ func (r *Report) Merge(other Report) {
 	}
 }
 
-// Read is one surviving read.
-type Read struct {
-	ID  string
-	Seq dna.Seq
-	// ee is the sort key for QualitySort (expected errors, trimmed).
-	ee float64
-}
-
-// event is one decoder outcome in stream order: a parsed record or a
-// malformed-record error. Keeping both in one ordered stream is what makes
-// paired-mate accounting exact — pairing is positional, so a malformed R1
-// must still consume its slot and doom its R2.
-type event struct {
-	rec   *fastx.Record
-	err   *fastx.RecordError
-	index int
-}
-
-// Gate applies a Policy to a stream of decoder events. Feed events with
-// Record/Malformed, take surviving reads out with Drain (batch-wise, so
-// streaming callers stay memory-bounded), and collect the accounting from
-// Report/TakeRejects.
-type Gate struct {
-	policy  Policy
-	events  []event
-	next    int // index of the next attempted record
-	offset  int // resolved phred offset; 0 until known
-	report  Report
-	rejects []Reject
-}
-
-// NewGate validates the policy and builds a gate for it.
-func NewGate(p Policy) (*Gate, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	g := &Gate{policy: p, offset: p.PhredOffset}
-	g.report.Rejected = make(map[string]int)
-	return g, nil
-}
-
-// Record feeds one parsed record.
-func (g *Gate) Record(rec *fastx.Record) {
-	g.events = append(g.events, event{rec: rec, index: g.next})
-	g.next++
-	g.report.Attempted++
-}
-
-// Malformed feeds one malformed-record error from the tolerant decoder.
-func (g *Gate) Malformed(re *fastx.RecordError) {
-	g.events = append(g.events, event{err: re, index: g.next})
-	g.next++
-	g.report.Attempted++
-	g.report.Malformed++
-	g.rejects = append(g.rejects, Reject{
-		Index: g.next - 1, ID: re.RecordID, Reason: ReasonMalformed, Detail: re.Detail,
-	})
-}
-
-// Drain gates the buffered events and returns the survivors, quality-sorted
-// when the policy asks for it. With a paired policy a trailing odd event is
-// held back for its mate unless final is true (EOF), where it is rejected
-// as an orphan.
-func (g *Gate) Drain(final bool) []Read {
-	events := g.events
-	if g.policy.Paired && !final && len(events)%2 == 1 {
-		events = events[:len(events)-1]
-	}
-	g.events = g.events[len(events):]
-
-	g.resolveOffset(events)
-	var out []Read
-	if g.policy.Paired {
-		for i := 0; i+1 < len(events); i += 2 {
-			out = g.gatePair(out, events[i], events[i+1])
-		}
-		if len(events)%2 == 1 {
-			// Orphan at EOF: positional pairing has no mate for it.
-			last := events[len(events)-1]
-			if last.rec != nil {
-				g.rejectRead(last, ReasonMateRejected, "no mate: odd trailing read")
-			}
-		}
-	} else {
-		for _, ev := range events {
-			if ev.rec == nil {
-				continue // already accounted by Malformed
-			}
-			if rd, reason, detail := g.gateRead(ev.rec); reason == "" {
-				out = append(out, rd)
-			} else {
-				g.rejectRead(ev, reason, detail)
-			}
-		}
-	}
-	if g.policy.QualitySort {
-		g.sortBatch(out)
-	}
-	g.report.Passed += len(out)
-	return out
-}
-
-// gatePair evaluates an interleaved mate pair: both survive or both are
-// rejected (the clean mate as mate_rejected), so downstream pairing never
-// phase-shifts.
-func (g *Gate) gatePair(out []Read, e1, e2 event) []Read {
-	type side struct {
-		ev     event
-		rd     Read
-		reason string
-		detail string
-	}
-	sides := [2]side{{ev: e1}, {ev: e2}}
-	for i := range sides {
-		if sides[i].ev.rec == nil {
-			sides[i].reason = ReasonMalformed // already accounted
-			continue
-		}
-		sides[i].rd, sides[i].reason, sides[i].detail = g.gateRead(sides[i].ev.rec)
-	}
-	if sides[0].reason == "" && sides[1].reason == "" {
-		return append(out, sides[0].rd, sides[1].rd)
-	}
-	for i := range sides {
-		if sides[i].ev.rec == nil {
-			continue // malformed side: Reject row already emitted
-		}
-		if sides[i].reason == "" {
-			g.rejectRead(sides[i].ev, ReasonMateRejected, "mate failed QC")
-		} else {
-			g.rejectRead(sides[i].ev, sides[i].reason, sides[i].detail)
-		}
-	}
-	return out
-}
-
-// gateRead trims and measures one record; reason is "" when it passes.
-func (g *Gate) gateRead(rec *fastx.Record) (Read, string, string) {
-	seq, qual := rec.Seq, rec.Qual
-	if g.policy.TrimQual > 0 && len(qual) == len(seq) && g.offset > 0 {
-		keep := trim3(qual, g.offset, g.policy.TrimQual)
-		g.report.TrimmedBases += len(seq) - keep
-		seq, qual = seq[:keep], qual[:keep]
-	}
-	m := Measure(seq, qual, g.offset)
-	if g.policy.MinLen > 0 && m.Length < g.policy.MinLen {
-		return Read{}, ReasonTooShort, fmt.Sprintf("%d bases after trim, need %d", m.Length, g.policy.MinLen)
-	}
-	if g.policy.MaxN > 0 && m.NCount > g.policy.MaxN {
-		return Read{}, ReasonTooManyN, fmt.Sprintf("%d ambiguous bases, max %d", m.NCount, g.policy.MaxN)
-	}
-	if g.policy.MaxEE > 0 && len(qual) > 0 && m.MaxEE > g.policy.MaxEE {
-		return Read{}, ReasonMaxEE, fmt.Sprintf("%.2f expected errors, max %.2f", m.MaxEE, g.policy.MaxEE)
-	}
-	s, _ := dna.Sanitize(seq, dna.A)
-	return Read{ID: rec.ID, Seq: s, ee: m.MaxEE}, "", ""
-}
-
-func (g *Gate) rejectRead(ev event, reason, detail string) {
-	g.report.Rejected[reason]++
-	id := ""
-	if ev.rec != nil {
-		id = ev.rec.ID
-	}
-	g.rejects = append(g.rejects, Reject{Index: ev.index, ID: id, Reason: reason, Detail: detail})
-}
-
-// resolveOffset fixes the phred encoding on first use. Detection scans the
-// buffered batch; once resolved the offset never changes, so every read in
-// the job is measured against the same encoding.
-func (g *Gate) resolveOffset(events []event) {
-	if g.offset != 0 {
-		return
-	}
-	quals := make([][]byte, 0, len(events))
-	for _, ev := range events {
-		if ev.rec != nil && len(ev.rec.Qual) > 0 {
-			quals = append(quals, ev.rec.Qual)
-		}
-	}
-	if len(quals) == 0 {
-		return // FASTA so far; stay undetected
-	}
-	g.offset = DetectOffset(quals...)
-}
-
-// sortBatch stably sorts one drained batch by ascending expected errors,
-// keeping interleaved mates adjacent by sorting pair-blocks as units. The
-// sort is stable and happens before the backend split, so CPU and FPGA map
-// the same order and remain bit-identical.
-func (g *Gate) sortBatch(reads []Read) {
-	stride := 1
-	if g.policy.Paired {
-		stride = 2
-	}
-	blocks := len(reads) / stride
-	if blocks*stride != len(reads) {
-		return // defensive: never split a pair
-	}
-	order := make([]int, blocks)
-	for i := range order {
-		order[i] = i
-	}
-	key := func(b int) float64 {
-		ee := 0.0
-		for k := 0; k < stride; k++ {
-			ee += reads[b*stride+k].ee
-		}
-		return ee
-	}
-	sort.SliceStable(order, func(a, b int) bool { return key(order[a]) < key(order[b]) })
-	sorted := make([]Read, 0, len(reads))
-	for _, b := range order {
-		sorted = append(sorted, reads[b*stride:(b+1)*stride]...)
-	}
-	copy(reads, sorted)
-}
-
-// Report returns the accounting so far.
-func (g *Gate) Report() Report {
-	r := g.report
-	r.PhredOffset = g.offset
-	return r
-}
-
-// TakeRejects returns and clears the reject rows accumulated since the last
-// call, in stream order.
-func (g *Gate) TakeRejects() []Reject {
-	r := g.rejects
-	g.rejects = nil
-	return r
-}
-
 // Result is the outcome of a one-shot Ingest.
 type Result struct {
 	Seqs    []dna.Seq
@@ -476,42 +256,17 @@ type Result struct {
 
 // Ingest parses a whole FASTA/FASTQ stream (plain or gzipped) through the
 // policy: tolerant or strict decode, trim, gate, and — when QualitySort is
-// set — one stable quality-sort over the surviving set.
+// set — one stable quality-sort over the surviving set. It is a Source whose
+// one batch is the whole stream.
 func Ingest(r io.Reader, p Policy) (*Result, error) {
-	g, err := NewGate(p)
+	src, err := NewSource(r, p, 0)
 	if err != nil {
 		return nil, err
 	}
-	rd, err := fastx.NewReader(r)
-	if err != nil {
+	defer src.Close()
+	b, err := src.Next()
+	if err != nil && err != io.EOF {
 		return nil, err
 	}
-	defer rd.Close()
-	rd.SetTolerant(p.Tolerant)
-	for {
-		rec, err := rd.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			if re, ok := err.(*fastx.RecordError); ok && p.Tolerant {
-				g.Malformed(re)
-				continue
-			}
-			return nil, err
-		}
-		g.Record(rec)
-	}
-	reads := g.Drain(true)
-	res := &Result{
-		Seqs:    make([]dna.Seq, len(reads)),
-		IDs:     make([]string, len(reads)),
-		Rejects: g.TakeRejects(),
-		Report:  g.Report(),
-	}
-	for i, read := range reads {
-		res.Seqs[i] = read.Seq
-		res.IDs[i] = read.ID
-	}
-	return res, nil
+	return &Result{Seqs: b.Seqs, IDs: b.IDs, Rejects: b.Rejects, Report: src.Report()}, nil
 }

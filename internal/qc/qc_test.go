@@ -4,8 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"bwaver/internal/fastx"
 )
 
 // qual builds a quality string of n bases at phred score q (offset 33).
@@ -263,29 +261,24 @@ func TestPolicyValidate(t *testing.T) {
 	}
 }
 
-func TestGateStreamingDrain(t *testing.T) {
-	// Drain mid-stream with a paired policy: the odd trailing event is
-	// held for its mate, not rejected.
-	g, err := NewGate(Policy{Paired: true, MinLen: 2})
+func TestSourceHoldsBackLoneMate(t *testing.T) {
+	// A batch boundary inside a pair: the odd trailing read is held for its
+	// mate, not rejected, and leads the next batch.
+	mk := func(id string) string { return rec(id, "ACGT", qual(4, 30)) }
+	in := fq(mk("a/1"), mk("a/2"), mk("b/1"), mk("b/2"))
+	src, err := NewSource(strings.NewReader(in), Policy{Paired: true, MinLen: 2}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := func(id string) *fastx.Record {
-		return &fastx.Record{ID: id, Seq: []byte("ACGT"), Qual: []byte(qual(4, 30))}
+	first, err := src.Next()
+	if err != nil || len(first.Seqs) != 2 {
+		t.Fatalf("first batch = %d reads (%v), want the complete pair only", len(first.Seqs), err)
 	}
-	g.Record(mk("a/1"))
-	g.Record(mk("a/2"))
-	g.Record(mk("b/1"))
-	first := g.Drain(false)
-	if len(first) != 2 {
-		t.Fatalf("first drain = %d reads, want the complete pair only", len(first))
+	second, err := src.Next()
+	if err != nil || len(second.Seqs) != 2 || second.IDs[0] != "b/1" {
+		t.Fatalf("second batch = %v (%v), want the held pair", second.IDs, err)
 	}
-	g.Record(mk("b/2"))
-	second := g.Drain(true)
-	if len(second) != 2 {
-		t.Fatalf("second drain = %d reads, want the held pair", len(second))
-	}
-	rep := g.Report()
+	rep := src.Report()
 	if rep.Attempted != 4 || rep.Passed != 4 || rep.RejectedTotal() != 0 {
 		t.Fatalf("report = %+v", rep)
 	}

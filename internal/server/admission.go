@@ -263,8 +263,6 @@ type jobSpec struct {
 	Mismatches int
 	QC         qc.Policy
 	RefName    string
-	RefLength  int
-	Reads      int
 	IdemKey    string
 	RequestID  string
 	Timeout    time.Duration
@@ -313,7 +311,7 @@ func (s *Server) admitJob(spec jobSpec, initial JobState) (job *Job, existing bo
 		ID: s.nextID, Backend: spec.Backend, Mode: spec.Mode, B: spec.B, SF: spec.SF,
 		Mismatches: spec.Mismatches, QC: spec.QC, IdemKey: spec.IdemKey, RequestID: spec.RequestID,
 		timeout: spec.Timeout,
-		RefName: spec.RefName, RefLength: spec.RefLength, Reads: spec.Reads, Created: time.Now(),
+		RefName: spec.RefName, Created: time.Now(),
 	}
 	s.setJobStateLocked(job, initial)
 	s.nextID++
@@ -323,6 +321,10 @@ func (s *Server) admitJob(spec jobSpec, initial JobState) (job *Job, existing bo
 	}
 	if initial == StateUploading {
 		job.upload = &uploadState{lastActivity: job.Created}
+		if s.journal != nil {
+			refRel, readsRel := payloadNames(job.ID)
+			job.upload.ref.path, job.upload.reads.path = s.journal.abs(refRel), s.journal.abs(readsRel)
+		}
 	} else {
 		// Cover the admit→launch window in the drain WaitGroup: without this
 		// a Drain racing a submit could observe zero in-flight jobs while an

@@ -270,7 +270,7 @@ func TestCorruptReferenceRecordsNoAlias(t *testing.T) {
 // route's alias.
 func TestChunkedAndReplayedJobsTakeTheAliasPath(t *testing.T) {
 	refFasta, readsFastq := aliasTestData(t, 41, 60, "\n", false)
-	digest, err := digestPayload(refFasta, "")
+	digest, err := (&payload{raw: refFasta}).digest()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,7 @@
 package server
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -41,22 +38,6 @@ const TimeoutBudgetHeader = "X-Bwaver-Timeout-Ms"
 // already live. Neither side parses the reference to compute it.
 func RingKey(refDigest string, b, sf, ftabK int) string {
 	return fmt.Sprintf("%s|%d|%d|%d", refDigest, b, sf, ftabK)
-}
-
-// digestPayload is the SHA-256 (hex) of one payload part, raw bytes or file:
-// the digest handleSubmit takes on the wire, for the ingest routes that hand
-// launch a payload without one (chunked finalize, journal replay, /demo).
-func digestPayload(raw []byte, path string) (string, error) {
-	rc, err := openPayload(raw, path)
-	if err != nil {
-		return "", err
-	}
-	defer rc.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, rc); err != nil {
-		return "", err
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // effectiveTimeout resolves a submission's job timeout: the server's own

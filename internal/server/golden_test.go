@@ -2,13 +2,18 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"bwaver/internal/core"
+	"bwaver/internal/dna"
+	"bwaver/internal/qc"
 	"bwaver/internal/readsim"
+	"bwaver/internal/rrr"
 )
 
 // updateGolden rewrites testdata/golden from the current code instead of
@@ -22,8 +27,33 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite internal/server/te
 // contig-relative position, a hit straddling the contig boundary, unmapped
 // reads, and IDs that need TSV sanitising and every kind of JSON escaping.
 // Read IDs bypass the FASTQ parser (it cuts IDs at whitespace), which is why
-// the jobs launch from parsed input.
-func goldenInput(t *testing.T, paired bool) jobInput {
+// the runner pulls them from a sliceSource.
+type goldenReads struct {
+	ref     dna.Seq
+	contigs *core.ContigSet
+	reads   []dna.Seq
+	ids     []string
+}
+
+// sliceSource hands parsed reads to the runner a batch at a time, through
+// the interface it pulls a job's upload through.
+type sliceSource struct {
+	ids   []string
+	reads []dna.Seq
+	batch int
+}
+
+func (s *sliceSource) Next() (qc.Batch, error) {
+	n := min(s.batch, len(s.reads))
+	if n == 0 {
+		return qc.Batch{}, io.EOF
+	}
+	b := qc.Batch{IDs: s.ids[:n], Seqs: s.reads[:n]}
+	s.ids, s.reads = s.ids[n:], s.reads[n:]
+	return b, nil
+}
+
+func goldenInput(t *testing.T, paired bool) goldenReads {
 	t.Helper()
 	ref, err := readsim.Genome(readsim.GenomeConfig{Length: 6000, Seed: 77, RepeatFraction: 0.3})
 	if err != nil {
@@ -39,7 +69,7 @@ func goldenInput(t *testing.T, paired bool) jobInput {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := jobInput{ref: ref, contigs: contigs}
+	in := goldenReads{ref: ref, contigs: contigs}
 	if paired {
 		pairs, err := readsim.SimulatePairs(ref, readsim.PairConfig{
 			Count: 20, ReadLength: 60, InsertMean: 200, InsertStdDev: 20,
@@ -94,16 +124,26 @@ func TestGoldenRows(t *testing.T) {
 	for _, c := range cases {
 		for _, backend := range []string{"cpu", "fpga"} {
 			t.Run(c.name+"/"+backend, func(t *testing.T) {
-				// Small batches: headers must appear once, not per batch.
-				s := NewWithConfig(Config{StreamBatch: 16, FtabK: 6})
+				s := NewWithConfig(Config{FtabK: 6})
 				defer s.Close()
 				in := goldenInput(t, c.mode == ModeMemPE)
-				job := s.createJob(backend, DefaultB, DefaultSF, c.mismatches, "golden", len(in.ref), len(in.reads))
+				ix, err := core.BuildIndex(in.ref, core.IndexConfig{
+					RRR:   rrr.Params{BlockSize: DefaultB, SuperblockFactor: DefaultSF},
+					FtabK: 6,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := ix.SetContigs(in.contigs); err != nil {
+					t.Fatal(err)
+				}
+				job := s.createJob(backend, DefaultB, DefaultSF, c.mismatches, "golden", len(in.ref), 0)
 				job.Mode = c.mode
-				s.launch(job, in)
-				s.Wait()
-				if job.State != StateDone {
-					t.Fatalf("job %s: %s", job.State, job.Error)
+				// Small batches: headers must appear once, not per batch.
+				src := &sliceSource{ids: in.ids, reads: in.reads, batch: 16}
+				first, _ := src.Next()
+				if n, err := s.mapJob(context.Background(), job, &cacheEntry{ix: ix}, first, src); err != nil || n != len(in.ids) {
+					t.Fatalf("mapped %d of %d reads: %v", n, len(in.ids), err)
 				}
 				stream, err := job.stream.readCommitted(0, 1<<30)
 				if err != nil {

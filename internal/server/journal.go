@@ -370,35 +370,9 @@ func foldRecords(recs []journalRecord) map[int]*foldedJob {
 // snapshotRecord renders a job's current state as one self-contained record,
 // the unit of journal compaction.
 func snapshotRecord(j *Job) journalRecord {
-	rec := journalRecord{
-		Job:            j.ID,
-		Time:           time.Now(),
-		Backend:        j.Backend,
-		Mode:           j.Mode,
-		B:              j.B,
-		SF:             j.SF,
-		Mismatches:     j.Mismatches,
-		IdemKey:        j.IdemKey,
-		RequestID:      j.RequestID,
-		Created:        j.Created,
-		RefName:        j.RefName,
-		RefLength:      j.RefLength,
-		Reads:          j.Reads,
-		Mapped:         j.Mapped,
-		CacheHit:       j.CacheHit,
-		Fallback:       j.FallbackUsed,
-		FallbackReason: j.FallbackReason,
-		Error:          j.Error,
-		ParseMs:        float64(j.ParseTime) / float64(time.Millisecond),
-		BuildMs:        float64(j.BuildTime) / float64(time.Millisecond),
-		MapMs:          float64(j.MapTime) / float64(time.Millisecond),
-		QCReport:       j.QCReport,
-		Finished:       j.Finished,
-	}
-	if j.QC.Active() {
-		pol := j.QC
-		rec.QC = &pol
-	}
+	rec := specRecord(recAccepted, j)
+	rec.Time = time.Now()
+	rec.setOutcome(j)
 	switch j.State {
 	case StateDone:
 		rec.Type = recDone
@@ -409,37 +383,39 @@ func snapshotRecord(j *Job) journalRecord {
 		rec.Type = recCanceled
 	case StateUploading:
 		rec.Type = recUploading
-		rec.RefPayload, rec.ReadsPayload = payloadNames(j.ID)
-	default:
-		rec.Type = recAccepted
-		rec.RefPayload, rec.ReadsPayload = payloadNames(j.ID)
+	}
+	if j.State.terminal() {
+		// The payloads of a finished job are gone.
+		rec.RefPayload, rec.ReadsPayload = "", ""
 	}
 	return rec
 }
 
-// journalAccept persists a job's inputs and appends its accepted record.
-// This happens before launch: once the submit handler responds, the job is
-// durable. Acceptance is the one transition whose journal failure fails the
-// job — admitting work the server cannot make durable would break the
-// crash-safety contract.
-func (s *Server) journalAccept(job *Job, in jobInput) error {
-	if s.journal == nil {
-		return nil
-	}
+// setOutcome fills in what the job has come to so far; s.mu must be held for
+// a job that may still be running.
+func (rec *journalRecord) setOutcome(j *Job) {
+	rec.Error = j.Error
+	rec.RefName = j.RefName
+	rec.RefLength = j.RefLength
+	rec.Reads = j.Reads
+	rec.Mapped = j.Mapped
+	rec.CacheHit = j.CacheHit
+	rec.Fallback = j.FallbackUsed
+	rec.FallbackReason = j.FallbackReason
+	rec.ParseMs = float64(j.ParseTime) / float64(time.Millisecond)
+	rec.BuildMs = float64(j.BuildTime) / float64(time.Millisecond)
+	rec.MapMs = float64(j.MapTime) / float64(time.Millisecond)
+	rec.QCReport = j.QCReport
+	rec.Finished = j.Finished
+}
+
+// specRecord starts a record of type typ with the job's spec, what a replay
+// needs to run it again: parameters, policy, identity, and where its payloads
+// are kept.
+func specRecord(typ string, job *Job) journalRecord {
 	refRel, readsRel := payloadNames(job.ID)
-	// Chunked jobs already streamed their payloads to these files (fsync'd by
-	// finalize), so only buffered submissions write them here.
-	if in.refPath == "" {
-		if err := s.journal.writeFileSync(refRel, in.refRaw); err != nil {
-			return fmt.Errorf("persisting reference payload: %w", err)
-		}
-		if err := s.journal.writeFileSync(readsRel, in.readsRaw); err != nil {
-			s.journal.removeFiles(refRel)
-			return fmt.Errorf("persisting reads payload: %w", err)
-		}
-	}
 	rec := journalRecord{
-		Type:         recAccepted,
+		Type:         typ,
 		Job:          job.ID,
 		Backend:      job.Backend,
 		Mode:         job.Mode,
@@ -456,8 +432,32 @@ func (s *Server) journalAccept(job *Job, in jobInput) error {
 		pol := job.QC
 		rec.QC = &pol
 	}
+	return rec
+}
+
+// journalAccept persists a job's inputs and appends its accepted record.
+// This happens before launch: once the submit handler responds, the job is
+// durable. Acceptance is the one transition whose journal failure fails the
+// job — admitting work the server cannot make durable would break the
+// crash-safety contract.
+func (s *Server) journalAccept(job *Job, in jobInput) error {
+	if s.journal == nil {
+		return nil
+	}
+	rec := specRecord(recAccepted, job)
+	// Chunked jobs already streamed their payloads to these files (fsync'd by
+	// finalize), so only buffered submissions write them here.
+	if in.ref.path == "" {
+		if err := s.journal.writeFileSync(rec.RefPayload, in.ref.raw); err != nil {
+			return fmt.Errorf("persisting reference payload: %w", err)
+		}
+		if err := s.journal.writeFileSync(rec.ReadsPayload, in.reads.raw); err != nil {
+			s.journal.removeFiles(rec.RefPayload)
+			return fmt.Errorf("persisting reads payload: %w", err)
+		}
+	}
 	if err := s.journal.append(rec); err != nil {
-		s.journal.removeFiles(refRel, readsRel)
+		s.journal.removeFiles(rec.RefPayload, rec.ReadsPayload)
 		return err
 	}
 	return nil
@@ -471,7 +471,7 @@ func (s *Server) journalFinish(job *Job, state JobState, results []byte, results
 	if s.journal == nil {
 		return
 	}
-	rec := journalRecord{Job: job.ID, Finished: job.Finished}
+	rec := journalRecord{Job: job.ID}
 	switch state {
 	case StateDone:
 		rec.Type = recDone
@@ -494,18 +494,7 @@ func (s *Server) journalFinish(job *Job, state JobState, results []byte, results
 		return
 	}
 	s.mu.Lock()
-	rec.Error = job.Error
-	rec.RefName = job.RefName
-	rec.RefLength = job.RefLength
-	rec.Reads = job.Reads
-	rec.Mapped = job.Mapped
-	rec.CacheHit = job.CacheHit
-	rec.Fallback = job.FallbackUsed
-	rec.FallbackReason = job.FallbackReason
-	rec.ParseMs = float64(job.ParseTime) / float64(time.Millisecond)
-	rec.BuildMs = float64(job.BuildTime) / float64(time.Millisecond)
-	rec.MapMs = float64(job.MapTime) / float64(time.Millisecond)
-	rec.QCReport = job.QCReport
+	rec.setOutcome(job)
 	s.mu.Unlock()
 	s.journal.appendBestEffort(rec)
 	refRel, readsRel := payloadNames(job.ID)
@@ -612,10 +601,11 @@ func (s *Server) recover() error {
 			// A partial upload survives the crash: restore the job with the
 			// committed offsets the disk actually holds, so the client's next
 			// GET /api/jobs/{id} tells it where to resume.
-			up := &uploadState{lastActivity: time.Now()}
-			up.refSize = fileSize(s.journal.abs(refRel))
-			up.readsSize = fileSize(s.journal.abs(readsRel))
-			job.upload = up
+			job.upload = &uploadState{
+				lastActivity: time.Now(),
+				ref:          filePayload(s.journal.abs(refRel)),
+				reads:        filePayload(s.journal.abs(readsRel)),
+			}
 			s.setJobStateLocked(job, StateUploading)
 		default: // accepted or running: re-queue against the saved payloads
 			refErr := statErr(s.journal.abs(refRel))
@@ -629,8 +619,8 @@ func (s *Server) recover() error {
 				job.Done = 0
 				job.Mapped = 0
 				relaunches = append(relaunches, relaunch{job: job, in: jobInput{
-					refPath:   s.journal.abs(refRel),
-					readsPath: s.journal.abs(readsRel),
+					ref:   filePayload(s.journal.abs(refRel)),
+					reads: filePayload(s.journal.abs(readsRel)),
 				}})
 			}
 		}
@@ -681,15 +671,6 @@ func firstErr(errs ...error) error {
 		}
 	}
 	return nil
-}
-
-// fileSize returns a file's size, 0 when it does not exist yet.
-func fileSize(path string) int64 {
-	fi, err := os.Stat(path)
-	if err != nil {
-		return 0
-	}
-	return fi.Size()
 }
 
 // statErr reports whether a file is present and statable.

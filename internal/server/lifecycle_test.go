@@ -15,6 +15,7 @@ import (
 	"bwaver/internal/core"
 	"bwaver/internal/dna"
 	"bwaver/internal/fastx"
+	"bwaver/internal/qc"
 	"bwaver/internal/readsim"
 )
 
@@ -448,7 +449,7 @@ func TestTSVEscapesReadIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := em.exactBatch(0, ids, reads, []core.MapResult{{}}, nil); err != nil {
+	if err := em.exactBatch(true, ids, reads, []core.MapResult{{}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := em.finish(); err != nil {
@@ -478,7 +479,7 @@ func TestTSVEscapesReadIDs(t *testing.T) {
 	if em, err = s.newEmitter(job); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := runBatches(context.Background(), s, job, entry, reads, approxWork(ix, 1, ids, em)); err != nil {
+	if _, _, err := runBatches(context.Background(), s, job, entry, qc.Batch{IDs: ids, Seqs: reads}, &sliceSource{}, em, approxWork(ix, 1, em)); err != nil {
 		t.Fatal(err)
 	}
 	if err := em.finish(); err != nil {

@@ -2,20 +2,19 @@ package server
 
 import (
 	"fmt"
-	"io"
 	"strconv"
 
-	"bwaver/internal/dna"
 	"bwaver/internal/qc"
 )
 
 // QC policy wiring: per-job quality-control parameters arrive with the
 // submission (multipart form fields or the chunked-ingest JSON body), are
 // validated against the fixed qc reason/threshold rules, journaled with the
-// job spec, and applied at parse time. Reject accounting flows the other way:
-// per-job reports land in the journal's terminal records (so replay is
-// accounting-identical), in the server-wide qcTotals behind /api/stats and
-// /metrics, and on the NDJSON stream as one reject row per dropped read.
+// job spec, and applied by the qc.Source the job pulls its batches from.
+// Reject accounting flows the other way: per-job reports land in the journal's
+// terminal records (so replay is accounting-identical), in the server-wide
+// qcTotals behind /api/stats and /metrics, and on the NDJSON stream as one
+// reject row per dropped read.
 
 // qcParams is the wire form of a QC policy on the chunked-ingest JSON body.
 // Pointers distinguish "absent" from zero, like the b/sf parameters.
@@ -137,24 +136,4 @@ func sanitizeQCReport(rep *qc.Report) {
 	if invalid > 0 {
 		rep.Rejected["invalid"] += invalid
 	}
-}
-
-// ingestReads parses the reads payload through the job's QC policy: tolerant
-// or strict decode, trim, gate, optional stable quality-sort. The zero
-// policy takes the plain strict path, byte-identical to the pre-QC parser.
-func ingestReads(r io.Reader, pol qc.Policy) ([]dna.Seq, []string, []qc.Reject, *qc.Report, error) {
-	if !pol.Active() {
-		seqs, ids, err := parseReads(r)
-		return seqs, ids, nil, nil, err
-	}
-	res, err := qc.Ingest(r, pol)
-	if err != nil {
-		return nil, nil, nil, nil, fmt.Errorf("reads: %w", err)
-	}
-	if len(res.Seqs) == 0 {
-		return nil, nil, nil, nil, fmt.Errorf("reads: no records survived QC (%d attempted, %d malformed, %d rejected)",
-			res.Report.Attempted, res.Report.Malformed, res.Report.RejectedTotal())
-	}
-	rep := res.Report
-	return res.Seqs, res.IDs, res.Rejects, &rep, nil
 }

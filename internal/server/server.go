@@ -102,8 +102,10 @@ type Job struct {
 
 	RefName   string
 	RefLength int
-	Reads     int
-	Mapped    int
+	// Reads counts the reads taken from the upload so far: it grows batch by
+	// batch while the job runs and is the job's read count once it is done.
+	Reads  int
+	Mapped int
 	// Done counts reads mapped so far while the job is running.
 	Done int
 	// CacheHit reports whether the index came from the cache instead of
@@ -279,7 +281,7 @@ func (c Config) withDefaults() Config {
 		c.VerifyStride = 0
 	}
 	if c.StreamBatch <= 0 {
-		c.StreamBatch = DefaultStreamBatch
+		c.StreamBatch = core.DefaultStreamBatch
 	}
 	return c
 }
@@ -379,6 +381,9 @@ type Server struct {
 	// testHookParseReference, when set, runs before a job parses its raw
 	// reference; tests use it to prove warm jobs never do.
 	testHookParseReference func(*Job)
+	// testHookOpenReads, when set, wraps the reader a job opens over its reads
+	// payload; tests use it to watch how far ahead of its mapping a job reads.
+	testHookOpenReads func(io.ReadCloser) io.ReadCloser
 }
 
 // DefaultMaxConcurrentJobs bounds simultaneously running pipelines.
@@ -642,7 +647,7 @@ func (j *Job) toJSON() jobJSON {
 	}
 	if j.State == StateUploading && j.upload != nil {
 		j.upload.mu.Lock()
-		ref, reads := j.upload.refSize, j.upload.readsSize
+		ref, reads := j.upload.ref.size, j.upload.reads.size
 		j.upload.mu.Unlock()
 		out.ReferenceOffset, out.ReadsOffset = &ref, &reads
 	}
@@ -1128,13 +1133,20 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	job, existing, ae := s.admitJob(jobSpec{
+	s.admitAndLaunch(w, r, jobSpec{
 		Backend: backend, Mode: mode, B: b, SF: sf, Mismatches: mismatches,
 		QC:      qcPol,
 		RefName: "(parsing)", IdemKey: idemKey,
 		RequestID: obs.RequestIDFrom(r.Context()),
 		Timeout:   s.effectiveTimeout(r),
-	}, StateQueued)
+	}, jobInput{ref: payload{raw: form.ref}, reads: payload{raw: form.reads}, refDigest: form.refDigest})
+}
+
+// admitAndLaunch is the tail every buffered submission shares: admit the job
+// (or find the one its Idempotency-Key already names), make it durable, start
+// it, answer the client.
+func (s *Server) admitAndLaunch(w http.ResponseWriter, r *http.Request, spec jobSpec, in jobInput) {
+	job, existing, ae := s.admitJob(spec, StateQueued)
 	if ae != nil {
 		s.rejectAdmission(w, ae)
 		return
@@ -1143,7 +1155,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.answerSubmitted(w, r, job, true)
 		return
 	}
-	in := jobInput{refRaw: form.ref, readsRaw: form.reads, refDigest: form.refDigest}
 	if err := s.acceptAndLaunch(job, in); err != nil {
 		s.log.Error("accepting job failed", "job", job.ID, "err", err)
 		jsonError(w, http.StatusInternalServerError, "could not persist job")
@@ -1222,111 +1233,52 @@ func (s *Server) handleDemo(w http.ResponseWriter, r *http.Request) {
 		}
 		seed = parsed
 	}
-	refRaw, readsRaw, counts, err := demoDataset(seed)
+	refFasta, readsFastq, err := demoDataset(seed)
 	if err != nil {
 		s.log.Error("demo dataset generation failed", "seed", seed, "err", err)
 		httpError(w, r, http.StatusInternalServerError, "internal server error")
 		return
 	}
-	job, existing, ae := s.admitJob(jobSpec{
+	s.admitAndLaunch(w, r, jobSpec{
 		Backend: "fpga", B: DefaultB, SF: DefaultSF,
-		RefName: "synthetic-demo", RefLength: counts.refLen, Reads: counts.reads,
-		IdemKey:   idemKey,
+		RefName: "synthetic-demo", IdemKey: idemKey,
 		RequestID: obs.RequestIDFrom(r.Context()),
 		Timeout:   s.effectiveTimeout(r),
-	}, StateQueued)
-	if ae != nil {
-		s.rejectAdmission(w, ae)
-		return
-	}
-	if existing {
-		s.answerSubmitted(w, r, job, true)
-		return
-	}
-	if err := s.acceptAndLaunch(job, jobInput{refRaw: refRaw, readsRaw: readsRaw}); err != nil {
-		s.log.Error("accepting demo job failed", "job", job.ID, "err", err)
-		jsonError(w, http.StatusInternalServerError, "could not persist job")
-		return
-	}
-	s.answerSubmitted(w, r, job, false)
+	}, jobInput{ref: payload{raw: refFasta}, reads: payload{raw: readsFastq}})
 }
 
 // demoDataset renders the seeded synthetic reference and reads as FASTA and
 // FASTQ bytes — the same wire form an upload arrives in.
-func demoDataset(seed int64) (refRaw, readsRaw []byte, counts struct{ refLen, reads int }, err error) {
+func demoDataset(seed int64) (refFasta, readsFastq []byte, err error) {
 	ref, err := readsim.Genome(readsim.GenomeConfig{Length: 50000, Seed: seed, RepeatFraction: 0.2})
 	if err != nil {
-		return nil, nil, counts, err
+		return nil, nil, err
 	}
 	sim, err := readsim.Simulate(ref, readsim.ReadsConfig{
 		Count: 1000, Length: 80, MappingRatio: 0.7, RevCompFraction: 0.5, Seed: seed + 1,
 	})
 	if err != nil {
-		return nil, nil, counts, err
+		return nil, nil, err
 	}
 	var fb bytes.Buffer
 	fw := fastx.NewWriter(&fb, fastx.FASTA, false)
 	if err := fw.Write(&fastx.Record{ID: "synthetic-demo", Seq: []byte(ref.String())}); err != nil {
-		return nil, nil, counts, err
+		return nil, nil, err
 	}
 	if err := fw.Close(); err != nil {
-		return nil, nil, counts, err
+		return nil, nil, err
 	}
 	var qb bytes.Buffer
 	qw := fastx.NewWriter(&qb, fastx.FASTQ, false)
 	for _, rd := range sim {
 		if err := qw.Write(&fastx.Record{ID: rd.ID, Seq: []byte(rd.Seq.String())}); err != nil {
-			return nil, nil, counts, err
+			return nil, nil, err
 		}
 	}
 	if err := qw.Close(); err != nil {
-		return nil, nil, counts, err
+		return nil, nil, err
 	}
-	counts.refLen, counts.reads = len(ref), len(sim)
-	return fb.Bytes(), qb.Bytes(), counts, nil
-}
-
-func parseReference(r io.Reader) (dna.Seq, *core.ContigSet, string, error) {
-	recs, err := fastx.ReadAll(r)
-	if err != nil {
-		return nil, nil, "", fmt.Errorf("reference: %w", err)
-	}
-	if len(recs) == 0 {
-		return nil, nil, "", errors.New("reference: no FASTA records")
-	}
-	// Multi-record references are concatenated; contig metadata lets the
-	// results translate back to per-record coordinates.
-	var all []byte
-	names := make([]string, len(recs))
-	lengths := make([]int, len(recs))
-	for i, rec := range recs {
-		all = append(all, rec.Seq...)
-		names[i] = rec.ID
-		lengths[i] = len(rec.Seq)
-	}
-	seq, _ := dna.Sanitize(all, dna.A)
-	contigs, err := core.NewContigSet(names, lengths)
-	if err != nil {
-		return nil, nil, "", fmt.Errorf("reference: %w", err)
-	}
-	return seq, contigs, recs[0].ID, nil
-}
-
-func parseReads(r io.Reader) ([]dna.Seq, []string, error) {
-	recs, err := fastx.ReadAll(r)
-	if err != nil {
-		return nil, nil, fmt.Errorf("reads: %w", err)
-	}
-	if len(recs) == 0 {
-		return nil, nil, errors.New("reads: no records")
-	}
-	seqs := make([]dna.Seq, len(recs))
-	ids := make([]string, len(recs))
-	for i, rec := range recs {
-		seqs[i], _ = dna.Sanitize(rec.Seq, dna.A)
-		ids[i] = rec.ID
-	}
-	return seqs, ids, nil
+	return fb.Bytes(), qb.Bytes(), nil
 }
 
 func (s *Server) createJob(backend string, b, sf, mismatches int, refName string, refLen, reads int) *Job {
@@ -1343,33 +1295,14 @@ func (s *Server) createJob(backend string, b, sf, mismatches int, refName string
 	return job
 }
 
-// jobInput is what a launched job works on: raw upload bytes (parsed on the
-// job goroutine), payload files on disk (chunked uploads and journal
-// replays), or pre-parsed sequences.
+// jobInput is what a launched job works on: the two parts of its upload, as
+// the submission route left them (see payload), parsed on the job goroutine.
 type jobInput struct {
-	refRaw, readsRaw   []byte
-	refPath, readsPath string
+	ref, reads payload
 	// refDigest is the hex SHA-256 of the raw reference when the ingest route
 	// already took it (the multipart handler hashes on the wire); empty means
 	// runJob hashes the payload itself.
 	refDigest string
-	ref       dna.Seq
-	contigs   *core.ContigSet
-	reads     []dna.Seq
-	ids       []string
-}
-
-// hasRawInput reports whether the job must parse its payload itself.
-func (in jobInput) hasRawInput() bool {
-	return in.refRaw != nil || in.refPath != ""
-}
-
-// openPayload returns a reader over one payload part, raw bytes or file.
-func openPayload(raw []byte, path string) (io.ReadCloser, error) {
-	if path != "" {
-		return os.Open(path)
-	}
-	return io.NopCloser(bytes.NewReader(raw)), nil
 }
 
 // launch runs the job asynchronously: it waits for a pipeline slot (abortable
@@ -1507,47 +1440,53 @@ func (s *Server) runJob(ctx context.Context, job *Job, in jobInput) error {
 		return err
 	}
 
-	ref, contigs, reads, ids := in.ref, in.contigs, in.reads, in.ids
 	idxCfg := core.IndexConfig{
 		RRR:   rrr.Params{BlockSize: job.B, SuperblockFactor: job.SF},
 		FtabK: s.cfg.FtabK,
 	}
-	var key string // the index's core.CacheKey
-	var qcRejects []qc.Reject
-	if in.hasRawInput() {
-		_, parseSpan := obs.StartSpan(ctx, "parse")
-		parseStart := time.Now()
-		var err error
-		key, ref, contigs, err = s.referenceKey(job, in, idxCfg)
-		if err != nil {
-			parseSpan.End()
-			return err
-		}
-		readsReader, err := openPayload(in.readsRaw, in.readsPath)
-		if err != nil {
-			parseSpan.End()
-			return err
-		}
-		var qcReport *qc.Report
-		reads, ids, qcRejects, qcReport, err = ingestReads(readsReader, job.QC)
-		readsReader.Close()
-		parseSpan.End()
-		if err != nil {
-			return err
-		}
-		s.mu.Lock()
-		job.Reads = len(reads)
-		job.ParseTime = time.Since(parseStart)
-		if qcReport != nil {
-			job.QCReport = qcReport
-			s.qcTotals.Merge(*qcReport)
-		}
-		s.mu.Unlock()
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-	} else {
-		key = core.CacheKey(ref, contigs, idxCfg)
+	_, parseSpan := obs.StartSpan(ctx, "parse")
+	defer parseSpan.End() // for the error returns; the first End is the one kept
+	parseStart := time.Now()
+	key, ref, contigs, err := s.referenceKey(job, in, idxCfg, parseSpan)
+	if err != nil {
+		return err
+	}
+	readsReader, err := in.reads.open()
+	if err != nil {
+		return err
+	}
+	defer readsReader.Close()
+	if hook := s.testHookOpenReads; hook != nil {
+		readsReader = hook(readsReader)
+	}
+	batch := s.cfg.StreamBatch
+	if job.Mode == ModeMemPE && batch%2 == 1 {
+		// Pair-aligned batches: a mate pair split across batches would lose
+		// its rescue and proper-pair context.
+		batch++
+	}
+	src, err := qc.NewSource(readsReader, job.QC, batch)
+	if err != nil {
+		return fmt.Errorf("reads: %w", err)
+	}
+	defer src.Close()
+	defer s.noteQCReport(job, src)
+	// The first batch is pulled before the build, so a reads upload that is
+	// empty or does not decode fails the job before any index is built.
+	first, err := src.Next()
+	parseSpan.End()
+	if err == io.EOF {
+		return noReadsError(job.QC, src.Report())
+	}
+	if err != nil {
+		return fmt.Errorf("reads: %w", err)
+	}
+	s.mu.Lock()
+	job.Reads = len(first.Seqs)
+	job.ParseTime = time.Since(parseStart)
+	s.mu.Unlock()
+	if err := ctx.Err(); err != nil {
+		return err
 	}
 
 	// Steps 1+2: BWT/SA computation and succinct encoding — through the
@@ -1566,7 +1505,7 @@ func (s *Server) runJob(ctx context.Context, job *Job, in jobInput) error {
 			// The alias named the key but neither the cache nor the spill
 			// directory holds the index any more: parse after all.
 			var err error
-			if ref, contigs, _, err = s.loadReference(job, in); err != nil {
+			if ref, contigs, err = s.loadReference(job, in.ref, buildSpan); err != nil {
 				return nil, err
 			}
 		}
@@ -1576,10 +1515,8 @@ func (s *Server) runJob(ctx context.Context, job *Job, in jobInput) error {
 		if err != nil {
 			return nil, err
 		}
-		if contigs != nil {
-			if err := ix.SetContigs(contigs); err != nil {
-				return nil, err
-			}
+		if err := ix.SetContigs(contigs); err != nil {
+			return nil, err
 		}
 		return ix, nil
 	})
@@ -1598,74 +1535,115 @@ func (s *Server) runJob(ctx context.Context, job *Job, in jobInput) error {
 	s.mu.Lock()
 	job.CacheHit = hit
 	job.BuildTime = time.Since(buildStart)
-	if in.hasRawInput() {
-		// The index knows what a parse would have told: an alias hit never
-		// looked at the reference.
-		job.RefName, job.RefLength = "", entry.ix.RefLength()
-		if cs := entry.ix.Contigs(); cs != nil && cs.Count() > 0 {
-			job.RefName = cs.Contig(0).Name
-		}
+	// The index knows what a parse would have told: an alias hit never looked
+	// at the reference.
+	job.RefName, job.RefLength = "", entry.ix.RefLength()
+	if cs := entry.ix.Contigs(); cs != nil && cs.Count() > 0 {
+		job.RefName = cs.Contig(0).Name
 	}
 	s.mu.Unlock()
 
+	reads, err := s.mapJob(ctx, job, entry, first, src)
+	if err == nil && reads == 0 {
+		err = noReadsError(job.QC, src.Report())
+	}
+	return err
+}
+
+// noteQCReport takes a job's ingest accounting when the job ends. The report
+// is final only when the stream has ended, so it is taken once, however the
+// job ends: a failed or cancelled job accounts for the batches it was handed,
+// and the report still balances. A job without a policy reports nothing.
+func (s *Server) noteQCReport(job *Job, src *qc.Source) {
+	if !job.QC.Active() {
+		return
+	}
+	rep := src.Report()
+	s.mu.Lock()
+	job.QCReport = &rep
+	s.qcTotals.Merge(rep)
+	s.mu.Unlock()
+}
+
+// noReadsError is how a job with nothing to map fails: no record in the
+// upload, or none that the job's policy let through.
+func noReadsError(pol qc.Policy, rep qc.Report) error {
+	if !pol.Active() {
+		return errors.New("reads: no records")
+	}
+	return fmt.Errorf("reads: no records survived QC (%d attempted, %d malformed, %d rejected)",
+		rep.Attempted, rep.Malformed, rep.RejectedTotal())
+}
+
+// batchSource is where the runner gets its reads: a *qc.Source over the job's
+// reads payload.
+type batchSource interface {
+	Next() (qc.Batch, error)
+}
+
+// mapJob is pipeline step 3: it maps first and then every further batch of
+// src with the job's workload, emitting as it goes, and seals the job's
+// results — or discards them, when the run failed or there was no read to map.
+// It returns how many reads it mapped.
+func (s *Server) mapJob(ctx context.Context, job *Job, entry *cacheEntry, first qc.Batch, src batchSource) (int, error) {
 	mapCtx, mapSpan := obs.StartSpan(ctx, "map")
 	em, err := s.newEmitter(job)
 	if err != nil {
 		mapSpan.End()
-		return err
+		return 0, err
 	}
-	// Reject rows lead the stream: a client tailing the job sees which
-	// reads were dropped (and why) before the mapping rows begin.
-	if len(qcRejects) > 0 {
-		if err := em.qcRejects(qcRejects); err != nil {
-			em.discard()
-			mapSpan.End()
-			return err
-		}
-	}
+	var reads int
 	var mapTime time.Duration
 	switch {
 	case job.memMode():
 		var work servedWork[core.MemResult]
-		if work, err = s.memWork(entry.ix, job.Mode == ModeMemPE, reads, ids, em); err == nil {
-			mapTime, err = runBatches(mapCtx, s, job, entry, reads, work)
+		if work, err = s.memWork(entry.ix, job.Mode == ModeMemPE, em); err == nil {
+			reads, mapTime, err = runBatches(mapCtx, s, job, entry, first, src, em, work)
 		}
 	case job.Mismatches > 0:
-		mapTime, err = runBatches(mapCtx, s, job, entry, reads, approxWork(entry.ix, job.Mismatches, ids, em))
+		reads, mapTime, err = runBatches(mapCtx, s, job, entry, first, src, em, approxWork(entry.ix, job.Mismatches, em))
 	default:
-		mapTime, err = runBatches(mapCtx, s, job, entry, reads, exactWork(entry.ix, reads, ids, em))
+		reads, mapTime, err = runBatches(mapCtx, s, job, entry, first, src, em, exactWork(entry.ix, em))
 	}
-	mapSpan.SetAttr("reads", len(reads))
+	mapSpan.SetAttr("reads", reads)
 	mapSpan.End()
-	if err != nil {
-		em.discard()
-		return err
+	if err == nil && reads > 0 {
+		err = em.finish()
 	}
-	if err := em.finish(); err != nil {
+	if err != nil || reads == 0 {
 		em.discard()
-		return err
+		return 0, err
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	job.MapTime = mapTime
 	job.Mapped = em.mapped
-	return nil
+	return reads, nil
 }
 
-// loadReference parses a job's raw reference payload, bytes or file. The
-// reference always parses strictly: a corrupt reference is a hard error,
-// never something to resync past.
-func (s *Server) loadReference(job *Job, in jobInput) (dna.Seq, *core.ContigSet, string, error) {
+// loadReference parses a job's reference payload; span is the parse or build
+// span doing it. What the parse replaced — every N or IUPAC code becomes A —
+// is said once, in the log and on the span.
+func (s *Server) loadReference(job *Job, ref payload, span *obs.Span) (dna.Seq, *core.ContigSet, error) {
 	if hook := s.testHookParseReference; hook != nil {
 		hook(job)
 	}
-	r, err := openPayload(in.refRaw, in.refPath)
+	r, err := ref.open()
 	if err != nil {
-		return nil, nil, "", err
+		return nil, nil, err
 	}
 	defer r.Close()
-	return parseReference(r)
+	seq, contigs, replaced, err := core.ReadReference(r)
+	if err != nil {
+		return nil, nil, fmt.Errorf("reference: %w", err)
+	}
+	if replaced > 0 {
+		s.log.Warn("reference holds ambiguous bases; each was replaced with A",
+			append(obs.JobAttrs(job.ID, job.Backend), "replaced_bases", replaced)...)
+		span.SetAttr("replaced_bases", replaced)
+	}
+	return seq, contigs, nil
 }
 
 // referenceKey finds the cache key of a raw reference, without parsing it
@@ -1675,10 +1653,10 @@ func (s *Server) loadReference(job *Job, in jobInput) (dna.Seq, *core.ContigSet,
 // index is in neither cache tier. On an alias miss the reference is parsed as
 // it always was, the job learns its name and length, and the alias is
 // recorded — after the parse succeeded, so a corrupt upload leaves none.
-func (s *Server) referenceKey(job *Job, in jobInput, cfg core.IndexConfig) (key string, ref dna.Seq, contigs *core.ContigSet, err error) {
+func (s *Server) referenceKey(job *Job, in jobInput, cfg core.IndexConfig, span *obs.Span) (key string, ref dna.Seq, contigs *core.ContigSet, err error) {
 	digest := in.refDigest
 	if digest == "" {
-		if digest, err = digestPayload(in.refRaw, in.refPath); err != nil {
+		if digest, err = in.ref.digest(); err != nil {
 			return "", nil, nil, err
 		}
 	}
@@ -1686,12 +1664,11 @@ func (s *Server) referenceKey(job *Job, in jobInput, cfg core.IndexConfig) (key 
 	if key = s.cache.aliasKey(alias); key != "" {
 		return key, nil, nil, nil
 	}
-	ref, contigs, refName, err := s.loadReference(job, in)
-	if err != nil {
+	if ref, contigs, err = s.loadReference(job, in.ref, span); err != nil {
 		return "", nil, nil, err
 	}
 	s.mu.Lock()
-	job.RefName, job.RefLength = refName, len(ref)
+	job.RefName, job.RefLength = contigs.Contig(0).Name, len(ref)
 	s.mu.Unlock()
 	key = core.CacheKey(ref, contigs, cfg)
 	s.cache.setAlias(alias, key)
@@ -1738,31 +1715,26 @@ func (s *Server) noteFallback(job *Job, cause error) {
 // servedWork is one kind of job as the runner sees it: how one batch maps on
 // the CPU and on the farm to per-read results R, and how those are encoded.
 type servedWork[R any] struct {
-	// paired batches hold whole mate pairs.
-	paired bool
 	// onCPU maps batch into dst, the job's one result buffer; onFarm returns
 	// the device run's own results.
 	onCPU  func(dst []R, batch []dna.Seq, run core.MapOptions) error
 	onFarm func(farm *fpga.Farm, batch []dna.Seq, run fpga.MapRunOptions) ([]R, fpga.Profile, error)
-	// emit encodes the results of the batch that starts at read off.
-	emit func(off int, results []R) error
+	// emit encodes the results of one batch, whose first read is the job's
+	// off-th.
+	emit func(off int, ids []string, reads []dna.Seq, results []R) error
 }
 
-// runBatches is pipeline step 3 for every workload on either backend, run in
-// StreamBatch-sized slices so results are emitted (TSV or SAM, plus the
-// NDJSON stream) as each batch completes instead of accumulating for the
-// whole job. When the FPGA farm fails with a device error and the fallback
-// policy is "cpu", that batch and the remaining reads map on the CPU — same
-// results (the backends are bit-identical by construction), honest CPU
-// timing; batches already emitted by the FPGA stand. It returns the job's
-// mapping time: modeled device time plus wall-clock CPU time.
-func runBatches[R any](ctx context.Context, s *Server, job *Job, entry *cacheEntry, reads []dna.Seq, w servedWork[R]) (time.Duration, error) {
-	batch := s.cfg.StreamBatch
-	if w.paired && batch%2 == 1 {
-		// Pair-aligned batches: a mate pair split across batches would lose
-		// its rescue and proper-pair context.
-		batch++
-	}
+// runBatches is pipeline step 3 for every workload on either backend: it maps
+// first, then pulls batch after batch from src, each at most StreamBatch
+// reads, so the job holds one batch of reads and of results however long its
+// upload is. Each batch's reject rows are emitted, then its mapping rows (TSV
+// or SAM, plus the NDJSON stream). When the FPGA farm fails with a device
+// error and the fallback policy is "cpu", that batch and the remaining reads
+// map on the CPU — same results (the backends are bit-identical by
+// construction), honest CPU timing; batches already emitted by the FPGA
+// stand. It returns the reads mapped and the job's mapping time: modeled
+// device time plus wall-clock CPU time.
+func runBatches[R any](ctx context.Context, s *Server, job *Job, entry *cacheEntry, first qc.Batch, src batchSource, em *jobEmitter, w servedWork[R]) (int, time.Duration, error) {
 	onDevice := job.Backend == "fpga"
 	var mapTime time.Duration
 	cpuStart := time.Now()
@@ -1771,8 +1743,34 @@ func runBatches[R any](ctx context.Context, s *Server, job *Job, entry *cacheEnt
 	// first batch's — so it reads the offset of the batch in hand.
 	off := 0
 	progress := func(done, _ int) { s.setJobProgress(job, off+done) }
-	for ; off < len(reads); off += batch {
-		chunk := reads[off:min(off+batch, len(reads))]
+	// next pulls a batch. The wait is parse time: it is counted on the job and
+	// moves cpuStart along, so the CPU's map time leaves it out.
+	next := func() (qc.Batch, error) {
+		start := time.Now()
+		b, err := src.Next()
+		wait := time.Since(start)
+		cpuStart = cpuStart.Add(wait)
+		s.mu.Lock()
+		job.Reads += len(b.Seqs)
+		job.ParseTime += wait
+		s.mu.Unlock()
+		return b, err
+	}
+	for b, err := first, error(nil); err != io.EOF; b, err = next() {
+		if err != nil {
+			return 0, 0, fmt.Errorf("reads: %w", err)
+		}
+		// A batch with nothing to map never reaches an engine that polls the
+		// context, so the loop does.
+		if err := ctx.Err(); err != nil {
+			return 0, 0, err
+		}
+		if err := em.qcRejects(b.Rejects); err != nil {
+			return 0, 0, err
+		}
+		if len(b.Seqs) == 0 {
+			continue // every record of this batch was rejected
+		}
 		var results []R
 		if onDevice {
 			// farmFor is cheap after the first batch: the cached farm reports the
@@ -1780,7 +1778,7 @@ func runBatches[R any](ctx context.Context, s *Server, job *Job, entry *cacheEnt
 			farm, resident, err := entry.farmFor(s.devices, s.farmOptions())
 			var profile fpga.Profile
 			if err == nil {
-				results, profile, err = w.onFarm(farm, chunk, fpga.MapRunOptions{Context: ctx, Progress: progress, IndexResident: resident})
+				results, profile, err = w.onFarm(farm, b.Seqs, fpga.MapRunOptions{Context: ctx, Progress: progress, IndexResident: resident})
 			}
 			switch {
 			case err == nil:
@@ -1791,30 +1789,31 @@ func runBatches[R any](ctx context.Context, s *Server, job *Job, entry *cacheEnt
 				obs.SpanFrom(ctx).SetAttr("fallback", err.Error())
 				onDevice, cpuStart = false, time.Now()
 			default:
-				return 0, err
+				return 0, 0, err
 			}
 		}
 		if !onDevice {
-			if buf == nil {
-				buf = make([]R, len(chunk)) // the first CPU batch is the longest
+			if cap(buf) < len(b.Seqs) {
+				buf = make([]R, len(b.Seqs))
 			}
-			results = buf[:len(chunk)]
-			if err := w.onCPU(results, chunk, core.MapOptions{Context: ctx, Workers: -1, Progress: progress}); err != nil {
-				return 0, err
+			results = buf[:len(b.Seqs)]
+			if err := w.onCPU(results, b.Seqs, core.MapOptions{Context: ctx, Workers: -1, Progress: progress}); err != nil {
+				return 0, 0, err
 			}
 		}
-		if err := w.emit(off, results); err != nil {
-			return 0, err
+		if err := w.emit(off, b.IDs, b.Seqs, results); err != nil {
+			return 0, 0, err
 		}
+		off += len(b.Seqs)
 	}
 	if !onDevice {
 		mapTime += time.Since(cpuStart)
 	}
-	return mapTime, nil
+	return off, mapTime, nil
 }
 
 // exactWork serves exact matching: located positions on both strands.
-func exactWork(ix *core.Index, reads []dna.Seq, ids []string, em *jobEmitter) servedWork[core.MapResult] {
+func exactWork(ix *core.Index, em *jobEmitter) servedWork[core.MapResult] {
 	contigs := ix.Contigs()
 	return servedWork[core.MapResult]{
 		onCPU: func(dst []core.MapResult, batch []dna.Seq, run core.MapOptions) error {
@@ -1829,8 +1828,8 @@ func exactWork(ix *core.Index, reads []dna.Seq, ids []string, em *jobEmitter) se
 			}
 			return r.Results, r.Profile, ix.LocateResults(r.Results)
 		},
-		emit: func(off int, results []core.MapResult) error {
-			return em.exactBatch(off, ids, reads, results, contigs)
+		emit: func(off int, ids []string, reads []dna.Seq, results []core.MapResult) error {
+			return em.exactBatch(off == 0, ids, reads, results, contigs)
 		},
 	}
 }
@@ -1838,7 +1837,7 @@ func exactWork(ix *core.Index, reads []dna.Seq, ids []string, em *jobEmitter) se
 // approxWork serves a mismatch budget: the two-pass reconfigurable flow on the
 // FPGA model, which only rescues reads its exact pass left unmapped, and the
 // branching search on the CPU, which reports every in-budget occurrence.
-func approxWork(ix *core.Index, mismatches int, ids []string, em *jobEmitter) servedWork[approxRow] {
+func approxWork(ix *core.Index, mismatches int, em *jobEmitter) servedWork[approxRow] {
 	approxRowOf := func(res core.ApproxResult) approxRow {
 		return approxRow{Mapped: res.Mapped(), BestMismatches: res.BestMismatches(), Occurrences: res.Occurrences()}
 	}
@@ -1865,7 +1864,9 @@ func approxWork(ix *core.Index, mismatches int, ids []string, em *jobEmitter) se
 			}
 			return rows, r.Profile, nil
 		},
-		emit: func(off int, rows []approxRow) error { return em.approxBatch(off, ids, rows) },
+		emit: func(off int, ids []string, _ []dna.Seq, rows []approxRow) error {
+			return em.approxBatch(off == 0, ids, rows)
+		},
 	}
 }
 
@@ -1875,7 +1876,7 @@ func approxWork(ix *core.Index, mismatches int, ids []string, em *jobEmitter) se
 // the FPGA the whole job runs as one two-pass session: the first batch pays
 // the single fabric reconfiguration, later batches keep the alignment array
 // programmed and overlap host seeding with modeled device extension.
-func (s *Server) memWork(ix *core.Index, paired bool, reads []dna.Seq, ids []string, em *jobEmitter) (servedWork[core.MemResult], error) {
+func (s *Server) memWork(ix *core.Index, paired bool, em *jobEmitter) (servedWork[core.MemResult], error) {
 	memOpts := core.MemOptions{Paired: paired}
 	// One SAM writer spans the whole job, so the header lands in the first
 	// batch and every later batch drains as bare records.
@@ -1899,7 +1900,6 @@ func (s *Server) memWork(ix *core.Index, paired bool, reads []dna.Seq, ids []str
 		return sw.Write(rec)
 	}
 	return servedWork[core.MemResult]{
-		paired: paired,
 		onCPU: func(dst []core.MemResult, batch []dna.Seq, run core.MapOptions) error {
 			stats, err := ix.MapReadsMemInto(dst, batch, memOpts, run)
 			count(stats, false)
@@ -1916,14 +1916,13 @@ func (s *Server) memWork(ix *core.Index, paired bool, reads []dna.Seq, ids []str
 			count(r.Stats, r.Profile.Reconfig > 0)
 			return r.Results, r.Profile, nil
 		},
-		emit: func(off int, results []core.MemResult) error {
+		emit: func(off int, ids []string, reads []dna.Seq, results []core.MemResult) error {
 			rows = rows[:0]
 			for i := 0; i < len(results); {
-				g := off + i
 				if paired && i+1 < len(results) {
 					pr := core.MemPairFromResults(results[i], results[i+1], memOpts)
-					rec1, rec2 := ix.MemPairRecords(samQName(ids[g], g), samQName(ids[g+1], g+1),
-						reads[g], reads[g+1], pr)
+					rec1, rec2 := ix.MemPairRecords(samQName(ids[i], off+i), samQName(ids[i+1], off+i+1),
+						reads[i], reads[i+1], pr)
 					if err := write(rec1, results[i]); err != nil {
 						return err
 					}
@@ -1933,7 +1932,7 @@ func (s *Server) memWork(ix *core.Index, paired bool, reads []dna.Seq, ids []str
 					i += 2
 					continue
 				}
-				if err := write(ix.MemRecord(samQName(ids[g], g), reads[g], results[i]), results[i]); err != nil {
+				if err := write(ix.MemRecord(samQName(ids[i], off+i), reads[i], results[i]), results[i]); err != nil {
 					return err
 				}
 				i++

@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"bwaver/internal/core"
-	"bwaver/internal/dna"
 	"bwaver/internal/fastx"
 	"bwaver/internal/readsim"
 )
@@ -339,20 +338,6 @@ func TestAppendJSONStringMatchesEncodingJSON(t *testing.T) {
 		if got := appendJSONString([]byte("x"), []byte(s)); !bytes.Equal(got[1:], want) {
 			t.Errorf("appendJSONString([]byte(%q)) = %s, want %s", s, got[1:], want)
 		}
-	}
-}
-
-func TestParseReferenceConcatenatesRecords(t *testing.T) {
-	in := strings.NewReader(">a\nACGT\n>b\nTTTT\n")
-	seq, contigs, name, err := parseReference(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if name != "a" || !seq.Equal(dna.MustParseSeq("ACGTTTTT")) {
-		t.Errorf("parseReference = %q %q", name, seq)
-	}
-	if contigs == nil || contigs.Count() != 2 || contigs.Contig(1).Name != "b" {
-		t.Errorf("parseReference contigs wrong: %+v", contigs)
 	}
 }
 

@@ -37,10 +37,6 @@ import (
 // recorded per job (peak_result_buffer_bytes). Stateless servers keep the
 // stream in memory — the pre-streaming behavior, fine for demo-scale jobs.
 
-// DefaultStreamBatch is the default result-streaming batch size: how many
-// reads are mapped between stream flushes.
-const DefaultStreamBatch = 8192
-
 // streamHeartbeat is how often an idle SSE connection gets a comment line so
 // proxies do not reap it.
 const streamHeartbeat = 15 * time.Second
@@ -311,11 +307,15 @@ type rejectRow struct {
 	Detail string `json:"detail,omitempty"`
 }
 
-// qcRejects emits the ingest-stage reject rows onto the job's NDJSON stream,
-// before any mapping batch. Reasons outside the fixed enum (impossible from
-// the gate, conceivable from a tampered journal) are clamped so the stream
-// never carries attacker-minted codes.
+// qcRejects emits one batch's reject rows onto the job's NDJSON stream, ahead
+// of that batch's mapping rows: a client tailing the job sees which reads
+// were dropped (and why) where they were dropped. Reasons outside the fixed
+// enum (impossible from the gate, conceivable from a tampered journal) are
+// clamped so the stream never carries attacker-minted codes.
 func (em *jobEmitter) qcRejects(rejects []qc.Reject) error {
+	if len(rejects) == 0 {
+		return nil
+	}
 	enc := json.NewEncoder(&em.scratchND)
 	for _, rej := range rejects {
 		reason := rej.Reason
@@ -478,21 +478,20 @@ func (em *jobEmitter) appendPositions(dst []byte, contigs *core.ContigSet, ps []
 	return dst
 }
 
-// exactBatch emits one exact-matching batch: ids and reads are the full job
-// slices, results covers [start, start+len(results)). Rows are appended with
-// strconv, not formatted by fmt and reflected by encoding/json: at thousands
-// of rows per job those two were a warm job's largest cost outside mapping.
-func (em *jobEmitter) exactBatch(start int, ids []string, reads []dna.Seq, results []core.MapResult, contigs *core.ContigSet) error {
+// exactBatch emits one exact-matching batch, the job's first under the TSV
+// header. Rows are appended with strconv, not formatted by fmt and reflected
+// by encoding/json: at thousands of rows per job those two were a warm job's
+// largest cost outside mapping.
+func (em *jobEmitter) exactBatch(first bool, ids []string, reads []dna.Seq, results []core.MapResult, contigs *core.ContigSet) error {
 	tsv, nd := em.scratchTSV.AvailableBuffer(), em.scratchND.AvailableBuffer()
-	if start == 0 {
+	if first {
 		tsv = append(tsv, "read\tmapped\tfw_count\tfw_positions\trc_count\trc_positions\n"...)
 	}
 	for i, res := range results {
-		g := start + i
 		if res.Mapped() {
 			em.mapped++
 		}
-		id, span := sanitizeID(ids[g]), len(reads[g])
+		id, span := sanitizeID(ids[i]), len(reads[i])
 		em.fw = em.appendPositions(em.fw[:0], contigs, res.ForwardPositions, span)
 		em.rc = em.appendPositions(em.rc[:0], contigs, res.ReversePositions, span)
 
@@ -516,18 +515,18 @@ func (em *jobEmitter) exactBatch(start int, ids []string, reads []dna.Seq, resul
 	return em.flushBatch(len(results))
 }
 
-// approxBatch emits one mismatch-budget batch: ids is the full job slice, rows
-// covers [start, start+len(rows)) and takes its read names from ids.
-func (em *jobEmitter) approxBatch(start int, ids []string, rows []approxRow) error {
+// approxBatch emits one mismatch-budget batch, the job's first under the TSV
+// header; rows take their read names from ids.
+func (em *jobEmitter) approxBatch(first bool, ids []string, rows []approxRow) error {
 	tsv, nd := em.scratchTSV.AvailableBuffer(), em.scratchND.AvailableBuffer()
-	if start == 0 {
+	if first {
 		tsv = append(tsv, "read\tmapped\tbest_mismatches\toccurrences\n"...)
 	}
 	for i, row := range rows {
 		if row.Mapped {
 			em.mapped++
 		}
-		row.Read = sanitizeID(ids[start+i])
+		row.Read = sanitizeID(ids[i])
 		tsv = append(append(tsv, row.Read...), '\t')
 		tsv = append(strconv.AppendBool(tsv, row.Mapped), '\t')
 		tsv = append(strconv.AppendInt(tsv, int64(row.BestMismatches), 10), '\t')

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -44,20 +43,25 @@ import (
 // retry after a 429/503, a drain, or a crash returns the original job —
 // offsets and all — instead of double-running it.
 
-// uploadState tracks a chunked job's payload progress. Sizes are the
-// committed extent of each part; the stateless server holds the bytes in
-// memory, the durable one appends straight to the journal's payload files.
+// uploadState tracks a chunked job's payload progress: the two parts as far
+// as they are committed. The stateless server holds them in memory, the
+// durable one appends straight to the journal's payload files.
 type uploadState struct {
 	mu           sync.Mutex
-	refBuf       []byte // stateless accumulation
-	readsBuf     []byte
-	refSize      int64
-	readsSize    int64
+	ref, reads   payload
 	lastActivity time.Time
 	// sealed flips when finalize (or a terminal failure) takes the payload
 	// out of the upload path; chunk appends re-check it under mu so a
 	// straggler cannot write after the extent was fsync'd and launched.
 	sealed bool
+}
+
+// part returns the named part, "reference" or "reads".
+func (up *uploadState) part(name string) *payload {
+	if name == "reads" {
+		return &up.reads
+	}
+	return &up.ref
 }
 
 // seal marks the payload closed to further chunk appends.
@@ -214,31 +218,10 @@ func (s *Server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 		s.respondIdempotentReplay(w, job)
 		return
 	}
-	if s.journal != nil {
-		refRel, readsRel := payloadNames(job.ID)
-		rec := journalRecord{
-			Type:         recUploading,
-			Job:          job.ID,
-			Backend:      job.Backend,
-			Mode:         job.Mode,
-			B:            job.B,
-			SF:           job.SF,
-			Mismatches:   job.Mismatches,
-			RefPayload:   refRel,
-			ReadsPayload: readsRel,
-			IdemKey:      job.IdemKey,
-			RequestID:    job.RequestID,
-			Created:      job.Created,
-		}
-		if job.QC.Active() {
-			pol := job.QC
-			rec.QC = &pol
-		}
-		if err := s.journal.append(rec); err != nil {
-			s.failUploadingJob(job, "journal: "+err.Error())
-			jsonError(w, http.StatusInternalServerError, "could not persist job")
-			return
-		}
+	if err := s.journal.append(specRecord(recUploading, job)); err != nil {
+		s.failUploadingJob(job, "journal: "+err.Error())
+		jsonError(w, http.StatusInternalServerError, "could not persist job")
+		return
 	}
 	s.log.Info("streaming job opened", "job", job.ID, "backend", job.Backend)
 	writeJSON(w, http.StatusCreated, s.uploadStatus(job))
@@ -247,7 +230,7 @@ func (s *Server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 // uploadStatus is the client's resume anchor: the committed offset per part.
 func (s *Server) uploadStatus(job *Job) map[string]any {
 	job.upload.mu.Lock()
-	refN, readsN := job.upload.refSize, job.upload.readsSize
+	refN, readsN := job.upload.ref.size, job.upload.reads.size
 	job.upload.mu.Unlock()
 	s.mu.Lock()
 	state := job.State
@@ -329,10 +312,8 @@ func (s *Server) handleUploadChunk(part string) http.HandlerFunc {
 			})
 			return
 		}
-		committed := up.refSize
-		if part == "reads" {
-			committed = up.readsSize
-		}
+		p := up.part(part)
+		committed := p.size
 		offset := committed
 		if q := r.URL.Query().Get("offset"); q != "" {
 			n, err := strconv.ParseInt(q, 10, 64)
@@ -354,7 +335,7 @@ func (s *Server) handleUploadChunk(part string) http.HandlerFunc {
 		// a chunk at offset grows this part by offset+len-committed, so a
 		// retransmit of already-committed bytes (a lost ACK) is free and stays
 		// idempotent even when the upload sits at the cap.
-		total := up.refSize + up.readsSize
+		total := up.ref.size + up.reads.size
 		limit := s.MaxUploadBytes - total + (committed - offset)
 		if limit < 0 {
 			limit = 0
@@ -395,53 +376,15 @@ func (s *Server) handleUploadChunk(part string) http.HandlerFunc {
 			})
 			return
 		}
-		if err := s.appendChunk(job, up, part, body); err != nil {
+		if err := p.append(body); err != nil {
 			s.log.Error("appending upload chunk failed", "job", job.ID, "part", part, "err", err)
 			jsonError(w, http.StatusInternalServerError, "could not persist chunk")
 			return
 		}
-		newCommitted := up.refSize
-		if part == "reads" {
-			newCommitted = up.readsSize
-		}
 		s.mUploadChunks.With(part).Inc()
 		s.mUploadBytes.With(part).Add(float64(len(body)))
-		writeJSON(w, http.StatusOK, map[string]any{"id": job.ID, "part": part, "offset": newCommitted})
+		writeJSON(w, http.StatusOK, map[string]any{"id": job.ID, "part": part, "offset": p.size})
 	}
-}
-
-// appendChunk commits chunk bytes to a part; up.mu is held. Durable mode
-// appends to the journal's payload file (no per-chunk fsync: a crash-torn
-// tail just lowers the committed offset the client resumes from).
-func (s *Server) appendChunk(job *Job, up *uploadState, part string, body []byte) error {
-	if s.journal != nil {
-		refRel, readsRel := payloadNames(job.ID)
-		rel := refRel
-		if part == "reads" {
-			rel = readsRel
-		}
-		f, err := os.OpenFile(s.journal.abs(rel), os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-		if err != nil {
-			return err
-		}
-		if _, err := f.Write(body); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	} else if part == "reads" {
-		up.readsBuf = append(up.readsBuf, body...)
-	} else {
-		up.refBuf = append(up.refBuf, body...)
-	}
-	if part == "reads" {
-		up.readsSize += int64(len(body))
-	} else {
-		up.refSize += int64(len(body))
-	}
-	return nil
 }
 
 // handleFinalize seals a chunked payload and queues the job. Finalize is
@@ -478,7 +421,7 @@ func (s *Server) handleFinalize(w http.ResponseWriter, r *http.Request) {
 	}
 	up := job.upload
 	up.mu.Lock()
-	refN, readsN := up.refSize, up.readsSize
+	refN, readsN := up.ref.size, up.reads.size
 	up.mu.Unlock()
 	if refN == 0 || readsN == 0 {
 		s.mu.Unlock()
@@ -500,22 +443,16 @@ func (s *Server) handleFinalize(w http.ResponseWriter, r *http.Request) {
 	s.wg.Add(1)
 	s.mu.Unlock()
 
-	in := jobInput{}
-	if s.journal != nil {
-		refRel, readsRel := payloadNames(job.ID)
-		// fsync the accumulated chunks before the accepted record references
-		// them — the record must never promise bytes a crash could lose.
-		if err := syncFiles(s.journal.abs(refRel), s.journal.abs(readsRel)); err != nil {
-			s.wg.Done()
-			s.failUploadingJob(job, "persisting payload: "+err.Error())
-			jsonError(w, http.StatusInternalServerError, "could not persist job")
-			return
-		}
-		in.refPath, in.readsPath = s.journal.abs(refRel), s.journal.abs(readsRel)
-	} else {
-		up.mu.Lock()
-		in.refRaw, in.readsRaw = up.refBuf, up.readsBuf
-		up.mu.Unlock()
+	up.mu.Lock()
+	in := jobInput{ref: up.ref, reads: up.reads}
+	up.mu.Unlock()
+	// fsync the accumulated chunks before the accepted record references
+	// them — the record must never promise bytes a crash could lose.
+	if err := firstErr(in.ref.sync(), in.reads.sync()); err != nil {
+		s.wg.Done()
+		s.failUploadingJob(job, "persisting payload: "+err.Error())
+		jsonError(w, http.StatusInternalServerError, "could not persist job")
+		return
 	}
 	if err := s.acceptAndLaunch(job, in); err != nil {
 		s.log.Error("accepting finalized job failed", "job", job.ID, "err", err)
@@ -523,24 +460,6 @@ func (s *Server) handleFinalize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusAccepted, map[string]any{"id": job.ID, "state": string(StateQueued)})
-}
-
-// syncFiles fsyncs each named file.
-func syncFiles(paths ...string) error {
-	for _, p := range paths {
-		f, err := os.Open(p)
-		if err != nil {
-			return err
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // sweepStalledUploads fails uploading jobs idle past the configured timeout,
