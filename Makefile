@@ -10,7 +10,7 @@ GO ?= go
 # `make fuzz-smoke FUZZTIME=5m`.
 FUZZTIME ?= 10s
 
-.PHONY: ci build vet test race bench bench-gate bench-smoke bench-baseline fuzz-smoke chaos-smoke stream-smoke cluster-smoke
+.PHONY: ci build vet test race bench bench-gate bench-smoke fuzz-smoke chaos-smoke stream-smoke cluster-smoke
 
 ci: vet test race fuzz-smoke bench-smoke chaos-smoke stream-smoke cluster-smoke
 
@@ -50,20 +50,6 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench='MapReadsMemInto|Extender' -benchtime=50x ./internal/core ./internal/align
 	$(GO) test -run='^$$' -bench='BenchmarkSource$$' -benchtime=10x ./internal/qc
 	$(GO) test -run='^$$' -bench='BenchmarkServedWarmExactJob$$' -benchtime=1x ./internal/server
-
-# bench-baseline records the PR's performance numbers: the reduced-scale
-# prefix-table sweep (reads/sec, allocs/read, modeled FPGA ms, structure
-# bytes) written to BENCH_pr4.json, the seed-and-extend sweep (host
-# reads/sec, per-read pipeline intensity, modeled two-pass cycles) written
-# to BENCH_pr8.json, the batched zero-allocation rerun of that sweep —
-# with allocs/read and the speedup-vs-pr8 column — written to BENCH_pr9.json,
-# and the QC ingest sweep (dirty-corpus ingest rate, quality-sort's effect on
-# modeled wave cycles) written to BENCH_pr10.json.
-bench-baseline:
-	$(GO) run ./cmd/bwaver-bench -quiet -json BENCH_pr4.json ftab
-	$(GO) run ./cmd/bwaver-bench -quiet -json BENCH_pr8.json mem
-	$(GO) run ./cmd/bwaver-bench -quiet -json BENCH_pr9.json -mem-baseline BENCH_pr8.json mem
-	$(GO) run ./cmd/bwaver-bench -quiet -json BENCH_pr10.json qc
 
 # fuzz-smoke gives every fuzz target a short budget; `go test` allows one
 # -fuzz target per invocation, hence the per-target lines.

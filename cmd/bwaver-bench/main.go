@@ -1,13 +1,13 @@
 // Command bwaver-bench regenerates the figures and tables of the paper's
-// evaluation (§IV).
+// evaluation (§IV) and the design ablations, printing the paper's published
+// value beside each measured one.
 //
-//	bwaver-bench [-ref-scale 0.01] [-read-scale 0.001] [-sample 20000] [-seed 1] [-quiet]
-//	             [-csv DIR] [-json FILE] [-ftab-ks 0,8,10,12] <fig5|fig6|fig7|table1|table2|ablate|ftab|mem|qc|all>
+//	bwaver-bench [-ref-scale 1] [-read-scale 1] [-sample 50000] [-seed 1] [-quiet]
+//	             <fig5|fig6|fig7|table1|table2|ablate|all>
 //
-// Default scales shrink the paper's workloads roughly 100-1000x so a full
-// run finishes in minutes; pass -ref-scale 1 -read-scale 1 for the paper's
-// exact sizes (long runtime, ~2 GB memory). See EXPERIMENTS.md for the
-// recorded paper-vs-measured comparison.
+// With no flags it runs at the paper's reference lengths and read counts —
+// the configuration EXPERIMENTS.md records (about two minutes and 0.8 GB on two cores).
+// The scale flags shrink the workloads for tests.
 package main
 
 import (
@@ -15,8 +15,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
+	"runtime"
+	"slices"
 	"strings"
+	"time"
 
 	"bwaver/internal/bench"
 )
@@ -28,53 +30,37 @@ func main() {
 	}
 }
 
+var targets = []string{"fig5", "fig6", "fig7", "table1", "table2", "ablate", "all"}
+
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("bwaver-bench", flag.ContinueOnError)
-	refScale := fs.Float64("ref-scale", bench.Quick.Ref, "reference length scale in (0,1]")
-	readScale := fs.Float64("read-scale", bench.Quick.Reads, "read count scale in (0,1]")
-	sample := fs.Int("sample", bench.Quick.SampleReads, "reads measured before extrapolating")
+	refScale := fs.Float64("ref-scale", 1, "reference length scale in (0,1]; 1 is the paper's lengths")
+	readScale := fs.Float64("read-scale", 1, "read count scale in (0,1]; 1 is the paper's counts")
+	sample := fs.Int("sample", 50000, "reads measured before extrapolating")
 	seed := fs.Int64("seed", 1, "random seed")
 	quiet := fs.Bool("quiet", false, "suppress progress lines")
-	csvDir := fs.String("csv", "", "also export machine-readable CSV files into this directory")
-	jsonPath := fs.String("json", "", "write the sweep as JSON to this file (with the ftab and mem targets)")
-	ftabKs := fs.String("ftab-ks", "", "comma-separated prefix-table orders for the ftab target (default 0,8,10,12)")
-	memBaseline := fs.String("mem-baseline", "", "earlier mem sweep JSON to compute the speedup column against")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {
-		return fmt.Errorf("usage: bwaver-bench [flags] <ablate|fig5|fig6|fig7|ftab|mem|qc|table1|table2|all>")
+		return fmt.Errorf("usage: bwaver-bench [flags] <%s>", strings.Join(targets, "|"))
 	}
+	target := fs.Arg(0)
+	if !slices.Contains(targets, target) {
+		return fmt.Errorf("unknown experiment %q", target)
+	}
+	wants := func(names ...string) bool { return target == "all" || slices.Contains(names, target) }
+
 	scale := bench.Scale{Ref: *refScale, Reads: *readScale, SampleReads: *sample, Seed: *seed}
 	var progress io.Writer = os.Stderr
 	if *quiet {
 		progress = nil
 	}
+	start := time.Now()
+	fmt.Fprintf(out, "BWaveR evaluation — ref scale %g, read scale %g, sample %d reads, seed %d, GOMAXPROCS %d\n",
+		scale.Ref, scale.Reads, scale.SampleReads, scale.Seed, runtime.GOMAXPROCS(0))
 
-	target := fs.Arg(0)
-	runFig56 := target == "fig5" || target == "fig6" || target == "all"
-	runFig7 := target == "fig7" || target == "all"
-	runT1 := target == "table1" || target == "all"
-	runT2 := target == "table2" || target == "all"
-	runAblate := target == "ablate" || target == "all"
-	runFtab := target == "ftab" || target == "all"
-	runMem := target == "mem" || target == "all"
-	runQC := target == "qc" || target == "all"
-	if !runFig56 && !runFig7 && !runT1 && !runT2 && !runAblate && !runFtab && !runMem && !runQC {
-		return fmt.Errorf("unknown experiment %q", target)
-	}
-
-	fmt.Fprintf(out, "BWaveR evaluation — ref scale %g, read scale %g, sample %d reads\n",
-		scale.Ref, scale.Reads, scale.SampleReads)
-
-	exportCSV := func(name string, write func(io.Writer) error) error {
-		if *csvDir == "" {
-			return nil
-		}
-		return bench.ExportCSV(*csvDir, name, write)
-	}
-
-	if runFig56 {
+	if wants("fig5", "fig6") {
 		rows, err := bench.Fig5And6(scale, progress)
 		if err != nil {
 			return err
@@ -85,145 +71,35 @@ func run(args []string, out io.Writer) error {
 		if target != "fig5" {
 			bench.PrintFig6(out, rows)
 		}
-		if err := exportCSV("fig5_fig6.csv", func(w io.Writer) error {
-			return bench.WriteFig5CSV(w, rows)
-		}); err != nil {
-			return err
-		}
 	}
-	if runFig7 {
+	if wants("fig7") {
 		rows, err := bench.Fig7(scale, progress)
 		if err != nil {
 			return err
 		}
 		bench.PrintFig7(out, rows)
-		if err := exportCSV("fig7.csv", func(w io.Writer) error {
-			return bench.WriteFig7CSV(w, rows)
-		}); err != nil {
-			return err
-		}
 	}
-	if runT1 {
+	if wants("table1") {
 		results, err := bench.Table1(scale, progress)
 		if err != nil {
 			return err
 		}
-		bench.PrintTable(out, "Table I — 100M (scaled) 35 bp reads on E.Coli", results)
-		if err := exportCSV("table1.csv", func(w io.Writer) error {
-			return bench.WriteTableCSV(w, results)
-		}); err != nil {
-			return err
-		}
+		bench.PrintTable(out, "Table I — 35 bp reads on E.Coli", results)
 	}
-	if runT2 {
+	if wants("table2") {
 		results, err := bench.Table2(scale, progress)
 		if err != nil {
 			return err
 		}
-		bench.PrintTable(out, "Table II — 1/10/100M (scaled) 40 bp reads on Human Chr.21", results)
-		if err := exportCSV("table2.csv", func(w io.Writer) error {
-			return bench.WriteTableCSV(w, results)
-		}); err != nil {
-			return err
-		}
+		bench.PrintTable(out, "Table II — 40 bp reads on Human Chr.21", results)
 	}
-	if runAblate {
+	if wants("ablate") {
 		res, err := bench.Ablate(scale, progress)
 		if err != nil {
 			return err
 		}
 		bench.PrintAblation(out, res)
 	}
-	if runFtab {
-		ks, err := parseKs(*ftabKs)
-		if err != nil {
-			return err
-		}
-		res, err := bench.FtabAblate(scale, ks, progress)
-		if err != nil {
-			return err
-		}
-		bench.PrintFtabAblation(out, res)
-		if *jsonPath != "" {
-			f, err := os.Create(*jsonPath)
-			if err != nil {
-				return err
-			}
-			if err := bench.WriteFtabJSON(f, res); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "wrote %s\n", *jsonPath)
-		}
-	}
-	if runMem {
-		var baseline *bench.MemBenchResult
-		if *memBaseline != "" {
-			b, err := bench.LoadMemJSON(*memBaseline)
-			if err != nil {
-				return err
-			}
-			baseline = b
-		}
-		res, err := bench.MemBench(scale, baseline, progress)
-		if err != nil {
-			return err
-		}
-		bench.PrintMemBench(out, res)
-		if *jsonPath != "" && target == "mem" {
-			f, err := os.Create(*jsonPath)
-			if err != nil {
-				return err
-			}
-			if err := bench.WriteMemJSON(f, res); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "wrote %s\n", *jsonPath)
-		}
-	}
-	if runQC {
-		res, err := bench.QCBench(scale, progress)
-		if err != nil {
-			return err
-		}
-		bench.PrintQCBench(out, res)
-		if *jsonPath != "" && target == "qc" {
-			f, err := os.Create(*jsonPath)
-			if err != nil {
-				return err
-			}
-			if err := bench.WriteQCJSON(f, res); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "wrote %s\n", *jsonPath)
-		}
-	}
+	fmt.Fprintf(out, "\nwall time %v\n", time.Since(start).Round(time.Millisecond))
 	return nil
-}
-
-// parseKs parses the -ftab-ks list; empty means the package default sweep.
-func parseKs(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var ks []int
-	for _, part := range strings.Split(s, ",") {
-		k, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, fmt.Errorf("-ftab-ks: %w", err)
-		}
-		ks = append(ks, k)
-	}
-	return ks, nil
 }

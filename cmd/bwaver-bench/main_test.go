@@ -20,6 +20,8 @@ func TestBenchAll(t *testing.T) {
 		"Table I", "Table II",
 		"BWaveR FPGA", "Bowtie2-like 16t",
 		"E.Coli", "Human Chr.21",
+		"GOMAXPROCS", "paper speed-up", "70.40x", "0.74x",
+		"Ablation — prefix table", "Ablation — locate structures",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("output missing %q", want)
@@ -55,6 +57,13 @@ func TestBenchErrors(t *testing.T) {
 		{"-read-scale", "9", "table1"},
 		{"-sample", "1", "table1"},
 		{"fig5", "fig6"},
+		// The per-PR sweeps and their knobs are gone; `go run ./benchmark`
+		// reports those quantities as per-layer metrics.
+		{"ftab"}, {"mem"}, {"qc"},
+		{"-json", "out.json", "fig5"},
+		{"-csv", "out", "fig5"},
+		{"-ftab-ks", "0,8", "ablate"},
+		{"-mem-baseline", "old.json", "ablate"},
 	}
 	for _, args := range cases {
 		if err := run(args, &bytes.Buffer{}); err == nil {

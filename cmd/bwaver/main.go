@@ -274,7 +274,6 @@ func cmdIndex(args []string, out io.Writer) error {
 	locate := fs.String("locate", "full", "locate structure: full, sampled or none")
 	sampleRate := fs.Int("sample-rate", 32, "sampled-SA rate (with -locate sampled)")
 	plain := fs.Bool("plain", false, "use uncompressed bit-vectors instead of RRR")
-	saAlgo := fs.String("sa-algo", "sais", "suffix-array construction: sais, dc3 or doubling")
 	ftabK := fs.Int("ftab-k", core.DefaultFtabK, "k-mer prefix-lookup table order (0 = none)")
 	tracePath := fs.String("trace", "", "write the build's span trace as JSON to this file (- for stdout)")
 	if err := fs.Parse(args); err != nil {
@@ -282,17 +281,6 @@ func cmdIndex(args []string, out io.Writer) error {
 	}
 	if *refPath == "" || *outPath == "" {
 		return fmt.Errorf("index: -ref and -out are required")
-	}
-	var algo core.SAAlgorithm
-	switch *saAlgo {
-	case "sais":
-		algo = core.SAIS
-	case "dc3":
-		algo = core.DC3
-	case "doubling":
-		algo = core.Doubling
-	default:
-		return fmt.Errorf("index: unknown suffix-array algorithm %q", *saAlgo)
 	}
 	var mode core.LocateMode
 	switch *locate {
@@ -324,7 +312,6 @@ func cmdIndex(args []string, out io.Writer) error {
 		PlainBitvectors: *plain,
 		Locate:          mode,
 		SampleRate:      *sampleRate,
-		SAAlgorithm:     algo,
 		FtabK:           *ftabK,
 	})
 	if err != nil {

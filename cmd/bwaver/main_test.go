@@ -694,24 +694,18 @@ func TestMapStreaming(t *testing.T) {
 	}
 }
 
-func TestIndexSAAlgoAndProfileJSON(t *testing.T) {
+func TestIndexVerifyAndProfileJSON(t *testing.T) {
 	dir := t.TempDir()
 	refPath, readsPath, _ := writeTestFiles(t, dir)
-	for _, algo := range []string{"sais", "dc3", "doubling"} {
-		indexPath := filepath.Join(dir, algo+".bwx")
-		if err := run([]string{"index", "-ref", refPath, "-out", indexPath, "-sa-algo", algo}, &bytes.Buffer{}); err != nil {
-			t.Fatalf("%s: %v", algo, err)
-		}
-		if err := run([]string{"verify", "-index", indexPath, "-ref", refPath}, &bytes.Buffer{}); err != nil {
-			t.Fatalf("%s index fails verification: %v", algo, err)
-		}
+	indexPath := filepath.Join(dir, "ref.bwx")
+	if err := run([]string{"index", "-ref", refPath, "-out", indexPath}, &bytes.Buffer{}); err != nil {
+		t.Fatal(err)
 	}
-	if err := run([]string{"index", "-ref", refPath, "-out", filepath.Join(dir, "x.bwx"), "-sa-algo", "magic"}, &bytes.Buffer{}); err == nil {
-		t.Error("unknown sa-algo accepted")
+	if err := run([]string{"verify", "-index", indexPath, "-ref", refPath}, &bytes.Buffer{}); err != nil {
+		t.Fatalf("index fails verification: %v", err)
 	}
 
 	// FPGA profile JSON.
-	indexPath := filepath.Join(dir, "sais.bwx")
 	profilePath := filepath.Join(dir, "profile.json")
 	if err := run([]string{"map", "-index", indexPath, "-reads", readsPath,
 		"-backend", "fpga", "-profile", profilePath, "-out", filepath.Join(dir, "r.tsv")}, &bytes.Buffer{}); err != nil {

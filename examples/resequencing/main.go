@@ -10,13 +10,13 @@ package main
 import (
 	"fmt"
 	"log"
-	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"bwaver/internal/core"
 	"bwaver/internal/fpga"
 	"bwaver/internal/readsim"
-	"bwaver/internal/stats"
 )
 
 func main() {
@@ -98,23 +98,18 @@ func main() {
 	}
 	fmt.Printf("reads: %d unique, %d multi-mapping, %d unmapped\n", unique, multi, unmapped)
 
-	// Coverage distribution.
-	sample := make([]float64, 0, genomeLen/10)
-	hist, err := stats.NewHistogram(0, 40, 8)
-	if err != nil {
-		log.Fatal(err)
-	}
+	// Coverage distribution, read off the sorted per-base depths.
 	total := 0
-	for i, c := range coverage {
-		hist.Add(float64(c))
+	for _, c := range coverage {
 		total += int(c)
-		if i%10 == 0 {
-			sample = append(sample, float64(c))
-		}
 	}
-	summary := stats.Summarize(sample)
-	fmt.Printf("coverage (unique reads only): mean %.2fx, median %.0fx, p5 %.0fx, p95 %.0fx\n",
-		float64(total)/float64(genomeLen), summary.Median, summary.P5, summary.P95)
+	slices.Sort(coverage)
+	fmt.Printf("coverage (unique reads only): mean %.2fx, median %dx, p5 %dx, p95 %dx\n",
+		float64(total)/genomeLen, coverage[genomeLen/2], coverage[genomeLen/20], coverage[genomeLen*19/20])
 	fmt.Println("coverage histogram:")
-	hist.Render(os.Stdout, 50)
+	for lo := int32(0); lo < 40; lo += 5 {
+		first, _ := slices.BinarySearch(coverage, lo)
+		end, _ := slices.BinarySearch(coverage, lo+5)
+		fmt.Printf("  [%2d,%2d) %9d %s\n", lo, lo+5, end-first, strings.Repeat("#", (end-first)*50/genomeLen))
+	}
 }

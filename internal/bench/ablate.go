@@ -17,8 +17,8 @@ import (
 )
 
 // Ablations quantify the design choices DESIGN.md calls out, beyond the
-// paper's own tables: Occ structure, rank pipelining, PE count, and
-// double buffering.
+// paper's own tables: Occ structure, rank pipelining, PE count, double
+// buffering, the prefix table, and the locate structure.
 
 // OccAblationRow compares one Occ provider.
 type OccAblationRow struct {
@@ -35,10 +35,29 @@ type KernelAblationRow struct {
 	Total        time.Duration
 }
 
+// FtabAblationRow is mapping with the prefix table off or on.
+type FtabAblationRow struct {
+	Name       string
+	TableBytes int
+	// HostPerRead is measured on one worker; KernelCycles is modeled.
+	HostPerRead  time.Duration
+	KernelCycles uint64
+}
+
+// LocateAblationRow compares one locate structure.
+type LocateAblationRow struct {
+	Name       string
+	IndexBytes int
+	// PerRead is the one-worker host time to map a read and locate its hits.
+	PerRead time.Duration
+}
+
 // AblationResult bundles all ablation outputs.
 type AblationResult struct {
 	Occ    []OccAblationRow
 	Kernel []KernelAblationRow
+	Ftab   []FtabAblationRow
+	Locate []LocateAblationRow
 }
 
 // Ablate runs every ablation at the given scale.
@@ -54,12 +73,8 @@ func Ablate(s Scale, progress io.Writer) (*AblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Extract the BWT data by rebuilding the pipeline pieces once.
-	text := make([]uint8, len(genome))
-	for i, b := range genome {
-		text[i] = uint8(b)
-	}
-	bwtData, err := bwtDataOf(text)
+	// The index does not expose its BWT; run the SA+BWT stages once more.
+	bwtData, err := bwtDataOf(genome)
 	if err != nil {
 		return nil, err
 	}
@@ -126,17 +141,7 @@ func Ablate(s Scale, progress io.Writer) (*AblationResult, error) {
 		{"double buffered", fpga.Config{DoubleBuffer: true}},
 	}
 	for _, k := range kernels {
-		cfg := k.cfg
-		cfg.SetupTime = s.deviceConfig().SetupTime
-		dev, err := fpga.NewDevice(cfg)
-		if err != nil {
-			return nil, err
-		}
-		kernel, err := dev.Program(ix)
-		if err != nil {
-			return nil, err
-		}
-		run, err := kernel.MapReadsOpts(seqs, fpga.MapRunOptions{})
+		run, err := modelRun(k.cfg, s, ix, seqs)
 		if err != nil {
 			return nil, err
 		}
@@ -151,11 +156,82 @@ func Ablate(s Scale, progress io.Writer) (*AblationResult, error) {
 				k.name, row.KernelCycles, row.Total.Round(time.Microsecond))
 		}
 	}
+
+	// --- Locate structures ---
+	for _, l := range []struct {
+		name string
+		cfg  core.IndexConfig
+	}{
+		{"full SA (paper)", core.IndexConfig{}},
+		{"sampled SA, rate 8", core.IndexConfig{Locate: core.LocateSampled, SampleRate: 8}},
+		{"sampled SA, rate 32", core.IndexConfig{Locate: core.LocateSampled, SampleRate: 32}},
+	} {
+		lix, err := core.BuildIndex(genome, l.cfg)
+		if err != nil {
+			return nil, err
+		}
+		_, st, err := lix.MapReads(seqs, core.MapOptions{Workers: 1, Locate: true})
+		if err != nil {
+			return nil, err
+		}
+		row := LocateAblationRow{Name: l.name, IndexBytes: lix.SizeBytes(), PerRead: st.Elapsed / time.Duration(sample)}
+		out.Locate = append(out.Locate, row)
+		if progress != nil {
+			fmt.Fprintf(progress, "ablate locate %-20s %8.3f MB  %v/read\n", l.name, float64(row.IndexBytes)/1e6, row.PerRead)
+		}
+	}
+
+	// --- Prefix table off / on: one index, the table attached in place ---
+	var off *fpga.RunResult
+	for _, k := range []int{0, core.DefaultFtabK} {
+		if err := ix.EnsureFtab(k); err != nil {
+			return nil, err
+		}
+		_, st, err := ix.MapReads(seqs, core.MapOptions{Workers: 1})
+		if err != nil {
+			return nil, err
+		}
+		run, err := modelRun(fpga.Config{}, s, ix, seqs)
+		if err != nil {
+			return nil, err
+		}
+		if off == nil {
+			off = run
+		}
+		for i := range run.Results {
+			if run.Results[i].Forward != off.Results[i].Forward || run.Results[i].Reverse != off.Results[i].Reverse {
+				return nil, fmt.Errorf("bench: prefix table k=%d changed the result of read %d", k, i)
+			}
+		}
+		row := FtabAblationRow{
+			Name: fmt.Sprintf("k=%d", k), TableBytes: ix.FtabBytes(),
+			HostPerRead: st.Elapsed / time.Duration(sample), KernelCycles: run.Profile.KernelCycles,
+		}
+		out.Ftab = append(out.Ftab, row)
+		if progress != nil {
+			fmt.Fprintf(progress, "ablate ftab %-5s %8.3f MB  %v/read  %12d cycles\n",
+				row.Name, float64(row.TableBytes)/1e6, row.HostPerRead, row.KernelCycles)
+		}
+	}
 	return out, nil
 }
 
+// modelRun maps seqs on a freshly programmed simulated card.
+func modelRun(cfg fpga.Config, s Scale, ix *core.Index, seqs []dna.Seq) (*fpga.RunResult, error) {
+	cfg.SetupTime = s.deviceConfig().SetupTime
+	dev, err := fpga.NewDevice(cfg)
+	if err != nil {
+		return nil, err
+	}
+	kernel, err := dev.Program(ix)
+	if err != nil {
+		return nil, err
+	}
+	return kernel.MapReadsOpts(seqs, fpga.MapRunOptions{})
+}
+
 // bwtDataOf runs the SA+BWT stages and returns the compact BWT symbols.
-func bwtDataOf(text []uint8) ([]uint8, error) {
+func bwtDataOf(text dna.Seq) ([]uint8, error) {
 	sa, err := suffixarray.Build(text, dna.AlphabetSize)
 	if err != nil {
 		return nil, err
@@ -178,5 +254,15 @@ func PrintAblation(w io.Writer, res *AblationResult) {
 	fmt.Fprintf(w, "%-20s %14s %16s\n", "kernel", "cycles", "total")
 	for _, r := range res.Kernel {
 		fmt.Fprintf(w, "%-20s %14d %16s\n", r.Name, r.KernelCycles, ms(r.Total))
+	}
+	fmt.Fprintf(w, "\nAblation — prefix table (identical results asserted)\n")
+	fmt.Fprintf(w, "%-20s %12s %14s %16s\n", "ftab", "table MB", "host per-read", "modeled cycles")
+	for _, r := range res.Ftab {
+		fmt.Fprintf(w, "%-20s %12.3f %14v %16d\n", r.Name, float64(r.TableBytes)/1e6, r.HostPerRead, r.KernelCycles)
+	}
+	fmt.Fprintf(w, "\nAblation — locate structures (host, map + locate)\n")
+	fmt.Fprintf(w, "%-20s %12s %14s\n", "locate", "index MB", "per-read")
+	for _, r := range res.Locate {
+		fmt.Fprintf(w, "%-20s %12.3f %14v\n", r.Name, float64(r.IndexBytes)/1e6, r.PerRead)
 	}
 }

@@ -1,6 +1,7 @@
 // Package bench regenerates every figure and table of the paper's
-// evaluation (§IV). It is shared between cmd/bwaver-bench (human-readable
-// runs) and the root-level testing.B benches.
+// evaluation (§IV), plus the ablations of the design choices DESIGN.md calls
+// out. cmd/bwaver-bench is its one front-end; host rates on a reference that
+// misses cache, layer by layer, are `go run ./benchmark`'s job.
 //
 // Methodology. The paper's workloads reach 100 million reads; measuring
 // those directly is neither necessary nor informative on a development
@@ -9,8 +10,8 @@
 // excluded from mapping time exactly as the paper excludes it). The FPGA
 // numbers come from the cycle model of internal/fpga, which is linear in
 // the summed backward-search steps, so its extrapolation is exact given the
-// sampled mean step count. Reference sequences are scaled synthetic genomes
-// (see internal/readsim); pass Scale.Full for the paper's exact lengths.
+// sampled mean step count. Reference sequences are synthetic genomes at the
+// paper's lengths (see internal/readsim); Scale shrinks them for tests.
 package bench
 
 import (
@@ -48,19 +49,12 @@ type Scale struct {
 	Seed int64
 }
 
-// Quick is the default scale: ~1% sized references, exact sample
-// measurement, minutes not hours.
-var Quick = Scale{Ref: 0.01, Reads: 0.001, SampleReads: 20000, Seed: 1}
-
-// Full is the paper-sized scale. Expect long runtimes and ~2 GB of memory.
-var Full = Scale{Ref: 1, Reads: 1, SampleReads: 200000, Seed: 1}
-
 // deviceConfig returns the simulated card configuration for this scale.
 // The fixed OpenCL setup overhead (200 ms) is calibrated against the paper's
 // full-size workloads, so it is scaled together with the read counts:
 // otherwise a 1000x-shrunk workload would compare milliseconds of mapping
 // against an unshrunk fixed cost and every ratio in Tables I/II would be
-// about the overhead instead of about the kernels. At Full scale this is a
+// about the overhead instead of about the kernels. At read scale 1 this is a
 // no-op.
 func (s Scale) deviceConfig() fpga.Config {
 	return fpga.Config{SetupTime: time.Duration(float64(fpga.DefaultSetupTime) * s.Reads)}
@@ -141,15 +135,11 @@ func Fig5And6(s Scale, progress io.Writer) ([]Fig5Row, error) {
 		// The suffix array and BWT do not depend on (b, sf); compute them
 		// once per reference and re-run only the encoding step per grid
 		// point, which is exactly the quantity Fig. 6 plots.
-		text := make([]uint8, len(genome))
-		for i, base := range genome {
-			text[i] = uint8(base)
-		}
-		sa, err := suffixarray.Build(text, dna.AlphabetSize)
+		sa, err := suffixarray.Build(genome, dna.AlphabetSize)
 		if err != nil {
 			return nil, err
 		}
-		transform, err := bwt.Transform(text, sa)
+		transform, err := bwt.Transform(genome, sa)
 		if err != nil {
 			return nil, err
 		}
@@ -166,7 +156,7 @@ func Fig5And6(s Scale, progress io.Writer) ([]Fig5Row, error) {
 					Ref: ref, B: b, SF: sf,
 					StructureBytes:    occ.Tree.SizeBytes(),
 					SharedBytes:       occ.Tree.SharedSizeBytes(),
-					UncompressedBytes: len(text),
+					UncompressedBytes: len(genome),
 					BuildTime:         encodeTime,
 				}
 				rows = append(rows, row)

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"io"
-	"os"
 	"strings"
 	"testing"
 
@@ -26,8 +25,8 @@ func TestScaleValidate(t *testing.T) {
 			t.Errorf("accepted invalid scale %+v", s)
 		}
 	}
-	if Quick.validate() != nil || Full.validate() != nil {
-		t.Error("preset scales invalid")
+	if err := tiny.validate(); err != nil {
+		t.Errorf("rejected %+v: %v", tiny, err)
 	}
 }
 
@@ -180,7 +179,9 @@ func TestPrinters(t *testing.T) {
 	sb.Reset()
 	PrintTable(&sb, "Table I", table)
 	out := sb.String()
-	for _, want := range []string{"Table I", "BWaveR FPGA", "Bowtie2-like 16t", "power-eff"} {
+	// The paper's published Table I figures ride beside the measured ones.
+	for _, want := range []string{"Table I", "BWaveR FPGA", "Bowtie2-like 16t", "power-eff",
+		"3623 ms", "247214 ms", "68.20x", "176683 ms", "11542 ms", "3.18x"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("table output missing %q:\n%s", want, out)
 		}
@@ -198,8 +199,9 @@ func TestAblate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Occ) != 4 || len(res.Kernel) != 5 {
-		t.Fatalf("ablation rows: %d occ, %d kernel", len(res.Occ), len(res.Kernel))
+	if len(res.Occ) != 4 || len(res.Kernel) != 5 || len(res.Ftab) != 2 || len(res.Locate) != 3 {
+		t.Fatalf("ablation rows: %d occ, %d kernel, %d ftab, %d locate",
+			len(res.Occ), len(res.Kernel), len(res.Ftab), len(res.Locate))
 	}
 	byName := map[string]KernelAblationRow{}
 	for _, r := range res.Kernel {
@@ -220,173 +222,33 @@ func TestAblate(t *testing.T) {
 			t.Errorf("occ row %q not populated: %+v", r.Name, r)
 		}
 	}
+	// Ablate itself fails if the table changes a result; with identical
+	// results it must retire fewer kernel cycles, at the cost of its bytes.
+	ftabOff, ftabOn := res.Ftab[0], res.Ftab[1]
+	if ftabOff.TableBytes != 0 || ftabOn.TableBytes <= 0 {
+		t.Errorf("prefix table bytes: off %d, on %d", ftabOff.TableBytes, ftabOn.TableBytes)
+	}
+	if ftabOn.KernelCycles >= ftabOff.KernelCycles {
+		t.Errorf("prefix table on: %d kernel cycles, off %d — no cycle reduction", ftabOn.KernelCycles, ftabOff.KernelCycles)
+	}
+	if ftabOff.KernelCycles != base.KernelCycles {
+		t.Errorf("prefix table off: %d kernel cycles, the paper kernel %d", ftabOff.KernelCycles, base.KernelCycles)
+	}
+	full, sampled8, sampled32 := res.Locate[0], res.Locate[1], res.Locate[2]
+	if !(sampled32.IndexBytes < sampled8.IndexBytes && sampled8.IndexBytes < full.IndexBytes) {
+		t.Errorf("index bytes: full %d, sampled-8 %d, sampled-32 %d — sampling must shrink the index",
+			full.IndexBytes, sampled8.IndexBytes, sampled32.IndexBytes)
+	}
+	for _, r := range res.Locate {
+		if r.PerRead <= 0 {
+			t.Errorf("locate row %q has no time", r.Name)
+		}
+	}
 	var sb strings.Builder
 	PrintAblation(&sb, res)
-	if !strings.Contains(sb.String(), "rlfm") || !strings.Contains(sb.String(), "sequential rank") {
-		t.Error("ablation output incomplete")
-	}
-}
-
-// TestFtabAblation is the bench-smoke gate: it runs the prefix-table sweep
-// at tiny scale with small orders and checks the shape claims — the table
-// shrinks kernel cycles, the host path stays allocation-free, and the k=0
-// baseline anchors the speedup column.
-func TestFtabAblation(t *testing.T) {
-	res, err := FtabAblate(tiny, []int{0, 4, 6}, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 3 {
-		t.Fatalf("%d rows, want 3", len(res.Rows))
-	}
-	if res.ReadLength != 35 || res.Reads != tiny.SampleReads {
-		t.Errorf("workload metadata wrong: %+v", res)
-	}
-	base := res.Rows[0]
-	if base.K != 0 || base.FtabBytes != 0 || base.Speedup != 1 {
-		t.Errorf("k=0 baseline wrong: %+v", base)
-	}
-	for _, r := range res.Rows[1:] {
-		if r.FtabBytes <= 0 {
-			t.Errorf("k=%d: no table bytes", r.K)
+	for _, want := range []string{"rlfm", "sequential rank", "k=10", "sampled SA, rate 32"} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("ablation output missing %q", want)
 		}
-		if r.Degraded {
-			t.Errorf("k=%d: unexpected BRAM degrade at tiny scale", r.K)
-		}
-		// The table collapses the first k iterations of every search, so
-		// the modeled kernel must retire fewer cycles than the baseline.
-		if r.KernelCycles >= base.KernelCycles {
-			t.Errorf("k=%d: %d kernel cycles, baseline %d — no cycle reduction",
-				r.K, r.KernelCycles, base.KernelCycles)
-		}
-	}
-	for _, r := range res.Rows {
-		// Steady-state MapReadsInto allocates a small constant per batch
-		// (worker closure, its escaping counters, and under -race the
-		// detector's own bookkeeping) and nothing per read, so the budget is
-		// per batch: any real per-read allocation would cost reads-many.
-		if batch := r.AllocsPerRead * float64(res.Reads); batch > 16 {
-			t.Errorf("k=%d: %.1f allocations per batch of %d reads in steady state",
-				r.K, batch, res.Reads)
-		}
-	}
-	var sb strings.Builder
-	PrintFtabAblation(&sb, res)
-	if !strings.Contains(sb.String(), "prefix table") {
-		t.Error("ftab ablation output incomplete")
-	}
-	sb.Reset()
-	if err := WriteFtabJSON(&sb, res); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "\"speedup_vs_k0\"") {
-		t.Error("ftab JSON missing fields")
-	}
-}
-
-func TestMemBench(t *testing.T) {
-	baseline := &MemBenchResult{Rows: []MemRow{{ReadLength: 70, Paired: false, ReadsPerSec: 100}}}
-	res, err := MemBench(tiny, baseline, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rows[0].Speedup <= 0 {
-		t.Errorf("baseline row matched but speedup is %v", res.Rows[0].Speedup)
-	}
-	for _, r := range res.Rows[1:] {
-		if r.Speedup != 0 {
-			t.Errorf("%dbp paired=%v: speedup %v without a baseline row", r.ReadLength, r.Paired, r.Speedup)
-		}
-	}
-	if len(res.Rows) != len(memArms) {
-		t.Fatalf("%d rows, want %d", len(res.Rows), len(memArms))
-	}
-	for _, r := range res.Rows {
-		if r.Reads == 0 || r.ReadsPerSec <= 0 {
-			t.Errorf("%dbp paired=%v: empty measurement: %+v", r.ReadLength, r.Paired, r)
-		}
-		if r.MappedPct < 50 {
-			t.Errorf("%dbp paired=%v: only %.1f%% mapped at 2%% error rate",
-				r.ReadLength, r.Paired, r.MappedPct)
-		}
-		if r.SeedsPerRead <= 0 || r.CellsPerRead <= 0 || r.KernelCycles == 0 {
-			t.Errorf("%dbp paired=%v: pipeline counters empty: %+v", r.ReadLength, r.Paired, r)
-		}
-		if r.ReconfigMs <= 0 {
-			t.Errorf("%dbp paired=%v: no reconfiguration charge", r.ReadLength, r.Paired)
-		}
-	}
-	for _, r := range res.Rows {
-		if !r.Paired && r.Rescues != 0 {
-			t.Errorf("single-end arm reports %d rescues", r.Rescues)
-		}
-	}
-	var sb strings.Builder
-	PrintMemBench(&sb, res)
-	if !strings.Contains(sb.String(), "Seed-and-extend") {
-		t.Error("mem bench output incomplete")
-	}
-	sb.Reset()
-	if err := WriteMemJSON(&sb, res); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "\"dp_cells_per_read\"") {
-		t.Error("mem JSON missing fields")
-	}
-}
-
-func TestCSVWriters(t *testing.T) {
-	fig5, err := Fig5And6(tiny, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	if err := WriteFig5CSV(&sb, fig5); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if len(lines) != len(fig5)+1 {
-		t.Fatalf("fig5 csv: %d lines, want %d", len(lines), len(fig5)+1)
-	}
-	if !strings.HasPrefix(lines[0], "reference,b,sf,") {
-		t.Errorf("fig5 csv header: %q", lines[0])
-	}
-
-	fig7, err := Fig7(tiny, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb.Reset()
-	if err := WriteFig7CSV(&sb, fig7); err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Count(sb.String(), "\n"); got != len(fig7)+1 {
-		t.Errorf("fig7 csv: %d lines, want %d", got, len(fig7)+1)
-	}
-
-	table, err := Table1(tiny, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb.Reset()
-	if err := WriteTableCSV(&sb, table); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "BWaveR FPGA") {
-		t.Error("table csv missing rows")
-	}
-}
-
-func TestExportCSV(t *testing.T) {
-	dir := t.TempDir() + "/nested/out"
-	if err := ExportCSV(dir, "x.csv", func(w io.Writer) error {
-		_, err := io.WriteString(w, "a,b\n1,2\n")
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(dir + "/x.csv")
-	if err != nil || string(data) != "a,b\n1,2\n" {
-		t.Fatalf("export round trip: %q %v", data, err)
 	}
 }

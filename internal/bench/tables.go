@@ -24,14 +24,47 @@ type TableEntry struct {
 	// PowerRatio is energy relative to the FPGA run: Slowdown scaled by
 	// the 135 W / 25 W power ratio (the paper's "Power efficiency" row).
 	PowerRatio float64
+	// Modeled marks Time as cycle-model output, not host wall-clock.
+	Modeled bool
+	// Paper is what the paper publishes for this row, zero where it (or
+	// this repository's record of it) has no figure.
+	Paper PaperFigure
 }
 
 // TableResult is one read-count block of Table I or II.
 type TableResult struct {
-	Ref     Reference
-	Reads   int
-	ReadLen int
-	Entries []TableEntry
+	Ref Reference
+	// Reads is PaperReads scaled by Scale.Reads.
+	Reads, PaperReads int
+	ReadLen           int
+	Entries           []TableEntry
+}
+
+// PaperFigure is one published row of Table I or II.
+type PaperFigure struct {
+	Time    time.Duration
+	SpeedUp float64
+}
+
+type paperRow struct {
+	ref    Reference
+	reads  int
+	config string
+}
+
+// paperFigures are the published values PrintTable shows beside the
+// measured ones: all of Table I but its 8-thread row, and from Table II the
+// CPU speed-up per read count plus the 16-thread run that beats the device
+// at 1 M reads.
+var paperFigures = map[paperRow]PaperFigure{
+	{EColi, 100_000_000, "BWaveR FPGA"}:      {3623 * time.Millisecond, 1},
+	{EColi, 100_000_000, "BWaveR CPU"}:       {247214 * time.Millisecond, 68.2},
+	{EColi, 100_000_000, "Bowtie2-like 1t"}:  {176683 * time.Millisecond, 48.8},
+	{EColi, 100_000_000, "Bowtie2-like 16t"}: {11542 * time.Millisecond, 3.18},
+	{Chr21, 1_000_000, "BWaveR CPU"}:         {SpeedUp: 13.6},
+	{Chr21, 1_000_000, "Bowtie2-like 16t"}:   {SpeedUp: 0.74},
+	{Chr21, 10_000_000, "BWaveR CPU"}:        {SpeedUp: 62.4},
+	{Chr21, 100_000_000, "BWaveR CPU"}:       {SpeedUp: 70.4},
 }
 
 // TableReadCounts are the paper's workload sizes: Table I uses the largest
@@ -140,7 +173,8 @@ func RunTable(ref Reference, readLen int, readCounts []int, s Scale, progress io
 			target = 1
 		}
 		fpgaTime := kernel.ModelProfile(target, avgSteps).Total()
-		res := TableResult{Ref: ref, Reads: target, ReadLen: readLen}
+		res := TableResult{Ref: ref, Reads: target, PaperReads: paperCount, ReadLen: readLen}
+		paper := func(name string) PaperFigure { return paperFigures[paperRow{ref, paperCount, name}] }
 		add := func(name string, t time.Duration) {
 			slow := float64(t) / float64(fpgaTime)
 			res.Entries = append(res.Entries, TableEntry{
@@ -148,10 +182,12 @@ func RunTable(ref Reference, readLen int, readCounts []int, s Scale, progress io
 				Time:       t,
 				Slowdown:   slow,
 				PowerRatio: slow * HostPowerWatts / FPGAPowerWatts,
+				Paper:      paper(name),
 			})
 		}
 		res.Entries = append(res.Entries, TableEntry{
 			Config: "BWaveR FPGA", Time: fpgaTime, Slowdown: 1, PowerRatio: 1,
+			Modeled: true, Paper: paper("BWaveR FPGA"),
 		})
 		add("BWaveR CPU", extrapolate(cpuStats.Elapsed, s.SampleReads, target))
 		for _, threads := range tableThreads {
@@ -204,13 +240,27 @@ func ms(d time.Duration) string {
 	return fmt.Sprintf("%.3f ms", float64(d)/float64(time.Millisecond))
 }
 
-// PrintFig7 renders the Fig. 7 rows.
+// PrintFig7 renders the Fig. 7 rows. The last column is the row's host time
+// over the E.Coli row's at the same (b, sf, ratio) — the paper's "search time
+// is independent of reference length" reads 1.00 there.
 func PrintFig7(w io.Writer, rows []Fig7Row) {
-	fmt.Fprintf(w, "\nFig. 7 — mapping time vs mapping ratio (%d reads of 100 bp)\n", rowsReads(rows))
-	fmt.Fprintf(w, "%-12s %4s %5s %7s %16s %16s\n", "reference", "b", "sf", "ratio", "cpu time", "fpga time")
+	type point struct {
+		b, sf int
+		ratio float64
+	}
+	ecoli := map[point]time.Duration{}
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-12s %4d %5d %6.0f%% %16s %16s\n",
-			r.Ref, r.B, r.SF, r.MappingRatio*100, ms(r.CPUTime), ms(r.FPGATime))
+		if r.Ref == EColi {
+			ecoli[point{r.B, r.SF, r.MappingRatio}] = r.CPUTime
+		}
+	}
+	fmt.Fprintf(w, "\nFig. 7 — mapping time vs mapping ratio (%d reads of 100 bp)\n", rowsReads(rows))
+	fmt.Fprintf(w, "%-12s %4s %5s %7s %16s %16s %10s\n",
+		"reference", "b", "sf", "ratio", "host cpu time", "modeled fpga", "vs E.Coli")
+	for _, r := range rows {
+		fmt.Fprintf(w, "%-12s %4d %5d %6.0f%% %16s %16s %9.2fx\n",
+			r.Ref, r.B, r.SF, r.MappingRatio*100, ms(r.CPUTime), ms(r.FPGATime),
+			float64(r.CPUTime)/float64(ecoli[point{r.B, r.SF, r.MappingRatio}]))
 	}
 }
 
@@ -221,15 +271,29 @@ func rowsReads(rows []Fig7Row) int {
 	return rows[0].Reads
 }
 
-// PrintTable renders Table I/II blocks in the paper's layout.
+// PrintTable renders Table I/II blocks in the paper's layout: measured host
+// wall-clock and modeled device time in separate columns, then the paper's
+// published figure for the row where there is one.
 func PrintTable(w io.Writer, title string, results []TableResult) {
 	fmt.Fprintf(w, "\n%s\n", title)
 	for _, res := range results {
-		fmt.Fprintf(w, "\n%s, %d reads of %d bp\n", res.Ref, res.Reads, res.ReadLen)
-		fmt.Fprintf(w, "%-18s %16s %10s %12s\n", "config", "time", "speed-up", "power-eff")
+		fmt.Fprintf(w, "\n%s, %d reads of %d bp (paper: %d)\n", res.Ref, res.Reads, res.ReadLen, res.PaperReads)
+		fmt.Fprintf(w, "%-18s %16s %16s %10s %12s | %12s %14s\n",
+			"config", "host time", "modeled time", "speed-up", "power-eff", "paper time", "paper speed-up")
 		for _, e := range res.Entries {
-			fmt.Fprintf(w, "%-18s %16s %9.2fx %11.2fx\n",
-				e.Config, ms(e.Time), e.Slowdown, e.PowerRatio)
+			host, modeled := ms(e.Time), "-"
+			if e.Modeled {
+				host, modeled = modeled, host
+			}
+			paperTime, paperSpeedUp := "-", "-"
+			if e.Paper.Time > 0 {
+				paperTime = fmt.Sprintf("%d ms", e.Paper.Time.Milliseconds())
+			}
+			if e.Paper.SpeedUp > 0 {
+				paperSpeedUp = fmt.Sprintf("%.2fx", e.Paper.SpeedUp)
+			}
+			fmt.Fprintf(w, "%-18s %16s %16s %9.2fx %11.2fx | %12s %14s\n",
+				e.Config, host, modeled, e.Slowdown, e.PowerRatio, paperTime, paperSpeedUp)
 		}
 	}
 }

@@ -57,11 +57,6 @@ func TestCacheKeyIdentity(t *testing.T) {
 	if CacheKey(ref, cs, cfg) == k1 {
 		t.Error("contig layout not part of the key")
 	}
-	// The SA algorithm produces identical artifacts and must NOT split the
-	// cache.
-	if CacheKey(ref, nil, IndexConfig{RRR: cfg.RRR, SAAlgorithm: DC3}) != k1 {
-		t.Error("SA algorithm choice split the cache key")
-	}
 }
 
 func TestMapReadsContextCanceled(t *testing.T) {

@@ -28,10 +28,7 @@ func (ix *Index) ExtractReference() (dna.Seq, error) {
 		if row == fm.Primary() {
 			return nil, fmt.Errorf("core: extraction hit the sentinel row at base %d; index is corrupt", i)
 		}
-		sym, err := fm.BWTSymbol(row)
-		if err != nil {
-			return nil, fmt.Errorf("core: extraction failed at base %d: %w", i, err)
-		}
+		sym := fm.BWTSymbol(row)
 		out[i] = dna.Base(sym)
 		// LF: the row of sym·suffix is the one-row backward step by sym.
 		row = fm.Step(fmindex.Range{Start: row, End: row}, sym).Start
@@ -71,12 +68,7 @@ func extractBySA(fm *fmindex.Index, sa []int32) (dna.Seq, error) {
 					errs[w] = fmt.Errorf("core: row %d holds suffix %d outside [1,%d]; index is corrupt", row, pos, n)
 					return
 				}
-				sym, err := fm.BWTSymbol(row)
-				if err != nil {
-					errs[w] = fmt.Errorf("core: extraction failed at row %d: %w", row, err)
-					return
-				}
-				out[pos-1] = dna.Base(sym)
+				out[pos-1] = dna.Base(fm.BWTSymbol(row))
 			}
 		}(w)
 	}

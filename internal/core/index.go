@@ -59,10 +59,6 @@ type IndexConfig struct {
 	// SampleRate is the sampled-SA rate when Locate == LocateSampled;
 	// zero means 32.
 	SampleRate int
-	// SAAlgorithm selects the suffix-array construction; the zero value is
-	// SAIS. All three produce identical arrays (cross-checked in the
-	// suffix-array tests); the choice only affects build time and memory.
-	SAAlgorithm SAAlgorithm
 	// FtabK, when > 0, builds an order-k prefix-lookup table that replaces
 	// the first k backward-search steps with one lookup (8*4^k bytes; see
 	// fmindex.Ftab). The zero value builds no table, preserving the paper's
@@ -74,52 +70,6 @@ type IndexConfig struct {
 // 4^10 intervals, ~8 MiB — the Bowtie-style sweet spot between lookup
 // coverage and BRAM footprint.
 const DefaultFtabK = 10
-
-// SAAlgorithm names a suffix-array construction.
-type SAAlgorithm int
-
-// The available constructions.
-const (
-	// SAIS is the linear-time induced-sorting algorithm (default).
-	SAIS SAAlgorithm = iota
-	// DC3 is the linear-time skew algorithm.
-	DC3
-	// Doubling is the O(n log^2 n) prefix-doubling algorithm.
-	Doubling
-)
-
-// String implements fmt.Stringer.
-func (a SAAlgorithm) String() string {
-	switch a {
-	case DC3:
-		return "dc3"
-	case Doubling:
-		return "doubling"
-	default:
-		return "sais"
-	}
-}
-
-// build runs the construction over ref. SA-IS, the production path, sorts
-// ref where it lies and stops early when ctx is done; the two cross-check
-// algorithms get a byte copy.
-func (a SAAlgorithm) build(ctx context.Context, ref dna.Seq, sigma int) ([]int32, error) {
-	if a == SAIS {
-		return suffixarray.BuildCtx(ctx, ref, sigma)
-	}
-	text := make([]uint8, len(ref))
-	for i, b := range ref {
-		text[i] = uint8(b)
-	}
-	switch a {
-	case DC3:
-		return suffixarray.BuildDC3(text, sigma)
-	case Doubling:
-		return suffixarray.BuildDoubling(text, sigma)
-	default:
-		return nil, fmt.Errorf("core: unknown suffix-array algorithm %d", a)
-	}
-}
 
 func (c IndexConfig) withDefaults() IndexConfig {
 	if c.RRR == (rrr.Params{}) {
@@ -208,8 +158,7 @@ func BuildIndexCtx(ctx context.Context, ref dna.Seq, cfg IndexConfig) (*Index, e
 
 	start := time.Now()
 	_, saSpan := obs.StartSpan(ctx, "build.sa")
-	saSpan.SetAttr("algorithm", cfg.SAAlgorithm.String())
-	sa, err := cfg.SAAlgorithm.build(ctx, ref, dna.AlphabetSize)
+	sa, err := suffixarray.BuildCtx(ctx, ref, dna.AlphabetSize)
 	saSpan.End()
 	if err != nil {
 		return nil, fmt.Errorf("core: suffix array: %w", err)

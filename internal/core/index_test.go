@@ -260,34 +260,3 @@ func TestMapReadsProgress(t *testing.T) {
 		}
 	}
 }
-
-func TestSAAlgorithmsProduceIdenticalIndexes(t *testing.T) {
-	ref := testGenome(t, 12000)
-	reads, _ := readsim.Simulate(ref, readsim.ReadsConfig{Count: 80, Length: 35, MappingRatio: 0.7, Seed: 31})
-	var base []MapResult
-	for i, algo := range []SAAlgorithm{SAIS, DC3, Doubling} {
-		ix := mustBuild(t, ref, IndexConfig{SAAlgorithm: algo})
-		results, _, err := ix.MapReads(readsim.Seqs(reads), MapOptions{Locate: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			base = results
-			continue
-		}
-		for j := range results {
-			if results[j].Forward != base[j].Forward || results[j].Reverse != base[j].Reverse {
-				t.Fatalf("%v: read %d ranges differ from SA-IS build", algo, j)
-			}
-			if !equalPositions(results[j].ForwardPositions, base[j].ForwardPositions) {
-				t.Fatalf("%v: read %d positions differ from SA-IS build", algo, j)
-			}
-		}
-	}
-	if SAIS.String() != "sais" || DC3.String() != "dc3" || Doubling.String() != "doubling" {
-		t.Error("SAAlgorithm.String wrong")
-	}
-	if _, err := BuildIndex(ref, IndexConfig{SAAlgorithm: SAAlgorithm(9)}); err == nil {
-		t.Error("unknown algorithm accepted")
-	}
-}

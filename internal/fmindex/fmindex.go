@@ -260,33 +260,14 @@ func (ix *Index) LF(row int) (int, error) {
 	if row == ix.primary {
 		return 0, errors.New("fmindex: LF on sentinel row")
 	}
-	sym, err := ix.BWTSymbol(row)
-	if err != nil {
-		return 0, err
-	}
+	sym := ix.BWTSymbol(row)
 	return ix.cFull[sym] + ix.occFull(sym, row), nil
 }
 
 // BWTSymbol returns the BWT symbol of a non-sentinel row — the text symbol
-// just before the row's suffix. It needs symbol access, which every bundled
-// provider supports.
-func (ix *Index) BWTSymbol(row int) (uint8, error) {
-	i := ix.compact(row)
-	switch p := ix.occ.(type) {
-	case *WaveletOcc:
-		return p.Tree.Access(i), nil
-	case interface{ Symbol(int) uint8 }: // CheckpointOcc, RLFMOcc, ...
-		return p.Symbol(i), nil
-	case *FlatOcc:
-		for s := 0; s < p.sigma; s++ {
-			if p.table[s][i+1] > p.table[s][i] {
-				return uint8(s), nil
-			}
-		}
-		return 0, errors.New("fmindex: flat occ has no symbol at row")
-	default:
-		return 0, fmt.Errorf("fmindex: provider %s does not support symbol access", ix.occ.Name())
-	}
+// just before the row's suffix.
+func (ix *Index) BWTSymbol(row int) uint8 {
+	return ix.occ.Symbol(ix.compact(row))
 }
 
 // Locate returns the text positions of every row in r, unsorted. It uses

@@ -88,6 +88,7 @@ func indexKinds() []indexKind {
 	}
 	flat := func(data []uint8) (OccProvider, error) { return NewFlatOcc(data, 4) }
 	cp := func(data []uint8) (OccProvider, error) { return NewCheckpointOcc(data) }
+	rlfm := func(data []uint8) (OccProvider, error) { return NewRLFMOcc(data, 4, testParams) }
 	return []indexKind{
 		{"wavelet-rrr+fullSA", func(t *testing.T, tx []uint8) *Index { return buildWith(t, tx, wl, fullSAOpts) }},
 		{"wavelet-plain+fullSA", func(t *testing.T, tx []uint8) *Index { return buildWith(t, tx, plain, fullSAOpts) }},
@@ -95,6 +96,7 @@ func indexKinds() []indexKind {
 		{"checkpoint+fullSA", func(t *testing.T, tx []uint8) *Index { return buildWith(t, tx, cp, fullSAOpts) }},
 		{"wavelet-rrr+sampled4", func(t *testing.T, tx []uint8) *Index { return buildWith(t, tx, wl, sampledOpts(4)) }},
 		{"checkpoint+sampled8", func(t *testing.T, tx []uint8) *Index { return buildWith(t, tx, cp, sampledOpts(8)) }},
+		{"rlfm+fullSA", func(t *testing.T, tx []uint8) *Index { return buildWith(t, tx, rlfm, fullSAOpts) }},
 	}
 }
 
@@ -117,8 +119,21 @@ func sortedEqual(a, b []int32) bool {
 func TestCountAndLocateMatchNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	text := buildText(rng, 3000)
+	sa, err := suffixarray.Build(text, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, kind := range indexKinds() {
 		ix := kind.build(t, text)
+		// Every row's BWT symbol is the text symbol before its suffix.
+		for row, pos := range sa {
+			if pos == 0 {
+				continue // the sentinel row
+			}
+			if got := ix.BWTSymbol(row); got != text[pos-1] {
+				t.Fatalf("%s: BWTSymbol(%d) = %d, want %d", kind.name, row, got, text[pos-1])
+			}
+		}
 		// Patterns: sampled substrings (guaranteed hits), random patterns,
 		// and patterns guaranteed absent (longer than text tail match).
 		for trial := 0; trial < 120; trial++ {
@@ -278,11 +293,7 @@ func TestLFWalkReconstructsText(t *testing.T) {
 		row := 0
 		got := make([]uint8, len(text))
 		for i := len(text) - 1; i >= 0; i-- {
-			sym, err := ix.BWTSymbol(row)
-			if err != nil {
-				t.Fatalf("%s: %v", kind.name, err)
-			}
-			got[i] = sym
+			got[i] = ix.BWTSymbol(row)
 			next, err := ix.LF(row)
 			if err != nil {
 				t.Fatalf("%s: LF: %v", kind.name, err)

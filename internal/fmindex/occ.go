@@ -19,6 +19,8 @@ import (
 // re-sampling approach of CPU tools like Bowtie2, used by internal/baseline).
 type OccProvider interface {
 	Occ(sym uint8, i int) int
+	// Symbol returns Data[i], which LF walks and text extraction read.
+	Symbol(i int) uint8
 	Len() int
 	Sigma() int
 	SizeBytes() int
@@ -56,6 +58,7 @@ func NewWaveletOccBackend(data []uint8, sigma int, backend wavelet.Backend) (*Wa
 }
 
 func (w *WaveletOcc) Occ(sym uint8, i int) int { return w.Tree.Rank(sym, i) }
+func (w *WaveletOcc) Symbol(i int) uint8       { return w.Tree.Access(i) }
 
 // OccAll answers the whole-alphabet query with one tree traversal.
 func (w *WaveletOcc) OccAll(i int, counts []int) { w.Tree.RankAll(i, counts) }
@@ -93,10 +96,20 @@ func NewFlatOcc(data []uint8, sigma int) (*FlatOcc, error) {
 }
 
 func (f *FlatOcc) Occ(sym uint8, i int) int { return int(f.table[sym][i]) }
-func (f *FlatOcc) Len() int                 { return f.n }
-func (f *FlatOcc) Sigma() int               { return f.sigma }
-func (f *FlatOcc) SizeBytes() int           { return f.sigma * (f.n + 1) * 4 }
-func (f *FlatOcc) Name() string             { return "flat" }
+
+// Symbol finds the one symbol whose count rises across position i.
+func (f *FlatOcc) Symbol(i int) uint8 {
+	s := 0
+	for f.table[s][i+1] == f.table[s][i] {
+		s++
+	}
+	return uint8(s)
+}
+
+func (f *FlatOcc) Len() int       { return f.n }
+func (f *FlatOcc) Sigma() int     { return f.sigma }
+func (f *FlatOcc) SizeBytes() int { return f.sigma * (f.n + 1) * 4 }
+func (f *FlatOcc) Name() string   { return "flat" }
 
 // CheckpointOcc is the classic re-sampled FM-index layout used by CPU
 // mappers (BWA/Bowtie2 family): the BWT kept as 2-bit packed symbols with
@@ -179,7 +192,7 @@ func (c *CheckpointOcc) SizeBytes() int {
 }
 func (c *CheckpointOcc) Name() string { return "checkpoint" }
 
-// Symbol returns the i-th BWT symbol, needed for LF walks during locate.
+// Symbol returns the i-th BWT symbol.
 func (c *CheckpointOcc) Symbol(i int) uint8 {
 	return uint8(c.words[i/32] >> uint(i%32*2) & 3)
 }

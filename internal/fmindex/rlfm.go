@@ -93,7 +93,7 @@ func (r *RLFMOcc) Occ(sym uint8, i int) int {
 	return count
 }
 
-// Symbol returns the i-th BWT symbol (needed for LF walks).
+// Symbol returns the i-th BWT symbol.
 func (r *RLFMOcc) Symbol(i int) uint8 {
 	return r.runs.Access(r.heads.Rank1(i+1) - 1)
 }
