@@ -39,7 +39,7 @@ bench-gate:
 	$(GO) run ./benchmark -compare $(BASE) $(NEW)
 
 # bench-smoke runs the benchmarks whose bytes and allocations per operation
-# are worth a glance in CI output: the three suffix-array constructions, the
+# are worth a glance in CI output: the two suffix-array constructions, the
 # exact batch engine, the mem batch engine and the extension kernels it rests
 # on (50 iterations, so warm-up allocations do not show), the read source
 # beside the bare decode loop it must stay close to, and one warm job through
@@ -64,6 +64,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadIndex$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzSearchWithFtab$$' -fuzztime=$(FUZZTIME) ./internal/fmindex
 	$(GO) test -run='^$$' -fuzz='^FuzzSMEMs$$' -fuzztime=$(FUZZTIME) ./internal/fmindex
+	$(GO) test -run='^$$' -fuzz='^FuzzCountApprox$$' -fuzztime=$(FUZZTIME) ./internal/fmindex
 	$(GO) test -run='^$$' -fuzz='^FuzzBuild$$' -fuzztime=$(FUZZTIME) ./internal/suffixarray
 
 # chaos-smoke is the crash-safety gate: SIGKILL a real bwaver-server process

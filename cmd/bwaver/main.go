@@ -817,49 +817,17 @@ func writePairedSAM(w io.Writer, ix *core.Index, ids []string, r1s, r2s []dna.Se
 	return sw.Flush()
 }
 
-// mapApprox runs k-mismatch mapping: on the CPU every read goes through the
-// branching backward search; on the FPGA model the two-pass reconfigurable
-// flow maps exactly first and rescues the unaligned reads. The TSV reports
-// the best mismatch stratum per read.
+// mapApprox runs k-mismatch mapping, one workload on either backend: a read
+// answers with its exact hits when it has any, otherwise with every stratum
+// the branching search finds within k; the FPGA model prices that as the
+// two-pass reconfigurable flow. The TSV reports the best stratum per read.
 func mapApprox(out io.Writer, ix *core.Index, reads []dna.Seq, ids []string, backend string, k, workers int, doLocate bool, outPath string) error {
-	type approxRow struct {
-		mapped      bool
-		bestMM      int
-		occurrences int
-		positions   []int32
-	}
-	rows := make([]approxRow, len(reads))
-
-	fill := func(i int, res core.ApproxResult) error {
-		rows[i] = approxRow{mapped: res.Mapped(), bestMM: res.BestMismatches(), occurrences: res.Occurrences()}
-		if doLocate && res.Mapped() {
-			best := res.BestMismatches()
-			for _, set := range [][]fmindex.ApproxMatch{res.Forward, res.Reverse} {
-				for _, m := range set {
-					if m.Mismatches != best {
-						continue
-					}
-					ps, err := ix.FM().Locate(m.Range)
-					if err != nil {
-						return err
-					}
-					rows[i].positions = append(rows[i].positions, ps...)
-				}
-			}
-		}
-		return nil
-	}
-
+	var results []core.ApproxResult
+	var err error
 	switch backend {
 	case "cpu":
-		all, err := ix.MapReadsApprox(reads, k, core.MapOptions{Workers: workers})
-		if err != nil {
+		if results, err = ix.MapReadsApprox(reads, k, core.MapOptions{Workers: workers}); err != nil {
 			return err
-		}
-		for i, res := range all {
-			if err := fill(i, res); err != nil {
-				return err
-			}
 		}
 	case "fpga":
 		dev, err := fpga.NewDevice(fpga.Config{})
@@ -874,30 +842,37 @@ func mapApprox(out io.Writer, ix *core.Index, reads []dna.Seq, ids []string, bac
 		if err != nil {
 			return err
 		}
-		for i, exact := range run.Exact {
-			if exact.Mapped() {
-				// Exact hits are the 0-mismatch stratum.
-				rows[i] = approxRow{mapped: true, bestMM: 0, occurrences: exact.Occurrences()}
-				if doLocate {
-					for _, r := range []fmindex.Range{exact.Forward, exact.Reverse} {
-						ps, err := ix.FM().Locate(r)
-						if err != nil {
-							return err
-						}
-						rows[i].positions = append(rows[i].positions, ps...)
-					}
-				}
-				continue
-			}
-			if err := fill(i, run.Approx[i]); err != nil {
-				return err
-			}
-		}
+		results = run.Results
 		p := run.Profile
 		fmt.Fprintf(os.Stderr, "bwaver: fpga two-pass model: total %v (reconfig %v), %d reads rescued at k<=%d\n",
 			p.Total().Round(time.Microsecond), p.Reconfig, run.Rescued, k)
 	default:
 		return fmt.Errorf("map: unknown backend %q", backend)
+	}
+
+	// best_positions: where the best stratum occurs — the exact hits (empty
+	// ranges when there are none), else the rescue's lowest mismatch count.
+	positions := make([]string, len(results))
+	contigs := ix.Contigs()
+	for i, res := range results {
+		var ps []int32
+		if doLocate {
+			best := res.BestMismatches()
+			ranges := []fmindex.Range{res.Exact.Forward, res.Exact.Reverse}
+			for _, set := range [][]fmindex.ApproxMatch{res.Forward, res.Reverse} {
+				for _, m := range set {
+					if m.Mismatches == best {
+						ranges = append(ranges, m.Range)
+					}
+				}
+			}
+			for _, r := range ranges {
+				if ps, err = ix.FM().LocateAppend(ps, r); err != nil {
+					return err
+				}
+			}
+		}
+		positions[i] = formatPositions(contigs, ps, len(reads[i]))
 	}
 
 	w := out
@@ -910,18 +885,8 @@ func mapApprox(out io.Writer, ix *core.Index, reads []dna.Seq, ids []string, bac
 		w = f
 	}
 	fmt.Fprintln(w, "read\tmapped\tbest_mismatches\toccurrences\tbest_positions")
-	for i, row := range rows {
-		pos := "-"
-		if len(row.positions) > 0 {
-			pos = ""
-			for j, p := range row.positions {
-				if j > 0 {
-					pos += ","
-				}
-				pos += fmt.Sprint(p)
-			}
-		}
-		fmt.Fprintf(w, "%s\t%t\t%d\t%d\t%s\n", ids[i], row.mapped, row.bestMM, row.occurrences, pos)
+	for i, res := range results {
+		fmt.Fprintf(w, "%s\t%t\t%d\t%d\t%s\n", ids[i], res.Mapped(), res.BestMismatches(), res.Occurrences(), positions[i])
 	}
 	return nil
 }

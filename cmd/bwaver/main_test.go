@@ -327,11 +327,17 @@ func TestMultiContigTSV(t *testing.T) {
 	w.Close()
 	rf.Close()
 
-	// One read planted inside chrB.
+	// One read planted inside chrB, the same with a substitution, and one
+	// that straddles the two records in the concatenated text.
+	mutated := g2[700:760].Clone()
+	mutated[30] = (mutated[30] + 1) % 4
+	straddle := append(g1[2970:].Clone(), g2[:30]...)
 	readsPath := filepath.Join(dir, "reads.fq")
 	qf, _ := os.Create(readsPath)
 	qw := fastx.NewWriter(qf, fastx.FASTQ, false)
 	qw.Write(&fastx.Record{ID: "planted", Seq: []byte(g2[700:760].String())})
+	qw.Write(&fastx.Record{ID: "mutated", Seq: []byte(mutated.String())})
+	qw.Write(&fastx.Record{ID: "straddle", Seq: []byte(straddle.String())})
 	qw.Close()
 	qf.Close()
 
@@ -345,6 +351,21 @@ func TestMultiContigTSV(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "chrB:700") {
 		t.Errorf("TSV lacks contig-relative position chrB:700:\n%s", out.String())
+	}
+
+	// The k-mismatch TSV resolves positions the same way, on either backend.
+	want := "read\tmapped\tbest_mismatches\toccurrences\tbest_positions\n" +
+		"planted\ttrue\t0\t1\tchrB:700\n" +
+		"mutated\ttrue\t1\t1\tchrB:700\n" +
+		"straddle\ttrue\t0\t1\tboundary@2970\n"
+	for _, backend := range []string{"cpu", "fpga"} {
+		out.Reset()
+		if err := run([]string{"map", "-index", indexPath, "-reads", readsPath, "-mismatches", "1", "-backend", backend}, &out); err != nil {
+			t.Fatal(err)
+		}
+		if out.String() != want {
+			t.Errorf("%s k-mismatch TSV:\n%swant:\n%s", backend, out.String(), want)
+		}
 	}
 }
 

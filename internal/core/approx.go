@@ -1,35 +1,50 @@
 package core
 
 import (
+	"fmt"
+
 	"bwaver/internal/dna"
 	"bwaver/internal/fmindex"
 )
 
-// Approximate mapping — the paper's future-work extension (§V): backward
-// search tolerating up to k substitutions, applied to both the read and its
-// reverse complement.
+// Approximate mapping — the paper's future-work extension (§V), with the
+// semantics of the two-pass design its related work describes (Arram et al.,
+// §II): a read is matched exactly first, and only a read neither orientation
+// of which occurs goes through the branching k-mismatch search. A read that
+// maps exactly therefore answers with its exact hits alone, however many
+// in-budget neighbours it has. Every backend runs this one workload; the
+// device model prices it, the server encodes it.
 
 // ApproxResult is the k-mismatch analogue of MapResult.
 type ApproxResult struct {
-	// Forward and Reverse hold the match strata of each orientation.
+	// Exact is pass 1: the exact search of both orientations.
+	Exact MapResult
+	// Forward and Reverse hold the match strata pass 2 found for each
+	// orientation. Both are empty when Exact mapped: pass 2 did not run.
 	Forward, Reverse []fmindex.ApproxMatch
 	// Steps is the larger per-orientation count of backward-search steps
 	// the branching search executed (the two orientations run in parallel
-	// pipelines, like the exact kernel).
+	// pipelines, like the exact kernel); 0 when pass 2 did not run.
 	Steps int
 }
 
-// Mapped reports whether any stratum of either orientation matched.
-func (r ApproxResult) Mapped() bool { return len(r.Forward) > 0 || len(r.Reverse) > 0 }
-
-// Occurrences counts matches across both orientations and all strata.
-func (r ApproxResult) Occurrences() int {
-	return fmindex.TotalOccurrences(r.Forward) + fmindex.TotalOccurrences(r.Reverse)
+// Mapped reports whether the read matched, exactly or within the budget.
+func (r ApproxResult) Mapped() bool {
+	return r.Exact.Mapped() || len(r.Forward) > 0 || len(r.Reverse) > 0
 }
 
-// BestMismatches returns the lowest mismatch count among all matches, or -1
-// if nothing matched.
+// Occurrences counts matches across both orientations: the exact hits, or
+// every stratum of the rescue.
+func (r ApproxResult) Occurrences() int {
+	return r.Exact.Occurrences() + fmindex.TotalOccurrences(r.Forward) + fmindex.TotalOccurrences(r.Reverse)
+}
+
+// BestMismatches returns the lowest mismatch count among all matches — 0 for
+// an exact hit — or -1 if nothing matched.
 func (r ApproxResult) BestMismatches() int {
+	if r.Exact.Mapped() {
+		return 0
+	}
 	best := -1
 	for _, set := range [][]fmindex.ApproxMatch{r.Forward, r.Reverse} {
 		for _, m := range set {
@@ -41,11 +56,14 @@ func (r ApproxResult) BestMismatches() int {
 	return best
 }
 
-// approxWork is k-mismatch mapping as a workload value.
+// approxWork is exact-then-rescue k-mismatch mapping as a workload value.
+// useFtab gates the prefix table for pass 1, as it does for exactWork; the
+// branching search never consults it.
 type approxWork struct {
 	pooledBuf
 	ix            *Index
 	maxMismatches int
+	useFtab       bool
 }
 
 func (approxWork) unit() int { return 1 }
@@ -54,37 +72,53 @@ func (approxWork) unit() int { return 1 }
 func (approxWork) chunk() int { return 16 }
 
 func (w approxWork) mapUnits(buf *mapBuffer, reads []dna.Seq, dst []ApproxResult) error {
+	// Checked here, not left to the search: a chunk of exact hits never
+	// reaches it and must fail on a bad budget like any other.
+	if w.maxMismatches < 0 || w.maxMismatches > fmindex.MaxMismatchBudget {
+		return fmt.Errorf("core: mismatch budget %d outside [0,%d]", w.maxMismatches, fmindex.MaxMismatchBudget)
+	}
 	fm := w.ix.fm
 	for i, read := range reads {
-		fwPattern, rcPattern := buf.patterns(read)
-		fw, fwSteps, err := fm.CountApproxSteps(fwPattern, w.maxMismatches)
-		if err != nil {
-			return err
+		res := ApproxResult{Exact: w.ix.mapReadBuf(buf, read, w.useFtab)}
+		if !res.Exact.Mapped() {
+			// Encoding the read a second time is noise beside the search.
+			fwPattern, rcPattern := buf.patterns(read)
+			fw, fwSteps, err := fm.CountApproxSteps(fwPattern, w.maxMismatches)
+			if err != nil {
+				return err
+			}
+			rc, rcSteps, err := fm.CountApproxSteps(rcPattern, w.maxMismatches)
+			if err != nil {
+				return err
+			}
+			res.Forward, res.Reverse, res.Steps = fw, rc, max(fwSteps, rcSteps)
 		}
-		rc, rcSteps, err := fm.CountApproxSteps(rcPattern, w.maxMismatches)
-		if err != nil {
-			return err
-		}
-		dst[i] = ApproxResult{Forward: fw, Reverse: rc, Steps: max(fwSteps, rcSteps)}
+		dst[i] = res
 	}
 	return nil
 }
 
-// MapReadsApprox maps a batch of reads with up to maxMismatches
-// substitutions each, distributing reads over opts.Workers goroutines
-// (0/1 serial, -1 all CPUs). Context and Progress apply as in MapReads;
-// Locate is ignored (the result holds match strata, not positions).
+// MapReadsApprox maps a batch of reads exactly and, where that fails, with
+// up to maxMismatches substitutions, distributing reads over opts.Workers
+// goroutines (0/1 serial, -1 all CPUs). Context and Progress apply as in
+// MapReads; Locate is ignored (the result holds ranges, not positions).
 func (ix *Index) MapReadsApprox(reads []dna.Seq, maxMismatches int, opts MapOptions) ([]ApproxResult, error) {
 	results := make([]ApproxResult, len(reads))
-	w := approxWork{ix: ix, maxMismatches: maxMismatches}
-	if err := mapBatch(w, results, reads, opts); err != nil {
+	if err := ix.MapReadsApproxFtab(results, reads, maxMismatches, opts, true); err != nil {
 		return nil, err
 	}
 	return results, nil
 }
 
-// MapReadApprox maps one read and its reverse complement with up to
-// maxMismatches substitutions per orientation.
+// MapReadsApproxFtab is MapReadsApprox into a caller-provided result slice
+// (len(dst) must equal len(reads)) with explicit prefix-table control for
+// pass 1, as MapReadsIntoFtab has it for exact mapping.
+func (ix *Index) MapReadsApproxFtab(dst []ApproxResult, reads []dna.Seq, maxMismatches int, opts MapOptions, useFtab bool) error {
+	return mapBatch(approxWork{ix: ix, maxMismatches: maxMismatches, useFtab: useFtab}, dst, reads, opts)
+}
+
+// MapReadApprox maps one read and its reverse complement, exactly or else
+// with up to maxMismatches substitutions per orientation.
 func (ix *Index) MapReadApprox(read dna.Seq, maxMismatches int) (ApproxResult, error) {
 	results, err := ix.MapReadsApprox([]dna.Seq{read}, maxMismatches, MapOptions{})
 	if err != nil {

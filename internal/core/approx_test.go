@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"bwaver/internal/dna"
+	"bwaver/internal/fmindex"
 )
 
 func TestMapReadApproxRescuesMutation(t *testing.T) {
@@ -79,8 +80,43 @@ func TestMapReadApproxBudgetValidation(t *testing.T) {
 }
 
 func TestApproxResultAccessorsEmpty(t *testing.T) {
-	var r ApproxResult
+	// An unmapped result: both exact ranges empty (a zero Range is row 0), no
+	// strata.
+	none := fmindex.Range{Start: 1, End: 0}
+	r := ApproxResult{Exact: MapResult{Forward: none, Reverse: none}}
 	if r.Mapped() || r.Occurrences() != 0 || r.BestMismatches() != -1 {
-		t.Errorf("zero ApproxResult accessors wrong: %+v", r)
+		t.Errorf("unmapped ApproxResult accessors wrong: %+v", r)
+	}
+}
+
+// TestMapReadApproxExactFirst pins the workload's semantics: a read that
+// occurs exactly answers with its exact hits and never enters the branching
+// search, however many in-budget neighbours it has — the 7-vs-1 8-mer the
+// two backends used to disagree on.
+func TestMapReadApproxExactFirst(t *testing.T) {
+	ref := testGenome(t, 20000)
+	ix := mustBuild(t, ref, IndexConfig{})
+	read := ref[1000:1008]
+	exact := ix.MapRead(read)
+	neighbours, err := ix.FM().CountApprox(patternOf(read), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmindex.TotalOccurrences(neighbours) <= exact.Forward.Count() {
+		t.Fatalf("8-mer has no in-budget neighbours beyond its %d exact hits; pick another", exact.Forward.Count())
+	}
+	res, err := ix.MapReadApprox(read, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Exact.Forward != exact.Forward || res.Exact.Reverse != exact.Reverse || res.Exact.Steps != exact.Steps {
+		t.Errorf("pass 1 = %+v, MapRead = %+v", res.Exact, exact)
+	}
+	if len(res.Forward) != 0 || len(res.Reverse) != 0 || res.Steps != 0 {
+		t.Errorf("pass 2 ran for an exact hit: %+v", res)
+	}
+	if !res.Mapped() || res.BestMismatches() != 0 || res.Occurrences() != exact.Occurrences() {
+		t.Errorf("accessors: mapped %t, best %d, occurrences %d; want true, 0, %d",
+			res.Mapped(), res.BestMismatches(), res.Occurrences(), exact.Occurrences())
 	}
 }

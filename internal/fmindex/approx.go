@@ -8,8 +8,8 @@ import "fmt"
 // one and two substitutions; this file implements that extension: a
 // branching backward search that explores substituted symbols while the
 // mismatch budget lasts. Time grows exponentially with the budget — the
-// reason the paper's related work caps hardware designs at two mismatches —
-// so callers should keep k small.
+// reason the paper's related work stops hardware designs at two mismatches;
+// MaxMismatchBudget is where this search stops accepting one.
 
 // ApproxMatch is one match range at a specific mismatch count.
 type ApproxMatch struct {
@@ -17,8 +17,12 @@ type ApproxMatch struct {
 	Mismatches int
 }
 
-// MaxMismatchBudget bounds CountApprox's budget; beyond two substitutions
-// the branching search degenerates, matching the hardware designs' limits.
+// MaxMismatchBudget is the largest budget CountApprox accepts — the server
+// validates a job's mismatches parameter against it, the CLI gets the search's
+// error — so every mapping path takes budgets 0 to 4. It caps the fan-out:
+// each extra substitution multiplies the strings explored by about three
+// times the pattern length. The hardware designs stop at two; budgets 3 and 4
+// are a host-side allowance above them.
 const MaxMismatchBudget = 4
 
 // CountApprox returns the row ranges of every string within maxMismatches
@@ -70,27 +74,6 @@ func (ix *Index) CountApproxSteps(pattern []uint8, maxMismatches int) ([]ApproxM
 	}
 	dfs(len(pattern)-1, ix.All(), 0)
 	return matches, steps, nil
-}
-
-// BestApprox reduces a CountApprox result to the matches at the lowest
-// mismatch count, the "best stratum" reporting mode short-read mappers use.
-func BestApprox(matches []ApproxMatch) []ApproxMatch {
-	best := -1
-	for _, m := range matches {
-		if best == -1 || m.Mismatches < best {
-			best = m.Mismatches
-		}
-	}
-	if best == -1 {
-		return nil
-	}
-	out := matches[:0:0]
-	for _, m := range matches {
-		if m.Mismatches == best {
-			out = append(out, m)
-		}
-	}
-	return out
 }
 
 // TotalOccurrences sums the row counts of a match set.

@@ -167,18 +167,3 @@ func TestCountApproxValidation(t *testing.T) {
 		t.Error("accepted out-of-alphabet symbol")
 	}
 }
-
-func TestBestApprox(t *testing.T) {
-	if BestApprox(nil) != nil {
-		t.Error("BestApprox(nil) should be nil")
-	}
-	in := []ApproxMatch{
-		{Range: Range{Start: 5, End: 6}, Mismatches: 2},
-		{Range: Range{Start: 1, End: 1}, Mismatches: 1},
-		{Range: Range{Start: 9, End: 10}, Mismatches: 1},
-	}
-	best := BestApprox(in)
-	if len(best) != 2 || best[0].Mismatches != 1 || best[1].Mismatches != 1 {
-		t.Errorf("BestApprox = %v", best)
-	}
-}

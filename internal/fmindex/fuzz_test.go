@@ -1,6 +1,8 @@
 package fmindex
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 
 	"bwaver/internal/bwt"
@@ -61,6 +63,115 @@ func FuzzSearchWithFtab(f *testing.F) {
 		if got != plain {
 			t.Fatalf("k=%d pattern=%v: ftab search %+v != plain search %+v",
 				k, pattern, got, plain)
+		}
+	})
+}
+
+// approxSeed is one FuzzCountApprox corpus entry.
+type approxSeed struct {
+	text, pattern []uint8
+	k             int
+}
+
+// cutSeed builds a seed the way approx_test.go builds its cases: random text
+// from a fixed source, the pattern cut from it at a position, substitutions
+// planted at the given pattern offsets.
+func cutSeed(source int64, n, at, length, k int, mutate ...int) approxSeed {
+	text := buildText(rand.New(rand.NewSource(source)), n)
+	pattern := append([]uint8(nil), text[at:at+length]...)
+	for _, p := range mutate {
+		pattern[p] = (pattern[p] + 1) % 4
+	}
+	return approxSeed{text, pattern, k}
+}
+
+// approxSeeds mirrors the cases of approx_test.go, within the fuzz target's
+// bounds (text ≤ 2 kbp, pattern ≤ 24, k ≤ 2).
+func approxSeeds() []approxSeed {
+	return []approxSeed{
+		// TestCountApproxMatchesNaive: a cut, one and two planted
+		// substitutions, a pattern unrelated to the text.
+		cutSeed(41, 2000, 120, 12, 0),
+		cutSeed(41, 2000, 300, 16, 1, 5),
+		cutSeed(41, 2000, 700, 22, 2, 3, 17),
+		{buildText(rand.New(rand.NewSource(41)), 2000), buildText(rand.New(rand.NewSource(7)), 9), 2},
+		// TestCountApproxZeroEqualsExact, ...StepsExceedExact, ...DisjointRanges.
+		cutSeed(42, 1000, 200, 19, 0),
+		cutSeed(43, 2000, 100, 24, 2),
+		cutSeed(44, 2000, 50, 20, 2),
+		// TestCountApproxValidation's four-symbol text, and a pattern no text
+		// this short can hold.
+		{[]uint8{0, 1, 2, 3}, []uint8{0, 1}, 1},
+		{[]uint8{2, 2, 1}, []uint8{2, 2, 1, 0, 3}, 2},
+	}
+}
+
+// FuzzCountApprox holds the branching search to an oracle that shares nothing
+// with it: a Hamming-distance scan of the text. Per stratum, the located
+// position set equals the scan's; the ranges of distinct matched strings are
+// disjoint; and a search that stepped at all reports it.
+func FuzzCountApprox(f *testing.F) {
+	for _, s := range approxSeeds() {
+		f.Add(s.text, s.pattern, uint8(s.k))
+	}
+	f.Fuzz(func(t *testing.T, textRaw, patternRaw []byte, kRaw uint8) {
+		if len(textRaw) == 0 || len(textRaw) > 2000 || len(patternRaw) == 0 || len(patternRaw) > 24 {
+			return
+		}
+		text := make([]uint8, len(textRaw))
+		for i, b := range textRaw {
+			text[i] = b & 3
+		}
+		pattern := make([]uint8, len(patternRaw))
+		for i, b := range patternRaw {
+			pattern[i] = b & 3
+		}
+		k := int(kRaw) % 3
+		ix := buildWith(t, text,
+			func(d []uint8) (OccProvider, error) { return NewWaveletOcc(d, 4, testParams) },
+			fullSAOpts)
+		matches, steps, err := ix.CountApproxSteps(pattern, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if steps <= 0 {
+			t.Fatalf("%d steps for a %d-symbol pattern", steps, len(pattern))
+		}
+
+		// The oracle: every alignment's Hamming distance, binned by stratum.
+		want := make([][]int32, k+1)
+		for i := 0; i+len(pattern) <= len(text); i++ {
+			mm := 0
+			for j, s := range pattern {
+				if text[i+j] != s {
+					mm++
+				}
+			}
+			if mm <= k {
+				want[mm] = append(want[mm], int32(i))
+			}
+		}
+		got := make([][]int32, k+1)
+		sorted := append([]ApproxMatch(nil), matches...)
+		sort.Slice(sorted, func(i, j int) bool { return sorted[i].Range.Start < sorted[j].Range.Start })
+		for i, m := range sorted {
+			if m.Range.Empty() || m.Mismatches < 0 || m.Mismatches > k {
+				t.Fatalf("match %+v outside budget %d or empty", m, k)
+			}
+			if i > 0 && m.Range.Start <= sorted[i-1].Range.End {
+				t.Fatalf("overlapping ranges %+v and %+v", sorted[i-1], m)
+			}
+			ps, err := ix.Locate(m.Range)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got[m.Mismatches] = append(got[m.Mismatches], ps...)
+		}
+		for mm := range want {
+			if !sortedEqual(got[mm], want[mm]) {
+				t.Fatalf("k=%d stratum %d: located %v, Hamming scan %v (text %v, pattern %v)",
+					k, mm, got[mm], want[mm], text, pattern)
+			}
 		}
 	})
 }

@@ -56,7 +56,7 @@ type Config struct {
 	PipelineFillCycles int
 	// DoubleBuffer overlaps query streaming with kernel execution (two
 	// query buffers ping-pong: while the kernel drains one, the host fills
-	// the other), hiding min(transfer, compute) of the run — the memory
+	// the other), hiding min(transfer, compute) of every pass — the memory
 	// burst optimisation of §III-C taken one step further.
 	DoubleBuffer bool
 	// SequentialRank switches the cycle model from the pipelined

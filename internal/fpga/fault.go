@@ -22,6 +22,7 @@ import (
 	"sync"
 
 	"bwaver/internal/core"
+	"bwaver/internal/fmindex"
 )
 
 // FaultStage identifies the modeled stage of a device run at which a fault
@@ -308,16 +309,20 @@ func (h *fnv) word(v uint64) {
 	}
 }
 
+// rows mixes a row range in.
+func (h *fnv) rows(r fmindex.Range) {
+	h.word(uint64(int64(r.Start)))
+	h.word(uint64(int64(r.End)))
+}
+
 // ChecksumResults computes the per-batch FNV-1a checksum the simulated
 // kernel appends to its result stream; the host recomputes it over the
 // received batch to detect transfer corruption before trusting the ranges.
 func ChecksumResults(results []core.MapResult) uint64 {
 	h := fnvOffset
 	for _, r := range results {
-		h.word(uint64(int64(r.Forward.Start)))
-		h.word(uint64(int64(r.Forward.End)))
-		h.word(uint64(int64(r.Reverse.Start)))
-		h.word(uint64(int64(r.Reverse.End)))
+		h.rows(r.Forward)
+		h.rows(r.Reverse)
 	}
 	return uint64(h)
 }

@@ -98,9 +98,9 @@ type Profile struct {
 	// exponential backoff between retried shard attempts (zero without
 	// injected faults). Charged on the modeled timeline, not slept.
 	RetryBackoff time.Duration
-	// Overlap is the time hidden by double-buffered query streaming
-	// (min(QueryTransfer, KernelTime) when Config.DoubleBuffer is set);
-	// Total subtracts it.
+	// Overlap is the time hidden by double-buffered query streaming (each
+	// pass's min(query transfer, kernel time) when Config.DoubleBuffer is
+	// set); Total subtracts it.
 	Overlap time.Duration
 	// KernelCycles is the raw cycle count behind KernelTime.
 	KernelCycles uint64
@@ -205,16 +205,12 @@ type deviceWork[T deviceRun[T]] interface {
 	admit(k *Kernel) (indexTransfer time.Duration, err error)
 	// newRun makes the result of an n-read batch.
 	newRun(n int) T
-	// execute maps reads into run through the same core entry points the CPU
-	// path calls — both backends agree by construction — and prices them.
-	execute(k *Kernel, run T, reads []dna.Seq, opts MapRunOptions) (cost, error)
+	// execute maps reads into run through the same core entry point the CPU
+	// path calls — both backends agree by construction — and prices them,
+	// rolling the stages of any pass after the first.
+	execute(k *Kernel, run T, reads []dna.Seq, opts MapRunOptions) (passes Profile, err error)
 	// verify recomputes every stride-th result on the host; none at stride 0.
 	verify(ix *core.Index, reads []dna.Seq, run T, stride int) error
-	// late runs what the workload still does after the batch was checksummed
-	// and returned — pass 2 of the two-pass flow, until ROADMAP item 3 (d)
-	// puts it under the checksum; exact and mem have none. It opens with its
-	// own rollPass and is charged on top of the run.
-	late(k *Kernel, run T, reads []dna.Seq, opts MapRunOptions) (cost, error)
 }
 
 // verifyChecksum recomputes the batch checksum over the received results.
@@ -225,24 +221,37 @@ func verifyChecksum[T deviceRun[T]](run T) error {
 	return nil
 }
 
-// cost is what executing a batch charges the device.
-type cost struct {
-	// cycles is the kernel's total, pipeline fills included; waveCycles the
-	// lockstep-dispatcher accounting (see Profile).
-	cycles, waveCycles uint64
-	// queryRecords and resultRecords count the records streamed each way.
-	queryRecords, resultRecords int
-	reconfig                    time.Duration
+// pass prices one pass over the fabric at k's clock and bus speed: queries
+// records streamed in, cycles of kernel time, results records streamed out.
+// A double-buffered pass hides the shorter of its own stream and kernel.
+func (k *Kernel) pass(cycles uint64, queries, results int) Profile {
+	p := Profile{
+		QueryTransfer:  k.dev.transfer(queries * QueryRecordBytes),
+		KernelTime:     k.dev.cyclesToTime(cycles),
+		ResultTransfer: k.dev.transfer(results * ResultRecordBytes),
+		KernelCycles:   cycles,
+	}
+	if k.dev.cfg.DoubleBuffer {
+		p.Overlap = min(p.QueryTransfer, p.KernelTime)
+	}
+	return p
 }
 
-// charge adds c to the profile at k's clock and bus speed.
-func (k *Kernel) charge(p *Profile, c cost) {
-	p.QueryTransfer += k.dev.transfer(c.queryRecords * QueryRecordBytes)
-	p.KernelTime += k.dev.cyclesToTime(c.cycles)
-	p.ResultTransfer += k.dev.transfer(c.resultRecords * ResultRecordBytes)
-	p.Reconfig += c.reconfig
-	p.KernelCycles += c.cycles
-	p.WaveCycles += c.waveCycles
+// addPass charges a further pass on top of p, each priced on its own.
+func (p *Profile) addPass(d Profile) {
+	p.QueryTransfer += d.QueryTransfer
+	p.KernelTime += d.KernelTime
+	p.ResultTransfer += d.ResultTransfer
+	p.Overlap += d.Overlap
+	p.KernelCycles += d.KernelCycles
+}
+
+// assemble completes the profile of a run's passes with the fixed setup, the
+// index transfer and the event timeline.
+func (k *Kernel) assemble(passes Profile, indexTransfer time.Duration) Profile {
+	passes.Setup, passes.IndexTransfer = k.dev.cfg.SetupTime, indexTransfer
+	passes.Events = tagEvents(buildEvents(passes), k.dev.id, 1, 0)
+	return passes
 }
 
 // validateReads checks that every read fits the 512-bit query record.
@@ -277,11 +286,10 @@ func (k *Kernel) rollPass(loadIndex bool) error {
 }
 
 // runKernel is the one device run: validate the reads, roll the stages that
-// open the run, execute and charge cycles, checksum, roll the result
+// open the run, execute and price every pass, checksum, roll the result
 // transfer, corrupt, and assemble the profile and its events.
 func runKernel[T deviceRun[T]](k *Kernel, w deviceWork[T], reads []dna.Seq, opts MapRunOptions) (T, error) {
 	wallStart := time.Now()
-	cfg := k.dev.cfg
 	var none T
 	if err := validateReads(reads); err != nil {
 		return none, err
@@ -297,7 +305,7 @@ func runKernel[T deviceRun[T]](k *Kernel, w deviceWork[T], reads []dna.Seq, opts
 		return none, err
 	}
 	run := w.newRun(len(reads))
-	c, err := w.execute(k, run, reads, opts)
+	passes, err := w.execute(k, run, reads, opts)
 	if err != nil {
 		return none, err
 	}
@@ -313,17 +321,7 @@ func runKernel[T deviceRun[T]](k *Kernel, w deviceWork[T], reads []dna.Seq, opts
 	if i, bit, hit := k.dev.inj.corrupt(len(reads)); hit {
 		run.corrupt(i, bit)
 	}
-
-	*p = Profile{Setup: cfg.SetupTime, IndexTransfer: indexTransfer}
-	k.charge(p, c)
-	if cfg.DoubleBuffer {
-		p.Overlap = min(p.QueryTransfer, p.KernelTime)
-	}
-	if c, err = w.late(k, run, reads, opts); err != nil {
-		return none, err
-	}
-	k.charge(p, c)
-	p.Events = tagEvents(buildEvents(*p), k.dev.id, 1, 0)
+	*p = k.assemble(passes, indexTransfer)
 	p.HostWallTime = time.Since(wallStart)
 	return run, nil
 }
@@ -336,16 +334,17 @@ func (exactWork) pairAligned() bool                      { return false }
 func (exactWork) admit(k *Kernel) (time.Duration, error) { return k.indexTransfer, nil }
 func (exactWork) newRun(n int) *RunResult                { return &RunResult{Results: make([]core.MapResult, n)} }
 
-func (exactWork) execute(k *Kernel, run *RunResult, reads []dna.Seq, opts MapRunOptions) (cost, error) {
-	return k.searchCost(run.Results, reads, opts)
+// execute searches in the kernel's own ftab mode — not the host index's — so a
+// BRAM-degraded kernel's cycle accounting matches the fabric it models.
+func (exactWork) execute(k *Kernel, run *RunResult, reads []dna.Seq, opts MapRunOptions) (Profile, error) {
+	if _, err := k.ix.MapReadsIntoFtab(run.Results, reads, opts.host(), k.useFtab); err != nil {
+		return Profile{}, err
+	}
+	return k.searchCost(len(reads), func(i int) int { return run.Results[i].Steps }), nil
 }
 
 func (exactWork) verify(ix *core.Index, reads []dna.Seq, run *RunResult, stride int) error {
 	return core.VerifySampled(ix, reads, run.Results, stride)
-}
-
-func (exactWork) late(*Kernel, *RunResult, []dna.Seq, MapRunOptions) (cost, error) {
-	return cost{}, nil
 }
 
 // pipelineCycles is the closed-form pipeline model every pass is priced with:
@@ -357,31 +356,26 @@ func (k *Kernel) pipelineCycles(steps, queries int) uint64 {
 	return uint64(cfg.PipelineFillCycles) + work/uint64(cfg.PEs)
 }
 
-// searchCost maps reads into dst on the host index and prices them. The
-// kernel's own ftab mode — not the host index's — decides the search path, so
-// a BRAM-degraded kernel's cycle accounting matches the fabric it models.
-func (k *Kernel) searchCost(dst []core.MapResult, reads []dna.Seq, opts MapRunOptions) (cost, error) {
-	stats, err := k.ix.MapReadsIntoFtab(dst, reads, opts.host(), k.useFtab)
-	if err != nil {
-		return cost{}, err
-	}
+// searchCost prices the exact pass over n reads, the i-th of which took
+// steps(i) backward-search steps.
+func (k *Kernel) searchCost(n int, steps func(i int) int) Profile {
 	// Wave accounting: reads issue in waves of cfg.PEs lanes; each wave is
 	// charged for its slowest lane.
 	cfg, perStep := k.dev.cfg, k.stepCycles()
+	total := 0
 	waveCycles := uint64(cfg.PipelineFillCycles)
-	for lo := 0; lo < len(dst); lo += cfg.PEs {
+	for lo := 0; lo < n; lo += cfg.PEs {
 		slowest := 0
-		for _, res := range dst[lo:min(lo+cfg.PEs, len(dst))] {
-			slowest = max(slowest, res.Steps)
+		for i := lo; i < min(lo+cfg.PEs, n); i++ {
+			s := steps(i)
+			total += s
+			slowest = max(slowest, s)
 		}
 		waveCycles += uint64(slowest)*perStep + uint64(cfg.QueryOverheadCycles)
 	}
-	return cost{
-		cycles:        k.pipelineCycles(stats.TotalSteps, len(reads)),
-		waveCycles:    waveCycles,
-		queryRecords:  len(reads),
-		resultRecords: len(reads),
-	}, nil
+	p := k.pass(k.pipelineCycles(total, n), n, n)
+	p.WaveCycles = waveCycles
+	return p
 }
 
 // MapReadsOpts maps a batch of reads on the device. Every read must fit the
@@ -438,16 +432,7 @@ func buildEvents(p Profile) []Event {
 func (k *Kernel) ModelProfile(nReads int, avgStepsPerRead float64) Profile {
 	cfg := k.dev.cfg
 	stepCycles := uint64(float64(nReads) * (avgStepsPerRead*float64(k.stepCycles()) + float64(cfg.QueryOverheadCycles)))
-	p := Profile{Setup: cfg.SetupTime, IndexTransfer: k.indexTransfer}
-	k.charge(&p, cost{
-		cycles:       uint64(cfg.PipelineFillCycles) + stepCycles/uint64(cfg.PEs),
-		queryRecords: nReads, resultRecords: nReads,
-	})
-	if cfg.DoubleBuffer {
-		p.Overlap = min(p.QueryTransfer, p.KernelTime)
-	}
-	p.Events = tagEvents(buildEvents(p), k.dev.id, 1, 0)
-	return p
+	return k.assemble(k.pass(uint64(cfg.PipelineFillCycles)+stepCycles/uint64(cfg.PEs), nReads, nReads), k.indexTransfer)
 }
 
 // LocateResults resolves occurrence positions for a run on the host through

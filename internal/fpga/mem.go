@@ -123,14 +123,9 @@ func (w memWork) verify(ix *core.Index, reads []dna.Seq, run *MemRunResult, stri
 	return verifySampledMem(ix, reads, run.Results, w.opts, stride)
 }
 
-// late: both passes of a mem run precede its checksum.
-func (memWork) late(*Kernel, *MemRunResult, []dna.Seq, MapRunOptions) (cost, error) {
-	return cost{}, nil
-}
-
-func (w memWork) execute(k *Kernel, run *MemRunResult, reads []dna.Seq, opts MapRunOptions) (c cost, err error) {
+func (w memWork) execute(k *Kernel, run *MemRunResult, reads []dna.Seq, opts MapRunOptions) (passes Profile, err error) {
 	if run.Stats, err = k.ix.MapReadsMemInto(run.Results, reads, w.opts, opts.host()); err != nil {
-		return cost{}, err
+		return Profile{}, err
 	}
 	// Pass-1 cycles: SMEM extension ops through the rank pipelines, same
 	// per-step model as the exact kernel. Pass-2 cycles: the array retires
@@ -143,26 +138,21 @@ func (w memWork) execute(k *Kernel, run *MemRunResult, reads []dna.Seq, opts Map
 	// Reconfiguration swaps the search pipelines for the systolic alignment
 	// array; pass 2 re-rolls the stream/kernel fault stages like a fresh run.
 	if err := k.rollPass(false); err != nil {
-		return cost{}, err
+		return Profile{}, err
 	}
 	run.SeedTime = k.dev.cyclesToTime(run.SeedCycles)
 	run.ExtendTime = k.dev.cyclesToTime(run.ExtendCycles)
 
-	c = cost{
-		cycles: run.SeedCycles + run.ExtendCycles,
-		// Pass 1 streams the reads; pass 2 streams one extension-job record
-		// per surviving chain.
-		queryRecords:  len(reads) + run.Stats.Extensions,
-		resultRecords: len(reads),
-		reconfig:      DefaultReconfigTime,
-	}
+	// Pass 1 streams the reads; pass 2 streams one extension-job record per
+	// surviving chain. The two are priced as one stream and one kernel span.
+	passes = k.pass(run.SeedCycles+run.ExtendCycles, len(reads)+run.Stats.Extensions, len(reads))
 	// A session run on an already-reconfigured fabric (batch two onward of
 	// the two-pass schedule) charges no reconfiguration: the alignment array
 	// stays programmed and the host takes over seeding.
-	if w.reconfigured {
-		c.reconfig = 0
+	if !w.reconfigured {
+		passes.Reconfig = DefaultReconfigTime
 	}
-	return c, nil
+	return passes, nil
 }
 
 // MapReadsMemOpts maps a batch through seed → chain → extend on one card.

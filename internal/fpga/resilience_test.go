@@ -3,6 +3,7 @@ package fpga
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -221,8 +222,8 @@ func TestFarmTwoPassUnderFaults(t *testing.T) {
 	if err != nil {
 		t.Fatalf("two-pass farm run failed: %v", err)
 	}
-	if len(run.Exact) != len(reads) {
-		t.Fatalf("%d exact results for %d reads", len(run.Exact), len(reads))
+	if len(run.Results) != len(reads) {
+		t.Fatalf("%d results for %d reads", len(run.Results), len(reads))
 	}
 	// Compare against a clean single card.
 	clean, _ := NewDevice(Config{})
@@ -235,8 +236,8 @@ func TestFarmTwoPassUnderFaults(t *testing.T) {
 		t.Errorf("rescued %d, clean card rescued %d", run.Rescued, want.Rescued)
 	}
 	for i := range reads {
-		if run.Exact[i].Forward != want.Exact[i].Forward || run.Exact[i].Reverse != want.Exact[i].Reverse {
-			t.Fatalf("read %d: exact pass diverges", i)
+		if !reflect.DeepEqual(run.Results[i], want.Results[i]) {
+			t.Fatalf("read %d: farm %+v, clean card %+v", i, run.Results[i], want.Results[i])
 		}
 	}
 	if farm.Stats().Redistributed == 0 {

@@ -2,10 +2,12 @@ package fpga
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"bwaver/internal/core"
 	"bwaver/internal/dna"
+	"bwaver/internal/fmindex"
 )
 
 // Two-pass approximate mapping, modeled on the runtime-reconfigurable
@@ -15,7 +17,9 @@ import (
 // the slower one- and two-mismatches alignment modules"). Pass 1 runs the
 // exact kernel over every read; reads that fail both orientations are
 // re-queued to a k-mismatch kernel after a fabric reconfiguration, whose
-// fixed cost is charged once.
+// fixed cost is charged once. That flow is core's k-mismatch workload — the
+// CPU path runs the same one — so the device only prices it, and both passes
+// sit under the batch checksum.
 
 // DefaultReconfigTime is the modeled partial-reconfiguration cost of
 // swapping the exact kernel for the mismatch kernel.
@@ -23,37 +27,51 @@ const DefaultReconfigTime = 500 * time.Millisecond
 
 // TwoPassResult is a completed two-pass run.
 type TwoPassResult struct {
-	// Exact holds pass-1 results for every read, by input position.
-	Exact []core.MapResult
-	// Approx holds pass-2 results for the reads pass 1 failed to map,
-	// keyed by input position. Reads mapped exactly do not appear.
-	Approx map[int]core.ApproxResult
+	// Results holds, by input position, every read's pass-1 result and, for
+	// the reads pass 1 failed to map, the strata pass 2 found.
+	Results []core.ApproxResult
 	// Rescued counts pass-2 reads that found an approximate match.
 	Rescued int
 	// Profile covers both passes plus the reconfiguration.
 	Profile Profile
-	// Checksum is the pass-1 batch checksum (see RunResult.Checksum).
+	// Checksum is the batch checksum over both passes (see
+	// RunResult.Checksum).
 	Checksum uint64
 }
 
-// VerifyChecksum recomputes the pass-1 batch checksum over the received
-// exact results and returns ErrResultCorrupt on mismatch.
+// VerifyChecksum recomputes the batch checksum over the received results of
+// both passes and returns ErrResultCorrupt on mismatch.
 func (t *TwoPassResult) VerifyChecksum() error { return verifyChecksum(t) }
 
 func (t *TwoPassResult) head() (*Profile, *uint64) { return &t.Profile, &t.Checksum }
-func (t *TwoPassResult) sum() uint64               { return ChecksumResults(t.Exact) }
-func (t *TwoPassResult) corrupt(i int, bit uint64) { t.Exact[i].Forward.Start ^= 1 << bit }
+
+// sum extends ChecksumResults' fold over the pass-1 ranges with every pass-2
+// stratum, so a read's answer is covered whichever pass gave it.
+func (t *TwoPassResult) sum() uint64 {
+	h := fnvOffset
+	for _, r := range t.Results {
+		h.rows(r.Exact.Forward)
+		h.rows(r.Exact.Reverse)
+		for _, set := range [][]fmindex.ApproxMatch{r.Forward, r.Reverse} {
+			h.word(uint64(len(set)))
+			for _, m := range set {
+				h.rows(m.Range)
+				h.word(uint64(int64(m.Mismatches)))
+			}
+		}
+	}
+	return uint64(h)
+}
+
+func (t *TwoPassResult) corrupt(i int, bit uint64) { t.Results[i].Exact.Forward.Start ^= 1 << bit }
 
 func (t *TwoPassResult) gather(lo int, shard *TwoPassResult) {
-	copy(t.Exact[lo:], shard.Exact)
-	for i, res := range shard.Approx {
-		t.Approx[lo+i] = res
-	}
+	copy(t.Results[lo:], shard.Results)
 	t.Rescued += shard.Rescued
 }
 
-// twoPassWork is the two-pass flow as a device workload: exact matching for
-// the run proper, then the mismatch kernel over what it left unaligned.
+// twoPassWork is the two-pass flow as a device workload: exact matching over
+// every read, then the mismatch kernel over what it left unaligned.
 type twoPassWork struct {
 	maxMismatches int
 }
@@ -68,59 +86,59 @@ func (w twoPassWork) admit(k *Kernel) (time.Duration, error) {
 }
 
 func (twoPassWork) newRun(n int) *TwoPassResult {
-	return &TwoPassResult{Exact: make([]core.MapResult, n), Approx: map[int]core.ApproxResult{}}
+	return &TwoPassResult{Results: make([]core.ApproxResult, n)}
 }
 
-func (twoPassWork) execute(k *Kernel, t *TwoPassResult, reads []dna.Seq, opts MapRunOptions) (cost, error) {
-	return k.searchCost(t.Exact, reads, opts)
-}
-
-func (twoPassWork) verify(ix *core.Index, reads []dna.Seq, t *TwoPassResult, stride int) error {
-	return core.VerifySampled(ix, reads, t.Exact, stride)
-}
-
-// late is pass 2: the fabric is reconfigured, one fixed charge, and the reads
-// pass 1 failed to map on either orientation are re-streamed to the mismatch
-// kernel, so it rolls the same injectable stages as a fresh run. Same
-// pipeline model; the branching search simply executes more steps per query.
-// Progress counts pass-1 queries; pass 2 re-processes its subset under the
-// same total.
-func (w twoPassWork) late(k *Kernel, t *TwoPassResult, reads []dna.Seq, opts MapRunOptions) (cost, error) {
-	var unaligned []int
-	var subset []dna.Seq
-	for i, res := range t.Exact {
-		if !res.Mapped() {
-			unaligned = append(unaligned, i)
-			subset = append(subset, reads[i])
+// execute prices pass 1 like an exact run. When it left reads unaligned the
+// fabric is reconfigured, one fixed charge, and they are re-streamed to the
+// mismatch kernel, so pass 2 rolls the same injectable stages as a fresh run.
+// Same pipeline model; the branching search simply executes more steps per
+// query.
+func (w twoPassWork) execute(k *Kernel, t *TwoPassResult, reads []dna.Seq, opts MapRunOptions) (Profile, error) {
+	if err := k.ix.MapReadsApproxFtab(t.Results, reads, w.maxMismatches, opts.host(), k.useFtab); err != nil {
+		return Profile{}, err
+	}
+	passes := k.searchCost(len(reads), func(i int) int { return t.Results[i].Exact.Steps })
+	unaligned, steps := 0, 0
+	for _, res := range t.Results {
+		if res.Exact.Mapped() {
+			continue
 		}
-	}
-	if len(unaligned) == 0 {
-		return cost{}, nil
-	}
-	if err := k.rollPass(false); err != nil {
-		return cost{}, err
-	}
-	results, err := k.ix.MapReadsApprox(subset, w.maxMismatches, core.MapOptions{Context: opts.Context})
-	if err != nil {
-		return cost{}, err
-	}
-	steps := 0
-	for n, res := range results {
-		t.Approx[unaligned[n]] = res
+		unaligned++
+		steps += res.Steps
 		if res.Mapped() {
 			t.Rescued++
 		}
-		steps += res.Steps
 	}
-	if err := k.dev.inj.at(StageResultTransfer); err != nil {
-		return cost{}, err
+	if unaligned == 0 {
+		return passes, nil
 	}
-	return cost{
-		cycles:        k.pipelineCycles(steps, len(unaligned)),
-		queryRecords:  len(unaligned),
-		resultRecords: len(unaligned),
-		reconfig:      DefaultReconfigTime,
-	}, nil
+	if err := k.rollPass(false); err != nil {
+		return Profile{}, err
+	}
+	passes.addPass(k.pass(k.pipelineCycles(steps, unaligned), unaligned, unaligned))
+	passes.Reconfig = DefaultReconfigTime
+	return passes, nil
+}
+
+// verify recomputes every stride-th read's two passes on the host. Only
+// ranges and strata are compared, as in core.VerifySampled.
+func (w twoPassWork) verify(ix *core.Index, reads []dna.Seq, t *TwoPassResult, stride int) error {
+	if stride <= 0 {
+		return nil
+	}
+	for i := 0; i < len(reads); i += stride {
+		want, err := ix.MapReadApprox(reads[i], w.maxMismatches)
+		if err != nil {
+			return err
+		}
+		got := t.Results[i]
+		if got.Exact.Forward != want.Exact.Forward || got.Exact.Reverse != want.Exact.Reverse ||
+			!slices.Equal(got.Forward, want.Forward) || !slices.Equal(got.Reverse, want.Reverse) {
+			return fmt.Errorf("fpga: two-pass cross-check mismatch at read %d", i)
+		}
+	}
+	return nil
 }
 
 // MapReadsTwoPassOpts runs the exact kernel, reconfigures, and retries the

@@ -1,10 +1,13 @@
 package fpga
 
 import (
+	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"bwaver/internal/dna"
+	"bwaver/internal/fmindex"
 	"bwaver/internal/readsim"
 )
 
@@ -54,12 +57,9 @@ func TestTwoPassRescuesMutatedReads(t *testing.T) {
 		// A 50 bp read with one substitution in a 40 kbp genome cannot
 		// match exactly (up to astronomically unlikely coincidences with
 		// this fixed seed).
-		if res.Exact[i].Mapped() {
+		approx := res.Results[i]
+		if approx.Exact.Mapped() {
 			continue
-		}
-		approx, ok := res.Approx[i]
-		if !ok {
-			t.Fatalf("read %d missing from approx results", i)
 		}
 		if !approx.Mapped() {
 			t.Fatalf("read %d (origin %d) not rescued at k=1", i, origins[i])
@@ -95,8 +95,13 @@ func TestTwoPassAllExactSkipsReconfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Approx) != 0 || res.Rescued != 0 {
-		t.Errorf("approx pass ran for fully-exact workload: %+v", res)
+	for i, r := range res.Results {
+		if len(r.Forward) != 0 || len(r.Reverse) != 0 || r.Steps != 0 {
+			t.Errorf("approx pass ran for exactly mapped read %d: %+v", i, r)
+		}
+	}
+	if res.Rescued != 0 {
+		t.Errorf("%d reads rescued in a fully-exact workload", res.Rescued)
 	}
 	if res.Profile.Reconfig != 0 {
 		t.Error("reconfiguration charged although pass 2 never ran")
@@ -115,8 +120,10 @@ func TestTwoPassRandomReadsStayUnmapped(t *testing.T) {
 	if res.Rescued != 0 {
 		t.Errorf("%d random reads rescued at k=1", res.Rescued)
 	}
-	if len(res.Approx) != len(reads) {
-		t.Errorf("approx pass covered %d reads, want all %d", len(res.Approx), len(reads))
+	for i, r := range res.Results {
+		if r.Steps == 0 {
+			t.Errorf("approx pass skipped unaligned read %d", i)
+		}
 	}
 }
 
@@ -144,5 +151,99 @@ func TestTwoPassCostsMoreThanExact(t *testing.T) {
 	}
 	if two.Profile.KernelCycles <= exact.Profile.KernelCycles {
 		t.Error("two-pass run did not cost more kernel cycles than exact run")
+	}
+}
+
+// TestTwoPassChecksumCoversPass2: a flipped bit in a pass-2 stratum is seen
+// by both host-side defenses — the batch checksum and the sampled cross-check
+// — and a corrupt roll that lands on a rescued read is caught. While pass 2
+// ran after the checksum was taken, its results were outside both.
+func TestTwoPassChecksumCoversPass2(t *testing.T) {
+	ix := buildIndex(t, 40000)
+	reads, _ := mutatedReads(t, 40000, 40, 50, 1) // pass 1 maps none of them
+	clean, _ := NewDevice(Config{})
+	ck, _ := clean.Program(ix)
+	want, err := ck.MapReadsTwoPassOpts(reads, 1, MapRunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Rescued != len(reads) {
+		t.Fatalf("%d of %d reads rescued; the test needs every corrupt roll to land on one", want.Rescued, len(reads))
+	}
+	work := twoPassWork{maxMismatches: 1}
+	if err := want.VerifyChecksum(); err != nil {
+		t.Fatalf("clean run: %v", err)
+	}
+	if err := work.verify(ix, reads, want, 1); err != nil {
+		t.Fatalf("clean run: %v", err)
+	}
+	for _, flip := range []func(m *fmindex.ApproxMatch){
+		func(m *fmindex.ApproxMatch) { m.Range.Start ^= 1 },
+		func(m *fmindex.ApproxMatch) { m.Range.End ^= 4 },
+		func(m *fmindex.ApproxMatch) { m.Mismatches ^= 1 },
+	} {
+		tampered, err := ck.MapReadsTwoPassOpts(reads, 1, MapRunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := &tampered.Results[len(reads)/2]
+		if len(r.Forward) > 0 {
+			flip(&r.Forward[0])
+		} else {
+			flip(&r.Reverse[0])
+		}
+		if err := tampered.VerifyChecksum(); !errors.Is(err, ErrResultCorrupt) {
+			t.Errorf("VerifyChecksum = %v on a flipped stratum bit, want ErrResultCorrupt", err)
+		}
+		if err := work.verify(ix, reads, tampered, 1); err == nil {
+			t.Error("sampled cross-check passed a flipped stratum bit")
+		}
+	}
+
+	plan, err := ParseFaultPlan("seed=1,persistent=0:corrupt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev, _ := NewDevice(Config{})
+	dev.EnableFaults(plan, 0)
+	k, _ := dev.Program(ix)
+	run, err := k.MapReadsTwoPassOpts(reads, 1, MapRunOptions{})
+	if err != nil {
+		t.Fatalf("corruption must not error at the device: %v", err)
+	}
+	if err := run.VerifyChecksum(); !errors.Is(err, ErrResultCorrupt) {
+		t.Errorf("VerifyChecksum = %v after a corrupt roll on a rescued read, want ErrResultCorrupt", err)
+	}
+
+	// The farm's version of TestMemSessionUnderFaults/corrupt: with the
+	// cross-check off, the checksum alone rejects every corrupted batch.
+	transient, err := ParseFaultPlan("seed=17,corrupt=0.3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	devices := make([]*Device, 3)
+	for i := range devices {
+		devices[i], _ = NewDevice(Config{})
+		devices[i].EnableFaults(transient, i)
+	}
+	farm, err := NewFarmOpts(devices, ix, FarmOptions{BreakerThreshold: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 8; round++ {
+		striped, err := farm.MapReadsTwoPassOpts(reads, 1, MapRunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(striped.Results, want.Results) {
+			t.Fatalf("round %d: a corrupted stratum leaked through the farm", round)
+		}
+	}
+	var injected uint64
+	for _, d := range devices {
+		injected += d.FaultCounts()["corrupt"]
+	}
+	if stats := farm.Stats(); injected == 0 || stats.ChecksumMismatches != injected {
+		t.Errorf("%d corrupted two-pass batches injected, %d rejected by checksum", injected, stats.ChecksumMismatches)
 	}
 }

@@ -11,6 +11,7 @@ import (
 
 	"bwaver/internal/core"
 	"bwaver/internal/dna"
+	"bwaver/internal/fpga"
 	"bwaver/internal/qc"
 	"bwaver/internal/readsim"
 	"bwaver/internal/rrr"
@@ -41,9 +42,15 @@ type sliceSource struct {
 	ids   []string
 	reads []dna.Seq
 	batch int
+	// beforeNext, when set, runs at the top of every Next: the runner pulls
+	// between batches, on the job's goroutine.
+	beforeNext func()
 }
 
 func (s *sliceSource) Next() (qc.Batch, error) {
+	if s.beforeNext != nil {
+		s.beforeNext()
+	}
 	n := min(s.batch, len(s.reads))
 	if n == 0 {
 		return qc.Batch{}, io.EOF
@@ -53,7 +60,7 @@ func (s *sliceSource) Next() (qc.Batch, error) {
 	return b, nil
 }
 
-func goldenInput(t *testing.T, paired bool) goldenReads {
+func goldenInput(t *testing.T, paired bool, length int) goldenReads {
 	t.Helper()
 	ref, err := readsim.Genome(readsim.GenomeConfig{Length: 6000, Seed: 77, RepeatFraction: 0.3})
 	if err != nil {
@@ -84,7 +91,7 @@ func goldenInput(t *testing.T, paired bool) goldenReads {
 		}
 	} else {
 		sim, err := readsim.Simulate(ref, readsim.ReadsConfig{
-			Count: 60, Length: 30, MappingRatio: 0.7, RevCompFraction: 0.5, Seed: 78,
+			Count: 60, Length: length, MappingRatio: 0.7, RevCompFraction: 0.5, Seed: 78,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -95,7 +102,7 @@ func goldenInput(t *testing.T, paired bool) goldenReads {
 		}
 		// A read across the contig boundary, and the planted repeat on each
 		// strand.
-		in.reads = append(in.reads, ref[cut-15:cut+15], ref[305:335], ref[302:338].ReverseComplement())
+		in.reads = append(in.reads, ref[cut-length/2:cut+length/2], ref[305:305+length], ref[302:308+length].ReverseComplement())
 		in.ids = append(in.ids, "straddle", "repeat", "repeat-rc")
 	}
 	nasty := []string{
@@ -108,25 +115,34 @@ func goldenInput(t *testing.T, paired bool) goldenReads {
 	return in
 }
 
-// TestGoldenRows runs exact, mismatches=1 and mem-pe jobs on both backends
-// and requires the result file and the NDJSON stream to be byte-equal to the
-// golden files.
+// TestGoldenRows runs exact, mismatches=1 and mem-pe jobs on both backends,
+// and on a farm that dies after the job's first batch so the rest falls back
+// to the CPU, and requires the result file and the NDJSON stream to be
+// byte-equal to the golden files. mismatch1-short is the case the k-mismatch
+// backends used to disagree on: 8 bp reads, nearly all of which map exactly
+// and have in-budget neighbours as well.
 func TestGoldenRows(t *testing.T) {
 	cases := []struct {
 		name       string
 		mismatches int
 		mode       string
+		length     int
 	}{
-		{"exact", 0, ""},
-		{"mismatch1", 1, ""},
-		{"mem-pe", 0, ModeMemPE},
+		{"exact", 0, "", 30},
+		{"mismatch1", 1, "", 30},
+		{"mismatch1-short", 1, "", 8},
+		{"mem-pe", 0, ModeMemPE, 0},
+	}
+	dead, err := fpga.ParseFaultPlan("seed=1,persistent=0:kernel")
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, c := range cases {
-		for _, backend := range []string{"cpu", "fpga"} {
-			t.Run(c.name+"/"+backend, func(t *testing.T) {
-				s := NewWithConfig(Config{FtabK: 6})
+		for _, run := range []string{"cpu", "fpga", "fallback"} {
+			t.Run(c.name+"/"+run, func(t *testing.T) {
+				s := NewWithConfig(Config{FtabK: 6, Devices: 1})
 				defer s.Close()
-				in := goldenInput(t, c.mode == ModeMemPE)
+				in := goldenInput(t, c.mode == ModeMemPE, c.length)
 				ix, err := core.BuildIndex(in.ref, core.IndexConfig{
 					RRR:   rrr.Params{BlockSize: DefaultB, SuperblockFactor: DefaultSF},
 					FtabK: 6,
@@ -137,19 +153,30 @@ func TestGoldenRows(t *testing.T) {
 				if err := ix.SetContigs(in.contigs); err != nil {
 					t.Fatal(err)
 				}
+				backend := run
+				if run == "fallback" {
+					backend = "fpga"
+				}
 				job := s.createJob(backend, DefaultB, DefaultSF, c.mismatches, "golden", len(in.ref), 0)
 				job.Mode = c.mode
 				// Small batches: headers must appear once, not per batch.
 				src := &sliceSource{ids: in.ids, reads: in.reads, batch: 16}
 				first, _ := src.Next()
+				if run == "fallback" {
+					// The runner's first pull follows the first batch's rows.
+					src.beforeNext = func() { s.devices[0].EnableFaults(dead, 0) }
+				}
 				if n, err := s.mapJob(context.Background(), job, &cacheEntry{ix: ix}, first, src); err != nil || n != len(in.ids) {
 					t.Fatalf("mapped %d of %d reads: %v", n, len(in.ids), err)
+				}
+				if job.FallbackUsed != (run == "fallback") {
+					t.Fatalf("fallback used: %t", job.FallbackUsed)
 				}
 				stream, err := job.stream.readCommitted(0, 1<<30)
 				if err != nil {
 					t.Fatal(err)
 				}
-				// The backends are bit-identical, so they share one golden.
+				// The backends are bit-identical, so every run shares one golden.
 				compareGolden(t, c.name+".results", job.results)
 				compareGolden(t, c.name+".ndjson", stream)
 			})

@@ -92,8 +92,22 @@ func waitForState(t *testing.T, ts *httptest.Server, id int, want JobState) jobJ
 // The crash-recovery contract: a server killed with one job finished and one
 // mid-flight comes back with the finished job's results intact and the
 // interrupted job re-queued, re-run, and bit-identical to the undisturbed
-// run — both jobs mapped the same upload.
+// run — both jobs mapped the same upload. A k-mismatch job is held to the
+// same bar across backends: replayed on the FPGA model, it equals the
+// undisturbed CPU run.
 func TestCrashRecoveryReplaysJobs(t *testing.T) {
+	for _, tc := range []struct {
+		name               string
+		finished, replayed map[string]string
+	}{
+		{"exact", map[string]string{"backend": "cpu"}, map[string]string{"backend": "cpu"}},
+		{"mismatch1", map[string]string{"backend": "cpu", "mismatches": "1"}, map[string]string{"backend": "fpga", "mismatches": "1"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { crashRecoveryReplays(t, tc.finished, tc.replayed) })
+	}
+}
+
+func crashRecoveryReplays(t *testing.T, finished, replayed map[string]string) {
 	refFasta, readsFastq := testDataSmall(t)
 	stateDir := t.TempDir()
 	s, err := Open(Config{StateDir: stateDir})
@@ -118,11 +132,11 @@ func TestCrashRecoveryReplaysJobs(t *testing.T) {
 	defer hookOnce.Do(func() { close(release) })
 
 	upload := map[string][]byte{"reference": refFasta, "reads": readsFastq}
-	submitJob(t, s, ts, map[string]string{"backend": "cpu"}, upload)
+	submitJob(t, s, ts, finished, upload)
 	waitForState(t, ts, 1, StateDone)
 	goldenResults := fetchResults(t, ts, 1)
 
-	submitJob(t, s, ts, map[string]string{"backend": "cpu"}, upload)
+	submitJob(t, s, ts, replayed, upload)
 	<-entered // job 2 is running, held by the hook: mid-flight
 
 	// "Crash": snapshot the disk as-is and bring up a fresh server on the

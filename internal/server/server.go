@@ -1731,9 +1731,9 @@ type servedWork[R any] struct {
 // or SAM, plus the NDJSON stream). When the FPGA farm fails with a device
 // error and the fallback policy is "cpu", that batch and the remaining reads
 // map on the CPU — same results (the backends are bit-identical by
-// construction), honest CPU timing; batches already emitted by the FPGA
-// stand. It returns the reads mapped and the job's mapping time: modeled
-// device time plus wall-clock CPU time.
+// construction, for every workload), honest CPU timing; batches already
+// emitted by the FPGA stand. It returns the reads mapped and the job's mapping
+// time: modeled device time plus wall-clock CPU time.
 func runBatches[R any](ctx context.Context, s *Server, job *Job, entry *cacheEntry, first qc.Batch, src batchSource, em *jobEmitter, w servedWork[R]) (int, time.Duration, error) {
 	onDevice := job.Backend == "fpga"
 	var mapTime time.Duration
@@ -1834,38 +1834,24 @@ func exactWork(ix *core.Index, em *jobEmitter) servedWork[core.MapResult] {
 	}
 }
 
-// approxWork serves a mismatch budget: the two-pass reconfigurable flow on the
-// FPGA model, which only rescues reads its exact pass left unmapped, and the
-// branching search on the CPU, which reports every in-budget occurrence.
-func approxWork(ix *core.Index, mismatches int, em *jobEmitter) servedWork[approxRow] {
-	approxRowOf := func(res core.ApproxResult) approxRow {
-		return approxRow{Mapped: res.Mapped(), BestMismatches: res.BestMismatches(), Occurrences: res.Occurrences()}
-	}
-	return servedWork[approxRow]{
-		onCPU: func(dst []approxRow, batch []dna.Seq, run core.MapOptions) error {
-			results, err := ix.MapReadsApprox(batch, mismatches, run)
-			for i, res := range results {
-				dst[i] = approxRowOf(res)
-			}
-			return err
+// approxWork serves a mismatch budget: core's exact-then-rescue workload on
+// the CPU, the same workload priced as the two-pass reconfigurable flow on the
+// FPGA model. A row reports a read's exact hits or, when it has none, every
+// in-budget stratum.
+func approxWork(ix *core.Index, mismatches int, em *jobEmitter) servedWork[core.ApproxResult] {
+	return servedWork[core.ApproxResult]{
+		onCPU: func(dst []core.ApproxResult, batch []dna.Seq, run core.MapOptions) error {
+			return ix.MapReadsApproxFtab(dst, batch, mismatches, run, true)
 		},
-		onFarm: func(farm *fpga.Farm, batch []dna.Seq, run fpga.MapRunOptions) ([]approxRow, fpga.Profile, error) {
+		onFarm: func(farm *fpga.Farm, batch []dna.Seq, run fpga.MapRunOptions) ([]core.ApproxResult, fpga.Profile, error) {
 			r, err := farm.MapReadsTwoPassOpts(batch, mismatches, run)
 			if err != nil {
 				return nil, fpga.Profile{}, err
 			}
-			rows := make([]approxRow, len(batch))
-			for i, exact := range r.Exact {
-				if exact.Mapped() {
-					rows[i] = approxRow{Mapped: true, Occurrences: exact.Occurrences()}
-				} else {
-					rows[i] = approxRowOf(r.Approx[i])
-				}
-			}
-			return rows, r.Profile, nil
+			return r.Results, r.Profile, nil
 		},
-		emit: func(off int, ids []string, _ []dna.Seq, rows []approxRow) error {
-			return em.approxBatch(off == 0, ids, rows)
+		emit: func(off int, ids []string, _ []dna.Seq, results []core.ApproxResult) error {
+			return em.approxBatch(off == 0, ids, results)
 		},
 	}
 }

@@ -516,17 +516,20 @@ func (em *jobEmitter) exactBatch(first bool, ids []string, reads []dna.Seq, resu
 }
 
 // approxBatch emits one mismatch-budget batch, the job's first under the TSV
-// header; rows take their read names from ids.
-func (em *jobEmitter) approxBatch(first bool, ids []string, rows []approxRow) error {
+// header.
+func (em *jobEmitter) approxBatch(first bool, ids []string, results []core.ApproxResult) error {
 	tsv, nd := em.scratchTSV.AvailableBuffer(), em.scratchND.AvailableBuffer()
 	if first {
 		tsv = append(tsv, "read\tmapped\tbest_mismatches\toccurrences\n"...)
 	}
-	for i, row := range rows {
+	for i, res := range results {
+		row := approxRow{
+			Read:   sanitizeID(ids[i]),
+			Mapped: res.Mapped(), BestMismatches: res.BestMismatches(), Occurrences: res.Occurrences(),
+		}
 		if row.Mapped {
 			em.mapped++
 		}
-		row.Read = sanitizeID(ids[i])
 		tsv = append(append(tsv, row.Read...), '\t')
 		tsv = append(strconv.AppendBool(tsv, row.Mapped), '\t')
 		tsv = append(strconv.AppendInt(tsv, int64(row.BestMismatches), 10), '\t')
@@ -540,7 +543,7 @@ func (em *jobEmitter) approxBatch(first bool, ids []string, rows []approxRow) er
 	}
 	em.scratchTSV.Write(tsv)
 	em.scratchND.Write(nd)
-	return em.flushBatch(len(rows))
+	return em.flushBatch(len(results))
 }
 
 // memBatch emits one seed-and-extend batch: samText is the batch's rendered

@@ -14,21 +14,14 @@ import (
 	"bwaver/internal/readsim"
 )
 
-// checkAllAgree builds text's suffix array with all three constructions and
-// holds SA-IS's to the others' and, when the text is short enough to sort
+// checkAllAgree builds text's suffix array with both constructions and holds
+// SA-IS's to prefix doubling's and, when the text is short enough to sort
 // directly, to the naive order.
 func checkAllAgree(t *testing.T, name string, text []uint8, sigma int) {
 	t.Helper()
 	got, err := Build(text, sigma)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
-	}
-	dc3, err := BuildDC3(text, sigma)
-	if err != nil {
-		t.Fatalf("%s: dc3: %v", name, err)
-	}
-	if !equalSA(got, dc3) {
-		t.Fatalf("%s (n=%d sigma=%d): SA-IS and DC3 disagree", name, len(text), sigma)
 	}
 	doubling, err := BuildDoubling(text, sigma)
 	if err != nil {

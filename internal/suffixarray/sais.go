@@ -1,13 +1,12 @@
 // Package suffixarray builds suffix arrays for the BWT stage of BWaveR.
 //
 // The paper's host pipeline (§III-D step 1) computes the suffix array and
-// BWT of the reference before encoding. This package provides three
-// independent constructions that cross-check one another — linear-time
-// SA-IS (the production path), the linear-time DC3/skew algorithm, and an
-// O(n log^2 n) prefix-doubling construction — plus a naive construction
-// used only by tests. Every downstream structure inherits its ordering
-// from the suffix array, so this redundancy anchors the whole repository's
-// correctness.
+// BWT of the reference before encoding. This package provides two
+// independent constructions that cross-check each other — linear-time
+// SA-IS (the production path) and an O(n log^2 n) prefix-doubling
+// construction — plus a naive construction used only by tests. Every
+// downstream structure inherits its ordering from the suffix array, so
+// this redundancy anchors the whole repository's correctness.
 //
 // All constructions operate on a text over symbols [0, sigma) and return the
 // suffix array of text·$ where $ is a virtual sentinel smaller than every
