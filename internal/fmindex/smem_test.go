@@ -1,6 +1,7 @@
 package fmindex
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -71,27 +72,73 @@ func TestSMEMsMatchBruteForce(t *testing.T) {
 			s2 := rng.Intn(len(text) - 30)
 			pattern = append(append([]uint8(nil), text[s1:s1+25]...), text[s2:s2+25]...)
 		}
-		want := bruteSMEMs(text, pattern, 1)
-		got, err := bi.SMEMs(pattern, 1)
-		if err != nil {
-			t.Fatal(err)
+		// Out-of-alphabet symbols (4, 5) end a match in either direction.
+		for m := rng.Intn(3); m > 0; m-- {
+			pattern[rng.Intn(len(pattern))] = uint8(4 + rng.Intn(2))
 		}
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: %d SMEMs, want %d\ngot:  %v\nwant: %v\npattern: %v",
-				trial, len(got), len(want), smemIntervals(got), want, pattern)
-		}
-		for i := range want {
-			if got[i].Start != want[i][0] || got[i].End != want[i][1] {
-				t.Fatalf("trial %d: SMEM %d = [%d,%d), want [%d,%d)",
-					trial, i, got[i].Start, got[i].End, want[i][0], want[i][1])
-			}
-			// The interval must count the slice's occurrences.
-			plain := bi.Forward().Count(pattern[got[i].Start:got[i].End])
-			if got[i].Rows.Fwd != plain {
-				t.Fatalf("trial %d: SMEM %d rows %v, plain %v", trial, i, got[i].Rows.Fwd, plain)
-			}
+		// 1 never jumps; 5 and 19 (the mem default) reach the window jump,
+		// the hand-off to a long enough L(e+1) and the window past the end.
+		for _, minLen := range []int{1, 5, 19} {
+			checkSMEMs(t, bi, text, pattern, minLen)
 		}
 	}
+}
+
+// checkSMEMs compares the search with bruteSMEMs and every interval with the
+// plain index's count of its slice.
+func checkSMEMs(t *testing.T, bi *BiIndex, text, pattern []uint8, minLen int) {
+	t.Helper()
+	want := bruteSMEMs(text, pattern, minLen)
+	got, err := bi.SMEMs(pattern, minLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("minLen %d: %d SMEMs, want %d\ngot:  %v\nwant: %v\npattern: %v",
+			minLen, len(got), len(want), smemIntervals(got), want, pattern)
+	}
+	for i := range want {
+		if got[i].Start != want[i][0] || got[i].End != want[i][1] {
+			t.Fatalf("minLen %d: SMEM %d = [%d,%d), want [%d,%d)",
+				minLen, i, got[i].Start, got[i].End, want[i][0], want[i][1])
+		}
+		// The interval must count the slice's occurrences.
+		plain := bi.Forward().Count(pattern[got[i].Start:got[i].End])
+		if got[i].Rows.Fwd != plain {
+			t.Fatalf("minLen %d: SMEM %d rows %v, plain %v", minLen, i, got[i].Rows.Fwd, plain)
+		}
+	}
+}
+
+// TestSMEMsOverlappingAfterWindow plants three SMEMs A = [0,30), B = [12,35)
+// and C = [22,45) of one pattern at three loci of a text. With minLen 10,
+// after A ends at e = 30 the next start is L(31) = 12, well before the
+// window e+1-minLen = 21 that all three overlap: a search that restarted
+// there would take P[21,35) for a match start and skip B.
+func TestSMEMsOverlappingAfterWindow(t *testing.T) {
+	rng := rand.New(rand.NewSource(114))
+	pattern := buildText(rng, 45)
+	text := buildText(rng, 3000)
+	for i, m := range [][2]int{{0, 30}, {12, 35}, {22, 45}} {
+		at := 200 + 1000*i
+		copy(text[at:], pattern[m[0]:m[1]])
+		// Flank each copy with symbols that end the match on both sides.
+		if m[0] > 0 {
+			text[at-1] = (pattern[m[0]-1] + 1) % 4
+		}
+		if m[1] < len(pattern) {
+			text[at+m[1]-m[0]] = (pattern[m[1]] + 1) % 4
+		}
+	}
+	bi := buildBi(t, text)
+	got, err := bi.SMEMs(pattern, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := [][2]int{{0, 30}, {12, 35}, {22, 45}}; fmt.Sprint(smemIntervals(got)) != fmt.Sprint(want) {
+		t.Fatalf("SMEMs %v, want %v", smemIntervals(got), want)
+	}
+	checkSMEMs(t, bi, text, pattern, 10)
 }
 
 func smemIntervals(ss []SMEM) [][2]int {
@@ -143,11 +190,11 @@ func TestSMEMsExactReadSingle(t *testing.T) {
 }
 
 // FuzzSMEMs drives the bidirectional SMEM search with arbitrary text/pattern
-// splits and checks it against the O(n²) brute-force definition. Short
-// repetitive texts push many same-sized candidates through the backward pass
-// of smemsFromPivot, exercising the size-dedup (`ext.Count() != sizeLast`)
-// and the emitted-at-this-edge dedup that the unit tests only reach
-// probabilistically.
+// splits and checks it against the O(n²) brute-force definition. minLen
+// ranges over 1..24, so short repetitive texts reach every branch of the
+// search: the window that fails and jumps, the direct hand-off to an L(e+1)
+// already minLen long, the window reopened at a shorter L(e+1), and the
+// window that no longer fits the pattern.
 func FuzzSMEMs(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 0, 1, 2, 3, 0, 1}, []byte{0, 1, 2}, uint8(1))
 	f.Add([]byte{0, 0, 0, 0, 1, 0, 0, 0, 0}, []byte{0, 0, 1, 0, 0}, uint8(2))
@@ -161,6 +208,7 @@ func FuzzSMEMs(f *testing.F) {
 	f.Add(long, []byte{4, 0, 1, 2, 3, 3, 2, 1, 0, 0, 5}, uint8(1))
 	f.Add(long, []byte{0, 1, 2, 3, 3, 2, 4, 1, 3, 2, 1, 2, 3, 0, 2}, uint8(3))
 	f.Add(long, []byte{3, 0, 5, 5, 2, 2, 1, 0, 2, 3, 1, 2, 0, 3, 3, 0}, uint8(2))
+	f.Add(long, append(append([]byte{}, long[10:30]...), long[5:25]...), uint8(7))
 	f.Fuzz(func(t *testing.T, textB, patB []byte, minLenB uint8) {
 		if len(textB) == 0 || len(textB) > 300 || len(patB) == 0 || len(patB) > 80 {
 			t.Skip()
@@ -176,7 +224,7 @@ func FuzzSMEMs(f *testing.F) {
 		for i, b := range patB {
 			pattern[i] = uint8(b) % 6
 		}
-		minLen := 1 + int(minLenB)%4
+		minLen := 1 + int(minLenB)%24
 		bi, err := NewBiIndex(text, 4, rrr.Params{BlockSize: 15, SuperblockFactor: 10})
 		if err != nil {
 			t.Fatal(err)
