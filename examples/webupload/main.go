@@ -50,7 +50,11 @@ func main() {
 	qw.Close()
 
 	// Start the web application.
-	srv := server.New()
+	srv, err := server.Open(server.Config{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	fmt.Println("server running at", ts.URL)

@@ -319,13 +319,7 @@ func (s *Server) admitJob(spec jobSpec, initial JobState) (job *Job, existing bo
 	if spec.IdemKey != "" {
 		s.idemKeys[spec.IdemKey] = job.ID
 	}
-	if initial == StateUploading {
-		job.upload = &uploadState{lastActivity: job.Created}
-		if s.journal != nil {
-			refRel, readsRel := payloadNames(job.ID)
-			job.upload.ref.path, job.upload.reads.path = s.journal.abs(refRel), s.journal.abs(readsRel)
-		}
-	} else {
+	if initial != StateUploading {
 		// Cover the admit→launch window in the drain WaitGroup: without this
 		// a Drain racing a submit could observe zero in-flight jobs while an
 		// admitted job is still being journaled. acceptAndLaunch drops it

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -49,11 +50,12 @@ func decodeRejection(t *testing.T, resp *http.Response) (reason string, retrySec
 }
 
 // With one slot and a one-deep queue, the third concurrent submission is shed
-// with a structured queue_full 503 — and cancelling the queued job frees the
-// slot immediately for a new submission.
+// with a structured queue_full 503, its staged upload removed — and
+// cancelling the queued job frees the slot immediately for a new submission.
 func TestQueueFullShedsAndCancelFrees(t *testing.T) {
 	refFasta, readsFastq := testDataSmall(t)
-	s := NewWithConfig(Config{MaxConcurrentJobs: 1, MaxQueue: 1})
+	stateDir := t.TempDir()
+	s := openServer(t, Config{MaxConcurrentJobs: 1, MaxQueue: 1, StateDir: stateDir})
 	release := make(chan struct{})
 	entered := make(chan struct{}, 8)
 	s.testHookBeforeRun = func(j *Job, ctx context.Context) {
@@ -84,6 +86,9 @@ func TestQueueFullShedsAndCancelFrees(t *testing.T) {
 	}
 	if retry < 1 {
 		t.Errorf("retry_after_seconds = %d, want >= 1", retry)
+	}
+	if staged, _ := filepath.Glob(filepath.Join(stateDir, stagedPayload)); len(staged) > 0 {
+		t.Errorf("the shed submission left %v behind", staged)
 	}
 
 	// Cancel the queued job: the queue slot must free without waiting for
@@ -127,7 +132,7 @@ func TestQueueFullShedsAndCancelFrees(t *testing.T) {
 // by TestRateLimiterBucketMath with an injected clock.
 func TestRateLimit429(t *testing.T) {
 	refFasta, readsFastq := testDataSmall(t)
-	s := NewWithConfig(Config{RatePerSec: 0.1, RateBurst: 1})
+	s := openServer(t, Config{RatePerSec: 0.1, RateBurst: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -188,7 +193,7 @@ func TestRateLimiterBucketMath(t *testing.T) {
 // 503 with reason draining, and status/results endpoints keep working.
 func TestDrainingRejectsButServes(t *testing.T) {
 	refFasta, readsFastq := testDataSmall(t)
-	s := New()
+	s := openServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -248,7 +253,7 @@ func TestDrainingRejectsButServes(t *testing.T) {
 // Cancelling a terminal job is a 409 that names the state it already reached.
 func TestCancelTerminalCarriesState(t *testing.T) {
 	refFasta, readsFastq := testDataSmall(t)
-	s := New()
+	s := openServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	submitJob(t, s, ts, map[string]string{"backend": "cpu"},

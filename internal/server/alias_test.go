@@ -78,7 +78,7 @@ func runUpload(t *testing.T, s *Server, ts *httptest.Server, fields map[string]s
 // name and length and the same contig-relative rows.
 func TestWarmJobSkipsReferenceParse(t *testing.T) {
 	refFasta, readsFastq := aliasTestData(t, 31, 60, "\n", false)
-	s := New()
+	s := openServer(t, Config{})
 	defer s.Close()
 	parses := countParses(s)
 	ts := httptest.NewServer(s.Handler())
@@ -125,7 +125,7 @@ func TestAliasPerEncodingIndexPerContent(t *testing.T) {
 		refFasta, _ := aliasTestData(t, 33, enc.width, enc.eol, enc.lower)
 		encodings = append(encodings, refFasta)
 	}
-	s := New()
+	s := openServer(t, Config{})
 	defer s.Close()
 	parses := countParses(s)
 	ts := httptest.NewServer(s.Handler())
@@ -236,7 +236,7 @@ func TestAliasHitFallsBackToSpillThenParse(t *testing.T) {
 // a good upload afterwards is unaffected.
 func TestCorruptReferenceRecordsNoAlias(t *testing.T) {
 	refFasta, readsFastq := aliasTestData(t, 39, 60, "\n", false)
-	s := New()
+	s := openServer(t, Config{})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -270,7 +270,7 @@ func TestCorruptReferenceRecordsNoAlias(t *testing.T) {
 // route's alias.
 func TestChunkedAndReplayedJobsTakeTheAliasPath(t *testing.T) {
 	refFasta, readsFastq := aliasTestData(t, 41, 60, "\n", false)
-	digest, err := (&payload{raw: refFasta}).digest()
+	digest, err := bytesSpool(refFasta).digest()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +360,7 @@ func TestChunkedAndReplayedJobsTakeTheAliasPath(t *testing.T) {
 // eight identical results. Run under -race.
 func TestConcurrentSubmissionsOfOneNewReference(t *testing.T) {
 	refFasta, readsFastq := aliasTestData(t, 43, 60, "\n", false)
-	s := NewWithConfig(Config{MaxConcurrentJobs: 8})
+	s := openServer(t, Config{MaxConcurrentJobs: 8})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

@@ -56,7 +56,7 @@ func TestEffectiveTimeout(t *testing.T) {
 // digest, whichever ingest route took it) and the index parameters.
 func TestRingKeyDeterministic(t *testing.T) {
 	refFasta, _, _ := testData(t)
-	digest, err := (&payload{raw: refFasta}).digest()
+	digest, err := bytesSpool(refFasta).digest()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,11 @@ func TestRingKeyDeterministic(t *testing.T) {
 	if err := os.WriteFile(path, refFasta, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if fromFile, err := (&payload{path: path}).digest(); err != nil || fromFile != digest {
+	file, err := fileSpool(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fromFile, err := file.digest(); err != nil || fromFile != digest {
 		t.Fatalf("digest of the payload file = %q, %v; of the bytes %q", fromFile, err, digest)
 	}
 	k1 := RingKey(digest, DefaultB, DefaultSF, 10)
@@ -77,7 +81,7 @@ func TestRingKeyDeterministic(t *testing.T) {
 	if RingKey(digest, DefaultB, DefaultSF+1, 10) == k1 || RingKey(digest, DefaultB, DefaultSF, 8) == k1 {
 		t.Fatal("RingKey ignores the superblock factor or the prefix-table order")
 	}
-	other, err := (&payload{raw: refFasta[:len(refFasta)-1]}).digest()
+	other, err := bytesSpool(refFasta[:len(refFasta)-1]).digest()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 // and lookup counters (every short-read search that consulted the table).
 func TestStatsFtabBlock(t *testing.T) {
 	refFasta, readsFastq, _ := testData(t)
-	s := NewWithConfig(Config{FtabK: 4})
+	s := openServer(t, Config{FtabK: 4})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -58,7 +58,7 @@ func TestStatsFtabBlock(t *testing.T) {
 // block stays zero — the pre-ftab behavior.
 func TestStatsFtabDisabled(t *testing.T) {
 	refFasta, readsFastq, _ := testData(t)
-	s := New()
+	s := openServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

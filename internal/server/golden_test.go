@@ -117,71 +117,99 @@ func goldenInput(t *testing.T, paired bool, length int) goldenReads {
 
 // TestGoldenRows runs exact, mismatches=1 and mem-pe jobs on both backends,
 // and on a farm that dies after the job's first batch so the rest falls back
-// to the CPU, and requires the result file and the NDJSON stream to be
-// byte-equal to the golden files. mismatch1-short is the case the k-mismatch
-// backends used to disagree on: 8 bp reads, nearly all of which map exactly
-// and have in-budget neighbours as well.
+// to the CPU, each on a stateless and a durable server, and requires the
+// result file and the NDJSON stream, read back through the job's spools, to
+// be byte-equal to the golden files. mismatch1-short is the case the
+// k-mismatch backends used to disagree on: 8 bp reads, nearly all of which
+// map exactly and have in-budget neighbours as well.
 func TestGoldenRows(t *testing.T) {
-	cases := []struct {
-		name       string
-		mismatches int
-		mode       string
-		length     int
-	}{
+	cases := []goldenCase{
 		{"exact", 0, "", 30},
 		{"mismatch1", 1, "", 30},
 		{"mismatch1-short", 1, "", 8},
 		{"mem-pe", 0, ModeMemPE, 0},
 	}
-	dead, err := fpga.ParseFaultPlan("seed=1,persistent=0:kernel")
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, c := range cases {
 		for _, run := range []string{"cpu", "fpga", "fallback"} {
 			t.Run(c.name+"/"+run, func(t *testing.T) {
-				s := NewWithConfig(Config{FtabK: 6, Devices: 1})
-				defer s.Close()
-				in := goldenInput(t, c.mode == ModeMemPE, c.length)
-				ix, err := core.BuildIndex(in.ref, core.IndexConfig{
-					RRR:   rrr.Params{BlockSize: DefaultB, SuperblockFactor: DefaultSF},
-					FtabK: 6,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := ix.SetContigs(in.contigs); err != nil {
-					t.Fatal(err)
-				}
-				backend := run
-				if run == "fallback" {
-					backend = "fpga"
-				}
-				job := s.createJob(backend, DefaultB, DefaultSF, c.mismatches, "golden", len(in.ref), 0)
-				job.Mode = c.mode
-				// Small batches: headers must appear once, not per batch.
-				src := &sliceSource{ids: in.ids, reads: in.reads, batch: 16}
-				first, _ := src.Next()
-				if run == "fallback" {
-					// The runner's first pull follows the first batch's rows.
-					src.beforeNext = func() { s.devices[0].EnableFaults(dead, 0) }
-				}
-				if n, err := s.mapJob(context.Background(), job, &cacheEntry{ix: ix}, first, src); err != nil || n != len(in.ids) {
-					t.Fatalf("mapped %d of %d reads: %v", n, len(in.ids), err)
-				}
-				if job.FallbackUsed != (run == "fallback") {
-					t.Fatalf("fallback used: %t", job.FallbackUsed)
-				}
-				stream, err := job.stream.readCommitted(0, 1<<30)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// The backends are bit-identical, so every run shares one golden.
-				compareGolden(t, c.name+".results", job.results)
-				compareGolden(t, c.name+".ndjson", stream)
+				t.Run("stateless", func(t *testing.T) { goldenRun(t, c, run, "") })
+				t.Run("durable", func(t *testing.T) { goldenRun(t, c, run, t.TempDir()) })
 			})
 		}
 	}
+}
+
+type goldenCase struct {
+	name       string
+	mismatches int
+	mode       string
+	length     int
+}
+
+// goldenRun maps case c with run on a server over stateDir ("" = stateless).
+func goldenRun(t *testing.T, c goldenCase, run, stateDir string) {
+	s := openServer(t, Config{FtabK: 6, Devices: 1, StateDir: stateDir})
+	defer s.Close()
+	in := goldenInput(t, c.mode == ModeMemPE, c.length)
+	ix, err := core.BuildIndex(in.ref, core.IndexConfig{
+		RRR:   rrr.Params{BlockSize: DefaultB, SuperblockFactor: DefaultSF},
+		FtabK: 6,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.SetContigs(in.contigs); err != nil {
+		t.Fatal(err)
+	}
+	backend := run
+	if run == "fallback" {
+		backend = "fpga"
+	}
+	job := s.createJob(backend, DefaultB, DefaultSF, c.mismatches, "golden", len(in.ref), 0)
+	job.Mode = c.mode
+	// Small batches: headers must appear once, not per batch.
+	src := &sliceSource{ids: in.ids, reads: in.reads, batch: 16}
+	first, _ := src.Next()
+	if run == "fallback" {
+		dead, err := fpga.ParseFaultPlan("seed=1,persistent=0:kernel")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The runner's first pull follows the first batch's rows.
+		src.beforeNext = func() { s.devices[0].EnableFaults(dead, 0) }
+	}
+	if n, err := s.mapJob(context.Background(), job, &cacheEntry{ix: ix}, first, src); err != nil || n != len(in.ids) {
+		t.Fatalf("mapped %d of %d reads: %v", n, len(in.ids), err)
+	}
+	if job.FallbackUsed != (run == "fallback") {
+		t.Fatalf("fallback used: %t", job.FallbackUsed)
+	}
+	if want := stateDir != ""; (job.results.path != "") != want {
+		t.Fatalf("results spool at %q on a durable=%t server", job.results.path, want)
+	}
+	results := readSpool(t, job.results)
+	stream, err := job.stream.readCommitted(0, 1<<30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The backends are bit-identical, so every run shares one golden.
+	compareGolden(t, c.name+".results", results)
+	compareGolden(t, c.name+".ndjson", stream)
+}
+
+// readSpool returns everything sp holds.
+func readSpool(t *testing.T, sp *spool) []byte {
+	t.Helper()
+	rc, err := sp.open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	b, err := io.ReadAll(rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 func compareGolden(t *testing.T, name string, got []byte) {

@@ -331,7 +331,7 @@ func (r *rejectingSource) Next() (qc.Batch, error) {
 // A batch with no survivor calls no engine, and the engines are what poll the
 // context: the runner must notice a cancelled job between such batches itself.
 func TestRunBatchesStopsOnCancelBetweenRejectedBatches(t *testing.T) {
-	s := New()
+	s := openServer(t, Config{})
 	defer s.Close()
 	ix, err := core.BuildIndex(dna.MustParseSeq("ACGTACGTTGCA"), core.IndexConfig{})
 	if err != nil {

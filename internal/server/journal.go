@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -18,17 +19,18 @@ import (
 // running job silently; with a -state-dir the server now appends one fsync'd
 // JSON record per lifecycle transition (accepted → running → done / failed /
 // canceled, plus uploading for chunked ingest and evicted) to
-// <state-dir>/journal.jsonl. Raw uploads are persisted under payloads/ when a
-// job is accepted (chunked jobs stream there directly, chunk by chunk) and
-// deleted once it is terminal; results TSVs and NDJSON stream logs are
-// persisted under results/ before the done record that references them is
-// written, so a record never points at data that a crash could have lost. On
-// startup the journal is replayed: terminal jobs are restored pointing at
-// their on-disk results, uploading jobs come back resumable at their
-// committed offsets, unfinished jobs are re-queued against their saved
-// payloads, and the log is compacted to one record per live job.
-// Built indexes are spilled under indexes/ by the cache (see cache.go), so a
-// replayed job usually skips reconstruction.
+// <state-dir>/journal.jsonl. Raw uploads are spooled under payloads/ as they
+// arrive — multipart parts under a staged name until the job is accepted,
+// chunked parts at their payload names chunk by chunk — fsync'd when the job
+// is accepted and deleted once it is terminal; results TSVs and NDJSON stream
+// logs are persisted under results/ before the done record that references
+// them is written, so a record never points at data that a crash could have
+// lost. On startup the journal is replayed: terminal jobs are restored
+// pointing at their on-disk results, uploading jobs come back resumable at
+// their committed offsets, unfinished jobs are re-queued against their saved
+// payloads, staged parts are deleted, and the log is compacted to one record
+// per live job. Built indexes are spilled under indexes/ by the cache (see
+// cache.go), so a replayed job usually skips reconstruction.
 
 // Journal record types. uploading marks a chunked job whose payload is still
 // arriving (its partial payload files are authoritative on disk);
@@ -189,36 +191,12 @@ func (jl *journal) abs(rel string) string {
 	return filepath.Join(jl.dir, rel)
 }
 
-// writeFileSync persists data at rel (relative to the state dir) and fsyncs
-// it, so a journal record written afterwards never references missing bytes.
-func (jl *journal) writeFileSync(rel string, data []byte) error {
-	path := filepath.Join(jl.dir, rel)
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(path)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(path)
-		return err
-	}
-	return f.Close()
-}
-
-func (jl *journal) readFile(rel string) ([]byte, error) {
-	return os.ReadFile(filepath.Join(jl.dir, rel))
-}
-
+// removeFiles deletes state-dir-relative names.
 func (jl *journal) removeFiles(rels ...string) {
+	if jl == nil {
+		return
+	}
 	for _, rel := range rels {
-		if rel == "" {
-			continue
-		}
 		os.Remove(filepath.Join(jl.dir, rel))
 	}
 }
@@ -435,39 +413,37 @@ func specRecord(typ string, job *Job) journalRecord {
 	return rec
 }
 
-// journalAccept persists a job's inputs and appends its accepted record.
-// This happens before launch: once the submit handler responds, the job is
-// durable. Acceptance is the one transition whose journal failure fails the
-// job — admitting work the server cannot make durable would break the
-// crash-safety contract.
+// journalAccept makes a job's inputs durable and appends its accepted record,
+// in that order: both parts are fsync'd and take the job's payload names
+// (a staged multipart part is renamed; a chunked one is there already), so
+// the record never points at bytes a crash could lose. This happens before
+// launch: once the submit handler responds, the job is durable. Acceptance
+// is the one transition whose journal failure fails the job — admitting work
+// the server cannot make durable would break the crash-safety contract — and
+// the parts are removed with it.
 func (s *Server) journalAccept(job *Job, in jobInput) error {
 	if s.journal == nil {
 		return nil
 	}
 	rec := specRecord(recAccepted, job)
-	// Chunked jobs already streamed their payloads to these files (fsync'd by
-	// finalize), so only buffered submissions write them here.
-	if in.ref.path == "" {
-		if err := s.journal.writeFileSync(rec.RefPayload, in.ref.raw); err != nil {
-			return fmt.Errorf("persisting reference payload: %w", err)
-		}
-		if err := s.journal.writeFileSync(rec.ReadsPayload, in.reads.raw); err != nil {
-			s.journal.removeFiles(rec.RefPayload)
-			return fmt.Errorf("persisting reads payload: %w", err)
-		}
+	err := firstErr(in.ref.sync(), in.reads.sync())
+	if err == nil {
+		err = firstErr(in.ref.moveTo(s.journal.abs(rec.RefPayload)), in.reads.moveTo(s.journal.abs(rec.ReadsPayload)))
 	}
-	if err := s.journal.append(rec); err != nil {
-		s.journal.removeFiles(rec.RefPayload, rec.ReadsPayload)
-		return err
+	if err == nil {
+		err = s.journal.append(rec)
 	}
-	return nil
+	if err != nil {
+		in.remove()
+	}
+	return err
 }
 
-// journalFinish records a terminal transition: results are persisted first
-// (done jobs), then the terminal record, then the now-redundant payloads are
-// deleted. Best-effort — the job already finished; a journal failure only
+// journalFinish records a terminal transition — a done job's results were
+// fsync'd by its emitter before this — then deletes the now-redundant
+// payloads. Best-effort — the job already finished; a journal failure only
 // means a restart re-runs it.
-func (s *Server) journalFinish(job *Job, state JobState, results []byte, resultsPath string) {
+func (s *Server) journalFinish(job *Job, state JobState) {
 	if s.journal == nil {
 		return
 	}
@@ -476,16 +452,6 @@ func (s *Server) journalFinish(job *Job, state JobState, results []byte, results
 	case StateDone:
 		rec.Type = recDone
 		rec.Results = resultsName(job.ID)
-		// The emitter already wrote and fsync'd the TSV incrementally at the
-		// journal-contract path; only jobs without one (replays of old-format
-		// records) still need the buffered write.
-		if resultsPath == "" {
-			if err := s.journal.writeFileSync(rec.Results, results); err != nil {
-				s.journal.log.Error("persisting job results failed; job will re-run after a restart",
-					"job", job.ID, "err", err)
-				return
-			}
-		}
 	case StateFailed:
 		rec.Type = recFailed
 	case StateCanceled:
@@ -503,12 +469,19 @@ func (s *Server) journalFinish(job *Job, state JobState, results []byte, results
 
 // recover replays the journal into the server: terminal jobs come back with
 // their results, unfinished jobs are re-queued against their saved payloads,
-// and the log is compacted. Called from Open before the server accepts
-// traffic.
+// staged upload parts a crash left behind are deleted, and the log is
+// compacted. Called from Open before the server accepts traffic.
 func (s *Server) recover() error {
 	recs, err := s.journal.load()
 	if err != nil {
 		return err
+	}
+	staged, err := filepath.Glob(s.journal.abs(stagedPayload))
+	if err != nil {
+		return err
+	}
+	for _, path := range staged {
+		os.Remove(path)
 	}
 	folded := foldRecords(recs)
 	type relaunch struct {
@@ -523,13 +496,7 @@ func (s *Server) recover() error {
 	for id := range folded {
 		ids = append(ids, id)
 	}
-	for i := 0; i < len(ids); i++ {
-		for k := i + 1; k < len(ids); k++ {
-			if ids[k] < ids[i] {
-				ids[i], ids[k] = ids[k], ids[i]
-			}
-		}
-	}
+	slices.Sort(ids)
 
 	s.mu.Lock()
 	for _, id := range ids {
@@ -571,15 +538,14 @@ func (s *Server) recover() error {
 			}
 			// The results stay on disk and are served from there; loading
 			// them here would make replay memory O(sum of all job results).
-			if fi, err := os.Stat(s.journal.abs(rel)); err != nil {
+			if results, err := fileSpool(s.journal.abs(rel)); err != nil {
 				// The record promised results the disk no longer has: fail
 				// the job visibly rather than serving an empty download.
 				s.setJobStateLocked(job, StateFailed)
 				job.Error = fmt.Sprintf("journaled results lost: %v", err)
 			} else {
 				s.setJobStateLocked(job, StateDone)
-				job.resultsPath = s.journal.abs(rel)
-				job.resultsSize = fi.Size()
+				job.results = results
 				job.Done = job.Reads
 			}
 			job.Error = firstNonEmpty(fj.last.Error, job.Error)
@@ -600,16 +566,15 @@ func (s *Server) recover() error {
 		case recUploading:
 			// A partial upload survives the crash: restore the job with the
 			// committed offsets the disk actually holds, so the client's next
-			// GET /api/jobs/{id} tells it where to resume.
-			job.upload = &uploadState{
-				lastActivity: time.Now(),
-				ref:          filePayload(s.journal.abs(refRel)),
-				reads:        filePayload(s.journal.abs(readsRel)),
-			}
+			// GET /api/jobs/{id} tells it where to resume; a part missing
+			// from the disk has no chunk committed yet.
+			ref, _ := fileSpool(s.journal.abs(refRel))
+			reads, _ := fileSpool(s.journal.abs(readsRel))
+			job.upload = &uploadState{lastActivity: time.Now(), ref: ref, reads: reads}
 			s.setJobStateLocked(job, StateUploading)
 		default: // accepted or running: re-queue against the saved payloads
-			refErr := statErr(s.journal.abs(refRel))
-			readsErr := statErr(s.journal.abs(readsRel))
+			ref, refErr := fileSpool(s.journal.abs(refRel))
+			reads, readsErr := fileSpool(s.journal.abs(readsRel))
 			if err := firstErr(refErr, readsErr); err != nil {
 				s.setJobStateLocked(job, StateFailed)
 				job.Error = fmt.Sprintf("journaled payloads lost: %v", err)
@@ -618,14 +583,18 @@ func (s *Server) recover() error {
 				s.setJobStateLocked(job, StateQueued)
 				job.Done = 0
 				job.Mapped = 0
-				relaunches = append(relaunches, relaunch{job: job, in: jobInput{
-					ref:   filePayload(s.journal.abs(refRel)),
-					reads: filePayload(s.journal.abs(readsRel)),
-				}})
+				relaunches = append(relaunches, relaunch{job: job, in: jobInput{ref: ref, reads: reads}})
 			}
 		}
 		if job.Finished.IsZero() && job.State.terminal() {
 			job.Finished = time.Now()
+		}
+		if job.State.terminal() {
+			// The stream a job left is served from its spill, tailed by
+			// whoever subscribes; a missing spill serves the terminal event
+			// alone.
+			data, _ := fileSpool(s.journal.abs(streamName(id)))
+			job.stream = closedStream(job, data)
 		}
 		// Terminal jobs re-merge their journaled ingest accounting, so the
 		// server-wide QC totals (stats + metrics) replay identically; the
@@ -671,10 +640,4 @@ func firstErr(errs ...error) error {
 		}
 	}
 	return nil
-}
-
-// statErr reports whether a file is present and statable.
-func statErr(path string) error {
-	_, err := os.Stat(path)
-	return err
 }

@@ -179,6 +179,48 @@ func crashRecoveryReplays(t *testing.T, finished, replayed map[string]string) {
 	s.Close()
 }
 
+// A staged upload part a crash left behind — the server died while a
+// multipart body was coming in — is deleted when the state dir is reopened,
+// and the job the journal had accepted still replays.
+func TestRecoverDeletesStagedParts(t *testing.T) {
+	refFasta, readsFastq := testDataSmall(t)
+	stateDir := t.TempDir()
+	s := openServer(t, Config{StateDir: stateDir})
+	hold := make(chan struct{})
+	s.testHookBeforeRun = func(j *Job, ctx context.Context) {
+		select {
+		case <-hold:
+		case <-ctx.Done():
+		}
+	}
+	ts := httptest.NewServer(s.Handler())
+	submitJob(t, s, ts, map[string]string{"backend": "cpu"},
+		map[string][]byte{"reference": refFasta, "reads": readsFastq})
+	crashed := snapshotDir(t, stateDir)
+	close(hold)
+	s.Wait()
+	ts.Close()
+	s.Close()
+
+	staged := filepath.Join(crashed, payloadsDir, "staged-1234")
+	if err := os.WriteFile(staged, refFasta[:len(refFasta)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2 := openServer(t, Config{StateDir: crashed})
+	defer s2.Close()
+	if _, err := os.Stat(staged); !os.IsNotExist(err) {
+		t.Fatalf("staged part survived the restart: %v", err)
+	}
+	ts2 := httptest.NewServer(s2.Handler())
+	defer ts2.Close()
+	if j := waitForState(t, ts2, 1, StateDone); j.Mapped == 0 {
+		t.Errorf("replayed job mapped nothing: %+v", j)
+	}
+	if st := getStats(t, ts2); st.Admission.JobsReplayed != 1 {
+		t.Errorf("jobs_replayed = %d, want 1", st.Admission.JobsReplayed)
+	}
+}
+
 // A restored job must survive its index being evicted while it replays: with
 // a one-entry cache and two replayed jobs over different references, the LRU
 // evicts whichever index the other job displaced, and both jobs must still

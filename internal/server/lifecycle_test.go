@@ -89,7 +89,7 @@ func getStats(t *testing.T, ts *httptest.Server) statsJSON {
 // below the first.
 func TestCacheHitSpeedsRepeatSubmission(t *testing.T) {
 	refFasta, readsFastq := bigTestData(t, 70)
-	s := New()
+	s := openServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -132,7 +132,7 @@ func TestCacheHitSpeedsRepeatSubmission(t *testing.T) {
 // job beyond the builder counts as a hit even while the build is in flight.
 func TestCacheSingleFlight(t *testing.T) {
 	refFasta, readsFastq := bigTestData(t, 71)
-	s := NewWithConfig(Config{MaxConcurrentJobs: 4})
+	s := openServer(t, Config{MaxConcurrentJobs: 4})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -158,7 +158,7 @@ func TestCacheSingleFlight(t *testing.T) {
 
 func TestCancelRunningJob(t *testing.T) {
 	refFasta, readsFastq := testDataSmall(t)
-	s := New()
+	s := openServer(t, Config{})
 	release := make(chan struct{})
 	entered := make(chan struct{}, 4)
 	s.testHookBeforeRun = func(j *Job, ctx context.Context) {
@@ -228,7 +228,7 @@ func TestCancelMidMappingReleasesSlot(t *testing.T) {
 	refFasta, readsFastq := testDataSmall(t)
 	// Enough two-mismatch work that the job is still mapping when the DELETE
 	// arrives; small batches so its progress shows that mapping has begun.
-	s := NewWithConfig(Config{MaxConcurrentJobs: 1, StreamBatch: 64})
+	s := openServer(t, Config{MaxConcurrentJobs: 1, StreamBatch: 64})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	waitFor := func(id int, what string, ok func(jobJSON) bool) {
@@ -270,7 +270,7 @@ func TestCancelMidMappingReleasesSlot(t *testing.T) {
 // A job still waiting for a pipeline slot cancels without ever running.
 func TestCancelQueuedJob(t *testing.T) {
 	refFasta, readsFastq := testDataSmall(t)
-	s := NewWithConfig(Config{MaxConcurrentJobs: 1})
+	s := openServer(t, Config{MaxConcurrentJobs: 1})
 	release := make(chan struct{})
 	entered := make(chan struct{}, 4)
 	s.testHookBeforeRun = func(j *Job, ctx context.Context) {
@@ -321,7 +321,7 @@ func TestCancelQueuedJob(t *testing.T) {
 
 func TestJobTimeout(t *testing.T) {
 	refFasta, readsFastq := testDataSmall(t)
-	s := NewWithConfig(Config{JobTimeout: 30 * time.Millisecond})
+	s := openServer(t, Config{JobTimeout: 30 * time.Millisecond})
 	s.testHookBeforeRun = func(j *Job, ctx context.Context) { <-ctx.Done() }
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -343,7 +343,7 @@ func TestJobTimeout(t *testing.T) {
 // visible.
 func TestSubmitParseFailureFailsJob(t *testing.T) {
 	_, readsFastq := testDataSmall(t)
-	s := New()
+	s := openServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -365,7 +365,7 @@ func TestSubmitParseFailureFailsJob(t *testing.T) {
 // The FPGA backend must report progress like the CPU backend does.
 func TestFPGAJobReportsProgress(t *testing.T) {
 	refFasta, readsFastq := testDataSmall(t)
-	s := New()
+	s := openServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	submitJob(t, s, ts, map[string]string{"backend": "fpga"},
@@ -382,7 +382,7 @@ func TestFPGAJobReportsProgress(t *testing.T) {
 
 func TestStatsEndpoint(t *testing.T) {
 	refFasta, readsFastq := testDataSmall(t)
-	s := New()
+	s := openServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	submitJob(t, s, ts, map[string]string{"backend": "cpu"},
@@ -405,7 +405,7 @@ func TestStatsEndpoint(t *testing.T) {
 }
 
 func TestJobTTLEviction(t *testing.T) {
-	s := NewWithConfig(Config{JobTTL: time.Minute})
+	s := openServer(t, Config{JobTTL: time.Minute})
 	defer s.Close()
 	job := s.createJob("cpu", 15, 50, 0, "x", 100, 10)
 	s.mu.Lock()
@@ -443,7 +443,7 @@ func TestTSVEscapesReadIDs(t *testing.T) {
 
 	ids := []string{"evil\tid\nsecond-line"}
 	reads := []dna.Seq{dna.MustParseSeq("ACGT")}
-	s := New()
+	s := openServer(t, Config{})
 	exact := s.createJob("cpu", 15, 50, 0, "x", 4, 1)
 	em, err := s.newEmitter(exact)
 	if err != nil {
@@ -452,10 +452,10 @@ func TestTSVEscapesReadIDs(t *testing.T) {
 	if err := em.exactBatch(true, ids, reads, []core.MapResult{{}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := em.finish(); err != nil {
+	if err := em.sync(); err != nil {
 		t.Fatal(err)
 	}
-	tsv := string(exact.results)
+	tsv := string(readSpool(t, exact.results))
 	lines := strings.Split(strings.TrimRight(tsv, "\n"), "\n")
 	if len(lines) != 2 {
 		t.Fatalf("TSV has %d lines, want header + 1 row:\n%s", len(lines), tsv)
@@ -482,10 +482,10 @@ func TestTSVEscapesReadIDs(t *testing.T) {
 	if _, _, err := runBatches(context.Background(), s, job, entry, qc.Batch{IDs: ids, Seqs: reads}, &sliceSource{}, em, approxWork(ix, 1, em)); err != nil {
 		t.Fatal(err)
 	}
-	if err := em.finish(); err != nil {
+	if err := em.sync(); err != nil {
 		t.Fatal(err)
 	}
-	atsv := string(job.results)
+	atsv := string(readSpool(t, job.results))
 	alines := strings.Split(strings.TrimRight(atsv, "\n"), "\n")
 	if len(alines) != 2 {
 		t.Fatalf("approx TSV has %d lines, want 2:\n%s", len(alines), atsv)
@@ -498,7 +498,7 @@ func TestTSVEscapesReadIDs(t *testing.T) {
 // The demo is reproducible: one fixed seed drives genome and reads, and an
 // explicit ?seed=N picks a different dataset.
 func TestDemoReproducible(t *testing.T) {
-	s := New()
+	s := openServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	client := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {

@@ -99,7 +99,7 @@ func TestMemJobEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewWithConfig(Config{
+	s := openServer(t, Config{
 		Devices: 3, FaultPlan: plan, VerifyStride: 4, StreamBatch: 16,
 	})
 	ts := httptest.NewServer(s.Handler())
@@ -225,7 +225,7 @@ func TestMemJobEndToEnd(t *testing.T) {
 // carry pairing flags.
 func TestMemJobSingleEnd(t *testing.T) {
 	refFasta, readsFastq, readCount := memTestData(t)
-	s := New()
+	s := openServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	loc := submitJob(t, s, ts,
@@ -251,7 +251,7 @@ func TestMemJobSingleEnd(t *testing.T) {
 // TestMemModeValidation exercises the submission-parameter gate.
 func TestMemModeValidation(t *testing.T) {
 	refFasta, readsFastq, _ := memTestData(t)
-	s := New()
+	s := openServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	submit := func(fields map[string]string) int {

@@ -92,7 +92,7 @@ func TestMetricsAndTraceUnderFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewWithConfig(Config{
+	s := openServer(t, Config{
 		Devices:   2,
 		FaultPlan: plan,
 	})
@@ -243,7 +243,7 @@ func TestMetricsAndTraceUnderFaults(t *testing.T) {
 // slot — and the freed slot immediately serves the next job.
 func TestCancelDuringBuildFreesSlot(t *testing.T) {
 	refFasta, readsFastq := testDataSmall(t)
-	s := NewWithConfig(Config{MaxConcurrentJobs: 1})
+	s := openServer(t, Config{MaxConcurrentJobs: 1})
 	defer s.Close()
 	entered := make(chan struct{})
 	proceed := make(chan struct{})

@@ -71,7 +71,7 @@ func TestJobSurvivesDeadDevice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewWithConfig(Config{
+	s := openServer(t, Config{
 		Devices:          2,
 		FaultPlan:        plan,
 		MaxRetries:       2,
@@ -143,7 +143,7 @@ func TestCPUFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewWithConfig(Config{
+	s := openServer(t, Config{
 		Devices:          1,
 		FaultPlan:        plan,
 		MaxRetries:       1,
@@ -200,7 +200,7 @@ func TestFallbackPolicyFail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewWithConfig(Config{
+	s := openServer(t, Config{
 		Devices:    1,
 		FaultPlan:  plan,
 		MaxRetries: 1,
@@ -233,7 +233,7 @@ func TestFallbackTwoPass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewWithConfig(Config{Devices: 1, FaultPlan: plan, MaxRetries: 1})
+	s := openServer(t, Config{Devices: 1, FaultPlan: plan, MaxRetries: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -258,7 +258,7 @@ func TestFallbackTwoPass(t *testing.T) {
 
 // TestAPIErrorsAreJSON: every /api/* error carries the structured envelope.
 func TestAPIErrorsAreJSON(t *testing.T) {
-	s := NewWithConfig(Config{})
+	s := openServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -303,7 +303,7 @@ func TestTransientFaultsRecoverInline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewWithConfig(Config{
+	s := openServer(t, Config{
 		Devices:         2,
 		FaultPlan:       plan,
 		MaxRetries:      4,

@@ -28,7 +28,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -143,13 +142,12 @@ type Job struct {
 	// O(batch), not O(job), result memory.
 	PeakResultBuf int
 
-	results []byte // TSV in memory (stateless servers)
-	// resultsPath/resultsSize point at the file-backed TSV written
-	// incrementally by the job's emitter (durable servers); results stays nil.
-	resultsPath string
-	resultsSize int64
+	// results is the TSV (SAM for mode=mem) of a done job, written batch by
+	// batch by the job's emitter.
+	results *spool
 	// stream is the job's NDJSON result log served by GET
-	// /api/jobs/{id}/stream; created lazily on first use.
+	// /api/jobs/{id}/stream; created on first use, or by recover for a
+	// replayed terminal job.
 	stream *resultStream
 	// upload tracks chunked-ingest progress; nil for buffered submissions.
 	upload *uploadState
@@ -286,17 +284,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server is the web application. Create with New or NewWithConfig and mount
-// via Handler.
+// Server is the web application. Create with Open and mount via Handler.
 type Server struct {
 	mu     sync.Mutex
 	jobs   map[int]*Job
 	nextID int
-	// MaxUploadBytes bounds request bodies; default 256 MiB. Retained as a
-	// field for backward compatibility; NewWithConfig sets it from Config.
-	MaxUploadBytes int64
-	cfg            Config
-	cache          *indexCache
+	cfg    Config
+	cache  *indexCache
 	// devices are the simulated cards, shared by cached farms; the cards
 	// own their circuit breakers, so health survives cache churn.
 	devices []*fpga.Device
@@ -389,25 +383,13 @@ type Server struct {
 // DefaultMaxConcurrentJobs bounds simultaneously running pipelines.
 const DefaultMaxConcurrentJobs = 2
 
-// New creates a server with default configuration.
-func New() *Server { return NewWithConfig(Config{}) }
-
-// NewWithConfig creates a server. When cfg.JobTTL is set, a janitor
-// goroutine sweeps expired jobs until Close is called. It panics when the
-// state directory cannot be opened — use Open to handle that error.
-func NewWithConfig(cfg Config) *Server {
-	s, err := Open(cfg)
-	if err != nil {
-		panic("server: " + err.Error())
-	}
-	return s
-}
-
 // Open creates a server and, when cfg.StateDir is set, opens the durable
 // job journal and replays it: finished jobs are restored with their results
 // and accepted-but-unfinished jobs are re-queued against their persisted
-// inputs, then the journal is compacted. The error covers an unusable state
-// directory; with no StateDir, Open cannot fail.
+// inputs, then the journal is compacted. When cfg.JobTTL or
+// cfg.UploadTimeout is set, a janitor goroutine sweeps expired jobs until
+// Close is called. The error covers an unusable state directory or a bad
+// TrustedProxies list.
 func Open(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	devices := make([]*fpga.Device, cfg.Devices)
@@ -424,7 +406,6 @@ func Open(cfg Config) (*Server, error) {
 	s := &Server{
 		jobs:              map[int]*Job{},
 		nextID:            1,
-		MaxUploadBytes:    cfg.MaxUploadBytes,
 		cfg:               cfg,
 		cache:             newIndexCache(cfg.CacheEntries),
 		devices:           devices,
@@ -514,11 +495,9 @@ func (s *Server) evictExpiredJobs(now time.Time) int {
 	}
 	s.jobsEvicted += uint64(len(evicted))
 	s.mu.Unlock()
-	if s.journal != nil {
-		for _, id := range evicted {
-			s.journal.appendBestEffort(journalRecord{Type: recEvicted, Job: id})
-			s.journal.removeFiles(resultsName(id), streamName(id))
-		}
+	for _, id := range evicted {
+		s.journal.appendBestEffort(journalRecord{Type: recEvicted, Job: id})
+		s.journal.removeFiles(resultsName(id), streamName(id))
 	}
 	return len(evicted)
 }
@@ -646,9 +625,7 @@ func (j *Job) toJSON() jobJSON {
 		out.QCReport = &rep
 	}
 	if j.State == StateUploading && j.upload != nil {
-		j.upload.mu.Lock()
-		ref, reads := j.upload.ref.size, j.upload.reads.size
-		j.upload.mu.Unlock()
+		ref, reads := j.upload.ref.size(), j.upload.reads.size()
 		out.ReferenceOffset, out.ReadsOffset = &ref, &reads
 	}
 	return out
@@ -709,15 +686,16 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 	}
 	if cancel == nil {
 		// Never launched (still uploading, created directly, or launch still
-		// pending): cancel it in place.
+		// pending): cancel it in place. A pending launch removes the inputs
+		// it holds when it finds the job terminal.
 		s.setJobStateLocked(job, StateCanceled)
 		job.Error = errJobCanceled.Error()
 		job.Finished = time.Now()
+		up := job.upload
 		s.mu.Unlock()
-		if s.journal != nil {
-			s.journal.appendBestEffort(journalRecord{Type: recCanceled, Job: job.ID, Error: errJobCanceled.Error(), Finished: job.Finished})
-			refRel, readsRel := payloadNames(job.ID)
-			s.journal.removeFiles(refRel, readsRel)
+		s.journal.appendBestEffort(journalRecord{Type: recCanceled, Job: job.ID, Error: errJobCanceled.Error(), Finished: job.Finished})
+		if state == StateUploading && up != nil {
+			up.discard()
 		}
 		s.closeJobStream(job)
 		writeJSON(w, http.StatusOK, map[string]any{"id": job.ID, "state": string(StateCanceled)})
@@ -995,23 +973,26 @@ const (
 // SHA-256 of the reference part taken while its bytes came off the wire — the
 // first-level key of the index cache (see indexCache.aliases).
 type submitForm struct {
-	values     map[string]string
-	ref, reads []byte // nil = part absent
-	refDigest  string
+	values map[string]string
+	jobInput
 }
 
-// readSubmitForm scans the multipart body once. Each kept file part lands in
-// one buffer sized from what Content-Length says the body can still hold
-// (never above maxBytes, which the caller also enforces on the body itself);
-// a body without a length grows its buffers as it is read. Fields may come
-// before or after the files; later duplicates of a part are skipped.
-func readSubmitForm(r *http.Request, maxBytes int64) (*submitForm, error) {
+// readSubmitForm scans the multipart body once. Each kept file part is
+// copied into a staged spool as it comes off the socket, so the upload is
+// never held whole in memory on a durable server. Fields may come before or
+// after the files; later duplicates of a part are skipped. On an error no
+// staged part is left behind.
+func (s *Server) readSubmitForm(r *http.Request) (_ *submitForm, err error) {
 	mr, err := r.MultipartReader()
 	if err != nil {
 		return nil, err
 	}
 	form := &submitForm{values: map[string]string{}}
-	left := min(r.ContentLength, maxBytes) // negative: chunked, length unknown
+	defer func() {
+		if err != nil {
+			form.remove()
+		}
+	}()
 	valueBudget := int64(maxFormValueBytes)
 	for parts := 0; ; parts++ {
 		part, err := mr.NextPart()
@@ -1041,32 +1022,33 @@ func readSubmitForm(r *http.Request, maxBytes int64) (*submitForm, error) {
 			}
 		case name == "reference" && form.ref == nil:
 			h := sha256.New()
-			if form.ref, err = readFilePart(io.TeeReader(part, h), left); err != nil {
+			if form.ref, err = s.stage(io.TeeReader(part, h)); err != nil {
 				return nil, err
 			}
 			form.refDigest = hex.EncodeToString(h.Sum(nil))
-			left -= int64(len(form.ref))
 		case name == "reads" && form.reads == nil:
-			if form.reads, err = readFilePart(part, left); err != nil {
+			if form.reads, err = s.stage(part); err != nil {
 				return nil, err
 			}
-			left -= int64(len(form.reads))
 		}
 	}
 }
 
-// readFilePart reads one file part to its end into a buffer of capacity hint
-// (plus the slack bytes.Buffer wants free to see EOF without regrowing). The
-// result is never nil, so an empty part still counts as present.
-func readFilePart(part io.Reader, hint int64) ([]byte, error) {
-	buf := bytes.NewBuffer(make([]byte, 0, max(hint, 0)+bytes.MinRead))
-	if _, err := buf.ReadFrom(part); err != nil {
+// stage copies r into a new staged spool, which journalAccept later renames
+// to its job's payload name.
+func (s *Server) stage(r io.Reader) (*spool, error) {
+	sp, err := s.newSpool(stagedPayload)
+	if err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	if _, err := sp.ReadFrom(r); err != nil {
+		sp.remove()
+		return nil, err
+	}
+	return sp, nil
 }
 
-// handleSubmit validates the request parameters and captures the raw upload
+// handleSubmit validates the request parameters and stages the raw upload
 // bytes, then hands off to a job goroutine. Parsing and sanitizing the FASTA
 // and FASTQ happen on the job goroutine, so a malformed or huge upload fails
 // inside a visible job (StateFailed) instead of blocking the HTTP handler.
@@ -1084,14 +1066,28 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.rejectAdmission(w, ae)
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.MaxUploadBytes)
-	form, err := readSubmitForm(r, s.MaxUploadBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)
+	form, err := s.readSubmitForm(r)
 	if err != nil {
 		httpError(w, r, http.StatusBadRequest, "bad upload: "+err.Error())
 		return
 	}
-	// A URL-query value outranks a body field of the same name, the order
-	// r.FormValue applied.
+	spec, err := submitSpec(r, form)
+	if err != nil {
+		form.remove()
+		httpError(w, r, http.StatusBadRequest, err.Error())
+		return
+	}
+	spec.IdemKey = idemKey
+	spec.RequestID = obs.RequestIDFrom(r.Context())
+	spec.Timeout = s.effectiveTimeout(r)
+	s.admitAndLaunch(w, r, spec, form.jobInput)
+}
+
+// submitSpec reads a multipart submission's parameters — a URL-query value
+// outranks a body field of the same name, the order r.FormValue applied —
+// and checks that both file parts came.
+func submitSpec(r *http.Request, form *submitForm) (jobSpec, error) {
 	query := r.URL.Query()
 	get := func(name string) string {
 		if vs := query[name]; len(vs) > 0 {
@@ -1101,52 +1097,44 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	b, err := formInt(get, "b", DefaultB)
 	if err != nil {
-		httpError(w, r, http.StatusBadRequest, err.Error())
-		return
+		return jobSpec{}, err
 	}
 	sf, err := formInt(get, "sf", DefaultSF)
 	if err != nil {
-		httpError(w, r, http.StatusBadRequest, err.Error())
-		return
+		return jobSpec{}, err
 	}
 	mismatches, err := formInt(get, "mismatches", 0)
 	if err != nil {
-		httpError(w, r, http.StatusBadRequest, err.Error())
-		return
+		return jobSpec{}, err
 	}
 	backend, mode, err := validateJobParams(get("backend"), get("mode"), b, sf, mismatches)
 	if err != nil {
-		httpError(w, r, http.StatusBadRequest, err.Error())
-		return
+		return jobSpec{}, err
 	}
 	qcPol, err := qcPolicyFromForm(get, mode)
 	if err != nil {
-		httpError(w, r, http.StatusBadRequest, err.Error())
-		return
+		return jobSpec{}, err
 	}
 	if form.ref == nil {
-		httpError(w, r, http.StatusBadRequest, "missing reference upload")
-		return
+		return jobSpec{}, errors.New("missing reference upload")
 	}
 	if form.reads == nil {
-		httpError(w, r, http.StatusBadRequest, "missing reads upload")
-		return
+		return jobSpec{}, errors.New("missing reads upload")
 	}
-
-	s.admitAndLaunch(w, r, jobSpec{
+	return jobSpec{
 		Backend: backend, Mode: mode, B: b, SF: sf, Mismatches: mismatches,
-		QC:      qcPol,
-		RefName: "(parsing)", IdemKey: idemKey,
-		RequestID: obs.RequestIDFrom(r.Context()),
-		Timeout:   s.effectiveTimeout(r),
-	}, jobInput{ref: payload{raw: form.ref}, reads: payload{raw: form.reads}, refDigest: form.refDigest})
+		QC: qcPol, RefName: "(parsing)",
+	}, nil
 }
 
 // admitAndLaunch is the tail every buffered submission shares: admit the job
 // (or find the one its Idempotency-Key already names), make it durable, start
-// it, answer the client.
+// it, answer the client. Inputs that no job takes are removed.
 func (s *Server) admitAndLaunch(w http.ResponseWriter, r *http.Request, spec jobSpec, in jobInput) {
 	job, existing, ae := s.admitJob(spec, StateQueued)
+	if ae != nil || existing {
+		in.remove()
+	}
 	if ae != nil {
 		s.rejectAdmission(w, ae)
 		return
@@ -1212,8 +1200,8 @@ const DefaultDemoSeed = 42
 
 // handleDemo runs the pipeline on a small synthetic dataset so the UI can be
 // exercised without files at hand. The dataset is rendered to FASTA/FASTQ
-// bytes and submitted through the same raw-payload path as an upload, so
-// demo jobs are journaled and replayed exactly like real ones.
+// bytes and staged in spools like the parts of an upload, so demo jobs are
+// journaled and replayed exactly like real ones.
 func (s *Server) handleDemo(w http.ResponseWriter, r *http.Request) {
 	idemKey := strings.TrimSpace(r.Header.Get("Idempotency-Key"))
 	if job := s.idemLookup(idemKey); job != nil {
@@ -1233,8 +1221,16 @@ func (s *Server) handleDemo(w http.ResponseWriter, r *http.Request) {
 		}
 		seed = parsed
 	}
+	var in jobInput
 	refFasta, readsFastq, err := demoDataset(seed)
+	if err == nil {
+		in.ref, err = s.stage(bytes.NewReader(refFasta))
+	}
+	if err == nil {
+		in.reads, err = s.stage(bytes.NewReader(readsFastq))
+	}
 	if err != nil {
+		in.remove()
 		s.log.Error("demo dataset generation failed", "seed", seed, "err", err)
 		httpError(w, r, http.StatusInternalServerError, "internal server error")
 		return
@@ -1244,7 +1240,7 @@ func (s *Server) handleDemo(w http.ResponseWriter, r *http.Request) {
 		RefName: "synthetic-demo", IdemKey: idemKey,
 		RequestID: obs.RequestIDFrom(r.Context()),
 		Timeout:   s.effectiveTimeout(r),
-	}, jobInput{ref: payload{raw: refFasta}, reads: payload{raw: readsFastq}})
+	}, in)
 }
 
 // demoDataset renders the seeded synthetic reference and reads as FASTA and
@@ -1295,14 +1291,20 @@ func (s *Server) createJob(backend string, b, sf, mismatches int, refName string
 	return job
 }
 
-// jobInput is what a launched job works on: the two parts of its upload, as
-// the submission route left them (see payload), parsed on the job goroutine.
+// jobInput is what a launched job works on: the two parts of its upload,
+// parsed on the job goroutine.
 type jobInput struct {
-	ref, reads payload
+	ref, reads *spool // nil = part absent (a multipart body still being read)
 	// refDigest is the hex SHA-256 of the raw reference when the ingest route
 	// already took it (the multipart handler hashes on the wire); empty means
 	// runJob hashes the payload itself.
 	refDigest string
+}
+
+// remove deletes the parts of an input no job will run.
+func (in jobInput) remove() {
+	in.ref.remove()
+	in.reads.remove()
 }
 
 // launch runs the job asynchronously: it waits for a pipeline slot (abortable
@@ -1320,9 +1322,10 @@ func (s *Server) launch(job *Job, in jobInput) {
 	}
 	s.mu.Lock()
 	if job.State.terminal() {
-		// Canceled between createJob and launch.
+		// Canceled between admission and launch.
 		s.mu.Unlock()
 		cancel(nil)
+		in.remove()
 		return
 	}
 	job.cancel = cancel
@@ -1392,13 +1395,11 @@ func (s *Server) finishJob(job *Job, ctx context.Context, err error) {
 		job.Error = err.Error()
 	}
 	state, jobErr := job.State, job.Error
-	results := job.results
-	resultsPath := job.resultsPath
 	span := job.span
 	elapsed := job.Finished.Sub(job.Created)
 	s.mu.Unlock()
 
-	s.journalFinish(job, state, results, resultsPath)
+	s.journalFinish(job, state)
 	// Seal the result stream after the terminal state is durable, so every
 	// subscriber gets the closing done/failed/canceled event.
 	s.closeJobStream(job)
@@ -1430,9 +1431,7 @@ func (s *Server) runJob(ctx context.Context, job *Job, in jobInput) error {
 	s.mu.Lock()
 	s.setJobStateLocked(job, StateRunning)
 	s.mu.Unlock()
-	if s.journal != nil {
-		s.journal.appendBestEffort(journalRecord{Type: recRunning, Job: job.ID})
-	}
+	s.journal.appendBestEffort(journalRecord{Type: recRunning, Job: job.ID})
 	if hook := s.testHookBeforeRun; hook != nil {
 		hook(job, ctx)
 	}
@@ -1608,10 +1607,10 @@ func (s *Server) mapJob(ctx context.Context, job *Job, entry *cacheEntry, first 
 	mapSpan.SetAttr("reads", reads)
 	mapSpan.End()
 	if err == nil && reads > 0 {
-		err = em.finish()
+		err = em.sync()
 	}
 	if err != nil || reads == 0 {
-		em.discard()
+		em.remove()
 		return 0, err
 	}
 
@@ -1625,7 +1624,7 @@ func (s *Server) mapJob(ctx context.Context, job *Job, entry *cacheEntry, first 
 // loadReference parses a job's reference payload; span is the parse or build
 // span doing it. What the parse replaced — every N or IUPAC code becomes A —
 // is said once, in the log and on the span.
-func (s *Server) loadReference(job *Job, ref payload, span *obs.Span) (dna.Seq, *core.ContigSet, error) {
+func (s *Server) loadReference(job *Job, ref *spool, span *obs.Span) (dna.Seq, *core.ContigSet, error) {
 	if hook := s.testHookParseReference; hook != nil {
 		hook(job)
 	}
@@ -1979,13 +1978,12 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	snapshot := *job
 	s.mu.Unlock()
-	snapshot.results = nil
 	s.renderHTML(w, jobTemplate, snapshot)
 }
 
-// handleResults serves the buffered TSV download. Durable jobs stream it
-// from the results file the emitter wrote, so the whole TSV is never held in
-// memory; either way Content-Length is set so clients can show progress.
+// handleResults serves the TSV download (SAM for mode=mem) from the job's
+// results spool — a file on a durable server, so the whole TSV is never held
+// in memory — with Content-Length set so clients can show progress.
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	job, err := s.jobByRequest(r)
 	if err != nil {
@@ -1993,39 +1991,27 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
-	state := job.State
-	results := job.results
-	path := job.resultsPath
-	size := job.resultsSize
-	memJob := job.memMode()
+	state, results, memJob := job.State, job.results, job.memMode()
 	s.mu.Unlock()
 	if state != StateDone {
 		httpError(w, r, http.StatusConflict, fmt.Sprintf("job is %s; results not available", state))
 		return
 	}
-	// mode=mem jobs produce SAM text, the others TSV.
+	rc, err := results.open()
+	if err != nil {
+		s.log.Error("opening results failed", "job", job.ID, "err", err)
+		httpError(w, r, http.StatusInternalServerError, "results unavailable")
+		return
+	}
+	defer rc.Close()
 	ctype := "text/tab-separated-values; charset=utf-8"
 	filename := fmt.Sprintf("bwaver-job-%d.tsv", job.ID)
 	if memJob {
 		ctype = "text/x-sam; charset=utf-8"
 		filename = fmt.Sprintf("bwaver-job-%d.sam", job.ID)
 	}
-	if path != "" {
-		f, err := os.Open(path)
-		if err != nil {
-			s.log.Error("opening results file failed", "job", job.ID, "path", path, "err", err)
-			httpError(w, r, http.StatusInternalServerError, "results unavailable")
-			return
-		}
-		defer f.Close()
-		w.Header().Set("Content-Type", ctype)
-		w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%s", filename))
-		w.Header().Set("Content-Length", strconv.FormatInt(size, 10))
-		io.Copy(w, f)
-		return
-	}
 	w.Header().Set("Content-Type", ctype)
 	w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%s", filename))
-	w.Header().Set("Content-Length", strconv.Itoa(len(results)))
-	w.Write(results)
+	w.Header().Set("Content-Length", strconv.FormatInt(results.size(), 10))
+	io.Copy(w, rc)
 }

@@ -17,6 +17,23 @@ import (
 	"bwaver/internal/readsim"
 )
 
+// openServer is Open for tests: it fails t when the server cannot start.
+func openServer(t testing.TB, cfg Config) *Server {
+	t.Helper()
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// bytesSpool is a spool in memory holding b.
+func bytesSpool(b []byte) *spool {
+	sp := &spool{}
+	sp.append(b)
+	return sp
+}
+
 // buildUpload assembles a multipart request body with the given files and
 // form fields.
 func buildUpload(t *testing.T, fields map[string]string, files map[string][]byte) (*bytes.Buffer, string) {
@@ -41,7 +58,7 @@ func buildUpload(t *testing.T, fields map[string]string, files map[string][]byte
 	return &buf, mw.FormDataContentType()
 }
 
-func testData(t *testing.T) (refFasta, readsFastq []byte, reads []readsim.Read) {
+func testData(t testing.TB) (refFasta, readsFastq []byte, reads []readsim.Read) {
 	t.Helper()
 	ref, err := readsim.Genome(readsim.GenomeConfig{Length: 5000, Seed: 9, RepeatFraction: 0.1})
 	if err != nil {
@@ -92,7 +109,7 @@ func TestFullPipelineViaHTTP(t *testing.T) {
 	for _, backend := range []string{"cpu", "fpga"} {
 		t.Run(backend, func(t *testing.T) {
 			refFasta, readsFastq, sim := testData(t)
-			s := New()
+			s := openServer(t, Config{})
 			ts := httptest.NewServer(s.Handler())
 			defer ts.Close()
 
@@ -150,7 +167,7 @@ func TestGzippedUploads(t *testing.T) {
 		gw.Close()
 		return buf.Bytes()
 	}
-	s := New()
+	s := openServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	loc := submitJob(t, s, ts,
@@ -169,7 +186,7 @@ func TestGzippedUploads(t *testing.T) {
 
 func TestSubmitValidation(t *testing.T) {
 	refFasta, readsFastq, _ := testData(t)
-	s := New()
+	s := openServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -212,7 +229,7 @@ func TestSubmitValidation(t *testing.T) {
 }
 
 func TestJobNotFound(t *testing.T) {
-	s := New()
+	s := openServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/jobs/999")
@@ -234,7 +251,7 @@ func TestJobNotFound(t *testing.T) {
 }
 
 func TestResultsBeforeDone(t *testing.T) {
-	s := New()
+	s := openServer(t, Config{})
 	job := s.createJob("cpu", 15, 50, 0, "x", 100, 10)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -249,7 +266,7 @@ func TestResultsBeforeDone(t *testing.T) {
 }
 
 func TestHomeListsJobs(t *testing.T) {
-	s := New()
+	s := openServer(t, Config{})
 	s.createJob("cpu", 15, 50, 0, "refA", 100, 10)
 	s.createJob("fpga", 15, 50, 0, "refB", 100, 10)
 	ts := httptest.NewServer(s.Handler())
@@ -268,7 +285,7 @@ func TestHomeListsJobs(t *testing.T) {
 }
 
 func TestDemoJob(t *testing.T) {
-	s := New()
+	s := openServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	client := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {
@@ -343,7 +360,7 @@ func TestAppendJSONStringMatchesEncodingJSON(t *testing.T) {
 
 func TestJSONAPI(t *testing.T) {
 	refFasta, readsFastq, sim := testData(t)
-	s := New()
+	s := openServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	loc := submitJob(t, s, ts,
@@ -411,7 +428,7 @@ func TestJSONAPI(t *testing.T) {
 
 func TestConcurrentJobsBounded(t *testing.T) {
 	refFasta, readsFastq, _ := testData(t)
-	s := New()
+	s := openServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	// Fire more jobs than the concurrency limit; all must finish correctly.
@@ -468,7 +485,7 @@ func TestMismatchJob(t *testing.T) {
 	qw.Close()
 
 	for _, backend := range []string{"cpu", "fpga"} {
-		s := New()
+		s := openServer(t, Config{})
 		ts := httptest.NewServer(s.Handler())
 		loc := submitJob(t, s, ts,
 			map[string]string{"backend": backend, "mismatches": "2"},
@@ -504,7 +521,7 @@ func TestMismatchJob(t *testing.T) {
 		}
 	}
 	// Budget out of range rejected.
-	s := New()
+	s := openServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	body, ctype := buildUpload(t, map[string]string{"mismatches": "9"},
@@ -532,7 +549,7 @@ func TestMultiContigServerResults(t *testing.T) {
 	qw.Write(&fastx.Record{ID: "inB", Seq: []byte(g2[300:350].String())})
 	qw.Close()
 
-	s := New()
+	s := openServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	loc := submitJob(t, s, ts, map[string]string{"backend": "cpu"},

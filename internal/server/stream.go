@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
-	"os"
 	"path/filepath"
 	"slices"
 	"strconv"
@@ -24,18 +22,17 @@ import (
 // batch; this file stops throwing that incrementality away at the HTTP layer.
 // As the mapping loop completes each batch, the job's emitter appends one
 // NDJSON line per read to the job's result stream and the matching TSV rows
-// to the results file (durable mode) or buffer (stateless). GET
-// /api/jobs/{id}/stream serves the stream as Server-Sent Events — one event
-// per read, ids are 1-based line numbers, so a dropped client resumes with
-// Last-Event-ID — or as raw NDJSON when the client asks for
-// application/x-ndjson. A terminal event (done/failed/canceled) always closes
-// the stream.
+// to its results; both are spools (spool.go), files under the state dir's
+// results/ on a durable server. GET /api/jobs/{id}/stream serves the stream
+// as Server-Sent Events — one event per read, ids are 1-based line numbers,
+// so a dropped client resumes with Last-Event-ID — or as raw NDJSON when the
+// client asks for application/x-ndjson. A terminal event
+// (done/failed/canceled) always closes the stream.
 //
-// Memory: in durable mode the stream spills to <state-dir>/results/
-// job-N.ndjson as batches complete and subscribers tail the file, so a job
-// holds O(batch) result bytes no matter how many reads it maps; the peak is
-// recorded per job (peak_result_buffer_bytes). Stateless servers keep the
-// stream in memory — the pre-streaming behavior, fine for demo-scale jobs.
+// Memory: subscribers read the committed stream a window at a time, so on a
+// durable server a job holds O(batch) result bytes in memory no matter how
+// many reads it maps; the peak is recorded per job
+// (peak_result_buffer_bytes).
 
 // streamHeartbeat is how often an idle SSE connection gets a comment line so
 // proxies do not reap it.
@@ -44,15 +41,12 @@ const streamHeartbeat = 15 * time.Second
 // resultStream is a job's append-only result log plus its subscriber wakeup.
 // Appends are whole batches of NDJSON lines, so the committed length is
 // always line-aligned; subscribers track their own byte offset and line
-// count, which keeps the stream itself O(1) memory in durable mode.
+// count.
 type resultStream struct {
 	mu     sync.Mutex
 	notify chan struct{} // closed and replaced on every append/close
-	path   string        // durable spill file; "" = in-memory
-	buf    []byte        // in-memory log when path == ""
-	f      *os.File      // append handle, durable mode
-	bytes  int64         // committed bytes
-	lines  int           // committed NDJSON lines (== last event id)
+	data   *spool        // the committed lines
+	lines  int           // lines appended by this process
 	closed bool
 	// terminal is the closing event: kind done/failed/canceled plus a JSON
 	// summary payload.
@@ -60,25 +54,13 @@ type resultStream struct {
 	terminalData []byte
 }
 
-func newResultStream(path string) *resultStream {
-	return &resultStream{path: path, notify: make(chan struct{})}
-}
-
-// start truncates any stale spill (a re-run after a crash rewrites the log
-// from scratch, keeping event ids aligned with the deterministic re-mapping).
-func (st *resultStream) start() error {
+// start points the stream at data, the fresh spool of a run that is about to
+// emit: a re-run after a crash rewrites the log from scratch, keeping event
+// ids aligned with the deterministic re-mapping.
+func (st *resultStream) start(data *spool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.path == "" {
-		return nil
-	}
-	f, err := os.Create(st.path)
-	if err != nil {
-		return err
-	}
-	st.f = f
-	st.bytes, st.lines = 0, 0
-	return nil
+	st.data, st.lines = data, 0
 }
 
 // append commits a batch of NDJSON lines and wakes subscribers.
@@ -88,22 +70,17 @@ func (st *resultStream) append(data []byte, lines int) error {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.f != nil {
-		if _, err := st.f.Write(data); err != nil {
-			return err
-		}
-	} else {
-		st.buf = append(st.buf, data...)
+	if err := st.data.append(data); err != nil {
+		return err
 	}
-	st.bytes += int64(len(data))
 	st.lines += lines
 	close(st.notify)
 	st.notify = make(chan struct{})
 	return nil
 }
 
-// close seals the stream with its terminal event. Safe to call once per
-// stream; later calls are ignored.
+// close seals the stream with its terminal event, flushing it to disk on a
+// durable server. Safe to call once per stream; later calls are ignored.
 func (st *resultStream) close(kind string, data []byte) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -112,55 +89,26 @@ func (st *resultStream) close(kind string, data []byte) {
 	}
 	st.closed = true
 	st.terminalKind, st.terminalData = kind, data
-	if st.f != nil {
-		st.f.Sync()
-		st.f.Close()
-		st.f = nil
-	}
+	// Best-effort: no journal record references the stream, and a replay
+	// serves whatever part of it survived.
+	st.data.sync()
 	close(st.notify)
 	st.notify = make(chan struct{})
 }
 
-// restoreClosed marks a replayed terminal job's stream as already complete,
-// backed by whatever spill survived the restart (line count recovered by one
-// fixed-buffer scan, so attaching to a huge replayed job stays O(1) memory; a
-// missing file just means no replayable history, only the terminal event).
-func (st *resultStream) restoreClosed(kind string, data []byte) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.closed = true
-	st.terminalKind, st.terminalData = kind, data
-	if st.path == "" {
-		return
-	}
-	f, err := os.Open(st.path)
-	if err != nil {
-		return
-	}
-	defer f.Close()
-	var size int64
-	lines := 0
-	buf := make([]byte, 64<<10)
-	for {
-		n, err := f.Read(buf)
-		size += int64(n)
-		lines += bytes.Count(buf[:n], []byte{'\n'})
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return
-		}
-	}
-	st.bytes = size
-	st.lines = lines
+// closedStream is the stream of a job that ended before anything subscribed
+// in this process: data is what it left (a replayed job's surviving spill,
+// torn tail and all, or nothing), then its terminal event. s.mu must be held.
+func closedStream(job *Job, data *spool) *resultStream {
+	kind, ev := terminalEventLocked(job)
+	return &resultStream{data: data, notify: make(chan struct{}), closed: true, terminalKind: kind, terminalData: ev}
 }
 
 // snapshot returns the committed extent and terminal state.
 func (st *resultStream) snapshot() (committed int64, lines int, closed bool, kind string, data []byte) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.bytes, st.lines, st.closed, st.terminalKind, st.terminalData
+	return st.data.size(), st.lines, st.closed, st.terminalKind, st.terminalData
 }
 
 // waitCh returns the channel that will be closed on the next append or close.
@@ -170,39 +118,13 @@ func (st *resultStream) waitCh() chan struct{} {
 	return st.notify
 }
 
-// readCommitted returns committed bytes in [off, off+max), from the spill
-// file or the in-memory log. The caller owns the returned slice.
-func (st *resultStream) readCommitted(off int64, max int) ([]byte, error) {
+// readCommitted returns committed bytes in [off, off+limit). The caller owns
+// the returned slice.
+func (st *resultStream) readCommitted(off int64, limit int) ([]byte, error) {
 	st.mu.Lock()
-	committed := st.bytes
-	path := st.path
-	var mem []byte
-	if path == "" {
-		mem = st.buf
-	}
+	data := st.data
 	st.mu.Unlock()
-	if off >= committed {
-		return nil, nil
-	}
-	n := committed - off
-	if int64(max) < n {
-		n = int64(max)
-	}
-	if path == "" {
-		out := make([]byte, n)
-		copy(out, mem[off:off+n])
-		return out, nil
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	out := make([]byte, n)
-	if _, err := f.ReadAt(out, off); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return data.readAt(off, limit)
 }
 
 // streamName is the spill file for a job's NDJSON result stream, next to its
@@ -212,20 +134,16 @@ func streamName(id int) string {
 }
 
 // ensureStreamLocked lazily attaches a job's result stream; s.mu must be
-// held. A stream created for an already-terminal job (a replayed one, or a
-// pre-streaming job queried after the fact) comes back closed, serving the
-// surviving spill plus the terminal event.
+// held. Until the job's emitter starts it the stream is empty; one attached
+// to a job that already ended comes back closed. (recover attaches a
+// replayed terminal job's stream to its spill.)
 func (s *Server) ensureStreamLocked(job *Job) *resultStream {
-	if job.stream == nil {
-		path := ""
-		if s.journal != nil {
-			path = s.journal.abs(streamName(job.ID))
-		}
-		job.stream = newResultStream(path)
-		if job.State.terminal() {
-			kind, data := terminalEventLocked(job)
-			job.stream.restoreClosed(kind, data)
-		}
+	switch {
+	case job.stream != nil:
+	case job.State.terminal():
+		job.stream = closedStream(job, &spool{})
+	default:
+		job.stream = &resultStream{data: &spool{}, notify: make(chan struct{})}
 	}
 	return job.stream
 }
@@ -355,19 +273,14 @@ func memRowFrom(rec sam.Record, res core.MemResult) memRow {
 }
 
 // jobEmitter receives mapping results batch by batch and fans them out to
-// the job's two result representations: the TSV (file-backed in durable
-// mode, buffered otherwise) and the NDJSON stream. It tracks the peak bytes
-// buffered in memory for one batch, the figure that proves the O(batch)
-// claim.
+// the job's two result representations: the TSV (or SAM) results and the
+// NDJSON stream. It tracks the peak bytes staged in memory for one batch,
+// the figure that proves the O(batch) claim.
 type jobEmitter struct {
 	s      *Server
 	job    *Job
 	stream *resultStream
-
-	tsvBuf  *bytes.Buffer // stateless accumulation
-	tsvFile *os.File      // durable incremental TSV
-	tsvPath string
-	tsvSize int64
+	tsv    *spool
 
 	scratchTSV bytes.Buffer // per-batch row staging, reused
 	scratchND  bytes.Buffer
@@ -381,28 +294,24 @@ type jobEmitter struct {
 	peak   int
 }
 
-// newEmitter opens a job's result sinks. In durable mode the TSV lands
-// directly at its journal-contract path (results/job-N.tsv) and is fsync'd by
-// finish before the done record that references it is appended.
+// newEmitter opens a job's result spools at their journal-contract names
+// (results/job-N.tsv and .ndjson); sync fsyncs the results before the done
+// record that references them is appended.
 func (s *Server) newEmitter(job *Job) (*jobEmitter, error) {
+	tsv, err := s.newSpool(resultsName(job.ID))
+	if err != nil {
+		return nil, fmt.Errorf("opening results file: %w", err)
+	}
+	nd, err := s.newSpool(streamName(job.ID))
+	if err != nil {
+		tsv.remove()
+		return nil, fmt.Errorf("opening result stream: %w", err)
+	}
 	s.mu.Lock()
 	st := s.ensureStreamLocked(job)
 	s.mu.Unlock()
-	if err := st.start(); err != nil {
-		return nil, fmt.Errorf("opening result stream: %w", err)
-	}
-	em := &jobEmitter{s: s, job: job, stream: st}
-	if s.journal != nil {
-		em.tsvPath = s.journal.abs(resultsName(job.ID))
-		f, err := os.Create(em.tsvPath)
-		if err != nil {
-			return nil, fmt.Errorf("opening results file: %w", err)
-		}
-		em.tsvFile = f
-	} else {
-		em.tsvBuf = &bytes.Buffer{}
-	}
-	return em, nil
+	st.start(nd)
+	return &jobEmitter{s: s, job: job, stream: st, tsv: tsv}, nil
 }
 
 // flushBatch commits the staged TSV rows and NDJSON lines for one batch.
@@ -410,14 +319,9 @@ func (em *jobEmitter) flushBatch(lines int) error {
 	if staged := em.scratchTSV.Len() + em.scratchND.Len(); staged > em.peak {
 		em.peak = staged
 	}
-	if em.tsvFile != nil {
-		if _, err := em.tsvFile.Write(em.scratchTSV.Bytes()); err != nil {
-			return err
-		}
-	} else {
-		em.tsvBuf.Write(em.scratchTSV.Bytes())
+	if err := em.tsv.append(em.scratchTSV.Bytes()); err != nil {
+		return err
 	}
-	em.tsvSize += int64(em.scratchTSV.Len())
 	if err := em.stream.append(em.scratchND.Bytes(), lines); err != nil {
 		return err
 	}
@@ -564,47 +468,28 @@ func (em *jobEmitter) memBatch(samText []byte, rows []memRow) error {
 	return em.flushBatch(len(rows))
 }
 
-// finish seals the result sinks after a successful mapping run: the durable
-// TSV is fsync'd (the done record that references it follows in finishJob)
-// and the job is pointed at whichever representation it owns. The stream's
-// terminal event is emitted later by finishJob, which knows the final state.
-func (em *jobEmitter) finish() error {
-	em.s.mu.Lock()
-	em.job.PeakResultBuf = em.peak
-	em.s.mu.Unlock()
-	if em.tsvFile != nil {
-		if err := em.tsvFile.Sync(); err != nil {
-			em.tsvFile.Close()
-			return fmt.Errorf("persisting results: %w", err)
-		}
-		if err := em.tsvFile.Close(); err != nil {
-			return fmt.Errorf("persisting results: %w", err)
-		}
-		em.tsvFile = nil
-		em.s.mu.Lock()
-		em.job.resultsPath = em.tsvPath
-		em.job.resultsSize = em.tsvSize
-		em.s.mu.Unlock()
-		return nil
+// sync seals the results after a successful mapping run: they are fsync'd
+// (the done record that references them follows in finishJob) and handed to
+// the job. The stream's terminal event is emitted later by finishJob, which
+// knows the final state.
+func (em *jobEmitter) sync() error {
+	if err := em.tsv.sync(); err != nil {
+		return fmt.Errorf("persisting results: %w", err)
 	}
 	em.s.mu.Lock()
-	em.job.results = em.tsvBuf.Bytes()
+	em.job.PeakResultBuf = em.peak
+	em.job.results = em.tsv
 	em.s.mu.Unlock()
 	return nil
 }
 
-// discard abandons the sinks after a failed or canceled run, removing any
-// partial durable files; the journal's non-done record makes a restart re-run
-// the job from its payloads anyway.
-func (em *jobEmitter) discard() {
+// remove abandons the results after a failed or canceled run; the journal's
+// non-done record makes a restart re-run the job from its payloads anyway.
+func (em *jobEmitter) remove() {
 	em.s.mu.Lock()
 	em.job.PeakResultBuf = em.peak
 	em.s.mu.Unlock()
-	if em.tsvFile != nil {
-		em.tsvFile.Close()
-		em.tsvFile = nil
-		os.Remove(em.tsvPath)
-	}
+	em.tsv.remove()
 }
 
 // parseLastEventID extracts the resume point: the Last-Event-ID header (SSE
@@ -678,6 +563,10 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	heartbeat := time.NewTicker(streamHeartbeat)
 	defer heartbeat.Stop()
 	for {
+		// The wake-up channel is taken before the look, so an append or the
+		// close landing between the two still wakes this subscriber instead
+		// of leaving it to the next heartbeat.
+		wait := st.waitCh()
 		committed, _, closed, kind, data := st.snapshot()
 		if off >= committed {
 			if closed {
@@ -690,7 +579,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			select {
-			case <-st.waitCh():
+			case <-wait:
 			case <-heartbeat.C:
 				if !ndjson {
 					fmt.Fprint(w, ": keepalive\n\n")

@@ -80,7 +80,7 @@ func getSSE(t *testing.T, ts *httptest.Server, id, from int) []sseEvent {
 // the job, and Last-Event-ID resumes exactly after the acknowledged row.
 func TestStreamSSEReplayAndResume(t *testing.T) {
 	refFasta, readsFastq, sim := testData(t)
-	s := New()
+	s := openServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	submitJob(t, s, ts, map[string]string{"backend": "cpu"},
@@ -144,7 +144,7 @@ func TestStreamSSEReplayAndResume(t *testing.T) {
 // one row must grow instead of spinning.
 func TestStreamBacklogLargerThanReadWindow(t *testing.T) {
 	refFasta, readsFastq, _ := testData(t)
-	s := New()
+	s := openServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	submitJob(t, s, ts, map[string]string{"backend": "cpu"},
@@ -175,7 +175,7 @@ func TestStreamBacklogLargerThanReadWindow(t *testing.T) {
 // the same mapping verdicts as the TSV.
 func TestStreamNDJSON(t *testing.T) {
 	refFasta, readsFastq, sim := testData(t)
-	s := New()
+	s := openServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	submitJob(t, s, ts, map[string]string{"backend": "cpu"},
@@ -223,7 +223,7 @@ func TestStreamNDJSON(t *testing.T) {
 // not hang on the subscriber. Run under -race.
 func TestDrainWithInFlightStream(t *testing.T) {
 	refFasta, readsFastq, sim := testData(t)
-	s := New()
+	s := openServer(t, Config{})
 	release := make(chan struct{})
 	var once sync.Once
 	entered := make(chan struct{}, 1)
@@ -301,7 +301,7 @@ func TestDrainWithInFlightStream(t *testing.T) {
 // stages in memory stay far below the full TSV it produced.
 func TestPeakResultBufferIsBatchBounded(t *testing.T) {
 	refFasta, readsFastq, sim := testData(t)
-	s := NewWithConfig(Config{StreamBatch: 4})
+	s := openServer(t, Config{StreamBatch: 4})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	submitJob(t, s, ts, map[string]string{"backend": "cpu"},
@@ -445,7 +445,7 @@ func TestStreamReplayAfterRestart(t *testing.T) {
 // subscribers are never left hanging on a job that will produce no rows.
 func TestStreamTerminalOnFailure(t *testing.T) {
 	_, readsFastq, _ := testData(t)
-	s := New()
+	s := openServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	submitJob(t, s, ts, map[string]string{"backend": "cpu"},

@@ -10,6 +10,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -58,19 +60,36 @@ func orderedUpload(t testing.TB, parts ...formPart) (body []byte, contentType st
 // TestSubmitMultipartEdgeCases pins the status codes, messages and field
 // precedence of POST /jobs: the handler scans the body itself, and everything
 // http.Request.ParseMultipartForm and FormValue used to decide must come out
-// the same.
+// the same. The durable run also requires every rejected submission to leave
+// no staged part in payloads/.
 func TestSubmitMultipartEdgeCases(t *testing.T) {
+	submitEdgeCases(t, "")
+	t.Run("durable", func(t *testing.T) { submitEdgeCases(t, t.TempDir()) })
+}
+
+func submitEdgeCases(t *testing.T, stateDir string) {
 	refFasta, readsFastq, _ := testData(t)
 	var gz bytes.Buffer
 	zw := gzip.NewWriter(&gz)
 	zw.Write(refFasta)
 	zw.Close()
 
-	s := NewWithConfig(Config{MaxUploadBytes: 1 << 20})
+	const maxUpload = 1 << 20
+	s := openServer(t, Config{MaxUploadBytes: maxUpload, StateDir: stateDir})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
+	// noStaged fails t when a staged part outlived its request.
+	noStaged := func(t *testing.T) {
+		t.Helper()
+		if stateDir == "" {
+			return
+		}
+		if staged, _ := filepath.Glob(filepath.Join(stateDir, stagedPayload)); len(staged) > 0 {
+			t.Fatalf("a rejected submission left %v behind", staged)
+		}
+	}
 	post := func(t *testing.T, query string, body io.Reader, contentType string) (int, string) {
 		t.Helper()
 		req, err := http.NewRequest(http.MethodPost, ts.URL+"/jobs"+query, body)
@@ -108,6 +127,7 @@ func TestSubmitMultipartEdgeCases(t *testing.T) {
 		if code != http.StatusBadRequest || !strings.Contains(text, wantMsg) {
 			t.Fatalf("submit returned %d %s, want 400 with %q", code, text, wantMsg)
 		}
+		noStaged(t)
 	}
 	ref, reads := upload("reference", refFasta), upload("reads", readsFastq)
 
@@ -158,7 +178,7 @@ func TestSubmitMultipartEdgeCases(t *testing.T) {
 	t.Run("chunked transfer encoding", func(t *testing.T) {
 		body, ctype := orderedUpload(t, field("backend", "cpu"), ref, reads)
 		// A reader http.NewRequest cannot size: the client sends no
-		// Content-Length, the handler has nothing to size buffers from.
+		// Content-Length.
 		code, text := post(t, "", io.MultiReader(bytes.NewReader(body)), ctype)
 		var j jobJSON
 		if err := json.Unmarshal([]byte(text), &j); code != http.StatusOK || err != nil {
@@ -191,11 +211,12 @@ func TestSubmitMultipartEdgeCases(t *testing.T) {
 		if code != http.StatusBadRequest || !strings.Contains(text, "bad upload: ") || !strings.Contains(text, "request body too large") {
 			t.Fatalf("got %d %s", code, text)
 		}
+		noStaged(t)
 	})
 	t.Run("Content-Length far larger than the body", func(t *testing.T) {
 		// The header claims a terabyte; the body is a few kilobytes cut off
-		// mid-part. Buffers are sized from the header, so what must hold is
-		// that the header alone never reserves more than the upload cap.
+		// mid-part. What must hold is that the header alone reserves nothing
+		// and the part staged so far is removed.
 		body, ctype := orderedUpload(t, ref, reads)
 		body = body[:len(body)/2]
 		conn, err := net.Dial("tcp", ts.Listener.Addr().String())
@@ -215,8 +236,120 @@ func TestSubmitMultipartEdgeCases(t *testing.T) {
 			t.Fatalf("reply %q", reply)
 		}
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
-			t.Errorf("a lying Content-Length made the handler allocate %d bytes under a %d byte cap", grew, s.MaxUploadBytes)
+			t.Errorf("a lying Content-Length made the handler allocate %d bytes under a %d byte cap", grew, maxUpload)
 		}
+		noStaged(t)
 	})
 	s.Wait()
+	if stateDir == "" {
+		return
+	}
+	t.Run("journal failure", func(t *testing.T) {
+		s.journal.close() // every append fails from here on
+		body, ctype := orderedUpload(t, field("backend", "cpu"), ref, reads)
+		code, text := post(t, "", bytes.NewReader(body), ctype)
+		if code != http.StatusInternalServerError || !strings.Contains(text, "could not persist job") {
+			t.Fatalf("got %d %s", code, text)
+		}
+		s.Wait()
+		if left, err := os.ReadDir(filepath.Join(stateDir, payloadsDir)); err != nil || len(left) > 0 {
+			t.Fatalf("payloads/ holds %d files after a failed accept (%v)", len(left), err)
+		}
+	})
+}
+
+// FuzzSubmitForm drives multipart bodies built from the fuzzer's plan through
+// POST /jobs on a durable server: file parts and fields in any order,
+// duplicated, garbage in place of a file, the body cut off anywhere. POST
+// /jobs never panics; a 200 means both file parts arrived whole and the job
+// reaches a terminal state; any other answer leaves payloads/ empty — and so
+// does a finished job.
+func FuzzSubmitForm(f *testing.F) {
+	refFasta, readsFastq, _ := testData(f)
+	f.Add([]byte{3, 0, 1}, "12", uint16(0))
+	f.Add([]byte{1, 0, 2, 3}, "abc", uint16(0))
+	f.Add([]byte{0, 0, 1, 6, 3}, ">x\nACGT", uint16(0))
+	f.Add([]byte{5, 1, 7}, "15", uint16(0))
+	f.Add([]byte{3, 0, 1, 4}, "1", uint16(700))
+	f.Add([]byte{0}, "", uint16(0))
+
+	stateDir := f.TempDir()
+	s := openServer(f, Config{StateDir: stateDir, MaxUploadBytes: 64 << 10})
+	defer s.Close()
+	handler := s.Handler()
+	payloads := filepath.Join(stateDir, payloadsDir)
+
+	f.Fuzz(func(t *testing.T, plan []byte, value string, cut uint16) {
+		var body bytes.Buffer
+		mw := multipart.NewWriter(&body)
+		// wholeRef / wholeReads: where the first reference and reads file
+		// parts end in the body, 0 while absent.
+		var wholeRef, wholeReads int
+		for _, op := range plan {
+			var err error
+			var w io.Writer
+			data := []byte(value)
+			switch op % 8 {
+			case 0:
+				w, err = mw.CreateFormFile("reference", "ref.fa")
+				data = refFasta
+			case 1:
+				w, err = mw.CreateFormFile("reads", "reads.fq")
+				data = readsFastq
+			case 2:
+				w, err = mw.CreateFormField("b")
+			case 3:
+				w, err = mw.CreateFormField("backend")
+				data = []byte("cpu")
+			case 4:
+				w, err = mw.CreateFormField("mismatches")
+			case 5:
+				w, err = mw.CreateFormField("reference")
+			case 6:
+				w, err = mw.CreateFormFile("reads", "garbage.fq")
+			case 7:
+				w, err = mw.CreateFormFile("other", "other.bin")
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.Write(data)
+			switch {
+			case op%8 == 0 && wholeRef == 0:
+				wholeRef = body.Len()
+			case (op%8 == 1 || op%8 == 6) && wholeReads == 0:
+				wholeReads = body.Len()
+			}
+		}
+		mw.Close()
+		raw := body.Bytes()
+		if cut > 0 && int(cut) < len(raw) {
+			raw = raw[:cut]
+		}
+
+		req := httptest.NewRequest(http.MethodPost, "/jobs", bytes.NewReader(raw))
+		req.Header.Set("Content-Type", mw.FormDataContentType())
+		req.Header.Set("Accept", "application/json")
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, req)
+		if rec.Code == http.StatusOK {
+			if wholeRef == 0 || wholeReads == 0 || wholeRef > len(raw) || wholeReads > len(raw) {
+				t.Fatalf("accepted a body without both file parts: %s", rec.Body)
+			}
+			var j jobJSON
+			if err := json.Unmarshal(rec.Body.Bytes(), &j); err != nil {
+				t.Fatal(err)
+			}
+			s.Wait()
+			s.mu.Lock()
+			state := s.jobs[j.ID].State
+			s.mu.Unlock()
+			if !state.terminal() {
+				t.Fatalf("job %d is %s after Wait", j.ID, state)
+			}
+		}
+		if left, err := os.ReadDir(payloads); err != nil || len(left) > 0 {
+			t.Fatalf("status %d left %d files in payloads/ (%v): %s", rec.Code, len(left), err, rec.Body)
+		}
+	})
 }

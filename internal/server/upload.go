@@ -17,10 +17,9 @@ import (
 	"bwaver/internal/rrr"
 )
 
-// Chunked, resumable job ingest. The multipart POST /jobs path buffers the
-// whole upload before a job exists, which caps job size by RAM and gives a
-// flaky client nothing to resume. The streaming protocol splits submission
-// into three steps:
+// Chunked, resumable job ingest. The multipart POST /jobs path takes the
+// whole upload in one request, which gives a flaky client nothing to resume.
+// The streaming protocol splits submission into three steps:
 //
 //	POST /api/jobs                      -> job shell in state "uploading"
 //	PUT  /api/jobs/{id}/reference?offset=N   (repeat per chunk, both parts)
@@ -30,13 +29,14 @@ import (
 // Chunks append at the committed offset; a client that lost an ACK re-sends
 // and the duplicate is recognized (offset+len inside the committed extent is
 // a no-op ACK), a client that crashed asks GET /api/jobs/{id} for the
-// committed offsets and resumes. In durable mode chunks land directly in the
-// journal's payloads/ layout, so the PR-5 replay semantics extend to partial
-// uploads: a restarted server restores the job in state uploading with the
-// offsets the disk actually holds. An uploading job occupies an admission
-// queue slot (backpressure composes with -max-queue), oversized uploads are
-// shed with the structured admission envelope, and -upload-timeout fails
-// uploads whose client went away so the slot frees.
+// committed offsets and resumes. Each part is a spool at the job's payload
+// name, so in durable mode chunks land directly in the journal's payloads/
+// layout and replay extends to partial uploads: a restarted server restores
+// the job in state uploading with the offsets the disk actually holds. An
+// uploading job occupies an admission queue slot (backpressure composes with
+// -max-queue), oversized uploads are shed with the structured admission
+// envelope, and -upload-timeout fails uploads whose client went away so the
+// slot frees.
 //
 // Idempotent retries: an Idempotency-Key header on any submission path is
 // remembered with the job (journaled in its accepted/uploading record), so a
@@ -44,11 +44,10 @@ import (
 // offsets and all — instead of double-running it.
 
 // uploadState tracks a chunked job's payload progress: the two parts as far
-// as they are committed. The stateless server holds them in memory, the
-// durable one appends straight to the journal's payload files.
+// as they are committed.
 type uploadState struct {
 	mu           sync.Mutex
-	ref, reads   payload
+	ref, reads   *spool
 	lastActivity time.Time
 	// sealed flips when finalize (or a terminal failure) takes the payload
 	// out of the upload path; chunk appends re-check it under mu so a
@@ -57,11 +56,11 @@ type uploadState struct {
 }
 
 // part returns the named part, "reference" or "reads".
-func (up *uploadState) part(name string) *payload {
+func (up *uploadState) part(name string) *spool {
 	if name == "reads" {
-		return &up.reads
+		return up.reads
 	}
-	return &up.ref
+	return up.ref
 }
 
 // seal marks the payload closed to further chunk appends.
@@ -69,6 +68,40 @@ func (up *uploadState) seal() {
 	up.mu.Lock()
 	up.sealed = true
 	up.mu.Unlock()
+}
+
+// discard seals the payload and deletes both parts, for a job that ends
+// before it launches.
+func (up *uploadState) discard() {
+	up.mu.Lock()
+	defer up.mu.Unlock()
+	up.sealed = true
+	up.ref.remove()
+	up.reads.remove()
+}
+
+// openUpload gives a chunked job its two parts, empty spools at its payload
+// names; a cancel that ended the job while they were created finds no upload
+// to discard, so the parts are discarded here.
+func (s *Server) openUpload(job *Job) error {
+	refRel, readsRel := payloadNames(job.ID)
+	up := &uploadState{lastActivity: job.Created}
+	var err error
+	if up.ref, err = s.newSpool(refRel); err != nil {
+		return err
+	}
+	if up.reads, err = s.newSpool(readsRel); err != nil {
+		up.ref.remove()
+		return err
+	}
+	s.mu.Lock()
+	job.upload = up
+	ended := job.State.terminal()
+	s.mu.Unlock()
+	if ended {
+		up.discard()
+	}
+	return nil
 }
 
 // Upload rejection reasons, shaped like the admission envelope.
@@ -218,7 +251,10 @@ func (s *Server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 		s.respondIdempotentReplay(w, job)
 		return
 	}
-	if err := s.journal.append(specRecord(recUploading, job)); err != nil {
+	if err = s.openUpload(job); err == nil {
+		err = s.journal.append(specRecord(recUploading, job))
+	}
+	if err != nil {
 		s.failUploadingJob(job, "journal: "+err.Error())
 		jsonError(w, http.StatusInternalServerError, "could not persist job")
 		return
@@ -229,12 +265,10 @@ func (s *Server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 
 // uploadStatus is the client's resume anchor: the committed offset per part.
 func (s *Server) uploadStatus(job *Job) map[string]any {
-	job.upload.mu.Lock()
-	refN, readsN := job.upload.ref.size, job.upload.reads.size
-	job.upload.mu.Unlock()
 	s.mu.Lock()
-	state := job.State
+	state, up := job.State, job.upload
 	s.mu.Unlock()
+	refN, readsN := up.ref.size(), up.reads.size()
 	return map[string]any{
 		"id":               job.ID,
 		"state":            string(state),
@@ -256,13 +290,9 @@ func (s *Server) failUploadingJob(job *Job, msg string) {
 	job.Finished = time.Now()
 	up := job.upload
 	s.mu.Unlock()
+	s.journal.appendBestEffort(journalRecord{Type: recFailed, Job: job.ID, Error: msg, Finished: job.Finished})
 	if up != nil {
-		up.seal()
-	}
-	if s.journal != nil {
-		s.journal.appendBestEffort(journalRecord{Type: recFailed, Job: job.ID, Error: msg, Finished: job.Finished})
-		refRel, readsRel := payloadNames(job.ID)
-		s.journal.removeFiles(refRel, readsRel)
+		up.discard()
 	}
 	s.closeJobStream(job)
 }
@@ -313,7 +343,7 @@ func (s *Server) handleUploadChunk(part string) http.HandlerFunc {
 			return
 		}
 		p := up.part(part)
-		committed := p.size
+		committed := p.size()
 		offset := committed
 		if q := r.URL.Query().Get("offset"); q != "" {
 			n, err := strconv.ParseInt(q, 10, 64)
@@ -335,8 +365,8 @@ func (s *Server) handleUploadChunk(part string) http.HandlerFunc {
 		// a chunk at offset grows this part by offset+len-committed, so a
 		// retransmit of already-committed bytes (a lost ACK) is free and stays
 		// idempotent even when the upload sits at the cap.
-		total := up.ref.size + up.reads.size
-		limit := s.MaxUploadBytes - total + (committed - offset)
+		total := up.ref.size() + up.reads.size()
+		limit := s.cfg.MaxUploadBytes - total + (committed - offset)
 		if limit < 0 {
 			limit = 0
 		}
@@ -353,11 +383,11 @@ func (s *Server) handleUploadChunk(part string) http.HandlerFunc {
 			// Oversized upload: shed with the admission envelope and fail the
 			// job so its queue slot frees instead of lingering half-fed.
 			up.mu.Unlock()
-			s.failUploadingJob(job, fmt.Sprintf("upload exceeds the %d byte cap", s.MaxUploadBytes))
+			s.failUploadingJob(job, fmt.Sprintf("upload exceeds the %d byte cap", s.cfg.MaxUploadBytes))
 			up.mu.Lock()
 			writeAdmissionError(w, &admissionError{
 				status: http.StatusRequestEntityTooLarge, reason: reasonTooLarge,
-				msg: fmt.Sprintf("upload exceeds the %d byte cap", s.MaxUploadBytes), retryAfter: time.Second,
+				msg: fmt.Sprintf("upload exceeds the %d byte cap", s.cfg.MaxUploadBytes), retryAfter: time.Second,
 			})
 			return
 		}
@@ -383,7 +413,7 @@ func (s *Server) handleUploadChunk(part string) http.HandlerFunc {
 		}
 		s.mUploadChunks.With(part).Inc()
 		s.mUploadBytes.With(part).Add(float64(len(body)))
-		writeJSON(w, http.StatusOK, map[string]any{"id": job.ID, "part": part, "offset": p.size})
+		writeJSON(w, http.StatusOK, map[string]any{"id": job.ID, "part": part, "offset": p.size()})
 	}
 }
 
@@ -420,9 +450,7 @@ func (s *Server) handleFinalize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	up := job.upload
-	up.mu.Lock()
-	refN, readsN := up.ref.size, up.reads.size
-	up.mu.Unlock()
+	refN, readsN := up.ref.size(), up.reads.size()
 	if refN == 0 || readsN == 0 {
 		s.mu.Unlock()
 		writeJSON(w, http.StatusBadRequest, map[string]any{
@@ -443,18 +471,9 @@ func (s *Server) handleFinalize(w http.ResponseWriter, r *http.Request) {
 	s.wg.Add(1)
 	s.mu.Unlock()
 
-	up.mu.Lock()
-	in := jobInput{ref: up.ref, reads: up.reads}
-	up.mu.Unlock()
-	// fsync the accumulated chunks before the accepted record references
-	// them — the record must never promise bytes a crash could lose.
-	if err := firstErr(in.ref.sync(), in.reads.sync()); err != nil {
-		s.wg.Done()
-		s.failUploadingJob(job, "persisting payload: "+err.Error())
-		jsonError(w, http.StatusInternalServerError, "could not persist job")
-		return
-	}
-	if err := s.acceptAndLaunch(job, in); err != nil {
+	// journalAccept fsyncs the accumulated chunks before the accepted record
+	// references them, as it does for every route.
+	if err := s.acceptAndLaunch(job, jobInput{ref: up.ref, reads: up.reads}); err != nil {
 		s.log.Error("accepting finalized job failed", "job", job.ID, "err", err)
 		jsonError(w, http.StatusInternalServerError, "could not persist job")
 		return

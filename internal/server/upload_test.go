@@ -87,7 +87,7 @@ func chunkedSubmit(t *testing.T, ts *httptest.Server, refFasta, readsFastq []byt
 // same TSV, byte for byte, as the buffered multipart path.
 func TestChunkedUploadMatchesBuffered(t *testing.T) {
 	refFasta, readsFastq := testDataSmall(t)
-	s := New()
+	s := openServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -110,7 +110,7 @@ func TestChunkedUploadMatchesBuffered(t *testing.T) {
 // offsets append, duplicates ACK idempotently, gaps and straddles are 409
 // with the committed offset the client should retry from.
 func TestChunkedUploadResume(t *testing.T) {
-	s := New()
+	s := openServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	code, created, _ := doJSON(t, http.MethodPost, ts.URL+"/api/jobs",
@@ -153,7 +153,7 @@ func TestChunkedUploadResume(t *testing.T) {
 }
 
 func TestChunkedUploadValidation(t *testing.T) {
-	s := New()
+	s := openServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -185,7 +185,7 @@ func TestChunkedUploadValidation(t *testing.T) {
 // refused with the job's state.
 func TestFinalizeIdempotent(t *testing.T) {
 	refFasta, readsFastq := testDataSmall(t)
-	s := New()
+	s := openServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	id := chunkedSubmit(t, ts, refFasta, readsFastq, 1<<20)
@@ -203,7 +203,7 @@ func TestFinalizeIdempotent(t *testing.T) {
 // An oversized upload is shed with the structured admission envelope and the
 // job fails immediately, freeing its queue slot.
 func TestUploadTooLargeShedsJob(t *testing.T) {
-	s := NewWithConfig(Config{MaxUploadBytes: 64})
+	s := openServer(t, Config{MaxUploadBytes: 64})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	code, created, _ := doJSON(t, http.MethodPost, ts.URL+"/api/jobs",
@@ -235,7 +235,7 @@ func TestUploadTooLargeShedsJob(t *testing.T) {
 // job as too_large.
 func TestRetransmitAtCapIsIdempotent(t *testing.T) {
 	chunk := bytes.Repeat([]byte("A"), 64)
-	s := NewWithConfig(Config{MaxUploadBytes: int64(len(chunk))})
+	s := openServer(t, Config{MaxUploadBytes: int64(len(chunk))})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	code, created, _ := doJSON(t, http.MethodPost, ts.URL+"/api/jobs",
@@ -264,7 +264,7 @@ func TestRetransmitAtCapIsIdempotent(t *testing.T) {
 
 // The janitor frees slots held by clients that walked away mid-upload.
 func TestStalledUploadSwept(t *testing.T) {
-	s := NewWithConfig(Config{UploadTimeout: time.Minute})
+	s := openServer(t, Config{UploadTimeout: time.Minute})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	code, created, _ := doJSON(t, http.MethodPost, ts.URL+"/api/jobs",
@@ -293,7 +293,7 @@ func TestStalledUploadSwept(t *testing.T) {
 // the buffered and the chunked path.
 func TestIdempotentSubmission(t *testing.T) {
 	refFasta, readsFastq := testDataSmall(t)
-	s := New()
+	s := openServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -439,7 +439,7 @@ func TestClientKeyTrustedProxies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New()
+	s := openServer(t, Config{})
 	s.trustedProxies = nets
 
 	req := func(remote, xff string) *http.Request {
@@ -471,7 +471,7 @@ func TestClientKeyTrustedProxies(t *testing.T) {
 	}
 
 	// Default config: header never trusted.
-	s2 := New()
+	s2 := openServer(t, Config{})
 	if got := s2.clientKey(req("10.1.2.3:9999", "1.2.3.4")); got != "10.1.2.3" {
 		t.Errorf("default clientKey trusted the header: %q", got)
 	}
@@ -482,7 +482,7 @@ func TestClientKeyTrustedProxies(t *testing.T) {
 // carry an exact Content-Length.
 func TestErrorNegotiationAndContentLength(t *testing.T) {
 	refFasta, readsFastq := testDataSmall(t)
-	s := New()
+	s := openServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	job := s.createJob("cpu", 15, 50, 0, "x", 100, 10)
