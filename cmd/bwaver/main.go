@@ -4,7 +4,7 @@
 //	                   [-trace spans.json]
 //	bwaver map         -index ref.bwx -reads reads.fq[.gz] [-backend cpu|fpga] [-workers N]
 //	                   [-format tsv|sam] [-mismatches K] [-reads2 mate2.fq -min-insert N -max-insert N]
-//	                   [-stream] [-tolerant] [-min-len N -max-ee F -max-n N -trim-qual Q -qc-sort] [-out results]
+//	                   [-tolerant] [-min-len N -max-ee F -max-n N -trim-qual Q -qc-sort] [-out results]
 //	bwaver mem         -index ref.bwx -reads reads.fq[.gz] [-backend cpu|fpga] [-paired]
 //	                   [-min-seed 19] [-band 16] [-min-score 30] [-min-insert N -max-insert N]
 //	                   [-tolerant] [-min-len N -max-ee F -max-n N -trim-qual Q -qc-sort] [-out out.sam]
@@ -21,7 +21,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"flag"
@@ -38,6 +37,7 @@ import (
 	"bwaver/internal/obs"
 	"bwaver/internal/qc"
 	"bwaver/internal/rrr"
+	"bwaver/internal/runner"
 	"bwaver/internal/sam"
 )
 
@@ -370,7 +370,6 @@ func cmdMap(args []string, out io.Writer) error {
 	reads2Path := fs.String("reads2", "", "mate-2 FASTQ for paired-end mapping")
 	minInsert := fs.Int("min-insert", 100, "minimum fragment length for proper pairs (with -reads2)")
 	maxInsert := fs.Int("max-insert", 600, "maximum fragment length for proper pairs (with -reads2)")
-	stream := fs.Bool("stream", false, "stream the reads in bounded memory (cpu backend, tsv output)")
 	profilePath := fs.String("profile", "", "write the fpga run's event profile as JSON (fpga backend)")
 	outPath := fs.String("out", "", "results file (default stdout)")
 	qcf := addQCFlags(fs)
@@ -403,84 +402,26 @@ func cmdMap(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if *stream {
-		if *backend != "cpu" || *format != "tsv" || *reads2Path != "" || *mismatches > 0 {
-			return fmt.Errorf("map: -stream supports the cpu backend with tsv output, unpaired, exact")
-		}
-		return mapStreaming(out, ix, *readsFile, qcPol, *doLocate, *workers, *outPath)
-	}
-	reads, ids, err := loadReads(*readsFile, qcPol)
-	if err != nil {
-		return err
-	}
-
 	if *reads2Path != "" {
 		if *mismatches > 0 {
 			return fmt.Errorf("map: paired-end mode currently supports exact matching only")
 		}
+		reads, ids, err := loadReads(*readsFile, qcPol)
+		if err != nil {
+			return err
+		}
 		return mapPaired(out, ix, reads, ids, *reads2Path, *minInsert, *maxInsert, *format, *outPath)
 	}
-	if *mismatches > 0 {
-		return mapApprox(out, ix, reads, ids, *backend, *mismatches, *workers, *doLocate, *outPath)
-	}
-
-	var results []core.MapResult
-	switch *backend {
-	case "cpu":
-		var stats core.MapStats
-		results, stats, err = ix.MapReads(reads, core.MapOptions{Locate: *doLocate, Workers: *workers})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "bwaver: mapped %d/%d reads in %v (%.0f reads/s)\n",
-			stats.MappedReads, stats.Reads, stats.Elapsed.Round(time.Millisecond), stats.ReadsPerSecond())
-	case "fpga":
-		dev, err := fpga.NewDevice(fpga.Config{})
-		if err != nil {
-			return err
-		}
-		kernel, err := dev.Program(ix)
-		if err != nil {
-			return err
-		}
-		run, err := kernel.MapReadsOpts(reads, fpga.MapRunOptions{})
-		if err != nil {
-			return err
-		}
-		if *doLocate {
-			if _, err := kernel.LocateResults(run.Results); err != nil {
-				return err
-			}
-		}
-		results = run.Results
-		p := run.Profile
-		fmt.Fprintf(os.Stderr, "bwaver: fpga model: total %v (setup %v, index xfer %v, kernel %v / %d cycles), energy %.2f J\n",
-			p.Total().Round(time.Microsecond), p.Setup.Round(time.Microsecond),
-			p.IndexTransfer.Round(time.Microsecond), p.KernelTime.Round(time.Microsecond),
-			p.KernelCycles, p.EnergyJoules(dev.Config().PowerWatts))
-		if *profilePath != "" {
-			if err := writeProfileJSON(*profilePath, p, dev.Config().PowerWatts); err != nil {
-				return err
-			}
-		}
+	run := mapRun{ix: ix, readsPath: *readsFile, pol: qcPol, backend: *backend, workers: *workers,
+		outPath: *outPath, profilePath: *profilePath}
+	switch {
+	case *mismatches > 0:
+		return streamMap(out, run, runner.Approx(ix, *mismatches, *doLocate))
+	case *format == "sam":
+		return streamMap(out, run, runner.ExactSAM(ix))
 	default:
-		return fmt.Errorf("map: unknown backend %q", *backend)
+		return streamMap(out, run, runner.Exact(ix, *doLocate))
 	}
-
-	w := out
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	if *format == "sam" {
-		return writeSAM(w, ix, ids, reads, results)
-	}
-	writeTSV(w, ix.Contigs(), ids, reads, results)
-	return nil
 }
 
 // cmdMem runs the seed-and-extend pipeline (SMEM seeding, chaining, banded
@@ -514,121 +455,116 @@ func cmdMem(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	reads, ids, err := loadReads(*readsFile, qcPol)
-	if err != nil {
-		return err
-	}
 	opts := core.MemOptions{
 		MinSeedLen: *minSeed, Band: *band, MinScore: *minScore,
 		Paired: *paired, MinInsert: *minInsert, MaxInsert: *maxInsert,
 	}
-
-	var results []core.MemResult
 	var stats core.MemStats
-	switch *backend {
+	run := mapRun{ix: ix, readsPath: *readsFile, pol: qcPol, backend: *backend, paired: *paired, outPath: *outPath}
+	err = streamMap(out, run, runner.Mem(ix, opts, func(s core.MemStats, _ bool) { stats.Merge(s) }))
+	if err == nil {
+		fmt.Fprintf(os.Stderr, "bwaver: mem: %d seeds, %d extensions, %d rescues\n",
+			stats.Seeds, stats.Extensions, stats.Rescues)
+	}
+	return err
+}
+
+// Test hooks: how many reads a run maps per batch (<= 0 maps the whole input
+// as one), and how a run opens its reads file.
+var (
+	streamBatch = runner.DefaultStreamBatch
+	openReads   = func(path string) (io.ReadCloser, error) { return os.Open(path) }
+)
+
+// mapRun is what a `map` or `mem` run streams: its input, backend and output.
+type mapRun struct {
+	ix                   *core.Index
+	readsPath            string
+	pol                  qc.Policy
+	backend              string
+	workers              int
+	paired               bool
+	outPath, profilePath string
+}
+
+// streamMap maps a reads file with w through the runner, the loop a served
+// job runs: the reads come a batch at a time from a qc.Source, map on the CPU
+// or on a one-device farm, and each batch's rows are written before the next
+// batch is read. A summary of the run goes to stderr.
+func streamMap[R any](out io.Writer, c mapRun, w runner.Work[R]) error {
+	opts := runner.Options{Workers: c.workers}
+	var power float64
+	switch c.backend {
 	case "cpu":
-		results, stats, err = ix.MapReadsMem(reads, opts)
-		if err != nil {
-			return err
-		}
 	case "fpga":
 		dev, err := fpga.NewDevice(fpga.Config{})
 		if err != nil {
 			return err
 		}
-		kernel, err := dev.Program(ix)
-		if err != nil {
+		if opts.Farm, err = fpga.NewFarm([]*fpga.Device{dev}, c.ix); err != nil {
 			return err
 		}
-		run, err := kernel.MapReadsMemOpts(reads, opts, fpga.MapRunOptions{})
-		if err != nil {
-			return err
-		}
-		results, stats = run.Results, run.Stats
-		p := run.Profile
-		fmt.Fprintf(os.Stderr, "bwaver: fpga mem model: total %v (reconfig %v, kernel %v / %d cycles)\n",
-			p.Total().Round(time.Microsecond), p.Reconfig,
-			p.KernelTime.Round(time.Microsecond), p.KernelCycles)
+		power = dev.Config().PowerWatts
 	default:
-		return fmt.Errorf("mem: unknown backend %q", *backend)
+		return fmt.Errorf("unknown backend %q (want cpu or fpga)", c.backend)
 	}
-	fmt.Fprintf(os.Stderr, "bwaver: mem mapped %d/%d reads (%d seeds, %d extensions, %d rescues) in %v\n",
-		stats.MappedReads, stats.Reads, stats.Seeds, stats.Extensions, stats.Rescues,
-		stats.Elapsed.Round(time.Millisecond))
-
-	w := out
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	sw, err := sam.NewWriter(w, ix.SAMRefSeqs())
+	f, err := openReads(c.readsPath)
 	if err != nil {
 		return err
 	}
-	if opts.Paired {
-		i := 0
-		for ; i+1 < len(results); i += 2 {
-			pr := core.MemPairFromResults(results[i], results[i+1], opts)
-			rec1, rec2 := ix.MemPairRecords(ids[i], ids[i+1], reads[i], reads[i+1], pr)
-			if err := sw.Write(rec1); err != nil {
-				return err
-			}
-			if err := sw.Write(rec2); err != nil {
-				return err
-			}
+	defer f.Close()
+	batch := streamBatch
+	if c.paired {
+		batch = runner.PairAligned(batch)
+	}
+	src, err := qc.NewSource(f, c.pol, batch)
+	if err != nil {
+		return err
+	}
+	defer src.Close()
+	dst, closeOut := out, func() error { return nil }
+	if c.outPath != "" {
+		file, err := os.Create(c.outPath)
+		if err != nil {
+			return err
 		}
-		if i < len(results) { // odd trailing read maps single-end
-			if err := sw.Write(ix.MemRecord(ids[i], reads[i], results[i])); err != nil {
-				return err
-			}
-		}
-	} else {
-		for i, res := range results {
-			if err := sw.Write(ix.MemRecord(ids[i], reads[i], res)); err != nil {
+		defer file.Close()
+		dst, closeOut = file, file.Close
+	}
+	opts.Emit = func(_ qc.Batch, text []byte) error {
+		_, err := dst.Write(text)
+		return err
+	}
+	rows := runner.NewRows(c.ix)
+	res, err := runner.Run(context.Background(), runner.NewReads(src, nil), w, rows, opts)
+	if err != nil {
+		return err
+	}
+	if c.pol.Active() {
+		rep := src.Report()
+		fmt.Fprintf(os.Stderr, "bwaver: qc: %d/%d reads passed (%d malformed, %d rejected, %d bases trimmed, phred+%d)\n",
+			rep.Passed, rep.Attempted, rep.Malformed, rep.RejectedTotal(), rep.TrimmedBases, rep.PhredOffset)
+	}
+	if res.Reads == 0 {
+		return fmt.Errorf("no reads to map in %s", c.readsPath)
+	}
+	if n := rows.Dropped(); n > 0 {
+		fmt.Fprintf(os.Stderr, "bwaver: dropped %d hits spanning contig boundaries\n", n)
+	}
+	fmt.Fprintf(os.Stderr, "bwaver: mapped %d/%d reads in %v (%.0f reads/s)\n",
+		rows.Mapped(), res.Reads, res.MapTime().Round(time.Millisecond), float64(res.Reads)/res.MapTime().Seconds())
+	if opts.Farm != nil {
+		p := res.Device
+		fmt.Fprintf(os.Stderr, "bwaver: fpga model: total %v (setup %v, index xfer %v, reconfig %v, kernel %v / %d cycles), energy %.2f J\n",
+			p.Total().Round(time.Microsecond), p.Setup.Round(time.Microsecond), p.IndexTransfer.Round(time.Microsecond),
+			p.Reconfig, p.KernelTime.Round(time.Microsecond), p.KernelCycles, p.EnergyJoules(power))
+		if c.profilePath != "" {
+			if err := writeProfileJSON(c.profilePath, p, power); err != nil {
 				return err
 			}
 		}
 	}
-	return sw.Flush()
-}
-
-func writeTSV(w io.Writer, contigs *core.ContigSet, ids []string, reads []dna.Seq, results []core.MapResult) {
-	fmt.Fprintln(w, "read\tmapped\tfw_count\tfw_positions\trc_count\trc_positions")
-	for i, res := range results {
-		span := len(reads[i])
-		fmt.Fprintf(w, "%s\t%t\t%d\t%s\t%d\t%s\n",
-			ids[i], res.Mapped(),
-			res.Forward.Count(), formatPositions(contigs, res.ForwardPositions, span),
-			res.Reverse.Count(), formatPositions(contigs, res.ReversePositions, span))
-	}
-}
-
-// formatPositions renders positions; with multi-contig metadata they become
-// name:offset pairs and boundary-spanning hits are marked.
-func formatPositions(contigs *core.ContigSet, ps []int32, span int) string {
-	if len(ps) == 0 {
-		return "-"
-	}
-	s := ""
-	for i, p := range ps {
-		if i > 0 {
-			s += ","
-		}
-		if contigs != nil && contigs.Count() > 1 {
-			if contig, off, ok := contigs.Resolve(int(p), span); ok {
-				s += fmt.Sprintf("%s:%d", contig.Name, off)
-			} else {
-				s += fmt.Sprintf("boundary@%d", p)
-			}
-		} else {
-			s += fmt.Sprint(p)
-		}
-	}
-	return s
+	return closeOut()
 }
 
 // writeProfileJSON dumps the modeled event timeline, the machine-readable
@@ -649,49 +585,6 @@ func writeProfileJSON(path string, p fpga.Profile, powerWatts float64) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// mapStreaming maps an arbitrarily large FASTQ in bounded memory, writing
-// TSV rows as batches complete.
-func mapStreaming(out io.Writer, ix *core.Index, readsFile string, qcPol qc.Policy, doLocate bool, workers int, outPath string) error {
-	f, err := os.Open(readsFile)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	w := out
-	if outPath != "" {
-		dst, err := os.Create(outPath)
-		if err != nil {
-			return err
-		}
-		defer dst.Close()
-		w = dst
-	}
-	bw := bufio.NewWriterSize(w, 1<<16)
-	fmt.Fprintln(bw, "read\tmapped\tfw_count\tfw_positions\trc_count\trc_positions")
-	contigs := ix.Contigs()
-	stats, rep, err := ix.MapStreamQC(f, qcPol, core.MapOptions{Locate: doLocate, Workers: workers}, 0,
-		func(r core.StreamResult) error {
-			_, err := fmt.Fprintf(bw, "%s\t%t\t%d\t%s\t%d\t%s\n",
-				r.ID, r.Res.Mapped(),
-				r.Res.Forward.Count(), formatPositions(contigs, r.Res.ForwardPositions, len(r.Read)),
-				r.Res.Reverse.Count(), formatPositions(contigs, r.Res.ReversePositions, len(r.Read)))
-			return err
-		})
-	if err != nil {
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	if qcPol.Active() {
-		fmt.Fprintf(os.Stderr, "bwaver: qc: %d/%d reads passed (%d malformed, %d rejected, %d bases trimmed)\n",
-			rep.Passed, rep.Attempted, rep.Malformed, rep.RejectedTotal(), rep.TrimmedBases)
-	}
-	fmt.Fprintf(os.Stderr, "bwaver: streamed %d reads, %d mapped, in %v\n",
-		stats.Reads, stats.MappedReads, stats.Elapsed.Round(time.Millisecond))
-	return nil
 }
 
 // mapPaired maps mate pairs and reports proper (concordant) placements
@@ -813,153 +706,6 @@ func writePairedSAM(w io.Writer, ix *core.Index, ids []string, r1s, r2s []dna.Se
 	}
 	if dropped > 0 {
 		fmt.Fprintf(os.Stderr, "bwaver: dropped %d pair placements spanning contig boundaries\n", dropped)
-	}
-	return sw.Flush()
-}
-
-// mapApprox runs k-mismatch mapping, one workload on either backend: a read
-// answers with its exact hits when it has any, otherwise with every stratum
-// the branching search finds within k; the FPGA model prices that as the
-// two-pass reconfigurable flow. The TSV reports the best stratum per read.
-func mapApprox(out io.Writer, ix *core.Index, reads []dna.Seq, ids []string, backend string, k, workers int, doLocate bool, outPath string) error {
-	var results []core.ApproxResult
-	var err error
-	switch backend {
-	case "cpu":
-		if results, err = ix.MapReadsApprox(reads, k, core.MapOptions{Workers: workers}); err != nil {
-			return err
-		}
-	case "fpga":
-		dev, err := fpga.NewDevice(fpga.Config{})
-		if err != nil {
-			return err
-		}
-		kernel, err := dev.Program(ix)
-		if err != nil {
-			return err
-		}
-		run, err := kernel.MapReadsTwoPassOpts(reads, k, fpga.MapRunOptions{})
-		if err != nil {
-			return err
-		}
-		results = run.Results
-		p := run.Profile
-		fmt.Fprintf(os.Stderr, "bwaver: fpga two-pass model: total %v (reconfig %v), %d reads rescued at k<=%d\n",
-			p.Total().Round(time.Microsecond), p.Reconfig, run.Rescued, k)
-	default:
-		return fmt.Errorf("map: unknown backend %q", backend)
-	}
-
-	// best_positions: where the best stratum occurs — the exact hits (empty
-	// ranges when there are none), else the rescue's lowest mismatch count.
-	positions := make([]string, len(results))
-	contigs := ix.Contigs()
-	for i, res := range results {
-		var ps []int32
-		if doLocate {
-			best := res.BestMismatches()
-			ranges := []fmindex.Range{res.Exact.Forward, res.Exact.Reverse}
-			for _, set := range [][]fmindex.ApproxMatch{res.Forward, res.Reverse} {
-				for _, m := range set {
-					if m.Mismatches == best {
-						ranges = append(ranges, m.Range)
-					}
-				}
-			}
-			for _, r := range ranges {
-				if ps, err = ix.FM().LocateAppend(ps, r); err != nil {
-					return err
-				}
-			}
-		}
-		positions[i] = formatPositions(contigs, ps, len(reads[i]))
-	}
-
-	w := out
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	fmt.Fprintln(w, "read\tmapped\tbest_mismatches\toccurrences\tbest_positions")
-	for i, res := range results {
-		fmt.Fprintf(w, "%s\t%t\t%d\t%d\t%s\n", ids[i], res.Mapped(), res.BestMismatches(), res.Occurrences(), positions[i])
-	}
-	return nil
-}
-
-// writeSAM emits results as SAM: the first resolvable hit of each read is
-// primary, further hits secondary, reverse-strand hits carry the reverse
-// flag and the reverse-complemented sequence, per the spec.
-func writeSAM(w io.Writer, ix *core.Index, ids []string, reads []dna.Seq, results []core.MapResult) error {
-	contigs := ix.Contigs()
-	var refs []sam.RefSeq
-	if contigs != nil {
-		for _, c := range contigs.Contigs() {
-			refs = append(refs, sam.RefSeq{Name: c.Name, Length: c.Length})
-		}
-	} else {
-		refs = []sam.RefSeq{{Name: "ref", Length: ix.RefLength()}}
-		var err error
-		if contigs, err = core.NewContigSet([]string{"ref"}, []int{ix.RefLength()}); err != nil {
-			return err
-		}
-	}
-	sw, err := sam.NewWriter(w, refs)
-	if err != nil {
-		return err
-	}
-	dropped := 0
-	for i, res := range results {
-		read := reads[i]
-		emit := func(ps []int32, reverse bool, primaryEmitted *bool) error {
-			seq := read
-			var flag uint16
-			if reverse {
-				seq = read.ReverseComplement()
-				flag |= sam.FlagReverse
-			}
-			for _, p := range ps {
-				contig, off, ok := contigs.Resolve(int(p), len(read))
-				if !ok {
-					dropped++
-					continue
-				}
-				recFlag := flag
-				if *primaryEmitted {
-					recFlag |= sam.FlagSecondary
-				}
-				*primaryEmitted = true
-				if err := sw.Write(sam.Record{
-					QName: ids[i], Flag: recFlag, RName: contig.Name, Pos: off + 1,
-					MapQ: 255, CIGAR: fmt.Sprintf("%dM", len(read)), Seq: seq.String(),
-					Tags: []string{"NM:i:0"},
-				}); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		primaryEmitted := false
-		if err := emit(res.ForwardPositions, false, &primaryEmitted); err != nil {
-			return err
-		}
-		if err := emit(res.ReversePositions, true, &primaryEmitted); err != nil {
-			return err
-		}
-		if !primaryEmitted {
-			if err := sw.Write(sam.Record{
-				QName: ids[i], Flag: sam.FlagUnmapped, Seq: read.String(),
-			}); err != nil {
-				return err
-			}
-		}
-	}
-	if dropped > 0 {
-		fmt.Fprintf(os.Stderr, "bwaver: dropped %d hits spanning contig boundaries\n", dropped)
 	}
 	return sw.Flush()
 }

@@ -4,13 +4,19 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"mime/multipart"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"bwaver/internal/dna"
 	"bwaver/internal/fastx"
 	"bwaver/internal/readsim"
+	"bwaver/internal/server"
 )
 
 // writeTestFiles generates a reference FASTA and a reads FASTQ in dir and
@@ -681,36 +687,236 @@ func TestFPGAReportCommand(t *testing.T) {
 	}
 }
 
-func TestMapStreaming(t *testing.T) {
-	dir := t.TempDir()
-	refPath, readsPath, sim := writeTestFiles(t, dir)
-	indexPath := filepath.Join(dir, "ref.bwx")
+// streamCase is one workload as the CLI and the server each ask for it.
+type streamCase struct {
+	name   string
+	cli    []string          // subcommand and its workload flags
+	served map[string]string // the same workload as submit form fields
+}
+
+var streamCases = []streamCase{
+	{"exact", []string{"map"}, nil},
+	{"mismatch1", []string{"map", "-mismatches", "1"}, map[string]string{"mismatches": "1"}},
+	{"mem", []string{"mem"}, map[string]string{"mode": "mem"}},
+	{"mem-paired", []string{"mem", "-paired"}, map[string]string{"mode": "mem-pe"}},
+}
+
+// writePairs writes count interleaved mate pairs with substitution errors
+// (R1, R2, ... named /1 and /2), a file every workload can map, and returns
+// its path.
+func writePairs(t *testing.T, dir string, ref dna.Seq, count int) string {
+	t.Helper()
+	pairs, err := readsim.SimulatePairs(ref, readsim.PairConfig{
+		Count: count, ReadLength: 70, InsertMean: 250, InsertStdDev: 25,
+		MappingRatio: 0.9, ErrorRate: 0.02, Seed: 6,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "pairs.fq")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := fastx.NewWriter(f, fastx.FASTQ, false)
+	for _, p := range pairs {
+		for m, seq := range []string{p.R1.String(), p.R2.String()} {
+			if err := w.Write(&fastx.Record{ID: fmt.Sprintf("%s/%d", p.ID, m+1), Seq: []byte(seq)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	return path
+}
+
+// streamFixture indexes writeTestFiles' reference and writes 40 read pairs
+// against it.
+func streamFixture(t *testing.T) (dir, refPath, indexPath, readsPath string) {
+	dir = t.TempDir()
+	refPath, _, _ = writeTestFiles(t, dir)
+	indexPath = filepath.Join(dir, "ref.bwx")
 	if err := run([]string{"index", "-ref", refPath, "-out", indexPath}, &bytes.Buffer{}); err != nil {
 		t.Fatal(err)
 	}
-	// Streaming must match the batch path byte for byte (modulo ordering,
-	// which both preserve).
-	var batch, streamed bytes.Buffer
-	if err := run([]string{"map", "-index", indexPath, "-reads", readsPath}, &batch); err != nil {
+	ref, err := readsim.Genome(readsim.GenomeConfig{Length: 8000, Seed: 4, RepeatFraction: 0.15})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"map", "-index", indexPath, "-reads", readsPath, "-stream"}, &streamed); err != nil {
+	return dir, refPath, indexPath, writePairs(t, dir, ref, 40)
+}
+
+// cliOutput runs one CLI workload at one batch size and returns its -out file.
+func cliOutput(t *testing.T, c streamCase, backend, indexPath, readsPath, outPath string, batch int) []byte {
+	t.Helper()
+	defer func(saved int) { streamBatch = saved }(streamBatch)
+	streamBatch = batch
+	args := append(append([]string{}, c.cli...), "-index", indexPath, "-reads", readsPath, "-backend", backend, "-out", outPath)
+	if err := run(args, &bytes.Buffer{}); err != nil {
+		t.Fatalf("%v: %v", args, err)
+	}
+	data, err := os.ReadFile(outPath)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if batch.String() != streamed.String() {
-		t.Error("streamed output differs from batch output")
+	return data
+}
+
+// servedResults runs a job on a stateless server and returns its results file.
+func servedResults(t *testing.T, refPath, readsPath string, fields map[string]string) []byte {
+	t.Helper()
+	s, err := server.Open(server.Config{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if strings.Count(streamed.String(), "\n") != len(sim)+1 {
-		t.Errorf("streamed lines wrong")
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	var body bytes.Buffer
+	mw := multipart.NewWriter(&body)
+	for k, v := range fields {
+		mw.WriteField(k, v)
 	}
-	// Incompatible combinations rejected.
-	for _, args := range [][]string{
-		{"map", "-index", indexPath, "-reads", readsPath, "-stream", "-backend", "fpga"},
-		{"map", "-index", indexPath, "-reads", readsPath, "-stream", "-format", "sam"},
-		{"map", "-index", indexPath, "-reads", readsPath, "-stream", "-mismatches", "1"},
-	} {
-		if err := run(args, &bytes.Buffer{}); err == nil {
-			t.Errorf("run(%v) should fail", args)
+	for part, path := range map[string]string{"reference": refPath, "reads": readsPath} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fw, _ := mw.CreateFormFile(part, filepath.Base(path))
+		fw.Write(data)
+	}
+	mw.Close()
+	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/jobs", &body)
+	req.Header.Set("Content-Type", mw.FormDataContentType())
+	req.Header.Set("Accept", "application/json")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var job struct {
+		ID int `json:"id"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&job)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("submit: %d %v", resp.StatusCode, err)
+	}
+	s.Wait()
+	res, err := http.Get(fmt.Sprintf("%s/jobs/%d/results", ts.URL, job.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Body.Close()
+	data, err := io.ReadAll(res.Body)
+	if err != nil || res.StatusCode != http.StatusOK {
+		t.Fatalf("job %d results: %d %v\n%s", job.ID, res.StatusCode, err, data)
+	}
+	return data
+}
+
+// TestMapStreaming: every run streams, and what it writes depends neither on
+// the batch size — the default, one read, seven (odd, so a paired run rounds
+// it to eight), or the whole input as one batch — nor on the front end: the
+// CLI and the server map through one runner and render with one encoder, so
+// `bwaver map`/`mem -out` writes byte for byte the results file a stateless
+// served job on the same FASTQ does, on either backend.
+func TestMapStreaming(t *testing.T) {
+	dir, refPath, indexPath, readsPath := streamFixture(t)
+	for _, c := range streamCases {
+		for _, backend := range []string{"cpu", "fpga"} {
+			fields := map[string]string{"backend": backend}
+			for k, v := range c.served {
+				fields[k] = v
+			}
+			want := servedResults(t, refPath, readsPath, fields)
+			for _, batch := range []int{streamBatch, 1, 7, 0} {
+				if got := cliOutput(t, c, backend, indexPath, readsPath, filepath.Join(dir, "out"), batch); !bytes.Equal(got, want) {
+					t.Errorf("%s/%s at batch size %d: CLI output differs from the served results\ncli:\n%.300s\nserved:\n%.300s",
+						c.name, backend, batch, got, want)
+				}
+			}
+		}
+	}
+}
+
+// watchedFile counts the bytes read from a reads file, and firstWrite records
+// that count when the run writes its first output byte.
+type watchedFile struct {
+	io.ReadCloser
+	n int64
+}
+
+func (w *watchedFile) Read(p []byte) (int, error) {
+	n, err := w.ReadCloser.Read(p)
+	w.n += int64(n)
+	return n, err
+}
+
+type firstWrite struct {
+	reads **watchedFile // the run's, once it opens the file
+	at    int64
+}
+
+func (f *firstWrite) Write(p []byte) (int, error) {
+	if f.at < 0 && len(p) > 0 {
+		f.at = (*f.reads).n
+	}
+	return len(p), nil
+}
+
+// TestCLIMapsInBoundedMemory: a run writes a batch's rows before it reads the
+// next batch, in every mode, so its first row goes out with no more than
+// about two batches of a 40-batch input read (plus the decoder's 64 KiB
+// buffer).
+func TestCLIMapsInBoundedMemory(t *testing.T) {
+	const batch, batches = 512, 40
+	dir := t.TempDir()
+	ref, err := readsim.Genome(readsim.GenomeConfig{Length: 20000, Seed: 91})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refPath := filepath.Join(dir, "ref.fa")
+	rf, _ := os.Create(refPath)
+	fw := fastx.NewWriter(rf, fastx.FASTA, false)
+	fw.Write(&fastx.Record{ID: "ref", Seq: []byte(ref.String())})
+	fw.Close()
+	rf.Close()
+	indexPath := filepath.Join(dir, "ref.bwx")
+	if err := run([]string{"index", "-ref", refPath, "-out", indexPath, "-ftab-k", "0"}, &bytes.Buffer{}); err != nil {
+		t.Fatal(err)
+	}
+	readsPath := writePairs(t, dir, ref, batch*batches/2)
+	fi, err := os.Stat(readsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batchBytes := fi.Size() / batches
+
+	defer func(saved int, open func(string) (io.ReadCloser, error)) {
+		streamBatch, openReads = saved, open
+	}(streamBatch, openReads)
+	streamBatch = batch
+	for _, args := range [][]string{{"map"}, {"map", "-mismatches", "1"}, {"mem", "-paired"}} {
+		var watch *watchedFile
+		openReads = func(path string) (io.ReadCloser, error) {
+			f, err := os.Open(path)
+			watch = &watchedFile{ReadCloser: f}
+			return watch, err
+		}
+		out := &firstWrite{reads: &watch, at: -1}
+		args = append(args, "-index", indexPath, "-reads", readsPath)
+		if err := run(args, out); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		if watch.n != fi.Size() {
+			t.Fatalf("%v read %d of %d input bytes", args, watch.n, fi.Size())
+		}
+		if out.at < 0 || out.at > 2*batchBytes+64<<10 {
+			t.Errorf("%v wrote its first row with %d of %d input bytes read (a batch is %d); it read ahead of its mapping",
+				args, out.at, fi.Size(), batchBytes)
 		}
 	}
 }

@@ -6,8 +6,8 @@
 // to determine candidate loci in the genome (seeds) to be extended by the
 // actual alignment algorithm"); its related work (Arram et al.) pairs an
 // FM-index seeder with Smith-Waterman. This package supplies that extension
-// stage so examples/seedextend can demonstrate the full pipeline with
-// BWaveR as the seeder.
+// stage: core's seed-and-extend pipeline extends its chained SMEM seeds
+// with it.
 package align
 
 import (
@@ -82,31 +82,6 @@ func (r Result) CIGAR() string {
 		count = 1
 	}
 	return out.String()
-}
-
-// Identity returns the fraction of traceback columns that are exact
-// matches.
-func (r Result) Identity(query, ref dna.Seq) float64 {
-	if len(r.Ops) == 0 {
-		return 0
-	}
-	qi, ri := r.QueryStart, r.RefStart
-	matches := 0
-	for _, op := range r.Ops {
-		switch op {
-		case OpMatch:
-			if query[qi] == ref[ri] {
-				matches++
-			}
-			qi++
-			ri++
-		case OpInsert:
-			qi++
-		case OpDelete:
-			ri++
-		}
-	}
-	return float64(matches) / float64(len(r.Ops))
 }
 
 // SmithWaterman computes the best local alignment of query against ref with

@@ -68,10 +68,6 @@ func Transform[E ~uint8](text []E, sa []int32) (*BWT, error) {
 // Len returns the number of non-sentinel symbols (the original text length).
 func (b *BWT) Len() int { return len(b.Data) }
 
-// FullLen returns the length of the conceptual transform including the
-// sentinel.
-func (b *BWT) FullLen() int { return len(b.Data) + 1 }
-
 // CompactPos maps a prefix length over the full transform (including the
 // sentinel slot) to the corresponding prefix length over Data. Rank queries
 // on the full transform for any real symbol reduce to rank on Data at this

@@ -37,9 +37,6 @@ type Chain struct {
 	Anchor int
 }
 
-// Diagonal returns the chain's implied read-start locus (the anchor seed's).
-func (c Chain) Diagonal() int { return c.Seeds[c.Anchor].diagonal() }
-
 // chainScratch holds the chaining stage's working memory so the per-read
 // batch path allocates nothing in steady state: the diagonal-sorted seed
 // copy (whose subranges become the chains' seed slices) and the chain list.

@@ -435,22 +435,6 @@ type MapStats struct {
 	Elapsed     time.Duration
 }
 
-// MappingRatio returns the fraction of reads that mapped.
-func (s MapStats) MappingRatio() float64 {
-	if s.Reads == 0 {
-		return 0
-	}
-	return float64(s.MappedReads) / float64(s.Reads)
-}
-
-// ReadsPerSecond returns mapping throughput.
-func (s MapStats) ReadsPerSecond() float64 {
-	if s.Elapsed <= 0 {
-		return 0
-	}
-	return float64(s.Reads) / s.Elapsed.Seconds()
-}
-
 // MapReads maps a batch of reads, the paper's "sequence mapping" step on
 // the CPU path (BWaveR-CPU).
 func (ix *Index) MapReads(reads []dna.Seq, opts MapOptions) ([]MapResult, MapStats, error) {

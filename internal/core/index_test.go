@@ -146,7 +146,7 @@ func TestMapReadsAgainstSimulatedTruth(t *testing.T) {
 			}
 		}
 		// 50% mapping ratio by construction.
-		if got := stats.MappingRatio(); got < 0.45 || got > 0.55 {
+		if got := float64(stats.MappedReads) / float64(stats.Reads); got < 0.45 || got > 0.55 {
 			t.Errorf("cfg %+v: mapping ratio %v, want ~0.5", cfg, got)
 		}
 		if stats.TotalSteps <= 0 || stats.Elapsed <= 0 {

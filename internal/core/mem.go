@@ -260,13 +260,6 @@ func (ix *Index) EnsureMem() error {
 	return nil
 }
 
-// MemReady reports whether the seed-and-extend state is built.
-func (ix *Index) MemReady() bool {
-	ix.memMu.Lock()
-	defer ix.memMu.Unlock()
-	return ix.mem != nil
-}
-
 // MemBytes returns the footprint of the seed-and-extend state (the forward
 // direction's structure and locate structure plus the retained text) as the
 // FPGA model's BRAM gate charges it, 0 when not built: RRR nodes in the

@@ -135,7 +135,7 @@ func BenchmarkSearchWithFtab(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(40)
 			for i := 0; i < b.N; i++ {
-				ix.SearchWithFtab(patterns[i%len(patterns)])
+				ix.SearchWithFtabSteps(patterns[i%len(patterns)])
 			}
 		})
 	}

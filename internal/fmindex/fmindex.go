@@ -368,8 +368,5 @@ func NewSampledSA(sa []int32, rate int) (*SampledSA, error) {
 	return &SampledSA{rate: rate, marks: b.Build(), values: values}, nil
 }
 
-// Rate returns the sampling rate.
-func (s *SampledSA) Rate() int { return s.rate }
-
 // SizeBytes returns the sampled structure's footprint.
 func (s *SampledSA) SizeBytes() int { return s.marks.SizeBytes() + len(s.values)*4 }

@@ -151,19 +151,13 @@ func (ix *Index) Ftab() *Ftab { return ix.ftab }
 // callers deserializing one should Validate it first.
 func (ix *Index) SetFtab(f *Ftab) { ix.ftab = f }
 
-// SearchWithFtab is Count accelerated by the attached prefix table; without
-// one (or for reads shorter than k, or suffixes containing out-of-alphabet
-// symbols) it is exactly Count. The returned range is bit-identical to
-// Count's on every input — the property the fuzz test pins down.
-func (ix *Index) SearchWithFtab(pattern []uint8) Range {
-	r, _ := ix.SearchWithFtabSteps(pattern)
-	return r
-}
-
-// SearchWithFtabSteps is SearchWithFtab reporting the modeled pipeline
-// iterations: one for the table lookup (the BRAM LUT access that replaces
-// the first k steps) plus one per subsequent Step, matching CountSteps'
-// accounting on the fallback paths.
+// SearchWithFtabSteps is Count accelerated by the attached prefix table;
+// without one (or for reads shorter than k, or suffixes containing
+// out-of-alphabet symbols) it is exactly Count. The returned range is
+// bit-identical to Count's on every input — the property the fuzz test pins
+// down. It also reports the modeled pipeline iterations: one for the table
+// lookup (the BRAM LUT access that replaces the first k steps) plus one per
+// subsequent Step, matching CountSteps' accounting on the fallback paths.
 func (ix *Index) SearchWithFtabSteps(pattern []uint8) (Range, int) {
 	f := ix.ftab
 	if f == nil {

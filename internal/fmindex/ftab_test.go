@@ -19,7 +19,7 @@ func ftabTestIndex(t *testing.T, n int, seed int64) (*Index, []uint8) {
 // TestBuildFtabMatchesCount is the core contract: every entry of the table —
 // living or dead — equals what the plain backward search returns on that
 // k-mer, bit for bit. Dead entries must carry the exact range produced at
-// the first death step, not just any empty range, because SearchWithFtab
+// the first death step, not just any empty range, because SearchWithFtabSteps
 // returns them verbatim.
 func TestBuildFtabMatchesCount(t *testing.T) {
 	ix, _ := ftabTestIndex(t, 300, 11)
@@ -75,7 +75,8 @@ func TestSearchWithFtabPaths(t *testing.T) {
 
 	check := func(pattern []uint8) {
 		t.Helper()
-		if got, want := ix.SearchWithFtab(pattern), ix.Count(pattern); got != want {
+		got, _ := ix.SearchWithFtabSteps(pattern)
+		if want := ix.Count(pattern); got != want {
 			t.Fatalf("pattern %v: ftab %+v != plain %+v", pattern, got, want)
 		}
 	}
@@ -96,7 +97,8 @@ func TestSearchWithFtabPaths(t *testing.T) {
 	}
 
 	ix.SetFtab(nil)
-	if got, want := ix.SearchWithFtab(text[10:30]), ix.Count(text[10:30]); got != want {
+	got, _ := ix.SearchWithFtabSteps(text[10:30])
+	if want := ix.Count(text[10:30]); got != want {
 		t.Errorf("no table: %+v != %+v", got, want)
 	}
 }

@@ -59,7 +59,7 @@ func FuzzSearchWithFtab(f *testing.F) {
 		ix.SetFtab(ftab)
 
 		plain := ix.Count(pattern)
-		got := ix.SearchWithFtab(pattern)
+		got, _ := ix.SearchWithFtabSteps(pattern)
 		if got != plain {
 			t.Fatalf("k=%d pattern=%v: ftab search %+v != plain search %+v",
 				k, pattern, got, plain)

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"log/slog"
 	"strings"
@@ -60,17 +59,4 @@ func (h nopHandler) WithGroup(string) slog.Handler           { return h }
 // jobs identically.
 func JobAttrs(jobID int, backend string) []any {
 	return []any{slog.Int("job", jobID), slog.String("backend", backend)}
-}
-
-// FmtBytes renders a byte count human-readably for log lines.
-func FmtBytes(n int64) string {
-	switch {
-	case n >= 1<<30:
-		return fmt.Sprintf("%.2fGiB", float64(n)/(1<<30))
-	case n >= 1<<20:
-		return fmt.Sprintf("%.2fMiB", float64(n)/(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.2fKiB", float64(n)/(1<<10))
-	}
-	return fmt.Sprintf("%dB", n)
 }

@@ -21,8 +21,9 @@ type Batch struct {
 // Source is the one way reads enter the mapper: a FASTA/FASTQ stream (plain
 // or gzipped) decoded strictly or tolerantly as the policy asks, every
 // decoder event passed through the policy's gate, the survivors handed out a
-// batch at a time. The CLI's one-shot Ingest, core.MapStreamQC and the served
-// runner all pull from it, so memory follows the batch size, not the input.
+// batch at a time. The one-shot Ingest and internal/runner, the batch loop of
+// every `bwaver map`/`mem` run and every served job, pull from it, so memory
+// follows the batch size, not the input.
 //
 // A batch is what survives of the next batchSize decoder events, so three
 // things are scoped to it rather than to the stream: QualitySort orders each

@@ -402,10 +402,6 @@ func (s *Sequence) Select1(k int) int {
 	}
 }
 
-// OffsetBits returns lambda, the total length in bits of the offset
-// bit-vector — the entropy-dependent part of the structure's size.
-func (s *Sequence) OffsetBits() int { return s.offBits }
-
 // SizeBytes returns the actual memory footprint of this sequence — the
 // records, padding included, the directory and three header words —
 // excluding the shared global rank table (use SharedSizeBytes for that),

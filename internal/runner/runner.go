@@ -1,0 +1,292 @@
+// Package runner is the one batch loop both front ends map through. A served
+// job and a `bwaver map`/`bwaver mem` run alike pull reads from a qc.Source a
+// batch at a time, map each batch with one workload value on the CPU or on
+// the FPGA model, render its rows with the one encoder of their format
+// (rows.go) and hand them to the front end's emit — the paper's host that
+// "iteratively fetches query sequences from the host's memory ... until there
+// is no more data to map". Memory follows the batch size, not the input.
+//
+// What differs between the front ends comes in as values (Options): the farm,
+// the fallback policy, progress and parse-time reporting, the CPU worker
+// count, and where the rows go.
+package runner
+
+import (
+	"context"
+	"fmt"
+	"io"
+	"time"
+
+	"bwaver/internal/core"
+	"bwaver/internal/dna"
+	"bwaver/internal/fpga"
+	"bwaver/internal/qc"
+)
+
+// DefaultStreamBatch is how many reads a run maps per batch unless its front
+// end asks for another size.
+const DefaultStreamBatch = 8192
+
+// PairAligned rounds a batch size up to even, the batch size of interleaved
+// mate pairs: a pair split across two batches would lose its rescue and
+// proper-pair context. A size <= 0 (the whole input as one batch) stays so.
+func PairAligned(batch int) int { return batch + batch&1 }
+
+// Source is where a run's reads come from: a *qc.Source over the input, or a
+// test's batches.
+type Source interface {
+	Next() (qc.Batch, error)
+}
+
+// Reads is a run's input: its source, every pull of which is timed and
+// reported.
+type Reads struct {
+	src    Source
+	pulled func(total int, wait time.Duration)
+	held   *qc.Batch
+	total  int
+	// wait is the time spent pulling so far; a run leaves it out of its CPU
+	// mapping time.
+	wait time.Duration
+}
+
+// NewReads wraps src. pulled, when non-nil, is told after every pull how many
+// reads have been pulled in all and how long this pull took.
+func NewReads(src Source, pulled func(total int, wait time.Duration)) *Reads {
+	return &Reads{src: src, pulled: pulled}
+}
+
+// First pulls the first batch ahead of the run and holds it for Run: a served
+// job does, so that an upload with no read, or one that does not decode,
+// fails before any index is built. It returns io.EOF for an empty source.
+func (r *Reads) First() error {
+	b, err := r.pull()
+	if err == nil {
+		r.held = &b
+	}
+	return err
+}
+
+func (r *Reads) next() (qc.Batch, error) {
+	if b := r.held; b != nil {
+		r.held = nil
+		return *b, nil
+	}
+	return r.pull()
+}
+
+func (r *Reads) pull() (qc.Batch, error) {
+	start := time.Now()
+	b, err := r.src.Next()
+	wait := time.Since(start)
+	r.wait += wait
+	r.total += len(b.Seqs)
+	if r.pulled != nil {
+		r.pulled(r.total, wait)
+	}
+	return b, err
+}
+
+// Work is one workload as the runner sees it: how a batch maps on the CPU and
+// on a farm to per-read results R, and how the results render as rows. A Work
+// value may hold a run's state (the mem session), so it serves one run.
+type Work[R any] struct {
+	// cpu maps batch into dst, the run's one result buffer; farm returns the
+	// device run's own results.
+	cpu    func(dst []R, batch []dna.Seq, run core.MapOptions) error
+	farm   func(farm *fpga.Farm, batch []dna.Seq, run fpga.MapRunOptions) ([]R, fpga.Profile, error)
+	encode func(rows *Rows, off int, ids []string, reads []dna.Seq, results []R) error
+}
+
+// Exact is exact matching, rendered as the exact TSV; locate resolves the
+// occurrence positions.
+func Exact(ix *core.Index, locate bool) Work[core.MapResult] {
+	return Work[core.MapResult]{
+		cpu: func(dst []core.MapResult, batch []dna.Seq, run core.MapOptions) error {
+			run.Locate = locate
+			_, err := ix.MapReadsInto(dst, batch, run)
+			return err
+		},
+		farm: func(farm *fpga.Farm, batch []dna.Seq, run fpga.MapRunOptions) ([]core.MapResult, fpga.Profile, error) {
+			r, err := farm.MapReadsOpts(batch, run)
+			if err != nil {
+				return nil, fpga.Profile{}, err
+			}
+			if locate {
+				err = ix.LocateResults(r.Results)
+			}
+			return r.Results, r.Profile, err
+		},
+		encode: (*Rows).exact,
+	}
+}
+
+// ExactSAM is exact matching rendered as SAM, every located hit one record.
+func ExactSAM(ix *core.Index) Work[core.MapResult] {
+	w := Exact(ix, true)
+	w.encode = (*Rows).exactSAM
+	return w
+}
+
+// Approx is a mismatch budget: core's exact-then-rescue workload on the CPU,
+// the same workload priced as the two-pass reconfigurable flow on the FPGA
+// model. A row reports a read's exact hits or, when it has none, every
+// in-budget stratum; locate resolves where the best stratum occurs.
+func Approx(ix *core.Index, mismatches int, locate bool) Work[core.ApproxResult] {
+	return Work[core.ApproxResult]{
+		cpu: func(dst []core.ApproxResult, batch []dna.Seq, run core.MapOptions) error {
+			return ix.MapReadsApproxFtab(dst, batch, mismatches, run, true)
+		},
+		farm: func(farm *fpga.Farm, batch []dna.Seq, run fpga.MapRunOptions) ([]core.ApproxResult, fpga.Profile, error) {
+			r, err := farm.MapReadsTwoPassOpts(batch, mismatches, run)
+			if err != nil {
+				return nil, fpga.Profile{}, err
+			}
+			return r.Results, r.Profile, nil
+		},
+		encode: func(rows *Rows, off int, ids []string, reads []dna.Seq, results []core.ApproxResult) error {
+			return rows.approx(off, ids, reads, results, locate)
+		},
+	}
+}
+
+// Mem is the seed-and-extend pipeline (SMEM seeding, collinear chaining,
+// banded extension, MAPQ), rendered as SAM; count receives every batch's
+// pipeline counters and whether it charged a fabric reconfiguration. On the
+// FPGA the run is one two-pass session: the first batch pays the single
+// reconfiguration, later batches keep the alignment array programmed and
+// overlap host seeding with modeled device extension.
+func Mem(ix *core.Index, opts core.MemOptions, count func(stats core.MemStats, reconfigured bool)) Work[core.MemResult] {
+	var session *fpga.MemSession
+	return Work[core.MemResult]{
+		cpu: func(dst []core.MemResult, batch []dna.Seq, run core.MapOptions) error {
+			stats, err := ix.MapReadsMemInto(dst, batch, opts, run)
+			count(stats, false)
+			return err
+		},
+		farm: func(farm *fpga.Farm, batch []dna.Seq, run fpga.MapRunOptions) ([]core.MemResult, fpga.Profile, error) {
+			if session == nil {
+				session = farm.NewMemSession(opts, run)
+			}
+			r, err := session.Map(batch)
+			if err != nil {
+				return nil, fpga.Profile{}, err
+			}
+			count(r.Stats, r.Profile.Reconfig > 0)
+			return r.Results, r.Profile, nil
+		},
+		encode: func(rows *Rows, off int, ids []string, reads []dna.Seq, results []core.MemResult) error {
+			return rows.mem(off, ids, reads, results, opts)
+		},
+	}
+}
+
+// Options are what a front end decides about a run.
+type Options struct {
+	// Workers is the CPU's mapping goroutines, as core.MapOptions takes it.
+	Workers int
+	// Farm maps the batches on the FPGA model; nil maps them on the CPU.
+	Farm *fpga.Farm
+	// Resident says an earlier run left the index in the farm's BRAM. The
+	// run's own first device batch leaves it there for the rest.
+	Resident bool
+	// Fallback, given a farm error, says whether that batch and the rest of
+	// the run map on the CPU instead; nil never falls back.
+	Fallback func(err error) bool
+	// Progress, when non-nil, is told how many reads of the run have mapped.
+	Progress func(done int)
+	// Emit writes out one batch: its reject rows and text, the rows rendered
+	// from its survivors (empty when none survived). The text is valid until
+	// Emit returns.
+	Emit func(b qc.Batch, text []byte) error
+}
+
+// Result is what a run did.
+type Result struct {
+	// Reads is how many reads the run mapped.
+	Reads int
+	// Device sums the modeled profiles of the batches the farm mapped.
+	Device fpga.Profile
+	// CPU is the wall-clock time of the CPU's share of the run, pulls left
+	// out.
+	CPU time.Duration
+}
+
+// MapTime is a run's mapping time: modeled device time plus CPU wall-clock.
+func (r Result) MapTime() time.Duration { return r.Device.Total() + r.CPU }
+
+// Run maps every batch of in with w, rendering rows into rows and emitting
+// each batch before it pulls the next, so a run holds one batch of reads and
+// of results however long its input is. When the farm fails and Fallback
+// allows it, that batch and the remaining reads map on the CPU — same results
+// (the backends are bit-identical by construction, for every workload),
+// honest CPU timing; batches already emitted by the farm stand. On an error
+// the result covers the batches emitted before it.
+func Run[R any](ctx context.Context, in *Reads, w Work[R], rows *Rows, opts Options) (Result, error) {
+	var res Result
+	farm, resident := opts.Farm, opts.Resident
+	cpuStart, waitAt := time.Now(), in.wait
+	var buf []R
+	// One progress callback serves the whole run — a mem session keeps the
+	// first batch's — so it reads the offset of the batch in hand.
+	off := 0
+	var progress func(done, total int)
+	if opts.Progress != nil {
+		progress = func(done, _ int) { opts.Progress(off + done) }
+	}
+	cpu := core.MapOptions{Context: ctx, Workers: opts.Workers, Progress: progress}
+	for {
+		b, err := in.next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return res, fmt.Errorf("reads: %w", err)
+		}
+		// A batch with nothing to map never reaches an engine that polls the
+		// context, so the loop does.
+		if err := ctx.Err(); err != nil {
+			return res, err
+		}
+		if len(b.Seqs) > 0 {
+			var results []R
+			if farm != nil {
+				var profile fpga.Profile
+				results, profile, err = w.farm(farm, b.Seqs, fpga.MapRunOptions{Context: ctx, Progress: progress, IndexResident: resident})
+				switch {
+				case err == nil:
+					res.Device.Merge(profile)
+					resident = true
+				case opts.Fallback != nil && opts.Fallback(err):
+					farm = nil
+					cpuStart, waitAt = time.Now(), in.wait
+				default:
+					return res, err
+				}
+			}
+			if farm == nil {
+				if cap(buf) < len(b.Seqs) {
+					buf = make([]R, len(b.Seqs))
+				}
+				results = buf[:len(b.Seqs)]
+				if err := w.cpu(results, b.Seqs, cpu); err != nil {
+					return res, err
+				}
+			}
+			if err := w.encode(rows, off, b.IDs, b.Seqs, results); err != nil {
+				return res, err
+			}
+		}
+		err = opts.Emit(b, rows.text.Bytes())
+		rows.text.Reset()
+		if err != nil {
+			return res, err
+		}
+		off += len(b.Seqs)
+		res.Reads = off
+	}
+	if farm == nil {
+		res.CPU = time.Since(cpuStart) - (in.wait - waitAt)
+	}
+	return res, nil
+}

@@ -15,6 +15,7 @@ import (
 	"bwaver/internal/qc"
 	"bwaver/internal/readsim"
 	"bwaver/internal/rrr"
+	"bwaver/internal/runner"
 )
 
 // updateGolden rewrites testdata/golden from the current code instead of
@@ -169,7 +170,10 @@ func goldenRun(t *testing.T, c goldenCase, run, stateDir string) {
 	job.Mode = c.mode
 	// Small batches: headers must appear once, not per batch.
 	src := &sliceSource{ids: in.ids, reads: in.reads, batch: 16}
-	first, _ := src.Next()
+	reads := runner.NewReads(src, nil)
+	if err := reads.First(); err != nil {
+		t.Fatal(err)
+	}
 	if run == "fallback" {
 		dead, err := fpga.ParseFaultPlan("seed=1,persistent=0:kernel")
 		if err != nil {
@@ -178,7 +182,7 @@ func goldenRun(t *testing.T, c goldenCase, run, stateDir string) {
 		// The runner's first pull follows the first batch's rows.
 		src.beforeNext = func() { s.devices[0].EnableFaults(dead, 0) }
 	}
-	if n, err := s.mapJob(context.Background(), job, &cacheEntry{ix: ix}, first, src); err != nil || n != len(in.ids) {
+	if n, err := s.mapJob(context.Background(), job, &cacheEntry{ix: ix}, reads); err != nil || n != len(in.ids) {
 		t.Fatalf("mapped %d of %d reads: %v", n, len(in.ids), err)
 	}
 	if job.FallbackUsed != (run == "fallback") {

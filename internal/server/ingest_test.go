@@ -23,6 +23,7 @@ import (
 	"bwaver/internal/obs"
 	"bwaver/internal/qc"
 	"bwaver/internal/readsim"
+	"bwaver/internal/runner"
 )
 
 // watchedReads sits behind a job's reads payload and notes how much of it the
@@ -338,15 +339,11 @@ func TestRunBatchesStopsOnCancelBetweenRejectedBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	job := s.createJob("cpu", 15, 50, 0, "x", 12, 0)
-	em, err := s.newEmitter(job)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	src := &rejectingSource{cancel: cancel}
-	if _, _, err := runBatches(ctx, s, job, &cacheEntry{ix: ix}, qc.Batch{}, src, em, exactWork(ix, em)); !errors.Is(err, context.Canceled) {
-		t.Fatalf("runBatches returned %v, want the cancellation", err)
+	if _, err := s.mapJob(ctx, job, &cacheEntry{ix: ix}, runner.NewReads(src, nil)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("mapJob returned %v, want the cancellation", err)
 	}
 	if src.pulls != 3 {
 		t.Errorf("runner pulled %d batches, want to stop at the third", src.pulls)

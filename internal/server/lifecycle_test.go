@@ -15,8 +15,8 @@ import (
 	"bwaver/internal/core"
 	"bwaver/internal/dna"
 	"bwaver/internal/fastx"
-	"bwaver/internal/qc"
 	"bwaver/internal/readsim"
+	"bwaver/internal/runner"
 )
 
 // bigTestData builds an upload pair over a reference large enough that index
@@ -435,36 +435,14 @@ func TestJobTTLEviction(t *testing.T) {
 	}
 }
 
-// Read IDs are user input: tabs and newlines must not corrupt the TSV.
+// Read IDs are user input: tabs and newlines must not corrupt the TSV, exact
+// or k-mismatch.
 func TestTSVEscapesReadIDs(t *testing.T) {
-	if got := sanitizeID("a\tb\nc\rd"); got != "a b c d" {
-		t.Fatalf("sanitizeID = %q", got)
+	if got := runner.SanitizeID("a\tb\nc\rd"); got != "a b c d" {
+		t.Fatalf("SanitizeID = %q", got)
 	}
-
 	ids := []string{"evil\tid\nsecond-line"}
 	reads := []dna.Seq{dna.MustParseSeq("ACGT")}
-	s := openServer(t, Config{})
-	exact := s.createJob("cpu", 15, 50, 0, "x", 4, 1)
-	em, err := s.newEmitter(exact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := em.exactBatch(true, ids, reads, []core.MapResult{{}}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := em.sync(); err != nil {
-		t.Fatal(err)
-	}
-	tsv := string(readSpool(t, exact.results))
-	lines := strings.Split(strings.TrimRight(tsv, "\n"), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("TSV has %d lines, want header + 1 row:\n%s", len(lines), tsv)
-	}
-	if fields := strings.Split(lines[1], "\t"); len(fields) != 6 {
-		t.Fatalf("row has %d fields, want 6: %q", len(fields), lines[1])
-	}
-
-	// The approx writer shares the helper: same guarantee end to end.
 	ref, err := readsim.Genome(readsim.GenomeConfig{Length: 3000, Seed: 44})
 	if err != nil {
 		t.Fatal(err)
@@ -473,25 +451,21 @@ func TestTSVEscapesReadIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entry := &cacheEntry{ix: ix, ready: make(chan struct{})}
-	close(entry.ready)
-	job := s.createJob("cpu", 15, 50, 1, "x", len(ref), 1)
-	if em, err = s.newEmitter(job); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := runBatches(context.Background(), s, job, entry, qc.Batch{IDs: ids, Seqs: reads}, &sliceSource{}, em, approxWork(ix, 1, em)); err != nil {
-		t.Fatal(err)
-	}
-	if err := em.sync(); err != nil {
-		t.Fatal(err)
-	}
-	atsv := string(readSpool(t, job.results))
-	alines := strings.Split(strings.TrimRight(atsv, "\n"), "\n")
-	if len(alines) != 2 {
-		t.Fatalf("approx TSV has %d lines, want 2:\n%s", len(alines), atsv)
-	}
-	if fields := strings.Split(alines[1], "\t"); len(fields) != 4 {
-		t.Fatalf("approx row has %d fields, want 4: %q", len(fields), alines[1])
+	s := openServer(t, Config{})
+	for mismatches, fields := range []int{6, 5} {
+		job := s.createJob("cpu", 15, 50, mismatches, "x", len(ref), 1)
+		src := &sliceSource{ids: ids, reads: reads, batch: 1}
+		if _, err := s.mapJob(context.Background(), job, &cacheEntry{ix: ix}, runner.NewReads(src, nil)); err != nil {
+			t.Fatal(err)
+		}
+		tsv := string(readSpool(t, job.results))
+		lines := strings.Split(strings.TrimRight(tsv, "\n"), "\n")
+		if len(lines) != 2 {
+			t.Fatalf("mismatches=%d: TSV has %d lines, want header + 1 row:\n%s", mismatches, len(lines), tsv)
+		}
+		if got := strings.Split(lines[1], "\t"); len(got) != fields {
+			t.Fatalf("mismatches=%d: row has %d fields, want %d: %q", mismatches, len(got), fields, lines[1])
+		}
 	}
 }
 

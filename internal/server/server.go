@@ -43,7 +43,7 @@ import (
 	"bwaver/internal/qc"
 	"bwaver/internal/readsim"
 	"bwaver/internal/rrr"
-	"bwaver/internal/sam"
+	"bwaver/internal/runner"
 )
 
 // JobState tracks a pipeline run.
@@ -205,7 +205,7 @@ type Config struct {
 	TrustedProxies string
 
 	// StreamBatch is how many reads are mapped between result-stream flushes;
-	// default core.DefaultStreamBatch. Smaller batches stream sooner and hold
+	// default runner.DefaultStreamBatch. Smaller batches stream sooner and hold
 	// less memory; larger ones amortize per-batch overhead.
 	StreamBatch int
 	// UploadTimeout fails chunked jobs idle this long mid-upload, freeing
@@ -279,7 +279,7 @@ func (c Config) withDefaults() Config {
 		c.VerifyStride = 0
 	}
 	if c.StreamBatch <= 0 {
-		c.StreamBatch = core.DefaultStreamBatch
+		c.StreamBatch = runner.DefaultStreamBatch
 	}
 	return c
 }
@@ -1459,10 +1459,8 @@ func (s *Server) runJob(ctx context.Context, job *Job, in jobInput) error {
 		readsReader = hook(readsReader)
 	}
 	batch := s.cfg.StreamBatch
-	if job.Mode == ModeMemPE && batch%2 == 1 {
-		// Pair-aligned batches: a mate pair split across batches would lose
-		// its rescue and proper-pair context.
-		batch++
+	if job.Mode == ModeMemPE {
+		batch = runner.PairAligned(batch)
 	}
 	src, err := qc.NewSource(readsReader, job.QC, batch)
 	if err != nil {
@@ -1471,8 +1469,15 @@ func (s *Server) runJob(ctx context.Context, job *Job, in jobInput) error {
 	defer src.Close()
 	defer s.noteQCReport(job, src)
 	// The first batch is pulled before the build, so a reads upload that is
-	// empty or does not decode fails the job before any index is built.
-	first, err := src.Next()
+	// empty or does not decode fails the job before any index is built. A
+	// pull's wait is parse time, which the runner leaves out of map time.
+	reads := runner.NewReads(src, func(total int, wait time.Duration) {
+		s.mu.Lock()
+		job.Reads = total
+		job.ParseTime += wait
+		s.mu.Unlock()
+	})
+	err = reads.First()
 	parseSpan.End()
 	if err == io.EOF {
 		return noReadsError(job.QC, src.Report())
@@ -1481,7 +1486,6 @@ func (s *Server) runJob(ctx context.Context, job *Job, in jobInput) error {
 		return fmt.Errorf("reads: %w", err)
 	}
 	s.mu.Lock()
-	job.Reads = len(first.Seqs)
 	job.ParseTime = time.Since(parseStart)
 	s.mu.Unlock()
 	if err := ctx.Err(); err != nil {
@@ -1542,8 +1546,8 @@ func (s *Server) runJob(ctx context.Context, job *Job, in jobInput) error {
 	}
 	s.mu.Unlock()
 
-	reads, err := s.mapJob(ctx, job, entry, first, src)
-	if err == nil && reads == 0 {
+	n, err := s.mapJob(ctx, job, entry, reads)
+	if err == nil && n == 0 {
 		err = noReadsError(job.QC, src.Report())
 	}
 	return err
@@ -1574,51 +1578,70 @@ func noReadsError(pol qc.Policy, rep qc.Report) error {
 		rep.Attempted, rep.Malformed, rep.RejectedTotal())
 }
 
-// batchSource is where the runner gets its reads: a *qc.Source over the job's
-// reads payload.
-type batchSource interface {
-	Next() (qc.Batch, error)
-}
-
-// mapJob is pipeline step 3: it maps first and then every further batch of
-// src with the job's workload, emitting as it goes, and seals the job's
+// mapJob is pipeline step 3: it maps every batch of in with the job's
+// workload through the runner, emitting as it goes, and seals the job's
 // results — or discards them, when the run failed or there was no read to map.
 // It returns how many reads it mapped.
-func (s *Server) mapJob(ctx context.Context, job *Job, entry *cacheEntry, first qc.Batch, src batchSource) (int, error) {
+func (s *Server) mapJob(ctx context.Context, job *Job, entry *cacheEntry, in *runner.Reads) (int, error) {
 	mapCtx, mapSpan := obs.StartSpan(ctx, "map")
-	em, err := s.newEmitter(job)
+	em, err := s.newEmitter(job, entry.ix)
 	if err != nil {
 		mapSpan.End()
 		return 0, err
 	}
-	var reads int
-	var mapTime time.Duration
-	switch {
-	case job.memMode():
-		var work servedWork[core.MemResult]
-		if work, err = s.memWork(entry.ix, job.Mode == ModeMemPE, em); err == nil {
-			reads, mapTime, err = runBatches(mapCtx, s, job, entry, first, src, em, work)
-		}
-	case job.Mismatches > 0:
-		reads, mapTime, err = runBatches(mapCtx, s, job, entry, first, src, em, approxWork(entry.ix, job.Mismatches, em))
-	default:
-		reads, mapTime, err = runBatches(mapCtx, s, job, entry, first, src, em, exactWork(entry.ix, em))
+	opts := runner.Options{
+		Workers:  -1,
+		Progress: func(done int) { s.setJobProgress(job, done) },
+		Emit:     em.emit,
+		Fallback: func(err error) bool {
+			if !s.shouldFallback(mapCtx, err) {
+				return false
+			}
+			s.noteFallback(job, err)
+			mapSpan.SetAttr("fallback", err.Error())
+			return true
+		},
 	}
-	mapSpan.SetAttr("reads", reads)
+	var res runner.Result
+	if job.Backend == "fpga" {
+		// A farm that ran before reports the index already resident.
+		opts.Farm, opts.Resident, err = entry.farmFor(s.devices, s.farmOptions())
+	}
+	switch {
+	case err != nil: // no farm to map on
+	case job.memMode():
+		res, err = runner.Run(mapCtx, in, runner.Mem(entry.ix, core.MemOptions{Paired: job.Mode == ModeMemPE}, s.countMem), em.rows, opts)
+	case job.Mismatches > 0:
+		res, err = runner.Run(mapCtx, in, runner.Approx(entry.ix, job.Mismatches, true), em.rows, opts)
+	default:
+		res, err = runner.Run(mapCtx, in, runner.Exact(entry.ix, true), em.rows, opts)
+	}
+	addModeledEvents(mapSpan, res.Device.Events)
+	mapSpan.SetAttr("reads", res.Reads)
 	mapSpan.End()
-	if err == nil && reads > 0 {
+	if err == nil && res.Reads > 0 {
 		err = em.sync()
 	}
-	if err != nil || reads == 0 {
+	if err != nil || res.Reads == 0 {
 		em.remove()
 		return 0, err
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	job.MapTime = mapTime
-	job.Mapped = em.mapped
-	return reads, nil
+	job.MapTime = res.MapTime()
+	job.Mapped = em.rows.Mapped()
+	return res.Reads, nil
+}
+
+// countMem folds one mem batch's pipeline counters into the server's.
+func (s *Server) countMem(stats core.MemStats, reconfigured bool) {
+	s.mu.Lock()
+	s.memStats.Merge(stats)
+	if reconfigured {
+		s.memReconfigs++
+	}
+	s.mu.Unlock()
 }
 
 // loadReference parses a job's reference payload; span is the parse or build
@@ -1710,250 +1733,6 @@ func (s *Server) noteFallback(job *Job, cause error) {
 	job.FallbackReason = cause.Error()
 	s.mu.Unlock()
 }
-
-// servedWork is one kind of job as the runner sees it: how one batch maps on
-// the CPU and on the farm to per-read results R, and how those are encoded.
-type servedWork[R any] struct {
-	// onCPU maps batch into dst, the job's one result buffer; onFarm returns
-	// the device run's own results.
-	onCPU  func(dst []R, batch []dna.Seq, run core.MapOptions) error
-	onFarm func(farm *fpga.Farm, batch []dna.Seq, run fpga.MapRunOptions) ([]R, fpga.Profile, error)
-	// emit encodes the results of one batch, whose first read is the job's
-	// off-th.
-	emit func(off int, ids []string, reads []dna.Seq, results []R) error
-}
-
-// runBatches is pipeline step 3 for every workload on either backend: it maps
-// first, then pulls batch after batch from src, each at most StreamBatch
-// reads, so the job holds one batch of reads and of results however long its
-// upload is. Each batch's reject rows are emitted, then its mapping rows (TSV
-// or SAM, plus the NDJSON stream). When the FPGA farm fails with a device
-// error and the fallback policy is "cpu", that batch and the remaining reads
-// map on the CPU — same results (the backends are bit-identical by
-// construction, for every workload), honest CPU timing; batches already
-// emitted by the FPGA stand. It returns the reads mapped and the job's mapping
-// time: modeled device time plus wall-clock CPU time.
-func runBatches[R any](ctx context.Context, s *Server, job *Job, entry *cacheEntry, first qc.Batch, src batchSource, em *jobEmitter, w servedWork[R]) (int, time.Duration, error) {
-	onDevice := job.Backend == "fpga"
-	var mapTime time.Duration
-	cpuStart := time.Now()
-	var buf []R
-	// One progress callback serves the whole job — a mem session keeps the
-	// first batch's — so it reads the offset of the batch in hand.
-	off := 0
-	progress := func(done, _ int) { s.setJobProgress(job, off+done) }
-	// next pulls a batch. The wait is parse time: it is counted on the job and
-	// moves cpuStart along, so the CPU's map time leaves it out.
-	next := func() (qc.Batch, error) {
-		start := time.Now()
-		b, err := src.Next()
-		wait := time.Since(start)
-		cpuStart = cpuStart.Add(wait)
-		s.mu.Lock()
-		job.Reads += len(b.Seqs)
-		job.ParseTime += wait
-		s.mu.Unlock()
-		return b, err
-	}
-	for b, err := first, error(nil); err != io.EOF; b, err = next() {
-		if err != nil {
-			return 0, 0, fmt.Errorf("reads: %w", err)
-		}
-		// A batch with nothing to map never reaches an engine that polls the
-		// context, so the loop does.
-		if err := ctx.Err(); err != nil {
-			return 0, 0, err
-		}
-		if err := em.qcRejects(b.Rejects); err != nil {
-			return 0, 0, err
-		}
-		if len(b.Seqs) == 0 {
-			continue // every record of this batch was rejected
-		}
-		var results []R
-		if onDevice {
-			// farmFor is cheap after the first batch: the cached farm reports the
-			// index already resident on the devices.
-			farm, resident, err := entry.farmFor(s.devices, s.farmOptions())
-			var profile fpga.Profile
-			if err == nil {
-				results, profile, err = w.onFarm(farm, b.Seqs, fpga.MapRunOptions{Context: ctx, Progress: progress, IndexResident: resident})
-			}
-			switch {
-			case err == nil:
-				mapTime += profile.Total()
-				addModeledEvents(obs.SpanFrom(ctx), profile.Events)
-			case s.shouldFallback(ctx, err):
-				s.noteFallback(job, err)
-				obs.SpanFrom(ctx).SetAttr("fallback", err.Error())
-				onDevice, cpuStart = false, time.Now()
-			default:
-				return 0, 0, err
-			}
-		}
-		if !onDevice {
-			if cap(buf) < len(b.Seqs) {
-				buf = make([]R, len(b.Seqs))
-			}
-			results = buf[:len(b.Seqs)]
-			if err := w.onCPU(results, b.Seqs, core.MapOptions{Context: ctx, Workers: -1, Progress: progress}); err != nil {
-				return 0, 0, err
-			}
-		}
-		if err := w.emit(off, b.IDs, b.Seqs, results); err != nil {
-			return 0, 0, err
-		}
-		off += len(b.Seqs)
-	}
-	if !onDevice {
-		mapTime += time.Since(cpuStart)
-	}
-	return off, mapTime, nil
-}
-
-// exactWork serves exact matching: located positions on both strands.
-func exactWork(ix *core.Index, em *jobEmitter) servedWork[core.MapResult] {
-	contigs := ix.Contigs()
-	return servedWork[core.MapResult]{
-		onCPU: func(dst []core.MapResult, batch []dna.Seq, run core.MapOptions) error {
-			run.Locate = true
-			_, err := ix.MapReadsInto(dst, batch, run)
-			return err
-		},
-		onFarm: func(farm *fpga.Farm, batch []dna.Seq, run fpga.MapRunOptions) ([]core.MapResult, fpga.Profile, error) {
-			r, err := farm.MapReadsOpts(batch, run)
-			if err != nil {
-				return nil, fpga.Profile{}, err
-			}
-			return r.Results, r.Profile, ix.LocateResults(r.Results)
-		},
-		emit: func(off int, ids []string, reads []dna.Seq, results []core.MapResult) error {
-			return em.exactBatch(off == 0, ids, reads, results, contigs)
-		},
-	}
-}
-
-// approxWork serves a mismatch budget: core's exact-then-rescue workload on
-// the CPU, the same workload priced as the two-pass reconfigurable flow on the
-// FPGA model. A row reports a read's exact hits or, when it has none, every
-// in-budget stratum.
-func approxWork(ix *core.Index, mismatches int, em *jobEmitter) servedWork[core.ApproxResult] {
-	return servedWork[core.ApproxResult]{
-		onCPU: func(dst []core.ApproxResult, batch []dna.Seq, run core.MapOptions) error {
-			return ix.MapReadsApproxFtab(dst, batch, mismatches, run, true)
-		},
-		onFarm: func(farm *fpga.Farm, batch []dna.Seq, run fpga.MapRunOptions) ([]core.ApproxResult, fpga.Profile, error) {
-			r, err := farm.MapReadsTwoPassOpts(batch, mismatches, run)
-			if err != nil {
-				return nil, fpga.Profile{}, err
-			}
-			return r.Results, r.Profile, nil
-		},
-		emit: func(off int, ids []string, _ []dna.Seq, results []core.ApproxResult) error {
-			return em.approxBatch(off == 0, ids, results)
-		},
-	}
-}
-
-// memWork serves mode=mem jobs: the seed-and-extend pipeline (SMEM seeding,
-// collinear chaining, banded extension, MAPQ), streamed as SAM text — the
-// job's results file is a valid SAM file — plus one NDJSON row per read. On
-// the FPGA the whole job runs as one two-pass session: the first batch pays
-// the single fabric reconfiguration, later batches keep the alignment array
-// programmed and overlap host seeding with modeled device extension.
-func (s *Server) memWork(ix *core.Index, paired bool, em *jobEmitter) (servedWork[core.MemResult], error) {
-	memOpts := core.MemOptions{Paired: paired}
-	// One SAM writer spans the whole job, so the header lands in the first
-	// batch and every later batch drains as bare records.
-	var samBuf bytes.Buffer
-	sw, err := sam.NewWriter(&samBuf, ix.SAMRefSeqs())
-	if err != nil {
-		return servedWork[core.MemResult]{}, err
-	}
-	count := func(stats core.MemStats, reconfigured bool) {
-		s.mu.Lock()
-		s.memStats.Merge(stats)
-		if reconfigured {
-			s.memReconfigs++
-		}
-		s.mu.Unlock()
-	}
-	var session *fpga.MemSession
-	var rows []memRow
-	write := func(rec sam.Record, res core.MemResult) error {
-		rows = append(rows, memRowFrom(rec, res))
-		return sw.Write(rec)
-	}
-	return servedWork[core.MemResult]{
-		onCPU: func(dst []core.MemResult, batch []dna.Seq, run core.MapOptions) error {
-			stats, err := ix.MapReadsMemInto(dst, batch, memOpts, run)
-			count(stats, false)
-			return err
-		},
-		onFarm: func(farm *fpga.Farm, batch []dna.Seq, run fpga.MapRunOptions) ([]core.MemResult, fpga.Profile, error) {
-			if session == nil {
-				session = farm.NewMemSession(memOpts, run)
-			}
-			r, err := session.Map(batch)
-			if err != nil {
-				return nil, fpga.Profile{}, err
-			}
-			count(r.Stats, r.Profile.Reconfig > 0)
-			return r.Results, r.Profile, nil
-		},
-		emit: func(off int, ids []string, reads []dna.Seq, results []core.MemResult) error {
-			rows = rows[:0]
-			for i := 0; i < len(results); {
-				if paired && i+1 < len(results) {
-					pr := core.MemPairFromResults(results[i], results[i+1], memOpts)
-					rec1, rec2 := ix.MemPairRecords(samQName(ids[i], off+i), samQName(ids[i+1], off+i+1),
-						reads[i], reads[i+1], pr)
-					if err := write(rec1, results[i]); err != nil {
-						return err
-					}
-					if err := write(rec2, results[i+1]); err != nil {
-						return err
-					}
-					i += 2
-					continue
-				}
-				if err := write(ix.MemRecord(samQName(ids[i], off+i), reads[i], results[i]), results[i]); err != nil {
-					return err
-				}
-				i++
-			}
-			if err := sw.Flush(); err != nil {
-				return err
-			}
-			err := em.memBatch(samBuf.Bytes(), rows)
-			samBuf.Reset()
-			return err
-		},
-	}, nil
-}
-
-// samQName makes a read ID usable as a SAM QNAME: the writer rejects
-// whitespace, and an anonymous read still needs a name.
-func samQName(id string, i int) string {
-	id = strings.Map(func(r rune) rune {
-		switch r {
-		case ' ', '\t', '\n', '\r':
-			return '_'
-		}
-		return r
-	}, id)
-	if id == "" {
-		return fmt.Sprintf("read-%d", i+1)
-	}
-	return id
-}
-
-// idSanitizer strips the TSV structural characters from user-supplied read
-// IDs: an embedded tab or newline would otherwise corrupt the results file.
-var idSanitizer = strings.NewReplacer("\t", " ", "\n", " ", "\r", " ")
-
-// sanitizeID makes a read ID safe to embed in a TSV row.
-func sanitizeID(id string) string { return idSanitizer.Replace(id) }
 
 func (s *Server) jobByRequest(r *http.Request) (*Job, error) {
 	id, err := strconv.Atoi(r.PathValue("id"))

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"compress/gzip"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -13,8 +14,10 @@ import (
 	"testing"
 
 	"bwaver/internal/core"
+	"bwaver/internal/dna"
 	"bwaver/internal/fastx"
 	"bwaver/internal/readsim"
+	"bwaver/internal/runner"
 )
 
 // openServer is Open for tests: it fails t when the server cannot start.
@@ -311,30 +314,47 @@ func TestDemoJob(t *testing.T) {
 	}
 }
 
+// A read's positions cell is ascending, whatever order the suffix array
+// yields them in, and contig-relative when the reference has several records.
 func TestJoinPositions(t *testing.T) {
-	var em jobEmitter
-	join := func(contigs *core.ContigSet, ps []int32, span int) string {
-		return string(em.appendPositions(nil, contigs, ps, span))
-	}
-	if got := join(nil, nil, 10); got != "-" {
-		t.Errorf("appendPositions(nil) = %q", got)
-	}
-	if got := join(nil, []int32{7}, 10); got != "7" {
-		t.Errorf("appendPositions(one) = %q", got)
-	}
-	ps := []int32{30, 10, 20}
-	if got := join(nil, ps, 10); got != "10,20,30" {
-		t.Errorf("appendPositions = %q, want sorted", got)
-	}
-	if ps[0] != 30 {
-		t.Error("appendPositions sorted the caller's slice in place")
-	}
-	cs, err := core.NewContigSet([]string{"a", "b"}, []int{100, 100})
+	ref, err := readsim.Genome(readsim.GenomeConfig{Length: 200, Seed: 45})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := join(cs, []int32{150, 95}, 10); got != "boundary@95,b:50" {
-		t.Errorf("contig appendPositions = %q", got)
+	// One 10-mer at 10, 95 (across the record boundary at 100), 150 and 180.
+	for _, p := range []int{95, 150, 180} {
+		copy(ref[p:p+10], ref[10:20])
+	}
+	read := ref[10:20].Clone()
+	for _, c := range []struct {
+		names []string
+		lens  []int
+		want  string
+	}{
+		{[]string{"ref"}, []int{200}, "10,95,150,180"},
+		{[]string{"a", "b"}, []int{100, 100}, "a:10,boundary@95,b:50,b:80"},
+	} {
+		contigs, err := core.NewContigSet(c.names, c.lens)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix, err := core.BuildIndex(ref, core.IndexConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ix.SetContigs(contigs); err != nil {
+			t.Fatal(err)
+		}
+		s := openServer(t, Config{})
+		job := s.createJob("cpu", 15, 50, 0, "x", len(ref), 1)
+		src := &sliceSource{ids: []string{"r"}, reads: []dna.Seq{read}, batch: 1}
+		if _, err := s.mapJob(context.Background(), job, &cacheEntry{ix: ix}, runner.NewReads(src, nil)); err != nil {
+			t.Fatal(err)
+		}
+		row := strings.Split(strings.TrimSpace(string(readSpool(t, job.results))), "\n")[1]
+		if got := strings.Split(row, "\t")[3]; got != c.want {
+			t.Errorf("%v: fw_positions = %q, want %q", c.names, got, c.want)
+		}
 	}
 }
 

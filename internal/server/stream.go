@@ -6,15 +6,14 @@ import (
 	"fmt"
 	"net/http"
 	"path/filepath"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"bwaver/internal/core"
-	"bwaver/internal/dna"
 	"bwaver/internal/qc"
+	"bwaver/internal/runner"
 	"bwaver/internal/sam"
 )
 
@@ -177,7 +176,7 @@ func (s *Server) closeJobStream(job *Job) {
 
 // exactRow is the NDJSON wire form of one exact-matching result. Positions
 // are the same joined, contig-resolved strings the TSV carries, so the two
-// representations are field-for-field identical. exactBatch writes the row by
+// representations are field-for-field identical. exactLine writes the row by
 // hand; the tests decode the stream into this type.
 type exactRow struct {
 	Read        string `json:"read"`
@@ -194,6 +193,7 @@ type approxRow struct {
 	Mapped         bool   `json:"mapped"`
 	BestMismatches int    `json:"best_mismatches"`
 	Occurrences    int    `json:"occurrences"`
+	BestPositions  string `json:"best_positions"`
 }
 
 // memRow is the NDJSON wire form of one seed-and-extend (mode=mem) result.
@@ -234,7 +234,7 @@ func (em *jobEmitter) qcRejects(rejects []qc.Reject) error {
 	if len(rejects) == 0 {
 		return nil
 	}
-	enc := json.NewEncoder(&em.scratchND)
+	enc := json.NewEncoder(&em.rejects)
 	for _, rej := range rejects {
 		reason := rej.Reason
 		if !qc.ValidReason(reason) {
@@ -242,13 +242,13 @@ func (em *jobEmitter) qcRejects(rejects []qc.Reject) error {
 		}
 		row := rejectRow{
 			Event: "qc_reject", Index: rej.Index,
-			ID: sanitizeID(rej.ID), Reason: reason, Detail: rej.Detail,
+			ID: runner.SanitizeID(rej.ID), Reason: reason, Detail: rej.Detail,
 		}
 		if err := enc.Encode(row); err != nil {
 			return err
 		}
 	}
-	return em.flushBatch(len(rejects))
+	return em.flush(nil, &em.rejects, len(rejects))
 }
 
 // memRowFrom renders one mapped read's stream row from its SAM record and
@@ -272,32 +272,28 @@ func memRowFrom(rec sam.Record, res core.MemResult) memRow {
 	return row
 }
 
-// jobEmitter receives mapping results batch by batch and fans them out to
-// the job's two result representations: the TSV (or SAM) results and the
-// NDJSON stream. It tracks the peak bytes staged in memory for one batch,
+// jobEmitter receives a job's rows batch by batch from the runner and commits
+// them to the job's two result representations: the TSV (or SAM) results,
+// rendered by the runner's encoder, and the NDJSON stream, built here from the
+// encoder's cells. It tracks the peak bytes staged in memory for one batch,
 // the figure that proves the O(batch) claim.
 type jobEmitter struct {
 	s      *Server
 	job    *Job
 	stream *resultStream
 	tsv    *spool
+	rows   *runner.Rows
 
-	scratchTSV bytes.Buffer // per-batch row staging, reused
-	scratchND  bytes.Buffer
-	// Row-building scratch of exactBatch: the two position cells of the row
-	// in hand, and the ordered copy of a multi-position strand.
-	fw, rc []byte
-	sorted []int32
-
-	mapped int
-	rows   int
-	peak   int
+	nd      bytes.Buffer // the NDJSON lines of the batch in hand
+	ndEnc   *json.Encoder
+	rejects bytes.Buffer // a batch's reject lines, which go first
+	peak    int
 }
 
 // newEmitter opens a job's result spools at their journal-contract names
-// (results/job-N.tsv and .ndjson); sync fsyncs the results before the done
-// record that references them is appended.
-func (s *Server) newEmitter(job *Job) (*jobEmitter, error) {
+// (results/job-N.tsv and .ndjson) and its encoder over ix; sync fsyncs the
+// results before the done record that references them is appended.
+func (s *Server) newEmitter(job *Job, ix *core.Index) (*jobEmitter, error) {
 	tsv, err := s.newSpool(resultsName(job.ID))
 	if err != nil {
 		return nil, fmt.Errorf("opening results file: %w", err)
@@ -311,24 +307,41 @@ func (s *Server) newEmitter(job *Job) (*jobEmitter, error) {
 	st := s.ensureStreamLocked(job)
 	s.mu.Unlock()
 	st.start(nd)
-	return &jobEmitter{s: s, job: job, stream: st, tsv: tsv}, nil
+	em := &jobEmitter{s: s, job: job, stream: st, tsv: tsv, rows: runner.NewRows(ix)}
+	switch {
+	case job.memMode():
+		em.ndEnc = json.NewEncoder(&em.nd)
+		em.rows.Row = em.memLine
+	case job.Mismatches > 0:
+		em.rows.Row = em.approxLine
+	default:
+		em.rows.Row = em.exactLine
+	}
+	return em, nil
 }
 
-// flushBatch commits the staged TSV rows and NDJSON lines for one batch.
-func (em *jobEmitter) flushBatch(lines int) error {
-	if staged := em.scratchTSV.Len() + em.scratchND.Len(); staged > em.peak {
+// emit commits one batch: its reject rows, then its results rows and their
+// NDJSON lines.
+func (em *jobEmitter) emit(b qc.Batch, text []byte) error {
+	if err := em.qcRejects(b.Rejects); err != nil || len(b.Seqs) == 0 {
+		return err
+	}
+	return em.flush(text, &em.nd, len(b.Seqs))
+}
+
+// flush commits results text and the NDJSON lines staged in nd.
+func (em *jobEmitter) flush(text []byte, nd *bytes.Buffer, lines int) error {
+	if staged := len(text) + nd.Len(); staged > em.peak {
 		em.peak = staged
 	}
-	if err := em.tsv.append(em.scratchTSV.Bytes()); err != nil {
+	if err := em.tsv.append(text); err != nil {
 		return err
 	}
-	if err := em.stream.append(em.scratchND.Bytes(), lines); err != nil {
+	if err := em.stream.append(nd.Bytes(), lines); err != nil {
 		return err
 	}
-	em.rows += lines
 	em.s.mStreamEvents.With().Add(float64(lines))
-	em.scratchTSV.Reset()
-	em.scratchND.Reset()
+	nd.Reset()
 	return nil
 }
 
@@ -350,122 +363,35 @@ func appendJSONString[T string | []byte](dst []byte, s T) []byte {
 	return append(dst, '"')
 }
 
-// appendPositions appends one strand's positions as the TSV cell: "-" for
-// none, else ascending and comma-joined — contig-relative ("name:offset", or
-// "boundary@pos" for a hit straddling two records) when the reference had
-// several records. Two or more positions are ordered in em.sorted, never in
-// the caller's slice.
-func (em *jobEmitter) appendPositions(dst []byte, contigs *core.ContigSet, ps []int32, span int) []byte {
-	if len(ps) == 0 {
-		return append(dst, '-')
-	}
-	if len(ps) > 1 {
-		em.sorted = append(em.sorted[:0], ps...)
-		slices.Sort(em.sorted)
-		ps = em.sorted
-	}
-	multi := contigs != nil && contigs.Count() > 1
-	for i, p := range ps {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		if !multi {
-			dst = strconv.AppendInt(dst, int64(p), 10)
-		} else if c, off, ok := contigs.Resolve(int(p), span); ok {
-			dst = append(append(dst, c.Name...), ':')
-			dst = strconv.AppendInt(dst, int64(off), 10)
-		} else {
-			dst = append(dst, "boundary@"...)
-			dst = strconv.AppendInt(dst, int64(p), 10)
-		}
-	}
-	return dst
+// exactLine stages the NDJSON line of one exact-matching row, appended with
+// strconv, not reflected by encoding/json.
+func (em *jobEmitter) exactLine(c *runner.Cells) {
+	nd := em.nd.AvailableBuffer()
+	nd = appendJSONString(append(nd, `{"read":`...), c.ID)
+	nd = strconv.AppendBool(append(nd, `,"mapped":`...), c.Mapped)
+	nd = strconv.AppendInt(append(nd, `,"fw_count":`...), int64(c.FwCount), 10)
+	nd = appendJSONString(append(nd, `,"fw_positions":`...), c.Fw)
+	nd = strconv.AppendInt(append(nd, `,"rc_count":`...), int64(c.RcCount), 10)
+	nd = appendJSONString(append(nd, `,"rc_positions":`...), c.Rc)
+	em.nd.Write(append(nd, "}\n"...))
 }
 
-// exactBatch emits one exact-matching batch, the job's first under the TSV
-// header. Rows are appended with strconv, not formatted by fmt and reflected
-// by encoding/json: at thousands of rows per job those two were a warm job's
-// largest cost outside mapping.
-func (em *jobEmitter) exactBatch(first bool, ids []string, reads []dna.Seq, results []core.MapResult, contigs *core.ContigSet) error {
-	tsv, nd := em.scratchTSV.AvailableBuffer(), em.scratchND.AvailableBuffer()
-	if first {
-		tsv = append(tsv, "read\tmapped\tfw_count\tfw_positions\trc_count\trc_positions\n"...)
-	}
-	for i, res := range results {
-		if res.Mapped() {
-			em.mapped++
-		}
-		id, span := sanitizeID(ids[i]), len(reads[i])
-		em.fw = em.appendPositions(em.fw[:0], contigs, res.ForwardPositions, span)
-		em.rc = em.appendPositions(em.rc[:0], contigs, res.ReversePositions, span)
-
-		tsv = append(append(tsv, id...), '\t')
-		tsv = append(strconv.AppendBool(tsv, res.Mapped()), '\t')
-		tsv = append(strconv.AppendInt(tsv, int64(res.Forward.Count()), 10), '\t')
-		tsv = append(append(tsv, em.fw...), '\t')
-		tsv = append(strconv.AppendInt(tsv, int64(res.Reverse.Count()), 10), '\t')
-		tsv = append(append(tsv, em.rc...), '\n')
-
-		nd = appendJSONString(append(nd, `{"read":`...), id)
-		nd = strconv.AppendBool(append(nd, `,"mapped":`...), res.Mapped())
-		nd = strconv.AppendInt(append(nd, `,"fw_count":`...), int64(res.Forward.Count()), 10)
-		nd = appendJSONString(append(nd, `,"fw_positions":`...), em.fw)
-		nd = strconv.AppendInt(append(nd, `,"rc_count":`...), int64(res.Reverse.Count()), 10)
-		nd = appendJSONString(append(nd, `,"rc_positions":`...), em.rc)
-		nd = append(nd, "}\n"...)
-	}
-	em.scratchTSV.Write(tsv)
-	em.scratchND.Write(nd)
-	return em.flushBatch(len(results))
+// approxLine stages the NDJSON line of one mismatch-budget row.
+func (em *jobEmitter) approxLine(c *runner.Cells) {
+	nd := em.nd.AvailableBuffer()
+	nd = appendJSONString(append(nd, `{"read":`...), c.ID)
+	nd = strconv.AppendBool(append(nd, `,"mapped":`...), c.Mapped)
+	nd = strconv.AppendInt(append(nd, `,"best_mismatches":`...), int64(c.BestMismatches), 10)
+	nd = strconv.AppendInt(append(nd, `,"occurrences":`...), int64(c.Occurrences), 10)
+	nd = appendJSONString(append(nd, `,"best_positions":`...), c.Best)
+	em.nd.Write(append(nd, "}\n"...))
 }
 
-// approxBatch emits one mismatch-budget batch, the job's first under the TSV
-// header.
-func (em *jobEmitter) approxBatch(first bool, ids []string, results []core.ApproxResult) error {
-	tsv, nd := em.scratchTSV.AvailableBuffer(), em.scratchND.AvailableBuffer()
-	if first {
-		tsv = append(tsv, "read\tmapped\tbest_mismatches\toccurrences\n"...)
-	}
-	for i, res := range results {
-		row := approxRow{
-			Read:   sanitizeID(ids[i]),
-			Mapped: res.Mapped(), BestMismatches: res.BestMismatches(), Occurrences: res.Occurrences(),
-		}
-		if row.Mapped {
-			em.mapped++
-		}
-		tsv = append(append(tsv, row.Read...), '\t')
-		tsv = append(strconv.AppendBool(tsv, row.Mapped), '\t')
-		tsv = append(strconv.AppendInt(tsv, int64(row.BestMismatches), 10), '\t')
-		tsv = append(strconv.AppendInt(tsv, int64(row.Occurrences), 10), '\n')
-
-		nd = appendJSONString(append(nd, `{"read":`...), row.Read)
-		nd = strconv.AppendBool(append(nd, `,"mapped":`...), row.Mapped)
-		nd = strconv.AppendInt(append(nd, `,"best_mismatches":`...), int64(row.BestMismatches), 10)
-		nd = strconv.AppendInt(append(nd, `,"occurrences":`...), int64(row.Occurrences), 10)
-		nd = append(nd, "}\n"...)
-	}
-	em.scratchTSV.Write(tsv)
-	em.scratchND.Write(nd)
-	return em.flushBatch(len(results))
-}
-
-// memBatch emits one seed-and-extend batch: samText is the batch's rendered
-// SAM lines (the first batch includes the header, straight from the job's
-// one sam.Writer), rows the matching stream rows — one per read, so stream
-// event ids still count reads even though the SAM text holds header lines.
-func (em *jobEmitter) memBatch(samText []byte, rows []memRow) error {
-	em.scratchTSV.Write(samText)
-	enc := json.NewEncoder(&em.scratchND)
-	for _, row := range rows {
-		if row.Mapped {
-			em.mapped++
-		}
-		if err := enc.Encode(row); err != nil {
-			return err
-		}
-	}
-	return em.flushBatch(len(rows))
+// memLine stages the NDJSON line of one seed-and-extend record: one per read,
+// so stream event ids still count reads even though the SAM text holds header
+// lines.
+func (em *jobEmitter) memLine(c *runner.Cells) {
+	em.ndEnc.Encode(memRowFrom(c.Rec, *c.Mem)) // a memRow cannot fail to encode
 }
 
 // sync seals the results after a successful mapping run: they are fsync'd
