@@ -258,6 +258,42 @@ func TestProfileAndEvents(t *testing.T) {
 	}
 }
 
+// A run charged batch by batch lays each batch's events after the last: the
+// merged timeline tiles without overlap and ends at the summed total, and the
+// batches' own profiles keep their timelines.
+func TestMergeLaysBatchesEndToEnd(t *testing.T) {
+	ix := buildIndex(t, 20000)
+	d, _ := NewDevice(Config{})
+	k, _ := d.Program(ix)
+	reads := simReads(t, ix, 400, 35, 0.5)
+	var merged Profile
+	var batches []Profile
+	for i, batch := range [][]dna.Seq{reads[:200], reads[200:]} {
+		run, err := k.MapReadsOpts(batch, MapRunOptions{IndexResident: i > 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		merged.Merge(run.Profile)
+		batches = append(batches, run.Profile)
+	}
+	if len(merged.Events) != 10 {
+		t.Fatalf("%d events, want 10", len(merged.Events))
+	}
+	var cursor time.Duration
+	for _, e := range merged.Events {
+		if e.Queued > e.Start || e.Start != cursor || e.End < e.Start {
+			t.Errorf("event %s misplaced: queued=%v start=%v cursor=%v", e.Name, e.Queued, e.Start, cursor)
+		}
+		cursor = e.End
+	}
+	if want := batches[0].Total() + batches[1].Total(); cursor != want || merged.Total() != want {
+		t.Errorf("events cover %v, merged total %v, want %v", cursor, merged.Total(), want)
+	}
+	if batches[1].Events[0].Start != 0 {
+		t.Error("Merge shifted the batch's own events")
+	}
+}
+
 func TestLocateResults(t *testing.T) {
 	ix := buildIndex(t, 20000)
 	d, _ := NewDevice(Config{})

@@ -116,7 +116,7 @@ func (w twoPassWork) execute(k *Kernel, t *TwoPassResult, reads []dna.Seq, opts 
 	if err := k.rollPass(false); err != nil {
 		return Profile{}, err
 	}
-	passes.addPass(k.pass(k.pipelineCycles(steps, unaligned), unaligned, unaligned))
+	passes.Merge(k.pass(k.pipelineCycles(steps, unaligned), unaligned, unaligned))
 	passes.Reconfig = DefaultReconfigTime
 	return passes, nil
 }
