@@ -12,8 +12,8 @@ import (
 	"io"
 	"log"
 	"mime/multipart"
+	"net"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"time"
 
@@ -55,9 +55,15 @@ func main() {
 		log.Fatal(err)
 	}
 	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	fmt.Println("server running at", ts.URL)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		log.Fatal(err)
+	}
+	web := &http.Server{Handler: srv.Handler()}
+	go web.Serve(ln)
+	defer web.Close()
+	base := "http://" + ln.Addr().String()
+	fmt.Println("server running at", base)
 
 	// Upload through the jobs endpoint, exactly as the browser form would.
 	var form bytes.Buffer
@@ -74,7 +80,7 @@ func main() {
 	client := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {
 		return http.ErrUseLastResponse
 	}}
-	resp, err := client.Post(ts.URL+"/jobs", mw.FormDataContentType(), &form)
+	resp, err := client.Post(base+"/jobs", mw.FormDataContentType(), &form)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -83,7 +89,7 @@ func main() {
 	if resp.StatusCode != http.StatusSeeOther {
 		log.Fatalf("submit returned %d", resp.StatusCode)
 	}
-	jobURL := ts.URL + resp.Header.Get("Location")
+	jobURL := base + resp.Header.Get("Location")
 	fmt.Println("job submitted:", jobURL)
 
 	// Poll the job page until it is done, as the browser's refresh does.

@@ -13,7 +13,7 @@ import (
 	"mime"
 	"mime/multipart"
 	"net/http"
-	"net/http/httptest"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -25,7 +25,7 @@ import (
 // forwardOutcome is one settled submission attempt: where it landed and what
 // the owner answered.
 type forwardOutcome struct {
-	worker   string // owner base URL; "" = served by the embedded local server
+	worker   string // the upstream that answered: a worker URL or localURL
 	status   int
 	header   http.Header
 	body     []byte
@@ -33,6 +33,10 @@ type forwardOutcome struct {
 	state    string
 	replayed bool
 }
+
+// maxAnswerBytes bounds a buffered upstream answer: a submission ack, a job
+// status, a chunk ack, a job list, a stats or metrics scrape.
+const maxAnswerBytes = 32 << 20
 
 // errNoCandidates reports an empty healthy-candidate set.
 var errNoCandidates = errors.New("no healthy workers")
@@ -50,9 +54,9 @@ func remainingBudget(rj *routedJob) (time.Duration, bool) {
 
 // forwardHeaders stamps the cross-process job identity on an upstream
 // request: idempotency key (dedupe), request id (tracing), and the remaining
-// deadline budget (satellite fix: a retried or failed-over forward must NOT
-// hand the worker a fresh full timeout — it gets deadline minus elapsed,
-// recomputed at this call).
+// deadline budget (a retried or failed-over forward must NOT hand the worker
+// a fresh full timeout — it gets deadline minus elapsed, recomputed at this
+// call).
 func forwardHeaders(req *http.Request, rj *routedJob) {
 	if rj.contentType != "" {
 		req.Header.Set("Content-Type", rj.contentType)
@@ -65,7 +69,7 @@ func forwardHeaders(req *http.Request, rj *routedJob) {
 		req.Header.Set(obs.RequestIDHeader, rj.requestID)
 	}
 	if left, ok := remainingBudget(rj); ok && !rj.deadline.IsZero() {
-		req.Header.Set(TimeoutHeader, strconv.FormatInt(left.Milliseconds()+1, 10))
+		req.Header.Set(server.TimeoutBudgetHeader, strconv.FormatInt(left.Milliseconds()+1, 10))
 	}
 }
 
@@ -85,8 +89,8 @@ func retryableStatus(status int) bool {
 // forwardSubmit pushes a submission onto the ring: candidates are tried in
 // ring order (primary, then replicas) with exponential backoff + jitter
 // between attempts, and the deadline budget shrinks as attempts burn time.
-// When every candidate is down — or there were none — the job is served by
-// the embedded local server (graceful degradation to standalone).
+// When every candidate is down — or there were none — the same round trip
+// goes to the embedded fallback server (graceful degradation to standalone).
 func (g *Gateway) forwardSubmit(ctx context.Context, rj *routedJob) (*forwardOutcome, error) {
 	cands := g.reg.Candidates(rj.key)
 	var lastErr error
@@ -122,9 +126,8 @@ func (g *Gateway) forwardSubmit(ctx context.Context, rj *routedJob) (*forwardOut
 	if len(cands) == 0 {
 		lastErr = errNoCandidates
 	}
-	// Standalone fallback: serve the job ourselves rather than failing it.
 	g.log.Warn("no worker accepted job; serving locally", "gw_job", rj.gwID, "cause", lastErr)
-	out, err := g.forwardLocal(ctx, rj)
+	out, err := g.forwardOnce(ctx, rj, localURL)
 	if err != nil {
 		return nil, fmt.Errorf("%v (local fallback also failed: %w)", lastErr, err)
 	}
@@ -146,29 +149,39 @@ func (g *Gateway) backoff(ctx context.Context, attempt int) error {
 	}
 }
 
-// forwardOnce performs one submission round trip against one worker.
+// forwardOnce performs one submission round trip against one upstream.
 func (g *Gateway) forwardOnce(ctx context.Context, rj *routedJob, target string) (*forwardOutcome, error) {
 	attemptCtx, cancel := context.WithTimeout(ctx, g.attemptTimeout(rj))
 	defer cancel()
-	url := target + rj.path
+	endpoint := target + rj.path
 	if rj.query != "" {
-		url += "?" + rj.query
+		endpoint += "?" + rj.query
 	}
-	req, err := http.NewRequestWithContext(attemptCtx, rj.method, url, bytes.NewReader(rj.body))
+	req, err := http.NewRequestWithContext(attemptCtx, rj.method, endpoint, bytes.NewReader(rj.body))
 	if err != nil {
 		return nil, err
 	}
 	forwardHeaders(req, rj)
-	resp, err := g.client.Do(req)
+	resp, body, err := g.roundTrip(req)
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
-	if err != nil {
-		return nil, err
+	out := &forwardOutcome{
+		worker:   target,
+		status:   resp.StatusCode,
+		header:   resp.Header,
+		body:     body,
+		replayed: resp.Header.Get("Idempotency-Replayed") == "true",
 	}
-	return decodeOutcome(target, resp, body), nil
+	var m struct {
+		ID    int    `json:"id"`
+		State string `json:"state"`
+	}
+	if json.Unmarshal(body, &m) == nil {
+		out.remoteID = m.ID
+		out.state = m.State
+	}
+	return out, nil
 }
 
 // attemptTimeout bounds one submission round trip: the configured worker
@@ -186,131 +199,37 @@ func (g *Gateway) attemptTimeout(rj *routedJob) time.Duration {
 	return d
 }
 
-// decodeOutcome folds an HTTP submission response into a forwardOutcome.
-func decodeOutcome(worker string, resp *http.Response, body []byte) *forwardOutcome {
-	out := &forwardOutcome{
-		worker:   worker,
-		status:   resp.StatusCode,
-		header:   resp.Header,
-		body:     body,
-		replayed: resp.Header.Get("Idempotency-Replayed") == "true",
-	}
-	var m struct {
-		ID    int    `json:"id"`
-		State string `json:"state"`
-	}
-	if json.Unmarshal(body, &m) == nil {
-		out.remoteID = m.ID
-		out.state = m.State
-	}
-	return out
-}
-
-// forwardLocal serves a submission with the embedded local server, in
-// process. The response is decoded exactly like a remote worker's.
-func (g *Gateway) forwardLocal(ctx context.Context, rj *routedJob) (*forwardOutcome, error) {
-	hdr := http.Header{}
-	if rj.idemKey != "" {
-		hdr.Set("Idempotency-Key", rj.idemKey)
-	}
-	if rj.requestID != "" {
-		hdr.Set(obs.RequestIDHeader, rj.requestID)
-	}
-	if left, ok := remainingBudget(rj); ok && !rj.deadline.IsZero() {
-		hdr.Set(TimeoutHeader, strconv.FormatInt(left.Milliseconds()+1, 10))
-	}
-	rec, err := g.localRoundTrip(ctx, rj.method, rj.path, rj.query, rj.body, func(req *http.Request) {
-		if rj.contentType != "" {
-			req.Header.Set("Content-Type", rj.contentType)
-		}
-		for k, vs := range hdr {
-			req.Header[k] = vs
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	resp := rec.Result()
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	return decodeOutcome("", resp, body), nil
-}
-
-// localRoundTrip runs one request against the embedded local server's
-// handler without touching the network. mutate (optional) adjusts headers
-// before dispatch.
-func (g *Gateway) localRoundTrip(ctx context.Context, method, path, query string, body []byte, mutate func(*http.Request)) (*httptest.ResponseRecorder, error) {
-	url := path
-	if query != "" {
-		url += "?" + query
-	}
-	req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Accept", "application/json")
-	if mutate != nil {
-		mutate(req)
-	}
-	rec := httptest.NewRecorder()
-	g.localHandler.ServeHTTP(rec, req)
-	return rec, nil
-}
-
-// fetchStatus asks a route's current owner for the job's state (used for
-// idempotent replay answers).
-func (g *Gateway) fetchStatus(r *http.Request, rj *routedJob) (*forwardOutcome, error) {
-	g.mu.Lock()
-	worker, remoteID := rj.worker, rj.remoteID
-	g.mu.Unlock()
-	path := fmt.Sprintf("/api/jobs/%d", remoteID)
-	if worker == "" {
-		rec, err := g.localRoundTrip(r.Context(), http.MethodGet, path, "", nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		resp := rec.Result()
-		defer resp.Body.Close()
-		body, _ := io.ReadAll(resp.Body)
-		return decodeOutcome("", resp, body), nil
-	}
-	body, err := g.fetchWorker(r.Context(), worker, path)
-	if err != nil {
-		return nil, err
-	}
-	out := &forwardOutcome{worker: worker, status: http.StatusOK, body: body}
-	var m struct {
-		ID    int    `json:"id"`
-		State string `json:"state"`
-	}
-	if json.Unmarshal(body, &m) == nil {
-		out.remoteID = m.ID
-		out.state = m.State
-	}
-	return out, nil
-}
-
-// fetchWorker GETs a worker endpoint with the scatter-gather timeout and
-// returns the body of a 2xx answer.
-func (g *Gateway) fetchWorker(ctx context.Context, workerURL, path string) ([]byte, error) {
-	fetchCtx, cancel := context.WithTimeout(ctx, g.cfg.WorkerTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(fetchCtx, http.MethodGet, workerURL+path, nil)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Accept", "application/json")
+// roundTrip sends req upstream and reads the whole answer (up to
+// maxAnswerBytes).
+func (g *Gateway) roundTrip(req *http.Request) (*http.Response, []byte, error) {
 	resp, err := g.client.Do(req)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxAnswerBytes))
+	if err != nil {
+		return nil, nil, err
+	}
+	return resp, body, nil
+}
+
+// fetch GETs an upstream endpoint within WorkerTimeout and returns the body
+// of a 2xx answer.
+func (g *Gateway) fetch(ctx context.Context, upstream, path string) ([]byte, error) {
+	ctx, cancel := context.WithTimeout(ctx, g.cfg.WorkerTimeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, upstream+path, nil)
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Accept", "application/json")
+	resp, body, err := g.roundTrip(req)
 	if err != nil {
 		return nil, err
 	}
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		return nil, fmt.Errorf("%s%s: HTTP %d", workerURL, path, resp.StatusCode)
+		return nil, fmt.Errorf("%s%s: HTTP %d", workerLabel(upstream), path, resp.StatusCode)
 	}
 	return body, nil
 }
@@ -385,15 +304,15 @@ func (g *Gateway) failoverRoute(rj *routedJob) {
 
 // ringKeyForUpload computes the consistent-hash key for a buffered multipart
 // submission: server.RingKey over the SHA-256 of the reference part's bytes
-// and the b/sf form fields — the alias key the worker's index cache looks the
+// and the b/sf parameters — the alias key the worker's index cache looks the
 // upload up by, so the gateway never parses a reference. Index affinity is the
 // whole point: the same upload and parameters always land on the same worker,
 // whose cache is already warm. Two byte-different encodings of one sequence
 // hash apart and may land on different workers; each then builds once. Any
 // scan trouble falls back to hashing the raw body (uniform spread, no
 // affinity, still deterministic).
-func (g *Gateway) ringKeyForUpload(contentType string, body []byte) string {
-	key, err := ringKeyFromMultipart(contentType, body, g.cfg.FtabK)
+func (g *Gateway) ringKeyForUpload(contentType, query string, body []byte) string {
+	key, err := ringKeyFromMultipart(contentType, query, body, g.cfg.FtabK)
 	if err != nil {
 		g.log.Warn("ring key: falling back to raw-body hash", "cause", err)
 		return fmt.Sprintf("raw|%016x", ringHash(string(body)))
@@ -402,9 +321,10 @@ func (g *Gateway) ringKeyForUpload(contentType string, body []byte) string {
 }
 
 // ringKeyFromMultipart scans a multipart body for the reference part (hashed
-// as it streams past, first one wins like the worker's form reader) and the
-// b/sf fields.
-func ringKeyFromMultipart(contentType string, body []byte, ftabK int) (string, error) {
+// as it streams past) and the b/sf parameters, resolving them as the worker's
+// submit handler does: the first reference file part and the first value of
+// a field win, and a URL-query value outranks a body field.
+func ringKeyFromMultipart(contentType, query string, body []byte, ftabK int) (string, error) {
 	mediaType, params, err := mime.ParseMediaType(contentType)
 	if err != nil {
 		return "", fmt.Errorf("content type: %w", err)
@@ -414,7 +334,7 @@ func ringKeyFromMultipart(contentType string, body []byte, ftabK int) (string, e
 	}
 	mr := multipart.NewReader(bytes.NewReader(body), params["boundary"])
 	refDigest := ""
-	b, sf := server.DefaultB, server.DefaultSF
+	fields := map[string]string{}
 	for {
 		part, err := mr.NextPart()
 		if err == io.EOF {
@@ -430,16 +350,10 @@ func ringKeyFromMultipart(contentType string, body []byte, ftabK int) (string, e
 				return "", fmt.Errorf("reference part: %w", err)
 			}
 			refDigest = hex.EncodeToString(h.Sum(nil))
-		case name == "b" || name == "sf":
-			raw, err := io.ReadAll(io.LimitReader(part, 64))
-			if err == nil {
-				if v, perr := strconv.Atoi(strings.TrimSpace(string(raw))); perr == nil {
-					if name == "b" {
-						b = v
-					} else {
-						sf = v
-					}
-				}
+		case (name == "b" || name == "sf") && part.FileName() == "":
+			if _, dup := fields[name]; !dup {
+				raw, _ := io.ReadAll(io.LimitReader(part, 64))
+				fields[name] = string(raw)
 			}
 		}
 		part.Close()
@@ -447,11 +361,19 @@ func ringKeyFromMultipart(contentType string, body []byte, ftabK int) (string, e
 	if refDigest == "" {
 		return "", errors.New("no reference part")
 	}
-	return server.RingKey(refDigest, b, sf, ftabK), nil
+	q, _ := url.ParseQuery(query)
+	param := func(name string, def int) int {
+		v, ok := fields[name]
+		if qv := q[name]; len(qv) > 0 {
+			v, ok = qv[0], true
+		}
+		if n, err := strconv.Atoi(strings.TrimSpace(v)); ok && err == nil {
+			return n
+		}
+		return def // unparseable: the worker rejects the job, so any key will do
+	}
+	return server.RingKey(refDigest, param("b", server.DefaultB), param("sf", server.DefaultSF), ftabK), nil
 }
-
-// readAll drains r fully.
-func readAll(r io.Reader) ([]byte, error) { return io.ReadAll(r) }
 
 // isMaxBytes reports whether err came from http.MaxBytesReader.
 func isMaxBytes(err error) bool {

@@ -5,10 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"html/template"
+	"io"
 	"log/slog"
 	"net/http"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -17,13 +17,6 @@ import (
 	"bwaver/internal/obs"
 	"bwaver/internal/server"
 )
-
-// TimeoutHeader carries the job's remaining deadline budget (in whole
-// milliseconds) from the gateway to the worker. The gateway recomputes it at
-// every forward attempt — including retries and replica failovers — so a
-// worker never receives a fresh full budget for a job that has already spent
-// part of its deadline elsewhere.
-const TimeoutHeader = "X-Bwaver-Timeout-Ms"
 
 // Config tunes the gateway; zero values take the listed defaults.
 type Config struct {
@@ -44,7 +37,9 @@ type Config struct {
 	// successful heartbeat re-admits it; default 10s.
 	Cooldown time.Duration
 	// JobTimeout is the end-to-end deadline budget stamped on forwarded
-	// jobs; 0 propagates no budget.
+	// jobs (server.TimeoutBudgetHeader, recomputed at every attempt, so a
+	// retried or failed-over job never gets a fresh budget); 0 propagates no
+	// budget.
 	JobTimeout time.Duration
 	// ForwardAttempts bounds submission attempts across ring replicas;
 	// default 3.
@@ -61,7 +56,8 @@ type Config struct {
 	// MaxUploadBytes bounds buffered submission bodies; default 256 MiB.
 	MaxUploadBytes int64
 	// Local is the embedded standalone server the gateway degrades to when
-	// zero workers are healthy. Required.
+	// zero workers are healthy, reached in process as the upstream localURL.
+	// Required.
 	Local *server.Server
 	// Logger receives gateway logs; nil discards them.
 	Logger *slog.Logger
@@ -111,7 +107,7 @@ type routedJob struct {
 	body        []byte
 	chunked     bool // created via POST /api/jobs; payload lives on the worker
 
-	worker    string // current owner base URL; "" = served locally
+	worker    string // current owner: a worker URL or localURL; "" until landed
 	remoteID  int
 	lastState string
 	terminal  bool
@@ -127,12 +123,10 @@ type routedJob struct {
 // submissions across registered workers, fails them over when workers die,
 // and degrades to the embedded local server when none are healthy.
 type Gateway struct {
-	cfg          Config
-	reg          *Registry
-	local        *server.Server
-	localHandler http.Handler
-	client       *http.Client
-	log          *slog.Logger
+	cfg    Config
+	reg    *Registry
+	client *http.Client // reaches every upstream, the local one included
+	log    *slog.Logger
 
 	mu     sync.Mutex
 	routes map[int]*routedJob
@@ -164,17 +158,15 @@ func New(cfg Config) (*Gateway, error) {
 		return nil, fmt.Errorf("cluster: Config.Local (standalone fallback server) is required")
 	}
 	g := &Gateway{
-		cfg:          cfg,
-		reg:          newRegistry(cfg.Vnodes, cfg.MissThreshold, cfg.Cooldown),
-		local:        cfg.Local,
-		localHandler: cfg.Local.Handler(),
-		client:       &http.Client{},
-		log:          cfg.Logger,
-		routes:       map[int]*routedJob{},
-		idem:         map[string]int{},
-		nextID:       1,
-		stop:         make(chan struct{}),
-		done:         make(chan struct{}),
+		cfg:    cfg,
+		reg:    newRegistry(cfg.Vnodes, cfg.MissThreshold, cfg.Cooldown),
+		client: newUpstreamClient(cfg.Local.Handler()),
+		log:    cfg.Logger,
+		routes: map[int]*routedJob{},
+		idem:   map[string]int{},
+		nextID: 1,
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
 	}
 	if g.log == nil {
 		g.log = obs.NopLogger()
@@ -192,9 +184,6 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	return g, nil
 }
-
-// Registry exposes the worker registry (tests and the CLI's status output).
-func (g *Gateway) Registry() *Registry { return g.reg }
 
 // Start launches the heartbeat loop; safe to call once.
 func (g *Gateway) Start() {
@@ -217,8 +206,8 @@ func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /{$}", g.handleHome)
 	mux.HandleFunc("POST /jobs", g.handleSubmit)
-	mux.HandleFunc("GET /demo", g.handleDemo)
-	mux.HandleFunc("POST /api/jobs", g.handleCreateChunked)
+	mux.HandleFunc("GET /demo", g.handleSubmit)
+	mux.HandleFunc("POST /api/jobs", g.handleSubmit)
 	mux.HandleFunc("GET /api/jobs", g.handleListJobs)
 	mux.HandleFunc("GET /jobs/{id}", g.proxyBuffered)
 	mux.HandleFunc("GET /api/jobs/{id}", g.proxyBuffered)
@@ -273,31 +262,20 @@ func wantsJSON(r *http.Request) bool {
 	return strings.Contains(accept, "application/json") || strings.Contains(accept, "application/x-ndjson")
 }
 
-// newRoute allocates a gateway job ID and records the submission.
-func (g *Gateway) newRoute(method, path, query, contentType, key, idemKey, requestID string, body []byte, chunked bool) *routedJob {
+// addRoute allocates a gateway job ID for a submission, starts its deadline
+// budget and records it.
+func (g *Gateway) addRoute(rj *routedJob) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	rj := &routedJob{
-		gwID:        g.nextID,
-		key:         key,
-		idemKey:     idemKey,
-		requestID:   requestID,
-		method:      method,
-		path:        path,
-		query:       query,
-		contentType: contentType,
-		body:        body,
-		chunked:     chunked,
-	}
+	rj.gwID = g.nextID
 	if g.cfg.JobTimeout > 0 {
 		rj.deadline = time.Now().Add(g.cfg.JobTimeout)
 	}
 	g.nextID++
 	g.routes[rj.gwID] = rj
-	if idemKey != "" {
-		g.idem[idemKey] = rj.gwID
+	if rj.idemKey != "" {
+		g.idem[rj.idemKey] = rj.gwID
 	}
-	return rj
 }
 
 // dropRoute forgets a submission that never landed anywhere.
@@ -345,9 +323,12 @@ func (g *Gateway) markState(rj *routedJob, state string) {
 	}
 }
 
-// handleSubmit accepts a buffered multipart upload, hashes it onto the ring,
-// and forwards it. The whole body is buffered so the payload can be re-sent
-// to a replica if the chosen worker dies mid-job.
+// handleSubmit accepts a new job on any of the three submission routes — a
+// multipart upload (POST /jobs), the synthetic demo (GET /demo) or a
+// chunked-ingest shell (POST /api/jobs) — hashes it onto the ring and
+// forwards it, path, query and body as the client sent them. The body is
+// buffered so the payload can be re-sent to a replica if the chosen worker
+// dies mid-job.
 func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	reqID := obs.RequestIDFrom(r.Context())
 	idemKey := strings.TrimSpace(r.Header.Get("Idempotency-Key"))
@@ -355,69 +336,50 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		g.respondReplay(w, r, rj)
 		return
 	}
-	body, ok := g.readBody(w, r)
-	if !ok {
-		return
-	}
-	contentType := r.Header.Get("Content-Type")
-	key := g.ringKeyForUpload(contentType, body)
 	if idemKey == "" {
 		// Mint one: the key is what makes a failover re-forward safe against
 		// double execution when it races a retry to the same worker.
 		idemKey = "gw-" + reqID
 	}
-	rj := g.newRoute(http.MethodPost, "/jobs", "", contentType, key, idemKey, reqID, body, false)
-	g.dispatchSubmit(w, r, rj)
-}
-
-// handleDemo forwards the synthetic demo job; the ring key is derived from
-// the demo parameters (every worker renders the same seeded dataset).
-func (g *Gateway) handleDemo(w http.ResponseWriter, r *http.Request) {
-	reqID := obs.RequestIDFrom(r.Context())
-	idemKey := strings.TrimSpace(r.Header.Get("Idempotency-Key"))
-	if rj := g.routeByIdem(idemKey); rj != nil {
-		g.respondReplay(w, r, rj)
-		return
+	rj := &routedJob{
+		idemKey:     idemKey,
+		requestID:   reqID,
+		method:      r.Method,
+		path:        r.URL.Path,
+		query:       r.URL.RawQuery,
+		contentType: r.Header.Get("Content-Type"),
 	}
-	if idemKey == "" {
-		idemKey = "gw-" + reqID
+	if r.Method != http.MethodGet {
+		body, ok := g.readBody(w, r)
+		if !ok {
+			return
+		}
+		rj.body = body
 	}
-	key := "demo|" + r.URL.RawQuery
-	rj := g.newRoute(http.MethodGet, "/demo", r.URL.RawQuery, "", key, idemKey, reqID, nil, false)
-	g.dispatchSubmit(w, r, rj)
-}
-
-// handleCreateChunked opens a chunked-ingest job on a worker. The payload
-// will live on that worker, so the route is sticky: if the worker dies while
-// the job is still uploading, a failover re-creates the empty shell on a
-// replica and the client's offset polling restarts the upload; once the job
-// is past uploading, the payload cannot be re-sent and the route stays
-// pinned until the worker returns.
-func (g *Gateway) handleCreateChunked(w http.ResponseWriter, r *http.Request) {
-	reqID := obs.RequestIDFrom(r.Context())
-	idemKey := strings.TrimSpace(r.Header.Get("Idempotency-Key"))
-	if rj := g.routeByIdem(idemKey); rj != nil {
-		g.respondReplay(w, r, rj)
-		return
+	switch rj.path {
+	case "/jobs":
+		rj.key = g.ringKeyForUpload(rj.contentType, rj.query, rj.body)
+	case "/demo":
+		// Every worker renders the same seeded dataset from the parameters.
+		rj.key = "demo|" + rj.query
+	default:
+		// A chunked-ingest shell has no payload yet, so no content address:
+		// spread shells by idempotency key. The payload will live on the
+		// owner, so the route is sticky: a failover while the job is still
+		// uploading re-creates the empty shell on a replica and the client's
+		// offset polling restarts the upload; past that, the route stays
+		// pinned until the worker returns (canFailoverLocked).
+		rj.key = "create|" + idemKey
+		rj.chunked = true
 	}
-	body, ok := g.readBody(w, r)
-	if !ok {
-		return
-	}
-	if idemKey == "" {
-		idemKey = "gw-" + reqID
-	}
-	// No payload yet, so no content address: spread shells by idempotency
-	// key. The index-affinity win only applies once the reference is known.
-	key := "create|" + idemKey
-	rj := g.newRoute(http.MethodPost, "/api/jobs", "", r.Header.Get("Content-Type"), key, idemKey, reqID, body, true)
+	g.addRoute(rj)
 	g.dispatchSubmit(w, r, rj)
 }
 
 // readBody buffers a submission body under the upload cap.
 func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	r.Body = http.MaxBytesReader(w, r.Body, g.cfg.MaxUploadBytes)
-	body, err := readAll(r.Body)
+	body, err := io.ReadAll(r.Body)
 	if err != nil {
 		status := http.StatusBadRequest
 		if isMaxBytes(err) {
@@ -458,7 +420,7 @@ func (g *Gateway) dispatchSubmit(w http.ResponseWriter, r *http.Request, rj *rou
 		if out.replayed {
 			w.Header().Set("Idempotency-Replayed", "true")
 		}
-		writeJSON(w, http.StatusOK, g.rewriteJobJSON(out.body, rj))
+		writeJSON(w, http.StatusOK, json.RawMessage(g.rewriteJobJSON(out.body, rj)))
 		return
 	}
 	http.Redirect(w, r, fmt.Sprintf("/jobs/%d", rj.gwID), http.StatusSeeOther)
@@ -468,26 +430,30 @@ func (g *Gateway) dispatchSubmit(w http.ResponseWriter, r *http.Request, rj *rou
 // current owner is asked for the job's state, and the response is rewritten
 // to the gateway's ID with the replay marker set.
 func (g *Gateway) respondReplay(w http.ResponseWriter, r *http.Request, rj *routedJob) {
-	out, err := g.fetchStatus(r, rj)
+	g.mu.Lock()
+	worker, remoteID := rj.worker, rj.remoteID
+	g.mu.Unlock()
+	body, err := g.fetch(r.Context(), worker, fmt.Sprintf("/api/jobs/%d", remoteID))
 	if err != nil {
 		jsonError(w, http.StatusBadGateway, "job's worker is unreachable: "+err.Error())
 		return
 	}
 	if wantsJSON(r) {
 		w.Header().Set("Idempotency-Replayed", "true")
-		writeJSON(w, out.status, g.rewriteJobJSON(out.body, rj))
+		writeJSON(w, http.StatusOK, json.RawMessage(g.rewriteJobJSON(body, rj)))
 		return
 	}
 	http.Redirect(w, r, fmt.Sprintf("/jobs/%d", rj.gwID), http.StatusSeeOther)
 }
 
-// rewriteJobJSON re-addresses a worker's job JSON to the gateway namespace:
-// the id becomes the gateway's, and the serving worker is surfaced for
-// operators. Undecodable bodies pass through untouched.
-func (g *Gateway) rewriteJobJSON(body []byte, rj *routedJob) any {
+// rewriteJobJSON re-addresses an upstream's job JSON to the gateway
+// namespace: the id becomes the gateway's, the observed state is folded into
+// the route, and the serving worker is surfaced for operators. A body that is
+// not a JSON object passes through untouched.
+func (g *Gateway) rewriteJobJSON(body []byte, rj *routedJob) []byte {
 	var m map[string]any
-	if err := json.Unmarshal(body, &m); err != nil {
-		return json.RawMessage(body)
+	if json.Unmarshal(body, &m) != nil {
+		return body
 	}
 	if _, ok := m["id"]; ok {
 		m["id"] = rj.gwID
@@ -502,98 +468,21 @@ func (g *Gateway) rewriteJobJSON(body []byte, rj *routedJob) any {
 	if failovers > 0 {
 		m["failovers"] = failovers
 	}
-	return m
-}
-
-// handleListJobs scatter-gathers every owner's job list and re-addresses the
-// routed ones to gateway IDs. Jobs submitted directly to a worker (bypassing
-// the gateway) are not part of the gateway namespace and are skipped.
-func (g *Gateway) handleListJobs(w http.ResponseWriter, r *http.Request) {
-	type owned struct {
-		worker string
-		jobs   []map[string]any
+	out, err := json.Marshal(m)
+	if err != nil {
+		return body
 	}
-	owners := g.reg.Workers()
-	results := make([]owned, len(owners)+1)
-	var wg sync.WaitGroup
-	for i, url := range owners {
-		wg.Add(1)
-		go func(i int, url string) {
-			defer wg.Done()
-			body, err := g.fetchWorker(r.Context(), url, "/api/jobs")
-			if err != nil {
-				g.mScrapeErrors.With(url).Inc()
-				return
-			}
-			var jobs []map[string]any
-			if json.Unmarshal(body, &jobs) == nil {
-				results[i] = owned{worker: url, jobs: jobs}
-			}
-		}(i, url)
-	}
-	wg.Wait()
-	// Local jobs come from the embedded server, in process.
-	if rec, err := g.localRoundTrip(r.Context(), http.MethodGet, "/api/jobs", "", nil, nil); err == nil {
-		var jobs []map[string]any
-		if json.Unmarshal(rec.Body.Bytes(), &jobs) == nil {
-			results[len(owners)] = owned{worker: "", jobs: jobs}
-		}
-	}
-
-	// Reverse index (owner, remoteID) → route.
-	g.mu.Lock()
-	byOwner := map[string]map[int]*routedJob{}
-	for _, rj := range g.routes {
-		m := byOwner[rj.worker]
-		if m == nil {
-			m = map[int]*routedJob{}
-			byOwner[rj.worker] = m
-		}
-		m[rj.remoteID] = rj
-	}
-	g.mu.Unlock()
-	var merged []map[string]any
-	for _, own := range results {
-		for _, j := range own.jobs {
-			rid, ok := j["id"].(float64)
-			if !ok {
-				continue
-			}
-			rj := byOwner[own.worker][int(rid)]
-			if rj == nil {
-				continue
-			}
-			j["id"] = rj.gwID
-			j["worker"] = workerLabel(own.worker)
-			if state, _ := j["state"].(string); state != "" {
-				g.markState(rj, state)
-			}
-			merged = append(merged, j)
-		}
-	}
-	sort.Slice(merged, func(i, k int) bool {
-		a, _ := merged[i]["id"].(int)
-		b, _ := merged[k]["id"].(int)
-		return a < b
-	})
-	if merged == nil {
-		merged = []map[string]any{}
-	}
-	writeJSON(w, http.StatusOK, merged)
+	return out
 }
 
 // handleRegister admits a worker announced over the API. Registration is
 // idempotent; workers re-announce periodically so a restarted (stateless)
 // gateway relearns its pool.
 func (g *Gateway) handleRegister(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		URL string `json:"url"`
-	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		jsonError(w, http.StatusBadRequest, "bad register payload: "+err.Error())
+	url, ok := announcedURL(w, r)
+	if !ok {
 		return
 	}
-	url := strings.TrimRight(strings.TrimSpace(req.URL), "/")
 	if !strings.HasPrefix(url, "http://") && !strings.HasPrefix(url, "https://") {
 		jsonError(w, http.StatusBadRequest, "worker url must be absolute (http:// or https://)")
 		return
@@ -612,14 +501,10 @@ func (g *Gateway) handleRegister(w http.ResponseWriter, r *http.Request) {
 // handleDeregister removes a worker from the pool (graceful scale-down; its
 // routed jobs fail over like an eviction).
 func (g *Gateway) handleDeregister(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		URL string `json:"url"`
-	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		jsonError(w, http.StatusBadRequest, "bad deregister payload: "+err.Error())
+	url, ok := announcedURL(w, r)
+	if !ok {
 		return
 	}
-	url := strings.TrimRight(strings.TrimSpace(req.URL), "/")
 	removed := g.reg.Deregister(url)
 	if removed {
 		g.log.Info("worker deregistered", "worker", url)
@@ -627,6 +512,19 @@ func (g *Gateway) handleDeregister(w http.ResponseWriter, r *http.Request) {
 	}
 	_, total := g.reg.Counts()
 	writeJSON(w, http.StatusOK, map[string]any{"removed": removed, "workers": total})
+}
+
+// announcedURL decodes the {"url": ...} body of a register or deregister
+// call (see announce), answering 400 itself when it cannot.
+func announcedURL(w http.ResponseWriter, r *http.Request) (string, bool) {
+	var req struct {
+		URL string `json:"url"`
+	}
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
+		jsonError(w, http.StatusBadRequest, "bad "+strings.TrimPrefix(r.URL.Path, "/cluster/")+" payload: "+err.Error())
+		return "", false
+	}
+	return strings.TrimRight(strings.TrimSpace(req.URL), "/"), true
 }
 
 var gatewayHome = template.Must(template.New("gwhome").Parse(`<!doctype html>
@@ -670,12 +568,13 @@ func (g *Gateway) handleHome(w http.ResponseWriter, r *http.Request) {
 	w.Write(buf.Bytes())
 }
 
-// workerLabel names a route's owner for payloads and logs.
-func workerLabel(worker string) string {
-	if worker == "" {
+// workerLabel names an upstream for payloads, metric labels and logs: a
+// worker by its URL, the embedded fallback server as "local".
+func workerLabel(upstream string) string {
+	if upstream == localURL {
 		return "local"
 	}
-	return worker
+	return upstream
 }
 
 // shortKey abbreviates a ring key for log lines.
@@ -686,15 +585,12 @@ func shortKey(key string) string {
 	return key
 }
 
-// rewritePathID swaps the gateway job ID for the owner's in a request path.
-// Every job-scoped route embeds the ID as the path segment after "/jobs/",
-// so one targeted replace is exact.
-func rewritePathID(path string, gwID, remoteID int) string {
+// rewritePathID swaps one job ID for another in a path: the gateway's for the
+// owner's on the way up, the owner's for the gateway's in a Location header
+// on the way down. Every job-scoped route embeds the ID as the path segment
+// after "/jobs/", so one targeted replace is exact.
+func rewritePathID(path string, from, to int) string {
 	return strings.Replace(path,
-		fmt.Sprintf("/jobs/%d", gwID),
-		fmt.Sprintf("/jobs/%d", remoteID), 1)
-}
-
-func atoiID(r *http.Request) (int, error) {
-	return strconv.Atoi(r.PathValue("id"))
+		fmt.Sprintf("/jobs/%d", from),
+		fmt.Sprintf("/jobs/%d", to), 1)
 }

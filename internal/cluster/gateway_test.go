@@ -384,10 +384,11 @@ func TestGatewayMidJobFailover(t *testing.T) {
 }
 
 // TestGatewayDegradedLocal: with zero workers the gateway reports "degraded"
-// and serves jobs itself through the embedded standalone server.
+// and serves jobs itself through the embedded standalone server, which every
+// gateway path (submit, replay, status, results, stream, list, stats,
+// metrics) reaches like any worker.
 func TestGatewayDegradedLocal(t *testing.T) {
-	g, ts := newGateway(t, nil)
-	_ = g
+	_, ts := newGateway(t, nil)
 
 	hresp, err := http.Get(ts.URL + "/api/health")
 	if err != nil {
@@ -402,16 +403,74 @@ func TestGatewayDegradedLocal(t *testing.T) {
 
 	ref, reads := testUpload(t, 5000, 45)
 	body, ctype := multipartJob(t, ref, reads)
-	job, _ := submitJSON(t, ts.URL, body, ctype, nil)
+	idem := map[string]string{"Idempotency-Key": "degraded-key"}
+	job, _ := submitJSON(t, ts.URL, body, ctype, idem)
 	if job["worker"] != "local" {
 		t.Fatalf("degraded submission served by %v, want local", job["worker"])
 	}
 	final := waitGatewayJob(t, ts.URL, 1, func(s string) bool { return s == "done" || s == "failed" }, 60*time.Second)
-	if final["state"] != "done" {
-		t.Fatalf("local job finished %v: %v", final["state"], final["error"])
+	if final["state"] != "done" || final["worker"] != "local" {
+		t.Fatalf("local job finished %v on %v: %v", final["state"], final["worker"], final["error"])
 	}
-	if res := fetchResults(t, ts.URL, 1); !bytes.HasPrefix(res, []byte("read\t")) {
+	res := fetchResults(t, ts.URL, 1)
+	if !bytes.HasPrefix(res, []byte("read\t")) {
 		t.Fatalf("local results look wrong:\n%.200s", res)
+	}
+
+	body, ctype = multipartJob(t, ref, reads)
+	replay, resp := submitJSON(t, ts.URL, body, ctype, idem)
+	if resp.Header.Get("Idempotency-Replayed") != "true" || replay["id"].(float64) != 1 || replay["worker"] != "local" {
+		t.Fatalf("replayed local submission: %v (replayed header %q)", replay, resp.Header.Get("Idempotency-Replayed"))
+	}
+
+	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/api/jobs/1/stream", nil)
+	req.Header.Set("Accept", "application/x-ndjson")
+	sresp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, _ := io.ReadAll(sresp.Body)
+	sresp.Body.Close()
+	lines := strings.Split(strings.TrimSuffix(string(stream), "\n"), "\n")
+	rows := bytes.Count(res, []byte("\n")) - 1 // less the TSV header
+	if len(lines) != rows+1 || !strings.HasPrefix(lines[len(lines)-1], `{"event":"done"`) {
+		t.Fatalf("local NDJSON stream has %d lines for %d rows, last %q", len(lines), rows, lines[len(lines)-1])
+	}
+
+	var list []map[string]any
+	getJSON(t, ts.URL+"/api/jobs", &list)
+	if len(list) != 1 || list[0]["id"].(float64) != 1 || list[0]["worker"] != "local" {
+		t.Fatalf("gateway job list = %v", list)
+	}
+	var stats map[string]any
+	getJSON(t, ts.URL+"/api/stats", &stats)
+	if local, _ := stats["local"].(map[string]any); local == nil || local["error"] != nil {
+		t.Fatalf("stats local block = %v", stats["local"])
+	}
+	mresp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics, _ := io.ReadAll(mresp.Body)
+	mresp.Body.Close()
+	if !bytes.Contains(metrics, []byte(`worker="local"`)) || !bytes.Contains(metrics, []byte("bwaver_gateway_local_jobs_total 1")) {
+		t.Fatalf("merged metrics lack the local server's series or the fallback count:\n%.400s", metrics)
+	}
+}
+
+// getJSON GETs url and decodes a 200 answer into v.
+func getJSON(t *testing.T, url string, v any) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: HTTP %d", url, resp.StatusCode)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		t.Fatalf("GET %s: %v", url, err)
 	}
 }
 
@@ -444,7 +503,7 @@ func TestGatewayDeadlinePropagation(t *testing.T) {
 	idemKeys := map[int64]string{}
 	submit := func(w http.ResponseWriter, r *http.Request) {
 		n := calls.Add(1)
-		ms, _ := io.ReadAll(io.LimitReader(strings.NewReader(r.Header.Get(TimeoutHeader)), 64))
+		ms, _ := io.ReadAll(io.LimitReader(strings.NewReader(r.Header.Get(server.TimeoutBudgetHeader)), 64))
 		var v int64
 		fmt.Sscanf(string(ms), "%d", &v)
 		mu.Lock()

@@ -59,28 +59,14 @@ func (g *Gateway) probeWorker(url string) {
 	}
 }
 
-// fetchHealth fetches and decodes one worker's /api/health.
+// fetchHealth fetches and decodes one worker's /api/health. Workers answer it
+// with 200 even when degraded (status in the body), so any other answer
+// means the thing listening is not a worker.
 func (g *Gateway) fetchHealth(url string) (HealthReport, error) {
 	var hr HealthReport
-	ctx, cancel := context.WithTimeout(context.Background(), g.cfg.WorkerTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/api/health", nil)
+	body, err := g.fetch(context.Background(), url, "/api/health")
 	if err != nil {
 		return hr, err
-	}
-	resp, err := g.client.Do(req)
-	if err != nil {
-		return hr, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return hr, err
-	}
-	// Workers answer /api/health with 200 even when degraded (status in the
-	// body); any non-200 means the thing listening is not a worker.
-	if resp.StatusCode != http.StatusOK {
-		return hr, fmt.Errorf("health probe: HTTP %d", resp.StatusCode)
 	}
 	if err := json.Unmarshal(body, &hr); err != nil {
 		return hr, fmt.Errorf("health probe: bad payload: %w", err)

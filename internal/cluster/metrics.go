@@ -58,46 +58,25 @@ func (g *Gateway) initMetrics() {
 }
 
 // handleMetrics serves a merged Prometheus exposition: the gateway's own
-// series first, then every worker's /metrics (and the embedded local
-// server's), each relabeled with worker="<url>" so series from different
-// nodes never collide. Fetches are concurrent and bounded per worker.
+// series first, then every worker's /metrics and the fallback server's,
+// each relabeled with worker="<url>" (worker="local" for the fallback) so
+// series from different nodes never collide.
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	type scrape struct {
-		worker string
-		body   []byte
-		err    error
-	}
-	workers := g.reg.Workers()
-	results := make([]scrape, len(workers))
-	done := make(chan int, len(workers))
-	for i, url := range workers {
-		go func(i int, url string) {
-			body, err := g.fetchWorker(r.Context(), url, "/metrics")
-			results[i] = scrape{worker: url, body: body, err: err}
-			done <- i
-		}(i, url)
-	}
-	for range workers {
-		<-done
-	}
-
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+	scrapes := g.scatter(r.Context(), "/metrics")
 	var buf bytes.Buffer
 	g.metrics.WritePrometheus(&buf)
-	// seenMeta dedups # HELP / # TYPE lines: every worker exposes the same
+	// seenMeta dedups # HELP / # TYPE lines: every node exposes the same
 	// families, and Prometheus wants the metadata once per exposition.
 	seenMeta := map[string]bool{}
-	for _, sc := range results {
+	for _, sc := range scrapes {
+		name := workerLabel(sc.upstream)
 		if sc.err != nil {
-			g.mScrapeErrors.With(sc.worker).Inc()
-			fmt.Fprintf(&buf, "# worker %s scrape failed: %s\n", sc.worker, strings.ReplaceAll(sc.err.Error(), "\n", " "))
+			fmt.Fprintf(&buf, "# worker %s scrape failed: %s\n", name, strings.ReplaceAll(sc.err.Error(), "\n", " "))
 			continue
 		}
-		relabelPrometheus(&buf, sc.body, sc.worker, seenMeta)
+		relabelPrometheus(&buf, sc.body, name, seenMeta)
 	}
-	if rec, err := g.localRoundTrip(r.Context(), http.MethodGet, "/metrics", "", nil, nil); err == nil && rec.Code == http.StatusOK {
-		relabelPrometheus(&buf, rec.Body.Bytes(), "local", seenMeta)
-	}
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	w.Write(buf.Bytes())
 }
 

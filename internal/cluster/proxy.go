@@ -3,21 +3,22 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 
 	"bwaver/internal/obs"
 )
 
 // Job-scoped proxying. The gateway owns the job ID namespace: clients see
-// gateway IDs, workers keep their own, and the proxy rewrites between them —
+// gateway IDs, upstreams keep their own, and the proxy rewrites between them —
 // in the request path on the way up and in JSON/HTML bodies on the way down.
 // Buffered endpoints (status, chunk uploads, finalize, cancel, trace) are
 // captured and rewritten; streaming endpoints (results, SSE) pass bytes
-// through with flushing so live tails stay live.
+// through with flushing so live tails stay live. A job served by the
+// embedded fallback server is proxied like any other: its owner is localURL.
 
 // hopHeaders are not forwarded (RFC 9110 connection-level fields).
 var hopHeaders = map[string]bool{
@@ -35,7 +36,7 @@ var hopHeaders = map[string]bool{
 
 // routeFromRequest resolves the {id} path segment to a routed job.
 func (g *Gateway) routeFromRequest(w http.ResponseWriter, r *http.Request) (*routedJob, bool) {
-	id, err := atoiID(r)
+	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
 		jsonError(w, http.StatusBadRequest, "bad job id")
 		return nil, false
@@ -50,10 +51,12 @@ func (g *Gateway) routeFromRequest(w http.ResponseWriter, r *http.Request) (*rou
 
 // ensureOwnerAlive fails a route over before proxying when its worker has
 // been evicted — so a status poll right after a crash already lands on the
-// replica instead of bouncing off the corpse.
+// replica instead of bouncing off the corpse. The fallback server is never
+// evicted, and a route that has not landed yet has no owner to fail from.
 func (g *Gateway) ensureOwnerAlive(rj *routedJob) {
 	g.mu.Lock()
-	if rj.terminal || rj.worker == "" || rj.failingOver || !g.canFailoverLocked(rj) || g.reg.Healthy(rj.worker) {
+	if rj.terminal || rj.worker == "" || rj.worker == localURL || rj.failingOver ||
+		!g.canFailoverLocked(rj) || g.reg.Healthy(rj.worker) {
 		g.mu.Unlock()
 		return
 	}
@@ -62,22 +65,24 @@ func (g *Gateway) ensureOwnerAlive(rj *routedJob) {
 	g.failoverRoute(rj)
 }
 
-// upstreamRequest builds the worker-side copy of a job-scoped request: same
-// method and query, path re-addressed to the owner's job ID, client headers
-// minus hop-by-hop, plus the route's request id.
-func (g *Gateway) upstreamRequest(ctx context.Context, r *http.Request, rj *routedJob, worker string, remoteID int, body []byte) (*http.Request, error) {
-	path := rewritePathID(r.URL.Path, rj.gwID, remoteID)
-	url := worker + path
+// proxy sends the owner its copy of a job-scoped request — same method and
+// query, path re-addressed to the owner's job ID, client headers minus
+// hop-by-hop, plus the route's request id — after failing the route over if
+// its worker has been evicted. The outcome feeds the owner's breaker. On a
+// transport failure it answers 502 itself and returns a nil response.
+func (g *Gateway) proxy(ctx context.Context, w http.ResponseWriter, r *http.Request, rj *routedJob, body io.Reader) (*http.Response, int) {
+	g.ensureOwnerAlive(rj)
+	g.mu.Lock()
+	worker, remoteID := rj.worker, rj.remoteID
+	g.mu.Unlock()
+	target := worker + rewritePathID(r.URL.Path, rj.gwID, remoteID)
 	if r.URL.RawQuery != "" {
-		url += "?" + r.URL.RawQuery
+		target += "?" + r.URL.RawQuery
 	}
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, r.Method, url, rd)
+	req, err := http.NewRequestWithContext(ctx, r.Method, target, body)
 	if err != nil {
-		return nil, err
+		jsonError(w, http.StatusInternalServerError, err.Error())
+		return nil, 0
 	}
 	for k, vs := range r.Header {
 		if !hopHeaders[k] {
@@ -87,7 +92,15 @@ func (g *Gateway) upstreamRequest(ctx context.Context, r *http.Request, rj *rout
 	if rj.requestID != "" {
 		req.Header.Set(obs.RequestIDHeader, rj.requestID)
 	}
-	return req, nil
+	resp, err := g.client.Do(req)
+	if err != nil {
+		g.reg.ReportForward(worker, false, err.Error())
+		jsonError(w, http.StatusBadGateway,
+			fmt.Sprintf("job %d's worker is unreachable: %v", rj.gwID, err))
+		return nil, 0
+	}
+	g.reg.ReportForward(worker, true, "")
+	return resp, remoteID
 }
 
 // proxyBuffered captures the owner's whole response and re-addresses it to
@@ -97,62 +110,27 @@ func (g *Gateway) proxyBuffered(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	g.ensureOwnerAlive(rj)
-	g.mu.Lock()
-	worker, remoteID := rj.worker, rj.remoteID
-	g.mu.Unlock()
-
-	var body []byte
+	// Bodyless reads get the scatter timeout; uploads can be large, so they
+	// run on the client's own context.
+	ctx := r.Context()
+	var body io.Reader
 	if r.Method == http.MethodPut || r.Method == http.MethodPost {
 		b, ok := g.readBody(w, r)
 		if !ok {
 			return
 		}
-		body = b
-	}
-
-	var resp *http.Response
-	if worker == "" {
-		rec, err := g.localRoundTrip(r.Context(), r.Method,
-			rewritePathID(r.URL.Path, rj.gwID, remoteID), r.URL.RawQuery, body,
-			func(req *http.Request) {
-				for k, vs := range r.Header {
-					if !hopHeaders[k] {
-						req.Header[k] = vs
-					}
-				}
-			})
-		if err != nil {
-			jsonError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		resp = rec.Result()
+		body = bytes.NewReader(b)
 	} else {
-		// Bodyless reads get the scatter timeout; uploads can be large, so
-		// they run on the client's own context.
-		ctx := r.Context()
-		if body == nil {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, g.cfg.WorkerTimeout)
-			defer cancel()
-		}
-		req, err := g.upstreamRequest(ctx, r, rj, worker, remoteID, body)
-		if err != nil {
-			jsonError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		var doErr error
-		resp, doErr = g.client.Do(req)
-		if doErr != nil {
-			g.reg.ReportForward(worker, false, doErr.Error())
-			jsonError(w, http.StatusBadGateway,
-				fmt.Sprintf("job %d's worker is unreachable: %v", rj.gwID, doErr))
-			return
-		}
-		g.reg.ReportForward(worker, true, "")
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, g.cfg.WorkerTimeout)
+		defer cancel()
+	}
+	resp, remoteID := g.proxy(ctx, w, r, rj, body)
+	if resp == nil {
+		return
 	}
 	defer resp.Body.Close()
-	respBody, err := io.ReadAll(io.LimitReader(resp.Body, 32<<20))
+	respBody, err := io.ReadAll(io.LimitReader(resp.Body, maxAnswerBytes))
 	if err != nil {
 		jsonError(w, http.StatusBadGateway, "reading worker response: "+err.Error())
 		return
@@ -160,86 +138,43 @@ func (g *Gateway) proxyBuffered(w http.ResponseWriter, r *http.Request) {
 	g.writeRewritten(w, resp, respBody, rj, remoteID)
 }
 
-// writeRewritten re-addresses a buffered worker response to the gateway
+// writeRewritten re-addresses a buffered upstream response to the gateway
 // namespace: JSON `id` fields and HTML job links become the gateway's ID,
 // and any observed job state is folded into the route.
 func (g *Gateway) writeRewritten(w http.ResponseWriter, resp *http.Response, body []byte, rj *routedJob, remoteID int) {
 	ct := resp.Header.Get("Content-Type")
-	out := body
 	switch {
 	case strings.Contains(ct, "application/json"):
-		var m map[string]any
-		if json.Unmarshal(body, &m) == nil {
-			if _, ok := m["id"]; ok {
-				m["id"] = rj.gwID
-			}
-			if state, _ := m["state"].(string); state != "" {
-				g.markState(rj, state)
-			}
-			g.mu.Lock()
-			worker, failovers := rj.worker, rj.failovers
-			g.mu.Unlock()
-			m["worker"] = workerLabel(worker)
-			if failovers > 0 {
-				m["failovers"] = failovers
-			}
-			if buf, err := json.Marshal(m); err == nil {
-				out = buf
-			}
-		}
+		body = g.rewriteJobJSON(body, rj)
 	case strings.Contains(ct, "text/html"):
-		out = bytes.ReplaceAll(body,
+		body = bytes.ReplaceAll(body,
 			[]byte(fmt.Sprintf("/jobs/%d", remoteID)),
 			[]byte(fmt.Sprintf("/jobs/%d", rj.gwID)))
 	}
 	copyHeader(w.Header(), resp.Header,
 		"Content-Type", "Idempotency-Replayed", "Retry-After", "Cache-Control")
 	if loc := resp.Header.Get("Location"); loc != "" {
-		w.Header().Set("Location", strings.Replace(loc,
-			fmt.Sprintf("/jobs/%d", remoteID), fmt.Sprintf("/jobs/%d", rj.gwID), 1))
+		w.Header().Set("Location", rewritePathID(loc, remoteID, rj.gwID))
 	}
 	w.WriteHeader(resp.StatusCode)
-	w.Write(out)
+	w.Write(body)
 }
 
 // proxyStream passes a streaming endpoint (results download, SSE/NDJSON
 // live tail) through byte-for-byte with flushing. No ID rewriting is needed:
-// result rows and stream events carry alignments, not job ids.
+// result rows and stream events carry alignments, not job ids. Streams
+// outlive any worker timeout by design; the client's context is the only
+// bound.
 func (g *Gateway) proxyStream(w http.ResponseWriter, r *http.Request) {
 	rj, ok := g.routeFromRequest(w, r)
 	if !ok {
 		return
 	}
-	g.ensureOwnerAlive(rj)
-	g.mu.Lock()
-	worker, remoteID := rj.worker, rj.remoteID
-	g.mu.Unlock()
-
-	path := rewritePathID(r.URL.Path, rj.gwID, remoteID)
-	if worker == "" {
-		// Local: hand the real ResponseWriter to the embedded server so SSE
-		// keeps streaming. Only the path needs re-addressing.
-		r2 := r.Clone(r.Context())
-		r2.URL.Path = path
-		g.localHandler.ServeHTTP(w, r2)
-		return
-	}
-	// Streams outlive any worker timeout by design; the client's context is
-	// the only bound.
-	req, err := g.upstreamRequest(r.Context(), r, rj, worker, remoteID, nil)
-	if err != nil {
-		jsonError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	resp, err := g.client.Do(req)
-	if err != nil {
-		g.reg.ReportForward(worker, false, err.Error())
-		jsonError(w, http.StatusBadGateway,
-			fmt.Sprintf("job %d's worker is unreachable: %v", rj.gwID, err))
+	resp, _ := g.proxy(r.Context(), w, r, rj, nil)
+	if resp == nil {
 		return
 	}
 	defer resp.Body.Close()
-	g.reg.ReportForward(worker, true, "")
 	for k, vs := range resp.Header {
 		if !hopHeaders[k] && k != obs.RequestIDHeader {
 			w.Header()[k] = vs

@@ -86,15 +86,9 @@ type Registry struct {
 	now func() time.Time
 }
 
-// newRegistry creates an empty registry. missThreshold <= 0 takes 3;
-// cooldown <= 0 takes 10s.
+// newRegistry creates an empty registry (the gateway passes its Config's
+// defaulted MissThreshold and Cooldown).
 func newRegistry(vnodes, missThreshold int, cooldown time.Duration) *Registry {
-	if missThreshold <= 0 {
-		missThreshold = 3
-	}
-	if cooldown <= 0 {
-		cooldown = 10 * time.Second
-	}
 	return &Registry{
 		ring:          NewRing(vnodes),
 		workers:       map[string]*worker{},

@@ -185,14 +185,18 @@ func TestRingKeyFromMultipartIsTheAliasKey(t *testing.T) {
 		mw.Close()
 		return mw.FormDataContentType(), buf.Bytes()
 	}
-	key := func(parts ...[2]string) string {
+	keyWithQuery := func(query string, parts ...[2]string) string {
 		t.Helper()
 		ctype, body := form(parts...)
-		k, err := ringKeyFromMultipart(ctype, body, 10)
+		k, err := ringKeyFromMultipart(ctype, query, body, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return k
+	}
+	key := func(parts ...[2]string) string {
+		t.Helper()
+		return keyWithQuery("", parts...)
 	}
 	sum := sha256.Sum256(ref)
 	want := server.RingKey(hex.EncodeToString(sum[:]), server.DefaultB, server.DefaultSF, 10)
@@ -208,6 +212,16 @@ func TestRingKeyFromMultipartIsTheAliasKey(t *testing.T) {
 		server.RingKey(hex.EncodeToString(sum[:]), 12, server.DefaultSF, 10) {
 		t.Errorf("ring key %q ignores a b field after the files", k)
 	}
+	// The worker's precedence: the first value of a field wins, and a URL
+	// query value outranks the body.
+	if k := key([2]string{"b", "12"}, [2]string{"reference", string(ref)}, [2]string{"b", "13"}); k !=
+		server.RingKey(hex.EncodeToString(sum[:]), 12, server.DefaultSF, 10) {
+		t.Errorf("ring key %q does not take the first b field", k)
+	}
+	if k := keyWithQuery("b=11&sf=40", [2]string{"b", "13"}, [2]string{"reference", string(ref)}); k !=
+		server.RingKey(hex.EncodeToString(sum[:]), 11, 40, 10) {
+		t.Errorf("ring key %q does not let the query outrank the body", k)
+	}
 	if key([2]string{"reference", string(otherRef)}, [2]string{"reads", string(reads)}) == base {
 		t.Error("ring key ignores the reference bytes")
 	}
@@ -219,7 +233,7 @@ func TestRingKeyFromMultipartIsTheAliasKey(t *testing.T) {
 		t.Errorf("unparseable reference: key %q, want a digest key (the worker reports the parse error)", k)
 	}
 	ctype, body := form([2]string{"reads", string(reads)})
-	if _, err := ringKeyFromMultipart(ctype, body, 10); err == nil {
+	if _, err := ringKeyFromMultipart(ctype, "", body, 10); err == nil {
 		t.Error("a body without a reference part produced a ring key")
 	}
 }
