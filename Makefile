@@ -42,14 +42,15 @@ bench-gate:
 # are worth a glance in CI output: the two suffix-array constructions, the
 # exact batch engine, the mem batch engine with the SMEM search (steps/op,
 # table and ranked arms) and the extension kernels it rests on (50
-# iterations, so warm-up allocations do not show), the read source
+# iterations, so warm-up allocations do not show), locate through the full
+# and the sampled suffix arrays (0 allocs/op on every arm), the read source
 # beside the bare decode loop it must stay close to, and one warm job through
 # the served path (submit, journal, map, emit, stream).
 bench-smoke:
 	$(GO) test -run='^$$' -bench='BenchmarkSuffixArrayAlgos$$' -benchtime=1x ./internal/suffixarray
 	$(GO) test -run='^$$' -bench='BenchmarkMapReads$$' -benchtime=1x ./internal/core
 	$(GO) test -run='^$$' -bench='MapReadsMemInto|Extender' -benchtime=50x ./internal/core ./internal/align
-	$(GO) test -run='^$$' -bench='BenchmarkSMEMs$$' -benchtime=50x ./internal/fmindex
+	$(GO) test -run='^$$' -bench='BenchmarkSMEMs$$|BenchmarkLocateAppend$$' -benchtime=50x ./internal/fmindex
 	$(GO) test -run='^$$' -bench='BenchmarkSource$$' -benchtime=10x ./internal/qc
 	$(GO) test -run='^$$' -bench='BenchmarkServedWarmExactJob$$' -benchtime=1x ./internal/server
 

@@ -59,11 +59,24 @@ func (b *Builder) Append(bit bool) {
 	b.n++
 }
 
-// AppendWord adds the low nbits bits of w, LSB first.
+// AppendWord adds the low nbits bits of w (nbits <= 64), LSB first, with one
+// or two word writes.
 func (b *Builder) AppendWord(w uint64, nbits int) {
-	for i := 0; i < nbits; i++ {
-		b.Append(w>>uint(i)&1 == 1)
+	if nbits <= 0 {
+		return
 	}
+	if nbits < wordBits {
+		w &= 1<<uint(nbits) - 1
+	}
+	if off := uint(b.n % wordBits); off == 0 {
+		b.words = append(b.words, w)
+	} else {
+		b.words[len(b.words)-1] |= w << off
+		if off+uint(nbits) > wordBits {
+			b.words = append(b.words, w>>(wordBits-off))
+		}
+	}
+	b.n += nbits
 }
 
 // Len returns the number of bits appended so far.

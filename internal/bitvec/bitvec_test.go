@@ -183,6 +183,27 @@ func TestAppendWord(t *testing.T) {
 			t.Errorf("Bit(%d)=%v, want %v", i, v.Bit(i), w)
 		}
 	}
+
+	// Words of any width at any bit offset, with bits set above the width,
+	// build what the same bits appended one at a time build.
+	rng := rand.New(rand.NewSource(13))
+	words, bits := NewBuilder(0), NewBuilder(0)
+	for range 500 {
+		w, nbits := rng.Uint64(), rng.Intn(65)
+		words.AppendWord(w, nbits)
+		for j := range nbits {
+			bits.Append(w>>uint(j)&1 == 1)
+		}
+	}
+	got, ref := words.Build(), bits.Build()
+	if got.Len() != ref.Len() || got.Ones() != ref.Ones() {
+		t.Fatalf("word-built vector: %d bits, %d ones; bit-built: %d, %d", got.Len(), got.Ones(), ref.Len(), ref.Ones())
+	}
+	for i, w := range ref.Words() {
+		if got.Words()[i] != w {
+			t.Fatalf("word %d = %#x, bit-built %#x", i, got.Words()[i], w)
+		}
+	}
 }
 
 func TestRankBoundsPanic(t *testing.T) {

@@ -19,6 +19,9 @@ func TestExtractReferenceRoundTrip(t *testing.T) {
 			{PlainBitvectors: true},
 			{RRR: rrr.Params{BlockSize: 7, SuperblockFactor: 3}},
 			{Locate: LocateNone},
+			{Locate: LocateSampled, SampleRate: 1},
+			{Locate: LocateSampled, SampleRate: 3},
+			{Locate: LocateSampled, SampleRate: 1 << 20},
 		} {
 			ix := mustBuild(t, ref, cfg)
 			back, err := ix.ExtractReference()
@@ -46,23 +49,26 @@ func TestExtractAfterSerialization(t *testing.T) {
 }
 
 // TestExtractBySAMatchesWalk: on a reference long enough to split the rows
-// across workers, the suffix-array scatter and the LF walk both give the
-// reference back.
+// across workers, the segment walk gives the reference back in every locate
+// mode — one LF step per row with the full suffix array, up to a sampling
+// interval per sample, one walk over the whole text when count-only.
 func TestExtractBySAMatchesWalk(t *testing.T) {
 	ref := testGenome(t, 200000)
-	for _, cfg := range []IndexConfig{{}, {Locate: LocateSampled}} {
+	for _, cfg := range []IndexConfig{{}, {Locate: LocateSampled, SampleRate: 8}, {Locate: LocateSampled}, {Locate: LocateNone}} {
 		got, err := mustBuild(t, ref, cfg).ExtractReference()
 		if err != nil {
-			t.Fatalf("%v: %v", cfg.Locate, err)
+			t.Fatalf("%v/%d: %v", cfg.Locate, cfg.SampleRate, err)
 		}
 		if !got.Equal(ref) {
-			t.Fatalf("%v: extracted reference differs", cfg.Locate)
+			t.Fatalf("%v/%d: extracted reference differs", cfg.Locate, cfg.SampleRate)
 		}
 	}
 }
 
 // TestExtractBySARejectsCorruptSA: a suffix array that is not a permutation
-// of [0, n] is reported, as the walk reports a misplaced sentinel.
+// of [0, n] is reported: a row claims a position outside the text or the
+// sentinel's, or its segment lands on a row that does not hold the position
+// below.
 func TestExtractBySARejectsCorruptSA(t *testing.T) {
 	ref := testGenome(t, 3000)
 	for name, corrupt := range map[string]func(sa []int32, primary int){

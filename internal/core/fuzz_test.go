@@ -5,14 +5,16 @@ import (
 	"testing"
 
 	"bwaver/internal/dna"
+	"bwaver/internal/fmindex"
 )
 
 // FuzzReadIndex hammers the index deserializer with arbitrary bytes: it
 // must never panic, and anything it accepts must behave like an index
-// (consistent lengths, queries that do not crash).
+// (consistent lengths, queries that do not crash, located positions and an
+// extracted text inside the reference).
 func FuzzReadIndex(f *testing.F) {
 	ref := dna.MustParseSeq("ACGTACGGTACCTTAGGCAATCGAACGTACGGTACCTTAGGC")
-	for _, cfg := range []IndexConfig{{}, {Locate: LocateNone}, {PlainBitvectors: true}} {
+	for _, cfg := range []IndexConfig{{}, {Locate: LocateSampled, SampleRate: 4}, {Locate: LocateNone}, {PlainBitvectors: true}} {
 		ix, err := BuildIndex(ref, cfg)
 		if err != nil {
 			f.Fatal(err)
@@ -29,7 +31,8 @@ func FuzzReadIndex(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if ix.RefLength() < 0 {
+		n := ix.RefLength()
+		if n < 0 {
 			t.Fatal("negative reference length")
 		}
 		// Queries on an accepted index must not crash and must return
@@ -38,8 +41,24 @@ func FuzzReadIndex(f *testing.F) {
 		if res.Forward.Count() < 0 || res.Reverse.Count() < 0 {
 			t.Fatalf("negative match count: %+v", res)
 		}
-		if res.Forward.Count() > ix.RefLength()+1 {
+		if res.Forward.Count() > n+1 {
 			t.Fatalf("match count %d exceeds possible rows", res.Forward.Count())
+		}
+		// Locating the matches and the first rows, and extracting the text,
+		// may fail on a corrupt index but may neither panic nor leave the text.
+		for _, r := range []fmindex.Range{res.Forward, res.Reverse, {Start: 0, End: min(n, 63)}} {
+			positions, err := ix.FM().LocateAppend(nil, r)
+			if err != nil {
+				continue
+			}
+			for _, p := range positions {
+				if p < 0 || int(p) > n {
+					t.Fatalf("located position %d outside [0,%d]", p, n)
+				}
+			}
+		}
+		if text, err := ix.ExtractReference(); err == nil && len(text) != n {
+			t.Fatalf("extracted %d bases from an index over %d", len(text), n)
 		}
 	})
 }

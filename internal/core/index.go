@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"bwaver/internal/bwt"
@@ -120,11 +121,12 @@ type Index struct {
 	stats   BuildStats
 	contigs *ContigSet // nil for a single anonymous reference
 
-	// memMu guards the lazily-built seed-and-extend state (bidirectional
-	// index plus extracted reference text); see EnsureMem. Concurrent mem
-	// jobs over one cached index share a single build.
+	// mem is the lazily-built seed-and-extend state (bidirectional index plus
+	// extracted reference text), nil until EnsureMem has built it. memMu
+	// serialises that build, so concurrent mem jobs over one cached index
+	// share it; readers load mem without the lock.
 	memMu sync.Mutex
-	mem   *memState
+	mem   atomic.Pointer[memState]
 }
 
 // BuildIndex runs the first two pipeline steps over the reference: suffix

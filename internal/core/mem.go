@@ -238,9 +238,12 @@ type memState struct {
 // directions built afresh. Safe for concurrent use; parallel callers share
 // one build.
 func (ix *Index) EnsureMem() error {
+	if ix.mem.Load() != nil {
+		return nil
+	}
 	ix.memMu.Lock()
 	defer ix.memMu.Unlock()
-	if ix.mem != nil {
+	if ix.mem.Load() != nil {
 		return nil
 	}
 	ref, err := ix.ExtractReference()
@@ -256,7 +259,7 @@ func (ix *Index) EnsureMem() error {
 	if err != nil {
 		return fmt.Errorf("core: mem state: %w", err)
 	}
-	ix.mem = &memState{bi: bi, ref: ref}
+	ix.mem.Store(&memState{bi: bi, ref: ref})
 	return nil
 }
 
@@ -267,15 +270,29 @@ func (ix *Index) EnsureMem() error {
 // short-pattern table and without the exact path's prefix table, which a
 // forward direction shared with the exact index carries.
 func (ix *Index) MemBytes() int {
-	ix.memMu.Lock()
-	defer ix.memMu.Unlock()
-	if ix.mem == nil {
+	st := ix.mem.Load()
+	if st == nil {
 		return 0
 	}
-	fwd := ix.mem.bi.Forward()
-	size := fwd.SizeBytes() - recordPadBytes(fwd) + len(ix.mem.ref)
+	fwd := st.bi.Forward()
+	size := fwd.SizeBytes() - recordPadBytes(fwd) + len(st.ref)
 	if f := fwd.Ftab(); f != nil {
 		size -= f.SizeBytes()
+	}
+	return size
+}
+
+// HostBytes is what the index holds in host memory now: SizeBytes, plus
+// the seed-and-extend state once EnsureMem has built it — the reverse
+// direction, the short-pattern table, the retained text, and a forward
+// direction of its own where it could not share this index's.
+func (ix *Index) HostBytes() int {
+	size := ix.SizeBytes()
+	if st := ix.mem.Load(); st != nil {
+		size += st.bi.SizeBytes() + len(st.ref)
+		if st.bi.Forward() == ix.fm {
+			size -= ix.fm.SizeBytes()
+		}
 	}
 	return size
 }
@@ -284,9 +301,7 @@ func (ix *Index) memState() (*memState, error) {
 	if err := ix.EnsureMem(); err != nil {
 		return nil, err
 	}
-	ix.memMu.Lock()
-	defer ix.memMu.Unlock()
-	return ix.mem, nil
+	return ix.mem.Load(), nil
 }
 
 // memCandidate is one extended chain before best-selection.

@@ -346,7 +346,7 @@ func TestEnsureMemBuildsOnlyWhatIsMissing(t *testing.T) {
 				t.Fatalf("%s: read %d maps as %+v, the built index says %+v", tc.name, i, got[i], want[i])
 			}
 		}
-		if shared := tc.ix.mem.bi.Forward() == tc.ix.fm; shared != tc.shared {
+		if shared := tc.ix.mem.Load().bi.Forward() == tc.ix.fm; shared != tc.shared {
 			t.Errorf("%s: forward direction shared = %v, want %v", tc.name, shared, tc.shared)
 		}
 		if tc.bytes != 0 && tc.ix.MemBytes() != tc.bytes {

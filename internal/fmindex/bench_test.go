@@ -88,24 +88,43 @@ func BenchmarkLocate(b *testing.B) {
 	}
 }
 
-// BenchmarkLocateAppend is the allocation-free counterpart: the caller's
-// slab absorbs every position, so steady state reports 0 allocs/op.
+// BenchmarkLocateAppend is the allocation-free counterpart, through the full
+// suffix array and through samples at rates 8, 16 and 32, where each row
+// walks LF (one tree descent a step) to its nearest sample. The caller's slab
+// absorbs every position, so every arm reports 0 allocs/op.
 func BenchmarkLocateAppend(b *testing.B) {
-	ix, text := benchIndex(b, func(d []uint8) (OccProvider, error) {
+	full, text := benchIndex(b, func(d []uint8) (OccProvider, error) {
 		return NewWaveletOcc(d, 4, rrr.DefaultParams)
 	})
-	r := ix.Count(text[100:130])
+	r := full.Count(text[100:130])
 	if r.Empty() {
 		b.Fatal("bench pattern not found")
 	}
-	slab := make([]int32, 0, r.Count())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		if slab, err = ix.LocateAppend(slab[:0], r); err != nil {
+	type arm struct {
+		name string
+		ix   *Index
+	}
+	arms := []arm{{"full", full}}
+	for _, rate := range []int{8, 16, 32} {
+		s, err := NewSampledSA(full.sa, rate)
+		if err != nil {
 			b.Fatal(err)
 		}
+		sampled := *full
+		sampled.sa, sampled.sampled = nil, s
+		arms = append(arms, arm{fmt.Sprintf("sampled-%d", rate), &sampled})
+	}
+	for _, a := range arms {
+		b.Run(a.name, func(b *testing.B) {
+			slab := make([]int32, 0, r.Count())
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var err error
+				if slab, err = a.ix.LocateAppend(slab[:0], r); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

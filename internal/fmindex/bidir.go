@@ -174,6 +174,12 @@ func buildDirection[E ~uint8](text []E, sigma int, params rrr.Params, withSA boo
 // Forward exposes the text-direction index (it has the suffix array).
 func (bi *BiIndex) Forward() *Index { return bi.fwd }
 
+// SizeBytes returns the host footprint of both directions and the
+// short-pattern table (12 bytes an entry).
+func (bi *BiIndex) SizeBytes() int {
+	return bi.fwd.SizeBytes() + bi.rev.SizeBytes() + 12*len(bi.short)
+}
+
 // Len returns the text length.
 func (bi *BiIndex) Len() int { return bi.fwd.Len() }
 

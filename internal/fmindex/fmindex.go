@@ -109,9 +109,19 @@ func NewFromParts(occ OccProvider, sigma, primary int, counts []int, opts Option
 		if len(opts.SA) != n+1 {
 			return nil, fmt.Errorf("fmindex: suffix array length %d, want %d", len(opts.SA), n+1)
 		}
+		for row, pos := range opts.SA {
+			if pos < 0 || int(pos) > n {
+				return nil, fmt.Errorf("fmindex: suffix array row %d holds %d, outside [0,%d]", row, pos, n)
+			}
+		}
 		ix.sa = opts.SA
 	}
-	ix.sampled = opts.Sampled
+	if opts.Sampled != nil {
+		if err := opts.Sampled.check(n); err != nil {
+			return nil, err
+		}
+		ix.sampled = opts.Sampled
+	}
 	return ix, nil
 }
 
@@ -255,19 +265,24 @@ func (ix *Index) CountSteps(pattern []uint8) (Range, int) {
 }
 
 // LF maps a row to the row of the text position immediately to its left
-// (last-first mapping). It must not be called on the sentinel row.
-func (ix *Index) LF(row int) (int, error) {
+// (last-first mapping) and returns the BWT symbol it steps over, the text
+// symbol at that position. On the wavelet provider both come from one
+// descent of the tree. It must not be called on the sentinel row.
+func (ix *Index) LF(row int) (uint8, int, error) {
 	if row == ix.primary {
-		return 0, errors.New("fmindex: LF on sentinel row")
+		return 0, 0, errors.New("fmindex: LF on sentinel row")
 	}
-	sym := ix.BWTSymbol(row)
-	return ix.cFull[sym] + ix.occFull(sym, row), nil
+	sym, rank := ix.symbolRank(ix.compact(row))
+	return sym, ix.cFull[sym] + rank, nil
 }
 
-// BWTSymbol returns the BWT symbol of a non-sentinel row — the text symbol
-// just before the row's suffix.
-func (ix *Index) BWTSymbol(row int) uint8 {
-	return ix.occ.Symbol(ix.compact(row))
+// symbolRank returns the compact BWT's symbol at i and its Occ there.
+func (ix *Index) symbolRank(i int) (uint8, int) {
+	if ix.wocc != nil {
+		return ix.wocc.Tree.AccessRank(i)
+	}
+	sym := ix.occ.Symbol(i)
+	return sym, ix.occ.Occ(sym, i)
 }
 
 // Locate returns the text positions of every row in r, unsorted. It uses
@@ -307,20 +322,62 @@ func (ix *Index) LocateAppend(dst []int32, r Range) ([]int32, error) {
 	return dst, nil
 }
 
+// locateOne walks LF from row to the nearest sampled row. A valid index gets
+// there within min(rate, n+1)−1 steps — every rate-th text position is
+// sampled, position 0 among them — so a longer walk, or a position past the
+// text, means the index is corrupt.
 func (ix *Index) locateOne(row int) (int32, error) {
-	steps := int32(0)
-	for !ix.sampled.marks.Bit(row) {
-		next, err := ix.LF(row)
+	s := ix.sampled
+	limit := min(s.rate, ix.n+1) - 1
+	for steps := 0; ; steps++ {
+		if s.marks.Bit(row) {
+			pos := int(s.values[s.marks.Rank1(row)]) + steps
+			if pos > ix.n {
+				return 0, errors.New("fmindex: located position past the text; index is corrupt")
+			}
+			return int32(pos), nil
+		}
+		if steps == limit {
+			return 0, errors.New("fmindex: locate walk found no sample; index is corrupt")
+		}
+		_, next, err := ix.LF(row)
 		if err != nil {
 			return 0, err
 		}
 		row = next
-		steps++
-		if steps > int32(ix.n)+1 {
-			return 0, errors.New("fmindex: locate walk did not terminate; index is corrupt")
-		}
 	}
-	return ix.sampled.values[ix.sampled.marks.Rank1(row)] + steps, nil
+}
+
+// KnownPosition returns the text position of row when the index stores it,
+// so that no LF walk is needed: every row with the full suffix array; the
+// sampled rows, and row 0 (the sentinel suffix, position n), with a sampled
+// one; row 0 alone on a count-only index — and in every mode the sentinel
+// row, whose suffix is the whole text (position 0).
+func (ix *Index) KnownPosition(row int) (int, bool) {
+	switch {
+	case ix.sa != nil:
+		return int(ix.sa[row]), true
+	case row == 0:
+		return ix.n, true
+	case row == ix.primary:
+		return 0, true
+	case ix.sampled != nil && ix.sampled.marks.Bit(row):
+		return int(ix.sampled.values[ix.sampled.marks.Rank1(row)]), true
+	}
+	return 0, false
+}
+
+// KnownBelow returns the largest stored position below pos (0 < pos <= n),
+// 0 when there is none: where an LF walk from pos's row first reaches a row
+// KnownPosition answers for, or the sentinel row.
+func (ix *Index) KnownBelow(pos int) int {
+	switch {
+	case ix.sa != nil:
+		return pos - 1
+	case ix.sampled != nil:
+		return (pos - 1) / ix.sampled.rate * ix.sampled.rate
+	}
+	return 0
 }
 
 // SizeBytes reports the footprint of the Occ structure plus whichever
@@ -341,8 +398,8 @@ func (ix *Index) SizeBytes() int {
 
 // SampledSA stores every SampleRate-th suffix-array value (by text
 // position), the standard FM-index sampling that trades locate time for
-// space. The paper keeps the full SA on the host; this is the extension
-// DESIGN.md lists for references beyond host memory.
+// space. The paper keeps the full SA on the host; the server keeps this one
+// (DESIGN.md "What a served index holds").
 type SampledSA struct {
 	rate   int
 	marks  *bitvec.Vector
@@ -350,23 +407,56 @@ type SampledSA struct {
 }
 
 // NewSampledSA samples sa (length n+1) at the given rate: rows whose suffix
-// position is a multiple of rate are kept. Rate must be >= 1.
+// position is a multiple of rate are kept. Rate must be >= 1. A suffix array
+// is a permutation of 0…n, so exactly ⌊n/rate⌋+1 rows are kept: the values
+// are allocated once at that size and the marks built a word at a time, and
+// an sa holding another count is refused.
 func NewSampledSA(sa []int32, rate int) (*SampledSA, error) {
 	if rate < 1 {
 		return nil, fmt.Errorf("fmindex: sample rate %d must be >= 1", rate)
 	}
-	b := bitvec.NewBuilder(len(sa))
-	var values []int32
-	for _, pos := range sa {
-		if int(pos)%rate == 0 {
-			b.Append(true)
-			values = append(values, pos)
-		} else {
-			b.Append(false)
+	values := make([]int32, (len(sa)-1)/rate+1)
+	marks := bitvec.NewBuilder(len(sa))
+	k := 0
+	for lo := 0; lo < len(sa); lo += 64 {
+		chunk := sa[lo:min(lo+64, len(sa))]
+		var word uint64
+		for j, pos := range chunk {
+			if int(pos)%rate != 0 {
+				continue
+			}
+			if k == len(values) {
+				return nil, fmt.Errorf("fmindex: more than %d suffix-array values are multiples of %d; not a suffix array", len(values), rate)
+			}
+			values[k] = pos
+			k++
+			word |= 1 << uint(j)
 		}
+		marks.AppendWord(word, len(chunk))
 	}
-	return &SampledSA{rate: rate, marks: b.Build(), values: values}, nil
+	if k != len(values) {
+		return nil, fmt.Errorf("fmindex: %d suffix-array values are multiples of %d, want %d; not a suffix array", k, rate, len(values))
+	}
+	return &SampledSA{rate: rate, marks: marks.Build(), values: values}, nil
 }
 
 // SizeBytes returns the sampled structure's footprint.
 func (s *SampledSA) SizeBytes() int { return s.marks.SizeBytes() + len(s.values)*4 }
+
+// check refuses a sampled array that cannot belong to a text of n symbols:
+// one mark per row, one value per mark and ⌊n/rate⌋+1 of them, each a
+// multiple of the rate inside [0, n].
+func (s *SampledSA) check(n int) error {
+	if s.marks.Len() != n+1 {
+		return fmt.Errorf("fmindex: sampled SA marks %d rows, the text has %d", s.marks.Len(), n+1)
+	}
+	if want := n/s.rate + 1; len(s.values) != want || s.marks.Ones() != want {
+		return fmt.Errorf("fmindex: sampled SA has %d values and %d marks at rate %d, want %d", len(s.values), s.marks.Ones(), s.rate, want)
+	}
+	for _, v := range s.values {
+		if v < 0 || int(v) > n || int(v)%s.rate != 0 {
+			return fmt.Errorf("fmindex: sampled SA value %d is not a multiple of %d in [0,%d]", v, s.rate, n)
+		}
+	}
+	return nil
+}

@@ -125,13 +125,15 @@ func TestCountAndLocateMatchNaive(t *testing.T) {
 	}
 	for _, kind := range indexKinds() {
 		ix := kind.build(t, text)
-		// Every row's BWT symbol is the text symbol before its suffix.
+		// LF steps every row but the sentinel's over the text symbol before
+		// its suffix, to the row of the suffix one position left.
 		for row, pos := range sa {
 			if pos == 0 {
 				continue // the sentinel row
 			}
-			if got := ix.BWTSymbol(row); got != text[pos-1] {
-				t.Fatalf("%s: BWTSymbol(%d) = %d, want %d", kind.name, row, got, text[pos-1])
+			sym, next, err := ix.LF(row)
+			if err != nil || sym != text[pos-1] || sa[next] != pos-1 {
+				t.Fatalf("%s: LF(%d) = (%d, %d, %v), want symbol %d and the row of suffix %d", kind.name, row, sym, next, err, text[pos-1], pos-1)
 			}
 		}
 		// Patterns: sampled substrings (guaranteed hits), random patterns,
@@ -293,12 +295,11 @@ func TestLFWalkReconstructsText(t *testing.T) {
 		row := 0
 		got := make([]uint8, len(text))
 		for i := len(text) - 1; i >= 0; i-- {
-			got[i] = ix.BWTSymbol(row)
-			next, err := ix.LF(row)
+			sym, next, err := ix.LF(row)
 			if err != nil {
 				t.Fatalf("%s: LF: %v", kind.name, err)
 			}
-			row = next
+			got[i], row = sym, next
 		}
 		if row != ix.Primary() {
 			t.Fatalf("%s: LF walk ended at %d, want primary %d", kind.name, row, ix.Primary())
@@ -314,7 +315,7 @@ func TestLFWalkReconstructsText(t *testing.T) {
 func TestLFOnSentinelRowFails(t *testing.T) {
 	text := []uint8{0, 1, 2, 3}
 	ix := indexKinds()[0].build(t, text)
-	if _, err := ix.LF(ix.Primary()); err == nil {
+	if _, _, err := ix.LF(ix.Primary()); err == nil {
 		t.Error("LF on sentinel row should fail")
 	}
 }

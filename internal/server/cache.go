@@ -33,7 +33,6 @@ type cacheEntry struct {
 	ix        *core.Index
 	err       error
 	buildTime time.Duration
-	sizeBytes int
 
 	// kmu guards the lazily programmed farm; farmRuns counts mapping
 	// runs so the simulated index transfer is charged only on the first.
@@ -177,9 +176,6 @@ func (c *indexCache) getOrBuild(ctx context.Context, key string, build func(cont
 			e.ix, e.err = build(ctx)
 		}
 		e.buildTime = time.Since(start)
-		if e.ix != nil {
-			e.sizeBytes = e.ix.SizeBytes()
-		}
 		if e.err != nil {
 			// Drop the failed entry so a corrected retry rebuilds — before
 			// ready is closed, so retrying waiters cannot re-find it. The
@@ -332,7 +328,11 @@ func (c *indexCache) stats() cacheStats {
 		e := el.Value.(*cacheEntry)
 		select {
 		case <-e.ready:
-			s.SizeBytes += e.sizeBytes
+			// Charged now, not at build time: EnsureMem adds the
+			// seed-and-extend state to an entry long after it was cached.
+			if e.ix != nil {
+				s.SizeBytes += e.ix.HostBytes()
+			}
 		default: // still building; size unknown
 		}
 	}

@@ -14,7 +14,6 @@ import (
 	"bwaver/internal/fpga"
 	"bwaver/internal/qc"
 	"bwaver/internal/readsim"
-	"bwaver/internal/rrr"
 	"bwaver/internal/runner"
 )
 
@@ -152,10 +151,8 @@ func goldenRun(t *testing.T, c goldenCase, run, stateDir string) {
 	s := openServer(t, Config{FtabK: 6, Devices: 1, StateDir: stateDir})
 	defer s.Close()
 	in := goldenInput(t, c.mode == ModeMemPE, c.length)
-	ix, err := core.BuildIndex(in.ref, core.IndexConfig{
-		RRR:   rrr.Params{BlockSize: DefaultB, SuperblockFactor: DefaultSF},
-		FtabK: 6,
-	})
+	// The index a served job with these parameters maps against.
+	ix, err := core.BuildIndex(in.ref, s.indexConfig(DefaultB, DefaultSF))
 	if err != nil {
 		t.Fatal(err)
 	}

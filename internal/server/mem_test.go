@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"bwaver/internal/core"
 	"bwaver/internal/fastx"
 	"bwaver/internal/fpga"
 	"bwaver/internal/readsim"
@@ -244,6 +245,37 @@ func TestMemJobSingleEnd(t *testing.T) {
 		}
 		if flag&0x1 != 0 {
 			t.Fatalf("single-end record carries the paired flag: %q", line)
+		}
+	}
+}
+
+// TestCacheBytesCountMemState: the server builds its indexes with a sampled
+// suffix array, and /api/stats charges a cached index the host bytes it
+// holds when asked, so a mem job on the index an exact job cached grows
+// cache.size_bytes by at least the short-pattern table EnsureMem builds —
+// every DNA string of 1…k symbols at 12 bytes, k = ⌊log₄ 20 000⌋ = 7.
+func TestCacheBytesCountMemState(t *testing.T) {
+	refFasta, readsFastq, _ := memTestData(t)
+	s := openServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	files := map[string][]byte{"reference": refFasta, "reads": readsFastq}
+	submitJob(t, s, ts, map[string]string{"backend": "cpu"}, files)
+	s.Wait()
+	exact := getStats(t, ts).Cache
+	submitJob(t, s, ts, map[string]string{"backend": "cpu", "mode": "mem-pe"}, files)
+	s.Wait()
+	mem := getStats(t, ts).Cache
+	const shortTable = 12 * (1<<(2*8) - 4) / 3
+	if mem.Entries != 1 || mem.SizeBytes-exact.SizeBytes < shortTable {
+		t.Errorf("cache size_bytes %d after the exact job, %d after the mem job (%d entries); want growth of at least the %d-byte short table",
+			exact.SizeBytes, mem.SizeBytes, mem.Entries, shortTable)
+	}
+	s.cache.mu.Lock()
+	defer s.cache.mu.Unlock()
+	for _, el := range s.cache.entries {
+		if cfg := el.Value.(*cacheEntry).ix.Config(); cfg.Locate != core.LocateSampled || cfg.SampleRate != servedSampleRate {
+			t.Errorf("served index built %v at rate %d, want %v at %d", cfg.Locate, cfg.SampleRate, core.LocateSampled, servedSampleRate)
 		}
 	}
 }

@@ -3,7 +3,9 @@ package server
 import (
 	"fmt"
 	"net/http"
+	"runtime/metrics"
 	"strconv"
+	"sync"
 	"time"
 
 	"bwaver/internal/core"
@@ -107,8 +109,17 @@ func (s *Server) initObs() {
 		"Indexes currently cached.",
 		func() float64 { return float64(s.cache.stats().Entries) })
 	reg.GaugeFunc("bwaver_index_cache_bytes",
-		"Total size of cached succinct structures in bytes.",
+		"Host bytes of the cached indexes as of the scrape, seed-and-extend state included.",
 		func() float64 { return float64(s.cache.stats().SizeBytes) })
+	// The Go heap as the last collection left it and the size at which the
+	// next one is due (twice the live heap at GOGC 100): the two figures that
+	// attribute the process's resident peak.
+	reg.GaugeFunc("bwaver_go_heap_live_bytes",
+		"Go heap bytes marked live by the last garbage collection (runtime/metrics /gc/heap/live:bytes).",
+		heapGauge("/gc/heap/live:bytes"))
+	reg.GaugeFunc("bwaver_go_heap_goal_bytes",
+		"Go heap size at which the next garbage collection is due (runtime/metrics /gc/heap/goal:bytes).",
+		heapGauge("/gc/heap/goal:bytes"))
 
 	// Prefix-table lookups, aggregated over cached indexes at scrape time.
 	// hit: the table answered (living or stored dead range); miss: the query
@@ -329,5 +340,21 @@ func addModeledEvents(span *obs.Span, events []fpga.Event) {
 			"attempt": e.Attempt,
 			"shard":   e.Shard,
 		})
+	}
+}
+
+// heapGauge reads one runtime/metrics sample into storage it keeps, so a
+// scrape allocates nothing for it.
+func heapGauge(name string) func() float64 {
+	var mu sync.Mutex
+	sample := []metrics.Sample{{Name: name}}
+	return func() float64 {
+		mu.Lock()
+		defer mu.Unlock()
+		metrics.Read(sample)
+		if sample[0].Value.Kind() != metrics.KindUint64 {
+			return 0 // the runtime does not know this metric
+		}
+		return float64(sample[0].Value.Uint64())
 	}
 }

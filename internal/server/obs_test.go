@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -235,6 +236,39 @@ func TestMetricsAndTraceUnderFaults(t *testing.T) {
 	// A job that was never launched has no trace.
 	s.createJob("cpu", 15, 50, 0, "ghost", 0, 0)
 	fetchTrace(t, ts, 3, http.StatusNotFound)
+}
+
+// TestHeapGauges: reading a heap gauge allocates nothing, and /metrics
+// carries the Go heap's live bytes and GC goal, the goal no smaller than the
+// live heap.
+func TestHeapGauges(t *testing.T) {
+	gauge := heapGauge("/gc/heap/goal:bytes")
+	if allocs := testing.AllocsPerRun(100, func() { gauge() }); allocs != 0 {
+		t.Errorf("reading a heap gauge allocated %.1f times", allocs)
+	}
+	s := openServer(t, Config{})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	runtime.GC() // the live figure is what a collection left
+	text := scrapeMetrics(t, ts)
+	value := func(name string) float64 {
+		t.Helper()
+		for _, line := range strings.Split(text, "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				f, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return f
+			}
+		}
+		t.Fatalf("scrape has no %s", name)
+		return 0
+	}
+	if live, goal := value("bwaver_go_heap_live_bytes"), value("bwaver_go_heap_goal_bytes"); live <= 0 || goal < live {
+		t.Errorf("heap live %v, goal %v: want 0 < live <= goal", live, goal)
+	}
 }
 
 // TestCancelDuringBuildFreesSlot is the mid-build cancellation regression:

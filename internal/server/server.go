@@ -1427,6 +1427,28 @@ func (s *Server) setJobProgress(job *Job, done int) {
 	s.mu.Unlock()
 }
 
+// servedSampleRate is the suffix-array sampling rate of every index the
+// server builds; core's zero value, the full array, is what a process that
+// builds one index keeps. A server holds its indexes for job after job, long
+// past their builds, and with the full array (4 bytes per base, two thirds
+// of an E. coli index) they were most of its heap; a one-index process peaks
+// during the build, when the full array is alive whatever it keeps. 8 is the
+// smallest rate of the table in EXPERIMENTS.md "Served indexes keep a
+// sampled suffix array": larger ones save little more and lengthen every
+// locate.
+const servedSampleRate = 8
+
+// indexConfig is the build configuration of a job's index: the job's RRR
+// parameters, the server's prefix-table order and a sampled suffix array.
+func (s *Server) indexConfig(b, sf int) core.IndexConfig {
+	return core.IndexConfig{
+		RRR:        rrr.Params{BlockSize: b, SuperblockFactor: sf},
+		Locate:     core.LocateSampled,
+		SampleRate: servedSampleRate,
+		FtabK:      s.cfg.FtabK,
+	}
+}
+
 func (s *Server) runJob(ctx context.Context, job *Job, in jobInput) error {
 	s.mu.Lock()
 	s.setJobStateLocked(job, StateRunning)
@@ -1439,10 +1461,7 @@ func (s *Server) runJob(ctx context.Context, job *Job, in jobInput) error {
 		return err
 	}
 
-	idxCfg := core.IndexConfig{
-		RRR:   rrr.Params{BlockSize: job.B, SuperblockFactor: job.SF},
-		FtabK: s.cfg.FtabK,
-	}
+	idxCfg := s.indexConfig(job.B, job.SF)
 	_, parseSpan := obs.StartSpan(ctx, "parse")
 	defer parseSpan.End() // for the error returns; the first End is the one kept
 	parseStart := time.Now()

@@ -297,6 +297,15 @@ func rankAllRec(nd *node, i, j int, lo, hi []int) {
 
 // Access returns the symbol at position i.
 func (t *Tree) Access(i int) uint8 {
+	sym, _ := t.AccessRank(i)
+	return sym
+}
+
+// AccessRank returns the symbol at position i and its rank there,
+// Rank(sym, i), from one descent: the position a descent to the symbol's
+// leaf ends on is the number of its copies before i. The LF mapping of an
+// FM-index needs exactly this pair.
+func (t *Tree) AccessRank(i int) (uint8, int) {
 	if i < 0 || i >= t.n {
 		panic(fmt.Sprintf("wavelet: index %d out of range [0,%d)", i, t.n))
 	}
@@ -311,7 +320,7 @@ func (t *Tree) Access(i int) uint8 {
 			i, nd = i-ones, nd.zero
 		}
 	}
-	return uint8(lo)
+	return uint8(lo), i
 }
 
 // Select returns the position of the k-th occurrence of sym (k >= 1), or -1

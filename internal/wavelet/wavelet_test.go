@@ -138,6 +138,27 @@ func TestAccess(t *testing.T) {
 	}
 }
 
+// TestAccessRankMatchesAccessAndRank: the one-descent pair is the symbol at
+// every position and its rank there, for σ 2…8 on both backends.
+func TestAccessRankMatchesAccessAndRank(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, be := range testBackends {
+		for sigma := 2; sigma <= 8; sigma++ {
+			data := randomData(rng, 1500, sigma)
+			tr, err := New(data, sigma, be.b)
+			if err != nil {
+				t.Fatalf("%s sigma=%d: %v", be.name, sigma, err)
+			}
+			for i, want := range data {
+				sym, rank := tr.AccessRank(i)
+				if wantRank := tr.Rank(want, i); sym != want || rank != wantRank {
+					t.Fatalf("%s sigma=%d: AccessRank(%d) = (%d, %d), want (%d, %d)", be.name, sigma, i, sym, rank, want, wantRank)
+				}
+			}
+		}
+	}
+}
+
 func TestSelect(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, be := range testBackends {
