@@ -70,6 +70,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzCountApprox$$' -fuzztime=$(FUZZTIME) ./internal/fmindex
 	$(GO) test -run='^$$' -fuzz='^FuzzBuild$$' -fuzztime=$(FUZZTIME) ./internal/suffixarray
 	$(GO) test -run='^$$' -fuzz='^FuzzSubmitForm$$' -fuzztime=$(FUZZTIME) ./internal/server
+	$(GO) test -run='^$$' -fuzz='^FuzzJobParams$$' -fuzztime=$(FUZZTIME) ./internal/server
 
 # chaos-smoke is the crash-safety gate: SIGKILL a real bwaver-server process
 # mid-job, restart it against the same -state-dir, and assert the journaled

@@ -380,8 +380,27 @@ func cmdMap(args []string, out io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("map: %w", err)
 	}
-	if qcPol.Active() && *reads2Path != "" {
-		return fmt.Errorf("map: QC gating with two-file pairs would desynchronize mates; use `bwaver mem -paired` with interleaved input")
+	if *reads2Path != "" {
+		// Two-file pairs map exactly, in one pass on the cpu: a flag that
+		// would change that is refused, not ignored.
+		refused := ""
+		switch {
+		case qcPol.Active():
+			return fmt.Errorf("map: QC gating with two-file pairs would desynchronize mates; use `bwaver mem -paired` with interleaved input")
+		case *mismatches != 0:
+			refused = "-mismatches"
+		case *backend != "cpu":
+			refused = "-backend " + *backend
+		case *profilePath != "":
+			refused = "-profile"
+		case *workers != 1:
+			refused = "-workers"
+		case !*doLocate:
+			refused = "-locate=false"
+		}
+		if refused != "" {
+			return fmt.Errorf("map: %s is not supported with -reads2; two-file pairs map exactly on the cpu", refused)
+		}
 	}
 	if *format != "tsv" && *format != "sam" {
 		return fmt.Errorf("map: unknown format %q (want tsv or sam)", *format)
@@ -403,9 +422,6 @@ func cmdMap(args []string, out io.Writer) error {
 		return err
 	}
 	if *reads2Path != "" {
-		if *mismatches > 0 {
-			return fmt.Errorf("map: paired-end mode currently supports exact matching only")
-		}
 		reads, ids, err := loadReads(*readsFile, qcPol)
 		if err != nil {
 			return err

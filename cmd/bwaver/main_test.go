@@ -637,9 +637,25 @@ func TestMapPairedEnd(t *testing.T) {
 			t.Errorf("pair %s TLENs %v not symmetric", name, tlens)
 		}
 	}
-	// Paired + mismatches rejected.
-	if err := run([]string{"map", "-index", indexPath, "-reads", r1Path, "-reads2", r2Path, "-mismatches", "1"}, &bytes.Buffer{}); err == nil {
-		t.Error("paired mismatches accepted")
+	// Paired mapping refuses the flags it would ignore, naming each; no
+	// profile is written.
+	profile := filepath.Join(dir, "paired-profile.json")
+	for _, c := range []struct{ flags []string }{
+		{[]string{"-mismatches", "1"}},
+		{[]string{"-backend", "gpu"}},
+		{[]string{"-backend", "fpga"}},
+		{[]string{"-profile", profile}},
+		{[]string{"-workers", "4"}},
+		{[]string{"-locate=false"}},
+	} {
+		args := append([]string{"map", "-index", indexPath, "-reads", r1Path, "-reads2", r2Path}, c.flags...)
+		err := run(args, &bytes.Buffer{})
+		if err == nil || !strings.Contains(err.Error(), strings.SplitN(c.flags[0], "=", 2)[0]) {
+			t.Errorf("paired %v: error %v, want one naming the flag", c.flags, err)
+		}
+	}
+	if _, err := os.Stat(profile); !os.IsNotExist(err) {
+		t.Errorf("a refused paired run wrote its profile: %v", err)
 	}
 }
 

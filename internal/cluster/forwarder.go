@@ -309,8 +309,8 @@ func (g *Gateway) failoverRoute(rj *routedJob) {
 // whole point: the same upload and parameters always land on the same worker,
 // whose cache is already warm. Two byte-different encodings of one sequence
 // hash apart and may land on different workers; each then builds once. Any
-// scan trouble falls back to hashing the raw body (uniform spread, no
-// affinity, still deterministic).
+// scan trouble, or parameters the worker would reject, falls back to hashing
+// the raw body (uniform spread, no affinity, still deterministic).
 func (g *Gateway) ringKeyForUpload(contentType, query string, body []byte) string {
 	key, err := ringKeyFromMultipart(contentType, query, body, g.cfg.FtabK)
 	if err != nil {
@@ -321,9 +321,9 @@ func (g *Gateway) ringKeyForUpload(contentType, query string, body []byte) strin
 }
 
 // ringKeyFromMultipart scans a multipart body for the reference part (hashed
-// as it streams past) and the b/sf parameters, resolving them as the worker's
-// submit handler does: the first reference file part and the first value of
-// a field win, and a URL-query value outranks a body field.
+// as it streams past) and the plain fields, and takes b and sf from
+// server.DecodeForm, the decoder the worker's submit handler runs: the first
+// reference file part wins, and the fields resolve by the worker's rule.
 func ringKeyFromMultipart(contentType, query string, body []byte, ftabK int) (string, error) {
 	mediaType, params, err := mime.ParseMediaType(contentType)
 	if err != nil {
@@ -334,7 +334,7 @@ func ringKeyFromMultipart(contentType, query string, body []byte, ftabK int) (st
 	}
 	mr := multipart.NewReader(bytes.NewReader(body), params["boundary"])
 	refDigest := ""
-	fields := map[string]string{}
+	fields := url.Values{}
 	for {
 		part, err := mr.NextPart()
 		if err == io.EOF {
@@ -350,11 +350,9 @@ func ringKeyFromMultipart(contentType, query string, body []byte, ftabK int) (st
 				return "", fmt.Errorf("reference part: %w", err)
 			}
 			refDigest = hex.EncodeToString(h.Sum(nil))
-		case (name == "b" || name == "sf") && part.FileName() == "":
-			if _, dup := fields[name]; !dup {
-				raw, _ := io.ReadAll(io.LimitReader(part, 64))
-				fields[name] = string(raw)
-			}
+		case name != "" && part.FileName() == "":
+			raw, _ := io.ReadAll(part)
+			fields.Add(name, string(raw))
 		}
 		part.Close()
 	}
@@ -362,17 +360,11 @@ func ringKeyFromMultipart(contentType, query string, body []byte, ftabK int) (st
 		return "", errors.New("no reference part")
 	}
 	q, _ := url.ParseQuery(query)
-	param := func(name string, def int) int {
-		v, ok := fields[name]
-		if qv := q[name]; len(qv) > 0 {
-			v, ok = qv[0], true
-		}
-		if n, err := strconv.Atoi(strings.TrimSpace(v)); ok && err == nil {
-			return n
-		}
-		return def // unparseable: the worker rejects the job, so any key will do
+	p, err := server.DecodeForm(q, fields)
+	if err != nil {
+		return "", err
 	}
-	return server.RingKey(refDigest, param("b", server.DefaultB), param("sf", server.DefaultSF), ftabK), nil
+	return server.RingKey(refDigest, p.B, p.SF, ftabK), nil
 }
 
 // isMaxBytes reports whether err came from http.MaxBytesReader.

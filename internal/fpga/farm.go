@@ -124,20 +124,6 @@ func (f *Farm) Size() int { return len(f.kernels) }
 // Stats returns a snapshot of the farm's resilience counters.
 func (f *Farm) Stats() ResilienceStats { return f.rec.Snapshot() }
 
-// DeviceHealth returns every card's breaker snapshot.
-func (f *Farm) DeviceHealth() []DeviceHealth {
-	out := make([]DeviceHealth, len(f.devices))
-	for i, d := range f.devices {
-		out[i] = DeviceHealth{
-			Device:              i,
-			Breaker:             d.breaker.State().String(),
-			ConsecutiveFailures: d.breaker.ConsecutiveFailures(),
-			BreakerTrips:        d.breaker.Trips(),
-		}
-	}
-	return out
-}
-
 // healthyDevices returns the indexes of cards whose breaker admits work.
 func (f *Farm) healthyDevices() []int {
 	out := make([]int, 0, len(f.devices))

@@ -313,3 +313,18 @@ type DeviceHealth struct {
 	ConsecutiveFailures int    `json:"consecutive_failures"`
 	BreakerTrips        uint64 `json:"breaker_trips"`
 }
+
+// Health snapshots the breaker of every card in devices, numbered by
+// position.
+func Health(devices []*Device) []DeviceHealth {
+	out := make([]DeviceHealth, len(devices))
+	for i, d := range devices {
+		out[i] = DeviceHealth{
+			Device:              i,
+			Breaker:             d.breaker.State().String(),
+			ConsecutiveFailures: d.breaker.ConsecutiveFailures(),
+			BreakerTrips:        d.breaker.Trips(),
+		}
+	}
+	return out
+}

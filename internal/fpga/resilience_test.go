@@ -134,7 +134,7 @@ func TestFarmRedistributesAroundDeadDevice(t *testing.T) {
 	if after := farm.Stats().Faults["kernel"]; after != before {
 		t.Errorf("broken device still took work: faults %d -> %d", before, after)
 	}
-	health := farm.DeviceHealth()
+	health := Health(devices)
 	if len(health) != 2 || health[0].Breaker != "open" || health[0].BreakerTrips == 0 {
 		t.Errorf("health = %+v", health)
 	}

@@ -91,6 +91,9 @@ func (p Policy) Validate() error {
 	if p.MinLen < 0 || p.MaxN < 0 || p.TrimQual < 0 || p.MaxEE < 0 {
 		return fmt.Errorf("qc: thresholds must be non-negative")
 	}
+	if math.IsNaN(p.MaxEE) || math.IsInf(p.MaxEE, 0) {
+		return fmt.Errorf("qc: max_ee must be finite")
+	}
 	return nil
 }
 

@@ -250,6 +250,11 @@ func TestPolicyValidate(t *testing.T) {
 	if err := (Policy{MinLen: -1}).Validate(); err == nil {
 		t.Error("accepted negative threshold")
 	}
+	for _, ee := range []float64{math.Inf(1), math.NaN()} {
+		if err := (Policy{MaxEE: ee}).Validate(); err == nil {
+			t.Errorf("accepted max_ee %v, which no journal record can hold", ee)
+		}
+	}
 	if err := (Policy{PhredOffset: 64, MaxEE: 2}).Validate(); err != nil {
 		t.Errorf("rejected valid policy: %v", err)
 	}

@@ -9,8 +9,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"bwaver/internal/qc"
 )
 
 // Admission control and graceful drain. Job creation (POST /jobs, GET /demo)
@@ -253,19 +251,15 @@ func (s *Server) setJobStateLocked(job *Job, st JobState) {
 	}
 }
 
-// jobSpec is everything admission needs to mint a job: the pipeline
-// parameters plus the cross-process identity (idempotency key, request id)
-// and the effective deadline budget resolved by effectiveTimeout.
+// jobSpec is everything admission needs to mint a job: the job's params
+// plus the cross-process identity (idempotency key, request id) and the
+// effective deadline budget resolved by effectiveTimeout.
 type jobSpec struct {
-	Backend    string
-	Mode       string
-	B, SF      int
-	Mismatches int
-	QC         qc.Policy
-	RefName    string
-	IdemKey    string
-	RequestID  string
-	Timeout    time.Duration
+	JobParams
+	RefName   string
+	IdemKey   string
+	RequestID string
+	Timeout   time.Duration
 }
 
 // admitJob creates a job if the server is accepting work and the admission
@@ -308,8 +302,7 @@ func (s *Server) admitJob(spec jobSpec, initial JobState) (job *Job, existing bo
 		}
 	}
 	job = &Job{
-		ID: s.nextID, Backend: spec.Backend, Mode: spec.Mode, B: spec.B, SF: spec.SF,
-		Mismatches: spec.Mismatches, QC: spec.QC, IdemKey: spec.IdemKey, RequestID: spec.RequestID,
+		ID: s.nextID, JobParams: spec.JobParams, IdemKey: spec.IdemKey, RequestID: spec.RequestID,
 		timeout: spec.Timeout,
 		RefName: spec.RefName, Created: time.Now(),
 	}

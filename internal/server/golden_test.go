@@ -163,8 +163,7 @@ func goldenRun(t *testing.T, c goldenCase, run, stateDir string) {
 	if run == "fallback" {
 		backend = "fpga"
 	}
-	job := s.createJob(backend, DefaultB, DefaultSF, c.mismatches, "golden", len(in.ref), 0)
-	job.Mode = c.mode
+	job := queueJob(t, s, JobParams{Backend: backend, Mode: c.mode, B: DefaultB, SF: DefaultSF, Mismatches: c.mismatches}, "golden")
 	// Small batches: headers must appear once, not per batch.
 	src := &sliceSource{ids: in.ids, reads: in.reads, batch: 16}
 	reads := runner.NewReads(src, nil)

@@ -338,7 +338,7 @@ func TestRunBatchesStopsOnCancelBetweenRejectedBatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	job := s.createJob("cpu", 15, 50, 0, "x", 12, 0)
+	job := queueJob(t, s, cpuParams, "x")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	src := &rejectingSource{cancel: cancel}

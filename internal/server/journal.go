@@ -56,17 +56,12 @@ type journalRecord struct {
 	Job  int       `json:"job"`
 	Time time.Time `json:"time"`
 
-	// Spec (accepted records and compacted terminal snapshots).
-	Backend      string `json:"backend,omitempty"`
-	Mode         string `json:"mode,omitempty"`
-	B            int    `json:"b,omitempty"`
-	SF           int    `json:"sf,omitempty"`
-	Mismatches   int    `json:"mismatches,omitempty"`
+	// Spec (uploading and accepted records and compacted snapshots): the
+	// job's params, nil on a record that only carries an outcome, and where
+	// its payloads are kept.
+	*JobParams
 	RefPayload   string `json:"ref_payload,omitempty"`
 	ReadsPayload string `json:"reads_payload,omitempty"`
-	// QC is the job's quality-control policy, journaled with the spec so a
-	// replayed job re-ingests under the same gates.
-	QC *qc.Policy `json:"qc,omitempty"`
 	// IdemKey is the client's Idempotency-Key, replayed with the job so
 	// post-restart retries still map to it.
 	IdemKey string `json:"idem_key,omitempty"`
@@ -305,15 +300,10 @@ func foldRecords(recs []journalRecord) map[int]*foldedJob {
 			fj = &foldedJob{}
 			jobs[rec.Job] = fj
 		}
-		if rec.Backend != "" {
-			fj.spec.Backend = rec.Backend
-			fj.spec.Mode = rec.Mode
-			fj.spec.B, fj.spec.SF, fj.spec.Mismatches = rec.B, rec.SF, rec.Mismatches
+		if rec.JobParams != nil {
+			fj.spec.JobParams = rec.JobParams
 			fj.spec.RefPayload, fj.spec.ReadsPayload = rec.RefPayload, rec.ReadsPayload
 			fj.spec.Created = rec.Created
-		}
-		if rec.QC != nil {
-			fj.spec.QC = rec.QC
 		}
 		if rec.IdemKey != "" {
 			fj.spec.IdemKey = rec.IdemKey
@@ -392,25 +382,16 @@ func (rec *journalRecord) setOutcome(j *Job) {
 // are kept.
 func specRecord(typ string, job *Job) journalRecord {
 	refRel, readsRel := payloadNames(job.ID)
-	rec := journalRecord{
+	return journalRecord{
 		Type:         typ,
 		Job:          job.ID,
-		Backend:      job.Backend,
-		Mode:         job.Mode,
-		B:            job.B,
-		SF:           job.SF,
-		Mismatches:   job.Mismatches,
+		JobParams:    &job.JobParams, // fixed once the job is admitted
 		RefPayload:   refRel,
 		ReadsPayload: readsRel,
 		IdemKey:      job.IdemKey,
 		RequestID:    job.RequestID,
 		Created:      job.Created,
 	}
-	if job.QC.Active() {
-		pol := job.QC
-		rec.QC = &pol
-	}
-	return rec
 }
 
 // journalAccept makes a job's inputs durable and appends its accepted record,
@@ -505,26 +486,21 @@ func (s *Server) recover() error {
 			s.nextID = id + 1
 		}
 		job := &Job{
-			ID:         id,
-			Backend:    fj.spec.Backend,
-			Mode:       fj.spec.Mode,
-			B:          fj.spec.B,
-			SF:         fj.spec.SF,
-			Mismatches: fj.spec.Mismatches,
-			IdemKey:    fj.spec.IdemKey,
-			RequestID:  fj.spec.RequestID,
-			Created:    fj.spec.Created,
-			RefName:    fj.last.RefName,
-			RefLength:  fj.last.RefLength,
-			Reads:      fj.last.Reads,
-			Mapped:     fj.last.Mapped,
-			CacheHit:   fj.last.CacheHit,
+			ID:        id,
+			IdemKey:   fj.spec.IdemKey,
+			RequestID: fj.spec.RequestID,
+			Created:   fj.spec.Created,
+			RefName:   fj.last.RefName,
+			RefLength: fj.last.RefLength,
+			Reads:     fj.last.Reads,
+			Mapped:    fj.last.Mapped,
+			CacheHit:  fj.last.CacheHit,
+		}
+		if fj.spec.JobParams != nil {
+			job.JobParams = *fj.spec.JobParams
 		}
 		if job.Created.IsZero() {
 			job.Created = fj.last.Time
-		}
-		if fj.spec.QC != nil {
-			job.QC = *fj.spec.QC
 		}
 		refRel, readsRel := fj.spec.RefPayload, fj.spec.ReadsPayload
 		if refRel == "" || readsRel == "" {
@@ -624,6 +600,26 @@ func (s *Server) recover() error {
 		s.launch(rl.job, rl.in)
 	}
 	return nil
+}
+
+// sanitizeQCReport clamps a report read back from the journal to the fixed
+// reason enum — the cardinality guard. The gate only ever writes enum
+// reasons, so anything else means a hand-edited or corrupted journal; those
+// counts are folded under "invalid" instead of minting new stats keys.
+func sanitizeQCReport(rep *qc.Report) {
+	if rep == nil || len(rep.Rejected) == 0 {
+		return
+	}
+	invalid := 0
+	for reason, n := range rep.Rejected {
+		if !qc.ValidReason(reason) {
+			invalid += n
+			delete(rep.Rejected, reason)
+		}
+	}
+	if invalid > 0 {
+		rep.Rejected["invalid"] += invalid
+	}
 }
 
 func firstNonEmpty(a, b string) string {

@@ -407,12 +407,12 @@ func TestStatsEndpoint(t *testing.T) {
 func TestJobTTLEviction(t *testing.T) {
 	s := openServer(t, Config{JobTTL: time.Minute})
 	defer s.Close()
-	job := s.createJob("cpu", 15, 50, 0, "x", 100, 10)
+	job := queueJob(t, s, cpuParams, "x")
 	s.mu.Lock()
 	job.State = StateDone
 	job.Finished = time.Now().Add(-time.Hour)
 	s.mu.Unlock()
-	fresh := s.createJob("cpu", 15, 50, 0, "y", 100, 10)
+	fresh := queueJob(t, s, cpuParams, "y")
 
 	if n := s.evictExpiredJobs(time.Now()); n != 1 {
 		t.Fatalf("evicted %d jobs, want 1", n)
@@ -453,7 +453,7 @@ func TestTSVEscapesReadIDs(t *testing.T) {
 	}
 	s := openServer(t, Config{})
 	for mismatches, fields := range []int{6, 5} {
-		job := s.createJob("cpu", 15, 50, mismatches, "x", len(ref), 1)
+		job := queueJob(t, s, JobParams{Backend: "cpu", B: 15, SF: 50, Mismatches: mismatches}, "x")
 		src := &sliceSource{ids: ids, reads: reads, batch: 1}
 		if _, err := s.mapJob(context.Background(), job, &cacheEntry{ix: ix}, runner.NewReads(src, nil)); err != nil {
 			t.Fatal(err)

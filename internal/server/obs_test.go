@@ -234,7 +234,7 @@ func TestMetricsAndTraceUnderFaults(t *testing.T) {
 	}
 
 	// A job that was never launched has no trace.
-	s.createJob("cpu", 15, 50, 0, "ghost", 0, 0)
+	queueJob(t, s, cpuParams, "ghost")
 	fetchTrace(t, ts, 3, http.StatusNotFound)
 }
 

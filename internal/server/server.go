@@ -28,6 +28,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -86,18 +87,10 @@ func (j *Job) memMode() bool { return j.Mode == ModeMem || j.Mode == ModeMemPE }
 
 // Job is one mapping request moving through the pipeline.
 type Job struct {
-	ID      int
-	State   JobState
-	Error   string
-	Backend string // "cpu" or "fpga"
-	B, SF   int
-	// Mismatches is the substitution budget; 0 = exact matching.
-	Mismatches int
-	// Mode selects the mapping pipeline: "" (exact matching, or the
-	// branching approximate search when Mismatches > 0), ModeMem
-	// (seed-and-extend, single-end), or ModeMemPE (seed-and-extend on
-	// interleaved mate pairs with rescue and proper-pair calls).
-	Mode string
+	ID    int
+	State JobState
+	Error string
+	JobParams
 
 	RefName   string
 	RefLength int
@@ -115,10 +108,8 @@ type Job struct {
 	FallbackUsed bool
 	// FallbackReason records the device error that triggered the fallback.
 	FallbackReason string
-	// QC is the job's quality-control policy (zero = strict parse, no
-	// gates); QCReport the resulting ingest accounting, journaled with the
-	// terminal record so replay restores identical reject counts.
-	QC       qc.Policy
+	// QCReport is the ingest accounting of the job's QC policy, journaled
+	// with the terminal record so replay restores identical reject counts.
 	QCReport *qc.Report
 
 	ParseTime time.Duration
@@ -573,14 +564,10 @@ func httpError(w http.ResponseWriter, r *http.Request, status int, msg string) {
 
 // jobJSON is the wire form of a job for the JSON API.
 type jobJSON struct {
-	ID             int     `json:"id"`
-	State          string  `json:"state"`
-	Error          string  `json:"error,omitempty"`
-	Backend        string  `json:"backend"`
-	B              int     `json:"b"`
-	SF             int     `json:"sf"`
-	Mismatches     int     `json:"mismatches"`
-	Mode           string  `json:"mode,omitempty"`
+	ID    int    `json:"id"`
+	State string `json:"state"`
+	Error string `json:"error,omitempty"`
+	JobParams
 	RefName        string  `json:"ref_name"`
 	RefLength      int     `json:"ref_length"`
 	Reads          int     `json:"reads"`
@@ -594,9 +581,8 @@ type jobJSON struct {
 	MapMs          float64 `json:"map_ms"`
 	PeakResultBuf  int     `json:"peak_result_buffer_bytes"`
 	RequestID      string  `json:"request_id,omitempty"`
-	// QC is the job's quality-control policy (absent when inactive);
-	// QCReport the resulting ingest accounting once the job has parsed.
-	QC       *qc.Policy `json:"qc,omitempty"`
+	// QCReport is the ingest accounting of the job's QC policy once the job
+	// has parsed.
 	QCReport *qc.Report `json:"qc_report,omitempty"`
 	// Upload resume anchors, present while the job is uploading.
 	ReferenceOffset *int64 `json:"reference_offset,omitempty"`
@@ -605,8 +591,7 @@ type jobJSON struct {
 
 func (j *Job) toJSON() jobJSON {
 	out := jobJSON{
-		ID: j.ID, State: string(j.State), Error: j.Error, Backend: j.Backend,
-		B: j.B, SF: j.SF, Mismatches: j.Mismatches, Mode: j.Mode,
+		ID: j.ID, State: string(j.State), Error: j.Error, JobParams: j.JobParams,
 		RefName: j.RefName, RefLength: j.RefLength,
 		Reads: j.Reads, Mapped: j.Mapped, Done: j.Done, CacheHit: j.CacheHit,
 		Fallback: j.FallbackUsed, FallbackReason: j.FallbackReason,
@@ -615,10 +600,6 @@ func (j *Job) toJSON() jobJSON {
 		MapMs:         float64(j.MapTime) / float64(time.Millisecond),
 		PeakResultBuf: j.PeakResultBuf,
 		RequestID:     j.RequestID,
-	}
-	if j.QC.Active() {
-		pol := j.QC
-		out.QC = &pol
 	}
 	if j.QCReport != nil {
 		rep := *j.QCReport
@@ -760,7 +741,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Ftab:       s.cache.ftabStats(s.cfg.FtabK),
 		Jobs:       map[string]int{},
 		Resilience: s.rec.Snapshot(),
-		Devices:    s.deviceHealth(),
+		Devices:    fpga.Health(s.devices),
 		Fallback:   s.cfg.Fallback,
 	}
 	s.mu.Lock()
@@ -802,21 +783,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, payload)
 }
 
-// deviceHealth snapshots every card's breaker.
-func (s *Server) deviceHealth() []fpga.DeviceHealth {
-	out := make([]fpga.DeviceHealth, len(s.devices))
-	for i, d := range s.devices {
-		b := d.Breaker()
-		out[i] = fpga.DeviceHealth{
-			Device:              i,
-			Breaker:             b.State().String(),
-			ConsecutiveFailures: b.ConsecutiveFailures(),
-			BreakerTrips:        b.Trips(),
-		}
-	}
-	return out
-}
-
 // healthJSON is the /api/health payload.
 type healthJSON struct {
 	// Status is "ok" (all breakers closed/half-open), "degraded" (some
@@ -839,7 +805,7 @@ type healthJSON struct {
 // not the status code, carries the verdict, so pollers can distinguish
 // "degraded service" from "server down".
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	devices := s.deviceHealth()
+	devices := fpga.Health(s.devices)
 	open := 0
 	for _, d := range devices {
 		if d.Breaker == "open" {
@@ -946,20 +912,6 @@ func (s *Server) renderHTML(w http.ResponseWriter, tmpl *template.Template, data
 	w.Write(buf.Bytes())
 }
 
-// formInt reads an integer parameter through get (r.FormValue, or a
-// submitForm's lookup); an absent or empty value takes def.
-func formInt(get func(string) string, name string, def int) (int, error) {
-	v := get(name)
-	if v == "" {
-		return def, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, fmt.Errorf("parameter %s: %w", name, err)
-	}
-	return n, nil
-}
-
 // Bounds on the non-file side of a multipart submission, the ones
 // mime/multipart.ReadForm applied: total bytes of plain field values, and
 // parts per body.
@@ -968,26 +920,26 @@ const (
 	maxFormParts      = 1000
 )
 
-// submitForm is what handleSubmit keeps of a multipart body: the first value
-// of every plain field, the first "reference" and "reads" file parts, and the
+// submitForm is what handleSubmit keeps of a multipart body: the values of
+// every plain field, the first "reference" and "reads" file parts, and the
 // SHA-256 of the reference part taken while its bytes came off the wire — the
 // first-level key of the index cache (see indexCache.aliases).
 type submitForm struct {
-	values map[string]string
+	values url.Values
 	jobInput
 }
 
 // readSubmitForm scans the multipart body once. Each kept file part is
 // copied into a staged spool as it comes off the socket, so the upload is
 // never held whole in memory on a durable server. Fields may come before or
-// after the files; later duplicates of a part are skipped. On an error no
-// staged part is left behind.
+// after the files; later duplicates of a file part are skipped. On an error
+// no staged part is left behind.
 func (s *Server) readSubmitForm(r *http.Request) (_ *submitForm, err error) {
 	mr, err := r.MultipartReader()
 	if err != nil {
 		return nil, err
 	}
-	form := &submitForm{values: map[string]string{}}
+	form := &submitForm{values: url.Values{}}
 	defer func() {
 		if err != nil {
 			form.remove()
@@ -1017,9 +969,7 @@ func (s *Server) readSubmitForm(r *http.Request) (_ *submitForm, err error) {
 			if valueBudget -= n; valueBudget < 0 {
 				return nil, multipart.ErrMessageTooLarge
 			}
-			if _, dup := form.values[name]; !dup {
-				form.values[name] = sb.String()
-			}
+			form.values.Add(name, sb.String())
 		case name == "reference" && form.ref == nil:
 			h := sha256.New()
 			if form.ref, err = s.stage(io.TeeReader(part, h)); err != nil {
@@ -1072,59 +1022,24 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, r, http.StatusBadRequest, "bad upload: "+err.Error())
 		return
 	}
-	spec, err := submitSpec(r, form)
+	params, err := DecodeForm(r.URL.Query(), form.values)
+	switch {
+	case err != nil:
+	case form.ref == nil:
+		err = errors.New("missing reference upload")
+	case form.reads == nil:
+		err = errors.New("missing reads upload")
+	}
 	if err != nil {
 		form.remove()
 		httpError(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
-	spec.IdemKey = idemKey
-	spec.RequestID = obs.RequestIDFrom(r.Context())
-	spec.Timeout = s.effectiveTimeout(r)
-	s.admitAndLaunch(w, r, spec, form.jobInput)
-}
-
-// submitSpec reads a multipart submission's parameters — a URL-query value
-// outranks a body field of the same name, the order r.FormValue applied —
-// and checks that both file parts came.
-func submitSpec(r *http.Request, form *submitForm) (jobSpec, error) {
-	query := r.URL.Query()
-	get := func(name string) string {
-		if vs := query[name]; len(vs) > 0 {
-			return vs[0]
-		}
-		return form.values[name]
-	}
-	b, err := formInt(get, "b", DefaultB)
-	if err != nil {
-		return jobSpec{}, err
-	}
-	sf, err := formInt(get, "sf", DefaultSF)
-	if err != nil {
-		return jobSpec{}, err
-	}
-	mismatches, err := formInt(get, "mismatches", 0)
-	if err != nil {
-		return jobSpec{}, err
-	}
-	backend, mode, err := validateJobParams(get("backend"), get("mode"), b, sf, mismatches)
-	if err != nil {
-		return jobSpec{}, err
-	}
-	qcPol, err := qcPolicyFromForm(get, mode)
-	if err != nil {
-		return jobSpec{}, err
-	}
-	if form.ref == nil {
-		return jobSpec{}, errors.New("missing reference upload")
-	}
-	if form.reads == nil {
-		return jobSpec{}, errors.New("missing reads upload")
-	}
-	return jobSpec{
-		Backend: backend, Mode: mode, B: b, SF: sf, Mismatches: mismatches,
-		QC: qcPol, RefName: "(parsing)",
-	}, nil
+	s.admitAndLaunch(w, r, jobSpec{
+		JobParams: params, RefName: "(parsing)", IdemKey: idemKey,
+		RequestID: obs.RequestIDFrom(r.Context()),
+		Timeout:   s.effectiveTimeout(r),
+	}, form.jobInput)
 }
 
 // admitAndLaunch is the tail every buffered submission shares: admit the job
@@ -1236,8 +1151,8 @@ func (s *Server) handleDemo(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.admitAndLaunch(w, r, jobSpec{
-		Backend: "fpga", B: DefaultB, SF: DefaultSF,
-		RefName: "synthetic-demo", IdemKey: idemKey,
+		JobParams: JobParams{Backend: "fpga", B: DefaultB, SF: DefaultSF},
+		RefName:   "synthetic-demo", IdemKey: idemKey,
 		RequestID: obs.RequestIDFrom(r.Context()),
 		Timeout:   s.effectiveTimeout(r),
 	}, in)
@@ -1275,20 +1190,6 @@ func demoDataset(seed int64) (refFasta, readsFastq []byte, err error) {
 		return nil, nil, err
 	}
 	return fb.Bytes(), qb.Bytes(), nil
-}
-
-func (s *Server) createJob(backend string, b, sf, mismatches int, refName string, refLen, reads int) *Job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	job := &Job{
-		ID: s.nextID, Backend: backend, B: b, SF: sf,
-		Mismatches: mismatches,
-		RefName:    refName, RefLength: refLen, Reads: reads, Created: time.Now(),
-	}
-	s.setJobStateLocked(job, StateQueued)
-	s.nextID++
-	s.jobs[job.ID] = job
-	return job
 }
 
 // jobInput is what a launched job works on: the two parts of its upload,
@@ -1481,7 +1382,7 @@ func (s *Server) runJob(ctx context.Context, job *Job, in jobInput) error {
 	if job.Mode == ModeMemPE {
 		batch = runner.PairAligned(batch)
 	}
-	src, err := qc.NewSource(readsReader, job.QC, batch)
+	src, err := qc.NewSource(readsReader, job.policy(), batch)
 	if err != nil {
 		return fmt.Errorf("reads: %w", err)
 	}
@@ -1499,7 +1400,7 @@ func (s *Server) runJob(ctx context.Context, job *Job, in jobInput) error {
 	err = reads.First()
 	parseSpan.End()
 	if err == io.EOF {
-		return noReadsError(job.QC, src.Report())
+		return noReadsError(job.policy(), src.Report())
 	}
 	if err != nil {
 		return fmt.Errorf("reads: %w", err)
@@ -1567,7 +1468,7 @@ func (s *Server) runJob(ctx context.Context, job *Job, in jobInput) error {
 
 	n, err := s.mapJob(ctx, job, entry, reads)
 	if err == nil && n == 0 {
-		err = noReadsError(job.QC, src.Report())
+		err = noReadsError(job.policy(), src.Report())
 	}
 	return err
 }
@@ -1577,7 +1478,7 @@ func (s *Server) runJob(ctx context.Context, job *Job, in jobInput) error {
 // job ends: a failed or cancelled job accounts for the batches it was handed,
 // and the report still balances. A job without a policy reports nothing.
 func (s *Server) noteQCReport(job *Job, src *qc.Source) {
-	if !job.QC.Active() {
+	if !job.policy().Active() {
 		return
 	}
 	rep := src.Report()

@@ -30,6 +30,21 @@ func openServer(t testing.TB, cfg Config) *Server {
 	return s
 }
 
+// cpuParams are a default exact job's params on the cpu backend.
+var cpuParams = JobParams{Backend: "cpu", B: DefaultB, SF: DefaultSF}
+
+// queueJob admits a job the test drives by hand. It never launches, so the
+// drain reference admission holds for the launch is dropped here.
+func queueJob(t testing.TB, s *Server, p JobParams, refName string) *Job {
+	t.Helper()
+	job, _, ae := s.admitJob(jobSpec{JobParams: p, RefName: refName}, StateQueued)
+	if ae != nil {
+		t.Fatal(ae.msg)
+	}
+	s.wg.Done()
+	return job
+}
+
 // bytesSpool is a spool in memory holding b.
 func bytesSpool(b []byte) *spool {
 	sp := &spool{}
@@ -255,7 +270,7 @@ func TestJobNotFound(t *testing.T) {
 
 func TestResultsBeforeDone(t *testing.T) {
 	s := openServer(t, Config{})
-	job := s.createJob("cpu", 15, 50, 0, "x", 100, 10)
+	job := queueJob(t, s, cpuParams, "x")
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	resp, err := http.Get(fmt.Sprintf("%s/jobs/%d/results", ts.URL, job.ID))
@@ -270,8 +285,8 @@ func TestResultsBeforeDone(t *testing.T) {
 
 func TestHomeListsJobs(t *testing.T) {
 	s := openServer(t, Config{})
-	s.createJob("cpu", 15, 50, 0, "refA", 100, 10)
-	s.createJob("fpga", 15, 50, 0, "refB", 100, 10)
+	queueJob(t, s, cpuParams, "refA")
+	queueJob(t, s, JobParams{Backend: "fpga", B: DefaultB, SF: DefaultSF}, "refB")
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/")
@@ -346,7 +361,7 @@ func TestJoinPositions(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := openServer(t, Config{})
-		job := s.createJob("cpu", 15, 50, 0, "x", len(ref), 1)
+		job := queueJob(t, s, cpuParams, "x")
 		src := &sliceSource{ids: []string{"r"}, reads: []dna.Seq{read}, batch: 1}
 		if _, err := s.mapJob(context.Background(), job, &cacheEntry{ix: ix}, runner.NewReads(src, nil)); err != nil {
 			t.Fatal(err)

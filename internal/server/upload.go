@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -11,10 +10,7 @@ import (
 	"sync"
 	"time"
 
-	"bwaver/internal/fmindex"
 	"bwaver/internal/obs"
-	"bwaver/internal/qc"
-	"bwaver/internal/rrr"
 )
 
 // Chunked, resumable job ingest. The multipart POST /jobs path takes the
@@ -113,32 +109,6 @@ const (
 	reasonEmptyPayload = "empty_payload"
 )
 
-// validateJobParams normalizes and validates the submission parameters shared
-// by the multipart and chunked paths.
-func validateJobParams(backend, mode string, b, sf, mismatches int) (string, string, error) {
-	if backend == "" {
-		backend = "fpga"
-	}
-	if backend != "cpu" && backend != "fpga" {
-		return "", "", fmt.Errorf("backend must be cpu or fpga")
-	}
-	switch mode {
-	case "", ModeMem, ModeMemPE:
-	default:
-		return "", "", fmt.Errorf("mode must be %s or %s", ModeMem, ModeMemPE)
-	}
-	if mode != "" && mismatches != 0 {
-		return "", "", fmt.Errorf("mode=%s scores alignments; the mismatch budget applies only to the default mode", mode)
-	}
-	if mismatches < 0 || mismatches > fmindex.MaxMismatchBudget {
-		return "", "", fmt.Errorf("mismatch budget must be in [0,%d]", fmindex.MaxMismatchBudget)
-	}
-	if err := (rrr.Params{BlockSize: b, SuperblockFactor: sf}).Validate(); err != nil {
-		return "", "", err
-	}
-	return backend, mode, nil
-}
-
 // idemLookup returns the job a previously seen Idempotency-Key maps to.
 func (s *Server) idemLookup(key string) *Job {
 	if key == "" {
@@ -161,9 +131,14 @@ func (s *Server) respondIdempotentReplay(w http.ResponseWriter, job *Job) {
 	writeJSON(w, http.StatusOK, payload)
 }
 
+// maxCreateBody bounds a chunked create's body: parameters only, the payload
+// follows in chunk PUTs.
+const maxCreateBody = 1 << 20
+
 // handleCreateJob opens a streaming job: parameters now, payload later via
-// chunk PUTs. Accepts a JSON body {"backend","b","sf","mismatches"} or form
-// values; an Idempotency-Key header makes the create retryable.
+// chunk PUTs. The parameters come as a JSON body whose keys are the form
+// fields, or as a form (DecodeForm's precedence); an Idempotency-Key header
+// makes the create retryable.
 func (s *Server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 	idemKey := strings.TrimSpace(r.Header.Get("Idempotency-Key"))
 	if job := s.idemLookup(idemKey); job != nil {
@@ -174,72 +149,14 @@ func (s *Server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 		s.rejectAdmission(w, ae)
 		return
 	}
-	b, sf, mismatches := DefaultB, DefaultSF, 0
-	backend, mode := "", ""
-	var qcReq qcParams
-	fromJSON := strings.HasPrefix(r.Header.Get("Content-Type"), "application/json")
-	if fromJSON {
-		var req struct {
-			Backend    string   `json:"backend"`
-			Mode       string   `json:"mode"`
-			B          *int     `json:"b"`
-			SF         *int     `json:"sf"`
-			Mismatches *int     `json:"mismatches"`
-			QC         qcParams `json:"qc"`
-		}
-		if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil && err != io.EOF {
-			jsonError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-			return
-		}
-		backend = req.Backend
-		mode = req.Mode
-		if req.B != nil {
-			b = *req.B
-		}
-		if req.SF != nil {
-			sf = *req.SF
-		}
-		if req.Mismatches != nil {
-			mismatches = *req.Mismatches
-		}
-		qcReq = req.QC
-	} else {
-		var err error
-		backend = r.FormValue("backend")
-		mode = r.FormValue("mode")
-		if b, err = formInt(r.FormValue, "b", DefaultB); err != nil {
-			jsonError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		if sf, err = formInt(r.FormValue, "sf", DefaultSF); err != nil {
-			jsonError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		if mismatches, err = formInt(r.FormValue, "mismatches", 0); err != nil {
-			jsonError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-	}
-	backend, mode, err := validateJobParams(backend, mode, b, sf, mismatches)
+	params, err := decodeCreate(w, r)
 	if err != nil {
 		jsonError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	var qcPol qc.Policy
-	if fromJSON {
-		qcPol, err = qcReq.policy(mode)
-	} else {
-		qcPol, err = qcPolicyFromForm(r.FormValue, mode)
-	}
-	if err != nil {
-		jsonError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-
 	job, existing, ae := s.admitJob(jobSpec{
-		Backend: backend, Mode: mode, B: b, SF: sf, Mismatches: mismatches,
-		QC:      qcPol,
-		RefName: "(uploading)", IdemKey: idemKey,
+		JobParams: params,
+		RefName:   "(uploading)", IdemKey: idemKey,
 		RequestID: obs.RequestIDFrom(r.Context()),
 		Timeout:   s.effectiveTimeout(r),
 	}, StateUploading)
@@ -261,6 +178,18 @@ func (s *Server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 	}
 	s.log.Info("streaming job opened", "job", job.ID, "backend", job.Backend)
 	writeJSON(w, http.StatusCreated, s.uploadStatus(job))
+}
+
+// decodeCreate reads a chunked create's parameters off a JSON body or a form.
+func decodeCreate(w http.ResponseWriter, r *http.Request) (JobParams, error) {
+	r.Body = http.MaxBytesReader(w, r.Body, maxCreateBody)
+	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/json") {
+		return decodeJSON(r.Body)
+	}
+	if err := r.ParseMultipartForm(maxCreateBody); err != nil && !errors.Is(err, http.ErrNotMultipart) {
+		return JobParams{}, fmt.Errorf("bad request body: %w", err)
+	}
+	return DecodeForm(r.URL.Query(), r.PostForm)
 }
 
 // uploadStatus is the client's resume anchor: the committed offset per part.

@@ -170,7 +170,7 @@ func TestChunkedUploadValidation(t *testing.T) {
 	}
 
 	// A buffered job never accepts chunks or finalize.
-	job := s.createJob("cpu", 15, 50, 0, "x", 100, 10)
+	job := queueJob(t, s, cpuParams, "x")
 	if code, payload := putChunk(t, ts, job.ID, "reads", -1, []byte("x")); code != http.StatusConflict || payload["reason"] != reasonWrongState {
 		t.Errorf("chunk to queued job: %d %v", code, payload)
 	}
@@ -485,7 +485,7 @@ func TestErrorNegotiationAndContentLength(t *testing.T) {
 	s := openServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	job := s.createJob("cpu", 15, 50, 0, "x", 100, 10)
+	job := queueJob(t, s, cpuParams, "x")
 
 	get := func(url, accept string) (*http.Response, []byte) {
 		req, _ := http.NewRequest(http.MethodGet, url, nil)
