@@ -39,7 +39,8 @@ bench-gate:
 	$(GO) run ./benchmark -compare $(BASE) $(NEW)
 
 # bench-smoke runs the benchmarks whose bytes and allocations per operation
-# are worth a glance in CI output: the two suffix-array constructions, the
+# are worth a glance in CI output: the two suffix-array constructions, index
+# construction at 1 Mbp with and without the prefix table (B/base), the
 # exact batch engine, the mem batch engine with the SMEM search (steps/op,
 # table and ranked arms) and the extension kernels it rests on (50
 # iterations, so warm-up allocations do not show), locate through the full
@@ -48,6 +49,7 @@ bench-gate:
 # the served path (submit, journal, map, emit, stream).
 bench-smoke:
 	$(GO) test -run='^$$' -bench='BenchmarkSuffixArrayAlgos$$' -benchtime=1x ./internal/suffixarray
+	$(GO) test -run='^$$' -bench='BenchmarkBuildIndex$$' -benchtime=1x ./internal/core
 	$(GO) test -run='^$$' -bench='BenchmarkMapReads$$' -benchtime=1x ./internal/core
 	$(GO) test -run='^$$' -bench='MapReadsMemInto|Extender' -benchtime=50x ./internal/core ./internal/align
 	$(GO) test -run='^$$' -bench='BenchmarkSMEMs$$|BenchmarkLocateAppend$$' -benchtime=50x ./internal/fmindex

@@ -65,6 +65,56 @@ func Transform[E ~uint8](text []E, sa []int32) (*BWT, error) {
 	return &BWT{Data: data[:n], Primary: primary}, nil
 }
 
+// Stream is Transform without the transform: it walks sa once and writes
+// the symbols Transform would store into buf, handing buf to emit each time it
+// fills and once more for the rest, so that no more than len(buf) symbols of
+// the transform exist at a time. It returns the primary index and the number
+// of maximal runs of equal symbols. An emit error stops the walk and is
+// returned as it is.
+func Stream[E ~uint8](text []E, sa []int32, buf []uint8, emit func([]uint8) error) (primary, runs int, err error) {
+	n := len(text)
+	if len(sa) != n+1 {
+		return 0, 0, fmt.Errorf("bwt: suffix array length %d, want %d", len(sa), n+1)
+	}
+	if len(buf) == 0 {
+		return 0, 0, errors.New("bwt: empty stream buffer")
+	}
+	at, last, primary := 0, -1, -1
+	for i, p := range sa {
+		if p == 0 {
+			if primary != -1 {
+				return 0, 0, errors.New("bwt: suffix array has multiple zero entries")
+			}
+			primary = i
+			continue
+		}
+		if p < 0 || int(p) > n {
+			return 0, 0, fmt.Errorf("bwt: suffix array entry %d out of range", p)
+		}
+		c := uint8(text[p-1])
+		if int(c) != last {
+			runs++
+			last = int(c)
+		}
+		buf[at] = c
+		if at++; at == len(buf) {
+			if err := emit(buf); err != nil {
+				return 0, 0, err
+			}
+			at = 0
+		}
+	}
+	if primary == -1 {
+		return 0, 0, errors.New("bwt: suffix array lacks the sentinel suffix")
+	}
+	if at > 0 {
+		if err := emit(buf[:at]); err != nil {
+			return 0, 0, err
+		}
+	}
+	return primary, runs, nil
+}
+
 // Len returns the number of non-sentinel symbols (the original text length).
 func (b *BWT) Len() int { return len(b.Data) }
 
@@ -169,14 +219,24 @@ func (b *BWT) RunCount() int {
 // wavelet node's bit-vector, so H0 predicts the structure's compression.
 func (b *BWT) Entropy(sigma int) float64 {
 	counts, err := b.SymbolCounts(sigma)
-	if err != nil || len(b.Data) == 0 {
+	if err != nil {
 		return 0
 	}
-	n := float64(len(b.Data))
+	return H0(counts)
+}
+
+// H0 is the zero-order empirical entropy, in bits per symbol, of a string
+// holding counts[s] copies of each symbol s. A transform permutes its text,
+// so the text's counts give the transform's entropy.
+func H0(counts []int) float64 {
+	n := 0
+	for _, c := range counts {
+		n += c
+	}
 	h := 0.0
 	for _, c := range counts {
 		if c > 0 {
-			p := float64(c) / n
+			p := float64(c) / float64(n)
 			h -= p * math.Log2(p)
 		}
 	}

@@ -1,6 +1,7 @@
 package bwt
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"sort"
@@ -184,6 +185,64 @@ func TestTransformErrors(t *testing.T) {
 	if _, err := Transform(text, []int32{3, 2, 1, 1}); err == nil {
 		t.Error("accepted suffix array without sentinel entry")
 	}
+	discard := func([]uint8) error { return nil }
+	for _, sa := range [][]int32{{0, 1, 2}, {3, 2, 1, 9}, {0, 0, 1, 2}, {3, 2, 1, 1}} {
+		if _, _, err := Stream(text, sa, make([]uint8, 2), discard); err == nil {
+			t.Errorf("Stream accepted suffix array %v", sa)
+		}
+	}
+	if _, _, err := Stream(text, []int32{3, 2, 1, 0}, nil, discard); err == nil {
+		t.Error("Stream accepted an empty buffer")
+	}
+}
+
+// TestStreamMatchesTransform: the chunks Stream emits, joined, are
+// Transform's data, whatever the chunk size, with its primary index and run
+// count; an emit error ends the walk.
+func TestStreamMatchesTransform(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{0, 1, 2, 63, 64, 65, 300} {
+		text := make([]uint8, n)
+		for i := range text {
+			text[i] = uint8(rng.Intn(3))
+		}
+		sa, err := suffixarray.Build(text, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := mustTransform(t, text, 4)
+		for _, chunk := range []int{1, 2, 7, 64, n + 1} {
+			var got []uint8
+			primary, runs, err := Stream(text, sa, make([]uint8, chunk), func(c []uint8) error {
+				if len(c) == 0 || len(c) > chunk {
+					t.Fatalf("n=%d chunk=%d: emitted %d symbols", n, chunk, len(c))
+				}
+				got = append(got, c...)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != string(want.Data) || primary != want.Primary || runs != want.RunCount() {
+				t.Fatalf("n=%d chunk=%d: Stream gave %v primary %d runs %d, Transform %v primary %d runs %d",
+					n, chunk, got, primary, runs, want.Data, want.Primary, want.RunCount())
+			}
+		}
+	}
+	stop := errors.New("stop")
+	text := []uint8{0, 1, 2, 3}
+	if _, _, err := Stream(text, mustSA(t, text), make([]uint8, 1), func([]uint8) error { return stop }); err != stop {
+		t.Errorf("Stream returned %v for an emit error", err)
+	}
+}
+
+func mustSA(t *testing.T, text []uint8) []int32 {
+	t.Helper()
+	sa, err := suffixarray.Build(text, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sa
 }
 
 func TestCompactPos(t *testing.T) {
@@ -208,6 +267,12 @@ func TestRunCountAndEntropy(t *testing.T) {
 	uniform := &BWT{Data: []uint8{0, 1, 2, 3}, Primary: 0}
 	if h := uniform.Entropy(4); math.Abs(h-2.0) > 1e-9 {
 		t.Errorf("uniform entropy = %v, want 2.0", h)
+	}
+	if h := H0([]int{1, 1, 1, 1}); math.Abs(h-2.0) > 1e-9 {
+		t.Errorf("H0 of uniform counts = %v, want 2.0", h)
+	}
+	if h := H0([]int{0, 0}); h != 0 {
+		t.Errorf("H0 of no symbols = %v, want 0", h)
 	}
 	single := &BWT{Data: []uint8{1, 1, 1, 1}, Primary: 0}
 	if h := single.Entropy(4); h != 0 {

@@ -19,14 +19,18 @@ func allocatedPerBase(t *testing.T, bases int, f func()) float64 {
 }
 
 // TestConstructionAllocationBudget keeps construction memory proportional to
-// what construction returns. At 1 Mbp a build without the prefix table
-// allocates the suffix array (4 bytes per base), the BWT (1), the node bitmaps
-// (1/8 per tree level) and the structure: 6.5 bytes per base where the
-// construction this replaced took 39.0. EnsureMem adds the extracted
-// reference (1), its reversal (1), the reverse direction's array, BWT,
-// bitmaps and structure (5.6) and the k = 9 short-pattern table (4.2): 12.6
-// where it took 45.0. The budgets leave room for a wider alphabet's bucket
-// counters, not for another copy of the text.
+// what construction returns, and a locating pass's memory to what it
+// returns. At 1 Mbp a build without the prefix table allocates the suffix
+// array (4 bytes per base), the node bitmaps (1/8 per tree level) and the
+// structure — the transform streams from the array into the bitmaps and never
+// exists whole: 5.6 bytes per base where the construction this replaced took
+// 39.0, and 6.5 while it held the transform. EnsureMem adds the extracted
+// reference (1), its reversal (1), the reverse direction's array, bitmaps and
+// structure (4.6) and the k = 9 short-pattern table (4.2): 11.6 where it took
+// 45.0. The budgets leave room for a wider alphabet's bucket counters, not for
+// another copy of the text. A warm locating pass allocates its positions
+// once, at their exact size: 4 bytes per occurrence and a small constant, not
+// a doubling slab's garbage.
 func TestConstructionAllocationBudget(t *testing.T) {
 	ref, err := readsim.Chr21Like(1, 1e6/40088619.0)
 	if err != nil {
@@ -40,15 +44,39 @@ func TestConstructionAllocationBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("BuildIndexCtx allocated %.2f bytes per base", build)
-	if build > 8 {
-		t.Errorf("BuildIndexCtx allocated %.2f bytes per base, budget 8", build)
+	if build > 6 {
+		t.Errorf("BuildIndexCtx allocated %.2f bytes per base, budget 6", build)
 	}
+
+	reads, err := readsim.Simulate(ref, readsim.ReadsConfig{Count: 2000, Length: 30, MappingRatio: 0.9, RevCompFraction: 0.5, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqs := readsim.Seqs(reads)
+	dst := make([]MapResult, len(seqs))
+	for _, workers := range []int{1, 2} {
+		opts := MapOptions{Locate: true, Workers: workers}
+		if _, err := ix.MapReadsInto(dst, seqs, opts); err != nil { // warm-up
+			t.Fatal(err)
+		}
+		var stats MapStats
+		pass := allocatedPerBase(t, 1, func() { stats, err = ix.MapReadsInto(dst, seqs, opts) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		const slack = 8 << 10 // the slab's size-class rounding, the workers' goroutines
+		t.Logf("warm locating pass, %d workers: %.0f bytes allocated for %d positions", workers, pass, stats.Occurrences)
+		if budget := 4*stats.Occurrences + slack; pass > float64(budget) {
+			t.Errorf("warm locating pass, %d workers, allocated %.0f bytes for %d positions, budget %d", workers, pass, stats.Occurrences, budget)
+		}
+	}
+
 	mem := allocatedPerBase(t, len(ref), func() { err = ix.EnsureMem() })
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("EnsureMem allocated %.2f bytes per base", mem)
-	if mem > 14.5 {
-		t.Errorf("EnsureMem allocated %.2f bytes per base, budget 14.5", mem)
+	if mem > 12 {
+		t.Errorf("EnsureMem allocated %.2f bytes per base, budget 12", mem)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"testing"
 
 	"bwaver/internal/readsim"
@@ -27,16 +28,28 @@ func benchInputs(b *testing.B) (ref []readsim.Read, ix *Index) {
 	return reads, index
 }
 
+// BenchmarkBuildIndex builds a 1 Mbp chr21-like index without and with the
+// default prefix table and reports construction bytes per base beside B/op,
+// the figure TestConstructionAllocationBudget bounds.
 func BenchmarkBuildIndex(b *testing.B) {
-	genome, err := readsim.EColiLike(1, 0.05)
+	genome, err := readsim.Chr21Like(1, 1e6/40088619.0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.SetBytes(int64(len(genome)))
-	for i := 0; i < b.N; i++ {
-		if _, err := BuildIndex(genome, IndexConfig{}); err != nil {
-			b.Fatal(err)
-		}
+	for _, k := range []int{0, DefaultFtabK} {
+		b.Run(fmt.Sprintf("ftab%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(genome)))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < b.N; i++ {
+				if _, err := BuildIndex(genome, IndexConfig{FtabK: k}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N*len(genome)), "B/base")
+		})
 	}
 }
 

@@ -5,8 +5,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"bwaver/internal/dna"
 )
 
 // The batch engine. The paper's host side is one loop — the kernel
@@ -18,9 +16,10 @@ import (
 // progress, and write results by index, so any worker count yields the
 // output of the sequential schedule.
 
-// workload is one kind of mapping as the engine sees it. R is its per-read
-// result, S a worker's scratch.
-type workload[R, S any] interface {
+// workload is one kind of mapping as the engine sees it. In is its per-read
+// input (the read, or for the locate pass the result it fills in), R its
+// per-read result, S a worker's scratch.
+type workload[In, R, S any] interface {
 	// unit is how many consecutive reads one worker must map together and in
 	// order: 1, or 2 for mate pairs.
 	unit() int
@@ -34,17 +33,17 @@ type workload[R, S any] interface {
 	release(*S)
 	// mapUnits maps reads — whole units, but for the lone last read of an
 	// odd paired batch — into dst. It is called once per claimed chunk.
-	mapUnits(sc *S, reads []dna.Seq, dst []R) error
+	mapUnits(sc *S, reads []In, dst []R) error
 }
 
 // batch is the shared state of one mapBatch call. Workers run as a method on
 // it rather than a closure so the sequential path keeps it on the stack: an
 // escaping closure would drag the cursor and counters to the heap on every
 // call.
-type batch[R, S any, W workload[R, S]] struct {
+type batch[In, R, S any, W workload[In, R, S]] struct {
 	w      W
 	dst    []R
-	reads  []dna.Seq
+	reads  []In
 	run    MapOptions
 	units  int
 	every  int
@@ -52,7 +51,7 @@ type batch[R, S any, W workload[R, S]] struct {
 	done   atomic.Int64
 }
 
-func (b *batch[R, S, W]) init(w W, dst []R, reads []dna.Seq, run MapOptions) {
+func (b *batch[In, R, S, W]) init(w W, dst []R, reads []In, run MapOptions) {
 	b.w, b.dst, b.reads, b.run = w, dst, reads, run
 	b.units = (len(reads) + w.unit() - 1) / w.unit()
 	if b.every = run.ProgressEvery; b.every <= 0 {
@@ -62,7 +61,7 @@ func (b *batch[R, S, W]) init(w W, dst []R, reads []dna.Seq, run MapOptions) {
 
 // worker claims chunks until the batch is drained, the context is cancelled,
 // or a read fails.
-func (b *batch[R, S, W]) worker() error {
+func (b *batch[In, R, S, W]) worker() error {
 	sc := b.w.acquire()
 	defer b.w.release(sc)
 	unit, chunk := b.w.unit(), b.w.chunk()
@@ -95,7 +94,7 @@ func (b *batch[R, S, W]) worker() error {
 // error any of them hit. It is its own function because its goroutines make
 // the batch escape, and escape is a property of the variable, not the
 // branch: inline, the sequential path would heap-allocate too.
-func (b *batch[R, S, W]) parallel(n int) error {
+func (b *batch[In, R, S, W]) parallel(n int) error {
 	var (
 		wg       sync.WaitGroup
 		first    sync.Once
@@ -121,7 +120,7 @@ func (b *batch[R, S, W]) parallel(n int) error {
 // roughly every run.ProgressEvery reads (0 means 1024) — from mapping
 // goroutines when there are several — and (total, total) exactly once, after
 // the last read.
-func mapBatch[R, S any, W workload[R, S]](w W, dst []R, reads []dna.Seq, run MapOptions) error {
+func mapBatch[In, R, S any, W workload[In, R, S]](w W, dst []R, reads []In, run MapOptions) error {
 	if len(dst) != len(reads) {
 		return fmt.Errorf("core: result slice holds %d entries for %d reads", len(dst), len(reads))
 	}
@@ -131,11 +130,11 @@ func mapBatch[R, S any, W workload[R, S]](w W, dst []R, reads []dna.Seq, run Map
 	}
 	var err error
 	if workers <= 1 {
-		var b batch[R, S, W]
+		var b batch[In, R, S, W]
 		b.init(w, dst, reads, run)
 		err = b.worker()
 	} else {
-		b := new(batch[R, S, W])
+		b := new(batch[In, R, S, W])
 		b.init(w, dst, reads, run)
 		err = b.parallel(workers)
 	}

@@ -170,29 +170,31 @@ func BuildIndexCtx(ctx context.Context, ref dna.Seq, cfg IndexConfig) (*Index, e
 		return nil, err
 	}
 
-	start = time.Now()
-	_, bwtSpan := obs.StartSpan(ctx, "build.bwt")
-	transform, err := bwt.Transform(ref, sa)
-	bwtSpan.End()
-	if err != nil {
-		return nil, fmt.Errorf("core: bwt: %w", err)
-	}
-	stats.BWTTime = time.Since(start)
-	stats.BWTRuns = transform.RunCount()
-	stats.BWTEntropy = transform.Entropy(dna.AlphabetSize)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	start = time.Now()
+	// The transform streams from the suffix array straight into the wavelet
+	// nodes' bits: it never exists whole.
 	var backend wavelet.Backend
 	if cfg.PlainBitvectors {
 		backend = wavelet.PlainBackend()
 	} else {
 		backend = wavelet.RRRBackend(cfg.RRR)
 	}
+	start = time.Now()
+	_, bwtSpan := obs.StartSpan(ctx, "build.bwt")
+	streamed, err := fmindex.StreamBWT(ref, sa, dna.AlphabetSize, backend)
+	bwtSpan.End()
+	if err != nil {
+		return nil, fmt.Errorf("core: bwt: %w", err)
+	}
+	stats.BWTTime = time.Since(start)
+	stats.BWTRuns = streamed.Runs
+	stats.BWTEntropy = bwt.H0(streamed.Counts)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+
+	start = time.Now()
 	_, encSpan := obs.StartSpan(ctx, "build.encode")
-	occ, err := fmindex.NewWaveletOccBackend(transform.Data, dna.AlphabetSize, backend)
+	occ, err := streamed.Encode()
 	encSpan.End()
 	if err != nil {
 		return nil, fmt.Errorf("core: encoding: %w", err)
@@ -219,7 +221,7 @@ func BuildIndexCtx(ctx context.Context, ref dna.Seq, cfg IndexConfig) (*Index, e
 		return nil, fmt.Errorf("core: unknown locate mode %d", cfg.Locate)
 	}
 
-	fm, err := fmindex.New(transform, dna.AlphabetSize, occ, opts)
+	fm, err := fmindex.NewFromParts(occ, dna.AlphabetSize, streamed.Primary, streamed.Counts, opts)
 	if err != nil {
 		return nil, fmt.Errorf("core: fm-index: %w", err)
 	}
@@ -350,11 +352,9 @@ func (m MapResult) Mapped() bool { return !m.Forward.Empty() || !m.Reverse.Empty
 // Occurrences returns the total number of occurrences across both strands.
 func (m MapResult) Occurrences() int { return m.Forward.Count() + m.Reverse.Count() }
 
-// mapBuffer is a worker's reusable scratch: the two search patterns and,
-// while a locating batch runs, the slab its positions are appended to.
+// mapBuffer is a worker's reusable scratch: the two search patterns.
 type mapBuffer struct {
 	fw, rc []uint8
-	slab   []int32
 }
 
 // mapBufPool recycles search scratch across calls, the allocation-free
@@ -448,13 +448,13 @@ func (ix *Index) MapReads(reads []dna.Seq, opts MapOptions) ([]MapResult, MapSta
 	return results, stats, nil
 }
 
-// exactWork is exact matching as a workload value. useFtab=false forces the
-// plain backward search even on an index that has a prefix table.
+// exactWork is exact matching as a workload value, count-only: a locating
+// batch locates afterwards, in locateBatch. useFtab=false forces the plain
+// backward search even on an index that has a prefix table.
 type exactWork struct {
 	pooledBuf
 	ix      *Index
 	useFtab bool
-	locate  bool
 }
 
 func (exactWork) unit() int  { return 1 }
@@ -463,59 +463,68 @@ func (exactWork) chunk() int { return 64 }
 // pooledBuf is the scratch of the workloads that search with a mapBuffer.
 type pooledBuf struct{}
 
-func (pooledBuf) acquire() *mapBuffer { return mapBufPool.Get().(*mapBuffer) }
+func (pooledBuf) acquire() *mapBuffer    { return mapBufPool.Get().(*mapBuffer) }
+func (pooledBuf) release(buf *mapBuffer) { mapBufPool.Put(buf) }
 
-// release keeps the slab out of the pool: located positions outlive the call
-// as subslices of it, so that memory belongs to the results.
-func (pooledBuf) release(buf *mapBuffer) {
-	buf.slab = nil
-	mapBufPool.Put(buf)
-}
-
-// locate appends res's occurrence positions to slab — the paper's host-side
-// SA lookup — and leaves subslices of it in res, amortizing locate
-// allocations to the slab's doubling growth. The subslices stay valid across
-// later growth: append copies the prefix, and slab contents are never
-// mutated.
-func (ix *Index) locate(slab []int32, res *MapResult) ([]int32, error) {
-	a := len(slab)
-	slab, err := ix.fm.LocateAppend(slab, res.Forward)
-	if err != nil {
-		return slab, err
-	}
-	b := len(slab)
-	if slab, err = ix.fm.LocateAppend(slab, res.Reverse); err != nil {
-		return slab, err
-	}
-	if b > a {
-		res.ForwardPositions = slab[a:b:b]
-	}
-	if c := len(slab); c > b {
-		res.ReversePositions = slab[b:c:c]
-	}
-	return slab, nil
-}
-
-// LocateResults fills in the occurrence positions of results that were
-// mapped count-only, from one slab for the whole batch.
-func (ix *Index) LocateResults(results []MapResult) (err error) {
-	var slab []int32
-	for i := range results {
-		if slab, err = ix.locate(slab, &results[i]); err != nil {
-			return err
-		}
+func (w exactWork) mapUnits(buf *mapBuffer, reads []dna.Seq, dst []MapResult) error {
+	for i, read := range reads {
+		dst[i] = w.ix.mapReadBuf(buf, read, w.useFtab)
 	}
 	return nil
 }
 
-// mapUnits locates into the worker's one growing slab.
-func (w exactWork) mapUnits(buf *mapBuffer, reads []dna.Seq, dst []MapResult) (err error) {
-	for i, read := range reads {
-		dst[i] = w.ix.mapReadBuf(buf, read, w.useFtab)
-		if w.locate {
-			if buf.slab, err = w.ix.locate(buf.slab, &dst[i]); err != nil {
-				return err
-			}
+// LocateResults fills in the occurrence positions of results that were
+// mapped count-only, as a locating batch does.
+func (ix *Index) LocateResults(results []MapResult) error {
+	return ix.locateBatch(results, MapOptions{})
+}
+
+// locateBatch is the paper's host-side SA lookup for a batch mapped
+// count-only: it sums the batch's occurrences, allocates their positions
+// once, at exactly that size, hands every result its own ranges of the slab,
+// and locates into them on run.Workers workers. A pass thus leaves behind
+// only the positions it returns.
+func (ix *Index) locateBatch(results []MapResult, run MapOptions) error {
+	total := 0
+	for i := range results {
+		total += results[i].Occurrences()
+	}
+	slab := make([]int32, total)
+	for i := range results {
+		res := &results[i]
+		res.ForwardPositions, slab = reserve(slab, res.Forward.Count())
+		res.ReversePositions, slab = reserve(slab, res.Reverse.Count())
+	}
+	return mapBatch(locateWork{ix: ix}, results, results, MapOptions{Context: run.Context, Workers: run.Workers})
+}
+
+// reserve splits the first n positions off slab as an empty slice with room
+// for exactly n, nil for none.
+func reserve(slab []int32, n int) (head, rest []int32) {
+	if n == 0 {
+		return nil, slab
+	}
+	return slab[:0:n], slab[n:]
+}
+
+// locateWork fills in the ranges locateBatch reserved: its reads are the
+// results it writes.
+type locateWork struct{ ix *Index }
+
+func (locateWork) unit() int          { return 1 }
+func (locateWork) chunk() int         { return 64 }
+func (locateWork) acquire() *struct{} { return nil }
+func (locateWork) release(*struct{})  {}
+
+func (w locateWork) mapUnits(_ *struct{}, results, _ []MapResult) (err error) {
+	fm := w.ix.fm
+	for i := range results {
+		res := &results[i]
+		if res.ForwardPositions, err = fm.LocateAppend(res.ForwardPositions, res.Forward); err != nil {
+			return err
+		}
+		if res.ReversePositions, err = fm.LocateAppend(res.ReversePositions, res.Reverse); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -534,9 +543,13 @@ func (ix *Index) MapReadsInto(dst []MapResult, reads []dna.Seq, opts MapOptions)
 // prices every step.
 func (ix *Index) MapReadsIntoFtab(dst []MapResult, reads []dna.Seq, opts MapOptions, useFtab bool) (MapStats, error) {
 	start := time.Now()
-	w := exactWork{ix: ix, useFtab: useFtab, locate: opts.Locate}
-	if err := mapBatch(w, dst, reads, opts); err != nil {
+	if err := mapBatch(exactWork{ix: ix, useFtab: useFtab}, dst, reads, opts); err != nil {
 		return MapStats{}, err
+	}
+	if opts.Locate {
+		if err := ix.locateBatch(dst, opts); err != nil {
+			return MapStats{}, err
+		}
 	}
 	stats := MapStats{Reads: len(reads)}
 	for i := range dst {

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"math/bits"
 
-	"bwaver/internal/bwt"
 	"bwaver/internal/rrr"
 	"bwaver/internal/suffixarray"
+	"bwaver/internal/wavelet"
 )
 
 // Bidirectional FM-index (Lam et al.'s 2BWT, the index inside BWA-MEM):
@@ -151,16 +151,18 @@ func (bi *BiIndex) extendRightAt(r BiRange, n int, key uint32, a uint8) (BiRange
 	return bi.ExtendRight(r, a), key
 }
 
+// buildDirection builds the index of one direction with the transform
+// streamed from the suffix array into the wavelet nodes.
 func buildDirection[E ~uint8](text []E, sigma int, params rrr.Params, withSA bool) (*Index, error) {
 	sa, err := suffixarray.Build(text, sigma)
 	if err != nil {
 		return nil, err
 	}
-	tr, err := bwt.Transform(text, sa)
+	streamed, err := StreamBWT(text, sa, sigma, wavelet.RRRBackend(params))
 	if err != nil {
 		return nil, err
 	}
-	occ, err := NewWaveletOcc(tr.Data, sigma, params)
+	occ, err := streamed.Encode()
 	if err != nil {
 		return nil, err
 	}
@@ -168,7 +170,7 @@ func buildDirection[E ~uint8](text []E, sigma int, params rrr.Params, withSA boo
 	if withSA {
 		opts.SA = sa
 	}
-	return New(tr, sigma, occ, opts)
+	return NewFromParts(occ, sigma, streamed.Primary, streamed.Counts, opts)
 }
 
 // Forward exposes the text-direction index (it has the suffix array).

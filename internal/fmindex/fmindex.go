@@ -11,6 +11,7 @@ import (
 
 	"bwaver/internal/bitvec"
 	"bwaver/internal/bwt"
+	"bwaver/internal/wavelet"
 )
 
 // Range is an inclusive interval [Start, End] of rows of the conceptual
@@ -123,6 +124,63 @@ func NewFromParts(occ OccProvider, sigma, primary int, counts []int, opts Option
 		ix.sampled = opts.Sampled
 	}
 	return ix, nil
+}
+
+// StreamedBWT is the Burrows-Wheeler transform of a text as one pass over
+// its suffix array leaves it for the index: the sentinel row, the symbol
+// counts, the run count, and a wavelet builder holding every node's bits. The
+// transform itself never exists: bwt.Transform and New, which keep it at one
+// byte per symbol, are the reference this construction is tested against.
+type StreamedBWT struct {
+	Primary int
+	Counts  []int
+	Runs    int
+	tree    *wavelet.Builder
+}
+
+// streamChunk is how many symbols of the transform exist at a time while
+// StreamBWT feeds the wavelet builder.
+const streamChunk = 64 << 10
+
+// StreamBWT makes the transform's one pass: it counts the text's symbols,
+// which size the wavelet nodes (the transform permutes the text), then walks
+// sa feeding the builder text[sa[i]-1] row by row, streamChunk symbols at a
+// time. Encode finishes the Occ structure; NewFromParts assembles the index.
+func StreamBWT[E ~uint8](text []E, sa []int32, sigma int, backend wavelet.Backend) (*StreamedBWT, error) {
+	if sigma < 2 || sigma > 256 {
+		return nil, fmt.Errorf("fmindex: alphabet size %d outside [2,256]", sigma)
+	}
+	var tally [256]int
+	for _, c := range text {
+		tally[c]++
+	}
+	for c := sigma; c < len(tally); c++ {
+		if tally[c] > 0 {
+			return nil, fmt.Errorf("fmindex: symbol %d outside alphabet [0,%d)", c, sigma)
+		}
+	}
+	counts := make([]int, sigma)
+	copy(counts, tally[:])
+	tree, err := wavelet.NewBuilder(counts, backend)
+	if err != nil {
+		return nil, err
+	}
+	buf := make([]uint8, min(streamChunk, len(text)+1))
+	primary, runs, err := bwt.Stream(text, sa, buf, tree.Write)
+	if err != nil {
+		return nil, err
+	}
+	return &StreamedBWT{Primary: primary, Counts: counts, Runs: runs, tree: tree}, nil
+}
+
+// Encode encodes the wavelet nodes the pass filled, concurrently, into the
+// paper's Occ structure.
+func (s *StreamedBWT) Encode() (*WaveletOcc, error) {
+	t, err := s.tree.Build()
+	if err != nil {
+		return nil, err
+	}
+	return &WaveletOcc{Tree: t}, nil
 }
 
 // SymbolCount returns the number of occurrences of sym in the text.

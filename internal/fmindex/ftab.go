@@ -105,40 +105,38 @@ func (f *Ftab) Validate(n int) error {
 // depth-d parent X, dead parents propagate their death range to all children
 // without any rank work. Total StepAll calls are bounded by both 4^k/3 and k
 // times the number of distinct k-mers in the text, so small references build
-// small-alive tables fast even at high k. Only the previous level is kept,
-// and the last one is written straight into the table.
+// small-alive tables fast even at high k. The refinement runs in place: level
+// d lives in the table's last 4^d entries, so the entry 3X of level d+1 is
+// X's own slot, written after X is read, and 0X…2X land below level d.
 func (ix *Index) BuildFtab(k int) (*Ftab, error) {
 	if k < 1 || k > MaxFtabK {
 		return nil, fmt.Errorf("fmindex: ftab order %d outside [1,%d]", k, MaxFtabK)
 	}
 	f := &Ftab{k: k, entries: make([]ftabEntry, 1<<(2*k))}
 	all := ix.All()
-	cur := []ftabEntry{{lo: int32(all.Start), hi: int32(all.End)}}
+	f.entries[len(f.entries)-1] = ftabEntry{lo: int32(all.Start), hi: int32(all.End)}
 	// StepAll fills stepped[:sigma]; symbols the index lacks, [sigma, 4), keep
 	// the empty range Step gives them.
 	stepped := make([]Range, max(ix.sigma, ftabSigma))
 	for s := ix.sigma; s < ftabSigma; s++ {
 		stepped[s] = Range{Start: 1, End: 0}
 	}
-	for d := 1; d <= k; d++ {
-		next := f.entries
-		if d < k {
-			next = make([]ftabEntry, len(cur)*ftabSigma)
-		}
+	for width := 1; width < len(f.entries); width *= ftabSigma {
+		cur := f.entries[len(f.entries)-width:]
+		next := f.entries[len(f.entries)-width*ftabSigma:]
 		for key, e := range cur {
 			r := Range{Start: int(e.lo), End: int(e.hi)}
 			if r.Empty() {
 				for s := 0; s < ftabSigma; s++ {
-					next[s*len(cur)+key] = e
+					next[s*width+key] = e
 				}
 				continue
 			}
 			ix.StepAll(r, stepped)
 			for s := 0; s < ftabSigma; s++ {
-				next[s*len(cur)+key] = ftabEntry{lo: int32(stepped[s].Start), hi: int32(stepped[s].End)}
+				next[s*width+key] = ftabEntry{lo: int32(stepped[s].Start), hi: int32(stepped[s].End)}
 			}
 		}
-		cur = next
 	}
 	return f, nil
 }

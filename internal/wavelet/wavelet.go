@@ -16,6 +16,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"bwaver/internal/bitvec"
 	"bwaver/internal/rrr"
@@ -118,93 +121,213 @@ type Tree struct {
 
 // New builds a wavelet tree over data, whose symbols must all be in
 // [0, sigma). A nil backend defaults to the paper's RRR backend with
-// rrr.DefaultParams.
+// rrr.DefaultParams. It is a Builder fed data in one piece.
 func New(data []uint8, sigma int, backend Backend) (*Tree, error) {
-	if sigma < 2 {
-		return nil, fmt.Errorf("wavelet: alphabet size %d must be >= 2", sigma)
+	if sigma < 2 || sigma > 256 {
+		return nil, fmt.Errorf("wavelet: alphabet size %d outside [2,256]", sigma)
+	}
+	var counts [256]int
+	for _, s := range data {
+		counts[s]++
+	}
+	b, err := NewBuilder(counts[:sigma], backend)
+	if err != nil {
+		return nil, err
+	}
+	if err := b.Write(data); err != nil {
+		return nil, err
+	}
+	return b.Build()
+}
+
+// Builder encodes a wavelet tree from its string fed once, in order, in
+// chunks of any size, so that the string never has to exist whole: the
+// symbol counts, known up front, size every node's bits; each symbol fed sets
+// its bit in every node on its root-to-leaf path, at that node's cursor; Build
+// encodes the nodes concurrently. A node gets the bits the bit-by-bit
+// construction gives it, so the tree is that construction's.
+type Builder struct {
+	counts  []int       // copies of each symbol the string holds
+	fed     [256]int    // copies of each symbol fed so far
+	nodes   []buildNode // preorder: a node, its zero subtree, its one subtree
+	paths   [256][]pathStep
+	backend Backend
+}
+
+// buildNode is one node's bits while the string is fed.
+type buildNode struct {
+	lo, hi   int // alphabet code range covered by this node
+	words    []uint64
+	n, at    int // bit length and cursor
+	zero, on int // children's indices in Builder.nodes, -1 for a leaf
+}
+
+// pathStep is one node on a symbol's root-to-leaf path and the bit the symbol
+// sets there.
+type pathStep struct {
+	node int
+	bit  uint64
+}
+
+// NewBuilder prepares the tree of a string holding counts[s] copies of each
+// symbol s, over the alphabet [0, len(counts)). A nil backend defaults to the
+// paper's RRR backend with rrr.DefaultParams.
+func NewBuilder(counts []int, backend Backend) (*Builder, error) {
+	sigma := len(counts)
+	if sigma < 2 || sigma > 256 {
+		return nil, fmt.Errorf("wavelet: alphabet size %d outside [2,256]", sigma)
+	}
+	for s, c := range counts {
+		if c < 0 {
+			return nil, fmt.Errorf("wavelet: negative count %d for symbol %d", c, s)
+		}
 	}
 	if backend == nil {
 		backend = RRRBackend(rrr.DefaultParams)
 	}
-	for i, s := range data {
-		if int(s) >= sigma {
-			return nil, fmt.Errorf("wavelet: symbol %d at position %d outside alphabet [0,%d)", s, i, sigma)
+	b := &Builder{counts: counts, backend: backend}
+	b.addNode(0, sigma)
+	for s := range counts {
+		for i, lo, hi := 0, 0, sigma; hi-lo > 1; {
+			nd := &b.nodes[i]
+			if mid := (lo + hi + 1) / 2; s >= mid {
+				b.paths[s] = append(b.paths[s], pathStep{node: i, bit: 1})
+				i, lo = nd.on, mid
+			} else {
+				b.paths[s] = append(b.paths[s], pathStep{node: i})
+				i, hi = nd.zero, mid
+			}
 		}
 	}
-	levels := 0
-	for 1<<uint(levels) < sigma {
-		levels++
-	}
-	root, err := build(data, len(data), 0, sigma, backend)
-	if err != nil {
-		return nil, err
-	}
-	return &Tree{root: root, n: len(data), sigma: sigma, levels: levels, backend: backend.Name()}, nil
+	return b, nil
 }
 
-// concurrentBuildMin is the node length from which a node's two subtrees are
-// built on two goroutines: below it the encoding is too short to pay for one.
+// addNode appends the node for the code range [lo, hi) and its subtrees, and
+// returns its index, -1 for a leaf: a single symbol needs no bit-vector.
+func (b *Builder) addNode(lo, hi int) int {
+	if hi-lo <= 1 {
+		return -1
+	}
+	n := 0
+	for _, c := range b.counts[lo:hi] {
+		n += c
+	}
+	i := len(b.nodes)
+	b.nodes = append(b.nodes, buildNode{lo: lo, hi: hi, words: make([]uint64, (n+63)/64), n: n})
+	mid := (lo + hi + 1) / 2
+	zero := b.addNode(lo, mid)
+	on := b.addNode(mid, hi)
+	b.nodes[i].zero, b.nodes[i].on = zero, on
+	return i
+}
+
+// Write feeds the next symbols of the string. A symbol outside the alphabet,
+// or one copy of a symbol more than its count, is refused before any bit of
+// the chunk is set.
+func (b *Builder) Write(chunk []uint8) error {
+	var tally [256]int
+	for _, s := range chunk {
+		tally[s]++
+	}
+	for s, c := range tally {
+		if c > 0 && (s >= len(b.counts) || b.fed[s]+c > b.counts[s]) {
+			return b.refuse(chunk)
+		}
+	}
+	for s, c := range tally[:len(b.counts)] {
+		b.fed[s] += c
+	}
+	for _, s := range chunk {
+		for _, st := range b.paths[s] {
+			nd := &b.nodes[st.node]
+			nd.words[nd.at>>6] |= st.bit << uint(nd.at&63)
+			nd.at++
+		}
+	}
+	return nil
+}
+
+// refuse names the first symbol of chunk that Write cannot take.
+func (b *Builder) refuse(chunk []uint8) error {
+	pos := 0
+	for s := range b.counts {
+		pos += b.fed[s]
+	}
+	fed := b.fed
+	for i, s := range chunk {
+		if int(s) >= len(b.counts) {
+			return fmt.Errorf("wavelet: symbol %d at position %d outside alphabet [0,%d)", s, pos+i, len(b.counts))
+		}
+		if fed[s]++; fed[s] > b.counts[s] {
+			return fmt.Errorf("wavelet: symbol %d at position %d is one copy more than its count %d", s, pos+i, b.counts[s])
+		}
+	}
+	panic("wavelet: refuse found every symbol of the chunk acceptable")
+}
+
+// concurrentBuildMin is the string length from which the nodes are encoded on
+// several goroutines: below it the encoding is too short to pay for them.
 const concurrentBuildMin = 1 << 16
 
-// build encodes the node for the code range [lo, hi) and, recursively, its
-// subtrees. The node's string is the n symbols of data that lie in the range,
-// in order; data may hold others, which are skipped. A node whose grandchildren
-// are all leaves therefore hands data on as it is, and each child reads its
-// half of the symbols out of it once; only a child that has subtrees of its
-// own to feed is given a partition holding its symbols alone, so that a level
-// of the tree still costs one pass over the string.
-func build(data []uint8, n, lo, hi int, backend Backend) (*node, error) {
-	if hi-lo <= 1 {
-		return nil, nil // leaf: a single symbol needs no bit-vector
+// Build encodes every node once all the symbols the counts promise have been
+// fed, on up to GOMAXPROCS goroutines that claim nodes in preorder, the
+// largest first. A node's words are dropped as soon as it is encoded. The
+// Builder must not be used afterwards.
+func (b *Builder) Build() (*Tree, error) {
+	n := 0
+	for s, c := range b.counts {
+		if b.fed[s] != c {
+			return nil, fmt.Errorf("wavelet: %d copies of symbol %d fed, the counts promise %d", b.fed[s], s, c)
+		}
+		n += c
 	}
-	mid := (lo + hi + 1) / 2
-	words := make([]uint64, (n+63)/64)
-	at := 0
-	for _, s := range data {
-		if int(s) >= lo && int(s) < hi {
-			if int(s) >= mid {
-				words[at>>6] |= 1 << uint(at&63)
-			}
-			at++
+	vecs := make([]RankVector, len(b.nodes))
+	errs := make([]error, len(b.nodes))
+	var next atomic.Int64
+	encode := func() {
+		for i := int(next.Add(1) - 1); i < len(b.nodes); i = int(next.Add(1) - 1) {
+			nd := &b.nodes[i]
+			vecs[i], errs[i] = b.backend.Build(nd.words, nd.n)
+			nd.words = nil
 		}
 	}
-	vec, err := backend.Build(words, n)
-	if err != nil {
+	workers := min(runtime.GOMAXPROCS(0), len(b.nodes))
+	if n < concurrentBuildMin {
+		workers = 1
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			encode()
+		}()
+	}
+	encode()
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}
-	nd := newNode(vec, lo, hi)
-	if hi-lo <= 2 {
-		return nd, nil // both children are leaves
+	nodes := make([]*node, len(b.nodes))
+	for i, bn := range b.nodes {
+		nodes[i] = newNode(vecs[i], bn.lo, bn.hi)
 	}
-	nOnes := vec.Rank1(n)
-	zeroData, oneData := data, data
-	if hi-lo > 4 {
-		zeroData, oneData = make([]uint8, 0, n-nOnes), make([]uint8, 0, nOnes)
-		for _, s := range data {
-			if int(s) >= mid && int(s) < hi {
-				oneData = append(oneData, s)
-			} else if int(s) >= lo && int(s) < mid {
-				zeroData = append(zeroData, s)
-			}
+	t := &Tree{n: n, sigma: len(b.counts), backend: b.backend.Name()}
+	for i, bn := range b.nodes {
+		if bn.zero >= 0 {
+			nodes[i].zero = nodes[bn.zero]
+		}
+		if bn.on >= 0 {
+			nodes[i].on = nodes[bn.on]
 		}
 	}
-	var zeroErr error
-	done := make(chan struct{})
-	buildZero := func() {
-		defer close(done)
-		nd.zero, zeroErr = build(zeroData, n-nOnes, lo, mid, backend)
+	if len(nodes) > 0 {
+		t.root = nodes[0]
 	}
-	if n >= concurrentBuildMin {
-		go buildZero()
-	} else {
-		buildZero()
+	for 1<<uint(t.levels) < t.sigma {
+		t.levels++
 	}
-	nd.on, err = build(oneData, nOnes, mid, hi, backend)
-	<-done
-	if err = errors.Join(zeroErr, err); err != nil {
-		return nil, err
-	}
-	return nd, nil
+	return t, nil
 }
 
 // Len returns the length of the underlying string.

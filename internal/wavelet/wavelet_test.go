@@ -6,7 +6,9 @@ import (
 	"testing"
 	"testing/quick"
 
+	"bwaver/internal/bwt"
 	"bwaver/internal/rrr"
+	"bwaver/internal/suffixarray"
 )
 
 func naiveRank(data []uint8, sym uint8, i int) int {
@@ -246,6 +248,23 @@ func TestInvalidInputs(t *testing.T) {
 	if _, err := New([]uint8{0, 5}, 4, nil); err == nil {
 		t.Error("accepted out-of-alphabet symbol")
 	}
+	if _, err := NewBuilder([]int{1, -1}, nil); err == nil {
+		t.Error("accepted a negative count")
+	}
+	// A Builder refuses a chunk with a symbol its counts do not promise, and
+	// a Build before every promised symbol is fed.
+	for _, feed := range [][]uint8{{0, 5}, {0, 1, 1}, {0}} {
+		b, err := NewBuilder([]int{1, 1, 0, 0}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err = b.Write(feed); err == nil {
+			_, err = b.Build()
+		}
+		if err == nil {
+			t.Errorf("built a tree of counts [1 1 0 0] fed %v", feed)
+		}
+	}
 	tr, err := New([]uint8{0, 1, 2, 3}, 4, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -408,11 +427,49 @@ func referenceBuild(t *testing.T, data []uint8, lo, hi int, p rrr.Params) *node 
 	return nd
 }
 
-// TestBuildMatchesReference: the word-packed, partition-sparing, concurrent
-// build yields node for node the tree of the bit-by-bit construction — on
-// alphabets whose last internal levels filter their parent's string (every
-// sigma > 2), on strings long enough for subtrees to build on two goroutines
-// (which is what -race watches here), and on strings missing some symbols.
+// buildStreamed feeds the Builder the transform of text straight from its
+// suffix array, chunk symbols at a time, as the FM-index construction does,
+// and returns the tree beside the transform bwt.Transform materialises.
+func buildStreamed(t *testing.T, text []uint8, sigma, chunk int, backend Backend) (*Tree, *bwt.BWT) {
+	t.Helper()
+	sa, err := suffixarray.Build(text, sigma)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := bwt.Transform(text, sa)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := make([]int, sigma)
+	for _, c := range text {
+		counts[c]++
+	}
+	b, err := NewBuilder(counts, backend)
+	if err != nil {
+		t.Fatal(err)
+	}
+	primary, runs, err := bwt.Stream(text, sa, make([]uint8, chunk), b.Write)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if primary != want.Primary || runs != want.RunCount() {
+		t.Fatalf("sigma=%d n=%d chunk=%d: streamed primary %d, runs %d; Transform %d, %d", sigma, len(text), chunk, primary, runs, want.Primary, want.RunCount())
+	}
+	tr, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr, want
+}
+
+// TestBuildMatchesReference: the Builder — fed whole, in chunks, or the
+// transform streamed from a suffix array — yields node for node the tree of
+// the bit-by-bit construction: on alphabets whose last internal levels
+// filter their parent's string (every sigma > 2), on strings long enough for
+// the nodes to encode on several goroutines (which is what -race watches
+// here), on strings missing some symbols, on every alphabet of 2 to 256
+// symbols with short and all-equal texts, and with the sentinel row on either
+// side of a 64-bit word boundary.
 func TestBuildMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	p := rrr.Params{BlockSize: 15, SuperblockFactor: 50}
@@ -428,8 +485,27 @@ func TestBuildMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(tr.root, referenceBuild(t, data, 0, sigma, p)) {
+			want := referenceBuild(t, data, 0, sigma, p)
+			if !reflect.DeepEqual(tr.root, want) {
 				t.Fatalf("sigma=%d n=%d: tree differs from the reference construction", sigma, n)
+			}
+			counts := make([]int, sigma)
+			for _, c := range data {
+				counts[c]++
+			}
+			b, err := NewBuilder(counts, RRRBackend(p))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for rest := data; len(rest) > 0; {
+				k := min(len(rest), 1+rng.Intn(1+n/3))
+				if err := b.Write(rest[:k]); err != nil {
+					t.Fatal(err)
+				}
+				rest = rest[k:]
+			}
+			if chunked, err := b.Build(); err != nil || !reflect.DeepEqual(chunked.root, want) {
+				t.Fatalf("sigma=%d n=%d: chunked build differs from the reference construction (%v)", sigma, n, err)
 			}
 			plain, err := New(data, sigma, PlainBackend())
 			if err != nil {
@@ -440,6 +516,52 @@ func TestBuildMatchesReference(t *testing.T) {
 					t.Fatalf("plain sigma=%d n=%d: Access(%d)=%d, want %d", sigma, n, i, got, data[i])
 				}
 			}
+		}
+	}
+	check := func(text []uint8, sigma int) {
+		t.Helper()
+		for _, chunk := range []int{1, 3, 64, len(text) + 1} {
+			tr, want := buildStreamed(t, text, sigma, chunk, RRRBackend(p))
+			if tr.Len() != len(text) || !reflect.DeepEqual(tr.root, referenceBuild(t, want.Data, 0, sigma, p)) {
+				t.Fatalf("sigma=%d text %v chunk=%d: streamed tree differs from Transform and the reference construction", sigma, text, chunk)
+			}
+		}
+	}
+	for sigma := 2; sigma <= 256; sigma++ {
+		text := randomData(rng, 1+rng.Intn(63), sigma)
+		text[rng.Intn(len(text))] = uint8(sigma - 1) // the deepest path on the one side
+		check(text, sigma)
+		equal := make([]uint8, 1+rng.Intn(63))
+		for i, c := 0, uint8(rng.Intn(sigma)); i < len(equal); i++ {
+			equal[i] = c
+		}
+		check(equal, sigma)
+	}
+	for _, primary := range []int{63, 64} {
+		for tries := 0; ; tries++ {
+			text := randomData(rng, 100, 2)
+			sa, err := suffixarray.Build(text, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tr, err := bwt.Transform(text, sa); err == nil && tr.Primary == primary {
+				check(text, 2)
+				break
+			}
+			if tries == 10000 {
+				t.Fatalf("no text of 100 bits has its sentinel in row %d", primary)
+			}
+		}
+	}
+	for _, backend := range []Backend{RRRBackend(p), PlainBackend()} {
+		text := randomData(rng, 3*concurrentBuildMin, 4)
+		streamed, want := buildStreamed(t, text, 4, 1<<16, backend)
+		whole, err := New(want.Data, 4, backend)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(streamed.root, whole.root) {
+			t.Fatalf("%s: the streamed tree differs from the tree over the transform", backend.Name())
 		}
 	}
 }
