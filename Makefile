@@ -67,6 +67,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzRankPair$$' -fuzztime=$(FUZZTIME) ./internal/rrr
 	$(GO) test -run='^$$' -fuzz='^FuzzSerialization$$' -fuzztime=$(FUZZTIME) ./internal/rrr
 	$(GO) test -run='^$$' -fuzz='^FuzzReadIndex$$' -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run='^$$' -fuzz='^FuzzPairPlacements$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzSearchWithFtab$$' -fuzztime=$(FUZZTIME) ./internal/fmindex
 	$(GO) test -run='^$$' -fuzz='^FuzzSMEMs$$' -fuzztime=$(FUZZTIME) ./internal/fmindex
 	$(GO) test -run='^$$' -fuzz='^FuzzCountApprox$$' -fuzztime=$(FUZZTIME) ./internal/fmindex

@@ -2,8 +2,8 @@
 //
 //	bwaver index       -ref ref.fa[.gz] -out ref.bwx [-b 15] [-sf 50] [-locate full|sampled|none] [-plain]
 //	                   [-trace spans.json]
-//	bwaver map         -index ref.bwx -reads reads.fq[.gz] [-backend cpu|fpga] [-workers N]
-//	                   [-format tsv|sam] [-mismatches K] [-reads2 mate2.fq -min-insert N -max-insert N]
+//	bwaver map         -index ref.bwx -reads reads.fq[.gz] [-backend cpu|fpga] [-workers N] [-profile p.json]
+//	                   [-format tsv|sam] [-mismatches K] [-reads2 mate2.fq[.gz] -min-insert N -max-insert N]
 //	                   [-tolerant] [-min-len N -max-ee F -max-n N -trim-qual Q -qc-sort] [-out results]
 //	bwaver mem         -index ref.bwx -reads reads.fq[.gz] [-backend cpu|fpga] [-paired]
 //	                   [-min-seed 19] [-band 16] [-min-score 30] [-min-insert N -max-insert N]
@@ -38,7 +38,6 @@ import (
 	"bwaver/internal/qc"
 	"bwaver/internal/rrr"
 	"bwaver/internal/runner"
-	"bwaver/internal/sam"
 )
 
 func main() {
@@ -244,25 +243,23 @@ func (q *qcFlagSet) policy(paired bool) (qc.Policy, error) {
 	return pol, nil
 }
 
-func loadReads(path string, pol qc.Policy) ([]dna.Seq, []string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
+// activeFlag names a flag that makes the QC policy active, "" when none does.
+func (q *qcFlagSet) activeFlag() string {
+	switch {
+	case *q.minLen > 0:
+		return "-min-len"
+	case *q.maxEE > 0:
+		return "-max-ee"
+	case *q.maxN > 0:
+		return "-max-n"
+	case *q.trimQual > 0:
+		return "-trim-qual"
+	case *q.sort:
+		return "-qc-sort"
+	case *q.tolerant:
+		return "-tolerant"
 	}
-	defer f.Close()
-	res, err := qc.Ingest(f, pol)
-	if err != nil {
-		return nil, nil, err
-	}
-	if pol.Active() {
-		rep := res.Report
-		fmt.Fprintf(os.Stderr, "bwaver: qc: %d/%d reads passed (%d malformed, %d rejected, %d bases trimmed, phred+%d)\n",
-			rep.Passed, rep.Attempted, rep.Malformed, rep.RejectedTotal(), rep.TrimmedBases, rep.PhredOffset)
-		if len(res.Seqs) == 0 {
-			return nil, nil, fmt.Errorf("no reads survived QC in %s", path)
-		}
-	}
-	return res.Seqs, res.IDs, nil
+	return ""
 }
 
 func cmdIndex(args []string, out io.Writer) error {
@@ -358,6 +355,11 @@ func writeTraceJSON(path string, tr *obs.Trace, out io.Writer) error {
 	return os.WriteFile(path, payload, 0o644)
 }
 
+// cmdMap maps reads exactly or within a mismatch budget, as TSV or SAM. With
+// -reads2 it maps the two files as mate pairs, exactly and with positions (so
+// without -mismatches, -locate=false or QC), a batch from each at a time on
+// either backend: a mate file that ends before the other fails the run, and
+// the batches already written stand, as in any run that fails part-way.
 func cmdMap(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("map", flag.ContinueOnError)
 	indexPath := fs.String("index", "", "index file from `bwaver index`")
@@ -367,7 +369,7 @@ func cmdMap(args []string, out io.Writer) error {
 	doLocate := fs.Bool("locate", true, "resolve occurrence positions")
 	format := fs.String("format", "tsv", "output format: tsv or sam")
 	mismatches := fs.Int("mismatches", 0, "substitution budget per read (0 = exact); on the fpga backend this runs the two-pass reconfigurable flow")
-	reads2Path := fs.String("reads2", "", "mate-2 FASTQ for paired-end mapping")
+	reads2Path := fs.String("reads2", "", "mate-2 FASTQ: map -reads and this file as pairs (a mate-count mismatch fails the run after the batches already written)")
 	minInsert := fs.Int("min-insert", 100, "minimum fragment length for proper pairs (with -reads2)")
 	maxInsert := fs.Int("max-insert", 600, "maximum fragment length for proper pairs (with -reads2)")
 	profilePath := fs.String("profile", "", "write the fpga run's event profile as JSON (fpga backend)")
@@ -380,26 +382,23 @@ func cmdMap(args []string, out io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("map: %w", err)
 	}
+	pairOpts := core.PairOptions{MinInsert: *minInsert, MaxInsert: *maxInsert}
 	if *reads2Path != "" {
-		// Two-file pairs map exactly, in one pass on the cpu: a flag that
-		// would change that is refused, not ignored.
-		refused := ""
+		// Two-file pairs map exactly and need positions; QC would gate the two
+		// files apart and desynchronize their mates. A flag that would change
+		// that is refused, not ignored.
+		refused := qcf.activeFlag()
 		switch {
-		case qcPol.Active():
-			return fmt.Errorf("map: QC gating with two-file pairs would desynchronize mates; use `bwaver mem -paired` with interleaved input")
 		case *mismatches != 0:
 			refused = "-mismatches"
-		case *backend != "cpu":
-			refused = "-backend " + *backend
-		case *profilePath != "":
-			refused = "-profile"
-		case *workers != 1:
-			refused = "-workers"
 		case !*doLocate:
 			refused = "-locate=false"
 		}
 		if refused != "" {
-			return fmt.Errorf("map: %s is not supported with -reads2; two-file pairs map exactly on the cpu", refused)
+			return fmt.Errorf("map: %s is not supported with -reads2; two-file pairs map exactly, with positions (QC-gated pairs: `bwaver mem -paired` on interleaved input)", refused)
+		}
+		if err := pairOpts.Validate(); err != nil {
+			return fmt.Errorf("map: %w", err)
 		}
 	}
 	if *format != "tsv" && *format != "sam" {
@@ -421,16 +420,11 @@ func cmdMap(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if *reads2Path != "" {
-		reads, ids, err := loadReads(*readsFile, qcPol)
-		if err != nil {
-			return err
-		}
-		return mapPaired(out, ix, reads, ids, *reads2Path, *minInsert, *maxInsert, *format, *outPath)
-	}
-	run := mapRun{ix: ix, readsPath: *readsFile, pol: qcPol, backend: *backend, workers: *workers,
-		outPath: *outPath, profilePath: *profilePath}
+	run := mapRun{ix: ix, readsPath: *readsFile, reads2Path: *reads2Path, pol: qcPol, backend: *backend,
+		workers: *workers, outPath: *outPath, profilePath: *profilePath}
 	switch {
+	case *reads2Path != "":
+		return streamMap(out, run, runner.ExactPairs(ix, pairOpts, *format == "sam"))
 	case *mismatches > 0:
 		return streamMap(out, run, runner.Approx(ix, *mismatches, *doLocate))
 	case *format == "sam":
@@ -492,10 +486,12 @@ var (
 	openReads   = func(path string) (io.ReadCloser, error) { return os.Open(path) }
 )
 
-// mapRun is what a `map` or `mem` run streams: its input, backend and output.
+// mapRun is what a `map` or `mem` run streams: its input (a second file holds
+// the mates of two-file pairs), backend and output.
 type mapRun struct {
 	ix                   *core.Index
 	readsPath            string
+	reads2Path           string
 	pol                  qc.Policy
 	backend              string
 	workers              int
@@ -504,7 +500,8 @@ type mapRun struct {
 }
 
 // streamMap maps a reads file with w through the runner, the loop a served
-// job runs: the reads come a batch at a time from a qc.Source, map on the CPU
+// job runs: the reads come a batch at a time from a qc.Source (two-file pairs
+// from one per mate file, interleaved by runner.Mates), map on the CPU
 // or on a one-device farm, and each batch's rows are written before the next
 // batch is read. A summary of the run goes to stderr.
 func streamMap[R any](out io.Writer, c mapRun, w runner.Work[R]) error {
@@ -522,22 +519,26 @@ func streamMap[R any](out io.Writer, c mapRun, w runner.Work[R]) error {
 		}
 		power = dev.Config().PowerWatts
 	default:
-		return fmt.Errorf("unknown backend %q (want cpu or fpga)", c.backend)
+		return fmt.Errorf("unknown -backend %q (want cpu or fpga)", c.backend)
 	}
-	f, err := openReads(c.readsPath)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
 	batch := streamBatch
 	if c.paired {
 		batch = runner.PairAligned(batch)
 	}
-	src, err := qc.NewSource(f, c.pol, batch)
+	src, done, err := openSource(c.readsPath, c.pol, batch)
 	if err != nil {
 		return err
 	}
-	defer src.Close()
+	defer done()
+	var in runner.Source = src
+	if c.reads2Path != "" {
+		src2, done2, err := openSource(c.reads2Path, qc.Policy{}, batch)
+		if err != nil {
+			return err
+		}
+		defer done2()
+		in = runner.NewMates(src, src2)
+	}
 	dst, closeOut := out, func() error { return nil }
 	if c.outPath != "" {
 		file, err := os.Create(c.outPath)
@@ -552,7 +553,7 @@ func streamMap[R any](out io.Writer, c mapRun, w runner.Work[R]) error {
 		return err
 	}
 	rows := runner.NewRows(c.ix)
-	res, err := runner.Run(context.Background(), runner.NewReads(src, nil), w, rows, opts)
+	res, err := runner.Run(context.Background(), runner.NewReads(in, nil), w, rows, opts)
 	if err != nil {
 		return err
 	}
@@ -564,8 +565,16 @@ func streamMap[R any](out io.Writer, c mapRun, w runner.Work[R]) error {
 	if res.Reads == 0 {
 		return fmt.Errorf("no reads to map in %s", c.readsPath)
 	}
+	dropped := "hits"
+	if c.reads2Path != "" {
+		dropped = "pair placements"
+	}
 	if n := rows.Dropped(); n > 0 {
-		fmt.Fprintf(os.Stderr, "bwaver: dropped %d hits spanning contig boundaries\n", n)
+		fmt.Fprintf(os.Stderr, "bwaver: dropped %d %s spanning contig boundaries\n", n, dropped)
+	}
+	if c.reads2Path != "" {
+		concordant, ambiguous := rows.Pairs()
+		fmt.Fprintf(os.Stderr, "bwaver: %d/%d pairs concordant, %d ambiguous\n", concordant, res.Reads/2, ambiguous)
 	}
 	fmt.Fprintf(os.Stderr, "bwaver: mapped %d/%d reads in %v (%.0f reads/s)\n",
 		rows.Mapped(), res.Reads, res.MapTime().Round(time.Millisecond), float64(res.Reads)/res.MapTime().Seconds())
@@ -581,6 +590,20 @@ func streamMap[R any](out io.Writer, c mapRun, w runner.Work[R]) error {
 		}
 	}
 	return closeOut()
+}
+
+// openSource opens a reads file as a source of batches of batch reads; done
+// closes both.
+func openSource(path string, pol qc.Policy, batch int) (src *qc.Source, done func(), err error) {
+	f, err := openReads(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	if src, err = qc.NewSource(f, pol, batch); err != nil {
+		f.Close()
+		return nil, nil, err
+	}
+	return src, func() { src.Close(); f.Close() }, nil
 }
 
 // writeProfileJSON dumps the modeled event timeline, the machine-readable
@@ -601,129 +624,6 @@ func writeProfileJSON(path string, p fpga.Profile, powerWatts float64) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// mapPaired maps mate pairs and reports proper (concordant) placements
-// within the insert window, as TSV or paired SAM.
-func mapPaired(out io.Writer, ix *core.Index, r1s []dna.Seq, ids []string, reads2Path string, minInsert, maxInsert int, format, outPath string) error {
-	r2s, _, err := loadReads(reads2Path, qc.Policy{})
-	if err != nil {
-		return err
-	}
-	if len(r2s) != len(r1s) {
-		return fmt.Errorf("map: %d mate-1 reads but %d mate-2 reads", len(r1s), len(r2s))
-	}
-	results, stats, err := ix.MapPairs(r1s, r2s, core.PairOptions{MinInsert: minInsert, MaxInsert: maxInsert})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "bwaver: %d/%d pairs concordant, %d ambiguous\n",
-		stats.Concordant, stats.Pairs, stats.Ambiguous)
-	w := out
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	if format == "sam" {
-		return writePairedSAM(w, ix, ids, r1s, r2s, results)
-	}
-	fmt.Fprintln(w, "pair\tconcordant\tambiguous\tplacements\tbest_pos\tbest_insert")
-	for i, res := range results {
-		pos, insert := "-", "-"
-		if res.Concordant() {
-			pos = fmt.Sprint(res.Placements[0].Pos)
-			insert = fmt.Sprint(res.Placements[0].Insert)
-		}
-		fmt.Fprintf(w, "%s\t%t\t%t\t%d\t%s\t%s\n",
-			ids[i], res.Concordant(), res.Ambiguous, len(res.Placements), pos, insert)
-	}
-	return nil
-}
-
-// writePairedSAM emits the best concordant placement of each pair as two
-// properly-flagged SAM records, or a pair of unmapped records when no
-// placement exists.
-func writePairedSAM(w io.Writer, ix *core.Index, ids []string, r1s, r2s []dna.Seq, results []core.PairResult) error {
-	contigs := ix.Contigs()
-	var refs []sam.RefSeq
-	if contigs != nil {
-		for _, c := range contigs.Contigs() {
-			refs = append(refs, sam.RefSeq{Name: c.Name, Length: c.Length})
-		}
-	} else {
-		refs = []sam.RefSeq{{Name: "ref", Length: ix.RefLength()}}
-		var err error
-		if contigs, err = core.NewContigSet([]string{"ref"}, []int{ix.RefLength()}); err != nil {
-			return err
-		}
-	}
-	sw, err := sam.NewWriter(w, refs)
-	if err != nil {
-		return err
-	}
-	dropped := 0
-	for i, res := range results {
-		mateFlags := [2]uint16{sam.FlagFirstInPair, sam.FlagSecondInPair}
-		reads := [2]dna.Seq{r1s[i], r2s[i]}
-		placed := false
-		if res.Concordant() {
-			pl := res.Placements[0]
-			// Leftmost mate forward, rightmost reverse; which read is
-			// which depends on the placement orientation.
-			leftIdx, rightIdx := 0, 1
-			if !pl.R1Forward {
-				leftIdx, rightIdx = 1, 0
-			}
-			leftRead, rightRead := reads[leftIdx], reads[rightIdx]
-			leftPos := int(pl.Pos)
-			rightPos := leftPos + pl.Insert - len(rightRead)
-			contig, leftOff, okL := contigs.Resolve(leftPos, pl.Insert)
-			if okL {
-				rightOff := rightPos - contig.Offset
-				base := sam.FlagPaired | sam.FlagProperPair
-				recs := [2]sam.Record{
-					{
-						QName: ids[i], RName: contig.Name, Pos: leftOff + 1, MapQ: 60,
-						Flag:  base | mateFlags[leftIdx] | sam.FlagMateReverse,
-						CIGAR: fmt.Sprintf("%dM", len(leftRead)), Seq: leftRead.String(),
-						RNext: "=", PNext: rightOff + 1, TLen: pl.Insert,
-					},
-					{
-						QName: ids[i], RName: contig.Name, Pos: rightOff + 1, MapQ: 60,
-						Flag:  base | mateFlags[rightIdx] | sam.FlagReverse,
-						CIGAR: fmt.Sprintf("%dM", len(rightRead)), Seq: rightRead.ReverseComplement().String(),
-						RNext: "=", PNext: leftOff + 1, TLen: -pl.Insert,
-					},
-				}
-				for _, rec := range recs {
-					if err := sw.Write(rec); err != nil {
-						return err
-					}
-				}
-				placed = true
-			} else {
-				dropped++
-			}
-		}
-		if !placed {
-			for m := 0; m < 2; m++ {
-				if err := sw.Write(sam.Record{
-					QName: ids[i], Seq: reads[m].String(),
-					Flag: sam.FlagPaired | sam.FlagUnmapped | sam.FlagMateUnmapped | mateFlags[m],
-				}); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	if dropped > 0 {
-		fmt.Fprintf(os.Stderr, "bwaver: dropped %d pair placements spanning contig boundaries\n", dropped)
-	}
-	return sw.Flush()
 }
 
 func cmdStats(args []string, out io.Writer) error {

@@ -10,12 +10,14 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"bwaver/internal/dna"
 	"bwaver/internal/fastx"
 	"bwaver/internal/readsim"
+	"bwaver/internal/runner"
 	"bwaver/internal/server"
 )
 
@@ -530,13 +532,41 @@ func TestMapWithMismatches(t *testing.T) {
 	}
 }
 
-func TestMapPairedEnd(t *testing.T) {
-	dir := t.TempDir()
+// writeMates writes one mate of each pair, picked by mate, as a FASTQ named
+// name in dir and returns its path.
+func writeMates(t *testing.T, dir, name string, pairs []readsim.Pair, mate func(p readsim.Pair) dna.Seq) string {
+	t.Helper()
+	path := filepath.Join(dir, name)
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := fastx.NewWriter(f, fastx.FASTQ, false)
+	for _, p := range pairs {
+		if err := w.Write(&fastx.Record{ID: p.ID, Seq: []byte(mate(p).String())}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	return path
+}
+
+func mate1(p readsim.Pair) dna.Seq { return p.R1 }
+func mate2(p readsim.Pair) dna.Seq { return p.R2 }
+
+// pairedFixture indexes a 30 kbp reference and writes 60 simulated pairs
+// against it as two mate files.
+func pairedFixture(t *testing.T) (dir, indexPath, r1Path, r2Path string, pairs []readsim.Pair) {
+	t.Helper()
+	dir = t.TempDir()
 	ref, err := readsim.Genome(readsim.GenomeConfig{Length: 30000, Seed: 61})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs, err := readsim.SimulatePairs(ref, readsim.PairConfig{
+	pairs, err = readsim.SimulatePairs(ref, readsim.PairConfig{
 		Count: 60, ReadLength: 50, InsertMean: 300, InsertStdDev: 20,
 		MappingRatio: 0.8, Seed: 62,
 	})
@@ -549,23 +579,15 @@ func TestMapPairedEnd(t *testing.T) {
 	w.Write(&fastx.Record{ID: "ref", Seq: []byte(ref.String())})
 	w.Close()
 	rf.Close()
-	writeMates := func(name string, pick func(p readsim.Pair) string) string {
-		p := filepath.Join(dir, name)
-		f, _ := os.Create(p)
-		qw := fastx.NewWriter(f, fastx.FASTQ, false)
-		for _, pr := range pairs {
-			qw.Write(&fastx.Record{ID: pr.ID, Seq: []byte(pick(pr))})
-		}
-		qw.Close()
-		f.Close()
-		return p
-	}
-	r1Path := writeMates("r1.fq", func(p readsim.Pair) string { return p.R1.String() })
-	r2Path := writeMates("r2.fq", func(p readsim.Pair) string { return p.R2.String() })
-	indexPath := filepath.Join(dir, "ref.bwx")
+	indexPath = filepath.Join(dir, "ref.bwx")
 	if err := run([]string{"index", "-ref", refPath, "-out", indexPath}, &bytes.Buffer{}); err != nil {
 		t.Fatal(err)
 	}
+	return dir, indexPath, writeMates(t, dir, "r1.fq", pairs, mate1), writeMates(t, dir, "r2.fq", pairs, mate2), pairs
+}
+
+func TestMapPairedEnd(t *testing.T) {
+	dir, indexPath, r1Path, r2Path, pairs := pairedFixture(t)
 	var out bytes.Buffer
 	if err := run([]string{"map", "-index", indexPath, "-reads", r1Path, "-reads2", r2Path,
 		"-min-insert", "200", "-max-insert", "400"}, &out); err != nil {
@@ -595,10 +617,7 @@ func TestMapPairedEnd(t *testing.T) {
 		}
 	}
 	// Mismatched mate counts must fail.
-	short := writeMates("short.fq", func(p readsim.Pair) string { return p.R1.String() })
-	data, _ := os.ReadFile(short)
-	trimmed := bytes.Join(bytes.Split(data, []byte("\n"))[:8], []byte("\n"))
-	os.WriteFile(short, append(trimmed, '\n'), 0o644)
+	short := writeMates(t, dir, "short.fq", pairs[:2], mate1)
 	if err := run([]string{"map", "-index", indexPath, "-reads", r1Path, "-reads2", short}, &bytes.Buffer{}); err == nil {
 		t.Error("mismatched mate counts accepted")
 	}
@@ -637,16 +656,13 @@ func TestMapPairedEnd(t *testing.T) {
 			t.Errorf("pair %s TLENs %v not symmetric", name, tlens)
 		}
 	}
-	// Paired mapping refuses the flags it would ignore, naming each; no
-	// profile is written.
-	profile := filepath.Join(dir, "paired-profile.json")
+	// Paired mapping refuses the flags it cannot honour, naming each.
 	for _, c := range []struct{ flags []string }{
 		{[]string{"-mismatches", "1"}},
 		{[]string{"-backend", "gpu"}},
-		{[]string{"-backend", "fpga"}},
-		{[]string{"-profile", profile}},
-		{[]string{"-workers", "4"}},
 		{[]string{"-locate=false"}},
+		{[]string{"-min-len", "20"}},
+		{[]string{"-tolerant"}},
 	} {
 		args := append([]string{"map", "-index", indexPath, "-reads", r1Path, "-reads2", r2Path}, c.flags...)
 		err := run(args, &bytes.Buffer{})
@@ -654,8 +670,120 @@ func TestMapPairedEnd(t *testing.T) {
 			t.Errorf("paired %v: error %v, want one naming the flag", c.flags, err)
 		}
 	}
-	if _, err := os.Stat(profile); !os.IsNotExist(err) {
-		t.Errorf("a refused paired run wrote its profile: %v", err)
+}
+
+// TestMapPairedRunShapes: two-file pairs stream through the runner like any
+// other run, so their TSV and SAM are one answer whatever the backend, the
+// worker count or the batch size, an fpga run writes its profile, and a mate
+// file that ends before the other or goes on past it fails the run wherever
+// that happens.
+func TestMapPairedRunShapes(t *testing.T) {
+	dir, indexPath, r1Path, r2Path, pairs := pairedFixture(t)
+	defer func(saved int) { streamBatch = saved }(streamBatch)
+	outPath := filepath.Join(dir, "out")
+	mapPairs := func(r2 string, batch int, flags ...string) ([]byte, error) {
+		streamBatch = batch
+		args := append([]string{"map", "-index", indexPath, "-reads", r1Path, "-reads2", r2,
+			"-min-insert", "200", "-max-insert", "400", "-out", outPath}, flags...)
+		if err := run(args, &bytes.Buffer{}); err != nil {
+			return nil, err
+		}
+		return os.ReadFile(outPath)
+	}
+	for _, format := range []string{"tsv", "sam"} {
+		want, err := mapPairs(r2Path, runner.DefaultStreamBatch, "-format", format)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, backend := range []string{"cpu", "fpga"} {
+			for _, workers := range []string{"1", "4"} {
+				for _, batch := range []int{1, 3, 0} {
+					got, err := mapPairs(r2Path, batch, "-format", format, "-backend", backend, "-workers", workers)
+					if err != nil || !bytes.Equal(got, want) {
+						t.Errorf("%s on %s, %s workers, batch %d: %v, output equal to the default run's: %t",
+							format, backend, workers, batch, err, bytes.Equal(got, want))
+					}
+				}
+			}
+		}
+	}
+	profile := filepath.Join(dir, "profile.json")
+	if _, err := mapPairs(r2Path, 4, "-backend", "fpga", "-profile", profile); err != nil {
+		t.Fatal(err)
+	}
+	if data, err := os.ReadFile(profile); err != nil || !json.Valid(data) {
+		t.Errorf("paired fpga run wrote no JSON profile: %v", err)
+	}
+	// The batches of four pairs written before the mismatch stand.
+	for _, c := range []struct {
+		name  string
+		mates []readsim.Pair
+		rows  int
+	}{
+		{"mate 2 ends mid-batch", pairs[:58], 56},
+		{"mate 2 ends at a batch boundary", pairs[:56], 56},
+		{"mate 2 goes on", append(append([]readsim.Pair{}, pairs...), pairs[:2]...), 60},
+	} {
+		r2 := writeMates(t, dir, "mates.fq", c.mates, mate2)
+		if _, err := mapPairs(r2, 4); err == nil || !strings.Contains(err.Error(), "mate-count mismatch") {
+			t.Errorf("%s: %v, want a mate-count mismatch", c.name, err)
+		}
+		if data, _ := os.ReadFile(outPath); bytes.Count(data, []byte("\n")) != c.rows+1 {
+			t.Errorf("%s: %d lines written, want a header and %d rows", c.name, bytes.Count(data, []byte("\n")), c.rows)
+		}
+	}
+}
+
+// TestMapPairsAcrossRecords: a pair placement whose fragment straddles two
+// reference records is dropped in both formats before the best is chosen, and
+// the TSV names the best one's record.
+func TestMapPairsAcrossRecords(t *testing.T) {
+	dir := t.TempDir()
+	g, err := readsim.Genome(readsim.GenomeConfig{Length: 2000, Seed: 71})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The 120 bp fragment x straddles chrA|chrB at 200 and recurs inside
+	// chrB at offset 260 (global 520).
+	x := g[1000:1120]
+	chrA := append(g[0:200].Clone(), x[:60]...)
+	chrB := append(append(append(x[60:].Clone(), g[300:500]...), x...), g[600:700]...)
+	refPath := filepath.Join(dir, "two.fa")
+	rf, _ := os.Create(refPath)
+	w := fastx.NewWriter(rf, fastx.FASTA, false)
+	w.Write(&fastx.Record{ID: "chrA", Seq: []byte(chrA.String())})
+	w.Write(&fastx.Record{ID: "chrB", Seq: []byte(chrB.String())})
+	w.Close()
+	rf.Close()
+	indexPath := filepath.Join(dir, "two.bwx")
+	if err := run([]string{"index", "-ref", refPath, "-out", indexPath}, &bytes.Buffer{}); err != nil {
+		t.Fatal(err)
+	}
+	pair := []readsim.Pair{{ID: "frag", R1: x[:30], R2: x[90:].ReverseComplement()}}
+	r1 := writeMates(t, dir, "r1.fq", pair, mate1)
+	r2 := writeMates(t, dir, "r2.fq", pair, mate2)
+	mapPair := func(format string) string {
+		var out bytes.Buffer
+		if err := run([]string{"map", "-index", indexPath, "-reads", r1, "-reads2", r2,
+			"-min-insert", "100", "-max-insert", "200", "-format", format}, &out); err != nil {
+			t.Fatal(err)
+		}
+		return out.String()
+	}
+	want := "pair\tconcordant\tambiguous\tplacements\tbest_pos\tbest_insert\n" +
+		"frag\ttrue\tfalse\t1\tchrB:260\t120\n"
+	if got := mapPair("tsv"); got != want {
+		t.Errorf("TSV:\n%swant:\n%s", got, want)
+	}
+	var records []string
+	for _, line := range strings.Split(strings.TrimSpace(mapPair("sam")), "\n") {
+		if !strings.HasPrefix(line, "@") {
+			f := strings.Split(line, "\t")
+			records = append(records, strings.Join(f[1:9], " "))
+		}
+	}
+	if want := []string{"99 chrB 261 60 30M = 351 120", "147 chrB 351 60 30M = 261 -120"}; !slices.Equal(records, want) {
+		t.Errorf("SAM records %q, want %q", records, want)
 	}
 }
 
@@ -872,13 +1000,15 @@ func (w *watchedFile) Read(p []byte) (int, error) {
 }
 
 type firstWrite struct {
-	reads **watchedFile // the run's, once it opens the file
-	at    int64
+	reads *[]*watchedFile // the run's, as it opens them
+	at    int64           // the most read from one of them
 }
 
 func (f *firstWrite) Write(p []byte) (int, error) {
 	if f.at < 0 && len(p) > 0 {
-		f.at = (*f.reads).n
+		for _, w := range *f.reads {
+			f.at = max(f.at, w.n)
+		}
 	}
 	return len(p), nil
 }
@@ -886,7 +1016,7 @@ func (f *firstWrite) Write(p []byte) (int, error) {
 // TestCLIMapsInBoundedMemory: a run writes a batch's rows before it reads the
 // next batch, in every mode, so its first row goes out with no more than
 // about two batches of a 40-batch input read (plus the decoder's 64 KiB
-// buffer).
+// buffer) — from each file of two-file pairs, here one file read twice.
 func TestCLIMapsInBoundedMemory(t *testing.T) {
 	const batch, batches = 512, 40
 	dir := t.TempDir()
@@ -915,20 +1045,22 @@ func TestCLIMapsInBoundedMemory(t *testing.T) {
 		streamBatch, openReads = saved, open
 	}(streamBatch, openReads)
 	streamBatch = batch
-	for _, args := range [][]string{{"map"}, {"map", "-mismatches", "1"}, {"mem", "-paired"}} {
-		var watch *watchedFile
+	for _, args := range [][]string{{"map"}, {"map", "-mismatches", "1"}, {"mem", "-paired"}, {"map", "-reads2", readsPath}} {
+		var watches []*watchedFile
 		openReads = func(path string) (io.ReadCloser, error) {
 			f, err := os.Open(path)
-			watch = &watchedFile{ReadCloser: f}
-			return watch, err
+			watches = append(watches, &watchedFile{ReadCloser: f})
+			return watches[len(watches)-1], err
 		}
-		out := &firstWrite{reads: &watch, at: -1}
+		out := &firstWrite{reads: &watches, at: -1}
 		args = append(args, "-index", indexPath, "-reads", readsPath)
 		if err := run(args, out); err != nil {
 			t.Fatalf("%v: %v", args, err)
 		}
-		if watch.n != fi.Size() {
-			t.Fatalf("%v read %d of %d input bytes", args, watch.n, fi.Size())
+		for _, watch := range watches {
+			if watch.n != fi.Size() {
+				t.Fatalf("%v read %d of %d input bytes", args, watch.n, fi.Size())
+			}
 		}
 		if out.at < 0 || out.at > 2*batchBytes+64<<10 {
 			t.Errorf("%v wrote its first row with %d of %d input bytes read (a batch is %d); it read ahead of its mapping",

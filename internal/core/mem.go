@@ -26,8 +26,8 @@ type MemOptions struct {
 	MinSeedLen int
 	// MaxSeedHits caps the occurrences one seed may contribute; seeds more
 	// repetitive than this are skipped rather than exploding the chain set —
-	// the same ambiguity guard PairOptions.MaxHitsPerMate applies to exact
-	// pairing. Default 256.
+	// the same ambiguity guard PairMaxHits applies to exact pairing. Default
+	// 256.
 	MaxSeedHits int
 	// Band is the extension half-band: the largest diagonal drift (net
 	// indel length) an alignment may accumulate. Default 16.

@@ -1,10 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
-
-	"bwaver/internal/dna"
+	"slices"
 )
 
 // Paired-end mapping. A read pair in FR orientation is concordant when R1
@@ -14,30 +13,21 @@ import (
 // pipeline-integration feature the paper's future work points at
 // ("integrate BWaveR in real sequence analysis pipelines").
 
-// PairOptions configure paired-end mapping.
+// PairMaxHits is the ambiguity guard of exact pairing: a mate with more
+// occurrences than this is not paired, and its pair is reported ambiguous
+// rather than exploding combinatorially.
+const PairMaxHits = 256
+
+// PairOptions bound the accepted fragment length (outer distance) of a
+// concordant pair.
 type PairOptions struct {
-	// MinInsert and MaxInsert bound the accepted fragment length
-	// (outer distance).
 	MinInsert, MaxInsert int
-	// MaxHitsPerMate caps how many occurrences per mate are considered
-	// when pairing; reads more repetitive than this are reported as
-	// ambiguous rather than exploding combinatorially. 0 means 256.
-	MaxHitsPerMate int
 }
 
-func (o PairOptions) withDefaults() PairOptions {
-	if o.MaxHitsPerMate == 0 {
-		o.MaxHitsPerMate = 256
-	}
-	return o
-}
-
-func (o PairOptions) validate() error {
+// Validate rejects an inverted or negative insert window.
+func (o PairOptions) Validate() error {
 	if o.MinInsert < 0 || o.MaxInsert < o.MinInsert {
 		return fmt.Errorf("core: insert window [%d,%d] invalid", o.MinInsert, o.MaxInsert)
-	}
-	if o.MaxHitsPerMate < 0 {
-		return fmt.Errorf("core: MaxHitsPerMate %d must be >= 0", o.MaxHitsPerMate)
 	}
 	return nil
 }
@@ -53,89 +43,39 @@ type PairPlacement struct {
 	R1Forward bool
 }
 
-// PairResult is the outcome of mapping one read pair.
-type PairResult struct {
-	// R1 and R2 are the individual mates' results.
-	R1, R2 MapResult
-	// Placements lists every concordant placement within the insert
-	// window, sorted by position.
-	Placements []PairPlacement
-	// Ambiguous is set when a mate exceeded MaxHitsPerMate occurrences
-	// and pairing was skipped.
-	Ambiguous bool
-}
-
-// Concordant reports whether at least one proper placement was found.
-func (r PairResult) Concordant() bool { return len(r.Placements) > 0 }
-
-// PairStats aggregates a paired mapping run.
-type PairStats struct {
-	Pairs      int
-	Concordant int
-	Ambiguous  int
-	// BothMapped counts pairs where both mates hit somewhere, concordant
-	// or not.
-	BothMapped int
-}
-
-// MapPair maps one pair and searches the insert window for concordant
-// placements.
-func (ix *Index) MapPair(r1, r2 dna.Seq, opts PairOptions) (PairResult, error) {
-	opts = opts.withDefaults()
-	if err := opts.validate(); err != nil {
-		return PairResult{}, err
+// PairMates searches the insert window for the concordant placements of a
+// pair whose mates, len1 and len2 bases long, mapped with located positions
+// to r1 and r2. The placements come sorted by position, then insert; ties
+// keep the arrangement order (R1 forward first).
+// ambiguous is set, and nothing placed, when a mate occurs more than
+// PairMaxHits times.
+func PairMates(r1, r2 MapResult, len1, len2 int, opts PairOptions) (placements []PairPlacement, ambiguous bool) {
+	if !r1.Mapped() || !r2.Mapped() {
+		return nil, false
 	}
-	res := PairResult{R1: ix.MapRead(r1), R2: ix.MapRead(r2)}
-	if !res.R1.Mapped() || !res.R2.Mapped() {
-		return res, nil
-	}
-	if res.R1.Occurrences() > opts.MaxHitsPerMate || res.R2.Occurrences() > opts.MaxHitsPerMate {
-		res.Ambiguous = true
-		return res, nil
-	}
-	fm := ix.FM()
-	locate := func(m MapResult) (fw, rc []int32, err error) {
-		if fw, err = fm.Locate(m.Forward); err != nil {
-			return nil, nil, err
-		}
-		rc, err = fm.Locate(m.Reverse)
-		return fw, rc, err
-	}
-	r1F, r1R, err := locate(res.R1)
-	if err != nil {
-		return res, err
-	}
-	r2F, r2R, err := locate(res.R2)
-	if err != nil {
-		return res, err
+	if r1.Occurrences() > PairMaxHits || r2.Occurrences() > PairMaxHits {
+		return nil, true
 	}
 	// FR arrangement 1: R1 forward at p1, R2 reverse-strand at p2
 	// (RC(R2) matches the genome at p2); fragment = [p1, p2+len2).
-	res.Placements = append(res.Placements,
-		pairUp(r1F, r2R, len(r2), opts, true)...)
+	placements = pairUp(placements, r1.ForwardPositions, r2.ReversePositions, len2, opts, true)
 	// Mirror: R2 forward at p2, R1 reverse-strand at p1.
-	res.Placements = append(res.Placements,
-		pairUp(r2F, r1R, len(r1), opts, false)...)
-	sort.Slice(res.Placements, func(i, j int) bool {
-		if res.Placements[i].Pos != res.Placements[j].Pos {
-			return res.Placements[i].Pos < res.Placements[j].Pos
-		}
-		return res.Placements[i].Insert < res.Placements[j].Insert
+	placements = pairUp(placements, r2.ForwardPositions, r1.ReversePositions, len1, opts, false)
+	slices.SortStableFunc(placements, func(a, b PairPlacement) int {
+		return cmp.Or(cmp.Compare(a.Pos, b.Pos), cmp.Compare(a.Insert, b.Insert))
 	})
-	return res, nil
+	return placements, false
 }
 
-// pairUp matches left-mate forward positions with right-mate reverse
-// positions whose implied insert falls inside the window.
-func pairUp(lefts, rights []int32, rightLen int, opts PairOptions, r1Forward bool) []PairPlacement {
+// pairUp appends to out the pairings of left-mate forward positions with
+// right-mate reverse positions whose implied insert falls inside the window.
+func pairUp(out []PairPlacement, lefts, rights []int32, rightLen int, opts PairOptions, r1Forward bool) []PairPlacement {
 	if len(lefts) == 0 || len(rights) == 0 {
-		return nil
+		return out
 	}
-	ls := append([]int32(nil), lefts...)
-	rs := append([]int32(nil), rights...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
-	sort.Slice(rs, func(i, j int) bool { return rs[i] < rs[j] })
-	var out []PairPlacement
+	ls, rs := slices.Clone(lefts), slices.Clone(rights)
+	slices.Sort(ls)
+	slices.Sort(rs)
 	lo := 0
 	for _, p1 := range ls {
 		// Fragment end = p2 + rightLen; accept p2 with
@@ -154,30 +94,4 @@ func pairUp(lefts, rights []int32, rightLen int, opts PairOptions, r1Forward boo
 		}
 	}
 	return out
-}
-
-// MapPairs maps a batch of pairs.
-func (ix *Index) MapPairs(r1s, r2s []dna.Seq, opts PairOptions) ([]PairResult, PairStats, error) {
-	if len(r1s) != len(r2s) {
-		return nil, PairStats{}, fmt.Errorf("core: %d R1 reads for %d R2 reads", len(r1s), len(r2s))
-	}
-	results := make([]PairResult, len(r1s))
-	stats := PairStats{Pairs: len(r1s)}
-	for i := range r1s {
-		res, err := ix.MapPair(r1s[i], r2s[i], opts)
-		if err != nil {
-			return nil, PairStats{}, err
-		}
-		results[i] = res
-		if res.Concordant() {
-			stats.Concordant++
-		}
-		if res.Ambiguous {
-			stats.Ambiguous++
-		}
-		if res.R1.Mapped() && res.R2.Mapped() {
-			stats.BothMapped++
-		}
-	}
-	return results, stats, nil
 }

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"cmp"
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"bwaver/internal/dna"
@@ -19,45 +23,36 @@ func simPairs(t *testing.T, ref dna.Seq, count int, ratio float64) []readsim.Pai
 	return pairs
 }
 
-func splitPairs(pairs []readsim.Pair) (r1s, r2s []dna.Seq) {
-	for _, p := range pairs {
-		r1s = append(r1s, p.R1)
-		r2s = append(r2s, p.R2)
+// pairMates maps both mates with located positions and pairs them.
+func pairMates(t testing.TB, ix *Index, r1, r2 dna.Seq, opts PairOptions) ([]PairPlacement, bool) {
+	t.Helper()
+	res := make([]MapResult, 2)
+	if _, err := ix.MapReadsInto(res, []dna.Seq{r1, r2}, MapOptions{Locate: true}); err != nil {
+		t.Fatal(err)
 	}
-	return
+	return PairMates(res[0], res[1], len(r1), len(r2), opts)
 }
 
 func TestMapPairsConcordantTruth(t *testing.T) {
 	ref := testGenome(t, 50000)
 	pairs := simPairs(t, ref, 200, 1)
 	ix := mustBuild(t, ref, IndexConfig{})
-	r1s, r2s := splitPairs(pairs)
-	results, stats, err := ix.MapPairs(r1s, r2s, PairOptions{MinInsert: 150, MaxInsert: 450})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Pairs != 200 {
-		t.Fatalf("stats.Pairs = %d", stats.Pairs)
-	}
-	for i, p := range pairs {
-		res := results[i]
-		if !res.Concordant() {
+	for _, p := range pairs {
+		placements, ambiguous := pairMates(t, ix, p.R1, p.R2, PairOptions{MinInsert: 150, MaxInsert: 450})
+		if len(placements) == 0 || ambiguous {
 			t.Fatalf("planted pair %s (origin %d, insert %d) not concordant", p.ID, p.Origin, p.Insert)
 		}
 		// The true placement must be among the reported ones.
 		found := false
-		for _, pl := range res.Placements {
+		for _, pl := range placements {
 			if int(pl.Pos) == p.Origin && pl.Insert == p.Insert && pl.R1Forward {
 				found = true
 			}
 		}
 		if !found {
 			t.Fatalf("pair %s: truth (pos %d, insert %d) missing from %+v",
-				p.ID, p.Origin, p.Insert, res.Placements)
+				p.ID, p.Origin, p.Insert, placements)
 		}
-	}
-	if stats.Concordant != 200 || stats.BothMapped != 200 {
-		t.Errorf("stats = %+v", stats)
 	}
 }
 
@@ -65,13 +60,10 @@ func TestMapPairsRandomPairsDiscordant(t *testing.T) {
 	ref := testGenome(t, 30000)
 	pairs := simPairs(t, ref, 100, 0) // all random
 	ix := mustBuild(t, ref, IndexConfig{})
-	r1s, r2s := splitPairs(pairs)
-	_, stats, err := ix.MapPairs(r1s, r2s, PairOptions{MinInsert: 150, MaxInsert: 450})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Concordant != 0 || stats.BothMapped != 0 {
-		t.Errorf("random pairs produced concordant mappings: %+v", stats)
+	for _, p := range pairs {
+		if placements, ambiguous := pairMates(t, ix, p.R1, p.R2, PairOptions{MinInsert: 150, MaxInsert: 450}); len(placements) > 0 || ambiguous {
+			t.Fatalf("random pair %s placed: %+v (ambiguous %t)", p.ID, placements, ambiguous)
+		}
 	}
 }
 
@@ -82,15 +74,12 @@ func TestMapPairMirrorOrientation(t *testing.T) {
 	pairs := simPairs(t, ref, 20, 1)
 	ix := mustBuild(t, ref, IndexConfig{})
 	for _, p := range pairs {
-		res, err := ix.MapPair(p.R2, p.R1, PairOptions{MinInsert: 150, MaxInsert: 450})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Concordant() {
+		placements, _ := pairMates(t, ix, p.R2, p.R1, PairOptions{MinInsert: 150, MaxInsert: 450})
+		if len(placements) == 0 {
 			t.Fatalf("swapped pair %s not concordant", p.ID)
 		}
 		found := false
-		for _, pl := range res.Placements {
+		for _, pl := range placements {
 			if int(pl.Pos) == p.Origin && !pl.R1Forward {
 				found = true
 			}
@@ -107,11 +96,8 @@ func TestMapPairInsertWindowFilters(t *testing.T) {
 	ix := mustBuild(t, ref, IndexConfig{})
 	for _, p := range pairs {
 		// A window excluding ~300 must reject the true placement.
-		res, err := ix.MapPair(p.R1, p.R2, PairOptions{MinInsert: 500, MaxInsert: 600})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, pl := range res.Placements {
+		placements, _ := pairMates(t, ix, p.R1, p.R2, PairOptions{MinInsert: 500, MaxInsert: 600})
+		for _, pl := range placements {
 			if pl.Insert < 500 || pl.Insert > 600 {
 				t.Fatalf("placement outside window: %+v", pl)
 			}
@@ -120,36 +106,28 @@ func TestMapPairInsertWindowFilters(t *testing.T) {
 }
 
 func TestMapPairAmbiguousCap(t *testing.T) {
-	// A reference of a single repeated unit makes every mate map hundreds
-	// of times; the cap must kick in.
+	// A reference of a single repeated unit makes every mate map about a
+	// thousand times, past the cap.
 	unit := dna.MustParseSeq("ACGTTGCA")
 	ref := make(dna.Seq, 0, 8000)
 	for len(ref) < 8000 {
 		ref = append(ref, unit...)
 	}
 	ix := mustBuild(t, ref, IndexConfig{})
-	res, err := ix.MapPair(ref[0:16], ref[100:116].ReverseComplement(), PairOptions{
-		MinInsert: 50, MaxInsert: 200, MaxHitsPerMate: 10,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Ambiguous || res.Concordant() {
-		t.Errorf("repetitive pair not flagged ambiguous: %+v", res)
+	placements, ambiguous := pairMates(t, ix, ref[0:16], ref[100:116].ReverseComplement(), PairOptions{MinInsert: 50, MaxInsert: 200})
+	if !ambiguous || len(placements) > 0 {
+		t.Errorf("repetitive pair not flagged ambiguous: %+v (ambiguous %t)", placements, ambiguous)
 	}
 }
 
 func TestMapPairsValidation(t *testing.T) {
-	ref := testGenome(t, 2000)
-	ix := mustBuild(t, ref, IndexConfig{})
-	if _, _, err := ix.MapPairs([]dna.Seq{ref[0:20]}, nil, PairOptions{MaxInsert: 100}); err == nil {
-		t.Error("accepted mismatched mate counts")
+	for _, o := range []PairOptions{{MinInsert: 200, MaxInsert: 100}, {MinInsert: -1, MaxInsert: 100}} {
+		if o.Validate() == nil {
+			t.Errorf("accepted insert window %+v", o)
+		}
 	}
-	if _, err := ix.MapPair(ref[0:20], ref[50:70], PairOptions{MinInsert: 200, MaxInsert: 100}); err == nil {
-		t.Error("accepted inverted insert window")
-	}
-	if _, err := ix.MapPair(ref[0:20], ref[50:70], PairOptions{MaxInsert: 100, MaxHitsPerMate: -1}); err == nil {
-		t.Error("accepted negative hit cap")
+	if err := (PairOptions{MinInsert: 100, MaxInsert: 100}).Validate(); err != nil {
+		t.Errorf("refused a one-length window: %v", err)
 	}
 }
 
@@ -170,4 +148,131 @@ func TestSimulatePairsValidation(t *testing.T) {
 		}
 		t.Errorf("SimulatePairs(%+v) accepted invalid config", cfg)
 	}
+}
+
+// FuzzPairPlacements checks PairMates against a naive scan on small random
+// references, with repeats and one to three records: every exact occurrence
+// of each mate and of its reverse complement found by brute force, every
+// (left, right) pairing of both FR orientations whose insert lies in the
+// window (both edges inclusive), the ambiguity cap, and the same sort. The
+// records only cut the reference: a placement straddling two of them is
+// core's to report and the row encoder's to drop.
+func FuzzPairPlacements(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint8(20), uint8(20), uint16(40), uint16(150), uint16(100), uint16(100), false)
+	f.Add(int64(2), uint8(2), uint8(12), uint8(9), uint16(300), uint16(90), uint16(0), uint16(400), true)
+	f.Add(int64(3), uint8(1), uint8(3), uint8(2), uint16(7), uint16(20), uint16(0), uint16(30), false)
+	f.Add(int64(4), uint8(1), uint8(6), uint8(6), uint16(0), uint16(12), uint16(12), uint16(0), true)
+	f.Fuzz(func(t *testing.T, seed int64, records, len1, len2 uint8, start, insert, minInsert, window uint16, swap bool) {
+		rng := rand.New(rand.NewSource(seed))
+		ref := fuzzReference(rng)
+		ix, err := BuildIndex(ref, IndexConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := len(ref)
+		if recs := 1 + int(records%3); recs > 1 {
+			names, lengths := make([]string, recs), make([]int, recs)
+			for i := range names {
+				names[i], lengths[i] = fmt.Sprint("chr", i), n/recs
+			}
+			lengths[recs-1] += n % recs
+			cs, err := NewContigSet(names, lengths)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ix.SetContigs(cs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Mates of a fragment [p, end): R1 its head, R2 the reverse complement
+		// of its tail; a fragment past the reference's end leaves R2 random.
+		l1, l2 := 1+int(len1)%40, 1+int(len2)%40
+		p := int(start) % (n - l1)
+		r1 := slices.Clone(ref[p : p+l1])
+		end := p + int(insert)%400
+		r2 := make(dna.Seq, l2)
+		if end >= l2 && end <= n {
+			copy(r2, ref[end-l2:end])
+			r2 = r2.ReverseComplement()
+		} else {
+			for i := range r2 {
+				r2[i] = dna.Base(rng.Intn(4))
+			}
+		}
+		if swap {
+			r1, r2 = r2, r1
+		}
+		opts := PairOptions{MinInsert: int(minInsert) % 300}
+		opts.MaxInsert = opts.MinInsert + int(window)%300
+		got, ambiguous := pairMates(t, ix, r1, r2, opts)
+		want, wantAmbiguous := naivePairs(ref, r1, r2, opts)
+		if ambiguous != wantAmbiguous || !slices.Equal(got, want) {
+			t.Fatalf("r1 %v r2 %v window [%d,%d]: got %+v (ambiguous %t), want %+v (ambiguous %t)",
+				r1, r2, opts.MinInsert, opts.MaxInsert, got, ambiguous, want, wantAmbiguous)
+		}
+	})
+}
+
+// fuzzReference is a random reference of 64 to 1 263 bases built from
+// random runs, copies of earlier stretches and short tandem repeats, so that
+// short mates occur many times, some past PairMaxHits.
+func fuzzReference(rng *rand.Rand) dna.Seq {
+	n := 64 + rng.Intn(1200)
+	ref := make(dna.Seq, 0, n+64)
+	for len(ref) < n {
+		switch k := 1 + rng.Intn(64); {
+		case rng.Intn(3) == 0 && len(ref) > k:
+			at := rng.Intn(len(ref) - k)
+			ref = append(ref, ref[at:at+k]...)
+		case rng.Intn(2) == 0:
+			unit := 1 + rng.Intn(4)
+			for i := 0; i < 4*k; i++ {
+				ref = append(ref, dna.Base((i%unit*7+unit)%4))
+			}
+		default:
+			for i := 0; i < k; i++ {
+				ref = append(ref, dna.Base(rng.Intn(4)))
+			}
+		}
+	}
+	return ref[:n]
+}
+
+// naivePairs is the oracle of PairMates.
+func naivePairs(ref, r1, r2 dna.Seq, opts PairOptions) ([]PairPlacement, bool) {
+	occurrences := func(pat dna.Seq) []int32 {
+		var ps []int32
+		for i := 0; i+len(pat) <= len(ref); i++ {
+			if slices.Equal(ref[i:i+len(pat)], pat) {
+				ps = append(ps, int32(i))
+			}
+		}
+		return ps
+	}
+	r1F, r1R := occurrences(r1), occurrences(r1.ReverseComplement())
+	r2F, r2R := occurrences(r2), occurrences(r2.ReverseComplement())
+	if len(r1F)+len(r1R) == 0 || len(r2F)+len(r2R) == 0 {
+		return nil, false
+	}
+	if len(r1F)+len(r1R) > PairMaxHits || len(r2F)+len(r2R) > PairMaxHits {
+		return nil, true
+	}
+	var out []PairPlacement
+	for _, arr := range []struct {
+		lefts, rights []int32
+		rightLen      int
+		r1Forward     bool
+	}{{r1F, r2R, len(r2), true}, {r2F, r1R, len(r1), false}} {
+		for _, l := range arr.lefts {
+			for _, r := range arr.rights {
+				if insert := int(r) + arr.rightLen - int(l); insert >= opts.MinInsert && insert <= opts.MaxInsert {
+					out = append(out, PairPlacement{Pos: l, Insert: insert, R1Forward: arr.r1Forward})
+				}
+			}
+		}
+	}
+	slices.SortStableFunc(out, func(a, b PairPlacement) int {
+		return cmp.Or(cmp.Compare(a.Pos, b.Pos), cmp.Compare(a.Insert, b.Insert))
+	})
+	return out, false
 }

@@ -11,7 +11,7 @@ import (
 // DNA fragment: R1 is the forward strand of the fragment's left end and R2
 // the reverse complement of its right end (FR orientation). Mapping tools
 // exploit the known fragment-length distribution to pair the two mates'
-// hits; core.MapPairs consumes these simulated pairs.
+// hits; core.PairMates pairs the mates of these simulated pairs.
 
 // PairConfig controls paired-end read simulation.
 type PairConfig struct {

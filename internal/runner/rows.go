@@ -14,11 +14,11 @@ import (
 )
 
 // Rows is the one encoder of every row format: the exact and k-mismatch TSV,
-// the seed-and-extend SAM, and the exact SAM of `bwaver map -format sam`. A
-// run renders each batch into it, the first batch under the header, and hands
-// the text to its front end. Rows are appended with strconv, not formatted by
-// fmt: at thousands of rows per job that was a warm job's largest cost outside
-// mapping.
+// the seed-and-extend SAM, the exact SAM of `bwaver map -format sam`, and the
+// pair TSV and SAM of `bwaver map -reads2`. A run renders each batch into it,
+// the first batch under the header, and hands the text to its front end.
+// Rows are appended with strconv, not formatted by fmt: at thousands of rows
+// per job that was a warm job's largest cost outside mapping.
 type Rows struct {
 	ix      *core.Index
 	contigs *core.ContigSet
@@ -33,6 +33,8 @@ type Rows struct {
 	sw      *sam.Writer
 	mapped  int
 	dropped int
+	// concordant and ambiguous count the pairs of a pair run.
+	concordant, ambiguous int
 
 	// Row-building scratch: the cells of the row in hand, its position cells,
 	// the ordered copy of a multi-position strand and a k-mismatch row's
@@ -66,9 +68,12 @@ func NewRows(ix *core.Index) *Rows { return &Rows{ix: ix, contigs: ix.Contigs()}
 // Mapped is how many rendered reads mapped.
 func (r *Rows) Mapped() int { return r.mapped }
 
-// Dropped is how many exact SAM hits were left out for straddling two
-// reference records.
+// Dropped is how many exact SAM hits, or pair placements, were left out for
+// straddling two reference records.
 func (r *Rows) Dropped() int { return r.dropped }
+
+// Pairs is how many rendered pairs were concordant and how many ambiguous.
+func (r *Rows) Pairs() (concordant, ambiguous int) { return r.concordant, r.ambiguous }
 
 // idSanitizer strips the TSV structural characters from user-supplied read
 // IDs: an embedded tab or newline would otherwise corrupt the results file.
@@ -308,4 +313,104 @@ func (r *Rows) resolve(p int32, span int) (name string, off int, ok bool) {
 	}
 	c, off, ok := r.contigs.Resolve(int(p), span)
 	return c.Name, off, ok
+}
+
+// placePair pairs the mates at i and i+1 and counts the pair. It returns the
+// placements whose fragment lies inside one reference record, best first;
+// the others are dropped.
+func (r *Rows) placePair(reads []dna.Seq, results []core.MapResult, i int, opts core.PairOptions) ([]core.PairPlacement, bool) {
+	all, ambiguous := core.PairMates(results[i], results[i+1], len(reads[i]), len(reads[i+1]), opts)
+	kept := all[:0]
+	for _, pl := range all {
+		if _, _, ok := r.resolve(pl.Pos, pl.Insert); ok {
+			kept = append(kept, pl)
+		} else {
+			r.dropped++
+		}
+	}
+	for _, m := range results[i : i+2] {
+		if m.Mapped() {
+			r.mapped++
+		}
+	}
+	if len(kept) > 0 {
+		r.concordant++
+	}
+	if ambiguous {
+		r.ambiguous++
+	}
+	return kept, ambiguous
+}
+
+// pairTSV renders one batch of pairs as TSV rows: whether a pair is
+// concordant or ambiguous, its placement count, and where its best placement
+// starts (contig-relative on a multi-record reference) and how long it is.
+func (r *Rows) pairTSV(off int, ids []string, reads []dna.Seq, results []core.MapResult, opts core.PairOptions) error {
+	tsv := r.text.AvailableBuffer()
+	if off == 0 {
+		tsv = append(tsv, "pair\tconcordant\tambiguous\tplacements\tbest_pos\tbest_insert\n"...)
+	}
+	for i := 0; i < len(results); i += 2 {
+		kept, ambiguous := r.placePair(reads, results, i, opts)
+		tsv = append(append(tsv, SanitizeID(ids[i])...), '\t')
+		tsv = append(strconv.AppendBool(tsv, len(kept) > 0), '\t')
+		tsv = append(strconv.AppendBool(tsv, ambiguous), '\t')
+		tsv = append(strconv.AppendInt(tsv, int64(len(kept)), 10), '\t')
+		if len(kept) == 0 {
+			tsv = append(tsv, "-\t-\n"...)
+			continue
+		}
+		r.ps = append(r.ps[:0], kept[0].Pos)
+		tsv = append(r.appendPositions(tsv, r.ps, kept[0].Insert), '\t')
+		tsv = append(strconv.AppendInt(tsv, int64(kept[0].Insert), 10), '\n')
+	}
+	r.text.Write(tsv)
+	return nil
+}
+
+// pairSAM renders one batch of pairs as SAM: a pair's best placement as two
+// properly paired records, the leftmost mate forward and the rightmost
+// reverse, or two unmapped records when it has none.
+func (r *Rows) pairSAM(off int, ids []string, reads []dna.Seq, results []core.MapResult, opts core.PairOptions) error {
+	if err := r.samWriter(); err != nil {
+		return err
+	}
+	mateFlags := [2]uint16{sam.FlagFirstInPair, sam.FlagSecondInPair}
+	for i := 0; i < len(results); i += 2 {
+		kept, _ := r.placePair(reads, results, i, opts)
+		name, mates := samQName(ids[i], (off+i)/2), reads[i:i+2]
+		if len(kept) == 0 {
+			for m, read := range mates {
+				if err := r.sw.Write(sam.Record{QName: name, Seq: read.String(),
+					Flag: sam.FlagPaired | sam.FlagUnmapped | sam.FlagMateUnmapped | mateFlags[m]}); err != nil {
+					return err
+				}
+			}
+			continue
+		}
+		// Which read is the left mate follows the placement's orientation.
+		pl, left, right := kept[0], 0, 1
+		if !pl.R1Forward {
+			left, right = 1, 0
+		}
+		rname, leftOff, _ := r.resolve(pl.Pos, pl.Insert)
+		rightOff := leftOff + pl.Insert - len(mates[right])
+		proper := sam.FlagPaired | sam.FlagProperPair
+		for _, rec := range [2]sam.Record{{
+			QName: name, RName: rname, Pos: leftOff + 1, MapQ: 60,
+			Flag:  proper | mateFlags[left] | sam.FlagMateReverse,
+			CIGAR: strconv.Itoa(len(mates[left])) + "M", Seq: mates[left].String(),
+			RNext: "=", PNext: rightOff + 1, TLen: pl.Insert,
+		}, {
+			QName: name, RName: rname, Pos: rightOff + 1, MapQ: 60,
+			Flag:  proper | mateFlags[right] | sam.FlagReverse,
+			CIGAR: strconv.Itoa(len(mates[right])) + "M", Seq: mates[right].ReverseComplement().String(),
+			RNext: "=", PNext: leftOff + 1, TLen: -pl.Insert,
+		}} {
+			if err := r.sw.Write(rec); err != nil {
+				return err
+			}
+		}
+	}
+	return r.sw.Flush()
 }

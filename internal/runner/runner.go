@@ -38,6 +38,51 @@ type Source interface {
 	Next() (qc.Batch, error)
 }
 
+// Mates is the source of two-file pairs: each pull takes one batch from each
+// mate's source and interleaves them R1, R2, R1, R2, ... Both sources must
+// run the zero policy, under which every batch but the last is full, so
+// batches of one size keep the mates in step; batches of two sizes, or one
+// file ending before the other, are a mate-count mismatch and an error.
+type Mates struct {
+	r1, r2 Source
+	pairs  int
+	b      qc.Batch
+}
+
+// NewMates pairs the reads of r1 with those of r2.
+func NewMates(r1, r2 Source) *Mates { return &Mates{r1: r1, r2: r2} }
+
+// Next returns the next batch of pairs, a pair's ID being its first mate's.
+// The batch is valid until the next call.
+func (m *Mates) Next() (qc.Batch, error) {
+	b1, err := m.r1.Next()
+	if err != nil && err != io.EOF {
+		return qc.Batch{}, err
+	}
+	b2, err2 := m.r2.Next()
+	if err2 != nil && err2 != io.EOF {
+		return qc.Batch{}, err2
+	}
+	if n1, n2 := len(b1.Seqs), len(b2.Seqs); n1 != n2 {
+		short, long := 1, 2
+		if n2 < n1 {
+			short, long = 2, 1
+		}
+		return qc.Batch{}, fmt.Errorf("mate-count mismatch: mate %d ends after %d reads, mate %d goes on",
+			short, m.pairs+min(n1, n2), long)
+	}
+	if err != nil {
+		return qc.Batch{}, io.EOF
+	}
+	m.pairs += len(b1.Seqs)
+	m.b.IDs, m.b.Seqs = m.b.IDs[:0], m.b.Seqs[:0]
+	for i := range b1.Seqs {
+		m.b.IDs = append(m.b.IDs, b1.IDs[i], b1.IDs[i])
+		m.b.Seqs = append(m.b.Seqs, b1.Seqs[i], b2.Seqs[i])
+	}
+	return m.b, nil
+}
+
 // Reads is a run's input: its source, every pull of which is timed and
 // reported.
 type Reads struct {
@@ -125,6 +170,21 @@ func Exact(ix *core.Index, locate bool) Work[core.MapResult] {
 func ExactSAM(ix *core.Index) Work[core.MapResult] {
 	w := Exact(ix, true)
 	w.encode = (*Rows).exactSAM
+	return w
+}
+
+// ExactPairs is exact matching of interleaved mate pairs (R1, R2, ...: a
+// Mates source), one pair to a row: the pair TSV, or with asSAM the pair's
+// best placement as two SAM records. Pairing needs positions, so it always
+// locates.
+func ExactPairs(ix *core.Index, opts core.PairOptions, asSAM bool) Work[core.MapResult] {
+	w := Exact(ix, true)
+	w.encode = func(rows *Rows, off int, ids []string, reads []dna.Seq, results []core.MapResult) error {
+		if asSAM {
+			return rows.pairSAM(off, ids, reads, results, opts)
+		}
+		return rows.pairTSV(off, ids, reads, results, opts)
+	}
 	return w
 }
 

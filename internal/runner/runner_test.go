@@ -5,10 +5,12 @@ import (
 	"context"
 	"errors"
 	"io"
+	"strconv"
 	"strings"
 	"testing"
 
 	"bwaver/internal/core"
+	"bwaver/internal/dna"
 	"bwaver/internal/fpga"
 	"bwaver/internal/qc"
 	"bwaver/internal/readsim"
@@ -184,5 +186,64 @@ func TestPairAligned(t *testing.T) {
 		if got := PairAligned(in); got != want {
 			t.Errorf("PairAligned(%d) = %d, want %d", in, got, want)
 		}
+	}
+}
+
+// mateBatches splits reads named m0, m1, ... into batches of size.
+func mateBatches(n, size int) *batches {
+	src := &batches{}
+	for lo := 0; lo < n; lo += size {
+		var b qc.Batch
+		for i := lo; i < min(lo+size, n); i++ {
+			b.IDs = append(b.IDs, "m"+strconv.Itoa(i))
+			b.Seqs = append(b.Seqs, dna.MustParseSeq("ACGT"))
+		}
+		src.list = append(src.list, b)
+	}
+	return src
+}
+
+// Mates interleaves equal batches, a pair under its first mate's ID, and
+// fails when one mate file ends before the other, wherever it ends.
+func TestMatesKeepMatesInStep(t *testing.T) {
+	m := NewMates(mateBatches(5, 2), mateBatches(5, 2))
+	var ids []string
+	for {
+		b, err := m.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(b.Seqs) != len(b.IDs) || len(b.Seqs)%2 != 0 {
+			t.Fatalf("batch of %d reads and %d IDs", len(b.Seqs), len(b.IDs))
+		}
+		ids = append(ids, b.IDs...)
+	}
+	if got := strings.Join(ids, ","); got != "m0,m0,m1,m1,m2,m2,m3,m3,m4,m4" {
+		t.Errorf("interleaved IDs %s", got)
+	}
+	for _, c := range []struct {
+		name   string
+		r1, r2 int
+		want   string
+	}{
+		{"mate 2 ends mid-batch", 6, 5, "mate 2 ends after 5 reads"},
+		{"mate 2 ends at a batch boundary", 6, 4, "mate 2 ends after 4 reads"},
+		{"mate 2 goes on", 4, 6, "mate 1 ends after 4 reads"},
+	} {
+		m := NewMates(mateBatches(c.r1, 2), mateBatches(c.r2, 2))
+		var err error
+		for err == nil {
+			_, err = m.Next()
+		}
+		if err == io.EOF || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: %v, want a mismatch naming %q", c.name, err, c.want)
+		}
+	}
+	bad := errors.New("truncated record")
+	if _, err := NewMates(mateBatches(2, 2), &batches{err: bad}).Next(); !errors.Is(err, bad) {
+		t.Errorf("a mate's decode error came back as %v", err)
 	}
 }
