@@ -70,6 +70,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzPairPlacements$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzSearchWithFtab$$' -fuzztime=$(FUZZTIME) ./internal/fmindex
 	$(GO) test -run='^$$' -fuzz='^FuzzSMEMs$$' -fuzztime=$(FUZZTIME) ./internal/fmindex
+	$(GO) test -run='^$$' -fuzz='^FuzzShortTable$$' -fuzztime=$(FUZZTIME) ./internal/fmindex
 	$(GO) test -run='^$$' -fuzz='^FuzzCountApprox$$' -fuzztime=$(FUZZTIME) ./internal/fmindex
 	$(GO) test -run='^$$' -fuzz='^FuzzBuild$$' -fuzztime=$(FUZZTIME) ./internal/suffixarray
 	$(GO) test -run='^$$' -fuzz='^FuzzSubmitForm$$' -fuzztime=$(FUZZTIME) ./internal/server

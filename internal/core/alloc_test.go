@@ -24,10 +24,13 @@ func allocatedPerBase(t *testing.T, bases int, f func()) float64 {
 // array (4 bytes per base), the node bitmaps (1/8 per tree level) and the
 // structure — the transform streams from the array into the bitmaps and never
 // exists whole: 5.6 bytes per base where the construction this replaced took
-// 39.0, and 6.5 while it held the transform. EnsureMem adds the extracted
-// reference (1), its reversal (1), the reverse direction's array, bitmaps and
-// structure (4.6) and the k = 9 short-pattern table (4.2): 11.6 where it took
-// 45.0. The budgets leave room for a wider alphabet's bucket counters, not for
+// 39.0, and 6.5 while it held the transform. The k = 10 prefix table adds its
+// 4·(4^10+1) bytes of lower bounds, 4.2 more at this length: 9.6, where its
+// intervals made it 13.8. EnsureMem adds the extracted reference (1), its
+// reversal (1), the reverse direction's array, bitmaps and structure (4.6)
+// and the k = 9 short-pattern table of lower-bound pairs (2.8): 10.3, where
+// the table's intervals made it 11.6 and the construction before 45.0. The
+// budgets leave room for a wider alphabet's bucket counters, not for
 // another copy of the text. A warm locating pass allocates its positions
 // once, at their exact size: 4 bytes per occurrence and a small constant, not
 // a doubling slab's garbage.
@@ -46,6 +49,17 @@ func TestConstructionAllocationBudget(t *testing.T) {
 	t.Logf("BuildIndexCtx allocated %.2f bytes per base", build)
 	if build > 6 {
 		t.Errorf("BuildIndexCtx allocated %.2f bytes per base, budget 6", build)
+	}
+
+	withTable := allocatedPerBase(t, len(ref), func() {
+		_, err = BuildIndexCtx(context.Background(), ref, IndexConfig{FtabK: DefaultFtabK})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("BuildIndexCtx with the k = %d prefix table allocated %.2f bytes per base", DefaultFtabK, withTable)
+	if withTable > 10 {
+		t.Errorf("BuildIndexCtx with the prefix table allocated %.2f bytes per base, budget 10", withTable)
 	}
 
 	reads, err := readsim.Simulate(ref, readsim.ReadsConfig{Count: 2000, Length: 30, MappingRatio: 0.9, RevCompFraction: 0.5, Seed: 3})
@@ -76,7 +90,7 @@ func TestConstructionAllocationBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("EnsureMem allocated %.2f bytes per base", mem)
-	if mem > 12 {
-		t.Errorf("EnsureMem allocated %.2f bytes per base, budget 12", mem)
+	if mem > 10.5 {
+		t.Errorf("EnsureMem allocated %.2f bytes per base, budget 10.5", mem)
 	}
 }

@@ -30,7 +30,8 @@ func benchInputs(b *testing.B) (ref []readsim.Read, ix *Index) {
 
 // BenchmarkBuildIndex builds a 1 Mbp chr21-like index without and with the
 // default prefix table and reports construction bytes per base beside B/op,
-// the figure TestConstructionAllocationBudget bounds.
+// the figure TestConstructionAllocationBudget bounds: 5.56 and 9.63 (13.82
+// while the table held intervals).
 func BenchmarkBuildIndex(b *testing.B) {
 	genome, err := readsim.Chr21Like(1, 1e6/40088619.0)
 	if err != nil {

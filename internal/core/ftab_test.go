@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"bwaver/internal/readsim"
@@ -19,7 +20,7 @@ func TestBuildIndexWithFtab(t *testing.T) {
 	if ix.FtabK() != 3 {
 		t.Fatalf("FtabK() = %d, want 3", ix.FtabK())
 	}
-	if ix.FtabBytes() != (1<<6)*8+16 {
+	if ix.FtabBytes() != 4*((1<<6)+1)+64 {
 		t.Errorf("FtabBytes() = %d for k=3", ix.FtabBytes())
 	}
 	st := ix.Stats()
@@ -221,5 +222,76 @@ func TestCacheKeyFtabK(t *testing.T) {
 	// Every non-positive order means "no table" and must share a key.
 	if CacheKey(ref, nil, IndexConfig{FtabK: -3}) != base {
 		t.Error("negative ftab order changed the key")
+	}
+}
+
+// ftabCorruptions serializes ix, which carries a prefix table, and returns
+// three streams the deserializer must refuse: two living k-mers' ranges
+// swapped and one living range one row short — both in bounds, both
+// consistent under the file trailer's CRC — and a stream whose header and
+// payload claim order 12 and that ends inside the first column.
+func ftabCorruptions(tb testing.TB, ix *Index) map[string][]byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if _, err := ix.WriteTo(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	raw := buf.Bytes()
+	ftab := ix.FM().Ftab()
+	at := bytes.Index(raw, binary.LittleEndian.AppendUint32(nil, 0x46544231)) // FTB1
+	if ftab == nil || at < v1HeaderPrefix+4 {
+		tb.Fatal("index has no prefix-table payload")
+	}
+	keys := ftab.Entries()
+	field := func(p []byte, key int, ends bool) []byte {
+		off := at + 8 + 4*key
+		if ends {
+			off += 4 * keys
+		}
+		return p[off : off+4]
+	}
+	var living []int
+	for key := range keys {
+		if r := ftab.Lookup(key); r.Count() > 1 {
+			living = append(living, key)
+		}
+	}
+	if len(living) < 2 {
+		tb.Fatal("prefix table has fewer than two k-mers with two rows")
+	}
+	swapped := bytes.Clone(raw)
+	for _, ends := range []bool{false, true} {
+		a, b := field(swapped, living[0], ends), field(swapped, living[1], ends)
+		var tmp [4]byte
+		copy(tmp[:], a)
+		copy(a, b)
+		copy(b, tmp[:])
+	}
+	shifted := bytes.Clone(raw)
+	binary.LittleEndian.PutUint32(field(shifted, living[0], true), uint32(ftab.Lookup(living[0]).End-1))
+	truncated := bytes.Clone(raw[:at+8+2*keys])
+	binary.LittleEndian.PutUint32(truncated[v1HeaderPrefix:], 12)
+	binary.LittleEndian.PutUint32(truncated[at+4:], 12)
+	return map[string][]byte{"swapped": swapped, "shifted-end": shifted, "truncated-order-12": truncated}
+}
+
+// TestReadIndexRefusesInconsistentFtab: an in-bounds but wrong prefix table
+// must not load, and a stream that claims a large table and ends early must
+// fail having allocated about what it read, not what its header claims.
+func TestReadIndexRefusesInconsistentFtab(t *testing.T) {
+	ix := mustBuild(t, testGenome(t, 2000), IndexConfig{FtabK: 4})
+	for name, data := range ftabCorruptions(t, ix) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadIndex(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: ReadIndex accepted the stream", name)
+		}
+		// The order-12 header claims 2·4^12 int32s (128 MiB); the stream
+		// holds a few KiB, and the reader's chunks are 64 KiB.
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+			t.Errorf("%s: reading %d bytes allocated %d", name, len(data), alloc)
+		}
 	}
 }

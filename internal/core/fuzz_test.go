@@ -25,6 +25,18 @@ func FuzzReadIndex(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
+	withFtab, err := BuildIndex(ref, IndexConfig{FtabK: 3})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var valid bytes.Buffer
+	if _, err := withFtab.WriteTo(&valid); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid.Bytes())
+	for _, data := range ftabCorruptions(f, withFtab) {
+		f.Add(data)
+	}
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ix, err := ReadIndex(bytes.NewReader(data))

@@ -269,15 +269,12 @@ func ReadIndex(r io.Reader) (*Index, error) {
 		SharedBytes:       tree.SharedSizeBytes(),
 	}
 	if ftabK > 0 {
-		ftab, err := fmindex.ReadFtab(br)
+		ftab, err := fmindex.ReadFtab(br, fm)
 		if err != nil {
 			return nil, err
 		}
 		if got := ftab.K(); got != int(ftabK) {
 			return nil, fmt.Errorf("core: ftab payload order %d, header says %d", got, ftabK)
-		}
-		if err := ftab.Validate(total); err != nil {
-			return nil, err
 		}
 		fm.SetFtab(ftab)
 		stats.FtabBytes = ftab.SizeBytes()

@@ -23,22 +23,31 @@ type BiIndex struct {
 	// short is the short-pattern interval table: the bidirectional interval
 	// of every DNA string of 1..k symbols, level after level (level l starts
 	// at shortBase(l)), each level indexed by the string's big-endian base-4
-	// key. The SMEM search reads from it every extension whose result is at
-	// most k symbols long — the widest intervals, with the worst rank
-	// locality — instead of ranking. It is a host-side cache of rank results:
-	// a lookup still counts as one extension step.
+	// key and closed by a terminal entry. The SMEM search reads from it every
+	// extension whose result is at most k symbols long — the widest
+	// intervals, with the worst rank locality — instead of ranking. It is a
+	// host-side cache of rank results: a lookup still counts as one extension
+	// step.
+	//
+	// Like Ftab it holds lower bounds: a string's count is the next key's
+	// forward bound minus its own, less the text suffixes shorter than l
+	// padded to the next key (tail). The reverse interval starts at the
+	// entry's rev and has the same count.
 	k     int
 	short []biEntry
+	tail  shortTail
 }
 
-// biEntry is one stored interval; count 0 marks a string absent from the text.
-type biEntry struct{ fwd, rev, count int32 }
+// biEntry is one stored string: its forward lower bound, and the first row
+// of its reverse interval (meaningless for a string absent from the text).
+type biEntry struct{ fwd, rev int32 }
 
-// maxShortK caps the table order: 12·(4^11-4)/3 bytes = 16.8 MB at k = 10.
+// maxShortK caps the table order: 8·((4^11-4)/3+10) bytes = 11.2 MB at k = 10.
 const maxShortK = 10
 
-// shortBase is the number of entries below level l: 4 + 16 + ... + 4^(l-1).
-func shortBase(l int) int { return (1<<(2*l) - 4) / 3 }
+// shortBase is the number of entries below level l: (4+1) + (16+1) + ... +
+// (4^(l-1)+1).
+func shortBase(l int) int { return (1<<(2*l)-4)/3 + l - 1 }
 
 // BiRange is a pair of synchronised intervals: Fwd over the text's rows for
 // the current pattern P, Rev over the reversed text's rows for reverse(P).
@@ -81,7 +90,9 @@ func NewBiIndexOver[E ~uint8](fwd *Index, text []E, params rrr.Params) (*BiIndex
 		return nil, fmt.Errorf("fmindex: reverse index: %w", err)
 	}
 	bi := &BiIndex{fwd: fwd, rev: rev, sigma: fwd.sigma}
-	bi.buildShort()
+	if err := bi.buildShort(); err != nil {
+		return nil, fmt.Errorf("fmindex: short-pattern table: %w", err)
+	}
 	return bi, nil
 }
 
@@ -89,16 +100,27 @@ func NewBiIndexOver[E ~uint8](fwd *Index, text []E, params rrr.Params) (*BiIndex
 // BuildFtab does: the four left extensions aX of a living X come from one
 // StepAll on X's interval, with the mirror starts laid out as ExtendLeft
 // orders them (sentinel first, then the alphabet); the extensions of an
-// absent X stay the zero entry without any rank work. The order is the
-// largest k <= maxShortK with 4^k <= n, a function of the text length alone.
-func (bi *BiIndex) buildShort() {
+// absent X take their forward bound from their right neighbour in one sweep
+// per level, without any rank work. The order is the largest k <= maxShortK
+// with 4^k <= n, a function of the text length alone.
+func (bi *BiIndex) buildShort() error {
 	if bi.sigma > ftabSigma {
-		return // keys cover the DNA alphabet only
+		return nil // keys cover the DNA alphabet only
 	}
 	k := min(maxShortK, (bits.Len(uint(bi.Len()))-1)/2) // ⌊log₄ n⌋, capped
-	bi.k, bi.short = k, make([]biEntry, shortBase(k+1))
+	tail, err := bi.fwd.shortTail(k - 1)
+	if err != nil {
+		return err
+	}
+	bi.k, bi.short, bi.tail = k, make([]biEntry, shortBase(k+1)), tail
+	end := int32(bi.Len() + 1)
 	var stepped [ftabSigma]Range
 	for l := 0; l < k; l++ {
+		level := bi.short[shortBase(l+1):shortBase(l+2)]
+		for i := range level {
+			level[i] = biEntry{fwd: -1} // filled by the sweep below
+		}
+		level[len(level)-1] = biEntry{fwd: end, rev: end}
 		for key := 0; key < 1<<(2*l); key++ {
 			x := bi.All()
 			if l > 0 {
@@ -113,21 +135,29 @@ func (bi *BiIndex) buildShort() {
 				rev -= r.Count()
 			}
 			for a, r := range stepped[:bi.sigma] {
-				bi.short[shortBase(l+1)+a<<(2*l)+key] = biEntry{fwd: int32(r.Start), rev: int32(rev), count: int32(r.Count())}
+				level[a<<(2*l)+key] = biEntry{fwd: int32(r.Start), rev: int32(rev)}
 				rev += r.Count()
 			}
 		}
+		for key := len(level) - 2; key >= 0; key-- {
+			if level[key].fwd < 0 {
+				level[key].fwd = level[key+1].fwd - int32(bi.tail.below(l+1, uint32(key+1), 1))
+			}
+		}
 	}
+	return nil
 }
 
 // lookup returns the stored interval of the l-symbol string with the given
-// key, 1 <= l <= k.
+// key, 1 <= l <= k: its entry and the next are adjacent, so one cache line.
 func (bi *BiIndex) lookup(l int, key uint32) BiRange {
-	e := bi.short[shortBase(l)+int(key)]
-	if e.count == 0 {
+	at := shortBase(l) + int(key)
+	e, next := bi.short[at], bi.short[at+1]
+	last := int(next.fwd-e.fwd) - bi.tail.below(l, key+1, 1) - 1
+	if last < 0 {
 		return emptyBiRange
 	}
-	fwd, rev, last := int(e.fwd), int(e.rev), int(e.count)-1
+	fwd, rev := int(e.fwd), int(e.rev)
 	return BiRange{Fwd: Range{Start: fwd, End: fwd + last}, Rev: Range{Start: rev, End: rev + last}}
 }
 
@@ -177,9 +207,9 @@ func buildDirection[E ~uint8](text []E, sigma int, params rrr.Params, withSA boo
 func (bi *BiIndex) Forward() *Index { return bi.fwd }
 
 // SizeBytes returns the host footprint of both directions and the
-// short-pattern table (12 bytes an entry).
+// short-pattern table (8 bytes an entry).
 func (bi *BiIndex) SizeBytes() int {
-	return bi.fwd.SizeBytes() + bi.rev.SizeBytes() + 12*len(bi.short)
+	return bi.fwd.SizeBytes() + bi.rev.SizeBytes() + 8*len(bi.short)
 }
 
 // Len returns the text length.

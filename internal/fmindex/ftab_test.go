@@ -2,6 +2,7 @@ package fmindex
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 )
@@ -41,9 +42,6 @@ func TestBuildFtabMatchesCount(t *testing.T) {
 				t.Fatalf("k=%d key=%d kmer=%v: table %+v, plain search %+v",
 					k, key, kmer, got, want)
 			}
-		}
-		if err := ftab.Validate(ix.Len()); err != nil {
-			t.Fatalf("k=%d: Validate: %v", k, err)
 		}
 	}
 }
@@ -113,7 +111,7 @@ func TestFtabSerializeRoundTrip(t *testing.T) {
 	if n, err := ftab.WriteTo(&buf); err != nil || n != int64(buf.Len()) {
 		t.Fatalf("WriteTo: n=%d err=%v (buffered %d)", n, err, buf.Len())
 	}
-	back, err := ReadFtab(bytes.NewReader(buf.Bytes()))
+	back, err := ReadFtab(bytes.NewReader(buf.Bytes()), ix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,26 +124,110 @@ func TestFtabSerializeRoundTrip(t *testing.T) {
 			t.Fatalf("entry %d changed across serialization", key)
 		}
 	}
-	if err := back.Validate(ix.Len()); err != nil {
-		t.Fatal(err)
-	}
 
 	// Corrupt magic must be rejected.
 	raw := buf.Bytes()
 	raw[0] ^= 0xff
-	if _, err := ReadFtab(bytes.NewReader(raw)); err == nil {
+	if _, err := ReadFtab(bytes.NewReader(raw), ix); err == nil {
 		t.Error("accepted corrupt magic")
 	}
 }
 
+// TestFtabValidateRejectsForeignTable: loading checks a table against the
+// index it is read for, so one built over another text does not load.
 func TestFtabValidateRejectsForeignTable(t *testing.T) {
 	ix, _ := ftabTestIndex(t, 200, 15)
 	ftab, err := ix.BuildFtab(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Against a much shorter text the stored rows exceed n+1 and must fail.
-	if err := ftab.Validate(4); err == nil {
-		t.Error("Validate accepted a table with rows beyond the index")
+	var buf bytes.Buffer
+	if _, err := ftab.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	// Against a shorter text, and against another text of the same length,
+	// the stored ranges are not the bounds the index implies.
+	for _, other := range []struct {
+		n    int
+		seed int64
+	}{{40, 16}, {200, 17}} {
+		foreign, _ := ftabTestIndex(t, other.n, other.seed)
+		if _, err := ReadFtab(bytes.NewReader(buf.Bytes()), foreign); err == nil {
+			t.Errorf("ReadFtab accepted a table built over another text (n=%d)", other.n)
+		}
+	}
+}
+
+// TestTableBytes pins both prefix tables' footprint: an Ftab holds one int32
+// bound per k-mer plus a terminal, and a fixed part; the short-pattern table
+// one 8-byte entry per string of 1..k symbols plus a terminal per level.
+func TestTableBytes(t *testing.T) {
+	ix, _ := ftabTestIndex(t, 3000, 16)
+	for k := 1; k <= 7; k++ {
+		f, err := ix.BuildFtab(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := f.SizeBytes(), 4*(pow4(k)+1)+ftabFixedBytes; got != want {
+			t.Errorf("k=%d: SizeBytes %d, want %d", k, got, want)
+		}
+	}
+	bi := buildBi(t, buildText(rand.New(rand.NewSource(17)), 5000))
+	entries := 0
+	for l := 1; l <= bi.k; l++ {
+		entries += pow4(l) + 1
+	}
+	if bi.k != 6 || len(bi.short) != entries {
+		t.Fatalf("order %d with %d entries, want order 6 with %d", bi.k, len(bi.short), entries)
+	}
+	if got, want := bi.SizeBytes(), bi.fwd.SizeBytes()+bi.rev.SizeBytes()+8*entries; got != want {
+		t.Errorf("BiIndex SizeBytes %d, want %d", got, want)
+	}
+}
+
+// TestReadFtabRejectsInconsistentTables: a payload whose ranges are in
+// bounds but are not the table the index implies must not load. Swapped
+// entries and a short range are core.TestReadIndexRefusesInconsistentFtab's;
+// here, a dead k-mer moved to another empty range, and the first range
+// reaching down onto the row of the suffix A where every k-mer lives, which
+// only the first bound tells.
+func TestReadFtabRejectsInconsistentTables(t *testing.T) {
+	text := buildText(rand.New(rand.NewSource(18)), 300)
+	text[len(text)-1] = 0
+	ix := buildWith(t, text, func(d []uint8) (OccProvider, error) {
+		return NewWaveletOcc(d, 4, testParams)
+	}, fullSAOpts)
+	for _, k := range []int{2, 5} {
+		ftab, err := ix.BuildFtab(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if _, err := ftab.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		payload := buf.Bytes()
+		// The k-mer to corrupt: at k = 2 the first, at k = 5 the first dead.
+		key := 0
+		for k == 5 && !ftab.Lookup(key).Empty() {
+			key++
+		}
+		r := ftab.Lookup(key)
+		if r.Empty() != (k == 5) {
+			t.Fatalf("k=%d: k-mer %d holds %+v", k, key, r)
+		}
+		shift := -1 // the first range one row lower
+		if r.Empty() {
+			shift = 1 // the death range one row higher
+		}
+		for column, v := range []int{r.Start, r.End} {
+			if column == 0 || r.Empty() {
+				off := 8 + 4*(column*ftab.Entries()+key)
+				binary.LittleEndian.PutUint32(payload[off:], uint32(int32(v+shift)))
+			}
+		}
+		if _, err := ReadFtab(bytes.NewReader(payload), ix); err == nil {
+			t.Errorf("k=%d: ReadFtab accepted k-mer %d moved from %+v", k, key, r)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package fmindex
 
 import (
+	"bytes"
 	"math/rand"
 	"sort"
 	"testing"
@@ -21,13 +22,25 @@ func FuzzSearchWithFtab(f *testing.F) {
 	f.Add([]byte("AAAAAAAACCCCGGGG"), []byte("AAAC"), uint8(3))
 	f.Add([]byte("ACGT"), []byte("NNACGT"), uint8(4))
 	f.Add([]byte("TTTT"), []byte("T"), uint8(5))
+	// Text ending ACT (symbols 0 1 3) at k = 3: the short suffixes T and CT
+	// sort in the gaps below TAA and CTA, and the absent AG and AGA die at
+	// bounds beside them.
+	for _, pattern := range [][]byte{{0, 1, 3}, {0, 2}, {0, 2, 0}, {1, 3}, {3, 0, 0}} {
+		f.Add([]byte{2, 1, 1, 3, 2, 2, 0, 1, 3, 0, 1, 3}, pattern, uint8(2))
+	}
+	f.Add([]byte{1, 0, 0, 2, 1, 0, 0}, []byte{1, 0, 0, 0}, uint8(3)) // tail CAA pads to CAAA
+	// kRaw >= 6 shrinks the index's alphabet: keys holding a symbol the
+	// index lacks die with Step's [1, 0].
+	f.Add([]byte{2, 1, 0, 0, 1, 2, 2, 0, 1}, []byte{0, 1, 3, 0}, uint8(8))
+	f.Add([]byte{1, 0, 1, 1, 0, 0, 1, 0}, []byte{1, 2, 0, 1}, uint8(14))
 	f.Fuzz(func(t *testing.T, textRaw, patternRaw []byte, kRaw uint8) {
 		if len(textRaw) == 0 || len(textRaw) > 1<<10 {
 			return
 		}
+		sigma := 4 - int(kRaw)/6%3
 		text := make([]uint8, len(textRaw))
 		for i, b := range textRaw {
-			text[i] = b & 3
+			text[i] = b % uint8(sigma)
 		}
 		// Patterns keep symbols up to 5 so values >= sigma exercise both the
 		// table's miss path and Step's empty-range handling.
@@ -36,7 +49,7 @@ func FuzzSearchWithFtab(f *testing.F) {
 			pattern[i] = b % 6
 		}
 		k := 1 + int(kRaw)%6
-		sa, err := suffixarray.Build(text, 4)
+		sa, err := suffixarray.Build(text, sigma)
 		if err != nil {
 			t.Skip() // degenerate text the pipeline rejects
 		}
@@ -44,17 +57,27 @@ func FuzzSearchWithFtab(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		occ, err := NewWaveletOcc(tr.Data, 4, rrr.DefaultParams)
+		occ, err := NewWaveletOcc(tr.Data, sigma, rrr.DefaultParams)
 		if err != nil {
 			t.Skip()
 		}
-		ix, err := New(tr, 4, occ, Options{SA: sa})
+		ix, err := New(tr, sigma, occ, Options{SA: sa})
 		if err != nil {
 			t.Skip()
 		}
-		ftab, err := ix.BuildFtab(k)
+		built, err := ix.BuildFtab(k)
 		if err != nil {
 			t.Fatalf("BuildFtab(%d): %v", k, err)
+		}
+		// Search through the table as read back: loading must accept what
+		// was built and derive the same bounds.
+		var buf bytes.Buffer
+		if _, err := built.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		ftab, err := ReadFtab(&buf, ix)
+		if err != nil {
+			t.Fatalf("k=%d: ReadFtab refuses the built table: %v", k, err)
 		}
 		ix.SetFtab(ftab)
 
@@ -63,6 +86,62 @@ func FuzzSearchWithFtab(f *testing.F) {
 		if got != plain {
 			t.Fatalf("k=%d pattern=%v: ftab search %+v != plain search %+v",
 				k, pattern, got, plain)
+		}
+	})
+}
+
+// FuzzShortTable checks the short-pattern table against its definition on
+// texts of up to 2 000 symbols over at most four, with a tail appended so
+// that the text's short suffixes land inside other strings' gaps: every
+// level's entry must equal the ExtendLeft and the ExtendRight chain over the
+// string and hold as many rows as the text has occurrences.
+func FuzzShortTable(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 0, 1, 2, 2, 3, 1, 0, 0, 3, 2, 1, 3, 3}, []byte{0, 0, 0}, uint8(3))
+	f.Add([]byte{2, 2, 1, 0, 3, 3, 1, 2, 0, 2, 1, 1, 3, 0, 2, 3, 1, 0, 2, 2, 3}, []byte{1, 0}, uint8(3))
+	f.Add([]byte{1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 1, 0, 0, 0, 1, 1, 0}, []byte{1, 0, 0}, uint8(1))
+	f.Add([]byte{3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3}, []byte{3, 3}, uint8(3))
+	f.Add([]byte{2, 0, 2, 1, 0, 0, 2, 2, 1, 1, 0, 2, 0, 0, 1, 2, 1}, []byte{2, 0, 0, 0}, uint8(2))
+	f.Fuzz(func(t *testing.T, body, tail []byte, distinct uint8) {
+		if n := len(body) + len(tail); n == 0 || n > 2000 {
+			return
+		}
+		sigma := 1 + int(distinct)%4
+		text := make([]uint8, 0, len(body)+len(tail))
+		for _, part := range [][]byte{body, tail} {
+			for _, b := range part {
+				text = append(text, b%uint8(sigma))
+			}
+		}
+		bi := buildBi(t, text)
+		// occ[l][key]: occurrences of every string of l <= k symbols.
+		occ := make([][]int, bi.k+1)
+		for l := 1; l <= bi.k; l++ {
+			occ[l] = make([]int, pow4(l))
+			for i := 0; i+l <= len(text); i++ {
+				key := 0
+				for _, c := range text[i : i+l] {
+					key = key<<2 | int(c)
+				}
+				occ[l][key]++
+			}
+		}
+		p := make([]uint8, bi.k)
+		for l := 1; l <= bi.k; l++ {
+			for key := range pow4(l) {
+				for i := range l {
+					p[i] = uint8(key >> (2 * (l - 1 - i)) & 3)
+				}
+				left, right := bi.All(), bi.All()
+				for i := range l {
+					left = bi.ExtendLeft(left, p[l-1-i])
+					right = bi.ExtendRight(right, p[i])
+				}
+				got := bi.lookup(l, uint32(key))
+				if got != left || got != right || got.Count() != occ[l][key] {
+					t.Fatalf("n=%d %v: table %+v, ExtendLeft chain %+v, ExtendRight chain %+v, %d occurrences",
+						len(text), p[:l], got, left, right, occ[l][key])
+				}
+			}
 		}
 	})
 }

@@ -93,7 +93,7 @@ func TestFtabKernelCycleReduction(t *testing.T) {
 // does not must program successfully with the table left off — same
 // results, plain-search cycle accounting, degrade flagged in the report.
 func TestFtabBRAMDegrade(t *testing.T) {
-	const k = 8 // 4^8 intervals = 512 KiB of table
+	const k = 8 // 4^8+1 lower bounds = 256 KiB of table
 	ix := buildFtabIndex(t, 60000, k)
 	structure := ix.DeviceStructureBytes()
 	if ix.FtabBytes() <= 0 {
@@ -153,6 +153,13 @@ func TestFtabBRAMDegrade(t *testing.T) {
 	if rep.FtabBytes != 0 || rep.StructureBytes != structure {
 		t.Errorf("degraded report charges ftab: %+v", rep)
 	}
+
+	// At the largest order the table alone, 4·(4^12+1) bytes of lower bounds
+	// plus its fixed part (≈ 67 MB), is past the default device's 40 MiB, so
+	// the default device still degrades a k = 12 index with no help.
+	if def := defaultBRAMBytes; 4*(1<<24+1)+64 <= def {
+		t.Errorf("a k = 12 table fits the default %d bytes of BRAM", def)
+	}
 }
 
 // TestFtabReport: an undegraded table kernel reports the table inside its
@@ -171,8 +178,8 @@ func TestFtabReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.FtabBytes != ix.FtabBytes() {
-		t.Errorf("report ftab bytes %d, index %d", rep.FtabBytes, ix.FtabBytes())
+	if want := 4*(1<<12+1) + 64; rep.FtabBytes != ix.FtabBytes() || rep.FtabBytes != want {
+		t.Errorf("report ftab bytes %d, index %d, want 4^6+1 bounds and the fixed part, %d", rep.FtabBytes, ix.FtabBytes(), want)
 	}
 	if rep.StructureBytes != ix.DeviceStructureBytes()+ix.FtabBytes() {
 		t.Errorf("report on-chip bytes %d, want structure %d + ftab %d",

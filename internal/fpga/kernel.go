@@ -28,7 +28,9 @@ func (k *Kernel) Index() *core.Index { return k.ix }
 func (k *Kernel) IndexBytes() int { return k.indexBytes }
 
 // FtabBytes returns the BRAM bytes the resident prefix table occupies,
-// 0 when the kernel runs without one.
+// 0 when the kernel runs without one: the table's lower bounds, a k-mer's
+// and its successor's side by side in one BRAM line, so a lookup is one
+// access.
 func (k *Kernel) FtabBytes() int { return k.ftabBytes }
 
 // UsesFtab reports whether the kernel's pipelines consult a BRAM-resident

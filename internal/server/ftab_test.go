@@ -25,8 +25,10 @@ func TestStatsFtabBlock(t *testing.T) {
 	if st.Ftab.K != 4 {
 		t.Errorf("stats ftab k = %d, want 4", st.Ftab.K)
 	}
-	if st.Ftab.SizeBytes <= 0 {
-		t.Error("stats report no ftab bytes despite a cached table")
+	// One cached index: 4^4 lower bounds and a terminal, 4 bytes each, and
+	// the table's fixed part.
+	if want := 4*(1<<8+1) + 64; st.Ftab.SizeBytes != want {
+		t.Errorf("stats report %d ftab bytes for one cached k = 4 table, want %d", st.Ftab.SizeBytes, want)
 	}
 	// Every read is 40 bp >= k over the pure-ACGT alphabet, so both
 	// orientations of every read hit the table.

@@ -253,7 +253,8 @@ func TestMemJobSingleEnd(t *testing.T) {
 // suffix array, and /api/stats charges a cached index the host bytes it
 // holds when asked, so a mem job on the index an exact job cached grows
 // cache.size_bytes by at least the short-pattern table EnsureMem builds —
-// every DNA string of 1…k symbols at 12 bytes, k = ⌊log₄ 20 000⌋ = 7.
+// every DNA string of 1…k symbols and a terminal per level at 8 bytes,
+// k = ⌊log₄ 20 000⌋ = 7 — to the index's HostBytes.
 func TestCacheBytesCountMemState(t *testing.T) {
 	refFasta, readsFastq, _ := memTestData(t)
 	s := openServer(t, Config{})
@@ -266,7 +267,7 @@ func TestCacheBytesCountMemState(t *testing.T) {
 	submitJob(t, s, ts, map[string]string{"backend": "cpu", "mode": "mem-pe"}, files)
 	s.Wait()
 	mem := getStats(t, ts).Cache
-	const shortTable = 12 * (1<<(2*8) - 4) / 3
+	const shortTable = 8 * ((1<<(2*8)-4)/3 + 7)
 	if mem.Entries != 1 || mem.SizeBytes-exact.SizeBytes < shortTable {
 		t.Errorf("cache size_bytes %d after the exact job, %d after the mem job (%d entries); want growth of at least the %d-byte short table",
 			exact.SizeBytes, mem.SizeBytes, mem.Entries, shortTable)
@@ -274,6 +275,9 @@ func TestCacheBytesCountMemState(t *testing.T) {
 	s.cache.mu.Lock()
 	defer s.cache.mu.Unlock()
 	for _, el := range s.cache.entries {
+		if host := el.Value.(*cacheEntry).ix.HostBytes(); mem.SizeBytes != host {
+			t.Errorf("cache size_bytes %d, the cached index holds %d", mem.SizeBytes, host)
+		}
 		if cfg := el.Value.(*cacheEntry).ix.Config(); cfg.Locate != core.LocateSampled || cfg.SampleRate != servedSampleRate {
 			t.Errorf("served index built %v at rate %d, want %v at %d", cfg.Locate, cfg.SampleRate, core.LocateSampled, servedSampleRate)
 		}
