@@ -42,7 +42,8 @@ bench-gate:
 # are worth a glance in CI output: the two suffix-array constructions, index
 # construction at 1 Mbp with and without the prefix table (B/base), the
 # exact batch engine, the mem batch engine with the SMEM search (steps/op,
-# table and ranked arms) and the extension kernels it rests on (50
+# table and ranked arms over a 256 kbp text whose tables stay in cache and a
+# 4 Mbp one whose tables do not) and the extension kernels it rests on (50
 # iterations, so warm-up allocations do not show), locate through the full
 # and the sampled suffix arrays (0 allocs/op on every arm), the read source
 # beside the bare decode loop it must stay close to, and one warm job through

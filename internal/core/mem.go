@@ -233,9 +233,10 @@ type memState struct {
 // EnsureMem builds the seed-and-extend state if the index does not hold one
 // yet, and only the part the index lacks: the exact-mapping FM-index is the
 // bidirectional index's forward direction whenever it has the RRR structure
-// and a locate structure, so only the reverse direction and the short-pattern
-// table are built. Count-only and plain-bit-vector indexes get both
-// directions built afresh. Safe for concurrent use; parallel callers share
+// and a locate structure, and its prefix table the SMEM search's forward one
+// whenever that is deep enough, so only the reverse direction and its table
+// are built. Count-only and plain-bit-vector indexes get both directions
+// built afresh. Safe for concurrent use; parallel callers share
 // one build.
 func (ix *Index) EnsureMem() error {
 	if ix.mem.Load() != nil {
@@ -267,7 +268,7 @@ func (ix *Index) EnsureMem() error {
 // direction's structure and locate structure plus the retained text) as the
 // FPGA model's BRAM gate charges it, 0 when not built: RRR nodes in the
 // paper's array layout (see DeviceStructureBytes), without the host-side
-// short-pattern table and without the exact path's prefix table, which a
+// prefix tables of the SMEM search and without the exact path's, which a
 // forward direction shared with the exact index carries.
 func (ix *Index) MemBytes() int {
 	st := ix.mem.Load()
@@ -284,8 +285,9 @@ func (ix *Index) MemBytes() int {
 
 // HostBytes is what the index holds in host memory now: SizeBytes, plus
 // the seed-and-extend state once EnsureMem has built it — the reverse
-// direction, the short-pattern table, the retained text, and a forward
-// direction of its own where it could not share this index's.
+// direction and its prefix table, the retained text, and a forward direction
+// or forward table of its own where it could not share this index's (or
+// holds one this index has since dropped).
 func (ix *Index) HostBytes() int {
 	size := ix.SizeBytes()
 	if st := ix.mem.Load(); st != nil {

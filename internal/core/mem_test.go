@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"bwaver/internal/dna"
+	"bwaver/internal/fmindex"
 	"bwaver/internal/readsim"
 	"bwaver/internal/sam"
 )
@@ -351,6 +352,114 @@ func TestEnsureMemBuildsOnlyWhatIsMissing(t *testing.T) {
 		}
 		if tc.bytes != 0 && tc.ix.MemBytes() != tc.bytes {
 			t.Errorf("%s: MemBytes %d, want %d", tc.name, tc.ix.MemBytes(), tc.bytes)
+		}
+	}
+}
+
+// reverseBytes is the footprint of the count-only index over ref read
+// backwards: the seed-and-extend state's reverse direction without its
+// prefix table.
+func reverseBytes(t *testing.T, ref dna.Seq) int {
+	t.Helper()
+	reversed := make(dna.Seq, len(ref))
+	for i, b := range ref {
+		reversed[len(ref)-1-i] = b
+	}
+	return mustBuild(t, reversed, IndexConfig{Locate: LocateNone}).SizeBytes()
+}
+
+// TestEnsureMemSharesThePrefixTable: at k = 10 the SMEM search reads the
+// exact path's table for the forward direction, so EnsureMem grows an index
+// by exactly the reverse direction, the reverse table and the text. The
+// interleaved short-pattern table it held before was 8·Σ_{l=1..10}(4^l+1) =
+// 11 184 880 bytes; the reverse table is 6 990 508 fewer.
+func TestEnsureMemSharesThePrefixTable(t *testing.T) {
+	ref := testGenome(t, 1<<20) // n = 4^10: order 10
+	ix := mustBuild(t, ref, IndexConfig{FtabK: DefaultFtabK})
+	before := ix.HostBytes()
+	if err := ix.EnsureMem(); err != nil {
+		t.Fatal(err)
+	}
+	const shortTable = 8 * ((1<<22-4)/3 + 10)
+	if got, want := ix.HostBytes()-before, reverseBytes(t, ref)+len(ref)+shortTable-6990508; got != want {
+		t.Errorf("EnsureMem grew HostBytes by %d, want %d", got, want)
+	}
+	if table := ix.FtabBytes(); table != shortTable-6990508 {
+		t.Errorf("the order-10 table holds %d bytes, want %d", table, shortTable-6990508)
+	}
+}
+
+// TestEnsureMemOwnsAShallowTable: without an exact-path table, or with one
+// of lower order than the SMEM search's (⌊log₄ 20 000⌋ = 7), the BiIndex
+// builds a forward table of its own and HostBytes counts it beside the
+// reverse one; the exact path's stays as it was.
+func TestEnsureMemOwnsAShallowTable(t *testing.T) {
+	ref := testGenome(t, 20000)
+	table := mustBuild(t, ref, IndexConfig{FtabK: 7}).FtabBytes()
+	rev := reverseBytes(t, ref)
+	for _, k := range []int{0, 5} {
+		ix := mustBuild(t, ref, IndexConfig{FtabK: k})
+		before, exact := ix.HostBytes(), ix.FtabBytes()
+		if err := ix.EnsureMem(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := ix.HostBytes()-before, rev+len(ref)+2*table; got != want {
+			t.Errorf("FtabK %d: EnsureMem grew HostBytes by %d, want %d", k, got, want)
+		}
+		if ix.FtabK() != k || ix.FtabBytes() != exact {
+			t.Errorf("FtabK %d: EnsureMem left an order-%d table of %d bytes, had %d", k, ix.FtabK(), ix.FtabBytes(), exact)
+		}
+	}
+}
+
+// TestEnsureFtabAfterEnsureMem runs what bwaver-bench ablate does to a
+// mem-ready index — drop the exact path's table, attach another — and
+// checks the SMEM search keeps the table it took: rows and steps unchanged
+// at a minimum length below and above the order, and HostBytes still
+// counting the dropped table while the BiIndex holds it.
+func TestEnsureFtabAfterEnsureMem(t *testing.T) {
+	ref := testGenome(t, 20000)
+	ix := mustBuild(t, ref, IndexConfig{FtabK: DefaultFtabK})
+	if err := ix.EnsureMem(); err != nil {
+		t.Fatal(err)
+	}
+	reads := memTestReads(t, ref, 20, 100)
+	smems := func() ([]fmindex.SMEM, int) {
+		var out []fmindex.SMEM
+		total := 0
+		for _, r := range reads {
+			pattern := make([]uint8, len(r))
+			for i, b := range r {
+				pattern[i] = uint8(b)
+			}
+			for _, minLen := range []int{4, 19} {
+				got, steps, err := ix.mem.Load().bi.SMEMsSteps(pattern, minLen)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out, total = append(out, got...), total+steps
+			}
+		}
+		return out, total
+	}
+	want, wantSteps := smems()
+	host, table := ix.HostBytes(), ix.FtabBytes()
+	for _, k := range []int{0, 8} {
+		if err := ix.EnsureFtab(k); err != nil {
+			t.Fatal(err)
+		}
+		got, steps := smems()
+		if steps != wantSteps || len(got) != len(want) {
+			t.Fatalf("EnsureFtab(%d): %d SMEMs in %d steps, were %d in %d", k, len(got), steps, len(want), wantSteps)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("EnsureFtab(%d): SMEM %d = %+v, was %+v", k, i, got[i], want[i])
+			}
+		}
+		if got, want := ix.HostBytes(), host+ix.FtabBytes(); got != want {
+			t.Errorf("EnsureFtab(%d): HostBytes %d, want %d (%d before, the held order-10 table of %d bytes still counted)",
+				k, got, want, host, table)
 		}
 	}
 }

@@ -161,44 +161,64 @@ func BenchmarkSearchWithFtab(b *testing.B) {
 }
 
 // BenchmarkSMEMs times the seeding search on 150 bp reads with 2 %
-// substitutions, with the short-pattern table and with every extension
-// ranked; steps/op is the extension count, the same on both arms.
+// substitutions, with the prefix tables and with every extension ranked;
+// steps/op is the extension count, the same on both arms. The 256 kbp
+// repeat-structured text has order 9 and tables that stay in cache. The
+// 4 Mbp random one has order 10 and 4 MiB tables that do not; its forward
+// table is the exact path's, attached before the BiIndex is built, as
+// EnsureMem finds it.
 func BenchmarkSMEMs(b *testing.B) {
-	fwd, text := benchIndex(b, func(d []uint8) (OccProvider, error) {
+	small, smallText := benchIndex(b, func(d []uint8) (OccProvider, error) {
 		return NewWaveletOcc(d, 4, rrr.DefaultParams)
 	})
-	bi, err := NewBiIndexOver(fwd, text, rrr.DefaultParams)
+	largeText := buildText(rand.New(rand.NewSource(7)), 1<<22)
+	large, err := buildDirection(largeText, 4, rrr.DefaultParams, false)
 	if err != nil {
 		b.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(6))
-	reads := make([][]uint8, 256)
-	for i := range reads {
-		s := rng.Intn(len(text) - 150)
-		reads[i] = append([]uint8(nil), text[s:s+150]...)
-		for j := range reads[i] {
-			if rng.Intn(50) == 0 {
-				reads[i][j] = uint8((int(reads[i][j]) + 1 + rng.Intn(3)) % 4)
+	ftab, err := large.BuildFtab(10)
+	if err != nil {
+		b.Fatal(err)
+	}
+	large.SetFtab(ftab)
+	for _, size := range []struct {
+		name string
+		fwd  *Index
+		text []uint8
+	}{{"256k", small, smallText}, {"4M", large, largeText}} {
+		bi, err := NewBiIndexOver(size.fwd, size.text, rrr.DefaultParams)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(6))
+		reads := make([][]uint8, 256)
+		for i := range reads {
+			s := rng.Intn(len(size.text) - 150)
+			reads[i] = append([]uint8(nil), size.text[s:s+150]...)
+			for j := range reads[i] {
+				if rng.Intn(50) == 0 {
+					reads[i][j] = uint8((int(reads[i][j]) + 1 + rng.Intn(3)) % 4)
+				}
 			}
 		}
-	}
-	for _, arm := range []struct {
-		name string
-		bi   *BiIndex
-	}{{fmt.Sprintf("table-k=%d", bi.k), bi}, {"ranked", withoutShort(bi)}} {
-		b.Run(arm.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var smems []SMEM
-			steps := 0
-			for i := 0; i < b.N; i++ {
-				var n int
-				if smems, n, err = arm.bi.SMEMsAppend(smems[:0], reads[i%len(reads)], 19); err != nil {
-					b.Fatal(err)
+		for _, arm := range []struct {
+			name string
+			bi   *BiIndex
+		}{{fmt.Sprintf("table-k=%d", bi.k), bi}, {"ranked", withoutShort(bi)}} {
+			b.Run(size.name+"/"+arm.name, func(b *testing.B) {
+				b.ReportAllocs()
+				var smems []SMEM
+				steps := 0
+				for i := 0; i < b.N; i++ {
+					var n int
+					if smems, n, err = arm.bi.SMEMsAppend(smems[:0], reads[i%len(reads)], 19); err != nil {
+						b.Fatal(err)
+					}
+					steps += n
 				}
-				steps += n
-			}
-			b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
-		})
+				b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
+			})
+		}
 	}
 }
 

@@ -20,34 +20,22 @@ type BiIndex struct {
 	fwd, rev *Index
 	sigma    int
 
-	// short is the short-pattern interval table: the bidirectional interval
-	// of every DNA string of 1..k symbols, level after level (level l starts
-	// at shortBase(l)), each level indexed by the string's big-endian base-4
-	// key and closed by a terminal entry. The SMEM search reads from it every
-	// extension whose result is at most k symbols long — the widest
-	// intervals, with the worst rank locality — instead of ranking. It is a
-	// host-side cache of rank results: a lookup still counts as one extension
-	// step.
-	//
-	// Like Ftab it holds lower bounds: a string's count is the next key's
-	// forward bound minus its own, less the text suffixes shorter than l
-	// padded to the next key (tail). The reverse interval starts at the
-	// entry's rev and has the same count.
-	k     int
-	short []biEntry
-	tail  shortTail
+	// k is the order of the prefix tables the SMEM search reads every
+	// extension whose result is at most k symbols long from — the widest
+	// intervals, with the worst rank locality — instead of ranking: ftab
+	// over the forward rows, rtab over the reverse ones, both Ftabs of
+	// lower bounds. A string's forward interval is ftab's span, and its
+	// reverse interval starts at rtab's bound of the reversed string with
+	// the same count. They are a host-side cache of rank results: a lookup
+	// still counts as one extension step. ftab is the forward index's
+	// attached table when that one's order is at least k, otherwise one of
+	// the BiIndex's own, never attached; rtab is the BiIndex's.
+	k          int
+	ftab, rtab *Ftab
 }
 
-// biEntry is one stored string: its forward lower bound, and the first row
-// of its reverse interval (meaningless for a string absent from the text).
-type biEntry struct{ fwd, rev int32 }
-
-// maxShortK caps the table order: 8·((4^11-4)/3+10) bytes = 11.2 MB at k = 10.
+// maxShortK caps the tables' order: a k = 10 table is 4·(4^10+1) bytes, 4 MiB.
 const maxShortK = 10
-
-// shortBase is the number of entries below level l: (4+1) + (16+1) + ... +
-// (4^(l-1)+1).
-func shortBase(l int) int { return (1<<(2*l)-4)/3 + l - 1 }
 
 // BiRange is a pair of synchronised intervals: Fwd over the text's rows for
 // the current pattern P, Rev over the reversed text's rows for reverse(P).
@@ -74,9 +62,9 @@ func NewBiIndex[E ~uint8](text []E, sigma int, params rrr.Params) (*BiIndex, err
 }
 
 // NewBiIndexOver pairs fwd, an index already built over text, with a freshly
-// built count-only index over the reversed text, and builds the
-// short-pattern table: a caller that holds the forward direction (the exact
-// mapping index) pays for the reverse one only.
+// built count-only index over the reversed text, and takes the prefix
+// tables: a caller that holds the forward direction and its table (the exact
+// mapping index) pays for the reverse ones only.
 func NewBiIndexOver[E ~uint8](fwd *Index, text []E, params rrr.Params) (*BiIndex, error) {
 	if fwd.Len() != len(text) {
 		return nil, fmt.Errorf("fmindex: forward index covers %d symbols, text has %d", fwd.Len(), len(text))
@@ -90,89 +78,59 @@ func NewBiIndexOver[E ~uint8](fwd *Index, text []E, params rrr.Params) (*BiIndex
 		return nil, fmt.Errorf("fmindex: reverse index: %w", err)
 	}
 	bi := &BiIndex{fwd: fwd, rev: rev, sigma: fwd.sigma}
-	if err := bi.buildShort(); err != nil {
-		return nil, fmt.Errorf("fmindex: short-pattern table: %w", err)
+	if err := bi.takeTables(); err != nil {
+		return nil, fmt.Errorf("fmindex: prefix tables: %w", err)
 	}
 	return bi, nil
 }
 
-// buildShort fills the short-pattern table by interval refinement, as
-// BuildFtab does: the four left extensions aX of a living X come from one
-// StepAll on X's interval, with the mirror starts laid out as ExtendLeft
-// orders them (sentinel first, then the alphabet); the extensions of an
-// absent X take their forward bound from their right neighbour in one sweep
-// per level, without any rank work. The order is the largest k <= maxShortK
-// with 4^k <= n, a function of the text length alone.
-func (bi *BiIndex) buildShort() error {
-	if bi.sigma > ftabSigma {
-		return nil // keys cover the DNA alphabet only
-	}
+// takeTables sets the order — the largest k <= maxShortK with 4^k <= n, a
+// function of the text length alone — and the two tables: the forward
+// index's own when it is deep enough, one built otherwise, and the reverse
+// one built.
+func (bi *BiIndex) takeTables() error {
 	k := min(maxShortK, (bits.Len(uint(bi.Len()))-1)/2) // ⌊log₄ n⌋, capped
-	tail, err := bi.fwd.shortTail(k - 1)
+	if bi.sigma > ftabSigma || k < 1 {
+		return nil // keys cover the DNA alphabet only; under 4 symbols, no level
+	}
+	ftab := bi.fwd.Ftab()
+	if ftab == nil || ftab.K() < k {
+		var err error
+		if ftab, err = bi.fwd.BuildFtab(k); err != nil {
+			return err
+		}
+	}
+	rtab, err := bi.rev.BuildFtab(k)
 	if err != nil {
 		return err
 	}
-	bi.k, bi.short, bi.tail = k, make([]biEntry, shortBase(k+1)), tail
-	end := int32(bi.Len() + 1)
-	var stepped [ftabSigma]Range
-	for l := 0; l < k; l++ {
-		level := bi.short[shortBase(l+1):shortBase(l+2)]
-		for i := range level {
-			level[i] = biEntry{fwd: -1} // filled by the sweep below
-		}
-		level[len(level)-1] = biEntry{fwd: end, rev: end}
-		for key := 0; key < 1<<(2*l); key++ {
-			x := bi.All()
-			if l > 0 {
-				x = bi.lookup(l, uint32(key))
-			}
-			if x.Empty() {
-				continue
-			}
-			bi.fwd.StepAll(x.Fwd, stepped[:bi.sigma])
-			rev := x.Rev.End + 1
-			for _, r := range stepped[:bi.sigma] {
-				rev -= r.Count()
-			}
-			for a, r := range stepped[:bi.sigma] {
-				level[a<<(2*l)+key] = biEntry{fwd: int32(r.Start), rev: int32(rev)}
-				rev += r.Count()
-			}
-		}
-		for key := len(level) - 2; key >= 0; key-- {
-			if level[key].fwd < 0 {
-				level[key].fwd = level[key+1].fwd - int32(bi.tail.below(l+1, uint32(key+1), 1))
-			}
-		}
-	}
+	bi.k, bi.ftab, bi.rtab = k, ftab, rtab
 	return nil
 }
 
-// lookup returns the stored interval of the l-symbol string with the given
-// key, 1 <= l <= k: its entry and the next are adjacent, so one cache line.
+// lookup returns the interval of the l-symbol string with the given key,
+// 1 <= l <= k: the forward table's span, and the reverse one from the
+// reverse table's bound of the string read backwards.
 func (bi *BiIndex) lookup(l int, key uint32) BiRange {
-	at := shortBase(l) + int(key)
-	e, next := bi.short[at], bi.short[at+1]
-	last := int(next.fwd-e.fwd) - bi.tail.below(l, key+1, 1) - 1
-	if last < 0 {
+	fwd := bi.ftab.span(l, int(key))
+	if fwd.Empty() {
 		return emptyBiRange
 	}
-	fwd, rev := int(e.fwd), int(e.rev)
-	return BiRange{Fwd: Range{Start: fwd, End: fwd + last}, Rev: Range{Start: rev, End: rev + last}}
+	rev := bi.rtab.start(l, int(reverseKey(key, l)))
+	return BiRange{Fwd: fwd, Rev: Range{Start: rev, End: rev + fwd.End - fwd.Start}}
 }
 
-// extendLeftAt is ExtendLeft for the SMEM search, which knows the pattern r
-// stands for: n symbols long, with table key `key` while n <= k. A result of
-// at most k symbols is read from the table. It returns the result's key.
-func (bi *BiIndex) extendLeftAt(r BiRange, n int, key uint32, a uint8) (BiRange, uint32) {
-	if n < bi.k && a < ftabSigma {
-		key |= uint32(a) << (2 * n)
-		return bi.lookup(n+1, key), key
-	}
-	return bi.ExtendLeft(r, a), key
+// reverseKey returns the key of the l-symbol string key read backwards:
+// the bits reversed, then each symbol's two bits swapped back.
+func reverseKey(key uint32, l int) uint32 {
+	r := bits.Reverse32(key)
+	r = r>>1&0x55555555 | r&0x55555555<<1
+	return r >> (32 - 2*l)
 }
 
-// extendRightAt is the ExtendRight counterpart of extendLeftAt.
+// extendRightAt is ExtendRight for the SMEM search, which knows the pattern
+// r stands for: n symbols long, with table key `key` while n <= k. A result
+// of at most k symbols is read from the tables. It returns the result's key.
 func (bi *BiIndex) extendRightAt(r BiRange, n int, key uint32, a uint8) (BiRange, uint32) {
 	if n < bi.k && a < ftabSigma {
 		key = key<<2 | uint32(a)
@@ -206,10 +164,19 @@ func buildDirection[E ~uint8](text []E, sigma int, params rrr.Params, withSA boo
 // Forward exposes the text-direction index (it has the suffix array).
 func (bi *BiIndex) Forward() *Index { return bi.fwd }
 
-// SizeBytes returns the host footprint of both directions and the
-// short-pattern table (8 bytes an entry).
+// SizeBytes returns the host footprint of both directions and the prefix
+// tables. The forward table counts in the forward index's footprint while it
+// is attached there, so it is added only when it is not: compared now, not
+// at construction, since the forward index's table may have been swapped.
 func (bi *BiIndex) SizeBytes() int {
-	return bi.fwd.SizeBytes() + bi.rev.SizeBytes() + 8*len(bi.short)
+	size := bi.fwd.SizeBytes() + bi.rev.SizeBytes()
+	if bi.rtab != nil {
+		size += bi.rtab.SizeBytes()
+		if bi.ftab != bi.fwd.Ftab() {
+			size += bi.ftab.SizeBytes()
+		}
+	}
+	return size
 }
 
 // Len returns the text length.

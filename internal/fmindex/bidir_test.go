@@ -111,17 +111,19 @@ func TestBiRevIntervalIsReverseCount(t *testing.T) {
 	}
 }
 
-// withoutShort returns bi with the short-pattern table detached: every
-// extension ranks, as before the table existed.
+// withoutShort returns bi with the prefix tables out of use: every
+// extension ranks, as before the tables existed.
 func withoutShort(bi *BiIndex) *BiIndex {
 	plain := *bi
-	plain.k, plain.short = 0, nil
+	plain.k = 0
 	return &plain
 }
 
-// TestShortTableMatchesExtensions is the table's whole contract: every entry
-// of every level is the interval chained extension reaches — from either end
-// — and strings absent from the text read back as the empty interval. The
+// TestShortTableMatchesExtensions is the tables' whole contract: every
+// string of every level up to the order reads back as the interval chained
+// extension reaches — from either end — and strings absent from the text as
+// the empty interval. NewBiIndex builds the forward direction without a
+// table, so the BiIndex holds two of its own, one int32 per k-mer each. The
 // texts cover no table at all (n < 4), n below 4^maxShortK, exact powers of
 // four, a text missing a symbol, and a repetitive one.
 func TestShortTableMatchesExtensions(t *testing.T) {
@@ -146,9 +148,13 @@ func TestShortTableMatchesExtensions(t *testing.T) {
 		for wantK < maxShortK && pow4(wantK+1) <= len(text) {
 			wantK++
 		}
-		if bi.k != wantK || len(bi.short) != shortBase(wantK+1) {
-			t.Fatalf("n=%d: order %d with %d entries, want order %d with %d",
-				len(text), bi.k, len(bi.short), wantK, shortBase(wantK+1))
+		tables := 0
+		if wantK > 0 {
+			tables = 2 * (4*(pow4(wantK)+1) + ftabFixedBytes)
+		}
+		if got := bi.SizeBytes() - bi.fwd.SizeBytes() - bi.rev.SizeBytes(); bi.k != wantK || got != tables {
+			t.Fatalf("n=%d: order %d with %d table bytes, want order %d with %d",
+				len(text), bi.k, got, wantK, tables)
 		}
 		pattern := make([]uint8, bi.k)
 		for l := 1; l <= bi.k; l++ {

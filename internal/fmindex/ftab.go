@@ -158,34 +158,46 @@ func (f *Ftab) Lookup(key int) Range {
 // is one below the next string's first k-mer, less the short suffixes
 // sorting there.
 func (f *Ftab) span(l, key int) Range {
-	shift := 2 * (f.k - l)
-	first, next := key<<shift, (key+1)<<shift
+	next := (key + 1) << (2 * (f.k - l))
 	return Range{
-		Start: int(f.bounds[first]) - f.tail.below(f.k, uint32(first), l),
+		Start: f.start(l, key),
 		End:   int(f.bounds[next]) - f.tail.below(f.k, uint32(next), 1) - 1,
 	}
+}
+
+// start is span(l, key).Start, reading one bound.
+func (f *Ftab) start(l, key int) int {
+	first := key << (2 * (f.k - l))
+	return int(f.bounds[first]) - f.tail.below(f.k, uint32(first), l)
 }
 
 // death returns the range Count dies with on the absent k-mer key: it steps
 // the suffixes from the shortest, and the first absent one, y, leaves
 // [lb(y), lb(y)-1], where lb(y) is the start of y's (empty) span — or Step's
-// [1, 0] when y starts with a symbol outside the index's alphabet. Every
-// longer suffix contains y, so is absent too: y's length is found by
-// bisection.
+// [1, 0] when y starts with a symbol outside the index's alphabet.
 func (f *Ftab) death(key int) Range {
-	short, long := 0, f.k // the suffix of length short occurs, of length long not
-	for long-short > 1 {
-		if l := (short + long) / 2; f.span(l, key&(1<<(2*l)-1)).Empty() {
-			long = l
-		} else {
-			short = l
-		}
-	}
+	long := f.presentSuffix(f.k, key) + 1
 	if key>>(2*(long-1))&3 >= f.sigma {
 		return Range{Start: 1, End: 0}
 	}
-	start := f.span(long, key&(1<<(2*long)-1)).Start
+	start := f.start(long, key&(1<<(2*long)-1))
 	return Range{Start: start, End: start - 1}
+}
+
+// presentSuffix returns the length of the longest suffix of the absent
+// l-symbol string key that occurs in the text. Every suffix longer than an
+// absent one contains it, so is absent too: the length is found by
+// bisection.
+func (f *Ftab) presentSuffix(l, key int) int {
+	short, long := 0, l // the suffix of length short occurs, of length long not
+	for long-short > 1 {
+		if m := (short + long) / 2; f.span(m, key&(1<<(2*m)-1)).Empty() {
+			long = m
+		} else {
+			short = m
+		}
+	}
+	return short
 }
 
 // forEach calls fn with every k-mer's range in key order, as Lookup returns

@@ -158,9 +158,9 @@ func TestFtabValidateRejectsForeignTable(t *testing.T) {
 	}
 }
 
-// TestTableBytes pins both prefix tables' footprint: an Ftab holds one int32
-// bound per k-mer plus a terminal, and a fixed part; the short-pattern table
-// one 8-byte entry per string of 1..k symbols plus a terminal per level.
+// TestTableBytes pins the prefix tables' footprint: an Ftab holds one int32
+// bound per k-mer plus a terminal, and a fixed part; a BiIndex over a
+// forward direction without a table holds two, one per direction.
 func TestTableBytes(t *testing.T) {
 	ix, _ := ftabTestIndex(t, 3000, 16)
 	for k := 1; k <= 7; k++ {
@@ -173,14 +173,10 @@ func TestTableBytes(t *testing.T) {
 		}
 	}
 	bi := buildBi(t, buildText(rand.New(rand.NewSource(17)), 5000))
-	entries := 0
-	for l := 1; l <= bi.k; l++ {
-		entries += pow4(l) + 1
+	if bi.k != 6 || bi.ftab.K() != 6 || bi.rtab.K() != 6 {
+		t.Fatalf("order %d with tables of order %d and %d, want 6", bi.k, bi.ftab.K(), bi.rtab.K())
 	}
-	if bi.k != 6 || len(bi.short) != entries {
-		t.Fatalf("order %d with %d entries, want order 6 with %d", bi.k, len(bi.short), entries)
-	}
-	if got, want := bi.SizeBytes(), bi.fwd.SizeBytes()+bi.rev.SizeBytes()+8*entries; got != want {
+	if got, want := bi.SizeBytes(), bi.fwd.SizeBytes()+bi.rev.SizeBytes()+2*(4*(pow4(6)+1)+ftabFixedBytes); got != want {
 		t.Errorf("BiIndex SizeBytes %d, want %d", got, want)
 	}
 }

@@ -90,11 +90,11 @@ func FuzzSearchWithFtab(f *testing.F) {
 	})
 }
 
-// FuzzShortTable checks the short-pattern table against its definition on
-// texts of up to 2 000 symbols over at most four, with a tail appended so
-// that the text's short suffixes land inside other strings' gaps: every
-// level's entry must equal the ExtendLeft and the ExtendRight chain over the
-// string and hold as many rows as the text has occurrences.
+// FuzzShortTable checks the SMEM search's prefix-table lookups against their
+// definition on texts of up to 2 000 symbols over at most four, with a tail
+// appended so that the text's short suffixes land inside other strings'
+// gaps: every level's lookup must equal the ExtendLeft and the ExtendRight
+// chain over the string and hold as many rows as the text has occurrences.
 func FuzzShortTable(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 0, 1, 2, 2, 3, 1, 0, 0, 3, 2, 1, 3, 3}, []byte{0, 0, 0}, uint8(3))
 	f.Add([]byte{2, 2, 1, 0, 3, 3, 1, 2, 0, 2, 1, 1, 3, 0, 2, 3, 1, 0, 2, 2, 3}, []byte{1, 0}, uint8(3))

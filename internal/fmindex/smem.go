@@ -78,25 +78,43 @@ func (bi *BiIndex) SMEMsAppend(dst []SMEM, pattern []uint8, minLen int) ([]SMEM,
 	return dst, steps, nil
 }
 
-// longestEndingAt extends the empty match left from end, one symbol at a
-// time and not past lo, and returns where it stopped — L(end) when that is
-// lo or more — with the interval and short-table key of P[start, end).
+// longestEndingAt extends the empty match left from end, not past lo and
+// not over a symbol outside the alphabet, and returns where it stopped —
+// L(end) when that is lo or more — with the interval and table key of
+// P[start, end). The window of the first up to k symbols is read with one
+// table lookup; only when it is absent is its longest occurring suffix
+// bisected for. Beyond k, every extension ranks. Steps are counted as the
+// walk one symbol at a time takes them, the failing extension included.
 func (bi *BiIndex) longestEndingAt(pattern []uint8, end, lo int, steps *int) (int, BiRange, uint32) {
-	rows, key := bi.All(), uint32(0)
-	s := end
+	s, key := end, uint32(0)
+	for ; end-s < bi.k && s > lo && int(pattern[s-1]) < bi.sigma; s-- {
+		key |= uint32(pattern[s-1]) << (2 * (end - s))
+	}
+	rows := bi.All()
+	if w := end - s; w > 0 {
+		if rows = bi.lookup(w, key); rows.Empty() {
+			l := bi.ftab.presentSuffix(w, int(key))
+			*steps += l + 1
+			if key, rows = key&(1<<(2*l)-1), bi.All(); l > 0 {
+				rows = bi.lookup(l, key)
+			}
+			return end - l, rows, key
+		}
+		*steps += w
+	}
 	for ; s > lo && int(pattern[s-1]) < bi.sigma; s-- {
 		*steps++
-		r, k := bi.extendLeftAt(rows, end-s, key, pattern[s-1])
+		r := bi.ExtendLeft(rows, pattern[s-1])
 		if r.Empty() {
 			break
 		}
-		rows, key = r, k
+		rows = r
 	}
 	return s, rows, key
 }
 
 // longestStartingAt extends the match P[start, end) right, rows and key
-// being its interval and short-table key, and returns R(start) with the
+// being its interval and table key, and returns R(start) with the
 // interval of P[start, R(start)).
 func (bi *BiIndex) longestStartingAt(pattern []uint8, start, end int, rows BiRange, key uint32, steps *int) (int, BiRange) {
 	for ; end < len(pattern) && int(pattern[end]) < bi.sigma; end++ {

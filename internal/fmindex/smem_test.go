@@ -209,6 +209,39 @@ func FuzzSMEMs(f *testing.F) {
 	f.Add(long, []byte{0, 1, 2, 3, 3, 2, 4, 1, 3, 2, 1, 2, 3, 0, 2}, uint8(3))
 	f.Add(long, []byte{3, 0, 5, 5, 2, 2, 1, 0, 2, 3, 1, 2, 0, 3, 3, 0}, uint8(2))
 	f.Add(long, append(append([]byte{}, long[10:30]...), long[5:25]...), uint8(7))
+	// A 256-symbol text has order 4. Its patterns open with a window whose
+	// string is present, absent with a living shorter suffix, and cut by an
+	// out-of-alphabet symbol at each offset from its end, at a minimum length
+	// below and above the order.
+	window := make([]byte, 256)
+	for i, c := range buildText(rand.New(rand.NewSource(61)), len(window)) {
+		window[i] = byte(c)
+	}
+	var present [256]bool
+	for i := 0; i+4 <= len(window); i++ {
+		present[int(window[i])<<6|int(window[i+1])<<4|int(window[i+2])<<2|int(window[i+3])] = true
+	}
+	absent := 0 // a 4-mer the text lacks whose 3-symbol suffix it holds
+	for present[absent] || !present[absent&63] {
+		absent++
+	}
+	cut := func(at int) []byte { return append([]byte(nil), window[at:at+30]...) }
+	for _, minLen := range []int{3, 7} {
+		f.Add(window, cut(100), uint8(minLen-1))
+		planted, end := cut(150), minLen // the first window ends with the 4-mer
+		if end < 4 {
+			end = 10 // a window of the order opens after the first SMEM
+		}
+		for i := range 4 {
+			planted[end-4+i] = byte(absent >> (2 * (3 - i)) & 3)
+		}
+		f.Add(window, planted, uint8(minLen-1))
+		for offset := range min(minLen, 4) {
+			broken := cut(40)
+			broken[minLen-1-offset] = byte(4 + offset%2)
+			f.Add(window, broken, uint8(minLen-1))
+		}
+	}
 	f.Fuzz(func(t *testing.T, textB, patB []byte, minLenB uint8) {
 		if len(textB) == 0 || len(textB) > 300 || len(patB) == 0 || len(patB) > 80 {
 			t.Skip()

@@ -252,9 +252,10 @@ func TestMemJobSingleEnd(t *testing.T) {
 // TestCacheBytesCountMemState: the server builds its indexes with a sampled
 // suffix array, and /api/stats charges a cached index the host bytes it
 // holds when asked, so a mem job on the index an exact job cached grows
-// cache.size_bytes by at least the short-pattern table EnsureMem builds —
-// every DNA string of 1…k symbols and a terminal per level at 8 bytes,
-// k = ⌊log₄ 20 000⌋ = 7 — to the index's HostBytes.
+// cache.size_bytes by at least the reverse prefix table EnsureMem builds
+// beside the reverse direction and the text — a 4-byte bound per DNA string
+// of k symbols and a terminal, k = ⌊log₄ 20 000⌋ = 7; the forward table is
+// the exact path's — to the index's HostBytes.
 func TestCacheBytesCountMemState(t *testing.T) {
 	refFasta, readsFastq, _ := memTestData(t)
 	s := openServer(t, Config{})
@@ -267,10 +268,10 @@ func TestCacheBytesCountMemState(t *testing.T) {
 	submitJob(t, s, ts, map[string]string{"backend": "cpu", "mode": "mem-pe"}, files)
 	s.Wait()
 	mem := getStats(t, ts).Cache
-	const shortTable = 8 * ((1<<(2*8)-4)/3 + 7)
-	if mem.Entries != 1 || mem.SizeBytes-exact.SizeBytes < shortTable {
-		t.Errorf("cache size_bytes %d after the exact job, %d after the mem job (%d entries); want growth of at least the %d-byte short table",
-			exact.SizeBytes, mem.SizeBytes, mem.Entries, shortTable)
+	const reverseTable = 4 * (1<<(2*7) + 1)
+	if mem.Entries != 1 || mem.SizeBytes-exact.SizeBytes < reverseTable {
+		t.Errorf("cache size_bytes %d after the exact job, %d after the mem job (%d entries); want growth of at least the %d-byte reverse table",
+			exact.SizeBytes, mem.SizeBytes, mem.Entries, reverseTable)
 	}
 	s.cache.mu.Lock()
 	defer s.cache.mu.Unlock()
