@@ -43,9 +43,11 @@ bench-gate:
 # construction at 1 Mbp with and without the prefix table (B/base), the
 # exact batch engine, the mem batch engine with the SMEM search (steps/op,
 # table and ranked arms over a 256 kbp text whose tables stay in cache and a
-# 4 Mbp one whose tables do not) and the extension kernels it rests on (50
-# iterations, so warm-up allocations do not show), locate through the full
-# and the sampled suffix arrays (0 allocs/op on every arm), the read source
+# 4 Mbp one whose tables do not, that one also locating through samples at
+# rate 8) and the extension kernels it rests on (50 iterations, so warm-up
+# allocations do not show), the k-mismatch search (steps/op, 35 and 100 bp at
+# k = 1, 2 on the 4 Mbp text), locate through the full and the sampled
+# suffix arrays (0 allocs/op on every arm), the read source
 # beside the bare decode loop it must stay close to, and one warm job through
 # the served path (submit, journal, map, emit, stream).
 bench-smoke:
@@ -53,7 +55,7 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench='BenchmarkBuildIndex$$' -benchtime=1x ./internal/core
 	$(GO) test -run='^$$' -bench='BenchmarkMapReads$$' -benchtime=1x ./internal/core
 	$(GO) test -run='^$$' -bench='MapReadsMemInto|Extender' -benchtime=50x ./internal/core ./internal/align
-	$(GO) test -run='^$$' -bench='BenchmarkSMEMs$$|BenchmarkLocateAppend$$' -benchtime=50x ./internal/fmindex
+	$(GO) test -run='^$$' -bench='BenchmarkSMEMs$$|BenchmarkCountApprox$$|BenchmarkLocateAppend$$' -benchtime=50x ./internal/fmindex
 	$(GO) test -run='^$$' -bench='BenchmarkSource$$' -benchtime=10x ./internal/qc
 	$(GO) test -run='^$$' -bench='BenchmarkServedWarmExactJob$$' -benchtime=1x ./internal/server
 

@@ -224,7 +224,8 @@ func (s *MemStats) Add(r MemResult) {
 // memState is the lazily-built seed-and-extend substrate: the bidirectional
 // index for SMEM seeding and the reference text for extension. The text is
 // reconstructed from the index itself (ExtractReference), so a cache-restored
-// index needs no access to the original FASTA.
+// index needs no access to the original FASTA. bi was built over ref and
+// reads the same array, so the text is held once.
 type memState struct {
 	bi  *fmindex.BiIndex
 	ref dna.Seq
@@ -399,6 +400,10 @@ func (st *memState) mapRead(sc *memScratch, read dna.Seq, opts MemOptions) (MemR
 		// one bounds the seeding latency (like MapResult.Steps).
 		out.SeedSteps = max(out.SeedSteps, steps)
 		for _, s := range smems {
+			if s.Pos >= 0 { // the match occurs once, and the search located it
+				seeds = append(seeds, Seed{QStart: s.Start, QEnd: s.End, RPos: s.Pos})
+				continue
+			}
 			if s.Rows.Count() > opts.MaxSeedHits {
 				continue // hyper-repetitive seed: ambiguity guard
 			}

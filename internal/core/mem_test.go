@@ -463,3 +463,42 @@ func TestEnsureFtabAfterEnsureMem(t *testing.T) {
 		}
 	}
 }
+
+// TestMemWorkPinned holds the seed-and-extend pipeline's work counters on a
+// fixed paired read set over a 1.16 Mbp E. coli-like reference, where most
+// seeding windows occur once, to the figures the search produced when every
+// extension ranked: SeedSteps drives the FPGA model's pass-1 cycles, so the
+// SMEM search may change how it extends a match, never how many steps it
+// counts. The served configuration (suffix array sampled at rate 8) walks LF
+// to locate and must count the same.
+func TestMemWorkPinned(t *testing.T) {
+	ref, err := readsim.EColiLike(37, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := readsim.SimulatePairs(ref, readsim.PairConfig{
+		Count: 200, ReadLength: 150, InsertMean: 400, InsertStdDev: 40,
+		MappingRatio: 0.9, ErrorRate: 0.02, Seed: 38,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := make([]dna.Seq, 0, 2*len(sim))
+	for _, p := range sim {
+		reads = append(reads, p.R1, p.R2)
+	}
+	const seedSteps, seeds, cells = 80181, 1288, 718200
+	for _, cfg := range []IndexConfig{
+		{FtabK: DefaultFtabK},
+		{Locate: LocateSampled, SampleRate: 8, FtabK: DefaultFtabK},
+	} {
+		_, stats, err := mustBuild(t, ref, cfg).MapReadsMem(reads, MemOptions{Paired: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.SeedSteps != seedSteps || stats.Seeds != seeds || stats.Cells != cells {
+			t.Errorf("locate %v: %d seed steps, %d seeds, %d cells; want %d, %d, %d",
+				cfg.Locate, stats.SeedSteps, stats.Seeds, stats.Cells, seedSteps, seeds, cells)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package fmindex
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"bwaver/internal/bwt"
@@ -160,32 +161,50 @@ func BenchmarkSearchWithFtab(b *testing.B) {
 	}
 }
 
+// bench4M builds, once per test binary, a locating index over 4 Mbp of
+// random DNA: its rank structure does not fit in cache.
+var bench4M = sync.OnceValues(func() (*Index, []uint8) {
+	text := buildText(rand.New(rand.NewSource(7)), 1<<22)
+	ix, err := buildDirection(text, 4, rrr.DefaultParams, true)
+	if err != nil {
+		panic(err)
+	}
+	return ix, text
+})
+
 // BenchmarkSMEMs times the seeding search on 150 bp reads with 2 %
-// substitutions, with the prefix tables and with every extension ranked;
-// steps/op is the extension count, the same on both arms. The 256 kbp
-// repeat-structured text has order 9 and tables that stay in cache. The
-// 4 Mbp random one has order 10 and 4 MiB tables that do not; its forward
-// table is the exact path's, attached before the BiIndex is built, as
-// EnsureMem finds it.
+// substitutions, with the prefix tables and with every extension ranked
+// until the match occurs once; steps/op is the extension count, the same on
+// both arms. The 256 kbp repeat-structured text has order 9 and tables that
+// stay in cache. The 4 Mbp random one has order 10 and 4 MiB tables that do
+// not; its forward table is the exact path's, attached before the BiIndex is
+// built, as EnsureMem finds it. Every forward direction locates, as
+// NewBiIndexOver requires: through the full suffix array, and on 4M/sampled-8
+// — the served configuration — through samples at rate 8, where entering a
+// unique match walks LF.
 func BenchmarkSMEMs(b *testing.B) {
 	small, smallText := benchIndex(b, func(d []uint8) (OccProvider, error) {
 		return NewWaveletOcc(d, 4, rrr.DefaultParams)
 	})
-	largeText := buildText(rand.New(rand.NewSource(7)), 1<<22)
-	large, err := buildDirection(largeText, 4, rrr.DefaultParams, false)
+	large, largeText := bench4M()
+	if large.Ftab() == nil {
+		ftab, err := large.BuildFtab(10)
+		if err != nil {
+			b.Fatal(err)
+		}
+		large.SetFtab(ftab)
+	}
+	samples, err := NewSampledSA(large.sa, 8)
 	if err != nil {
 		b.Fatal(err)
 	}
-	ftab, err := large.BuildFtab(10)
-	if err != nil {
-		b.Fatal(err)
-	}
-	large.SetFtab(ftab)
+	sampled := *large
+	sampled.sa, sampled.sampled = nil, samples
 	for _, size := range []struct {
 		name string
 		fwd  *Index
 		text []uint8
-	}{{"256k", small, smallText}, {"4M", large, largeText}} {
+	}{{"256k", small, smallText}, {"4M", large, largeText}, {"4M/sampled-8", &sampled, largeText}} {
 		bi, err := NewBiIndexOver(size.fwd, size.text, rrr.DefaultParams)
 		if err != nil {
 			b.Fatal(err)
@@ -222,20 +241,48 @@ func BenchmarkSMEMs(b *testing.B) {
 	}
 }
 
+// BenchmarkCountApprox times the k-mismatch search and reports its
+// backward-search steps per pattern: 35 bp with one substitution at k = 0,
+// 1, 2 over the 256 kbp text, and 35 bp and 100 bp patterns, each with one
+// substitution, at k = 1 and 2 over the 4 Mbp text, whose rank structure
+// does not fit in cache.
 func BenchmarkCountApprox(b *testing.B) {
-	ix, text := benchIndex(b, func(d []uint8) (OccProvider, error) {
+	small, smallText := benchIndex(b, func(d []uint8) (OccProvider, error) {
 		return NewWaveletOcc(d, 4, rrr.DefaultParams)
 	})
-	pattern := append([]uint8(nil), text[5000:5035]...)
-	pattern[17] ^= 1 // one mismatch
+	large, largeText := bench4M()
+	type arm struct {
+		name    string
+		ix      *Index
+		pattern []uint8
+		k       int
+	}
+	withMismatch := func(text []uint8, at, n int) []uint8 {
+		p := append([]uint8(nil), text[at:at+n]...)
+		p[n/2] ^= 1
+		return p
+	}
+	var arms []arm
 	for _, k := range []int{0, 1, 2} {
-		b.Run("k="+string(rune('0'+k)), func(b *testing.B) {
+		arms = append(arms, arm{fmt.Sprintf("256k/35bp/k=%d", k), small, withMismatch(smallText, 5000, 35), k})
+	}
+	for _, n := range []int{35, 100} {
+		for _, k := range []int{1, 2} {
+			arms = append(arms, arm{fmt.Sprintf("4M/%dbp/k=%d", n, k), large, withMismatch(largeText, 1<<21, n), k})
+		}
+	}
+	for _, a := range arms {
+		b.Run(a.name, func(b *testing.B) {
 			b.ReportAllocs()
+			steps := 0
 			for i := 0; i < b.N; i++ {
-				if _, err := ix.CountApprox(pattern, k); err != nil {
+				_, n, err := a.ix.CountApproxSteps(a.pattern, a.k)
+				if err != nil {
 					b.Fatal(err)
 				}
+				steps += n
 			}
+			b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
 		})
 	}
 }

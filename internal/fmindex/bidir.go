@@ -19,6 +19,9 @@ import (
 type BiIndex struct {
 	fwd, rev *Index
 	sigma    int
+	// text is the text the index was built over, the caller's array: the
+	// SMEM search reads it once a match occurs once.
+	text textView
 
 	// k is the order of the prefix tables the SMEM search reads every
 	// extension whose result is at most k symbols long from — the widest
@@ -52,7 +55,8 @@ func (r BiRange) Count() int { return r.Fwd.Count() }
 
 // NewBiIndex builds bidirectional FM-indexes over text using the paper's
 // succinct structure for both directions. The forward index carries the
-// full suffix array for locating; the reverse index is count-only.
+// full suffix array for locating; the reverse index is count-only. The
+// index keeps text, which the caller must not modify.
 func NewBiIndex[E ~uint8](text []E, sigma int, params rrr.Params) (*BiIndex, error) {
 	fwd, err := buildDirection(text, sigma, params, true)
 	if err != nil {
@@ -64,10 +68,16 @@ func NewBiIndex[E ~uint8](text []E, sigma int, params rrr.Params) (*BiIndex, err
 // NewBiIndexOver pairs fwd, an index already built over text, with a freshly
 // built count-only index over the reversed text, and takes the prefix
 // tables: a caller that holds the forward direction and its table (the exact
-// mapping index) pays for the reverse ones only.
+// mapping index) pays for the reverse ones only. fwd must locate — through
+// a full or a sampled suffix array — because the SMEM search locates a
+// match that occurs once and reads text from there on. The index keeps text,
+// which the caller must not modify.
 func NewBiIndexOver[E ~uint8](fwd *Index, text []E, params rrr.Params) (*BiIndex, error) {
 	if fwd.Len() != len(text) {
 		return nil, fmt.Errorf("fmindex: forward index covers %d symbols, text has %d", fwd.Len(), len(text))
+	}
+	if fwd.sa == nil && fwd.sampled == nil {
+		return nil, errNoLocate
 	}
 	reversed := make([]uint8, len(text))
 	for i, c := range text {
@@ -77,7 +87,7 @@ func NewBiIndexOver[E ~uint8](fwd *Index, text []E, params rrr.Params) (*BiIndex
 	if err != nil {
 		return nil, fmt.Errorf("fmindex: reverse index: %w", err)
 	}
-	bi := &BiIndex{fwd: fwd, rev: rev, sigma: fwd.sigma}
+	bi := &BiIndex{fwd: fwd, rev: rev, sigma: fwd.sigma, text: textOf[E](text)}
 	if err := bi.takeTables(); err != nil {
 		return nil, fmt.Errorf("fmindex: prefix tables: %w", err)
 	}
@@ -165,9 +175,10 @@ func buildDirection[E ~uint8](text []E, sigma int, params rrr.Params, withSA boo
 func (bi *BiIndex) Forward() *Index { return bi.fwd }
 
 // SizeBytes returns the host footprint of both directions and the prefix
-// tables. The forward table counts in the forward index's footprint while it
-// is attached there, so it is added only when it is not: compared now, not
-// at construction, since the forward index's table may have been swapped.
+// tables; the text is the caller's and not counted. The forward table counts
+// in the forward index's footprint while it is attached there, so it is
+// added only when it is not: compared now, not at construction, since the
+// forward index's table may have been swapped.
 func (bi *BiIndex) SizeBytes() int {
 	size := bi.fwd.SizeBytes() + bi.rev.SizeBytes()
 	if bi.rtab != nil {

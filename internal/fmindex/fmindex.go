@@ -368,7 +368,7 @@ func (ix *Index) LocateAppend(dst []int32, r Range) ([]int32, error) {
 		return append(dst, ix.sa[r.Start:r.End+1]...), nil
 	}
 	if ix.sampled == nil {
-		return dst, errors.New("fmindex: index built without locate support")
+		return dst, errNoLocate
 	}
 	for row := r.Start; row <= r.End; row++ {
 		pos, err := ix.locateOne(row)
@@ -378,6 +378,20 @@ func (ix *Index) LocateAppend(dst []int32, r Range) ([]int32, error) {
 		dst = append(dst, pos)
 	}
 	return dst, nil
+}
+
+var errNoLocate = errors.New("fmindex: index built without locate support")
+
+// locateRow returns the text position of one row.
+func (ix *Index) locateRow(row int) (int, error) {
+	if ix.sa != nil {
+		return int(ix.sa[row]), nil
+	}
+	if ix.sampled == nil {
+		return 0, errNoLocate
+	}
+	pos, err := ix.locateOne(row)
+	return int(pos), err
 }
 
 // locateOne walks LF from row to the nearest sampled row. A valid index gets

@@ -84,8 +84,9 @@ func TestSMEMsMatchBruteForce(t *testing.T) {
 	}
 }
 
-// checkSMEMs compares the search with bruteSMEMs and every interval with the
-// plain index's count of its slice.
+// checkSMEMs compares the search with bruteSMEMs, every repeated match's
+// interval with the plain index's count of its slice, and every unique
+// match's position with the plain index's one located row.
 func checkSMEMs(t *testing.T, bi *BiIndex, text, pattern []uint8, minLen int) {
 	t.Helper()
 	want := bruteSMEMs(text, pattern, minLen)
@@ -102,10 +103,20 @@ func checkSMEMs(t *testing.T, bi *BiIndex, text, pattern []uint8, minLen int) {
 			t.Fatalf("minLen %d: SMEM %d = [%d,%d), want [%d,%d)",
 				minLen, i, got[i].Start, got[i].End, want[i][0], want[i][1])
 		}
-		// The interval must count the slice's occurrences.
 		plain := bi.Forward().Count(pattern[got[i].Start:got[i].End])
-		if got[i].Rows.Fwd != plain {
-			t.Fatalf("minLen %d: SMEM %d rows %v, plain %v", minLen, i, got[i].Rows.Fwd, plain)
+		if plain.Count() > 1 {
+			// The interval must count the slice's occurrences.
+			if got[i].Rows.Fwd != plain || got[i].Pos != -1 {
+				t.Fatalf("minLen %d: SMEM %d rows %v at %d, plain %v", minLen, i, got[i].Rows.Fwd, got[i].Pos, plain)
+			}
+			continue
+		}
+		at, err := bi.Forward().Locate(plain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i].Rows != SingleRow || got[i].Pos != at[0] {
+			t.Fatalf("minLen %d: SMEM %d rows %v at %d, plain %v at %v", minLen, i, got[i].Rows, got[i].Pos, plain, at)
 		}
 	}
 }
@@ -242,6 +253,13 @@ func FuzzSMEMs(f *testing.F) {
 			f.Add(window, broken, uint8(minLen-1))
 		}
 	}
+	// A unique match that starts at the text's first symbol, and one that
+	// ends at its last: the left and the right comparison fail at the text's
+	// edge. A text of two equal halves holds no unique match.
+	edges := []byte{0, 1, 2, 3, 3, 1, 0, 2, 2, 1, 3, 0, 1, 1, 2, 0}
+	f.Add(edges, []byte{3, 0, 1, 2, 3, 3, 1, 0}, uint8(2))
+	f.Add(edges, []byte{1, 3, 0, 1, 1, 2, 0, 3}, uint8(2))
+	f.Add(append(append([]byte{}, edges...), edges...), append([]byte{2}, edges[4:12]...), uint8(1))
 	f.Fuzz(func(t *testing.T, textB, patB []byte, minLenB uint8) {
 		if len(textB) == 0 || len(textB) > 300 || len(patB) == 0 || len(patB) > 80 {
 			t.Skip()
@@ -275,9 +293,16 @@ func FuzzSMEMs(f *testing.F) {
 			if got[i].Start != want[i][0] || got[i].End != want[i][1] {
 				t.Fatalf("SMEM %d = [%d,%d), want [%d,%d)", i, got[i].Start, got[i].End, want[i][0], want[i][1])
 			}
-			if got[i].Rows.Count() != len(naiveOccurrences(text, pattern[got[i].Start:got[i].End])) {
-				t.Fatalf("SMEM %d interval size %d, text has %d occurrences",
-					i, got[i].Rows.Count(), len(naiveOccurrences(text, pattern[got[i].Start:got[i].End])))
+			occ := naiveOccurrences(text, pattern[got[i].Start:got[i].End])
+			if got[i].Rows.Count() != len(occ) {
+				t.Fatalf("SMEM %d interval size %d, text has %d occurrences", i, got[i].Rows.Count(), len(occ))
+			}
+			want := int32(-1)
+			if len(occ) == 1 {
+				want = occ[0]
+			}
+			if got[i].Pos != want {
+				t.Fatalf("SMEM %d at %d, text has it at %v", i, got[i].Pos, occ)
 			}
 		}
 		// The short-pattern table is a cache of rank results: the search must
@@ -314,5 +339,68 @@ func TestSMEMsInvalidSymbolSkipped(t *testing.T) {
 	// [0,2) and [3,5) are the expected matches around the bad symbol.
 	if len(smems) != 2 || smems[0].End != 2 || smems[1].Start != 3 {
 		t.Fatalf("SMEMs around invalid symbol = %v", smemIntervals(smems))
+	}
+}
+
+// TestSMEMsLocate runs the search over one text with the forward direction
+// locating through the full suffix array, through samples at rate 8 (the
+// served configuration, where entering a unique match walks LF) and through
+// corrupt samples, and builds it over a forward direction that cannot
+// locate. The first two must agree on every SMEM and step; a locate that
+// fails must come back as the search's error; the last must be refused.
+func TestSMEMsLocate(t *testing.T) {
+	rng := rand.New(rand.NewSource(115))
+	text := buildText(rng, 3000)
+	full := buildBi(t, text)
+	samples, err := NewSampledSA(full.fwd.sa, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sampledFwd := *full.fwd
+	sampledFwd.sa, sampledFwd.sampled = nil, samples
+	sampled, err := NewBiIndexOver(&sampledFwd, text, testParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every sample claims the text's end: a walk of one LF step or more
+	// locates past it.
+	corruptFwd := sampledFwd
+	corruptFwd.sampled = &SampledSA{rate: 8, marks: samples.marks, values: make([]int32, len(samples.values))}
+	for i := range corruptFwd.sampled.values {
+		corruptFwd.sampled.values[i] = int32(len(text))
+	}
+	corrupt, err := NewBiIndexOver(&corruptFwd, text, testParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := 0
+	for trial := 0; trial < 50; trial++ {
+		s := rng.Intn(len(text) - 60)
+		pattern := append([]uint8(nil), text[s:s+60]...)
+		pattern[rng.Intn(len(pattern))] ^= 1
+		want, wantSteps, err := full.SMEMsSteps(pattern, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, steps, err := sampled.SMEMsSteps(pattern, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) || steps != wantSteps {
+			t.Fatalf("trial %d: sampled %v in %d steps, full %v in %d", trial, got, steps, want, wantSteps)
+		}
+		if _, _, err := corrupt.SMEMsSteps(pattern, 11); err != nil {
+			failed++
+		}
+	}
+	if failed == 0 {
+		t.Error("no search over corrupt samples returned an error")
+	}
+	countOnly, err := buildDirection(text, 4, testParams, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewBiIndexOver(countOnly, text, testParams); err == nil {
+		t.Error("a forward direction that cannot locate was accepted")
 	}
 }

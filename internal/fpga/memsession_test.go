@@ -161,3 +161,33 @@ func TestMemSessionUnderFaults(t *testing.T) {
 		})
 	}
 }
+
+// TestMemSessionCyclesPinned holds a mem session's modeled kernel cycles to
+// the figure the SMEM search produced when every extension ranked: the
+// search's step count drives pass 1, so a faster host search must leave the
+// model where it was.
+func TestMemSessionCyclesPinned(t *testing.T) {
+	ix, reads := memBatch(t, 200000, 120)
+	dev, err := NewDevice(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	farm, err := NewFarm([]*Device{dev}, ix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	session := farm.NewMemSession(core.MemOptions{Paired: true}, MapRunOptions{})
+	var kernel, seed uint64
+	for _, batch := range batchesOf(reads, 80) {
+		run, err := session.Map(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kernel += run.Profile.KernelCycles
+		seed += run.SeedCycles
+	}
+	const wantKernel, wantSeed = 156399, 19263
+	if kernel != wantKernel || seed != wantSeed {
+		t.Errorf("session charged %d kernel cycles, %d of them seeding; want %d and %d", kernel, seed, wantKernel, wantSeed)
+	}
+}
