@@ -42,9 +42,11 @@ bench-gate:
 # are worth a glance in CI output: the two suffix-array constructions, index
 # construction at 1 Mbp with and without the prefix table (B/base), the
 # exact batch engine, the mem batch engine with the SMEM search (steps/op,
-# table and ranked arms over a 256 kbp text whose tables stay in cache and a
+# table and ranked arms over a 256 kbp text whose tables stay in cache, a
 # 4 Mbp one whose tables do not, that one also locating through samples at
-# rate 8) and the extension kernels it rests on (50 iterations, so warm-up
+# rate 8, and 1M/repeats, a 1 Mbp text of segments written 2 to 16 times
+# whose matches are located and extended by reading the text) and the
+# extension kernels it rests on (50 iterations, so warm-up
 # allocations do not show), the k-mismatch search (steps/op, 35 and 100 bp at
 # k = 1, 2 on the 4 Mbp text), locate through the full and the sampled
 # suffix arrays (0 allocs/op on every arm), the read source

@@ -70,6 +70,9 @@ func BenchmarkExtenderExtendSeed(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		// Once per read, as the mem pipeline does: without it the op slab
+		// grows with every call.
+		e.Reset()
 		if _, err := e.ExtendSeed(query, ref, 60, 40060, 20, 12, DefaultScoring); err != nil {
 			b.Fatal(err)
 		}

@@ -128,8 +128,13 @@ func (e *Extender) bandedSW(query, ref dna.Seq, delta, band int, sc Scoring) (Re
 	if m == 0 || n == 0 {
 		return Result{}, false
 	}
+	// Row i of the band is H[i*s : i*s+w], k = j - i - delta + band, and
+	// one zero pad column follows it: the up-neighbour of k = w-1 reads 0,
+	// which loses to the clamp at 0 since Gap < 0, as an absent one does.
 	w := 2*band + 1
-	H := e.grid((m + 1) * w)
+	s := w + 1
+	H := e.grid((m + 1) * s)
+	match, mismatch, gap := int32(sc.Match), int32(sc.Mismatch), int32(sc.Gap)
 	zd := int32(0)
 	if z := e.zdrop(); z > 0 {
 		zd = int32(z)
@@ -141,33 +146,28 @@ func (e *Extender) bandedSW(query, ref dna.Seq, delta, band int, sc Scoring) (Re
 		jLo := max(1, i+delta-band)
 		jHi := min(n, i+delta+band)
 		rowMax := int32(0)
-		for j := jLo; j <= jHi; j++ {
-			k := j - i - delta + band
-			cells++
-			sub := int32(sc.Mismatch)
-			if query[i-1] == ref[j-1] {
-				sub = int32(sc.Match)
-			}
-			v := H[(i-1)*w+k] + sub
-			if k+1 < w {
-				if up := H[(i-1)*w+k+1] + int32(sc.Gap); up > v {
-					v = up
+		if jLo <= jHi {
+			kLo := jLo - i - delta + band
+			prev, cur := H[(i-1)*s:i*s], H[i*s:(i+1)*s]
+			q, r := query[i-1], ref[jLo-1:jHi]
+			cells += len(r)
+			left := int32(0) // the left neighbour of kLo is 0 or absent
+			for x, c := range r {
+				k := kLo + x
+				v := prev[k] + mismatch
+				if q == c {
+					v = prev[k] + match
 				}
+				v = max(v, prev[k+1]+gap, left+gap, 0)
+				cur[k], left = v, v
+				rowMax = max(rowMax, v)
 			}
-			if k-1 >= 0 {
-				if left := H[i*w+k-1] + int32(sc.Gap); left > v {
-					v = left
+			// The first cell of the row holding its maximum is where a
+			// row-major scan for a strictly larger score stops.
+			if rowMax > best {
+				best, bi, bestRow = rowMax, i, i
+				for bk = kLo; cur[bk] != rowMax; bk++ {
 				}
-			}
-			if v < 0 {
-				v = 0
-			}
-			H[i*w+k] = v
-			if v > rowMax {
-				rowMax = v
-			}
-			if v > best {
-				best, bi, bk, bestRow = v, i, k, i
 			}
 		}
 		// Z-drop: once past the best row, a row whose maximum has sunk more
@@ -188,21 +188,21 @@ func (e *Extender) bandedSW(query, ref dna.Seq, delta, band int, sc Scoring) (Re
 	i, k := bi, bk
 	for i > 0 {
 		j := i + delta + k - band
-		if j <= 0 || H[i*w+k] <= 0 {
+		if j <= 0 || H[i*s+k] <= 0 {
 			break
 		}
 		if k == 0 || k == w-1 {
 			edge = true
 		}
-		sub := int32(sc.Mismatch)
+		sub := mismatch
 		if query[i-1] == ref[j-1] {
-			sub = int32(sc.Match)
+			sub = match
 		}
 		switch {
-		case H[i*w+k] == H[(i-1)*w+k]+sub:
+		case H[i*s+k] == H[(i-1)*s+k]+sub:
 			e.ops = append(e.ops, OpMatch)
 			i--
-		case k+1 < w && H[i*w+k] == H[(i-1)*w+k+1]+int32(sc.Gap):
+		case k+1 < w && H[i*s+k] == H[(i-1)*s+k+1]+gap:
 			e.ops = append(e.ops, OpInsert)
 			i--
 			k++

@@ -399,18 +399,19 @@ func (st *memState) mapRead(sc *memScratch, read dna.Seq, opts MemOptions) (MemR
 		// The two orientations search in parallel pipelines, so the slower
 		// one bounds the seeding latency (like MapResult.Steps).
 		out.SeedSteps = max(out.SeedSteps, steps)
-		for _, s := range smems {
-			if s.Pos >= 0 { // the match occurs once, and the search located it
-				seeds = append(seeds, Seed{QStart: s.Start, QEnd: s.End, RPos: s.Pos})
-				continue
-			}
-			if s.Rows.Count() > opts.MaxSeedHits {
+		for i := range smems {
+			s := &smems[i]
+			if s.Count() > opts.MaxSeedHits {
 				continue // hyper-repetitive seed: ambiguity guard
 			}
-			positions, err := st.bi.Forward().LocateAppend(sc.posSlab[:0], s.Rows.Fwd)
-			sc.posSlab = positions[:0]
-			if err != nil {
-				return out, err
+			// A match of few occurrences comes located, in the row order
+			// LocateAppend would give.
+			positions := s.Positions()
+			if positions == nil {
+				if positions, err = st.bi.Forward().LocateAppend(sc.posSlab[:0], s.Rows.Fwd); err != nil {
+					return out, err
+				}
+				sc.posSlab = positions[:0]
 			}
 			for _, p := range positions {
 				seeds = append(seeds, Seed{QStart: s.Start, QEnd: s.End, RPos: p})

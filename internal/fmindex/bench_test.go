@@ -172,21 +172,55 @@ var bench4M = sync.OnceValues(func() (*Index, []uint8) {
 	return ix, text
 })
 
+// benchRepeats builds, once per test binary, a locating index over 1 Mbp
+// of random DNA in which half the text is rewritten with copies of
+// segments of 300–3000 bp, 1 to 15 copies of each, 1 % of a copy's bases
+// substituted: matches of 2 to 16 occurrences, the ones the SMEM search
+// locates and extends by reading the text.
+var benchRepeats = sync.OnceValues(func() (*Index, []uint8) {
+	rng := rand.New(rand.NewSource(8))
+	text := buildText(rng, 1<<20)
+	for rewritten := 0; rewritten < len(text)/2; {
+		l := 300 + rng.Intn(2701)
+		src := rng.Intn(len(text) - l)
+		for range 1 + rng.Intn(15) {
+			dst := rng.Intn(len(text) - l)
+			copy(text[dst:dst+l], text[src:src+l])
+			for j := dst; j < dst+l; j++ {
+				if rng.Intn(100) == 0 {
+					text[j] = uint8((int(text[j]) + 1 + rng.Intn(3)) % 4)
+				}
+			}
+			rewritten += l
+		}
+	}
+	ix, err := buildDirection(text, 4, rrr.DefaultParams, true)
+	if err != nil {
+		panic(err)
+	}
+	return ix, text
+})
+
 // BenchmarkSMEMs times the seeding search on 150 bp reads with 2 %
 // substitutions, with the prefix tables and with every extension ranked
-// until the match occurs once; steps/op is the extension count, the same on
-// both arms. The 256 kbp repeat-structured text has order 9 and tables that
-// stay in cache. The 4 Mbp random one has order 10 and 4 MiB tables that do
-// not; its forward table is the exact path's, attached before the BiIndex is
-// built, as EnsureMem finds it. Every forward direction locates, as
-// NewBiIndexOver requires: through the full suffix array, and on 4M/sampled-8
-// — the served configuration — through samples at rate 8, where entering a
-// unique match walks LF.
+// until the match has few enough occurrences to be located; steps/op is the
+// extension count, the same on both arms. The 256 kbp repeat-structured
+// text has order 9 and tables that stay in cache; it repeats one unit about
+// 25 times. The 4 Mbp random one has order 10 and 4 MiB tables that do not;
+// its forward table is the exact path's, attached before the BiIndex is
+// built, as EnsureMem finds it. The 1 Mbp one (1M/repeats, order 10) holds
+// segments written 2 to 16 times, the matches located through the full
+// suffix array and extended by reading the text at every occurrence. Every
+// forward direction locates, as NewBiIndexOver requires: through the full
+// suffix array, and on 4M/sampled-8 — the served configuration — through
+// samples at rate 8, where entering a unique match walks LF and a repeated
+// one stays ranked.
 func BenchmarkSMEMs(b *testing.B) {
 	small, smallText := benchIndex(b, func(d []uint8) (OccProvider, error) {
 		return NewWaveletOcc(d, 4, rrr.DefaultParams)
 	})
 	large, largeText := bench4M()
+	repeats, repeatsText := benchRepeats()
 	if large.Ftab() == nil {
 		ftab, err := large.BuildFtab(10)
 		if err != nil {
@@ -204,7 +238,12 @@ func BenchmarkSMEMs(b *testing.B) {
 		name string
 		fwd  *Index
 		text []uint8
-	}{{"256k", small, smallText}, {"4M", large, largeText}, {"4M/sampled-8", &sampled, largeText}} {
+	}{
+		{"256k", small, smallText},
+		{"4M", large, largeText},
+		{"4M/sampled-8", &sampled, largeText},
+		{"1M/repeats", repeats, repeatsText},
+	} {
 		bi, err := NewBiIndexOver(size.fwd, size.text, rrr.DefaultParams)
 		if err != nil {
 			b.Fatal(err)

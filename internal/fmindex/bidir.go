@@ -20,8 +20,11 @@ type BiIndex struct {
 	fwd, rev *Index
 	sigma    int
 	// text is the text the index was built over, the caller's array: the
-	// SMEM search reads it once a match occurs once.
-	text textView
+	// SMEM search reads it once a match has at most locateMax occurrences,
+	// maxLocated when the forward direction holds the full suffix array and
+	// 1 when it walks to samples.
+	text      textView
+	locateMax int
 
 	// k is the order of the prefix tables the SMEM search reads every
 	// extension whose result is at most k symbols long from — the widest
@@ -70,8 +73,8 @@ func NewBiIndex[E ~uint8](text []E, sigma int, params rrr.Params) (*BiIndex, err
 // tables: a caller that holds the forward direction and its table (the exact
 // mapping index) pays for the reverse ones only. fwd must locate — through
 // a full or a sampled suffix array — because the SMEM search locates a
-// match that occurs once and reads text from there on. The index keeps text,
-// which the caller must not modify.
+// match of few occurrences and reads text from there on. The index keeps
+// text, which the caller must not modify.
 func NewBiIndexOver[E ~uint8](fwd *Index, text []E, params rrr.Params) (*BiIndex, error) {
 	if fwd.Len() != len(text) {
 		return nil, fmt.Errorf("fmindex: forward index covers %d symbols, text has %d", fwd.Len(), len(text))
@@ -87,7 +90,10 @@ func NewBiIndexOver[E ~uint8](fwd *Index, text []E, params rrr.Params) (*BiIndex
 	if err != nil {
 		return nil, fmt.Errorf("fmindex: reverse index: %w", err)
 	}
-	bi := &BiIndex{fwd: fwd, rev: rev, sigma: fwd.sigma, text: textOf[E](text)}
+	bi := &BiIndex{fwd: fwd, rev: rev, sigma: fwd.sigma, text: textOf[E](text), locateMax: 1}
+	if fwd.sa != nil {
+		bi.locateMax = maxLocated
+	}
 	if err := bi.takeTables(); err != nil {
 		return nil, fmt.Errorf("fmindex: prefix tables: %w", err)
 	}

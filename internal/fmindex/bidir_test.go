@@ -188,7 +188,8 @@ func pow4(k int) int { return 1 << (2 * k) }
 
 // TestSMEMsShortTableTransparent runs reads with substitutions through the
 // search with and without the table on a text long enough for a deep table:
-// SMEMs, their rows and the step count must not notice it.
+// SMEMs, their rows or located positions and the step count must not notice
+// it, and each SMEM must agree with the plain index.
 func TestSMEMsShortTableTransparent(t *testing.T) {
 	rng := rand.New(rand.NewSource(132))
 	unit := buildText(rng, 900)
@@ -227,6 +228,7 @@ func TestSMEMsShortTableTransparent(t *testing.T) {
 			if got[i] != want[i] {
 				t.Fatalf("trial %d: SMEM %d = %+v with the table, %+v without", trial, i, got[i], want[i])
 			}
+			checkSMEMHits(t, plain, pattern, want[i])
 		}
 	}
 }

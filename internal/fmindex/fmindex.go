@@ -382,18 +382,6 @@ func (ix *Index) LocateAppend(dst []int32, r Range) ([]int32, error) {
 
 var errNoLocate = errors.New("fmindex: index built without locate support")
 
-// locateRow returns the text position of one row.
-func (ix *Index) locateRow(row int) (int, error) {
-	if ix.sa != nil {
-		return int(ix.sa[row]), nil
-	}
-	if ix.sampled == nil {
-		return 0, errNoLocate
-	}
-	pos, err := ix.locateOne(row)
-	return int(pos), err
-}
-
 // locateOne walks LF from row to the nearest sampled row. A valid index gets
 // there within min(rate, n+1)−1 steps — every rate-th text position is
 // sampled, position 0 among them — so a longer walk, or a position past the

@@ -19,19 +19,40 @@ import "fmt"
 type SMEM struct {
 	// Start and End delimit the pattern slice, half-open.
 	Start, End int
-	// Rows is the bidirectional interval of a repeated match, and SingleRow
-	// for a match that occurs once.
+	// Rows is the bidirectional interval of a match the search did not
+	// locate, and empty for one it did.
 	Rows BiRange
-	// Pos is the text position of a match that occurs once, -1 for a
-	// repeated one.
-	Pos int32
+	// Located is the number of occurrences of a match the search located,
+	// 0 for one it did not; Pos[:Located] are their text positions in row
+	// order, and the rest of Pos is zero.
+	Located int
+	Pos     [maxLocated]int32
 }
 
-// SingleRow stands for the interval of a match that occurs once. The search
-// stops ranking such a match (it reads the text instead), so it never learns
-// the row; SingleRow counts one, and two searches that reach the same match
-// by different paths report the same SMEM.
-var SingleRow = BiRange{Fwd: Range{Start: -1, End: -1}, Rev: Range{Start: -1, End: -1}}
+// maxLocated is the most occurrences a match may have for the search to
+// locate it and read the text from then on, when the forward direction holds
+// the full suffix array: one 64-byte cache line of its int32 entries. With a
+// sampled array each occurrence costs an LF walk, so only a match that occurs
+// once is located.
+const maxLocated = 16
+
+// Count returns the number of occurrences.
+func (s SMEM) Count() int {
+	if s.Located > 0 {
+		return s.Located
+	}
+	return s.Rows.Count()
+}
+
+// Positions returns the text positions of a located match in row order — the
+// order LocateAppend returns its interval's in — and nil for a match the
+// search did not locate.
+func (s *SMEM) Positions() []int32 {
+	if s.Located == 0 {
+		return nil
+	}
+	return s.Pos[:s.Located]
+}
 
 // Len returns the match length.
 func (s SMEM) Len() int { return s.End - s.Start }
@@ -61,9 +82,10 @@ func (bi *BiIndex) SMEMsAppend(dst []SMEM, pattern []uint8, minLen int) ([]SMEM,
 		return dst, 0, fmt.Errorf("fmindex: minimum SMEM length %d must be >= 1", minLen)
 	}
 	steps := 0
+	var m match
 	// Invariant: no SMEM of minLen or more starts before x, so L(x+minLen) >= x.
 	for x := 0; x+minLen <= len(pattern); {
-		s, m, err := bi.longestEndingAt(pattern, x+minLen, x, &steps)
+		s, err := bi.longestEndingAt(pattern, x+minLen, x, &m, &steps)
 		if err != nil {
 			return dst, steps, err
 		}
@@ -73,13 +95,13 @@ func (bi *BiIndex) SMEMsAppend(dst []SMEM, pattern []uint8, minLen int) ([]SMEM,
 		}
 		// The window matched whole and L(x+minLen) = x, so x = L(R(x)).
 		for e := x + minLen; ; {
-			if e, m, err = bi.longestStartingAt(pattern, s, e, m, &steps); err == nil {
-				m, err = bi.located(m)
+			if e, err = bi.longestStartingAt(pattern, s, e, &m, &steps); err == nil {
+				err = bi.locate(&m)
 			}
 			if err != nil {
 				return dst, steps, err
 			}
-			dst = append(dst, SMEM{Start: s, End: e, Rows: m.rows, Pos: int32(m.pos)})
+			dst = append(dst, SMEM{Start: s, End: e, Rows: m.rows, Located: m.n, Pos: m.pos})
 			if e == len(pattern) {
 				return dst, steps, nil
 			}
@@ -87,7 +109,7 @@ func (bi *BiIndex) SMEMsAppend(dst []SMEM, pattern []uint8, minLen int) ([]SMEM,
 			// already carries minLen symbols is an SMEM: extend it right from
 			// the match in hand; otherwise open the window there.
 			e++
-			if s, m, err = bi.longestEndingAt(pattern, e, 0, &steps); err != nil {
+			if s, err = bi.longestEndingAt(pattern, e, 0, &m, &steps); err != nil {
 				return dst, steps, err
 			}
 			if e-s < minLen {
@@ -99,39 +121,51 @@ func (bi *BiIndex) SMEMsAppend(dst []SMEM, pattern []uint8, minLen int) ([]SMEM,
 	return dst, steps, nil
 }
 
-// match is what the search knows of the slice it holds: its interval and,
-// while it is at most k symbols long, its table key. Once the interval is
-// one row, the row is located and the match becomes its text position pos,
-// with rows SingleRow; pos is -1 before that.
+// match is what the search knows of the slice it holds — one at a time, in
+// SMEMsAppend's frame: its interval and, while it is at most k symbols
+// long, its table key. Once the interval has at most bi.locateMax rows,
+// they are located: the match becomes the hits, with rows empty; it has no
+// hits before that.
 type match struct {
 	rows BiRange
 	key  uint32
-	pos  int
+	hits
 }
 
-// located returns m with its one row, if it has one, located.
-func (bi *BiIndex) located(m match) (match, error) {
-	if m.pos >= 0 || m.rows.Count() != 1 {
-		return m, nil
+// hits are the text positions pos[:n] of a match's occurrences, in row
+// order; the rest of pos is zero, so that searches reaching one match by
+// different paths report equal SMEMs. The search hands hits to the text by
+// value: they stay on its stack.
+type hits struct {
+	n   int
+	pos [maxLocated]int32
+}
+
+// locate locates m if it is not yet located and has few enough rows.
+func (bi *BiIndex) locate(m *match) error {
+	if m.n > 0 || m.rows.Count() > bi.locateMax {
+		return nil
 	}
-	pos, err := bi.fwd.locateRow(m.rows.Fwd.Start)
-	return match{rows: SingleRow, pos: pos}, err
+	at, err := bi.fwd.LocateAppend(m.pos[:0], m.rows.Fwd)
+	m.rows, m.n = emptyBiRange, len(at)
+	return err
 }
 
 // longestEndingAt extends the empty match left from end, not past lo and
 // not over a symbol outside the alphabet, and returns where it stopped —
-// L(end) when that is lo or more — with the match P[start, end). The window
-// of the first up to k symbols is read with one table lookup; only when it
-// is absent is its longest occurring suffix bisected for. Beyond k, every
-// extension ranks until the match occurs once, and from then on compares
-// the pattern with the text before its occurrence. Steps are counted as the
-// walk one symbol at a time takes them, the failing extension included.
-func (bi *BiIndex) longestEndingAt(pattern []uint8, end, lo int, steps *int) (int, match, error) {
+// L(end) when that is lo or more — leaving the match P[start, end) in m.
+// The window of the first up to k symbols is read with one table lookup;
+// only when it is absent is its longest occurring suffix bisected for.
+// Beyond k, every extension ranks until the match has at most bi.locateMax
+// occurrences, and from then on compares the pattern with the text before
+// each of them. Steps are counted as the walk one symbol at a time takes
+// them, the failing extension included.
+func (bi *BiIndex) longestEndingAt(pattern []uint8, end, lo int, m *match, steps *int) (int, error) {
 	s, key := end, uint32(0)
 	for ; end-s < bi.k && s > lo && int(pattern[s-1]) < bi.sigma; s-- {
 		key |= uint32(pattern[s-1]) << (2 * (end - s))
 	}
-	m := match{rows: bi.All(), pos: -1}
+	*m = match{rows: bi.All()}
 	if w := end - s; w > 0 {
 		if m.rows = bi.lookup(w, key); m.rows.Empty() {
 			l := bi.ftab.presentSuffix(w, int(key))
@@ -139,13 +173,13 @@ func (bi *BiIndex) longestEndingAt(pattern []uint8, end, lo int, steps *int) (in
 			if m.key, m.rows = key&(1<<(2*l)-1), bi.All(); l > 0 {
 				m.rows = bi.lookup(l, m.key)
 			}
-			return end - l, m, nil
+			return end - l, nil
 		}
 		*steps += w
 		m.key = key
 	}
 	for ; s > lo && int(pattern[s-1]) < bi.sigma; s-- {
-		if m.rows.Count() == 1 {
+		if m.rows.Count() <= bi.locateMax {
 			return bi.leftByText(pattern, s, lo, m, steps)
 		}
 		*steps++
@@ -155,32 +189,45 @@ func (bi *BiIndex) longestEndingAt(pattern []uint8, end, lo int, steps *int) (in
 		}
 		m.rows = r
 	}
-	return s, m, nil
+	return s, nil
 }
 
-// leftByText extends the match P[s, ·), which occurs once, left as far as
-// the text before its occurrence agrees with the pattern, not past lo. One
-// comparison is one step, as one left extension was: the failing one too,
-// unless the pattern ends the sweep first.
-func (bi *BiIndex) leftByText(pattern []uint8, s, lo int, m match, steps *int) (int, match, error) {
-	m, err := bi.located(m)
-	if err != nil {
-		return s, m, err
+// leftByText extends the match P[s, ·) left, not past lo, by comparing the
+// pattern with the text before each of its occurrences and keeping those
+// that agree. Kept occurrences stay in row order: LF keeps the order of the
+// rows it maps with one preceding symbol. One comparison round is one step,
+// as one left extension was — the failing one too, unless the pattern ends
+// the walk first. Once one occurrence is left, the pattern and the text
+// before it are compared in one sweep.
+func (bi *BiIndex) leftByText(pattern []uint8, s, lo int, m *match, steps *int) (int, error) {
+	if err := bi.locate(m); err != nil {
+		return s, err
 	}
-	n := bi.text.commonSuffix(m.pos, pattern[lo:s])
-	s, m.pos, *steps = s-n, m.pos-n, *steps+n
-	if s > lo && int(pattern[s-1]) < bi.sigma {
+	for ; m.n > 1 && s > lo && int(pattern[s-1]) < bi.sigma; s-- {
 		*steps++
+		h := bi.text.keepBefore(m.hits, pattern[s-1])
+		if h.n == 0 {
+			return s, nil
+		}
+		m.hits = h
 	}
-	return s, m, nil
+	if m.n == 1 {
+		n := bi.text.commonSuffix(int(m.pos[0]), pattern[lo:s])
+		s, m.pos[0], *steps = s-n, m.pos[0]-int32(n), *steps+n
+		if s > lo && int(pattern[s-1]) < bi.sigma {
+			*steps++
+		}
+	}
+	return s, nil
 }
 
 // longestStartingAt extends the match m of P[start, end) right and returns
-// R(start) with the match P[start, R(start)). Once the match occurs once, it
-// compares the pattern with the text after its occurrence.
-func (bi *BiIndex) longestStartingAt(pattern []uint8, start, end int, m match, steps *int) (int, match, error) {
+// R(start), leaving the match P[start, R(start)) in m. Once it has at most
+// bi.locateMax occurrences, it compares the pattern with the text after
+// each of them.
+func (bi *BiIndex) longestStartingAt(pattern []uint8, start, end int, m *match, steps *int) (int, error) {
 	for ; end < len(pattern) && int(pattern[end]) < bi.sigma; end++ {
-		if m.rows.Count() == 1 {
+		if m.rows.Count() <= bi.locateMax {
 			return bi.rightByText(pattern, start, end, m, steps)
 		}
 		*steps++
@@ -190,29 +237,45 @@ func (bi *BiIndex) longestStartingAt(pattern []uint8, start, end int, m match, s
 		}
 		m.rows, m.key = r, k
 	}
-	return end, m, nil
+	return end, nil
 }
 
-// rightByText extends the match P[start, end), which occurs once, right as
-// far as the text after its occurrence agrees with the pattern, counting
-// steps as leftByText does.
-func (bi *BiIndex) rightByText(pattern []uint8, start, end int, m match, steps *int) (int, match, error) {
-	m, err := bi.located(m)
-	if err != nil {
-		return end, m, err
+// rightByText extends the match P[start, end) right by comparing the
+// pattern with the text after each of its occurrences, keeping those that
+// agree — in row order, since rows sharing a prefix sort by what follows it —
+// and counting steps as leftByText does.
+func (bi *BiIndex) rightByText(pattern []uint8, start, end int, m *match, steps *int) (int, error) {
+	if err := bi.locate(m); err != nil {
+		return end, err
 	}
-	n := bi.text.commonPrefix(m.pos+end-start, pattern[end:])
-	end, *steps = end+n, *steps+n
-	if end < len(pattern) && int(pattern[end]) < bi.sigma {
+	for ; m.n > 1 && end < len(pattern) && int(pattern[end]) < bi.sigma; end++ {
 		*steps++
+		h := bi.text.keepAt(m.hits, end-start, pattern[end])
+		if h.n == 0 {
+			return end, nil
+		}
+		m.hits = h
 	}
-	return end, m, nil
+	if m.n == 1 {
+		n := bi.text.commonPrefix(int(m.pos[0])+end-start, pattern[end:])
+		end, *steps = end+n, *steps+n
+		if end < len(pattern) && int(pattern[end]) < bi.sigma {
+			*steps++
+		}
+	}
+	return end, nil
 }
 
 // textView is the text a BiIndex was built over, in the caller's own
 // element type, so that the index shares the caller's array instead of
 // copying it.
 type textView interface {
+	// keepBefore returns, in order, the positions p of h whose preceding
+	// symbol is a, each moved to p-1.
+	keepBefore(h hits, a uint8) hits
+	// keepAt returns, in order, the positions p of h whose symbol at p+off
+	// is a.
+	keepAt(h hits, off int, a uint8) hits
 	// commonSuffix returns how many symbols text[:p] and pattern have in
 	// common at their ends.
 	commonSuffix(p int, pattern []uint8) int
@@ -222,6 +285,28 @@ type textView interface {
 }
 
 type textOf[E ~uint8] []E
+
+func (t textOf[E]) keepBefore(h hits, a uint8) hits {
+	var kept hits
+	for _, p := range h.pos[:h.n] {
+		if p > 0 && uint8(t[p-1]) == a {
+			kept.pos[kept.n] = p - 1
+			kept.n++
+		}
+	}
+	return kept
+}
+
+func (t textOf[E]) keepAt(h hits, off int, a uint8) hits {
+	var kept hits
+	for _, p := range h.pos[:h.n] {
+		if q := int(p) + off; q < len(t) && uint8(t[q]) == a {
+			kept.pos[kept.n] = p
+			kept.n++
+		}
+	}
+	return kept
+}
 
 func (t textOf[E]) commonSuffix(p int, pattern []uint8) int {
 	before, n := t[:p], 0

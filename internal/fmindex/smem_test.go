@@ -3,6 +3,7 @@ package fmindex
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"bwaver/internal/rrr"
@@ -84,9 +85,63 @@ func TestSMEMsMatchBruteForce(t *testing.T) {
 	}
 }
 
-// checkSMEMs compares the search with bruteSMEMs, every repeated match's
-// interval with the plain index's count of its slice, and every unique
-// match's position with the plain index's one located row.
+// TestSMEMsFewCopies checks the search against bruteSMEMs on texts that
+// repeat a unit between 2 and 17 times, each copy with up to two
+// substitutions of its own, through the full suffix array and through
+// samples at rate 8: the matches of 2 to 16 occurrences a full array
+// locates, whose comparisons drop copies one by one on either side, and the
+// 17 it leaves ranked.
+func TestSMEMsFewCopies(t *testing.T) {
+	rng := rand.New(rand.NewSource(116))
+	several := 0
+	for _, copies := range []int{2, 3, 5, 9, 16, 17} {
+		unit := buildText(rng, 40+rng.Intn(30))
+		text := buildText(rng, 200)
+		for range copies {
+			c := append([]uint8(nil), unit...)
+			for m := rng.Intn(3); m > 0; m-- {
+				c[rng.Intn(len(c))] ^= uint8(1 + rng.Intn(3))
+			}
+			text = append(append(text, c...), buildText(rng, 10+rng.Intn(40))...)
+		}
+		full := buildBi(t, text)
+		samples, err := NewSampledSA(full.fwd.sa, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sampledFwd := *full.fwd
+		sampledFwd.sa, sampledFwd.sampled = nil, samples
+		sampled, err := NewBiIndexOver(&sampledFwd, text, testParams)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for trial := 0; trial < 3; trial++ {
+			pattern := append(append(buildText(rng, 5), unit...), buildText(rng, 5)...)
+			if trial > 0 {
+				pattern[rng.Intn(len(pattern))] = uint8(rng.Intn(6)) // 4, 5: out of alphabet
+			}
+			for _, minLen := range []int{1, 19} {
+				checkSMEMs(t, full, text, pattern, minLen)
+				checkSMEMs(t, sampled, text, pattern, minLen)
+			}
+			got, err := full.SMEMs(pattern, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range got {
+				if s.Located > 1 {
+					several++
+				}
+			}
+		}
+	}
+	if several == 0 {
+		t.Error("no SMEM was located with several occurrences")
+	}
+}
+
+// checkSMEMs compares the search with bruteSMEMs and every match with the
+// plain index's count of its slice (checkSMEMHits).
 func checkSMEMs(t *testing.T, bi *BiIndex, text, pattern []uint8, minLen int) {
 	t.Helper()
 	want := bruteSMEMs(text, pattern, minLen)
@@ -103,21 +158,33 @@ func checkSMEMs(t *testing.T, bi *BiIndex, text, pattern []uint8, minLen int) {
 			t.Fatalf("minLen %d: SMEM %d = [%d,%d), want [%d,%d)",
 				minLen, i, got[i].Start, got[i].End, want[i][0], want[i][1])
 		}
-		plain := bi.Forward().Count(pattern[got[i].Start:got[i].End])
-		if plain.Count() > 1 {
-			// The interval must count the slice's occurrences.
-			if got[i].Rows.Fwd != plain || got[i].Pos != -1 {
-				t.Fatalf("minLen %d: SMEM %d rows %v at %d, plain %v", minLen, i, got[i].Rows.Fwd, got[i].Pos, plain)
-			}
-			continue
+		checkSMEMHits(t, bi, pattern, got[i])
+	}
+}
+
+// checkSMEMHits checks one SMEM against the plain index: a match of more
+// occurrences than the search locates keeps the interval that counts its
+// slice; any other holds that interval's located rows in row order, as
+// LocateAppend gives them, and no interval.
+func checkSMEMHits(t *testing.T, bi *BiIndex, pattern []uint8, got SMEM) {
+	t.Helper()
+	plain := bi.Forward().Count(pattern[got.Start:got.End])
+	want := SMEM{Start: got.Start, End: got.End, Rows: emptyBiRange}
+	if plain.Count() > bi.locateMax {
+		if got.Rows.Fwd != plain || got.Rows.Rev.Count() != plain.Count() || got.Located != 0 || got.Pos != want.Pos {
+			t.Fatalf("SMEM [%d,%d): rows %v, %d located at %v; plain rows %v",
+				got.Start, got.End, got.Rows, got.Located, got.Pos, plain)
 		}
-		at, err := bi.Forward().Locate(plain)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got[i].Rows != SingleRow || got[i].Pos != at[0] {
-			t.Fatalf("minLen %d: SMEM %d rows %v at %d, plain %v at %v", minLen, i, got[i].Rows, got[i].Pos, plain, at)
-		}
+		return
+	}
+	at, err := bi.Forward().LocateAppend(nil, plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.Located = copy(want.Pos[:], at)
+	if got != want {
+		t.Fatalf("SMEM [%d,%d): rows %v, %d located at %v; plain rows %v at %v",
+			got.Start, got.End, got.Rows, got.Located, got.Pos, plain, at)
 	}
 }
 
@@ -255,11 +322,29 @@ func FuzzSMEMs(f *testing.F) {
 	}
 	// A unique match that starts at the text's first symbol, and one that
 	// ends at its last: the left and the right comparison fail at the text's
-	// edge. A text of two equal halves holds no unique match.
+	// edge. A text of two equal halves holds no unique match: every match
+	// in it occurs twice, and is located through the full array.
 	edges := []byte{0, 1, 2, 3, 3, 1, 0, 2, 2, 1, 3, 0, 1, 1, 2, 0}
 	f.Add(edges, []byte{3, 0, 1, 2, 3, 3, 1, 0}, uint8(2))
 	f.Add(edges, []byte{1, 3, 0, 1, 1, 2, 0, 3}, uint8(2))
 	f.Add(append(append([]byte{}, edges...), edges...), append([]byte{2}, edges[4:12]...), uint8(1))
+	// Texts that repeat a unit 2, 5, 16 and 17 times, with a spacer that
+	// varies between copies: the search locates a match of up to 16
+	// occurrences and compares the text after and before each, a copy at
+	// a time dropping out; 17 stay ranked. The patterns are a copy with
+	// its flanks, and one with a substitution in the unit.
+	for _, copies := range []int{2, 5, 16, 17} {
+		unit := []byte{0, 1, 2, 3, 1, 1, 3, 0, 2, 2, 0, 3}
+		var text []byte
+		for c := range copies {
+			text = append(text, unit...)
+			text = append(text, byte(c%4), byte(c/4%4))
+		}
+		pattern := append([]byte{1, 0}, unit...)
+		f.Add(text, append(pattern, 2, 0), uint8(4))
+		pattern[7] ^= 1
+		f.Add(text, pattern, uint8(2))
+	}
 	f.Fuzz(func(t *testing.T, textB, patB []byte, minLenB uint8) {
 		if len(textB) == 0 || len(textB) > 300 || len(patB) == 0 || len(patB) > 80 {
 			t.Skip()
@@ -276,54 +361,78 @@ func FuzzSMEMs(f *testing.F) {
 			pattern[i] = uint8(b) % 6
 		}
 		minLen := 1 + int(minLenB)%24
-		bi, err := NewBiIndex(text, 4, rrr.Params{BlockSize: 15, SuperblockFactor: 10})
+		full, err := NewBiIndex(text, 4, rrr.Params{BlockSize: 15, SuperblockFactor: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The same text locating through samples at rate 8, where only a
+		// match that occurs once is located.
+		samples, err := NewSampledSA(full.fwd.sa, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sampledFwd := *full.fwd
+		sampledFwd.sa, sampledFwd.sampled = nil, samples
+		sampled, err := NewBiIndexOver(&sampledFwd, text, rrr.Params{BlockSize: 15, SuperblockFactor: 10})
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := bruteSMEMs(text, pattern, minLen)
-		got, steps, err := bi.SMEMsSteps(pattern, minLen)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%d SMEMs, want %d\ngot:  %v\nwant: %v\ntext: %v\npattern: %v minLen %d",
-				len(got), len(want), smemIntervals(got), want, text, pattern, minLen)
-		}
-		for i := range want {
-			if got[i].Start != want[i][0] || got[i].End != want[i][1] {
-				t.Fatalf("SMEM %d = [%d,%d), want [%d,%d)", i, got[i].Start, got[i].End, want[i][0], want[i][1])
+		fullSteps := -1
+		for _, bi := range []*BiIndex{full, sampled} {
+			got, steps, err := bi.SMEMsSteps(pattern, minLen)
+			if err != nil {
+				t.Fatal(err)
 			}
-			occ := naiveOccurrences(text, pattern[got[i].Start:got[i].End])
-			if got[i].Rows.Count() != len(occ) {
-				t.Fatalf("SMEM %d interval size %d, text has %d occurrences", i, got[i].Rows.Count(), len(occ))
+			if len(got) != len(want) {
+				t.Fatalf("locating %d: %d SMEMs, want %d\ngot:  %v\nwant: %v\ntext: %v\npattern: %v minLen %d",
+					bi.locateMax, len(got), len(want), smemIntervals(got), want, text, pattern, minLen)
 			}
-			want := int32(-1)
-			if len(occ) == 1 {
-				want = occ[0]
+			for i := range want {
+				if got[i].Start != want[i][0] || got[i].End != want[i][1] {
+					t.Fatalf("locating %d: SMEM %d = [%d,%d), want [%d,%d)", bi.locateMax, i, got[i].Start, got[i].End, want[i][0], want[i][1])
+				}
+				occ := naiveOccurrences(text, pattern[got[i].Start:got[i].End])
+				if got[i].Count() != len(occ) {
+					t.Fatalf("locating %d: SMEM %d counts %d, text has %d occurrences", bi.locateMax, i, got[i].Count(), len(occ))
+				}
+				if located := len(occ) <= bi.locateMax; located != (got[i].Located > 0) {
+					t.Fatalf("locating %d: SMEM %d of %d occurrences located: %v", bi.locateMax, i, len(occ), !located)
+				}
+				if at := slices.Clone(got[i].Positions()); at != nil {
+					if slices.Sort(at); !slices.Equal(at, occ) {
+						t.Fatalf("locating %d: SMEM %d at %v, text has it at %v", bi.locateMax, i, at, occ)
+					}
+				}
+				checkSMEMHits(t, bi, pattern, got[i])
 			}
-			if got[i].Pos != want {
-				t.Fatalf("SMEM %d at %d, text has it at %v", i, got[i].Pos, occ)
+			// Where a match is located changes how it is extended, never how
+			// many steps that takes.
+			if fullSteps < 0 {
+				fullSteps = steps
+			} else if steps != fullSteps {
+				t.Fatalf("%d steps locating through samples, %d through the full array", steps, fullSteps)
+			}
+			// The short-pattern table is a cache of rank results: the search
+			// must not notice whether it is there.
+			plain, plainSteps, err := withoutShort(bi).SMEMsSteps(pattern, minLen)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plainSteps != steps || len(plain) != len(got) {
+				t.Fatalf("%d SMEMs in %d steps with the table (order %d), %d in %d without",
+					len(got), steps, bi.k, len(plain), plainSteps)
+			}
+			for i := range got {
+				if got[i] != plain[i] {
+					t.Fatalf("SMEM %d = %+v with the table (order %d), %+v without", i, got[i], bi.k, plain[i])
+				}
 			}
 		}
-		// The short-pattern table is a cache of rank results: the search must
-		// not notice whether it is there.
-		plain, plainSteps, err := withoutShort(bi).SMEMsSteps(pattern, minLen)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if plainSteps != steps || len(plain) != len(got) {
-			t.Fatalf("%d SMEMs in %d steps with the table (order %d), %d in %d without",
-				len(got), steps, bi.k, len(plain), plainSteps)
-		}
-		for i := range got {
-			if got[i] != plain[i] {
-				t.Fatalf("SMEM %d = %+v with the table (order %d), %+v without", i, got[i], bi.k, plain[i])
-			}
-		}
-		// The step count is the kernel cycle driver: it must be positive for
-		// any in-alphabet pattern and bounded by the quadratic worst case.
-		if steps > 2*len(pattern)*len(pattern)+len(pattern) {
-			t.Fatalf("%d extension steps for a %d-base pattern", steps, len(pattern))
+		// The step count is the kernel cycle driver: it must be bounded by
+		// the quadratic worst case.
+		if fullSteps > 2*len(pattern)*len(pattern)+len(pattern) {
+			t.Fatalf("%d extension steps for a %d-base pattern", fullSteps, len(pattern))
 		}
 	})
 }
@@ -343,14 +452,20 @@ func TestSMEMsInvalidSymbolSkipped(t *testing.T) {
 }
 
 // TestSMEMsLocate runs the search over one text with the forward direction
-// locating through the full suffix array, through samples at rate 8 (the
-// served configuration, where entering a unique match walks LF) and through
-// corrupt samples, and builds it over a forward direction that cannot
-// locate. The first two must agree on every SMEM and step; a locate that
-// fails must come back as the search's error; the last must be refused.
+// locating through the full suffix array (where a match of up to 16
+// occurrences is located), through samples at rate 8 (the served
+// configuration, where entering a unique match walks LF) and through corrupt
+// samples, and builds it over a forward direction that cannot locate. The
+// first two must agree on every SMEM's bounds and occurrences and on the
+// step count; a locate that fails must come back as the search's error; the
+// last must be refused.
 func TestSMEMsLocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(115))
 	text := buildText(rng, 3000)
+	copy(text[2000:], text[100:400]) // matches of two occurrences
+	for c := range 5 {               // and of six
+		copy(text[500+80*c:], text[1000:1060])
+	}
 	full := buildBi(t, text)
 	samples, err := NewSampledSA(full.fwd.sa, 8)
 	if err != nil {
@@ -386,8 +501,12 @@ func TestSMEMsLocate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fmt.Sprint(got) != fmt.Sprint(want) || steps != wantSteps {
-			t.Fatalf("trial %d: sampled %v in %d steps, full %v in %d", trial, got, steps, want, wantSteps)
+		if fmt.Sprint(smemIntervals(got)) != fmt.Sprint(smemIntervals(want)) || steps != wantSteps {
+			t.Fatalf("trial %d: sampled %v in %d steps, full %v in %d", trial, smemIntervals(got), steps, smemIntervals(want), wantSteps)
+		}
+		for i := range want {
+			checkSMEMHits(t, full, pattern, want[i])
+			checkSMEMHits(t, sampled, pattern, got[i])
 		}
 		if _, _, err := corrupt.SMEMsSteps(pattern, 11); err != nil {
 			failed++
