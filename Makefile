@@ -41,7 +41,10 @@ bench-gate:
 # bench-smoke runs the benchmarks whose bytes and allocations per operation
 # are worth a glance in CI output: the two suffix-array constructions, index
 # construction at 1 Mbp with and without the prefix table (B/base), the
-# exact batch engine, the mem batch engine with the SMEM search (steps/op,
+# exact batch engine (also on a 16 Mbp reference whose rank structure spills
+# out of a 2 MiB L2: MapReadsInto, whose chunks search in lock step, at
+# 0 allocs/op beside a loop of MapRead over the same reads, reads/s each),
+# the mem batch engine with the SMEM search (steps/op,
 # table and ranked arms over a 256 kbp text whose tables stay in cache, a
 # 4 Mbp one whose tables do not, that one also locating through samples at
 # rate 8, and 1M/repeats, a 1 Mbp text of segments written 2 to 16 times

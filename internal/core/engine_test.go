@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"bwaver/internal/dna"
+	"bwaver/internal/fmindex"
 	"bwaver/internal/readsim"
 )
 
@@ -128,6 +129,72 @@ func TestEngineContract(t *testing.T) {
 			return err
 		})
 	})
+}
+
+// TestMapReadsIntoMatchesMapReadLoop holds the grouped exact search of
+// MapReadsInto, which advances a chunk's searches in lock step, to a loop of
+// MapRead over a batch that mixes mapped and unmapped reads with reads
+// shorter than the table's order, an empty one and reads holding a symbol
+// outside the alphabet, in the table's window and before it: equal results,
+// positions included, at 1 and 2 workers, and equal prefix-table counters.
+func TestMapReadsIntoMatchesMapReadLoop(t *testing.T) {
+	ref := testGenome(t, 20000)
+	ix := mustBuild(t, ref, IndexConfig{FtabK: 8})
+	sim, err := readsim.Simulate(ref, readsim.ReadsConfig{
+		Count: 200, Length: 36, MappingRatio: 0.5, RevCompFraction: 0.5, Seed: 9,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := readsim.Seqs(sim)
+	for i := range reads {
+		switch i % 5 {
+		case 1:
+			reads[i] = reads[i][:1+i%9] // up to 9 bases, most below k
+		case 2:
+			reads[i] = reads[i].Clone()
+			reads[i][i%36] = 4 // not a base: A, C, G or T
+		}
+	}
+	reads = append(reads, dna.Seq{})
+	// counted returns the table lookups since before.
+	counted := func(before fmindex.FtabStats) fmindex.FtabStats {
+		s := ix.FtabStats()
+		return fmindex.FtabStats{Hits: s.Hits - before.Hits, Misses: s.Misses - before.Misses, Short: s.Short - before.Short}
+	}
+
+	before := ix.FtabStats()
+	want := make([]MapResult, len(reads))
+	for i, r := range reads {
+		want[i] = ix.MapRead(r)
+	}
+	perRead := counted(before)
+	located := make([]MapResult, len(reads))
+	copy(located, want)
+	if err := ix.LocateResults(located); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		for _, locate := range []bool{false, true} {
+			dst := make([]MapResult, len(reads))
+			before := ix.FtabStats()
+			if _, err := ix.MapReadsInto(dst, reads, MapOptions{Workers: workers, Locate: locate}); err != nil {
+				t.Fatal(err)
+			}
+			if got := counted(before); got != perRead {
+				t.Errorf("workers=%d locate=%v: batch counted %+v in the table, a MapRead loop %+v", workers, locate, got, perRead)
+			}
+			expect := want
+			if locate {
+				expect = located
+			}
+			for i := range reads {
+				if !reflect.DeepEqual(dst[i], expect[i]) {
+					t.Fatalf("workers=%d locate=%v read %d %v:\n got %+v\nwant %+v", workers, locate, i, reads[i], dst[i], expect[i])
+				}
+			}
+		}
+	}
 }
 
 func patternOf(read dna.Seq) []uint8 {

@@ -8,6 +8,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -127,6 +128,10 @@ type Index struct {
 	// share it; readers load mem without the lock.
 	memMu sync.Mutex
 	mem   atomic.Pointer[memState]
+
+	// chunks holds the exact engine's per-worker search scratch between
+	// batches.
+	chunks chunkList
 }
 
 // BuildIndex runs the first two pipeline steps over the reference: suffix
@@ -371,11 +376,85 @@ func (buf *mapBuffer) patterns(read dna.Seq) (fw, rc []uint8) {
 		buf.rc = make([]uint8, m)
 	}
 	fw, rc = buf.fw[:m], buf.rc[:m]
+	encode(read, fw, rc)
+	return fw, rc
+}
+
+// encode writes read and its reverse complement as symbol codes into fw and
+// rc, each as long as the read.
+func encode(read dna.Seq, fw, rc []uint8) {
+	m := len(read)
 	for i, b := range read {
 		fw[i] = uint8(b)
 		rc[m-1-i] = uint8(b.Complement())
 	}
-	return fw, rc
+}
+
+// chunkBuffer is an exact-search worker's scratch for a whole chunk: the
+// patterns back to back in syms, read i's forward and reverse complement as
+// pats[2i] and pats[2i+1], their results and their search group.
+type chunkBuffer struct {
+	syms   []uint8
+	pats   [][]uint8
+	ranges []fmindex.Range
+	steps  []int
+	group  fmindex.Group
+}
+
+// chunkList keeps chunk buffers between batches, as a sync.Pool would, but
+// across collections too: a chunk buffer holds some 30 KB for 100 bp reads,
+// and a pool, emptied by every other collection, would have a warm batch
+// allocate it again. It holds as many buffers as were ever in use at once,
+// each grown to the longest chunk it searched.
+type chunkList struct {
+	mu   sync.Mutex
+	free []*chunkBuffer
+}
+
+func (l *chunkList) get() *chunkBuffer {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.free)
+	if n == 0 {
+		return new(chunkBuffer)
+	}
+	buf := l.free[n-1]
+	l.free = l.free[:n-1]
+	return buf
+}
+
+func (l *chunkList) put(buf *chunkBuffer) {
+	l.mu.Lock()
+	l.free = append(l.free, buf)
+	l.mu.Unlock()
+}
+
+// searchChunk runs the exact searches of a chunk of reads — each read and
+// its reverse complement — as one fmindex search group, and writes the
+// results into dst, as mapReadBuf would one by one.
+func (ix *Index) searchChunk(buf *chunkBuffer, reads []dna.Seq, dst []MapResult, useFtab bool) {
+	total := 0
+	for _, read := range reads {
+		total += len(read)
+	}
+	n := 2 * len(reads)
+	buf.syms = slices.Grow(buf.syms[:0], 2*total)[:2*total]
+	if cap(buf.pats) < n {
+		buf.pats, buf.ranges, buf.steps = make([][]uint8, n), make([]fmindex.Range, n), make([]int, n)
+	}
+	pats, ranges, steps := buf.pats[:n], buf.ranges[:n], buf.steps[:n]
+	at := 0
+	for i, read := range reads {
+		m := len(read)
+		pats[2*i], pats[2*i+1] = buf.syms[at:at+m:at+m], buf.syms[at+m:at+2*m:at+2*m]
+		encode(read, pats[2*i], pats[2*i+1])
+		at += 2 * m
+	}
+	ix.fm.SearchGroup(&buf.group, pats, useFtab, ranges, steps)
+	for i := range reads {
+		// The two searches run in parallel pipelines in hardware (§III-C).
+		dst[i] = MapResult{Forward: ranges[2*i], Reverse: ranges[2*i+1], Steps: max(steps[2*i], steps[2*i+1])}
+	}
 }
 
 // mapReadBuf maps one read using buf's reusable pattern buffers. useFtab
@@ -452,7 +531,6 @@ func (ix *Index) MapReads(reads []dna.Seq, opts MapOptions) ([]MapResult, MapSta
 // batch locates afterwards, in locateBatch. useFtab=false forces the plain
 // backward search even on an index that has a prefix table.
 type exactWork struct {
-	pooledBuf
 	ix      *Index
 	useFtab bool
 }
@@ -460,16 +538,20 @@ type exactWork struct {
 func (exactWork) unit() int  { return 1 }
 func (exactWork) chunk() int { return 64 }
 
-// pooledBuf is the scratch of the workloads that search with a mapBuffer.
+func (w exactWork) acquire() *chunkBuffer    { return w.ix.chunks.get() }
+func (w exactWork) release(buf *chunkBuffer) { w.ix.chunks.put(buf) }
+
+// pooledBuf is the scratch of a workload that searches a read at a time
+// with a mapBuffer: k-mismatch mapping.
 type pooledBuf struct{}
 
 func (pooledBuf) acquire() *mapBuffer    { return mapBufPool.Get().(*mapBuffer) }
 func (pooledBuf) release(buf *mapBuffer) { mapBufPool.Put(buf) }
 
-func (w exactWork) mapUnits(buf *mapBuffer, reads []dna.Seq, dst []MapResult) error {
-	for i, read := range reads {
-		dst[i] = w.ix.mapReadBuf(buf, read, w.useFtab)
-	}
+// mapUnits searches the chunk as one group: its 2·64 searches advance in
+// lock step, so their rank queries' cache misses overlap.
+func (w exactWork) mapUnits(buf *chunkBuffer, reads []dna.Seq, dst []MapResult) error {
+	w.ix.searchChunk(buf, reads, dst, w.useFtab)
 	return nil
 }
 

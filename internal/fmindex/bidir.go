@@ -128,7 +128,25 @@ func (bi *BiIndex) takeTables() error {
 // 1 <= l <= k: the forward table's span, and the reverse one from the
 // reverse table's bound of the string read backwards.
 func (bi *BiIndex) lookup(l int, key uint32) BiRange {
+	return bi.withRev(bi.ftab.span(l, int(key)), l, key)
+}
+
+// window is lookup for a match the SMEM search goes on from: one of at
+// most locateMax rows is located before anything reads more than its
+// forward interval, so its reverse one is left empty and the reverse table
+// unread. Only an interval that stays ranked costs the second miss.
+func (bi *BiIndex) window(l int, key uint32) BiRange {
 	fwd := bi.ftab.span(l, int(key))
+	if n := fwd.Count(); n > 0 && n <= bi.locateMax {
+		return BiRange{Fwd: fwd, Rev: emptyBiRange.Rev}
+	}
+	return bi.withRev(fwd, l, key)
+}
+
+// withRev pairs the forward interval of the l-symbol string key with its
+// reverse one, which starts at the reverse table's bound of the string read
+// backwards and holds as many rows.
+func (bi *BiIndex) withRev(fwd Range, l int, key uint32) BiRange {
 	if fwd.Empty() {
 		return emptyBiRange
 	}

@@ -316,13 +316,10 @@ func (ix *Index) SearchWithFtabSteps(pattern []uint8) (Range, int) {
 		f.short.Add(1)
 		return ix.CountSteps(pattern)
 	}
-	key := 0
-	for _, s := range pattern[m-f.k:] {
-		if s >= ftabSigma {
-			f.misses.Add(1)
-			return ix.CountSteps(pattern)
-		}
-		key = key<<2 | int(s)
+	key, ok := f.key(pattern)
+	if !ok {
+		f.misses.Add(1)
+		return ix.CountSteps(pattern)
 	}
 	f.hits.Add(1)
 	r := f.Lookup(key)
@@ -340,4 +337,31 @@ func (ix *Index) SearchWithFtabSteps(pattern []uint8) (Range, int) {
 		}
 	}
 	return r, steps
+}
+
+// key returns the table key of pattern's last k symbols, which it must
+// hold, and false if one of them is outside the DNA alphabet.
+func (f *Ftab) key(pattern []uint8) (int, bool) {
+	key := 0
+	for _, s := range pattern[len(pattern)-f.k:] {
+		if s >= ftabSigma {
+			return 0, false
+		}
+		key = key<<2 | int(s)
+	}
+	return key, true
+}
+
+// count adds a group's lookups to the counters, touching each only if the
+// group has some: the counters sit on one line every worker shares.
+func (f *Ftab) count(hits, misses, short uint64) {
+	if hits > 0 {
+		f.hits.Add(hits)
+	}
+	if misses > 0 {
+		f.misses.Add(misses)
+	}
+	if short > 0 {
+		f.short.Add(short)
+	}
 }

@@ -16,7 +16,11 @@ import (
 // out-of-alphabet symbols and reads shorter than k — both must return the
 // same Range. The table stores the exact death range of dead k-mers, so this
 // holds with no fallback re-search on the hot path; equality here is the
-// whole correctness contract of the optimisation.
+// whole correctness contract of the optimisation. The pattern also goes
+// through the group search beside its halves, its reversal, a slice of the
+// text with and without a symbol outside the alphabet, an empty pattern and
+// a duplicate of itself, in groups of every size, with the table and
+// without: each must get the one-pattern search's range and step count.
 func FuzzSearchWithFtab(f *testing.F) {
 	f.Add([]byte("ACGTACGGTACCTTAGGCAATCGA"), []byte("ACGT"), uint8(2))
 	f.Add([]byte("AAAAAAAACCCCGGGG"), []byte("AAAC"), uint8(3))
@@ -87,6 +91,18 @@ func FuzzSearchWithFtab(f *testing.F) {
 			t.Fatalf("k=%d pattern=%v: ftab search %+v != plain search %+v",
 				k, pattern, got, plain)
 		}
+
+		o := int(kRaw) * 7 % len(text)
+		slice := text[o:min(len(text), o+1+int(kRaw)%12)]
+		reversed := make([]uint8, len(pattern))
+		for i, c := range pattern {
+			reversed[len(pattern)-1-i] = c
+		}
+		checkSearchGroup(t, ix, [][]uint8{
+			pattern, pattern[:len(pattern)/2], slice, nil, reversed,
+			append([]uint8{5}, slice...), append(append([]uint8(nil), slice...), 4),
+			pattern[len(pattern)/2:], pattern,
+		})
 	})
 }
 

@@ -154,8 +154,9 @@ func (bi *BiIndex) locate(m *match) error {
 // longestEndingAt extends the empty match left from end, not past lo and
 // not over a symbol outside the alphabet, and returns where it stopped —
 // L(end) when that is lo or more — leaving the match P[start, end) in m.
-// The window of the first up to k symbols is read with one table lookup;
-// only when it is absent is its longest occurring suffix bisected for.
+// The window of the first up to k symbols is read with one table lookup —
+// the reverse table only for an interval that stays ranked; only when it is
+// absent is its longest occurring suffix bisected for.
 // Beyond k, every extension ranks until the match has at most bi.locateMax
 // occurrences, and from then on compares the pattern with the text before
 // each of them. Steps are counted as the walk one symbol at a time takes
@@ -167,11 +168,11 @@ func (bi *BiIndex) longestEndingAt(pattern []uint8, end, lo int, m *match, steps
 	}
 	*m = match{rows: bi.All()}
 	if w := end - s; w > 0 {
-		if m.rows = bi.lookup(w, key); m.rows.Empty() {
+		if m.rows = bi.window(w, key); m.rows.Empty() {
 			l := bi.ftab.presentSuffix(w, int(key))
 			*steps += l + 1
 			if m.key, m.rows = key&(1<<(2*l)-1), bi.All(); l > 0 {
-				m.rows = bi.lookup(l, m.key)
+				m.rows = bi.window(l, m.key)
 			}
 			return end - l, nil
 		}

@@ -66,7 +66,8 @@ func FuzzRank(f *testing.F) {
 
 // FuzzRankPair checks Rank1Pair(i, j) against two naive counts — the fused
 // walk (one block, one superblock) and the fallback (two superblocks, i > j)
-// must both equal (Rank1(i), Rank1(j)).
+// must both equal (Rank1(i), Rank1(j)) — and, for i <= j, the split of the
+// same pair into LoadPair and DecodePair.
 func FuzzRankPair(f *testing.F) {
 	dense := bytes.Repeat([]byte{0xB5, 0x0F, 0x00, 0xFF, 0x31}, 40) // 1600 bits
 	f.Add(dense, uint8(15), uint8(50), uint16(100), uint16(100))    // i == j
@@ -96,6 +97,13 @@ func FuzzRankPair(f *testing.F) {
 		wantI, wantJ := naiveRank(bits, i), naiveRank(bits, j)
 		if gotI, gotJ := s.Rank1Pair(i, j); gotI != wantI || gotJ != wantJ {
 			t.Fatalf("b=%d sf=%d n=%d: Rank1Pair(%d,%d)=(%d,%d), want (%d,%d)", b, sf, len(bits), i, j, gotI, gotJ, wantI, wantJ)
+		}
+		if i <= j {
+			var h PairHead
+			s.LoadPair(&h, i, j)
+			if gotI, gotJ := s.DecodePair(&h); gotI != wantI || gotJ != wantJ {
+				t.Fatalf("b=%d sf=%d n=%d: DecodePair after LoadPair(%d,%d)=(%d,%d), want (%d,%d)", b, sf, len(bits), i, j, gotI, gotJ, wantI, wantJ)
+			}
 		}
 		if s.Rank1(i) != wantI || s.Rank1(j) != wantJ {
 			t.Fatalf("b=%d sf=%d n=%d: Rank1 disagrees with the naive count at %d or %d", b, sf, len(bits), i, j)

@@ -322,9 +322,7 @@ func (s *Sequence) Rank1(i int) int {
 	}
 	blk, super := s.locate(i)
 	sum, body, pos := s.record(super)
-	k := blk - super*s.sf
-	ones, width := s.scan(body, 0, k)
-	return sum + ones + s.prefix(body, k, pos+width, i-blk*s.b)
+	return s.rankIn(i, blk, super, sum, body, pos)
 }
 
 // Rank1Pair returns Rank1(i) and Rank1(j). When i <= j fall in one
@@ -339,6 +337,13 @@ func (s *Sequence) Rank1Pair(i, j int) (int, int) {
 		return s.Rank1(i), s.Rank1(j)
 	}
 	sum, body, pos := s.record(super)
+	return s.pair(i, j, bi, bj, super, sum, body, pos)
+}
+
+// pair finishes Rank1Pair(i, j) for i <= j in blocks bi <= bj of superblock
+// super, from its record: the partial sum, the body and the bit position of
+// the first offset field in it.
+func (s *Sequence) pair(i, j, bi, bj, super, sum int, body []byte, pos int) (int, int) {
 	ki, kj := bi-super*s.sf, bj-super*s.sf
 	remI, remJ := i-bi*s.b, j-bj*s.b
 	ones, width := s.scan(body, 0, ki)
@@ -352,6 +357,58 @@ func (s *Sequence) Rank1Pair(i, j int) (int, int) {
 	}
 	ones, width = s.scan(body, ki, kj)
 	return ri + s.prefix(body, ki, pos, remI), ri + ones + s.prefix(body, kj, pos+width, remJ)
+}
+
+// PairHead is the head of a rank pair's records: where the records of the
+// superblocks holding i and j start, and their partial sums — the loads a
+// rank waits on once the records are out of cache. LoadPair reads it and
+// DecodePair finishes Rank1Pair from it, so that a caller holding many pairs
+// can load every head before decoding any: the loads are independent, and
+// their misses overlap instead of queueing one behind the other.
+type PairHead struct {
+	i, j       int
+	sumI, sumJ int
+	recI, recJ uint32
+}
+
+// LoadPair reads the record heads of Rank1Pair(i, j), 0 <= i <= j <= Len(),
+// into h: one record's when both fall in one superblock, else two.
+func (s *Sequence) LoadPair(h *PairHead, i, j int) {
+	if i < 0 || i > j || j > s.n {
+		panic(fmt.Sprintf("rrr: rank pair (%d,%d) out of order or range [0,%d]", i, j, s.n))
+	}
+	_, super := s.locate(i)
+	_, superJ := s.locate(j)
+	h.i, h.j = i, j
+	h.recI = s.dir[super]
+	h.sumI = int(binary.LittleEndian.Uint32(s.recs[h.recI:]))
+	if superJ == super {
+		h.recJ, h.sumJ = h.recI, h.sumI
+		return
+	}
+	h.recJ = s.dir[superJ]
+	h.sumJ = int(binary.LittleEndian.Uint32(s.recs[h.recJ:]))
+}
+
+// DecodePair returns Rank1Pair(i, j) for the head LoadPair read, decoding
+// the records' bodies.
+func (s *Sequence) DecodePair(h *PairHead) (int, int) {
+	bi, super := s.locate(h.i)
+	bj, superJ := s.locate(h.j)
+	if superJ == super {
+		return s.pair(h.i, h.j, bi, bj, super, h.sumI, s.recs[h.recI+4:], 8*s.classBytes(super))
+	}
+	return s.rankIn(h.i, bi, super, h.sumI, s.recs[h.recI+4:], 8*s.classBytes(super)),
+		s.rankIn(h.j, bj, superJ, h.sumJ, s.recs[h.recJ+4:], 8*s.classBytes(superJ))
+}
+
+// rankIn finishes Rank1(i), i in block blk of superblock super, from that
+// superblock's record: the partial sum, the body and the bit position of
+// the first offset field in it.
+func (s *Sequence) rankIn(i, blk, super, sum int, body []byte, pos int) int {
+	k := blk - super*s.sf
+	ones, width := s.scan(body, 0, k)
+	return sum + ones + s.prefix(body, k, pos+width, i-blk*s.b)
 }
 
 // Rank0 returns the number of 0 bits strictly before position i.

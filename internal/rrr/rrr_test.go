@@ -157,11 +157,13 @@ func TestRankMatchesNaive(t *testing.T) {
 
 // TestRankPairEveryLayout walks every block size, superblock factors that are
 // odd, even and 1, and lengths on and around superblock boundaries (0 and
-// whole multiples of b*sf included), checking Rank1Pair against Rank1 at
-// every i for partners in the same block, the same superblock, the next
-// superblock and the end — and Rank1, Bit and Select1 against the input.
+// whole multiples of b*sf included), checking Rank1Pair and its split into
+// LoadPair and DecodePair against Rank1 at every i for partners in the same
+// block, the same superblock, the next superblock and the end — and Rank1,
+// Bit and Select1 against the input.
 func TestRankPairEveryLayout(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
+	var h PairHead
 	for b := MinBlockSize; b <= MaxBlockSize; b++ {
 		for _, sf := range []int{1, 2, 3, 7, 50} {
 			sb := b * sf
@@ -194,6 +196,10 @@ func TestRankPairEveryLayout(t *testing.T) {
 						}
 						if ri, rj := s.Rank1Pair(i, j); ri != rank[i] || rj != rank[j] {
 							t.Fatalf("b=%d sf=%d n=%d: Rank1Pair(%d,%d)=(%d,%d), want (%d,%d)", b, sf, n, i, j, ri, rj, rank[i], rank[j])
+						}
+						s.LoadPair(&h, i, j)
+						if ri, rj := s.DecodePair(&h); ri != rank[i] || rj != rank[j] {
+							t.Fatalf("b=%d sf=%d n=%d: DecodePair after LoadPair(%d,%d)=(%d,%d), want (%d,%d)", b, sf, n, i, j, ri, rj, rank[i], rank[j])
 						}
 					}
 				}

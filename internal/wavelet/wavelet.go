@@ -377,6 +377,63 @@ func (t *Tree) RankPair(sym uint8, i, j int) (int, int) {
 	return i, j
 }
 
+// PairQuery is one RankPair of a group: the symbol and the positions
+// I <= J in, Rank(Sym, I) and Rank(Sym, J) out, in I and J.
+type PairQuery struct {
+	I, J int
+	Sym  uint8
+}
+
+// Group is RankPairs' scratch: each query's node at the current level and
+// its record head. Reused across calls, it grows to the largest group once.
+type Group struct {
+	at    []*node
+	heads []rrr.PairHead
+}
+
+// RankPairs answers every query of q as RankPair does, with the group
+// walking down the tree level by level: at each level the record head of
+// every query's node is loaded before any record is decoded. The heads'
+// loads are independent, so on a structure out of cache their misses
+// overlap where one RankPair after another would wait out each in turn.
+func (t *Tree) RankPairs(q []PairQuery, g *Group) {
+	if cap(g.at) < len(q) {
+		g.at, g.heads = make([]*node, len(q)), make([]rrr.PairHead, len(q))
+	}
+	at, heads := g.at[:len(q)], g.heads[:len(q)]
+	for k := range q {
+		t.checkRank(q[k].I)
+		t.checkRank(q[k].J)
+		if int(q[k].Sym) >= t.sigma {
+			panic(fmt.Sprintf("wavelet: symbol %d outside alphabet [0,%d)", q[k].Sym, t.sigma))
+		}
+		at[k] = t.root
+	}
+	for range t.levels {
+		for k, nd := range at {
+			if nd != nil && nd.rrr != nil {
+				nd.rrr.LoadPair(&heads[k], q[k].I, q[k].J)
+			}
+		}
+		for k, nd := range at {
+			if nd == nil {
+				continue
+			}
+			var a, b int
+			if nd.rrr != nil {
+				a, b = nd.rrr.DecodePair(&heads[k])
+			} else {
+				a, b = nd.rank1Pair(q[k].I, q[k].J)
+			}
+			if qk := &q[k]; int(qk.Sym) >= (nd.lo+nd.hi+1)/2 {
+				qk.I, qk.J, at[k] = a, b, nd.on
+			} else {
+				qk.I, qk.J, at[k] = qk.I-a, qk.J-b, nd.zero
+			}
+		}
+	}
+}
+
 // RankAll computes Rank(sym, i) for every symbol in one traversal, writing
 // the counts into counts[0:sigma]. A single walk resolves all sigma ranks
 // with one binary rank per node (Rank1; the zero-side count is its

@@ -122,6 +122,43 @@ func TestRankPairMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestRankPairsMatchesRankPair runs groups of narrowed and wide queries of
+// random symbols through RankPairs, on both backends and alphabets whose
+// leaves sit at different depths, against one RankPair per query.
+func TestRankPairsMatchesRankPair(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	var g Group
+	for _, be := range testBackends {
+		for _, sigma := range []int{2, 3, 4, 5, 8} {
+			data := randomData(rng, 3000, sigma)
+			tr, err := New(data, sigma, be.b)
+			if err != nil {
+				t.Fatalf("%s sigma=%d: %v", be.name, sigma, err)
+			}
+			for _, size := range []int{1, 2, 17, 128} {
+				q := make([]PairQuery, size)
+				for k := range q {
+					i := rng.Intn(len(data) + 1)
+					j := min(i+rng.Intn(60), len(data)) // a narrowed range
+					if k%3 == 0 {
+						j = i + rng.Intn(len(data)+1-i)
+					}
+					q[k] = PairQuery{I: i, J: j, Sym: uint8(rng.Intn(sigma))}
+				}
+				in := append([]PairQuery(nil), q...)
+				tr.RankPairs(q, &g)
+				for k, x := range in {
+					wantI, wantJ := tr.RankPair(x.Sym, x.I, x.J)
+					if q[k].I != wantI || q[k].J != wantJ || q[k].Sym != x.Sym {
+						t.Fatalf("%s sigma=%d group of %d: query %d %+v answered %+v, RankPair says (%d,%d)",
+							be.name, sigma, size, k, x, q[k], wantI, wantJ)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestAccess(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, be := range testBackends {
