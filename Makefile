@@ -44,13 +44,16 @@ bench-gate:
 # exact batch engine (also on a 16 Mbp reference whose rank structure spills
 # out of a 2 MiB L2: MapReadsInto, whose chunks search in lock step, at
 # 0 allocs/op beside a loop of MapRead over the same reads, reads/s each),
-# the mem batch engine with the SMEM search (steps/op,
+# the mem batch engine (a 30 kbp reference in cache and an E. coli-like
+# 4.6 Mbp one out of it, reads/s each) with the SMEM search (steps/op,
 # table and ranked arms over a 256 kbp text whose tables stay in cache, a
 # 4 Mbp one whose tables do not, that one also locating through samples at
 # rate 8, and 1M/repeats, a 1 Mbp text of segments written 2 to 16 times
-# whose matches are located and extended by reading the text) and the
-# extension kernels it rests on (50 iterations, so warm-up
-# allocations do not show), the k-mismatch search (steps/op, 35 and 100 bp at
+# whose matches are located and extended by reading the text; each table
+# arm again as group-32, the same patterns searched 32 at a time in lock
+# step, at the same steps/op) and the extension kernels it rests on (a
+# full-band and a bandstart-4 arm, and full Smith-Waterman; 50 iterations,
+# so warm-up allocations do not show), the k-mismatch search (steps/op, 35 and 100 bp at
 # k = 1, 2 on the 4 Mbp text), locate through the full and the sampled
 # suffix arrays (0 allocs/op on every arm), the read source
 # beside the bare decode loop it must stay close to, and one warm job through

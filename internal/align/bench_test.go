@@ -52,7 +52,10 @@ func BenchmarkExtendSeedBanded(b *testing.B) {
 // BenchmarkExtenderExtendSeed pins the reusable Extender's steady state:
 // after a warm call its grid and ops buffers are sized, so every subsequent
 // extension — z-drop and adaptive band included — is allocation-free. The
-// mem batch engine's zero-alloc gate rests on this.
+// mem batch engine's zero-alloc gate rests on this. The full-band arm runs
+// half-band 12 at once; bandstart-4 is the mem pipeline's shape, half-band
+// 16 starting at 4, where a clean 150 bp arm stops after the first run's
+// 1 350 cells.
 func BenchmarkExtenderExtendSeed(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	ref := make(dna.Seq, 100000)
@@ -63,19 +66,28 @@ func BenchmarkExtenderExtendSeed(b *testing.B) {
 	for m := 0; m < 4; m++ {
 		query[rng.Intn(len(query))] = dna.Base(rng.Intn(4))
 	}
-	var e Extender
-	if _, err := e.ExtendSeed(query, ref, 60, 40060, 20, 12, DefaultScoring); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// Once per read, as the mem pipeline does: without it the op slab
-		// grows with every call.
-		e.Reset()
-		if _, err := e.ExtendSeed(query, ref, 60, 40060, 20, 12, DefaultScoring); err != nil {
-			b.Fatal(err)
-		}
+	for _, arm := range []struct {
+		name            string
+		band, bandStart int
+	}{{"full-band", 12, 0}, {"bandstart-4", 16, 4}} {
+		b.Run(arm.name, func(b *testing.B) {
+			e := Extender{BandStart: arm.bandStart}
+			res, err := e.ExtendSeed(query, ref, 60, 40060, 20, arm.band, DefaultScoring)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				// Once per read, as the mem pipeline does: without it the op
+				// slab grows with every call.
+				e.Reset()
+				if _, err := e.ExtendSeed(query, ref, 60, 40060, 20, arm.band, DefaultScoring); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(res.Cells), "cells/op")
+		})
 	}
 }
 
@@ -98,6 +110,8 @@ func BenchmarkExtenderSmithWaterman(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		// Once per call, as rescue does: without it the op slab grows.
+		e.Reset()
 		if _, err := e.SmithWaterman(query, ref, DefaultScoring); err != nil {
 			b.Fatal(err)
 		}

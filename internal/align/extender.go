@@ -147,21 +147,13 @@ func (e *Extender) bandedSW(query, ref dna.Seq, delta, band int, sc Scoring) (Re
 		jHi := min(n, i+delta+band)
 		rowMax := int32(0)
 		if jLo <= jHi {
+			// The row's cells k = kLo.. sit over the previous row's k and
+			// k+1, its diagonal and up neighbours; the left neighbour of kLo
+			// is 0 or absent.
 			kLo := jLo - i - delta + band
-			prev, cur := H[(i-1)*s:i*s], H[i*s:(i+1)*s]
-			q, r := query[i-1], ref[jLo-1:jHi]
+			cur, r := H[i*s:(i+1)*s], ref[jLo-1:jHi]
 			cells += len(r)
-			left := int32(0) // the left neighbour of kLo is 0 or absent
-			for x, c := range r {
-				k := kLo + x
-				v := prev[k] + mismatch
-				if q == c {
-					v = prev[k] + match
-				}
-				v = max(v, prev[k+1]+gap, left+gap, 0)
-				cur[k], left = v, v
-				rowMax = max(rowMax, v)
-			}
+			rowMax = fillRow(cur[kLo:], H[(i-1)*s+kLo:i*s], r, query[i-1], match, mismatch, gap)
 			// The first cell of the row holding its maximum is where a
 			// row-major scan for a strictly larger score stops.
 			if rowMax > best {
@@ -238,26 +230,13 @@ func (e *Extender) SmithWaterman(query, ref dna.Seq, sc Scoring) (Result, error)
 	best := int32(0)
 	bi, bj := 0, 0
 	for i := 1; i <= m; i++ {
-		for j := 1; j <= n; j++ {
-			diag := H[(i-1)*w+j-1]
-			if query[i-1] == ref[j-1] {
-				diag += int32(sc.Match)
-			} else {
-				diag += int32(sc.Mismatch)
-			}
-			v := diag
-			if up := H[(i-1)*w+j] + int32(sc.Gap); up > v {
-				v = up
-			}
-			if left := H[i*w+j-1] + int32(sc.Gap); left > v {
-				v = left
-			}
-			if v < 0 {
-				v = 0
-			}
-			H[i*w+j] = v
-			if v > best {
-				best, bi, bj = v, i, j
+		// Row i's cells j = 1..n sit one column right of their diagonal
+		// neighbours in row i-1; column 0 stays 0.
+		cur := H[i*w+1 : (i+1)*w]
+		rowMax := fillRow(cur, H[(i-1)*w:i*w], ref, query[i-1], int32(sc.Match), int32(sc.Mismatch), int32(sc.Gap))
+		if rowMax > best {
+			best, bi = rowMax, i
+			for bj = 1; cur[bj-1] != rowMax; bj++ {
 			}
 		}
 	}
@@ -294,4 +273,27 @@ func (e *Extender) SmithWaterman(query, ref dna.Seq, sc Scoring) (Result, error)
 		Ops:   sub,
 		Cells: m * n,
 	}, nil
+}
+
+// fillRow computes one row of the local-alignment recurrence for query base
+// q against reference bases r: cur[x] from prev[x] (the diagonal), prev[x+1]
+// (up) and cur[x-1] (left, 0 before cur[0]), clamped at 0. It returns the
+// row's maximum. Both kernels call it once per row. It is kept out of line:
+// the loop inside bandedSW kept its running values on the stack, and inlined
+// back into the kernels it measures slower.
+//
+//go:noinline
+func fillRow(cur, prev []int32, r dna.Seq, q dna.Base, match, mismatch, gap int32) int32 {
+	cur, diag, up := cur[:len(r)], prev[:len(r)], prev[1:len(r)+1]
+	left, rowMax := int32(0), int32(0)
+	for x, c := range r {
+		sub := mismatch
+		if q == c {
+			sub = match
+		}
+		v := max(diag[x]+sub, up[x]+gap, left+gap, 0)
+		cur[x], left = v, v
+		rowMax = max(rowMax, v)
+	}
+	return rowMax
 }

@@ -319,17 +319,22 @@ type memCandidate struct {
 // heap allocation per read. Pooled via memScratchPool; not safe for
 // concurrent use.
 type memScratch struct {
-	pattern []uint8 // orientation pattern (symbol codes)
-	rc      dna.Seq // reverse-complement buffer
-	smems   []fmindex.SMEM
-	seeds   []Seed
-	posSlab []int32 // located seed positions (per SMEM)
-	chains  chainScratch
-	cands   []memCandidate
-	ext     align.Extender
-	cigar   []byte            // CIGAR render buffer
-	interns map[string]string // CIGAR intern table, bounded
-	rescueQ dna.Seq           // rescue-query RC buffer
+	// The chunk's seeding: read i's pattern (symbol codes) is patterns[2i]
+	// and its reverse complement's patterns[2i+1], both in patSlab; rcs[i]
+	// is the reverse complement, in rcSlab; seeding holds their SMEMs.
+	patterns [][]uint8
+	patSlab  []uint8
+	rcs      []dna.Seq
+	rcSlab   dna.Seq
+	seeding  fmindex.SMEMGroup
+	seeds    []Seed
+	posSlab  []int32 // located seed positions (per SMEM)
+	chains   chainScratch
+	cands    []memCandidate
+	ext      align.Extender
+	cigar    []byte            // CIGAR render buffer
+	interns  map[string]string // CIGAR intern table, bounded
+	rescueQ  dna.Seq           // rescue-query RC buffer
 }
 
 // memScratchPool recycles per-worker mem pipeline scratch across batches
@@ -369,33 +374,54 @@ func (ix *Index) MapReadMem(read dna.Seq, opts MemOptions) (MemResult, error) {
 	return dst[0], err
 }
 
-func (st *memState) mapRead(sc *memScratch, read dna.Seq, opts MemOptions) (MemResult, error) {
+// seed searches the SMEMs of a chunk's reads, both orientations of each, as
+// one group (fmindex.BiIndex.SMEMsGroup), so that the searches' table,
+// suffix-array and text loads overlap.
+func (sc *memScratch) seed(bi *fmindex.BiIndex, reads []dna.Seq, minLen int) error {
+	n := 0
+	for _, r := range reads {
+		n += len(r)
+	}
+	if cap(sc.rcSlab) < n {
+		sc.rcSlab, sc.patSlab = make(dna.Seq, n), make([]uint8, 2*n)
+	}
+	sc.rcs, sc.patterns = sc.rcs[:0], sc.patterns[:0]
+	rcs, pats := sc.rcSlab[:n], sc.patSlab[:2*n]
+	for _, r := range reads {
+		rc := r.ReverseComplementInto(rcs[:0:len(r)])
+		rcs = rcs[len(r):]
+		sc.rcs = append(sc.rcs, rc)
+		for _, q := range [2]dna.Seq{r, rc} {
+			pattern := pats[:len(q):len(q)]
+			pats = pats[len(q):]
+			for i, b := range q {
+				pattern[i] = uint8(b)
+			}
+			sc.patterns = append(sc.patterns, pattern)
+		}
+	}
+	return bi.SMEMsGroup(&sc.seeding, sc.patterns, minLen)
+}
+
+// mapRead maps the chunk's read i, whose SMEMs sc.seed has searched.
+func (st *memState) mapRead(sc *memScratch, i int, read dna.Seq, opts MemOptions) (MemResult, error) {
 	var out MemResult
 	if len(read) == 0 {
 		return out, nil
 	}
-	sc.rc = read.ReverseComplementInto(sc.rc)
 	sc.cands = sc.cands[:0]
 	sc.ext.ZDrop = opts.ZDrop
 	sc.ext.BandStart = opts.extenderBandStart()
 	for orient := 0; orient < 2; orient++ {
 		query, forward := read, true
 		if orient == 1 {
-			query, forward = sc.rc, false
+			query, forward = sc.rcs[i], false
 		}
-		if cap(sc.pattern) < len(query) {
-			sc.pattern = make([]uint8, len(query))
-		}
-		pattern := sc.pattern[:len(query)]
-		for i, b := range query {
-			pattern[i] = uint8(b)
-		}
-		seeds := sc.seeds[:0]
-		smems, steps, err := st.bi.SMEMsAppend(sc.smems[:0], pattern, opts.MinSeedLen)
-		sc.smems = smems[:0]
+		smems, steps, err := sc.seeding.Result(2*i + orient)
 		if err != nil {
 			return out, err
 		}
+		seeds := sc.seeds[:0]
 		// The two orientations search in parallel pipelines, so the slower
 		// one bounds the seeding latency (like MapResult.Steps).
 		out.SeedSteps = max(out.SeedSteps, steps)
@@ -617,13 +643,15 @@ func (ix *Index) MapPairMem(r1, r2 dna.Seq, opts MemOptions) (MemPairResult, err
 	return MemPairFromResults(dst[0], dst[1], opts), nil
 }
 
-// mapPair maps a mate pair into dst: both mates through the single-end
-// pipeline, then a rescue search for a mate the seeds missed.
-func (st *memState) mapPair(sc *memScratch, r1, r2 dna.Seq, opts MemOptions, dst []MemResult) (err error) {
-	if dst[0], err = st.mapRead(sc, r1, opts); err != nil {
+// mapPair maps the chunk's mate pair reads[i], reads[i+1] into dst: both
+// mates through the single-end pipeline, then a rescue search for a mate the
+// seeds missed.
+func (st *memState) mapPair(sc *memScratch, i int, reads []dna.Seq, opts MemOptions, dst []MemResult) (err error) {
+	r1, r2 := reads[i], reads[i+1]
+	if dst[0], err = st.mapRead(sc, i, r1, opts); err != nil {
 		return err
 	}
-	if dst[1], err = st.mapRead(sc, r2, opts); err != nil {
+	if dst[1], err = st.mapRead(sc, i+1, r2, opts); err != nil {
 		return err
 	}
 	// Rescue: one mapped mate defines the window the other must fall in.
@@ -744,11 +772,16 @@ func (memWork) chunk() int { return 16 }
 func (memWork) acquire() *memScratch   { return memScratchPool.Get().(*memScratch) }
 func (memWork) release(sc *memScratch) { memScratchPool.Put(sc) }
 
+// mapUnits seeds the whole chunk first, then chains, extends and rescues
+// read by read and pair by pair.
 func (w memWork) mapUnits(sc *memScratch, reads []dna.Seq, dst []MemResult) (err error) {
+	if err = sc.seed(w.st.bi, reads, w.opts.MinSeedLen); err != nil {
+		return err
+	}
 	i := 0
 	if w.opts.Paired {
 		for ; i+1 < len(reads); i += 2 {
-			if err = w.st.mapPair(sc, reads[i], reads[i+1], w.opts, dst[i:]); err != nil {
+			if err = w.st.mapPair(sc, i, reads, w.opts, dst[i:]); err != nil {
 				return err
 			}
 		}
@@ -756,7 +789,7 @@ func (w memWork) mapUnits(sc *memScratch, reads []dna.Seq, dst []MemResult) (err
 	// Single-end reads, and the lone last read of an odd paired batch, mapped
 	// single-end exactly as the sequential loop does.
 	for ; i < len(reads); i++ {
-		if dst[i], err = w.st.mapRead(sc, reads[i], w.opts); err != nil {
+		if dst[i], err = w.st.mapRead(sc, i, reads[i], w.opts); err != nil {
 			return err
 		}
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand"
+	"sync"
 	"testing"
 
 	"bwaver/internal/dna"
@@ -107,6 +109,64 @@ func TestMemZDropMatchesFullBand(t *testing.T) {
 	}
 }
 
+// TestMapReadsMemIntoMixedChunks holds the batch, whose chunks seed all
+// their reads in one group, to mapping each read or pair alone, at 1 and 2
+// workers, paired and single-end, over more than one chunk: an odd batch
+// whose reads include an empty one, one with bases outside ACGT, unmappable
+// ones, and a mate the seeds miss that rescue places.
+func TestMapReadsMemIntoMixedChunks(t *testing.T) {
+	ix, ref := buildMemIndex(t, 30000, 10)
+	reads := memTestReads(t, ref, 24, 100)
+	// The mate of ref[12000:12100], ~300 bases downstream on the reverse
+	// strand, mutated every 12 bases: no SMEM of 31 bases, but rescue finds
+	// it (TestMapPairMemRescue).
+	mate := ref[12300:12400].Clone()
+	for i := 10; i < len(mate); i += 12 {
+		mate[i] = mate[i].Complement()
+	}
+	reads[6], reads[7] = ref[12000:12100].Clone(), mate.ReverseComplement()
+	reads[10] = dna.Seq{}
+	reads[13] = reads[13].Clone()
+	for i := 5; i < len(reads[13]); i += 17 {
+		reads[13][i] = 4
+	}
+	noise := rand.New(rand.NewSource(3))
+	for _, i := range []int{20, 31, 32} {
+		reads[i] = make(dna.Seq, 100)
+		for j := range reads[i] {
+			reads[i][j] = dna.Base(noise.Intn(4))
+		}
+	}
+	reads = reads[:len(reads)-1]
+	for _, paired := range []bool{true, false} {
+		opts := MemOptions{Paired: paired, MinInsert: 100, MaxInsert: 600, MinSeedLen: 31}
+		want := sequentialMem(t, ix, reads, opts)
+		if paired && !want[7].Rescued {
+			t.Fatalf("the mutated mate was not rescued: %+v", want[7])
+		}
+		unmapped := 0
+		for _, r := range want {
+			if !r.Mapped() {
+				unmapped++
+			}
+		}
+		if unmapped < 3 {
+			t.Fatalf("paired %v: %d reads unmapped, want the noise reads among them", paired, unmapped)
+		}
+		for _, workers := range []int{1, 2} {
+			got := make([]MemResult, len(reads))
+			if _, err := ix.MapReadsMemInto(got, reads, opts, MapOptions{Workers: workers}); err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("paired %v, %d workers, read %d:\n got %+v\nwant %+v", paired, workers, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 // TestMemBatchSteadyStateZeroAlloc is the mem allocation gate: once pools are
 // warm, the batch path must not allocate per read.
 func TestMemBatchSteadyStateZeroAlloc(t *testing.T) {
@@ -131,36 +191,74 @@ func TestMemBatchSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// BenchmarkMapReadsMemInto times the mem batch engine on paired 150 bp
+// reads on one worker: over a 30 kbp reference whose index stays in cache,
+// and over an E. coli-like 4.6 Mbp one (built once per test binary) whose
+// tables, suffix array and text do not, where seeding waits on memory and a
+// chunk's searches in lock step overlap those waits.
 func BenchmarkMapReadsMemInto(b *testing.B) {
-	ref, err := readsim.Genome(readsim.GenomeConfig{Length: 30000, GC: 0.45, Seed: 26})
-	if err != nil {
-		b.Fatal(err)
+	for _, arm := range []struct {
+		name  string
+		build func() (mapInputs, error)
+	}{{"30k", memBench30k}, {"EColiLike", memBenchEColi}} {
+		b.Run(arm.name, func(b *testing.B) {
+			in, err := arm.build()
+			if err != nil {
+				b.Fatal(err)
+			}
+			opts := MemOptions{Paired: true, MinInsert: 200, MaxInsert: 700}
+			dst := make([]MemResult, len(in.reads))
+			if _, err := in.ix.MapReadsMemInto(dst, in.reads, opts, MapOptions{}); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := in.ix.MapReadsMemInto(dst, in.reads, opts, MapOptions{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.N*len(in.reads))/b.Elapsed().Seconds(), "reads/s")
+		})
 	}
+}
+
+// memBenchInputs builds an index over ref, its mem state included, and
+// pairs paired 150 bp reads from it.
+func memBenchInputs(ref dna.Seq, pairs int, seed int64) (mapInputs, error) {
 	ix, err := BuildIndex(ref, IndexConfig{})
 	if err != nil {
-		b.Fatal(err)
+		return mapInputs{}, err
+	}
+	if err := ix.EnsureMem(); err != nil {
+		return mapInputs{}, err
 	}
 	sim, err := readsim.SimulatePairs(ref, readsim.PairConfig{
-		Count: 50, ReadLength: 150, InsertMean: 450, InsertStdDev: 35,
-		MappingRatio: 0.9, ErrorRate: 0.02, Seed: 27,
+		Count: pairs, ReadLength: 150, InsertMean: 450, InsertStdDev: 35,
+		MappingRatio: 0.9, ErrorRate: 0.02, Seed: seed,
 	})
 	if err != nil {
-		b.Fatal(err)
+		return mapInputs{}, err
 	}
 	reads := make([]dna.Seq, 0, 2*len(sim))
 	for _, p := range sim {
 		reads = append(reads, p.R1, p.R2)
 	}
-	opts := MemOptions{Paired: true, MinInsert: 200, MaxInsert: 700}
-	dst := make([]MemResult, len(reads))
-	if _, err := ix.MapReadsMemInto(dst, reads, opts, MapOptions{}); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ix.MapReadsMemInto(dst, reads, opts, MapOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
+	return mapInputs{ix: ix, reads: reads}, nil
 }
+
+var memBench30k = sync.OnceValues(func() (mapInputs, error) {
+	ref, err := readsim.Genome(readsim.GenomeConfig{Length: 30000, GC: 0.45, Seed: 26})
+	if err != nil {
+		return mapInputs{}, err
+	}
+	return memBenchInputs(ref, 50, 27)
+})
+
+var memBenchEColi = sync.OnceValues(func() (mapInputs, error) {
+	ref, err := readsim.EColiLike(28, 1)
+	if err != nil {
+		return mapInputs{}, err
+	}
+	return memBenchInputs(ref, 256, 29)
+})

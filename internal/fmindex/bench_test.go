@@ -214,7 +214,12 @@ var benchRepeats = sync.OnceValues(func() (*Index, []uint8) {
 // forward direction locates, as NewBiIndexOver requires: through the full
 // suffix array, and on 4M/sampled-8 — the served configuration — through
 // samples at rate 8, where entering a unique match walks LF and a repeated
-// one stays ranked.
+// one stays ranked. Each table arm has a group-32 arm: the same patterns
+// through SMEMsGroup, 32 at a time, whose steps/op must equal the table
+// arm's; on 256k, whose loads hit cache, it prices the group's bookkeeping.
+// Every arm searches all its patterns once before the timer starts, so that
+// short runs compare warm arms with grown scratch, not a cold one with a
+// warm one.
 func BenchmarkSMEMs(b *testing.B) {
 	small, smallText := benchIndex(b, func(d []uint8) (OccProvider, error) {
 		return NewWaveletOcc(d, 4, rrr.DefaultParams)
@@ -264,8 +269,14 @@ func BenchmarkSMEMs(b *testing.B) {
 			bi   *BiIndex
 		}{{fmt.Sprintf("table-k=%d", bi.k), bi}, {"ranked", withoutShort(bi)}} {
 			b.Run(size.name+"/"+arm.name, func(b *testing.B) {
-				b.ReportAllocs()
 				var smems []SMEM
+				for _, read := range reads { // as the group arm: warm, scratch grown
+					if smems, _, err = arm.bi.SMEMsAppend(smems[:0], read, 19); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
 				steps := 0
 				for i := 0; i < b.N; i++ {
 					var n int
@@ -277,6 +288,35 @@ func BenchmarkSMEMs(b *testing.B) {
 				b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
 			})
 		}
+		// The table arm again, the same patterns searched 32 at a time in
+		// lock step; an op is still one pattern.
+		b.Run(fmt.Sprintf("%s/table-k=%d/group-32", size.name, bi.k), func(b *testing.B) {
+			var g SMEMGroup
+			for lo := 0; lo < len(reads); lo += 32 { // warm, scratch grown
+				if err := bi.SMEMsGroup(&g, reads[lo:lo+32], 19); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			steps := 0
+			for done := 0; done < b.N; {
+				lo := done % len(reads)
+				group := reads[lo:min(lo+32, lo+b.N-done)]
+				if err := bi.SMEMsGroup(&g, group, 19); err != nil {
+					b.Fatal(err)
+				}
+				for p := range group {
+					_, n, err := g.Result(p)
+					if err != nil {
+						b.Fatal(err)
+					}
+					steps += n
+				}
+				done += len(group)
+			}
+			b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
+		})
 	}
 }
 

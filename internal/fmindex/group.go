@@ -109,3 +109,81 @@ func (ix *Index) round(g *Group, live []int32, patterns [][]uint8, ranges []Rang
 	}
 	return next
 }
+
+// SMEMGroup is the scratch of SMEMsGroup: one search state per pattern,
+// each holding its SMEMs until the next call, and the searches waiting on
+// each kind of load. Reused across calls, it grows to the largest group and
+// the most SMEMs a pattern has had once, and allocates nothing after that.
+type SMEMGroup struct {
+	s []smemSearch
+	// wait lists the searches waiting on each kind of load; spare is the
+	// storage a list takes while the one it replaces is being served.
+	wait  [loadNone][]int32
+	spare []int32
+}
+
+// SMEMsGroup runs the SMEM search of every pattern with the searches in
+// lock step: Result(p) is then what SMEMsAppend(nil, patterns[p], minLen)
+// returns. Every search first runs to its first load. Then each round
+// serves the group's loads one kind at a time — every waiting search's
+// table bounds, then the suffix-array line of every interval now to be
+// located, then every first comparison round with the text at a match of
+// several occurrences — and after
+// each kind lets the searches it served run on to their next load, which a
+// later kind of the same round or the next round serves. The loads of one
+// kind are independent of one another, so their cache misses overlap.
+func (bi *BiIndex) SMEMsGroup(g *SMEMGroup, patterns [][]uint8, minLen int) error {
+	if minLen < 1 {
+		return errMinLen(minLen)
+	}
+	n := len(patterns)
+	if len(g.s) < n {
+		g.s = append(g.s, make([]smemSearch, n-len(g.s))...)
+	}
+	for k := range g.wait {
+		if cap(g.wait[k]) < n {
+			g.wait[k] = make([]int32, 0, n)
+		}
+		g.wait[k] = g.wait[k][:0]
+	}
+	if cap(g.spare) < n {
+		g.spare = make([]int32, 0, n)
+	}
+	for i, pattern := range patterns {
+		q := &g.s[i]
+		*q = smemSearch{pattern: pattern, minLen: minLen, out: q.out[:0]}
+		g.queue(bi, q, int32(i))
+	}
+	for waiting := true; waiting; {
+		waiting = false
+		for kind := range g.wait {
+			served := g.wait[kind]
+			if len(served) == 0 {
+				continue
+			}
+			g.wait[kind], waiting = g.spare[:0], true
+			for _, i := range served {
+				bi.serve(&g.s[i])
+			}
+			for _, i := range served {
+				g.queue(bi, &g.s[i], i)
+			}
+			g.spare = served
+		}
+	}
+	return nil
+}
+
+// queue runs search i to its next load and lists it as waiting on that.
+func (g *SMEMGroup) queue(bi *BiIndex, q *smemSearch, i int32) {
+	if bi.advance(q, false) {
+		g.wait[q.need] = append(g.wait[q.need], i)
+	}
+}
+
+// Result returns pattern p's SMEMs, step count and error from the last
+// SMEMsGroup call. The SMEMs stay valid until the next call.
+func (g *SMEMGroup) Result(p int) ([]SMEM, int, error) {
+	q := &g.s[p]
+	return q.out, q.steps, q.err
+}

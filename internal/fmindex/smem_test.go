@@ -268,7 +268,10 @@ func TestSMEMsExactReadSingle(t *testing.T) {
 }
 
 // FuzzSMEMs drives the bidirectional SMEM search with arbitrary text/pattern
-// splits and checks it against the O(n²) brute-force definition. minLen
+// splits and checks it against the O(n²) brute-force definition, and both
+// of its drivers — SMEMsAppend and SMEMsGroup in groups of every size —
+// against the one-pattern reference loop, on full and sampled arrays with
+// the tables and without. minLen
 // ranges over 1..24, so short repetitive texts reach every branch of the
 // search: the window that fails and jumps, the direct hand-off to an L(e+1)
 // already minLen long, the window reopened at a shorter L(e+1), and the
@@ -413,6 +416,12 @@ func FuzzSMEMs(f *testing.F) {
 			} else if steps != fullSteps {
 				t.Fatalf("%d steps locating through samples, %d through the full array", steps, fullSteps)
 			}
+			// Both drivers of the search, on the pattern among others: a
+			// duplicate, a prefix too short for any SMEM, a stretch of the
+			// text, the empty pattern and the pattern's second half.
+			group := [][]uint8{pattern, text[:min(len(text), 80)], pattern[:min(len(pattern), minLen-1)], nil, pattern, pattern[len(pattern)/2:]}
+			checkAgainstReference(t, bi, group, minLen)
+			checkAgainstReference(t, withoutShort(bi), group, minLen)
 			// The short-pattern table is a cache of rank results: the search
 			// must not notice whether it is there.
 			plain, plainSteps, err := withoutShort(bi).SMEMsSteps(pattern, minLen)
@@ -511,6 +520,13 @@ func TestSMEMsLocate(t *testing.T) {
 		if _, _, err := corrupt.SMEMsSteps(pattern, 11); err != nil {
 			failed++
 		}
+		// A failing locate ends the search where the reference loop ends it,
+		// with its SMEMs and steps so far — also one at the end of a match,
+		// which happens where an invalid symbol or the pattern's end stops
+		// the right walk before it locates.
+		cut := append([]uint8(nil), text[s:s+60]...)
+		cut[20], cut[41] = 4, 5
+		checkAgainstReference(t, corrupt, [][]uint8{pattern, text[s : s+60], cut, text[s : s+12]}, 11)
 	}
 	if failed == 0 {
 		t.Error("no search over corrupt samples returned an error")
@@ -521,5 +537,181 @@ func TestSMEMsLocate(t *testing.T) {
 	}
 	if _, err := NewBiIndexOver(countOnly, text, testParams); err == nil {
 		t.Error("a forward direction that cannot locate was accepted")
+	}
+}
+
+// referenceSMEMs is the SMEM search written as one loop over one pattern,
+// the form SMEMsAppend took before its search became resumable: every
+// driver of the search state is held to it.
+func (bi *BiIndex) referenceSMEMs(pattern []uint8, minLen int) ([]SMEM, int, error) {
+	var dst []SMEM
+	if minLen < 1 {
+		return dst, 0, fmt.Errorf("fmindex: minimum SMEM length %d must be >= 1", minLen)
+	}
+	steps := 0
+	var m match
+	for x := 0; x+minLen <= len(pattern); {
+		s, err := bi.refLongestEndingAt(pattern, x+minLen, x, &m, &steps)
+		if err != nil {
+			return dst, steps, err
+		}
+		if s > x {
+			x = s
+			continue
+		}
+		for e := x + minLen; ; {
+			if e, err = bi.refLongestStartingAt(pattern, s, e, &m, &steps); err == nil {
+				err = bi.locate(&m)
+			}
+			if err != nil {
+				return dst, steps, err
+			}
+			dst = append(dst, SMEM{Start: s, End: e, Rows: m.rows, Located: m.n, Pos: m.pos})
+			if e == len(pattern) {
+				return dst, steps, nil
+			}
+			e++
+			if s, err = bi.refLongestEndingAt(pattern, e, 0, &m, &steps); err != nil {
+				return dst, steps, err
+			}
+			if e-s < minLen {
+				x = s
+				break
+			}
+		}
+	}
+	return dst, steps, nil
+}
+
+func (bi *BiIndex) refLongestEndingAt(pattern []uint8, end, lo int, m *match, steps *int) (int, error) {
+	s, key := end, uint32(0)
+	for ; end-s < bi.k && s > lo && int(pattern[s-1]) < bi.sigma; s-- {
+		key |= uint32(pattern[s-1]) << (2 * (end - s))
+	}
+	*m = match{rows: bi.All()}
+	if w := end - s; w > 0 {
+		if m.rows = bi.window(w, key); m.rows.Empty() {
+			l := bi.ftab.presentSuffix(w, int(key))
+			*steps += l + 1
+			if m.key, m.rows = key&(1<<(2*l)-1), bi.All(); l > 0 {
+				m.rows = bi.window(l, m.key)
+			}
+			return end - l, nil
+		}
+		*steps += w
+		m.key = key
+	}
+	for ; s > lo && int(pattern[s-1]) < bi.sigma; s-- {
+		if m.rows.Count() <= bi.locateMax {
+			return bi.refLeftByText(pattern, s, lo, m, steps)
+		}
+		*steps++
+		r := bi.ExtendLeft(m.rows, pattern[s-1])
+		if r.Empty() {
+			break
+		}
+		m.rows = r
+	}
+	return s, nil
+}
+
+func (bi *BiIndex) refLeftByText(pattern []uint8, s, lo int, m *match, steps *int) (int, error) {
+	if err := bi.locate(m); err != nil {
+		return s, err
+	}
+	for ; m.n > 1 && s > lo && int(pattern[s-1]) < bi.sigma; s-- {
+		*steps++
+		h := bi.text.keepBefore(m.hits, pattern[s-1])
+		if h.n == 0 {
+			return s, nil
+		}
+		m.hits = h
+	}
+	if m.n == 1 {
+		n := bi.text.commonSuffix(int(m.pos[0]), pattern[lo:s])
+		s, m.pos[0], *steps = s-n, m.pos[0]-int32(n), *steps+n
+		if s > lo && int(pattern[s-1]) < bi.sigma {
+			*steps++
+		}
+	}
+	return s, nil
+}
+
+func (bi *BiIndex) refLongestStartingAt(pattern []uint8, start, end int, m *match, steps *int) (int, error) {
+	for ; end < len(pattern) && int(pattern[end]) < bi.sigma; end++ {
+		if m.rows.Count() <= bi.locateMax {
+			return bi.refRightByText(pattern, start, end, m, steps)
+		}
+		*steps++
+		r, k := bi.extendRightAt(m.rows, end-start, m.key, pattern[end])
+		if r.Empty() {
+			break
+		}
+		m.rows, m.key = r, k
+	}
+	return end, nil
+}
+
+func (bi *BiIndex) refRightByText(pattern []uint8, start, end int, m *match, steps *int) (int, error) {
+	if err := bi.locate(m); err != nil {
+		return end, err
+	}
+	for ; m.n > 1 && end < len(pattern) && int(pattern[end]) < bi.sigma; end++ {
+		*steps++
+		h := bi.text.keepAt(m.hits, end-start, pattern[end])
+		if h.n == 0 {
+			return end, nil
+		}
+		m.hits = h
+	}
+	if m.n == 1 {
+		n := bi.text.commonPrefix(int(m.pos[0])+end-start, pattern[end:])
+		end, *steps = end+n, *steps+n
+		if end < len(pattern) && int(pattern[end]) < bi.sigma {
+			*steps++
+		}
+	}
+	return end, nil
+}
+
+// checkAgainstReference holds both drivers of the search to referenceSMEMs
+// on every pattern: SMEMsAppend, and SMEMsGroup over the patterns cut into
+// consecutive groups of each size from one to all, through one scratch.
+// SMEMs — bounds, rows, located positions — steps and errors must be equal.
+func checkAgainstReference(t *testing.T, bi *BiIndex, patterns [][]uint8, minLen int) {
+	t.Helper()
+	type result struct {
+		smems []SMEM
+		steps int
+		err   error
+	}
+	want := make([]result, len(patterns))
+	for p, pattern := range patterns {
+		smems, steps, err := bi.referenceSMEMs(pattern, minLen)
+		want[p] = result{smems, steps, err}
+	}
+	check := func(driver string, p int, got result) {
+		t.Helper()
+		if got.steps != want[p].steps || fmt.Sprint(got.err) != fmt.Sprint(want[p].err) || !slices.Equal(got.smems, want[p].smems) {
+			t.Fatalf("%s, pattern %d %v, minLen %d, table order %d, locating %d:\n%v in %d steps (%v)\nreference %v in %d steps (%v)",
+				driver, p, patterns[p], minLen, bi.k, bi.locateMax, got.smems, got.steps, got.err, want[p].smems, want[p].steps, want[p].err)
+		}
+	}
+	for p, pattern := range patterns {
+		smems, steps, err := bi.SMEMsAppend(nil, pattern, minLen)
+		check("SMEMsAppend", p, result{smems, steps, err})
+	}
+	var g SMEMGroup
+	for size := 1; size <= len(patterns); size++ {
+		for lo := 0; lo < len(patterns); lo += size {
+			hi := min(lo+size, len(patterns))
+			if err := bi.SMEMsGroup(&g, patterns[lo:hi], minLen); err != nil {
+				t.Fatal(err)
+			}
+			for p := lo; p < hi; p++ {
+				smems, steps, err := g.Result(p - lo)
+				check(fmt.Sprintf("group of %d", size), p, result{smems, steps, err})
+			}
+		}
 	}
 }
