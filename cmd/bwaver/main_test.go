@@ -1105,3 +1105,55 @@ func TestIndexVerifyAndProfileJSON(t *testing.T) {
 		t.Errorf("profile payload incomplete: %+v", payload)
 	}
 }
+
+// TestMapEmptyReadMapsNowhere pins the row of a read with no bases, given so
+// or trimmed to nothing by -trim-qual: unmapped in the exact TSV, one
+// unmapped SAM record, and unmapped in the k-mismatch TSV — not a hit at
+// every reference position.
+func TestMapEmptyReadMapsNowhere(t *testing.T) {
+	dir := t.TempDir()
+	refPath, _, sim := writeTestFiles(t, dir)
+	indexPath := filepath.Join(dir, "ref.bwx")
+	if err := run([]string{"index", "-ref", refPath, "-out", indexPath}, &bytes.Buffer{}); err != nil {
+		t.Fatal(err)
+	}
+	i := slices.IndexFunc(sim, func(r readsim.Read) bool { return r.Origin >= 0 })
+	hit := sim[i].Seq.String()
+	readsPath := filepath.Join(dir, "empty.fq")
+	fq := "@empty\n\n+\n\n@hit\n" + hit + "\n+\n" + strings.Repeat("I", len(hit)) + "\n@lowq\nACGTAC\n+\n######\n"
+	if err := os.WriteFile(readsPath, []byte(fq), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args []string
+		want map[string]string // read ID → its row, for the reads that map nowhere
+	}{
+		{[]string{"-trim-qual", "20"}, map[string]string{
+			"empty": "empty\tfalse\t0\t-\t0\t-", "lowq": "lowq\tfalse\t0\t-\t0\t-"}},
+		{[]string{"-trim-qual", "20", "-format", "sam"}, map[string]string{
+			"empty": "empty\t4\t*\t0\t0\t*\t*\t0\t0\t*\t*", "lowq": "lowq\t4\t*\t0\t0\t*\t*\t0\t0\t*\t*"}},
+		{[]string{"-trim-qual", "20", "-mismatches", "1"}, map[string]string{
+			"empty": "empty\tfalse\t-1\t0\t-", "lowq": "lowq\tfalse\t-1\t0\t-"}},
+		{[]string{"-mismatches", "2"}, map[string]string{"empty": "empty\tfalse\t-1\t0\t-"}},
+	} {
+		var out bytes.Buffer
+		args := append([]string{"map", "-index", indexPath, "-reads", readsPath}, tc.args...)
+		if err := run(args, &out); err != nil {
+			t.Fatalf("%v: %v", tc.args, err)
+		}
+		rows := map[string]string{}
+		for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
+			if id, _, _ := strings.Cut(line, "\t"); !strings.HasPrefix(id, "@") {
+				rows[id] = line
+			}
+		}
+		for id, want := range tc.want {
+			if rows[id] != want {
+				t.Errorf("%v: read %s row %q, want %q", tc.args, id, rows[id], want)
+			}
+		}
+		if f := strings.Split(rows["hit"], "\t"); len(f) < 2 || (f[1] != "true" && f[1] != "0" && f[1] != "16") {
+			t.Errorf("%v: the reference read did not map: %q", tc.args, rows["hit"])
+		}
+	}
+}

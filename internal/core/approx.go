@@ -57,37 +57,35 @@ func (r ApproxResult) BestMismatches() int {
 }
 
 // approxWork is exact-then-rescue k-mismatch mapping as a workload value.
-// useFtab gates the prefix table for pass 1, as it does for exactWork; the
-// branching search never consults it.
+// Pass 1 is the exact workload's search, on its scratch, with useFtab gating
+// the prefix table as it does there; the branching search of pass 2 never
+// consults the table.
 type approxWork struct {
-	pooledBuf
-	ix            *Index
+	exactWork
 	maxMismatches int
-	useFtab       bool
 }
-
-func (approxWork) unit() int { return 1 }
 
 // chunk is the mem path's: one branching search costs tens of exact lookups.
 func (approxWork) chunk() int { return 16 }
 
-func (w approxWork) mapUnits(buf *mapBuffer, reads []dna.Seq, dst []ApproxResult) error {
+// mapUnits searches the chunk's 2·16 exact patterns as one group, then runs
+// the branching search on both patterns of every read that missed.
+func (w approxWork) mapUnits(buf *chunkBuffer, reads []dna.Seq, dst []ApproxResult) error {
 	// Checked here, not left to the search: a chunk of exact hits never
 	// reaches it and must fail on a bad budget like any other.
 	if w.maxMismatches < 0 || w.maxMismatches > fmindex.MaxMismatchBudget {
 		return fmt.Errorf("core: mismatch budget %d outside [0,%d]", w.maxMismatches, fmindex.MaxMismatchBudget)
 	}
+	w.search(buf, reads)
 	fm := w.ix.fm
 	for i, read := range reads {
-		res := ApproxResult{Exact: w.ix.mapReadBuf(buf, read, w.useFtab)}
-		if !res.Exact.Mapped() {
-			// Encoding the read a second time is noise beside the search.
-			fwPattern, rcPattern := buf.patterns(read)
-			fw, fwSteps, err := fm.CountApproxSteps(fwPattern, w.maxMismatches)
+		res := ApproxResult{Exact: buf.result(i)}
+		if !res.Exact.Mapped() && len(read) > 0 {
+			fw, fwSteps, err := fm.CountApproxSteps(buf.pats[2*i], w.maxMismatches)
 			if err != nil {
 				return err
 			}
-			rc, rcSteps, err := fm.CountApproxSteps(rcPattern, w.maxMismatches)
+			rc, rcSteps, err := fm.CountApproxSteps(buf.pats[2*i+1], w.maxMismatches)
 			if err != nil {
 				return err
 			}
@@ -114,7 +112,7 @@ func (ix *Index) MapReadsApprox(reads []dna.Seq, maxMismatches int, opts MapOpti
 // (len(dst) must equal len(reads)) with explicit prefix-table control for
 // pass 1, as MapReadsIntoFtab has it for exact mapping.
 func (ix *Index) MapReadsApproxFtab(dst []ApproxResult, reads []dna.Seq, maxMismatches int, opts MapOptions, useFtab bool) error {
-	return mapBatch(approxWork{ix: ix, maxMismatches: maxMismatches, useFtab: useFtab}, dst, reads, opts)
+	return mapBatch(approxWork{exactWork: exactWork{ix: ix, useFtab: useFtab}, maxMismatches: maxMismatches}, dst, reads, opts)
 }
 
 // MapReadApprox maps one read and its reverse complement, exactly or else

@@ -170,6 +170,49 @@ var build16M = sync.OnceValues(func() (mapInputs, error) {
 	return mapInputs{ix: ix, reads: readsim.Seqs(reads)}, err
 })
 
+// BenchmarkMapReadsApprox times the k-mismatch batch engine on one worker
+// at budgets 1 and 2: 4 096 reads of 100 bp, three in four mapping exactly,
+// on an E. coli-like 4.6 Mbp reference with the default k = 10 prefix table
+// (built once per test binary). Pass 1 searches each chunk's exact patterns
+// as one group; the quarter that misses goes through the branching search.
+func BenchmarkMapReadsApprox(b *testing.B) {
+	in, err := approxBenchEColi()
+	if err != nil {
+		b.Fatal(err)
+	}
+	dst := make([]ApproxResult, len(in.reads))
+	// One chunk first, so the timed batches find the scratch grown.
+	if err := in.ix.MapReadsApproxFtab(dst[:16], in.reads[:16], 1, MapOptions{Workers: 1}, true); err != nil {
+		b.Fatal(err)
+	}
+	for _, k := range []int{1, 2} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := in.ix.MapReadsApproxFtab(dst, in.reads, k, MapOptions{Workers: 1}, true); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.N*len(in.reads))/b.Elapsed().Seconds(), "reads/s")
+		})
+	}
+}
+
+var approxBenchEColi = sync.OnceValues(func() (mapInputs, error) {
+	genome, err := readsim.EColiLike(1, 1)
+	if err != nil {
+		return mapInputs{}, err
+	}
+	reads, err := readsim.Simulate(genome, readsim.ReadsConfig{
+		Count: 4096, Length: 100, MappingRatio: 0.75, RevCompFraction: 0.5, Seed: 4,
+	})
+	if err != nil {
+		return mapInputs{}, err
+	}
+	ix, err := BuildIndex(genome, IndexConfig{FtabK: DefaultFtabK})
+	return mapInputs{ix: ix, reads: readsim.Seqs(reads)}, err
+})
+
 func BenchmarkMapReadsLocate(b *testing.B) {
 	reads, ix := benchInputs(b)
 	seqs := readsim.Seqs(reads)

@@ -129,8 +129,8 @@ type Index struct {
 	memMu sync.Mutex
 	mem   atomic.Pointer[memState]
 
-	// chunks holds the exact engine's per-worker search scratch between
-	// batches.
+	// chunks holds the scratch of every exact search — the exact and
+	// k-mismatch engines' per-worker chunks, and MapRead's — between calls.
 	chunks chunkList
 }
 
@@ -357,40 +357,7 @@ func (m MapResult) Mapped() bool { return !m.Forward.Empty() || !m.Reverse.Empty
 // Occurrences returns the total number of occurrences across both strands.
 func (m MapResult) Occurrences() int { return m.Forward.Count() + m.Reverse.Count() }
 
-// mapBuffer is a worker's reusable scratch: the two search patterns.
-type mapBuffer struct {
-	fw, rc []uint8
-}
-
-// mapBufPool recycles search scratch across calls, the allocation-free
-// steady state: after warm-up the count-only hot path performs no heap
-// allocation per read.
-var mapBufPool = sync.Pool{New: func() any { return new(mapBuffer) }}
-
-// patterns returns the read and its reverse complement as symbol codes, in
-// buf's two reusable pattern buffers.
-func (buf *mapBuffer) patterns(read dna.Seq) (fw, rc []uint8) {
-	m := len(read)
-	if cap(buf.fw) < m {
-		buf.fw = make([]uint8, m)
-		buf.rc = make([]uint8, m)
-	}
-	fw, rc = buf.fw[:m], buf.rc[:m]
-	encode(read, fw, rc)
-	return fw, rc
-}
-
-// encode writes read and its reverse complement as symbol codes into fw and
-// rc, each as long as the read.
-func encode(read dna.Seq, fw, rc []uint8) {
-	m := len(read)
-	for i, b := range read {
-		fw[i] = uint8(b)
-		rc[m-1-i] = uint8(b.Complement())
-	}
-}
-
-// chunkBuffer is an exact-search worker's scratch for a whole chunk: the
+// chunkBuffer is the scratch of every exact search in core: a chunk's
 // patterns back to back in syms, read i's forward and reverse complement as
 // pats[2i] and pats[2i+1], their results and their search group.
 type chunkBuffer struct {
@@ -429,10 +396,9 @@ func (l *chunkList) put(buf *chunkBuffer) {
 	l.mu.Unlock()
 }
 
-// searchChunk runs the exact searches of a chunk of reads — each read and
-// its reverse complement — as one fmindex search group, and writes the
-// results into dst, as mapReadBuf would one by one.
-func (ix *Index) searchChunk(buf *chunkBuffer, reads []dna.Seq, dst []MapResult, useFtab bool) {
+// encode writes every read and its reverse complement as symbol codes into
+// buf.pats, sized for their results.
+func (buf *chunkBuffer) encode(reads []dna.Seq) {
 	total := 0
 	for _, read := range reads {
 		total += len(read)
@@ -442,47 +408,47 @@ func (ix *Index) searchChunk(buf *chunkBuffer, reads []dna.Seq, dst []MapResult,
 	if cap(buf.pats) < n {
 		buf.pats, buf.ranges, buf.steps = make([][]uint8, n), make([]fmindex.Range, n), make([]int, n)
 	}
-	pats, ranges, steps := buf.pats[:n], buf.ranges[:n], buf.steps[:n]
+	buf.pats, buf.ranges, buf.steps = buf.pats[:n], buf.ranges[:n], buf.steps[:n]
 	at := 0
 	for i, read := range reads {
 		m := len(read)
-		pats[2*i], pats[2*i+1] = buf.syms[at:at+m:at+m], buf.syms[at+m:at+2*m:at+2*m]
-		encode(read, pats[2*i], pats[2*i+1])
+		fw, rc := buf.syms[at:at+m:at+m], buf.syms[at+m:at+2*m:at+2*m]
+		for j, b := range read {
+			fw[j] = uint8(b)
+			rc[m-1-j] = uint8(b.Complement())
+		}
+		buf.pats[2*i], buf.pats[2*i+1] = fw, rc
 		at += 2 * m
-	}
-	ix.fm.SearchGroup(&buf.group, pats, useFtab, ranges, steps)
-	for i := range reads {
-		// The two searches run in parallel pipelines in hardware (§III-C).
-		dst[i] = MapResult{Forward: ranges[2*i], Reverse: ranges[2*i+1], Steps: max(steps[2*i], steps[2*i+1])}
 	}
 }
 
-// mapReadBuf maps one read using buf's reusable pattern buffers. useFtab
-// gates the prefix-table path so a consumer whose table was evicted (the
-// simulator's BRAM degrade) can stay consistent with its own cycle model.
-func (ix *Index) mapReadBuf(buf *mapBuffer, read dna.Seq, useFtab bool) MapResult {
-	fw, rc := buf.patterns(read)
-	var res MapResult
-	var fwSteps, rcSteps int
-	if useFtab {
-		res.Forward, fwSteps = ix.fm.SearchWithFtabSteps(fw)
-		res.Reverse, rcSteps = ix.fm.SearchWithFtabSteps(rc)
-	} else {
-		res.Forward, fwSteps = ix.fm.CountSteps(fw)
-		res.Reverse, rcSteps = ix.fm.CountSteps(rc)
+// unmapped is the range of a pattern that occurs nowhere.
+var unmapped = fmindex.Range{Start: 1, End: 0}
+
+// result is read i's MapResult from the searches of its two patterns. An
+// empty read maps nowhere: the backward search of an empty pattern matches
+// every row, which says nothing about where the read came from.
+func (buf *chunkBuffer) result(i int) MapResult {
+	if len(buf.pats[2*i]) == 0 {
+		return MapResult{Forward: unmapped, Reverse: unmapped}
 	}
 	// The two searches run in parallel pipelines in hardware (§III-C), so
 	// the slower one bounds the query's latency.
-	res.Steps = max(fwSteps, rcSteps)
-	return res
+	return MapResult{Forward: buf.ranges[2*i], Reverse: buf.ranges[2*i+1], Steps: max(buf.steps[2*i], buf.steps[2*i+1])}
 }
 
 // MapRead maps one read and its reverse complement (count only), through
-// the prefix table when the index carries one.
+// the prefix table when the index carries one. It searches the two patterns
+// one at a time, not as a group: it is the per-read reference the batch
+// engine is held to.
 func (ix *Index) MapRead(read dna.Seq) MapResult {
-	buf := mapBufPool.Get().(*mapBuffer)
-	res := ix.mapReadBuf(buf, read, true)
-	mapBufPool.Put(buf)
+	buf := ix.chunks.get()
+	buf.encode([]dna.Seq{read})
+	for p, pattern := range buf.pats {
+		buf.ranges[p], buf.steps[p] = ix.fm.SearchWithFtabSteps(pattern)
+	}
+	res := buf.result(0)
+	ix.chunks.put(buf)
 	return res
 }
 
@@ -541,17 +507,21 @@ func (exactWork) chunk() int { return 64 }
 func (w exactWork) acquire() *chunkBuffer    { return w.ix.chunks.get() }
 func (w exactWork) release(buf *chunkBuffer) { w.ix.chunks.put(buf) }
 
-// pooledBuf is the scratch of a workload that searches a read at a time
-// with a mapBuffer: k-mismatch mapping.
-type pooledBuf struct{}
+// search encodes a chunk of reads into buf and runs their backward
+// searches as one fmindex search group: they advance in lock step, so their
+// rank queries' cache misses overlap. Each pattern's range and steps are
+// what the one-pattern search returns.
+func (w exactWork) search(buf *chunkBuffer, reads []dna.Seq) {
+	buf.encode(reads)
+	w.ix.fm.SearchGroup(&buf.group, buf.pats, w.useFtab, buf.ranges, buf.steps)
+}
 
-func (pooledBuf) acquire() *mapBuffer    { return mapBufPool.Get().(*mapBuffer) }
-func (pooledBuf) release(buf *mapBuffer) { mapBufPool.Put(buf) }
-
-// mapUnits searches the chunk as one group: its 2·64 searches advance in
-// lock step, so their rank queries' cache misses overlap.
+// mapUnits searches the chunk as one group of 2·64 searches.
 func (w exactWork) mapUnits(buf *chunkBuffer, reads []dna.Seq, dst []MapResult) error {
-	w.ix.searchChunk(buf, reads, dst, w.useFtab)
+	w.search(buf, reads)
+	for i := range reads {
+		dst[i] = buf.result(i)
+	}
 	return nil
 }
 

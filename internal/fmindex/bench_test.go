@@ -219,7 +219,10 @@ var benchRepeats = sync.OnceValues(func() (*Index, []uint8) {
 // arm's; on 256k, whose loads hit cache, it prices the group's bookkeeping.
 // Every arm searches all its patterns once before the timer starts, so that
 // short runs compare warm arms with grown scratch, not a cold one with a
-// warm one.
+// warm one. Every arm cycles 256 patterns, whose lines on the 4 Mbp index
+// (≈ 0.85 MB) stay in a 2 MiB L2 after one pass; the two 4 Mbp sizes
+// therefore also run each arm under cold/, cycling 4 096 patterns (the
+// first 256 of them the same), whose lines do not.
 func BenchmarkSMEMs(b *testing.B) {
 	small, smallText := benchIndex(b, func(d []uint8) (OccProvider, error) {
 		return NewWaveletOcc(d, 4, rrr.DefaultParams)
@@ -243,81 +246,98 @@ func BenchmarkSMEMs(b *testing.B) {
 		name string
 		fwd  *Index
 		text []uint8
+		cold bool
 	}{
-		{"256k", small, smallText},
-		{"4M", large, largeText},
-		{"4M/sampled-8", &sampled, largeText},
-		{"1M/repeats", repeats, repeatsText},
+		{"256k", small, smallText, false},
+		{"4M", large, largeText, true},
+		{"4M/sampled-8", &sampled, largeText, true},
+		{"1M/repeats", repeats, repeatsText, false},
 	} {
 		bi, err := NewBiIndexOver(size.fwd, size.text, rrr.DefaultParams)
 		if err != nil {
 			b.Fatal(err)
 		}
-		rng := rand.New(rand.NewSource(6))
-		reads := make([][]uint8, 256)
-		for i := range reads {
-			s := rng.Intn(len(size.text) - 150)
-			reads[i] = append([]uint8(nil), size.text[s:s+150]...)
-			for j := range reads[i] {
-				if rng.Intn(50) == 0 {
-					reads[i][j] = uint8((int(reads[i][j]) + 1 + rng.Intn(3)) % 4)
-				}
+		benchSMEMArms(b, size.name, bi, smemPatterns(size.text, 256))
+		if size.cold {
+			benchSMEMArms(b, size.name+"/cold", bi, smemPatterns(size.text, 4096))
+		}
+	}
+}
+
+// smemPatterns draws n 150 bp patterns from text with 2 % substitutions;
+// the first patterns of a longer draw are those of a shorter one.
+func smemPatterns(text []uint8, n int) [][]uint8 {
+	rng := rand.New(rand.NewSource(6))
+	reads := make([][]uint8, n)
+	for i := range reads {
+		s := rng.Intn(len(text) - 150)
+		reads[i] = append([]uint8(nil), text[s:s+150]...)
+		for j := range reads[i] {
+			if rng.Intn(50) == 0 {
+				reads[i][j] = uint8((int(reads[i][j]) + 1 + rng.Intn(3)) % 4)
 			}
 		}
-		for _, arm := range []struct {
-			name string
-			bi   *BiIndex
-		}{{fmt.Sprintf("table-k=%d", bi.k), bi}, {"ranked", withoutShort(bi)}} {
-			b.Run(size.name+"/"+arm.name, func(b *testing.B) {
-				var smems []SMEM
-				for _, read := range reads { // as the group arm: warm, scratch grown
-					if smems, _, err = arm.bi.SMEMsAppend(smems[:0], read, 19); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				steps := 0
-				for i := 0; i < b.N; i++ {
-					var n int
-					if smems, n, err = arm.bi.SMEMsAppend(smems[:0], reads[i%len(reads)], 19); err != nil {
-						b.Fatal(err)
-					}
-					steps += n
-				}
-				b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
-			})
-		}
-		// The table arm again, the same patterns searched 32 at a time in
-		// lock step; an op is still one pattern.
-		b.Run(fmt.Sprintf("%s/table-k=%d/group-32", size.name, bi.k), func(b *testing.B) {
-			var g SMEMGroup
-			for lo := 0; lo < len(reads); lo += 32 { // warm, scratch grown
-				if err := bi.SMEMsGroup(&g, reads[lo:lo+32], 19); err != nil {
+	}
+	return reads
+}
+
+// benchSMEMArms runs BenchmarkSMEMs' three arms over reads under name: the
+// search with the tables, ranked, and with the tables in groups of 32.
+func benchSMEMArms(b *testing.B, name string, bi *BiIndex, reads [][]uint8) {
+	var err error
+	for _, arm := range []struct {
+		name string
+		bi   *BiIndex
+	}{{fmt.Sprintf("table-k=%d", bi.k), bi}, {"ranked", withoutShort(bi)}} {
+		b.Run(name+"/"+arm.name, func(b *testing.B) {
+			var smems []SMEM
+			for _, read := range reads { // as the group arm: warm, scratch grown
+				if smems, _, err = arm.bi.SMEMsAppend(smems[:0], read, 19); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			steps := 0
-			for done := 0; done < b.N; {
-				lo := done % len(reads)
-				group := reads[lo:min(lo+32, lo+b.N-done)]
-				if err := bi.SMEMsGroup(&g, group, 19); err != nil {
+			for i := 0; i < b.N; i++ {
+				var n int
+				if smems, n, err = arm.bi.SMEMsAppend(smems[:0], reads[i%len(reads)], 19); err != nil {
 					b.Fatal(err)
 				}
-				for p := range group {
-					_, n, err := g.Result(p)
-					if err != nil {
-						b.Fatal(err)
-					}
-					steps += n
-				}
-				done += len(group)
+				steps += n
 			}
 			b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
 		})
 	}
+	// The table arm again, the same patterns searched 32 at a time in
+	// lock step; an op is still one pattern.
+	b.Run(fmt.Sprintf("%s/table-k=%d/group-32", name, bi.k), func(b *testing.B) {
+		var g SMEMGroup
+		for lo := 0; lo < len(reads); lo += 32 { // warm, scratch grown
+			if err := bi.SMEMsGroup(&g, reads[lo:lo+32], 19); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		steps := 0
+		for done := 0; done < b.N; {
+			lo := done % len(reads)
+			group := reads[lo:min(lo+32, lo+b.N-done)]
+			if err := bi.SMEMsGroup(&g, group, 19); err != nil {
+				b.Fatal(err)
+			}
+			for p := range group {
+				_, n, err := g.Result(p)
+				if err != nil {
+					b.Fatal(err)
+				}
+				steps += n
+			}
+			done += len(group)
+		}
+		b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
+	})
 }
 
 // BenchmarkCountApprox times the k-mismatch search and reports its

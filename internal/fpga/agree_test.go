@@ -82,7 +82,7 @@ func TestApproxBackendsAgree(t *testing.T) {
 				if err != nil || !kernel.UsesFtab() {
 					t.Fatalf("table kernel: %v", err)
 				}
-				run, err := kernel.MapReadsTwoPassOpts(reads, k, MapRunOptions{})
+				run, err := runKernel(kernel, twoPassWork{k}, reads, MapRunOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -93,7 +93,7 @@ func TestApproxBackendsAgree(t *testing.T) {
 				if err != nil || !degraded.FtabDegraded() {
 					t.Fatalf("degraded kernel: %v", err)
 				}
-				plain, err := degraded.MapReadsTwoPassOpts(reads, k, MapRunOptions{})
+				plain, err := runKernel(degraded, twoPassWork{k}, reads, MapRunOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}

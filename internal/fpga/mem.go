@@ -155,18 +155,6 @@ func (w memWork) execute(k *Kernel, run *MemRunResult, reads []dna.Seq, opts Map
 	return passes, nil
 }
 
-// MapReadsMemOpts maps a batch through seed → chain → extend on one card.
-func (k *Kernel) MapReadsMemOpts(reads []dna.Seq, memOpts core.MemOptions, opts MapRunOptions) (*MemRunResult, error) {
-	return runKernel(k, memWork{opts: memOpts}, reads, opts)
-}
-
-// MapReadsMemOpts stripes a seed-and-extend batch across the healthy cards.
-// Paired batches stripe on pair boundaries so no mate pair splits across
-// cards (pairing context — rescue, proper-pair calls — is shard-local).
-func (f *Farm) MapReadsMemOpts(reads []dna.Seq, memOpts core.MemOptions, opts MapRunOptions) (*MemRunResult, error) {
-	return runFarm(f, memWork{opts: memOpts}, reads, opts)
-}
-
 // verifySampledMem recomputes every stride-th result on the host and compares
 // it to the device's, the mem counterpart of core.VerifySampled. Paired
 // batches verify whole pairs so rescue and proper-pair context match.

@@ -42,7 +42,7 @@ func TestKernelMemMatchesHost(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := core.MemOptions{Paired: true, MinInsert: 100, MaxInsert: 500}
-	run, err := k.MapReadsMemOpts(reads, opts, MapRunOptions{})
+	run, err := runKernel(k, memWork{opts: opts}, reads, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestKernelMemMatchesHost(t *testing.T) {
 		t.Error("no reconfigure event on the timeline")
 	}
 	// A resident index pays no transfer on reruns.
-	rerun, err := k.MapReadsMemOpts(reads, opts, MapRunOptions{IndexResident: true})
+	rerun, err := runKernel(k, memWork{opts: opts}, reads, MapRunOptions{IndexResident: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,10 +105,10 @@ func TestKernelMemRejectsOversizedRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	long := make(dna.Seq, MaxQueryBases+1)
-	if _, err := k.MapReadsMemOpts([]dna.Seq{long}, core.MemOptions{}, MapRunOptions{}); err == nil {
+	if _, err := runKernel(k, memWork{opts: core.MemOptions{}}, []dna.Seq{long}, MapRunOptions{}); err == nil {
 		t.Error("oversized read accepted")
 	}
-	if _, err := k.MapReadsMemOpts([]dna.Seq{{}}, core.MemOptions{}, MapRunOptions{}); err == nil {
+	if _, err := runKernel(k, memWork{opts: core.MemOptions{}}, []dna.Seq{{}}, MapRunOptions{}); err == nil {
 		t.Error("empty read accepted")
 	}
 }
@@ -129,7 +129,7 @@ func TestFarmMemUnderFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := core.MemOptions{Paired: true, MinInsert: 100, MaxInsert: 500}
-	run, err := farm.MapReadsMemOpts(reads, opts, MapRunOptions{})
+	run, err := runFarm(farm, memWork{opts: opts}, reads, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestFarmMemPairBoundaries(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := core.MemOptions{Paired: true, MinInsert: 100, MaxInsert: 500}
-	run, err := farm.MapReadsMemOpts(reads, opts, MapRunOptions{})
+	run, err := runFarm(farm, memWork{opts: opts}, reads, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

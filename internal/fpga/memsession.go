@@ -45,8 +45,8 @@ func (f *Farm) NewMemSession(memOpts core.MemOptions, opts MapRunOptions) *MemSe
 }
 
 // Map runs one batch under the session's schedule and returns its result.
-// Results are bit-identical to Farm.MapReadsMemOpts — only the modeled
-// profile (reconfiguration charge, overlap credit) differs.
+// Results are bit-identical to the batch's run in a fresh session — only the
+// modeled profile (reconfiguration charge, overlap credit) differs.
 func (s *MemSession) Map(reads []dna.Seq) (*MemRunResult, error) {
 	opts := s.opts
 	if s.batches > 0 {

@@ -53,7 +53,7 @@ func TestMapReadsOptsCancel(t *testing.T) {
 	if _, err := k.MapReadsOpts(reads, MapRunOptions{Context: ctx}); !errors.Is(err, context.Canceled) {
 		t.Errorf("canceled run returned %v, want context.Canceled", err)
 	}
-	if _, err := k.MapReadsTwoPassOpts(reads, 1, MapRunOptions{Context: ctx}); !errors.Is(err, context.Canceled) {
+	if _, err := runKernel(k, twoPassWork{1}, reads, MapRunOptions{Context: ctx}); !errors.Is(err, context.Canceled) {
 		t.Errorf("canceled two-pass run returned %v, want context.Canceled", err)
 	}
 }

@@ -228,7 +228,7 @@ func TestFarmTwoPassUnderFaults(t *testing.T) {
 	// Compare against a clean single card.
 	clean, _ := NewDevice(Config{})
 	k, _ := clean.Program(ix)
-	want, err := k.MapReadsTwoPassOpts(reads, 1, MapRunOptions{})
+	want, err := runKernel(k, twoPassWork{1}, reads, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

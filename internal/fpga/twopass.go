@@ -141,13 +141,6 @@ func (w twoPassWork) verify(ix *core.Index, reads []dna.Seq, t *TwoPassResult, s
 	return nil
 }
 
-// MapReadsTwoPassOpts runs the exact kernel, reconfigures, and retries the
-// unaligned reads with up to maxMismatches substitutions. maxMismatches
-// must be at least 1 (use MapReadsOpts for exact-only runs).
-func (k *Kernel) MapReadsTwoPassOpts(reads []dna.Seq, maxMismatches int, opts MapRunOptions) (*TwoPassResult, error) {
-	return runKernel(k, twoPassWork{maxMismatches}, reads, opts)
-}
-
 // MapReadsTwoPassOpts is the farm's two-pass approximate flow: every card
 // runs its own exact + reconfigured mismatch pass over its shard.
 // Reconfiguration happens on every card in parallel, so the profile charges

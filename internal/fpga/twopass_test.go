@@ -46,7 +46,7 @@ func TestTwoPassRescuesMutatedReads(t *testing.T) {
 	// Reads with exactly one substitution: exact pass fails, 1-mismatch
 	// pass must rescue them (the planted origin must be reachable).
 	reads, origins := mutatedReads(t, 40000, 50, 50, 1)
-	res, err := k.MapReadsTwoPassOpts(reads, 1, MapRunOptions{})
+	res, err := runKernel(k, twoPassWork{1}, reads, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestTwoPassAllExactSkipsReconfig(t *testing.T) {
 	d, _ := NewDevice(Config{})
 	k, _ := d.Program(ix)
 	reads := simReads(t, ix, 100, 40, 1) // all map exactly
-	res, err := k.MapReadsTwoPassOpts(reads, 2, MapRunOptions{})
+	res, err := runKernel(k, twoPassWork{2}, reads, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestTwoPassRandomReadsStayUnmapped(t *testing.T) {
 	d, _ := NewDevice(Config{})
 	k, _ := d.Program(ix)
 	reads := simReads(t, ix, 50, 60, 0) // random 60-mers
-	res, err := k.MapReadsTwoPassOpts(reads, 1, MapRunOptions{})
+	res, err := runKernel(k, twoPassWork{1}, reads, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestTwoPassValidation(t *testing.T) {
 	ix := buildIndex(t, 5000)
 	d, _ := NewDevice(Config{})
 	k, _ := d.Program(ix)
-	if _, err := k.MapReadsTwoPassOpts(simReads(t, ix, 5, 30, 1), 0, MapRunOptions{}); err == nil {
+	if _, err := runKernel(k, twoPassWork{0}, simReads(t, ix, 5, 30, 1), MapRunOptions{}); err == nil {
 		t.Error("accepted zero mismatch budget")
 	}
 }
@@ -145,7 +145,7 @@ func TestTwoPassCostsMoreThanExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	two, err := k.MapReadsTwoPassOpts(reads, 1, MapRunOptions{})
+	two, err := runKernel(k, twoPassWork{1}, reads, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestTwoPassChecksumCoversPass2(t *testing.T) {
 	reads, _ := mutatedReads(t, 40000, 40, 50, 1) // pass 1 maps none of them
 	clean, _ := NewDevice(Config{})
 	ck, _ := clean.Program(ix)
-	want, err := ck.MapReadsTwoPassOpts(reads, 1, MapRunOptions{})
+	want, err := runKernel(ck, twoPassWork{1}, reads, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestTwoPassChecksumCoversPass2(t *testing.T) {
 		func(m *fmindex.ApproxMatch) { m.Range.End ^= 4 },
 		func(m *fmindex.ApproxMatch) { m.Mismatches ^= 1 },
 	} {
-		tampered, err := ck.MapReadsTwoPassOpts(reads, 1, MapRunOptions{})
+		tampered, err := runKernel(ck, twoPassWork{1}, reads, MapRunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,7 +207,7 @@ func TestTwoPassChecksumCoversPass2(t *testing.T) {
 	dev, _ := NewDevice(Config{})
 	dev.EnableFaults(plan, 0)
 	k, _ := dev.Program(ix)
-	run, err := k.MapReadsTwoPassOpts(reads, 1, MapRunOptions{})
+	run, err := runKernel(k, twoPassWork{1}, reads, MapRunOptions{})
 	if err != nil {
 		t.Fatalf("corruption must not error at the device: %v", err)
 	}
