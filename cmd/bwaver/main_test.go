@@ -1109,7 +1109,7 @@ func TestIndexVerifyAndProfileJSON(t *testing.T) {
 // TestMapEmptyReadMapsNowhere pins the row of a read with no bases, given so
 // or trimmed to nothing by -trim-qual: unmapped in the exact TSV, one
 // unmapped SAM record, and unmapped in the k-mismatch TSV — not a hit at
-// every reference position.
+// every reference position — and the same rows on -backend fpga.
 func TestMapEmptyReadMapsNowhere(t *testing.T) {
 	dir := t.TempDir()
 	refPath, _, sim := writeTestFiles(t, dir)
@@ -1136,10 +1136,16 @@ func TestMapEmptyReadMapsNowhere(t *testing.T) {
 			"empty": "empty\tfalse\t-1\t0\t-", "lowq": "lowq\tfalse\t-1\t0\t-"}},
 		{[]string{"-mismatches", "2"}, map[string]string{"empty": "empty\tfalse\t-1\t0\t-"}},
 	} {
-		var out bytes.Buffer
+		var out, fpgaOut bytes.Buffer
 		args := append([]string{"map", "-index", indexPath, "-reads", readsPath}, tc.args...)
 		if err := run(args, &out); err != nil {
 			t.Fatalf("%v: %v", tc.args, err)
+		}
+		if err := run(append(args, "-backend", "fpga"), &fpgaOut); err != nil {
+			t.Fatalf("%v -backend fpga: %v", tc.args, err)
+		}
+		if fpgaOut.String() != out.String() {
+			t.Errorf("%v: -backend fpga rows differ from cpu:\n%s\nvs\n%s", tc.args, fpgaOut.String(), out.String())
 		}
 		rows := map[string]string{}
 		for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {

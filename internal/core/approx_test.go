@@ -152,7 +152,7 @@ func TestMapReadsApproxMatchesOnePattern(t *testing.T) {
 			// A reverse-strand copy with an A written as 4: the forward
 			// pattern holds a symbol outside the alphabet, and the reverse
 			// complement still occurs exactly (4 complements to T, as A
-			// does), so pass 2, which refuses such a symbol, never runs.
+			// does), so pass 2 never runs.
 			at := 40 + 50*i
 			read := ref[at : at+30].ReverseComplement()
 			j := slices.Index(read, dna.A)
@@ -232,14 +232,23 @@ func TestMapReadsApproxMatchesOnePattern(t *testing.T) {
 	}
 
 	// A read with a symbol outside the alphabet that misses exactly reaches
-	// pass 2, which refuses it: the batch fails as the reference does.
-	bad := reads[0].Clone()
-	bad[0], bad[len(bad)-1] = 4, 4
-	if _, err := reference(bad, 1, true); err == nil {
-		t.Fatal("reference accepted a missed read outside the alphabet")
+	// pass 2, which counts the symbol as a substitution: a reference slice
+	// with one base other than A written as 4 misses on both strands (4
+	// complements to T) and maps at one mismatch, as the reference has it.
+	at := 1000
+	bad := ref[at : at+30].Clone()
+	j := slices.IndexFunc(bad, func(b dna.Base) bool { return b != dna.A })
+	bad[j] = 4
+	want, err := reference(bad, 1, true)
+	if err != nil || want.Exact.Mapped() || !want.Mapped() {
+		t.Fatalf("reference: %+v, %v; want a pass-2 hit", want, err)
 	}
-	if err := ix.MapReadsApproxFtab(make([]ApproxResult, 3), []dna.Seq{reads[0], bad, reads[1]}, 1, MapOptions{}, true); err == nil {
-		t.Error("batch accepted a missed read outside the alphabet")
+	got := make([]ApproxResult, 3)
+	if err := ix.MapReadsApproxFtab(got, []dna.Seq{reads[0], bad, reads[1]}, 1, MapOptions{}, true); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got[1], want) {
+		t.Errorf("read outside the alphabet:\n got %+v\nwant %+v", got[1], want)
 	}
 }
 

@@ -357,9 +357,10 @@ func (m MapResult) Mapped() bool { return !m.Forward.Empty() || !m.Reverse.Empty
 // Occurrences returns the total number of occurrences across both strands.
 func (m MapResult) Occurrences() int { return m.Forward.Count() + m.Reverse.Count() }
 
-// chunkBuffer is the scratch of every exact search in core: a chunk's
+// chunkBuffer is the scratch of every grouped search in core: a chunk's
 // patterns back to back in syms, read i's forward and reverse complement as
-// pats[2i] and pats[2i+1], their results and their search group.
+// pats[2i] and pats[2i+1], their exact results and their search group, which
+// a mem chunk's SMEMs are read from.
 type chunkBuffer struct {
 	syms   []uint8
 	pats   [][]uint8

@@ -319,22 +319,17 @@ type memCandidate struct {
 // heap allocation per read. Pooled via memScratchPool; not safe for
 // concurrent use.
 type memScratch struct {
-	// The chunk's seeding: read i's pattern (symbol codes) is patterns[2i]
-	// and its reverse complement's patterns[2i+1], both in patSlab; rcs[i]
-	// is the reverse complement, in rcSlab; seeding holds their SMEMs.
-	patterns [][]uint8
-	patSlab  []uint8
-	rcs      []dna.Seq
-	rcSlab   dna.Seq
-	seeding  fmindex.SMEMGroup
-	seeds    []Seed
-	posSlab  []int32 // located seed positions (per SMEM)
-	chains   chainScratch
-	cands    []memCandidate
-	ext      align.Extender
-	cigar    []byte            // CIGAR render buffer
-	interns  map[string]string // CIGAR intern table, bounded
-	rescueQ  dna.Seq           // rescue-query RC buffer
+	// chunk holds the chunk's patterns and, once seeded, their SMEMs in
+	// chunk.group; rc is the reverse complement of a read being mapped.
+	chunk   chunkBuffer
+	rc      dna.Seq
+	seeds   []Seed
+	posSlab []int32 // located seed positions (per SMEM)
+	chains  chainScratch
+	cands   []memCandidate
+	ext     align.Extender
+	cigar   []byte            // CIGAR render buffer
+	interns map[string]string // CIGAR intern table, bounded
 }
 
 // memScratchPool recycles per-worker mem pipeline scratch across batches
@@ -374,36 +369,7 @@ func (ix *Index) MapReadMem(read dna.Seq, opts MemOptions) (MemResult, error) {
 	return dst[0], err
 }
 
-// seed searches the SMEMs of a chunk's reads, both orientations of each, as
-// one group (fmindex.BiIndex.SMEMsGroup), so that the searches' table,
-// suffix-array and text loads overlap.
-func (sc *memScratch) seed(bi *fmindex.BiIndex, reads []dna.Seq, minLen int) error {
-	n := 0
-	for _, r := range reads {
-		n += len(r)
-	}
-	if cap(sc.rcSlab) < n {
-		sc.rcSlab, sc.patSlab = make(dna.Seq, n), make([]uint8, 2*n)
-	}
-	sc.rcs, sc.patterns = sc.rcs[:0], sc.patterns[:0]
-	rcs, pats := sc.rcSlab[:n], sc.patSlab[:2*n]
-	for _, r := range reads {
-		rc := r.ReverseComplementInto(rcs[:0:len(r)])
-		rcs = rcs[len(r):]
-		sc.rcs = append(sc.rcs, rc)
-		for _, q := range [2]dna.Seq{r, rc} {
-			pattern := pats[:len(q):len(q)]
-			pats = pats[len(q):]
-			for i, b := range q {
-				pattern[i] = uint8(b)
-			}
-			sc.patterns = append(sc.patterns, pattern)
-		}
-	}
-	return bi.SMEMsGroup(&sc.seeding, sc.patterns, minLen)
-}
-
-// mapRead maps the chunk's read i, whose SMEMs sc.seed has searched.
+// mapRead maps the chunk's read i, whose SMEMs memWork.mapUnits has searched.
 func (st *memState) mapRead(sc *memScratch, i int, read dna.Seq, opts MemOptions) (MemResult, error) {
 	var out MemResult
 	if len(read) == 0 {
@@ -415,9 +381,10 @@ func (st *memState) mapRead(sc *memScratch, i int, read dna.Seq, opts MemOptions
 	for orient := 0; orient < 2; orient++ {
 		query, forward := read, true
 		if orient == 1 {
-			query, forward = sc.rcs[i], false
+			sc.rc = read.ReverseComplementInto(sc.rc)
+			query, forward = sc.rc, false
 		}
-		smems, steps, err := sc.seeding.Result(2*i + orient)
+		smems, steps, err := sc.chunk.group.Result(2*i + orient)
 		if err != nil {
 			return out, err
 		}
@@ -680,8 +647,8 @@ func (st *memState) rescueMate(sc *memScratch, dst *MemResult, read dna.Seq, anc
 		// reverse strand.
 		wStart = int(anchor.Pos)
 		wEnd = min(len(st.ref), wStart+opts.MaxInsert)
-		sc.rescueQ = read.ReverseComplementInto(sc.rescueQ)
-		query = sc.rescueQ
+		sc.rc = read.ReverseComplementInto(sc.rc)
+		query = sc.rc
 		forward = false
 	} else {
 		// Anchor is the right mate: the missing mate lies upstream, forward.
@@ -772,10 +739,13 @@ func (memWork) chunk() int { return 16 }
 func (memWork) acquire() *memScratch   { return memScratchPool.Get().(*memScratch) }
 func (memWork) release(sc *memScratch) { memScratchPool.Put(sc) }
 
-// mapUnits seeds the whole chunk first, then chains, extends and rescues
-// read by read and pair by pair.
+// mapUnits seeds the whole chunk first — the SMEMs of every read and its
+// reverse complement as one group (fmindex.BiIndex.SMEMsGroup), so that the
+// searches' table, suffix-array and text loads overlap — then chains,
+// extends and rescues read by read and pair by pair.
 func (w memWork) mapUnits(sc *memScratch, reads []dna.Seq, dst []MemResult) (err error) {
-	if err = sc.seed(w.st.bi, reads, w.opts.MinSeedLen); err != nil {
+	sc.chunk.encode(reads)
+	if err = w.st.bi.SMEMsGroup(&sc.chunk.group, sc.chunk.pats, w.opts.MinSeedLen); err != nil {
 		return err
 	}
 	i := 0

@@ -433,7 +433,7 @@ func TestEnsureFtabAfterEnsureMem(t *testing.T) {
 				pattern[i] = uint8(b)
 			}
 			for _, minLen := range []int{4, 19} {
-				got, steps, err := ix.mem.Load().bi.SMEMsSteps(pattern, minLen)
+				got, steps, err := ix.mem.Load().bi.SMEMsAppend(nil, pattern, minLen)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -36,15 +36,12 @@ func (ix *Index) CountApprox(pattern []uint8, maxMismatches int) ([]ApproxMatch,
 
 // CountApproxSteps is CountApprox plus the number of backward-search steps
 // the branching search executed, which the FPGA simulator charges cycles
-// for.
+// for. A pattern symbol outside the alphabet is a forced substitution: every
+// branch at its position costs one mismatch, as the exact search counts it
+// a miss.
 func (ix *Index) CountApproxSteps(pattern []uint8, maxMismatches int) ([]ApproxMatch, int, error) {
 	if maxMismatches < 0 || maxMismatches > MaxMismatchBudget {
 		return nil, 0, fmt.Errorf("fmindex: mismatch budget %d outside [0,%d]", maxMismatches, MaxMismatchBudget)
-	}
-	for _, s := range pattern {
-		if int(s) >= ix.sigma {
-			return nil, 0, fmt.Errorf("fmindex: pattern symbol %d outside alphabet [0,%d)", s, ix.sigma)
-		}
 	}
 	var (
 		matches []ApproxMatch

@@ -2,6 +2,7 @@ package fmindex
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -163,7 +164,13 @@ func TestCountApproxValidation(t *testing.T) {
 	if _, err := ix.CountApprox([]uint8{0, 1}, MaxMismatchBudget+1); err == nil {
 		t.Error("accepted excessive budget")
 	}
-	if _, err := ix.CountApprox([]uint8{0, 9}, 1); err == nil {
-		t.Error("accepted out-of-alphabet symbol")
+	// A symbol outside the alphabet is a forced substitution: 0 then 9
+	// within one mismatch is 0 then any symbol, of which the text holds 01.
+	got, err := ix.CountApprox([]uint8{0, 9}, 1)
+	if want := []ApproxMatch{{Range: ix.Count([]uint8{0, 1}), Mismatches: 1}}; err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("out-of-alphabet symbol: %+v, %v; want %+v", got, err, want)
+	}
+	if got, err := ix.CountApprox([]uint8{0, 9}, 0); err != nil || len(got) != 0 {
+		t.Errorf("out-of-alphabet symbol at k = 0: %+v, %v; want no match", got, err)
 	}
 }

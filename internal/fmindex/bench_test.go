@@ -312,7 +312,7 @@ func benchSMEMArms(b *testing.B, name string, bi *BiIndex, reads [][]uint8) {
 	// The table arm again, the same patterns searched 32 at a time in
 	// lock step; an op is still one pattern.
 	b.Run(fmt.Sprintf("%s/table-k=%d/group-32", name, bi.k), func(b *testing.B) {
-		var g SMEMGroup
+		var g Group
 		for lo := 0; lo < len(reads); lo += 32 { // warm, scratch grown
 			if err := bi.SMEMsGroup(&g, reads[lo:lo+32], 19); err != nil {
 				b.Fatal(err)

@@ -212,11 +212,11 @@ func TestSMEMsShortTableTransparent(t *testing.T) {
 		if trial%7 == 0 {
 			pattern = pattern[:1+rng.Intn(12)] // reads shorter than the order
 		}
-		want, wantSteps, err := plain.SMEMsSteps(pattern, 1)
+		want, wantSteps, err := plain.SMEMsAppend(nil, pattern, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, gotSteps, err := bi.SMEMsSteps(pattern, 1)
+		got, gotSteps, err := bi.SMEMsAppend(nil, pattern, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

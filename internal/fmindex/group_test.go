@@ -2,6 +2,7 @@ package fmindex
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -131,5 +132,82 @@ func TestSearchGroupFtabStats(t *testing.T) {
 		if got := ftab.Stats(); got != before {
 			t.Errorf("a search without the table counted %+v", got.since(before))
 		}
+	}
+}
+
+// TestGroupServesBothSearches runs one Group through an SMEM group, then an
+// exact group with the table and without, then an SMEM group again, at
+// growing sizes: every result must equal that of a fresh scratch, and once
+// the scratch is warm the three searches allocate nothing.
+func TestGroupServesBothSearches(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	text := buildText(rng, 4000)
+	bi := buildBi(t, text)
+	ix := buildWith(t, text, func(d []uint8) (OccProvider, error) { return NewWaveletOcc(d, 4, testParams) }, fullSAOpts)
+	ftab, err := ix.BuildFtab(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix.SetFtab(ftab)
+	patterns := [][]uint8{nil}
+	for range 47 {
+		l := 1 + rng.Intn(60)
+		o := rng.Intn(len(text) - l)
+		p := append([]uint8(nil), text[o:o+l]...)
+		switch rng.Intn(4) {
+		case 0:
+			p[rng.Intn(l)] = 4 // a symbol the index lacks
+		case 1:
+			p[rng.Intn(l)] ^= 1 // a substitution
+		}
+		patterns = append(patterns, p)
+	}
+	const minLen = 8
+	var shared Group
+	ranges, steps := make([]Range, len(patterns)), make([]int, len(patterns))
+	for _, n := range []int{1, 5, 16, len(patterns)} {
+		pats := patterns[:n]
+		var fresh Group
+		if err := bi.SMEMsGroup(&fresh, pats, minLen); err != nil {
+			t.Fatal(err)
+		}
+		smems := func(stage string) {
+			t.Helper()
+			if err := bi.SMEMsGroup(&shared, pats, minLen); err != nil {
+				t.Fatal(err)
+			}
+			for p := range pats {
+				got, gotSteps, gotErr := shared.Result(p)
+				want, wantSteps, wantErr := fresh.Result(p)
+				if !slices.Equal(got, want) || gotSteps != wantSteps || gotErr != wantErr {
+					t.Fatalf("%d patterns, %s SMEM group, pattern %d: %v in %d steps (%v), fresh scratch %v in %d (%v)",
+						n, stage, p, got, gotSteps, gotErr, want, wantSteps, wantErr)
+				}
+			}
+		}
+		smems("first")
+		for _, useFtab := range []bool{true, false} {
+			var freshExact Group
+			wantRanges, wantSteps := make([]Range, n), make([]int, n)
+			ix.SearchGroup(&freshExact, pats, useFtab, wantRanges, wantSteps)
+			ix.SearchGroup(&shared, pats, useFtab, ranges[:n], steps[:n])
+			if !slices.Equal(ranges[:n], wantRanges) || !slices.Equal(steps[:n], wantSteps) {
+				t.Fatalf("%d patterns, ftab=%v: exact group %v in %v steps, fresh scratch %v in %v",
+					n, useFtab, ranges[:n], steps[:n], wantRanges, wantSteps)
+			}
+		}
+		smems("second")
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := bi.SMEMsGroup(&shared, patterns, minLen); err != nil {
+			t.Fatal(err)
+		}
+		ix.SearchGroup(&shared, patterns, true, ranges, steps)
+		if err := bi.SMEMsGroup(&shared, patterns, minLen); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a warm scratch allocated %v times a round", allocs)
 	}
 }

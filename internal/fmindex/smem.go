@@ -57,34 +57,23 @@ func (s *SMEM) Positions() []int32 {
 // Len returns the match length.
 func (s SMEM) Len() int { return s.End - s.Start }
 
-// SMEMs returns every SMEM of pattern with length >= minLen, in pattern
-// order.
-func (bi *BiIndex) SMEMs(pattern []uint8, minLen int) ([]SMEM, error) {
-	out, _, err := bi.SMEMsSteps(pattern, minLen)
-	return out, err
-}
-
-// SMEMsSteps is SMEMs also reporting the number of bidirectional extension
-// operations the search executed — the per-pattern work measure a pipelined
-// seeding kernel retires one per cycle, so it drives the FPGA simulator's
-// pass-1 cycle model.
-func (bi *BiIndex) SMEMsSteps(pattern []uint8, minLen int) ([]SMEM, int, error) {
-	return bi.SMEMsAppend(nil, pattern, minLen)
-}
-
-// SMEMsAppend is SMEMsSteps appending into dst instead of allocating a
-// fresh result slice: the search itself holds no state beyond one match,
-// so with a caller-reused dst of sufficient capacity it allocates nothing.
-// Results, ordering, and the step count are identical to SMEMsSteps. A
-// locate that fails (a corrupt index) is returned as the error. It runs one
-// search to completion, serving each of its loads as soon as it asks;
-// SMEMsGroup runs many in lock step.
+// SMEMsAppend appends every SMEM of pattern with length >= minLen to dst, in
+// pattern order, and returns them with the number of bidirectional
+// extension operations the search executed — the per-pattern work measure a
+// pipelined seeding kernel retires one per cycle, so it drives the FPGA
+// simulator's pass-1 cycle model. The search itself holds no state beyond
+// one match, so with a caller-reused dst of sufficient capacity it allocates
+// nothing. A locate that fails (a corrupt index) is returned as the error.
+// It runs one search, serving each of its loads as it asks; SMEMsGroup runs
+// many in lock step.
 func (bi *BiIndex) SMEMsAppend(dst []SMEM, pattern []uint8, minLen int) ([]SMEM, int, error) {
 	if minLen < 1 {
 		return dst, 0, errMinLen(minLen)
 	}
 	q := smemSearch{pattern: pattern, minLen: minLen, out: dst}
-	bi.advance(&q, true)
+	for bi.advance(&q) {
+		bi.serve(&q)
+	}
 	return q.out, q.steps, q.err
 }
 
@@ -144,13 +133,16 @@ const (
 	atEmitLocated                // emit m
 )
 
-// load is what a waiting search asks for, in the order a group serves it.
+// load is what a waiting search asks for, in the order Group.drive serves
+// it: the SMEM search asks for the first three, the backward search of
+// SearchGroup for table bounds and rank pairs.
 type load uint8
 
 const (
-	loadTable load = iota // the window's bounds in the prefix tables
+	loadTable load = iota // a window's or a pattern's bounds in a prefix table
 	loadLine              // the suffix-array line of m's rows
 	loadText              // the first comparison round at m's occurrences, several
+	loadRank              // one backward-search step's rank pair
 	loadNone              // the search waits on nothing
 )
 
@@ -180,11 +172,9 @@ func (bi *BiIndex) serve(q *smemSearch) {
 func (bi *BiIndex) valid(a uint8) bool { return int(a) < bi.sigma }
 
 // advance runs q up to its next load and reports whether it waits on one;
-// false means it is done. Alone, it serves each load where the walk asks
-// for it and runs q to its end. The common path from one load to the next
-// falls through the cases in order: the switch is taken about once a load
-// in a group, and about once an SMEM alone.
-func (bi *BiIndex) advance(q *smemSearch, alone bool) bool {
+// false means it is done. The common path from one load to the next falls
+// through the cases in order: the switch is taken about once a load.
+func (bi *BiIndex) advance(q *smemSearch) bool {
 	p := q.pattern
 	for q.err == nil {
 		q.need = loadNone
@@ -196,10 +186,7 @@ func (bi *BiIndex) advance(q *smemSearch, alone bool) bool {
 				return false
 			}
 			q.e, q.outer = q.x+q.minLen, true
-			if bi.beginLeft(q, q.x); q.at != atLeftRows || bi.wait(q, alone) {
-				break
-			}
-			fallthrough
+			bi.beginLeft(q, q.x)
 		case atLeftRows:
 			// The window of the first up to k symbols is read with one table
 			// lookup; only when it is absent is its longest occurring suffix
@@ -234,7 +221,7 @@ func (bi *BiIndex) advance(q *smemSearch, alone bool) bool {
 				}
 				q.m.rows = r
 			}
-			if q.at != atLeftLocated || bi.wait(q, alone) {
+			if q.at != atLeftLocated || q.waits() {
 				break
 			}
 			fallthrough
@@ -246,12 +233,9 @@ func (bi *BiIndex) advance(q *smemSearch, alone bool) bool {
 			if q.m.n > 1 && q.s > q.lo && bi.valid(p[q.s-1]) {
 				q.steps++
 				q.at, q.need = atLeftRound, loadText
-				if bi.wait(q, alone) {
-					break
-				}
-			} else {
-				bi.leftByText(q)
+				break
 			}
+			bi.leftByText(q)
 			fallthrough
 		case atLeftRound:
 			if q.kept {
@@ -291,7 +275,7 @@ func (bi *BiIndex) advance(q *smemSearch, alone bool) bool {
 				}
 				q.m.rows, q.m.key = r, k
 			}
-			if q.at != atRightLocated || bi.wait(q, alone) {
+			if q.at != atRightLocated || q.waits() {
 				break
 			}
 			fallthrough
@@ -300,12 +284,9 @@ func (bi *BiIndex) advance(q *smemSearch, alone bool) bool {
 			if q.m.n > 1 && q.e < len(p) && bi.valid(p[q.e]) {
 				q.steps++
 				q.at, q.need = atRightRound, loadText
-				if bi.wait(q, alone) {
-					break
-				}
-			} else {
-				bi.rightByText(q)
+				break
 			}
+			bi.rightByText(q)
 			fallthrough
 		case atRightRound:
 			if q.kept {
@@ -314,7 +295,7 @@ func (bi *BiIndex) advance(q *smemSearch, alone bool) bool {
 			}
 			fallthrough
 		case atEmit:
-			if bi.locateThen(q, atEmitLocated); bi.wait(q, alone) {
+			if bi.locateThen(q, atEmitLocated); q.waits() {
 				break
 			}
 			fallthrough
@@ -326,7 +307,6 @@ func (bi *BiIndex) advance(q *smemSearch, alone bool) bool {
 			// Every later SMEM starts at or after L(e+1) > s.
 			q.e, q.outer = q.e+1, false
 			bi.beginLeft(q, 0)
-			bi.wait(q, alone)
 		}
 		if q.need != loadNone {
 			return true
@@ -336,17 +316,9 @@ func (bi *BiIndex) advance(q *smemSearch, alone bool) bool {
 	return false
 }
 
-// wait serves q's load at once when q runs alone, and reports whether q
-// stops here: to wait for a load its group serves, or on an error.
-func (bi *BiIndex) wait(q *smemSearch, alone bool) bool {
-	if q.need != loadNone {
-		if !alone {
-			return true
-		}
-		bi.serve(q)
-		q.need = loadNone
-	}
-	return q.err != nil
+// waits reports whether q stops here: to wait for a load, or on an error.
+func (q *smemSearch) waits() bool {
+	return q.need != loadNone || q.err != nil
 }
 
 // beginLeft starts the left walk from e, not past lo and not over a symbol

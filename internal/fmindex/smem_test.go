@@ -124,7 +124,7 @@ func TestSMEMsFewCopies(t *testing.T) {
 				checkSMEMs(t, full, text, pattern, minLen)
 				checkSMEMs(t, sampled, text, pattern, minLen)
 			}
-			got, err := full.SMEMs(pattern, 8)
+			got, _, err := full.SMEMsAppend(nil, pattern, 8)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,7 +145,7 @@ func TestSMEMsFewCopies(t *testing.T) {
 func checkSMEMs(t *testing.T, bi *BiIndex, text, pattern []uint8, minLen int) {
 	t.Helper()
 	want := bruteSMEMs(text, pattern, minLen)
-	got, err := bi.SMEMs(pattern, minLen)
+	got, _, err := bi.SMEMsAppend(nil, pattern, minLen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestSMEMsOverlappingAfterWindow(t *testing.T) {
 		}
 	}
 	bi := buildBi(t, text)
-	got, err := bi.SMEMs(pattern, 10)
+	got, _, err := bi.SMEMsAppend(nil, pattern, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,11 +232,11 @@ func TestSMEMsMinLenFilter(t *testing.T) {
 	text := buildText(rng, 2000)
 	bi := buildBi(t, text)
 	pattern := buildText(rng, 50)
-	all, err := bi.SMEMs(pattern, 1)
+	all, _, err := bi.SMEMsAppend(nil, pattern, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	long, err := bi.SMEMs(pattern, 12)
+	long, _, err := bi.SMEMsAppend(nil, pattern, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestSMEMsMinLenFilter(t *testing.T) {
 			t.Fatalf("SMEM %+v below min length", s)
 		}
 	}
-	if _, err := bi.SMEMs(pattern, 0); err == nil {
+	if _, _, err := bi.SMEMsAppend(nil, pattern, 0); err == nil {
 		t.Error("accepted minLen 0")
 	}
 }
@@ -258,7 +258,7 @@ func TestSMEMsExactReadSingle(t *testing.T) {
 	text := buildText(rng, 5000)
 	bi := buildBi(t, text)
 	pattern := text[700:760]
-	smems, err := bi.SMEMs(pattern, 1)
+	smems, _, err := bi.SMEMsAppend(nil, pattern, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +383,7 @@ func FuzzSMEMs(f *testing.F) {
 		want := bruteSMEMs(text, pattern, minLen)
 		fullSteps := -1
 		for _, bi := range []*BiIndex{full, sampled} {
-			got, steps, err := bi.SMEMsSteps(pattern, minLen)
+			got, steps, err := bi.SMEMsAppend(nil, pattern, minLen)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -424,7 +424,7 @@ func FuzzSMEMs(f *testing.F) {
 			checkAgainstReference(t, withoutShort(bi), group, minLen)
 			// The short-pattern table is a cache of rank results: the search
 			// must not notice whether it is there.
-			plain, plainSteps, err := withoutShort(bi).SMEMsSteps(pattern, minLen)
+			plain, plainSteps, err := withoutShort(bi).SMEMsAppend(nil, pattern, minLen)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -450,7 +450,7 @@ func TestSMEMsInvalidSymbolSkipped(t *testing.T) {
 	text := []uint8{0, 1, 2, 3, 0, 1, 2, 3}
 	bi := buildBi(t, text)
 	pattern := []uint8{0, 1, 9, 2, 3}
-	smems, err := bi.SMEMs(pattern, 1)
+	smems, _, err := bi.SMEMsAppend(nil, pattern, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,11 +502,11 @@ func TestSMEMsLocate(t *testing.T) {
 		s := rng.Intn(len(text) - 60)
 		pattern := append([]uint8(nil), text[s:s+60]...)
 		pattern[rng.Intn(len(pattern))] ^= 1
-		want, wantSteps, err := full.SMEMsSteps(pattern, 11)
+		want, wantSteps, err := full.SMEMsAppend(nil, pattern, 11)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, steps, err := sampled.SMEMsSteps(pattern, 11)
+		got, steps, err := sampled.SMEMsAppend(nil, pattern, 11)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -517,7 +517,7 @@ func TestSMEMsLocate(t *testing.T) {
 			checkSMEMHits(t, full, pattern, want[i])
 			checkSMEMHits(t, sampled, pattern, got[i])
 		}
-		if _, _, err := corrupt.SMEMsSteps(pattern, 11); err != nil {
+		if _, _, err := corrupt.SMEMsAppend(nil, pattern, 11); err != nil {
 			failed++
 		}
 		// A failing locate ends the search where the reference loop ends it,
@@ -701,7 +701,7 @@ func checkAgainstReference(t *testing.T, bi *BiIndex, patterns [][]uint8, minLen
 		smems, steps, err := bi.SMEMsAppend(nil, pattern, minLen)
 		check("SMEMsAppend", p, result{smems, steps, err})
 	}
-	var g SMEMGroup
+	var g Group
 	for size := 1; size <= len(patterns); size++ {
 		for lo := 0; lo < len(patterns); lo += size {
 			hi := min(lo+size, len(patterns))

@@ -121,11 +121,17 @@ func TestSimulateCyclesMatchesModel(t *testing.T) {
 			t.Errorf("pes=%d: exact %d exceeds model %d by more than 5%%", pes, exact, run.Profile.KernelCycles)
 		}
 	}
-	// Oversized and empty reads rejected.
+	// An empty read is a query of no steps, priced alike by both; an
+	// oversized read is rejected.
 	d, _ := NewDevice(Config{})
 	k, _ := d.Program(ix)
-	if _, _, err := k.SimulateCycles([]dna.Seq{{}}); err == nil {
-		t.Error("empty read accepted")
+	withEmpty := append([]dna.Seq{{}}, reads[:10]...)
+	run, err := k.MapReadsOpts(withEmpty, MapRunOptions{})
+	if err != nil {
+		t.Fatalf("empty read refused: %v", err)
+	}
+	if exact, _, err := k.SimulateCycles(withEmpty); err != nil || exact != run.Profile.KernelCycles {
+		t.Errorf("with an empty read: exact %d, model %d, %v", exact, run.Profile.KernelCycles, err)
 	}
 	if _, _, err := k.SimulateCycles([]dna.Seq{make(dna.Seq, MaxQueryBases+1)}); err == nil {
 		t.Error("oversized read accepted")

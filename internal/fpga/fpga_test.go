@@ -114,8 +114,8 @@ func TestQueryRecordLimits(t *testing.T) {
 	if _, err := k.MapReadsOpts([]dna.Seq{long}, MapRunOptions{}); err == nil {
 		t.Error("accepted read longer than the 512-bit record limit")
 	}
-	if _, err := k.MapReadsOpts([]dna.Seq{{}}, MapRunOptions{}); err == nil {
-		t.Error("accepted empty read")
+	if run, err := k.MapReadsOpts([]dna.Seq{{}}, MapRunOptions{}); err != nil || run.Results[0].Mapped() || run.Results[0].Steps != 0 {
+		t.Errorf("empty read: %+v, %v; want a 0-step query that maps nowhere", run.Results, err)
 	}
 	ok := make(dna.Seq, MaxQueryBases)
 	if _, err := k.MapReadsOpts([]dna.Seq{ok}, MapRunOptions{}); err != nil {

@@ -108,8 +108,9 @@ func TestKernelMemRejectsOversizedRead(t *testing.T) {
 	if _, err := runKernel(k, memWork{opts: core.MemOptions{}}, []dna.Seq{long}, MapRunOptions{}); err == nil {
 		t.Error("oversized read accepted")
 	}
-	if _, err := runKernel(k, memWork{opts: core.MemOptions{}}, []dna.Seq{{}}, MapRunOptions{}); err == nil {
-		t.Error("empty read accepted")
+	run, err := runKernel(k, memWork{opts: core.MemOptions{}}, []dna.Seq{{}}, MapRunOptions{})
+	if err != nil || run.Results[0].Mapped() || run.Results[0].SeedSteps != 0 {
+		t.Errorf("empty read: %+v, %v; want a 0-step read that maps nowhere", run.Results, err)
 	}
 }
 
