@@ -71,7 +71,8 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench='BenchmarkServedWarmExactJob$$' -benchtime=1x ./internal/server
 
 # fuzz-smoke gives every fuzz target a short budget; `go test` allows one
-# -fuzz target per invocation, hence the per-target lines.
+# -fuzz target per invocation, hence the per-target lines (17 targets; the
+# last replays arbitrary journal bytes into a durable server).
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzTolerantFastq$$' -fuzztime=$(FUZZTIME) ./internal/fastx
 	$(GO) test -run='^$$' -fuzz='^FuzzReader$$' -fuzztime=$(FUZZTIME) ./internal/fastx
@@ -89,6 +90,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzBuild$$' -fuzztime=$(FUZZTIME) ./internal/suffixarray
 	$(GO) test -run='^$$' -fuzz='^FuzzSubmitForm$$' -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -run='^$$' -fuzz='^FuzzJobParams$$' -fuzztime=$(FUZZTIME) ./internal/server
+	$(GO) test -run='^$$' -fuzz='^FuzzJournalReplay$$' -fuzztime=$(FUZZTIME) ./internal/server
 
 # chaos-smoke is the crash-safety gate: SIGKILL a real bwaver-server process
 # mid-job, restart it against the same -state-dir, and assert the journaled

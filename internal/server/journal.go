@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -23,14 +24,17 @@ import (
 // arrive — multipart parts under a staged name until the job is accepted,
 // chunked parts at their payload names chunk by chunk — fsync'd when the job
 // is accepted and deleted once it is terminal; results TSVs and NDJSON stream
-// logs are persisted under results/ before the done record that references
-// them is written, so a record never points at data that a crash could have
-// lost. On startup the journal is replayed: terminal jobs are restored
-// pointing at their on-disk results, uploading jobs come back resumable at
-// their committed offsets, unfinished jobs are re-queued against their saved
-// payloads, staged parts are deleted, and the log is compacted to one record
-// per live job. Built indexes are spilled under indexes/ by the cache (see
-// cache.go), so a replayed job usually skips reconstruction.
+// logs are persisted under results/ before the done record is written, so a
+// record never vouches for data that a crash could have lost. Every file a
+// job owns is named by its id alone (payloadNames, resultsName, streamName):
+// a record names no path, so a hand-edited or hostile journal cannot point
+// the server at a file outside the state dir. On startup the journal is
+// replayed: terminal jobs are restored with their on-disk results, uploading
+// jobs come back resumable at their committed offsets, unfinished jobs are
+// re-queued against their saved payloads, staged parts are deleted, and the
+// log is compacted to one record per live job. Built indexes are spilled
+// under indexes/ by the cache (see cache.go), so a replayed job usually skips
+// reconstruction.
 
 // Journal record types. uploading marks a chunked job whose payload is still
 // arriving (its partial payload files are authoritative on disk);
@@ -48,20 +52,17 @@ const (
 )
 
 // journalRecord is one line of journal.jsonl. Records are cumulative: an
-// accepted record carries the job spec and payload references; terminal
-// records carry the outcome. Compacted terminal snapshots carry both, so a
-// compacted journal is self-contained line by line.
+// accepted record carries the job spec; terminal records carry the outcome.
+// Compacted snapshots carry both, so a compacted journal is self-contained
+// line by line.
 type journalRecord struct {
 	Type string    `json:"type"`
 	Job  int       `json:"job"`
 	Time time.Time `json:"time"`
 
 	// Spec (uploading and accepted records and compacted snapshots): the
-	// job's params, nil on a record that only carries an outcome, and where
-	// its payloads are kept.
+	// job's params, nil on a record that only carries an outcome.
 	*JobParams
-	RefPayload   string `json:"ref_payload,omitempty"`
-	ReadsPayload string `json:"reads_payload,omitempty"`
 	// IdemKey is the client's Idempotency-Key, replayed with the job so
 	// post-restart retries still map to it.
 	IdemKey string `json:"idem_key,omitempty"`
@@ -70,24 +71,8 @@ type journalRecord struct {
 	RequestID string    `json:"request_id,omitempty"`
 	Created   time.Time `json:"created"`
 
-	// Outcome.
-	Error          string  `json:"error,omitempty"`
-	RefName        string  `json:"ref_name,omitempty"`
-	RefLength      int     `json:"ref_length,omitempty"`
-	Reads          int     `json:"reads,omitempty"`
-	Mapped         int     `json:"mapped,omitempty"`
-	CacheHit       bool    `json:"cache_hit,omitempty"`
-	Fallback       bool    `json:"fallback,omitempty"`
-	FallbackReason string  `json:"fallback_reason,omitempty"`
-	ParseMs        float64 `json:"parse_ms,omitempty"`
-	BuildMs        float64 `json:"build_ms,omitempty"`
-	MapMs          float64 `json:"map_ms,omitempty"`
-	Results        string  `json:"results,omitempty"`
-	// QCReport is the job's ingest accounting (attempted / malformed /
-	// per-reason rejects / trimmed bases), persisted with the terminal
-	// record so a restarted server's totals replay accounting-identically.
-	QCReport *qc.Report `json:"qc_report,omitempty"`
-	Finished time.Time  `json:"finished"`
+	outcome
+	Finished time.Time `json:"finished"`
 }
 
 // journal owns the state directory: the append-only log plus the payload and
@@ -289,12 +274,16 @@ type foldedJob struct {
 }
 
 // foldRecords reduces the log to per-job state, latest record winning, and
-// drops evicted jobs. Order of spec vs. terminal records does not matter: a
-// canceled-before-accepted pair (possible when a client cancels in the
-// createJob→launch window) folds the same either way.
+// drops evicted jobs and ids the server never hands out (below 1, or the
+// largest int, past which no next id exists). Order of spec vs. terminal
+// records does not matter: a canceled-before-accepted pair (possible when a
+// client cancels in the createJob→launch window) folds the same either way.
 func foldRecords(recs []journalRecord) map[int]*foldedJob {
 	jobs := map[int]*foldedJob{}
 	for _, rec := range recs {
+		if rec.Job < 1 || rec.Job == math.MaxInt {
+			continue
+		}
 		fj := jobs[rec.Job]
 		if fj == nil {
 			fj = &foldedJob{}
@@ -302,7 +291,6 @@ func foldRecords(recs []journalRecord) map[int]*foldedJob {
 		}
 		if rec.JobParams != nil {
 			fj.spec.JobParams = rec.JobParams
-			fj.spec.RefPayload, fj.spec.ReadsPayload = rec.RefPayload, rec.ReadsPayload
 			fj.spec.Created = rec.Created
 		}
 		if rec.IdemKey != "" {
@@ -340,57 +328,24 @@ func foldRecords(recs []journalRecord) map[int]*foldedJob {
 func snapshotRecord(j *Job) journalRecord {
 	rec := specRecord(recAccepted, j)
 	rec.Time = time.Now()
-	rec.setOutcome(j)
-	switch j.State {
-	case StateDone:
-		rec.Type = recDone
-		rec.Results = resultsName(j.ID)
-	case StateFailed:
-		rec.Type = recFailed
-	case StateCanceled:
-		rec.Type = recCanceled
-	case StateUploading:
-		rec.Type = recUploading
-	}
-	if j.State.terminal() {
-		// The payloads of a finished job are gone.
-		rec.RefPayload, rec.ReadsPayload = "", ""
+	rec.outcome, rec.Finished = j.outcome, j.Finished
+	if j.State != StateQueued {
+		rec.Type = string(j.State)
 	}
 	return rec
 }
 
-// setOutcome fills in what the job has come to so far; s.mu must be held for
-// a job that may still be running.
-func (rec *journalRecord) setOutcome(j *Job) {
-	rec.Error = j.Error
-	rec.RefName = j.RefName
-	rec.RefLength = j.RefLength
-	rec.Reads = j.Reads
-	rec.Mapped = j.Mapped
-	rec.CacheHit = j.CacheHit
-	rec.Fallback = j.FallbackUsed
-	rec.FallbackReason = j.FallbackReason
-	rec.ParseMs = float64(j.ParseTime) / float64(time.Millisecond)
-	rec.BuildMs = float64(j.BuildTime) / float64(time.Millisecond)
-	rec.MapMs = float64(j.MapTime) / float64(time.Millisecond)
-	rec.QCReport = j.QCReport
-	rec.Finished = j.Finished
-}
-
 // specRecord starts a record of type typ with the job's spec, what a replay
-// needs to run it again: parameters, policy, identity, and where its payloads
-// are kept.
+// needs to run it again: parameters, policy and identity. Its payloads are
+// named by its id.
 func specRecord(typ string, job *Job) journalRecord {
-	refRel, readsRel := payloadNames(job.ID)
 	return journalRecord{
-		Type:         typ,
-		Job:          job.ID,
-		JobParams:    &job.JobParams, // fixed once the job is admitted
-		RefPayload:   refRel,
-		ReadsPayload: readsRel,
-		IdemKey:      job.IdemKey,
-		RequestID:    job.RequestID,
-		Created:      job.Created,
+		Type:      typ,
+		Job:       job.ID,
+		JobParams: &job.JobParams, // fixed once the job is admitted
+		IdemKey:   job.IdemKey,
+		RequestID: job.RequestID,
+		Created:   job.Created,
 	}
 }
 
@@ -406,46 +361,18 @@ func (s *Server) journalAccept(job *Job, in jobInput) error {
 	if s.journal == nil {
 		return nil
 	}
-	rec := specRecord(recAccepted, job)
+	refRel, readsRel := payloadNames(job.ID)
 	err := firstErr(in.ref.sync(), in.reads.sync())
 	if err == nil {
-		err = firstErr(in.ref.moveTo(s.journal.abs(rec.RefPayload)), in.reads.moveTo(s.journal.abs(rec.ReadsPayload)))
+		err = firstErr(in.ref.moveTo(s.journal.abs(refRel)), in.reads.moveTo(s.journal.abs(readsRel)))
 	}
 	if err == nil {
-		err = s.journal.append(rec)
+		err = s.journal.append(specRecord(recAccepted, job))
 	}
 	if err != nil {
 		in.remove()
 	}
 	return err
-}
-
-// journalFinish records a terminal transition — a done job's results were
-// fsync'd by its emitter before this — then deletes the now-redundant
-// payloads. Best-effort — the job already finished; a journal failure only
-// means a restart re-runs it.
-func (s *Server) journalFinish(job *Job, state JobState) {
-	if s.journal == nil {
-		return
-	}
-	rec := journalRecord{Job: job.ID}
-	switch state {
-	case StateDone:
-		rec.Type = recDone
-		rec.Results = resultsName(job.ID)
-	case StateFailed:
-		rec.Type = recFailed
-	case StateCanceled:
-		rec.Type = recCanceled
-	default:
-		return
-	}
-	s.mu.Lock()
-	rec.setOutcome(job)
-	s.mu.Unlock()
-	s.journal.appendBestEffort(rec)
-	refRel, readsRel := payloadNames(job.ID)
-	s.journal.removeFiles(refRel, readsRel)
 }
 
 // recover replays the journal into the server: terminal jobs come back with
@@ -485,60 +412,37 @@ func (s *Server) recover() error {
 		if id >= s.nextID {
 			s.nextID = id + 1
 		}
-		job := &Job{
-			ID:        id,
-			IdemKey:   fj.spec.IdemKey,
-			RequestID: fj.spec.RequestID,
-			Created:   fj.spec.Created,
-			RefName:   fj.last.RefName,
-			RefLength: fj.last.RefLength,
-			Reads:     fj.last.Reads,
-			Mapped:    fj.last.Mapped,
-			CacheHit:  fj.last.CacheHit,
-		}
+		job := &Job{ID: id, IdemKey: fj.spec.IdemKey, RequestID: fj.spec.RequestID, Created: fj.spec.Created}
 		if fj.spec.JobParams != nil {
 			job.JobParams = *fj.spec.JobParams
 		}
 		if job.Created.IsZero() {
 			job.Created = fj.last.Time
 		}
-		refRel, readsRel := fj.spec.RefPayload, fj.spec.ReadsPayload
-		if refRel == "" || readsRel == "" {
-			refRel, readsRel = payloadNames(id)
-		}
+		refRel, readsRel := payloadNames(id)
 		switch fj.last.Type {
 		case recDone:
-			rel := fj.last.Results
-			if rel == "" {
-				rel = resultsName(id)
-			}
+			job.outcome, job.Finished = fj.last.outcome, fj.last.Finished
 			// The results stay on disk and are served from there; loading
 			// them here would make replay memory O(sum of all job results).
-			if results, err := fileSpool(s.journal.abs(rel)); err != nil {
+			if results, err := fileSpool(s.journal.abs(resultsName(id))); err != nil {
 				// The record promised results the disk no longer has: fail
 				// the job visibly rather than serving an empty download.
 				s.setJobStateLocked(job, StateFailed)
-				job.Error = fmt.Sprintf("journaled results lost: %v", err)
+				if job.Error == "" {
+					job.Error = fmt.Sprintf("journaled results lost: %v", err)
+				}
 			} else {
 				s.setJobStateLocked(job, StateDone)
-				job.results = results
-				job.Done = job.Reads
+				job.results, job.Done = results, job.Reads
 			}
-			job.Error = firstNonEmpty(fj.last.Error, job.Error)
-			job.FallbackUsed = fj.last.Fallback
-			job.FallbackReason = fj.last.FallbackReason
-			job.ParseTime = time.Duration(fj.last.ParseMs * float64(time.Millisecond))
-			job.BuildTime = time.Duration(fj.last.BuildMs * float64(time.Millisecond))
-			job.MapTime = time.Duration(fj.last.MapMs * float64(time.Millisecond))
-			job.Finished = fj.last.Finished
 		case recFailed, recCanceled:
-			if fj.last.Type == recFailed {
-				s.setJobStateLocked(job, StateFailed)
-			} else {
-				s.setJobStateLocked(job, StateCanceled)
-			}
-			job.Error = fj.last.Error
-			job.Finished = fj.last.Finished
+			job.outcome, job.Finished = fj.last.outcome, fj.last.Finished
+			// A run that did not finish comes back without its stage figures
+			// and fallback, as a restart has always shown it.
+			job.ParseMs, job.BuildMs, job.MapMs = 0, 0, 0
+			job.FallbackUsed, job.FallbackReason = false, ""
+			s.setJobStateLocked(job, JobState(fj.last.Type))
 		case recUploading:
 			// A partial upload survives the crash: restore the job with the
 			// committed offsets the disk actually holds, so the client's next
@@ -554,11 +458,8 @@ func (s *Server) recover() error {
 			if err := firstErr(refErr, readsErr); err != nil {
 				s.setJobStateLocked(job, StateFailed)
 				job.Error = fmt.Sprintf("journaled payloads lost: %v", err)
-				job.Finished = time.Now()
 			} else {
 				s.setJobStateLocked(job, StateQueued)
-				job.Done = 0
-				job.Mapped = 0
 				relaunches = append(relaunches, relaunch{job: job, in: jobInput{ref: ref, reads: reads}})
 			}
 		}
@@ -576,9 +477,8 @@ func (s *Server) recover() error {
 		// server-wide QC totals (stats + metrics) replay identically; the
 		// report is clamped to the fixed reason enum first — the journal is
 		// the one input an operator could have hand-edited.
-		if rep := fj.last.QCReport; rep != nil && job.State.terminal() {
+		if rep := job.QCReport; rep != nil && job.State.terminal() {
 			sanitizeQCReport(rep)
-			job.QCReport = rep
 			s.qcTotals.Merge(*rep)
 		}
 		if job.IdemKey != "" {
@@ -620,13 +520,6 @@ func sanitizeQCReport(rep *qc.Report) {
 	if invalid > 0 {
 		rep.Rejected["invalid"] += invalid
 	}
-}
-
-func firstNonEmpty(a, b string) string {
-	if a != "" {
-		return a
-	}
-	return b
 }
 
 func firstErr(errs ...error) error {

@@ -233,6 +233,16 @@ func TestMemJobSingleEnd(t *testing.T) {
 		map[string]string{"backend": "cpu", "mode": "mem"},
 		map[string][]byte{"reference": refFasta, "reads": readsFastq})
 	s.Wait()
+	// The job page names the download by the format /results serves.
+	resp, err := http.Get(ts.URL + loc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	page, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if !strings.Contains(string(page), "Download results (SAM)") {
+		t.Errorf("mem job page does not offer the SAM download:\n%s", page)
+	}
 	text := fetchSAM(t, ts, loc, readCount)
 	for _, line := range strings.Split(strings.TrimSpace(text), "\n") {
 		if strings.HasPrefix(line, "@") {

@@ -395,3 +395,44 @@ func TestCacheCanceledBuilderDoesNotPoisonWaiters(t *testing.T) {
 		t.Errorf("build ran %d times, want 2 (canceled builder + retrying waiter)", calls)
 	}
 }
+
+// bwaver_jobs_finished_total counts every terminal transition, not only the
+// ends of launched runs: after a done job, an upload canceled before launch
+// and a stalled upload swept by the janitor, the counter holds what
+// /api/stats counts per terminal state.
+func TestJobsFinishedCountsEveryEnd(t *testing.T) {
+	refFasta, readsFastq := testDataSmall(t)
+	s := openServer(t, Config{UploadTimeout: time.Hour})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	submitJob(t, s, ts, map[string]string{"backend": "cpu"},
+		map[string][]byte{"reference": refFasta, "reads": readsFastq})
+	s.Wait()
+	create := []byte(`{"backend":"cpu"}`)
+	hdr := map[string]string{"Content-Type": "application/json"}
+	for id := 2; id <= 3; id++ {
+		if code, _, _ := doJSON(t, http.MethodPost, ts.URL+"/api/jobs", create, hdr); code != http.StatusCreated {
+			t.Fatalf("create of job %d answered %d", id, code)
+		}
+	}
+	if code, _, _ := doJSON(t, http.MethodDelete, ts.URL+"/api/jobs/2", nil, nil); code != http.StatusOK {
+		t.Fatalf("cancel of the upload answered %d", code)
+	}
+	if n := s.sweepStalledUploads(time.Now().Add(2 * time.Hour)); n != 1 {
+		t.Fatalf("swept %d stalled uploads, want 1", n)
+	}
+
+	jobs := getStats(t, ts).Jobs
+	if jobs["done"] != 1 || jobs["canceled"] != 1 || jobs["failed"] != 1 {
+		t.Fatalf("stats jobs %v, want one done, one canceled, one failed", jobs)
+	}
+	text := scrapeMetrics(t, ts)
+	for _, state := range []JobState{StateDone, StateFailed, StateCanceled} {
+		want := fmt.Sprintf("bwaver_jobs_finished_total{state=%q} %d\n", state, jobs[string(state)])
+		if !strings.Contains(text, want) {
+			t.Errorf("scrape missing %q", want)
+		}
+	}
+}

@@ -89,7 +89,7 @@ func TestJobSurvivesDeadDevice(t *testing.T) {
 	if job.State != "done" {
 		t.Fatalf("job state %q (error %q), want done", job.State, job.Error)
 	}
-	if job.Fallback {
+	if job.FallbackUsed {
 		t.Fatalf("job fell back to CPU (%s); the healthy card should have absorbed the work", job.FallbackReason)
 	}
 
@@ -161,7 +161,7 @@ func TestCPUFallback(t *testing.T) {
 	if job.State != "done" {
 		t.Fatalf("job state %q (error %q), want done via fallback", job.State, job.Error)
 	}
-	if !job.Fallback || job.FallbackReason == "" {
+	if !job.FallbackUsed || job.FallbackReason == "" {
 		t.Fatalf("job = %+v, want fallback recorded", job)
 	}
 
@@ -218,7 +218,7 @@ func TestFallbackPolicyFail(t *testing.T) {
 	if job.State != "failed" {
 		t.Fatalf("job state %q, want failed under -fallback=fail", job.State)
 	}
-	if job.Fallback {
+	if job.FallbackUsed {
 		t.Error("fallback recorded despite fail policy")
 	}
 	if !strings.Contains(job.Error, "no healthy devices") {
@@ -243,7 +243,7 @@ func TestFallbackTwoPass(t *testing.T) {
 	s.Wait()
 
 	job := fetchJobJSON(t, ts, loc)
-	if job.State != "done" || !job.Fallback {
+	if job.State != "done" || !job.FallbackUsed {
 		t.Fatalf("job = %+v, want done via fallback", job)
 	}
 

@@ -37,118 +37,13 @@ import (
 	"time"
 
 	"bwaver/internal/core"
-	"bwaver/internal/dna"
 	"bwaver/internal/fastx"
 	"bwaver/internal/fpga"
 	"bwaver/internal/obs"
 	"bwaver/internal/qc"
 	"bwaver/internal/readsim"
-	"bwaver/internal/rrr"
 	"bwaver/internal/runner"
 )
-
-// JobState tracks a pipeline run.
-type JobState string
-
-// Job lifecycle states. Uploading jobs were created through the chunked
-// protocol (POST /api/jobs) and are still receiving payload chunks; they
-// occupy an admission queue slot but have not launched.
-const (
-	StateUploading JobState = "uploading"
-	StateQueued    JobState = "queued"
-	StateRunning   JobState = "running"
-	StateDone      JobState = "done"
-	StateFailed    JobState = "failed"
-	StateCanceled  JobState = "canceled"
-)
-
-// terminal reports whether the state is final.
-func (s JobState) terminal() bool {
-	return s == StateDone || s == StateFailed || s == StateCanceled
-}
-
-// errJobCanceled is the cancellation cause recorded when a user cancels a
-// job over the API, distinguishing it from a timeout.
-var errJobCanceled = errors.New("canceled by user")
-
-// Job.Mode values. The empty mode keeps the historical dispatch: exact
-// matching, or the mismatch-budget search when one is set.
-const (
-	// ModeMem maps reads with the seed-and-extend pipeline (SMEM seeding,
-	// collinear chaining, banded extension) and streams SAM records.
-	ModeMem = "mem"
-	// ModeMemPE is ModeMem over interleaved mate pairs (R1, R2, R1, R2, ...)
-	// with mate rescue and proper-pair calls.
-	ModeMemPE = "mem-pe"
-)
-
-// memMode reports whether the job runs the seed-and-extend pipeline.
-func (j *Job) memMode() bool { return j.Mode == ModeMem || j.Mode == ModeMemPE }
-
-// Job is one mapping request moving through the pipeline.
-type Job struct {
-	ID    int
-	State JobState
-	Error string
-	JobParams
-
-	RefName   string
-	RefLength int
-	// Reads counts the reads taken from the upload so far: it grows batch by
-	// batch while the job runs and is the job's read count once it is done.
-	Reads  int
-	Mapped int
-	// Done counts reads mapped so far while the job is running.
-	Done int
-	// CacheHit reports whether the index came from the cache instead of
-	// being built for this job.
-	CacheHit bool
-	// FallbackUsed reports that the FPGA backend failed and the job was
-	// transparently rerun on the CPU baseline.
-	FallbackUsed bool
-	// FallbackReason records the device error that triggered the fallback.
-	FallbackReason string
-	// QCReport is the ingest accounting of the job's QC policy, journaled
-	// with the terminal record so replay restores identical reject counts.
-	QCReport *qc.Report
-
-	ParseTime time.Duration
-	BuildTime time.Duration
-	MapTime   time.Duration
-	Created   time.Time
-	Finished  time.Time
-
-	// IdemKey is the client's Idempotency-Key, journaled with the job so a
-	// retried submission maps back here instead of double-running.
-	IdemKey string
-	// RequestID is the X-Request-Id of the submission that created the job,
-	// journaled with it so a failed-over job is traceable across processes.
-	RequestID string
-	// timeout is the job's effective deadline budget, resolved at admission
-	// from the server's -job-timeout and any gateway-propagated
-	// X-Bwaver-Timeout-Ms remaining budget; 0 = unbounded.
-	timeout time.Duration
-	// PeakResultBuf is the largest number of result bytes the job staged in
-	// memory for one batch — the figure that proves streamed jobs hold
-	// O(batch), not O(job), result memory.
-	PeakResultBuf int
-
-	// results is the TSV (SAM for mode=mem) of a done job, written batch by
-	// batch by the job's emitter.
-	results *spool
-	// stream is the job's NDJSON result log served by GET
-	// /api/jobs/{id}/stream; created on first use, or by recover for a
-	// replayed terminal job.
-	stream *resultStream
-	// upload tracks chunked-ingest progress; nil for buffered submissions.
-	upload *uploadState
-
-	cancel context.CancelCauseFunc // nil until the job is launched
-	// trace is the job's span tree, created at launch and served live at
-	// /api/jobs/{id}/trace; span is its root, closed by finishJob.
-	trace *obs.Trace
-	span  *obs.Span
-}
 
 // Config tunes the server; zero values take the listed defaults.
 type Config struct {
@@ -316,7 +211,8 @@ type Server struct {
 	jobsReplayed      uint64
 	admissionRejected map[string]uint64
 
-	// Aggregate per-stage timings of completed jobs, for /api/stats.
+	// Stage figures summed over done jobs, for /api/stats: as durations, so
+	// a total is exact rather than a sum of rounded milliseconds.
 	totalParse    time.Duration
 	totalBuild    time.Duration
 	totalMap      time.Duration
@@ -562,56 +458,6 @@ func httpError(w http.ResponseWriter, r *http.Request, status int, msg string) {
 	http.Error(w, msg, status)
 }
 
-// jobJSON is the wire form of a job for the JSON API.
-type jobJSON struct {
-	ID    int    `json:"id"`
-	State string `json:"state"`
-	Error string `json:"error,omitempty"`
-	JobParams
-	RefName        string  `json:"ref_name"`
-	RefLength      int     `json:"ref_length"`
-	Reads          int     `json:"reads"`
-	Mapped         int     `json:"mapped"`
-	Done           int     `json:"done"`
-	CacheHit       bool    `json:"cache_hit"`
-	Fallback       bool    `json:"fallback"`
-	FallbackReason string  `json:"fallback_reason,omitempty"`
-	ParseMs        float64 `json:"parse_ms"`
-	BuildMs        float64 `json:"build_ms"`
-	MapMs          float64 `json:"map_ms"`
-	PeakResultBuf  int     `json:"peak_result_buffer_bytes"`
-	RequestID      string  `json:"request_id,omitempty"`
-	// QCReport is the ingest accounting of the job's QC policy once the job
-	// has parsed.
-	QCReport *qc.Report `json:"qc_report,omitempty"`
-	// Upload resume anchors, present while the job is uploading.
-	ReferenceOffset *int64 `json:"reference_offset,omitempty"`
-	ReadsOffset     *int64 `json:"reads_offset,omitempty"`
-}
-
-func (j *Job) toJSON() jobJSON {
-	out := jobJSON{
-		ID: j.ID, State: string(j.State), Error: j.Error, JobParams: j.JobParams,
-		RefName: j.RefName, RefLength: j.RefLength,
-		Reads: j.Reads, Mapped: j.Mapped, Done: j.Done, CacheHit: j.CacheHit,
-		Fallback: j.FallbackUsed, FallbackReason: j.FallbackReason,
-		ParseMs:       float64(j.ParseTime) / float64(time.Millisecond),
-		BuildMs:       float64(j.BuildTime) / float64(time.Millisecond),
-		MapMs:         float64(j.MapTime) / float64(time.Millisecond),
-		PeakResultBuf: j.PeakResultBuf,
-		RequestID:     j.RequestID,
-	}
-	if j.QCReport != nil {
-		rep := *j.QCReport
-		out.QCReport = &rep
-	}
-	if j.State == StateUploading && j.upload != nil {
-		ref, reads := j.upload.ref.size(), j.upload.reads.size()
-		out.ReferenceOffset, out.ReadsOffset = &ref, &reads
-	}
-	return out
-}
-
 func writeJSON(w http.ResponseWriter, status int, payload any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -653,42 +499,37 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, http.StatusNotFound, err.Error())
 		return
 	}
-	s.mu.Lock()
-	state := job.State
-	cancel := job.cancel
-	if state.terminal() {
-		s.mu.Unlock()
-		writeJSON(w, http.StatusConflict, map[string]any{
-			"error": fmt.Sprintf("job already %s", state),
-			"id":    job.ID,
-			"state": string(state),
-		})
-		return
-	}
-	if cancel == nil {
-		// Never launched (still uploading, created directly, or launch still
-		// pending): cancel it in place. A pending launch removes the inputs
-		// it holds when it finds the job terminal.
-		s.setJobStateLocked(job, StateCanceled)
-		job.Error = errJobCanceled.Error()
-		job.Finished = time.Now()
-		up := job.upload
-		s.mu.Unlock()
-		s.journal.appendBestEffort(journalRecord{Type: recCanceled, Job: job.ID, Error: errJobCanceled.Error(), Finished: job.Finished})
-		if state == StateUploading && up != nil {
-			up.discard()
+	for {
+		s.mu.Lock()
+		state, cancel := job.State, job.cancel
+		if cancel != nil && !state.terminal() {
+			// Cancel while still holding the lock: the state was checked
+			// terminal-free under this same critical section, so the 202 below
+			// can never race a completed job into looking cancelable.
+			// CancelCauseFunc is lock-free; the job goroutine observes it at
+			// its next context check.
+			cancel(errJobCanceled)
 		}
-		s.closeJobStream(job)
-		writeJSON(w, http.StatusOK, map[string]any{"id": job.ID, "state": string(StateCanceled)})
+		s.mu.Unlock()
+		switch {
+		case state.terminal():
+			writeJSON(w, http.StatusConflict, map[string]any{
+				"error": fmt.Sprintf("job already %s", state),
+				"id":    job.ID,
+				"state": string(state),
+			})
+		case cancel != nil:
+			writeJSON(w, http.StatusAccepted, map[string]any{"id": job.ID, "state": "canceling"})
+		case s.endJob(job, endBeforeLaunch, StateCanceled, errJobCanceled.Error()):
+			// Never launched (still uploading, created directly, or launch
+			// still pending): canceled in place. A pending launch removes the
+			// inputs it holds when it finds the job terminal.
+			writeJSON(w, http.StatusOK, map[string]any{"id": job.ID, "state": string(StateCanceled)})
+		default:
+			continue // launched or ended since the look: look again
+		}
 		return
 	}
-	// Cancel while still holding the lock: the state was checked terminal-
-	// free under this same critical section, so the 202 below can never race
-	// a completed job into looking cancelable. CancelCauseFunc is lock-free;
-	// the job goroutine observes it at its next context check.
-	cancel(errJobCanceled)
-	s.mu.Unlock()
-	writeJSON(w, http.StatusAccepted, map[string]any{"id": job.ID, "state": "canceling"})
 }
 
 // statsJSON is the /api/stats payload.
@@ -755,9 +596,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	payload.Evicted = s.jobsEvicted
 	payload.Stage = stageJSON{
 		CompletedJobs: s.completedJobs,
-		ParseMsTotal:  float64(s.totalParse) / float64(time.Millisecond),
-		BuildMsTotal:  float64(s.totalBuild) / float64(time.Millisecond),
-		MapMsTotal:    float64(s.totalMap) / float64(time.Millisecond),
+		ParseMsTotal:  ms(s.totalParse),
+		BuildMsTotal:  ms(s.totalBuild),
+		MapMsTotal:    ms(s.totalMap),
 	}
 	payload.Mem = memStatsJSON{MemStats: s.memStats, Reconfigs: s.memReconfigs}
 	payload.QC = s.qcTotals
@@ -880,10 +721,10 @@ var jobTemplate = template.Must(template.New("job").Parse(`<!doctype html>
 <tr><td>Progress</td><td>{{.Done}}/{{.Reads}}</td></tr>
 <tr><td>Mapped</td><td>{{.Mapped}}</td></tr>
 <tr><td>Index</td><td>{{if .CacheHit}}cache hit{{else}}built{{end}}</td></tr>
-<tr><td>Index build</td><td>{{.BuildTime}}</td></tr>
-<tr><td>Mapping</td><td>{{.MapTime}}</td></tr>
+<tr><td>Index build</td><td>{{printf "%.3f" .BuildMs}} ms</td></tr>
+<tr><td>Mapping</td><td>{{printf "%.3f" .MapMs}} ms</td></tr>
 </table>
-{{if eq .State "done"}}<p><a href="/jobs/{{.ID}}/results">Download results (TSV)</a></p>{{end}}
+{{if eq .State "done"}}<p><a href="/jobs/{{.ID}}/results">Download results ({{if or (eq .Mode "mem") (eq .Mode "mem-pe")}}SAM{{else}}TSV{{end}})</a></p>{{end}}
 <p><a href="/">Back</a></p>
 </body></html>`))
 
@@ -1093,15 +934,7 @@ func (s *Server) acceptAndLaunch(job *Job, in jobInput) error {
 	// so the count never dips early.
 	defer s.wg.Done()
 	if err := s.journalAccept(job, in); err != nil {
-		s.mu.Lock()
-		s.setJobStateLocked(job, StateFailed)
-		job.Error = "journal: " + err.Error()
-		job.Finished = time.Now()
-		// The submission never became durable, so the idempotency key must
-		// not pin a retry to this failure.
-		s.releaseIdemKeyLocked(job)
-		s.mu.Unlock()
-		s.closeJobStream(job)
+		s.endJob(job, endUnaccepted, StateFailed, "journal: "+err.Error())
 		return err
 	}
 	s.launch(job, in)
@@ -1190,468 +1023,6 @@ func demoDataset(seed int64) (refFasta, readsFastq []byte, err error) {
 		return nil, nil, err
 	}
 	return fb.Bytes(), qb.Bytes(), nil
-}
-
-// jobInput is what a launched job works on: the two parts of its upload,
-// parsed on the job goroutine.
-type jobInput struct {
-	ref, reads *spool // nil = part absent (a multipart body still being read)
-	// refDigest is the hex SHA-256 of the raw reference when the ingest route
-	// already took it (the multipart handler hashes on the wire); empty means
-	// runJob hashes the payload itself.
-	refDigest string
-}
-
-// remove deletes the parts of an input no job will run.
-func (in jobInput) remove() {
-	in.ref.remove()
-	in.reads.remove()
-}
-
-// launch runs the job asynchronously: it waits for a pipeline slot (abortable
-// by cancellation or timeout), runs the pipeline, and records the terminal
-// state.
-func (s *Server) launch(job *Job, in jobInput) {
-	ctx, cancel := context.WithCancelCause(context.Background())
-	tr := obs.NewTrace(fmt.Sprintf("job-%d", job.ID))
-	// Later spans started from ctx nest under the job root.
-	ctx, root := obs.StartSpan(obs.WithTrace(ctx, tr), "job")
-	root.SetAttr("job_id", job.ID)
-	root.SetAttr("backend", job.Backend)
-	if job.RequestID != "" {
-		root.SetAttr("request_id", job.RequestID)
-	}
-	s.mu.Lock()
-	if job.State.terminal() {
-		// Canceled between admission and launch.
-		s.mu.Unlock()
-		cancel(nil)
-		in.remove()
-		return
-	}
-	job.cancel = cancel
-	job.trace = tr
-	job.span = root
-	s.mu.Unlock()
-
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		defer cancel(nil)
-		runCtx := ctx
-		// The job's own budget (which a gateway may have shrunk below the
-		// server-wide -job-timeout) wins over the config; replayed jobs carry
-		// no budget and fall back to the config.
-		if t := s.jobTimeout(job); t > 0 {
-			var cancelTimeout context.CancelFunc
-			runCtx, cancelTimeout = context.WithTimeout(ctx, t)
-			defer cancelTimeout()
-		}
-		wait := root.StartChild("queue.wait")
-		select {
-		case s.sem <- struct{}{}:
-			wait.End()
-		case <-runCtx.Done():
-			wait.End()
-			s.finishJob(job, runCtx, runCtx.Err())
-			return
-		}
-		defer func() { <-s.sem }()
-		err := s.runJob(runCtx, job, in)
-		s.finishJob(job, runCtx, err)
-	}()
-}
-
-// finishJob records the job's terminal state, folds its stage timings into
-// the server aggregates and metrics, closes the trace's root span, and logs
-// the outcome.
-func (s *Server) finishJob(job *Job, ctx context.Context, err error) {
-	s.mu.Lock()
-	job.Finished = time.Now()
-	switch {
-	case err == nil:
-		s.setJobStateLocked(job, StateDone)
-		s.totalParse += job.ParseTime
-		s.totalBuild += job.BuildTime
-		s.totalMap += job.MapTime
-		s.completedJobs++
-		s.mJobStage.With("parse").Observe(job.ParseTime.Seconds())
-		s.mJobStage.With("build").Observe(job.BuildTime.Seconds())
-		s.mJobStage.With("map").Observe(job.MapTime.Seconds())
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		cause := context.Cause(ctx)
-		switch {
-		case errors.Is(cause, errJobCanceled):
-			s.setJobStateLocked(job, StateCanceled)
-			job.Error = errJobCanceled.Error()
-		case errors.Is(cause, context.DeadlineExceeded) || errors.Is(err, context.DeadlineExceeded):
-			s.setJobStateLocked(job, StateFailed)
-			job.Error = fmt.Sprintf("job exceeded the %v timeout", s.jobTimeout(job))
-		default:
-			s.setJobStateLocked(job, StateFailed)
-			job.Error = err.Error()
-		}
-	default:
-		s.setJobStateLocked(job, StateFailed)
-		job.Error = err.Error()
-	}
-	state, jobErr := job.State, job.Error
-	span := job.span
-	elapsed := job.Finished.Sub(job.Created)
-	s.mu.Unlock()
-
-	s.journalFinish(job, state)
-	// Seal the result stream after the terminal state is durable, so every
-	// subscriber gets the closing done/failed/canceled event.
-	s.closeJobStream(job)
-	span.SetAttr("state", string(state))
-	span.End()
-	s.mJobsTotal.With(string(state)).Inc()
-	attrs := append(obs.JobAttrs(job.ID, job.Backend),
-		"state", string(state), "elapsed_ms", float64(elapsed)/float64(time.Millisecond))
-	if job.RequestID != "" {
-		attrs = append(attrs, "request_id", job.RequestID)
-	}
-	if jobErr != "" {
-		attrs = append(attrs, "err", jobErr)
-	}
-	s.log.Info("job finished", attrs...)
-}
-
-// setJobProgress updates Done monotonically (parallel mappers may report
-// out of order).
-func (s *Server) setJobProgress(job *Job, done int) {
-	s.mu.Lock()
-	if done > job.Done {
-		job.Done = done
-	}
-	s.mu.Unlock()
-}
-
-// servedSampleRate is the suffix-array sampling rate of every index the
-// server builds; core's zero value, the full array, is what a process that
-// builds one index keeps. A server holds its indexes for job after job, long
-// past their builds, and with the full array (4 bytes per base, two thirds
-// of an E. coli index) they were most of its heap; a one-index process peaks
-// during the build, when the full array is alive whatever it keeps. 8 is the
-// smallest rate of the table in EXPERIMENTS.md "Served indexes keep a
-// sampled suffix array": larger ones save little more and lengthen every
-// locate.
-const servedSampleRate = 8
-
-// indexConfig is the build configuration of a job's index: the job's RRR
-// parameters, the server's prefix-table order and a sampled suffix array.
-func (s *Server) indexConfig(b, sf int) core.IndexConfig {
-	return core.IndexConfig{
-		RRR:        rrr.Params{BlockSize: b, SuperblockFactor: sf},
-		Locate:     core.LocateSampled,
-		SampleRate: servedSampleRate,
-		FtabK:      s.cfg.FtabK,
-	}
-}
-
-func (s *Server) runJob(ctx context.Context, job *Job, in jobInput) error {
-	s.mu.Lock()
-	s.setJobStateLocked(job, StateRunning)
-	s.mu.Unlock()
-	s.journal.appendBestEffort(journalRecord{Type: recRunning, Job: job.ID})
-	if hook := s.testHookBeforeRun; hook != nil {
-		hook(job, ctx)
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-
-	idxCfg := s.indexConfig(job.B, job.SF)
-	_, parseSpan := obs.StartSpan(ctx, "parse")
-	defer parseSpan.End() // for the error returns; the first End is the one kept
-	parseStart := time.Now()
-	key, ref, contigs, err := s.referenceKey(job, in, idxCfg, parseSpan)
-	if err != nil {
-		return err
-	}
-	readsReader, err := in.reads.open()
-	if err != nil {
-		return err
-	}
-	defer readsReader.Close()
-	if hook := s.testHookOpenReads; hook != nil {
-		readsReader = hook(readsReader)
-	}
-	batch := s.cfg.StreamBatch
-	if job.Mode == ModeMemPE {
-		batch = runner.PairAligned(batch)
-	}
-	src, err := qc.NewSource(readsReader, job.policy(), batch)
-	if err != nil {
-		return fmt.Errorf("reads: %w", err)
-	}
-	defer src.Close()
-	defer s.noteQCReport(job, src)
-	// The first batch is pulled before the build, so a reads upload that is
-	// empty or does not decode fails the job before any index is built. A
-	// pull's wait is parse time, which the runner leaves out of map time.
-	reads := runner.NewReads(src, func(total int, wait time.Duration) {
-		s.mu.Lock()
-		job.Reads = total
-		job.ParseTime += wait
-		s.mu.Unlock()
-	})
-	err = reads.First()
-	parseSpan.End()
-	if err == io.EOF {
-		return noReadsError(job.policy(), src.Report())
-	}
-	if err != nil {
-		return fmt.Errorf("reads: %w", err)
-	}
-	s.mu.Lock()
-	job.ParseTime = time.Since(parseStart)
-	s.mu.Unlock()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-
-	// Steps 1+2: BWT/SA computation and succinct encoding — through the
-	// content-addressed cache, so a repeat reference skips construction
-	// and concurrent jobs for one reference build once. The build threads
-	// the job's context: cancellation aborts at the next phase boundary
-	// instead of finishing a doomed construction while holding a slot, and
-	// a trace on the context collects the per-phase spans.
-	buildCtx, buildSpan := obs.StartSpan(ctx, "build")
-	buildStart := time.Now()
-	entry, hit, err := s.cache.getOrBuild(ctx, key, func(context.Context) (*core.Index, error) {
-		if hook := s.testHookDuringBuild; hook != nil {
-			hook(job, buildCtx)
-		}
-		if ref == nil {
-			// The alias named the key but neither the cache nor the spill
-			// directory holds the index any more: parse after all.
-			var err error
-			if ref, contigs, err = s.loadReference(job, in.ref, buildSpan); err != nil {
-				return nil, err
-			}
-		}
-		// buildCtx carries the same cancellation as the context the cache
-		// passes, plus this job's trace, so the phase spans land here.
-		ix, err := core.BuildIndexCtx(buildCtx, ref, idxCfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := ix.SetContigs(contigs); err != nil {
-			return nil, err
-		}
-		return ix, nil
-	})
-	buildSpan.SetAttr("cache_hit", hit)
-	buildSpan.End()
-	if err != nil {
-		return err
-	}
-	if !hit {
-		// Fresh build: per-phase durations from the index's own stats.
-		bs := entry.ix.Stats()
-		s.mBuildStage.With("sa").Observe(bs.SATime.Seconds())
-		s.mBuildStage.With("bwt").Observe(bs.BWTTime.Seconds())
-		s.mBuildStage.With("encode").Observe(bs.EncodeTime.Seconds())
-	}
-	s.mu.Lock()
-	job.CacheHit = hit
-	job.BuildTime = time.Since(buildStart)
-	// The index knows what a parse would have told: an alias hit never looked
-	// at the reference.
-	job.RefName, job.RefLength = "", entry.ix.RefLength()
-	if cs := entry.ix.Contigs(); cs != nil && cs.Count() > 0 {
-		job.RefName = cs.Contig(0).Name
-	}
-	s.mu.Unlock()
-
-	n, err := s.mapJob(ctx, job, entry, reads)
-	if err == nil && n == 0 {
-		err = noReadsError(job.policy(), src.Report())
-	}
-	return err
-}
-
-// noteQCReport takes a job's ingest accounting when the job ends. The report
-// is final only when the stream has ended, so it is taken once, however the
-// job ends: a failed or cancelled job accounts for the batches it was handed,
-// and the report still balances. A job without a policy reports nothing.
-func (s *Server) noteQCReport(job *Job, src *qc.Source) {
-	if !job.policy().Active() {
-		return
-	}
-	rep := src.Report()
-	s.mu.Lock()
-	job.QCReport = &rep
-	s.qcTotals.Merge(rep)
-	s.mu.Unlock()
-}
-
-// noReadsError is how a job with nothing to map fails: no record in the
-// upload, or none that the job's policy let through.
-func noReadsError(pol qc.Policy, rep qc.Report) error {
-	if !pol.Active() {
-		return errors.New("reads: no records")
-	}
-	return fmt.Errorf("reads: no records survived QC (%d attempted, %d malformed, %d rejected)",
-		rep.Attempted, rep.Malformed, rep.RejectedTotal())
-}
-
-// mapJob is pipeline step 3: it maps every batch of in with the job's
-// workload through the runner, emitting as it goes, and seals the job's
-// results — or discards them, when the run failed or there was no read to map.
-// It returns how many reads it mapped.
-func (s *Server) mapJob(ctx context.Context, job *Job, entry *cacheEntry, in *runner.Reads) (int, error) {
-	mapCtx, mapSpan := obs.StartSpan(ctx, "map")
-	em, err := s.newEmitter(job, entry.ix)
-	if err != nil {
-		mapSpan.End()
-		return 0, err
-	}
-	opts := runner.Options{
-		Workers:  -1,
-		Progress: func(done int) { s.setJobProgress(job, done) },
-		Emit:     em.emit,
-		Fallback: func(err error) bool {
-			if !s.shouldFallback(mapCtx, err) {
-				return false
-			}
-			s.noteFallback(job, err)
-			mapSpan.SetAttr("fallback", err.Error())
-			return true
-		},
-	}
-	var res runner.Result
-	if job.Backend == "fpga" {
-		// A farm that ran before reports the index already resident.
-		opts.Farm, opts.Resident, err = entry.farmFor(s.devices, s.farmOptions())
-	}
-	switch {
-	case err != nil: // no farm to map on
-	case job.memMode():
-		res, err = runner.Run(mapCtx, in, runner.Mem(entry.ix, core.MemOptions{Paired: job.Mode == ModeMemPE}, s.countMem), em.rows, opts)
-	case job.Mismatches > 0:
-		res, err = runner.Run(mapCtx, in, runner.Approx(entry.ix, job.Mismatches, true), em.rows, opts)
-	default:
-		res, err = runner.Run(mapCtx, in, runner.Exact(entry.ix, true), em.rows, opts)
-	}
-	addModeledEvents(mapSpan, res.Device.Events)
-	mapSpan.SetAttr("reads", res.Reads)
-	mapSpan.End()
-	if err == nil && res.Reads > 0 {
-		err = em.sync()
-	}
-	if err != nil || res.Reads == 0 {
-		em.remove()
-		return 0, err
-	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	job.MapTime = res.MapTime()
-	job.Mapped = em.rows.Mapped()
-	return res.Reads, nil
-}
-
-// countMem folds one mem batch's pipeline counters into the server's.
-func (s *Server) countMem(stats core.MemStats, reconfigured bool) {
-	s.mu.Lock()
-	s.memStats.Merge(stats)
-	if reconfigured {
-		s.memReconfigs++
-	}
-	s.mu.Unlock()
-}
-
-// loadReference parses a job's reference payload; span is the parse or build
-// span doing it. What the parse replaced — every N or IUPAC code becomes A —
-// is said once, in the log and on the span.
-func (s *Server) loadReference(job *Job, ref *spool, span *obs.Span) (dna.Seq, *core.ContigSet, error) {
-	if hook := s.testHookParseReference; hook != nil {
-		hook(job)
-	}
-	r, err := ref.open()
-	if err != nil {
-		return nil, nil, err
-	}
-	defer r.Close()
-	seq, contigs, replaced, err := core.ReadReference(r)
-	if err != nil {
-		return nil, nil, fmt.Errorf("reference: %w", err)
-	}
-	if replaced > 0 {
-		s.log.Warn("reference holds ambiguous bases; each was replaced with A",
-			append(obs.JobAttrs(job.ID, job.Backend), "replaced_bases", replaced)...)
-		span.SetAttr("replaced_bases", replaced)
-	}
-	return seq, contigs, nil
-}
-
-// referenceKey finds the cache key of a raw reference, without parsing it
-// when this server has seen the same bytes under the same parameters: digest
-// (taken on the wire by handleSubmit, here for the routes that bring none) →
-// alias → key, and ref stays nil for the build closure to parse only if the
-// index is in neither cache tier. On an alias miss the reference is parsed as
-// it always was, the job learns its name and length, and the alias is
-// recorded — after the parse succeeded, so a corrupt upload leaves none.
-func (s *Server) referenceKey(job *Job, in jobInput, cfg core.IndexConfig, span *obs.Span) (key string, ref dna.Seq, contigs *core.ContigSet, err error) {
-	digest := in.refDigest
-	if digest == "" {
-		if digest, err = in.ref.digest(); err != nil {
-			return "", nil, nil, err
-		}
-	}
-	alias := RingKey(digest, job.B, job.SF, s.cfg.FtabK)
-	if key = s.cache.aliasKey(alias); key != "" {
-		return key, nil, nil, nil
-	}
-	if ref, contigs, err = s.loadReference(job, in.ref, span); err != nil {
-		return "", nil, nil, err
-	}
-	s.mu.Lock()
-	job.RefName, job.RefLength = contigs.Contig(0).Name, len(ref)
-	s.mu.Unlock()
-	key = core.CacheKey(ref, contigs, cfg)
-	s.cache.setAlias(alias, key)
-	return key, ref, contigs, nil
-}
-
-// farmOptions derives the resilience tuning every cached farm shares.
-func (s *Server) farmOptions() fpga.FarmOptions {
-	retry := fpga.RetryPolicy{}
-	if s.cfg.MaxRetries > 0 {
-		retry.MaxAttempts = s.cfg.MaxRetries + 1
-	} else if s.cfg.MaxRetries < 0 {
-		retry.MaxAttempts = 1
-	}
-	return fpga.FarmOptions{
-		Retry:            retry,
-		BreakerThreshold: s.cfg.BreakerThreshold,
-		BreakerCooldown:  s.cfg.BreakerCooldown,
-		VerifyStride:     s.cfg.VerifyStride,
-		Recorder:         s.rec,
-		Metrics:          s.registry,
-	}
-}
-
-// shouldFallback decides whether an FPGA-path error warrants the transparent
-// CPU rerun: the policy allows it, the error is a device failure (not bad
-// input), and the job itself was not canceled or timed out.
-func (s *Server) shouldFallback(ctx context.Context, err error) bool {
-	if ctx.Err() != nil {
-		return false
-	}
-	return s.cfg.Fallback == "cpu" && fpga.IsDeviceFailure(err)
-}
-
-// noteFallback records the CPU rerun on the job and in the global counters.
-func (s *Server) noteFallback(job *Job, cause error) {
-	s.rec.RecordFallback()
-	s.mu.Lock()
-	job.FallbackUsed = true
-	job.FallbackReason = cause.Error()
-	s.mu.Unlock()
 }
 
 func (s *Server) jobByRequest(r *http.Request) (*Job, error) {

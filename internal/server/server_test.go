@@ -146,6 +146,9 @@ func TestFullPipelineViaHTTP(t *testing.T) {
 			if !strings.Contains(string(page), "done") {
 				t.Fatalf("job page not done:\n%s", page)
 			}
+			if !strings.Contains(string(page), "Download results (TSV)") {
+				t.Errorf("job page does not offer the TSV download:\n%s", page)
+			}
 
 			// Results TSV must agree with the simulated truth.
 			resp, err = http.Get(ts.URL + loc + "/results")

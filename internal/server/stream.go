@@ -163,17 +163,6 @@ func terminalEventLocked(job *Job) (kind string, data []byte) {
 	return kind, data
 }
 
-// closeJobStream seals a terminal job's stream (creating it on the spot if no
-// subscriber ever asked) so every waiting subscriber receives the terminal
-// event instead of hanging.
-func (s *Server) closeJobStream(job *Job) {
-	s.mu.Lock()
-	st := s.ensureStreamLocked(job)
-	kind, data := terminalEventLocked(job)
-	s.mu.Unlock()
-	st.close(kind, data)
-}
-
 // exactRow is the NDJSON wire form of one exact-matching result. Positions
 // are the same joined, contig-resolved strings the TSV carries, so the two
 // representations are field-for-field identical. exactLine writes the row by
@@ -395,9 +384,8 @@ func (em *jobEmitter) memLine(c *runner.Cells) {
 }
 
 // sync seals the results after a successful mapping run: they are fsync'd
-// (the done record that references them follows in finishJob) and handed to
-// the job. The stream's terminal event is emitted later by finishJob, which
-// knows the final state.
+// (the done record follows in endJob) and handed to the job. The stream's
+// terminal event is emitted later by endJob, which knows the final state.
 func (em *jobEmitter) sync() error {
 	if err := em.tsv.sync(); err != nil {
 		return fmt.Errorf("persisting results: %w", err)

@@ -172,7 +172,7 @@ func (s *Server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 		err = s.journal.append(specRecord(recUploading, job))
 	}
 	if err != nil {
-		s.failUploadingJob(job, "journal: "+err.Error())
+		s.endJob(job, endBeforeLaunch, StateFailed, "journal: "+err.Error())
 		jsonError(w, http.StatusInternalServerError, "could not persist job")
 		return
 	}
@@ -204,26 +204,6 @@ func (s *Server) uploadStatus(job *Job) map[string]any {
 		"reference_offset": refN,
 		"reads_offset":     readsN,
 	}
-}
-
-// failUploadingJob aborts a chunked job before launch: terminal failed state,
-// queue slot freed, partial payloads removed, stream closed.
-func (s *Server) failUploadingJob(job *Job, msg string) {
-	s.mu.Lock()
-	if job.State.terminal() {
-		s.mu.Unlock()
-		return
-	}
-	s.setJobStateLocked(job, StateFailed)
-	job.Error = msg
-	job.Finished = time.Now()
-	up := job.upload
-	s.mu.Unlock()
-	s.journal.appendBestEffort(journalRecord{Type: recFailed, Job: job.ID, Error: msg, Finished: job.Finished})
-	if up != nil {
-		up.discard()
-	}
-	s.closeJobStream(job)
 }
 
 // handleUploadChunk appends one chunk to a part ("reference" or "reads") at
@@ -312,7 +292,7 @@ func (s *Server) handleUploadChunk(part string) http.HandlerFunc {
 			// Oversized upload: shed with the admission envelope and fail the
 			// job so its queue slot frees instead of lingering half-fed.
 			up.mu.Unlock()
-			s.failUploadingJob(job, fmt.Sprintf("upload exceeds the %d byte cap", s.cfg.MaxUploadBytes))
+			s.endJob(job, endBeforeLaunch, StateFailed, fmt.Sprintf("upload exceeds the %d byte cap", s.cfg.MaxUploadBytes))
 			up.mu.Lock()
 			writeAdmissionError(w, &admissionError{
 				status: http.StatusRequestEntityTooLarge, reason: reasonTooLarge,
@@ -437,7 +417,7 @@ func (s *Server) sweepStalledUploads(now time.Time) int {
 	s.mu.Unlock()
 	for _, j := range stalled {
 		s.log.Warn("failing stalled upload", "job", j.ID, "timeout", timeout)
-		s.failUploadingJob(j, fmt.Sprintf("upload stalled past the %v timeout", timeout))
+		s.endJob(j, endBeforeLaunch, StateFailed, fmt.Sprintf("upload stalled past the %v timeout", timeout))
 	}
 	return len(stalled)
 }
