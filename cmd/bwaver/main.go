@@ -548,7 +548,7 @@ func streamMap[R any](out io.Writer, c mapRun, w runner.Work[R]) error {
 		defer file.Close()
 		dst, closeOut = file, file.Close
 	}
-	opts.Emit = func(_ qc.Batch, text []byte) error {
+	opts.Emit = func(_ qc.Batch, text, _ []byte) error {
 		_, err := dst.Write(text)
 		return err
 	}

@@ -25,20 +25,20 @@ func (ix *Index) SAMRefSeqs() []sam.RefSeq {
 	return out
 }
 
-// resolveSpan translates a concatenated placement into (contig name,
-// 0-based contig offset). ok is false for boundary-straddling hits.
-func resolveSpan(contigs *ContigSet, refLen int, pos int32, span int) (string, int, bool) {
-	if contigs == nil {
-		if pos < 0 || int(pos)+span > refLen {
+// ResolveSpan places a hit of span bases at pos in the concatenated
+// reference on its record: the record's name and the 0-based offset in it.
+// Without a contig set the whole reference is one record, "ref". ok is false
+// for a hit that straddles two records or runs off the reference, a
+// concatenation artifact with no locus of its own.
+func (ix *Index) ResolveSpan(pos int32, span int) (name string, off int, ok bool) {
+	if ix.contigs == nil {
+		if pos < 0 || int(pos)+span > ix.RefLength() {
 			return "", 0, false
 		}
 		return "ref", int(pos), true
 	}
-	c, off, ok := contigs.Resolve(int(pos), span)
-	if !ok {
-		return "", 0, false
-	}
-	return c.Name, off, true
+	c, off, ok := ix.contigs.Resolve(int(pos), span)
+	return c.Name, off, ok
 }
 
 // MemRecord renders one single-end mem result as a SAM record.
@@ -48,7 +48,7 @@ func (ix *Index) MemRecord(name string, read dna.Seq, res MemResult) sam.Record 
 		rec.Flag = sam.FlagUnmapped
 		return rec
 	}
-	rname, off, ok := resolveSpan(ix.contigs, ix.RefLength(), res.Best.Pos, res.Best.RefSpan)
+	rname, off, ok := ix.ResolveSpan(res.Best.Pos, res.Best.RefSpan)
 	if !ok {
 		// Concatenation artifact: no contiguous locus corresponds to it.
 		rec.Flag = sam.FlagUnmapped

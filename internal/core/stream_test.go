@@ -62,7 +62,7 @@ func mapStream(ix *core.Index, r io.Reader, pol qc.Policy, batchSize int, emit f
 	defer src.Close()
 	rows := runner.NewRows(ix)
 	res, err := runner.Run(context.Background(), runner.NewReads(src, nil), runner.Exact(ix, true), rows,
-		runner.Options{Emit: func(_ qc.Batch, text []byte) error {
+		runner.Options{Emit: func(_ qc.Batch, text, _ []byte) error {
 			var lines []string
 			for _, line := range strings.Split(string(text), "\n") {
 				if line != "" && !strings.HasPrefix(line, "read\t") {

@@ -2,6 +2,7 @@ package runner
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"slices"
 	"strconv"
@@ -10,6 +11,7 @@ import (
 	"bwaver/internal/core"
 	"bwaver/internal/dna"
 	"bwaver/internal/fmindex"
+	"bwaver/internal/qc"
 	"bwaver/internal/sam"
 )
 
@@ -22,12 +24,20 @@ import (
 type Rows struct {
 	ix      *core.Index
 	contigs *core.ContigSet
-	// Row, when non-nil, receives each TSV or mem row's cells right after the
-	// row is rendered: a served job builds its NDJSON line from them, so the
-	// two representations are field-for-field identical.
-	Row func(c *Cells)
+	// Stream has every batch also render the NDJSON lines of a served job's
+	// result stream: one qc_reject line per read the batch's policy dropped,
+	// then one line per row, a TSV row's cells under its header's column
+	// names or a seed-and-extend SAM record's placement and scoring. The
+	// exact and pair SAM formats render no row lines.
+	Stream bool
 
-	text bytes.Buffer
+	// text and lines are the batch in hand's rendering: its TSV or SAM text
+	// and its NDJSON lines.
+	text, lines bytes.Buffer
+	// tsv and nd are the row in hand, taken from the free space of text and
+	// lines and written back when it ends; cells counts its cells.
+	tsv, nd []byte
+	cells   int
 	// sw is the SAM formats' one writer for the run, so the header lands in
 	// the first batch and every later batch renders bare records.
 	sw      *sam.Writer
@@ -36,30 +46,9 @@ type Rows struct {
 	// concordant and ambiguous count the pairs of a pair run.
 	concordant, ambiguous int
 
-	// Row-building scratch: the cells of the row in hand, its position cells,
-	// the ordered copy of a multi-position strand and a k-mismatch row's
-	// located positions.
-	cells        Cells
-	fw, rc, best []byte
-	sorted, ps   []int32
-}
-
-// Cells are one row's values as Rows renders them. Which fields are set
-// follows the format.
-type Cells struct {
-	// ID is the row's read name: TSV-safe, or the SAM QNAME.
-	ID     string
-	Mapped bool
-	// Exact TSV: each strand's occurrence count and positions cell.
-	FwCount, RcCount int
-	Fw, Rc           []byte
-	// k-mismatch TSV: the best stratum, the occurrences of every reported
-	// stratum, and where the best one occurs.
-	BestMismatches, Occurrences int
-	Best                        []byte
-	// Seed-and-extend SAM: the record and the result it renders.
-	Rec sam.Record
-	Mem *core.MemResult
+	// Row-building scratch: the ordered copy of a multi-position strand and
+	// a k-mismatch row's located positions.
+	sorted, ps []int32
 }
 
 // NewRows returns an encoder for results mapped on ix.
@@ -131,39 +120,134 @@ func (r *Rows) appendPositions(dst []byte, ps []int32, span int) []byte {
 	return dst
 }
 
-// row counts and hands on the cells of the row just rendered.
-func (r *Rows) row() {
-	if r.cells.Mapped {
-		r.mapped++
+// header writes a TSV header ahead of the run's first row.
+func (r *Rows) header(off int, h string) {
+	if off == 0 {
+		r.text.WriteString(h)
 	}
-	if r.Row != nil {
-		r.Row(&r.cells)
+}
+
+// open starts a cell of the row in hand, a tab ahead of every TSV cell but
+// the first, and returns the TSV text to append the cell's value to.
+func (r *Rows) open() []byte {
+	if r.cells > 0 {
+		r.tsv = append(r.tsv, '\t')
+	} else {
+		r.tsv, r.nd = r.text.AvailableBuffer(), r.lines.AvailableBuffer()
 	}
+	return r.tsv
+}
+
+// close ends the cell open started, tsv being the text with its value
+// appended. Streaming, the NDJSON line takes the value under the column's
+// name: quoted, or as it is for a count or a flag, which read the same in
+// both forms.
+func (r *Rows) close(name string, tsv []byte, quote bool) {
+	from := len(r.tsv)
+	r.tsv = tsv
+	if r.Stream {
+		if r.cells == 0 {
+			r.nd = append(r.nd, '{')
+		} else {
+			r.nd = append(r.nd, ',')
+		}
+		r.nd = append(append(append(r.nd, '"'), name...), `":`...)
+		if quote {
+			r.nd = appendJSONString(r.nd, tsv[from:])
+		} else {
+			r.nd = append(r.nd, tsv[from:]...)
+		}
+	}
+	r.cells++
+}
+
+// str, num, flag and positions append one cell of each kind to the row in
+// hand.
+func (r *Rows) str(name, s string) {
+	r.close(name, append(r.open(), s...), true)
+}
+
+func (r *Rows) num(name string, n int) {
+	r.close(name, strconv.AppendInt(r.open(), int64(n), 10), false)
+}
+
+func (r *Rows) flag(name string, b bool) {
+	r.close(name, strconv.AppendBool(r.open(), b), false)
+}
+
+func (r *Rows) positions(name string, ps []int32, span int) {
+	r.close(name, r.appendPositions(r.open(), ps, span), true)
+}
+
+// end closes the row in hand and writes it back. A row at a time, not a
+// batch, so the buffers grow by doubling.
+func (r *Rows) end() {
+	r.text.Write(append(r.tsv, '\n'))
+	if r.Stream {
+		r.lines.Write(append(r.nd, "}\n"...))
+	}
+	r.cells = 0
+}
+
+// rejected renders, when streaming, the qc_reject line of each read the
+// batch's policy dropped, ahead of the batch's rows: a client tailing the
+// job sees which reads were dropped, and why, where they were dropped.
+// Reasons outside the fixed enum (impossible from the gate, conceivable from
+// a tampered journal) are clamped to "invalid", so the stream never carries
+// a minted code.
+func (r *Rows) rejected(rejects []qc.Reject) {
+	if !r.Stream {
+		return
+	}
+	for _, rej := range rejects {
+		reason := rej.Reason
+		if !qc.ValidReason(reason) {
+			reason = "invalid"
+		}
+		nd := strconv.AppendInt(append(r.lines.AvailableBuffer(), `{"event":"qc_reject","index":`...), int64(rej.Index), 10)
+		if rej.ID != "" {
+			nd = appendJSONString(append(nd, `,"id":`...), SanitizeID(rej.ID))
+		}
+		nd = appendJSONString(append(nd, `,"reason":`...), reason)
+		if rej.Detail != "" {
+			nd = appendJSONString(append(nd, `,"detail":`...), rej.Detail)
+		}
+		r.lines.Write(append(nd, "}\n"...))
+	}
+}
+
+// appendJSONString appends s as a JSON string literal, byte for byte what
+// encoding/json writes for a string field: printable ASCII outside the
+// characters json escapes (quote, backslash, and <, >, & for HTML safety) is
+// copied between quotes; anything else — control bytes, non-ASCII, invalid
+// UTF-8 — goes through json.Marshal itself.
+func appendJSONString[T string | []byte](dst []byte, s T) []byte {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20 || c >= 0x7f, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			quoted, _ := json.Marshal(string(s)) // a string cannot fail to marshal
+			return append(dst, quoted...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
 }
 
 // exact renders one exact-matching batch, whose first read is the run's
 // off-th.
 func (r *Rows) exact(off int, ids []string, reads []dna.Seq, results []core.MapResult) error {
-	tsv := r.text.AvailableBuffer()
-	if off == 0 {
-		tsv = append(tsv, "read\tmapped\tfw_count\tfw_positions\trc_count\trc_positions\n"...)
-	}
+	r.header(off, "read\tmapped\tfw_count\tfw_positions\trc_count\trc_positions\n")
 	for i, res := range results {
 		span := len(reads[i])
-		r.fw = r.appendPositions(r.fw[:0], res.ForwardPositions, span)
-		r.rc = r.appendPositions(r.rc[:0], res.ReversePositions, span)
-		c := Cells{ID: SanitizeID(ids[i]), Mapped: res.Mapped(),
-			FwCount: res.Forward.Count(), Fw: r.fw, RcCount: res.Reverse.Count(), Rc: r.rc}
-		tsv = append(append(tsv, c.ID...), '\t')
-		tsv = append(strconv.AppendBool(tsv, c.Mapped), '\t')
-		tsv = append(strconv.AppendInt(tsv, int64(c.FwCount), 10), '\t')
-		tsv = append(append(tsv, c.Fw...), '\t')
-		tsv = append(strconv.AppendInt(tsv, int64(c.RcCount), 10), '\t')
-		tsv = append(append(tsv, c.Rc...), '\n')
-		r.cells = c
-		r.row()
+		r.str("read", SanitizeID(ids[i]))
+		r.flag("mapped", r.count(res.Mapped()))
+		r.num("fw_count", res.Forward.Count())
+		r.positions("fw_positions", res.ForwardPositions, span)
+		r.num("rc_count", res.Reverse.Count())
+		r.positions("rc_positions", res.ReversePositions, span)
+		r.end()
 	}
-	r.text.Write(tsv)
 	return nil
 }
 
@@ -171,32 +255,32 @@ func (r *Rows) exact(off int, ids []string, reads []dna.Seq, results []core.MapR
 // stratum occurs: the exact hits when there are any, else the rescue's lowest
 // mismatch count; "-" when locate is off.
 func (r *Rows) approx(off int, ids []string, reads []dna.Seq, results []core.ApproxResult, locate bool) error {
-	tsv := r.text.AvailableBuffer()
-	if off == 0 {
-		tsv = append(tsv, "read\tmapped\tbest_mismatches\toccurrences\tbest_positions\n"...)
-	}
+	r.header(off, "read\tmapped\tbest_mismatches\toccurrences\tbest_positions\n")
 	for i, res := range results {
-		c := Cells{ID: SanitizeID(ids[i]), Mapped: res.Mapped(),
-			BestMismatches: res.BestMismatches(), Occurrences: res.Occurrences()}
+		best := res.BestMismatches()
 		r.ps = r.ps[:0]
 		if locate {
 			var err error
-			if r.ps, err = r.locateBest(r.ps, res, c.BestMismatches); err != nil {
+			if r.ps, err = r.locateBest(r.ps, res, best); err != nil {
 				return err
 			}
 		}
-		r.best = r.appendPositions(r.best[:0], r.ps, len(reads[i]))
-		c.Best = r.best
-		tsv = append(append(tsv, c.ID...), '\t')
-		tsv = append(strconv.AppendBool(tsv, c.Mapped), '\t')
-		tsv = append(strconv.AppendInt(tsv, int64(c.BestMismatches), 10), '\t')
-		tsv = append(strconv.AppendInt(tsv, int64(c.Occurrences), 10), '\t')
-		tsv = append(append(tsv, c.Best...), '\n')
-		r.cells = c
-		r.row()
+		r.str("read", SanitizeID(ids[i]))
+		r.flag("mapped", r.count(res.Mapped()))
+		r.num("best_mismatches", best)
+		r.num("occurrences", res.Occurrences())
+		r.positions("best_positions", r.ps, len(reads[i]))
+		r.end()
 	}
-	r.text.Write(tsv)
 	return nil
+}
+
+// count counts a rendered read that mapped and returns mapped.
+func (r *Rows) count(mapped bool) bool {
+	if mapped {
+		r.mapped++
+	}
+	return mapped
 }
 
 // locateBest appends the positions of res's best stratum to ps.
@@ -256,9 +340,40 @@ func (r *Rows) mem(off int, ids []string, reads []dna.Seq, results []core.MemRes
 	return r.sw.Flush()
 }
 
+// memRecord renders one seed-and-extend record and, when streaming, its
+// NDJSON line: one per read, so stream event ids count reads though the SAM
+// text holds header lines. An unmapped read's line leaves out the placement
+// keys and reads 0 for its MAPQ and scoring.
 func (r *Rows) memRecord(rec sam.Record, res *core.MemResult) error {
-	r.cells = Cells{ID: rec.QName, Mapped: !rec.Unmapped(), Rec: rec, Mem: res}
-	r.row()
+	mapped := r.count(!rec.Unmapped())
+	if r.Stream {
+		mapq, score, nm := 0, 0, 0
+		nd := appendJSONString(append(r.lines.AvailableBuffer(), `{"read":`...), rec.QName)
+		nd = strconv.AppendBool(append(nd, `,"mapped":`...), mapped)
+		nd = strconv.AppendInt(append(nd, `,"flag":`...), int64(rec.Flag), 10)
+		if mapped {
+			mapq, score, nm = int(rec.MapQ), res.Best.Score, res.Best.NM
+			if rec.RName != "" {
+				nd = appendJSONString(append(nd, `,"rname":`...), rec.RName)
+			}
+			if rec.Pos != 0 {
+				nd = strconv.AppendInt(append(nd, `,"pos":`...), int64(rec.Pos), 10)
+			}
+		}
+		nd = strconv.AppendInt(append(nd, `,"mapq":`...), int64(mapq), 10)
+		if mapped && rec.CIGAR != "" {
+			nd = appendJSONString(append(nd, `,"cigar":`...), rec.CIGAR)
+		}
+		if mapped && rec.TLen != 0 {
+			nd = strconv.AppendInt(append(nd, `,"tlen":`...), int64(rec.TLen), 10)
+		}
+		nd = strconv.AppendInt(append(nd, `,"score":`...), int64(score), 10)
+		nd = strconv.AppendInt(append(nd, `,"nm":`...), int64(nm), 10)
+		if mapped && res.Rescued {
+			nd = append(nd, `,"rescued":true`...)
+		}
+		r.lines.Write(append(nd, "}\n"...))
+	}
 	return r.sw.Write(rec)
 }
 
@@ -279,7 +394,7 @@ func (r *Rows) exactSAM(off int, ids []string, reads []dna.Seq, results []core.M
 				seq, flag = read.ReverseComplement(), sam.FlagReverse
 			}
 			for _, p := range ps {
-				rname, pos, ok := r.resolve(p, len(read))
+				rname, pos, ok := r.ix.ResolveSpan(p, len(read))
 				if !ok {
 					r.dropped++
 					continue
@@ -306,15 +421,6 @@ func (r *Rows) exactSAM(off int, ids []string, reads []dna.Seq, results []core.M
 	return r.sw.Flush()
 }
 
-// resolve places a hit of span bases on its reference record.
-func (r *Rows) resolve(p int32, span int) (name string, off int, ok bool) {
-	if r.contigs == nil {
-		return "ref", int(p), p >= 0 && int(p)+span <= r.ix.RefLength()
-	}
-	c, off, ok := r.contigs.Resolve(int(p), span)
-	return c.Name, off, ok
-}
-
 // placePair pairs the mates at i and i+1 and counts the pair. It returns the
 // placements whose fragment lies inside one reference record, best first;
 // the others are dropped.
@@ -322,7 +428,7 @@ func (r *Rows) placePair(reads []dna.Seq, results []core.MapResult, i int, opts 
 	all, ambiguous := core.PairMates(results[i], results[i+1], len(reads[i]), len(reads[i+1]), opts)
 	kept := all[:0]
 	for _, pl := range all {
-		if _, _, ok := r.resolve(pl.Pos, pl.Insert); ok {
+		if _, _, ok := r.ix.ResolveSpan(pl.Pos, pl.Insert); ok {
 			kept = append(kept, pl)
 		} else {
 			r.dropped++
@@ -346,25 +452,23 @@ func (r *Rows) placePair(reads []dna.Seq, results []core.MapResult, i int, opts 
 // concordant or ambiguous, its placement count, and where its best placement
 // starts (contig-relative on a multi-record reference) and how long it is.
 func (r *Rows) pairTSV(off int, ids []string, reads []dna.Seq, results []core.MapResult, opts core.PairOptions) error {
-	tsv := r.text.AvailableBuffer()
-	if off == 0 {
-		tsv = append(tsv, "pair\tconcordant\tambiguous\tplacements\tbest_pos\tbest_insert\n"...)
-	}
+	r.header(off, "pair\tconcordant\tambiguous\tplacements\tbest_pos\tbest_insert\n")
 	for i := 0; i < len(results); i += 2 {
 		kept, ambiguous := r.placePair(reads, results, i, opts)
-		tsv = append(append(tsv, SanitizeID(ids[i])...), '\t')
-		tsv = append(strconv.AppendBool(tsv, len(kept) > 0), '\t')
-		tsv = append(strconv.AppendBool(tsv, ambiguous), '\t')
-		tsv = append(strconv.AppendInt(tsv, int64(len(kept)), 10), '\t')
+		r.str("pair", SanitizeID(ids[i]))
+		r.flag("concordant", len(kept) > 0)
+		r.flag("ambiguous", ambiguous)
+		r.num("placements", len(kept))
 		if len(kept) == 0 {
-			tsv = append(tsv, "-\t-\n"...)
-			continue
+			r.str("best_pos", "-")
+			r.str("best_insert", "-")
+		} else {
+			r.ps = append(r.ps[:0], kept[0].Pos)
+			r.positions("best_pos", r.ps, kept[0].Insert)
+			r.num("best_insert", kept[0].Insert)
 		}
-		r.ps = append(r.ps[:0], kept[0].Pos)
-		tsv = append(r.appendPositions(tsv, r.ps, kept[0].Insert), '\t')
-		tsv = append(strconv.AppendInt(tsv, int64(kept[0].Insert), 10), '\n')
+		r.end()
 	}
-	r.text.Write(tsv)
 	return nil
 }
 
@@ -393,7 +497,7 @@ func (r *Rows) pairSAM(off int, ids []string, reads []dna.Seq, results []core.Ma
 		if !pl.R1Forward {
 			left, right = 1, 0
 		}
-		rname, leftOff, _ := r.resolve(pl.Pos, pl.Insert)
+		rname, leftOff, _ := r.ix.ResolveSpan(pl.Pos, pl.Insert)
 		rightOff := leftOff + pl.Insert - len(mates[right])
 		proper := sam.FlagPaired | sam.FlagProperPair
 		for _, rec := range [2]sam.Record{{

@@ -255,10 +255,11 @@ type Options struct {
 	Fallback func(err error) bool
 	// Progress, when non-nil, is told how many reads of the run have mapped.
 	Progress func(done int)
-	// Emit writes out one batch: its reject rows and text, the rows rendered
-	// from its survivors (empty when none survived). The text is valid until
-	// Emit returns.
-	Emit func(b qc.Batch, text []byte) error
+	// Emit writes out one batch: text holds the rows rendered from its
+	// survivors (empty when none survived), lines its NDJSON stream lines,
+	// reject lines first, when the rows stream (empty when they do not). Both
+	// are valid until Emit returns.
+	Emit func(b qc.Batch, text, lines []byte) error
 }
 
 // Result is what a run did.
@@ -308,6 +309,7 @@ func Run[R any](ctx context.Context, in *Reads, w Work[R], rows *Rows, opts Opti
 		if err := ctx.Err(); err != nil {
 			return res, err
 		}
+		rows.rejected(b.Rejects)
 		if len(b.Seqs) > 0 {
 			var results []R
 			if farm != nil {
@@ -337,8 +339,9 @@ func Run[R any](ctx context.Context, in *Reads, w Work[R], rows *Rows, opts Opti
 				return res, err
 			}
 		}
-		err = opts.Emit(b, rows.text.Bytes())
+		err = opts.Emit(b, rows.text.Bytes(), rows.lines.Bytes())
 		rows.text.Reset()
+		rows.lines.Reset()
 		if err != nil {
 			return res, err
 		}

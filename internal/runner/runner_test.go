@@ -67,7 +67,7 @@ func fixture(t *testing.T, n, size int) (*core.Index, []qc.Batch) {
 // runExact maps src's batches exactly and returns the emitted text.
 func runExact(ix *core.Index, src Source, opts Options) (string, Result, error) {
 	var out bytes.Buffer
-	opts.Emit = func(_ qc.Batch, text []byte) error {
+	opts.Emit = func(_ qc.Batch, text, _ []byte) error {
 		out.Write(text)
 		return nil
 	}
@@ -83,7 +83,7 @@ func TestRunStopsPullingWhenEmitFails(t *testing.T) {
 	boom := errors.New("boom")
 	emits := 0
 	_, err := Run(context.Background(), NewReads(src, nil), Exact(ix, true), NewRows(ix), Options{
-		Emit: func(qc.Batch, []byte) error {
+		Emit: func(qc.Batch, []byte, []byte) error {
 			if emits++; emits == 2 {
 				return boom
 			}
@@ -115,7 +115,7 @@ func TestRunEmitsRejectOnlyBatches(t *testing.T) {
 	src := &batches{list: []qc.Batch{{Rejects: []qc.Reject{{ID: "short"}}}, list[0]}}
 	var rejects, reads int
 	_, err := Run(context.Background(), NewReads(src, nil), Exact(ix, true), NewRows(ix), Options{
-		Emit: func(b qc.Batch, _ []byte) error {
+		Emit: func(b qc.Batch, _, _ []byte) error {
 			rejects += len(b.Rejects)
 			reads += len(b.Seqs)
 			return nil

@@ -304,7 +304,7 @@ func (s *Server) admitJob(spec jobSpec, initial JobState) (job *Job, existing bo
 	job = &Job{
 		ID: s.nextID, JobParams: spec.JobParams, IdemKey: spec.IdemKey, RequestID: spec.RequestID,
 		timeout: spec.Timeout,
-		outcome: outcome{RefName: spec.RefName}, Created: time.Now(),
+		Outcome: Outcome{RefName: spec.RefName}, Created: time.Now(),
 	}
 	s.setJobStateLocked(job, initial)
 	s.nextID++

@@ -23,7 +23,7 @@ import (
 // (stage); and endJob is the one way any job ends, whether its run finished,
 // a client canceled it before launch, its upload failed or stalled, or its
 // acceptance could not be journaled. What a job comes to is one type,
-// outcome, embedded in the Job, in the journal's records and in the job JSON.
+// Outcome, embedded in the Job, in the journal's records and in the job JSON.
 
 // JobState tracks a pipeline run.
 type JobState string
@@ -63,11 +63,11 @@ const (
 // memMode reports whether the job runs the seed-and-extend pipeline.
 func (j *Job) memMode() bool { return j.Mode == ModeMem || j.Mode == ModeMemPE }
 
-// outcome is what a job comes to. Its run fills it in, the job's terminal
+// Outcome is what a job comes to. Its run fills it in, the job's terminal
 // journal record carries it, and the job JSON shows it: Job, journalRecord and
 // jobJSON embed it, so what is kept, replayed and served is the same set of
 // fields under the same keys.
-type outcome struct {
+type Outcome struct {
 	Error     string `json:"error,omitempty"`
 	RefName   string `json:"ref_name"`
 	RefLength int    `json:"ref_length"`
@@ -99,7 +99,7 @@ type Job struct {
 	ID    int
 	State JobState
 	JobParams
-	outcome
+	Outcome
 	// Done counts reads mapped so far while the job is running.
 	Done     int
 	Created  time.Time
@@ -142,7 +142,7 @@ type jobJSON struct {
 	ID    int    `json:"id"`
 	State string `json:"state"`
 	JobParams
-	outcome
+	Outcome
 	Done          int    `json:"done"`
 	PeakResultBuf int    `json:"peak_result_buffer_bytes"`
 	RequestID     string `json:"request_id,omitempty"`
@@ -154,7 +154,7 @@ type jobJSON struct {
 // toJSON renders the job's wire form; s.mu must be held.
 func (j *Job) toJSON() jobJSON {
 	out := jobJSON{
-		ID: j.ID, State: string(j.State), JobParams: j.JobParams, outcome: j.outcome,
+		ID: j.ID, State: string(j.State), JobParams: j.JobParams, Outcome: j.Outcome,
 		Done: j.Done, PeakResultBuf: j.PeakResultBuf, RequestID: j.RequestID,
 	}
 	if j.State == StateUploading && j.upload != nil {
@@ -491,6 +491,9 @@ func (s *Server) endJob(job *Job, by ender, state JobState, msg string) bool {
 	wasUploading := job.State == StateUploading
 	s.setJobStateLocked(job, state)
 	job.Error, job.Finished = msg, time.Now()
+	if by != endRun {
+		job.Outcome = Outcome{Error: msg}
+	}
 	if by == endUnaccepted {
 		s.releaseIdemKeyLocked(job)
 	}
@@ -504,10 +507,8 @@ func (s *Server) endJob(job *Job, by ender, state JobState, msg string) bool {
 		s.mJobStage.With("build").Observe(build.Seconds())
 		s.mJobStage.With("map").Observe(mapped.Seconds())
 	}
-	rec := journalRecord{Type: string(state), Job: job.ID, outcome: job.outcome, Finished: job.Finished}
-	if by != endRun {
-		rec.outcome = outcome{Error: msg}
-	}
+	out, finished := job.Outcome, job.Finished
+	rec := journalRecord{Type: string(state), Job: job.ID, Outcome: &out, Finished: &finished}
 	// The stream to seal, created on the spot if no subscriber ever asked.
 	st := s.ensureStreamLocked(job)
 	kind, event := terminalEventLocked(job)

@@ -51,28 +51,30 @@ const (
 	recEvicted   = "evicted"
 )
 
-// journalRecord is one line of journal.jsonl. Records are cumulative: an
-// accepted record carries the job spec; terminal records carry the outcome.
-// Compacted snapshots carry both, so a compacted journal is self-contained
-// line by line.
+// journalRecord is one line of journal.jsonl. Records are cumulative, and
+// each carries only what it adds: uploading and accepted records the job's
+// spec, terminal records its outcome, running and evicted records their type,
+// job and time alone. Compacted snapshots carry the spec and, for a job that
+// ended, the outcome, so a compacted journal is self-contained line by line.
 type journalRecord struct {
 	Type string    `json:"type"`
 	Job  int       `json:"job"`
 	Time time.Time `json:"time"`
 
-	// Spec (uploading and accepted records and compacted snapshots): the
-	// job's params, nil on a record that only carries an outcome.
+	// Spec: the job's params, nil on a record that carries none.
 	*JobParams
 	// IdemKey is the client's Idempotency-Key, replayed with the job so
 	// post-restart retries still map to it.
 	IdemKey string `json:"idem_key,omitempty"`
 	// RequestID is the X-Request-Id of the originating submission, restored
 	// on replay so cross-process traces survive a worker restart.
-	RequestID string    `json:"request_id,omitempty"`
-	Created   time.Time `json:"created"`
+	RequestID string     `json:"request_id,omitempty"`
+	Created   *time.Time `json:"created,omitempty"`
 
-	outcome
-	Finished time.Time `json:"finished"`
+	// Outcome: what the job came to and when it ended, nil on a record that
+	// carries none.
+	*Outcome
+	Finished *time.Time `json:"finished,omitempty"`
 }
 
 // journal owns the state directory: the append-only log plus the payload and
@@ -290,8 +292,7 @@ func foldRecords(recs []journalRecord) map[int]*foldedJob {
 			jobs[rec.Job] = fj
 		}
 		if rec.JobParams != nil {
-			fj.spec.JobParams = rec.JobParams
-			fj.spec.Created = rec.Created
+			fj.spec.JobParams, fj.spec.Created = rec.JobParams, rec.Created
 		}
 		if rec.IdemKey != "" {
 			fj.spec.IdemKey = rec.IdemKey
@@ -324,13 +325,17 @@ func foldRecords(recs []journalRecord) map[int]*foldedJob {
 }
 
 // snapshotRecord renders a job's current state as one self-contained record,
-// the unit of journal compaction.
+// the unit of journal compaction: its spec and, once it has ended, its
+// outcome.
 func snapshotRecord(j *Job) journalRecord {
 	rec := specRecord(recAccepted, j)
 	rec.Time = time.Now()
-	rec.outcome, rec.Finished = j.outcome, j.Finished
 	if j.State != StateQueued {
 		rec.Type = string(j.State)
+	}
+	if j.State.terminal() {
+		out, finished := j.Outcome, j.Finished
+		rec.Outcome, rec.Finished = &out, &finished
 	}
 	return rec
 }
@@ -345,7 +350,7 @@ func specRecord(typ string, job *Job) journalRecord {
 		JobParams: &job.JobParams, // fixed once the job is admitted
 		IdemKey:   job.IdemKey,
 		RequestID: job.RequestID,
-		Created:   job.Created,
+		Created:   &job.Created, // fixed once the job is admitted
 	}
 }
 
@@ -412,17 +417,26 @@ func (s *Server) recover() error {
 		if id >= s.nextID {
 			s.nextID = id + 1
 		}
-		job := &Job{ID: id, IdemKey: fj.spec.IdemKey, RequestID: fj.spec.RequestID, Created: fj.spec.Created}
+		job := &Job{ID: id, IdemKey: fj.spec.IdemKey, RequestID: fj.spec.RequestID, Created: fj.last.Time}
 		if fj.spec.JobParams != nil {
 			job.JobParams = *fj.spec.JobParams
 		}
-		if job.Created.IsZero() {
-			job.Created = fj.last.Time
+		if c := fj.spec.Created; c != nil && !c.IsZero() {
+			job.Created = *c
+		}
+		if JobState(fj.last.Type).terminal() {
+			// A terminal job comes back with the outcome its record holds,
+			// whole: what its JSON showed before the restart.
+			if o := fj.last.Outcome; o != nil {
+				job.Outcome = *o
+			}
+			if f := fj.last.Finished; f != nil {
+				job.Finished = *f
+			}
 		}
 		refRel, readsRel := payloadNames(id)
 		switch fj.last.Type {
 		case recDone:
-			job.outcome, job.Finished = fj.last.outcome, fj.last.Finished
 			// The results stay on disk and are served from there; loading
 			// them here would make replay memory O(sum of all job results).
 			if results, err := fileSpool(s.journal.abs(resultsName(id))); err != nil {
@@ -437,11 +451,6 @@ func (s *Server) recover() error {
 				job.results, job.Done = results, job.Reads
 			}
 		case recFailed, recCanceled:
-			job.outcome, job.Finished = fj.last.outcome, fj.last.Finished
-			// A run that did not finish comes back without its stage figures
-			// and fallback, as a restart has always shown it.
-			job.ParseMs, job.BuildMs, job.MapMs = 0, 0, 0
-			job.FallbackUsed, job.FallbackReason = false, ""
 			s.setJobStateLocked(job, JobState(fj.last.Type))
 		case recUploading:
 			// A partial upload survives the crash: restore the job with the

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +13,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"bwaver/internal/qc"
 )
@@ -21,7 +23,9 @@ import (
 // a CPU fallback and a QC report, failed, canceled before launch, uploading,
 // done), then one record of each of the seven types — a job done and evicted,
 // an upload canceled, a job failed and one canceled mid-build. jobs.json is
-// the job JSON that server replayed the dir to.
+// the job JSON that server replayed the dir to, but for the stage figures of
+// the failed and canceled jobs: replay now restores a job's outcome whole, so
+// job 9 keeps the parse_ms its record holds, where that server zeroed it.
 const fixtureDir = "testdata/journal"
 
 // A journal written before the outcome became one type replays to the job
@@ -120,6 +124,143 @@ func TestJournalNamesNoPaths(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode == http.StatusOK || strings.Contains(body.String(), "outside the state dir") {
 		t.Errorf("results of job 2 served a file outside the state dir (%d): %q", resp.StatusCode, body)
+	}
+}
+
+// jsonKeys returns the JSON keys of a struct type's fields.
+func jsonKeys(v any) map[string]bool {
+	keys := map[string]bool{}
+	ty := reflect.TypeOf(v)
+	for i := 0; i < ty.NumField(); i++ {
+		if name, _, _ := strings.Cut(ty.Field(i).Tag.Get("json"), ","); name != "" && name != "-" {
+			keys[name] = true
+		}
+	}
+	return keys
+}
+
+// Each journal record carries only what it adds: a spec record the job's
+// spec, a terminal record its outcome, a running or evicted record its type,
+// job and time. A compacted snapshot carries spec and outcome both, and a
+// job reads the same before and after a restart — a canceled one keeps the
+// stage figures its run reached.
+func TestJournalRecordsCarryWhatTheyAdd(t *testing.T) {
+	refFasta, readsFastq := testDataSmall(t)
+	dir := t.TempDir()
+	s := openServer(t, Config{StateDir: dir, JobTTL: time.Millisecond, JanitorInterval: time.Hour})
+	entered := make(chan struct{}, 1)
+	s.testHookDuringBuild = func(j *Job, ctx context.Context) {
+		if j.ID == 2 {
+			entered <- struct{}{}
+			<-ctx.Done()
+		}
+	}
+	ts := httptest.NewServer(s.Handler())
+	upload := map[string][]byte{"reference": refFasta, "reads": readsFastq}
+	submitJob(t, s, ts, map[string]string{"backend": "cpu"}, upload)
+	waitForState(t, ts, 1, StateDone)
+	submitJob(t, s, ts, map[string]string{"backend": "cpu", "sf": "40"}, upload) // another index: a build
+	<-entered
+	if code, _, _ := doJSON(t, http.MethodDelete, ts.URL+"/api/jobs/2", nil, nil); code != http.StatusAccepted {
+		t.Fatalf("cancel of the building job answered %d", code)
+	}
+	waitForState(t, ts, 2, StateCanceled)
+	hdr := map[string]string{"Content-Type": "application/json", "Idempotency-Key": "k3"}
+	if code, _, _ := doJSON(t, http.MethodPost, ts.URL+"/api/jobs", []byte(`{"backend":"cpu"}`), hdr); code != http.StatusCreated {
+		t.Fatalf("create of job 3 answered %d", code)
+	}
+	if code, _, _ := doJSON(t, http.MethodDelete, ts.URL+"/api/jobs/3", nil, nil); code != http.StatusOK {
+		t.Fatalf("cancel of the upload answered %d", code)
+	}
+	s.Wait()
+	before := map[int]jobJSON{}
+	for id := 1; id <= 3; id++ {
+		before[id] = getJobJSON(t, ts, id)
+	}
+	if before[2].ParseMs <= 0 {
+		t.Fatalf("job 2 was canceled with parse_ms %v, want its parse stage's figure", before[2].ParseMs)
+	}
+	ts.Close()
+	s.Close()
+
+	spec, out := jsonKeys(JobParams{}), jsonKeys(Outcome{})
+	for _, k := range []string{"idem_key", "request_id", "created"} {
+		spec[k] = true
+	}
+	records := func() []map[string]any {
+		t.Helper()
+		raw, err := os.ReadFile(filepath.Join(dir, journalFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var recs []map[string]any
+		for _, line := range bytes.Split(bytes.TrimSpace(raw), []byte("\n")) {
+			var rec map[string]any
+			if err := json.Unmarshal(line, &rec); err != nil {
+				t.Fatal(err)
+			}
+			recs = append(recs, rec)
+		}
+		return recs
+	}
+	holds := func(rec map[string]any, keys map[string]bool) (n int) {
+		for k := range keys {
+			if _, ok := rec[k]; ok {
+				n++
+			}
+		}
+		return n
+	}
+	seen := map[string]int{}
+	for _, rec := range records() {
+		typ := rec["type"].(string)
+		seen[typ]++
+		_, finished := rec["finished"]
+		switch typ {
+		case recRunning:
+			if len(rec) != 3 {
+				t.Errorf("running record %v carries more than its type, job and time", rec)
+			}
+		case recUploading, recAccepted:
+			if holds(rec, out) > 0 || finished || rec["backend"] != "cpu" || rec["created"] == nil {
+				t.Errorf("%s record %v: want the spec alone", typ, rec)
+			}
+		default:
+			if holds(rec, spec) > 0 || !finished || rec["error"] == nil && typ != recDone {
+				t.Errorf("%s record %v: want the outcome alone", typ, rec)
+			}
+		}
+	}
+	for _, typ := range []string{recUploading, recAccepted, recRunning, recDone, recCanceled} {
+		if seen[typ] == 0 {
+			t.Errorf("no %s record in %v", typ, seen)
+		}
+	}
+
+	s = openServer(t, Config{StateDir: dir, JobTTL: time.Millisecond, JanitorInterval: time.Hour})
+	defer s.Close()
+	ts = httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for id := 1; id <= 3; id++ {
+		want, got := before[id], getJobJSON(t, ts, id)
+		want.PeakResultBuf = 0 // a figure of the run, not journaled
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("job %d after the restart:\n%+v\nbefore it:\n%+v", id, got, want)
+		}
+	}
+	compacted := records()
+	for _, rec := range compacted {
+		if holds(rec, spec) == 0 || holds(rec, out) == 0 || rec["finished"] == nil {
+			t.Errorf("snapshot %v is not self-contained", rec)
+		}
+	}
+	if n := s.evictExpiredJobs(time.Now().Add(time.Second)); n != 3 {
+		t.Fatalf("evicted %d jobs, want 3", n)
+	}
+	for _, rec := range records()[len(compacted):] {
+		if rec["type"] != recEvicted || len(rec) != 3 {
+			t.Errorf("record %v after the evictions, want an evicted record of type, job and time", rec)
+		}
 	}
 }
 

@@ -376,26 +376,6 @@ func TestJoinPositions(t *testing.T) {
 	}
 }
 
-// appendJSONString must agree with encoding/json on every string, whichever
-// of its two paths a string takes.
-func TestAppendJSONStringMatchesEncodingJSON(t *testing.T) {
-	for _, s := range []string{
-		"", "read00000001", "a b", `q"uote`, `back\slash`, "<tag>", "a&b", "tab\there", "nl\n", "\x00\x1f", "del\x7f",
-		"caf\u00e9", "\u2028\u2029", "bad\xff", "\xc3", "emoji \U0001F9EC", "chr1:100,chr2:5",
-	} {
-		want, err := json.Marshal(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := appendJSONString(nil, s); !bytes.Equal(got, want) {
-			t.Errorf("appendJSONString(%q) = %s, want %s", s, got, want)
-		}
-		if got := appendJSONString([]byte("x"), []byte(s)); !bytes.Equal(got[1:], want) {
-			t.Errorf("appendJSONString([]byte(%q)) = %s, want %s", s, got[1:], want)
-		}
-	}
-}
-
 func TestJSONAPI(t *testing.T) {
 	refFasta, readsFastq, sim := testData(t)
 	s := openServer(t, Config{})

@@ -14,14 +14,14 @@ import (
 	"bwaver/internal/core"
 	"bwaver/internal/qc"
 	"bwaver/internal/runner"
-	"bwaver/internal/sam"
 )
 
 // Streamed results. The two-pass flow already produces mappings batch by
 // batch; this file stops throwing that incrementality away at the HTTP layer.
-// As the mapping loop completes each batch, the job's emitter appends one
-// NDJSON line per read to the job's result stream and the matching TSV rows
-// to its results; both are spools (spool.go), files under the state dir's
+// As the mapping loop completes each batch, the runner's encoder (runner.Rows)
+// renders its TSV rows and, in the same pass, one NDJSON line per read, and
+// the job's emitter appends the rows to the job's results and the lines to
+// its result stream; both are spools (spool.go), files under the state dir's
 // results/ on a durable server. GET /api/jobs/{id}/stream serves the stream
 // as Server-Sent Events — one event per read, ids are 1-based line numbers,
 // so a dropped client resumes with Last-Event-ID — or as raw NDJSON when the
@@ -163,125 +163,24 @@ func terminalEventLocked(job *Job) (kind string, data []byte) {
 	return kind, data
 }
 
-// exactRow is the NDJSON wire form of one exact-matching result. Positions
-// are the same joined, contig-resolved strings the TSV carries, so the two
-// representations are field-for-field identical. exactLine writes the row by
-// hand; the tests decode the stream into this type.
-type exactRow struct {
-	Read        string `json:"read"`
-	Mapped      bool   `json:"mapped"`
-	FwCount     int    `json:"fw_count"`
-	FwPositions string `json:"fw_positions"`
-	RcCount     int    `json:"rc_count"`
-	RcPositions string `json:"rc_positions"`
-}
-
-// approxRow is the NDJSON wire form of one mismatch-budget result.
-type approxRow struct {
-	Read           string `json:"read"`
-	Mapped         bool   `json:"mapped"`
-	BestMismatches int    `json:"best_mismatches"`
-	Occurrences    int    `json:"occurrences"`
-	BestPositions  string `json:"best_positions"`
-}
-
-// memRow is the NDJSON wire form of one seed-and-extend (mode=mem) result.
-// The TSV representation of a mem job is the SAM text itself, so the row
-// carries the record's placement fields plus the scoring the SAM tags hold.
-type memRow struct {
-	Read    string `json:"read"`
-	Mapped  bool   `json:"mapped"`
-	Flag    int    `json:"flag"`
-	RName   string `json:"rname,omitempty"`
-	Pos     int    `json:"pos,omitempty"` // 1-based SAM POS
-	MapQ    int    `json:"mapq"`
-	CIGAR   string `json:"cigar,omitempty"`
-	TLen    int    `json:"tlen,omitempty"`
-	Score   int    `json:"score"`
-	NM      int    `json:"nm"`
-	Rescued bool   `json:"rescued,omitempty"`
-}
-
-// rejectRow is the NDJSON wire form of one QC-dropped read. The event
-// discriminator separates it from mapping rows, which carry none; reason is
-// always one of the fixed qc enum codes, so stream consumers can aggregate
-// without unbounded keys.
-type rejectRow struct {
-	Event  string `json:"event"`
-	Index  int    `json:"index"`
-	ID     string `json:"id,omitempty"`
-	Reason string `json:"reason"`
-	Detail string `json:"detail,omitempty"`
-}
-
-// qcRejects emits one batch's reject rows onto the job's NDJSON stream, ahead
-// of that batch's mapping rows: a client tailing the job sees which reads
-// were dropped (and why) where they were dropped. Reasons outside the fixed
-// enum (impossible from the gate, conceivable from a tampered journal) are
-// clamped so the stream never carries attacker-minted codes.
-func (em *jobEmitter) qcRejects(rejects []qc.Reject) error {
-	if len(rejects) == 0 {
-		return nil
-	}
-	enc := json.NewEncoder(&em.rejects)
-	for _, rej := range rejects {
-		reason := rej.Reason
-		if !qc.ValidReason(reason) {
-			reason = "invalid"
-		}
-		row := rejectRow{
-			Event: "qc_reject", Index: rej.Index,
-			ID: runner.SanitizeID(rej.ID), Reason: reason, Detail: rej.Detail,
-		}
-		if err := enc.Encode(row); err != nil {
-			return err
-		}
-	}
-	return em.flush(nil, &em.rejects, len(rejects))
-}
-
-// memRowFrom renders one mapped read's stream row from its SAM record and
-// pipeline result.
-func memRowFrom(rec sam.Record, res core.MemResult) memRow {
-	row := memRow{
-		Read:   rec.QName,
-		Mapped: !rec.Unmapped(),
-		Flag:   int(rec.Flag),
-	}
-	if row.Mapped {
-		row.RName = rec.RName
-		row.Pos = rec.Pos
-		row.MapQ = int(rec.MapQ)
-		row.CIGAR = rec.CIGAR
-		row.TLen = rec.TLen
-		row.Score = res.Best.Score
-		row.NM = res.Best.NM
-		row.Rescued = res.Rescued
-	}
-	return row
-}
-
-// jobEmitter receives a job's rows batch by batch from the runner and commits
-// them to the job's two result representations: the TSV (or SAM) results,
-// rendered by the runner's encoder, and the NDJSON stream, built here from the
-// encoder's cells. It tracks the peak bytes staged in memory for one batch,
-// the figure that proves the O(batch) claim.
+// jobEmitter commits a job's batches as the runner emits them: each batch's
+// text (TSV, or SAM for a mem job) to the results spool and its NDJSON lines,
+// rendered beside the text by the runner's encoder, to the result stream. It
+// tracks the peak bytes staged in memory for one batch, the figure that
+// proves the O(batch) claim.
 type jobEmitter struct {
 	s      *Server
 	job    *Job
 	stream *resultStream
 	tsv    *spool
 	rows   *runner.Rows
-
-	nd      bytes.Buffer // the NDJSON lines of the batch in hand
-	ndEnc   *json.Encoder
-	rejects bytes.Buffer // a batch's reject lines, which go first
-	peak    int
+	peak   int
 }
 
 // newEmitter opens a job's result spools at their journal-contract names
-// (results/job-N.tsv and .ndjson) and its encoder over ix; sync fsyncs the
-// results before the done record that references them is appended.
+// (results/job-N.tsv and .ndjson) and its streaming encoder over ix; sync
+// fsyncs the results before the done record that references them is
+// appended.
 func (s *Server) newEmitter(job *Job, ix *core.Index) (*jobEmitter, error) {
 	tsv, err := s.newSpool(resultsName(job.ID))
 	if err != nil {
@@ -296,91 +195,24 @@ func (s *Server) newEmitter(job *Job, ix *core.Index) (*jobEmitter, error) {
 	st := s.ensureStreamLocked(job)
 	s.mu.Unlock()
 	st.start(nd)
-	em := &jobEmitter{s: s, job: job, stream: st, tsv: tsv, rows: runner.NewRows(ix)}
-	switch {
-	case job.memMode():
-		em.ndEnc = json.NewEncoder(&em.nd)
-		em.rows.Row = em.memLine
-	case job.Mismatches > 0:
-		em.rows.Row = em.approxLine
-	default:
-		em.rows.Row = em.exactLine
-	}
-	return em, nil
+	rows := runner.NewRows(ix)
+	rows.Stream = true
+	return &jobEmitter{s: s, job: job, stream: st, tsv: tsv, rows: rows}, nil
 }
 
-// emit commits one batch: its reject rows, then its results rows and their
-// NDJSON lines.
-func (em *jobEmitter) emit(b qc.Batch, text []byte) error {
-	if err := em.qcRejects(b.Rejects); err != nil || len(b.Seqs) == 0 {
-		return err
-	}
-	return em.flush(text, &em.nd, len(b.Seqs))
-}
-
-// flush commits results text and the NDJSON lines staged in nd.
-func (em *jobEmitter) flush(text []byte, nd *bytes.Buffer, lines int) error {
-	if staged := len(text) + nd.Len(); staged > em.peak {
-		em.peak = staged
-	}
+// emit commits one batch: its text, then its lines, one stream event per
+// reject and per read.
+func (em *jobEmitter) emit(b qc.Batch, text, lines []byte) error {
+	em.peak = max(em.peak, len(text)+len(lines))
 	if err := em.tsv.append(text); err != nil {
 		return err
 	}
-	if err := em.stream.append(nd.Bytes(), lines); err != nil {
+	events := len(b.Rejects) + len(b.Seqs)
+	if err := em.stream.append(lines, events); err != nil {
 		return err
 	}
-	em.s.mStreamEvents.With().Add(float64(lines))
-	nd.Reset()
+	em.s.mStreamEvents.With().Add(float64(events))
 	return nil
-}
-
-// appendJSONString appends s as a JSON string literal, byte for byte what
-// encoding/json writes for a string field: printable ASCII outside the
-// characters json escapes (quote, backslash, and <, >, & for HTML safety) is
-// copied between quotes; anything else — control bytes, non-ASCII, invalid
-// UTF-8 — goes through json.Marshal itself.
-func appendJSONString[T string | []byte](dst []byte, s T) []byte {
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
-		case c < 0x20 || c >= 0x7f, c == '"', c == '\\', c == '<', c == '>', c == '&':
-			quoted, _ := json.Marshal(string(s)) // a string cannot fail to marshal
-			return append(dst, quoted...)
-		}
-	}
-	dst = append(dst, '"')
-	dst = append(dst, s...)
-	return append(dst, '"')
-}
-
-// exactLine stages the NDJSON line of one exact-matching row, appended with
-// strconv, not reflected by encoding/json.
-func (em *jobEmitter) exactLine(c *runner.Cells) {
-	nd := em.nd.AvailableBuffer()
-	nd = appendJSONString(append(nd, `{"read":`...), c.ID)
-	nd = strconv.AppendBool(append(nd, `,"mapped":`...), c.Mapped)
-	nd = strconv.AppendInt(append(nd, `,"fw_count":`...), int64(c.FwCount), 10)
-	nd = appendJSONString(append(nd, `,"fw_positions":`...), c.Fw)
-	nd = strconv.AppendInt(append(nd, `,"rc_count":`...), int64(c.RcCount), 10)
-	nd = appendJSONString(append(nd, `,"rc_positions":`...), c.Rc)
-	em.nd.Write(append(nd, "}\n"...))
-}
-
-// approxLine stages the NDJSON line of one mismatch-budget row.
-func (em *jobEmitter) approxLine(c *runner.Cells) {
-	nd := em.nd.AvailableBuffer()
-	nd = appendJSONString(append(nd, `{"read":`...), c.ID)
-	nd = strconv.AppendBool(append(nd, `,"mapped":`...), c.Mapped)
-	nd = strconv.AppendInt(append(nd, `,"best_mismatches":`...), int64(c.BestMismatches), 10)
-	nd = strconv.AppendInt(append(nd, `,"occurrences":`...), int64(c.Occurrences), 10)
-	nd = appendJSONString(append(nd, `,"best_positions":`...), c.Best)
-	em.nd.Write(append(nd, "}\n"...))
-}
-
-// memLine stages the NDJSON line of one seed-and-extend record: one per read,
-// so stream event ids still count reads even though the SAM text holds header
-// lines.
-func (em *jobEmitter) memLine(c *runner.Cells) {
-	em.ndEnc.Encode(memRowFrom(c.Rec, *c.Mem)) // a memRow cannot fail to encode
 }
 
 // sync seals the results after a successful mapping run: they are fsync'd

@@ -16,6 +16,17 @@ import (
 	"time"
 )
 
+// exactRow is the NDJSON wire form of one exact-matching result, as the
+// tests decode the stream.
+type exactRow struct {
+	Read        string `json:"read"`
+	Mapped      bool   `json:"mapped"`
+	FwCount     int    `json:"fw_count"`
+	FwPositions string `json:"fw_positions"`
+	RcCount     int    `json:"rc_count"`
+	RcPositions string `json:"rc_positions"`
+}
+
 // sseEvent is one parsed Server-Sent Event.
 type sseEvent struct {
 	id    int
