@@ -182,7 +182,7 @@ func Ablate(s Scale, progress io.Writer) (*AblationResult, error) {
 	}
 
 	// --- Prefix table off / on: one index, the table attached in place ---
-	var off *fpga.RunResult
+	var off *fpga.Run[core.MapResult]
 	for _, k := range []int{0, core.DefaultFtabK} {
 		if err := ix.EnsureFtab(k); err != nil {
 			return nil, err
@@ -217,7 +217,7 @@ func Ablate(s Scale, progress io.Writer) (*AblationResult, error) {
 }
 
 // modelRun maps seqs on a freshly programmed simulated card.
-func modelRun(cfg fpga.Config, s Scale, ix *core.Index, seqs []dna.Seq) (*fpga.RunResult, error) {
+func modelRun(cfg fpga.Config, s Scale, ix *core.Index, seqs []dna.Seq) (*fpga.Run[core.MapResult], error) {
 	cfg.SetupTime = s.deviceConfig().SetupTime
 	dev, err := fpga.NewDevice(cfg)
 	if err != nil {

@@ -82,7 +82,7 @@ func TestApproxBackendsAgree(t *testing.T) {
 				if err != nil || !kernel.UsesFtab() {
 					t.Fatalf("table kernel: %v", err)
 				}
-				run, err := runKernel(kernel, twoPassWork{k}, reads, MapRunOptions{})
+				run, err := runKernel(kernel, TwoPass(k), reads, MapRunOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -93,7 +93,7 @@ func TestApproxBackendsAgree(t *testing.T) {
 				if err != nil || !degraded.FtabDegraded() {
 					t.Fatalf("degraded kernel: %v", err)
 				}
-				plain, err := runKernel(degraded, twoPassWork{k}, reads, MapRunOptions{})
+				plain, err := runKernel(degraded, TwoPass(k), reads, MapRunOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -105,8 +105,8 @@ func TestApproxBackendsAgree(t *testing.T) {
 				if !reflect.DeepEqual(plain.Results, host) {
 					t.Error("degraded kernel and the table-off CPU run differ")
 				}
-				if plain.Rescued != run.Rescued {
-					t.Errorf("degraded kernel rescued %d, table kernel %d", plain.Rescued, run.Rescued)
+				if rescued(plain.Results) != rescued(run.Results) {
+					t.Errorf("degraded kernel rescued %d, table kernel %d", rescued(plain.Results), rescued(run.Results))
 				}
 
 				plan, err := ParseFaultPlan("seed=5,query=0.2,kernel=0.1,result=0.1,corrupt=0.2")
@@ -122,7 +122,7 @@ func TestApproxBackendsAgree(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				striped, err := farm.MapReadsTwoPassOpts(reads, k, MapRunOptions{})
+				striped, err := runFarm(farm, TwoPass(k), reads, MapRunOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -133,8 +133,8 @@ func TestApproxBackendsAgree(t *testing.T) {
 				if stats := farm.Stats(); stats.Retries == 0 {
 					t.Errorf("fault plan injected nothing: %+v", stats)
 				}
-				if striped.Rescued != run.Rescued {
-					t.Errorf("farm rescued %d, kernel %d", striped.Rescued, run.Rescued)
+				if rescued(striped.Results) != rescued(run.Results) {
+					t.Errorf("farm rescued %d, kernel %d", rescued(striped.Results), rescued(run.Results))
 				}
 
 				// What the CPU path answered when it searched every read
@@ -146,7 +146,7 @@ func TestApproxBackendsAgree(t *testing.T) {
 					}
 				}
 				t.Logf("%d bp, k=%d: all-in-budget and exact-then-rescue occurrences differ on %d of the first %d reads; %d rescued",
-					length, k, differ, cut, run.Rescued)
+					length, k, differ, cut, rescued(run.Results))
 			})
 		}
 	}

@@ -260,20 +260,36 @@ func sortEvents(events []Event) {
 	})
 }
 
+// addShard folds one card's share of a farm batch into p under the one rule
+// of a farm profile: transfers serialise on the shared host bus, so they add
+// up, as does the retry backoff the shard accrued; the cards run in
+// parallel, so every fabric figure — kernel time and cycles,
+// reconfiguration, the overlap double buffering hides, the wave accounting —
+// is the slowest card's. A one-card farm's profile is its kernel's.
+func (p *Profile) addShard(s Profile, backoff time.Duration) {
+	p.IndexTransfer += s.IndexTransfer
+	p.QueryTransfer += s.QueryTransfer
+	p.ResultTransfer += s.ResultTransfer
+	p.RetryBackoff += backoff
+	p.KernelTime = max(p.KernelTime, s.KernelTime)
+	p.KernelCycles = max(p.KernelCycles, s.KernelCycles)
+	p.Reconfig = max(p.Reconfig, s.Reconfig)
+	p.Overlap = max(p.Overlap, s.Overlap)
+	p.WaveCycles = max(p.WaveCycles, s.WaveCycles)
+}
+
 // runFarm is the one farm run: it stripes reads across the healthy cards —
 // on pair boundaries when the workload pairs reads — and runs each shard
 // under execShard's retry and redistribution, accepting a shard run only
 // when its batch checksum verifies and, when configured, a sampled host
-// cross-check agrees. The profile charges setup once, transfers serially
-// (one shared host bus), the slowest card's kernel time and
-// reconfiguration, and the accrued retry backoff.
-func runFarm[T deviceRun[T]](f *Farm, w deviceWork[T], reads []dna.Seq, opts MapRunOptions) (T, error) {
+// cross-check agrees. The profile charges setup once and combines the
+// shards' profiles by addShard.
+func runFarm[R any](f *Farm, w Workload[R], reads []dna.Seq, opts MapRunOptions) (*Run[R], error) {
 	wallStart := time.Now()
-	var none T
 	healthy := f.healthyDevices()
 	if len(healthy) == 0 {
 		f.rec.exhausted()
-		return none, ErrNoHealthyDevices
+		return nil, ErrNoHealthyDevices
 	}
 	n := len(healthy)
 	boundary := func(si int) int {
@@ -283,8 +299,8 @@ func runFarm[T deviceRun[T]](f *Farm, w deviceWork[T], reads []dna.Seq, opts Map
 		}
 		return b
 	}
-	out := w.newRun(len(reads))
-	agg, checksum := out.head()
+	out := &Run[R]{Results: make([]R, len(reads)), work: w}
+	agg := &out.Profile
 	agg.Setup = f.kernels[0].dev.cfg.SetupTime
 	var events []Event
 	for si, di := range healthy {
@@ -298,47 +314,36 @@ func runFarm[T deviceRun[T]](f *Farm, w deviceWork[T], reads []dna.Seq, opts Map
 			// Lift the shard-local progress onto the whole batch.
 			runOpts.Progress = func(done, _ int) { opts.Progress(lo+done, len(reads)) }
 		}
-		run, backoff, winner, err := execShard(f, opts.Context, di, healthy, func(k *Kernel) (T, error) {
+		run, backoff, winner, err := execShard(f, opts.Context, di, healthy, func(k *Kernel) (*Run[R], error) {
 			r, err := runKernel(k, w, shard, runOpts)
 			if err != nil {
-				return none, err
+				return nil, err
 			}
-			if err := verifyChecksum(r); err != nil {
-				return none, err
+			if err := r.VerifyChecksum(); err != nil {
+				return nil, err
 			}
-			if err := w.verify(k.ix, shard, r, f.opts.VerifyStride); err != nil {
-				return none, fmt.Errorf("%w: %v", errCrossCheckFailed, err)
+			if err := w.verify(k.ix, shard, r.Results, f.opts.VerifyStride); err != nil {
+				return nil, fmt.Errorf("%w: %v", errCrossCheckFailed, err)
 			}
 			return r, nil
 		})
 		if err != nil {
-			return none, err
+			return nil, err
 		}
-		p, _ := run.head()
-		f.observeRun(*p, backoff)
+		f.observeRun(run.Profile, backoff)
 		// The aggregate event log keeps per-shard identity — each shard's
 		// command queue tagged with the device and attempt that produced it —
 		// instead of a synthesized single-queue timeline that would
 		// misattribute recovered runs.
-		events = append(events, tagEvents(p.Events, winner.Device, winner.Attempt, si)...)
-		out.gather(lo, run)
-		agg.IndexTransfer += p.IndexTransfer
-		agg.QueryTransfer += p.QueryTransfer
-		agg.ResultTransfer += p.ResultTransfer
-		agg.RetryBackoff += backoff
-		// Shards run in parallel across cards, so the slowest bounds the batch.
-		agg.Reconfig = max(agg.Reconfig, p.Reconfig)
-		agg.KernelTime = max(agg.KernelTime, p.KernelTime)
-		agg.KernelCycles = max(agg.KernelCycles, p.KernelCycles)
+		events = append(events, tagEvents(run.Profile.Events, winner.Device, winner.Attempt, si)...)
+		copy(out.Results[lo:], run.Results)
+		out.SeedCycles = max(out.SeedCycles, run.SeedCycles)
+		out.ExtendCycles = max(out.ExtendCycles, run.ExtendCycles)
+		agg.addShard(run.Profile, backoff)
 	}
 	sortEvents(events)
 	agg.Events = events
 	agg.HostWallTime = time.Since(wallStart)
-	*checksum = out.sum()
+	out.Checksum = w.sum(out.Results)
 	return out, nil
-}
-
-// MapReadsOpts stripes reads across the healthy cards; see runFarm.
-func (f *Farm) MapReadsOpts(reads []dna.Seq, opts MapRunOptions) (*RunResult, error) {
-	return runFarm(f, exactWork{}, reads, opts)
 }

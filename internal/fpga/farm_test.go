@@ -1,9 +1,11 @@
 package fpga
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"bwaver/internal/core"
 	"bwaver/internal/dna"
 )
 
@@ -27,7 +29,7 @@ func TestFarmResultsMatchSingleCard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := farm.MapReadsOpts(reads, MapRunOptions{})
+	got, err := runFarm(farm, Exact(), reads, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +61,7 @@ func TestFarmMoreCardsThanReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	reads := simReads(t, ix, 3, 30, 1)
-	run, err := farm.MapReadsOpts(reads, MapRunOptions{})
+	run, err := runFarm(farm, Exact(), reads, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,5 +185,55 @@ func TestKernelReport(t *testing.T) {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("report missing %q:\n%s", want, sb.String())
 		}
+	}
+}
+
+// A one-card farm is its card: for every workload its run equals a kernel
+// run on an identical card — results, checksum, cycle split and every
+// profile field but the host's wall time, events included — and its event
+// timeline ends at its modeled total. Double buffering makes Overlap nonzero,
+// the field a farm once dropped along with WaveCycles.
+func TestOneCardFarmProfileEqualsKernel(t *testing.T) {
+	ix := buildIndex(t, 20000)
+	reads := simReads(t, ix, 300, 40, 0.6)
+	mix, mreads := memBatch(t, 30000, 30)
+	for _, cfg := range []Config{{}, {DoubleBuffer: true}} {
+		oneCardEqualsKernel(t, cfg, ix, reads, Exact)
+		oneCardEqualsKernel(t, cfg, ix, reads, func() Workload[core.ApproxResult] { return TwoPass(1) })
+		oneCardEqualsKernel(t, cfg, mix, mreads, func() Workload[core.MemResult] { return Mem(core.MemOptions{Paired: true}) })
+	}
+}
+
+func oneCardEqualsKernel[R any](t *testing.T, cfg Config, ix *core.Index, reads []dna.Seq, work func() Workload[R]) {
+	t.Helper()
+	dev, _ := NewDevice(cfg)
+	k, err := dev.Program(ix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	card, _ := NewDevice(cfg)
+	farm, err := NewFarm([]*Device{card}, ix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := runKernel(k, work(), reads, MapRunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := runFarm(farm, work(), reads, MapRunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := reflect.TypeOf(work()).String()
+	if !reflect.DeepEqual(got.Results, want.Results) || got.Checksum != want.Checksum ||
+		got.SeedCycles != want.SeedCycles || got.ExtendCycles != want.ExtendCycles {
+		t.Errorf("%s %+v: one-card farm run differs from the kernel's", name, cfg)
+	}
+	want.Profile.HostWallTime, got.Profile.HostWallTime = 0, 0
+	if !reflect.DeepEqual(got.Profile, want.Profile) {
+		t.Errorf("%s %+v: one-card farm profile\n%+v\nkernel profile\n%+v", name, cfg, got.Profile, want.Profile)
+	}
+	if end := got.Profile.Events[len(got.Profile.Events)-1].End; end != got.Profile.Total() {
+		t.Errorf("%s %+v: timeline ends at %v, total %v", name, cfg, end, got.Profile.Total())
 	}
 }

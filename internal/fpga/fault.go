@@ -184,7 +184,7 @@ func (e *FaultError) Error() string {
 	return fmt.Sprintf("fpga: device %d: %s fault during %s transfer", e.Device, kind, e.Stage)
 }
 
-// ErrResultCorrupt is returned by RunResult.VerifyChecksum when the received
+// ErrResultCorrupt is returned by Run.VerifyChecksum when the received
 // result batch does not match the checksum the kernel computed before the
 // transfer — the host-side detector for StageCorruption faults.
 var ErrResultCorrupt = errors.New("fpga: result batch failed checksum verification (corrupted transfer)")

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+
+	"bwaver/internal/core"
 )
 
 func TestParseFaultPlan(t *testing.T) {
@@ -134,7 +136,7 @@ func TestFaultDeterminism(t *testing.T) {
 
 	type outcome struct {
 		logs   [][]FaultEvent
-		run    *RunResult
+		run    *Run[core.MapResult]
 		runErr error
 	}
 	execute := func() outcome {
@@ -147,7 +149,7 @@ func TestFaultDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run, runErr := farm.MapReadsOpts(reads, MapRunOptions{})
+		run, runErr := runFarm(farm, Exact(), reads, MapRunOptions{})
 		logs := make([][]FaultEvent, len(devices))
 		for i, d := range devices {
 			logs[i] = d.FaultLog()

@@ -160,24 +160,34 @@ func (p Profile) EnergyJoules(powerWatts float64) float64 {
 	return powerWatts * p.Total().Seconds()
 }
 
-// RunResult is a completed mapping run.
-type RunResult struct {
-	Results []core.MapResult
+// Run is a completed device run of one workload: its per-read results R by
+// input position and the modeled profile of the run.
+type Run[R any] struct {
+	Results []R
 	Profile Profile
-	// Checksum is the per-batch checksum the kernel computed over its
+	// SeedCycles and ExtendCycles split Profile.KernelCycles into the two
+	// passes of a seed-and-extend run, zero for the other workloads. On a
+	// farm each is the slowest card's, so the two bracket the aggregate
+	// charge rather than summing to it.
+	SeedCycles, ExtendCycles uint64
+	// Checksum is the per-batch checksum the device computed over its
 	// results before the result transfer; VerifyChecksum recomputes it
 	// host-side to detect transfer corruption.
 	Checksum uint64
+	work     Workload[R]
 }
 
 // VerifyChecksum recomputes the batch checksum over the received results and
 // returns ErrResultCorrupt on mismatch.
-func (r *RunResult) VerifyChecksum() error { return verifyChecksum(r) }
+func (r *Run[R]) VerifyChecksum() error {
+	if r.work.sum(r.Results) != r.Checksum {
+		return ErrResultCorrupt
+	}
+	return nil
+}
 
-func (r *RunResult) head() (*Profile, *uint64)       { return &r.Profile, &r.Checksum }
-func (r *RunResult) sum() uint64                     { return ChecksumResults(r.Results) }
-func (r *RunResult) corrupt(i int, bit uint64)       { r.Results[i].Forward.Start ^= 1 << bit }
-func (r *RunResult) gather(lo int, shard *RunResult) { copy(r.Results[lo:], shard.Results) }
+// progressEvery is how many completed queries a run reports progress after.
+const progressEvery = 256
 
 // MapRunOptions control one mapping run on a programmed kernel. The zero
 // value means no cancellation, no progress reporting, and a fresh index
@@ -186,12 +196,9 @@ type MapRunOptions struct {
 	// Context, if non-nil, cancels the run between queries; the call
 	// returns the context's error.
 	Context context.Context
-	// Progress, if non-nil, is called with (done, total) roughly every
-	// ProgressEvery completed queries and once at the end, from the
-	// calling goroutine.
+	// Progress, if non-nil, is called with (done, total) roughly every 256
+	// completed queries and once at the end, from the calling goroutine.
 	Progress func(done, total int)
-	// ProgressEvery is the reporting granularity; 0 means 256.
-	ProgressEvery int
 	// IndexResident marks the succinct structure as already transferred to
 	// BRAM by an earlier run on this kernel, so the profile charges no
 	// index transfer — the amortization the paper's fixed-overhead
@@ -202,51 +209,33 @@ type MapRunOptions struct {
 // host is the run's options as the core batch engine takes them. One worker:
 // a kernel is one simulated card, and its shard maps in the farm's sequence.
 func (o MapRunOptions) host() core.MapOptions {
-	every := o.ProgressEvery
-	if every <= 0 {
-		every = 256
-	}
-	return core.MapOptions{Context: o.Context, Workers: 1, Progress: o.Progress, ProgressEvery: every}
+	return core.MapOptions{Context: o.Context, Workers: 1, Progress: o.Progress, ProgressEvery: progressEvery}
 }
 
-// deviceRun is what the kernel run and the farm run need of a workload's
-// result type: *RunResult, *TwoPassResult or *MemRunResult.
-type deviceRun[T any] interface {
-	// head is where the run keeps its profile and the device's checksum.
-	head() (*Profile, *uint64)
-	// sum folds the results' deterministic fields into the per-batch FNV-1a
-	// value; corrupt flips one bit it covers, in result i.
-	sum() uint64
-	corrupt(i int, bit uint64)
-	// gather takes a shard's results in at read offset lo.
-	gather(lo int, shard T)
-}
-
-// deviceWork is one kind of mapping as the device layers see it; runKernel
-// and runFarm own everything else.
-type deviceWork[T deviceRun[T]] interface {
+// Workload is one kind of mapping as the device runs it, with per-read
+// results R: Exact, TwoPass or Mem. A value carries what its kind needs — a
+// mismatch budget, the mem options and the mem schedule — and runKernel,
+// runFarm and Session own everything else.
+type Workload[R any] interface {
 	// pairAligned reports whether consecutive reads are mate pairs, which
 	// must not split across cards: pairing context is shard-local.
 	pairAligned() bool
 	// admit gates a run on what the workload needs of k and returns the
 	// modeled transfer of the structures it keeps BRAM-resident.
 	admit(k *Kernel) (indexTransfer time.Duration, err error)
-	// newRun makes the result of an n-read batch.
-	newRun(n int) T
-	// execute maps reads into run through the same core entry point the CPU
-	// path calls — both backends agree by construction — and prices them,
-	// rolling the stages of any pass after the first.
-	execute(k *Kernel, run T, reads []dna.Seq, opts MapRunOptions) (passes Profile, err error)
+	// execute maps reads into run.Results through the same core entry point
+	// the CPU path calls — both backends agree by construction — and prices
+	// them, rolling the stages of any pass after the first.
+	execute(k *Kernel, run *Run[R], reads []dna.Seq, opts MapRunOptions) (passes Profile, err error)
 	// verify recomputes every stride-th result on the host; none at stride 0.
-	verify(ix *core.Index, reads []dna.Seq, run T, stride int) error
-}
-
-// verifyChecksum recomputes the batch checksum over the received results.
-func verifyChecksum[T deviceRun[T]](run T) error {
-	if _, checksum := run.head(); run.sum() != *checksum {
-		return ErrResultCorrupt
-	}
-	return nil
+	verify(ix *core.Index, reads []dna.Seq, results []R, stride int) error
+	// sum folds the results' deterministic fields into the per-batch FNV-1a
+	// value; corrupt flips one bit it covers, in result i.
+	sum(results []R) uint64
+	corrupt(results []R, i int, bit uint64)
+	// mapped is told of every batch a Session on f mapped, in order, for a
+	// schedule that spans a session's batches.
+	mapped(f *Farm, run *Run[R])
 }
 
 // pass prices one pass over the fabric at k's clock and bus speed: queries
@@ -306,41 +295,39 @@ func (k *Kernel) rollPass(loadIndex bool) error {
 // runKernel is the one device run: validate the reads, roll the stages that
 // open the run, execute and price every pass, checksum, roll the result
 // transfer, corrupt, and assemble the profile and its events.
-func runKernel[T deviceRun[T]](k *Kernel, w deviceWork[T], reads []dna.Seq, opts MapRunOptions) (T, error) {
+func runKernel[R any](k *Kernel, w Workload[R], reads []dna.Seq, opts MapRunOptions) (*Run[R], error) {
 	wallStart := time.Now()
-	var none T
 	if err := validateReads(reads); err != nil {
-		return none, err
+		return nil, err
 	}
 	indexTransfer, err := w.admit(k)
 	if err != nil {
-		return none, err
+		return nil, err
 	}
 	if opts.IndexResident {
 		indexTransfer = 0
 	}
 	if err := k.rollPass(!opts.IndexResident); err != nil {
-		return none, err
+		return nil, err
 	}
-	run := w.newRun(len(reads))
+	run := &Run[R]{Results: make([]R, len(reads)), work: w}
 	passes, err := w.execute(k, run, reads, opts)
 	if err != nil {
-		return none, err
+		return nil, err
 	}
 
 	// The device checksums the batch before the result transfer; a result
 	// transfer fault drops the batch, a corruption fault silently flips
 	// bits afterwards for the host-side verification to catch.
-	p, checksum := run.head()
-	*checksum = run.sum()
+	run.Checksum = w.sum(run.Results)
 	if err := k.dev.inj.at(StageResultTransfer); err != nil {
-		return none, err
+		return nil, err
 	}
 	if i, bit, hit := k.dev.inj.corrupt(len(reads)); hit {
-		run.corrupt(i, bit)
+		w.corrupt(run.Results, i, bit)
 	}
-	*p = k.assemble(passes, indexTransfer)
-	p.HostWallTime = time.Since(wallStart)
+	run.Profile = k.assemble(passes, indexTransfer)
+	run.Profile.HostWallTime = time.Since(wallStart)
 	return run, nil
 }
 
@@ -348,21 +335,26 @@ func runKernel[T deviceRun[T]](k *Kernel, w deviceWork[T], reads []dna.Seq, opts
 // through the search pipelines, one step per cycle.
 type exactWork struct{}
 
-func (exactWork) pairAligned() bool                      { return false }
-func (exactWork) admit(k *Kernel) (time.Duration, error) { return k.indexTransfer, nil }
-func (exactWork) newRun(n int) *RunResult                { return &RunResult{Results: make([]core.MapResult, n)} }
+// Exact is exact matching as a device workload.
+func Exact() Workload[core.MapResult] { return exactWork{} }
+
+func (exactWork) pairAligned() bool                           { return false }
+func (exactWork) admit(k *Kernel) (time.Duration, error)      { return k.indexTransfer, nil }
+func (exactWork) sum(results []core.MapResult) uint64         { return ChecksumResults(results) }
+func (exactWork) corrupt(r []core.MapResult, i int, b uint64) { r[i].Forward.Start ^= 1 << b }
+func (exactWork) mapped(*Farm, *Run[core.MapResult])          {}
 
 // execute searches in the kernel's own ftab mode — not the host index's — so a
 // BRAM-degraded kernel's cycle accounting matches the fabric it models.
-func (exactWork) execute(k *Kernel, run *RunResult, reads []dna.Seq, opts MapRunOptions) (Profile, error) {
+func (exactWork) execute(k *Kernel, run *Run[core.MapResult], reads []dna.Seq, opts MapRunOptions) (Profile, error) {
 	if _, err := k.ix.MapReadsIntoFtab(run.Results, reads, opts.host(), k.useFtab); err != nil {
 		return Profile{}, err
 	}
 	return k.searchCost(len(reads), func(i int) int { return run.Results[i].Steps }), nil
 }
 
-func (exactWork) verify(ix *core.Index, reads []dna.Seq, run *RunResult, stride int) error {
-	return core.VerifySampled(ix, reads, run.Results, stride)
+func (exactWork) verify(ix *core.Index, reads []dna.Seq, results []core.MapResult, stride int) error {
+	return core.VerifySampled(ix, reads, results, stride)
 }
 
 // pipelineCycles is the closed-form pipeline model every pass is priced with:
@@ -400,8 +392,8 @@ func (k *Kernel) searchCost(n int, steps func(i int) int) Profile {
 // 512-bit query record (at most MaxQueryBases bases). The search itself is
 // executed bit-for-bit (results are exact); cycles are charged per the
 // pipeline model described in the package comment.
-func (k *Kernel) MapReadsOpts(reads []dna.Seq, opts MapRunOptions) (*RunResult, error) {
-	return runKernel(k, exactWork{}, reads, opts)
+func (k *Kernel) MapReadsOpts(reads []dna.Seq, opts MapRunOptions) (*Run[core.MapResult], error) {
+	return runKernel(k, Exact(), reads, opts)
 }
 
 // tagEvents stamps run identity (device, attempt, shard) onto every event.

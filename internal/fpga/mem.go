@@ -25,44 +25,6 @@ import (
 // the kernel adds only the cycle charges, the fault surface, and the batch
 // checksum.
 
-// MemRunResult is a completed seed-and-extend run.
-type MemRunResult struct {
-	// Results holds one entry per input read, by input position.
-	Results []core.MemResult
-	// Stats aggregates the batch's pipeline counters.
-	Stats core.MemStats
-	// Profile covers both passes plus the reconfiguration.
-	Profile Profile
-	// SeedCycles and ExtendCycles split Profile.KernelCycles into the two
-	// passes; SeedTime and ExtendTime are their modeled durations. The
-	// session scheduler's overlap model needs the split: host-side seeding
-	// of the next batch hides behind the device extension of this one.
-	SeedCycles, ExtendCycles uint64
-	SeedTime, ExtendTime     time.Duration
-	// Checksum is the batch checksum the device computed before the result
-	// transfer (see ChecksumMemResults).
-	Checksum uint64
-}
-
-// VerifyChecksum recomputes the batch checksum over the received results and
-// returns ErrResultCorrupt on mismatch.
-func (r *MemRunResult) VerifyChecksum() error { return verifyChecksum(r) }
-
-func (r *MemRunResult) head() (*Profile, *uint64) { return &r.Profile, &r.Checksum }
-func (r *MemRunResult) sum() uint64               { return ChecksumMemResults(r.Results) }
-func (r *MemRunResult) corrupt(i int, bit uint64) { r.Results[i].Best.Pos ^= 1 << bit }
-
-// gather aggregates the per-pass split like KernelTime: shards run in
-// parallel across cards, so the slowest shard's pass bounds the batch.
-func (r *MemRunResult) gather(lo int, shard *MemRunResult) {
-	copy(r.Results[lo:], shard.Results)
-	r.Stats.Merge(shard.Stats)
-	r.SeedCycles = max(r.SeedCycles, shard.SeedCycles)
-	r.ExtendCycles = max(r.ExtendCycles, shard.ExtendCycles)
-	r.SeedTime = max(r.SeedTime, shard.SeedTime)
-	r.ExtendTime = max(r.ExtendTime, shard.ExtendTime)
-}
-
 // ChecksumMemResults folds the deterministic fields of a mem batch into the
 // same FNV-1a construction ChecksumResults uses for exact batches. CIGAR
 // bytes participate so a corrupted traceback is as detectable as a corrupted
@@ -94,18 +56,40 @@ func ChecksumMemResults(results []core.MemResult) uint64 {
 // memWork is seed-and-extend mapping as a device workload. When opts.Paired
 // is set, consecutive reads are mate pairs (an odd batch maps its last read
 // single-end), exactly as core.MapReadsMem pairs them.
+//
+// The value also keeps the schedule of a Session's batches. A lone mem run
+// reconfigures the fabric between its seeding pass and its extension pass,
+// so a job streamed as B batches would charge B reconfigurations; a session
+// charges one. Its first batch runs the classic schedule (device seeding →
+// reconfigure → device extension), and from then on the fabric stays
+// programmed as the alignment array while the host — whose succinct index
+// answers the same rank queries — takes over seeding. That host seeding is
+// double-buffered against the device: while the array extends batch N, the
+// host seeds batch N+1, so each later batch's profile credits min(seed time,
+// previous batch's extension time) as Overlap. The credit is shifted by one
+// batch — batch N+1 carries it, because that is the batch whose seeding was
+// hidden. Results are bit-identical to a lone run of the batch; only the
+// reconfiguration charge and the overlap credit differ.
 type memWork struct {
 	opts core.MemOptions
 	// reconfigured marks the fabric as already holding the pass-2 alignment
-	// array from an earlier batch of the same MemSession.
+	// array from an earlier batch of the session.
 	reconfigured bool
+	// prevExtend is the modeled extension time of the session's last batch.
+	prevExtend time.Duration
 }
 
-func (w memWork) pairAligned() bool { return w.opts.Paired }
+// Mem is seed-and-extend mapping as a device workload. A value serves one
+// run: a session's schedule lives in it.
+func Mem(opts core.MemOptions) Workload[core.MemResult] { return &memWork{opts: opts} }
+
+func (w *memWork) pairAligned() bool                         { return w.opts.Paired }
+func (*memWork) sum(results []core.MemResult) uint64         { return ChecksumMemResults(results) }
+func (*memWork) corrupt(r []core.MemResult, i int, b uint64) { r[i].Best.Pos ^= 1 << b }
 
 // admit needs both directions' structures resident for the seeding pass and
 // gates them on BRAM like Program gates the exact index.
-func (memWork) admit(k *Kernel) (time.Duration, error) {
+func (*memWork) admit(k *Kernel) (time.Duration, error) {
 	if err := k.ix.EnsureMem(); err != nil {
 		return 0, err
 	}
@@ -117,59 +101,21 @@ func (memWork) admit(k *Kernel) (time.Duration, error) {
 	return k.dev.transfer(memBytes), nil
 }
 
-func (memWork) newRun(n int) *MemRunResult { return &MemRunResult{Results: make([]core.MemResult, n)} }
-
-func (w memWork) verify(ix *core.Index, reads []dna.Seq, run *MemRunResult, stride int) error {
-	return verifySampledMem(ix, reads, run.Results, w.opts, stride)
-}
-
-func (w memWork) execute(k *Kernel, run *MemRunResult, reads []dna.Seq, opts MapRunOptions) (passes Profile, err error) {
-	if run.Stats, err = k.ix.MapReadsMemInto(run.Results, reads, w.opts, opts.host()); err != nil {
-		return Profile{}, err
-	}
-	// Pass-1 cycles: SMEM extension ops through the rank pipelines, same
-	// per-step model as the exact kernel. Pass-2 cycles: the array retires
-	// one DP cell per PE per cycle, after a fixed overhead per extension job.
-	cfg := k.dev.cfg
-	cellCycles := uint64(run.Stats.Cells) + uint64(run.Stats.Extensions)*uint64(cfg.QueryOverheadCycles)
-	run.SeedCycles = k.pipelineCycles(run.Stats.SeedSteps, len(reads))
-	run.ExtendCycles = uint64(cfg.PipelineFillCycles) + cellCycles/uint64(cfg.PEs)
-
-	// Reconfiguration swaps the search pipelines for the systolic alignment
-	// array; pass 2 re-rolls the stream/kernel fault stages like a fresh run.
-	if err := k.rollPass(false); err != nil {
-		return Profile{}, err
-	}
-	run.SeedTime = k.dev.cyclesToTime(run.SeedCycles)
-	run.ExtendTime = k.dev.cyclesToTime(run.ExtendCycles)
-
-	// Pass 1 streams the reads; pass 2 streams one extension-job record per
-	// surviving chain. The two are priced as one stream and one kernel span.
-	passes = k.pass(run.SeedCycles+run.ExtendCycles, len(reads)+run.Stats.Extensions, len(reads))
-	// A session run on an already-reconfigured fabric (batch two onward of
-	// the two-pass schedule) charges no reconfiguration: the alignment array
-	// stays programmed and the host takes over seeding.
-	if !w.reconfigured {
-		passes.Reconfig = DefaultReconfigTime
-	}
-	return passes, nil
-}
-
-// verifySampledMem recomputes every stride-th result on the host and compares
-// it to the device's, the mem counterpart of core.VerifySampled. Paired
-// batches verify whole pairs so rescue and proper-pair context match.
-func verifySampledMem(ix *core.Index, reads []dna.Seq, results []core.MemResult, memOpts core.MemOptions, stride int) error {
+// verify recomputes every stride-th result on the host and compares it to the
+// device's, the mem counterpart of core.VerifySampled. Paired batches verify
+// whole pairs so rescue and proper-pair context match.
+func (w *memWork) verify(ix *core.Index, reads []dna.Seq, results []core.MemResult, stride int) error {
 	if stride <= 0 {
 		return nil
 	}
 	unit := 1
-	if memOpts.Paired {
+	if w.opts.Paired {
 		unit = 2
 	}
 	for i := 0; i < len(reads); i += stride {
 		lo := i - i%unit // the pair the read belongs to
 		hi := min(lo+unit, len(reads))
-		want, _, err := ix.MapReadsMem(reads[lo:hi], memOpts)
+		want, _, err := ix.MapReadsMem(reads[lo:hi], w.opts)
 		if err != nil {
 			return err
 		}
@@ -178,4 +124,47 @@ func verifySampledMem(ix *core.Index, reads []dna.Seq, results []core.MemResult,
 		}
 	}
 	return nil
+}
+
+func (w *memWork) execute(k *Kernel, run *Run[core.MemResult], reads []dna.Seq, opts MapRunOptions) (Profile, error) {
+	stats, err := k.ix.MapReadsMemInto(run.Results, reads, w.opts, opts.host())
+	if err != nil {
+		return Profile{}, err
+	}
+	// Pass-1 cycles: SMEM extension ops through the rank pipelines, same
+	// per-step model as the exact kernel. Pass-2 cycles: the array retires
+	// one DP cell per PE per cycle, after a fixed overhead per extension job.
+	cfg := k.dev.cfg
+	cellCycles := uint64(stats.Cells) + uint64(stats.Extensions)*uint64(cfg.QueryOverheadCycles)
+	run.SeedCycles = k.pipelineCycles(stats.SeedSteps, len(reads))
+	run.ExtendCycles = uint64(cfg.PipelineFillCycles) + cellCycles/uint64(cfg.PEs)
+
+	// Reconfiguration swaps the search pipelines for the systolic alignment
+	// array; pass 2 re-rolls the stream/kernel fault stages like a fresh run.
+	if err := k.rollPass(false); err != nil {
+		return Profile{}, err
+	}
+
+	// Pass 1 streams the reads; pass 2 streams one extension-job record per
+	// surviving chain. The two are priced as one stream and one kernel span.
+	passes := k.pass(run.SeedCycles+run.ExtendCycles, len(reads)+stats.Extensions, len(reads))
+	// A session batch on an already-reconfigured fabric charges no
+	// reconfiguration: the alignment array stays programmed and the host
+	// takes over seeding.
+	if !w.reconfigured {
+		passes.Reconfig = DefaultReconfigTime
+	}
+	return passes, nil
+}
+
+// mapped moves the session's schedule on past a batch: the fabric now holds
+// the alignment array, and a batch after the first credits the host seeding
+// it hid behind the previous batch's extension; Profile.Total subtracts it.
+func (w *memWork) mapped(f *Farm, run *Run[core.MemResult]) {
+	dev := f.kernels[0].dev
+	if credit := min(dev.cyclesToTime(run.SeedCycles), w.prevExtend); credit > 0 {
+		run.Profile.Overlap += credit
+	}
+	w.reconfigured = true
+	w.prevExtend = dev.cyclesToTime(run.ExtendCycles)
 }

@@ -42,7 +42,7 @@ func TestKernelMemMatchesHost(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := core.MemOptions{Paired: true, MinInsert: 100, MaxInsert: 500}
-	run, err := runKernel(k, memWork{opts: opts}, reads, MapRunOptions{})
+	run, err := runKernel(k, Mem(opts), reads, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,11 +59,12 @@ func TestKernelMemMatchesHost(t *testing.T) {
 			t.Fatalf("read %d diverges: device %+v host %+v", i, run.Results[i], host[i])
 		}
 	}
-	if run.Stats.MappedReads != hostStats.MappedReads || run.Stats.Cells != hostStats.Cells {
-		t.Errorf("stats diverge: device %+v host %+v", run.Stats, hostStats)
+	stats := memStats(run.Results)
+	if stats.MappedReads != hostStats.MappedReads || stats.Cells != hostStats.Cells {
+		t.Errorf("stats diverge: device %+v host %+v", stats, hostStats)
 	}
-	if run.Stats.MappedReads < len(reads)/2 {
-		t.Errorf("only %d/%d reads mapped", run.Stats.MappedReads, len(reads))
+	if stats.MappedReads < len(reads)/2 {
+		t.Errorf("only %d/%d reads mapped", stats.MappedReads, len(reads))
 	}
 	// The two-pass profile must charge both passes and the reconfiguration.
 	if run.Profile.Reconfig != DefaultReconfigTime {
@@ -85,7 +86,7 @@ func TestKernelMemMatchesHost(t *testing.T) {
 		t.Error("no reconfigure event on the timeline")
 	}
 	// A resident index pays no transfer on reruns.
-	rerun, err := runKernel(k, memWork{opts: opts}, reads, MapRunOptions{IndexResident: true})
+	rerun, err := runKernel(k, Mem(opts), reads, MapRunOptions{IndexResident: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,10 +106,10 @@ func TestKernelMemRejectsOversizedRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	long := make(dna.Seq, MaxQueryBases+1)
-	if _, err := runKernel(k, memWork{opts: core.MemOptions{}}, []dna.Seq{long}, MapRunOptions{}); err == nil {
+	if _, err := runKernel(k, Mem(core.MemOptions{}), []dna.Seq{long}, MapRunOptions{}); err == nil {
 		t.Error("oversized read accepted")
 	}
-	run, err := runKernel(k, memWork{opts: core.MemOptions{}}, []dna.Seq{{}}, MapRunOptions{})
+	run, err := runKernel(k, Mem(core.MemOptions{}), []dna.Seq{{}}, MapRunOptions{})
 	if err != nil || run.Results[0].Mapped() || run.Results[0].SeedSteps != 0 {
 		t.Errorf("empty read: %+v, %v; want a 0-step read that maps nowhere", run.Results, err)
 	}
@@ -130,7 +131,7 @@ func TestFarmMemUnderFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := core.MemOptions{Paired: true, MinInsert: 100, MaxInsert: 500}
-	run, err := runFarm(farm, memWork{opts: opts}, reads, MapRunOptions{})
+	run, err := runFarm(farm, Mem(opts), reads, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,8 +150,8 @@ func TestFarmMemUnderFaults(t *testing.T) {
 			t.Fatalf("read %d diverges after faults: device %+v host %+v", i, run.Results[i], host[i])
 		}
 	}
-	if run.Stats.Reads != len(reads) {
-		t.Errorf("stats cover %d reads, want %d", run.Stats.Reads, len(reads))
+	if memStats(run.Results).Reads != len(reads) {
+		t.Errorf("stats cover %d reads, want %d", memStats(run.Results).Reads, len(reads))
 	}
 }
 
@@ -167,7 +168,7 @@ func TestFarmMemPairBoundaries(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := core.MemOptions{Paired: true, MinInsert: 100, MaxInsert: 500}
-	run, err := runFarm(farm, memWork{opts: opts}, reads, MapRunOptions{})
+	run, err := runFarm(farm, Mem(opts), reads, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,4 +181,13 @@ func TestFarmMemPairBoundaries(t *testing.T) {
 			t.Fatalf("read %d diverges across shard boundaries", i)
 		}
 	}
+}
+
+// memStats aggregates a batch's pipeline counters from its results.
+func memStats(results []core.MemResult) core.MemStats {
+	var s core.MemStats
+	for _, r := range results {
+		s.Add(r)
+	}
+	return s
 }

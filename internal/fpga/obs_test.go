@@ -32,7 +32,7 @@ func TestFarmEventTaggingUnderFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := farm.MapReadsOpts(reads, MapRunOptions{})
+	run, err := runFarm(farm, Exact(), reads, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,14 +53,14 @@ func TestMapReadsOptsCancel(t *testing.T) {
 	if _, err := k.MapReadsOpts(reads, MapRunOptions{Context: ctx}); !errors.Is(err, context.Canceled) {
 		t.Errorf("canceled run returned %v, want context.Canceled", err)
 	}
-	if _, err := runKernel(k, twoPassWork{1}, reads, MapRunOptions{Context: ctx}); !errors.Is(err, context.Canceled) {
+	if _, err := runKernel(k, TwoPass(1), reads, MapRunOptions{Context: ctx}); !errors.Is(err, context.Canceled) {
 		t.Errorf("canceled two-pass run returned %v, want context.Canceled", err)
 	}
 }
 
 func TestMapReadsOptsProgress(t *testing.T) {
 	ix := buildIndex(t, 20000)
-	reads := simReads(t, ix, 150, 40, 0.5)
+	reads := simReads(t, ix, 2*progressEvery+150, 40, 0.5)
 	d, _ := NewDevice(Config{})
 	k, err := d.Program(ix)
 	if err != nil {
@@ -68,14 +68,13 @@ func TestMapReadsOptsProgress(t *testing.T) {
 	}
 	var calls []int
 	_, err = k.MapReadsOpts(reads, MapRunOptions{
-		ProgressEvery: 50,
-		Progress:      func(done, total int) { calls = append(calls, done) },
+		Progress: func(done, total int) { calls = append(calls, done) },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(calls) == 0 || calls[len(calls)-1] != len(reads) {
-		t.Fatalf("progress calls %v must end at %d", calls, len(reads))
+	if len(calls) < 3 || calls[len(calls)-1] != len(reads) {
+		t.Fatalf("progress calls %v must report every %d reads and end at %d", calls, progressEvery, len(reads))
 	}
 	for i := 1; i < len(calls); i++ {
 		if calls[i] < calls[i-1] {

@@ -100,7 +100,7 @@ func TestFarmRedistributesAroundDeadDevice(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	run, err := farm.MapReadsOpts(reads, MapRunOptions{})
+	run, err := runFarm(farm, Exact(), reads, MapRunOptions{})
 	if err != nil {
 		t.Fatalf("farm with one healthy device failed: %v", err)
 	}
@@ -128,7 +128,7 @@ func TestFarmRedistributesAroundDeadDevice(t *testing.T) {
 
 	// The next run skips the broken card entirely: no new kernel faults.
 	before := farm.Stats().Faults["kernel"]
-	if _, err := farm.MapReadsOpts(reads[:50], MapRunOptions{}); err != nil {
+	if _, err := runFarm(farm, Exact(), reads[:50], MapRunOptions{}); err != nil {
 		t.Fatalf("second run: %v", err)
 	}
 	if after := farm.Stats().Faults["kernel"]; after != before {
@@ -156,7 +156,7 @@ func TestFarmAllDevicesBroken(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = farm.MapReadsOpts(reads, MapRunOptions{})
+	_, err = runFarm(farm, Exact(), reads, MapRunOptions{})
 	if err == nil {
 		t.Fatal("farm with no working devices succeeded")
 	}
@@ -187,7 +187,7 @@ func TestFarmRecoversFromCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := farm.MapReadsOpts(reads, MapRunOptions{})
+	run, err := runFarm(farm, Exact(), reads, MapRunOptions{})
 	if err != nil {
 		t.Fatalf("farm failed to recover from corruption: %v", err)
 	}
@@ -218,7 +218,7 @@ func TestFarmTwoPassUnderFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := farm.MapReadsTwoPassOpts(reads, 1, MapRunOptions{})
+	run, err := runFarm(farm, TwoPass(1), reads, MapRunOptions{})
 	if err != nil {
 		t.Fatalf("two-pass farm run failed: %v", err)
 	}
@@ -228,12 +228,12 @@ func TestFarmTwoPassUnderFaults(t *testing.T) {
 	// Compare against a clean single card.
 	clean, _ := NewDevice(Config{})
 	k, _ := clean.Program(ix)
-	want, err := runKernel(k, twoPassWork{1}, reads, MapRunOptions{})
+	want, err := runKernel(k, TwoPass(1), reads, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if run.Rescued != want.Rescued {
-		t.Errorf("rescued %d, clean card rescued %d", run.Rescued, want.Rescued)
+	if rescued(run.Results) != rescued(want.Results) {
+		t.Errorf("rescued %d, clean card rescued %d", rescued(run.Results), rescued(want.Results))
 	}
 	for i := range reads {
 		if !reflect.DeepEqual(run.Results[i], want.Results[i]) {
@@ -255,7 +255,7 @@ func TestFarmContextCancelNotDeviceFailure(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = farm.MapReadsOpts(reads, MapRunOptions{Context: ctx})
+	_, err = runFarm(farm, Exact(), reads, MapRunOptions{Context: ctx})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error = %v, want context.Canceled", err)
 	}

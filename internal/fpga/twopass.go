@@ -25,31 +25,34 @@ import (
 // swapping the exact kernel for the mismatch kernel.
 const DefaultReconfigTime = 500 * time.Millisecond
 
-// TwoPassResult is a completed two-pass run.
-type TwoPassResult struct {
-	// Results holds, by input position, every read's pass-1 result and, for
-	// the reads pass 1 failed to map, the strata pass 2 found.
-	Results []core.ApproxResult
-	// Rescued counts pass-2 reads that found an approximate match.
-	Rescued int
-	// Profile covers both passes plus the reconfiguration.
-	Profile Profile
-	// Checksum is the batch checksum over both passes (see
-	// RunResult.Checksum).
-	Checksum uint64
+// twoPassWork is the two-pass flow as a device workload: exact matching over
+// every read, then the mismatch kernel over what it left unaligned.
+type twoPassWork struct {
+	maxMismatches int
 }
 
-// VerifyChecksum recomputes the batch checksum over the received results of
-// both passes and returns ErrResultCorrupt on mismatch.
-func (t *TwoPassResult) VerifyChecksum() error { return verifyChecksum(t) }
+// TwoPass is the two-pass flow at a mismatch budget as a device workload.
+// Its results hold, by input position, every read's pass-1 result and, for
+// the reads pass 1 failed to map, the strata pass 2 found. It reconfigures
+// the fabric in every batch that leaves reads unaligned; on a farm every
+// card does so in parallel, so the profile charges the slowest.
+func TwoPass(maxMismatches int) Workload[core.ApproxResult] { return twoPassWork{maxMismatches} }
 
-func (t *TwoPassResult) head() (*Profile, *uint64) { return &t.Profile, &t.Checksum }
+func (twoPassWork) pairAligned() bool                     { return false }
+func (twoPassWork) mapped(*Farm, *Run[core.ApproxResult]) {}
+
+func (w twoPassWork) admit(k *Kernel) (time.Duration, error) {
+	if w.maxMismatches < 1 {
+		return 0, fmt.Errorf("fpga: two-pass run needs a mismatch budget >= 1, got %d", w.maxMismatches)
+	}
+	return k.indexTransfer, nil
+}
 
 // sum extends ChecksumResults' fold over the pass-1 ranges with every pass-2
 // stratum, so a read's answer is covered whichever pass gave it.
-func (t *TwoPassResult) sum() uint64 {
+func (twoPassWork) sum(results []core.ApproxResult) uint64 {
 	h := fnvOffset
-	for _, r := range t.Results {
+	for _, r := range results {
 		h.rows(r.Exact.Forward)
 		h.rows(r.Exact.Reverse)
 		for _, set := range [][]fmindex.ApproxMatch{r.Forward, r.Reverse} {
@@ -63,30 +66,8 @@ func (t *TwoPassResult) sum() uint64 {
 	return uint64(h)
 }
 
-func (t *TwoPassResult) corrupt(i int, bit uint64) { t.Results[i].Exact.Forward.Start ^= 1 << bit }
-
-func (t *TwoPassResult) gather(lo int, shard *TwoPassResult) {
-	copy(t.Results[lo:], shard.Results)
-	t.Rescued += shard.Rescued
-}
-
-// twoPassWork is the two-pass flow as a device workload: exact matching over
-// every read, then the mismatch kernel over what it left unaligned.
-type twoPassWork struct {
-	maxMismatches int
-}
-
-func (twoPassWork) pairAligned() bool { return false }
-
-func (w twoPassWork) admit(k *Kernel) (time.Duration, error) {
-	if w.maxMismatches < 1 {
-		return 0, fmt.Errorf("fpga: two-pass run needs a mismatch budget >= 1, got %d", w.maxMismatches)
-	}
-	return k.indexTransfer, nil
-}
-
-func (twoPassWork) newRun(n int) *TwoPassResult {
-	return &TwoPassResult{Results: make([]core.ApproxResult, n)}
+func (twoPassWork) corrupt(results []core.ApproxResult, i int, bit uint64) {
+	results[i].Exact.Forward.Start ^= 1 << bit
 }
 
 // execute prices pass 1 like an exact run. When it left reads unaligned the
@@ -94,20 +75,16 @@ func (twoPassWork) newRun(n int) *TwoPassResult {
 // mismatch kernel, so pass 2 rolls the same injectable stages as a fresh run.
 // Same pipeline model; the branching search simply executes more steps per
 // query.
-func (w twoPassWork) execute(k *Kernel, t *TwoPassResult, reads []dna.Seq, opts MapRunOptions) (Profile, error) {
-	if err := k.ix.MapReadsApproxFtab(t.Results, reads, w.maxMismatches, opts.host(), k.useFtab); err != nil {
+func (w twoPassWork) execute(k *Kernel, run *Run[core.ApproxResult], reads []dna.Seq, opts MapRunOptions) (Profile, error) {
+	if err := k.ix.MapReadsApproxFtab(run.Results, reads, w.maxMismatches, opts.host(), k.useFtab); err != nil {
 		return Profile{}, err
 	}
-	passes := k.searchCost(len(reads), func(i int) int { return t.Results[i].Exact.Steps })
+	passes := k.searchCost(len(reads), func(i int) int { return run.Results[i].Exact.Steps })
 	unaligned, steps := 0, 0
-	for _, res := range t.Results {
-		if res.Exact.Mapped() {
-			continue
-		}
-		unaligned++
-		steps += res.Steps
-		if res.Mapped() {
-			t.Rescued++
+	for _, res := range run.Results {
+		if !res.Exact.Mapped() {
+			unaligned++
+			steps += res.Steps
 		}
 	}
 	if unaligned == 0 {
@@ -123,7 +100,7 @@ func (w twoPassWork) execute(k *Kernel, t *TwoPassResult, reads []dna.Seq, opts 
 
 // verify recomputes every stride-th read's two passes on the host. Only
 // ranges and strata are compared, as in core.VerifySampled.
-func (w twoPassWork) verify(ix *core.Index, reads []dna.Seq, t *TwoPassResult, stride int) error {
+func (w twoPassWork) verify(ix *core.Index, reads []dna.Seq, results []core.ApproxResult, stride int) error {
 	if stride <= 0 {
 		return nil
 	}
@@ -132,19 +109,11 @@ func (w twoPassWork) verify(ix *core.Index, reads []dna.Seq, t *TwoPassResult, s
 		if err != nil {
 			return err
 		}
-		got := t.Results[i]
+		got := results[i]
 		if got.Exact.Forward != want.Exact.Forward || got.Exact.Reverse != want.Exact.Reverse ||
 			!slices.Equal(got.Forward, want.Forward) || !slices.Equal(got.Reverse, want.Reverse) {
 			return fmt.Errorf("fpga: two-pass cross-check mismatch at read %d", i)
 		}
 	}
 	return nil
-}
-
-// MapReadsTwoPassOpts is the farm's two-pass approximate flow: every card
-// runs its own exact + reconfigured mismatch pass over its shard.
-// Reconfiguration happens on every card in parallel, so the profile charges
-// the slowest.
-func (f *Farm) MapReadsTwoPassOpts(reads []dna.Seq, maxMismatches int, opts MapRunOptions) (*TwoPassResult, error) {
-	return runFarm(f, twoPassWork{maxMismatches}, reads, opts)
 }

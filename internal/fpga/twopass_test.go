@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"bwaver/internal/core"
 	"bwaver/internal/dna"
 	"bwaver/internal/fmindex"
 	"bwaver/internal/readsim"
@@ -46,11 +47,11 @@ func TestTwoPassRescuesMutatedReads(t *testing.T) {
 	// Reads with exactly one substitution: exact pass fails, 1-mismatch
 	// pass must rescue them (the planted origin must be reachable).
 	reads, origins := mutatedReads(t, 40000, 50, 50, 1)
-	res, err := runKernel(k, twoPassWork{1}, reads, MapRunOptions{})
+	res, err := runKernel(k, TwoPass(1), reads, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rescued == 0 {
+	if rescued(res.Results) == 0 {
 		t.Fatal("no reads rescued by the mismatch pass")
 	}
 	for i := range reads {
@@ -91,7 +92,7 @@ func TestTwoPassAllExactSkipsReconfig(t *testing.T) {
 	d, _ := NewDevice(Config{})
 	k, _ := d.Program(ix)
 	reads := simReads(t, ix, 100, 40, 1) // all map exactly
-	res, err := runKernel(k, twoPassWork{2}, reads, MapRunOptions{})
+	res, err := runKernel(k, TwoPass(2), reads, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,8 +101,8 @@ func TestTwoPassAllExactSkipsReconfig(t *testing.T) {
 			t.Errorf("approx pass ran for exactly mapped read %d: %+v", i, r)
 		}
 	}
-	if res.Rescued != 0 {
-		t.Errorf("%d reads rescued in a fully-exact workload", res.Rescued)
+	if rescued(res.Results) != 0 {
+		t.Errorf("%d reads rescued in a fully-exact workload", rescued(res.Results))
 	}
 	if res.Profile.Reconfig != 0 {
 		t.Error("reconfiguration charged although pass 2 never ran")
@@ -113,12 +114,12 @@ func TestTwoPassRandomReadsStayUnmapped(t *testing.T) {
 	d, _ := NewDevice(Config{})
 	k, _ := d.Program(ix)
 	reads := simReads(t, ix, 50, 60, 0) // random 60-mers
-	res, err := runKernel(k, twoPassWork{1}, reads, MapRunOptions{})
+	res, err := runKernel(k, TwoPass(1), reads, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rescued != 0 {
-		t.Errorf("%d random reads rescued at k=1", res.Rescued)
+	if rescued(res.Results) != 0 {
+		t.Errorf("%d random reads rescued at k=1", rescued(res.Results))
 	}
 	for i, r := range res.Results {
 		if r.Steps == 0 {
@@ -131,7 +132,7 @@ func TestTwoPassValidation(t *testing.T) {
 	ix := buildIndex(t, 5000)
 	d, _ := NewDevice(Config{})
 	k, _ := d.Program(ix)
-	if _, err := runKernel(k, twoPassWork{0}, simReads(t, ix, 5, 30, 1), MapRunOptions{}); err == nil {
+	if _, err := runKernel(k, TwoPass(0), simReads(t, ix, 5, 30, 1), MapRunOptions{}); err == nil {
 		t.Error("accepted zero mismatch budget")
 	}
 }
@@ -145,7 +146,7 @@ func TestTwoPassCostsMoreThanExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	two, err := runKernel(k, twoPassWork{1}, reads, MapRunOptions{})
+	two, err := runKernel(k, TwoPass(1), reads, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,18 +164,18 @@ func TestTwoPassChecksumCoversPass2(t *testing.T) {
 	reads, _ := mutatedReads(t, 40000, 40, 50, 1) // pass 1 maps none of them
 	clean, _ := NewDevice(Config{})
 	ck, _ := clean.Program(ix)
-	want, err := runKernel(ck, twoPassWork{1}, reads, MapRunOptions{})
+	want, err := runKernel(ck, TwoPass(1), reads, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want.Rescued != len(reads) {
-		t.Fatalf("%d of %d reads rescued; the test needs every corrupt roll to land on one", want.Rescued, len(reads))
+	if rescued(want.Results) != len(reads) {
+		t.Fatalf("%d of %d reads rescued; the test needs every corrupt roll to land on one", rescued(want.Results), len(reads))
 	}
 	work := twoPassWork{maxMismatches: 1}
 	if err := want.VerifyChecksum(); err != nil {
 		t.Fatalf("clean run: %v", err)
 	}
-	if err := work.verify(ix, reads, want, 1); err != nil {
+	if err := work.verify(ix, reads, want.Results, 1); err != nil {
 		t.Fatalf("clean run: %v", err)
 	}
 	for _, flip := range []func(m *fmindex.ApproxMatch){
@@ -182,7 +183,7 @@ func TestTwoPassChecksumCoversPass2(t *testing.T) {
 		func(m *fmindex.ApproxMatch) { m.Range.End ^= 4 },
 		func(m *fmindex.ApproxMatch) { m.Mismatches ^= 1 },
 	} {
-		tampered, err := runKernel(ck, twoPassWork{1}, reads, MapRunOptions{})
+		tampered, err := runKernel(ck, TwoPass(1), reads, MapRunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +196,7 @@ func TestTwoPassChecksumCoversPass2(t *testing.T) {
 		if err := tampered.VerifyChecksum(); !errors.Is(err, ErrResultCorrupt) {
 			t.Errorf("VerifyChecksum = %v on a flipped stratum bit, want ErrResultCorrupt", err)
 		}
-		if err := work.verify(ix, reads, tampered, 1); err == nil {
+		if err := work.verify(ix, reads, tampered.Results, 1); err == nil {
 			t.Error("sampled cross-check passed a flipped stratum bit")
 		}
 	}
@@ -207,7 +208,7 @@ func TestTwoPassChecksumCoversPass2(t *testing.T) {
 	dev, _ := NewDevice(Config{})
 	dev.EnableFaults(plan, 0)
 	k, _ := dev.Program(ix)
-	run, err := runKernel(k, twoPassWork{1}, reads, MapRunOptions{})
+	run, err := runKernel(k, TwoPass(1), reads, MapRunOptions{})
 	if err != nil {
 		t.Fatalf("corruption must not error at the device: %v", err)
 	}
@@ -231,7 +232,7 @@ func TestTwoPassChecksumCoversPass2(t *testing.T) {
 		t.Fatal(err)
 	}
 	for round := 0; round < 8; round++ {
-		striped, err := farm.MapReadsTwoPassOpts(reads, 1, MapRunOptions{})
+		striped, err := runFarm(farm, TwoPass(1), reads, MapRunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,4 +247,16 @@ func TestTwoPassChecksumCoversPass2(t *testing.T) {
 	if stats := farm.Stats(); injected == 0 || stats.ChecksumMismatches != injected {
 		t.Errorf("%d corrupted two-pass batches injected, %d rejected by checksum", injected, stats.ChecksumMismatches)
 	}
+}
+
+// rescued counts the reads pass 2 mapped: pass 1 left them unaligned and an
+// approximate match was found.
+func rescued(results []core.ApproxResult) int {
+	n := 0
+	for _, r := range results {
+		if !r.Exact.Mapped() && r.Mapped() {
+			n++
+		}
+	}
+	return n
 }

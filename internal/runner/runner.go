@@ -132,38 +132,36 @@ func (r *Reads) pull() (qc.Batch, error) {
 	return b, err
 }
 
-// Work is one workload as the runner sees it: how a batch maps on the CPU and
-// on a farm to per-read results R, and how the results render as rows. A Work
-// value may hold a run's state (the mem session), so it serves one run.
+// Work is one workload as the runner sees it: how a batch maps on the CPU,
+// the same workload as the FPGA model runs it, and how the results render as
+// rows. A Work value may hold a run's state (the mem schedule), so it serves
+// one run.
 type Work[R any] struct {
-	// cpu maps batch into dst, the run's one result buffer; farm returns the
-	// device run's own results.
+	// cpu maps batch into dst, the run's one result buffer.
 	cpu    func(dst []R, batch []dna.Seq, run core.MapOptions) error
-	farm   func(farm *fpga.Farm, batch []dna.Seq, run fpga.MapRunOptions) ([]R, fpga.Profile, error)
+	device fpga.Workload[R]
+	// finish, when non-nil, completes a batch the device mapped on the host.
+	finish func(run *fpga.Run[R]) error
 	encode func(rows *Rows, off int, ids []string, reads []dna.Seq, results []R) error
 }
 
 // Exact is exact matching, rendered as the exact TSV; locate resolves the
-// occurrence positions.
+// occurrence positions, on the FPGA model on the host after the device
+// returned the row ranges, the paper's final host-side step.
 func Exact(ix *core.Index, locate bool) Work[core.MapResult] {
-	return Work[core.MapResult]{
+	w := Work[core.MapResult]{
 		cpu: func(dst []core.MapResult, batch []dna.Seq, run core.MapOptions) error {
 			run.Locate = locate
 			_, err := ix.MapReadsInto(dst, batch, run)
 			return err
 		},
-		farm: func(farm *fpga.Farm, batch []dna.Seq, run fpga.MapRunOptions) ([]core.MapResult, fpga.Profile, error) {
-			r, err := farm.MapReadsOpts(batch, run)
-			if err != nil {
-				return nil, fpga.Profile{}, err
-			}
-			if locate {
-				err = ix.LocateResults(r.Results)
-			}
-			return r.Results, r.Profile, err
-		},
+		device: fpga.Exact(),
 		encode: (*Rows).exact,
 	}
+	if locate {
+		w.finish = func(run *fpga.Run[core.MapResult]) error { return ix.LocateResults(run.Results) }
+	}
+	return w
 }
 
 // ExactSAM is exact matching rendered as SAM, every located hit one record.
@@ -197,13 +195,7 @@ func Approx(ix *core.Index, mismatches int, locate bool) Work[core.ApproxResult]
 		cpu: func(dst []core.ApproxResult, batch []dna.Seq, run core.MapOptions) error {
 			return ix.MapReadsApproxFtab(dst, batch, mismatches, run, true)
 		},
-		farm: func(farm *fpga.Farm, batch []dna.Seq, run fpga.MapRunOptions) ([]core.ApproxResult, fpga.Profile, error) {
-			r, err := farm.MapReadsTwoPassOpts(batch, mismatches, run)
-			if err != nil {
-				return nil, fpga.Profile{}, err
-			}
-			return r.Results, r.Profile, nil
-		},
+		device: fpga.TwoPass(mismatches),
 		encode: func(rows *Rows, off int, ids []string, reads []dna.Seq, results []core.ApproxResult) error {
 			return rows.approx(off, ids, reads, results, locate)
 		},
@@ -213,27 +205,24 @@ func Approx(ix *core.Index, mismatches int, locate bool) Work[core.ApproxResult]
 // Mem is the seed-and-extend pipeline (SMEM seeding, collinear chaining,
 // banded extension, MAPQ), rendered as SAM; count receives every batch's
 // pipeline counters and whether it charged a fabric reconfiguration. On the
-// FPGA the run is one two-pass session: the first batch pays the single
-// reconfiguration, later batches keep the alignment array programmed and
-// overlap host seeding with modeled device extension.
+// FPGA the first batch pays the run's single reconfiguration, and later
+// batches keep the alignment array programmed and overlap host seeding with
+// modeled device extension.
 func Mem(ix *core.Index, opts core.MemOptions, count func(stats core.MemStats, reconfigured bool)) Work[core.MemResult] {
-	var session *fpga.MemSession
 	return Work[core.MemResult]{
 		cpu: func(dst []core.MemResult, batch []dna.Seq, run core.MapOptions) error {
 			stats, err := ix.MapReadsMemInto(dst, batch, opts, run)
 			count(stats, false)
 			return err
 		},
-		farm: func(farm *fpga.Farm, batch []dna.Seq, run fpga.MapRunOptions) ([]core.MemResult, fpga.Profile, error) {
-			if session == nil {
-				session = farm.NewMemSession(opts, run)
+		device: fpga.Mem(opts),
+		finish: func(run *fpga.Run[core.MemResult]) error {
+			var stats core.MemStats
+			for _, r := range run.Results {
+				stats.Add(r)
 			}
-			r, err := session.Map(batch)
-			if err != nil {
-				return nil, fpga.Profile{}, err
-			}
-			count(r.Stats, r.Profile.Reconfig > 0)
-			return r.Results, r.Profile, nil
+			count(stats, run.Profile.Reconfig > 0)
+			return nil
 		},
 		encode: func(rows *Rows, off int, ids []string, reads []dna.Seq, results []core.MemResult) error {
 			return rows.mem(off, ids, reads, results, opts)
@@ -247,8 +236,7 @@ type Options struct {
 	Workers int
 	// Farm maps the batches on the FPGA model; nil maps them on the CPU.
 	Farm *fpga.Farm
-	// Resident says an earlier run left the index in the farm's BRAM. The
-	// run's own first device batch leaves it there for the rest.
+	// Resident says an earlier run left the index in the farm's BRAM.
 	Resident bool
 	// Fallback, given a farm error, says whether that batch and the rest of
 	// the run map on the CPU instead; nil never falls back.
@@ -285,17 +273,20 @@ func (r Result) MapTime() time.Duration { return r.Device.Total() + r.CPU }
 // the result covers the batches emitted before it.
 func Run[R any](ctx context.Context, in *Reads, w Work[R], rows *Rows, opts Options) (Result, error) {
 	var res Result
-	farm, resident := opts.Farm, opts.Resident
 	cpuStart, waitAt := time.Now(), in.wait
 	var buf []R
-	// One progress callback serves the whole run — a mem session keeps the
-	// first batch's — so it reads the offset of the batch in hand.
+	// One progress callback serves the whole run, so it reads the offset of
+	// the batch in hand.
 	off := 0
 	var progress func(done, total int)
 	if opts.Progress != nil {
 		progress = func(done, _ int) { opts.Progress(off + done) }
 	}
 	cpu := core.MapOptions{Context: ctx, Workers: opts.Workers, Progress: progress}
+	var session *fpga.Session[R]
+	if opts.Farm != nil {
+		session = fpga.NewSession(opts.Farm, w.device, fpga.MapRunOptions{Context: ctx, Progress: progress, IndexResident: opts.Resident})
+	}
 	for {
 		b, err := in.next()
 		if err == io.EOF {
@@ -312,21 +303,25 @@ func Run[R any](ctx context.Context, in *Reads, w Work[R], rows *Rows, opts Opti
 		rows.rejected(b.Rejects)
 		if len(b.Seqs) > 0 {
 			var results []R
-			if farm != nil {
-				var profile fpga.Profile
-				results, profile, err = w.farm(farm, b.Seqs, fpga.MapRunOptions{Context: ctx, Progress: progress, IndexResident: resident})
+			if session != nil {
+				run, err := session.Map(b.Seqs)
 				switch {
 				case err == nil:
-					res.Device.Merge(profile)
-					resident = true
+					res.Device.Merge(run.Profile)
+					results = run.Results
+					if w.finish != nil {
+						if err := w.finish(run); err != nil {
+							return res, err
+						}
+					}
 				case opts.Fallback != nil && opts.Fallback(err):
-					farm = nil
+					session = nil
 					cpuStart, waitAt = time.Now(), in.wait
 				default:
 					return res, err
 				}
 			}
-			if farm == nil {
+			if session == nil {
 				if cap(buf) < len(b.Seqs) {
 					buf = make([]R, len(b.Seqs))
 				}
@@ -348,7 +343,7 @@ func Run[R any](ctx context.Context, in *Reads, w Work[R], rows *Rows, opts Opti
 		off += len(b.Seqs)
 		res.Reads = off
 	}
-	if farm == nil {
+	if session == nil {
 		res.CPU = time.Since(cpuStart) - (in.wait - waitAt)
 	}
 	return res, nil

@@ -256,7 +256,6 @@ func (s *Server) setJobStateLocked(job *Job, st JobState) {
 // effective deadline budget resolved by effectiveTimeout.
 type jobSpec struct {
 	JobParams
-	RefName   string
 	IdemKey   string
 	RequestID string
 	Timeout   time.Duration
@@ -303,8 +302,7 @@ func (s *Server) admitJob(spec jobSpec, initial JobState) (job *Job, existing bo
 	}
 	job = &Job{
 		ID: s.nextID, JobParams: spec.JobParams, IdemKey: spec.IdemKey, RequestID: spec.RequestID,
-		timeout: spec.Timeout,
-		Outcome: Outcome{RefName: spec.RefName}, Created: time.Now(),
+		timeout: spec.Timeout, Created: time.Now(),
 	}
 	s.setJobStateLocked(job, initial)
 	s.nextID++

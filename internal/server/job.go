@@ -92,6 +92,13 @@ type Outcome struct {
 	// QCReport is the ingest accounting of the job's QC policy, taken when
 	// the run ends; replay restores identical reject counts from it.
 	QCReport *qc.Report `json:"qc_report,omitempty"`
+	// Done counts the reads mapped so far: it grows while the job runs and
+	// keeps where the run stopped.
+	Done int `json:"done"`
+	// PeakResultBuf is the largest number of result bytes the job staged in
+	// memory for one batch — the figure that proves streamed jobs hold
+	// O(batch), not O(job), result memory.
+	PeakResultBuf int `json:"peak_result_buffer_bytes"`
 }
 
 // Job is one mapping request moving through the pipeline.
@@ -100,8 +107,6 @@ type Job struct {
 	State JobState
 	JobParams
 	Outcome
-	// Done counts reads mapped so far while the job is running.
-	Done     int
 	Created  time.Time
 	Finished time.Time
 
@@ -115,10 +120,6 @@ type Job struct {
 	// from the server's -job-timeout and any gateway-propagated
 	// X-Bwaver-Timeout-Ms remaining budget; 0 = unbounded.
 	timeout time.Duration
-	// PeakResultBuf is the largest number of result bytes the job staged in
-	// memory for one batch — the figure that proves streamed jobs hold
-	// O(batch), not O(job), result memory.
-	PeakResultBuf int
 
 	// results is the TSV (SAM for mode=mem) of a done job, written batch by
 	// batch by the job's emitter.
@@ -143,19 +144,33 @@ type jobJSON struct {
 	State string `json:"state"`
 	JobParams
 	Outcome
-	Done          int    `json:"done"`
-	PeakResultBuf int    `json:"peak_result_buffer_bytes"`
-	RequestID     string `json:"request_id,omitempty"`
+	RequestID string `json:"request_id,omitempty"`
 	// Upload resume anchors, present while the job is uploading.
 	ReferenceOffset *int64 `json:"reference_offset,omitempty"`
 	ReadsOffset     *int64 `json:"reads_offset,omitempty"`
 }
 
+// shown is the job as its pages and JSON show it: its reference name is the
+// parsed one once the job has one, else the placeholder its state implies —
+// "(uploading)" while its payload arrives, "(parsing)" until its build names
+// the reference. No placeholder is stored, so a replayed job shows what the
+// live one did. s.mu must be held.
+func (j *Job) shown() Job {
+	v := *j
+	if v.RefName == "" && !v.State.terminal() {
+		v.RefName = "(parsing)"
+		if v.State == StateUploading {
+			v.RefName = "(uploading)"
+		}
+	}
+	return v
+}
+
 // toJSON renders the job's wire form; s.mu must be held.
 func (j *Job) toJSON() jobJSON {
 	out := jobJSON{
-		ID: j.ID, State: string(j.State), JobParams: j.JobParams, Outcome: j.Outcome,
-		Done: j.Done, PeakResultBuf: j.PeakResultBuf, RequestID: j.RequestID,
+		ID: j.ID, State: string(j.State), JobParams: j.JobParams, Outcome: j.shown().Outcome,
+		RequestID: j.RequestID,
 	}
 	if j.State == StateUploading && j.upload != nil {
 		ref, reads := j.upload.ref.size(), j.upload.reads.size()

@@ -448,6 +448,8 @@ func (s *Server) recover() error {
 				}
 			} else {
 				s.setJobStateLocked(job, StateDone)
+				// A done job mapped every read it took; records written
+				// before the outcome carried done lack the count.
 				job.results, job.Done = results, job.Reads
 			}
 		case recFailed, recCanceled:

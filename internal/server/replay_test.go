@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -24,8 +25,11 @@ import (
 // done), then one record of each of the seven types — a job done and evicted,
 // an upload canceled, a job failed and one canceled mid-build. jobs.json is
 // the job JSON that server replayed the dir to, but for the stage figures of
-// the failed and canceled jobs: replay now restores a job's outcome whole, so
-// job 9 keeps the parse_ms its record holds, where that server zeroed it.
+// the failed and canceled jobs and for the upload's reference name: replay
+// now restores a job's outcome whole, so job 9 keeps the parse_ms its record
+// holds, where that server zeroed it, and a job's placeholder name follows
+// from its state, so upload 4 shows "(uploading)" as it did live, where that
+// server showed "".
 const fixtureDir = "testdata/journal"
 
 // A journal written before the outcome became one type replays to the job
@@ -243,7 +247,6 @@ func TestJournalRecordsCarryWhatTheyAdd(t *testing.T) {
 	defer ts.Close()
 	for id := 1; id <= 3; id++ {
 		want, got := before[id], getJobJSON(t, ts, id)
-		want.PeakResultBuf = 0 // a figure of the run, not journaled
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("job %d after the restart:\n%+v\nbefore it:\n%+v", id, got, want)
 		}
@@ -393,4 +396,104 @@ func FuzzJournalReplay(f *testing.F) {
 			t.Errorf("the state dir's parent holds %d entries (%v), want the dir and the sentinel", len(entries), err)
 		}
 	})
+}
+
+// stallingReads is a job's reads that stop, once stall reports true, until
+// release closes; entered is closed when they stop. Reads come 256 bytes at a
+// time, so a job pulls its next batch after mapping the one before.
+type stallingReads struct {
+	io.ReadCloser
+	stall            func() bool
+	entered, release chan struct{}
+	stalled          bool
+}
+
+func (r *stallingReads) Read(p []byte) (int, error) {
+	if !r.stalled && r.stall() {
+		r.stalled = true
+		close(r.entered)
+		<-r.release
+	}
+	return r.ReadCloser.Read(p[:min(len(p), 256)])
+}
+
+// A job shows the same JSON after a restart as before it: a done job keeps
+// its done count and peak result buffer, a job canceled mid-map how far it
+// got, an upload in progress its "(uploading)" placeholder.
+func TestJobJSONSurvivesRestart(t *testing.T) {
+	refFasta, readsFastq := testDataSmall(t)
+	dir := t.TempDir()
+	s := openServer(t, Config{StateDir: dir, StreamBatch: 8})
+	ts := httptest.NewServer(s.Handler())
+	upload := map[string][]byte{"reference": refFasta, "reads": readsFastq}
+	submitJob(t, s, ts, map[string]string{"backend": "cpu"}, upload)
+	waitForState(t, ts, 1, StateDone)
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	s.testHookOpenReads = func(rc io.ReadCloser) io.ReadCloser {
+		return &stallingReads{ReadCloser: rc, entered: entered, release: release, stall: func() bool {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return s.jobs[2].Done > 0
+		}}
+	}
+	submitJob(t, s, ts, map[string]string{"backend": "cpu", "mismatches": "2"}, upload)
+	<-entered
+	if code, _, _ := doJSON(t, http.MethodDelete, ts.URL+"/api/jobs/2", nil, nil); code != http.StatusAccepted {
+		t.Fatalf("cancel of the mapping job answered %d", code)
+	}
+	close(release)
+	waitForState(t, ts, 2, StateCanceled)
+	hdr := map[string]string{"Content-Type": "application/json", "Idempotency-Key": "k3"}
+	if code, _, _ := doJSON(t, http.MethodPost, ts.URL+"/api/jobs", []byte(`{"backend":"cpu"}`), hdr); code != http.StatusCreated {
+		t.Fatalf("create of job 3 answered %d", code)
+	}
+	before := map[int]jobJSON{}
+	for id := 1; id <= 3; id++ {
+		before[id] = getJobJSON(t, ts, id)
+	}
+	if j := before[1]; j.Done != j.Reads || j.PeakResultBuf <= 0 {
+		t.Fatalf("done job shows done %d of %d reads, peak %d", j.Done, j.Reads, j.PeakResultBuf)
+	}
+	if j := before[2]; j.Done <= 0 || j.Done >= before[1].Reads {
+		t.Fatalf("canceled job shows done %d; want it canceled mid-map", j.Done)
+	}
+	if j := before[3]; j.RefName != "(uploading)" {
+		t.Fatalf("upload in progress shows ref_name %q", j.RefName)
+	}
+	ts.Close()
+	s.Close()
+
+	s = openServer(t, Config{StateDir: dir, StreamBatch: 8})
+	defer s.Close()
+	ts = httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for id := 1; id <= 3; id++ {
+		if want, got := before[id], getJobJSON(t, ts, id); !reflect.DeepEqual(got, want) {
+			t.Errorf("job %d after the restart:\n%+v\nbefore it:\n%+v", id, got, want)
+		}
+	}
+}
+
+// No reference-name placeholder is stored: a job without a parsed name shows
+// the one its state implies, so a replayed job, restored to its state, shows
+// what the live one did.
+func TestRefNamePlaceholderFollowsState(t *testing.T) {
+	for state, want := range map[JobState]string{
+		StateUploading: "(uploading)",
+		StateQueued:    "(parsing)",
+		StateRunning:   "(parsing)",
+		StateDone:      "",
+		StateFailed:    "",
+		StateCanceled:  "",
+	} {
+		j := &Job{State: state}
+		if got := j.toJSON().RefName; got != want {
+			t.Errorf("%s job shows ref_name %q, want %q", state, got, want)
+		}
+		j.RefName = "chr1"
+		if got := j.toJSON().RefName; got != "chr1" {
+			t.Errorf("%s job named chr1 shows ref_name %q", state, got)
+		}
+	}
 }

@@ -732,7 +732,7 @@ func (s *Server) handleHome(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	jobs := make([]Job, 0, len(s.jobs))
 	for _, j := range s.jobs {
-		jobs = append(jobs, *j)
+		jobs = append(jobs, j.shown())
 	}
 	s.mu.Unlock()
 	sort.Slice(jobs, func(i, k int) bool { return jobs[i].ID < jobs[k].ID })
@@ -877,7 +877,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.admitAndLaunch(w, r, jobSpec{
-		JobParams: params, RefName: "(parsing)", IdemKey: idemKey,
+		JobParams: params, IdemKey: idemKey,
 		RequestID: obs.RequestIDFrom(r.Context()),
 		Timeout:   s.effectiveTimeout(r),
 	}, form.jobInput)
@@ -985,7 +985,7 @@ func (s *Server) handleDemo(w http.ResponseWriter, r *http.Request) {
 	}
 	s.admitAndLaunch(w, r, jobSpec{
 		JobParams: JobParams{Backend: "fpga", B: DefaultB, SF: DefaultSF},
-		RefName:   "synthetic-demo", IdemKey: idemKey,
+		IdemKey:   idemKey,
 		RequestID: obs.RequestIDFrom(r.Context()),
 		Timeout:   s.effectiveTimeout(r),
 	}, in)
@@ -1046,7 +1046,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
-	snapshot := *job
+	snapshot := job.shown()
 	s.mu.Unlock()
 	s.renderHTML(w, jobTemplate, snapshot)
 }

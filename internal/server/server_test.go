@@ -37,10 +37,13 @@ var cpuParams = JobParams{Backend: "cpu", B: DefaultB, SF: DefaultSF}
 // drain reference admission holds for the launch is dropped here.
 func queueJob(t testing.TB, s *Server, p JobParams, refName string) *Job {
 	t.Helper()
-	job, _, ae := s.admitJob(jobSpec{JobParams: p, RefName: refName}, StateQueued)
+	job, _, ae := s.admitJob(jobSpec{JobParams: p}, StateQueued)
 	if ae != nil {
 		t.Fatal(ae.msg)
 	}
+	s.mu.Lock()
+	job.RefName = refName
+	s.mu.Unlock()
 	s.wg.Done()
 	return job
 }

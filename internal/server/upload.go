@@ -156,7 +156,7 @@ func (s *Server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 	}
 	job, existing, ae := s.admitJob(jobSpec{
 		JobParams: params,
-		RefName:   "(uploading)", IdemKey: idemKey,
+		IdemKey:   idemKey,
 		RequestID: obs.RequestIDFrom(r.Context()),
 		Timeout:   s.effectiveTimeout(r),
 	}, StateUploading)
