@@ -71,7 +71,7 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench='BenchmarkServedWarmExactJob$$' -benchtime=1x ./internal/server
 
 # fuzz-smoke gives every fuzz target a short budget; `go test` allows one
-# -fuzz target per invocation, hence the per-target lines (17 targets; the
+# -fuzz target per invocation, hence the per-target lines (18 targets; the
 # last replays arbitrary journal bytes into a durable server).
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzTolerantFastq$$' -fuzztime=$(FUZZTIME) ./internal/fastx
@@ -88,6 +88,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzShortTable$$' -fuzztime=$(FUZZTIME) ./internal/fmindex
 	$(GO) test -run='^$$' -fuzz='^FuzzCountApprox$$' -fuzztime=$(FUZZTIME) ./internal/fmindex
 	$(GO) test -run='^$$' -fuzz='^FuzzBuild$$' -fuzztime=$(FUZZTIME) ./internal/suffixarray
+	$(GO) test -run='^$$' -fuzz='^FuzzBreaker$$' -fuzztime=$(FUZZTIME) ./internal/resilience
 	$(GO) test -run='^$$' -fuzz='^FuzzSubmitForm$$' -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -run='^$$' -fuzz='^FuzzJobParams$$' -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -run='^$$' -fuzz='^FuzzJournalReplay$$' -fuzztime=$(FUZZTIME) ./internal/server

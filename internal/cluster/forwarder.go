@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"bwaver/internal/obs"
+	"bwaver/internal/resilience"
 	"bwaver/internal/server"
 )
 
@@ -135,11 +136,19 @@ func (g *Gateway) forwardSubmit(ctx context.Context, rj *routedJob) (*forwardOut
 	return out, nil
 }
 
-// backoff sleeps RetryBase·2^(attempt-1) plus up to 50% jitter, honoring ctx.
+// maxForwardBackoff caps the nominal delay between forward attempts.
+const maxForwardBackoff = 5 * time.Second
+
+// retryDelay is RetryBase·2^(attempt-1), at most maxForwardBackoff, plus up
+// to 50% jitter.
+func (g *Gateway) retryDelay(attempt int) time.Duration {
+	d := resilience.Backoff{Base: g.cfg.RetryBase, Max: maxForwardBackoff}.Delay(attempt)
+	return d + time.Duration(rand.Int63n(int64(d)/2+1))
+}
+
+// backoff sleeps retryDelay(attempt), honoring ctx.
 func (g *Gateway) backoff(ctx context.Context, attempt int) error {
-	d := g.cfg.RetryBase << (attempt - 1)
-	d += time.Duration(rand.Int63n(int64(d)/2 + 1))
-	t := time.NewTimer(d)
+	t := time.NewTimer(g.retryDelay(attempt))
 	defer t.Stop()
 	select {
 	case <-ctx.Done():

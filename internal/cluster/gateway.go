@@ -45,7 +45,7 @@ type Config struct {
 	// default 3.
 	ForwardAttempts int
 	// RetryBase is the exponential-backoff base between forward attempts
-	// (plus up to 50% jitter); default 50ms.
+	// (capped at maxForwardBackoff, plus up to 50% jitter); default 50ms.
 	RetryBase time.Duration
 	// Vnodes is the ring's virtual nodes per worker; default DefaultVnodes.
 	Vnodes int

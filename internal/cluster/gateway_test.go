@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
@@ -553,6 +554,20 @@ func TestGatewayDeadlinePropagation(t *testing.T) {
 	}
 	if idemKeys[1] == "" || idemKeys[1] != idemKeys[2] {
 		t.Fatalf("attempts carried different idempotency keys: %q vs %q", idemKeys[1], idemKeys[2])
+	}
+}
+
+// TestGatewayRetryDelayCapped: the wait between forward attempts stays
+// positive and within [1, 1.5]× its capped nominal at every attempt; a bare
+// RetryBase << (attempt-1) goes negative at attempt 39 with the 50 ms default
+// and the jitter draw panics.
+func TestGatewayRetryDelayCapped(t *testing.T) {
+	g := &Gateway{cfg: Config{}.withDefaults()}
+	for attempt := 1; attempt <= 64; attempt++ {
+		nominal := time.Duration(math.Min(float64(g.cfg.RetryBase)*math.Pow(2, float64(attempt-1)), float64(maxForwardBackoff)))
+		if d := g.retryDelay(attempt); d < nominal || d > nominal*3/2 {
+			t.Fatalf("attempt %d: delay %v outside [%v, %v]", attempt, d, nominal, nominal*3/2)
+		}
 	}
 }
 

@@ -4,32 +4,17 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"bwaver/internal/resilience"
 )
 
-// Per-worker health tracking. The registry generalizes PR 2's per-device
-// circuit breaker from accelerator cards to worker processes: consecutive
-// missed heartbeats (or failed forwards — a connection refused is evidence of
-// death too) open the worker's breaker, which evicts it from routing without
-// removing it from the ring, so its keys come straight back to it when the
-// cooldown lapses and a heartbeat succeeds again (re-admission).
-
-// BreakerState is a worker breaker's position.
-type BreakerState int
-
-const (
-	// BreakerClosed: the worker is in rotation.
-	BreakerClosed BreakerState = iota
-	// BreakerOpen: the worker is evicted from routing; heartbeats keep
-	// probing it and a success after the cooldown re-admits it.
-	BreakerOpen
-)
-
-func (s BreakerState) String() string {
-	if s == BreakerOpen {
-		return "open"
-	}
-	return "closed"
-}
+// Per-worker health tracking. Each worker holds a resilience.Breaker, the
+// type each FPGA card holds too: consecutive missed heartbeats (or failed
+// forwards — a connection refused is evidence of death too) open it, which
+// evicts the worker from routing without removing it from the ring, so its
+// keys come straight back to it when the cooldown lapses and a heartbeat
+// succeeds again (re-admission). Outcomes reach the breaker through
+// Breaker.Report, so a worker reads only closed or open.
 
 // HealthReport is the slice of a worker's /api/health payload the gateway
 // uses for admission decisions.
@@ -58,10 +43,7 @@ type WorkerHealth struct {
 // worker is the registry's mutable per-node state; guarded by Registry.mu.
 type worker struct {
 	url          string
-	state        BreakerState
-	misses       int // consecutive missed heartbeats / failed forwards
-	trips        uint64
-	openedAt     time.Time
+	breaker      *resilience.Breaker
 	lastSeen     time.Time
 	lastErr      string
 	draining     bool
@@ -108,7 +90,11 @@ func (rg *Registry) Register(url string) bool {
 	if _, ok := rg.workers[url]; ok {
 		return false
 	}
-	rg.workers[url] = &worker{url: url, lastSeen: rg.now()}
+	rg.workers[url] = &worker{
+		url:      url,
+		breaker:  resilience.NewBreaker(rg.missThreshold, rg.cooldown, rg.now),
+		lastSeen: rg.now(),
+	}
 	rg.ring.Add(url)
 	return true
 }
@@ -155,10 +141,10 @@ func (rg *Registry) ReportForward(url string, ok bool, errMsg string) {
 	rg.reportOutcome(url, ok, errMsg, nil)
 }
 
-// reportOutcome is the single breaker transition point. Success closes an
-// open breaker only after the cooldown has lapsed — a worker that flaps
-// within the cooldown stays evicted. The eviction callback runs outside the
-// lock.
+// reportOutcome is the single breaker transition point: Breaker.Report under
+// the registry lock, so a success closes an open breaker only after the
+// cooldown has lapsed — a worker that flaps within the cooldown stays
+// evicted. The eviction callback runs outside the lock.
 func (rg *Registry) reportOutcome(url string, ok bool, errMsg string, hr *HealthReport) {
 	rg.mu.Lock()
 	w := rg.workers[url]
@@ -166,31 +152,23 @@ func (rg *Registry) reportOutcome(url string, ok bool, errMsg string, hr *Health
 		rg.mu.Unlock()
 		return
 	}
-	now := rg.now()
-	evicted := false
 	if ok {
-		w.misses = 0
-		w.lastSeen = now
+		w.lastSeen = rg.now()
 		w.lastErr = ""
 		if hr != nil {
 			w.draining = hr.Draining
 			w.queueDepth = hr.QueueDepth
 			w.jobsInFlight = hr.JobsInFlight
 		}
-		if w.state == BreakerOpen && now.Sub(w.openedAt) >= rg.cooldown {
-			w.state = BreakerClosed
-			rg.readmissions++
-		}
 	} else {
-		w.misses++
 		w.lastErr = errMsg
-		if w.state == BreakerClosed && w.misses >= rg.missThreshold {
-			w.state = BreakerOpen
-			w.openedAt = now
-			w.trips++
-			rg.evictions++
-			evicted = true
-		}
+	}
+	from, to := w.breaker.Report(ok)
+	evicted := from != to && to == resilience.Open
+	if evicted {
+		rg.evictions++
+	} else if from != to {
+		rg.readmissions++
 	}
 	onEvict := rg.onEvict
 	rg.mu.Unlock()
@@ -199,13 +177,18 @@ func (rg *Registry) reportOutcome(url string, ok bool, errMsg string, hr *Health
 	}
 }
 
+// inRotation reports whether w takes routed work.
+func (w *worker) inRotation() bool {
+	return w.breaker.State() == resilience.Closed && !w.draining
+}
+
 // Healthy reports whether a worker is in rotation (registered, breaker
 // closed, not draining).
 func (rg *Registry) Healthy(url string) bool {
 	rg.mu.Lock()
 	defer rg.mu.Unlock()
 	w := rg.workers[url]
-	return w != nil && w.state == BreakerClosed && !w.draining
+	return w != nil && w.inRotation()
 }
 
 // Candidates returns the workers eligible to run a job with the given ring
@@ -218,7 +201,7 @@ func (rg *Registry) Candidates(key string) []string {
 	defer rg.mu.Unlock()
 	out := make([]string, 0, len(ordered))
 	for _, url := range ordered {
-		if w := rg.workers[url]; w != nil && w.state == BreakerClosed && !w.draining {
+		if w := rg.workers[url]; w != nil && w.inRotation() {
 			out = append(out, url)
 		}
 	}
@@ -231,7 +214,7 @@ func (rg *Registry) Counts() (healthy, total int) {
 	rg.mu.Lock()
 	defer rg.mu.Unlock()
 	for _, w := range rg.workers {
-		if w.state == BreakerClosed && !w.draining {
+		if w.inRotation() {
 			healthy++
 		}
 	}
@@ -246,13 +229,13 @@ func (rg *Registry) Snapshot() []WorkerHealth {
 	for _, w := range rg.workers {
 		out = append(out, WorkerHealth{
 			URL:               w.url,
-			Breaker:           w.state.String(),
-			Healthy:           w.state == BreakerClosed && !w.draining,
+			Breaker:           w.breaker.State().String(),
+			Healthy:           w.inRotation(),
 			Draining:          w.draining,
 			QueueDepth:        w.queueDepth,
 			JobsInFlight:      w.jobsInFlight,
-			ConsecutiveMisses: w.misses,
-			BreakerTrips:      w.trips,
+			ConsecutiveMisses: w.breaker.ConsecutiveFailures(),
+			BreakerTrips:      w.breaker.Trips(),
 			LastSeen:          w.lastSeen,
 			LastError:         w.lastErr,
 		})

@@ -118,7 +118,7 @@ func TestApproxBackendsAgree(t *testing.T) {
 					devices[i], _ = NewDevice(Config{})
 					devices[i].EnableFaults(plan, i)
 				}
-				farm, err := NewFarmOpts(devices, ix, FarmOptions{VerifyStride: 20, BreakerThreshold: 100, Retry: RetryPolicy{MaxAttempts: 10}})
+				farm, err := NewFarmOpts(devices, ix, FarmOptions{VerifyStride: 20, BreakerThreshold: 100, MaxAttempts: 10})
 				if err != nil {
 					t.Fatal(err)
 				}

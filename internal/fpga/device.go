@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"bwaver/internal/core"
+	"bwaver/internal/resilience"
 )
 
 // Config describes the simulated accelerator card.
@@ -145,7 +146,7 @@ type Device struct {
 	// breaker is the card's circuit breaker; it lives on the device, not
 	// the farm, so farms programmed with different indexes over the same
 	// cards share health state.
-	breaker *Breaker
+	breaker *resilience.Breaker
 }
 
 // NewDevice creates a device; zero-valued config fields take the
@@ -157,7 +158,7 @@ func NewDevice(cfg Config) (*Device, error) {
 	}
 	return &Device{
 		cfg:     cfg,
-		breaker: newBreaker(DefaultBreakerThreshold, DefaultBreakerCooldown),
+		breaker: resilience.NewBreaker(DefaultBreakerThreshold, DefaultBreakerCooldown, nil),
 	}, nil
 }
 
@@ -178,7 +179,7 @@ func (d *Device) EnableFaults(plan *FaultPlan, deviceID int) {
 func (d *Device) ID() int { return d.id }
 
 // Breaker returns the device's circuit breaker.
-func (d *Device) Breaker() *Breaker { return d.breaker }
+func (d *Device) Breaker() *resilience.Breaker { return d.breaker }
 
 // FaultLog returns the injected-fault event sequence, empty when no fault
 // plan is attached. Two devices running the same plan seed over the same

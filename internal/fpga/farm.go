@@ -11,6 +11,7 @@ import (
 	"bwaver/internal/core"
 	"bwaver/internal/dna"
 	"bwaver/internal/obs"
+	"bwaver/internal/resilience"
 )
 
 // Farm models a multi-card deployment, the configuration of the paper's
@@ -48,8 +49,9 @@ type Farm struct {
 // defaults, reproducing fault-free behaviour exactly when no fault plan is
 // attached to the devices.
 type FarmOptions struct {
-	// Retry bounds per-device attempts and shapes the backoff.
-	Retry RetryPolicy
+	// MaxAttempts bounds the tries of one shard on one device; default
+	// DefaultMaxAttempts.
+	MaxAttempts int
 	// BreakerThreshold consecutive failures open a device's breaker;
 	// default DefaultBreakerThreshold.
 	BreakerThreshold int
@@ -68,9 +70,6 @@ type FarmOptions struct {
 	// run. Families are get-or-create, so farms built per cache entry share
 	// one registry's series.
 	Metrics *obs.Registry
-	// Seed drives the backoff jitter; 0 takes a fixed default so runs stay
-	// reproducible.
-	Seed uint64
 }
 
 // NewFarm programs the index onto every device with default resilience
@@ -86,16 +85,15 @@ func NewFarmOpts(devices []*Device, ix *core.Index, opts FarmOptions) (*Farm, er
 	if len(devices) == 0 {
 		return nil, fmt.Errorf("fpga: farm needs at least one device")
 	}
-	opts.Retry = opts.Retry.withDefaults()
-	if opts.Seed == 0 {
-		opts.Seed = 0x42fa7a11
+	if opts.MaxAttempts <= 0 {
+		opts.MaxAttempts = DefaultMaxAttempts
 	}
 	f := &Farm{
 		kernels: make([]*Kernel, len(devices)),
 		devices: devices,
 		opts:    opts,
 		rec:     opts.Recorder,
-		rng:     opts.Seed,
+		rng:     jitterSeed,
 	}
 	if f.rec == nil {
 		f.rec = NewStatsRecorder()
@@ -113,7 +111,7 @@ func NewFarmOpts(devices []*Device, ix *core.Index, opts FarmOptions) (*Farm, er
 			return nil, fmt.Errorf("fpga: device %d: %w", i, err)
 		}
 		f.kernels[i] = k
-		d.breaker.configure(opts.BreakerThreshold, opts.BreakerCooldown)
+		d.breaker.Configure(opts.BreakerThreshold, opts.BreakerCooldown)
 	}
 	return f, nil
 }
@@ -135,10 +133,15 @@ func (f *Farm) healthyDevices() []int {
 	return out
 }
 
+// jitter returns the backoff before retrying after the attempt-th failure
+// (1-based): the nominal delay scaled by a deterministic draw in [1/2, 1].
+// The simulator does not sleep: the farm charges it to the run's
+// Profile.RetryBackoff, keeping the fault sequence reproducible.
 func (f *Farm) jitter(attempt int) time.Duration {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.opts.Retry.delay(attempt, &f.rng)
+	nominal := resilience.Backoff{Base: retryBase, Max: retryMax}.Delay(attempt)
+	return time.Duration(float64(nominal) * (0.5 + 0.5*rand01(&f.rng)))
 }
 
 // recordFailure folds one shard failure into the counters.
@@ -202,7 +205,7 @@ func execShard[T any](f *Farm, ctx context.Context, primary int, candidates []in
 			lastErr = err
 			f.recordFailure(err)
 			dev.breaker.Failure()
-			if attempt >= f.opts.Retry.MaxAttempts || !dev.breaker.Allow() {
+			if attempt >= f.opts.MaxAttempts || !dev.breaker.Allow() {
 				break
 			}
 			f.rec.retry()

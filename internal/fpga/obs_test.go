@@ -3,7 +3,6 @@ package fpga
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"bwaver/internal/obs"
 )
@@ -26,8 +25,8 @@ func TestFarmEventTaggingUnderFaults(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	farm, err := NewFarmOpts(devices, ix, FarmOptions{
-		Retry:   RetryPolicy{MaxAttempts: 2},
-		Metrics: reg,
+		MaxAttempts: 2,
+		Metrics:     reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -107,45 +106,6 @@ func TestKernelEventTagging(t *testing.T) {
 		if e.Device != 3 || e.Attempt != 1 || e.Shard != 0 {
 			t.Errorf("event %q tagged (device=%d attempt=%d shard=%d), want (3,1,0)",
 				e.Name, e.Device, e.Attempt, e.Shard)
-		}
-	}
-}
-
-// TestBreakerNotify: the transition callback reports each state change with
-// the correct old/new pair and never fires on a no-op.
-func TestBreakerNotify(t *testing.T) {
-	now := time.Unix(0, 0)
-	b := newBreaker(2, time.Minute)
-	b.now = func() time.Time { return now }
-
-	type hop struct{ from, to BreakerState }
-	var got []hop
-	b.SetNotify(func(from, to BreakerState) { got = append(got, hop{from, to}) })
-
-	b.Failure() // 1/2: still closed, no transition
-	b.Failure() // 2/2: closed -> open
-	if b.Allow() {
-		t.Fatal("open breaker admitted work before cooldown")
-	}
-	now = now.Add(2 * time.Minute)
-	if !b.Allow() { // open -> half-open probe
-		t.Fatal("cooled-down breaker rejected probe")
-	}
-	b.Success() // half-open -> closed
-	b.Success() // already closed: no transition
-
-	want := []hop{
-		{BreakerClosed, BreakerOpen},
-		{BreakerOpen, BreakerHalfOpen},
-		{BreakerHalfOpen, BreakerClosed},
-	}
-	if len(got) != len(want) {
-		t.Fatalf("transitions %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("transition %d = %v -> %v, want %v -> %v",
-				i, got[i].from, got[i].to, want[i].from, want[i].to)
 		}
 	}
 }

@@ -6,18 +6,19 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"bwaver/internal/resilience"
 )
 
 func TestRetryPolicyDelay(t *testing.T) {
-	p := RetryPolicy{}.withDefaults()
-	rng := uint64(7)
+	f := &Farm{rng: 7}
 	prevCap := time.Duration(0)
 	for attempt := 1; attempt <= 10; attempt++ {
-		nominal := p.BaseDelay * (1 << (attempt - 1))
-		if nominal > p.MaxDelay {
-			nominal = p.MaxDelay
+		nominal := retryBase * (1 << (attempt - 1))
+		if nominal > retryMax {
+			nominal = retryMax
 		}
-		d := p.delay(attempt, &rng)
+		d := f.jitter(attempt)
 		if d < nominal/2 || d > nominal {
 			t.Errorf("attempt %d: delay %v outside [%v, %v]", attempt, d, nominal/2, nominal)
 		}
@@ -27,54 +28,9 @@ func TestRetryPolicyDelay(t *testing.T) {
 		prevCap = nominal
 	}
 	// Jitter is deterministic: the same rng state reproduces the same delay.
-	r1, r2 := uint64(123), uint64(123)
-	if p.delay(3, &r1) != p.delay(3, &r2) {
+	f1, f2 := &Farm{rng: 123}, &Farm{rng: 123}
+	if f1.jitter(3) != f2.jitter(3) {
 		t.Error("jitter not deterministic")
-	}
-}
-
-func TestBreakerStateMachine(t *testing.T) {
-	b := newBreaker(2, time.Minute)
-	now := time.Unix(1000, 0)
-	b.now = func() time.Time { return now }
-
-	if b.State() != BreakerClosed || !b.Allow() {
-		t.Fatal("new breaker not closed")
-	}
-	b.Failure()
-	if b.State() != BreakerClosed {
-		t.Fatal("opened below threshold")
-	}
-	b.Failure()
-	if b.State() != BreakerOpen || b.Trips() != 1 {
-		t.Fatalf("state %v trips %d after threshold", b.State(), b.Trips())
-	}
-	if b.Allow() {
-		t.Fatal("open breaker admitted work before cooldown")
-	}
-
-	// Past the cooldown one probe gets through (half-open).
-	now = now.Add(2 * time.Minute)
-	if !b.Allow() {
-		t.Fatal("cooldown elapsed but probe rejected")
-	}
-	if b.State() != BreakerHalfOpen {
-		t.Fatalf("state %v, want half-open", b.State())
-	}
-	// A failed probe reopens immediately.
-	b.Failure()
-	if b.State() != BreakerOpen || b.Trips() != 2 {
-		t.Fatalf("failed probe: state %v trips %d", b.State(), b.Trips())
-	}
-
-	// A successful probe closes and resets the failure count.
-	now = now.Add(2 * time.Minute)
-	if !b.Allow() {
-		t.Fatal("second probe rejected")
-	}
-	b.Success()
-	if b.State() != BreakerClosed || b.ConsecutiveFailures() != 0 {
-		t.Fatalf("state %v failures %d after success", b.State(), b.ConsecutiveFailures())
 	}
 }
 
@@ -92,7 +48,7 @@ func TestFarmRedistributesAroundDeadDevice(t *testing.T) {
 	}
 	rec := NewStatsRecorder()
 	farm, err := NewFarmOpts(devices, ix, FarmOptions{
-		Retry:            RetryPolicy{MaxAttempts: 3},
+		MaxAttempts:      3,
 		BreakerThreshold: 3,
 		Recorder:         rec,
 	})
@@ -119,10 +75,10 @@ func TestFarmRedistributesAroundDeadDevice(t *testing.T) {
 		t.Errorf("stats = %+v, want kernel faults, retries, and redistribution", stats)
 	}
 	// Three consecutive failures at threshold 3: device 0's breaker is open.
-	if devices[0].Breaker().State() != BreakerOpen {
+	if devices[0].Breaker().State() != resilience.Open {
 		t.Errorf("device 0 breaker %v, want open", devices[0].Breaker().State())
 	}
-	if devices[1].Breaker().State() != BreakerClosed {
+	if devices[1].Breaker().State() != resilience.Closed {
 		t.Errorf("device 1 breaker %v, want closed", devices[1].Breaker().State())
 	}
 
@@ -152,7 +108,7 @@ func TestFarmAllDevicesBroken(t *testing.T) {
 		devices[i], _ = NewDevice(Config{})
 		devices[i].EnableFaults(plan, i)
 	}
-	farm, err := NewFarmOpts(devices, ix, FarmOptions{Retry: RetryPolicy{MaxAttempts: 2}})
+	farm, err := NewFarmOpts(devices, ix, FarmOptions{MaxAttempts: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +139,7 @@ func TestFarmRecoversFromCorruption(t *testing.T) {
 		devices[i], _ = NewDevice(Config{})
 		devices[i].EnableFaults(plan, i)
 	}
-	farm, err := NewFarmOpts(devices, ix, FarmOptions{Retry: RetryPolicy{MaxAttempts: 2}, VerifyStride: 8})
+	farm, err := NewFarmOpts(devices, ix, FarmOptions{MaxAttempts: 2, VerifyStride: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +170,7 @@ func TestFarmTwoPassUnderFaults(t *testing.T) {
 		devices[i], _ = NewDevice(Config{})
 		devices[i].EnableFaults(plan, i)
 	}
-	farm, err := NewFarmOpts(devices, ix, FarmOptions{Retry: RetryPolicy{MaxAttempts: 2}})
+	farm, err := NewFarmOpts(devices, ix, FarmOptions{MaxAttempts: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

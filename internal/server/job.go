@@ -735,20 +735,19 @@ func (s *Server) referenceKey(ctx context.Context, job *Job, in jobInput) (key s
 
 // farmOptions derives the resilience tuning every cached farm shares.
 func (s *Server) farmOptions() fpga.FarmOptions {
-	retry := fpga.RetryPolicy{}
-	if s.cfg.MaxRetries > 0 {
-		retry.MaxAttempts = s.cfg.MaxRetries + 1
-	} else if s.cfg.MaxRetries < 0 {
-		retry.MaxAttempts = 1
-	}
-	return fpga.FarmOptions{
-		Retry:            retry,
+	opts := fpga.FarmOptions{
 		BreakerThreshold: s.cfg.BreakerThreshold,
 		BreakerCooldown:  s.cfg.BreakerCooldown,
 		VerifyStride:     s.cfg.VerifyStride,
 		Recorder:         s.rec,
 		Metrics:          s.registry,
 	}
+	if s.cfg.MaxRetries > 0 {
+		opts.MaxAttempts = s.cfg.MaxRetries + 1
+	} else if s.cfg.MaxRetries < 0 {
+		opts.MaxAttempts = 1
+	}
+	return opts
 }
 
 // shouldFallback decides whether an FPGA-path error warrants the transparent

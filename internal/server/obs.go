@@ -12,6 +12,7 @@ import (
 	"bwaver/internal/fpga"
 	"bwaver/internal/obs"
 	"bwaver/internal/qc"
+	"bwaver/internal/resilience"
 )
 
 // Observability wiring: the Prometheus-style registry behind GET /metrics,
@@ -69,7 +70,7 @@ func (s *Server) initObs() {
 	for i, d := range s.devices {
 		dev := strconv.Itoa(i)
 		b := d.Breaker()
-		b.SetNotify(func(from, to fpga.BreakerState) {
+		b.SetNotify(func(_, to resilience.State) {
 			transitions.With(dev, to.String()).Inc()
 		})
 		reg.GaugeFunc("bwaver_breaker_state",
