@@ -1,6 +1,6 @@
 // Command bwaver is the BWaveR command-line mapper.
 //
-//	bwaver index       -ref ref.fa[.gz] -out ref.bwx [-b 15] [-sf 50] [-locate full|sampled|none] [-plain]
+//	bwaver index       -ref ref.fa[.gz] -out ref.bwx [-b 15] [-sf 50] [-locate full|sampled|none]
 //	                   [-trace spans.json]
 //	bwaver map         -index ref.bwx -reads reads.fq[.gz] [-backend cpu|fpga] [-workers N] [-profile p.json]
 //	                   [-format tsv|sam] [-mismatches K] [-reads2 mate2.fq[.gz] -min-insert N -max-insert N]
@@ -270,7 +270,6 @@ func cmdIndex(args []string, out io.Writer) error {
 	sf := fs.Int("sf", 50, "RRR superblock factor (>= 1)")
 	locate := fs.String("locate", "full", "locate structure: full, sampled or none")
 	sampleRate := fs.Int("sample-rate", 32, "sampled-SA rate (with -locate sampled)")
-	plain := fs.Bool("plain", false, "use uncompressed bit-vectors instead of RRR")
 	ftabK := fs.Int("ftab-k", core.DefaultFtabK, "k-mer prefix-lookup table order (0 = none)")
 	tracePath := fs.String("trace", "", "write the build's span trace as JSON to this file (- for stdout)")
 	if err := fs.Parse(args); err != nil {
@@ -305,11 +304,10 @@ func cmdIndex(args []string, out io.Writer) error {
 	}
 	start := time.Now()
 	ix, err := core.BuildIndexCtx(ctx, ref, core.IndexConfig{
-		RRR:             rrr.Params{BlockSize: *b, SuperblockFactor: *sf},
-		PlainBitvectors: *plain,
-		Locate:          mode,
-		SampleRate:      *sampleRate,
-		FtabK:           *ftabK,
+		RRR:        rrr.Params{BlockSize: *b, SuperblockFactor: *sf},
+		Locate:     mode,
+		SampleRate: *sampleRate,
+		FtabK:      *ftabK,
 	})
 	if err != nil {
 		return err
@@ -643,8 +641,7 @@ func cmdStats(args []string, out io.Writer) error {
 	cfg := ix.Config()
 	st := ix.Stats()
 	fmt.Fprintf(out, "reference length:  %d bases\n", ix.RefLength())
-	fmt.Fprintf(out, "rrr parameters:    b=%d sf=%d (plain=%t)\n",
-		cfg.RRR.BlockSize, cfg.RRR.SuperblockFactor, cfg.PlainBitvectors)
+	fmt.Fprintf(out, "rrr parameters:    b=%d sf=%d\n", cfg.RRR.BlockSize, cfg.RRR.SuperblockFactor)
 	fmt.Fprintf(out, "locate:            %v\n", cfg.Locate)
 	fmt.Fprintf(out, "structure size:    %.3f MB (+%.3f MB shared)\n",
 		float64(st.StructureBytes)/1e6, float64(st.SharedBytes)/1e6)

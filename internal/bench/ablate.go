@@ -13,7 +13,6 @@ import (
 	"bwaver/internal/readsim"
 	"bwaver/internal/rrr"
 	"bwaver/internal/suffixarray"
-	"bwaver/internal/wavelet"
 )
 
 // Ablations quantify the design choices DESIGN.md calls out, beyond the
@@ -81,7 +80,8 @@ func Ablate(s Scale, progress io.Writer) (*AblationResult, error) {
 
 	out := &AblationResult{}
 
-	// --- Occ providers ---
+	// --- Occ providers: the paper's structure against the uncompressed
+	// checkpointed layout of CPU mappers (the paper's Bowtie baseline) ---
 	providers := []struct {
 		name string
 		mk   func() (fmindex.OccProvider, error)
@@ -89,14 +89,8 @@ func Ablate(s Scale, progress io.Writer) (*AblationResult, error) {
 		{"wavelet/rrr (paper)", func() (fmindex.OccProvider, error) {
 			return fmindex.NewWaveletOcc(bwtData, 4, rrr.DefaultParams)
 		}},
-		{"wavelet/plain", func() (fmindex.OccProvider, error) {
-			return fmindex.NewWaveletOccBackend(bwtData, 4, wavelet.PlainBackend())
-		}},
 		{"checkpoint (bowtie-like)", func() (fmindex.OccProvider, error) {
 			return fmindex.NewCheckpointOcc(bwtData)
-		}},
-		{"rlfm", func() (fmindex.OccProvider, error) {
-			return fmindex.NewRLFMOcc(bwtData, 4, rrr.DefaultParams)
 		}},
 	}
 	const rankQueries = 200000

@@ -199,7 +199,7 @@ func TestAblate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Occ) != 4 || len(res.Kernel) != 5 || len(res.Ftab) != 2 || len(res.Locate) != 3 {
+	if len(res.Occ) != 2 || len(res.Kernel) != 5 || len(res.Ftab) != 2 || len(res.Locate) != 3 {
 		t.Fatalf("ablation rows: %d occ, %d kernel, %d ftab, %d locate",
 			len(res.Occ), len(res.Kernel), len(res.Ftab), len(res.Locate))
 	}
@@ -246,7 +246,7 @@ func TestAblate(t *testing.T) {
 	}
 	var sb strings.Builder
 	PrintAblation(&sb, res)
-	for _, want := range []string{"rlfm", "sequential rank", "k=10", "sampled SA, rate 32"} {
+	for _, want := range []string{"checkpoint", "sequential rank", "k=10", "sampled SA, rate 32"} {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("ablation output missing %q", want)
 		}

@@ -20,8 +20,10 @@ func CacheKey(ref dna.Seq, contigs *ContigSet, cfg IndexConfig) string {
 	cfg = cfg.withDefaults()
 	ftabK := max(cfg.FtabK, 0) // every non-positive value means "no table"
 	h := sha256.New()
-	fmt.Fprintf(h, "bwaver-index-v2|b=%d|sf=%d|plain=%t|locate=%d|sample=%d|ftabk=%d|",
-		cfg.RRR.BlockSize, cfg.RRR.SuperblockFactor, cfg.PlainBitvectors, cfg.Locate, cfg.SampleRate, ftabK)
+	// plain=false stays in the key so that every key written before the
+	// plain-bit-vector option was removed still names the same index.
+	fmt.Fprintf(h, "bwaver-index-v2|b=%d|sf=%d|plain=false|locate=%d|sample=%d|ftabk=%d|",
+		cfg.RRR.BlockSize, cfg.RRR.SuperblockFactor, cfg.Locate, cfg.SampleRate, ftabK)
 	if contigs != nil {
 		for _, c := range contigs.Contigs() {
 			fmt.Fprintf(h, "contig|%d|%s|%d|", len(c.Name), c.Name, c.Length)

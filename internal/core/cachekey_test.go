@@ -44,9 +44,6 @@ func TestCacheKeyIdentity(t *testing.T) {
 	if CacheKey(ref, nil, IndexConfig{RRR: rrr.Params{BlockSize: 7, SuperblockFactor: 50}}) == k1 {
 		t.Error("different block size shares a key")
 	}
-	if CacheKey(ref, nil, IndexConfig{RRR: cfg.RRR, PlainBitvectors: true}) == k1 {
-		t.Error("plain-bitvector config shares a key")
-	}
 	if CacheKey(ref, nil, IndexConfig{RRR: cfg.RRR, Locate: LocateNone}) == k1 {
 		t.Error("count-only config shares a key")
 	}

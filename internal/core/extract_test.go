@@ -16,7 +16,6 @@ func TestExtractReferenceRoundTrip(t *testing.T) {
 		}
 		for _, cfg := range []IndexConfig{
 			{},
-			{PlainBitvectors: true},
 			{RRR: rrr.Params{BlockSize: 7, SuperblockFactor: 3}},
 			{Locate: LocateNone},
 			{Locate: LocateSampled, SampleRate: 1},

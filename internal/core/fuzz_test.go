@@ -14,7 +14,7 @@ import (
 // extracted text inside the reference).
 func FuzzReadIndex(f *testing.F) {
 	ref := dna.MustParseSeq("ACGTACGGTACCTTAGGCAATCGAACGTACGGTACCTTAGGC")
-	for _, cfg := range []IndexConfig{{}, {Locate: LocateSampled, SampleRate: 4}, {Locate: LocateNone}, {PlainBitvectors: true}} {
+	for _, cfg := range []IndexConfig{{}, {Locate: LocateSampled, SampleRate: 4}, {Locate: LocateNone}} {
 		ix, err := BuildIndex(ref, cfg)
 		if err != nil {
 			f.Fatal(err)
@@ -24,6 +24,13 @@ func FuzzReadIndex(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
+		if cfg == (IndexConfig{}) {
+			// Start on the rejection paths too: retired and undefined
+			// flags, the retired tree kind.
+			for _, c := range headerCorruptions(f, ix) {
+				f.Add(c.data)
+			}
+		}
 	}
 	withFtab, err := BuildIndex(ref, IndexConfig{FtabK: 3})
 	if err != nil {

@@ -19,7 +19,6 @@ import (
 	"bwaver/internal/obs"
 	"bwaver/internal/rrr"
 	"bwaver/internal/suffixarray"
-	"bwaver/internal/wavelet"
 )
 
 // LocateMode selects how occurrence positions are recovered.
@@ -53,9 +52,6 @@ type IndexConfig struct {
 	// RRR sets the succinct structure's block size and superblock factor;
 	// the zero value means the paper's hardware parameters (b=15, sf=50).
 	RRR rrr.Params
-	// PlainBitvectors switches the wavelet nodes to uncompressed
-	// bit-vectors — the space/time ablation, not the paper's design.
-	PlainBitvectors bool
 	// Locate selects the locate structure; the zero value is LocateFullSA.
 	Locate LocateMode
 	// SampleRate is the sampled-SA rate when Locate == LocateSampled;
@@ -177,15 +173,9 @@ func BuildIndexCtx(ctx context.Context, ref dna.Seq, cfg IndexConfig) (*Index, e
 
 	// The transform streams from the suffix array straight into the wavelet
 	// nodes' bits: it never exists whole.
-	var backend wavelet.Backend
-	if cfg.PlainBitvectors {
-		backend = wavelet.PlainBackend()
-	} else {
-		backend = wavelet.RRRBackend(cfg.RRR)
-	}
 	start = time.Now()
 	_, bwtSpan := obs.StartSpan(ctx, "build.bwt")
-	streamed, err := fmindex.StreamBWT(ref, sa, dna.AlphabetSize, backend)
+	streamed, err := fmindex.StreamBWT(ref, sa, dna.AlphabetSize, cfg.RRR)
 	bwtSpan.End()
 	if err != nil {
 		return nil, fmt.Errorf("core: bwt: %w", err)

@@ -105,7 +105,6 @@ func TestMapReadsAgainstSimulatedTruth(t *testing.T) {
 	}
 	for _, cfg := range []IndexConfig{
 		{},
-		{PlainBitvectors: true},
 		{Locate: LocateSampled, SampleRate: 16},
 		{RRR: rrr.Params{BlockSize: 9, SuperblockFactor: 5}},
 	} {
@@ -206,20 +205,6 @@ func TestAllOccurrencesFound(t *testing.T) {
 	for _, p := range plantAt {
 		if !found[p] {
 			t.Errorf("planted occurrence at %d not reported (got %v)", p, positions)
-		}
-	}
-}
-
-func TestPlainVsRRRSameResults(t *testing.T) {
-	ref := testGenome(t, 10000)
-	reads, _ := readsim.Simulate(ref, readsim.ReadsConfig{Count: 100, Length: 30, MappingRatio: 0.6, Seed: 7})
-	rrrIx := mustBuild(t, ref, IndexConfig{})
-	plainIx := mustBuild(t, ref, IndexConfig{PlainBitvectors: true})
-	for _, r := range reads {
-		a := rrrIx.MapRead(r.Seq)
-		b := plainIx.MapRead(r.Seq)
-		if a.Forward != b.Forward || a.Reverse != b.Reverse {
-			t.Fatal("plain and RRR backends disagree")
 		}
 	}
 }

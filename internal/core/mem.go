@@ -233,11 +233,10 @@ type memState struct {
 
 // EnsureMem builds the seed-and-extend state if the index does not hold one
 // yet, and only the part the index lacks: the exact-mapping FM-index is the
-// bidirectional index's forward direction whenever it has the RRR structure
-// and a locate structure, and its prefix table the SMEM search's forward one
-// whenever that is deep enough, so only the reverse direction and its table
-// are built. Count-only and plain-bit-vector indexes get both directions
-// built afresh. Safe for concurrent use; parallel callers share
+// bidirectional index's forward direction whenever it has a locate
+// structure, and its prefix table the SMEM search's forward one whenever that
+// is deep enough, so only the reverse direction and its table are built.
+// Count-only indexes get both directions built afresh. Safe for concurrent use; parallel callers share
 // one build.
 func (ix *Index) EnsureMem() error {
 	if ix.mem.Load() != nil {
@@ -253,7 +252,7 @@ func (ix *Index) EnsureMem() error {
 		return fmt.Errorf("core: mem state: %w", err)
 	}
 	var bi *fmindex.BiIndex
-	if ix.config.Locate == LocateNone || ix.config.PlainBitvectors {
+	if ix.config.Locate == LocateNone {
 		bi, err = fmindex.NewBiIndex(ref, dna.AlphabetSize, ix.config.RRR)
 	} else {
 		bi, err = fmindex.NewBiIndexOver(ix.fm, ref, ix.config.RRR)

@@ -298,10 +298,9 @@ func TestMemRecordsValidSAM(t *testing.T) {
 	}
 }
 
-// TestEnsureMemBuildsOnlyWhatIsMissing: an index with the RRR structure and a
-// locate structure lends its FM-index to the bidirectional index as the
-// forward direction; count-only and plain-bit-vector indexes get a full
-// build. Whichever way the state came to be — built, reloaded from a file,
+// TestEnsureMemBuildsOnlyWhatIsMissing: an index with a locate structure
+// lends its FM-index to the bidirectional index as the forward direction;
+// count-only indexes get a full build. Whichever way the state came to be — built, reloaded from a file,
 // over a sampled suffix array — the batch maps identically, and the default
 // configuration is charged the bytes the FPGA model charged before the
 // forward direction was shared (pinned from the parent commit), with or
@@ -336,7 +335,6 @@ func TestEnsureMemBuildsOnlyWhatIsMissing(t *testing.T) {
 		{"no-ftab", mustBuild(t, ref, IndexConfig{}), true, parentMemBytes},
 		{"sampled", mustBuild(t, ref, IndexConfig{Locate: LocateSampled, SampleRate: 16, FtabK: 6}), true, 0},
 		{"count-only", mustBuild(t, ref, IndexConfig{Locate: LocateNone}), false, parentMemBytes},
-		{"plain", mustBuild(t, ref, IndexConfig{PlainBitvectors: true}), false, parentMemBytes},
 	} {
 		got, _, err := tc.ix.MapReadsMem(reads, opts)
 		if err != nil {

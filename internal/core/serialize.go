@@ -19,8 +19,8 @@ import (
 // Index file format (little endian):
 //
 //	magic    uint32 'BWX2'
-//	b, sf    uint32  (RRR parameters; also stored when plain)
-//	flags    uint8   bit0 = plain bit-vectors
+//	b, sf    uint32  RRR parameters
+//	flags    uint8   0 (bit0 was plain bit-vectors, no longer read)
 //	locate   uint8   LocateMode
 //	sampleRate uint32
 //	primary  uint32
@@ -68,6 +68,11 @@ var crcTable = crc64.MakeTable(crc64.ECMA)
 // corrupt artifact.
 var ErrIndexIntegrity = errors.New("index integrity check failed")
 
+// ErrIndexFlags tags ReadIndex failures on a header whose flags byte is not
+// 0: bit 0 marked an index of plain bit-vectors, which no longer load, and no
+// other bit was ever defined.
+var ErrIndexFlags = errors.New("core: unsupported index flags")
+
 // WriteTo serializes the index. It implements io.WriterTo.
 func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriterSize(w, 1<<16)
@@ -77,14 +82,10 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	if !ok {
 		return 0, fmt.Errorf("core: only wavelet-backed indexes serialize, have %s", ix.fm.OccName())
 	}
-	var flags uint8
-	if ix.config.PlainBitvectors {
-		flags |= 1
-	}
 	head := []any{
 		uint32(indexMagic),
 		uint32(ix.config.RRR.BlockSize), uint32(ix.config.RRR.SuperblockFactor),
-		flags, uint8(ix.config.Locate), uint32(ix.config.SampleRate),
+		uint8(0), uint8(ix.config.Locate), uint32(ix.config.SampleRate),
 		uint32(ix.fm.Primary()),
 		uint32(ix.FtabK()),
 	}
@@ -204,12 +205,14 @@ func ReadIndex(r io.Reader) (*Index, error) {
 			return nil, fmt.Errorf("core: implausible ftab order %d", ftabK)
 		}
 	}
+	if flags != 0 {
+		return nil, fmt.Errorf("%w %#x (bit 0 marked plain bit-vectors, which are no longer supported): rebuild the index with `bwaver index`", ErrIndexFlags, flags)
+	}
 	cfg := IndexConfig{
-		RRR:             rrr.Params{BlockSize: int(b), SuperblockFactor: int(sf)},
-		PlainBitvectors: flags&1 != 0,
-		Locate:          LocateMode(locate),
-		SampleRate:      int(sampleRate),
-		FtabK:           int(ftabK),
+		RRR:        rrr.Params{BlockSize: int(b), SuperblockFactor: int(sf)},
+		Locate:     LocateMode(locate),
+		SampleRate: int(sampleRate),
+		FtabK:      int(ftabK),
 	}
 	if err := cfg.RRR.Validate(); err != nil {
 		return nil, err

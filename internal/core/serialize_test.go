@@ -11,6 +11,7 @@ import (
 
 	"bwaver/internal/readsim"
 	"bwaver/internal/rrr"
+	"bwaver/internal/wavelet"
 )
 
 func roundTrip(t *testing.T, ix *Index) *Index {
@@ -37,7 +38,6 @@ func TestSerializeRoundTripConfigs(t *testing.T) {
 	})
 	configs := []IndexConfig{
 		{},
-		{PlainBitvectors: true},
 		{Locate: LocateSampled, SampleRate: 8},
 		{Locate: LocateNone},
 		{RRR: rrr.Params{BlockSize: 9, SuperblockFactor: 3}},
@@ -49,7 +49,6 @@ func TestSerializeRoundTripConfigs(t *testing.T) {
 			t.Fatalf("cfg %+v: length changed", cfg)
 		}
 		if back.Config().RRR != orig.Config().RRR ||
-			back.Config().PlainBitvectors != orig.Config().PlainBitvectors ||
 			back.Config().Locate != orig.Config().Locate {
 			t.Fatalf("cfg %+v: config changed to %+v", cfg, back.Config())
 		}
@@ -131,6 +130,57 @@ func TestReadIndexRejectsCorruption(t *testing.T) {
 		}()
 		ReadIndex(bytes.NewReader(bad))
 	}()
+	// A header whose flags byte is not 0, or a tree whose kind is not RRR's,
+	// no longer loads as an RRR index: the config CacheKey, EnsureMem and
+	// `bwaver stats` read must describe the tree.
+	for _, c := range headerCorruptions(t, ix) {
+		if _, err := ReadIndex(bytes.NewReader(c.data)); !errors.Is(err, c.want) {
+			t.Errorf("%s: ReadIndex error %v, want %v", c.name, err, c.want)
+		}
+	}
+}
+
+// Offsets into a 'BWX2' image: the flags byte follows magic, b and sf; the
+// wavelet tree's kind byte follows the header (v1HeaderPrefix bytes and the
+// ftabK word), the four symbol counts and the tree's magic, n and sigma.
+const (
+	flagsOffset    = 12
+	treeKindOffset = v1HeaderPrefix + 4 + 16 + 12
+)
+
+// headerCorruption is an index image whose header or tree kind no longer
+// describes the RRR tree it holds, and the error ReadIndex must name.
+type headerCorruption struct {
+	name string
+	data []byte
+	want error
+}
+
+// headerCorruptions sets, in ix's image, the flags byte to the retired
+// plain-bit-vector bit, to bits never defined, and the tree kind to the
+// retired plain kind.
+func headerCorruptions(tb testing.TB, ix *Index) []headerCorruption {
+	tb.Helper()
+	var buf bytes.Buffer
+	if _, err := ix.WriteTo(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	good := buf.Bytes()
+	if good[flagsOffset] != 0 || good[treeKindOffset] != 0 ||
+		binary.LittleEndian.Uint32(good[treeKindOffset-12:]) != 0x57565431 { // WVT1
+		tb.Fatal("index image does not hold flags 0 and an RRR tree at the expected offsets")
+	}
+	set := func(off int, v byte) []byte {
+		bad := bytes.Clone(good)
+		bad[off] = v
+		return bad
+	}
+	return []headerCorruption{
+		{"flags-0x01", set(flagsOffset, 0x01), ErrIndexFlags},
+		{"flags-0x02", set(flagsOffset, 0x02), ErrIndexFlags},
+		{"flags-0x80", set(flagsOffset, 0x80), ErrIndexFlags},
+		{"tree-kind-1", set(treeKindOffset, 1), wavelet.ErrTreeKind},
+	}
 }
 
 // The trailer must reject every corruption class fail-closed: truncation at

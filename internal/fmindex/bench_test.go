@@ -9,7 +9,6 @@ import (
 	"bwaver/internal/bwt"
 	"bwaver/internal/rrr"
 	"bwaver/internal/suffixarray"
-	"bwaver/internal/wavelet"
 )
 
 // benchIndex builds an index over 256 kbp of repeat-structured DNA with the
@@ -48,11 +47,7 @@ func BenchmarkBackwardSearch(b *testing.B) {
 		mk   func(data []uint8) (OccProvider, error)
 	}{
 		{"wavelet-rrr", func(d []uint8) (OccProvider, error) { return NewWaveletOcc(d, 4, rrr.DefaultParams) }},
-		{"wavelet-plain", func(d []uint8) (OccProvider, error) {
-			return NewWaveletOccBackend(d, 4, wavelet.PlainBackend())
-		}},
 		{"checkpoint", func(d []uint8) (OccProvider, error) { return NewCheckpointOcc(d) }},
-		{"rlfm", func(d []uint8) (OccProvider, error) { return NewRLFMOcc(d, 4, rrr.DefaultParams) }},
 	}
 	for _, p := range providers {
 		ix, text := benchIndex(b, p.mk)

@@ -6,7 +6,6 @@ import (
 
 	"bwaver/internal/rrr"
 	"bwaver/internal/suffixarray"
-	"bwaver/internal/wavelet"
 )
 
 // Bidirectional FM-index (Lam et al.'s 2BWT, the index inside BWA-MEM):
@@ -180,7 +179,7 @@ func buildDirection[E ~uint8](text []E, sigma int, params rrr.Params, withSA boo
 	if err != nil {
 		return nil, err
 	}
-	streamed, err := StreamBWT(text, sa, sigma, wavelet.RRRBackend(params))
+	streamed, err := StreamBWT(text, sa, sigma, params)
 	if err != nil {
 		return nil, err
 	}

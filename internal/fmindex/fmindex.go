@@ -11,6 +11,7 @@ import (
 
 	"bwaver/internal/bitvec"
 	"bwaver/internal/bwt"
+	"bwaver/internal/rrr"
 	"bwaver/internal/wavelet"
 )
 
@@ -146,7 +147,7 @@ const streamChunk = 64 << 10
 // which size the wavelet nodes (the transform permutes the text), then walks
 // sa feeding the builder text[sa[i]-1] row by row, streamChunk symbols at a
 // time. Encode finishes the Occ structure; NewFromParts assembles the index.
-func StreamBWT[E ~uint8](text []E, sa []int32, sigma int, backend wavelet.Backend) (*StreamedBWT, error) {
+func StreamBWT[E ~uint8](text []E, sa []int32, sigma int, params rrr.Params) (*StreamedBWT, error) {
 	if sigma < 2 || sigma > 256 {
 		return nil, fmt.Errorf("fmindex: alphabet size %d outside [2,256]", sigma)
 	}
@@ -161,7 +162,7 @@ func StreamBWT[E ~uint8](text []E, sa []int32, sigma int, backend wavelet.Backen
 	}
 	counts := make([]int, sigma)
 	copy(counts, tally[:])
-	tree, err := wavelet.NewBuilder(counts, backend)
+	tree, err := wavelet.NewBuilder(counts, params)
 	if err != nil {
 		return nil, err
 	}
@@ -257,8 +258,7 @@ func (ix *Index) Step(r Range, sym uint8) Range {
 const maxStepAllSigma = 8
 
 // StepAll computes Step(r, b) for every symbol b in [0, sigma) into
-// dst[0:sigma]. When the Occ provider supports whole-alphabet queries
-// (OccAller — the wavelet structure does) it resolves all sigma steps with
+// dst[0:sigma]. Over the wavelet structure it resolves all sigma steps with
 // one traversal that carries both interval endpoints: for DNA that is 3
 // paired bit-vector ranks instead of the 16 single ones that four separate
 // Step calls used to issue. The bidirectional extension step — the seeding
@@ -266,34 +266,15 @@ const maxStepAllSigma = 8
 // range — is built on it.
 func (ix *Index) StepAll(r Range, dst []Range) {
 	if ix.wocc == nil || ix.sigma > maxStepAllSigma {
-		ix.stepAllGeneric(r, dst)
-		return
-	}
-	// Direct wavelet calls: devirtualized, so escape analysis keeps the
-	// count buffers on the stack (a per-variable property — which is why the
-	// interface-based fallback lives in a separate function, so its escaping
-	// buffers cannot taint this path).
-	var lo, hi [maxStepAllSigma]int
-	ix.wocc.Tree.RankAllPair(ix.compact(r.Start), ix.compact(r.End+1), lo[:ix.sigma], hi[:ix.sigma])
-	for b := 0; b < ix.sigma; b++ {
-		dst[b] = Range{Start: ix.cFull[b] + lo[b], End: ix.cFull[b] + hi[b] - 1}
-	}
-}
-
-// stepAllGeneric is StepAll over an arbitrary provider: whole-alphabet
-// queries through the OccAller interface when available, per-symbol Step
-// otherwise.
-func (ix *Index) stepAllGeneric(r Range, dst []Range) {
-	oa, ok := ix.occ.(OccAller)
-	if !ok || ix.sigma > maxStepAllSigma {
 		for b := 0; b < ix.sigma; b++ {
 			dst[b] = ix.Step(r, uint8(b))
 		}
 		return
 	}
+	// Direct wavelet calls: devirtualized, so escape analysis keeps the
+	// count buffers on the stack.
 	var lo, hi [maxStepAllSigma]int
-	oa.OccAll(ix.compact(r.Start), lo[:ix.sigma])
-	oa.OccAll(ix.compact(r.End+1), hi[:ix.sigma])
+	ix.wocc.Tree.RankAllPair(ix.compact(r.Start), ix.compact(r.End+1), lo[:ix.sigma], hi[:ix.sigma])
 	for b := 0; b < ix.sigma; b++ {
 		dst[b] = Range{Start: ix.cFull[b] + lo[b], End: ix.cFull[b] + hi[b] - 1}
 	}

@@ -9,7 +9,6 @@ import (
 	"bwaver/internal/bwt"
 	"bwaver/internal/rrr"
 	"bwaver/internal/suffixarray"
-	"bwaver/internal/wavelet"
 )
 
 var testParams = rrr.Params{BlockSize: 15, SuperblockFactor: 10}
@@ -83,20 +82,14 @@ func sampledOpts(rate int) func(sa []int32) Options {
 
 func indexKinds() []indexKind {
 	wl := func(data []uint8) (OccProvider, error) { return NewWaveletOcc(data, 4, testParams) }
-	plain := func(data []uint8) (OccProvider, error) {
-		return NewWaveletOccBackend(data, 4, wavelet.PlainBackend())
-	}
 	flat := func(data []uint8) (OccProvider, error) { return NewFlatOcc(data, 4) }
 	cp := func(data []uint8) (OccProvider, error) { return NewCheckpointOcc(data) }
-	rlfm := func(data []uint8) (OccProvider, error) { return NewRLFMOcc(data, 4, testParams) }
 	return []indexKind{
 		{"wavelet-rrr+fullSA", func(t *testing.T, tx []uint8) *Index { return buildWith(t, tx, wl, fullSAOpts) }},
-		{"wavelet-plain+fullSA", func(t *testing.T, tx []uint8) *Index { return buildWith(t, tx, plain, fullSAOpts) }},
 		{"flat+fullSA", func(t *testing.T, tx []uint8) *Index { return buildWith(t, tx, flat, fullSAOpts) }},
 		{"checkpoint+fullSA", func(t *testing.T, tx []uint8) *Index { return buildWith(t, tx, cp, fullSAOpts) }},
 		{"wavelet-rrr+sampled4", func(t *testing.T, tx []uint8) *Index { return buildWith(t, tx, wl, sampledOpts(4)) }},
 		{"checkpoint+sampled8", func(t *testing.T, tx []uint8) *Index { return buildWith(t, tx, cp, sampledOpts(8)) }},
-		{"rlfm+fullSA", func(t *testing.T, tx []uint8) *Index { return buildWith(t, tx, rlfm, fullSAOpts) }},
 	}
 }
 
@@ -225,13 +218,13 @@ func TestStepsTaken(t *testing.T) {
 }
 
 // TestStepPairMatchesTwoOcc checks the pair-fused Step and StepAll of the
-// wavelet provider (both backends) against equations 4 and 5 written out with
+// wavelet provider against equations 4 and 5 written out with
 // two Occ queries, on ranges below, above, next to and across the sentinel
 // row — where the two ends translate to compact positions differently.
 func TestStepPairMatchesTwoOcc(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	text := buildText(rng, 3000)
-	for _, kind := range indexKinds()[:2] {
+	for _, kind := range indexKinds()[:1] {
 		ix := kind.build(t, text)
 		if ix.wocc == nil {
 			t.Fatalf("%s: index does not hold its wavelet provider concretely", kind.name)

@@ -27,45 +27,33 @@ type OccProvider interface {
 	Name() string
 }
 
-// OccAller is the optional fast path for whole-alphabet queries:
-// OccAll(i, counts) fills counts[0:sigma] with Occ(sym, i) for every symbol
-// in one pass. The wavelet provider answers it with a single tree traversal
-// (sigma-1 bit-vector ranks instead of ~2·(sigma-1) via per-symbol Rank),
-// which the bidirectional extension step — the seeding hot loop — exploits.
-type OccAller interface {
-	OccAll(i int, counts []int)
-}
-
 // WaveletOcc adapts a wavelet tree (the paper's structure) to OccProvider.
 type WaveletOcc struct {
 	Tree *wavelet.Tree
 }
 
 // NewWaveletOcc builds the paper's succinct Occ structure over data with the
-// given RRR parameters. Pass a nil backend override through
-// NewWaveletOccBackend for the plain-bit-vector ablation.
+// given RRR parameters.
 func NewWaveletOcc(data []uint8, sigma int, params rrr.Params) (*WaveletOcc, error) {
-	return NewWaveletOccBackend(data, sigma, wavelet.RRRBackend(params))
-}
-
-// NewWaveletOccBackend builds a wavelet Occ with an explicit node backend.
-func NewWaveletOccBackend(data []uint8, sigma int, backend wavelet.Backend) (*WaveletOcc, error) {
-	t, err := wavelet.New(data, sigma, backend)
+	t, err := wavelet.New(data, sigma, params)
 	if err != nil {
 		return nil, err
 	}
 	return &WaveletOcc{Tree: t}, nil
 }
 
+// NewWaveletOccBackend is NewWaveletOcc, for callers that name the node
+// encoding through wavelet.RRRBackend.
+func NewWaveletOccBackend(data []uint8, sigma int, params rrr.Params) (*WaveletOcc, error) {
+	return NewWaveletOcc(data, sigma, params)
+}
+
 func (w *WaveletOcc) Occ(sym uint8, i int) int { return w.Tree.Rank(sym, i) }
 func (w *WaveletOcc) Symbol(i int) uint8       { return w.Tree.Access(i) }
-
-// OccAll answers the whole-alphabet query with one tree traversal.
-func (w *WaveletOcc) OccAll(i int, counts []int) { w.Tree.RankAll(i, counts) }
-func (w *WaveletOcc) Len() int                   { return w.Tree.Len() }
-func (w *WaveletOcc) Sigma() int                 { return w.Tree.Sigma() }
-func (w *WaveletOcc) SizeBytes() int             { return w.Tree.SizeBytes() + w.Tree.SharedSizeBytes() }
-func (w *WaveletOcc) Name() string               { return "wavelet/" + w.Tree.BackendName() }
+func (w *WaveletOcc) Len() int                 { return w.Tree.Len() }
+func (w *WaveletOcc) Sigma() int               { return w.Tree.Sigma() }
+func (w *WaveletOcc) SizeBytes() int           { return w.Tree.SizeBytes() + w.Tree.SharedSizeBytes() }
+func (w *WaveletOcc) Name() string             { return "wavelet/rrr" }
 
 // FlatOcc stores Occ(sym, i) for every position — O(1) queries at
 // 4·sigma bytes per symbol. Only sensible for small references and tests;

@@ -26,13 +26,12 @@ func BenchmarkTreeRank(b *testing.B) {
 	data := benchData(1 << 20)
 	for _, be := range []struct {
 		name string
-		b    Backend
+		p    rrr.Params
 	}{
-		{"rrr-sf50", RRRBackend(rrr.Params{BlockSize: 15, SuperblockFactor: 50})},
-		{"rrr-sf200", RRRBackend(rrr.Params{BlockSize: 15, SuperblockFactor: 200})},
-		{"plain", PlainBackend()},
+		{"rrr-sf50", rrr.Params{BlockSize: 15, SuperblockFactor: 50}},
+		{"rrr-sf200", rrr.Params{BlockSize: 15, SuperblockFactor: 200}},
 	} {
-		tree, err := New(data, 4, be.b)
+		tree, err := New(data, 4, be.p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -48,19 +47,11 @@ func BenchmarkTreeRank(b *testing.B) {
 
 func BenchmarkTreeBuild(b *testing.B) {
 	data := benchData(1 << 18)
-	for _, be := range []struct {
-		name string
-		b    Backend
-	}{
-		{"rrr", RRRBackend(rrr.DefaultParams)},
-		{"plain", PlainBackend()},
-	} {
-		b.Run(be.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := New(data, 4, be.b); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("rrr", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := New(data, 4, rrr.DefaultParams); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }

@@ -2,10 +2,10 @@ package wavelet
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 
-	"bwaver/internal/bitvec"
 	"bwaver/internal/rrr"
 )
 
@@ -13,28 +13,22 @@ import (
 //
 //	magic  uint32 'WVT1'
 //	n, sigma  uint32
-//	backendKind uint8 (0 = rrr, 1 = plain)
+//	kind   uint8 (0 = rrr; 1 was plain bit-vectors, no longer read)
 //	nodes, pre-order; per node:
 //	    present uint8 (0 = leaf/nil)
 //	    lo, hi uint32
-//	    payload (rrr.Sequence or bitvec.Vector)
+//	    payload (rrr.Sequence)
 const treeMagic = 0x57565431 // "WVT1"
 
-const (
-	backendKindRRR   = 0
-	backendKindPlain = 1
-)
+// ErrTreeKind is ReadTree's error for a tree whose nodes are not RRR
+// sequences: plain-bit-vector trees are no longer supported, and an index
+// holding one must be rebuilt.
+var ErrTreeKind = errors.New("wavelet: unsupported tree kind: plain-bit-vector indexes are no longer supported and must be rebuilt")
 
 // WriteTo serializes the tree. It implements io.WriterTo.
 func (t *Tree) WriteTo(w io.Writer) (int64, error) {
 	cw := &countingWriter{w: w}
-	kind := uint8(backendKindRRR)
-	if t.root != nil {
-		if _, ok := t.root.vec.(*bitvec.Vector); ok {
-			kind = backendKindPlain
-		}
-	}
-	head := []any{uint32(treeMagic), uint32(t.n), uint32(t.sigma), kind}
+	head := []any{uint32(treeMagic), uint32(t.n), uint32(t.sigma), uint8(0)}
 	for _, v := range head {
 		if err := binary.Write(cw, binary.LittleEndian, v); err != nil {
 			return cw.n, err
@@ -51,11 +45,7 @@ func (t *Tree) WriteTo(w io.Writer) (int64, error) {
 		if err := binary.Write(cw, binary.LittleEndian, [2]uint32{uint32(nd.lo), uint32(nd.hi)}); err != nil {
 			return err
 		}
-		wt, ok := nd.vec.(io.WriterTo)
-		if !ok {
-			return fmt.Errorf("wavelet: node vector %T is not serializable", nd.vec)
-		}
-		if _, err := wt.WriteTo(cw); err != nil {
+		if _, err := nd.seq.WriteTo(cw); err != nil {
 			return err
 		}
 		if err := writeNode(nd.zero); err != nil {
@@ -84,8 +74,8 @@ func ReadTree(r io.Reader) (*Tree, error) {
 	if sigma < 2 || sigma > 256 {
 		return nil, fmt.Errorf("wavelet: implausible alphabet size %d", sigma)
 	}
-	if kind != backendKindRRR && kind != backendKindPlain {
-		return nil, fmt.Errorf("wavelet: unknown backend kind %d", kind)
+	if kind != 0 {
+		return nil, fmt.Errorf("%w (kind %d)", ErrTreeKind, kind)
 	}
 	var readNode func() (*node, error)
 	readNode = func() (*node, error) {
@@ -103,17 +93,11 @@ func ReadTree(r io.Reader) (*Tree, error) {
 		if bounds[0] >= bounds[1] || bounds[1] > sigma {
 			return nil, fmt.Errorf("wavelet: node range [%d,%d) invalid for sigma %d", bounds[0], bounds[1], sigma)
 		}
-		var vec RankVector
-		var err error
-		if kind == backendKindRRR {
-			vec, err = rrr.ReadSequence(r)
-		} else {
-			vec, err = bitvec.ReadVector(r)
-		}
+		seq, err := rrr.ReadSequence(r)
 		if err != nil {
 			return nil, err
 		}
-		nd := newNode(vec, int(bounds[0]), int(bounds[1]))
+		nd := &node{seq: seq, lo: int(bounds[0]), hi: int(bounds[1])}
 		if nd.zero, err = readNode(); err != nil {
 			return nil, err
 		}
@@ -126,8 +110,8 @@ func ReadTree(r io.Reader) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	if root != nil && root.vec.Len() != int(n) {
-		return nil, fmt.Errorf("wavelet: root vector covers %d symbols, header says %d", root.vec.Len(), n)
+	if root != nil && root.seq.Len() != int(n) {
+		return nil, fmt.Errorf("wavelet: root vector covers %d symbols, header says %d", root.seq.Len(), n)
 	}
 	if root != nil {
 		if root.lo != 0 || root.hi != int(sigma) {
@@ -143,11 +127,7 @@ func ReadTree(r io.Reader) (*Tree, error) {
 	for 1<<uint(levels) < int(sigma) {
 		levels++
 	}
-	backendName := "rrr(deserialized)"
-	if kind == backendKindPlain {
-		backendName = "plain"
-	}
-	return &Tree{root: root, n: int(n), sigma: int(sigma), levels: levels, backend: backendName}, nil
+	return &Tree{root: root, n: int(n), sigma: int(sigma), levels: levels}, nil
 }
 
 // validateNode checks the structural invariants a deserialized subtree must
@@ -160,14 +140,14 @@ func validateNode(nd *node) error {
 		return fmt.Errorf("wavelet: internal node covers degenerate range [%d,%d)", nd.lo, nd.hi)
 	}
 	mid := (nd.lo + nd.hi + 1) / 2
-	ones := nd.vec.Rank1(nd.vec.Len())
-	zeros := nd.vec.Len() - ones
+	ones := nd.seq.Rank1(nd.seq.Len())
+	zeros := nd.seq.Len() - ones
 	if nd.zero != nil {
 		if nd.zero.lo != nd.lo || nd.zero.hi != mid {
 			return fmt.Errorf("wavelet: zero child covers [%d,%d), want [%d,%d)", nd.zero.lo, nd.zero.hi, nd.lo, mid)
 		}
-		if nd.zero.vec.Len() != zeros {
-			return fmt.Errorf("wavelet: zero child covers %d symbols, parent has %d zeros", nd.zero.vec.Len(), zeros)
+		if nd.zero.seq.Len() != zeros {
+			return fmt.Errorf("wavelet: zero child covers %d symbols, parent has %d zeros", nd.zero.seq.Len(), zeros)
 		}
 		if err := validateNode(nd.zero); err != nil {
 			return err
@@ -179,8 +159,8 @@ func validateNode(nd *node) error {
 		if nd.on.lo != mid || nd.on.hi != nd.hi {
 			return fmt.Errorf("wavelet: one child covers [%d,%d), want [%d,%d)", nd.on.lo, nd.on.hi, mid, nd.hi)
 		}
-		if nd.on.vec.Len() != ones {
-			return fmt.Errorf("wavelet: one child covers %d symbols, parent has %d ones", nd.on.vec.Len(), ones)
+		if nd.on.seq.Len() != ones {
+			return fmt.Errorf("wavelet: one child covers %d symbols, parent has %d ones", nd.on.seq.Len(), ones)
 		}
 		if err := validateNode(nd.on); err != nil {
 			return err

@@ -2,6 +2,7 @@ package wavelet
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -11,12 +12,9 @@ import (
 func TestTreeSerializeRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	for _, sigma := range []int{2, 4, 7, 16} {
-		for _, backend := range []Backend{
-			RRRBackend(rrr.Params{BlockSize: 9, SuperblockFactor: 4}),
-			PlainBackend(),
-		} {
+		for _, p := range []rrr.Params{{BlockSize: 9, SuperblockFactor: 4}, rrr.DefaultParams} {
 			data := randomData(rng, 3000, sigma)
-			orig, err := New(data, sigma, backend)
+			orig, err := New(data, sigma, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -49,63 +47,54 @@ func TestTreeSerializeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadTreeNodesAreConcrete pins the one-constructor rule: a tree read
-// back (disk spill, journal replay, failover) holds every RRR node through
-// its concrete pointer, exactly as a tree built in process does, so both take
-// the pair-fused rank path — and a plain tree holds none.
+// TestReadTreeNodesAreConcrete: a tree read back (disk spill, journal
+// replay, failover) holds every node's RRR sequence, exactly as a tree built
+// in process does, and answers every rank alike.
 func TestReadTreeNodesAreConcrete(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
 	data := randomData(rng, 2000, 5)
-	for _, tc := range []struct {
-		backend  Backend
-		concrete bool
-	}{{RRRBackend(rrr.DefaultParams), true}, {PlainBackend(), false}} {
-		built, err := New(data, 5, tc.backend)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if _, err := built.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		read, err := ReadTree(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, tr := range []*Tree{built, read} {
-			nodes := 0
-			var walk func(nd *node)
-			walk = func(nd *node) {
-				if nd == nil {
-					return
-				}
-				nodes++
-				if _, isRRR := nd.vec.(*rrr.Sequence); isRRR != tc.concrete || (nd.rrr != nil) != tc.concrete {
-					t.Errorf("%s: node [%d,%d) holds %T with concrete pointer set=%v", tr.BackendName(), nd.lo, nd.hi, nd.vec, nd.rrr != nil)
-				}
-				if nd.rrr != nil && RankVector(nd.rrr) != nd.vec {
-					t.Errorf("%s: node [%d,%d) concrete pointer is not its vector", tr.BackendName(), nd.lo, nd.hi)
-				}
-				walk(nd.zero)
-				walk(nd.on)
+	built, err := New(data, 5, rrr.DefaultParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := built.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	read, err := ReadTree(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range []*Tree{built, read} {
+		nodes := 0
+		var walk func(nd *node)
+		walk = func(nd *node) {
+			if nd == nil {
+				return
 			}
-			walk(tr.root)
-			if nodes != 4 {
-				t.Fatalf("%s: walked %d nodes, want 4", tr.BackendName(), nodes)
+			nodes++
+			if nd.seq == nil {
+				t.Errorf("node [%d,%d) holds no sequence", nd.lo, nd.hi)
 			}
+			walk(nd.zero)
+			walk(nd.on)
 		}
-		lo, hi, lo2, hi2 := make([]int, 5), make([]int, 5), make([]int, 5), make([]int, 5)
-		for trial := 0; trial < 300; trial++ {
-			i := rng.Intn(len(data) + 1)
-			j := min(i+rng.Intn(60), len(data))
-			built.RankAllPair(i, j, lo, hi)
-			read.RankAllPair(i, j, lo2, hi2)
-			for sym := 0; sym < 5; sym++ {
-				bi, bj := built.RankPair(uint8(sym), i, j)
-				ri, rj := read.RankPair(uint8(sym), i, j)
-				if bi != ri || bj != rj || lo[sym] != lo2[sym] || hi[sym] != hi2[sym] || bi != lo[sym] || bj != hi[sym] {
-					t.Fatalf("built and read trees disagree at sym=%d (%d,%d)", sym, i, j)
-				}
+		walk(tr.root)
+		if nodes != 4 {
+			t.Fatalf("walked %d nodes, want 4", nodes)
+		}
+	}
+	lo, hi, lo2, hi2 := make([]int, 5), make([]int, 5), make([]int, 5), make([]int, 5)
+	for trial := 0; trial < 300; trial++ {
+		i := rng.Intn(len(data) + 1)
+		j := min(i+rng.Intn(60), len(data))
+		built.RankAllPair(i, j, lo, hi)
+		read.RankAllPair(i, j, lo2, hi2)
+		for sym := 0; sym < 5; sym++ {
+			bi, bj := built.RankPair(uint8(sym), i, j)
+			ri, rj := read.RankPair(uint8(sym), i, j)
+			if bi != ri || bj != rj || lo[sym] != lo2[sym] || hi[sym] != hi2[sym] || bi != lo[sym] || bj != hi[sym] {
+				t.Fatalf("built and read trees disagree at sym=%d (%d,%d)", sym, i, j)
 			}
 		}
 	}
@@ -113,7 +102,7 @@ func TestReadTreeNodesAreConcrete(t *testing.T) {
 
 func TestReadTreeRejectsCorruption(t *testing.T) {
 	data := randomData(rand.New(rand.NewSource(92)), 500, 4)
-	orig, err := New(data, 4, nil)
+	orig, err := New(data, 4, rrr.DefaultParams)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,5 +126,13 @@ func TestReadTreeRejectsCorruption(t *testing.T) {
 	bad[8] = 0xEE
 	if _, err := ReadTree(bytes.NewReader(bad)); err == nil {
 		t.Error("accepted corrupted alphabet size")
+	}
+	// Any kind but RRR's 0 — 1 was plain bit-vectors — is refused by name.
+	for _, kind := range []byte{1, 2, 0xFF} {
+		bad = append([]byte(nil), good...)
+		bad[12] = kind
+		if _, err := ReadTree(bytes.NewReader(bad)); !errors.Is(err, ErrTreeKind) {
+			t.Errorf("tree kind %d: got %v, want ErrTreeKind", kind, err)
+		}
 	}
 }

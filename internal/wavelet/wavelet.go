@@ -4,12 +4,10 @@
 // in half. A rank query over the string becomes log2(sigma) binary rank
 // queries down the tree.
 //
-// Following the paper, node bit-vectors are encoded as RRR sequences by
-// default, which compresses the low-entropy bit-vectors a BWT produces; a
-// plain (uncompressed) backend is provided for the space/time ablation
-// called out in DESIGN.md. The tree is optimised for power-of-two alphabets
-// (2^N symbols, N >= 2), the case of genomic sequences, but works for any
-// alphabet size >= 2.
+// Following the paper, every node bit-vector is encoded as an RRR sequence,
+// which compresses the low-entropy bit-vectors a BWT produces. The tree is
+// optimised for power-of-two alphabets (2^N symbols, N >= 2), the case of
+// genomic sequences, but works for any alphabet size >= 2.
 package wavelet
 
 import (
@@ -20,109 +18,36 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"bwaver/internal/bitvec"
 	"bwaver/internal/rrr"
 )
 
-// RankVector is the bit-vector contract a wavelet node needs. Both
-// rrr.Sequence and bitvec.Vector satisfy it.
-type RankVector interface {
-	Len() int
-	Bit(i int) bool
-	Rank1(i int) int
-	Rank0(i int) int
-	Select1(k int) int
-	SizeBytes() int
-}
+// RRRBackend returns p: the RRR parameters every node is encoded with. It
+// names the node encoding for callers written when a node could take another.
+func RRRBackend(p rrr.Params) rrr.Params { return p }
 
-var (
-	_ RankVector = (*rrr.Sequence)(nil)
-	_ RankVector = (*bitvec.Vector)(nil)
-)
-
-// Backend constructs the bit-vector of one wavelet node.
-type Backend interface {
-	// Build encodes the n bits packed LSB-first in words (bit i is bit i%64
-	// of words[i/64]). It may be called from several goroutines at once.
-	Build(words []uint64, n int) (RankVector, error)
-	// Name identifies the backend in stats output.
-	Name() string
-}
-
-type rrrBackend struct{ p rrr.Params }
-
-func (b rrrBackend) Build(words []uint64, n int) (RankVector, error) {
-	return rrr.FromWords(words, n, b.p)
-}
-func (b rrrBackend) Name() string {
-	return fmt.Sprintf("rrr(b=%d,sf=%d)", b.p.BlockSize, b.p.SuperblockFactor)
-}
-
-// RRRBackend returns the paper's backend: every node encoded as an RRR
-// sequence with the given parameters.
-func RRRBackend(p rrr.Params) Backend { return rrrBackend{p} }
-
-type plainBackend struct{}
-
-func (plainBackend) Build(words []uint64, n int) (RankVector, error) {
-	bld := bitvec.NewBuilder(n)
-	for i := 0; i < n; i += 64 {
-		bld.AppendWord(words[i/64], min(64, n-i))
-	}
-	return bld.Build(), nil
-}
-func (plainBackend) Name() string { return "plain" }
-
-// PlainBackend returns an uncompressed bit-vector backend, the ablation
-// baseline.
-func PlainBackend() Backend { return plainBackend{} }
-
-// node is one wavelet node: a bit-vector plus the two child subtrees. The
+// node is one wavelet node: an RRR sequence plus the two child subtrees. The
 // paper's struct also carries the child alphabets; because our symbols are
 // contiguous integer codes the alphabet of a node is fully described by the
 // [lo, hi) code range, stored here in place of the two character arrays.
 type node struct {
-	vec RankVector
-	// rrr is vec's concrete form under the RRR backend. The rank walks call
-	// through it: direct calls, and both ends of a range in one Rank1Pair.
-	rrr      *rrr.Sequence
+	seq      *rrr.Sequence
 	lo, hi   int // alphabet code range covered by this node
 	zero, on *node
-}
-
-// newNode is the one constructor of nodes, for trees built and trees read
-// back alike, so both take the same rank path.
-func newNode(vec RankVector, lo, hi int) *node {
-	nd := &node{vec: vec, lo: lo, hi: hi}
-	nd.rrr, _ = vec.(*rrr.Sequence)
-	return nd
-}
-
-func (nd *node) rank1Pair(i, j int) (int, int) {
-	if nd.rrr != nil {
-		return nd.rrr.Rank1Pair(i, j)
-	}
-	a := nd.vec.Rank1(i)
-	if j == i {
-		return a, a
-	}
-	return a, nd.vec.Rank1(j)
 }
 
 // Tree is an immutable wavelet tree over symbols 0..sigma-1.
 // It is safe for concurrent readers.
 type Tree struct {
-	root    *node
-	n       int
-	sigma   int
-	levels  int
-	backend string
+	root   *node
+	n      int
+	sigma  int
+	levels int
 }
 
 // New builds a wavelet tree over data, whose symbols must all be in
-// [0, sigma). A nil backend defaults to the paper's RRR backend with
-// rrr.DefaultParams. It is a Builder fed data in one piece.
-func New(data []uint8, sigma int, backend Backend) (*Tree, error) {
+// [0, sigma), every node an RRR sequence with parameters p. It is a Builder
+// fed data in one piece.
+func New(data []uint8, sigma int, p rrr.Params) (*Tree, error) {
 	if sigma < 2 || sigma > 256 {
 		return nil, fmt.Errorf("wavelet: alphabet size %d outside [2,256]", sigma)
 	}
@@ -130,7 +55,7 @@ func New(data []uint8, sigma int, backend Backend) (*Tree, error) {
 	for _, s := range data {
 		counts[s]++
 	}
-	b, err := NewBuilder(counts[:sigma], backend)
+	b, err := NewBuilder(counts[:sigma], p)
 	if err != nil {
 		return nil, err
 	}
@@ -147,11 +72,11 @@ func New(data []uint8, sigma int, backend Backend) (*Tree, error) {
 // encodes the nodes concurrently. A node gets the bits the bit-by-bit
 // construction gives it, so the tree is that construction's.
 type Builder struct {
-	counts  []int       // copies of each symbol the string holds
-	fed     [256]int    // copies of each symbol fed so far
-	nodes   []buildNode // preorder: a node, its zero subtree, its one subtree
-	paths   [256][]pathStep
-	backend Backend
+	counts []int       // copies of each symbol the string holds
+	fed    [256]int    // copies of each symbol fed so far
+	nodes  []buildNode // preorder: a node, its zero subtree, its one subtree
+	paths  [256][]pathStep
+	params rrr.Params
 }
 
 // buildNode is one node's bits while the string is fed.
@@ -170,9 +95,9 @@ type pathStep struct {
 }
 
 // NewBuilder prepares the tree of a string holding counts[s] copies of each
-// symbol s, over the alphabet [0, len(counts)). A nil backend defaults to the
-// paper's RRR backend with rrr.DefaultParams.
-func NewBuilder(counts []int, backend Backend) (*Builder, error) {
+// symbol s, over the alphabet [0, len(counts)), its nodes to be encoded as
+// RRR sequences with parameters p.
+func NewBuilder(counts []int, p rrr.Params) (*Builder, error) {
 	sigma := len(counts)
 	if sigma < 2 || sigma > 256 {
 		return nil, fmt.Errorf("wavelet: alphabet size %d outside [2,256]", sigma)
@@ -182,10 +107,7 @@ func NewBuilder(counts []int, backend Backend) (*Builder, error) {
 			return nil, fmt.Errorf("wavelet: negative count %d for symbol %d", c, s)
 		}
 	}
-	if backend == nil {
-		backend = RRRBackend(rrr.DefaultParams)
-	}
-	b := &Builder{counts: counts, backend: backend}
+	b := &Builder{counts: counts, params: p}
 	b.addNode(0, sigma)
 	for s := range counts {
 		for i, lo, hi := 0, 0, sigma; hi-lo > 1; {
@@ -281,13 +203,13 @@ func (b *Builder) Build() (*Tree, error) {
 		}
 		n += c
 	}
-	vecs := make([]RankVector, len(b.nodes))
+	seqs := make([]*rrr.Sequence, len(b.nodes))
 	errs := make([]error, len(b.nodes))
 	var next atomic.Int64
 	encode := func() {
 		for i := int(next.Add(1) - 1); i < len(b.nodes); i = int(next.Add(1) - 1) {
 			nd := &b.nodes[i]
-			vecs[i], errs[i] = b.backend.Build(nd.words, nd.n)
+			seqs[i], errs[i] = rrr.FromWords(nd.words, nd.n, b.params)
 			nd.words = nil
 		}
 	}
@@ -310,9 +232,9 @@ func (b *Builder) Build() (*Tree, error) {
 	}
 	nodes := make([]*node, len(b.nodes))
 	for i, bn := range b.nodes {
-		nodes[i] = newNode(vecs[i], bn.lo, bn.hi)
+		nodes[i] = &node{seq: seqs[i], lo: bn.lo, hi: bn.hi}
 	}
-	t := &Tree{n: n, sigma: len(b.counts), backend: b.backend.Name()}
+	t := &Tree{n: n, sigma: len(b.counts)}
 	for i, bn := range b.nodes {
 		if bn.zero >= 0 {
 			nodes[i].zero = nodes[bn.zero]
@@ -339,9 +261,6 @@ func (t *Tree) Sigma() int { return t.sigma }
 // Levels returns the tree depth, ceil(log2(sigma)).
 func (t *Tree) Levels() int { return t.levels }
 
-// BackendName reports which bit-vector backend encodes the nodes.
-func (t *Tree) BackendName() string { return t.backend }
-
 // checkRank panics unless i is a rank position of the string.
 func (t *Tree) checkRank(i int) {
 	if i < 0 || i > t.n {
@@ -367,7 +286,7 @@ func (t *Tree) RankPair(sym uint8, i, j int) (int, int) {
 		panic(fmt.Sprintf("wavelet: symbol %d outside alphabet [0,%d)", sym, t.sigma))
 	}
 	for nd := t.root; nd != nil; {
-		a, b := nd.rank1Pair(i, j)
+		a, b := nd.seq.Rank1Pair(i, j)
 		if int(sym) >= (nd.lo+nd.hi+1)/2 {
 			i, j, nd = a, b, nd.on
 		} else {
@@ -411,20 +330,15 @@ func (t *Tree) RankPairs(q []PairQuery, g *Group) {
 	}
 	for range t.levels {
 		for k, nd := range at {
-			if nd != nil && nd.rrr != nil {
-				nd.rrr.LoadPair(&heads[k], q[k].I, q[k].J)
+			if nd != nil {
+				nd.seq.LoadPair(&heads[k], q[k].I, q[k].J)
 			}
 		}
 		for k, nd := range at {
 			if nd == nil {
 				continue
 			}
-			var a, b int
-			if nd.rrr != nil {
-				a, b = nd.rrr.DecodePair(&heads[k])
-			} else {
-				a, b = nd.rank1Pair(q[k].I, q[k].J)
-			}
+			a, b := nd.seq.DecodePair(&heads[k])
 			if qk := &q[k]; int(qk.Sym) >= (nd.lo+nd.hi+1)/2 {
 				qk.I, qk.J, at[k] = a, b, nd.on
 			} else {
@@ -461,7 +375,7 @@ func rankAllRec(nd *node, i, j int, lo, hi []int) {
 	if nd == nil {
 		return
 	}
-	a, b := nd.rank1Pair(i, j)
+	a, b := nd.seq.Rank1Pair(i, j)
 	mid := (nd.lo + nd.hi + 1) / 2
 	if nd.zero == nil {
 		lo[nd.lo], hi[nd.lo] = i-a, j-b
@@ -493,7 +407,7 @@ func (t *Tree) AccessRank(i int) (uint8, int) {
 	for nd := t.root; nd != nil; {
 		// Bit i is the rank difference across it: one record walk and one
 		// block decode, where Bit and Rank1 would each do their own.
-		ones, next := nd.rank1Pair(i, i+1)
+		ones, next := nd.seq.Rank1Pair(i, i+1)
 		if next > ones {
 			i, lo, nd = ones, (nd.lo+nd.hi+1)/2, nd.on
 		} else {
@@ -523,19 +437,17 @@ func selectRec(nd *node, sym uint8, k int) int {
 		if p < 0 {
 			return -1
 		}
-		return nd.vec.Select1(p + 1)
+		return nd.seq.Select1(p + 1)
 	}
 	p := selectRec(nd.zero, sym, k)
 	if p < 0 {
 		return -1
 	}
-	return select0(nd.vec, p+1)
+	return select0(nd.seq, p+1)
 }
 
-// select0 finds the position of the k-th zero bit via binary search on
-// Rank0; plain vectors have a native Select0 but the RankVector contract
-// keeps the surface minimal.
-func select0(v RankVector, k int) int {
+// select0 finds the position of the k-th zero bit via binary search on Rank0.
+func select0(v *rrr.Sequence, k int) int {
 	zeros := v.Len() - v.Rank1(v.Len())
 	if k > zeros {
 		return -1
@@ -561,24 +473,19 @@ func (t *Tree) Count(sym uint8) int {
 }
 
 // SizeBytes returns the summed footprint of all node bit-vectors plus the
-// tree skeleton. For the RRR backend this excludes the shared global rank
-// table, matching the paper's accounting ("the permutations array and class
-// offsets array are stored only once, and shared among the RRRs encoding all
-// the wavelet nodes"); add SharedSizeBytes once per index.
+// tree skeleton. This excludes the shared global rank table, matching the
+// paper's accounting ("the permutations array and class offsets array are
+// stored only once, and shared among the RRRs encoding all the wavelet
+// nodes"); add SharedSizeBytes once per index.
 func (t *Tree) SizeBytes() int {
-	return t.sumNodes(func(nd *node) int { return nd.vec.SizeBytes() })
+	return t.sumNodes(func(nd *node) int { return nd.seq.SizeBytes() })
 }
 
-// PackedSizeBytes is SizeBytes with every RRR node counted in the paper's
-// array layout (rrr.Sequence.PackedSizeBytes) instead of the host's
-// superblock records: the footprint of the tree on a device.
+// PackedSizeBytes is SizeBytes with every node counted in the paper's array
+// layout (rrr.Sequence.PackedSizeBytes) instead of the host's superblock
+// records: the footprint of the tree on a device.
 func (t *Tree) PackedSizeBytes() int {
-	return t.sumNodes(func(nd *node) int {
-		if nd.rrr != nil {
-			return nd.rrr.PackedSizeBytes()
-		}
-		return nd.vec.SizeBytes()
-	})
+	return t.sumNodes(func(nd *node) int { return nd.seq.PackedSizeBytes() })
 }
 
 func (t *Tree) sumNodes(size func(*node) int) int {
@@ -597,14 +504,12 @@ func (t *Tree) sumNodes(size func(*node) int) int {
 }
 
 // SharedSizeBytes returns the size of the shared RRR global rank table, or 0
-// for the plain backend.
+// for a tree without nodes.
 func (t *Tree) SharedSizeBytes() int {
-	if nd := t.root; nd != nil {
-		if s, ok := nd.vec.(*rrr.Sequence); ok {
-			return s.SharedSizeBytes()
-		}
+	if t.root == nil {
+		return 0
 	}
-	return 0
+	return t.root.seq.SharedSizeBytes()
 }
 
 // NodeStat describes one wavelet node for diagnostics: which alphabet
@@ -633,11 +538,11 @@ func (t *Tree) NodeStats() []NodeStat {
 		if nd == nil {
 			return
 		}
-		n := nd.vec.Len()
-		ones := nd.vec.Rank1(n)
+		n := nd.seq.Len()
+		ones := nd.seq.Rank1(n)
 		st := NodeStat{
 			Lo: nd.lo, Hi: nd.hi, Depth: depth,
-			Bits: n, Ones: ones, SizeBytes: nd.vec.SizeBytes(),
+			Bits: n, Ones: ones, SizeBytes: nd.seq.SizeBytes(),
 		}
 		if n > 0 && ones > 0 && ones < n {
 			p := float64(ones) / float64(n)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"bwaver/internal/bitvec"
 	"bwaver/internal/bwt"
 	"bwaver/internal/rrr"
 	"bwaver/internal/suffixarray"
@@ -41,22 +42,21 @@ func randomData(rng *rand.Rand, n, sigma int) []uint8 {
 	return out
 }
 
-var testBackends = []struct {
+var testParams = []struct {
 	name string
-	b    Backend
+	p    rrr.Params
 }{
-	{"rrr", RRRBackend(rrr.Params{BlockSize: 15, SuperblockFactor: 10})},
-	{"plain", PlainBackend()},
-	{"default", nil},
+	{"sf10", rrr.Params{BlockSize: 15, SuperblockFactor: 10}},
+	{"default", rrr.DefaultParams},
 }
 
 func TestRankMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, be := range testBackends {
+	for _, be := range testParams {
 		for _, sigma := range []int{2, 3, 4, 5, 8, 16} {
 			for _, n := range []int{0, 1, 2, 100, 3000} {
 				data := randomData(rng, n, sigma)
-				tr, err := New(data, sigma, be.b)
+				tr, err := New(data, sigma, be.p)
 				if err != nil {
 					t.Fatalf("%s sigma=%d n=%d: %v", be.name, sigma, n, err)
 				}
@@ -80,14 +80,14 @@ func TestRankMatchesNaive(t *testing.T) {
 
 // TestRankPairMatchesNaive is the pair-walk property: for every alphabet
 // shape (power of two or not, sigma = 2's single node included) and both
-// backends, RankPair and RankAllPair at (i, j) equal the naive counts — and
+// parameter sets, RankPair and RankAllPair at (i, j) equal the naive counts — and
 // so Rank and RankAll at i and at j — for near pairs, far pairs and i > j.
 func TestRankPairMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	for _, be := range testBackends {
+	for _, be := range testParams {
 		for _, sigma := range []int{2, 3, 4, 5, 8} {
 			data := randomData(rng, 1200, sigma)
-			tr, err := New(data, sigma, be.b)
+			tr, err := New(data, sigma, be.p)
 			if err != nil {
 				t.Fatalf("%s sigma=%d: %v", be.name, sigma, err)
 			}
@@ -123,15 +123,15 @@ func TestRankPairMatchesNaive(t *testing.T) {
 }
 
 // TestRankPairsMatchesRankPair runs groups of narrowed and wide queries of
-// random symbols through RankPairs, on both backends and alphabets whose
+// random symbols through RankPairs, on both parameter sets and alphabets whose
 // leaves sit at different depths, against one RankPair per query.
 func TestRankPairsMatchesRankPair(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	var g Group
-	for _, be := range testBackends {
+	for _, be := range testParams {
 		for _, sigma := range []int{2, 3, 4, 5, 8} {
 			data := randomData(rng, 3000, sigma)
-			tr, err := New(data, sigma, be.b)
+			tr, err := New(data, sigma, be.p)
 			if err != nil {
 				t.Fatalf("%s sigma=%d: %v", be.name, sigma, err)
 			}
@@ -161,10 +161,10 @@ func TestRankPairsMatchesRankPair(t *testing.T) {
 
 func TestAccess(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	for _, be := range testBackends {
+	for _, be := range testParams {
 		for _, sigma := range []int{2, 4, 7, 16} {
 			data := randomData(rng, 2000, sigma)
-			tr, err := New(data, sigma, be.b)
+			tr, err := New(data, sigma, be.p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -178,13 +178,13 @@ func TestAccess(t *testing.T) {
 }
 
 // TestAccessRankMatchesAccessAndRank: the one-descent pair is the symbol at
-// every position and its rank there, for σ 2…8 on both backends.
+// every position and its rank there, for σ 2…8 on both parameter sets.
 func TestAccessRankMatchesAccessAndRank(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	for _, be := range testBackends {
+	for _, be := range testParams {
 		for sigma := 2; sigma <= 8; sigma++ {
 			data := randomData(rng, 1500, sigma)
-			tr, err := New(data, sigma, be.b)
+			tr, err := New(data, sigma, be.p)
 			if err != nil {
 				t.Fatalf("%s sigma=%d: %v", be.name, sigma, err)
 			}
@@ -200,10 +200,10 @@ func TestAccessRankMatchesAccessAndRank(t *testing.T) {
 
 func TestSelect(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for _, be := range testBackends {
+	for _, be := range testParams {
 		for _, sigma := range []int{2, 4, 6} {
 			data := randomData(rng, 1500, sigma)
-			tr, err := New(data, sigma, be.b)
+			tr, err := New(data, sigma, be.p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -233,7 +233,7 @@ func TestSelectRankInverseProperty(t *testing.T) {
 		for i, r := range raw {
 			data[i] = r & 3
 		}
-		tr, err := New(data, 4, RRRBackend(rrr.Params{BlockSize: 7, SuperblockFactor: 3}))
+		tr, err := New(data, 4, rrr.Params{BlockSize: 7, SuperblockFactor: 3})
 		if err != nil {
 			return false
 		}
@@ -258,7 +258,7 @@ func TestRanksSumToLength(t *testing.T) {
 		for i, r := range raw {
 			data[i] = r & 3
 		}
-		tr, err := New(data, 4, nil)
+		tr, err := New(data, 4, rrr.DefaultParams)
 		if err != nil {
 			return false
 		}
@@ -279,19 +279,19 @@ func TestRanksSumToLength(t *testing.T) {
 }
 
 func TestInvalidInputs(t *testing.T) {
-	if _, err := New([]uint8{0, 1}, 1, nil); err == nil {
+	if _, err := New([]uint8{0, 1}, 1, rrr.DefaultParams); err == nil {
 		t.Error("accepted sigma < 2")
 	}
-	if _, err := New([]uint8{0, 5}, 4, nil); err == nil {
+	if _, err := New([]uint8{0, 5}, 4, rrr.DefaultParams); err == nil {
 		t.Error("accepted out-of-alphabet symbol")
 	}
-	if _, err := NewBuilder([]int{1, -1}, nil); err == nil {
+	if _, err := NewBuilder([]int{1, -1}, rrr.DefaultParams); err == nil {
 		t.Error("accepted a negative count")
 	}
 	// A Builder refuses a chunk with a symbol its counts do not promise, and
 	// a Build before every promised symbol is fed.
 	for _, feed := range [][]uint8{{0, 5}, {0, 1, 1}, {0}} {
-		b, err := NewBuilder([]int{1, 1, 0, 0}, nil)
+		b, err := NewBuilder([]int{1, 1, 0, 0}, rrr.DefaultParams)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -302,7 +302,7 @@ func TestInvalidInputs(t *testing.T) {
 			t.Errorf("built a tree of counts [1 1 0 0] fed %v", feed)
 		}
 	}
-	tr, err := New([]uint8{0, 1, 2, 3}, 4, nil)
+	tr, err := New([]uint8{0, 1, 2, 3}, 4, rrr.DefaultParams)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestInvalidInputs(t *testing.T) {
 func TestLevels(t *testing.T) {
 	cases := map[int]int{2: 1, 3: 2, 4: 2, 5: 3, 8: 3, 16: 4}
 	for sigma, want := range cases {
-		tr, err := New(randomData(rand.New(rand.NewSource(1)), 64, sigma), sigma, nil)
+		tr, err := New(randomData(rand.New(rand.NewSource(1)), 64, sigma), sigma, rrr.DefaultParams)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -342,7 +342,7 @@ func TestLevels(t *testing.T) {
 
 func TestDNATreeShape(t *testing.T) {
 	// For sigma=4 the tree must have exactly 3 internal nodes and 2 levels.
-	tr, err := New(randomData(rand.New(rand.NewSource(1)), 1000, 4), 4, nil)
+	tr, err := New(randomData(rand.New(rand.NewSource(1)), 1000, 4), 4, rrr.DefaultParams)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,8 +355,9 @@ func TestDNATreeShape(t *testing.T) {
 }
 
 // TestRRRSmallerThanPlainOnRuns checks the paper's space claim at the tree
-// level: for run-structured (BWT-like) data the RRR backend is smaller than
-// the plain backend.
+// level: for run-structured (BWT-like) data the RRR nodes are smaller than
+// the same nodes' bits held uncompressed, as bitvec.Vectors read back from
+// the tree through Access.
 func TestRRRSmallerThanPlainOnRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	n := 300000
@@ -370,30 +371,43 @@ func TestRRRSmallerThanPlainOnRuns(t *testing.T) {
 		}
 		cur = uint8(rng.Intn(4))
 	}
-	rrrTree, err := New(data, 4, RRRBackend(rrr.Params{BlockSize: 15, SuperblockFactor: 100}))
+	tr, err := New(data, 4, rrr.Params{BlockSize: 15, SuperblockFactor: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plainTree, err := New(data, 4, PlainBackend())
-	if err != nil {
-		t.Fatal(err)
+	// Each node's bits, rebuilt from the symbols the tree gives back: the
+	// root splits on symbol >= 2, its children on the low bit.
+	var root, zero, one bitvec.Builder
+	for i := 0; i < n; i++ {
+		sym := tr.Access(i)
+		root.Append(sym >= 2)
+		if sym >= 2 {
+			one.Append(sym == 3)
+		} else {
+			zero.Append(sym == 1)
+		}
 	}
-	if rrrTree.SizeBytes() >= plainTree.SizeBytes() {
-		t.Errorf("rrr tree %dB not smaller than plain tree %dB on run input",
-			rrrTree.SizeBytes(), plainTree.SizeBytes())
+	rrrBytes, plainBytes := 0, 0
+	for i, st := range tr.NodeStats() { // preorder: root, zero child, one child
+		vec := []*bitvec.Builder{&root, &zero, &one}[i].Build()
+		if vec.Len() != st.Bits || vec.Rank1(vec.Len()) != st.Ones {
+			t.Fatalf("node %d: rebuilt %d bits with %d ones, the tree holds %d with %d", i, vec.Len(), vec.Rank1(vec.Len()), st.Bits, st.Ones)
+		}
+		rrrBytes += st.SizeBytes
+		plainBytes += vec.SizeBytes()
 	}
-	if rrrTree.SharedSizeBytes() == 0 {
+	if rrrBytes >= plainBytes {
+		t.Errorf("rrr nodes %dB not smaller than the same bits uncompressed %dB on run input", rrrBytes, plainBytes)
+	}
+	if tr.SharedSizeBytes() == 0 {
 		t.Error("rrr tree should report a shared table size")
-	}
-	if plainTree.SharedSizeBytes() != 0 {
-		t.Error("plain tree should have no shared table")
 	}
 }
 
 func TestNodeStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	data := randomData(rng, 3000, 4)
-	tr, err := New(data, 4, nil)
+	tr, err := New(data, 4, rrr.DefaultParams)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +442,7 @@ func TestNodeStats(t *testing.T) {
 	}
 	// A constant string has zero-entropy nodes.
 	flat := make([]uint8, 500)
-	ft, err := New(flat, 4, nil)
+	ft, err := New(flat, 4, rrr.DefaultParams)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +472,7 @@ func referenceBuild(t *testing.T, data []uint8, lo, hi int, p rrr.Params) *node 
 			zeroData = append(zeroData, s)
 		}
 	}
-	nd := newNode(vec, lo, hi)
+	nd := &node{seq: vec, lo: lo, hi: hi}
 	nd.zero = referenceBuild(t, zeroData, lo, mid, p)
 	nd.on = referenceBuild(t, oneData, mid, hi, p)
 	return nd
@@ -467,7 +481,7 @@ func referenceBuild(t *testing.T, data []uint8, lo, hi int, p rrr.Params) *node 
 // buildStreamed feeds the Builder the transform of text straight from its
 // suffix array, chunk symbols at a time, as the FM-index construction does,
 // and returns the tree beside the transform bwt.Transform materialises.
-func buildStreamed(t *testing.T, text []uint8, sigma, chunk int, backend Backend) (*Tree, *bwt.BWT) {
+func buildStreamed(t *testing.T, text []uint8, sigma, chunk int, p rrr.Params) (*Tree, *bwt.BWT) {
 	t.Helper()
 	sa, err := suffixarray.Build(text, sigma)
 	if err != nil {
@@ -481,7 +495,7 @@ func buildStreamed(t *testing.T, text []uint8, sigma, chunk int, backend Backend
 	for _, c := range text {
 		counts[c]++
 	}
-	b, err := NewBuilder(counts, backend)
+	b, err := NewBuilder(counts, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,7 +532,7 @@ func TestBuildMatchesReference(t *testing.T) {
 					data[i] = uint8(i / 50 % (sigma - 1))
 				}
 			}
-			tr, err := New(data, sigma, RRRBackend(p))
+			tr, err := New(data, sigma, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -530,7 +544,7 @@ func TestBuildMatchesReference(t *testing.T) {
 			for _, c := range data {
 				counts[c]++
 			}
-			b, err := NewBuilder(counts, RRRBackend(p))
+			b, err := NewBuilder(counts, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -544,21 +558,12 @@ func TestBuildMatchesReference(t *testing.T) {
 			if chunked, err := b.Build(); err != nil || !reflect.DeepEqual(chunked.root, want) {
 				t.Fatalf("sigma=%d n=%d: chunked build differs from the reference construction (%v)", sigma, n, err)
 			}
-			plain, err := New(data, sigma, PlainBackend())
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < n; i += 1 + n/500 {
-				if got := plain.Access(i); got != data[i] {
-					t.Fatalf("plain sigma=%d n=%d: Access(%d)=%d, want %d", sigma, n, i, got, data[i])
-				}
-			}
 		}
 	}
 	check := func(text []uint8, sigma int) {
 		t.Helper()
 		for _, chunk := range []int{1, 3, 64, len(text) + 1} {
-			tr, want := buildStreamed(t, text, sigma, chunk, RRRBackend(p))
+			tr, want := buildStreamed(t, text, sigma, chunk, p)
 			if tr.Len() != len(text) || !reflect.DeepEqual(tr.root, referenceBuild(t, want.Data, 0, sigma, p)) {
 				t.Fatalf("sigma=%d text %v chunk=%d: streamed tree differs from Transform and the reference construction", sigma, text, chunk)
 			}
@@ -590,15 +595,13 @@ func TestBuildMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	for _, backend := range []Backend{RRRBackend(p), PlainBackend()} {
-		text := randomData(rng, 3*concurrentBuildMin, 4)
-		streamed, want := buildStreamed(t, text, 4, 1<<16, backend)
-		whole, err := New(want.Data, 4, backend)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(streamed.root, whole.root) {
-			t.Fatalf("%s: the streamed tree differs from the tree over the transform", backend.Name())
-		}
+	text := randomData(rng, 3*concurrentBuildMin, 4)
+	streamed, want := buildStreamed(t, text, 4, 1<<16, p)
+	whole, err := New(want.Data, 4, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(streamed.root, whole.root) {
+		t.Fatal("the streamed tree differs from the tree over the transform")
 	}
 }
