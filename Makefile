@@ -42,8 +42,10 @@ bench-gate:
 # are worth a glance in CI output: the two suffix-array constructions, index
 # construction at 1 Mbp with and without the prefix table (B/base), the
 # exact batch engine (also on a 16 Mbp reference whose rank structure spills
-# out of a 2 MiB L2: MapReadsInto, whose chunks search in lock step, at
-# 0 allocs/op beside a loop of MapRead over the same reads, reads/s each),
+# out of a 2 MiB L2: MapReadsInto, whose chunks search in lock step and
+# finish on the packed text, at 0 allocs/op beside batch-ranked, the same
+# reads with the text detached so that every search ranks to the end, and a
+# loop of MapRead over them, reads/s each),
 # the k-mismatch batch engine (BenchmarkMapReadsApprox: 100 bp reads on an
 # E. coli-like 4.6 Mbp reference at k = 1 and 2, reads/s and allocs/op),
 # the mem batch engine (a 30 kbp reference in cache and an E. coli-like

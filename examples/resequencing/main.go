@@ -63,7 +63,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	locateTime, err := kernel.LocateResults(run.Results)
+	locateTime, err := kernel.LocateResults(run.Results, readsim.Seqs(reads))
 	if err != nil {
 		log.Fatal(err)
 	}

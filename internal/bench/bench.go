@@ -214,6 +214,7 @@ func Fig7(s Scale, progress io.Writer) ([]Fig7Row, error) {
 			if err != nil {
 				return nil, err
 			}
+			ix.DropText() // the paper's CPU search ranks to the end
 			dev, err := fpga.NewDevice(s.deviceConfig())
 			if err != nil {
 				return nil, err

@@ -199,9 +199,9 @@ func TestAblate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Occ) != 2 || len(res.Kernel) != 5 || len(res.Ftab) != 2 || len(res.Locate) != 3 {
-		t.Fatalf("ablation rows: %d occ, %d kernel, %d ftab, %d locate",
-			len(res.Occ), len(res.Kernel), len(res.Ftab), len(res.Locate))
+	if len(res.Occ) != 2 || len(res.Kernel) != 5 || len(res.Ftab) != 2 || len(res.Locate) != 3 || len(res.Exact) != 2 {
+		t.Fatalf("ablation rows: %d occ, %d kernel, %d ftab, %d locate, %d exact",
+			len(res.Occ), len(res.Kernel), len(res.Ftab), len(res.Locate), len(res.Exact))
 	}
 	byName := map[string]KernelAblationRow{}
 	for _, r := range res.Kernel {
@@ -244,9 +244,18 @@ func TestAblate(t *testing.T) {
 			t.Errorf("locate row %q has no time", r.Name)
 		}
 	}
+	// Finishing on the text retires the ranked search's steps.
+	ranked, onText := res.Exact[0], res.Exact[1]
+	if ranked.KernelCycles != onText.KernelCycles || ranked.KernelCycles != ftabOn.KernelCycles {
+		t.Errorf("exact search: ranked %d kernel cycles, on the text %d, the prefix table row %d",
+			ranked.KernelCycles, onText.KernelCycles, ftabOn.KernelCycles)
+	}
+	if ranked.HostPerRead <= 0 || onText.HostPerRead <= 0 {
+		t.Errorf("exact rows have no time: %+v", res.Exact)
+	}
 	var sb strings.Builder
 	PrintAblation(&sb, res)
-	for _, want := range []string{"checkpoint", "sequential rank", "k=10", "sampled SA, rate 32"} {
+	for _, want := range []string{"checkpoint", "sequential rank", "k=10", "sampled SA, rate 32", "ranked (paper)", "finishes on text"} {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("ablation output missing %q", want)
 		}

@@ -101,6 +101,10 @@ func RunTable(ref Reference, readLen int, readCounts []int, s Scale, progress io
 	if err != nil {
 		return nil, err
 	}
+	// The BWaveR CPU row times the paper's search, which ranks every
+	// pattern to the end; the three-mapper gate below then compares the
+	// rows that ranked search reaches on all three.
+	ix.DropText()
 	dev, err := fpga.NewDevice(s.deviceConfig())
 	if err != nil {
 		return nil, err
@@ -144,11 +148,14 @@ func RunTable(ref Reference, readLen int, readCounts []int, s Scale, progress io
 	if err != nil {
 		return nil, err
 	}
+	// The baseline reports the empty range its search died at; Canonical
+	// gives every empty range the one form the batch reports.
+	fm := ix.FM()
 	for i := range cpuResults {
 		if run.Results[i].Forward != cpuResults[i].Forward ||
-			blResults[i].Forward != cpuResults[i].Forward ||
+			fm.Canonical(blResults[i].Forward) != cpuResults[i].Forward ||
 			run.Results[i].Reverse != cpuResults[i].Reverse ||
-			blResults[i].Reverse != cpuResults[i].Reverse {
+			fm.Canonical(blResults[i].Reverse) != cpuResults[i].Reverse {
 			return nil, fmt.Errorf("bench: mappers disagree on read %d; refusing to benchmark wrong code", i)
 		}
 	}

@@ -33,9 +33,11 @@ func allocatedPerBase(t *testing.T, bases int, f func()) float64 {
 // the interleaved short-pattern table of lower-bound pairs (2.8) made it
 // 10.25, that table's intervals 11.6 and the construction before 45.0. The
 // budgets leave room for a wider alphabet's bucket counters, not for
-// another copy of the text. A warm locating pass allocates its positions
-// once, at their exact size: 4 bytes per occurrence and a small constant, not
-// a doubling slab's garbage.
+// another copy of the text. A locating pass allocates its positions at
+// their exact size, a chunk at a time: 4 bytes per occurrence and a small
+// constant, not a doubling slab's garbage — and a warm one into the same
+// results reuses the positions they hold. The packed text a build attaches
+// adds 0.25 bytes per base to both builds.
 func TestConstructionAllocationBudget(t *testing.T) {
 	ref, err := readsim.Chr21Like(1, 1e6/40088619.0)
 	if err != nil {

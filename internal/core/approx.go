@@ -76,7 +76,9 @@ func (w approxWork) mapUnits(buf *chunkBuffer, reads []dna.Seq, dst []ApproxResu
 	if w.maxMismatches < 0 || w.maxMismatches > fmindex.MaxMismatchBudget {
 		return fmt.Errorf("core: mismatch budget %d outside [0,%d]", w.maxMismatches, fmindex.MaxMismatchBudget)
 	}
-	w.search(buf, reads)
+	if err := w.search(buf, reads); err != nil {
+		return err
+	}
 	fm := w.ix.fm
 	for i, read := range reads {
 		res := ApproxResult{Exact: buf.result(i)}

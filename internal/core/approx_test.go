@@ -174,7 +174,7 @@ func TestMapReadsApproxMatchesOnePattern(t *testing.T) {
 		fw, rc := patternOf(read), patternOf(read.ReverseComplement())
 		fwRange, fwSteps := search(fw)
 		rcRange, rcSteps := search(rc)
-		res := ApproxResult{Exact: MapResult{Forward: fwRange, Reverse: rcRange, Steps: max(fwSteps, rcSteps)}}
+		res := ApproxResult{Exact: MapResult{Forward: ix.fm.Canonical(fwRange), Reverse: ix.fm.Canonical(rcRange), Steps: max(fwSteps, rcSteps)}}
 		if len(read) == 0 {
 			// An empty read maps nowhere and is not rescued.
 			return ApproxResult{Exact: MapResult{Forward: none, Reverse: none}}, nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"bwaver/internal/dna"
@@ -78,11 +79,7 @@ func TestIndexContigsRoundTrip(t *testing.T) {
 	check := func(ix *Index) {
 		t.Helper()
 		read := ref[3500:3550]
-		res := ix.MapRead(read)
-		ps, err := ix.FM().Locate(res.Forward)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ps := mapLocated(t, ix, read).ForwardPositions
 		resolved := false
 		for _, p := range ps {
 			contig, off, ok := ix.Contigs().Resolve(int(p), len(read))
@@ -127,10 +124,10 @@ func TestBoundarySpanningHitRejected(t *testing.T) {
 	if err := ix.SetContigs(cs); err != nil {
 		t.Fatal(err)
 	}
-	res := ix.MapRead(pattern)
-	ps, err := ix.FM().Locate(res.Forward)
-	if err != nil {
-		t.Fatal(err)
+	ps := slices.Clone(mapLocated(t, ix, pattern).ForwardPositions)
+	slices.Sort(ps)
+	if !slices.Equal(ps, []int32{100, 990}) {
+		t.Fatalf("planted pattern found at %v, want [100 990]", ps)
 	}
 	clean, spanning := 0, 0
 	for _, p := range ps {

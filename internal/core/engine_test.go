@@ -85,12 +85,7 @@ func TestEngineContract(t *testing.T) {
 	for i, r := range reads {
 		exact[i] = ix.MapRead(r)
 		located[i] = exact[i]
-		if located[i].ForwardPositions, err = ix.fm.Locate(exact[i].Forward); err != nil {
-			t.Fatal(err)
-		}
-		if located[i].ReversePositions, err = ix.fm.Locate(exact[i].Reverse); err != nil {
-			t.Fatal(err)
-		}
+		located[i].ForwardPositions, located[i].ReversePositions = rankedPositions(t, ix, r)
 		if approx[i], err = ix.MapReadApprox(r, 1); err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +166,7 @@ func TestMapReadsIntoMatchesMapReadLoop(t *testing.T) {
 	perRead := counted(before)
 	located := make([]MapResult, len(reads))
 	copy(located, want)
-	if err := ix.LocateResults(located); err != nil {
+	if err := ix.LocateResults(located, reads); err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2} {

@@ -56,9 +56,9 @@ func TestFtabRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range reads {
-		a, b := orig.MapRead(r.Seq), back.MapRead(r.Seq)
-		if a.Forward != b.Forward || a.Reverse != b.Reverse {
-			t.Fatal("deserialized ftab index disagrees")
+		a, b := mapLocated(t, orig, r.Seq), mapLocated(t, back, r.Seq)
+		if !sameResult(orig, a, b) {
+			t.Fatalf("deserialized ftab index disagrees: %+v, built %+v", b, a)
 		}
 	}
 }
@@ -87,9 +87,9 @@ func TestReadIndexV1Compat(t *testing.T) {
 		t.Fatalf("v1 index loaded with a table: k=%d", back.FtabK())
 	}
 	probe := ref[100:130]
-	want := ix.MapRead(probe)
-	if got := back.MapRead(probe); got.Forward != want.Forward || got.Reverse != want.Reverse {
-		t.Fatal("v1 index disagrees with original")
+	want := mapLocated(t, ix, probe)
+	if got := mapLocated(t, back, probe); !sameResult(ix, want, got) {
+		t.Fatalf("v1 index disagrees with original: %+v, built %+v", got, want)
 	}
 	// The table is rebuilt on demand for old files.
 	if err := back.EnsureFtab(3); err != nil {
@@ -98,7 +98,7 @@ func TestReadIndexV1Compat(t *testing.T) {
 	if back.FtabK() != 3 {
 		t.Fatalf("EnsureFtab did not attach: k=%d", back.FtabK())
 	}
-	if got := back.MapRead(probe); got.Forward != want.Forward || got.Reverse != want.Reverse {
+	if got := back.MapRead(probe); ix.FM().Canonical(got.Forward) != want.Forward || ix.FM().Canonical(got.Reverse) != want.Reverse {
 		t.Fatal("rebuilt ftab changes results")
 	}
 }

@@ -232,6 +232,11 @@ func BuildIndexCtx(ctx context.Context, ref dna.Seq, cfg IndexConfig) (*Index, e
 		stats.FtabTime = time.Since(start)
 		stats.FtabBytes = ftab.SizeBytes()
 	}
+	// Packed last, well past the suffix array's construction and its peak:
+	// exact search finishes on it (fmindex.Index.SetText).
+	if err := fm.SetText(dna.Pack(ref)); err != nil {
+		return nil, fmt.Errorf("core: fm-index: %w", err)
+	}
 	return &Index{fm: fm, config: cfg, stats: stats}, nil
 }
 
@@ -263,6 +268,12 @@ func (ix *Index) EnsureFtab(k int) error {
 
 // DropFtab detaches the prefix table (the ftab-off ablation arm).
 func (ix *Index) DropFtab() { _ = ix.EnsureFtab(0) }
+
+// DropText detaches the packed reference text a build attaches, so that
+// exact search ranks every pattern to the end: the paper's search, which
+// the ablation's ranked row and the paper tables' BWaveR CPU row time. An
+// index read from a file holds no text.
+func (ix *Index) DropText() { _ = ix.fm.SetText(dna.PackedSeq{}) }
 
 // FtabK returns the attached prefix table's order, 0 if none.
 func (ix *Index) FtabK() int {
@@ -330,7 +341,11 @@ func recordPadBytes(fm *fmindex.Index) int {
 // mirroring what the paper's kernel returns to the host per query.
 type MapResult struct {
 	// Forward and Reverse are the suffix-array row ranges of the read and
-	// of its reverse complement.
+	// of its reverse complement, as fmindex.Index.Canonical has them: [1, 0]
+	// when it does not occur, rows [0, c−1] for c occurrences located by
+	// reading the text (at most 16, one with a sampled suffix array), the
+	// rows themselves otherwise. Count() is the occurrence count in every
+	// form.
 	Forward, Reverse fmindex.Range
 	// ForwardPositions and ReversePositions are the located reference
 	// occurrences (filled only when MapOptions.Locate is set).
@@ -430,13 +445,15 @@ func (buf *chunkBuffer) result(i int) MapResult {
 
 // MapRead maps one read and its reverse complement (count only), through
 // the prefix table when the index carries one. It searches the two patterns
-// one at a time, not as a group: it is the per-read reference the batch
-// engine is held to.
+// one at a time, not as a group, and ranks each to the end — the paper's
+// search — reporting the range in the batch's form (fmindex.Canonical): it
+// is the per-read reference the batch engine is held to.
 func (ix *Index) MapRead(read dna.Seq) MapResult {
 	buf := ix.chunks.get()
 	buf.encode([]dna.Seq{read})
 	for p, pattern := range buf.pats {
-		buf.ranges[p], buf.steps[p] = ix.fm.SearchWithFtabSteps(pattern)
+		r, steps := ix.fm.SearchWithFtabSteps(pattern)
+		buf.ranges[p], buf.steps[p] = ix.fm.Canonical(r), steps
 	}
 	res := buf.result(0)
 	ix.chunks.put(buf)
@@ -484,12 +501,13 @@ func (ix *Index) MapReads(reads []dna.Seq, opts MapOptions) ([]MapResult, MapSta
 	return results, stats, nil
 }
 
-// exactWork is exact matching as a workload value, count-only: a locating
-// batch locates afterwards, in locateBatch. useFtab=false forces the plain
+// exactWork is exact matching as a workload value. With locate, every chunk
+// locates its own results once searched. useFtab=false forces the plain
 // backward search even on an index that has a prefix table.
 type exactWork struct {
 	ix      *Index
 	useFtab bool
+	locate  bool
 }
 
 func (exactWork) unit() int  { return 1 }
@@ -501,81 +519,141 @@ func (w exactWork) release(buf *chunkBuffer) { w.ix.chunks.put(buf) }
 // search encodes a chunk of reads into buf and runs their backward
 // searches as one fmindex search group: they advance in lock step, so their
 // rank queries' cache misses overlap. Each pattern's range and steps are
-// what the one-pattern search returns.
-func (w exactWork) search(buf *chunkBuffer, reads []dna.Seq) {
+// what the one-pattern search returns, in canonical form.
+func (w exactWork) search(buf *chunkBuffer, reads []dna.Seq) error {
 	buf.encode(reads)
-	w.ix.fm.SearchGroup(&buf.group, buf.pats, w.useFtab, buf.ranges, buf.steps)
+	return w.ix.fm.SearchGroup(&buf.group, buf.pats, w.useFtab, buf.ranges, buf.steps)
 }
 
 // mapUnits searches the chunk as one group of 2·64 searches.
 func (w exactWork) mapUnits(buf *chunkBuffer, reads []dna.Seq, dst []MapResult) error {
-	w.search(buf, reads)
+	if err := w.search(buf, reads); err != nil {
+		return err
+	}
 	for i := range reads {
+		last := dst[i]
 		dst[i] = buf.result(i)
+		if w.locate { // the storage locate writes over
+			dst[i].ForwardPositions, dst[i].ReversePositions = last.ForwardPositions, last.ReversePositions
+		}
+	}
+	if w.locate {
+		return buf.locate(w.ix.fm, dst)
 	}
 	return nil
+}
+
+// locate is the paper's host-side SA lookup for a chunk's results, whose
+// patterns buf searched last. A result's positions go where it held its
+// last ones when they fit, so mapping into the same results again reuses
+// them; the others share one slab, allocated once at exactly their number.
+// So a locating pass leaves behind only the positions it returns.
+func (buf *chunkBuffer) locate(fm *fmindex.Index, dst []MapResult) error {
+	need := 0
+	for i := range dst {
+		need += outgrows(dst[i].ForwardPositions, dst[i].Forward.Count()) + outgrows(dst[i].ReversePositions, dst[i].Reverse.Count())
+	}
+	slab := make([]int32, need)
+	for i := range dst {
+		res := &dst[i]
+		var err error
+		if res.ForwardPositions, slab, err = buf.place(res.ForwardPositions, slab, fm, 2*i, res.Forward); err != nil {
+			return err
+		}
+		if res.ReversePositions, slab, err = buf.place(res.ReversePositions, slab, fm, 2*i+1, res.Reverse); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// outgrows returns how many positions a range of n rows takes from the slab
+// when last's storage cannot hold them: n, or 0.
+func outgrows(last []int32, n int) int {
+	if n <= cap(last) {
+		return 0
+	}
+	return n
+}
+
+// place locates pattern p's range r into last's storage, or into the head
+// of slab when it does not fit, and returns the positions — nil for none —
+// and the rest of the slab. A search that finished on the text left its
+// positions in buf's group.
+func (buf *chunkBuffer) place(last, slab []int32, fm *fmindex.Index, p int, r fmindex.Range) (ps, rest []int32, err error) {
+	n := r.Count()
+	if n == 0 {
+		return nil, slab, nil
+	}
+	if ps = last[:0]; n > cap(last) {
+		ps, slab = slab[:0:n], slab[n:]
+	}
+	ps, err = fm.LocateGroupAppend(ps, &buf.group, p, r)
+	return ps, slab, err
 }
 
 // LocateResults fills in the occurrence positions of results that were
-// mapped count-only, as a locating batch does.
-func (ix *Index) LocateResults(results []MapResult) error {
-	return ix.locateBatch(results, MapOptions{})
+// mapped count-only, reads[i] giving results[i], as a locating batch does:
+// a result of rows is located through them, and the read of one that
+// finished on the text is searched again, a few steps, to read its
+// positions. The read must occur as often as its result says.
+func (ix *Index) LocateResults(results []MapResult, reads []dna.Seq) error {
+	return mapBatch(locateWork{ix: ix}, results, reads, MapOptions{})
 }
 
-// locateBatch is the paper's host-side SA lookup for a batch mapped
-// count-only: it sums the batch's occurrences, allocates their positions
-// once, at exactly that size, hands every result its own ranges of the slab,
-// and locates into them on run.Workers workers. A pass thus leaves behind
-// only the positions it returns.
-func (ix *Index) locateBatch(results []MapResult, run MapOptions) error {
-	total := 0
-	for i := range results {
-		total += results[i].Occurrences()
-	}
-	slab := make([]int32, total)
-	for i := range results {
-		res := &results[i]
-		res.ForwardPositions, slab = reserve(slab, res.Forward.Count())
-		res.ReversePositions, slab = reserve(slab, res.Reverse.Count())
-	}
-	return mapBatch(locateWork{ix: ix}, results, results, MapOptions{Context: run.Context, Workers: run.Workers})
-}
-
-// reserve splits the first n positions off slab as an empty slice with room
-// for exactly n, nil for none.
-func reserve(slab []int32, n int) (head, rest []int32) {
-	if n == 0 {
-		return nil, slab
-	}
-	return slab[:0:n], slab[n:]
-}
-
-// locateWork fills in the ranges locateBatch reserved: its reads are the
-// results it writes.
+// locateWork fills in the positions of a chunk's results: its reads are
+// the reads they were mapped from.
 type locateWork struct{ ix *Index }
 
-func (locateWork) unit() int          { return 1 }
-func (locateWork) chunk() int         { return 64 }
-func (locateWork) acquire() *struct{} { return nil }
-func (locateWork) release(*struct{})  {}
+func (locateWork) unit() int                  { return 1 }
+func (locateWork) chunk() int                 { return 64 }
+func (w locateWork) acquire() *chunkBuffer    { return w.ix.chunks.get() }
+func (w locateWork) release(buf *chunkBuffer) { w.ix.chunks.put(buf) }
 
-func (w locateWork) mapUnits(_ *struct{}, results, _ []MapResult) (err error) {
-	fm := w.ix.fm
-	for i := range results {
-		res := &results[i]
-		if res.ForwardPositions, err = fm.LocateAppend(res.ForwardPositions, res.Forward); err != nil {
-			return err
-		}
-		if res.ReversePositions, err = fm.LocateAppend(res.ReversePositions, res.Reverse); err != nil {
-			return err
-		}
+func (w locateWork) mapUnits(buf *chunkBuffer, reads []dna.Seq, dst []MapResult) error {
+	if err := buf.searchOnText(w.ix.fm, reads, dst); err != nil {
+		return err
 	}
-	return nil
+	return buf.locate(w.ix.fm, dst)
+}
+
+// searchOnText has fm search again, into buf's group, the reads whose
+// results in dst finished on the text (fmindex.Index.SearchOnText). An index
+// whose searches cannot finish there has nothing to search again, and its
+// reads are not encoded.
+func (buf *chunkBuffer) searchOnText(fm *fmindex.Index, reads []dna.Seq, dst []MapResult) error {
+	if !fm.FinishesOnText() {
+		return nil
+	}
+	buf.encode(reads)
+	for i := range dst {
+		buf.ranges[2*i], buf.ranges[2*i+1] = dst[i].Forward, dst[i].Reverse
+	}
+	return fm.SearchOnText(&buf.group, buf.pats, buf.ranges)
+}
+
+// AppendPositions appends the positions of res's forward occurrences, then
+// of its reverse ones, to dst, res being read's result: LocateResults for
+// one result, into the caller's slice.
+func (ix *Index) AppendPositions(dst []int32, read dna.Seq, res MapResult) ([]int32, error) {
+	buf := ix.chunks.get()
+	defer ix.chunks.put(buf)
+	if err := buf.searchOnText(ix.fm, []dna.Seq{read}, []MapResult{res}); err != nil {
+		return dst, err
+	}
+	dst, err := ix.fm.LocateGroupAppend(dst, &buf.group, 0, res.Forward)
+	if err != nil {
+		return dst, err
+	}
+	return ix.fm.LocateGroupAppend(dst, &buf.group, 1, res.Reverse)
 }
 
 // MapReadsInto is MapReads writing into a caller-provided result slice
 // (len(dst) must equal len(reads)) — the allocation-free hot path: the
-// count-only steady state allocates nothing, per read or per batch.
+// count-only steady state allocates nothing, per read or per batch. A
+// locating batch writes each result's positions over the ones it held where
+// they fit, so positions kept from an earlier call into the same results
+// must be copied first.
 func (ix *Index) MapReadsInto(dst []MapResult, reads []dna.Seq, opts MapOptions) (MapStats, error) {
 	return ix.MapReadsIntoFtab(dst, reads, opts, true)
 }
@@ -586,13 +664,8 @@ func (ix *Index) MapReadsInto(dst []MapResult, reads []dna.Seq, opts MapOptions)
 // prices every step.
 func (ix *Index) MapReadsIntoFtab(dst []MapResult, reads []dna.Seq, opts MapOptions, useFtab bool) (MapStats, error) {
 	start := time.Now()
-	if err := mapBatch(exactWork{ix: ix, useFtab: useFtab}, dst, reads, opts); err != nil {
+	if err := mapBatch(exactWork{ix: ix, useFtab: useFtab, locate: opts.Locate}, dst, reads, opts); err != nil {
 		return MapStats{}, err
-	}
-	if opts.Locate {
-		if err := ix.locateBatch(dst, opts); err != nil {
-			return MapStats{}, err
-		}
 	}
 	stats := MapStats{Reads: len(reads)}
 	for i := range dst {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -17,6 +18,46 @@ func testGenome(t *testing.T, n int) dna.Seq {
 		t.Fatal(err)
 	}
 	return g
+}
+
+// mapLocated maps read in a one-read locating batch.
+func mapLocated(t testing.TB, ix *Index, read dna.Seq) MapResult {
+	t.Helper()
+	res, _, err := ix.MapReads([]dna.Seq{read}, MapOptions{Locate: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res[0]
+}
+
+// sameResult reports whether a, a read's result on ix, and b, the same
+// read's on an index of the same text read back from a file — which holds
+// no text, so its searches rank to the end — agree: b's ranges in a's form,
+// the same steps and the same positions in the same order.
+func sameResult(ix *Index, a, b MapResult) bool {
+	fm := ix.FM()
+	return fm.Canonical(b.Forward) == a.Forward && fm.Canonical(b.Reverse) == a.Reverse && a.Steps == b.Steps &&
+		slices.Equal(a.ForwardPositions, b.ForwardPositions) && slices.Equal(a.ReversePositions, b.ReversePositions)
+}
+
+// rankedPositions locates read's two orientations through the rows of the
+// ranked one-pattern search: the reference for positions a batch reads
+// off the text. An empty read has none.
+func rankedPositions(t testing.TB, ix *Index, read dna.Seq) (fw, rc []int32) {
+	t.Helper()
+	if len(read) == 0 {
+		return nil, nil
+	}
+	var out [2][]int32
+	for i, pattern := range [2][]uint8{patternOf(read), patternOf(read.ReverseComplement())} {
+		r, _ := ix.fm.SearchWithFtabSteps(pattern)
+		ps, err := ix.fm.Locate(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = ps
+	}
+	return out[0], out[1]
 }
 
 func mustBuild(t *testing.T, ref dna.Seq, cfg IndexConfig) *Index {
@@ -193,11 +234,7 @@ func TestAllOccurrencesFound(t *testing.T) {
 		copy(ref[p:p+len(pattern)], pattern)
 	}
 	ix := mustBuild(t, ref, IndexConfig{})
-	res := ix.MapRead(pattern)
-	positions, err := ix.FM().Locate(res.Forward)
-	if err != nil {
-		t.Fatal(err)
-	}
+	positions := mapLocated(t, ix, pattern).ForwardPositions
 	found := map[int]bool{}
 	for _, p := range positions {
 		found[int(p)] = true

@@ -222,10 +222,12 @@ func (s *MemStats) Add(r MemResult) {
 }
 
 // memState is the lazily-built seed-and-extend substrate: the bidirectional
-// index for SMEM seeding and the reference text for extension. The text is
-// reconstructed from the index itself (ExtractReference), so a cache-restored
-// index needs no access to the original FASTA. bi was built over ref and
-// reads the same array, so the text is held once.
+// index for SMEM seeding and the reference text for extension, one byte a
+// base. The text is unpacked from the index's own packed text, or on an
+// index read from a file, which holds none, reconstructed from the index
+// itself (ExtractReference), so a cache-restored index needs no access to
+// the original FASTA. bi was built over ref and reads the same array, so the
+// text is held once at this width.
 type memState struct {
 	bi  *fmindex.BiIndex
 	ref dna.Seq
@@ -247,7 +249,7 @@ func (ix *Index) EnsureMem() error {
 	if ix.mem.Load() != nil {
 		return nil
 	}
-	ref, err := ix.ExtractReference()
+	ref, err := ix.reference()
 	if err != nil {
 		return fmt.Errorf("core: mem state: %w", err)
 	}
@@ -283,13 +285,22 @@ func (ix *Index) MemBytes() int {
 	return size
 }
 
-// HostBytes is what the index holds in host memory now: SizeBytes, plus
-// the seed-and-extend state once EnsureMem has built it — the reverse
-// direction and its prefix table, the retained text, and a forward direction
-// or forward table of its own where it could not share this index's (or
-// holds one this index has since dropped).
+// reference is the indexed text one byte a base: the packed text unpacked
+// when the index holds it, else walked back out of the index.
+func (ix *Index) reference() (dna.Seq, error) {
+	if t := ix.fm.Text(); t.Len() > 0 {
+		return t.Unpack(), nil
+	}
+	return ix.ExtractReference()
+}
+
+// HostBytes is what the index holds in host memory now: SizeBytes and the
+// packed text, plus the seed-and-extend state once EnsureMem has built it —
+// the reverse direction and its prefix table, the retained text, and a
+// forward direction or forward table of its own where it could not share
+// this index's (or holds one this index has since dropped).
 func (ix *Index) HostBytes() int {
-	size := ix.SizeBytes()
+	size := ix.SizeBytes() + ix.fm.TextBytes()
 	if st := ix.mem.Load(); st != nil {
 		size += st.bi.SizeBytes() + len(st.ref)
 		if st.bi.Forward() == ix.fm {

@@ -370,11 +370,15 @@ func reverseBytes(t *testing.T, ref dna.Seq) int {
 // exact path's table for the forward direction, so EnsureMem grows an index
 // by exactly the reverse direction, the reverse table and the text. The
 // interleaved short-pattern table it held before was 8·Σ_{l=1..10}(4^l+1) =
-// 11 184 880 bytes; the reverse table is 6 990 508 fewer.
+// 11 184 880 bytes; the reverse table is 6 990 508 fewer. Beside SizeBytes,
+// HostBytes counts the packed text a build attaches, n/4 bytes.
 func TestEnsureMemSharesThePrefixTable(t *testing.T) {
 	ref := testGenome(t, 1<<20) // n = 4^10: order 10
 	ix := mustBuild(t, ref, IndexConfig{FtabK: DefaultFtabK})
 	before := ix.HostBytes()
+	if got, want := before-ix.SizeBytes(), len(ref)/4; got != want {
+		t.Errorf("HostBytes counts %d bytes beside SizeBytes, want the packed text's %d", got, want)
+	}
 	if err := ix.EnsureMem(); err != nil {
 		t.Fatal(err)
 	}

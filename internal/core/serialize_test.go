@@ -54,23 +54,12 @@ func TestSerializeRoundTripConfigs(t *testing.T) {
 		}
 		wantLocate := cfg.withDefaults().Locate != LocateNone
 		for _, r := range reads {
-			a := orig.MapRead(r.Seq)
-			b := back.MapRead(r.Seq)
-			if a.Forward != b.Forward || a.Reverse != b.Reverse {
-				t.Fatalf("cfg %+v: deserialized index disagrees on ranges", cfg)
+			a, b := orig.MapRead(r.Seq), back.MapRead(r.Seq)
+			if wantLocate {
+				a, b = mapLocated(t, orig, r.Seq), mapLocated(t, back, r.Seq)
 			}
-			if wantLocate && !a.Forward.Empty() {
-				pa, err := orig.FM().Locate(a.Forward)
-				if err != nil {
-					t.Fatal(err)
-				}
-				pb, err := back.FM().Locate(b.Forward)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !equalPositions(pa, pb) {
-					t.Fatalf("cfg %+v: deserialized index disagrees on positions", cfg)
-				}
+			if !sameResult(orig, a, b) {
+				t.Fatalf("cfg %+v: deserialized index disagrees: %+v, built %+v", cfg, b, a)
 			}
 		}
 	}

@@ -14,7 +14,11 @@ import (
 // every read.
 //
 // Only ranges are compared — located positions are resolved on the host from
-// the same ranges, so they cannot diverge independently.
+// the same ranges, or for a result that finished on the text from its read,
+// which LocateResults holds to the result's count — so they cannot diverge
+// independently. MapRead ranks to the end and reports its range in the
+// batch's form, so a kernel that finished a search on the text and one that
+// ranked it agree.
 func VerifySampled(ix *Index, reads []dna.Seq, results []MapResult, stride int) error {
 	if stride <= 0 {
 		return nil

@@ -15,11 +15,16 @@ type PackedSeq struct {
 // BasesPerWord is the number of 2-bit bases in one 64-bit word.
 const BasesPerWord = 32
 
-// Pack converts an unpacked sequence to its 2-bit representation.
+// Pack converts an unpacked sequence to its 2-bit representation, a word at
+// a time.
 func Pack(s Seq) PackedSeq {
 	words := make([]uint64, (len(s)+BasesPerWord-1)/BasesPerWord)
-	for i, b := range s {
-		words[i/BasesPerWord] |= uint64(b&3) << uint((i%BasesPerWord)*2)
+	for w := range words {
+		var word uint64
+		for j, b := range s[w*BasesPerWord : min(len(s), (w+1)*BasesPerWord)] {
+			word |= uint64(b&3) << uint(2*j)
+		}
+		words[w] = word
 	}
 	return PackedSeq{words: words, n: len(s)}
 }
@@ -54,11 +59,13 @@ func (p PackedSeq) SetBase(i int, b Base) {
 	*w = (*w &^ (3 << shift)) | uint64(b&3)<<shift
 }
 
-// Unpack converts back to an unpacked sequence.
+// Unpack converts back to an unpacked sequence, a word at a time.
 func (p PackedSeq) Unpack() Seq {
 	out := make(Seq, p.n)
-	for i := 0; i < p.n; i++ {
-		out[i] = p.Base(i)
+	for w, word := range p.words {
+		for j := range out[w*BasesPerWord : min(p.n, (w+1)*BasesPerWord)] {
+			out[w*BasesPerWord+j] = Base(word >> uint(2*j) & 3)
+		}
 	}
 	return out
 }

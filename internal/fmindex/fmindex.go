@@ -11,6 +11,7 @@ import (
 
 	"bwaver/internal/bitvec"
 	"bwaver/internal/bwt"
+	"bwaver/internal/dna"
 	"bwaver/internal/rrr"
 	"bwaver/internal/wavelet"
 )
@@ -54,6 +55,15 @@ type Index struct {
 	sa      []int32    // full suffix array (optional)
 	sampled *SampledSA // sampled suffix array (optional)
 	ftab    *Ftab      // k-mer prefix-lookup table (optional)
+
+	// text is the indexed text at two bits a symbol (optional). With it, a
+	// grouped exact search whose interval has at most locateMax rows locates
+	// them and compares the rest of its pattern with the text instead of
+	// ranking: maxLocated rows with the full suffix array, one with a
+	// sampled one, whose rows each cost an LF walk, and 0 — the ranked walk
+	// to the end — without the text or a locate structure.
+	text      dna.PackedSeq
+	locateMax int
 }
 
 // Options configure locate support.
@@ -190,6 +200,67 @@ func (ix *Index) SymbolCount(sym uint8) int {
 		return 0
 	}
 	return ix.cFull[sym+1] - ix.cFull[sym]
+}
+
+// SetText attaches the text the index was built over, packed two bits a
+// symbol, as SetFtab attaches a table; the zero PackedSeq detaches it. The
+// text must be the index's own: a foreign one answers wrong counts. An
+// alphabet larger than DNA's has no packed text.
+func (ix *Index) SetText(t dna.PackedSeq) error {
+	switch {
+	case t.Len() == 0:
+		ix.text, ix.locateMax = t, 0
+		return nil
+	case t.Len() != ix.n:
+		return fmt.Errorf("fmindex: packed text of %d symbols for an index of %d", t.Len(), ix.n)
+	case ix.sigma > ftabSigma:
+		return fmt.Errorf("fmindex: no packed text for an alphabet of %d symbols", ix.sigma)
+	}
+	ix.text = t
+	switch {
+	case ix.sa != nil:
+		ix.locateMax = maxLocated
+	case ix.sampled != nil:
+		ix.locateMax = 1
+	default:
+		ix.locateMax = 0
+	}
+	return nil
+}
+
+// Text returns the attached packed text, the zero PackedSeq if none.
+func (ix *Index) Text() dna.PackedSeq { return ix.text }
+
+// TextBytes returns the attached packed text's footprint, 0 if none.
+func (ix *Index) TextBytes() int { return 8 * len(ix.text.Words()) }
+
+// Canonical returns the range SearchGroup reports for a pattern whose ranked
+// backward search returns r: every empty range as [1, 0]; a range of at
+// most locateMax rows as rows [0, c−1], since the grouped search finished on
+// the text and does not know its final rows — no ranked search of a
+// nonempty pattern returns row 0, which only the empty pattern's range
+// holds; any other range as it is.
+func (ix *Index) Canonical(r Range) Range {
+	switch c := r.Count(); {
+	case c == 0:
+		return Range{Start: 1, End: 0}
+	case c <= ix.locateMax:
+		return Range{Start: 0, End: c - 1}
+	}
+	return r
+}
+
+// FinishesOnText reports whether a grouped exact search can finish on the
+// text: the index holds its text and a locate structure.
+func (ix *Index) FinishesOnText() bool { return ix.locateMax > 0 }
+
+// OnText reports whether r is the range of a search that finished on the
+// text, whose positions its search group holds (LocateGroupAppend), rather
+// than rows to locate. The empty pattern's range, all n+1 rows, is rows
+// even where it has at most locateMax of them: no other range starts at
+// row 0.
+func (ix *Index) OnText(r Range) bool {
+	return r.Start == 0 && r.End >= 0 && r.End < min(ix.locateMax, ix.n)
 }
 
 // SA returns the full suffix array if the index holds one, else nil.
@@ -337,8 +408,20 @@ func (ix *Index) Locate(r Range) ([]int32, error) {
 // LocateAppend appends the text positions of every row in r to dst and
 // returns the extended slice, allocating only when dst's capacity runs out —
 // the hot-path variant the batch mappers use with per-worker reusable
-// buffers. An empty range returns dst unchanged.
+// buffers. An empty range returns dst unchanged. A range that finished on
+// the text (OnText) holds no rows to locate: it is an error, and
+// LocateGroupAppend reads its positions from its search's group.
 func (ix *Index) LocateAppend(dst []int32, r Range) ([]int32, error) {
+	if ix.OnText(r) {
+		return dst, errOnText
+	}
+	return ix.locateAppend(dst, r)
+}
+
+var errOnText = errors.New("fmindex: range finished on the text: its positions are its search group's (LocateGroupAppend)")
+
+// locateAppend is LocateAppend for a range of rows.
+func (ix *Index) locateAppend(dst []int32, r Range) ([]int32, error) {
 	if r.Empty() {
 		return dst, nil
 	}

@@ -20,7 +20,10 @@ import (
 // through the group search beside its halves, its reversal, a slice of the
 // text with and without a symbol outside the alphabet, an empty pattern and
 // a duplicate of itself, in groups of every size, with the table and
-// without: each must get the one-pattern search's range and step count.
+// without, and with the packed text attached and without: each must get the
+// one-pattern search's range, in Canonical's form, and step count, and a
+// search that finished on the text the positions LocateAppend gives its
+// rows.
 func FuzzSearchWithFtab(f *testing.F) {
 	f.Add([]byte("ACGTACGGTACCTTAGGCAATCGA"), []byte("ACGT"), uint8(2))
 	f.Add([]byte("AAAAAAAACCCCGGGG"), []byte("AAAC"), uint8(3))
@@ -98,11 +101,14 @@ func FuzzSearchWithFtab(f *testing.F) {
 		for i, c := range pattern {
 			reversed[len(pattern)-1-i] = c
 		}
-		checkSearchGroup(t, ix, [][]uint8{
+		group := [][]uint8{
 			pattern, pattern[:len(pattern)/2], slice, nil, reversed,
 			append([]uint8{5}, slice...), append(append([]uint8(nil), slice...), 4),
 			pattern[len(pattern)/2:], pattern,
-		})
+		}
+		checkSearchGroup(t, ix, group)
+		attachText(t, ix, text)
+		checkSearchGroup(t, ix, group)
 	})
 }
 

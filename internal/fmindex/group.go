@@ -1,8 +1,10 @@
 package fmindex
 
 import (
+	"fmt"
 	"slices"
 
+	"bwaver/internal/dna"
 	"bwaver/internal/wavelet"
 )
 
@@ -16,6 +18,9 @@ type Group struct {
 	spare []int32
 	exact exactGroup
 	smem  smemGroup
+	// ranges and steps hold SearchOnText's results.
+	ranges []Range
+	steps  []int
 }
 
 // searches are the searches of a group, numbered from 0.
@@ -63,40 +68,132 @@ type exactGroup struct {
 	ranges              []Range
 	steps               []int
 	left                []int // symbols of each pattern still to consume
+	at                  []exactAt
+	found               []hits // a search's occurrences once it is located
+	err                 error
 	hits, misses, short uint64
 	q                   []wavelet.PairQuery
 	ranks               wavelet.Group
 }
 
-// SearchGroup runs the backward search of every pattern, setting ranges[p]
-// and steps[p] to what SearchWithFtabSteps(patterns[p]) returns — or, with
-// useFtab false, CountSteps(patterns[p]) — with the searches in lock step:
-// every table bound is read first, then each round steps every live search
-// once, its rank pairs resolved together (wavelet.Tree.RankPairs). The
-// table's counters end up as the per-pattern searches would leave them.
-func (ix *Index) SearchGroup(g *Group, patterns [][]uint8, useFtab bool, ranges []Range, steps []int) {
+// exactAt is where advance picks an exact search up.
+type exactAt uint8
+
+const (
+	exactStart   exactAt = iota // not started
+	exactRanked                 // ranking: ranges holds pattern[left:]'s interval
+	exactLocated                // found holds pattern[left:]'s occurrences
+	exactDone                   // finished on the text
+)
+
+// SearchGroup runs the backward search of every pattern with the searches
+// in lock step: every table bound is read first, then each round steps
+// every live search once, its rank pairs resolved together
+// (wavelet.Tree.RankPairs). ranges[p] and steps[p] become what
+// SearchWithFtabSteps(patterns[p]) returns — or, with useFtab false,
+// CountSteps(patterns[p]) — in the form Canonical gives it: once a search's
+// interval has at most locateMax rows it is not ranked further but located,
+// its suffix-array line read with the group's others, and the rest of the
+// pattern compared with the text at every occurrence; LocateGroupAppend then
+// reads its positions from g. The table's counters end up as the
+// per-pattern searches would leave them. The error is a locate's on a
+// corrupt sampled array.
+func (ix *Index) SearchGroup(g *Group, patterns [][]uint8, useFtab bool, ranges []Range, steps []int) error {
+	e := ix.searchGroup(g, patterns, useFtab, ranges, steps, nil)
+	if e.f != nil {
+		e.f.count(e.hits, e.misses, e.short)
+	}
+	return e.err
+}
+
+// SearchOnText searches again, as one group, each pattern p whose range
+// ranges[p] finished on the text (OnText), so that LocateGroupAppend reads
+// its positions from g; it searches no other pattern, and none at all when
+// no range finished on the text. Such a pattern must occur as often as its
+// range counts. The table serves these searches but does not count them:
+// they repeat searches whose lookups were counted when they ran.
+func (ix *Index) SearchOnText(g *Group, patterns [][]uint8, ranges []Range) error {
+	again := false
+	for _, r := range ranges {
+		again = again || ix.OnText(r)
+	}
+	if !again {
+		return nil
+	}
+	n := len(patterns)
+	g.ranges, g.steps = slices.Grow(g.ranges[:0], n)[:n], slices.Grow(g.steps[:0], n)[:n]
+	if e := ix.searchGroup(g, patterns, true, g.ranges, g.steps, ranges); e.err != nil {
+		return e.err
+	}
+	for p, r := range ranges {
+		if ix.OnText(r) && g.ranges[p] != r {
+			return fmt.Errorf("fmindex: pattern %d has %d occurrences, where its range on the text counts %d", p, g.ranges[p].Count(), r.Count())
+		}
+	}
+	return nil
+}
+
+// searchGroup runs SearchGroup's searches, leaving the table's counters to
+// the caller. With only set, it runs just the searches of the patterns p
+// whose range only[p] finished on the text.
+func (ix *Index) searchGroup(g *Group, patterns [][]uint8, useFtab bool, ranges []Range, steps []int, only []Range) *exactGroup {
 	e, n := &g.exact, len(patterns)
-	*e = exactGroup{ix: ix, patterns: patterns, ranges: ranges, steps: steps, left: slices.Grow(e.left[:0], n)[:n], q: e.q, ranks: e.ranks}
+	*e = exactGroup{ix: ix, patterns: patterns, ranges: ranges, steps: steps,
+		left: slices.Grow(e.left[:0], n)[:n], at: slices.Grow(e.at[:0], n)[:n], found: slices.Grow(e.found[:0], n)[:n],
+		q: e.q, ranks: e.ranks}
 	if useFtab {
 		e.f = ix.ftab
 	}
 	clear(steps[:n])
-	g.drive(e, n)
-	if e.f != nil {
-		e.f.count(e.hits, e.misses, e.short)
+	clear(e.at)
+	for p, r := range only {
+		if !ix.OnText(r) {
+			ranges[p], e.at[p], e.found[p].n = r, exactDone, 0
+		}
 	}
+	g.drive(e, n)
+	return e
+}
+
+// LocateGroupAppend is LocateAppend for pattern p of g's last search,
+// SearchGroup's or SearchOnText's, whose range is r: rows are located
+// through the suffix array, and a range that finished on the text takes the
+// positions the search left in g.
+func (ix *Index) LocateGroupAppend(dst []int32, g *Group, p int, r Range) ([]int32, error) {
+	if !ix.OnText(r) {
+		return ix.locateAppend(dst, r)
+	}
+	at := g.located(p)
+	if len(at) != r.Count() {
+		return dst, fmt.Errorf("fmindex: a range of %d occurrences on the text, where pattern %d's search found %d", r.Count(), p, len(at))
+	}
+	return append(dst, at...), nil
+}
+
+// located returns the text positions of pattern p of the last exact search
+// when it finished on the text, in the order its final rows would list them,
+// and nothing otherwise. They stay valid until the next search.
+func (g *Group) located(p int) []int32 {
+	e := &g.exact
+	if p >= len(e.at) || e.at[p] != exactDone {
+		return nil
+	}
+	return e.found[p].pos[:e.found[p].n]
 }
 
 // advance starts each search p of list at its first call, asking for its
-// table bounds if the table holds its last k symbols (p has taken no step
-// before); each later call takes one step, asking for its rank pair, until
-// the range empties or the pattern is consumed.
+// table bounds if the table holds its last k symbols. Each later call takes
+// one step, asking for its rank pair, until the range empties or the
+// pattern is consumed — or until the range has at most locateMax rows: then
+// the search asks for their suffix-array line, or walks to samples here, and
+// then for the comparison with the text.
 func (e *exactGroup) advance(g *Group, list []int32) {
-	ranges, steps, left := e.ranges, e.steps, e.left
+	ix, ranges, steps, left := e.ix, e.ranges, e.steps, e.left
 	for _, p := range list {
 		pattern := e.patterns[p]
-		if steps[p] == 0 {
-			ranges[p], left[p] = e.ix.All(), len(pattern)
+		switch e.at[p] {
+		case exactStart:
+			ranges[p], left[p], e.at[p] = ix.All(), len(pattern), exactRanked
 			if f := e.f; f != nil && len(pattern) < f.k {
 				e.short++
 			} else if f != nil {
@@ -107,12 +204,33 @@ func (e *exactGroup) advance(g *Group, list []int32) {
 				}
 				e.misses++
 			}
+		case exactLocated:
+			g.wait[loadText] = append(g.wait[loadText], p)
+			continue
+		case exactDone:
+			continue
 		}
-		if ranges[p].Empty() || left[p] == 0 {
+		switch r := ranges[p]; {
+		case r.Empty():
+			ranges[p] = Range{Start: 1, End: 0}
+			continue
+		case r.Count() <= ix.locateMax:
+			e.at[p] = exactLocated
+			if ix.sa != nil {
+				g.wait[loadLine] = append(g.wait[loadLine], p)
+				continue
+			}
+			if err := e.found[p].locate(ix, r); err != nil {
+				e.fail(p, err)
+				continue
+			}
+			g.wait[loadText] = append(g.wait[loadText], p)
+			continue
+		case left[p] == 0:
 			continue
 		}
 		left[p], steps[p] = left[p]-1, steps[p]+1
-		if int(pattern[left[p]]) >= e.ix.sigma {
+		if int(pattern[left[p]]) >= ix.sigma {
 			ranges[p] = Range{Start: 1, End: 0} // Step's answer
 			continue
 		}
@@ -120,7 +238,17 @@ func (e *exactGroup) advance(g *Group, list []int32) {
 	}
 }
 
-// serve reads the waiting searches' table bounds, or takes their steps.
+// fail ends search p on a locate's error, keeping the first.
+func (e *exactGroup) fail(p int32, err error) {
+	e.ranges[p], e.at[p] = Range{Start: 1, End: 0}, exactDone
+	e.found[p].n = 0
+	if e.err == nil {
+		e.err = err
+	}
+}
+
+// serve reads the waiting searches' table bounds or suffix-array lines,
+// compares their patterns with the text, or takes their steps.
 func (e *exactGroup) serve(kind load, list []int32) {
 	ix := e.ix
 	switch {
@@ -128,6 +256,16 @@ func (e *exactGroup) serve(kind load, list []int32) {
 		for _, p := range list {
 			key, _ := e.f.key(e.patterns[p])
 			e.ranges[p], e.steps[p], e.left[p] = e.f.Lookup(key), 1, len(e.patterns[p])-e.f.k
+		}
+	case kind == loadLine:
+		for _, p := range list {
+			if err := e.found[p].locate(ix, e.ranges[p]); err != nil {
+				e.fail(p, err)
+			}
+		}
+	case kind == loadText:
+		for _, p := range list {
+			e.finish(p)
 		}
 	case ix.wocc == nil:
 		for _, p := range list {
@@ -145,6 +283,41 @@ func (e *exactGroup) serve(kind load, list []int32) {
 			c := ix.cFull[q[k].Sym]
 			e.ranges[p] = Range{Start: c + q[k].I, End: c + q[k].J - 1}
 		}
+	}
+}
+
+// finish compares the rest of located search p's pattern with the text
+// before each occurrence and keeps, in order, the occurrences where all of
+// it matches, moved to where the whole pattern starts: LF keeps the order of
+// the rows it maps with one preceding symbol, so these are the final rows'
+// positions in row order. The ranked walk would have taken a step for each
+// symbol the longest match L spans and one more for the symbol where it
+// died, or every remaining symbol when one occurrence survives: min(left,
+// L+1) steps either way.
+func (e *exactGroup) finish(p int32) {
+	h, left, t := &e.found[p], e.left[p], packedText(e.ix.text.Words())
+	prefix := e.patterns[p][:left]
+	// Most occurrences differ within the first 32 symbols: the pattern's are
+	// packed once for all of them.
+	want, c := pack(prefix)
+	var kept hits
+	longest := 0
+	for _, pos := range h.pos[:h.n] {
+		l := t.common(int(pos), want, c)
+		if l == dna.BasesPerWord {
+			l += t.commonSuffix(int(pos)-l, prefix[:left-l])
+		}
+		if l == left {
+			kept.pos[kept.n] = pos - int32(left)
+			kept.n++
+		}
+		longest = max(longest, l)
+	}
+	*h, e.at[p] = kept, exactDone
+	e.steps[p] += min(left, longest+1)
+	e.ranges[p] = Range{Start: 0, End: kept.n - 1}
+	if kept.n == 0 {
+		e.ranges[p] = Range{Start: 1, End: 0}
 	}
 }
 

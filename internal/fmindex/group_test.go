@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"bwaver/internal/dna"
 )
 
 // ftabStats returns the counters of ix's table, zero without one.
@@ -22,19 +24,37 @@ func (s FtabStats) since(before FtabStats) FtabStats {
 // checkSearchGroup runs patterns through SearchGroup in groups of every size
 // from 1 to len(patterns), with the table and without, and fails unless
 // every pattern's range and step count equal the one-pattern search's —
-// SearchWithFtabSteps with the table, CountSteps without — and the table's
+// SearchWithFtabSteps with the table, CountSteps without — in Canonical's
+// form, a search that finished on the text located what LocateAppend
+// locates of the one-pattern range, in its order — read through
+// LocateGroupAppend, LocateAppend refusing its range — and the table's
 // counters grow by what the one-pattern searches add to them.
 func checkSearchGroup(t *testing.T, ix *Index, patterns [][]uint8) {
 	t.Helper()
 	var g Group
 	ranges := make([]Range, len(patterns))
 	steps := make([]int, len(patterns))
+	located := make([][]int32, len(patterns))
 	for _, useFtab := range []bool{true, false} {
 		for size := 1; size <= len(patterns); size++ {
 			before := ftabStats(ix)
 			for lo := 0; lo < len(patterns); lo += size {
 				hi := min(lo+size, len(patterns))
-				ix.SearchGroup(&g, patterns[lo:hi], useFtab, ranges[lo:hi], steps[lo:hi])
+				if err := ix.SearchGroup(&g, patterns[lo:hi], useFtab, ranges[lo:hi], steps[lo:hi]); err != nil {
+					t.Fatal(err)
+				}
+				for p := lo; p < hi; p++ {
+					if !ix.OnText(ranges[p]) {
+						continue
+					}
+					var err error
+					if located[p], err = ix.LocateGroupAppend(located[p][:0], &g, p-lo, ranges[p]); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := ix.LocateAppend(nil, ranges[p]); err == nil {
+						t.Fatalf("LocateAppend located %v, a range that finished on the text, as rows", ranges[p])
+					}
+				}
 			}
 			grouped := ftabStats(ix)
 			for p, pattern := range patterns {
@@ -42,15 +62,38 @@ func checkSearchGroup(t *testing.T, ix *Index, patterns [][]uint8) {
 				if useFtab {
 					want, wantSteps = ix.SearchWithFtabSteps(pattern)
 				}
-				if ranges[p] != want || steps[p] != wantSteps {
+				if ranges[p] != ix.Canonical(want) || steps[p] != wantSteps {
 					t.Fatalf("ftab=%v group size %d, pattern %d %v: group search %+v in %d steps, one-pattern %+v in %d",
 						useFtab, size, p, pattern, ranges[p], steps[p], want, wantSteps)
+				}
+				if !ix.OnText(ranges[p]) {
+					continue
+				}
+				wantPos, err := ix.LocateAppend(nil, want)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(located[p], wantPos) {
+					t.Fatalf("ftab=%v group size %d, pattern %d %v: located %v on the text, the one-pattern rows %v",
+						useFtab, size, p, pattern, located[p], wantPos)
 				}
 			}
 			if got, want := grouped.since(before), ftabStats(ix).since(grouped); got != want {
 				t.Fatalf("ftab=%v group size %d: group search counted %+v, one-pattern searches %+v", useFtab, size, got, want)
 			}
 		}
+	}
+}
+
+// attachText packs text, symbols below 4, and attaches it to ix.
+func attachText(t *testing.T, ix *Index, text []uint8) {
+	t.Helper()
+	seq := make(dna.Seq, len(text))
+	for i, c := range text {
+		seq[i] = dna.Base(c)
+	}
+	if err := ix.SetText(dna.Pack(seq)); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -76,15 +119,32 @@ func TestSearchGroupMatchesOnePattern(t *testing.T) {
 		patterns = append(patterns, p)
 	}
 	patterns = append(patterns, patterns[3], patterns[7], patterns[3])
+	// Segments written 16 and 17 times — the most occurrences a search
+	// locates, and one more — each copy after a different symbol.
+	for i, copies := range []int{maxLocated, maxLocated + 1} {
+		seg := buildText(rng, 24)
+		for c := range copies {
+			at := 100 + (i*maxLocated+c)*60
+			text[at-1] = uint8(c % 4)
+			copy(text[at:], seg)
+		}
+		patterns = append(patterns, seg, seg[5:], append([]uint8{1}, seg...))
+	}
 	for _, kind := range indexKinds() {
 		t.Run(kind.name, func(t *testing.T) {
 			ix := kind.build(t, text)
 			checkSearchGroup(t, ix, patterns) // no table: the plain search
+			attachText(t, ix, text)
+			checkSearchGroup(t, ix, patterns) // finishing on the text
 			ftab, err := ix.BuildFtab(5)
 			if err != nil {
 				t.Fatal(err)
 			}
 			ix.SetFtab(ftab)
+			checkSearchGroup(t, ix, patterns)
+			if err := ix.SetText(dna.PackedSeq{}); err != nil {
+				t.Fatal(err)
+			}
 			checkSearchGroup(t, ix, patterns)
 		})
 	}
@@ -149,6 +209,7 @@ func TestGroupServesBothSearches(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix.SetFtab(ftab)
+	attachText(t, ix, text)
 	patterns := [][]uint8{nil}
 	for range 47 {
 		l := 1 + rng.Intn(60)

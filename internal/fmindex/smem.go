@@ -135,13 +135,13 @@ const (
 
 // load is what a waiting search asks for, in the order Group.drive serves
 // it: the SMEM search asks for the first three, the backward search of
-// SearchGroup for table bounds and rank pairs.
+// SearchGroup for all four.
 type load uint8
 
 const (
 	loadTable load = iota // a window's or a pattern's bounds in a prefix table
-	loadLine              // the suffix-array line of m's rows
-	loadText              // the first comparison round at m's occurrences, several
+	loadLine              // the suffix-array line of a located interval's rows
+	loadText              // a comparison with the text at located occurrences
 	loadRank              // one backward-search step's rank pair
 	loadNone              // the search waits on nothing
 )
@@ -424,67 +424,15 @@ func (bi *BiIndex) locate(m *match) error {
 	if m.n > 0 || m.rows.Count() > bi.locateMax {
 		return nil
 	}
-	at, err := bi.fwd.LocateAppend(m.pos[:0], m.rows.Fwd)
-	m.rows, m.n = emptyBiRange, len(at)
+	err := m.hits.locate(bi.fwd, m.rows.Fwd)
+	m.rows = emptyBiRange
 	return err
 }
 
-// textView is the text a BiIndex was built over, in the caller's own
-// element type, so that the index shares the caller's array instead of
-// copying it.
-type textView interface {
-	// keepBefore returns, in order, the positions p of h whose preceding
-	// symbol is a, each moved to p-1.
-	keepBefore(h hits, a uint8) hits
-	// keepAt returns, in order, the positions p of h whose symbol at p+off
-	// is a.
-	keepAt(h hits, off int, a uint8) hits
-	// commonSuffix returns how many symbols text[:p] and pattern have in
-	// common at their ends.
-	commonSuffix(p int, pattern []uint8) int
-	// commonPrefix returns how many symbols text[p:] and pattern have in
-	// common at their starts.
-	commonPrefix(p int, pattern []uint8) int
-}
-
-type textOf[E ~uint8] []E
-
-func (t textOf[E]) keepBefore(h hits, a uint8) hits {
-	var kept hits
-	for _, p := range h.pos[:h.n] {
-		if p > 0 && uint8(t[p-1]) == a {
-			kept.pos[kept.n] = p - 1
-			kept.n++
-		}
-	}
-	return kept
-}
-
-func (t textOf[E]) keepAt(h hits, off int, a uint8) hits {
-	var kept hits
-	for _, p := range h.pos[:h.n] {
-		if q := int(p) + off; q < len(t) && uint8(t[q]) == a {
-			kept.pos[kept.n] = p
-			kept.n++
-		}
-	}
-	return kept
-}
-
-func (t textOf[E]) commonSuffix(p int, pattern []uint8) int {
-	before, n := t[:p], 0
-	for n < len(before) && n < len(pattern) && uint8(before[len(before)-1-n]) == pattern[len(pattern)-1-n] {
-		n++
-	}
-	return n
-}
-
-// commonPrefix takes p up to the text's end: a corrupt sampled suffix array
-// can locate a match too close to it, and must not make the search panic.
-func (t textOf[E]) commonPrefix(p int, pattern []uint8) int {
-	after, n := t[min(p, len(t)):], 0
-	for n < len(after) && n < len(pattern) && uint8(after[n]) == pattern[n] {
-		n++
-	}
-	return n
+// locate sets h to the text positions of r's rows, at most maxLocated of
+// them, in row order.
+func (h *hits) locate(ix *Index, r Range) error {
+	at, err := ix.locateAppend(h.pos[:0], r)
+	h.n = len(at)
+	return err
 }

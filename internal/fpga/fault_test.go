@@ -3,9 +3,11 @@ package fpga
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"bwaver/internal/core"
+	"bwaver/internal/fmindex"
 )
 
 func TestParseFaultPlan(t *testing.T) {
@@ -183,6 +185,56 @@ func TestFaultDeterminism(t *testing.T) {
 		want := ix.MapRead(read)
 		if a.run.Results[i].Forward != want.Forward || a.run.Results[i].Reverse != want.Reverse {
 			t.Fatalf("read %d: recovered result diverges from CPU", i)
+		}
+	}
+}
+
+// TestWrongHitsKeepingTheCountCaught corrupts a model result that finished
+// on the text — rows [0, c−1], located on the host by searching its read
+// again — so that it keeps its count but names other rows: moved to real
+// rows elsewhere, or one bit of both ends flipped. The batch checksum and the
+// sampled cross-check must each reject it, as they reject a flipped
+// Forward.Start. A count the read does not have fails LocateResults too.
+func TestWrongHitsKeepingTheCountCaught(t *testing.T) {
+	ix := buildIndex(t, 20000)
+	reads := simReads(t, ix, 200, 40, 1)
+	dev, _ := NewDevice(Config{})
+	k, err := dev.Program(ix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fm := ix.FM()
+	for _, tc := range []struct {
+		name       string
+		corrupt    func(r *fmindex.Range)
+		sameCount  bool
+		locateFail bool
+	}{
+		{"moved", func(r *fmindex.Range) { r.Start, r.End = r.Start+1000, r.End+1000 }, true, false},
+		{"bit 4 of both ends", func(r *fmindex.Range) { r.Start, r.End = r.Start^16, r.End^16 }, true, false},
+		{"one more", func(r *fmindex.Range) { r.End++ }, false, true},
+	} {
+		run, err := k.MapReadsOpts(reads, MapRunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := slices.IndexFunc(run.Results, func(r core.MapResult) bool { return fm.OnText(r.Forward) })
+		if i < 0 {
+			t.Fatal("no result finished on the text")
+		}
+		before := run.Results[i].Forward
+		tc.corrupt(&run.Results[i].Forward)
+		if same := run.Results[i].Forward.Count() == before.Count(); same != tc.sameCount {
+			t.Fatalf("%s: %v became %v", tc.name, before, run.Results[i].Forward)
+		}
+		if err := run.VerifyChecksum(); !errors.Is(err, ErrResultCorrupt) {
+			t.Errorf("%s: VerifyChecksum = %v, want ErrResultCorrupt", tc.name, err)
+		}
+		if err := core.VerifySampled(ix, reads, run.Results, 1); err == nil {
+			t.Errorf("%s: the sampled cross-check passed %v for %v", tc.name, run.Results[i].Forward, before)
+		}
+		if _, err := k.LocateResults(run.Results, reads); (err != nil) != tc.locateFail {
+			t.Errorf("%s: LocateResults = %v", tc.name, err)
 		}
 	}
 }

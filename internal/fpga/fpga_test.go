@@ -303,7 +303,7 @@ func TestLocateResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	elapsed, err := k.LocateResults(run.Results)
+	elapsed, err := k.LocateResults(run.Results, reads)
 	if err != nil {
 		t.Fatal(err)
 	}

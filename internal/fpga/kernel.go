@@ -445,12 +445,13 @@ func (k *Kernel) ModelProfile(nReads int, avgStepsPerRead float64) Profile {
 	return k.assemble(k.pass(uint64(cfg.PipelineFillCycles)+stepCycles/uint64(cfg.PEs), nReads, nReads), k.indexTransfer)
 }
 
-// LocateResults resolves occurrence positions for a run on the host through
-// the index's suffix array — the paper's final host-side step. It returns
-// the wall-clock time spent, which the hybrid pipeline adds to the host
-// budget, not the device budget.
-func (k *Kernel) LocateResults(results []core.MapResult) (time.Duration, error) {
+// LocateResults resolves occurrence positions for a run of reads on the host
+// — the paper's final host-side step — through the index's suffix array,
+// searching again the reads whose results finished on the text
+// (core.Index.LocateResults). It returns the wall-clock time spent, which
+// the hybrid pipeline adds to the host budget, not the device budget.
+func (k *Kernel) LocateResults(results []core.MapResult, reads []dna.Seq) (time.Duration, error) {
 	start := time.Now()
-	err := k.ix.LocateResults(results)
+	err := k.ix.LocateResults(results, reads)
 	return time.Since(start), err
 }

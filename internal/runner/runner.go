@@ -140,8 +140,9 @@ type Work[R any] struct {
 	// cpu maps batch into dst, the run's one result buffer.
 	cpu    func(dst []R, batch []dna.Seq, run core.MapOptions) error
 	device fpga.Workload[R]
-	// finish, when non-nil, completes a batch the device mapped on the host.
-	finish func(run *fpga.Run[R]) error
+	// finish, when non-nil, completes a batch of reads the device mapped on
+	// the host.
+	finish func(run *fpga.Run[R], reads []dna.Seq) error
 	encode func(rows *Rows, off int, ids []string, reads []dna.Seq, results []R) error
 }
 
@@ -159,7 +160,9 @@ func Exact(ix *core.Index, locate bool) Work[core.MapResult] {
 		encode: (*Rows).exact,
 	}
 	if locate {
-		w.finish = func(run *fpga.Run[core.MapResult]) error { return ix.LocateResults(run.Results) }
+		w.finish = func(run *fpga.Run[core.MapResult], reads []dna.Seq) error {
+			return ix.LocateResults(run.Results, reads)
+		}
 	}
 	return w
 }
@@ -216,7 +219,7 @@ func Mem(ix *core.Index, opts core.MemOptions, count func(stats core.MemStats, r
 			return err
 		},
 		device: fpga.Mem(opts),
-		finish: func(run *fpga.Run[core.MemResult]) error {
+		finish: func(run *fpga.Run[core.MemResult], _ []dna.Seq) error {
 			var stats core.MemStats
 			for _, r := range run.Results {
 				stats.Add(r)
@@ -310,7 +313,7 @@ func Run[R any](ctx context.Context, in *Reads, w Work[R], rows *Rows, opts Opti
 					res.Device.Merge(run.Profile)
 					results = run.Results
 					if w.finish != nil {
-						if err := w.finish(run); err != nil {
+						if err := w.finish(run, b.Seqs); err != nil {
 							return res, err
 						}
 					}
