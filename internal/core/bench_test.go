@@ -73,7 +73,15 @@ func BenchmarkMapRead(b *testing.B) {
 // 16M/batch through MapReadsInto, whose chunks search in lock step, at
 // 0 allocs/op, and 16M/read-loop the same reads through MapRead one at a
 // time — the gap between them is what keeping a chunk's searches in flight
-// buys once rank queries miss cache.
+// buys once rank queries miss cache. The 16M index has no prefix table, so
+// a read there ranks about 22 steps before its interval is small enough to
+// finish on the text, where a k = 10 table leaves about 2.4 (the chr21
+// benchmark workload): a gain measured on 16M prices other traffic than the
+// served one. The EColi arms are the served shape: a 4.6 Mbp E. coli-like
+// reference with the k = 10 table, 8 192 reads of 100 bp, three in four
+// planted in either orientation, located (MapOptions.Locate), on the full
+// suffix array and on one sampled at rate 8 as every served index is; both
+// at 0 allocs/op.
 func BenchmarkMapReads(b *testing.B) {
 	genome, err := readsim.EColiLike(1, 0.05)
 	if err != nil {
@@ -138,6 +146,31 @@ func BenchmarkMapReads(b *testing.B) {
 		})
 		batch(b, ix, seqs)
 	})
+	for _, arm := range []string{"full", "sampled-8"} {
+		b.Run("EColi/"+arm, func(b *testing.B) {
+			in, err := locateBenchEColi()
+			if err != nil {
+				b.Fatal(err)
+			}
+			ix := in.full
+			if arm == "sampled-8" {
+				ix = in.sampled
+			}
+			dst := make([]MapResult, len(in.reads))
+			opts := MapOptions{Workers: 1, Locate: true}
+			if _, err := ix.MapReadsInto(dst, in.reads, opts); err != nil {
+				b.Fatal(err) // and size every result's positions
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := ix.MapReadsInto(dst, in.reads, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.N*len(in.reads))/b.Elapsed().Seconds(), "reads/s")
+		})
+	}
 	b.Run("16M/read-loop", func(b *testing.B) {
 		ix, seqs := bench16M(b)
 		b.ReportAllocs()
@@ -184,6 +217,35 @@ var build16M = sync.OnceValues(func() (mapInputs, error) {
 	}
 	ix, err := BuildIndex(genome, IndexConfig{})
 	return mapInputs{ix: ix, reads: readsim.Seqs(reads)}, err
+})
+
+// locateInputs is one reference indexed with the full suffix array and
+// with a sampled one, and reads on it.
+type locateInputs struct {
+	full, sampled *Index
+	reads         []dna.Seq
+}
+
+// locateBenchEColi builds, once per test binary, BenchmarkMapReads' EColi
+// inputs: an E. coli-like reference indexed with the full suffix array and
+// with one sampled at rate 8, both with the k = 10 table, and 8 192 reads.
+var locateBenchEColi = sync.OnceValues(func() (in locateInputs, err error) {
+	genome, err := readsim.EColiLike(1, 1)
+	if err != nil {
+		return in, err
+	}
+	reads, err := readsim.Simulate(genome, readsim.ReadsConfig{
+		Count: 8192, Length: 100, MappingRatio: 0.75, RevCompFraction: 0.5, Seed: 5,
+	})
+	if err != nil {
+		return in, err
+	}
+	in.reads = readsim.Seqs(reads)
+	if in.full, err = BuildIndex(genome, IndexConfig{FtabK: DefaultFtabK}); err != nil {
+		return in, err
+	}
+	in.sampled, err = BuildIndex(genome, IndexConfig{FtabK: DefaultFtabK, Locate: LocateSampled, SampleRate: 8})
+	return in, err
 })
 
 // BenchmarkMapReadsApprox times the k-mismatch batch engine on one worker

@@ -343,7 +343,7 @@ type MapResult struct {
 	// Forward and Reverse are the suffix-array row ranges of the read and
 	// of its reverse complement, as fmindex.Index.Canonical has them: [1, 0]
 	// when it does not occur, rows [0, c−1] for c occurrences located by
-	// reading the text (at most 16, one with a sampled suffix array), the
+	// reading the text (at most 16, 8 with a sampled suffix array), the
 	// rows themselves otherwise. Count() is the occurrence count in every
 	// form.
 	Forward, Reverse fmindex.Range

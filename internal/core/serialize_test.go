@@ -5,10 +5,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"bwaver/internal/dna"
 	"bwaver/internal/readsim"
 	"bwaver/internal/rrr"
 	"bwaver/internal/wavelet"
@@ -60,6 +62,30 @@ func TestSerializeRoundTripConfigs(t *testing.T) {
 			}
 			if !sameResult(orig, a, b) {
 				t.Fatalf("cfg %+v: deserialized index disagrees: %+v, built %+v", cfg, b, a)
+			}
+		}
+	}
+}
+
+// TestSerializeTinyReferences writes and reads back indexes of references
+// of 1 to 30 bases at default parameters, with and without the default
+// prefix table: the last RRR block of such a sequence is mostly padding,
+// and its offset field still takes its class's full width.
+func TestSerializeTinyReferences(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for n := 1; n <= 30; n++ {
+		ref := make(dna.Seq, n)
+		for i := range ref {
+			ref[i] = dna.Base(rng.Intn(4))
+		}
+		for _, cfg := range []IndexConfig{{}, {FtabK: DefaultFtabK}} {
+			orig := mustBuild(t, ref, cfg)
+			back := roundTrip(t, orig)
+			for lo := range n {
+				read := ref[lo:min(n, lo+8)]
+				if a, b := mapLocated(t, orig, read), mapLocated(t, back, read); !sameResult(orig, a, b) {
+					t.Fatalf("%d bases %v, ftab %d: read %v maps to %+v read back, %+v built", n, ref, cfg.FtabK, read, b, a)
+				}
 			}
 		}
 	}

@@ -59,9 +59,10 @@ type Index struct {
 	// text is the indexed text at two bits a symbol (optional). With it, a
 	// grouped exact search whose interval has at most locateMax rows locates
 	// them and compares the rest of its pattern with the text instead of
-	// ranking: maxLocated rows with the full suffix array, one with a
-	// sampled one, whose rows each cost an LF walk, and 0 — the ranked walk
-	// to the end — without the text or a locate structure.
+	// ranking: maxLocated rows with the full suffix array, trackedMax with a
+	// sampled one, whose search ranks on until it has met a sample for each
+	// row, and 0 — the ranked walk to the end — without the text or a locate
+	// structure.
 	text      dna.PackedSeq
 	locateMax int
 }
@@ -221,7 +222,7 @@ func (ix *Index) SetText(t dna.PackedSeq) error {
 	case ix.sa != nil:
 		ix.locateMax = maxLocated
 	case ix.sampled != nil:
-		ix.locateMax = 1
+		ix.locateMax = trackedMax
 	default:
 		ix.locateMax = 0
 	}
@@ -444,7 +445,10 @@ func (ix *Index) locateAppend(dst []int32, r Range) ([]int32, error) {
 	return dst, nil
 }
 
-var errNoLocate = errors.New("fmindex: index built without locate support")
+var (
+	errNoLocate = errors.New("fmindex: index built without locate support")
+	errOutside  = errors.New("fmindex: located position outside the text; index is corrupt")
+)
 
 // locateOne walks LF from row to the nearest sampled row. A valid index gets
 // there within min(rate, n+1)−1 steps — every rate-th text position is
@@ -456,8 +460,8 @@ func (ix *Index) locateOne(row int) (int32, error) {
 	for steps := 0; ; steps++ {
 		if s.marks.Bit(row) {
 			pos := int(s.values[s.marks.Rank1(row)]) + steps
-			if pos > ix.n {
-				return 0, errors.New("fmindex: located position past the text; index is corrupt")
+			if uint(pos) > uint(ix.n) {
+				return 0, errOutside
 			}
 			return int32(pos), nil
 		}
@@ -562,6 +566,17 @@ func NewSampledSA(sa []int32, rate int) (*SampledSA, error) {
 		return nil, fmt.Errorf("fmindex: %d suffix-array values are multiples of %d, want %d; not a suffix array", k, rate, len(values))
 	}
 	return &SampledSA{rate: rate, marks: marks.Build(), values: values}, nil
+}
+
+// marked returns the marks of rows [row, row+c), c <= 32, row row+i's in
+// bit i: one word of marks, or two.
+func (s *SampledSA) marked(row, c int) uint32 {
+	words, w, o := s.marks.Words(), row/64, uint(row%64)
+	x := words[w] >> o
+	if o+uint(c) > 64 {
+		x |= words[w+1] << (64 - o)
+	}
+	return uint32(x) & (1<<c - 1)
 }
 
 // SizeBytes returns the sampled structure's footprint.

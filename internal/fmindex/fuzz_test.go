@@ -20,10 +20,10 @@ import (
 // through the group search beside its halves, its reversal, a slice of the
 // text with and without a symbol outside the alphabet, an empty pattern and
 // a duplicate of itself, in groups of every size, with the table and
-// without, and with the packed text attached and without: each must get the
-// one-pattern search's range, in Canonical's form, and step count, and a
-// search that finished on the text the positions LocateAppend gives its
-// rows.
+// without, and with the packed text attached and without, on the full
+// suffix array and on one sampled at rate 4: each must get the one-pattern
+// search's range, in Canonical's form, and step count, and a search that
+// finished on the text the positions LocateAppend gives its rows.
 func FuzzSearchWithFtab(f *testing.F) {
 	f.Add([]byte("ACGTACGGTACCTTAGGCAATCGA"), []byte("ACGT"), uint8(2))
 	f.Add([]byte("AAAAAAAACCCCGGGG"), []byte("AAAC"), uint8(3))
@@ -109,6 +109,25 @@ func FuzzSearchWithFtab(f *testing.F) {
 		checkSearchGroup(t, ix, group)
 		attachText(t, ix, text)
 		checkSearchGroup(t, ix, group)
+
+		// The same searches where the suffix array is sampled at rate 4: a
+		// search finishing on the text tracks its rows' positions while it
+		// ranks.
+		samples, err := NewSampledSA(sa, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sampled, err := New(tr, sigma, occ, Options{Sampled: samples})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ftab, err = sampled.BuildFtab(k); err != nil {
+			t.Fatalf("BuildFtab(%d): %v", k, err)
+		}
+		sampled.SetFtab(ftab)
+		checkSearchGroup(t, sampled, group)
+		attachText(t, sampled, text)
+		checkSearchGroup(t, sampled, group)
 	})
 }
 

@@ -2,6 +2,7 @@ package fmindex
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"bwaver/internal/dna"
@@ -69,12 +70,19 @@ type exactGroup struct {
 	steps               []int
 	left                []int // symbols of each pattern still to consume
 	at                  []exactAt
-	found               []hits // a search's occurrences once it is located
+	found               []hits   // a search's occurrences once it is located
+	met                 []uint32 // a tracked search's rows found holds: bit i for row i
 	err                 error
 	hits, misses, short uint64
 	q                   []wavelet.PairQuery
 	ranks               wavelet.Group
 }
+
+// trackedMax is locateMax with a sampled suffix array: a search whose
+// interval has at most this many rows ranks on while it learns their
+// positions (exactGroup.track). Of 2, 4, 8 and 16 it is the fastest
+// (DESIGN.md "Exact search finishes on the text").
+const trackedMax = 8
 
 // exactAt is where advance picks an exact search up.
 type exactAt uint8
@@ -82,6 +90,7 @@ type exactAt uint8
 const (
 	exactStart   exactAt = iota // not started
 	exactRanked                 // ranking: ranges holds pattern[left:]'s interval
+	exactTracked                // exactRanked, found holding the positions met of its rows
 	exactLocated                // found holds pattern[left:]'s occurrences
 	exactDone                   // finished on the text
 )
@@ -92,10 +101,11 @@ const (
 // (wavelet.Tree.RankPairs). ranges[p] and steps[p] become what
 // SearchWithFtabSteps(patterns[p]) returns — or, with useFtab false,
 // CountSteps(patterns[p]) — in the form Canonical gives it: once a search's
-// interval has at most locateMax rows it is not ranked further but located,
-// its suffix-array line read with the group's others, and the rest of the
-// pattern compared with the text at every occurrence; LocateGroupAppend then
-// reads its positions from g. The table's counters end up as the
+// interval has at most locateMax rows it is located — its suffix-array line
+// read with the group's others, or, on a sampled array, its rows' positions
+// read off the samples that its further ranked steps meet — and the rest of
+// the pattern compared with the text at every occurrence; LocateGroupAppend
+// then reads its positions from g. The table's counters end up as the
 // per-pattern searches would leave them. The error is a locate's on a
 // corrupt sampled array.
 func (ix *Index) SearchGroup(g *Group, patterns [][]uint8, useFtab bool, ranges []Range, steps []int) error {
@@ -140,7 +150,7 @@ func (ix *Index) searchGroup(g *Group, patterns [][]uint8, useFtab bool, ranges 
 	e, n := &g.exact, len(patterns)
 	*e = exactGroup{ix: ix, patterns: patterns, ranges: ranges, steps: steps,
 		left: slices.Grow(e.left[:0], n)[:n], at: slices.Grow(e.at[:0], n)[:n], found: slices.Grow(e.found[:0], n)[:n],
-		q: e.q, ranks: e.ranks}
+		met: slices.Grow(e.met[:0], n)[:n], q: e.q, ranks: e.ranks}
 	if useFtab {
 		e.f = ix.ftab
 	}
@@ -185,8 +195,9 @@ func (g *Group) located(p int) []int32 {
 // table bounds if the table holds its last k symbols. Each later call takes
 // one step, asking for its rank pair, until the range empties or the
 // pattern is consumed — or until the range has at most locateMax rows: then
-// the search asks for their suffix-array line, or walks to samples here, and
-// then for the comparison with the text.
+// the search asks for their suffix-array line, or, with a sampled array,
+// ranks on while it tracks their positions (track), and then for the
+// comparison with the text.
 func (e *exactGroup) advance(g *Group, list []int32) {
 	ix, ranges, steps, left := e.ix, e.ranges, e.steps, e.left
 	for _, p := range list {
@@ -214,18 +225,21 @@ func (e *exactGroup) advance(g *Group, list []int32) {
 		case r.Empty():
 			ranges[p] = Range{Start: 1, End: 0}
 			continue
-		case r.Count() <= ix.locateMax:
+		case r.Count() <= ix.locateMax && ix.sa != nil:
 			e.at[p] = exactLocated
-			if ix.sa != nil {
-				g.wait[loadLine] = append(g.wait[loadLine], p)
-				continue
-			}
-			if err := e.found[p].locate(ix, r); err != nil {
+			g.wait[loadLine] = append(g.wait[loadLine], p)
+			continue
+		case r.Count() <= ix.locateMax:
+			located, err := e.track(p)
+			if err != nil {
 				e.fail(p, err)
 				continue
 			}
-			g.wait[loadText] = append(g.wait[loadText], p)
-			continue
+			if located {
+				e.at[p] = exactLocated
+				g.wait[loadText] = append(g.wait[loadText], p)
+				continue
+			}
 		case left[p] == 0:
 			continue
 		}
@@ -236,6 +250,61 @@ func (e *exactGroup) advance(g *Group, list []int32) {
 		}
 		g.wait[loadRank] = append(g.wait[loadRank], p)
 	}
+}
+
+// track learns the positions of search p's rows on a sampled array, where
+// its interval has at most locateMax rows, and reports whether it knows
+// them all. A step that left the count unchanged was an LF step for every
+// row, in row order — every row's symbol was the pattern's — so the new row
+// i holds the text position left of the old row i's, and the positions met
+// so far carry over, one less. After a step that shrank the count, which
+// rows survived is unknown, and the search starts over. Then every sampled
+// row of the interval gives its position. Once the pattern is consumed, the
+// rows still unmet walk to their samples one at a time.
+func (e *exactGroup) track(p int32) (bool, error) {
+	ix, r, h := e.ix, e.ranges[p], &e.found[p]
+	c, met := r.Count(), e.met[p]
+	all := uint32(1)<<c - 1
+	if e.at[p] != exactTracked || h.n != c {
+		h.n, met = c, 0
+	} else {
+		for m := met; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros32(m)
+			if h.pos[i] == 0 {
+				return false, errOutside
+			}
+			h.pos[i]--
+		}
+	}
+	// While the count holds, every row's position drops by one a step, so
+	// a row is sampled every rate-th step from the first: a step that meets
+	// some row for the first time meets none met before, and the values of
+	// its marked rows are consecutive.
+	s := ix.sampled
+	if marks := s.marked(r.Start, c); marks&^met != 0 {
+		k := s.marks.Rank1(r.Start)
+		for m := marks; m != 0; m &= m - 1 {
+			v := s.values[k]
+			if uint(v) > uint(ix.n) {
+				return false, errOutside
+			}
+			h.pos[bits.TrailingZeros32(m)], k = v, k+1
+		}
+		met |= marks
+	}
+	if met != all && e.left[p] == 0 {
+		for m := all &^ met; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros32(m)
+			pos, err := ix.locateOne(r.Start + i)
+			if err != nil {
+				return false, err
+			}
+			h.pos[i] = pos
+		}
+		met = all
+	}
+	e.met[p], e.at[p] = met, exactTracked
+	return met == all, nil
 }
 
 // fail ends search p on a locate's error, keeping the first.

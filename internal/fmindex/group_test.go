@@ -1,6 +1,7 @@
 package fmindex
 
 import (
+	"errors"
 	"math/rand"
 	"slices"
 	"testing"
@@ -101,10 +102,13 @@ func attachText(t *testing.T, ix *Index, text []uint8) {
 // shorter and longer than the table's order, absent patterns, symbols
 // outside the alphabet in the table's window and before it, empty and
 // duplicate patterns, through SearchGroup on every provider, in groups of
-// every size.
+// every size. On a sampled array it also holds the searches that track
+// their rows' positions while they rank: a 2-row interval that lasts more
+// steps than the sample rate, a pattern consumed before every row has met
+// a sample, and an interval that shrinks while it is tracked.
 func TestSearchGroupMatchesOnePattern(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	text := buildText(rng, 3000)
+	text := buildText(rng, 5000)
 	patterns := [][]uint8{nil}
 	for range 40 {
 		l := 1 + rng.Intn(30)
@@ -119,22 +123,55 @@ func TestSearchGroupMatchesOnePattern(t *testing.T) {
 		patterns = append(patterns, p)
 	}
 	patterns = append(patterns, patterns[3], patterns[7], patterns[3])
-	// Segments written 16 and 17 times — the most occurrences a search
-	// locates, and one more — each copy after a different symbol.
-	for i, copies := range []int{maxLocated, maxLocated + 1} {
+	// Segments written locateMax times and once more — the most occurrences
+	// a search locates, and one more — for the full and the sampled array,
+	// each copy after a different symbol. The last pattern of the rarer
+	// segments ends on 2 rows, so a sampled search of it is consumed before
+	// both have met a sample, unless both are sampled.
+	at := 100
+	for _, copies := range []int{maxLocated, maxLocated + 1, trackedMax, trackedMax + 1} {
 		seg := buildText(rng, 24)
 		for c := range copies {
-			at := 100 + (i*maxLocated+c)*60
 			text[at-1] = uint8(c % 4)
 			copy(text[at:], seg)
+			at += 70
 		}
 		patterns = append(patterns, seg, seg[5:], append([]uint8{1}, seg...))
 	}
+	consumed := patterns[len(patterns)-1]
+	// A segment written twice: its 2-row interval lasts more steps than the
+	// sample rate, and the pattern that adds a symbol neither copy follows
+	// dies on the text once both rows are met.
+	long := buildText(rng, 40)
+	for c := range 2 {
+		text[at-1] = uint8(c)
+		copy(text[at:], long)
+		at += 70
+	}
+	patterns = append(patterns, long, append([]uint8{2}, long...))
+	// A segment written four times, two copies after the same 24 symbols, a
+	// third after their last 3: the interval of those 24 symbols and the
+	// segment shrinks from 4 rows to 3, then to 2, while it is tracked.
+	seg, q := buildText(rng, 12), buildText(rng, 24)
+	var starts []int
+	for _, before := range [][]uint8{q, q, q[21:], nil} {
+		copy(text[at-len(before):], before)
+		copy(text[at:], seg)
+		starts = append(starts, at)
+		at += 70
+	}
+	text[starts[2]-4] = (q[20] + 1) % 4
+	text[starts[3]-1] = (q[23] + 1) % 4
+	shrinking := append(append([]uint8(nil), q...), seg...)
+	patterns = append(patterns, shrinking)
 	for _, kind := range indexKinds() {
 		t.Run(kind.name, func(t *testing.T) {
 			ix := kind.build(t, text)
 			checkSearchGroup(t, ix, patterns) // no table: the plain search
 			attachText(t, ix, text)
+			if ix.sampled != nil {
+				checkTracking(t, ix, long, consumed, shrinking)
+			}
 			checkSearchGroup(t, ix, patterns) // finishing on the text
 			ftab, err := ix.BuildFtab(5)
 			if err != nil {
@@ -147,6 +184,90 @@ func TestSearchGroupMatchesOnePattern(t *testing.T) {
 			}
 			checkSearchGroup(t, ix, patterns)
 		})
+	}
+}
+
+// intervalCounts returns how many rows the ranked search of pattern holds
+// after each step, until it is consumed or the interval empties.
+func intervalCounts(ix *Index, pattern []uint8) []int {
+	r, counts := ix.All(), make([]int, 0, len(pattern))
+	for i := len(pattern) - 1; i >= 0 && !r.Empty(); i-- {
+		r = ix.Step(r, pattern[i])
+		counts = append(counts, r.Count())
+	}
+	return counts
+}
+
+// checkTracking fails unless the patterns of sampled index ix are what
+// TestSearchGroupMatchesOnePattern says they are: long keeps a 2-row
+// interval for more steps than the sample rate, consumed reaches at most
+// locateMax rows at its last step and some of them are not sampled, and
+// shrinking's interval shrinks from at most locateMax rows to fewer, none
+// but before its last step.
+func checkTracking(t *testing.T, ix *Index, long, consumed, shrinking []uint8) {
+	t.Helper()
+	two := 0
+	for _, c := range intervalCounts(ix, long) {
+		if c == 2 {
+			two++
+		}
+	}
+	if two <= ix.sampled.rate {
+		t.Fatalf("the segment written twice keeps 2 rows for %d steps, the sample rate is %d", two, ix.sampled.rate)
+	}
+	counts := intervalCounts(ix, consumed)
+	r := ix.Count(consumed)
+	unmet := 0
+	for row := r.Start; row <= r.End; row++ {
+		if !ix.sampled.marks.Bit(row) {
+			unmet++
+		}
+	}
+	if last := len(counts) - 1; len(counts) != len(consumed) || counts[last-1] <= ix.locateMax || counts[last] > ix.locateMax || unmet == 0 {
+		t.Fatalf("the consumed pattern holds %v rows, its last %d unsampled; locateMax %d", counts, unmet, ix.locateMax)
+	}
+	counts = intervalCounts(ix, shrinking)
+	for i := 1; i < len(counts)-1; i++ {
+		if counts[i-1] <= ix.locateMax && 0 < counts[i] && counts[i] < counts[i-1] {
+			return
+		}
+	}
+	t.Fatalf("the shrinking pattern holds %v rows; locateMax %d", counts, ix.locateMax)
+}
+
+// TestSearchGroupRefusesCorruptSamples corrupts every value of a sampled
+// array once past the text and once to 0, which carried one step left
+// would be before it: a grouped search must fail with the locate walk's
+// error, not panic reading the text.
+func TestSearchGroupRefusesCorruptSamples(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	text := buildText(rng, 2000)
+	// Segments written twice and 5 times, their copies after different
+	// symbols and 70 positions apart, not a multiple of the rate: a tracked
+	// search meets some copies' samples a step before the others' and
+	// carries them.
+	var patterns [][]uint8
+	at := 100
+	for _, copies := range []int{2, 5} {
+		seg := buildText(rng, 40)
+		for c := range copies {
+			text[at-1] = uint8(c % 4)
+			copy(text[at:], seg)
+			at += 70
+		}
+		patterns = append(patterns, seg, seg[3:])
+	}
+	for _, v := range []int32{int32(len(text) + 8), 0} {
+		ix := buildWith(t, text, func(d []uint8) (OccProvider, error) { return NewWaveletOcc(d, 4, testParams) }, sampledOpts(4))
+		attachText(t, ix, text)
+		for i := range ix.sampled.values {
+			ix.sampled.values[i] = v
+		}
+		var g Group
+		ranges, steps := make([]Range, len(patterns)), make([]int, len(patterns))
+		if err := ix.SearchGroup(&g, patterns, false, ranges, steps); !errors.Is(err, errOutside) {
+			t.Errorf("every sample %d: SearchGroup returned %v, want %v", v, err, errOutside)
+		}
 	}
 }
 

@@ -55,6 +55,34 @@ func TestNewSampledSA(t *testing.T) {
 	}
 }
 
+// TestSampledMarked holds marked, the marks of up to 32 rows in a word, to
+// the marks read one bit at a time, over every start row and count, across
+// word boundaries and up to the last row.
+func TestSampledMarked(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	sa, err := suffixarray.Build(buildText(rng, 300), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSampledSA(sa, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := 1; c <= 32; c++ {
+		for row := 0; row+c <= len(sa); row++ {
+			got := s.marked(row, c)
+			for i := range c {
+				if got>>i&1 == 1 != s.marks.Bit(row+i) {
+					t.Fatalf("marked(%d, %d) = %b: bit %d disagrees with row %d's mark", row, c, got, i, row+i)
+				}
+			}
+			if got>>c != 0 {
+				t.Fatalf("marked(%d, %d) = %b: bits past the count", row, c, got)
+			}
+		}
+	}
+}
+
 // TestNewFromPartsRejectsMalformedLocate: suffix-array values outside the
 // text, and a sampled array that does not fit it — too few marks (the first
 // locate used to panic reading past them), a value off the rate or outside

@@ -84,12 +84,14 @@ func ReadSequence(r io.Reader) (*Sequence, error) {
 	if nBlk != (n+b-1)/b || nSuper != (nBlk+sf-1)/sf {
 		return nil, fmt.Errorf("rrr: inconsistent header: n=%d b=%d sf=%d nBlk=%d nSuper=%d", n, b, sf, nBlk, nSuper)
 	}
-	if offBits < 0 || offBits > n+nBlk*4 {
-		return nil, fmt.Errorf("rrr: implausible offset length %d bits for %d-bit sequence", offBits, n)
-	}
 	table, err := TableFor(b)
 	if err != nil {
 		return nil, err
+	}
+	// Every block, the zero-padded last one too, carries at most the widest
+	// class's field: binomial(b, c) peaks at c = b/2.
+	if offBits < 0 || offBits > nBlk*table.Width(b/2) {
+		return nil, fmt.Errorf("rrr: implausible offset length %d bits for %d-bit sequence", offBits, n)
 	}
 	classes := make([]uint8, (nBlk+1)/2)
 	partialSum := make([]uint32, nSuper+1)
