@@ -44,8 +44,10 @@ bench-gate:
 # exact batch engine (also on a 16 Mbp reference whose rank structure spills
 # out of a 2 MiB L2: MapReadsInto, whose chunks search in lock step and
 # finish on the packed text, at 0 allocs/op beside batch-ranked, the same
-# reads with the text detached so that every search ranks to the end, and a
-# loop of MapRead over them, reads/s each; and EColi/full and
+# reads with the text detached so that every search ranks to the end, a
+# loop of MapRead over them, and 16M/located, the exact-chr21 workload's
+# shape on one worker: the k = 10 table attached and 8 192 reads located,
+# at 0 allocs/op; reads/s each; and EColi/full and
 # EColi/sampled-8, the served shape: 4.6 Mbp with the k = 10 table, 8 192
 # located reads, on the full and on a rate-8 sampled suffix array),
 # the k-mismatch batch engine (BenchmarkMapReadsApprox: 100 bp reads on an

@@ -77,7 +77,9 @@ func BenchmarkMapRead(b *testing.B) {
 // a read there ranks about 22 steps before its interval is small enough to
 // finish on the text, where a k = 10 table leaves about 2.4 (the chr21
 // benchmark workload): a gain measured on 16M prices other traffic than the
-// served one. The EColi arms are the served shape: a 4.6 Mbp E. coli-like
+// served one. 16M/located is that workload's shape on one worker: the same
+// index with the k = 10 table attached and the reads located, at 0
+// allocs/op. The EColi arms are the served shape: a 4.6 Mbp E. coli-like
 // reference with the k = 10 table, 8 192 reads of 100 bp, three in four
 // planted in either orientation, located (MapOptions.Locate), on the full
 // suffix array and on one sampled at rate 8 as every served index is; both
@@ -115,6 +117,21 @@ func BenchmarkMapReads(b *testing.B) {
 		})
 	}
 
+	located := func(b *testing.B, ix *Index, seqs []dna.Seq) {
+		dst := make([]MapResult, len(seqs))
+		opts := MapOptions{Workers: 1, Locate: true}
+		if _, err := ix.MapReadsInto(dst, seqs, opts); err != nil {
+			b.Fatal(err) // and size every result's positions
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := ix.MapReadsInto(dst, seqs, opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.N*len(seqs))/b.Elapsed().Seconds(), "reads/s")
+	}
 	batch := func(b *testing.B, ix *Index, seqs []dna.Seq) {
 		dst := make([]MapResult, len(seqs))
 		if _, err := ix.MapReadsInto(dst, seqs, MapOptions{Workers: 1}); err != nil {
@@ -146,6 +163,20 @@ func BenchmarkMapReads(b *testing.B) {
 		})
 		batch(b, ix, seqs)
 	})
+	b.Run("16M/located", func(b *testing.B) {
+		// The exact-chr21 shape: the same reads located, through the k = 10
+		// table, which the other 16M rungs run without.
+		ix, seqs := bench16M(b)
+		if err := ix.EnsureFtab(DefaultFtabK); err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() {
+			if err := ix.EnsureFtab(0); err != nil {
+				b.Error(err)
+			}
+		})
+		located(b, ix, seqs)
+	})
 	for _, arm := range []string{"full", "sampled-8"} {
 		b.Run("EColi/"+arm, func(b *testing.B) {
 			in, err := locateBenchEColi()
@@ -156,19 +187,7 @@ func BenchmarkMapReads(b *testing.B) {
 			if arm == "sampled-8" {
 				ix = in.sampled
 			}
-			dst := make([]MapResult, len(in.reads))
-			opts := MapOptions{Workers: 1, Locate: true}
-			if _, err := ix.MapReadsInto(dst, in.reads, opts); err != nil {
-				b.Fatal(err) // and size every result's positions
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := ix.MapReadsInto(dst, in.reads, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.N*len(in.reads))/b.Elapsed().Seconds(), "reads/s")
+			located(b, ix, in.reads)
 		})
 	}
 	b.Run("16M/read-loop", func(b *testing.B) {

@@ -186,12 +186,15 @@ func TestMapReadsIntoMatchesMapReads(t *testing.T) {
 	}
 }
 
+// TestMapReadsIntoZeroAlloc holds a warm batch to no allocation at all:
+// count-only, and locating into the results of the previous batch, on a
+// full and on a rate-8 sampled suffix array, both with the text attached, so
+// that the searches finish on it and their group scratch is in use.
 func TestMapReadsIntoZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; counts are meaningless")
 	}
 	ref := testGenome(t, 4000)
-	ix := mustBuild(t, ref, IndexConfig{FtabK: 3})
 	reads, err := readsim.Simulate(ref, readsim.ReadsConfig{
 		Count: 400, Length: 30, MappingRatio: 0.5, RevCompFraction: 0.5, Seed: 8,
 	})
@@ -199,17 +202,34 @@ func TestMapReadsIntoZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	seqs := readsim.Seqs(reads)
-	dst := make([]MapResult, len(seqs))
-	run := func() {
-		if _, err := ix.MapReadsInto(dst, seqs, MapOptions{Workers: 1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	run() // warm the scratch pool
-	// The gate the mem engine is held to (TestMemBatchSteadyStateZeroAlloc):
-	// nothing per read and nothing per batch.
-	if avg := testing.AllocsPerRun(5, run); avg > 0 {
-		t.Errorf("MapReadsInto allocates %.1f times per batch of %d reads, want 0", avg, len(seqs))
+	full := mustBuild(t, ref, IndexConfig{FtabK: 3})
+	sampled := mustBuild(t, ref, IndexConfig{FtabK: 3, Locate: LocateSampled, SampleRate: 8})
+	for _, tc := range []struct {
+		name   string
+		ix     *Index
+		locate bool
+	}{
+		{"count", full, false},
+		{"locate/full", full, true},
+		{"locate/sampled-8", sampled, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if !tc.ix.FM().FinishesOnText() {
+				t.Fatal("index searches cannot finish on the text")
+			}
+			dst := make([]MapResult, len(seqs))
+			run := func() {
+				if _, err := tc.ix.MapReadsInto(dst, seqs, MapOptions{Workers: 1, Locate: tc.locate}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run() // warm the scratch pool and size every result's positions
+			// The gate the mem engine is held to (TestMemBatchSteadyStateZeroAlloc):
+			// nothing per read and nothing per batch.
+			if avg := testing.AllocsPerRun(5, run); avg > 0 {
+				t.Errorf("MapReadsInto allocates %.1f times per batch of %d reads, want 0", avg, len(seqs))
+			}
+		})
 	}
 }
 

@@ -7,7 +7,9 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -403,7 +405,7 @@ func (l *chunkList) put(buf *chunkBuffer) {
 }
 
 // encode writes every read and its reverse complement as symbol codes into
-// buf.pats, sized for their results.
+// buf.pats, sized for their results, eight symbols a word.
 func (buf *chunkBuffer) encode(reads []dna.Seq) {
 	total := 0
 	for _, read := range reads {
@@ -419,13 +421,26 @@ func (buf *chunkBuffer) encode(reads []dna.Seq) {
 	for i, read := range reads {
 		m := len(read)
 		fw, rc := buf.syms[at:at+m:at+m], buf.syms[at+m:at+2*m:at+2*m]
-		for j, b := range read {
-			fw[j] = uint8(b)
-			rc[m-1-j] = uint8(b.Complement())
+		j := 0
+		for ; j+8 <= m; j += 8 {
+			// Complement is 3-(b&3), which is (b&3)^3 on every byte.
+			x := load64(read[j:])
+			binary.LittleEndian.PutUint64(fw[j:], x)
+			binary.LittleEndian.PutUint64(rc[m-8-j:], bits.ReverseBytes64(x)&0x0303030303030303^0x0303030303030303)
+		}
+		for ; j < m; j++ {
+			fw[j], rc[m-1-j] = uint8(read[j]), uint8(read[j].Complement())
 		}
 		buf.pats[2*i], buf.pats[2*i+1] = fw, rc
 		at += 2 * m
 	}
+}
+
+// load64 reads the first eight symbols of s as one little-endian word.
+func load64(s dna.Seq) uint64 {
+	_ = s[7]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
 }
 
 // unmapped is the range of a pattern that occurs nowhere.

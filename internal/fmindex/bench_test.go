@@ -2,7 +2,9 @@ package fmindex
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -379,4 +381,61 @@ func BenchmarkCountApprox(b *testing.B) {
 			b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
 		})
 	}
+}
+
+// BenchmarkFtabLookup prices the table's parts on the 4 Mbp random index
+// with its k = 10 table, whose 4 MiB of bounds do not fit a 2 MiB L2:
+// lookup reads the range of a living k-mer, cycling 65 536 keys taken from
+// the text; key/bytes reads a 100 bp pattern's key symbol by symbol
+// (Ftab.key, which every search uses), key/word off the pattern's last 32
+// symbols packed eight to a load (pack, then wordKey): slower, so the
+// searches do not use it. The key arms cycle 256 patterns that stay in
+// cache, as a chunk's freshly encoded patterns do.
+func BenchmarkFtabLookup(b *testing.B) {
+	ix, text := bench4M()
+	f, err := ix.BuildFtab(10)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(11))
+	const n, m = 1 << 16, 100
+	keys, patterns := make([]int, n), make([][]uint8, 256)
+	for i := range keys {
+		s := rng.Intn(len(text) - m)
+		keys[i], _ = f.key(text[s : s+m])
+		if i < len(patterns) {
+			patterns[i] = slices.Clone(text[s : s+m])
+		}
+	}
+	sink := 0
+	b.Run("lookup", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sink += f.Lookup(keys[i%n]).Start
+		}
+	})
+	b.Run("key/bytes", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			key, _ := f.key(patterns[i%len(patterns)])
+			sink += key
+		}
+	})
+	b.Run("key/word", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			want, _ := pack(patterns[i%len(patterns)])
+			sink += wordKey(f, want)
+		}
+	})
+	benchSink = sink
+}
+
+// benchSink keeps BenchmarkFtabLookup's results live.
+var benchSink int
+
+// wordKey returns f's key of the last k symbols of one of
+// packedText.before's words: their order reversed, two bits at a time,
+// since the table orders k-mers first symbol highest.
+func wordKey(f *Ftab, x uint64) int {
+	x = x>>2&0x3333333333333333 | x&0x3333333333333333<<2
+	x = x>>4&0x0f0f0f0f0f0f0f0f | x&0x0f0f0f0f0f0f0f0f<<4
+	return int(bits.ReverseBytes64(x) & (1<<(2*f.k) - 1))
 }

@@ -70,8 +70,11 @@ type exactGroup struct {
 	steps               []int
 	left                []int // symbols of each pattern still to consume
 	at                  []exactAt
-	found               []hits   // a search's occurrences once it is located
-	met                 []uint32 // a tracked search's rows found holds: bit i for row i
+	found               []hits       // a search's occurrences once it is located
+	met                 []uint32     // a tracked search's rows found holds: bit i for row i
+	before              []uint64     // the text before each occurrence a loadText serve compares
+	want                patternWords // the pattern words finish compares
+	lines               int32        // keeps a loadLine serve's reads ahead of the suffix array
 	err                 error
 	hits, misses, short uint64
 	q                   []wavelet.PairQuery
@@ -150,7 +153,7 @@ func (ix *Index) searchGroup(g *Group, patterns [][]uint8, useFtab bool, ranges 
 	e, n := &g.exact, len(patterns)
 	*e = exactGroup{ix: ix, patterns: patterns, ranges: ranges, steps: steps,
 		left: slices.Grow(e.left[:0], n)[:n], at: slices.Grow(e.at[:0], n)[:n], found: slices.Grow(e.found[:0], n)[:n],
-		met: slices.Grow(e.met[:0], n)[:n], q: e.q, ranks: e.ranks}
+		met: slices.Grow(e.met[:0], n)[:n], before: e.before, want: e.want, q: e.q, ranks: e.ranks}
 	if useFtab {
 		e.f = ix.ftab
 	}
@@ -327,14 +330,35 @@ func (e *exactGroup) serve(kind load, list []int32) {
 			e.ranges[p], e.steps[p], e.left[p] = e.f.Lookup(key), 1, len(e.patterns[p])-e.f.k
 		}
 	case kind == loadLine:
+		// Every line is read before any is copied, so that their misses
+		// overlap.
+		lines := int32(0)
+		for _, p := range list {
+			r := e.ranges[p]
+			lines |= ix.sa[r.Start] | ix.sa[r.End]
+		}
+		e.lines = lines
 		for _, p := range list {
 			if err := e.found[p].locate(ix, e.ranges[p]); err != nil {
 				e.fail(p, err)
 			}
 		}
 	case kind == loadText:
+		// Every occurrence's text is read before any is compared, in a loop
+		// that does not branch on what it reads, so that the misses overlap.
+		t := packedText(ix.text.Words())
+		e.before = slices.Grow(e.before[:0], maxLocated*len(list))
 		for _, p := range list {
-			e.finish(p)
+			h := &e.found[p]
+			for _, pos := range h.pos[:h.n] {
+				e.before = append(e.before, t.before(int(pos)))
+			}
+		}
+		at := 0
+		for _, p := range list {
+			n := e.found[p].n
+			e.finish(p, e.before[at:at+n])
+			at += n
 		}
 	case ix.wocc == nil:
 		for _, p := range list {
@@ -356,25 +380,31 @@ func (e *exactGroup) serve(kind load, list []int32) {
 }
 
 // finish compares the rest of located search p's pattern with the text
-// before each occurrence and keeps, in order, the occurrences where all of
+// before each occurrence, the first 32 symbols with text[i], its word before
+// occurrence i, and keeps, in order, the occurrences where all of
 // it matches, moved to where the whole pattern starts: LF keeps the order of
 // the rows it maps with one preceding symbol, so these are the final rows'
 // positions in row order. The ranked walk would have taken a step for each
 // symbol the longest match L spans and one more for the symbol where it
 // died, or every remaining symbol when one occurrence survives: min(left,
 // L+1) steps either way.
-func (e *exactGroup) finish(p int32) {
+func (e *exactGroup) finish(p int32, text []uint64) {
 	h, left, t := &e.found[p], e.left[p], packedText(e.ix.text.Words())
-	prefix := e.patterns[p][:left]
-	// Most occurrences differ within the first 32 symbols: the pattern's are
-	// packed once for all of them.
-	want, c := pack(prefix)
+	// Most occurrences differ within the first 32 symbols: the pattern's
+	// words are packed once for all of them, the later ones when an
+	// occurrence first matches that far.
+	e.want.reset(e.patterns[p][:left])
 	var kept hits
 	longest := 0
-	for _, pos := range h.pos[:h.n] {
-		l := t.common(int(pos), want, c)
-		if l == dna.BasesPerWord {
-			l += t.commonSuffix(int(pos)-l, prefix[:left-l])
+	for i, pos := range h.pos[:h.n] {
+		x, l := text[i], 0
+		for k := 0; ; k++ {
+			want, c := e.want.word(k)
+			n := common(x, want, min(c, int(pos)-l))
+			if l += n; n < dna.BasesPerWord {
+				break
+			}
+			x = t.before(int(pos) - l)
 		}
 		if l == left {
 			kept.pos[kept.n] = pos - int32(left)

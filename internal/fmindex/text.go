@@ -1,6 +1,7 @@
 package fmindex
 
 import (
+	"encoding/binary"
 	"math/bits"
 
 	"bwaver/internal/dna"
@@ -92,41 +93,79 @@ func (t packedText) before(p int) uint64 {
 	return x
 }
 
-// commonSuffix returns how many symbols text[:p] and pattern have in common
-// at their ends, as textView's does, 32 symbols a comparison.
-func (t packedText) commonSuffix(p int, pattern []uint8) int {
-	for matched := 0; ; {
-		want, c := pack(pattern[:len(pattern)-matched])
-		n := t.common(p-matched, want, c)
-		if matched += n; n < dna.BasesPerWord {
-			return matched
-		}
+// common returns how many of the last c symbols of two of before's words,
+// c <= 32, are equal: the XOR's leading zeros give the first difference.
+func common(text, pattern uint64, c int) int {
+	if d := (text ^ pattern) & (^uint64(0) << uint(64-2*c)); d != 0 {
+		return bits.LeadingZeros64(d) / 2
 	}
+	return c
 }
 
 // pack packs the last symbols of pattern, up to 32, into the layout of
 // before's word and returns them with their count. A symbol outside the DNA
-// alphabet ends them, as it ends a backward search: it must not be masked
-// onto a base.
+// alphabet ends them, as it ends a backward search: it is packed as its low
+// two bits, but the count leaves it, and everything before it, out. From 32
+// symbols on they are read eight to a word (fold).
 func pack(pattern []uint8) (uint64, int) {
-	var want uint64
 	m := len(pattern)
-	for j := range min(dna.BasesPerWord, m) {
-		s := pattern[m-1-j]
-		if s >= ftabSigma {
-			return want, j
+	if m < dna.BasesPerWord {
+		var want uint64
+		for j := range m {
+			s := pattern[m-1-j]
+			if s >= ftabSigma {
+				return want, j
+			}
+			want |= uint64(s) << uint(62-2*j)
 		}
-		want |= uint64(s) << uint(62-2*j)
+		return want, m
 	}
-	return want, min(dna.BasesPerWord, m)
+	// Symbol i of the last 32 lands in bits 2i: the symbol 31-i from the
+	// end, in bits 62-2(31-i).
+	s := pattern[m-dna.BasesPerWord:]
+	x0, x1 := binary.LittleEndian.Uint64(s), binary.LittleEndian.Uint64(s[8:])
+	x2, x3 := binary.LittleEndian.Uint64(s[16:]), binary.LittleEndian.Uint64(s[24:])
+	want := fold(x0) | fold(x1)<<16 | fold(x2)<<32 | fold(x3)<<48
+	if (x0|x1|x2|x3)&0xfcfcfcfcfcfcfcfc != 0 {
+		j := dna.BasesPerWord - 1
+		for s[j] < ftabSigma {
+			j--
+		}
+		return want, dna.BasesPerWord - 1 - j
+	}
+	return want, dna.BasesPerWord
 }
 
-// common returns how many of the c symbols pack left in want text[:p] ends
-// with: the XOR's leading zeros give the first difference.
-func (t packedText) common(p int, want uint64, c int) int {
-	c = min(c, p)
-	if d := (t.before(p) ^ want) & (^uint64(0) << uint(64-2*c)); d != 0 {
-		return bits.LeadingZeros64(d) / 2
+// fold gathers the low two bits of a word's eight bytes into its low 16
+// bits, byte k's in bits 2k: two bits a byte, then pairs, fours and eights
+// of them side by side.
+func fold(x uint64) uint64 {
+	x &= 0x0303030303030303
+	x = (x | x>>6) & 0x000f000f000f000f
+	x = (x | x>>12) & 0x000000ff000000ff
+	return (x | x>>24) & 0xffff
+}
+
+// patternWords are a pattern's words for comparisons leftwards from its
+// end, each packed once, when a comparison first needs it: word k is
+// pack(pattern[:len(pattern)-32k]), up to the first word of fewer than 32
+// symbols, where every comparison ends.
+type patternWords struct {
+	pattern []uint8
+	words   []uint64
+	counts  []int
+}
+
+// reset starts w on pattern, keeping its storage.
+func (w *patternWords) reset(pattern []uint8) {
+	w.pattern, w.words, w.counts = pattern, w.words[:0], w.counts[:0]
+}
+
+// word returns word k and its count.
+func (w *patternWords) word(k int) (uint64, int) {
+	for len(w.words) <= k {
+		x, c := pack(w.pattern[:len(w.pattern)-dna.BasesPerWord*len(w.words)])
+		w.words, w.counts = append(w.words, x), append(w.counts, c)
 	}
-	return c
+	return w.words[k], w.counts[k]
 }
