@@ -53,7 +53,10 @@ bench-gate:
 # the k-mismatch batch engine (BenchmarkMapReadsApprox: 100 bp reads on an
 # E. coli-like 4.6 Mbp reference at k = 1 and 2, reads/s and allocs/op),
 # the mem batch engine (a 30 kbp reference in cache and an E. coli-like
-# 4.6 Mbp one out of it, reads/s each) with the SMEM search (steps/op,
+# 4.6 Mbp one out of it, reads/s each; and EColi/full and EColi/sampled-8,
+# the served shape: 8 192 paired 150 bp reads on 4.6 Mbp with the k = 10
+# table, on the full and on a rate-8 sampled suffix array, 3 iterations,
+# reads/s and 0 allocs/op) with the SMEM search (steps/op,
 # table and ranked arms over a 256 kbp text whose tables stay in cache, a
 # 4 Mbp one whose tables do not, that one also locating through samples at
 # rate 8, both 4 Mbp sizes again under cold/, cycling 4 096 patterns whose
@@ -71,7 +74,8 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench='BenchmarkSuffixArrayAlgos$$' -benchtime=1x ./internal/suffixarray
 	$(GO) test -run='^$$' -bench='BenchmarkBuildIndex$$' -benchtime=1x ./internal/core
 	$(GO) test -run='^$$' -bench='BenchmarkMapReads$$|BenchmarkMapReadsApprox$$' -benchtime=1x ./internal/core
-	$(GO) test -run='^$$' -bench='MapReadsMemInto|Extender' -benchtime=50x ./internal/core ./internal/align
+	$(GO) test -run='^$$' -bench='MapReadsMemInto/(30k|EColiLike)$$|Extender' -benchtime=50x ./internal/core ./internal/align
+	$(GO) test -run='^$$' -bench='MapReadsMemInto/EColi/' -benchtime=3x ./internal/core
 	$(GO) test -run='^$$' -bench='BenchmarkSMEMs$$|BenchmarkCountApprox$$|BenchmarkLocateAppend$$' -benchtime=50x ./internal/fmindex
 	$(GO) test -run='^$$' -bench='BenchmarkSource$$' -benchtime=10x ./internal/qc
 	$(GO) test -run='^$$' -bench='BenchmarkServedWarmExactJob$$' -benchtime=1x ./internal/server
