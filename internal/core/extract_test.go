@@ -31,18 +31,17 @@ func TestExtractReferenceRoundTrip(t *testing.T) {
 			if !back.Equal(ref) {
 				t.Fatalf("n=%d cfg=%+v: extracted reference differs", n, cfg)
 			}
-			// EnsureMem's text: the build's packed text unpacked, and on an
-			// index read from its file, which holds none, the extraction.
+			// EnsureMem's text: the build's packed text, and on an index read
+			// from its file, which holds none, the extraction packed.
 			from := []*Index{ix}
 			if n >= 100 { // rrr refuses to read back the files of some references of a few bases
 				from = append(from, roundTrip(t, ix))
 			}
 			for _, from := range from {
-				got, err := from.reference()
-				if err != nil {
+				if err := from.EnsureMem(); err != nil {
 					t.Fatalf("n=%d cfg=%+v: %v", n, cfg, err)
 				}
-				if !slices.Equal(got, back) {
+				if got := from.mem.Load().text.Unpack(); !slices.Equal(got, back) {
 					t.Fatalf("n=%d cfg=%+v text held %v: reference differs from the extraction", n, cfg, from.fm.Text().Len() > 0)
 				}
 			}

@@ -121,7 +121,7 @@ type Index struct {
 	contigs *ContigSet // nil for a single anonymous reference
 
 	// mem is the lazily-built seed-and-extend state (bidirectional index plus
-	// extracted reference text), nil until EnsureMem has built it. memMu
+	// packed reference text), nil until EnsureMem has built it. memMu
 	// serialises that build, so concurrent mem jobs over one cached index
 	// share it; readers load mem without the lock.
 	memMu sync.Mutex

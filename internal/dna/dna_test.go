@@ -131,6 +131,32 @@ func randomSeq(rng *rand.Rand, n int) Seq {
 	return s
 }
 
+// TestUnpackRange holds UnpackRange to Base(i) on every range [lo, hi) of
+// sequences of every length up to 100, so that ranges start and end at
+// every offset in a word and cross up to three word edges, into a buffer too
+// small, one large enough and one holding other bases.
+func TestUnpackRange(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for n := 0; n <= 100; n++ {
+		p := Pack(randomSeq(rng, n))
+		for lo := 0; lo <= n; lo++ {
+			for hi := lo; hi <= n; hi++ {
+				for _, dst := range []Seq{nil, make(Seq, 3, 3), randomSeq(rng, 120)} {
+					got := p.UnpackRange(dst, lo, hi)
+					if len(got) != hi-lo {
+						t.Fatalf("n=%d: UnpackRange(%d, %d) has %d bases", n, lo, hi, len(got))
+					}
+					for i, b := range got {
+						if b != p.Base(lo+i) {
+							t.Fatalf("n=%d: UnpackRange(%d, %d)[%d] = %v, want %v", n, lo, hi, i, b, p.Base(lo+i))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestPackUnpackRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{0, 1, 31, 32, 33, 63, 64, 65, 100, 176, 1000} {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"bwaver/internal/bwt"
+	"bwaver/internal/dna"
 	"bwaver/internal/rrr"
 	"bwaver/internal/suffixarray"
 )
@@ -250,7 +251,7 @@ func BenchmarkSMEMs(b *testing.B) {
 		{"4M/sampled-8", &sampled, largeText, true},
 		{"1M/repeats", repeats, repeatsText, false},
 	} {
-		bi, err := NewBiIndexOver(size.fwd, size.text, rrr.DefaultParams)
+		bi, err := NewBiIndexOver(size.fwd, dna.Pack(size.text), rrr.DefaultParams)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -158,7 +158,7 @@ func (bi *BiIndex) serve(q *smemSearch) {
 		if q.at == atLeftRound {
 			h = bi.text.keepBefore(q.m.hits, q.pattern[q.s-1])
 		} else {
-			h = bi.text.keepAt(q.m.hits, q.e-q.s, q.pattern[q.e])
+			h = bi.text.keepAt(q.m.hits, q.e-q.s, bi.Len(), q.pattern[q.e])
 		}
 		// A round that keeps nothing leaves the match as it was, as a
 		// failed extension leaves the interval.
@@ -386,14 +386,14 @@ func (bi *BiIndex) rightByText(q *smemSearch) {
 	p, m := q.pattern, &q.m
 	for ; m.n > 1 && q.e < len(p) && bi.valid(p[q.e]); q.e++ {
 		q.steps++
-		h := bi.text.keepAt(m.hits, q.e-q.s, p[q.e])
+		h := bi.text.keepAt(m.hits, q.e-q.s, bi.Len(), p[q.e])
 		if h.n == 0 {
 			return
 		}
 		m.hits = h
 	}
 	if m.n == 1 {
-		n := bi.text.commonPrefix(int(m.pos[0])+q.e-q.s, p[q.e:])
+		n := bi.text.commonPrefix(int(m.pos[0])+q.e-q.s, bi.Len(), p[q.e:])
 		q.e, q.steps = q.e+n, q.steps+n
 		if q.e < len(p) && bi.valid(p[q.e]) {
 			q.steps++

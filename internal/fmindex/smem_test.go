@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"bwaver/internal/dna"
 	"bwaver/internal/rrr"
 )
 
@@ -111,7 +112,7 @@ func TestSMEMsFewCopies(t *testing.T) {
 		}
 		sampledFwd := *full.fwd
 		sampledFwd.sa, sampledFwd.sampled = nil, samples
-		sampled, err := NewBiIndexOver(&sampledFwd, text, testParams)
+		sampled, err := NewBiIndexOver(&sampledFwd, dna.Pack(text), testParams)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -376,7 +377,7 @@ func FuzzSMEMs(f *testing.F) {
 		}
 		sampledFwd := *full.fwd
 		sampledFwd.sa, sampledFwd.sampled = nil, samples
-		sampled, err := NewBiIndexOver(&sampledFwd, text, rrr.Params{BlockSize: 15, SuperblockFactor: 10})
+		sampled, err := NewBiIndexOver(&sampledFwd, dna.Pack(text), rrr.Params{BlockSize: 15, SuperblockFactor: 10})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -482,7 +483,7 @@ func TestSMEMsLocate(t *testing.T) {
 	}
 	sampledFwd := *full.fwd
 	sampledFwd.sa, sampledFwd.sampled = nil, samples
-	sampled, err := NewBiIndexOver(&sampledFwd, text, testParams)
+	sampled, err := NewBiIndexOver(&sampledFwd, dna.Pack(text), testParams)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,7 +494,7 @@ func TestSMEMsLocate(t *testing.T) {
 	for i := range corruptFwd.sampled.values {
 		corruptFwd.sampled.values[i] = int32(len(text))
 	}
-	corrupt, err := NewBiIndexOver(&corruptFwd, text, testParams)
+	corrupt, err := NewBiIndexOver(&corruptFwd, dna.Pack(text), testParams)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -535,7 +536,7 @@ func TestSMEMsLocate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewBiIndexOver(countOnly, text, testParams); err == nil {
+	if _, err := NewBiIndexOver(countOnly, dna.Pack(text), testParams); err == nil {
 		t.Error("a forward direction that cannot locate was accepted")
 	}
 }
@@ -658,14 +659,14 @@ func (bi *BiIndex) refRightByText(pattern []uint8, start, end int, m *match, ste
 	}
 	for ; m.n > 1 && end < len(pattern) && int(pattern[end]) < bi.sigma; end++ {
 		*steps++
-		h := bi.text.keepAt(m.hits, end-start, pattern[end])
+		h := bi.text.keepAt(m.hits, end-start, bi.Len(), pattern[end])
 		if h.n == 0 {
 			return end, nil
 		}
 		m.hits = h
 	}
 	if m.n == 1 {
-		n := bi.text.commonPrefix(int(m.pos[0])+end-start, pattern[end:])
+		n := bi.text.commonPrefix(int(m.pos[0])+end-start, bi.Len(), pattern[end:])
 		end, *steps = end+n, *steps+n
 		if end < len(pattern) && int(pattern[end]) < bi.sigma {
 			*steps++

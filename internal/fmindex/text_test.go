@@ -57,3 +57,74 @@ func TestPackMatchesPackBytes(t *testing.T) {
 		}
 	}
 }
+
+// TestPackedTextMatchesBytes holds the SMEM search's comparisons with the
+// packed text to the same comparisons one byte at a time, on texts of every
+// length up to 100 — so every position meets a word's edge — at every
+// position, with patterns cut from the text itself, with a substitution or
+// a symbol outside the DNA alphabet, and random ones.
+func TestPackedTextMatchesBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for n := 1; n <= 100; n++ {
+		text := buildText(rng, n)
+		packed := packedText(dna.Pack(text).Words())
+		for trial := range 6 {
+			lo := rng.Intn(n)
+			pattern := append([]uint8(nil), text[lo:lo+rng.Intn(n-lo+1)]...)
+			switch {
+			case trial == 1 && len(pattern) > 0:
+				pattern[rng.Intn(len(pattern))] ^= uint8(1 + rng.Intn(3))
+			case trial == 2 && len(pattern) > 0:
+				pattern[rng.Intn(len(pattern))] = uint8(4 + rng.Intn(2))
+			case trial == 3:
+				pattern = buildText(rng, rng.Intn(70))
+			}
+			for p := 0; p <= n; p++ {
+				wantSuffix := 0
+				for wantSuffix < p && wantSuffix < len(pattern) && text[p-1-wantSuffix] == pattern[len(pattern)-1-wantSuffix] {
+					wantSuffix++
+				}
+				if got := packed.commonSuffix(p, pattern); got != wantSuffix {
+					t.Fatalf("n=%d: commonSuffix(%d, %v) = %d, want %d", n, p, pattern, got, wantSuffix)
+				}
+				wantPrefix := 0
+				for p+wantPrefix < n && wantPrefix < len(pattern) && text[p+wantPrefix] == pattern[wantPrefix] {
+					wantPrefix++
+				}
+				if got := packed.commonPrefix(p, n, pattern); got != wantPrefix {
+					t.Fatalf("n=%d: commonPrefix(%d, %v) = %d, want %d", n, p, pattern, got, wantPrefix)
+				}
+			}
+			// A position past the end, which a corrupt sampled array can
+			// locate, is taken back to it.
+			if got := packed.commonPrefix(n+1+rng.Intn(70), n, pattern); got != 0 {
+				t.Fatalf("n=%d: commonPrefix past the end = %d, want 0", n, got)
+			}
+			var h hits
+			for h.n < maxLocated && h.n < n {
+				h.pos[h.n] = int32(rng.Intn(n))
+				h.n++
+			}
+			for a := range uint8(ftabSigma) {
+				off := rng.Intn(4)
+				var before, at hits
+				for _, p := range h.pos[:h.n] {
+					if p > 0 && text[p-1] == a {
+						before.pos[before.n] = p - 1
+						before.n++
+					}
+					if q := int(p) + off; q < n && text[q] == a {
+						at.pos[at.n] = p
+						at.n++
+					}
+				}
+				if got := packed.keepBefore(h, a); got != before {
+					t.Fatalf("n=%d: keepBefore(%v, %d) = %v, want %v", n, h, a, got, before)
+				}
+				if got := packed.keepAt(h, off, n, a); got != at {
+					t.Fatalf("n=%d: keepAt(%v, %d, %d) = %v, want %v", n, h, off, a, got, at)
+				}
+			}
+		}
+	}
+}
