@@ -58,8 +58,8 @@ func (r ApproxResult) BestMismatches() int {
 
 // approxWork is exact-then-rescue k-mismatch mapping as a workload value.
 // Pass 1 is the exact workload's search, on its scratch, with useFtab gating
-// the prefix table as it does there; the branching search of pass 2 never
-// consults the table.
+// the prefix table and locate the exact hits' positions as they do there;
+// the branching search of pass 2 never consults the table.
 type approxWork struct {
 	exactWork
 	maxMismatches int
@@ -69,7 +69,8 @@ type approxWork struct {
 func (approxWork) chunk() int { return 16 }
 
 // mapUnits searches the chunk's 2·16 exact patterns as one group, then runs
-// the branching search on both patterns of every read that missed.
+// the branching search on both patterns of every read that missed, and
+// locates the exact hits when w locates.
 func (w approxWork) mapUnits(buf *chunkBuffer, reads []dna.Seq, dst []ApproxResult) error {
 	// Checked here, not left to the search: a chunk of exact hits never
 	// reaches it and must fail on a bad budget like any other.
@@ -81,7 +82,7 @@ func (w approxWork) mapUnits(buf *chunkBuffer, reads []dna.Seq, dst []ApproxResu
 	}
 	fm := w.ix.fm
 	for i, read := range reads {
-		res := ApproxResult{Exact: buf.result(i)}
+		res := ApproxResult{Exact: w.result(buf, i, dst[i].Exact)}
 		if !res.Exact.Mapped() && len(read) > 0 {
 			fw, fwSteps, err := fm.CountApproxSteps(buf.pats[2*i], w.maxMismatches)
 			if err != nil {
@@ -95,13 +96,17 @@ func (w approxWork) mapUnits(buf *chunkBuffer, reads []dna.Seq, dst []ApproxResu
 		}
 		dst[i] = res
 	}
+	if w.locate {
+		return buf.locate(fm, len(dst), func(i int) *MapResult { return &dst[i].Exact })
+	}
 	return nil
 }
 
 // MapReadsApprox maps a batch of reads exactly and, where that fails, with
 // up to maxMismatches substitutions, distributing reads over opts.Workers
-// goroutines (0/1 serial, -1 all CPUs). Context and Progress apply as in
-// MapReads; Locate is ignored (the result holds ranges, not positions).
+// goroutines (0/1 serial, -1 all CPUs). Context, Progress and Locate apply
+// as in MapReads: Locate fills the exact hits' positions, and pass 2's
+// strata stay row ranges (fmindex.Index.LocateAppend).
 func (ix *Index) MapReadsApprox(reads []dna.Seq, maxMismatches int, opts MapOptions) ([]ApproxResult, error) {
 	results := make([]ApproxResult, len(reads))
 	if err := ix.MapReadsApproxFtab(results, reads, maxMismatches, opts, true); err != nil {
@@ -114,7 +119,7 @@ func (ix *Index) MapReadsApprox(reads []dna.Seq, maxMismatches int, opts MapOpti
 // (len(dst) must equal len(reads)) with explicit prefix-table control for
 // pass 1, as MapReadsIntoFtab has it for exact mapping.
 func (ix *Index) MapReadsApproxFtab(dst []ApproxResult, reads []dna.Seq, maxMismatches int, opts MapOptions, useFtab bool) error {
-	return mapBatch(approxWork{exactWork: exactWork{ix: ix, useFtab: useFtab}, maxMismatches: maxMismatches}, dst, reads, opts)
+	return mapBatch(approxWork{exactWork: exactWork{ix: ix, useFtab: useFtab, locate: opts.Locate}, maxMismatches: maxMismatches}, dst, reads, opts)
 }
 
 // MapReadApprox maps one read and its reverse complement, exactly or else

@@ -252,6 +252,82 @@ func TestMapReadsApproxMatchesOnePattern(t *testing.T) {
 	}
 }
 
+// TestMapReadsApproxLocatesExactHits holds a locating k-mismatch batch, on a
+// built full and a built sampled-8 index (text attached), to a locating
+// exact batch for its exact hits and to a count-only k-mismatch batch for
+// its strata, at 1 and 2 workers; and a warm locating batch, mapped into the
+// previous batch's results, to no more allocations than the same batch
+// count-only.
+func TestMapReadsApproxLocatesExactHits(t *testing.T) {
+	ref := testGenome(t, 20000)
+	sim, err := readsim.Simulate(ref, readsim.ReadsConfig{
+		Count: 300, Length: 40, MappingRatio: 0.8, RevCompFraction: 0.5, Seed: 54,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := readsim.Seqs(sim)
+	for i := 0; i < len(reads); i += 3 {
+		reads[i] = reads[i].Clone()
+		reads[i][i%40] = (reads[i][i%40] + 1) % 4 // a rescue, or a miss
+	}
+	for _, cfg := range []IndexConfig{
+		{FtabK: 8},
+		{FtabK: 8, Locate: LocateSampled, SampleRate: 8},
+	} {
+		ix := mustBuild(t, ref, cfg)
+		if ix.FM().Text().Len() == 0 {
+			t.Fatal("index holds no text for its searches to finish on")
+		}
+		name := cfg.Locate.String()
+		counted := make([]ApproxResult, len(reads))
+		if err := ix.MapReadsApproxFtab(counted, reads, 1, MapOptions{}, true); err != nil {
+			t.Fatal(err)
+		}
+		exact := make([]MapResult, len(reads))
+		if _, err := ix.MapReadsInto(exact, reads, MapOptions{Locate: true}); err != nil {
+			t.Fatal(err)
+		}
+		located, rescued := 0, 0
+		for _, workers := range []int{1, 2} {
+			got := make([]ApproxResult, len(reads))
+			if err := ix.MapReadsApproxFtab(got, reads, 1, MapOptions{Workers: workers, Locate: true}, true); err != nil {
+				t.Fatal(err)
+			}
+			for i := range reads {
+				want := counted[i]
+				want.Exact = exact[i]
+				if !reflect.DeepEqual(got[i], want) {
+					t.Fatalf("%s workers=%d read %d:\n got %+v\nwant %+v", name, workers, i, got[i], want)
+				}
+				located += len(got[i].Exact.ForwardPositions) + len(got[i].Exact.ReversePositions)
+				if !got[i].Exact.Mapped() && got[i].Mapped() {
+					rescued++
+				}
+			}
+		}
+		if located == 0 || rescued == 0 {
+			t.Fatalf("%s: %d positions located, %d reads rescued; the batch exercises neither", name, located, rescued)
+		}
+		if raceEnabled {
+			continue // race-detector instrumentation allocates
+		}
+		perBatch := func(locate bool) float64 {
+			dst := make([]ApproxResult, len(reads))
+			run := func() {
+				if err := ix.MapReadsApproxFtab(dst, reads, 1, MapOptions{Workers: 1, Locate: locate}, true); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run()
+			return testing.AllocsPerRun(5, run)
+		}
+		if count, locate := perBatch(false), perBatch(true); locate > count {
+			t.Errorf("%s: a warm locating batch allocates %.0f times, the same batch count-only %.0f", name, locate, count)
+		}
+	}
+}
+
 // TestEmptyReadMapsNowhere pins what an empty read maps to on the exact and
 // k-mismatch paths: nothing, in 0 steps, with no positions and no pass 2 —
 // not every row, which is what the backward search of an empty pattern

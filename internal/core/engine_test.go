@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -164,10 +165,24 @@ func TestMapReadsIntoMatchesMapReadLoop(t *testing.T) {
 		want[i] = ix.MapRead(r)
 	}
 	perRead := counted(before)
+	// The positions a locating batch must give: one worker's, each result's
+	// held to a scan of the reference.
 	located := make([]MapResult, len(reads))
-	copy(located, want)
-	if err := ix.LocateResults(located, reads); err != nil {
+	if _, err := ix.MapReadsInto(located, reads, MapOptions{Workers: 1, Locate: true}); err != nil {
 		t.Fatal(err)
+	}
+	for i, read := range reads {
+		for o, got := range [2][]int32{located[i].ForwardPositions, located[i].ReversePositions} {
+			pattern := read
+			if o == 1 {
+				pattern = read.ReverseComplement()
+			}
+			got = slices.Clone(got)
+			slices.Sort(got)
+			if want := scanPositions(ref, pattern); !slices.Equal(got, want) {
+				t.Fatalf("read %d %v orientation %d: located %v, the reference holds it at %v", i, read, o, got, want)
+			}
+		}
 	}
 	for _, workers := range []int{1, 2} {
 		for _, locate := range []bool{false, true} {
@@ -190,6 +205,18 @@ func TestMapReadsIntoMatchesMapReadLoop(t *testing.T) {
 			}
 		}
 	}
+}
+
+// scanPositions returns where pattern occurs in ref, ascending: nowhere for
+// the empty pattern, which maps nowhere.
+func scanPositions(ref, pattern dna.Seq) []int32 {
+	var at []int32
+	for i := 0; len(pattern) > 0 && i+len(pattern) <= len(ref); i++ {
+		if slices.Equal(ref[i:i+len(pattern)], pattern) {
+			at = append(at, int32(i))
+		}
+	}
+	return at
 }
 
 func patternOf(read dna.Seq) []uint8 {

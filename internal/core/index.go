@@ -129,7 +129,7 @@ type Index struct {
 
 	// chunks holds the scratch of every exact search — the exact and
 	// k-mismatch engines' per-worker chunks, and MapRead's — between calls.
-	chunks chunkList
+	chunks freeList[chunkBuffer]
 }
 
 // BuildIndex runs the first two pipeline steps over the reference: suffix
@@ -376,31 +376,32 @@ type chunkBuffer struct {
 	group  fmindex.Group
 }
 
-// chunkList keeps chunk buffers between batches, as a sync.Pool would, but
-// across collections too: a chunk buffer holds some 30 KB for 100 bp reads,
-// and a pool, emptied by every other collection, would have a warm batch
-// allocate it again. It holds as many buffers as were ever in use at once,
-// each grown to the longest chunk it searched.
-type chunkList struct {
+// freeList keeps a worker's scratch between batches, as a sync.Pool would,
+// but across collections too: a chunk buffer holds some 30 KB for 100 bp
+// reads, a mem worker's scratch some 100 KB, and a pool, emptied by every
+// other collection, would have a warm batch allocate them again. It holds as
+// many values as were ever in use at once, each grown to the largest chunk
+// it served.
+type freeList[T any] struct {
 	mu   sync.Mutex
-	free []*chunkBuffer
+	free []*T
 }
 
-func (l *chunkList) get() *chunkBuffer {
+func (l *freeList[T]) get() *T {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	n := len(l.free)
 	if n == 0 {
-		return new(chunkBuffer)
+		return new(T)
 	}
-	buf := l.free[n-1]
+	v := l.free[n-1]
 	l.free = l.free[:n-1]
-	return buf
+	return v
 }
 
-func (l *chunkList) put(buf *chunkBuffer) {
+func (l *freeList[T]) put(v *T) {
 	l.mu.Lock()
-	l.free = append(l.free, buf)
+	l.free = append(l.free, v)
 	l.mu.Unlock()
 }
 
@@ -517,8 +518,9 @@ func (ix *Index) MapReads(reads []dna.Seq, opts MapOptions) ([]MapResult, MapSta
 }
 
 // exactWork is exact matching as a workload value. With locate, every chunk
-// locates its own results once searched. useFtab=false forces the plain
-// backward search even on an index that has a prefix table.
+// locates its own results once searched: positions come from the search
+// that found them. useFtab=false forces the plain backward search even on
+// an index that has a prefix table.
 type exactWork struct {
 	ix      *Index
 	useFtab bool
@@ -546,36 +548,43 @@ func (w exactWork) mapUnits(buf *chunkBuffer, reads []dna.Seq, dst []MapResult) 
 		return err
 	}
 	for i := range reads {
-		last := dst[i]
-		dst[i] = buf.result(i)
-		if w.locate { // the storage locate writes over
-			dst[i].ForwardPositions, dst[i].ReversePositions = last.ForwardPositions, last.ReversePositions
-		}
+		dst[i] = w.result(buf, i, dst[i])
 	}
 	if w.locate {
-		return buf.locate(w.ix.fm, dst)
+		return buf.locate(w.ix.fm, len(dst), func(i int) *MapResult { return &dst[i] })
 	}
 	return nil
 }
 
-// locate is the paper's host-side SA lookup for a chunk's results, whose
-// patterns buf searched last. A result's positions go where it held its
-// last ones when they fit, so mapping into the same results again reuses
-// them; the others share one slab, allocated once at exactly their number.
-// So a locating pass leaves behind only the positions it returns.
-func (buf *chunkBuffer) locate(fm *fmindex.Index, dst []MapResult) error {
+// result is read i's result from buf's searches, holding last's positions
+// when w locates: the storage locate writes over.
+func (w exactWork) result(buf *chunkBuffer, i int, last MapResult) MapResult {
+	res := buf.result(i)
+	if w.locate {
+		res.ForwardPositions, res.ReversePositions = last.ForwardPositions, last.ReversePositions
+	}
+	return res
+}
+
+// locate is the paper's host-side SA lookup for the results res(0) …
+// res(n−1) of the chunk buf searched last. A result's positions go where it
+// held its last ones when they fit, so mapping into the same results again
+// reuses them; the others share one slab, allocated once at exactly their
+// number. So a locating pass leaves behind only the positions it returns.
+func (buf *chunkBuffer) locate(fm *fmindex.Index, n int, res func(i int) *MapResult) error {
 	need := 0
-	for i := range dst {
-		need += outgrows(dst[i].ForwardPositions, dst[i].Forward.Count()) + outgrows(dst[i].ReversePositions, dst[i].Reverse.Count())
+	for i := range n {
+		r := res(i)
+		need += outgrows(r.ForwardPositions, r.Forward.Count()) + outgrows(r.ReversePositions, r.Reverse.Count())
 	}
 	slab := make([]int32, need)
-	for i := range dst {
-		res := &dst[i]
+	for i := range n {
+		r := res(i)
 		var err error
-		if res.ForwardPositions, slab, err = buf.place(res.ForwardPositions, slab, fm, 2*i, res.Forward); err != nil {
+		if r.ForwardPositions, slab, err = buf.place(r.ForwardPositions, slab, fm, 2*i, r.Forward); err != nil {
 			return err
 		}
-		if res.ReversePositions, slab, err = buf.place(res.ReversePositions, slab, fm, 2*i+1, res.Reverse); err != nil {
+		if r.ReversePositions, slab, err = buf.place(r.ReversePositions, slab, fm, 2*i+1, r.Reverse); err != nil {
 			return err
 		}
 	}
@@ -605,62 +614,6 @@ func (buf *chunkBuffer) place(last, slab []int32, fm *fmindex.Index, p int, r fm
 	}
 	ps, err = fm.LocateGroupAppend(ps, &buf.group, p, r)
 	return ps, slab, err
-}
-
-// LocateResults fills in the occurrence positions of results that were
-// mapped count-only, reads[i] giving results[i], as a locating batch does:
-// a result of rows is located through them, and the read of one that
-// finished on the text is searched again, a few steps, to read its
-// positions. The read must occur as often as its result says.
-func (ix *Index) LocateResults(results []MapResult, reads []dna.Seq) error {
-	return mapBatch(locateWork{ix: ix}, results, reads, MapOptions{})
-}
-
-// locateWork fills in the positions of a chunk's results: its reads are
-// the reads they were mapped from.
-type locateWork struct{ ix *Index }
-
-func (locateWork) unit() int                  { return 1 }
-func (locateWork) chunk() int                 { return 64 }
-func (w locateWork) acquire() *chunkBuffer    { return w.ix.chunks.get() }
-func (w locateWork) release(buf *chunkBuffer) { w.ix.chunks.put(buf) }
-
-func (w locateWork) mapUnits(buf *chunkBuffer, reads []dna.Seq, dst []MapResult) error {
-	if err := buf.searchOnText(w.ix.fm, reads, dst); err != nil {
-		return err
-	}
-	return buf.locate(w.ix.fm, dst)
-}
-
-// searchOnText has fm search again, into buf's group, the reads whose
-// results in dst finished on the text (fmindex.Index.SearchOnText). An index
-// whose searches cannot finish there has nothing to search again, and its
-// reads are not encoded.
-func (buf *chunkBuffer) searchOnText(fm *fmindex.Index, reads []dna.Seq, dst []MapResult) error {
-	if !fm.FinishesOnText() {
-		return nil
-	}
-	buf.encode(reads)
-	for i := range dst {
-		buf.ranges[2*i], buf.ranges[2*i+1] = dst[i].Forward, dst[i].Reverse
-	}
-	return fm.SearchOnText(&buf.group, buf.pats, buf.ranges)
-}
-
-// AppendPositions appends the positions of res's forward occurrences, then
-// of its reverse ones, to dst, res being read's result: LocateResults for
-// one result, into the caller's slice.
-func (ix *Index) AppendPositions(dst []int32, read dna.Seq, res MapResult) ([]int32, error) {
-	buf := ix.chunks.get()
-	defer ix.chunks.put(buf)
-	if err := buf.searchOnText(ix.fm, []dna.Seq{read}, []MapResult{res}); err != nil {
-		return dst, err
-	}
-	dst, err := ix.fm.LocateGroupAppend(dst, &buf.group, 0, res.Forward)
-	if err != nil {
-		return dst, err
-	}
-	return ix.fm.LocateGroupAppend(dst, &buf.group, 1, res.Reverse)
 }
 
 // MapReadsInto is MapReads writing into a caller-provided result slice

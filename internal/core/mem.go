@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"strconv"
-	"sync"
 	"time"
 
 	"bwaver/internal/align"
@@ -225,9 +224,11 @@ func (s *MemStats) Add(r MemResult) {
 // index for SMEM seeding and the packed text it reads, which extension
 // decodes a window at a time: the index's own, or on an index read from a
 // file, which holds none, reconstructed from the index (ExtractReference).
+// scratch keeps the batch workers' scratch between batches.
 type memState struct {
-	bi   *fmindex.BiIndex
-	text dna.PackedSeq
+	bi      *fmindex.BiIndex
+	text    dna.PackedSeq
+	scratch freeList[memScratch]
 }
 
 // EnsureMem builds the seed-and-extend state if the index does not hold one
@@ -326,8 +327,8 @@ type memCandidate struct {
 
 // memScratch is one batch worker's reusable working memory: every buffer
 // the per-read pipeline touches, so the steady-state batch path performs no
-// heap allocation per read. Pooled via memScratchPool; not safe for
-// concurrent use.
+// heap allocation per read. Kept between batches in memState.scratch; not
+// safe for concurrent use.
 type memScratch struct {
 	// chunk holds the chunk's patterns and, once seeded, their SMEMs in
 	// chunk.group; rc is the reverse complement of a read being mapped.
@@ -342,10 +343,6 @@ type memScratch struct {
 	cigar   []byte            // CIGAR render buffer
 	interns map[string]string // CIGAR intern table, bounded
 }
-
-// memScratchPool recycles per-worker mem pipeline scratch across batches
-// and workers.
-var memScratchPool = sync.Pool{New: func() any { return new(memScratch) }}
 
 // memInternCap bounds the CIGAR intern table; real batches repeat a small
 // set of CIGAR shapes, but a pathological input must not grow the table
@@ -759,8 +756,8 @@ func (w memWork) unit() int {
 // without measurable cursor contention.
 func (memWork) chunk() int { return 16 }
 
-func (memWork) acquire() *memScratch   { return memScratchPool.Get().(*memScratch) }
-func (memWork) release(sc *memScratch) { memScratchPool.Put(sc) }
+func (w memWork) acquire() *memScratch   { return w.st.scratch.get() }
+func (w memWork) release(sc *memScratch) { w.st.scratch.put(sc) }
 
 // mapUnits seeds the whole chunk first — the SMEMs of every read and its
 // reverse complement as one group (fmindex.BiIndex.SMEMsGroup), so that the

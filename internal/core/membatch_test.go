@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -214,6 +215,33 @@ func TestMemBatchSteadyStateZeroAlloc(t *testing.T) {
 				t.Errorf("steady-state batch path allocates %.3f allocs/read (%.0f per batch), want 0", perRead, allocs)
 			}
 		})
+	}
+}
+
+// TestMemBatchScratchSurvivesCollection is the steady-state gate with two
+// collections before every batch: the workers' scratch, kept between
+// batches, must outlive them, so a warm batch still allocates nothing.
+func TestMemBatchScratchSurvivesCollection(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; counts are meaningless")
+	}
+	ix, ref := buildMemIndex(t, 30000, 25)
+	reads := memTestReads(t, ref, 40, 100)
+	opts := MemOptions{Paired: true, MinInsert: 100, MaxInsert: 600}
+	dst := make([]MemResult, len(reads))
+	run := func() {
+		if _, err := ix.MapReadsMemInto(dst, reads, opts, MapOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	allocs := testing.AllocsPerRun(5, func() {
+		runtime.GC()
+		runtime.GC()
+		run()
+	})
+	if allocs > 0 {
+		t.Errorf("a warm batch after two collections allocates %.0f times, want 0", allocs)
 	}
 }
 

@@ -20,10 +20,8 @@ type rankedRow struct {
 // packed text to the paper's ranked search on full, sampled-8, sampled-32
 // and count-only indexes, each as built (text attached) and as read back
 // from its file (no text): with the prefix table and without, on 1 and 3
-// workers, count-only, locating, and count-only followed by LocateResults,
-// every read must give the ranked search's counts, steps and positions, and
-// LocateResults must leave the table's counters as they were. The
-// reads cover segments written 16 and 17 times (the most occurrences a
+// workers, count-only and locating, every read must give the ranked
+// search's counts, steps and positions. The reads cover segments written 16 and 17 times (the most occurrences a
 // search locates and one more), the text's first and last bases, symbols
 // outside the alphabet and an empty read.
 func TestExactTextFinishMatchesRanked(t *testing.T) {
@@ -142,14 +140,6 @@ func TestExactTextFinishMatchesRanked(t *testing.T) {
 					}
 					if !locates {
 						continue
-					}
-					before := ix.FtabStats()
-					if err := ix.LocateResults(dst, reads); err != nil {
-						t.Fatal(err)
-					}
-					check(t, name("count-only+LocateResults"), dst, want, true)
-					if got := ix.FtabStats(); got != before {
-						t.Errorf("%s: LocateResults moved the table's counters from %+v to %+v", name("count-only"), before, got)
 					}
 					if _, err := ix.MapReadsIntoFtab(dst, reads, MapOptions{Workers: workers, Locate: true}, useFtab); err != nil {
 						t.Fatal(err)

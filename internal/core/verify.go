@@ -13,12 +13,12 @@ import (
 // confidently wrong answers. stride <= 0 disables the check; stride 1 checks
 // every read.
 //
-// Only ranges are compared — located positions are resolved on the host from
-// the same ranges, or for a result that finished on the text from its read,
-// which LocateResults holds to the result's count — so they cannot diverge
-// independently. MapRead ranks to the end and reports its range in the
-// batch's form, so a kernel that finished a search on the text and one that
-// ranked it agree.
+// Only ranges are compared — located positions come from the host-side
+// search that produced the ranges, rows through the suffix array and a
+// result that finished on the text from the positions its search compared
+// there — so they cannot diverge independently. MapRead ranks to the end and
+// reports its range in the batch's form, so a kernel that finished a search
+// on the text and one that ranked it agree.
 func VerifySampled(ix *Index, reads []dna.Seq, results []MapResult, stride int) error {
 	if stride <= 0 {
 		return nil

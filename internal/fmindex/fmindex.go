@@ -251,10 +251,6 @@ func (ix *Index) Canonical(r Range) Range {
 	return r
 }
 
-// FinishesOnText reports whether a grouped exact search can finish on the
-// text: the index holds its text and a locate structure.
-func (ix *Index) FinishesOnText() bool { return ix.locateMax > 0 }
-
 // OnText reports whether r is the range of a search that finished on the
 // text, whose positions its search group holds (LocateGroupAppend), rather
 // than rows to locate. The empty pattern's range, all n+1 rows, is rows

@@ -19,9 +19,6 @@ type Group struct {
 	spare []int32
 	exact exactGroup
 	smem  smemGroup
-	// ranges and steps hold SearchOnText's results.
-	ranges []Range
-	steps  []int
 }
 
 // searches are the searches of a group, numbered from 0.
@@ -112,44 +109,6 @@ const (
 // per-pattern searches would leave them. The error is a locate's on a
 // corrupt sampled array.
 func (ix *Index) SearchGroup(g *Group, patterns [][]uint8, useFtab bool, ranges []Range, steps []int) error {
-	e := ix.searchGroup(g, patterns, useFtab, ranges, steps, nil)
-	if e.f != nil {
-		e.f.count(e.hits, e.misses, e.short)
-	}
-	return e.err
-}
-
-// SearchOnText searches again, as one group, each pattern p whose range
-// ranges[p] finished on the text (OnText), so that LocateGroupAppend reads
-// its positions from g; it searches no other pattern, and none at all when
-// no range finished on the text. Such a pattern must occur as often as its
-// range counts. The table serves these searches but does not count them:
-// they repeat searches whose lookups were counted when they ran.
-func (ix *Index) SearchOnText(g *Group, patterns [][]uint8, ranges []Range) error {
-	again := false
-	for _, r := range ranges {
-		again = again || ix.OnText(r)
-	}
-	if !again {
-		return nil
-	}
-	n := len(patterns)
-	g.ranges, g.steps = slices.Grow(g.ranges[:0], n)[:n], slices.Grow(g.steps[:0], n)[:n]
-	if e := ix.searchGroup(g, patterns, true, g.ranges, g.steps, ranges); e.err != nil {
-		return e.err
-	}
-	for p, r := range ranges {
-		if ix.OnText(r) && g.ranges[p] != r {
-			return fmt.Errorf("fmindex: pattern %d has %d occurrences, where its range on the text counts %d", p, g.ranges[p].Count(), r.Count())
-		}
-	}
-	return nil
-}
-
-// searchGroup runs SearchGroup's searches, leaving the table's counters to
-// the caller. With only set, it runs just the searches of the patterns p
-// whose range only[p] finished on the text.
-func (ix *Index) searchGroup(g *Group, patterns [][]uint8, useFtab bool, ranges []Range, steps []int, only []Range) *exactGroup {
 	e, n := &g.exact, len(patterns)
 	*e = exactGroup{ix: ix, patterns: patterns, ranges: ranges, steps: steps,
 		left: slices.Grow(e.left[:0], n)[:n], at: slices.Grow(e.at[:0], n)[:n], found: slices.Grow(e.found[:0], n)[:n],
@@ -159,19 +118,16 @@ func (ix *Index) searchGroup(g *Group, patterns [][]uint8, useFtab bool, ranges 
 	}
 	clear(steps[:n])
 	clear(e.at)
-	for p, r := range only {
-		if !ix.OnText(r) {
-			ranges[p], e.at[p], e.found[p].n = r, exactDone, 0
-		}
-	}
 	g.drive(e, n)
-	return e
+	if e.f != nil {
+		e.f.count(e.hits, e.misses, e.short)
+	}
+	return e.err
 }
 
-// LocateGroupAppend is LocateAppend for pattern p of g's last search,
-// SearchGroup's or SearchOnText's, whose range is r: rows are located
-// through the suffix array, and a range that finished on the text takes the
-// positions the search left in g.
+// LocateGroupAppend is LocateAppend for pattern p of g's last SearchGroup,
+// whose range is r: rows are located through the suffix array, and a range
+// that finished on the text takes the positions the search left in g.
 func (ix *Index) LocateGroupAppend(dst []int32, g *Group, p int, r Range) ([]int32, error) {
 	if !ix.OnText(r) {
 		return ix.locateAppend(dst, r)

@@ -82,7 +82,7 @@ func TestApproxBackendsAgree(t *testing.T) {
 				if err != nil || !kernel.UsesFtab() {
 					t.Fatalf("table kernel: %v", err)
 				}
-				run, err := runKernel(kernel, TwoPass(k), reads, MapRunOptions{})
+				run, err := runKernel(kernel, TwoPass(k, false), reads, MapRunOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -93,7 +93,7 @@ func TestApproxBackendsAgree(t *testing.T) {
 				if err != nil || !degraded.FtabDegraded() {
 					t.Fatalf("degraded kernel: %v", err)
 				}
-				plain, err := runKernel(degraded, TwoPass(k), reads, MapRunOptions{})
+				plain, err := runKernel(degraded, TwoPass(k, false), reads, MapRunOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -122,7 +122,7 @@ func TestApproxBackendsAgree(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				striped, err := runFarm(farm, TwoPass(k), reads, MapRunOptions{})
+				striped, err := runFarm(farm, TwoPass(k, false), reads, MapRunOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -29,7 +29,7 @@ func TestFarmResultsMatchSingleCard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := runFarm(farm, Exact(), reads, MapRunOptions{})
+	got, err := runFarm(farm, Exact(false), reads, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestFarmMoreCardsThanReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	reads := simReads(t, ix, 3, 30, 1)
-	run, err := runFarm(farm, Exact(), reads, MapRunOptions{})
+	run, err := runFarm(farm, Exact(false), reads, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,8 +198,9 @@ func TestOneCardFarmProfileEqualsKernel(t *testing.T) {
 	reads := simReads(t, ix, 300, 40, 0.6)
 	mix, mreads := memBatch(t, 30000, 30)
 	for _, cfg := range []Config{{}, {DoubleBuffer: true}} {
-		oneCardEqualsKernel(t, cfg, ix, reads, Exact)
-		oneCardEqualsKernel(t, cfg, ix, reads, func() Workload[core.ApproxResult] { return TwoPass(1) })
+		oneCardEqualsKernel(t, cfg, ix, reads, func() Workload[core.MapResult] { return Exact(false) })
+		oneCardEqualsKernel(t, cfg, ix, reads, func() Workload[core.MapResult] { return Exact(true) })
+		oneCardEqualsKernel(t, cfg, ix, reads, func() Workload[core.ApproxResult] { return TwoPass(1, false) })
 		oneCardEqualsKernel(t, cfg, mix, mreads, func() Workload[core.MemResult] { return Mem(core.MemOptions{Paired: true}) })
 	}
 }

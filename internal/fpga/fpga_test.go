@@ -1,6 +1,7 @@
 package fpga
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -294,29 +295,102 @@ func TestMergeLaysBatchesEndToEnd(t *testing.T) {
 	}
 }
 
-func TestLocateResults(t *testing.T) {
-	ix := buildIndex(t, 20000)
-	d, _ := NewDevice(Config{})
-	k, _ := d.Program(ix)
-	reads := simReads(t, ix, 200, 40, 1)
-	run, err := k.MapReadsOpts(reads, MapRunOptions{})
+// TestLocatingSessionMatchesCPU maps three batches through a locating
+// session on a two-card farm that corrupts a fifth of its result transfers,
+// on a built full and a built sampled-8 index (text attached, so short
+// intervals finish on it): exact and two-pass results — ranges, steps,
+// strata and the positions the host read off the searches that found them —
+// must equal a locating CPU batch's, and the corrupted transfers must have
+// been caught and retried.
+func TestLocatingSessionMatchesCPU(t *testing.T) {
+	ref, err := readsim.Genome(readsim.GenomeConfig{Length: 20000, Seed: 21, RepeatFraction: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
-	elapsed, err := k.LocateResults(run.Results, reads)
+	plan, err := ParseFaultPlan("seed=7,corrupt=0.2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if elapsed <= 0 {
-		t.Error("locate time not measured")
+	for _, cfg := range []core.IndexConfig{
+		{FtabK: 6},
+		{FtabK: 6, Locate: core.LocateSampled, SampleRate: 8},
+	} {
+		ix, err := core.BuildIndex(ref, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reads := simReads(t, ix, 300, 40, 0.8)
+		for i := 0; i < len(reads); i += 3 {
+			reads[i] = reads[i].Clone()
+			reads[i][17] = (reads[i][17] + 1) % 4 // one substitution for pass 2
+		}
+		name := cfg.Locate.String()
+		t.Run(name+"/exact", func(t *testing.T) {
+			onText := 0
+			for _, r := range locatingSessionMatchesCPU(t, ix, plan, reads, Exact(true), func(dst []core.MapResult, batch []dna.Seq) error {
+				_, err := ix.MapReadsInto(dst, batch, core.MapOptions{Locate: true})
+				return err
+			}) {
+				if ix.FM().OnText(r.Forward) && len(r.ForwardPositions) > 0 {
+					onText++
+				}
+			}
+			if onText == 0 {
+				t.Error("no located result finished on the text")
+			}
+		})
+		t.Run(name+"/two-pass", func(t *testing.T) {
+			rescued := 0
+			for _, r := range locatingSessionMatchesCPU(t, ix, plan, reads, TwoPass(1, true), func(dst []core.ApproxResult, batch []dna.Seq) error {
+				return ix.MapReadsApproxFtab(dst, batch, 1, core.MapOptions{Locate: true}, true)
+			}) {
+				if !r.Exact.Mapped() && r.Mapped() {
+					rescued++
+				}
+			}
+			if rescued == 0 {
+				t.Error("pass 2 rescued no read")
+			}
+		})
 	}
-	located := 0
-	for _, r := range run.Results {
-		located += len(r.ForwardPositions) + len(r.ReversePositions)
+}
+
+// locatingSessionMatchesCPU maps reads in three batches through a session of
+// w on a two-card farm under plan and holds every batch's results to cpu's;
+// it returns the session's results.
+func locatingSessionMatchesCPU[R any](t *testing.T, ix *core.Index, plan *FaultPlan, reads []dna.Seq, w Workload[R], cpu func(dst []R, batch []dna.Seq) error) []R {
+	t.Helper()
+	devices := make([]*Device, 2)
+	for i := range devices {
+		devices[i], _ = NewDevice(Config{})
+		devices[i].EnableFaults(plan, i)
 	}
-	if located == 0 {
-		t.Error("no positions located for fully-mapping read set")
+	farm, err := NewFarmOpts(devices, ix, FarmOptions{MaxAttempts: 8, VerifyStride: 7})
+	if err != nil {
+		t.Fatal(err)
 	}
+	session := NewSession(farm, w, MapRunOptions{})
+	var all []R
+	for bi, batch := range batchesOf(reads, 100) {
+		run, err := session.Map(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]R, len(batch))
+		if err := cpu(want, batch); err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if !reflect.DeepEqual(run.Results[i], want[i]) {
+				t.Fatalf("batch %d read %d: session\n%+v\nCPU\n%+v", bi, i, run.Results[i], want[i])
+			}
+		}
+		all = append(all, run.Results...)
+	}
+	if farm.Stats().ChecksumMismatches == 0 {
+		t.Error("no corrupted result transfer was caught")
+	}
+	return all
 }
 
 // TestSequentialRankAblation checks that removing the adder-tree pipelining

@@ -206,10 +206,11 @@ type MapRunOptions struct {
 	IndexResident bool
 }
 
-// host is the run's options as the core batch engine takes them. One worker:
-// a kernel is one simulated card, and its shard maps in the farm's sequence.
-func (o MapRunOptions) host() core.MapOptions {
-	return core.MapOptions{Context: o.Context, Workers: 1, Progress: o.Progress, ProgressEvery: progressEvery}
+// host is the run's options as the core batch engine takes them, locating
+// when the workload does. One worker: a kernel is one simulated card, and its
+// shard maps in the farm's sequence.
+func (o MapRunOptions) host(locate bool) core.MapOptions {
+	return core.MapOptions{Context: o.Context, Locate: locate, Workers: 1, Progress: o.Progress, ProgressEvery: progressEvery}
 }
 
 // Workload is one kind of mapping as the device runs it, with per-read
@@ -332,11 +333,15 @@ func runKernel[R any](k *Kernel, w Workload[R], reads []dna.Seq, opts MapRunOpti
 }
 
 // exactWork is exact matching on the device: both orientations of every read
-// through the search pipelines, one step per cycle.
-type exactWork struct{}
+// through the search pipelines, one step per cycle. With locate, the host
+// resolves every result's positions, the paper's final host-side step, from
+// the search that found them.
+type exactWork struct{ locate bool }
 
-// Exact is exact matching as a device workload.
-func Exact() Workload[core.MapResult] { return exactWork{} }
+// Exact is exact matching as a device workload; locate fills the results'
+// positions as core's MapOptions.Locate does. The device returns row ranges
+// either way: the model, the checksum and the cross-check see only them.
+func Exact(locate bool) Workload[core.MapResult] { return exactWork{locate} }
 
 func (exactWork) pairAligned() bool                           { return false }
 func (exactWork) admit(k *Kernel) (time.Duration, error)      { return k.indexTransfer, nil }
@@ -346,8 +351,8 @@ func (exactWork) mapped(*Farm, *Run[core.MapResult])          {}
 
 // execute searches in the kernel's own ftab mode — not the host index's — so a
 // BRAM-degraded kernel's cycle accounting matches the fabric it models.
-func (exactWork) execute(k *Kernel, run *Run[core.MapResult], reads []dna.Seq, opts MapRunOptions) (Profile, error) {
-	if _, err := k.ix.MapReadsIntoFtab(run.Results, reads, opts.host(), k.useFtab); err != nil {
+func (w exactWork) execute(k *Kernel, run *Run[core.MapResult], reads []dna.Seq, opts MapRunOptions) (Profile, error) {
+	if _, err := k.ix.MapReadsIntoFtab(run.Results, reads, opts.host(w.locate), k.useFtab); err != nil {
 		return Profile{}, err
 	}
 	return k.searchCost(len(reads), func(i int) int { return run.Results[i].Steps }), nil
@@ -393,7 +398,7 @@ func (k *Kernel) searchCost(n int, steps func(i int) int) Profile {
 // executed bit-for-bit (results are exact); cycles are charged per the
 // pipeline model described in the package comment.
 func (k *Kernel) MapReadsOpts(reads []dna.Seq, opts MapRunOptions) (*Run[core.MapResult], error) {
-	return runKernel(k, Exact(), reads, opts)
+	return runKernel(k, Exact(false), reads, opts)
 }
 
 // tagEvents stamps run identity (device, attempt, shard) onto every event.
@@ -443,15 +448,4 @@ func (k *Kernel) ModelProfile(nReads int, avgStepsPerRead float64) Profile {
 	cfg := k.dev.cfg
 	stepCycles := uint64(float64(nReads) * (avgStepsPerRead*float64(k.stepCycles()) + float64(cfg.QueryOverheadCycles)))
 	return k.assemble(k.pass(uint64(cfg.PipelineFillCycles)+stepCycles/uint64(cfg.PEs), nReads, nReads), k.indexTransfer)
-}
-
-// LocateResults resolves occurrence positions for a run of reads on the host
-// — the paper's final host-side step — through the index's suffix array,
-// searching again the reads whose results finished on the text
-// (core.Index.LocateResults). It returns the wall-clock time spent, which
-// the hybrid pipeline adds to the host budget, not the device budget.
-func (k *Kernel) LocateResults(results []core.MapResult, reads []dna.Seq) (time.Duration, error) {
-	start := time.Now()
-	err := k.ix.LocateResults(results, reads)
-	return time.Since(start), err
 }

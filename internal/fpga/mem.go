@@ -127,7 +127,7 @@ func (w *memWork) verify(ix *core.Index, reads []dna.Seq, results []core.MemResu
 }
 
 func (w *memWork) execute(k *Kernel, run *Run[core.MemResult], reads []dna.Seq, opts MapRunOptions) (Profile, error) {
-	stats, err := k.ix.MapReadsMemInto(run.Results, reads, w.opts, opts.host())
+	stats, err := k.ix.MapReadsMemInto(run.Results, reads, w.opts, opts.host(false))
 	if err != nil {
 		return Profile{}, err
 	}

@@ -31,7 +31,7 @@ func TestFarmEventTaggingUnderFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := runFarm(farm, Exact(), reads, MapRunOptions{})
+	run, err := runFarm(farm, Exact(false), reads, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,7 +56,7 @@ func TestFarmRedistributesAroundDeadDevice(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	run, err := runFarm(farm, Exact(), reads, MapRunOptions{})
+	run, err := runFarm(farm, Exact(false), reads, MapRunOptions{})
 	if err != nil {
 		t.Fatalf("farm with one healthy device failed: %v", err)
 	}
@@ -84,7 +84,7 @@ func TestFarmRedistributesAroundDeadDevice(t *testing.T) {
 
 	// The next run skips the broken card entirely: no new kernel faults.
 	before := farm.Stats().Faults["kernel"]
-	if _, err := runFarm(farm, Exact(), reads[:50], MapRunOptions{}); err != nil {
+	if _, err := runFarm(farm, Exact(false), reads[:50], MapRunOptions{}); err != nil {
 		t.Fatalf("second run: %v", err)
 	}
 	if after := farm.Stats().Faults["kernel"]; after != before {
@@ -112,7 +112,7 @@ func TestFarmAllDevicesBroken(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = runFarm(farm, Exact(), reads, MapRunOptions{})
+	_, err = runFarm(farm, Exact(false), reads, MapRunOptions{})
 	if err == nil {
 		t.Fatal("farm with no working devices succeeded")
 	}
@@ -143,7 +143,7 @@ func TestFarmRecoversFromCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := runFarm(farm, Exact(), reads, MapRunOptions{})
+	run, err := runFarm(farm, Exact(false), reads, MapRunOptions{})
 	if err != nil {
 		t.Fatalf("farm failed to recover from corruption: %v", err)
 	}
@@ -174,7 +174,7 @@ func TestFarmTwoPassUnderFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := runFarm(farm, TwoPass(1), reads, MapRunOptions{})
+	run, err := runFarm(farm, TwoPass(1, false), reads, MapRunOptions{})
 	if err != nil {
 		t.Fatalf("two-pass farm run failed: %v", err)
 	}
@@ -184,7 +184,7 @@ func TestFarmTwoPassUnderFaults(t *testing.T) {
 	// Compare against a clean single card.
 	clean, _ := NewDevice(Config{})
 	k, _ := clean.Program(ix)
-	want, err := runKernel(k, TwoPass(1), reads, MapRunOptions{})
+	want, err := runKernel(k, TwoPass(1, false), reads, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestFarmContextCancelNotDeviceFailure(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = runFarm(farm, Exact(), reads, MapRunOptions{Context: ctx})
+	_, err = runFarm(farm, Exact(false), reads, MapRunOptions{Context: ctx})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error = %v, want context.Canceled", err)
 	}

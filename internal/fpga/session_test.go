@@ -202,9 +202,14 @@ func TestSessionMatchesKernelRuns(t *testing.T) {
 	ix := buildIndex(t, 20000)
 	reads := simReads(t, ix, 300, 40, 0.6)
 	mix, mreads := memBatch(t, 30000, 30)
-	t.Run("exact", func(t *testing.T) { sessionMatchesKernelRuns(t, ix, reads, 100, Exact) })
+	t.Run("exact", func(t *testing.T) {
+		sessionMatchesKernelRuns(t, ix, reads, 100, func() Workload[core.MapResult] { return Exact(false) })
+	})
+	t.Run("exact-located", func(t *testing.T) {
+		sessionMatchesKernelRuns(t, ix, reads, 100, func() Workload[core.MapResult] { return Exact(true) })
+	})
 	t.Run("two-pass", func(t *testing.T) {
-		sessionMatchesKernelRuns(t, ix, reads, 100, func() Workload[core.ApproxResult] { return TwoPass(1) })
+		sessionMatchesKernelRuns(t, ix, reads, 100, func() Workload[core.ApproxResult] { return TwoPass(1, false) })
 	})
 	t.Run("mem-paired", func(t *testing.T) {
 		sessionMatchesKernelRuns(t, mix, mreads, 20, func() Workload[core.MemResult] { return Mem(core.MemOptions{Paired: true}) })

@@ -29,14 +29,18 @@ const DefaultReconfigTime = 500 * time.Millisecond
 // every read, then the mismatch kernel over what it left unaligned.
 type twoPassWork struct {
 	maxMismatches int
+	locate        bool
 }
 
 // TwoPass is the two-pass flow at a mismatch budget as a device workload.
 // Its results hold, by input position, every read's pass-1 result and, for
 // the reads pass 1 failed to map, the strata pass 2 found. It reconfigures
 // the fabric in every batch that leaves reads unaligned; on a farm every
-// card does so in parallel, so the profile charges the slowest.
-func TwoPass(maxMismatches int) Workload[core.ApproxResult] { return twoPassWork{maxMismatches} }
+// card does so in parallel, so the profile charges the slowest. locate fills
+// the exact hits' positions as Exact's does.
+func TwoPass(maxMismatches int, locate bool) Workload[core.ApproxResult] {
+	return twoPassWork{maxMismatches, locate}
+}
 
 func (twoPassWork) pairAligned() bool                     { return false }
 func (twoPassWork) mapped(*Farm, *Run[core.ApproxResult]) {}
@@ -76,7 +80,7 @@ func (twoPassWork) corrupt(results []core.ApproxResult, i int, bit uint64) {
 // Same pipeline model; the branching search simply executes more steps per
 // query.
 func (w twoPassWork) execute(k *Kernel, run *Run[core.ApproxResult], reads []dna.Seq, opts MapRunOptions) (Profile, error) {
-	if err := k.ix.MapReadsApproxFtab(run.Results, reads, w.maxMismatches, opts.host(), k.useFtab); err != nil {
+	if err := k.ix.MapReadsApproxFtab(run.Results, reads, w.maxMismatches, opts.host(w.locate), k.useFtab); err != nil {
 		return Profile{}, err
 	}
 	passes := k.searchCost(len(reads), func(i int) int { return run.Results[i].Exact.Steps })

@@ -47,7 +47,7 @@ func TestTwoPassRescuesMutatedReads(t *testing.T) {
 	// Reads with exactly one substitution: exact pass fails, 1-mismatch
 	// pass must rescue them (the planted origin must be reachable).
 	reads, origins := mutatedReads(t, 40000, 50, 50, 1)
-	res, err := runKernel(k, TwoPass(1), reads, MapRunOptions{})
+	res, err := runKernel(k, TwoPass(1, false), reads, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestTwoPassAllExactSkipsReconfig(t *testing.T) {
 	d, _ := NewDevice(Config{})
 	k, _ := d.Program(ix)
 	reads := simReads(t, ix, 100, 40, 1) // all map exactly
-	res, err := runKernel(k, TwoPass(2), reads, MapRunOptions{})
+	res, err := runKernel(k, TwoPass(2, false), reads, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestTwoPassRandomReadsStayUnmapped(t *testing.T) {
 	d, _ := NewDevice(Config{})
 	k, _ := d.Program(ix)
 	reads := simReads(t, ix, 50, 60, 0) // random 60-mers
-	res, err := runKernel(k, TwoPass(1), reads, MapRunOptions{})
+	res, err := runKernel(k, TwoPass(1, false), reads, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestTwoPassValidation(t *testing.T) {
 	ix := buildIndex(t, 5000)
 	d, _ := NewDevice(Config{})
 	k, _ := d.Program(ix)
-	if _, err := runKernel(k, TwoPass(0), simReads(t, ix, 5, 30, 1), MapRunOptions{}); err == nil {
+	if _, err := runKernel(k, TwoPass(0, false), simReads(t, ix, 5, 30, 1), MapRunOptions{}); err == nil {
 		t.Error("accepted zero mismatch budget")
 	}
 }
@@ -146,7 +146,7 @@ func TestTwoPassCostsMoreThanExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	two, err := runKernel(k, TwoPass(1), reads, MapRunOptions{})
+	two, err := runKernel(k, TwoPass(1, false), reads, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestTwoPassChecksumCoversPass2(t *testing.T) {
 	reads, _ := mutatedReads(t, 40000, 40, 50, 1) // pass 1 maps none of them
 	clean, _ := NewDevice(Config{})
 	ck, _ := clean.Program(ix)
-	want, err := runKernel(ck, TwoPass(1), reads, MapRunOptions{})
+	want, err := runKernel(ck, TwoPass(1, false), reads, MapRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestTwoPassChecksumCoversPass2(t *testing.T) {
 		func(m *fmindex.ApproxMatch) { m.Range.End ^= 4 },
 		func(m *fmindex.ApproxMatch) { m.Mismatches ^= 1 },
 	} {
-		tampered, err := runKernel(ck, TwoPass(1), reads, MapRunOptions{})
+		tampered, err := runKernel(ck, TwoPass(1, false), reads, MapRunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +208,7 @@ func TestTwoPassChecksumCoversPass2(t *testing.T) {
 	dev, _ := NewDevice(Config{})
 	dev.EnableFaults(plan, 0)
 	k, _ := dev.Program(ix)
-	run, err := runKernel(k, TwoPass(1), reads, MapRunOptions{})
+	run, err := runKernel(k, TwoPass(1, false), reads, MapRunOptions{})
 	if err != nil {
 		t.Fatalf("corruption must not error at the device: %v", err)
 	}
@@ -232,7 +232,7 @@ func TestTwoPassChecksumCoversPass2(t *testing.T) {
 		t.Fatal(err)
 	}
 	for round := 0; round < 8; round++ {
-		striped, err := runFarm(farm, TwoPass(1), reads, MapRunOptions{})
+		striped, err := runFarm(farm, TwoPass(1, false), reads, MapRunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

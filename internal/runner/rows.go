@@ -261,7 +261,7 @@ func (r *Rows) approx(off int, ids []string, reads []dna.Seq, results []core.App
 		r.ps = r.ps[:0]
 		if locate {
 			var err error
-			if r.ps, err = r.locateBest(r.ps, reads[i], res, best); err != nil {
+			if r.ps, err = r.locateBest(r.ps, res, best); err != nil {
 				return err
 			}
 		}
@@ -283,18 +283,16 @@ func (r *Rows) count(mapped bool) bool {
 	return mapped
 }
 
-// locateBest appends the positions of res's best stratum to ps, res being
-// read's result.
-func (r *Rows) locateBest(ps []int32, read dna.Seq, res core.ApproxResult, best int) ([]int32, error) {
-	ps, err := r.ix.AppendPositions(ps, read, res.Exact)
-	if err != nil {
-		return ps, err
-	}
+// locateBest appends the positions of res's best stratum to ps: its located
+// exact hits, or the rescue's strata at the best mismatch count.
+func (r *Rows) locateBest(ps []int32, res core.ApproxResult, best int) ([]int32, error) {
+	ps = append(append(ps, res.Exact.ForwardPositions...), res.Exact.ReversePositions...)
 	for _, set := range [2][]fmindex.ApproxMatch{res.Forward, res.Reverse} {
 		for _, m := range set {
 			if m.Mismatches != best {
 				continue
 			}
+			var err error
 			if ps, err = r.ix.FM().LocateAppend(ps, m.Range); err != nil {
 				return ps, err
 			}

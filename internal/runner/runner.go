@@ -140,31 +140,24 @@ type Work[R any] struct {
 	// cpu maps batch into dst, the run's one result buffer.
 	cpu    func(dst []R, batch []dna.Seq, run core.MapOptions) error
 	device fpga.Workload[R]
-	// finish, when non-nil, completes a batch of reads the device mapped on
-	// the host.
-	finish func(run *fpga.Run[R], reads []dna.Seq) error
+	// finish, when non-nil, is told of every batch the device mapped.
+	finish func(run *fpga.Run[R])
 	encode func(rows *Rows, off int, ids []string, reads []dna.Seq, results []R) error
 }
 
 // Exact is exact matching, rendered as the exact TSV; locate resolves the
-// occurrence positions, on the FPGA model on the host after the device
-// returned the row ranges, the paper's final host-side step.
+// occurrence positions, on the FPGA model on the host from the search the
+// device's ranges came from, the paper's final host-side step.
 func Exact(ix *core.Index, locate bool) Work[core.MapResult] {
-	w := Work[core.MapResult]{
+	return Work[core.MapResult]{
 		cpu: func(dst []core.MapResult, batch []dna.Seq, run core.MapOptions) error {
 			run.Locate = locate
 			_, err := ix.MapReadsInto(dst, batch, run)
 			return err
 		},
-		device: fpga.Exact(),
+		device: fpga.Exact(locate),
 		encode: (*Rows).exact,
 	}
-	if locate {
-		w.finish = func(run *fpga.Run[core.MapResult], reads []dna.Seq) error {
-			return ix.LocateResults(run.Results, reads)
-		}
-	}
-	return w
 }
 
 // ExactSAM is exact matching rendered as SAM, every located hit one record.
@@ -196,9 +189,10 @@ func ExactPairs(ix *core.Index, opts core.PairOptions, asSAM bool) Work[core.Map
 func Approx(ix *core.Index, mismatches int, locate bool) Work[core.ApproxResult] {
 	return Work[core.ApproxResult]{
 		cpu: func(dst []core.ApproxResult, batch []dna.Seq, run core.MapOptions) error {
+			run.Locate = locate
 			return ix.MapReadsApproxFtab(dst, batch, mismatches, run, true)
 		},
-		device: fpga.TwoPass(mismatches),
+		device: fpga.TwoPass(mismatches, locate),
 		encode: func(rows *Rows, off int, ids []string, reads []dna.Seq, results []core.ApproxResult) error {
 			return rows.approx(off, ids, reads, results, locate)
 		},
@@ -219,13 +213,12 @@ func Mem(ix *core.Index, opts core.MemOptions, count func(stats core.MemStats, r
 			return err
 		},
 		device: fpga.Mem(opts),
-		finish: func(run *fpga.Run[core.MemResult], _ []dna.Seq) error {
+		finish: func(run *fpga.Run[core.MemResult]) {
 			var stats core.MemStats
 			for _, r := range run.Results {
 				stats.Add(r)
 			}
 			count(stats, run.Profile.Reconfig > 0)
-			return nil
 		},
 		encode: func(rows *Rows, off int, ids []string, reads []dna.Seq, results []core.MemResult) error {
 			return rows.mem(off, ids, reads, results, opts)
@@ -313,9 +306,7 @@ func Run[R any](ctx context.Context, in *Reads, w Work[R], rows *Rows, opts Opti
 					res.Device.Merge(run.Profile)
 					results = run.Results
 					if w.finish != nil {
-						if err := w.finish(run, b.Seqs); err != nil {
-							return res, err
-						}
+						w.finish(run)
 					}
 				case opts.Fallback != nil && opts.Fallback(err):
 					session = nil

@@ -165,7 +165,7 @@ func TestRunFallsBackToCPU(t *testing.T) {
 
 // Exact positions render ascending whatever order the index reports them in,
 // and the caller's slice keeps its order.
-func TestAppendPositionsAscending(t *testing.T) {
+func TestPositionsCellAscending(t *testing.T) {
 	r := &Rows{}
 	ps := []int32{40, 7, 19}
 	got := string(r.appendPositions(nil, ps, 5))
