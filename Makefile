@@ -51,8 +51,9 @@ bench-gate:
 # EColi/sampled-8, the served shape: 4.6 Mbp with the k = 10 table, 8 192
 # located reads, on the full and on a rate-8 sampled suffix array),
 # the k-mismatch batch engine (BenchmarkMapReadsApprox: 100 bp reads on an
-# E. coli-like 4.6 Mbp reference at k = 1 and 2, and at k = 1 with the exact
-# hits located, reads/s and allocs/op),
+# E. coli-like 4.6 Mbp reference at k = 1 and 2, at k = 1 with the exact
+# hits located, and k=2/rescue, whose unmapped quarter carries one or two
+# substitutions that pass 2 rescues; reads/s and allocs/op),
 # the mem batch engine (a 30 kbp reference in cache and an E. coli-like
 # 4.6 Mbp one out of it, reads/s each; and EColi/full and EColi/sampled-8,
 # the served shape: 8 192 paired 150 bp reads on 4.6 Mbp with the k = 10

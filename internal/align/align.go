@@ -13,7 +13,6 @@ package align
 import (
 	"fmt"
 	"strconv"
-	"strings"
 
 	"bwaver/internal/dna"
 )
@@ -66,22 +65,26 @@ type Result struct {
 
 // CIGAR renders the traceback run-length encoded.
 func (r Result) CIGAR() string {
+	return string(r.AppendCIGAR(make([]byte, 0, len(r.Ops))))
+}
+
+// AppendCIGAR appends the run-length encoded traceback to dst, "*" for an
+// empty one.
+func (r Result) AppendCIGAR(dst []byte) []byte {
 	if len(r.Ops) == 0 {
-		return "*"
+		return append(dst, '*')
 	}
-	var out strings.Builder
-	out.Grow(len(r.Ops))
 	count := 1
 	for i := 1; i <= len(r.Ops); i++ {
 		if i < len(r.Ops) && r.Ops[i] == r.Ops[i-1] {
 			count++
 			continue
 		}
-		out.WriteString(strconv.Itoa(count))
-		out.WriteByte(byte(r.Ops[i-1]))
+		dst = strconv.AppendInt(dst, int64(count), 10)
+		dst = append(dst, byte(r.Ops[i-1]))
 		count = 1
 	}
-	return out.String()
+	return dst
 }
 
 // SmithWaterman computes the best local alignment of query against ref with
@@ -164,138 +167,4 @@ func reverseOps(ops []Op) {
 	for i, j := 0, len(ops)-1; i < j; i, j = i+1, j-1 {
 		ops[i], ops[j] = ops[j], ops[i]
 	}
-}
-
-// ExtendSeed aligns query against the reference window around a seed hit:
-// the seed occupies query[qPos:qPos+seedLen] and ref[rPos:rPos+seedLen], and
-// the alignment is restricted to the diagonal band of half-width band around
-// the seed diagonal — query base i may only pair with reference bases within
-// band positions of rPos+(i-qPos). band == 0 allows substitutions but no
-// indels. The DP therefore evaluates O(|query|·band) cells rather than the
-// full O(|query|·window) matrix, which is what a fixed-width systolic
-// extension kernel computes; Result.Cells reports the exact count.
-func ExtendSeed(query, ref dna.Seq, qPos, rPos, seedLen, band int, sc Scoring) (Result, error) {
-	if err := sc.Validate(); err != nil {
-		return Result{}, err
-	}
-	if seedLen <= 0 {
-		return Result{}, fmt.Errorf("align: seedLen %d must be positive", seedLen)
-	}
-	if band < 0 {
-		return Result{}, fmt.Errorf("align: band %d must be non-negative", band)
-	}
-	if len(query) == 0 || len(ref) == 0 {
-		return Result{}, fmt.Errorf("align: query (%d bases) and reference (%d bases) must be non-empty", len(query), len(ref))
-	}
-	if qPos < 0 || qPos+seedLen > len(query) {
-		return Result{}, fmt.Errorf("align: seed [%d,%d) outside query of length %d", qPos, qPos+seedLen, len(query))
-	}
-	if rPos < 0 || rPos+seedLen > len(ref) {
-		return Result{}, fmt.Errorf("align: seed [%d,%d) outside reference of length %d", rPos, rPos+seedLen, len(ref))
-	}
-	// Reference window: enough to cover the whole query anchored at the
-	// seed, plus band slack each side.
-	wStart := max(0, rPos-qPos-band)
-	wEnd := min(len(ref), rPos+(len(query)-qPos)+band)
-	// The seed pins query position qPos to window column rPos-wStart, so the
-	// seed diagonal in window coordinates is their difference.
-	res, err := bandedSW(query, ref[wStart:wEnd], (rPos-wStart)-qPos, band, sc)
-	if err != nil {
-		return Result{}, err
-	}
-	res.RefStart += wStart
-	res.RefEnd += wStart
-	return res, nil
-}
-
-// bandedSW is local alignment restricted to the diagonal band
-// |j - i - delta| <= band in 1-based DP coordinates: query base i-1 may pair
-// only with reference base j-1 on a diagonal within band of delta. Cells
-// outside the band are unreachable (gap moves may not cross the band edge);
-// cells clipped by the reference bounds behave like the zero boundary of
-// plain Smith-Waterman, so a band wide enough to hold the optimum reproduces
-// SmithWaterman's result exactly.
-func bandedSW(query, ref dna.Seq, delta, band int, sc Scoring) (Result, error) {
-	m, n := len(query), len(ref)
-	if m == 0 || n == 0 {
-		return Result{}, nil
-	}
-	// Row i stores columns i+delta-band .. i+delta+band as H[i*w+k] with
-	// k = j - i - delta + band. Row 0 and reference-clipped cells stay zero,
-	// the local-alignment restart value.
-	w := 2*band + 1
-	H := make([]int32, (m+1)*w)
-	cells := 0
-	best := int32(0)
-	bi, bk := 0, 0
-	for i := 1; i <= m; i++ {
-		jLo := max(1, i+delta-band)
-		jHi := min(n, i+delta+band)
-		for j := jLo; j <= jHi; j++ {
-			k := j - i - delta + band
-			cells++
-			// The diagonal predecessor (i-1, j-1) shares k; up (i-1, j) is
-			// k+1; left (i, j-1) is k-1. Moves off the band edge are
-			// disallowed.
-			sub := int32(sc.Mismatch)
-			if query[i-1] == ref[j-1] {
-				sub = int32(sc.Match)
-			}
-			v := H[(i-1)*w+k] + sub
-			if k+1 < w {
-				if up := H[(i-1)*w+k+1] + int32(sc.Gap); up > v {
-					v = up
-				}
-			}
-			if k-1 >= 0 {
-				if left := H[i*w+k-1] + int32(sc.Gap); left > v {
-					v = left
-				}
-			}
-			if v < 0 {
-				v = 0
-			}
-			H[i*w+k] = v
-			if v > best {
-				best, bi, bk = v, i, k
-			}
-		}
-	}
-	if best == 0 {
-		return Result{Cells: cells}, nil
-	}
-	// Traceback from the best cell to the first zero cell, mirroring the
-	// forward recurrence's preference order (diagonal, up, left).
-	var ops []Op
-	i, k := bi, bk
-	for i > 0 {
-		j := i + delta + k - band
-		if j <= 0 || H[i*w+k] <= 0 {
-			break
-		}
-		sub := int32(sc.Mismatch)
-		if query[i-1] == ref[j-1] {
-			sub = int32(sc.Match)
-		}
-		switch {
-		case H[i*w+k] == H[(i-1)*w+k]+sub:
-			ops = append(ops, OpMatch)
-			i--
-		case k+1 < w && H[i*w+k] == H[(i-1)*w+k+1]+int32(sc.Gap):
-			ops = append(ops, OpInsert)
-			i--
-			k++
-		default:
-			ops = append(ops, OpDelete)
-			k--
-		}
-	}
-	reverseOps(ops)
-	return Result{
-		Score:      int(best),
-		QueryStart: i, QueryEnd: bi,
-		RefStart: i + delta + k - band, RefEnd: bi + delta + bk - band,
-		Ops:   ops,
-		Cells: cells,
-	}, nil
 }

@@ -157,7 +157,7 @@ func TestExtendSeed(t *testing.T) {
 	const refAt, qLen, seedOff, seedLen = 2000, 100, 40, 20
 	query := ref[refAt : refAt+qLen].Clone()
 	query[5] = query[5].Complement()
-	res, err := ExtendSeed(query, ref, seedOff, refAt+seedOff, seedLen, 10, DefaultScoring)
+	res, err := (&Extender{ZDrop: -1}).ExtendSeed(query, ref, seedOff, refAt+seedOff, seedLen, 10, DefaultScoring)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,12 +182,12 @@ func TestExtendSeedValidation(t *testing.T) {
 		{0, 10, 4, 5}, // seed runs off the reference
 	}
 	for _, c := range cases {
-		if _, err := ExtendSeed(q, r, c.qPos, c.rPos, c.seedLen, c.band, DefaultScoring); err == nil {
+		if _, err := (&Extender{ZDrop: -1}).ExtendSeed(q, r, c.qPos, c.rPos, c.seedLen, c.band, DefaultScoring); err == nil {
 			t.Errorf("ExtendSeed(%+v) accepted invalid input", c)
 		}
 	}
 	// band == 0 is a valid degenerate band (substitutions only).
-	res, err := ExtendSeed(q, r, 0, 0, 4, 0, DefaultScoring)
+	res, err := (&Extender{ZDrop: -1}).ExtendSeed(q, r, 0, 0, 4, 0, DefaultScoring)
 	if err != nil {
 		t.Fatalf("band 0 rejected: %v", err)
 	}
@@ -195,10 +195,10 @@ func TestExtendSeedValidation(t *testing.T) {
 		t.Errorf("band-0 extension = %+v", res)
 	}
 	// Empty inputs are an error, not a silent zero result.
-	if _, err := ExtendSeed(nil, r, 0, 0, 4, 2, DefaultScoring); err == nil {
+	if _, err := (&Extender{ZDrop: -1}).ExtendSeed(nil, r, 0, 0, 4, 2, DefaultScoring); err == nil {
 		t.Error("accepted empty query")
 	}
-	if _, err := ExtendSeed(q, nil, 0, 0, 4, 2, DefaultScoring); err == nil {
+	if _, err := (&Extender{ZDrop: -1}).ExtendSeed(q, nil, 0, 0, 4, 2, DefaultScoring); err == nil {
 		t.Error("accepted empty reference")
 	}
 }
@@ -247,7 +247,7 @@ func TestExtendSeedMatchesFullDP(t *testing.T) {
 		if qPos < 0 {
 			continue
 		}
-		got, err := ExtendSeed(query, ref, qPos, at+qPos, seedLen, band, DefaultScoring)
+		got, err := (&Extender{ZDrop: -1}).ExtendSeed(query, ref, qPos, at+qPos, seedLen, band, DefaultScoring)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -288,7 +288,7 @@ func TestExtendSeedStaysInBand(t *testing.T) {
 		rPos := qPos + rng.Intn(len(ref)-len(query))
 		copy(query[qPos:qPos+seedLen], ref[rPos:rPos+seedLen])
 		band := rng.Intn(6)
-		res, err := ExtendSeed(query, ref, qPos, rPos, seedLen, band, DefaultScoring)
+		res, err := (&Extender{ZDrop: -1}).ExtendSeed(query, ref, qPos, rPos, seedLen, band, DefaultScoring)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -30,25 +30,6 @@ func BenchmarkCIGARLongTraceback(b *testing.B) {
 	}
 }
 
-func BenchmarkExtendSeedBanded(b *testing.B) {
-	rng := rand.New(rand.NewSource(8))
-	ref := make(dna.Seq, 100000)
-	for i := range ref {
-		ref[i] = dna.Base(rng.Intn(4))
-	}
-	query := ref[40000:40150].Clone()
-	for m := 0; m < 4; m++ {
-		query[rng.Intn(len(query))] = dna.Base(rng.Intn(4))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ExtendSeed(query, ref, 60, 40060, 20, 12, DefaultScoring); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkExtenderExtendSeed pins the reusable Extender's steady state:
 // after a warm call its grid and ops buffers are sized, so every subsequent
 // extension — z-drop and adaptive band included — is allocation-free. The

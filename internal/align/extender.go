@@ -12,11 +12,12 @@ import (
 // matching rows to recover, which real short-read alignments never do.
 const DefaultZDrop = 100
 
-// Extender is a reusable seed-extension engine: the same banded DP as
-// ExtendSeed plus two work-cutting heuristics (z-drop early termination and
-// adaptive band growth), computed in caller-owned scratch so steady-state
-// extension allocates nothing. An Extender is not safe for concurrent use;
-// batch workers each own one.
+// Extender is the seed-extension engine: a banded local-alignment DP with
+// two work-cutting heuristics (z-drop early termination and adaptive band
+// growth), computed in caller-owned scratch so steady-state extension
+// allocates nothing. Extender{ZDrop: -1} switches both off and evaluates
+// every band cell. An Extender is not safe for concurrent use; batch
+// workers each own one.
 //
 // Result.Ops returned by the methods alias the Extender's op slab: they stay
 // valid across subsequent calls (the slab grows, it is not recycled) until
@@ -62,12 +63,18 @@ func (e *Extender) grid(n int) []int32 {
 	return e.h
 }
 
-// ExtendSeed is ExtendSeed computed in the Extender's scratch with its
-// heuristics applied. The reference window is derived from the full band, so
-// the escalation endpoint — an adaptive run that grew all the way to band —
-// is cell-for-cell the computation the free function performs. Result.Cells
-// accumulates every evaluated cell across adaptive re-runs, which is the
-// work a device kernel would also re-issue.
+// ExtendSeed aligns query against the reference window around a seed hit:
+// the seed occupies query[qPos:qPos+seedLen] and ref[rPos:rPos+seedLen], and
+// the alignment is restricted to the diagonal band of half-width band around
+// the seed diagonal — query base i may only pair with reference bases within
+// band positions of rPos+(i-qPos). band == 0 allows substitutions but no
+// indels. The DP therefore evaluates O(|query|·band) cells rather than the
+// full O(|query|·window) matrix, which is what a fixed-width systolic
+// extension kernel computes. The reference window is derived from the full
+// band, so an adaptive run that grew all the way to band is cell-for-cell
+// the full-band computation. Result.Cells accumulates every evaluated cell
+// across adaptive re-runs, which is the work a device kernel would also
+// re-issue.
 func (e *Extender) ExtendSeed(query, ref dna.Seq, qPos, rPos, seedLen, band int, sc Scoring) (Result, error) {
 	if err := sc.Validate(); err != nil {
 		return Result{}, err
@@ -87,6 +94,10 @@ func (e *Extender) ExtendSeed(query, ref dna.Seq, qPos, rPos, seedLen, band int,
 	if rPos < 0 || rPos+seedLen > len(ref) {
 		return Result{}, fmt.Errorf("align: seed [%d,%d) outside reference of length %d", rPos, rPos+seedLen, len(ref))
 	}
+	// Reference window: enough to cover the whole query anchored at the
+	// seed, plus band slack each side. The seed pins query position qPos to
+	// window column rPos-wStart, so the seed diagonal in window coordinates
+	// is their difference.
 	wStart := max(0, rPos-qPos-band)
 	wEnd := min(len(ref), rPos+(len(query)-qPos)+band)
 	win := ref[wStart:wEnd]
@@ -117,10 +128,15 @@ func (e *Extender) ExtendSeed(query, ref dna.Seq, qPos, rPos, seedLen, band int,
 	}
 }
 
-// bandedSW fills the diagonal band |j - i - delta| <= band in the scratch
-// grid (see the package function bandedSW for the recurrence and layout).
-// It additionally applies z-drop — rows stop once the row maximum falls
-// ZDrop below the best score after the best row — and reports whether the
+// bandedSW is local alignment restricted to the diagonal band
+// |j - i - delta| <= band in 1-based DP coordinates, filled in the scratch
+// grid: query base i-1 may pair only with reference base j-1 on a diagonal
+// within band of delta. Cells outside the band are unreachable (gap moves
+// may not cross the band edge); cells clipped by the reference bounds behave
+// like the zero boundary of plain Smith-Waterman, so a band wide enough to
+// hold the optimum, without z-drop, reproduces SmithWaterman's result
+// exactly. It applies z-drop — rows stop once the row maximum falls ZDrop
+// below the best score after the best row — and reports whether the
 // returned optimum touched the outermost band diagonals, the signal the
 // adaptive caller keys escalation on.
 func (e *Extender) bandedSW(query, ref dna.Seq, delta, band int, sc Scoring) (Result, bool) {

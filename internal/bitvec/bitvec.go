@@ -1,11 +1,11 @@
 // Package bitvec implements a plain (uncompressed) bit-vector with constant
-// time rank and near-constant-time select.
+// time rank.
 //
-// It is the baseline the paper's RRR structure (internal/rrr) is compared
-// against: rank here costs one superblock lookup, one block lookup, and one
-// popcount, at a space cost of n + o(n) bits with no compression. The wavelet
-// tree can be built over either representation (see internal/wavelet), which
-// is one of the ablations DESIGN.md calls out.
+// Rank here costs one superblock lookup, one block lookup, and one popcount,
+// at a space cost of n + o(n) bits with no compression. It backs the row
+// marks of fmindex's sampled suffix array (SampledSA), which asks whether a
+// row is sampled and how many sampled rows precede it; the wavelet tree's
+// nodes are the paper's RRR structure (internal/rrr).
 package bitvec
 
 import (
@@ -21,7 +21,7 @@ const (
 	superWords = 1024
 )
 
-// Vector is an immutable bit-vector with a rank/select directory.
+// Vector is an immutable bit-vector with a rank directory.
 // Build one with a Builder, then query it concurrently from any number of
 // goroutines.
 type Vector struct {
@@ -118,7 +118,7 @@ func (v *Vector) buildDirectory() {
 		sinceSuper += c
 	}
 	// Fill the boundary entries that fall exactly at the end of the vector
-	// so the select binary searches never read uninitialized counts.
+	// so Rank1(Len()) never reads an uninitialized count.
 	if nw%superWords == 0 {
 		v.super[nw/superWords] = total
 		sinceSuper = 0
@@ -164,80 +164,6 @@ func (v *Vector) Rank1(i int) int {
 
 // Rank0 returns the number of 0 bits strictly before position i.
 func (v *Vector) Rank0(i int) int { return i - v.Rank1(i) }
-
-// Select1 returns the position of the k-th 1 bit (k counts from 1), or -1 if
-// the vector has fewer than k ones. It binary-searches the superblock and
-// block directories, then scans at most blockWords words.
-func (v *Vector) Select1(k int) int {
-	if k <= 0 || k > v.ones {
-		return -1
-	}
-	// Superblock: greatest s with super[s] < k.
-	lo, hi := 0, len(v.super)-1
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if v.super[mid] < uint64(k) {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	s := lo
-	rem := uint64(k) - v.super[s]
-	// Block within superblock: greatest b with block[b] < rem.
-	bLo := s * superWords / blockWords
-	bHi := min((s+1)*superWords/blockWords, len(v.block)) - 1
-	for bLo < bHi {
-		mid := (bLo + bHi + 1) / 2
-		if uint64(v.block[mid]) < rem {
-			bLo = mid
-		} else {
-			bHi = mid - 1
-		}
-	}
-	rem -= uint64(v.block[bLo])
-	for w := bLo * blockWords; w < len(v.words); w++ {
-		c := uint64(bits.OnesCount64(v.words[w]))
-		if rem <= c {
-			return w*wordBits + selectInWord(v.words[w], int(rem))
-		}
-		rem -= c
-	}
-	return -1 // unreachable given k <= ones
-}
-
-// Select0 returns the position of the k-th 0 bit (k counts from 1), or -1.
-// It is implemented by binary search over Rank0, which is O(log n); BWaveR
-// itself only needs rank, so select0 exists for completeness of the
-// substrate API.
-func (v *Vector) Select0(k int) int {
-	if k <= 0 || k > v.n-v.ones {
-		return -1
-	}
-	lo, hi := 0, v.n-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if v.Rank0(mid+1) < k {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// selectInWord returns the position (0-63) of the k-th set bit of w, k>=1.
-func selectInWord(w uint64, k int) int {
-	for i := 0; i < wordBits; i++ {
-		if w>>uint(i)&1 == 1 {
-			k--
-			if k == 0 {
-				return i
-			}
-		}
-	}
-	return -1
-}
 
 // SizeBytes returns the memory footprint of the vector including its rank
 // directory, used by the space-accounting benches.

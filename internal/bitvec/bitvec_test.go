@@ -19,30 +19,6 @@ func (n naive) rank1(i int) int {
 	return c
 }
 
-func (n naive) select1(k int) int {
-	for i, b := range n {
-		if b {
-			k--
-			if k == 0 {
-				return i
-			}
-		}
-	}
-	return -1
-}
-
-func (n naive) select0(k int) int {
-	for i, b := range n {
-		if !b {
-			k--
-			if k == 0 {
-				return i
-			}
-		}
-	}
-	return -1
-}
-
 func randomBits(rng *rand.Rand, n int, density float64) []bool {
 	out := make([]bool, n)
 	for i := range out {
@@ -58,9 +34,6 @@ func TestEmptyVector(t *testing.T) {
 	}
 	if v.Rank1(0) != 0 {
 		t.Error("Rank1(0) on empty vector != 0")
-	}
-	if v.Select1(1) != -1 || v.Select0(1) != -1 {
-		t.Error("select on empty vector should return -1")
 	}
 }
 
@@ -101,54 +74,6 @@ func TestRankMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestSelectMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, n := range []int{1, 64, 1000, 66000} {
-		bits := randomBits(rng, n, 0.3)
-		v := FromBools(bits)
-		nv := naive(bits)
-		for k := 1; k <= v.Ones(); k += 1 + v.Ones()/500 {
-			if got, want := v.Select1(k), nv.select1(k); got != want {
-				t.Fatalf("n=%d: Select1(%d)=%d, want %d", n, k, got, want)
-			}
-		}
-		zeros := n - v.Ones()
-		for k := 1; k <= zeros; k += 1 + zeros/500 {
-			if got, want := v.Select0(k), nv.select0(k); got != want {
-				t.Fatalf("n=%d: Select0(%d)=%d, want %d", n, k, got, want)
-			}
-		}
-		if v.Select1(v.Ones()+1) != -1 {
-			t.Error("Select1 past end should be -1")
-		}
-		if v.Select1(0) != -1 {
-			t.Error("Select1(0) should be -1")
-		}
-	}
-}
-
-// Property: Rank1(Select1(k)) == k-1 and Bit(Select1(k)) == true.
-func TestSelectRankInverse(t *testing.T) {
-	f := func(raw []byte) bool {
-		bits := make([]bool, len(raw)*3)
-		for i := range bits {
-			bits[i] = raw[i/3]>>(uint(i)%3)&1 == 1
-		}
-		v := FromBools(bits)
-		for k := 1; k <= v.Ones(); k++ {
-			p := v.Select1(k)
-			if !v.Bit(p) || v.Rank1(p) != k-1 || v.Rank1(p+1) != k {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: rank is monotone and increments by Bit(i).
 func TestRankMonotone(t *testing.T) {
 	f := func(raw []byte) bool {
 		bits := make([]bool, len(raw))

@@ -82,17 +82,19 @@ func (w approxWork) mapUnits(buf *chunkBuffer, reads []dna.Seq, dst []ApproxResu
 	}
 	fm := w.ix.fm
 	for i, read := range reads {
-		res := ApproxResult{Exact: w.result(buf, i, dst[i].Exact)}
+		// The strata go where the result held its last ones, as located
+		// positions do, so mapping into the same results again reuses them.
+		res := ApproxResult{Exact: w.result(buf, i, dst[i].Exact), Forward: dst[i].Forward[:0], Reverse: dst[i].Reverse[:0]}
 		if !res.Exact.Mapped() && len(read) > 0 {
-			fw, fwSteps, err := fm.CountApproxSteps(buf.pats[2*i], w.maxMismatches)
-			if err != nil {
+			var fwSteps, rcSteps int
+			var err error
+			if res.Forward, fwSteps, err = fm.CountApproxSteps(res.Forward, buf.pats[2*i], w.maxMismatches); err != nil {
 				return err
 			}
-			rc, rcSteps, err := fm.CountApproxSteps(buf.pats[2*i+1], w.maxMismatches)
-			if err != nil {
+			if res.Reverse, rcSteps, err = fm.CountApproxSteps(res.Reverse, buf.pats[2*i+1], w.maxMismatches); err != nil {
 				return err
 			}
-			res.Forward, res.Reverse, res.Steps = fw, rc, max(fwSteps, rcSteps)
+			res.Steps = max(fwSteps, rcSteps)
 		}
 		dst[i] = res
 	}

@@ -101,7 +101,7 @@ func TestMapReadApproxExactFirst(t *testing.T) {
 	ix := mustBuild(t, ref, IndexConfig{})
 	read := ref[1000:1008]
 	exact := ix.MapRead(read)
-	neighbours, err := ix.FM().CountApprox(patternOf(read), 1)
+	neighbours, _, err := ix.FM().CountApproxSteps(nil, patternOf(read), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,10 +183,10 @@ func TestMapReadsApproxMatchesOnePattern(t *testing.T) {
 			return res, nil
 		}
 		var err error
-		if res.Forward, fwSteps, err = ix.fm.CountApproxSteps(fw, k); err != nil {
+		if res.Forward, fwSteps, err = ix.fm.CountApproxSteps(nil, fw, k); err != nil {
 			return res, err
 		}
-		if res.Reverse, rcSteps, err = ix.fm.CountApproxSteps(rc, k); err != nil {
+		if res.Reverse, rcSteps, err = ix.fm.CountApproxSteps(nil, rc, k); err != nil {
 			return res, err
 		}
 		res.Steps = max(fwSteps, rcSteps)
@@ -324,6 +324,52 @@ func TestMapReadsApproxLocatesExactHits(t *testing.T) {
 		}
 		if count, locate := perBatch(false), perBatch(true); locate > count {
 			t.Errorf("%s: a warm locating batch allocates %.0f times, the same batch count-only %.0f", name, locate, count)
+		}
+	}
+}
+
+// TestMapReadsApproxZeroAlloc holds a warm k-mismatch batch in which a
+// third of the reads carry a substitution, so that pass 2 runs on them, to
+// no allocation at all, count-only and locating, each batch into the
+// previous one's results: the strata reuse the storage the last batch left
+// them, as the located positions do. It read 79 allocations a batch while
+// every search allocated its strata afresh.
+func TestMapReadsApproxZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; counts are meaningless")
+	}
+	ref := testGenome(t, 20000)
+	sim, err := readsim.Simulate(ref, readsim.ReadsConfig{
+		Count: 300, Length: 40, MappingRatio: 0.8, RevCompFraction: 0.5, Seed: 54,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := readsim.Seqs(sim)
+	for i := 0; i < len(reads); i += 3 {
+		reads[i] = reads[i].Clone()
+		reads[i][i%40] = (reads[i][i%40] + 1) % 4 // a rescue, or a miss
+	}
+	ix := mustBuild(t, ref, IndexConfig{FtabK: 8})
+	for _, locate := range []bool{false, true} {
+		dst := make([]ApproxResult, len(reads))
+		run := func() {
+			if err := ix.MapReadsApproxFtab(dst, reads, 1, MapOptions{Workers: 1, Locate: locate}, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm the scratch and size every result's strata and positions
+		rescued := 0
+		for _, r := range dst {
+			if !r.Exact.Mapped() && r.Mapped() {
+				rescued++
+			}
+		}
+		if rescued == 0 {
+			t.Fatal("no read was rescued by pass 2; the batch does not exercise it")
+		}
+		if avg := testing.AllocsPerRun(5, run); avg > 0 {
+			t.Errorf("locate=%v: MapReadsApproxFtab allocates %.1f times per batch of %d reads (%d rescued), want 0", locate, avg, len(reads), rescued)
 		}
 	}
 }

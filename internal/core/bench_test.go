@@ -3,7 +3,9 @@ package core
 import (
 	"fmt"
 	"io"
+	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -272,6 +274,8 @@ var locateBenchEColi = sync.OnceValues(func() (in locateInputs, err error) {
 // on an E. coli-like 4.6 Mbp reference with the default k = 10 prefix table
 // (built once per test binary). Pass 1 searches each chunk's exact patterns
 // as one group; the quarter that misses goes through the branching search.
+// That quarter is random and rescues nothing, except in k=2/rescue, where
+// it is reference substrings with one or two substitutions.
 func BenchmarkMapReadsApprox(b *testing.B) {
 	in, err := approxBenchEColi()
 	if err != nil {
@@ -308,21 +312,66 @@ func BenchmarkMapReadsApprox(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.N*len(in.reads))/b.Elapsed().Seconds(), "reads/s")
 	})
+	// Pass 2 rescuing every read it runs on, each batch into the previous
+	// one's results, whose strata it reuses.
+	b.Run("k=2/rescue", func(b *testing.B) {
+		if err := in.ix.MapReadsApproxFtab(dst, in.rescue, 2, MapOptions{Workers: 1}, true); err != nil {
+			b.Fatal(err)
+		}
+		rescued := 0
+		for _, r := range dst {
+			if !r.Exact.Mapped() && r.Mapped() {
+				rescued++
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := in.ix.MapReadsApproxFtab(dst, in.rescue, 2, MapOptions{Workers: 1}, true); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.N*len(in.rescue))/b.Elapsed().Seconds(), "reads/s")
+		b.ReportMetric(float64(rescued), "rescued/op")
+	})
 }
 
-var approxBenchEColi = sync.OnceValues(func() (mapInputs, error) {
+// approxInputs are the k-mismatch rung's index and reads, and rescue: the
+// same reads with each random one replaced by a reference substring that
+// carries one or two substitutions.
+type approxInputs struct {
+	mapInputs
+	rescue []dna.Seq
+}
+
+var approxBenchEColi = sync.OnceValues(func() (approxInputs, error) {
 	genome, err := readsim.EColiLike(1, 1)
 	if err != nil {
-		return mapInputs{}, err
+		return approxInputs{}, err
 	}
-	reads, err := readsim.Simulate(genome, readsim.ReadsConfig{
+	sim, err := readsim.Simulate(genome, readsim.ReadsConfig{
 		Count: 4096, Length: 100, MappingRatio: 0.75, RevCompFraction: 0.5, Seed: 4,
 	})
 	if err != nil {
-		return mapInputs{}, err
+		return approxInputs{}, err
+	}
+	reads := readsim.Seqs(sim)
+	rescue := slices.Clone(reads)
+	rng := rand.New(rand.NewSource(5))
+	for i, r := range sim {
+		if r.Origin >= 0 {
+			continue
+		}
+		at := rng.Intn(len(genome) - len(r.Seq))
+		read := genome[at : at+len(r.Seq)].Clone()
+		for range 1 + rng.Intn(2) {
+			j := rng.Intn(len(read))
+			read[j] = (read[j] + dna.Base(1+rng.Intn(3))) % 4
+		}
+		rescue[i] = read
 	}
 	ix, err := BuildIndex(genome, IndexConfig{FtabK: DefaultFtabK})
-	return mapInputs{ix: ix, reads: readsim.Seqs(reads)}, err
+	return approxInputs{mapInputs{ix: ix, reads: reads}, rescue}, err
 })
 
 func BenchmarkMapReadsLocate(b *testing.B) {

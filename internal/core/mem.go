@@ -23,23 +23,12 @@ type MemOptions struct {
 	// MinSeedLen is the minimum SMEM length used as a seed; default 19
 	// (BWA-MEM's default).
 	MinSeedLen int
-	// MaxSeedHits caps the occurrences one seed may contribute; seeds more
-	// repetitive than this are skipped rather than exploding the chain set —
-	// the same ambiguity guard PairMaxHits applies to exact pairing. Default
-	// 256.
-	MaxSeedHits int
 	// Band is the extension half-band: the largest diagonal drift (net
 	// indel length) an alignment may accumulate. Default 16.
 	Band int
-	// MaxChains bounds how many chains are extended per orientation;
-	// default 4.
-	MaxChains int
 	// MinScore is the minimum alignment score to report a mapping;
 	// default 30.
 	MinScore int
-	// Scoring is the extension scoring scheme; the zero value takes
-	// align.DefaultScoring.
-	Scoring align.Scoring
 	// Paired treats the read stream as interleaved mate pairs (R1, R2,
 	// R1, R2, ...) with FR orientation, enabling proper-pair calls and mate
 	// rescue.
@@ -48,83 +37,50 @@ type MemOptions struct {
 	// proper-pair calls and the mate-rescue search window. MaxInsert
 	// defaults to 1000 when Paired.
 	MinInsert, MaxInsert int
-	// ZDrop is the extension early-termination threshold (see
-	// align.Extender): DP rows stop once the row maximum has fallen ZDrop
-	// below the best score. 0 takes align.DefaultZDrop; a negative value
-	// disables early termination (every band row is evaluated).
-	ZDrop int
-	// BandStart is the initial half-band of adaptive band growth:
-	// extensions start at this band and double — re-running — whenever the
-	// banded optimum looks band-limited, up to Band. 0 takes
-	// DefaultBandStart; a negative value disables growth (extensions run
-	// the full Band immediately, the pre-adaptive behaviour).
-	BandStart int
 }
+
+// The pipeline's fixed settings; extension scores with align.DefaultScoring.
+const (
+	// memMaxSeedHits caps the occurrences one seed may contribute; seeds
+	// more repetitive than this are skipped rather than exploding the chain
+	// set — the same ambiguity guard PairMaxHits applies to exact pairing.
+	memMaxSeedHits = 256
+	// memMaxChains bounds how many chains are extended per orientation.
+	memMaxChains = 4
+)
 
 // DefaultBandStart is the initial adaptive-extension half-band: wide enough
 // for the small indel counts short reads carry, an eighth of the full-band
-// DP cell volume. Extensions whose optimum touches the band edge re-run
-// wider, so the full Band remains the correctness envelope.
+// DP cell volume. Extensions start at this band and double — re-running —
+// whenever the banded optimum looks band-limited, so the full Band remains
+// the correctness envelope.
 const DefaultBandStart = 4
 
 func (o MemOptions) withDefaults() MemOptions {
 	if o.MinSeedLen == 0 {
 		o.MinSeedLen = 19
 	}
-	if o.MaxSeedHits == 0 {
-		o.MaxSeedHits = 256
-	}
 	if o.Band == 0 {
 		o.Band = 16
-	}
-	if o.MaxChains == 0 {
-		o.MaxChains = 4
 	}
 	if o.MinScore == 0 {
 		o.MinScore = 30
 	}
-	if o.Scoring == (align.Scoring{}) {
-		o.Scoring = align.DefaultScoring
-	}
 	if o.Paired && o.MaxInsert == 0 {
 		o.MaxInsert = 1000
 	}
-	if o.ZDrop == 0 {
-		o.ZDrop = align.DefaultZDrop
-	}
-	if o.BandStart == 0 {
-		o.BandStart = DefaultBandStart
-	}
 	return o
-}
-
-// extenderBandStart maps the option encoding (negative disables) onto the
-// align.Extender encoding (zero disables).
-func (o MemOptions) extenderBandStart() int {
-	if o.BandStart < 0 {
-		return 0
-	}
-	return o.BandStart
 }
 
 func (o MemOptions) validate() error {
 	if o.MinSeedLen < 1 {
 		return fmt.Errorf("core: MinSeedLen %d must be >= 1", o.MinSeedLen)
 	}
-	if o.MaxSeedHits < 1 {
-		return fmt.Errorf("core: MaxSeedHits %d must be >= 1", o.MaxSeedHits)
-	}
 	if o.Band < 0 {
 		return fmt.Errorf("core: Band %d must be >= 0", o.Band)
 	}
-	if o.MaxChains < 1 {
-		return fmt.Errorf("core: MaxChains %d must be >= 1", o.MaxChains)
-	}
 	if o.MinScore < 1 {
 		return fmt.Errorf("core: MinScore %d must be >= 1", o.MinScore)
-	}
-	if err := o.Scoring.Validate(); err != nil {
-		return err
 	}
 	if o.MinInsert < 0 || o.MaxInsert < o.MinInsert {
 		return fmt.Errorf("core: insert window [%d,%d] invalid", o.MinInsert, o.MaxInsert)
@@ -344,6 +300,16 @@ type memScratch struct {
 	interns map[string]string // CIGAR intern table, bounded
 }
 
+// setFullBand sets the extender's work-cutting heuristics: z-drop at
+// align.DefaultZDrop and adaptive band growth from DefaultBandStart, or with
+// fullBand neither, so that every extension evaluates its whole band.
+func (sc *memScratch) setFullBand(fullBand bool) {
+	sc.ext.ZDrop, sc.ext.BandStart = 0, DefaultBandStart
+	if fullBand {
+		sc.ext.ZDrop, sc.ext.BandStart = -1, 0
+	}
+}
+
 // memInternCap bounds the CIGAR intern table; real batches repeat a small
 // set of CIGAR shapes, but a pathological input must not grow the table
 // unboundedly.
@@ -367,16 +333,6 @@ func (sc *memScratch) internCIGAR(b []byte) string {
 	return s
 }
 
-// MapReadMem runs the full seed → chain → extend pipeline for one read:
-// SMEM seeds on both orientations, collinear chaining with the repetitive
-// seed guard, banded extension of the surviving chains, and MAPQ from the
-// best/second-best score gap.
-func (ix *Index) MapReadMem(read dna.Seq, opts MemOptions) (MemResult, error) {
-	var dst [1]MemResult
-	_, err := ix.MapReadsMemInto(dst[:], []dna.Seq{read}, opts, MapOptions{})
-	return dst[0], err
-}
-
 // mapRead maps the chunk's read i, whose SMEMs memWork.mapUnits has searched.
 func (st *memState) mapRead(sc *memScratch, i int, read dna.Seq, opts MemOptions) (MemResult, error) {
 	var out MemResult
@@ -384,8 +340,6 @@ func (st *memState) mapRead(sc *memScratch, i int, read dna.Seq, opts MemOptions
 		return out, nil
 	}
 	sc.cands = sc.cands[:0]
-	sc.ext.ZDrop = opts.ZDrop
-	sc.ext.BandStart = opts.extenderBandStart()
 	for orient := 0; orient < 2; orient++ {
 		query, forward := read, true
 		if orient == 1 {
@@ -402,7 +356,7 @@ func (st *memState) mapRead(sc *memScratch, i int, read dna.Seq, opts MemOptions
 		out.SeedSteps = max(out.SeedSteps, steps)
 		for i := range smems {
 			s := &smems[i]
-			if s.Count() > opts.MaxSeedHits {
+			if s.Count() > memMaxSeedHits {
 				continue // hyper-repetitive seed: ambiguity guard
 			}
 			// A match of few occurrences comes located, in the row order
@@ -420,7 +374,7 @@ func (st *memState) mapRead(sc *memScratch, i int, read dna.Seq, opts MemOptions
 		}
 		sc.seeds = seeds[:0]
 		out.Seeds += len(seeds)
-		chains := sc.chains.chain(seeds, opts.Band, opts.MaxChains)
+		chains := sc.chains.chain(seeds, opts.Band, memMaxChains)
 		out.Chains += len(chains)
 		for _, c := range chains {
 			res, err := st.extendSeed(sc, query, c.Seeds[c.Anchor], opts)
@@ -451,7 +405,7 @@ func (st *memState) extendSeed(sc *memScratch, query dna.Seq, a Seed, opts MemOp
 	n, rPos := st.text.Len(), int(a.RPos)
 	lo := min(n, max(0, rPos-a.QStart-opts.Band))
 	sc.win = st.text.UnpackRange(sc.win, lo, max(lo, min(n, rPos+len(query)-a.QStart+opts.Band)))
-	res, err := sc.ext.ExtendSeed(query, sc.win, a.QStart, rPos-lo, a.Len(), opts.Band, opts.Scoring)
+	res, err := sc.ext.ExtendSeed(query, sc.win, a.QStart, rPos-lo, a.Len(), opts.Band, align.DefaultScoring)
 	res.RefStart, res.RefEnd = res.RefStart+lo, res.RefEnd+lo
 	return res, err
 }
@@ -531,42 +485,17 @@ func MemMapQ(best, sub int) uint8 {
 	return uint8(60 * (best - sub) / best)
 }
 
-// clippedCIGAR wraps an extension traceback with the terminal soft clips
-// implied by the unaligned query prefix/suffix.
-func clippedCIGAR(r align.Result, queryLen int) string {
-	return string(appendClippedCIGAR(nil, r, queryLen))
-}
-
-// appendClippedCIGAR is clippedCIGAR appending rendered bytes to dst — the
-// allocation-free form the batch path feeds through the intern table.
+// appendClippedCIGAR appends an extension traceback's CIGAR to dst, wrapped
+// in the terminal soft clips the unaligned query prefix and suffix imply.
 func appendClippedCIGAR(dst []byte, r align.Result, queryLen int) []byte {
 	if r.QueryStart > 0 {
 		dst = strconv.AppendInt(dst, int64(r.QueryStart), 10)
 		dst = append(dst, 'S')
 	}
-	dst = appendCIGAROps(dst, r.Ops)
+	dst = r.AppendCIGAR(dst)
 	if tail := queryLen - r.QueryEnd; tail > 0 {
 		dst = strconv.AppendInt(dst, int64(tail), 10)
 		dst = append(dst, 'S')
-	}
-	return dst
-}
-
-// appendCIGAROps run-length encodes a traceback, matching Result.CIGAR
-// byte for byte ("*" for an empty traceback).
-func appendCIGAROps(dst []byte, ops []align.Op) []byte {
-	if len(ops) == 0 {
-		return append(dst, '*')
-	}
-	count := 1
-	for i := 1; i <= len(ops); i++ {
-		if i < len(ops) && ops[i] == ops[i-1] {
-			count++
-			continue
-		}
-		dst = strconv.AppendInt(dst, int64(count), 10)
-		dst = append(dst, byte(ops[i-1]))
-		count = 1
 	}
 	return dst
 }
@@ -614,19 +543,6 @@ func MemPairFromResults(r1, r2 MemResult, opts MemOptions) MemPairResult {
 	out := MemPairResult{R1: r1, R2: r2}
 	out.Proper, out.Insert = properPair(r1, r2, opts)
 	return out
-}
-
-// MapPairMem maps a mate pair: both mates through the single-end pipeline,
-// then a mate-rescue search for a mate the seeds missed (a banded scan of
-// the insert window implied by its mapped partner), then the proper-pair
-// call against the insert window.
-func (ix *Index) MapPairMem(r1, r2 dna.Seq, opts MemOptions) (MemPairResult, error) {
-	opts.Paired = true
-	var dst [2]MemResult
-	if _, err := ix.MapReadsMemInto(dst[:], []dna.Seq{r1, r2}, opts, MapOptions{}); err != nil {
-		return MemPairResult{}, err
-	}
-	return MemPairFromResults(dst[0], dst[1], opts), nil
 }
 
 // mapPair maps the chunk's mate pair reads[i], reads[i+1] into dst: both
@@ -680,7 +596,7 @@ func (st *memState) rescueMate(sc *memScratch, dst *MemResult, read dna.Seq, anc
 		return
 	}
 	sc.win = st.text.UnpackRange(sc.win, wStart, wEnd)
-	res, err := sc.ext.SmithWaterman(query, sc.win, opts.Scoring)
+	res, err := sc.ext.SmithWaterman(query, sc.win, align.DefaultScoring)
 	if err != nil {
 		sc.ext.Reset()
 		return
@@ -736,10 +652,12 @@ func (ix *Index) MapReadsMem(reads []dna.Seq, opts MemOptions) ([]MemResult, Mem
 }
 
 // memWork is seed-and-extend mapping as a workload value; opts carry their
-// defaults and have been validated.
+// defaults and have been validated. fullBand switches the extension
+// heuristics off (memScratch.setFullBand).
 type memWork struct {
-	st   *memState
-	opts MemOptions
+	st       *memState
+	opts     MemOptions
+	fullBand bool
 }
 
 // unit keeps a mate pair with one worker, in order, so rescue and the
@@ -756,7 +674,12 @@ func (w memWork) unit() int {
 // without measurable cursor contention.
 func (memWork) chunk() int { return 16 }
 
-func (w memWork) acquire() *memScratch   { return w.st.scratch.get() }
+func (w memWork) acquire() *memScratch {
+	sc := w.st.scratch.get()
+	sc.setFullBand(w.fullBand)
+	return sc
+}
+
 func (w memWork) release(sc *memScratch) { w.st.scratch.put(sc) }
 
 // mapUnits seeds the whole chunk first — the SMEMs of every read and its
@@ -794,6 +717,12 @@ func (w memWork) mapUnits(sc *memScratch, reads []dna.Seq, dst []MemResult) (err
 // polled between chunks; cancellation abandons the batch mid-flight.
 // run.Locate is ignored (mem results always carry positions).
 func (ix *Index) MapReadsMemInto(dst []MemResult, reads []dna.Seq, opts MemOptions, run MapOptions) (MemStats, error) {
+	return ix.mapMemInto(dst, reads, opts, run, false)
+}
+
+// mapMemInto is MapReadsMemInto with the extension heuristics on, or with
+// fullBand off: the run they are held to.
+func (ix *Index) mapMemInto(dst []MemResult, reads []dna.Seq, opts MemOptions, run MapOptions, fullBand bool) (MemStats, error) {
 	opts = opts.withDefaults()
 	if err := opts.validate(); err != nil {
 		return MemStats{}, err
@@ -803,7 +732,7 @@ func (ix *Index) MapReadsMemInto(dst []MemResult, reads []dna.Seq, opts MemOptio
 		return MemStats{}, err
 	}
 	start := time.Now()
-	if err := mapBatch(memWork{st: mem, opts: opts}, dst, reads, run); err != nil {
+	if err := mapBatch(memWork{st: mem, opts: opts, fullBand: fullBand}, dst, reads, run); err != nil {
 		return MemStats{}, err
 	}
 	var stats MemStats

@@ -28,6 +28,24 @@ func buildMemIndex(t *testing.T, n int, seed int64) (*Index, dna.Seq) {
 	return ix, ref
 }
 
+// mapReadMem maps one read as a batch of one.
+func mapReadMem(ix *Index, read dna.Seq, opts MemOptions) (MemResult, error) {
+	var dst [1]MemResult
+	_, err := ix.MapReadsMemInto(dst[:], []dna.Seq{read}, opts, MapOptions{})
+	return dst[0], err
+}
+
+// mapPairMem maps one mate pair as a paired batch of two, and makes the
+// proper-pair call on it.
+func mapPairMem(ix *Index, r1, r2 dna.Seq, opts MemOptions) (MemPairResult, error) {
+	opts.Paired = true
+	var dst [2]MemResult
+	if _, err := ix.MapReadsMemInto(dst[:], []dna.Seq{r1, r2}, opts, MapOptions{}); err != nil {
+		return MemPairResult{}, err
+	}
+	return MemPairFromResults(dst[0], dst[1], opts), nil
+}
+
 func TestChainSeeds(t *testing.T) {
 	// Two seeds on one diagonal, one far away: two chains, collinear first.
 	seeds := []Seed{
@@ -62,7 +80,7 @@ func TestChainSeeds(t *testing.T) {
 func TestMapReadMemExact(t *testing.T) {
 	ix, ref := buildMemIndex(t, 20000, 7)
 	read := ref[5000:5100].Clone()
-	res, err := ix.MapReadMem(read, MemOptions{})
+	res, err := mapReadMem(ix, read, MemOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +116,7 @@ func TestMapReadMemReverseAndErrors(t *testing.T) {
 	}
 	read = append(read[:40:40], read[42:]...)
 	rc := read.ReverseComplement()
-	res, err := ix.MapReadMem(rc, MemOptions{})
+	res, err := mapReadMem(ix, rc, MemOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,20 +141,20 @@ func TestMapReadMemUnmappedAndGuards(t *testing.T) {
 	for i := range junk {
 		junk[i] = dna.Base(rng.Intn(4))
 	}
-	res, err := ix.MapReadMem(junk, MemOptions{MinSeedLen: 25})
+	res, err := mapReadMem(ix, junk, MemOptions{MinSeedLen: 25})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Mapped() {
 		t.Errorf("random read mapped: %+v", res.Best)
 	}
-	if _, err := ix.MapReadMem(junk, MemOptions{MinSeedLen: -1}); err == nil {
+	if _, err := mapReadMem(ix, junk, MemOptions{MinSeedLen: -1}); err == nil {
 		t.Error("accepted negative MinSeedLen")
 	}
-	if _, err := ix.MapReadMem(junk, MemOptions{MaxInsert: -5, Paired: true}); err == nil {
+	if _, err := mapReadMem(ix, junk, MemOptions{MaxInsert: -5, Paired: true}); err == nil {
 		t.Error("accepted negative MaxInsert")
 	}
-	empty, err := ix.MapReadMem(nil, MemOptions{})
+	empty, err := mapReadMem(ix, nil, MemOptions{})
 	if err != nil || empty.Mapped() {
 		t.Errorf("empty read: %+v %v", empty, err)
 	}
@@ -155,13 +173,13 @@ func TestMapReadMemAmbiguityGuard(t *testing.T) {
 		t.Fatal(err)
 	}
 	read := ref[100:160].Clone()
-	res, err := ix.MapReadMem(read, MemOptions{MaxSeedHits: 8, MinSeedLen: 10})
+	res, err := mapReadMem(ix, read, MemOptions{MinSeedLen: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Seeds != 0 {
 		// Every seed occurs ~400 times; all must be guarded away.
-		t.Errorf("%d seeds survived a cap of 8 on a 400-copy repeat", res.Seeds)
+		t.Errorf("%d seeds survived a cap of %d on a 400-copy repeat", res.Seeds, memMaxSeedHits)
 	}
 	if res.Mapped() {
 		t.Errorf("guarded read still mapped: %+v", res.Best)
@@ -180,14 +198,14 @@ func TestMapPairMemRescue(t *testing.T) {
 	}
 	r2 := mate.ReverseComplement()
 	opts := MemOptions{Paired: true, MinInsert: 100, MaxInsert: 600, MinSeedLen: 31}
-	solo, err := ix.MapReadMem(r2, opts)
+	solo, err := mapReadMem(ix, r2, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if solo.Mapped() {
 		t.Skip("mate mapped without rescue; mutation pattern too mild for this seed")
 	}
-	pr, err := ix.MapPairMem(r1, r2, opts)
+	pr, err := mapPairMem(ix, r1, r2, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +273,7 @@ func TestMemRecordsValidSAM(t *testing.T) {
 	}
 	r1 := ref[4000:4100].Clone()
 	r2 := ref[4250:4350].Clone().ReverseComplement()
-	pr, err := ix.MapPairMem(r1, r2, MemOptions{Paired: true, MinInsert: 100, MaxInsert: 600})
+	pr, err := mapPairMem(ix, r1, r2, MemOptions{Paired: true, MinInsert: 100, MaxInsert: 600})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +304,7 @@ func TestMemRecordsValidSAM(t *testing.T) {
 	}
 	// Unmapped single-end record is also valid.
 	junk := dna.MustParseSeq("ACGTACGTACGTACGTACGTACGTACGTACGT")
-	res, err := ix.MapReadMem(junk, MemOptions{MinSeedLen: 33})
+	res, err := mapReadMem(ix, junk, MemOptions{MinSeedLen: 33})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,6 +428,7 @@ func TestExtendSeedWindowMatchesWholeText(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	var sc memScratch
 	var whole align.Extender
+	opts := MemOptions{}.withDefaults()
 	for trial := range 600 {
 		n := 40 + rng.Intn(120)
 		start := rng.Intn(len(ref) - n)
@@ -429,12 +448,11 @@ func TestExtendSeedWindowMatchesWholeText(t *testing.T) {
 		}
 		qPos := rng.Intn(len(query) - 12)
 		anchor := Seed{QStart: qPos, QEnd: qPos + 12, RPos: int32(start + qPos)}
-		for _, opts := range []MemOptions{{ZDrop: -1, BandStart: -1}, {}} {
-			opts = opts.withDefaults()
-			sc.ext.ZDrop, sc.ext.BandStart = opts.ZDrop, opts.extenderBandStart()
+		for _, fullBand := range []bool{true, false} {
+			sc.setFullBand(fullBand)
 			whole.ZDrop, whole.BandStart = sc.ext.ZDrop, sc.ext.BandStart
 			got, err := st.extendSeed(&sc, query, anchor, opts)
-			want, wantErr := whole.ExtendSeed(query, ref, anchor.QStart, int(anchor.RPos), anchor.Len(), opts.Band, opts.Scoring)
+			want, wantErr := whole.ExtendSeed(query, ref, anchor.QStart, int(anchor.RPos), anchor.Len(), opts.Band, align.DefaultScoring)
 			if err != nil || wantErr != nil || !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d, %+v: window gives %+v (%v), the whole text %+v (%v)", trial, anchor, got, err, want, wantErr)
 			}

@@ -55,7 +55,7 @@ func TestCountApproxMatchesNaive(t *testing.T) {
 			} else {
 				pattern = buildText(rng, 6+rng.Intn(10))
 			}
-			matches, err := ix.CountApprox(pattern, k)
+			matches, _, err := ix.CountApproxSteps(nil, pattern, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,7 +95,7 @@ func TestCountApproxZeroEqualsExact(t *testing.T) {
 		l := 5 + rng.Intn(15)
 		s := rng.Intn(len(text) - l)
 		pattern := text[s : s+l]
-		matches, err := ix.CountApprox(pattern, 0)
+		matches, _, err := ix.CountApproxSteps(nil, pattern, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,15 +113,15 @@ func TestCountApproxStepsExceedExact(t *testing.T) {
 		func(d []uint8) (OccProvider, error) { return NewWaveletOcc(d, 4, testParams) },
 		fullSAOpts)
 	pattern := text[100:135]
-	_, steps0, err := ix.CountApproxSteps(pattern, 0)
+	_, steps0, err := ix.CountApproxSteps(nil, pattern, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, steps1, err := ix.CountApproxSteps(pattern, 1)
+	_, steps1, err := ix.CountApproxSteps(nil, pattern, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, steps2, err := ix.CountApproxSteps(pattern, 2)
+	_, steps2, err := ix.CountApproxSteps(nil, pattern, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestCountApproxDisjointRanges(t *testing.T) {
 		func(d []uint8) (OccProvider, error) { return NewWaveletOcc(d, 4, testParams) },
 		fullSAOpts)
 	pattern := text[50:70]
-	matches, err := ix.CountApprox(pattern, 2)
+	matches, _, err := ix.CountApproxSteps(nil, pattern, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,19 +158,19 @@ func TestCountApproxValidation(t *testing.T) {
 	ix := buildWith(t, text,
 		func(d []uint8) (OccProvider, error) { return NewFlatOcc(d, 4) },
 		fullSAOpts)
-	if _, err := ix.CountApprox([]uint8{0, 1}, -1); err == nil {
+	if _, _, err := ix.CountApproxSteps(nil, []uint8{0, 1}, -1); err == nil {
 		t.Error("accepted negative budget")
 	}
-	if _, err := ix.CountApprox([]uint8{0, 1}, MaxMismatchBudget+1); err == nil {
+	if _, _, err := ix.CountApproxSteps(nil, []uint8{0, 1}, MaxMismatchBudget+1); err == nil {
 		t.Error("accepted excessive budget")
 	}
 	// A symbol outside the alphabet is a forced substitution: 0 then 9
 	// within one mismatch is 0 then any symbol, of which the text holds 01.
-	got, err := ix.CountApprox([]uint8{0, 9}, 1)
+	got, _, err := ix.CountApproxSteps(nil, []uint8{0, 9}, 1)
 	if want := []ApproxMatch{{Range: ix.Count([]uint8{0, 1}), Mismatches: 1}}; err != nil || !reflect.DeepEqual(got, want) {
 		t.Errorf("out-of-alphabet symbol: %+v, %v; want %+v", got, err, want)
 	}
-	if got, err := ix.CountApprox([]uint8{0, 9}, 0); err != nil || len(got) != 0 {
+	if got, _, err := ix.CountApproxSteps(nil, []uint8{0, 9}, 0); err != nil || len(got) != 0 {
 		t.Errorf("out-of-alphabet symbol at k = 0: %+v, %v; want no match", got, err)
 	}
 }

@@ -260,7 +260,7 @@ func FuzzCountApprox(f *testing.F) {
 		ix := buildWith(t, text,
 			func(d []uint8) (OccProvider, error) { return NewWaveletOcc(d, 4, testParams) },
 			fullSAOpts)
-		matches, steps, err := ix.CountApproxSteps(pattern, k)
+		matches, steps, err := ix.CountApproxSteps(nil, pattern, k)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -258,7 +258,7 @@ func (s *Sequence) record(super int) (sum int, body []byte, offsets int) {
 
 // scan sums the classes (ones) and the offset-field widths of blocks
 // [from, to) of a record. It is the one reader of the class fields: Rank1,
-// Rank1Pair, Bit and Select1 all walk a record through it. Whole class bytes
+// Rank1Pair and Bit all walk a record through it. Whole class bytes
 // go through the packed LUTs two blocks at a time; from and to may each
 // leave a stray nibble.
 func (s *Sequence) scan(body []byte, from, to int) (ones, width int) {
@@ -411,9 +411,6 @@ func (s *Sequence) rankIn(i, blk, super, sum int, body []byte, pos int) int {
 	return sum + ones + s.prefix(body, k, pos+width, i-blk*s.b)
 }
 
-// Rank0 returns the number of 0 bits strictly before position i.
-func (s *Sequence) Rank0(i int) int { return i - s.Rank1(i) }
-
 // Bit returns bit i, decoded through the global rank table.
 func (s *Sequence) Bit(i int) bool {
 	if i < 0 || i >= s.n {
@@ -424,39 +421,6 @@ func (s *Sequence) Bit(i int) bool {
 	k := blk - super*s.sf
 	_, width := s.scan(body, 0, k)
 	return s.block(body, k, pos+width)>>uint(i-blk*s.b)&1 == 1
-}
-
-// Select1 returns the position of the k-th set bit (k >= 1), or -1 if there
-// are fewer than k ones. Superblock search is binary over the partial sums;
-// within a superblock it scans classes and decodes one block.
-func (s *Sequence) Select1(k int) int {
-	if k <= 0 || k > s.Ones() {
-		return -1
-	}
-	lo, hi := 0, s.nSuper-1
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if sum, _, _ := s.record(mid); sum < k {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	sum, body, pos := s.record(lo)
-	rem := k - sum
-	// Superblock lo holds the k-th one, so the walk ends inside it.
-	for blk := 0; ; blk++ {
-		c, w := s.scan(body, blk, blk+1)
-		if rem <= c {
-			v := s.block(body, blk, pos)
-			for ; rem > 1; rem-- {
-				v &= v - 1 // drop the lowest set bit
-			}
-			return (lo*s.sf+blk)*s.b + bits.TrailingZeros16(v)
-		}
-		rem -= c
-		pos += w
-	}
 }
 
 // SizeBytes returns the actual memory footprint of this sequence — the

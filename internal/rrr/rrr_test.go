@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-	"testing/quick"
 )
 
 func naiveRank(b []bool, i int) int {
@@ -159,8 +158,8 @@ func TestRankMatchesNaive(t *testing.T) {
 // odd, even and 1, and lengths on and around superblock boundaries (0 and
 // whole multiples of b*sf included), checking Rank1Pair and its split into
 // LoadPair and DecodePair against Rank1 at every i for partners in the same
-// block, the same superblock, the next superblock and the end — and Rank1,
-// Bit and Select1 against the input.
+// block, the same superblock, the next superblock and the end — and Rank1
+// and Bit against the input.
 func TestRankPairEveryLayout(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	var h PairHead
@@ -178,9 +177,6 @@ func TestRankPairEveryLayout(t *testing.T) {
 					rank[i+1] = rank[i]
 					if bit {
 						rank[i+1]++
-						if got := s.Select1(rank[i+1]); got != i {
-							t.Fatalf("b=%d sf=%d n=%d: Select1(%d)=%d, want %d", b, sf, n, rank[i+1], got, i)
-						}
 					}
 					if s.Bit(i) != bit {
 						t.Fatalf("b=%d sf=%d n=%d: Bit(%d) wrong", b, sf, n, i)
@@ -281,53 +277,6 @@ func TestBitDecode(t *testing.T) {
 		if s.Bit(i) != want {
 			t.Fatalf("Bit(%d)=%v, want %v", i, s.Bit(i), want)
 		}
-	}
-}
-
-func TestSelect1(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for _, n := range []int{0, 1, 100, 7500} {
-		in := randomBools(rng, n, 0.3)
-		s, err := FromBools(in, Params{BlockSize: 15, SuperblockFactor: 10})
-		if err != nil {
-			t.Fatal(err)
-		}
-		k := 0
-		for i, b := range in {
-			if b {
-				k++
-				if got := s.Select1(k); got != i {
-					t.Fatalf("n=%d: Select1(%d)=%d, want %d", n, k, got, i)
-				}
-			}
-		}
-		if s.Select1(0) != -1 || s.Select1(s.Ones()+1) != -1 {
-			t.Error("Select1 out of range should return -1")
-		}
-	}
-}
-
-func TestRankSelectInverseProperty(t *testing.T) {
-	f := func(raw []byte, sfRaw uint8) bool {
-		in := make([]bool, len(raw)*2)
-		for i := range in {
-			in[i] = raw[i/2]>>(uint(i)%2)&1 == 1
-		}
-		sf := int(sfRaw%60) + 1
-		s, err := FromBools(in, Params{BlockSize: 15, SuperblockFactor: sf})
-		if err != nil {
-			return false
-		}
-		for k := 1; k <= s.Ones(); k++ {
-			p := s.Select1(k)
-			if !s.Bit(p) || s.Rank1(p) != k-1 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -75,17 +75,3 @@ func BenchmarkEncode(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkSelect(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	in := runBools(rng, 1<<20, 40)
-	s, err := FromBools(in, DefaultParams)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ones := s.Ones()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Select1(i%ones + 1)
-	}
-}

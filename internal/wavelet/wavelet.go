@@ -417,53 +417,6 @@ func (t *Tree) AccessRank(i int) (uint8, int) {
 	return uint8(lo), i
 }
 
-// Select returns the position of the k-th occurrence of sym (k >= 1), or -1
-// if sym occurs fewer than k times. It descends to the leaf and maps the
-// position back up with binary selects.
-func (t *Tree) Select(sym uint8, k int) int {
-	if int(sym) >= t.sigma || k <= 0 {
-		return -1
-	}
-	return selectRec(t.root, sym, k)
-}
-
-func selectRec(nd *node, sym uint8, k int) int {
-	if nd == nil {
-		return k - 1 // leaf: the k-th occurrence is at position k-1
-	}
-	mid := (nd.lo + nd.hi + 1) / 2
-	if int(sym) >= mid {
-		p := selectRec(nd.on, sym, k)
-		if p < 0 {
-			return -1
-		}
-		return nd.seq.Select1(p + 1)
-	}
-	p := selectRec(nd.zero, sym, k)
-	if p < 0 {
-		return -1
-	}
-	return select0(nd.seq, p+1)
-}
-
-// select0 finds the position of the k-th zero bit via binary search on Rank0.
-func select0(v *rrr.Sequence, k int) int {
-	zeros := v.Len() - v.Rank1(v.Len())
-	if k > zeros {
-		return -1
-	}
-	lo, hi := 0, v.Len()-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if v.Rank0(mid+1) < k {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
 // Count returns the total number of occurrences of sym.
 func (t *Tree) Count(sym uint8) int {
 	if int(sym) >= t.sigma {

@@ -22,18 +22,6 @@ func naiveRank(data []uint8, sym uint8, i int) int {
 	return c
 }
 
-func naiveSelect(data []uint8, sym uint8, k int) int {
-	for i, s := range data {
-		if s == sym {
-			k--
-			if k == 0 {
-				return i
-			}
-		}
-	}
-	return -1
-}
-
 func randomData(rng *rand.Rand, n, sigma int) []uint8 {
 	out := make([]uint8, n)
 	for i := range out {
@@ -71,6 +59,11 @@ func TestRankMatchesNaive(t *testing.T) {
 						if got != want {
 							t.Fatalf("%s sigma=%d n=%d: Rank(%d,%d)=%d, want %d", be.name, sigma, n, sym, i, got, want)
 						}
+					}
+				}
+				for sym := 0; sym < sigma; sym++ {
+					if got, want := tr.Count(uint8(sym)), naiveRank(data, uint8(sym), n); got != want {
+						t.Fatalf("%s sigma=%d n=%d: Count(%d)=%d, want %d", be.name, sigma, n, sym, got, want)
 					}
 				}
 			}
@@ -198,60 +191,6 @@ func TestAccessRankMatchesAccessAndRank(t *testing.T) {
 	}
 }
 
-func TestSelect(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, be := range testParams {
-		for _, sigma := range []int{2, 4, 6} {
-			data := randomData(rng, 1500, sigma)
-			tr, err := New(data, sigma, be.p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for sym := 0; sym < sigma; sym++ {
-				count := tr.Count(uint8(sym))
-				if count != naiveRank(data, uint8(sym), len(data)) {
-					t.Fatalf("Count(%d) wrong", sym)
-				}
-				for k := 1; k <= count; k += 1 + count/40 {
-					got := tr.Select(uint8(sym), k)
-					want := naiveSelect(data, uint8(sym), k)
-					if got != want {
-						t.Fatalf("%s sigma=%d: Select(%d,%d)=%d, want %d", be.name, sigma, sym, k, got, want)
-					}
-				}
-				if tr.Select(uint8(sym), count+1) != -1 {
-					t.Error("Select past count should be -1")
-				}
-			}
-		}
-	}
-}
-
-func TestSelectRankInverseProperty(t *testing.T) {
-	f := func(raw []byte) bool {
-		data := make([]uint8, len(raw))
-		for i, r := range raw {
-			data[i] = r & 3
-		}
-		tr, err := New(data, 4, rrr.Params{BlockSize: 7, SuperblockFactor: 3})
-		if err != nil {
-			return false
-		}
-		for sym := uint8(0); sym < 4; sym++ {
-			for k := 1; k <= tr.Count(sym); k++ {
-				p := tr.Select(sym, k)
-				if tr.Access(p) != sym || tr.Rank(sym, p) != k-1 {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestRanksSumToLength(t *testing.T) {
 	f := func(raw []byte) bool {
 		data := make([]uint8, len(raw))
@@ -321,9 +260,6 @@ func TestInvalidInputs(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-	if tr.Select(9, 1) != -1 || tr.Select(0, 0) != -1 {
-		t.Error("Select on invalid args should return -1")
 	}
 }
 
