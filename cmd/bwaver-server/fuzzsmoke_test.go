@@ -1,7 +1,7 @@
 package main
 
 import (
-	"io/fs"
+	"go/ast"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -11,7 +11,6 @@ import (
 )
 
 var (
-	fuzzFunc = regexp.MustCompile(`(?m)^func (Fuzz\w+)\(\w+ \*testing\.F\)`)
 	// fuzzLine is one fuzz-smoke recipe line: the target and its package.
 	fuzzLine = regexp.MustCompile(`-fuzz='\^(Fuzz\w+)\$\$'.* (\./\S+)$`)
 	// fuzzCount is the target count the fuzz-smoke comment states.
@@ -22,8 +21,7 @@ var (
 // the repository exactly once, against the package that declares it, and the
 // comment above the recipe states how many there are.
 func TestFuzzSmokeRunsEveryTarget(t *testing.T) {
-	const root = "../.."
-	makefile, err := os.ReadFile(filepath.Join(root, "Makefile"))
+	makefile, err := os.ReadFile(filepath.Join(repoRoot, "Makefile"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,35 +42,22 @@ func TestFuzzSmokeRunsEveryTarget(t *testing.T) {
 		runs[m[2]+"."+m[1]]++
 	}
 
-	declared := map[string]bool{}
-	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); path != root && (strings.HasPrefix(name, ".") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(root, filepath.Dir(path))
-		if err != nil {
-			return err
-		}
-		for _, m := range fuzzFunc.FindAllStringSubmatch(string(src), -1) {
-			declared["./"+filepath.ToSlash(rel)+"."+m[1]] = true
-		}
-		return nil
-	})
+	tree, err := parseTree()
 	if err != nil {
 		t.Fatal(err)
+	}
+	declared := map[string]bool{}
+	for dir, files := range tree.dirs {
+		for _, f := range files {
+			if !f.test {
+				continue
+			}
+			for _, decl := range f.ast.Decls {
+				if fn, ok := decl.(*ast.FuncDecl); ok && isFuzzTarget(fn) {
+					declared["./"+dir+"."+fn.Name.Name] = true
+				}
+			}
+		}
 	}
 	if len(declared) == 0 {
 		t.Fatal("no fuzz target found in the tree")
@@ -94,4 +79,21 @@ func TestFuzzSmokeRunsEveryTarget(t *testing.T) {
 	if n, _ := strconv.Atoi(m[1]); n != len(declared) {
 		t.Errorf("the fuzz-smoke comment counts %d targets, the tree declares %d", n, len(declared))
 	}
+}
+
+// isFuzzTarget reports whether fn is a top-level func FuzzXxx(*testing.F).
+func isFuzzTarget(fn *ast.FuncDecl) bool {
+	if fn.Recv != nil || !strings.HasPrefix(fn.Name.Name, "Fuzz") || fn.Type.Params.NumFields() != 1 {
+		return false
+	}
+	star, ok := fn.Type.Params.List[0].Type.(*ast.StarExpr)
+	if !ok {
+		return false
+	}
+	sel, ok := star.X.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	pkg, ok := sel.X.(*ast.Ident)
+	return ok && pkg.Name == "testing" && sel.Sel.Name == "F"
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -948,7 +949,10 @@ func servedResults(t *testing.T, refPath, readsPath string, fields map[string]st
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("submit: %d %v", resp.StatusCode, err)
 	}
-	s.Wait()
+	// Drain waits for the job; its results stay readable.
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	res, err := http.Get(fmt.Sprintf("%s/jobs/%d/results", ts.URL, job.ID))
 	if err != nil {
 		t.Fatal(err)

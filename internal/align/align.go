@@ -13,8 +13,6 @@ package align
 import (
 	"fmt"
 	"strconv"
-
-	"bwaver/internal/dna"
 )
 
 // Scoring holds the affine-free (linear-gap) alignment parameters.
@@ -27,8 +25,8 @@ type Scoring struct {
 // DefaultScoring matches common short-read settings (+2/-3/-5).
 var DefaultScoring = Scoring{Match: 2, Mismatch: -3, Gap: -5}
 
-// Validate checks the scoring scheme's sign conventions.
-func (s Scoring) Validate() error {
+// validate checks the scoring scheme's sign conventions.
+func (s Scoring) validate() error {
 	if s.Match <= 0 {
 		return fmt.Errorf("align: match score %d must be positive", s.Match)
 	}
@@ -63,11 +61,6 @@ type Result struct {
 	Cells int
 }
 
-// CIGAR renders the traceback run-length encoded.
-func (r Result) CIGAR() string {
-	return string(r.AppendCIGAR(make([]byte, 0, len(r.Ops))))
-}
-
 // AppendCIGAR appends the run-length encoded traceback to dst, "*" for an
 // empty one.
 func (r Result) AppendCIGAR(dst []byte) []byte {
@@ -85,82 +78,6 @@ func (r Result) AppendCIGAR(dst []byte) []byte {
 		count = 1
 	}
 	return dst
-}
-
-// SmithWaterman computes the best local alignment of query against ref with
-// full O(|query|·|ref|) dynamic programming.
-func SmithWaterman(query, ref dna.Seq, sc Scoring) (Result, error) {
-	if err := sc.Validate(); err != nil {
-		return Result{}, err
-	}
-	m, n := len(query), len(ref)
-	if m == 0 || n == 0 {
-		return Result{}, nil
-	}
-	// H[i][j]: best local score ending at query[i-1], ref[j-1].
-	H := make([][]int32, m+1)
-	for i := range H {
-		H[i] = make([]int32, n+1)
-	}
-	best := int32(0)
-	bi, bj := 0, 0
-	for i := 1; i <= m; i++ {
-		for j := 1; j <= n; j++ {
-			diag := H[i-1][j-1]
-			if query[i-1] == ref[j-1] {
-				diag += int32(sc.Match)
-			} else {
-				diag += int32(sc.Mismatch)
-			}
-			v := diag
-			if up := H[i-1][j] + int32(sc.Gap); up > v {
-				v = up
-			}
-			if left := H[i][j-1] + int32(sc.Gap); left > v {
-				v = left
-			}
-			if v < 0 {
-				v = 0
-			}
-			H[i][j] = v
-			if v > best {
-				best, bi, bj = v, i, j
-			}
-		}
-	}
-	if best == 0 {
-		return Result{Cells: m * n}, nil
-	}
-	// Traceback from (bi, bj) to the first zero cell.
-	var ops []Op
-	i, j := bi, bj
-	for i > 0 && j > 0 && H[i][j] > 0 {
-		diag := H[i-1][j-1]
-		sub := int32(sc.Mismatch)
-		if query[i-1] == ref[j-1] {
-			sub = int32(sc.Match)
-		}
-		switch {
-		case H[i][j] == diag+sub:
-			ops = append(ops, OpMatch)
-			i--
-			j--
-		case H[i][j] == H[i-1][j]+int32(sc.Gap):
-			ops = append(ops, OpInsert)
-			i--
-		default:
-			ops = append(ops, OpDelete)
-			j--
-		}
-	}
-	reverseOps(ops)
-	return Result{
-		Score:      int(best),
-		QueryStart: i, QueryEnd: bi,
-		RefStart: j, RefEnd: bj,
-		Ops:   ops,
-		Cells: m * n,
-	}, nil
 }
 
 func reverseOps(ops []Op) {

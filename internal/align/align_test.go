@@ -15,11 +15,11 @@ func TestScoringValidate(t *testing.T) {
 		{Match: 2, Mismatch: -1, Gap: 0},
 	}
 	for _, s := range bad {
-		if s.Validate() == nil {
+		if s.validate() == nil {
 			t.Errorf("accepted invalid scoring %+v", s)
 		}
 	}
-	if DefaultScoring.Validate() != nil {
+	if DefaultScoring.validate() != nil {
 		t.Error("DefaultScoring invalid")
 	}
 }
@@ -311,4 +311,86 @@ func TestExtendSeedStaysInBand(t *testing.T) {
 			}
 		}
 	}
+}
+
+// SmithWaterman computes the best local alignment of query against ref with
+// full O(|query|·|ref|) dynamic programming: the reference the tests hold
+// Extender's kernels to.
+func SmithWaterman(query, ref dna.Seq, sc Scoring) (Result, error) {
+	if err := sc.validate(); err != nil {
+		return Result{}, err
+	}
+	m, n := len(query), len(ref)
+	if m == 0 || n == 0 {
+		return Result{}, nil
+	}
+	// H[i][j]: best local score ending at query[i-1], ref[j-1].
+	H := make([][]int32, m+1)
+	for i := range H {
+		H[i] = make([]int32, n+1)
+	}
+	best := int32(0)
+	bi, bj := 0, 0
+	for i := 1; i <= m; i++ {
+		for j := 1; j <= n; j++ {
+			diag := H[i-1][j-1]
+			if query[i-1] == ref[j-1] {
+				diag += int32(sc.Match)
+			} else {
+				diag += int32(sc.Mismatch)
+			}
+			v := diag
+			if up := H[i-1][j] + int32(sc.Gap); up > v {
+				v = up
+			}
+			if left := H[i][j-1] + int32(sc.Gap); left > v {
+				v = left
+			}
+			if v < 0 {
+				v = 0
+			}
+			H[i][j] = v
+			if v > best {
+				best, bi, bj = v, i, j
+			}
+		}
+	}
+	if best == 0 {
+		return Result{Cells: m * n}, nil
+	}
+	// Traceback from (bi, bj) to the first zero cell.
+	var ops []Op
+	i, j := bi, bj
+	for i > 0 && j > 0 && H[i][j] > 0 {
+		diag := H[i-1][j-1]
+		sub := int32(sc.Mismatch)
+		if query[i-1] == ref[j-1] {
+			sub = int32(sc.Match)
+		}
+		switch {
+		case H[i][j] == diag+sub:
+			ops = append(ops, OpMatch)
+			i--
+			j--
+		case H[i][j] == H[i-1][j]+int32(sc.Gap):
+			ops = append(ops, OpInsert)
+			i--
+		default:
+			ops = append(ops, OpDelete)
+			j--
+		}
+	}
+	reverseOps(ops)
+	return Result{
+		Score:      int(best),
+		QueryStart: i, QueryEnd: bi,
+		RefStart: j, RefEnd: bj,
+		Ops:   ops,
+		Cells: m * n,
+	}, nil
+}
+
+// CIGAR renders the traceback run-length encoded, for test messages.
+func (r Result) CIGAR() string {
+	return string(r.AppendCIGAR(make([]byte, 0, len(r.Ops))))
 }

@@ -6,11 +6,11 @@ import (
 	"bwaver/internal/dna"
 )
 
-// DefaultZDrop is the default early-termination threshold: extension rows
+// defaultZDrop is the default early-termination threshold: extension rows
 // stop once the running row maximum has fallen this far below the best score
 // seen. With +2/-3/-5 scoring a 100-point deficit needs 50 consecutive
 // matching rows to recover, which real short-read alignments never do.
-const DefaultZDrop = 100
+const defaultZDrop = 100
 
 // Extender is the seed-extension engine: a banded local-alignment DP with
 // two work-cutting heuristics (z-drop early termination and adaptive band
@@ -24,7 +24,7 @@ const DefaultZDrop = 100
 // Reset truncates it, which callers do once per read after consuming the
 // results.
 type Extender struct {
-	// ZDrop is the early-termination threshold: 0 selects DefaultZDrop, a
+	// ZDrop is the early-termination threshold: 0 selects defaultZDrop, a
 	// negative value disables z-drop (every band row is evaluated).
 	ZDrop int
 	// BandStart, when positive and smaller than the caller's band, starts
@@ -47,7 +47,7 @@ func (e *Extender) zdrop() int {
 	case e.ZDrop < 0:
 		return 0
 	case e.ZDrop == 0:
-		return DefaultZDrop
+		return defaultZDrop
 	}
 	return e.ZDrop
 }
@@ -76,7 +76,7 @@ func (e *Extender) grid(n int) []int32 {
 // across adaptive re-runs, which is the work a device kernel would also
 // re-issue.
 func (e *Extender) ExtendSeed(query, ref dna.Seq, qPos, rPos, seedLen, band int, sc Scoring) (Result, error) {
-	if err := sc.Validate(); err != nil {
+	if err := sc.validate(); err != nil {
 		return Result{}, err
 	}
 	if seedLen <= 0 {
@@ -134,7 +134,7 @@ func (e *Extender) ExtendSeed(query, ref dna.Seq, qPos, rPos, seedLen, band int,
 // within band of delta. Cells outside the band are unreachable (gap moves
 // may not cross the band edge); cells clipped by the reference bounds behave
 // like the zero boundary of plain Smith-Waterman, so a band wide enough to
-// hold the optimum, without z-drop, reproduces SmithWaterman's result
+// hold the optimum, without z-drop, reproduces full Smith-Waterman's result
 // exactly. It applies z-drop — rows stop once the row maximum falls ZDrop
 // below the best score after the best row — and reports whether the
 // returned optimum touched the outermost band diagonals, the signal the
@@ -230,11 +230,12 @@ func (e *Extender) bandedSW(query, ref dna.Seq, delta, band int, sc Scoring) (Re
 	}, edge
 }
 
-// SmithWaterman is the package function computed in the Extender's scratch:
-// full local DP, no band, no heuristics (the rescue path wants the exact
-// optimum over the insert window). Allocation-free in steady state.
+// SmithWaterman computes the best local alignment of query against ref in
+// the Extender's scratch: full local DP, no band, no heuristics (the rescue
+// path wants the exact optimum over the insert window). The tests hold it
+// to a plain full-matrix reference. Allocation-free in steady state.
 func (e *Extender) SmithWaterman(query, ref dna.Seq, sc Scoring) (Result, error) {
-	if err := sc.Validate(); err != nil {
+	if err := sc.validate(); err != nil {
 		return Result{}, err
 	}
 	m, n := len(query), len(ref)

@@ -26,8 +26,7 @@ import (
 
 // Mapper is the baseline exact-match mapper.
 type Mapper struct {
-	fm        *fmindex.Index
-	buildTime time.Duration
+	fm *fmindex.Index
 }
 
 // Result is one read's mapping outcome, covering both strands as Bowtie2
@@ -37,18 +36,17 @@ type Result struct {
 	ForwardPositions, ReversePositions []int32
 }
 
-// Mapped reports whether either orientation matched.
-func (r Result) Mapped() bool { return !r.Forward.Empty() || !r.Reverse.Empty() }
+// mapped reports whether either orientation matched.
+func (r Result) mapped() bool { return !r.Forward.Empty() || !r.Reverse.Empty() }
 
-// Occurrences counts matches across both strands.
-func (r Result) Occurrences() int { return r.Forward.Count() + r.Reverse.Count() }
+// occurrences counts matches across both strands.
+func (r Result) occurrences() int { return r.Forward.Count() + r.Reverse.Count() }
 
 // NewMapper builds the checkpointed FM-index over the reference.
 func NewMapper(ref dna.Seq) (*Mapper, error) {
 	if len(ref) == 0 {
 		return nil, fmt.Errorf("baseline: empty reference")
 	}
-	start := time.Now()
 	text := make([]uint8, len(ref))
 	for i, b := range ref {
 		text[i] = uint8(b)
@@ -69,14 +67,8 @@ func NewMapper(ref dna.Seq) (*Mapper, error) {
 	if err != nil {
 		return nil, fmt.Errorf("baseline: fm-index: %w", err)
 	}
-	return &Mapper{fm: fm, buildTime: time.Since(start)}, nil
+	return &Mapper{fm: fm}, nil
 }
-
-// BuildTime reports how long index construction took.
-func (m *Mapper) BuildTime() time.Duration { return m.buildTime }
-
-// IndexBytes reports the index footprint (checkpointed BWT plus full SA).
-func (m *Mapper) IndexBytes() int { return m.fm.SizeBytes() }
 
 // FM exposes the underlying index for cross-checks in tests.
 func (m *Mapper) FM() *fmindex.Index { return m.fm }
@@ -164,10 +156,10 @@ func (m *Mapper) MapReads(reads []dna.Seq, threads int, locate bool) ([]Result, 
 
 	stats := Stats{Reads: len(reads), Threads: threads, Elapsed: time.Since(start)}
 	for _, r := range results {
-		if r.Mapped() {
+		if r.mapped() {
 			stats.MappedReads++
 		}
-		stats.Occurrences += r.Occurrences()
+		stats.Occurrences += r.occurrences()
 	}
 	return results, stats, nil
 }

@@ -95,7 +95,7 @@ func Ablate(s Scale, progress io.Writer) (*AblationResult, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	genome, err := EColi.generate(s)
+	genome, err := eColi.generate(s)
 	if err != nil {
 		return nil, err
 	}

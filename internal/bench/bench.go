@@ -32,8 +32,8 @@ import (
 // Power reference values from §IV: the paper compares an Intel Xeon
 // E5-2698 v3 at 135 W against the Alveo U200 at 25 W.
 const (
-	HostPowerWatts = 135.0
-	FPGAPowerWatts = 25.0
+	hostPowerWatts = 135.0
+	fpgaPowerWatts = 25.0
 )
 
 // Scale controls how far the experiments are shrunk from paper size.
@@ -75,20 +75,20 @@ type Reference int
 
 // The two references of §IV.
 const (
-	EColi Reference = iota
-	Chr21
+	eColi Reference = iota
+	chr21
 )
 
 // String implements fmt.Stringer.
 func (r Reference) String() string {
-	if r == Chr21 {
+	if r == chr21 {
 		return "Human Chr.21"
 	}
 	return "E.Coli"
 }
 
 func (r Reference) generate(s Scale) (dna.Seq, error) {
-	if r == Chr21 {
+	if r == chr21 {
 		return readsim.Chr21Like(s.Seed, s.Ref)
 	}
 	return readsim.EColiLike(s.Seed, s.Ref)
@@ -96,8 +96,8 @@ func (r Reference) generate(s Scale) (dna.Seq, error) {
 
 // Grid is the (b, sf) parameter grid of Figs. 5 and 6.
 var (
-	GridBlockSizes        = []int{5, 7, 9, 11, 13, 15}
-	GridSuperblockFactors = []int{50, 100, 150, 200}
+	gridBlockSizes        = []int{5, 7, 9, 11, 13, 15}
+	gridSuperblockFactors = []int{50, 100, 150, 200}
 )
 
 // Fig5Row is one point of Fig. 5: structure size for a (reference, b, sf)
@@ -111,12 +111,12 @@ type Fig5Row struct {
 	BuildTime         time.Duration // doubles as the Fig. 6 measurement
 }
 
-// TotalBytes is what Fig. 5 plots.
-func (r Fig5Row) TotalBytes() int { return r.StructureBytes + r.SharedBytes }
+// totalBytes is what Fig. 5 plots.
+func (r Fig5Row) totalBytes() int { return r.StructureBytes + r.SharedBytes }
 
-// Saving is the space saved versus the 1-byte-per-symbol BWT.
-func (r Fig5Row) Saving() float64 {
-	return 1 - float64(r.TotalBytes())/float64(r.UncompressedBytes)
+// saving is the space saved versus the 1-byte-per-symbol BWT.
+func (r Fig5Row) saving() float64 {
+	return 1 - float64(r.totalBytes())/float64(r.UncompressedBytes)
 }
 
 // Fig5And6 sweeps the (b, sf) grid over both references, measuring the
@@ -127,7 +127,7 @@ func Fig5And6(s Scale, progress io.Writer) ([]Fig5Row, error) {
 		return nil, err
 	}
 	var rows []Fig5Row
-	for _, ref := range []Reference{EColi, Chr21} {
+	for _, ref := range []Reference{eColi, chr21} {
 		genome, err := ref.generate(s)
 		if err != nil {
 			return nil, err
@@ -143,8 +143,8 @@ func Fig5And6(s Scale, progress io.Writer) ([]Fig5Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, b := range GridBlockSizes {
-			for _, sf := range GridSuperblockFactors {
+		for _, b := range gridBlockSizes {
+			for _, sf := range gridSuperblockFactors {
 				start := time.Now()
 				occ, err := fmindex.NewWaveletOcc(transform.Data, dna.AlphabetSize,
 					rrr.Params{BlockSize: b, SuperblockFactor: sf})
@@ -162,7 +162,7 @@ func Fig5And6(s Scale, progress io.Writer) ([]Fig5Row, error) {
 				rows = append(rows, row)
 				if progress != nil {
 					fmt.Fprintf(progress, "fig5/6 %-12s b=%-2d sf=%-3d size=%8.2f MB  encode=%v\n",
-						ref, b, sf, float64(row.TotalBytes())/1e6, row.BuildTime.Round(time.Millisecond))
+						ref, b, sf, float64(row.totalBytes())/1e6, row.BuildTime.Round(time.Millisecond))
 				}
 			}
 		}
@@ -183,8 +183,8 @@ type Fig7Row struct {
 	FPGATime time.Duration
 }
 
-// Fig7ReadsPaper is the paper's Fig. 7 read count.
-const Fig7ReadsPaper = 240000
+// fig7ReadsPaper is the paper's Fig. 7 read count.
+const fig7ReadsPaper = 240000
 
 // Fig7 maps ~240k (scaled) 100 bp reads at several mapping ratios over both
 // references, for a subset of (b, sf) combinations, reporting software time
@@ -193,7 +193,7 @@ func Fig7(s Scale, progress io.Writer) ([]Fig7Row, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	targetReads := int(float64(Fig7ReadsPaper) * s.Reads)
+	targetReads := int(float64(fig7ReadsPaper) * s.Reads)
 	if targetReads < 1 {
 		targetReads = 1
 	}
@@ -204,7 +204,7 @@ func Fig7(s Scale, progress io.Writer) ([]Fig7Row, error) {
 	}
 	ratios := []float64{0, 0.25, 0.5, 0.75, 1}
 	var rows []Fig7Row
-	for _, ref := range []Reference{EColi, Chr21} {
+	for _, ref := range []Reference{eColi, chr21} {
 		genome, err := ref.generate(s)
 		if err != nil {
 			return nil, err

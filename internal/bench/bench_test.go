@@ -35,7 +35,7 @@ func TestFig5And6Shapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := 2 * len(GridBlockSizes) * len(GridSuperblockFactors)
+	want := 2 * len(gridBlockSizes) * len(gridSuperblockFactors)
 	if len(rows) != want {
 		t.Fatalf("%d rows, want %d", len(rows), want)
 	}
@@ -45,15 +45,15 @@ func TestFig5And6Shapes(t *testing.T) {
 		byKey[[3]int{int(r.Ref), r.B, r.SF}] = r
 	}
 	for _, refID := range []int{0, 1} {
-		for _, b := range GridBlockSizes {
+		for _, b := range gridBlockSizes {
 			prev := -1
-			for _, sf := range GridSuperblockFactors {
+			for _, sf := range gridSuperblockFactors {
 				row := byKey[[3]int{refID, b, sf}]
-				if prev >= 0 && row.TotalBytes() > prev {
+				if prev >= 0 && row.totalBytes() > prev {
 					t.Errorf("ref=%d b=%d: size grew from %d to %d as sf increased",
-						refID, b, prev, row.TotalBytes())
+						refID, b, prev, row.totalBytes())
 				}
-				prev = row.TotalBytes()
+				prev = row.totalBytes()
 				if row.BuildTime <= 0 {
 					t.Errorf("missing build time for b=%d sf=%d", b, sf)
 				}
@@ -156,7 +156,7 @@ func TestTable1SingleBlock(t *testing.T) {
 	if len(results) != 1 {
 		t.Fatalf("%d blocks, want 1", len(results))
 	}
-	if results[0].ReadLen != 35 || results[0].Ref != EColi {
+	if results[0].ReadLen != 35 || results[0].Ref != eColi {
 		t.Errorf("table 1 metadata wrong: %+v", results[0])
 	}
 }
@@ -189,7 +189,7 @@ func TestPrinters(t *testing.T) {
 }
 
 func TestReferenceString(t *testing.T) {
-	if EColi.String() != "E.Coli" || Chr21.String() != "Human Chr.21" {
+	if eColi.String() != "E.Coli" || chr21.String() != "Human Chr.21" {
 		t.Error("Reference.String wrong")
 	}
 }

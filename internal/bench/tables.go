@@ -57,19 +57,19 @@ type paperRow struct {
 // CPU speed-up per read count plus the 16-thread run that beats the device
 // at 1 M reads.
 var paperFigures = map[paperRow]PaperFigure{
-	{EColi, 100_000_000, "BWaveR FPGA"}:      {3623 * time.Millisecond, 1},
-	{EColi, 100_000_000, "BWaveR CPU"}:       {247214 * time.Millisecond, 68.2},
-	{EColi, 100_000_000, "Bowtie2-like 1t"}:  {176683 * time.Millisecond, 48.8},
-	{EColi, 100_000_000, "Bowtie2-like 16t"}: {11542 * time.Millisecond, 3.18},
-	{Chr21, 1_000_000, "BWaveR CPU"}:         {SpeedUp: 13.6},
-	{Chr21, 1_000_000, "Bowtie2-like 16t"}:   {SpeedUp: 0.74},
-	{Chr21, 10_000_000, "BWaveR CPU"}:        {SpeedUp: 62.4},
-	{Chr21, 100_000_000, "BWaveR CPU"}:       {SpeedUp: 70.4},
+	{eColi, 100_000_000, "BWaveR FPGA"}:      {3623 * time.Millisecond, 1},
+	{eColi, 100_000_000, "BWaveR CPU"}:       {247214 * time.Millisecond, 68.2},
+	{eColi, 100_000_000, "Bowtie2-like 1t"}:  {176683 * time.Millisecond, 48.8},
+	{eColi, 100_000_000, "Bowtie2-like 16t"}: {11542 * time.Millisecond, 3.18},
+	{chr21, 1_000_000, "BWaveR CPU"}:         {SpeedUp: 13.6},
+	{chr21, 1_000_000, "Bowtie2-like 16t"}:   {SpeedUp: 0.74},
+	{chr21, 10_000_000, "BWaveR CPU"}:        {SpeedUp: 62.4},
+	{chr21, 100_000_000, "BWaveR CPU"}:       {SpeedUp: 70.4},
 }
 
-// TableReadCounts are the paper's workload sizes: Table I uses the largest
+// tableReadCounts are the paper's workload sizes: Table I uses the largest
 // only; Table II all three.
-var TableReadCounts = []int{1_000_000, 10_000_000, 100_000_000}
+var tableReadCounts = []int{1_000_000, 10_000_000, 100_000_000}
 
 // tableParams are the hardware parameters of §IV: b=15, sf=50 for every
 // Table I/II run, on both CPU and FPGA.
@@ -83,11 +83,11 @@ var tableThreads = []int{1, 8, 16}
 // reads.
 const tableMappingRatio = 0.3
 
-// RunTable produces one block of Table I (ref = EColi, readLen = 35) or
+// runTable produces one block of Table I (ref = EColi, readLen = 35) or
 // Table II (ref = Chr21, readLen = 40): it builds both indexes, measures a
 // read sample on every configuration, and extrapolates to target read
 // counts.
-func RunTable(ref Reference, readLen int, readCounts []int, s Scale, progress io.Writer) ([]TableResult, error) {
+func runTable(ref Reference, readLen int, readCounts []int, s Scale, progress io.Writer) ([]TableResult, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
@@ -188,7 +188,7 @@ func RunTable(ref Reference, readLen int, readCounts []int, s Scale, progress io
 				Config:     name,
 				Time:       t,
 				Slowdown:   slow,
-				PowerRatio: slow * HostPowerWatts / FPGAPowerWatts,
+				PowerRatio: slow * hostPowerWatts / fpgaPowerWatts,
 				Paper:      paper(name),
 			})
 		}
@@ -212,13 +212,13 @@ func RunTable(ref Reference, readLen int, readCounts []int, s Scale, progress io
 
 // Table1 reproduces Table I: 100 M (scaled) 35 bp reads on E. coli.
 func Table1(s Scale, progress io.Writer) ([]TableResult, error) {
-	return RunTable(EColi, 35, TableReadCounts[2:], s, progress)
+	return runTable(eColi, 35, tableReadCounts[2:], s, progress)
 }
 
 // Table2 reproduces Table II: 1, 10 and 100 M (scaled) 40 bp reads on
 // chromosome 21.
 func Table2(s Scale, progress io.Writer) ([]TableResult, error) {
-	return RunTable(Chr21, 40, TableReadCounts, s, progress)
+	return runTable(chr21, 40, tableReadCounts, s, progress)
 }
 
 // PrintFig5 renders the Fig. 5 rows (sizes) as a table.
@@ -227,8 +227,8 @@ func PrintFig5(w io.Writer, rows []Fig5Row) {
 	fmt.Fprintf(w, "%-12s %4s %5s %12s %12s %8s\n", "reference", "b", "sf", "size MB", "plain MB", "saving")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-12s %4d %5d %12.3f %12.3f %7.1f%%\n",
-			r.Ref, r.B, r.SF, float64(r.TotalBytes())/1e6,
-			float64(r.UncompressedBytes)/1e6, r.Saving()*100)
+			r.Ref, r.B, r.SF, float64(r.totalBytes())/1e6,
+			float64(r.UncompressedBytes)/1e6, r.saving()*100)
 	}
 }
 
@@ -257,7 +257,7 @@ func PrintFig7(w io.Writer, rows []Fig7Row) {
 	}
 	ecoli := map[point]time.Duration{}
 	for _, r := range rows {
-		if r.Ref == EColi {
+		if r.Ref == eColi {
 			ecoli[point{r.B, r.SF, r.MappingRatio}] = r.CPUTime
 		}
 	}

@@ -48,17 +48,6 @@ func NewBuilder(n int) *Builder {
 	return &Builder{words: make([]uint64, 0, (n+wordBits-1)/wordBits)}
 }
 
-// Append adds one bit.
-func (b *Builder) Append(bit bool) {
-	if b.n%wordBits == 0 {
-		b.words = append(b.words, 0)
-	}
-	if bit {
-		b.words[b.n/wordBits] |= 1 << uint(b.n%wordBits)
-	}
-	b.n++
-}
-
 // AppendWord adds the low nbits bits of w (nbits <= 64), LSB first, with one
 // or two word writes.
 func (b *Builder) AppendWord(w uint64, nbits int) {
@@ -79,24 +68,12 @@ func (b *Builder) AppendWord(w uint64, nbits int) {
 	b.n += nbits
 }
 
-// Len returns the number of bits appended so far.
-func (b *Builder) Len() int { return b.n }
-
 // Build freezes the builder into a queryable Vector. The builder may be
 // reused afterwards only by starting from scratch.
 func (b *Builder) Build() *Vector {
 	v := &Vector{words: b.words, n: b.n}
 	v.buildDirectory()
 	return v
-}
-
-// FromBools builds a Vector directly from a bool slice, convenient in tests.
-func FromBools(bits []bool) *Vector {
-	b := NewBuilder(len(bits))
-	for _, bit := range bits {
-		b.Append(bit)
-	}
-	return b.Build()
 }
 
 func (v *Vector) buildDirectory() {
@@ -161,9 +138,6 @@ func (v *Vector) Rank1(i int) int {
 	}
 	return int(r)
 }
-
-// Rank0 returns the number of 0 bits strictly before position i.
-func (v *Vector) Rank0(i int) int { return i - v.Rank1(i) }
 
 // SizeBytes returns the memory footprint of the vector including its rank
 // directory, used by the space-accounting benches.

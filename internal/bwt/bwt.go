@@ -21,7 +21,7 @@ import (
 type BWT struct {
 	// Data holds the n non-sentinel symbols of the transform in order,
 	// with the sentinel slot removed. It must not change once a statistic
-	// (SymbolCounts, RunCount, Entropy) has been asked for.
+	// (SymbolCounts, Entropy) has been asked for.
 	Data []uint8
 	// Primary is the position in the full (n+1)-long transform where the
 	// sentinel sits; Data[j] corresponds to full position j when
@@ -32,7 +32,6 @@ type BWT struct {
 	// them to be asked for.
 	tally  sync.Once
 	counts [256]int // occurrences of each symbol
-	runs   int      // maximal runs of equal symbols
 }
 
 // Transform computes the BWT of text given its suffix array sa (as produced
@@ -115,33 +114,14 @@ func Stream[E ~uint8](text []E, sa []int32, buf []uint8, emit func([]uint8) erro
 	return primary, runs, nil
 }
 
-// Len returns the number of non-sentinel symbols (the original text length).
-func (b *BWT) Len() int { return len(b.Data) }
-
-// CompactPos maps a prefix length over the full transform (including the
-// sentinel slot) to the corresponding prefix length over Data. Rank queries
-// on the full transform for any real symbol reduce to rank on Data at this
-// adjusted position — the paper's "$-position check" in backward search.
-func (b *BWT) CompactPos(i int) int {
-	if i <= b.Primary {
-		return i
-	}
-	return i - 1
-}
-
 // stats makes the one pass over Data behind every statistic.
 func (b *BWT) stats() {
 	b.tally.Do(func() {
-		var counts [256]int // locals, so that the loop keeps them out of b
-		runs, last := 0, -1
+		var counts [256]int // a local, so that the loop keeps it out of b
 		for _, c := range b.Data {
 			counts[c]++
-			if int(c) != last {
-				runs++
-			}
-			last = int(c)
 		}
-		b.counts, b.runs = counts, runs
+		b.counts = counts
 	})
 }
 
@@ -158,60 +138,6 @@ func (b *BWT) SymbolCounts(sigma int) ([]int, error) {
 		}
 	}
 	return counts, nil
-}
-
-// Inverse reconstructs the original text by LF-walking from the sentinel
-// row. It is the correctness oracle for Transform and the basis of the
-// round-trip tests.
-func (b *BWT) Inverse(sigma int) ([]uint8, error) {
-	n := len(b.Data)
-	if b.Primary < 0 || b.Primary > n {
-		return nil, fmt.Errorf("bwt: primary index %d out of range [0,%d]", b.Primary, n)
-	}
-	counts, err := b.SymbolCounts(sigma)
-	if err != nil {
-		return nil, err
-	}
-	// cFull[c] = number of rows whose first column is < c, counting the
-	// sentinel row (always row 0).
-	cFull := make([]int, sigma+1)
-	cFull[0] = 1
-	for c := 0; c < sigma; c++ {
-		cFull[c+1] = cFull[c] + counts[c]
-	}
-	// Precompute LF for every full row in O(n): occ[c] counts symbols seen
-	// so far scanning Data left to right.
-	lf := make([]int32, n+1)
-	occ := make([]int, sigma)
-	for full := 0; full <= n; full++ {
-		if full == b.Primary {
-			lf[full] = -1 // sentinel row has no predecessor symbol
-			continue
-		}
-		c := b.Data[b.CompactPos(full)]
-		lf[full] = int32(cFull[c] + occ[c])
-		occ[c]++
-	}
-	text := make([]uint8, n)
-	row := 0 // row 0's last column is the text's final symbol
-	for i := n - 1; i >= 0; i-- {
-		if row == b.Primary {
-			return nil, errors.New("bwt: hit sentinel row early; transform is corrupt")
-		}
-		text[i] = b.Data[b.CompactPos(row)]
-		row = int(lf[row])
-	}
-	if row != b.Primary {
-		return nil, errors.New("bwt: LF walk did not end at sentinel row; transform is corrupt")
-	}
-	return text, nil
-}
-
-// RunCount returns the number of maximal runs of equal symbols in Data, a
-// standard measure of BWT compressibility.
-func (b *BWT) RunCount() int {
-	b.stats()
-	return b.runs
 }
 
 // Entropy returns the zero-order empirical entropy H0 of Data in bits per

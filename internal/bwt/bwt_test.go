@@ -2,6 +2,7 @@ package bwt
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -293,4 +294,75 @@ func TestBWTLowersEntropyOfRepetitiveText(t *testing.T) {
 		t.Errorf("BWT of repetitive text has %d runs over %d symbols; expected heavy run structure",
 			b.RunCount(), len(text))
 	}
+}
+
+// CompactPos maps a prefix length over the full transform (including the
+// sentinel slot) to the corresponding prefix length over Data. Rank queries
+// on the full transform for any real symbol reduce to rank on Data at this
+// adjusted position — the paper's "$-position check" in backward search.
+func (b *BWT) CompactPos(i int) int {
+	if i <= b.Primary {
+		return i
+	}
+	return i - 1
+}
+
+// Inverse reconstructs the original text by LF-walking from the sentinel
+// row: the correctness oracle for Transform and the basis of the round-trip
+// tests.
+func (b *BWT) Inverse(sigma int) ([]uint8, error) {
+	n := len(b.Data)
+	if b.Primary < 0 || b.Primary > n {
+		return nil, fmt.Errorf("bwt: primary index %d out of range [0,%d]", b.Primary, n)
+	}
+	counts, err := b.SymbolCounts(sigma)
+	if err != nil {
+		return nil, err
+	}
+	// cFull[c] = number of rows whose first column is < c, counting the
+	// sentinel row (always row 0).
+	cFull := make([]int, sigma+1)
+	cFull[0] = 1
+	for c := 0; c < sigma; c++ {
+		cFull[c+1] = cFull[c] + counts[c]
+	}
+	// Precompute LF for every full row in O(n): occ[c] counts symbols seen
+	// so far scanning Data left to right.
+	lf := make([]int32, n+1)
+	occ := make([]int, sigma)
+	for full := 0; full <= n; full++ {
+		if full == b.Primary {
+			lf[full] = -1 // sentinel row has no predecessor symbol
+			continue
+		}
+		c := b.Data[b.CompactPos(full)]
+		lf[full] = int32(cFull[c] + occ[c])
+		occ[c]++
+	}
+	text := make([]uint8, n)
+	row := 0 // row 0's last column is the text's final symbol
+	for i := n - 1; i >= 0; i-- {
+		if row == b.Primary {
+			return nil, errors.New("bwt: hit sentinel row early; transform is corrupt")
+		}
+		text[i] = b.Data[b.CompactPos(row)]
+		row = int(lf[row])
+	}
+	if row != b.Primary {
+		return nil, errors.New("bwt: LF walk did not end at sentinel row; transform is corrupt")
+	}
+	return text, nil
+}
+
+// RunCount returns the number of maximal runs of equal symbols in Data, a
+// standard measure of BWT compressibility.
+func (b *BWT) RunCount() int {
+	runs, last := 0, -1
+	for _, c := range b.Data {
+		if int(c) != last {
+			runs++
+		}
+		last = int(c)
+	}
+	return runs
 }

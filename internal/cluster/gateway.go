@@ -47,7 +47,7 @@ type Config struct {
 	// RetryBase is the exponential-backoff base between forward attempts
 	// (capped at maxForwardBackoff, plus up to 50% jitter); default 50ms.
 	RetryBase time.Duration
-	// Vnodes is the ring's virtual nodes per worker; default DefaultVnodes.
+	// Vnodes is the ring's virtual nodes per worker; default defaultVnodes.
 	Vnodes int
 	// FtabK must match the workers' -ftab-k so the gateway computes the same
 	// core.CacheKey the workers' caches are addressed by; default
@@ -124,7 +124,7 @@ type routedJob struct {
 // and degrades to the embedded local server when none are healthy.
 type Gateway struct {
 	cfg    Config
-	reg    *Registry
+	reg    *registry
 	client *http.Client // reaches every upstream, the local one included
 	log    *slog.Logger
 

@@ -87,9 +87,9 @@ func (g *Gateway) publishWorkerGauges() {
 	}
 }
 
-// RegisterWorker announces a worker to a gateway once: POST
+// registerWorker announces a worker to a gateway once: POST
 // /cluster/register with the worker's advertised base URL.
-func RegisterWorker(ctx context.Context, client *http.Client, gatewayURL, advertiseURL string) error {
+func registerWorker(ctx context.Context, client *http.Client, gatewayURL, advertiseURL string) error {
 	return announce(ctx, client, gatewayURL, "/cluster/register", advertiseURL)
 }
 
@@ -137,7 +137,7 @@ func RegisterLoop(ctx context.Context, gatewayURL, advertiseURL string, interval
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	if err := RegisterWorker(ctx, client, gatewayURL, advertiseURL); err != nil {
+	if err := registerWorker(ctx, client, gatewayURL, advertiseURL); err != nil {
 		logf("cluster register failed (will retry): %v", err)
 	} else {
 		logf("registered with gateway %s as %s", gatewayURL, advertiseURL)
@@ -149,7 +149,7 @@ func RegisterLoop(ctx context.Context, gatewayURL, advertiseURL string, interval
 		case <-ctx.Done():
 			return
 		case <-t.C:
-			if err := RegisterWorker(ctx, client, gatewayURL, advertiseURL); err != nil {
+			if err := registerWorker(ctx, client, gatewayURL, advertiseURL); err != nil {
 				logf("cluster re-register failed: %v", err)
 			}
 		}

@@ -51,11 +51,11 @@ type worker struct {
 	jobsInFlight int
 }
 
-// Registry tracks the worker pool: ring membership, per-worker breaker
+// registry tracks the worker pool: ring membership, per-worker breaker
 // state, and the latest heartbeat payload. Safe for concurrent use.
-type Registry struct {
+type registry struct {
 	mu            sync.Mutex
-	ring          *Ring
+	ring          *ring
 	workers       map[string]*worker
 	missThreshold int
 	cooldown      time.Duration
@@ -70,9 +70,9 @@ type Registry struct {
 
 // newRegistry creates an empty registry (the gateway passes its Config's
 // defaulted MissThreshold and Cooldown).
-func newRegistry(vnodes, missThreshold int, cooldown time.Duration) *Registry {
-	return &Registry{
-		ring:          NewRing(vnodes),
+func newRegistry(vnodes, missThreshold int, cooldown time.Duration) *registry {
+	return &registry{
+		ring:          newRing(vnodes),
 		workers:       map[string]*worker{},
 		missThreshold: missThreshold,
 		cooldown:      cooldown,
@@ -84,7 +84,7 @@ func newRegistry(vnodes, missThreshold int, cooldown time.Duration) *Registry {
 // worker is a no-op that keeps its breaker state (a periodic re-register is
 // the workers' way of surviving a gateway restart, not a health claim). It
 // reports whether the worker was new.
-func (rg *Registry) Register(url string) bool {
+func (rg *registry) Register(url string) bool {
 	rg.mu.Lock()
 	defer rg.mu.Unlock()
 	if _, ok := rg.workers[url]; ok {
@@ -100,7 +100,7 @@ func (rg *Registry) Register(url string) bool {
 }
 
 // Deregister removes a worker from the pool and the ring.
-func (rg *Registry) Deregister(url string) bool {
+func (rg *registry) Deregister(url string) bool {
 	rg.mu.Lock()
 	defer rg.mu.Unlock()
 	if _, ok := rg.workers[url]; !ok {
@@ -112,7 +112,7 @@ func (rg *Registry) Deregister(url string) bool {
 }
 
 // Workers returns every registered worker URL, sorted.
-func (rg *Registry) Workers() []string {
+func (rg *registry) Workers() []string {
 	rg.mu.Lock()
 	defer rg.mu.Unlock()
 	out := make([]string, 0, len(rg.workers))
@@ -125,7 +125,7 @@ func (rg *Registry) Workers() []string {
 
 // ReportHeartbeat folds one heartbeat probe result into the worker's breaker
 // and admission state. err == nil is a successful probe carrying hr.
-func (rg *Registry) ReportHeartbeat(url string, hr HealthReport, err error) {
+func (rg *registry) ReportHeartbeat(url string, hr HealthReport, err error) {
 	if err == nil {
 		rg.reportOutcome(url, true, "", &hr)
 	} else {
@@ -137,7 +137,7 @@ func (rg *Registry) ReportHeartbeat(url string, hr HealthReport, err error) {
 // a network failure counts like a missed heartbeat (so a dead worker is
 // evicted after missThreshold failed forwards without waiting for the
 // heartbeat loop), and a successful round trip resets the miss count.
-func (rg *Registry) ReportForward(url string, ok bool, errMsg string) {
+func (rg *registry) ReportForward(url string, ok bool, errMsg string) {
 	rg.reportOutcome(url, ok, errMsg, nil)
 }
 
@@ -145,7 +145,7 @@ func (rg *Registry) ReportForward(url string, ok bool, errMsg string) {
 // the registry lock, so a success closes an open breaker only after the
 // cooldown has lapsed — a worker that flaps within the cooldown stays
 // evicted. The eviction callback runs outside the lock.
-func (rg *Registry) reportOutcome(url string, ok bool, errMsg string, hr *HealthReport) {
+func (rg *registry) reportOutcome(url string, ok bool, errMsg string, hr *HealthReport) {
 	rg.mu.Lock()
 	w := rg.workers[url]
 	if w == nil {
@@ -184,7 +184,7 @@ func (w *worker) inRotation() bool {
 
 // Healthy reports whether a worker is in rotation (registered, breaker
 // closed, not draining).
-func (rg *Registry) Healthy(url string) bool {
+func (rg *registry) Healthy(url string) bool {
 	rg.mu.Lock()
 	defer rg.mu.Unlock()
 	w := rg.workers[url]
@@ -195,7 +195,7 @@ func (rg *Registry) Healthy(url string) bool {
 // key, in ring order: the primary first, then the failover replicas. Evicted
 // and draining workers are skipped — not removed from the ring — so their
 // keys return to them on re-admission.
-func (rg *Registry) Candidates(key string) []string {
+func (rg *registry) Candidates(key string) []string {
 	ordered := rg.ring.Lookup(key, -1)
 	rg.mu.Lock()
 	defer rg.mu.Unlock()
@@ -210,7 +210,7 @@ func (rg *Registry) Candidates(key string) []string {
 
 // Counts returns how many workers are in rotation and how many are
 // registered.
-func (rg *Registry) Counts() (healthy, total int) {
+func (rg *registry) Counts() (healthy, total int) {
 	rg.mu.Lock()
 	defer rg.mu.Unlock()
 	for _, w := range rg.workers {
@@ -222,7 +222,7 @@ func (rg *Registry) Counts() (healthy, total int) {
 }
 
 // Snapshot returns every worker's health, sorted by URL.
-func (rg *Registry) Snapshot() []WorkerHealth {
+func (rg *registry) Snapshot() []WorkerHealth {
 	rg.mu.Lock()
 	defer rg.mu.Unlock()
 	out := make([]WorkerHealth, 0, len(rg.workers))
@@ -245,7 +245,7 @@ func (rg *Registry) Snapshot() []WorkerHealth {
 }
 
 // Totals returns the registry's lifetime eviction and re-admission counts.
-func (rg *Registry) Totals() (evictions, readmissions uint64) {
+func (rg *registry) Totals() (evictions, readmissions uint64) {
 	rg.mu.Lock()
 	defer rg.mu.Unlock()
 	return rg.evictions, rg.readmissions

@@ -24,10 +24,10 @@ import (
 	"sync"
 )
 
-// DefaultVnodes is how many virtual points each worker occupies on the ring.
+// defaultVnodes is how many virtual points each worker occupies on the ring.
 // More vnodes smooth the load distribution (relative skew shrinks roughly
 // with 1/sqrt(vnodes)) at the cost of a larger sorted point list.
-const DefaultVnodes = 64
+const defaultVnodes = 64
 
 // ringPoint is one virtual node: a position on the 64-bit ring owned by a
 // worker.
@@ -36,23 +36,23 @@ type ringPoint struct {
 	node string
 }
 
-// Ring is a consistent hash ring over worker names (URLs). Adding or
+// ring is a consistent hash ring over worker names (URLs). Adding or
 // removing a worker moves only the keys adjacent to its vnodes — the
 // minimal-movement property that keeps index caches warm across membership
 // changes. Safe for concurrent use.
-type Ring struct {
+type ring struct {
 	mu     sync.RWMutex
 	vnodes int
 	points []ringPoint // sorted by hash
 	nodes  map[string]bool
 }
 
-// NewRing creates an empty ring; vnodes <= 0 takes DefaultVnodes.
-func NewRing(vnodes int) *Ring {
+// newRing creates an empty ring; vnodes <= 0 takes defaultVnodes.
+func newRing(vnodes int) *ring {
 	if vnodes <= 0 {
-		vnodes = DefaultVnodes
+		vnodes = defaultVnodes
 	}
-	return &Ring{vnodes: vnodes, nodes: map[string]bool{}}
+	return &ring{vnodes: vnodes, nodes: map[string]bool{}}
 }
 
 // ringHash positions a key (or vnode name) on the ring. FNV-1a alone
@@ -74,7 +74,7 @@ func ringHash(s string) uint64 {
 
 // Add inserts a worker's vnodes; it reports false if the worker was already
 // present.
-func (r *Ring) Add(node string) bool {
+func (r *ring) Add(node string) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.nodes[node] {
@@ -90,7 +90,7 @@ func (r *Ring) Add(node string) bool {
 
 // Remove deletes a worker's vnodes; it reports false if the worker was not
 // on the ring.
-func (r *Ring) Remove(node string) bool {
+func (r *ring) Remove(node string) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if !r.nodes[node] {
@@ -107,31 +107,12 @@ func (r *Ring) Remove(node string) bool {
 	return true
 }
 
-// Len is the number of workers on the ring.
-func (r *Ring) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.nodes)
-}
-
-// Nodes returns the workers on the ring, sorted.
-func (r *Ring) Nodes() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.nodes))
-	for n := range r.nodes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Lookup returns up to n distinct workers for key, ordered clockwise from
 // the key's position: the first entry is the primary, the rest are the
 // failover replicas in preference order. n < 0 means every worker. The order
 // is a pure function of ring membership, so every gateway (and every retry)
 // agrees on the replica chain.
-func (r *Ring) Lookup(key string, n int) []string {
+func (r *ring) Lookup(key string, n int) []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if len(r.points) == 0 || n == 0 {

@@ -24,13 +24,13 @@ func ringKeys(n int) []string {
 	return keys
 }
 
-// TestRingSkewBound: with DefaultVnodes, no worker's share of a large key
+// TestRingSkewBound: with defaultVnodes, no worker's share of a large key
 // population may exceed twice the fair share, for every pool size the
 // gateway is expected to run at.
 func TestRingSkewBound(t *testing.T) {
 	keys := ringKeys(20000)
 	for workers := 1; workers <= 16; workers++ {
-		r := NewRing(0)
+		r := newRing(0)
 		for w := 0; w < workers; w++ {
 			r.Add(fmt.Sprintf("http://worker-%d:8080", w))
 		}
@@ -63,7 +63,7 @@ func TestRingSkewBound(t *testing.T) {
 // exactly.
 func TestRingMinimalMovement(t *testing.T) {
 	keys := ringKeys(10000)
-	r := NewRing(0)
+	r := newRing(0)
 	incumbents := 8
 	for w := 0; w < incumbents; w++ {
 		r.Add(fmt.Sprintf("http://worker-%d:8080", w))
@@ -105,7 +105,7 @@ func TestRingMinimalMovement(t *testing.T) {
 // TestRingLookupReplicas: the replica chain is distinct, deterministic, and
 // bounded by membership; n < 0 yields every worker.
 func TestRingLookupReplicas(t *testing.T) {
-	r := NewRing(0)
+	r := newRing(0)
 	if got := r.Lookup("anything", 3); got != nil {
 		t.Fatalf("empty ring Lookup = %v, want nil", got)
 	}
@@ -142,7 +142,7 @@ func TestRingLookupReplicas(t *testing.T) {
 // TestRingConcurrentAccess exercises membership churn against lookups under
 // -race.
 func TestRingConcurrentAccess(t *testing.T) {
-	r := NewRing(8)
+	r := newRing(8)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -152,14 +152,13 @@ func TestRingConcurrentAccess(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				r.Add(node)
 				r.Lookup(fmt.Sprintf("key-%d-%d", g, i), -1)
-				r.Nodes()
 				r.Remove(node)
 			}
 		}(g)
 	}
 	wg.Wait()
-	if r.Len() != 0 {
-		t.Fatalf("ring not empty after churn: %v", r.Nodes())
+	if left := r.Lookup("any-key", -1); len(left) != 0 {
+		t.Fatalf("ring not empty after churn: %v", left)
 	}
 }
 
@@ -199,7 +198,9 @@ func TestRingKeyFromMultipartIsTheAliasKey(t *testing.T) {
 		return keyWithQuery("", parts...)
 	}
 	sum := sha256.Sum256(ref)
-	want := server.RingKey(hex.EncodeToString(sum[:]), server.DefaultB, server.DefaultSF, 10)
+	// A submission that names no b or sf is keyed at the server's defaults,
+	// b = 15 and sf = 50.
+	want := server.RingKey(hex.EncodeToString(sum[:]), 15, 50, 10)
 	base := key([2]string{"reference", string(ref)}, [2]string{"reads", string(reads)})
 	if base != want {
 		t.Fatalf("ring key %q, want the alias key %q", base, want)
@@ -209,13 +210,13 @@ func TestRingKeyFromMultipartIsTheAliasKey(t *testing.T) {
 		t.Error("ring key depends on the reads, the part order or a later duplicate reference")
 	}
 	if k := key([2]string{"reference", string(ref)}, [2]string{"reads", string(reads)}, [2]string{"b", "12"}); k !=
-		server.RingKey(hex.EncodeToString(sum[:]), 12, server.DefaultSF, 10) {
+		server.RingKey(hex.EncodeToString(sum[:]), 12, 50, 10) {
 		t.Errorf("ring key %q ignores a b field after the files", k)
 	}
 	// The worker's precedence: the first value of a field wins, and a URL
 	// query value outranks the body.
 	if k := key([2]string{"b", "12"}, [2]string{"reference", string(ref)}, [2]string{"b", "13"}); k !=
-		server.RingKey(hex.EncodeToString(sum[:]), 12, server.DefaultSF, 10) {
+		server.RingKey(hex.EncodeToString(sum[:]), 12, 50, 10) {
 		t.Errorf("ring key %q does not take the first b field", k)
 	}
 	if k := keyWithQuery("b=11&sf=40", [2]string{"b", "13"}, [2]string{"reference", string(ref)}); k !=

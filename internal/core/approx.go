@@ -104,12 +104,12 @@ func (w approxWork) mapUnits(buf *chunkBuffer, reads []dna.Seq, dst []ApproxResu
 	return nil
 }
 
-// MapReadsApprox maps a batch of reads exactly and, where that fails, with
+// mapReadsApprox maps a batch of reads exactly and, where that fails, with
 // up to maxMismatches substitutions, distributing reads over opts.Workers
 // goroutines (0/1 serial, -1 all CPUs). Context, Progress and Locate apply
 // as in MapReads: Locate fills the exact hits' positions, and pass 2's
 // strata stay row ranges (fmindex.Index.LocateAppend).
-func (ix *Index) MapReadsApprox(reads []dna.Seq, maxMismatches int, opts MapOptions) ([]ApproxResult, error) {
+func (ix *Index) mapReadsApprox(reads []dna.Seq, maxMismatches int, opts MapOptions) ([]ApproxResult, error) {
 	results := make([]ApproxResult, len(reads))
 	if err := ix.MapReadsApproxFtab(results, reads, maxMismatches, opts, true); err != nil {
 		return nil, err
@@ -117,7 +117,7 @@ func (ix *Index) MapReadsApprox(reads []dna.Seq, maxMismatches int, opts MapOpti
 	return results, nil
 }
 
-// MapReadsApproxFtab is MapReadsApprox into a caller-provided result slice
+// MapReadsApproxFtab is mapReadsApprox into a caller-provided result slice
 // (len(dst) must equal len(reads)) with explicit prefix-table control for
 // pass 1, as MapReadsIntoFtab has it for exact mapping.
 func (ix *Index) MapReadsApproxFtab(dst []ApproxResult, reads []dna.Seq, maxMismatches int, opts MapOptions, useFtab bool) error {
@@ -127,7 +127,7 @@ func (ix *Index) MapReadsApproxFtab(dst []ApproxResult, reads []dna.Seq, maxMism
 // MapReadApprox maps one read and its reverse complement, exactly or else
 // with up to maxMismatches substitutions per orientation.
 func (ix *Index) MapReadApprox(read dna.Seq, maxMismatches int) (ApproxResult, error) {
-	results, err := ix.MapReadsApprox([]dna.Seq{read}, maxMismatches, MapOptions{})
+	results, err := ix.mapReadsApprox([]dna.Seq{read}, maxMismatches, MapOptions{})
 	if err != nil {
 		return ApproxResult{}, err
 	}

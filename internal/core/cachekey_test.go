@@ -73,7 +73,7 @@ func TestMapReadsContextCanceled(t *testing.T) {
 		if _, _, err := ix.MapReads(reads, MapOptions{Context: ctx, Workers: workers}); !errors.Is(err, context.Canceled) {
 			t.Errorf("MapReads workers=%d returned %v, want context.Canceled", workers, err)
 		}
-		if _, err := ix.MapReadsApprox(reads, 1, MapOptions{Context: ctx, Workers: workers}); !errors.Is(err, context.Canceled) {
+		if _, err := ix.mapReadsApprox(reads, 1, MapOptions{Context: ctx, Workers: workers}); !errors.Is(err, context.Canceled) {
 			t.Errorf("MapReadsApprox workers=%d returned %v, want context.Canceled", workers, err)
 		}
 	}

@@ -18,8 +18,8 @@ type Seed struct {
 	RPos         int32
 }
 
-// Len returns the seed's match length.
-func (s Seed) Len() int { return s.QEnd - s.QStart }
+// length returns the seed's match length.
+func (s Seed) length() int { return s.QEnd - s.QStart }
 
 // diagonal returns the implied read-start locus: where the read would begin
 // on the reference if the seed's placement were gap-free.
@@ -43,14 +43,6 @@ type Chain struct {
 type chainScratch struct {
 	sorted []Seed
 	chains []Chain
-}
-
-// chainSeeds groups seeds into collinear chains; see chainScratch.chain.
-// This entry allocates a throwaway scratch per call — tests and one-shot
-// callers use it; the batch path holds a scratch per worker.
-func chainSeeds(seeds []Seed, slop, maxChains int) []Chain {
-	var cs chainScratch
-	return cs.chain(seeds, slop, maxChains)
 }
 
 // chain groups seeds into collinear chains: seeds whose diagonals agree
@@ -104,13 +96,13 @@ func buildChain(group []Seed) Chain {
 	covered, end := 0, -1
 	for i, s := range c.Seeds {
 		if s.QStart > end {
-			covered += s.Len()
+			covered += s.length()
 			end = s.QEnd
 		} else if s.QEnd > end {
 			covered += s.QEnd - end
 			end = s.QEnd
 		}
-		if s.Len() > c.Seeds[c.Anchor].Len() {
+		if s.length() > c.Seeds[c.Anchor].length() {
 			c.Anchor = i
 		}
 	}

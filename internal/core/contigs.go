@@ -55,9 +55,6 @@ func NewContigSet(names []string, lengths []int) (*ContigSet, error) {
 	return cs, nil
 }
 
-// Total returns the concatenated length.
-func (cs *ContigSet) Total() int { return cs.total }
-
 // Count returns the number of contigs.
 func (cs *ContigSet) Count() int { return len(cs.contigs) }
 
@@ -87,8 +84,8 @@ func (cs *ContigSet) Resolve(pos, span int) (contig Contig, offset int, ok bool)
 // SetContigs attaches contig metadata to the index. The summed contig
 // lengths must equal the indexed reference length.
 func (ix *Index) SetContigs(cs *ContigSet) error {
-	if cs != nil && cs.Total() != ix.RefLength() {
-		return fmt.Errorf("core: contigs cover %d bases, index holds %d", cs.Total(), ix.RefLength())
+	if cs != nil && cs.total != ix.RefLength() {
+		return fmt.Errorf("core: contigs cover %d bases, index holds %d", cs.total, ix.RefLength())
 	}
 	ix.contigs = cs
 	return nil

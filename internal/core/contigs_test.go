@@ -32,8 +32,8 @@ func TestContigResolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs.Total() != 350 || cs.Count() != 3 {
-		t.Fatalf("Total=%d Count=%d", cs.Total(), cs.Count())
+	if cs.total != 350 || cs.Count() != 3 {
+		t.Fatalf("Total=%d Count=%d", cs.total, cs.Count())
 	}
 	cases := []struct {
 		pos, span  int

@@ -120,7 +120,7 @@ func TestEngineContract(t *testing.T) {
 	})
 	t.Run("mismatch1", func(t *testing.T) {
 		checkEngineContract(t, approx, false, func(dst []ApproxResult, run MapOptions) error {
-			res, err := ix.MapReadsApprox(reads, 1, run)
+			res, err := ix.mapReadsApprox(reads, 1, run)
 			copy(dst, res)
 			return err
 		})
@@ -259,7 +259,7 @@ func TestMapReadsMemIntoMatchesSequential(t *testing.T) {
 // error — rather than never — for every workload at every worker count, when
 // its context is cancelled before the call or from Progress mid-batch, and
 // when a read fails. Each call runs on a goroutine so that a hang (the
-// channel-fed pool MapReadsApprox had would block its feeder once every
+// channel-fed pool mapReadsApprox had would block its feeder once every
 // worker had left) fails the test instead of timing the package out.
 func TestEngineReturnsOnCancelOrError(t *testing.T) {
 	ix, ref := buildMemIndex(t, 30000, 22)
@@ -285,7 +285,7 @@ func TestEngineReturnsOnCancelOrError(t *testing.T) {
 			return err
 		}},
 		{"mismatch1", func(run MapOptions) error {
-			_, err := ix.MapReadsApprox(reads, 1, run)
+			_, err := ix.mapReadsApprox(reads, 1, run)
 			return err
 		}},
 		{"mem-single", func(run MapOptions) error {
@@ -325,7 +325,7 @@ func TestEngineReturnsOnCancelOrError(t *testing.T) {
 	// A read that errors: every read of this batch does, on a negative budget.
 	for _, workers := range []int{1, 4} {
 		err := returns(t, func() error {
-			_, err := ix.MapReadsApprox(reads, -1, MapOptions{Workers: workers})
+			_, err := ix.mapReadsApprox(reads, -1, MapOptions{Workers: workers})
 			return err
 		})
 		if err == nil {

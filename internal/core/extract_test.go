@@ -28,7 +28,7 @@ func TestExtractReferenceRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("n=%d cfg=%+v: %v", n, cfg, err)
 			}
-			if !back.Equal(ref) {
+			if !slices.Equal(back, ref) {
 				t.Fatalf("n=%d cfg=%+v: extracted reference differs", n, cfg)
 			}
 			// EnsureMem's text: the build's packed text, and on an index read
@@ -57,7 +57,7 @@ func TestExtractAfterSerialization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Equal(ref) {
+	if !slices.Equal(got, ref) {
 		t.Error("extraction from deserialized index differs")
 	}
 }
@@ -73,7 +73,7 @@ func TestExtractBySAMatchesWalk(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v/%d: %v", cfg.Locate, cfg.SampleRate, err)
 		}
-		if !got.Equal(ref) {
+		if !slices.Equal(got, ref) {
 			t.Fatalf("%v/%d: extracted reference differs", cfg.Locate, cfg.SampleRate)
 		}
 	}

@@ -70,7 +70,7 @@ func TestReadIndexV1Compat(t *testing.T) {
 	ref := testGenome(t, 4000)
 	ix := mustBuild(t, ref, IndexConfig{}) // no ftab: payload matches v1
 	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
+	if _, err := ix.writeTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -79,7 +79,7 @@ func TestReadIndexV1Compat(t *testing.T) {
 	v1 = append(v1, raw[v1HeaderPrefix+4:]...) // drop the ftabK word
 	binary.LittleEndian.PutUint32(v1[:4], indexMagicV1)
 
-	back, err := ReadIndex(bytes.NewReader(v1))
+	back, err := readIndex(bytes.NewReader(v1))
 	if err != nil {
 		t.Fatalf("v1 index rejected: %v", err)
 	}
@@ -129,9 +129,11 @@ func TestEnsureAndDropFtab(t *testing.T) {
 	if ix.FtabK() != 4 || ix.FM().Ftab() == first {
 		t.Error("EnsureFtab(4) did not rebuild")
 	}
-	ix.DropFtab()
+	if err := ix.EnsureFtab(0); err != nil {
+		t.Fatal(err)
+	}
 	if ix.FtabK() != 0 || ix.FtabBytes() != 0 {
-		t.Errorf("DropFtab left k=%d bytes=%d", ix.FtabK(), ix.FtabBytes())
+		t.Errorf("EnsureFtab(0) left k=%d bytes=%d", ix.FtabK(), ix.FtabBytes())
 	}
 	if err := ix.EnsureFtab(-1); err != nil {
 		t.Fatal(err)
@@ -253,16 +255,17 @@ func TestCacheKeyFtabK(t *testing.T) {
 func ftabCorruptions(tb testing.TB, ix *Index) map[string][]byte {
 	tb.Helper()
 	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
+	if _, err := ix.writeTo(&buf); err != nil {
 		tb.Fatal(err)
 	}
 	raw := buf.Bytes()
-	ftab := ix.FM().Ftab()
 	at := bytes.Index(raw, binary.LittleEndian.AppendUint32(nil, 0x46544231)) // FTB1
-	if ftab == nil || at < v1HeaderPrefix+4 {
+	if ix.FM().Ftab() == nil || at < v1HeaderPrefix+4 {
 		tb.Fatal("index has no prefix-table payload")
 	}
-	keys := ftab.Entries()
+	// The payload is the magic, the order k, then the 4^k range starts and
+	// the 4^k inclusive range ends.
+	keys := 1 << (2 * binary.LittleEndian.Uint32(raw[at+4:]))
 	field := func(p []byte, key int, ends bool) []byte {
 		off := at + 8 + 4*key
 		if ends {
@@ -270,9 +273,10 @@ func ftabCorruptions(tb testing.TB, ix *Index) map[string][]byte {
 		}
 		return p[off : off+4]
 	}
+	bound := func(key int, ends bool) int32 { return int32(binary.LittleEndian.Uint32(field(raw, key, ends))) }
 	var living []int
 	for key := range keys {
-		if r := ftab.Lookup(key); r.Count() > 1 {
+		if bound(key, true) > bound(key, false) {
 			living = append(living, key)
 		}
 	}
@@ -288,7 +292,7 @@ func ftabCorruptions(tb testing.TB, ix *Index) map[string][]byte {
 		copy(b, tmp[:])
 	}
 	shifted := bytes.Clone(raw)
-	binary.LittleEndian.PutUint32(field(shifted, living[0], true), uint32(ftab.Lookup(living[0]).End-1))
+	binary.LittleEndian.PutUint32(field(shifted, living[0], true), uint32(bound(living[0], true)-1))
 	truncated := bytes.Clone(raw[:at+8+2*keys])
 	binary.LittleEndian.PutUint32(truncated[v1HeaderPrefix:], 12)
 	binary.LittleEndian.PutUint32(truncated[at+4:], 12)
@@ -303,7 +307,7 @@ func TestReadIndexRefusesInconsistentFtab(t *testing.T) {
 	for name, data := range ftabCorruptions(t, ix) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err := ReadIndex(bytes.NewReader(data))
+		_, err := readIndex(bytes.NewReader(data))
 		runtime.ReadMemStats(&after)
 		if err == nil {
 			t.Errorf("%s: ReadIndex accepted the stream", name)

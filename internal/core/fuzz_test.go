@@ -20,7 +20,7 @@ func FuzzReadIndex(f *testing.F) {
 			f.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if _, err := ix.WriteTo(&buf); err != nil {
+		if _, err := ix.writeTo(&buf); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
@@ -37,7 +37,7 @@ func FuzzReadIndex(f *testing.F) {
 		f.Fatal(err)
 	}
 	var valid bytes.Buffer
-	if _, err := withFtab.WriteTo(&valid); err != nil {
+	if _, err := withFtab.writeTo(&valid); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(valid.Bytes())
@@ -46,7 +46,7 @@ func FuzzReadIndex(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ix, err := ReadIndex(bytes.NewReader(data))
+		ix, err := readIndex(bytes.NewReader(data))
 		if err != nil {
 			return
 		}

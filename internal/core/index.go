@@ -268,9 +268,6 @@ func (ix *Index) EnsureFtab(k int) error {
 	return nil
 }
 
-// DropFtab detaches the prefix table (the ftab-off ablation arm).
-func (ix *Index) DropFtab() { _ = ix.EnsureFtab(0) }
-
 // DropText detaches the packed reference text a build attaches, so that
 // exact search ranks every pattern to the end: the paper's search, which
 // the ablation's ranked row and the paper tables' BWaveR CPU row time. An

@@ -43,7 +43,7 @@ type MemOptions struct {
 const (
 	// memMaxSeedHits caps the occurrences one seed may contribute; seeds
 	// more repetitive than this are skipped rather than exploding the chain
-	// set — the same ambiguity guard PairMaxHits applies to exact pairing.
+	// set — the same ambiguity guard pairMaxHits applies to exact pairing.
 	memMaxSeedHits = 256
 	// memMaxChains bounds how many chains are extended per orientation.
 	memMaxChains = 4
@@ -94,7 +94,7 @@ type MemAlignment struct {
 	// coordinates; RefSpan the number of reference bases consumed.
 	Pos     int32
 	RefSpan int
-	// Score is the extension score; MapQ the mapping quality (see MemMapQ).
+	// Score is the extension score; MapQ the mapping quality (see memMapQ).
 	Score int
 	MapQ  uint8
 	// CIGAR is in SAM orientation (reverse-strand alignments describe the
@@ -405,7 +405,7 @@ func (st *memState) extendSeed(sc *memScratch, query dna.Seq, a Seed, opts MemOp
 	n, rPos := st.text.Len(), int(a.RPos)
 	lo := min(n, max(0, rPos-a.QStart-opts.Band))
 	sc.win = st.text.UnpackRange(sc.win, lo, max(lo, min(n, rPos+len(query)-a.QStart+opts.Band)))
-	res, err := sc.ext.ExtendSeed(query, sc.win, a.QStart, rPos-lo, a.Len(), opts.Band, align.DefaultScoring)
+	res, err := sc.ext.ExtendSeed(query, sc.win, a.QStart, rPos-lo, a.length(), opts.Band, align.DefaultScoring)
 	res.RefStart, res.RefEnd = res.RefStart+lo, res.RefEnd+lo
 	return res, err
 }
@@ -464,18 +464,18 @@ func (c *memCandidate) alignmentBuf(sc *memScratch, sub int, text dna.PackedSeq)
 		Pos:     int32(r.RefStart),
 		RefSpan: r.RefEnd - r.RefStart,
 		Score:   r.Score,
-		MapQ:    MemMapQ(r.Score, sub),
+		MapQ:    memMapQ(r.Score, sub),
 		CIGAR:   sc.internCIGAR(sc.cigar),
 		Forward: c.forward,
 		NM:      editDistance(r, c.query, sc.win),
 	}
 }
 
-// MemMapQ is the mapping quality of a best score against its runner-up at a
+// memMapQ is the mapping quality of a best score against its runner-up at a
 // distinct locus: 60·(best−sub)/best, the linear discount of the
 // second-best evidence, clamped to [0, 60]. A read whose best placement is
 // tied elsewhere gets 0; a read with no competitor gets 60.
-func MemMapQ(best, sub int) uint8 {
+func memMapQ(best, sub int) uint8 {
 	if best <= 0 || sub >= best {
 		return 0
 	}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -60,7 +61,7 @@ func TestChainSeeds(t *testing.T) {
 	if chains[0].Score != 45 || len(chains[0].Seeds) != 2 {
 		t.Errorf("best chain = %+v", chains[0])
 	}
-	if chains[0].Seeds[chains[0].Anchor].Len() != 25 {
+	if chains[0].Seeds[chains[0].Anchor].length() != 25 {
 		t.Errorf("anchor should be the longest seed, got %+v", chains[0].Seeds[chains[0].Anchor])
 	}
 	// Overlapping seeds count covered bases once.
@@ -452,7 +453,7 @@ func TestExtendSeedWindowMatchesWholeText(t *testing.T) {
 			sc.setFullBand(fullBand)
 			whole.ZDrop, whole.BandStart = sc.ext.ZDrop, sc.ext.BandStart
 			got, err := st.extendSeed(&sc, query, anchor, opts)
-			want, wantErr := whole.ExtendSeed(query, ref, anchor.QStart, int(anchor.RPos), anchor.Len(), opts.Band, align.DefaultScoring)
+			want, wantErr := whole.ExtendSeed(query, ref, anchor.QStart, int(anchor.RPos), anchor.length(), opts.Band, align.DefaultScoring)
 			if err != nil || wantErr != nil || !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d, %+v: window gives %+v (%v), the whole text %+v (%v)", trial, anchor, got, err, want, wantErr)
 			}
@@ -484,7 +485,7 @@ func TestEnsureMemHoldsTheTextOnce(t *testing.T) {
 		if got, want := tc.ix.HostBytes()-before, grown+tc.text; got != want {
 			t.Errorf("%s: EnsureMem grew HostBytes by %d, want %d", tc.name, got, want)
 		}
-		if text := tc.ix.mem.Load().text; !text.Unpack().Equal(ref) {
+		if text := tc.ix.mem.Load().text; !slices.Equal(text.Unpack(), ref) {
 			t.Errorf("%s: the mem state's text is not the reference", tc.name)
 		}
 	}
@@ -608,4 +609,11 @@ func TestMemWorkPinned(t *testing.T) {
 				cfg.Locate, stats.SeedSteps, stats.Seeds, stats.Cells, seedSteps, seeds, cells)
 		}
 	}
+}
+
+// chainSeeds groups seeds into collinear chains in a throwaway scratch; see
+// chainScratch.chain. The batch path holds a scratch per worker.
+func chainSeeds(seeds []Seed, slop, maxChains int) []Chain {
+	var cs chainScratch
+	return cs.chain(seeds, slop, maxChains)
 }

@@ -13,10 +13,10 @@ import (
 // pipeline-integration feature the paper's future work points at
 // ("integrate BWaveR in real sequence analysis pipelines").
 
-// PairMaxHits is the ambiguity guard of exact pairing: a mate with more
+// pairMaxHits is the ambiguity guard of exact pairing: a mate with more
 // occurrences than this is not paired, and its pair is reported ambiguous
 // rather than exploding combinatorially.
-const PairMaxHits = 256
+const pairMaxHits = 256
 
 // PairOptions bound the accepted fragment length (outer distance) of a
 // concordant pair.
@@ -48,12 +48,12 @@ type PairPlacement struct {
 // to r1 and r2. The placements come sorted by position, then insert; ties
 // keep the arrangement order (R1 forward first).
 // ambiguous is set, and nothing placed, when a mate occurs more than
-// PairMaxHits times.
+// pairMaxHits times.
 func PairMates(r1, r2 MapResult, len1, len2 int, opts PairOptions) (placements []PairPlacement, ambiguous bool) {
 	if !r1.Mapped() || !r2.Mapped() {
 		return nil, false
 	}
-	if r1.Occurrences() > PairMaxHits || r2.Occurrences() > PairMaxHits {
+	if r1.Occurrences() > pairMaxHits || r2.Occurrences() > pairMaxHits {
 		return nil, true
 	}
 	// FR arrangement 1: R1 forward at p1, R2 reverse-strand at p2

@@ -215,7 +215,7 @@ func FuzzPairPlacements(f *testing.F) {
 
 // fuzzReference is a random reference of 64 to 1 263 bases built from
 // random runs, copies of earlier stretches and short tandem repeats, so that
-// short mates occur many times, some past PairMaxHits.
+// short mates occur many times, some past pairMaxHits.
 func fuzzReference(rng *rand.Rand) dna.Seq {
 	n := 64 + rng.Intn(1200)
 	ref := make(dna.Seq, 0, n+64)
@@ -254,7 +254,7 @@ func naivePairs(ref, r1, r2 dna.Seq, opts PairOptions) ([]PairPlacement, bool) {
 	if len(r1F)+len(r1R) == 0 || len(r2F)+len(r2R) == 0 {
 		return nil, false
 	}
-	if len(r1F)+len(r1R) > PairMaxHits || len(r2F)+len(r2R) > PairMaxHits {
+	if len(r1F)+len(r1R) > pairMaxHits || len(r2F)+len(r2R) > pairMaxHits {
 		return nil, true
 	}
 	var out []PairPlacement

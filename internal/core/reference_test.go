@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -16,7 +17,7 @@ func TestReadReferenceConcatenatesRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if replaced != 0 || !seq.Equal(dna.MustParseSeq("ACGTTTTT")) {
+	if replaced != 0 || !slices.Equal(seq, dna.MustParseSeq("ACGTTTTT")) {
 		t.Errorf("ReadReference = %q, %d replaced", seq, replaced)
 	}
 	if contigs.Count() != 2 || contigs.Contig(0).Name != "a" || contigs.Contig(1).Name != "b" {
@@ -75,10 +76,10 @@ func TestReadReferenceBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !seq.Equal(want) || replaced != wantReplaced || wantReplaced == 0 {
+	if !slices.Equal(seq, want) || replaced != wantReplaced || wantReplaced == 0 {
 		t.Fatalf("sequence differs or %d replaced, want %d", replaced, wantReplaced)
 	}
-	if contigs.Count() != 3 || contigs.Total() != len(want) {
+	if contigs.Count() != 3 || contigs.total != len(want) {
 		t.Fatalf("contigs %+v", contigs.Contigs())
 	}
 	for i, c := range contigs.Contigs() {

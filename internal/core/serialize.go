@@ -31,7 +31,7 @@ import (
 //	ftab payload (when ftabK > 0)
 //	contigs
 //
-// ReadIndex still accepts the previous 'BWX1' format, which has no ftabK
+// readIndex still accepts the previous 'BWX1' format, which has no ftabK
 // header field and no ftab payload; such indexes load with no prefix table
 // and callers rebuild one on demand via EnsureFtab.
 const (
@@ -47,7 +47,7 @@ const (
 //	payloadLen   uint64  bytes preceding the trailer
 //	checksum     uint64  CRC-64/ECMA over those payloadLen bytes
 //
-// The trailer is a property of SaveFile/LoadFile, not of WriteTo/ReadIndex:
+// The trailer is a property of SaveFile/LoadFile, not of writeTo/readIndex:
 // streams keep the raw format (and its consumers, e.g. FuzzReadIndex), while
 // every file that goes through the filesystem is checksummed. SaveFile also
 // writes atomically — temp file in the destination directory, fsync, rename —
@@ -61,20 +61,20 @@ const (
 // crcTable is the CRC-64/ECMA polynomial used by the file trailer.
 var crcTable = crc64.MakeTable(crc64.ECMA)
 
-// ErrIndexIntegrity tags LoadFile failures caused by the file itself —
+// errIndexIntegrity tags LoadFile failures caused by the file itself —
 // missing trailer, truncation, or checksum mismatch — as opposed to I/O
 // errors. Callers holding the reference (the server's index cache, build
 // pipelines) match it with errors.Is and rebuild instead of serving from a
 // corrupt artifact.
-var ErrIndexIntegrity = errors.New("index integrity check failed")
+var errIndexIntegrity = errors.New("index integrity check failed")
 
-// ErrIndexFlags tags ReadIndex failures on a header whose flags byte is not
+// errIndexFlags tags readIndex failures on a header whose flags byte is not
 // 0: bit 0 marked an index of plain bit-vectors, which no longer load, and no
 // other bit was ever defined.
-var ErrIndexFlags = errors.New("core: unsupported index flags")
+var errIndexFlags = errors.New("core: unsupported index flags")
 
-// WriteTo serializes the index. It implements io.WriterTo.
-func (ix *Index) WriteTo(w io.Writer) (int64, error) {
+// writeTo serializes the index.
+func (ix *Index) writeTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	cw := &countingWriter{w: bw}
 
@@ -180,8 +180,8 @@ func readContigs(r io.Reader) (*ContigSet, error) {
 	return NewContigSet(names, lengths)
 }
 
-// ReadIndex deserializes an index written by WriteTo.
-func ReadIndex(r io.Reader) (*Index, error) {
+// readIndex deserializes an index written by writeTo.
+func readIndex(r io.Reader) (*Index, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	var (
 		magic, b, sf, sampleRate, primary, ftabK uint32
@@ -206,7 +206,7 @@ func ReadIndex(r io.Reader) (*Index, error) {
 		}
 	}
 	if flags != 0 {
-		return nil, fmt.Errorf("%w %#x (bit 0 marked plain bit-vectors, which are no longer supported): rebuild the index with `bwaver index`", ErrIndexFlags, flags)
+		return nil, fmt.Errorf("%w %#x (bit 0 marked plain bit-vectors, which are no longer supported): rebuild the index with `bwaver index`", errIndexFlags, flags)
 	}
 	cfg := IndexConfig{
 		RRR:        rrr.Params{BlockSize: int(b), SuperblockFactor: int(sf)},
@@ -311,7 +311,7 @@ func (ix *Index) SaveFile(path string) (err error) {
 		}
 	}()
 	hw := &hashingWriter{w: tmp, h: crc64.New(crcTable)}
-	n, err := ix.WriteTo(hw)
+	n, err := ix.writeTo(hw)
 	if err != nil {
 		return err
 	}
@@ -343,7 +343,7 @@ func (ix *Index) SaveFile(path string) (err error) {
 // LoadFile reads an index from path, verifying the integrity trailer before
 // parsing: a missing trailer (stale pre-checksum BWX file), a length mismatch
 // (truncation), or a checksum mismatch (bit rot, torn write) fails closed
-// with an error matching ErrIndexIntegrity.
+// with an error matching errIndexIntegrity.
 func LoadFile(path string) (*Index, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -356,18 +356,18 @@ func LoadFile(path string) (*Index, error) {
 	}
 	size := st.Size()
 	if size < trailerSize {
-		return nil, fmt.Errorf("core: %s: %w: file is %d bytes, smaller than the integrity trailer", path, ErrIndexIntegrity, size)
+		return nil, fmt.Errorf("core: %s: %w: file is %d bytes, smaller than the integrity trailer", path, errIndexIntegrity, size)
 	}
 	var trailer [trailerSize]byte
 	if _, err := f.ReadAt(trailer[:], size-trailerSize); err != nil {
 		return nil, fmt.Errorf("core: %s: reading integrity trailer: %w", path, err)
 	}
 	if got := binary.LittleEndian.Uint32(trailer[0:4]); got != trailerMagic {
-		return nil, fmt.Errorf("core: %s: %w: missing integrity trailer (stale pre-checksum index? rebuild with `bwaver index`)", path, ErrIndexIntegrity)
+		return nil, fmt.Errorf("core: %s: %w: missing integrity trailer (stale pre-checksum index? rebuild with `bwaver index`)", path, errIndexIntegrity)
 	}
 	payloadLen := binary.LittleEndian.Uint64(trailer[4:12])
 	if payloadLen != uint64(size-trailerSize) {
-		return nil, fmt.Errorf("core: %s: %w: trailer says %d payload bytes, file holds %d (truncated or overwritten)", path, ErrIndexIntegrity, payloadLen, size-trailerSize)
+		return nil, fmt.Errorf("core: %s: %w: trailer says %d payload bytes, file holds %d (truncated or overwritten)", path, errIndexIntegrity, payloadLen, size-trailerSize)
 	}
 	// Verify the checksum over the whole payload before parsing a single
 	// field: a corrupt file must never reach the deserializer, whose
@@ -377,9 +377,9 @@ func LoadFile(path string) (*Index, error) {
 		return nil, fmt.Errorf("core: %s: checksumming payload: %w", path, err)
 	}
 	if got, want := h.Sum64(), binary.LittleEndian.Uint64(trailer[12:20]); got != want {
-		return nil, fmt.Errorf("core: %s: %w: checksum mismatch (have %#x, trailer says %#x)", path, ErrIndexIntegrity, got, want)
+		return nil, fmt.Errorf("core: %s: %w: checksum mismatch (have %#x, trailer says %#x)", path, errIndexIntegrity, got, want)
 	}
-	return ReadIndex(io.NewSectionReader(f, 0, int64(payloadLen)))
+	return readIndex(io.NewSectionReader(f, 0, int64(payloadLen)))
 }
 
 // hashingWriter tees writes into a running checksum.

@@ -19,14 +19,14 @@ import (
 func roundTrip(t *testing.T, ix *Index) *Index {
 	t.Helper()
 	var buf bytes.Buffer
-	n, err := ix.WriteTo(&buf)
+	n, err := ix.writeTo(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != int64(buf.Len()) {
 		t.Fatalf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
 	}
-	back, err := ReadIndex(&buf)
+	back, err := readIndex(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,21 +115,21 @@ func TestReadIndexRejectsCorruption(t *testing.T) {
 	ref := testGenome(t, 3000)
 	ix := mustBuild(t, ref, IndexConfig{})
 	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
+	if _, err := ix.writeTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
 
 	// Truncations at several depths.
 	for _, cut := range []int{0, 3, 10, 40, len(good) / 2, len(good) - 1} {
-		if _, err := ReadIndex(bytes.NewReader(good[:cut])); err == nil {
+		if _, err := readIndex(bytes.NewReader(good[:cut])); err == nil {
 			t.Errorf("accepted index truncated to %d bytes", cut)
 		}
 	}
 	// Bad magic.
 	bad := append([]byte(nil), good...)
 	bad[0] ^= 0xFF
-	if _, err := ReadIndex(bytes.NewReader(bad)); err == nil {
+	if _, err := readIndex(bytes.NewReader(bad)); err == nil {
 		t.Error("accepted bad magic")
 	}
 	// Corrupted RRR class data: flip a byte inside the tree payload. The
@@ -143,13 +143,13 @@ func TestReadIndexRejectsCorruption(t *testing.T) {
 				t.Error("ReadIndex panicked on corrupted payload")
 			}
 		}()
-		ReadIndex(bytes.NewReader(bad))
+		readIndex(bytes.NewReader(bad))
 	}()
 	// A header whose flags byte is not 0, or a tree whose kind is not RRR's,
 	// no longer loads as an RRR index: the config CacheKey, EnsureMem and
 	// `bwaver stats` read must describe the tree.
 	for _, c := range headerCorruptions(t, ix) {
-		if _, err := ReadIndex(bytes.NewReader(c.data)); !errors.Is(err, c.want) {
+		if _, err := readIndex(bytes.NewReader(c.data)); !errors.Is(err, c.want) {
 			t.Errorf("%s: ReadIndex error %v, want %v", c.name, err, c.want)
 		}
 	}
@@ -164,7 +164,7 @@ const (
 )
 
 // headerCorruption is an index image whose header or tree kind no longer
-// describes the RRR tree it holds, and the error ReadIndex must name.
+// describes the RRR tree it holds, and the error readIndex must name.
 type headerCorruption struct {
 	name string
 	data []byte
@@ -177,7 +177,7 @@ type headerCorruption struct {
 func headerCorruptions(tb testing.TB, ix *Index) []headerCorruption {
 	tb.Helper()
 	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
+	if _, err := ix.writeTo(&buf); err != nil {
 		tb.Fatal(err)
 	}
 	good := buf.Bytes()
@@ -191,9 +191,9 @@ func headerCorruptions(tb testing.TB, ix *Index) []headerCorruption {
 		return bad
 	}
 	return []headerCorruption{
-		{"flags-0x01", set(flagsOffset, 0x01), ErrIndexFlags},
-		{"flags-0x02", set(flagsOffset, 0x02), ErrIndexFlags},
-		{"flags-0x80", set(flagsOffset, 0x80), ErrIndexFlags},
+		{"flags-0x01", set(flagsOffset, 0x01), errIndexFlags},
+		{"flags-0x02", set(flagsOffset, 0x02), errIndexFlags},
+		{"flags-0x80", set(flagsOffset, 0x80), errIndexFlags},
 		{"tree-kind-1", set(treeKindOffset, 1), wavelet.ErrTreeKind},
 	}
 }
@@ -201,7 +201,7 @@ func headerCorruptions(tb testing.TB, ix *Index) []headerCorruption {
 // The trailer must reject every corruption class fail-closed: truncation at
 // any depth, a single flipped bit in any section (header, wavelet tree,
 // suffix array, ftab, contigs, trailer), and stale trailer-less files —
-// including old BWX1 images — with an error matching ErrIndexIntegrity.
+// including old BWX1 images — with an error matching errIndexIntegrity.
 func TestLoadFileCorruptionMatrix(t *testing.T) {
 	ref := testGenome(t, 6000)
 	ix := mustBuild(t, ref, IndexConfig{FtabK: 4})
@@ -236,7 +236,7 @@ func TestLoadFileCorruptionMatrix(t *testing.T) {
 			t.Errorf("%s: load succeeded, want integrity failure", name)
 			return
 		}
-		if !errors.Is(err, ErrIndexIntegrity) {
+		if !errors.Is(err, errIndexIntegrity) {
 			t.Errorf("%s: error %v does not match ErrIndexIntegrity", name, err)
 		}
 	}
@@ -255,14 +255,14 @@ func TestLoadFileCorruptionMatrix(t *testing.T) {
 		check(fmt.Sprintf("flip-%d", off), bad)
 	}
 
-	// A stale trailer-less file (raw WriteTo image, the pre-checksum layout).
+	// A stale trailer-less file (raw writeTo image, the pre-checksum layout).
 	var raw bytes.Buffer
-	if _, err := ix.WriteTo(&raw); err != nil {
+	if _, err := ix.writeTo(&raw); err != nil {
 		t.Fatal(err)
 	}
 	check("stale-raw", raw.Bytes())
 	staleErrPath := filepath.Join(dir, "stale-raw.bwx")
-	if _, err := LoadFile(staleErrPath); err == nil || !errors.Is(err, ErrIndexIntegrity) {
+	if _, err := LoadFile(staleErrPath); err == nil || !errors.Is(err, errIndexIntegrity) {
 		t.Errorf("stale file error = %v, want ErrIndexIntegrity", err)
 	}
 	// Same image with a BWX1 magic: an old-format file must also fail closed
@@ -301,7 +301,7 @@ func TestSerializedSizeReasonable(t *testing.T) {
 	ref := testGenome(t, 50000)
 	ix := mustBuild(t, ref, IndexConfig{Locate: LocateNone})
 	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
+	if _, err := ix.writeTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	// Without the SA the file should be in the ballpark of the structure

@@ -29,8 +29,8 @@ const (
 	AlphabetSize = 4
 )
 
-// Alphabet is the DNA alphabet in lexicographic order.
-var Alphabet = [AlphabetSize]byte{'A', 'C', 'G', 'T'}
+// alphabet is the DNA alphabet in lexicographic order.
+var alphabet = [AlphabetSize]byte{'A', 'C', 'G', 'T'}
 
 // baseFromASCII maps ASCII bytes to base codes; 0xFF marks invalid bytes.
 var baseFromASCII [256]uint8
@@ -39,7 +39,7 @@ func init() {
 	for i := range baseFromASCII {
 		baseFromASCII[i] = 0xFF
 	}
-	for code, b := range Alphabet {
+	for code, b := range alphabet {
 		baseFromASCII[b] = uint8(code)
 		baseFromASCII[b+'a'-'A'] = uint8(code)
 	}
@@ -59,7 +59,7 @@ func FromByte(b byte) (Base, bool) {
 }
 
 // Byte returns the upper-case ASCII spelling of b.
-func (b Base) Byte() byte { return Alphabet[b&3] }
+func (b Base) Byte() byte { return alphabet[b&3] }
 
 // Complement returns the Watson-Crick complement of b (A<->T, C<->G).
 // With the code assignment above this is simply 3-b.
@@ -73,9 +73,9 @@ func (b Base) String() string { return string(b.Byte()) }
 // transport representation used by the FPGA query records.
 type Seq []Base
 
-// ParseSeq converts an ASCII string to a Seq, rejecting any byte that is not
+// parseSeq converts an ASCII string to a Seq, rejecting any byte that is not
 // a nucleotide letter. Use Sanitize to replace invalid bytes instead.
-func ParseSeq(s string) (Seq, error) {
+func parseSeq(s string) (Seq, error) {
 	out := make(Seq, len(s))
 	for i := 0; i < len(s); i++ {
 		b, ok := FromByte(s[i])
@@ -87,10 +87,10 @@ func ParseSeq(s string) (Seq, error) {
 	return out, nil
 }
 
-// MustParseSeq is ParseSeq for constant inputs in tests and examples;
+// MustParseSeq is parseSeq for constant inputs in tests and examples;
 // it panics on invalid input.
 func MustParseSeq(s string) Seq {
-	seq, err := ParseSeq(s)
+	seq, err := parseSeq(s)
 	if err != nil {
 		panic(err)
 	}
@@ -157,41 +157,9 @@ func (s Seq) ReverseComplementInto(dst Seq) Seq {
 	return dst
 }
 
-// Equal reports whether two sequences have identical bases.
-func (s Seq) Equal(t Seq) bool {
-	if len(s) != len(t) {
-		return false
-	}
-	for i := range s {
-		if s[i] != t[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Clone returns a copy of s.
 func (s Seq) Clone() Seq {
 	out := make(Seq, len(s))
 	copy(out, s)
 	return out
-}
-
-// Count returns the number of occurrences of base b in s.
-func (s Seq) Count(b Base) int {
-	n := 0
-	for _, x := range s {
-		if x == b {
-			n++
-		}
-	}
-	return n
-}
-
-// GC returns the fraction of G and C bases in s, or 0 for an empty sequence.
-func (s Seq) GC() float64 {
-	if len(s) == 0 {
-		return 0
-	}
-	return float64(s.Count(C)+s.Count(G)) / float64(len(s))
 }

@@ -1,7 +1,9 @@
 package dna
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -47,17 +49,17 @@ func TestComplement(t *testing.T) {
 }
 
 func TestParseSeq(t *testing.T) {
-	seq, err := ParseSeq("ACGTacgtU")
+	seq, err := parseSeq("ACGTacgtU")
 	if err != nil {
 		t.Fatalf("ParseSeq: %v", err)
 	}
 	if got, want := seq.String(), "ACGTACGTT"; got != want {
 		t.Errorf("ParseSeq round trip = %q, want %q", got, want)
 	}
-	if _, err := ParseSeq("ACGNT"); err == nil {
+	if _, err := parseSeq("ACGNT"); err == nil {
 		t.Error("ParseSeq accepted 'N'")
 	}
-	empty, err := ParseSeq("")
+	empty, err := parseSeq("")
 	if err != nil || len(empty) != 0 {
 		t.Errorf("ParseSeq(\"\") = %v, %v", empty, err)
 	}
@@ -92,25 +94,10 @@ func TestReverseComplement(t *testing.T) {
 func TestReverseComplementInvolution(t *testing.T) {
 	f := func(raw []byte) bool {
 		seq, _ := Sanitize(raw, A)
-		return seq.ReverseComplement().ReverseComplement().Equal(seq)
+		return slices.Equal(seq.ReverseComplement().ReverseComplement(), seq)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSeqCountAndGC(t *testing.T) {
-	s := MustParseSeq("AACCGGTT")
-	for b := Base(0); b < AlphabetSize; b++ {
-		if s.Count(b) != 2 {
-			t.Errorf("Count(%v) = %d, want 2", b, s.Count(b))
-		}
-	}
-	if gc := s.GC(); gc != 0.5 {
-		t.Errorf("GC = %v, want 0.5", gc)
-	}
-	if gc := (Seq{}).GC(); gc != 0 {
-		t.Errorf("GC of empty = %v, want 0", gc)
 	}
 }
 
@@ -157,6 +144,20 @@ func TestUnpackRange(t *testing.T) {
 	}
 }
 
+func TestPackedBoundsPanic(t *testing.T) {
+	p := Pack(MustParseSeq("ACGT"))
+	for _, r := range [][2]int{{-1, 2}, {0, 5}, {3, 2}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("UnpackRange(%d, %d) did not panic", r[0], r[1])
+				}
+			}()
+			p.UnpackRange(nil, r[0], r[1])
+		}()
+	}
+}
+
 func TestPackUnpackRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{0, 1, 31, 32, 33, 63, 64, 65, 100, 176, 1000} {
@@ -165,7 +166,7 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 		if p.Len() != n {
 			t.Fatalf("Pack len = %d, want %d", p.Len(), n)
 		}
-		if !p.Unpack().Equal(s) {
+		if !slices.Equal(p.Unpack(), s) {
 			t.Fatalf("pack/unpack round trip failed at n=%d", n)
 		}
 		for i := 0; i < n; i++ {
@@ -176,64 +177,22 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPackedSetBase(t *testing.T) {
-	p := NewPackedSeq(70)
-	p.SetBase(0, T)
-	p.SetBase(33, G)
-	p.SetBase(69, C)
-	if p.Base(0) != T || p.Base(33) != G || p.Base(69) != C {
-		t.Error("SetBase/Base mismatch")
-	}
-	p.SetBase(33, A)
-	if p.Base(33) != A {
-		t.Error("SetBase did not clear previous bits")
-	}
-	// Neighbours must be untouched.
-	if p.Base(32) != A || p.Base(34) != A {
-		t.Error("SetBase disturbed neighbouring bases")
-	}
-}
-
-func TestPackedBoundsPanic(t *testing.T) {
-	p := NewPackedSeq(4)
-	for _, i := range []int{-1, 4} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Base(%d) did not panic", i)
-				}
-			}()
-			p.Base(i)
-		}()
-	}
-}
-
-func TestFromWords(t *testing.T) {
-	s := MustParseSeq("ACGTACGTA")
-	p := Pack(s)
-	back, err := FromWords(p.Words(), p.Len())
-	if err != nil {
-		t.Fatalf("FromWords: %v", err)
-	}
-	if !back.Unpack().Equal(s) {
-		t.Error("FromWords round trip mismatch")
-	}
-	if _, err := FromWords(p.Words(), 100); err == nil {
-		t.Error("FromWords accepted wrong length")
-	}
-	bad := []uint64{^uint64(0)}
-	if _, err := FromWords(bad, 3); err == nil {
-		t.Error("FromWords accepted dirty trailing bits")
-	}
-}
-
 func TestPackedRCViaUnpack(t *testing.T) {
 	f := func(raw []byte) bool {
 		seq, _ := Sanitize(raw, C)
 		p := Pack(seq)
-		return p.Unpack().ReverseComplement().Equal(seq.ReverseComplement())
+		return slices.Equal(p.Unpack().ReverseComplement(), seq.ReverseComplement())
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// Base returns the i-th base, one at a time: the reference for the word
+// loops of Pack and Unpack.
+func (p PackedSeq) Base(i int) Base {
+	if i < 0 || i >= p.n {
+		panic(fmt.Sprintf("dna: packed index %d out of range [0,%d)", i, p.n))
+	}
+	return Base((p.words[i/BasesPerWord] >> uint((i%BasesPerWord)*2)) & 3)
 }

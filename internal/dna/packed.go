@@ -32,35 +32,12 @@ func Pack[E ~uint8](s []E) PackedSeq {
 	return PackedSeq{words: words, n: len(s)}
 }
 
-// NewPackedSeq returns an all-A packed sequence of length n.
-func NewPackedSeq(n int) PackedSeq {
-	return PackedSeq{words: make([]uint64, (n+BasesPerWord-1)/BasesPerWord), n: n}
-}
-
 // Len returns the number of bases.
 func (p PackedSeq) Len() int { return p.n }
 
 // Words exposes the raw 64-bit words, for serialization and for the FPGA
 // record builder. The last word's unused high bits are zero.
 func (p PackedSeq) Words() []uint64 { return p.words }
-
-// Base returns the i-th base.
-func (p PackedSeq) Base(i int) Base {
-	if i < 0 || i >= p.n {
-		panic(fmt.Sprintf("dna: packed index %d out of range [0,%d)", i, p.n))
-	}
-	return Base((p.words[i/BasesPerWord] >> uint((i%BasesPerWord)*2)) & 3)
-}
-
-// SetBase sets the i-th base.
-func (p PackedSeq) SetBase(i int, b Base) {
-	if i < 0 || i >= p.n {
-		panic(fmt.Sprintf("dna: packed index %d out of range [0,%d)", i, p.n))
-	}
-	shift := uint((i % BasesPerWord) * 2)
-	w := &p.words[i/BasesPerWord]
-	*w = (*w &^ (3 << shift)) | uint64(b&3)<<shift
-}
 
 // Unpack converts back to an unpacked sequence, a word at a time.
 func (p PackedSeq) Unpack() Seq { return p.UnpackRange(make(Seq, p.n), 0, p.n) }
@@ -81,20 +58,4 @@ func (p PackedSeq) UnpackRange(dst Seq, lo, hi int) Seq {
 		}
 	}
 	return dst
-}
-
-// FromWords reconstructs a PackedSeq from raw words; n is the base count.
-// It validates that the word slice is exactly the required length and that
-// trailing bits are zero, so corrupted serialized data is caught early.
-func FromWords(words []uint64, n int) (PackedSeq, error) {
-	need := (n + BasesPerWord - 1) / BasesPerWord
-	if len(words) != need {
-		return PackedSeq{}, fmt.Errorf("dna: packed sequence of %d bases needs %d words, got %d", n, need, len(words))
-	}
-	if rem := n % BasesPerWord; rem != 0 && need > 0 {
-		if words[need-1]>>(uint(rem)*2) != 0 {
-			return PackedSeq{}, fmt.Errorf("dna: packed sequence has nonzero bits beyond base %d", n)
-		}
-	}
-	return PackedSeq{words: words, n: n}, nil
 }

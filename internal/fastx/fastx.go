@@ -12,7 +12,6 @@ import (
 	"bufio"
 	"bytes"
 	"compress/gzip"
-	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -28,35 +27,27 @@ const (
 	FASTQ
 )
 
-// String implements fmt.Stringer.
-func (f Format) String() string {
-	if f == FASTQ {
-		return "FASTQ"
-	}
-	return "FASTA"
-}
-
 // Reason codes carried by RecordError. They are a fixed enum so downstream
 // accounting (journal counters, /metrics labels) has bounded cardinality no
 // matter what bytes arrive on the wire.
 const (
-	// ReasonBadHeader: the line where a record header was expected does not
+	// reasonBadHeader: the line where a record header was expected does not
 	// start with the format's header byte.
-	ReasonBadHeader = "bad_header"
-	// ReasonEmptyID: a header line with no ID token.
-	ReasonEmptyID = "empty_id"
-	// ReasonTruncated: the stream ended inside a record.
-	ReasonTruncated = "truncated"
-	// ReasonBadSeparator: a FASTQ record without a '+' separator line.
-	ReasonBadSeparator = "bad_separator"
-	// ReasonQualMismatch: quality and sequence lengths differ.
-	ReasonQualMismatch = "qual_mismatch"
-	// ReasonBlankLine: a blank line where a FASTQ header was expected
+	reasonBadHeader = "bad_header"
+	// reasonEmptyID: a header line with no ID token.
+	reasonEmptyID = "empty_id"
+	// reasonTruncated: the stream ended inside a record.
+	reasonTruncated = "truncated"
+	// reasonBadSeparator: a FASTQ record without a '+' separator line.
+	reasonBadSeparator = "bad_separator"
+	// reasonQualMismatch: quality and sequence lengths differ.
+	reasonQualMismatch = "qual_mismatch"
+	// reasonBlankLine: a blank line where a FASTQ header was expected
 	// (other than a trailing run of blank lines at EOF, which is legal).
-	ReasonBlankLine = "blank_line"
-	// ReasonBadSequence: malformed FASTA sequence data ('>' mid-line, or a
+	reasonBlankLine = "blank_line"
+	// reasonBadSequence: malformed FASTA sequence data ('>' mid-line, or a
 	// record with no sequence at all).
-	ReasonBadSequence = "bad_sequence"
+	reasonBadSequence = "bad_sequence"
 )
 
 // RecordError describes one malformed record. In strict mode it aborts the
@@ -155,9 +146,6 @@ func NewReader(r io.Reader) (*Reader, error) {
 	}
 	return rd, nil
 }
-
-// Format returns the detected format; meaningless for empty input.
-func (r *Reader) Format() Format { return r.format }
 
 // SetTolerant switches the reader between strict mode (any malformed record
 // aborts the parse; the default, and what reference uploads use) and
@@ -269,13 +257,13 @@ func (r *Reader) readFasta() (*Record, error) {
 		headerLine = r.line
 	}
 	if !strings.HasPrefix(header, ">") {
-		return r.fastaFail(&RecordError{Line: headerLine, Reason: ReasonBadHeader,
+		return r.fastaFail(&RecordError{Line: headerLine, Reason: reasonBadHeader,
 			Detail: fmt.Sprintf("line %d: FASTA header must start with '>', got %q", headerLine, header)})
 	}
 	rec := &Record{}
 	rec.ID, rec.Desc = splitHeader(strings.TrimPrefix(header, ">"))
 	if rec.ID == "" {
-		return r.fastaFail(&RecordError{Line: headerLine, Reason: ReasonEmptyID,
+		return r.fastaFail(&RecordError{Line: headerLine, Reason: reasonEmptyID,
 			Detail: fmt.Sprintf("line %d: empty FASTA header", headerLine)})
 	}
 	var seq bytes.Buffer
@@ -294,13 +282,13 @@ func (r *Reader) readFasta() (*Record, error) {
 			break
 		}
 		if strings.ContainsRune(line, '>') {
-			return r.fastaFail(&RecordError{Line: r.line, RecordID: rec.ID, Reason: ReasonBadSequence,
+			return r.fastaFail(&RecordError{Line: r.line, RecordID: rec.ID, Reason: reasonBadSequence,
 				Detail: fmt.Sprintf("line %d: '>' inside sequence data of record %q", r.line, rec.ID)})
 		}
 		seq.WriteString(strings.TrimSpace(line))
 	}
 	if seq.Len() == 0 {
-		return r.fastaFail(&RecordError{Line: headerLine, RecordID: rec.ID, Reason: ReasonBadSequence,
+		return r.fastaFail(&RecordError{Line: headerLine, RecordID: rec.ID, Reason: reasonBadSequence,
 			Detail: fmt.Sprintf("record %q has no sequence data", rec.ID)})
 	}
 	rec.Seq = seq.Bytes()
@@ -371,25 +359,25 @@ func (r *Reader) readFastq() (*Record, error) {
 			n++
 		}
 		r.dropPeeked(n)
-		return r.fastqFail(&RecordError{Line: header.num, Reason: ReasonBlankLine,
+		return r.fastqFail(&RecordError{Line: header.num, Reason: reasonBlankLine,
 			Detail: fmt.Sprintf("line %d: blank line inside FASTQ", header.num)})
 	}
 	if !strings.HasPrefix(header.text, "@") {
 		r.dropPeeked(1)
-		return r.fastqFail(&RecordError{Line: header.num, Reason: ReasonBadHeader,
+		return r.fastqFail(&RecordError{Line: header.num, Reason: reasonBadHeader,
 			Detail: fmt.Sprintf("line %d: FASTQ header must start with '@', got %q", header.num, header.text)})
 	}
 	rec := &Record{}
 	rec.ID, rec.Desc = splitHeader(strings.TrimPrefix(header.text, "@"))
 	if rec.ID == "" {
 		r.dropPeeked(1)
-		return r.fastqFail(&RecordError{Line: header.num, Reason: ReasonEmptyID,
+		return r.fastqFail(&RecordError{Line: header.num, Reason: reasonEmptyID,
 			Detail: fmt.Sprintf("line %d: empty FASTQ header", header.num)})
 	}
 	seq, err := r.peekLine(1)
 	if err == io.EOF {
 		r.dropPeeked(1)
-		return r.fastqFail(&RecordError{Line: header.num, RecordID: rec.ID, Reason: ReasonTruncated,
+		return r.fastqFail(&RecordError{Line: header.num, RecordID: rec.ID, Reason: reasonTruncated,
 			Detail: fmt.Sprintf("record %q: truncated after header", rec.ID)})
 	}
 	if err != nil {
@@ -398,7 +386,7 @@ func (r *Reader) readFastq() (*Record, error) {
 	sep, err := r.peekLine(2)
 	if err == io.EOF {
 		r.dropPeeked(2)
-		return r.fastqFail(&RecordError{Line: header.num, RecordID: rec.ID, Reason: ReasonBadSeparator,
+		return r.fastqFail(&RecordError{Line: header.num, RecordID: rec.ID, Reason: reasonBadSeparator,
 			Detail: fmt.Sprintf("record %q: missing '+' separator line", rec.ID)})
 	}
 	if err != nil {
@@ -408,13 +396,13 @@ func (r *Reader) readFastq() (*Record, error) {
 		// Drop only the header: the "separator" may in fact be the next
 		// record's header (a truncated record), which resync can recover.
 		r.dropPeeked(1)
-		return r.fastqFail(&RecordError{Line: sep.num, RecordID: rec.ID, Reason: ReasonBadSeparator,
+		return r.fastqFail(&RecordError{Line: sep.num, RecordID: rec.ID, Reason: reasonBadSeparator,
 			Detail: fmt.Sprintf("record %q: missing '+' separator line", rec.ID)})
 	}
 	qual, err := r.peekLine(3)
 	if err == io.EOF {
 		r.dropPeeked(3)
-		return r.fastqFail(&RecordError{Line: header.num, RecordID: rec.ID, Reason: ReasonTruncated,
+		return r.fastqFail(&RecordError{Line: header.num, RecordID: rec.ID, Reason: reasonTruncated,
 			Detail: fmt.Sprintf("record %q: truncated before quality line", rec.ID)})
 	}
 	if err != nil {
@@ -422,7 +410,7 @@ func (r *Reader) readFastq() (*Record, error) {
 	}
 	if len(qual.text) != len(seq.text) {
 		r.dropPeeked(1)
-		return r.fastqFail(&RecordError{Line: qual.num, RecordID: rec.ID, Reason: ReasonQualMismatch,
+		return r.fastqFail(&RecordError{Line: qual.num, RecordID: rec.ID, Reason: reasonQualMismatch,
 			Detail: fmt.Sprintf("record %q: %d quality bytes for %d bases", rec.ID, len(qual.text), len(seq.text))})
 	}
 	r.dropPeeked(4)
@@ -446,35 +434,6 @@ func ReadAll(r io.Reader) ([]*Record, error) {
 		}
 		if err != nil {
 			return nil, err
-		}
-		out = append(out, rec)
-	}
-}
-
-// ReadAllTolerant parses every record in r in tolerant mode: malformed
-// records are returned as RecordErrors alongside the records that survived,
-// and only stream-level failures (I/O, corrupt gzip) abort.
-func ReadAllTolerant(r io.Reader) ([]*Record, []*RecordError, error) {
-	rd, err := NewReader(r)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer rd.Close()
-	rd.SetTolerant(true)
-	var out []*Record
-	var recErrs []*RecordError
-	for {
-		rec, err := rd.Read()
-		if err == io.EOF {
-			return out, recErrs, nil
-		}
-		var re *RecordError
-		if errors.As(err, &re) {
-			recErrs = append(recErrs, re)
-			continue
-		}
-		if err != nil {
-			return out, recErrs, err
 		}
 		out = append(out, rec)
 	}

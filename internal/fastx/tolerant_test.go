@@ -64,43 +64,43 @@ func TestTolerantFastqSkipsBadRecord(t *testing.T) {
 			name:       "qual length mismatch",
 			in:         "@good1\nACGT\n+\nIIII\n@bad\nACGT\n+\nII\n@good2\nTTTT\n+\nJJJJ\n",
 			wantIDs:    []string{"good1", "good2"},
-			wantReason: ReasonQualMismatch,
+			wantReason: reasonQualMismatch,
 		},
 		{
 			name:       "missing separator",
 			in:         "@bad\nACGT\nIIII\n@good\nTT\n+\nJJ\n",
 			wantIDs:    []string{"good"},
-			wantReason: ReasonBadSeparator,
+			wantReason: reasonBadSeparator,
 		},
 		{
 			name:       "truncated record then next header",
 			in:         "@bad\nACGT\n@good\nTT\n+\nJJ\n",
 			wantIDs:    []string{"good"},
-			wantReason: ReasonBadSeparator,
+			wantReason: reasonBadSeparator,
 		},
 		{
 			name:       "blank line mid-file",
 			in:         "@good1\nAC\n+\nII\n\n\n@good2\nGT\n+\nJJ\n",
 			wantIDs:    []string{"good1", "good2"},
-			wantReason: ReasonBlankLine,
+			wantReason: reasonBlankLine,
 		},
 		{
 			name:       "empty header id",
 			in:         "@\nAC\n+\nII\n@good\nGT\n+\nJJ\n",
 			wantIDs:    []string{"good"},
-			wantReason: ReasonEmptyID,
+			wantReason: reasonEmptyID,
 		},
 		{
 			name:       "garbage between records",
 			in:         "@good1\nAC\n+\nII\n@bad\nxx\nyy\nzz\nnot a record\n@good2\nGT\n+\nJJ\n",
 			wantIDs:    []string{"good1", "good2"},
-			wantReason: ReasonBadSeparator,
+			wantReason: reasonBadSeparator,
 		},
 		{
 			name:       "truncated at eof",
 			in:         "@good\nAC\n+\nII\n@bad\nACGT\n+\n",
 			wantIDs:    []string{"good"},
-			wantReason: ReasonTruncated,
+			wantReason: reasonTruncated,
 		},
 	}
 	for _, tc := range cases {
@@ -135,7 +135,7 @@ func TestTolerantFastaSkipsBadRecord(t *testing.T) {
 	if strings.Join(ids(recs), ",") != "good1,good2" {
 		t.Fatalf("surviving IDs = %v", ids(recs))
 	}
-	if len(recErrs) != 1 || recErrs[0].Reason != ReasonBadSequence || recErrs[0].RecordID != "bad" {
+	if len(recErrs) != 1 || recErrs[0].Reason != reasonBadSequence || recErrs[0].RecordID != "bad" {
 		t.Fatalf("recErrs = %v", recErrs)
 	}
 }
@@ -152,7 +152,7 @@ func TestStrictStillFailsClosed(t *testing.T) {
 	if !errors.As(err, &re) {
 		t.Fatalf("strict error = %v, want *RecordError", err)
 	}
-	if re.Reason != ReasonQualMismatch {
+	if re.Reason != reasonQualMismatch {
 		t.Errorf("reason = %q", re.Reason)
 	}
 }
@@ -236,5 +236,34 @@ func TestTolerantStreaming(t *testing.T) {
 	}
 	if valid != good || malformed != 300-good {
 		t.Fatalf("valid=%d malformed=%d, want %d/%d", valid, malformed, good, 300-good)
+	}
+}
+
+// ReadAllTolerant parses every record in r in tolerant mode: malformed
+// records are returned as RecordErrors alongside the records that survived,
+// and only stream-level failures (I/O, corrupt gzip) abort.
+func ReadAllTolerant(r io.Reader) ([]*Record, []*RecordError, error) {
+	rd, err := NewReader(r)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer rd.Close()
+	rd.SetTolerant(true)
+	var out []*Record
+	var recErrs []*RecordError
+	for {
+		rec, err := rd.Read()
+		if err == io.EOF {
+			return out, recErrs, nil
+		}
+		var re *RecordError
+		if errors.As(err, &re) {
+			recErrs = append(recErrs, re)
+			continue
+		}
+		if err != nil {
+			return out, recErrs, err
+		}
+		out = append(out, rec)
 	}
 }

@@ -413,7 +413,7 @@ func BenchmarkFtabLookup(b *testing.B) {
 	sink := 0
 	b.Run("lookup", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			sink += f.Lookup(keys[i%n]).Start
+			sink += f.lookup(keys[i%n]).Start
 		}
 	})
 	b.Run("key/bytes", func(b *testing.B) {

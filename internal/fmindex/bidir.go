@@ -50,11 +50,11 @@ type BiRange struct {
 	Fwd, Rev Range
 }
 
-// Empty reports whether the bidirectional interval is empty.
-func (r BiRange) Empty() bool { return r.Fwd.Empty() }
+// empty reports whether the bidirectional interval is empty.
+func (r BiRange) empty() bool { return r.Fwd.Empty() }
 
-// Count returns the number of occurrences.
-func (r BiRange) Count() int { return r.Fwd.Count() }
+// count returns the number of occurrences.
+func (r BiRange) count() int { return r.Fwd.Count() }
 
 // NewBiIndex builds bidirectional FM-indexes over text using the paper's
 // succinct structure for both directions. The forward index carries the
@@ -106,7 +106,7 @@ func NewBiIndexOver(fwd *Index, text dna.PackedSeq, params rrr.Params) (*BiIndex
 // index's own when it is deep enough, one built otherwise, and the reverse
 // one built.
 func (bi *BiIndex) takeTables() error {
-	k := min(maxShortK, (bits.Len(uint(bi.Len()))-1)/2) // ⌊log₄ n⌋, capped
+	k := min(maxShortK, (bits.Len(uint(bi.length()))-1)/2) // ⌊log₄ n⌋, capped
 	if k < 1 {
 		return nil // under 4 symbols, no level
 	}
@@ -163,7 +163,7 @@ func reverseKey(key uint32, l int) uint32 {
 	return r >> (32 - 2*l)
 }
 
-// extendRightAt is ExtendRight for the SMEM search, which knows the pattern
+// extendRightAt is extendRight for the SMEM search, which knows the pattern
 // r stands for: n symbols long, with table key `key` while n <= k. A result
 // of at most k symbols is read from the tables. It returns the result's key.
 func (bi *BiIndex) extendRightAt(r BiRange, n int, key uint32, a uint8) (BiRange, uint32) {
@@ -171,7 +171,7 @@ func (bi *BiIndex) extendRightAt(r BiRange, n int, key uint32, a uint8) (BiRange
 		key = key<<2 | uint32(a)
 		return bi.lookup(n+1, key), key
 	}
-	return bi.ExtendRight(r, a), key
+	return bi.extendRight(r, a), key
 }
 
 // buildDirection builds the index of one direction with the transform
@@ -215,28 +215,28 @@ func (bi *BiIndex) SizeBytes() int {
 	return size
 }
 
-// Len returns the text length.
-func (bi *BiIndex) Len() int { return bi.fwd.Len() }
+// length returns the text length.
+func (bi *BiIndex) length() int { return bi.fwd.Len() }
 
-// All returns the interval of the empty pattern.
-func (bi *BiIndex) All() BiRange {
+// all returns the interval of the empty pattern.
+func (bi *BiIndex) all() BiRange {
 	return BiRange{Fwd: bi.fwd.All(), Rev: bi.rev.All()}
 }
 
-// ExtendLeft extends the pattern P to aP. The forward interval follows the
+// extendLeft extends the pattern P to aP. The forward interval follows the
 // ordinary backward-search step; the reverse interval shifts by the counts
 // of the siblings that sort before a: within the reverse interval (all rows
 // prefixed by reverse(P)), sub-intervals are ordered by the symbol that
 // follows reverse(P), i.e. by the symbol prepended to P — sentinel first,
 // then the alphabet.
-func (bi *BiIndex) ExtendLeft(r BiRange, a uint8) BiRange {
+func (bi *BiIndex) extendLeft(r BiRange, a uint8) BiRange {
 	return extendLeftOn(bi.fwd, bi.sigma, r, a)
 }
 
-// ExtendRight extends the pattern P to Pa, the mirror image of ExtendLeft
+// extendRight extends the pattern P to Pa, the mirror image of extendLeft
 // with the two directions swapped: prepending a to reverse(P) on the
 // reverse index yields reverse(Pa).
-func (bi *BiIndex) ExtendRight(r BiRange, a uint8) BiRange {
+func (bi *BiIndex) extendRight(r BiRange, a uint8) BiRange {
 	m := extendLeftOn(bi.rev, bi.sigma, BiRange{Fwd: r.Rev, Rev: r.Fwd}, a)
 	return BiRange{Fwd: m.Rev, Rev: m.Fwd}
 }
@@ -246,7 +246,7 @@ var emptyBiRange = BiRange{Fwd: Range{Start: 1, End: 0}, Rev: Range{Start: 1, En
 // extendLeftOn performs one left extension where stepIx indexes the
 // direction being stepped and r.Fwd is its interval.
 func extendLeftOn(stepIx *Index, sigma int, r BiRange, a uint8) BiRange {
-	if int(a) >= sigma || r.Empty() {
+	if int(a) >= sigma || r.empty() {
 		return emptyBiRange
 	}
 	// counts per prepended symbol b = occurrences of bP, resolved for the
@@ -278,23 +278,10 @@ func extendLeftOn(stepIx *Index, sigma int, r BiRange, a uint8) BiRange {
 	}
 	// Rows of the mirror interval that end right after the shared prefix
 	// (the sentinel extension) sort before every symbol extension.
-	sentinel := r.Count() - total
+	sentinel := r.count() - total
 	newRevStart := r.Rev.Start + sentinel + smaller
 	return BiRange{
 		Fwd: newFwd,
 		Rev: Range{Start: newRevStart, End: newRevStart + cA - 1},
 	}
-}
-
-// Count runs a full bidirectional search for pattern (left extensions), a
-// correctness cross-check against the plain index.
-func (bi *BiIndex) Count(pattern []uint8) BiRange {
-	r := bi.All()
-	for i := len(pattern) - 1; i >= 0; i-- {
-		r = bi.ExtendLeft(r, pattern[i])
-		if r.Empty() {
-			return r
-		}
-	}
-	return r
 }

@@ -53,10 +53,10 @@ func TestBiCountMatchesPlainIndex(t *testing.T) {
 		}
 		want := bi.Forward().Count(pattern)
 		got := bi.Count(pattern)
-		if got.Empty() != want.Empty() {
+		if got.empty() != want.Empty() {
 			t.Fatalf("bi count %v, plain %v for %v", got.Fwd, want, pattern)
 		}
-		if !got.Empty() && got.Fwd != want {
+		if !got.empty() && got.Fwd != want {
 			t.Fatalf("bi interval %v, plain %v for %v", got.Fwd, want, pattern)
 		}
 	}
@@ -71,23 +71,23 @@ func TestBiExtendBothDirections(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		s := 20 + rng.Intn(len(text)-60)
 		mid := s + 10
-		r := bi.ExtendLeft(bi.All(), text[mid])
+		r := bi.extendLeft(bi.all(), text[mid])
 		lo, hi := mid, mid+1
-		for step := 0; step < 18 && !r.Empty(); step++ {
+		for step := 0; step < 18 && !r.empty(); step++ {
 			if step%2 == 0 && lo > 0 {
 				lo--
-				r = bi.ExtendLeft(r, text[lo])
+				r = bi.extendLeft(r, text[lo])
 			} else if hi < len(text) {
-				r = bi.ExtendRight(r, text[hi])
+				r = bi.extendRight(r, text[hi])
 				hi++
 			}
 			want := bi.Forward().Count(text[lo:hi])
-			if r.Empty() != want.Empty() || (!r.Empty() && r.Fwd != want) {
+			if r.empty() != want.Empty() || (!r.empty() && r.Fwd != want) {
 				t.Fatalf("trial %d [%d,%d): bi %v, plain %v", trial, lo, hi, r.Fwd, want)
 			}
 			// The reverse interval must have the same size and count the
 			// reversed pattern in the reversed text.
-			if !r.Empty() && r.Rev.Count() != want.Count() {
+			if !r.empty() && r.Rev.Count() != want.Count() {
 				t.Fatalf("trial %d: rev interval size %d, want %d", trial, r.Rev.Count(), want.Count())
 			}
 		}
@@ -97,15 +97,15 @@ func TestBiExtendBothDirections(t *testing.T) {
 func TestBiExtendInvalidSymbol(t *testing.T) {
 	text := []uint8{0, 1, 2, 3, 0, 1}
 	bi := buildBi(t, text)
-	if !bi.ExtendLeft(bi.All(), 9).Empty() {
+	if !bi.extendLeft(bi.all(), 9).empty() {
 		t.Error("invalid symbol extended left")
 	}
-	if !bi.ExtendRight(bi.All(), 9).Empty() {
+	if !bi.extendRight(bi.all(), 9).empty() {
 		t.Error("invalid symbol extended right")
 	}
-	dead := bi.ExtendLeft(bi.All(), 0)
+	dead := bi.extendLeft(bi.all(), 0)
 	dead = BiRange{Fwd: Range{Start: 1, End: 0}, Rev: Range{Start: 1, End: 0}}
-	if !bi.ExtendLeft(dead, 0).Empty() {
+	if !bi.extendLeft(dead, 0).empty() {
 		t.Error("empty interval extended")
 	}
 }
@@ -127,7 +127,7 @@ func TestBiRevIntervalIsReverseCount(t *testing.T) {
 		}
 		r := bi.Count(pattern)
 		want := bi.rev.Count(revPattern)
-		if r.Empty() != want.Empty() || (!r.Empty() && r.Rev != want) {
+		if r.empty() != want.Empty() || (!r.empty() && r.Rev != want) {
 			t.Fatalf("rev interval %v, want %v", r.Rev, want)
 		}
 	}
@@ -185,10 +185,10 @@ func TestShortTableMatchesExtensions(t *testing.T) {
 				for i := range p {
 					p[i] = uint8(key >> (2 * (l - 1 - i)) & 3)
 				}
-				left, right := bi.All(), bi.All()
+				left, right := bi.all(), bi.all()
 				for i := range p {
-					left = bi.ExtendLeft(left, p[l-1-i])
-					right = bi.ExtendRight(right, p[i])
+					left = bi.extendLeft(left, p[l-1-i])
+					right = bi.extendRight(right, p[i])
 				}
 				got := bi.lookup(l, uint32(key))
 				if got != left || got != right {
@@ -198,8 +198,8 @@ func TestShortTableMatchesExtensions(t *testing.T) {
 				if len(text) > 5000 {
 					continue // the quadratic count below is for the small texts
 				}
-				if occ := len(naiveOccurrences(text, p)); got.Count() != occ || got.Empty() != (occ == 0) {
-					t.Fatalf("n=%d %v: table holds %d rows, text has %d occurrences", len(text), p, got.Count(), occ)
+				if occ := len(naiveOccurrences(text, p)); got.count() != occ || got.empty() != (occ == 0) {
+					t.Fatalf("n=%d %v: table holds %d rows, text has %d occurrences", len(text), p, got.count(), occ)
 				}
 			}
 		}
@@ -253,4 +253,17 @@ func TestSMEMsShortTableTransparent(t *testing.T) {
 			checkSMEMHits(t, plain, pattern, want[i])
 		}
 	}
+}
+
+// Count runs a full bidirectional search for pattern (left extensions), a
+// correctness cross-check against the plain index.
+func (bi *BiIndex) Count(pattern []uint8) BiRange {
+	r := bi.all()
+	for i := len(pattern) - 1; i >= 0; i-- {
+		r = bi.extendLeft(r, pattern[i])
+		if r.empty() {
+			return r
+		}
+	}
+	return r
 }

@@ -269,9 +269,6 @@ func (ix *Index) Sampled() *SampledSA { return ix.sampled }
 // Len returns the text length n.
 func (ix *Index) Len() int { return ix.n }
 
-// Sigma returns the alphabet size.
-func (ix *Index) Sigma() int { return ix.sigma }
-
 // Primary returns the sentinel row.
 func (ix *Index) Primary() int { return ix.primary }
 
@@ -512,7 +509,7 @@ func (ix *Index) SizeBytes() int {
 		size += len(ix.sa) * 4
 	}
 	if ix.sampled != nil {
-		size += ix.sampled.SizeBytes()
+		size += ix.sampled.sizeBytes()
 	}
 	if ix.ftab != nil {
 		size += ix.ftab.SizeBytes()
@@ -575,8 +572,8 @@ func (s *SampledSA) marked(row, c int) uint32 {
 	return uint32(x) & (1<<c - 1)
 }
 
-// SizeBytes returns the sampled structure's footprint.
-func (s *SampledSA) SizeBytes() int { return s.marks.SizeBytes() + len(s.values)*4 }
+// sizeBytes returns the sampled structure's footprint.
+func (s *SampledSA) sizeBytes() int { return s.marks.SizeBytes() + len(s.values)*4 }
 
 // check refuses a sampled array that cannot belong to a text of n symbols:
 // one mark per row, one value per mark and ⌊n/rate⌋+1 of them, each a

@@ -1,6 +1,7 @@
 package fmindex
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -469,3 +470,50 @@ func TestOccWordAllSymbols(t *testing.T) {
 		}
 	}
 }
+
+// FlatOcc stores Occ(sym, i) for every position — O(1) queries at
+// 4·sigma bytes per symbol: the tests' reference provider, and the "unable
+// to take advantage of a compressed index" extreme the paper contrasts
+// against.
+type FlatOcc struct {
+	sigma int
+	n     int
+	table [][]int32 // table[sym][i]
+}
+
+// NewFlatOcc builds the flat table.
+func NewFlatOcc(data []uint8, sigma int) (*FlatOcc, error) {
+	f := &FlatOcc{sigma: sigma, n: len(data), table: make([][]int32, sigma)}
+	for s := range f.table {
+		f.table[s] = make([]int32, len(data)+1)
+	}
+	for i, c := range data {
+		if int(c) >= sigma {
+			return nil, fmt.Errorf("fmindex: symbol %d outside alphabet [0,%d)", c, sigma)
+		}
+		for s := 0; s < sigma; s++ {
+			f.table[s][i+1] = f.table[s][i]
+		}
+		f.table[c][i+1]++
+	}
+	return f, nil
+}
+
+func (f *FlatOcc) Occ(sym uint8, i int) int { return int(f.table[sym][i]) }
+
+// Symbol finds the one symbol whose count rises across position i.
+func (f *FlatOcc) Symbol(i int) uint8 {
+	s := 0
+	for f.table[s][i+1] == f.table[s][i] {
+		s++
+	}
+	return uint8(s)
+}
+
+func (f *FlatOcc) Len() int { return f.n }
+
+func (f *FlatOcc) Sigma() int { return f.sigma }
+
+func (f *FlatOcc) SizeBytes() int { return f.sigma * (f.n + 1) * 4 }
+
+func (f *FlatOcc) Name() string { return "flat" }

@@ -127,8 +127,8 @@ type FtabStats struct {
 // K returns the table order.
 func (f *Ftab) K() int { return f.k }
 
-// Entries returns the number of k-mers covered (4^k).
-func (f *Ftab) Entries() int { return len(f.bounds) - 1 }
+// entries returns the number of k-mers covered (4^k).
+func (f *Ftab) entries() int { return len(f.bounds) - 1 }
 
 // SizeBytes returns the table's footprint — the quantity the FPGA simulator
 // charges against its BRAM capacity gate: 4·(4^k+1) bytes of bounds plus
@@ -140,11 +140,11 @@ func (f *Ftab) Stats() FtabStats {
 	return FtabStats{Hits: f.hits.Load(), Misses: f.misses.Load(), Short: f.short.Load()}
 }
 
-// Lookup returns the range for a key in [0, 4^k): the big-endian base-4
+// lookup returns the range for a key in [0, 4^k): the big-endian base-4
 // encoding of the k-mer (first symbol in the highest digit). A living
 // k-mer's range is span(k, key), read here without span's generality: this
 // is the search's hot path.
-func (f *Ftab) Lookup(key int) Range {
+func (f *Ftab) lookup(key int) Range {
 	lo, hi := int(f.bounds[key]), int(f.bounds[key+1])-f.tail.below(f.k, uint32(key+1), 1)-1
 	if lo <= hi {
 		return Range{Start: lo, End: hi}
@@ -322,7 +322,7 @@ func (ix *Index) SearchWithFtabSteps(pattern []uint8) (Range, int) {
 		return ix.CountSteps(pattern)
 	}
 	f.hits.Add(1)
-	r := f.Lookup(key)
+	r := f.lookup(key)
 	steps := 1
 	if r.Empty() {
 		// The search died inside the suffix; the stored range is the exact

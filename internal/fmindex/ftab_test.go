@@ -29,16 +29,16 @@ func TestBuildFtabMatchesCount(t *testing.T) {
 		if err != nil {
 			t.Fatalf("BuildFtab(%d): %v", k, err)
 		}
-		if ftab.K() != k || ftab.Entries() != 1<<(2*k) {
-			t.Fatalf("k=%d: K()=%d Entries()=%d", k, ftab.K(), ftab.Entries())
+		if ftab.K() != k || ftab.entries() != 1<<(2*k) {
+			t.Fatalf("k=%d: K()=%d Entries()=%d", k, ftab.K(), ftab.entries())
 		}
 		kmer := make([]uint8, k)
-		for key := 0; key < ftab.Entries(); key++ {
+		for key := 0; key < ftab.entries(); key++ {
 			for i := 0; i < k; i++ {
 				kmer[i] = uint8(key >> (2 * (k - 1 - i)) & 3)
 			}
 			want := ix.Count(kmer)
-			if got := ftab.Lookup(key); got != want {
+			if got := ftab.lookup(key); got != want {
 				t.Fatalf("k=%d key=%d kmer=%v: table %+v, plain search %+v",
 					k, key, kmer, got, want)
 			}
@@ -115,12 +115,12 @@ func TestFtabSerializeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.K() != ftab.K() || back.Entries() != ftab.Entries() || back.SizeBytes() != ftab.SizeBytes() {
+	if back.K() != ftab.K() || back.entries() != ftab.entries() || back.SizeBytes() != ftab.SizeBytes() {
 		t.Fatalf("shape changed: %d/%d/%d vs %d/%d/%d",
-			back.K(), back.Entries(), back.SizeBytes(), ftab.K(), ftab.Entries(), ftab.SizeBytes())
+			back.K(), back.entries(), back.SizeBytes(), ftab.K(), ftab.entries(), ftab.SizeBytes())
 	}
-	for key := 0; key < ftab.Entries(); key++ {
-		if back.Lookup(key) != ftab.Lookup(key) {
+	for key := 0; key < ftab.entries(); key++ {
+		if back.lookup(key) != ftab.lookup(key) {
 			t.Fatalf("entry %d changed across serialization", key)
 		}
 	}
@@ -205,10 +205,10 @@ func TestReadFtabRejectsInconsistentTables(t *testing.T) {
 		payload := buf.Bytes()
 		// The k-mer to corrupt: at k = 2 the first, at k = 5 the first dead.
 		key := 0
-		for k == 5 && !ftab.Lookup(key).Empty() {
+		for k == 5 && !ftab.lookup(key).Empty() {
 			key++
 		}
-		r := ftab.Lookup(key)
+		r := ftab.lookup(key)
 		if r.Empty() != (k == 5) {
 			t.Fatalf("k=%d: k-mer %d holds %+v", k, key, r)
 		}
@@ -218,7 +218,7 @@ func TestReadFtabRejectsInconsistentTables(t *testing.T) {
 		}
 		for column, v := range []int{r.Start, r.End} {
 			if column == 0 || r.Empty() {
-				off := 8 + 4*(column*ftab.Entries()+key)
+				off := 8 + 4*(column*ftab.entries()+key)
 				binary.LittleEndian.PutUint32(payload[off:], uint32(int32(v+shift)))
 			}
 		}

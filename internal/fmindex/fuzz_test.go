@@ -134,7 +134,7 @@ func FuzzSearchWithFtab(f *testing.F) {
 // FuzzShortTable checks the SMEM search's prefix-table lookups against their
 // definition on texts of up to 2 000 symbols over at most four, with a tail
 // appended so that the text's short suffixes land inside other strings'
-// gaps: every level's lookup must equal the ExtendLeft and the ExtendRight
+// gaps: every level's lookup must equal the extendLeft and the extendRight
 // chain over the string and hold as many rows as the text has occurrences.
 func FuzzShortTable(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 0, 1, 2, 2, 3, 1, 0, 0, 3, 2, 1, 3, 3}, []byte{0, 0, 0}, uint8(3))
@@ -172,13 +172,13 @@ func FuzzShortTable(f *testing.F) {
 				for i := range l {
 					p[i] = uint8(key >> (2 * (l - 1 - i)) & 3)
 				}
-				left, right := bi.All(), bi.All()
+				left, right := bi.all(), bi.all()
 				for i := range l {
-					left = bi.ExtendLeft(left, p[l-1-i])
-					right = bi.ExtendRight(right, p[i])
+					left = bi.extendLeft(left, p[l-1-i])
+					right = bi.extendRight(right, p[i])
 				}
 				got := bi.lookup(l, uint32(key))
-				if got != left || got != right || got.Count() != occ[l][key] {
+				if got != left || got != right || got.count() != occ[l][key] {
 					t.Fatalf("n=%d %v: table %+v, ExtendLeft chain %+v, ExtendRight chain %+v, %d occurrences",
 						len(text), p[:l], got, left, right, occ[l][key])
 				}

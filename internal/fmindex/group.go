@@ -283,7 +283,7 @@ func (e *exactGroup) serve(kind load, list []int32) {
 	case kind == loadTable:
 		for _, p := range list {
 			key, _ := e.f.key(e.patterns[p])
-			e.ranges[p], e.steps[p], e.left[p] = e.f.Lookup(key), 1, len(e.patterns[p])-e.f.k
+			e.ranges[p], e.steps[p], e.left[p] = e.f.lookup(key), 1, len(e.patterns[p])-e.f.k
 		}
 	case kind == loadLine:
 		// Every line is read before any is copied, so that their misses

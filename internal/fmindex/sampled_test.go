@@ -117,8 +117,10 @@ func TestNewFromPartsRejectsMalformedLocate(t *testing.T) {
 		values[i] = v
 		return values
 	}
+	fiveMarks := bitvec.NewBuilder(5)
+	fiveMarks.AppendWord(0, 5)
 	for name, s := range map[string]*SampledSA{
-		"five marks":      {rate: 8, marks: bitvec.FromBools(make([]bool, 5)), values: good.values},
+		"five marks":      {rate: 8, marks: fiveMarks.Build(), values: good.values},
 		"value off rate":  {rate: 8, marks: good.marks, values: withValue(1, 3)},
 		"value past n":    {rate: 8, marks: good.marks, values: withValue(1, 104)},
 		"negative value":  {rate: 8, marks: good.marks, values: withValue(1, -8)},

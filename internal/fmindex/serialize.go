@@ -65,7 +65,7 @@ const ftabChunk = 1 << 14
 
 // WriteTo serializes the prefix table: magic, order, then every k-mer's range
 // start followed by every range's end, as two int32 arrays — the ranges
-// Lookup returns, dead k-mers' death ranges included. It implements
+// lookup returns, dead k-mers' death ranges included. It implements
 // io.WriterTo. Lookup counters are runtime state and are not persisted.
 func (f *Ftab) WriteTo(w io.Writer) (int64, error) {
 	buf := make([]byte, 8, 4*ftabChunk)
@@ -80,7 +80,7 @@ func (f *Ftab) WriteTo(w io.Writer) (int64, error) {
 	}
 	// One walk gives both columns: the starts go out as they come, the ends
 	// wait in a column of their own.
-	ends := make([]int32, 0, f.Entries())
+	ends := make([]int32, 0, f.entries())
 	err := f.forEach(func(_ int, r Range) error {
 		ends = append(ends, int32(r.End))
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(r.Start)))

@@ -41,7 +41,7 @@ func (s SMEM) Count() int {
 	if s.Located > 0 {
 		return s.Located
 	}
-	return s.Rows.Count()
+	return s.Rows.count()
 }
 
 // Positions returns the text positions of a located match in row order — the
@@ -53,9 +53,6 @@ func (s *SMEM) Positions() []int32 {
 	}
 	return s.Pos[:s.Located]
 }
-
-// Len returns the match length.
-func (s SMEM) Len() int { return s.End - s.Start }
 
 // SMEMsAppend appends every SMEM of pattern with length >= minLen to dst, in
 // pattern order, and returns them with the number of bidirectional
@@ -158,7 +155,7 @@ func (bi *BiIndex) serve(q *smemSearch) {
 		if q.at == atLeftRound {
 			h = bi.text.keepBefore(q.m.hits, q.pattern[q.s-1])
 		} else {
-			h = bi.text.keepAt(q.m.hits, q.e-q.s, bi.Len(), q.pattern[q.e])
+			h = bi.text.keepAt(q.m.hits, q.e-q.s, bi.length(), q.pattern[q.e])
 		}
 		// A round that keeps nothing leaves the match as it was, as a
 		// failed extension leaves the interval.
@@ -192,10 +189,10 @@ func (bi *BiIndex) advance(q *smemSearch) bool {
 			// lookup; only when it is absent is its longest occurring suffix
 			// bisected for.
 			w := q.e - q.s
-			if q.m.rows.Empty() {
+			if q.m.rows.empty() {
 				l := bi.ftab.presentSuffix(w, int(q.key))
 				q.steps += l + 1
-				if q.m.key, q.m.rows = q.key&(1<<(2*l)-1), bi.All(); l > 0 {
+				if q.m.key, q.m.rows = q.key&(1<<(2*l)-1), bi.all(); l > 0 {
 					q.m.rows = bi.window(l, q.m.key)
 				}
 				q.s, q.at = q.e-l, atLeftEnd
@@ -210,13 +207,13 @@ func (bi *BiIndex) advance(q *smemSearch) bool {
 			// with the text before each of them.
 			q.at = atLeftEnd
 			for ; q.s > q.lo && bi.valid(p[q.s-1]); q.s-- {
-				if q.m.rows.Count() <= bi.locateMax {
+				if q.m.rows.count() <= bi.locateMax {
 					bi.locateThen(q, atLeftLocated)
 					break
 				}
 				q.steps++
-				r := bi.ExtendLeft(q.m.rows, p[q.s-1])
-				if r.Empty() {
+				r := bi.extendLeft(q.m.rows, p[q.s-1])
+				if r.empty() {
 					break
 				}
 				q.m.rows = r
@@ -264,13 +261,13 @@ func (bi *BiIndex) advance(q *smemSearch) bool {
 			// occurrences, then compare the text after each of them.
 			q.at = atEmit
 			for ; q.e < len(p) && bi.valid(p[q.e]); q.e++ {
-				if q.m.rows.Count() <= bi.locateMax {
+				if q.m.rows.count() <= bi.locateMax {
 					bi.locateThen(q, atRightLocated)
 					break
 				}
 				q.steps++
 				r, k := bi.extendRightAt(q.m.rows, q.e-q.s, q.m.key, p[q.e])
-				if r.Empty() {
+				if r.empty() {
 					break
 				}
 				q.m.rows, q.m.key = r, k
@@ -331,7 +328,7 @@ func (bi *BiIndex) beginLeft(q *smemSearch, lo int) {
 	for ; end-s < bi.k && s > lo && bi.valid(p[s-1]); s-- {
 		key |= uint32(p[s-1]) << (2 * (end - s))
 	}
-	q.s, q.lo, q.key, q.m = s, lo, key, match{rows: bi.All()}
+	q.s, q.lo, q.key, q.m = s, lo, key, match{rows: bi.all()}
 	q.at = atLeftRank
 	if s < end {
 		q.at, q.need = atLeftRows, loadTable
@@ -345,7 +342,7 @@ func (bi *BiIndex) beginLeft(q *smemSearch, lo int) {
 func (bi *BiIndex) locateThen(q *smemSearch, next resume) {
 	q.at = next
 	switch {
-	case q.m.n > 0 || q.m.rows.Count() > bi.locateMax:
+	case q.m.n > 0 || q.m.rows.count() > bi.locateMax:
 	case bi.fwd.sa != nil:
 		q.need = loadLine
 	default:
@@ -386,14 +383,14 @@ func (bi *BiIndex) rightByText(q *smemSearch) {
 	p, m := q.pattern, &q.m
 	for ; m.n > 1 && q.e < len(p) && bi.valid(p[q.e]); q.e++ {
 		q.steps++
-		h := bi.text.keepAt(m.hits, q.e-q.s, bi.Len(), p[q.e])
+		h := bi.text.keepAt(m.hits, q.e-q.s, bi.length(), p[q.e])
 		if h.n == 0 {
 			return
 		}
 		m.hits = h
 	}
 	if m.n == 1 {
-		n := bi.text.commonPrefix(int(m.pos[0])+q.e-q.s, bi.Len(), p[q.e:])
+		n := bi.text.commonPrefix(int(m.pos[0])+q.e-q.s, bi.length(), p[q.e:])
 		q.e, q.steps = q.e+n, q.steps+n
 		if q.e < len(p) && bi.valid(p[q.e]) {
 			q.steps++
@@ -421,7 +418,7 @@ type hits struct {
 
 // locate locates m if it is not yet located and has few enough rows.
 func (bi *BiIndex) locate(m *match) error {
-	if m.n > 0 || m.rows.Count() > bi.locateMax {
+	if m.n > 0 || m.rows.count() > bi.locateMax {
 		return nil
 	}
 	err := m.hits.locate(bi.fwd, m.rows.Fwd)

@@ -589,12 +589,12 @@ func (bi *BiIndex) refLongestEndingAt(pattern []uint8, end, lo int, m *match, st
 	for ; end-s < bi.k && s > lo && int(pattern[s-1]) < bi.sigma; s-- {
 		key |= uint32(pattern[s-1]) << (2 * (end - s))
 	}
-	*m = match{rows: bi.All()}
+	*m = match{rows: bi.all()}
 	if w := end - s; w > 0 {
-		if m.rows = bi.window(w, key); m.rows.Empty() {
+		if m.rows = bi.window(w, key); m.rows.empty() {
 			l := bi.ftab.presentSuffix(w, int(key))
 			*steps += l + 1
-			if m.key, m.rows = key&(1<<(2*l)-1), bi.All(); l > 0 {
+			if m.key, m.rows = key&(1<<(2*l)-1), bi.all(); l > 0 {
 				m.rows = bi.window(l, m.key)
 			}
 			return end - l, nil
@@ -603,12 +603,12 @@ func (bi *BiIndex) refLongestEndingAt(pattern []uint8, end, lo int, m *match, st
 		m.key = key
 	}
 	for ; s > lo && int(pattern[s-1]) < bi.sigma; s-- {
-		if m.rows.Count() <= bi.locateMax {
+		if m.rows.count() <= bi.locateMax {
 			return bi.refLeftByText(pattern, s, lo, m, steps)
 		}
 		*steps++
-		r := bi.ExtendLeft(m.rows, pattern[s-1])
-		if r.Empty() {
+		r := bi.extendLeft(m.rows, pattern[s-1])
+		if r.empty() {
 			break
 		}
 		m.rows = r
@@ -640,12 +640,12 @@ func (bi *BiIndex) refLeftByText(pattern []uint8, s, lo int, m *match, steps *in
 
 func (bi *BiIndex) refLongestStartingAt(pattern []uint8, start, end int, m *match, steps *int) (int, error) {
 	for ; end < len(pattern) && int(pattern[end]) < bi.sigma; end++ {
-		if m.rows.Count() <= bi.locateMax {
+		if m.rows.count() <= bi.locateMax {
 			return bi.refRightByText(pattern, start, end, m, steps)
 		}
 		*steps++
 		r, k := bi.extendRightAt(m.rows, end-start, m.key, pattern[end])
-		if r.Empty() {
+		if r.empty() {
 			break
 		}
 		m.rows, m.key = r, k
@@ -659,14 +659,14 @@ func (bi *BiIndex) refRightByText(pattern []uint8, start, end int, m *match, ste
 	}
 	for ; m.n > 1 && end < len(pattern) && int(pattern[end]) < bi.sigma; end++ {
 		*steps++
-		h := bi.text.keepAt(m.hits, end-start, bi.Len(), pattern[end])
+		h := bi.text.keepAt(m.hits, end-start, bi.length(), pattern[end])
 		if h.n == 0 {
 			return end, nil
 		}
 		m.hits = h
 	}
 	if m.n == 1 {
-		n := bi.text.commonPrefix(int(m.pos[0])+end-start, bi.Len(), pattern[end:])
+		n := bi.text.commonPrefix(int(m.pos[0])+end-start, bi.length(), pattern[end:])
 		end, *steps = end+n, *steps+n
 		if end < len(pattern) && int(pattern[end]) < bi.sigma {
 			*steps++
@@ -716,3 +716,6 @@ func checkAgainstReference(t *testing.T, bi *BiIndex, patterns [][]uint8, minLen
 		}
 	}
 }
+
+// length returns the match length.
+func (s SMEM) Len() int { return s.End - s.Start }

@@ -52,8 +52,8 @@ func TestApproxBackendsAgree(t *testing.T) {
 		reads = append(reads, readsim.Seqs(noise)...)
 		for _, k := range []int{1, 2} {
 			t.Run(fmt.Sprintf("len%d/k%d", length, k), func(t *testing.T) {
-				want, err := ix.MapReadsApprox(reads, k, core.MapOptions{Workers: 1})
-				if err != nil {
+				want := make([]core.ApproxResult, len(reads))
+				if err := ix.MapReadsApproxFtab(want, reads, k, core.MapOptions{Workers: 1}, true); err != nil {
 					t.Fatal(err)
 				}
 				agree := func(name string, got []core.ApproxResult, samePass1Steps bool) {
@@ -71,8 +71,8 @@ func TestApproxBackendsAgree(t *testing.T) {
 						}
 					}
 				}
-				parallel, err := ix.MapReadsApprox(reads, k, core.MapOptions{Workers: 4})
-				if err != nil {
+				parallel := make([]core.ApproxResult, len(reads))
+				if err := ix.MapReadsApproxFtab(parallel, reads, k, core.MapOptions{Workers: 4}, true); err != nil {
 					t.Fatal(err)
 				}
 				agree("cpu workers=4", parallel, true)

@@ -80,13 +80,13 @@ const (
 	// DefaultSetupTime is the default fixed per-run overhead; exported so
 	// the bench harness can scale it alongside scaled-down workloads.
 	DefaultSetupTime = 200 * time.Millisecond
-	// QueryRecordBytes is the 512-bit query record of §III-C.
-	QueryRecordBytes = 64
-	// ResultRecordBytes carries the two (start, end) row pairs per query.
-	ResultRecordBytes = 32
-	// MaxQueryBases is the longest read a 512-bit record can carry
+	// queryRecordBytes is the 512-bit query record of §III-C.
+	queryRecordBytes = 64
+	// resultRecordBytes carries the two (start, end) row pairs per query.
+	resultRecordBytes = 32
+	// maxQueryBases is the longest read a 512-bit record can carry
 	// (paper: "sequences long up to 176 bases").
-	MaxQueryBases = 176
+	maxQueryBases = 176
 )
 
 func (c Config) withDefaults() Config {
@@ -175,30 +175,8 @@ func (d *Device) EnableFaults(plan *FaultPlan, deviceID int) {
 	}
 }
 
-// ID returns the device's identifier (zero unless assigned via EnableFaults).
-func (d *Device) ID() int { return d.id }
-
 // Breaker returns the device's circuit breaker.
 func (d *Device) Breaker() *resilience.Breaker { return d.breaker }
-
-// FaultLog returns the injected-fault event sequence, empty when no fault
-// plan is attached. Two devices running the same plan seed over the same
-// request sequence produce identical logs — the determinism contract the
-// tests pin down.
-func (d *Device) FaultLog() []FaultEvent {
-	if d.inj == nil {
-		return nil
-	}
-	return d.inj.events()
-}
-
-// FaultCounts returns injected-fault counts by stage name.
-func (d *Device) FaultCounts() map[string]uint64 {
-	if d.inj == nil {
-		return map[string]uint64{}
-	}
-	return d.inj.faultCounts()
-}
 
 // transfer returns the modeled PCIe time for n bytes.
 func (d *Device) transfer(n int) time.Duration {

@@ -28,7 +28,7 @@ import (
 // cross-checked against the CPU path on a sampled subset), and a card whose
 // circuit breaker opens is taken out of rotation with its shard
 // redistributed to the healthy cards. Only when every card is broken does a
-// run fail — with ErrNoHealthyDevices, the signal the server's CPU fallback
+// run fail — with errNoHealthyDevices, the signal the server's CPU fallback
 // keys on.
 type Farm struct {
 	kernels []*Kernel
@@ -50,7 +50,7 @@ type Farm struct {
 // attached to the devices.
 type FarmOptions struct {
 	// MaxAttempts bounds the tries of one shard on one device; default
-	// DefaultMaxAttempts.
+	// defaultMaxAttempts.
 	MaxAttempts int
 	// BreakerThreshold consecutive failures open a device's breaker;
 	// default DefaultBreakerThreshold.
@@ -86,7 +86,7 @@ func NewFarmOpts(devices []*Device, ix *core.Index, opts FarmOptions) (*Farm, er
 		return nil, fmt.Errorf("fpga: farm needs at least one device")
 	}
 	if opts.MaxAttempts <= 0 {
-		opts.MaxAttempts = DefaultMaxAttempts
+		opts.MaxAttempts = defaultMaxAttempts
 	}
 	f := &Farm{
 		kernels: make([]*Kernel, len(devices)),
@@ -116,12 +116,6 @@ func NewFarmOpts(devices []*Device, ix *core.Index, opts FarmOptions) (*Farm, er
 	return f, nil
 }
 
-// Size returns the number of cards.
-func (f *Farm) Size() int { return len(f.kernels) }
-
-// Stats returns a snapshot of the farm's resilience counters.
-func (f *Farm) Stats() ResilienceStats { return f.rec.Snapshot() }
-
 // healthyDevices returns the indexes of cards whose breaker admits work.
 func (f *Farm) healthyDevices() []int {
 	out := make([]int, 0, len(f.devices))
@@ -150,7 +144,7 @@ func (f *Farm) recordFailure(err error) {
 	switch {
 	case errors.As(err, &fe):
 		f.rec.fault(fe.Stage.String())
-	case errors.Is(err, ErrResultCorrupt):
+	case errors.Is(err, errResultCorrupt):
 		f.rec.checksum()
 	case errors.Is(err, errCrossCheckFailed):
 		f.rec.crosscheck()
@@ -214,9 +208,9 @@ func execShard[T any](f *Farm, ctx context.Context, primary int, candidates []in
 	}
 	f.rec.exhausted()
 	if lastErr == nil {
-		return zero, backoff, shardWinner{}, ErrNoHealthyDevices
+		return zero, backoff, shardWinner{}, errNoHealthyDevices
 	}
-	return zero, backoff, shardWinner{}, fmt.Errorf("%w (last error: %v)", ErrNoHealthyDevices, lastErr)
+	return zero, backoff, shardWinner{}, fmt.Errorf("%w (last error: %v)", errNoHealthyDevices, lastErr)
 }
 
 // observeRun folds one successful shard run's modeled stage durations and
@@ -292,7 +286,7 @@ func runFarm[R any](f *Farm, w Workload[R], reads []dna.Seq, opts MapRunOptions)
 	healthy := f.healthyDevices()
 	if len(healthy) == 0 {
 		f.rec.exhausted()
-		return nil, ErrNoHealthyDevices
+		return nil, errNoHealthyDevices
 	}
 	n := len(healthy)
 	boundary := func(si int) int {

@@ -135,7 +135,7 @@ func TestSimulateCyclesMatchesModel(t *testing.T) {
 	if exact, _, err := k.SimulateCycles(withEmpty); err != nil || exact != run.Profile.KernelCycles {
 		t.Errorf("with an empty read: exact %d, model %d, %v", exact, run.Profile.KernelCycles, err)
 	}
-	if _, _, err := k.SimulateCycles([]dna.Seq{make(dna.Seq, MaxQueryBases+1)}); err == nil {
+	if _, _, err := k.SimulateCycles([]dna.Seq{make(dna.Seq, maxQueryBases+1)}); err == nil {
 		t.Error("oversized read accepted")
 	}
 }
@@ -152,11 +152,11 @@ func TestKernelReport(t *testing.T) {
 		t.Errorf("structure bytes %d != %d", r.StructureBytes, k.IndexBytes())
 	}
 	// The tiled blocks must cover the structure.
-	covered := r.URAMUsed*URAMBytes + r.BRAMUsed*BRAM36Bytes
+	covered := r.URAMUsed*uramBytes + r.BRAMUsed*bram36Bytes
 	if covered < r.StructureBytes {
 		t.Errorf("blocks cover %d < structure %d", covered, r.StructureBytes)
 	}
-	if covered-r.StructureBytes >= URAMBytes+BRAM36Bytes {
+	if covered-r.StructureBytes >= uramBytes+bram36Bytes {
 		t.Errorf("tiling wastes %d bytes", covered-r.StructureBytes)
 	}
 	if r.CyclesPerStep != 1 || r.PEs != 1 || r.ClockMHz != 300 {
@@ -238,3 +238,9 @@ func oneCardEqualsKernel[R any](t *testing.T, cfg Config, ix *core.Index, reads 
 		t.Errorf("%s %+v: timeline ends at %v, total %v", name, cfg, end, got.Profile.Total())
 	}
 }
+
+// Size returns the number of cards.
+func (f *Farm) Size() int { return len(f.kernels) }
+
+// Stats returns a snapshot of the farm's resilience counters.
+func (f *Farm) Stats() ResilienceStats { return f.rec.Snapshot() }

@@ -16,7 +16,6 @@ package fpga
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -29,16 +28,16 @@ import (
 // can strike.
 type FaultStage int
 
-// The injectable stages. StageCorruption does not error: it silently flips
+// The injectable stages. stageCorruption does not error: it silently flips
 // a bit in the reported results after the batch checksum was recorded,
 // modeling corruption on the PCIe result transfer that only the host-side
 // checksum verification can catch.
 const (
-	StageIndexLoad FaultStage = iota
-	StageQueryTransfer
-	StageKernel
-	StageResultTransfer
-	StageCorruption
+	stageIndexLoad FaultStage = iota
+	stageQueryTransfer
+	stageKernel
+	stageResultTransfer
+	stageCorruption
 	numFaultStages
 )
 
@@ -133,27 +132,6 @@ func ParseFaultPlan(spec string) (*FaultPlan, error) {
 	return plan, nil
 }
 
-// String renders the plan back into the textual flag form.
-func (p *FaultPlan) String() string {
-	parts := []string{fmt.Sprintf("seed=%d", p.Seed)}
-	for s, prob := range p.Transient {
-		if prob > 0 {
-			parts = append(parts, fmt.Sprintf("%s=%g", FaultStage(s), prob))
-		}
-	}
-	devices := make([]int, 0, len(p.Persistent))
-	for dev := range p.Persistent {
-		devices = append(devices, dev)
-	}
-	sort.Ints(devices)
-	for _, dev := range devices {
-		for _, stage := range p.Persistent[dev] {
-			parts = append(parts, fmt.Sprintf("persistent=%d:%s", dev, stage))
-		}
-	}
-	return strings.Join(parts, ",")
-}
-
 func (p *FaultPlan) persistentAt(device int, stage FaultStage) bool {
 	for _, s := range p.Persistent[device] {
 		if s == stage {
@@ -178,16 +156,16 @@ func (e *FaultError) Error() string {
 	if e.Persistent {
 		kind = "persistent"
 	}
-	if e.Stage == StageKernel {
+	if e.Stage == stageKernel {
 		return fmt.Sprintf("fpga: device %d: %s kernel timeout (simulated hang)", e.Device, kind)
 	}
 	return fmt.Sprintf("fpga: device %d: %s fault during %s transfer", e.Device, kind, e.Stage)
 }
 
-// ErrResultCorrupt is returned by Run.VerifyChecksum when the received
+// errResultCorrupt is returned by Run.VerifyChecksum when the received
 // result batch does not match the checksum the kernel computed before the
-// transfer — the host-side detector for StageCorruption faults.
-var ErrResultCorrupt = errors.New("fpga: result batch failed checksum verification (corrupted transfer)")
+// transfer — the host-side detector for stageCorruption faults.
+var errResultCorrupt = errors.New("fpga: result batch failed checksum verification (corrupted transfer)")
 
 // FaultEvent is one injected fault, for determinism auditing: the same plan
 // seed must produce the identical event sequence.
@@ -266,7 +244,7 @@ func (j *faultInjector) at(stage FaultStage) error {
 // modeling corruption on the PCIe result transfer — and the workload applies
 // the flip where its checksum sees it.
 func (j *faultInjector) corrupt(n int) (i int, bit uint64, hit bool) {
-	if n == 0 || j.at(StageCorruption) == nil {
+	if n == 0 || j.at(stageCorruption) == nil {
 		return 0, 0, false
 	}
 	j.mu.Lock()
@@ -315,10 +293,10 @@ func (h *fnv) rows(r fmindex.Range) {
 	h.word(uint64(int64(r.End)))
 }
 
-// ChecksumResults computes the per-batch FNV-1a checksum the simulated
+// checksumResults computes the per-batch FNV-1a checksum the simulated
 // kernel appends to its result stream; the host recomputes it over the
 // received batch to detect transfer corruption before trusting the ranges.
-func ChecksumResults(results []core.MapResult) uint64 {
+func checksumResults(results []core.MapResult) uint64 {
 	h := fnvOffset
 	for _, r := range results {
 		h.rows(r.Forward)

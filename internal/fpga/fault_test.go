@@ -2,8 +2,11 @@ package fpga
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"slices"
+	"sort"
+	"strings"
 	"testing"
 
 	"bwaver/internal/core"
@@ -18,14 +21,14 @@ func TestParseFaultPlan(t *testing.T) {
 	if plan.Seed != 42 {
 		t.Errorf("seed = %d", plan.Seed)
 	}
-	if plan.Transient[StageQueryTransfer] != 0.05 || plan.Transient[StageKernel] != 0.01 ||
-		plan.Transient[StageCorruption] != 0.02 {
+	if plan.Transient[stageQueryTransfer] != 0.05 || plan.Transient[stageKernel] != 0.01 ||
+		plan.Transient[stageCorruption] != 0.02 {
 		t.Errorf("transient probabilities = %v", plan.Transient)
 	}
-	if !plan.persistentAt(0, StageKernel) || !plan.persistentAt(1, StageResultTransfer) {
+	if !plan.persistentAt(0, stageKernel) || !plan.persistentAt(1, stageResultTransfer) {
 		t.Errorf("persistent faults = %v", plan.Persistent)
 	}
-	if plan.persistentAt(0, StageResultTransfer) || plan.persistentAt(2, StageKernel) {
+	if plan.persistentAt(0, stageResultTransfer) || plan.persistentAt(2, stageKernel) {
 		t.Errorf("spurious persistent faults = %v", plan.Persistent)
 	}
 
@@ -77,7 +80,7 @@ func TestPersistentKernelFault(t *testing.T) {
 	if !errors.As(err, &fe) {
 		t.Fatalf("MapReads error = %v, want FaultError", err)
 	}
-	if fe.Stage != StageKernel || !fe.Persistent || fe.Device != 0 {
+	if fe.Stage != stageKernel || !fe.Persistent || fe.Device != 0 {
 		t.Errorf("fault = %+v", fe)
 	}
 	if !IsDeviceFailure(err) {
@@ -109,10 +112,10 @@ func TestCorruptionCaughtByChecksum(t *testing.T) {
 	if err != nil {
 		t.Fatalf("corruption must not error at the device: %v", err)
 	}
-	if err := run.VerifyChecksum(); !errors.Is(err, ErrResultCorrupt) {
+	if err := run.VerifyChecksum(); !errors.Is(err, errResultCorrupt) {
 		t.Fatalf("VerifyChecksum = %v, want ErrResultCorrupt", err)
 	}
-	if !IsDeviceFailure(ErrResultCorrupt) {
+	if !IsDeviceFailure(errResultCorrupt) {
 		t.Error("corruption not classified as device failure")
 	}
 
@@ -226,11 +229,51 @@ func TestWrongHitsKeepingTheCountCaught(t *testing.T) {
 		if same := run.Results[i].Forward.Count() == before.Count(); same != tc.sameCount {
 			t.Fatalf("%s: %v became %v", tc.name, before, run.Results[i].Forward)
 		}
-		if err := run.VerifyChecksum(); !errors.Is(err, ErrResultCorrupt) {
+		if err := run.VerifyChecksum(); !errors.Is(err, errResultCorrupt) {
 			t.Errorf("%s: VerifyChecksum = %v, want ErrResultCorrupt", tc.name, err)
 		}
 		if err := core.VerifySampled(ix, reads, run.Results, 1); err == nil {
 			t.Errorf("%s: the sampled cross-check passed %v for %v", tc.name, run.Results[i].Forward, before)
 		}
 	}
+}
+
+// FaultLog returns the injected-fault event sequence, empty when no fault
+// plan is attached. Two devices running the same plan seed over the same
+// request sequence produce identical logs — the determinism contract the
+// tests pin down.
+func (d *Device) FaultLog() []FaultEvent {
+	if d.inj == nil {
+		return nil
+	}
+	return d.inj.events()
+}
+
+// FaultCounts returns injected-fault counts by stage name.
+func (d *Device) FaultCounts() map[string]uint64 {
+	if d.inj == nil {
+		return map[string]uint64{}
+	}
+	return d.inj.faultCounts()
+}
+
+// String renders the plan back into the textual flag form.
+func (p *FaultPlan) String() string {
+	parts := []string{fmt.Sprintf("seed=%d", p.Seed)}
+	for s, prob := range p.Transient {
+		if prob > 0 {
+			parts = append(parts, fmt.Sprintf("%s=%g", FaultStage(s), prob))
+		}
+	}
+	devices := make([]int, 0, len(p.Persistent))
+	for dev := range p.Persistent {
+		devices = append(devices, dev)
+	}
+	sort.Ints(devices)
+	for _, dev := range devices {
+		for _, stage := range p.Persistent[dev] {
+			parts = append(parts, fmt.Sprintf("persistent=%d:%s", dev, stage))
+		}
+	}
+	return strings.Join(parts, ",")
 }

@@ -111,14 +111,14 @@ func TestQueryRecordLimits(t *testing.T) {
 	ix := buildIndex(t, 5000)
 	d, _ := NewDevice(Config{})
 	k, _ := d.Program(ix)
-	long := make(dna.Seq, MaxQueryBases+1)
+	long := make(dna.Seq, maxQueryBases+1)
 	if _, err := k.MapReadsOpts([]dna.Seq{long}, MapRunOptions{}); err == nil {
 		t.Error("accepted read longer than the 512-bit record limit")
 	}
 	if run, err := k.MapReadsOpts([]dna.Seq{{}}, MapRunOptions{}); err != nil || run.Results[0].Mapped() || run.Results[0].Steps != 0 {
 		t.Errorf("empty read: %+v, %v; want a 0-step query that maps nowhere", run.Results, err)
 	}
-	ok := make(dna.Seq, MaxQueryBases)
+	ok := make(dna.Seq, maxQueryBases)
 	if _, err := k.MapReadsOpts([]dna.Seq{ok}, MapRunOptions{}); err != nil {
 		t.Errorf("rejected maximum-length read: %v", err)
 	}
@@ -526,3 +526,6 @@ func TestBatchSizeAblation(t *testing.T) {
 		t.Errorf("single batch cycles %d != unbatched %d", prevCycles, whole.Profile.KernelCycles)
 	}
 }
+
+// Duration returns the event's execution span.
+func (e Event) Duration() time.Duration { return e.End - e.Start }

@@ -191,3 +191,12 @@ func TestFtabReport(t *testing.T) {
 		t.Error("report output missing the ftab line")
 	}
 }
+
+// UsesFtab reports whether the kernel's pipelines consult a BRAM-resident
+// prefix table, collapsing the first k backward-search iterations of both
+// the forward and reverse-complement pipelines into one LUT access.
+func (k *Kernel) UsesFtab() bool { return k.useFtab }
+
+// FtabDegraded reports whether Program dropped the index's prefix table
+// because structure + table exceeded the device's BRAM capacity.
+func (k *Kernel) FtabDegraded() bool { return k.ftabDegraded }

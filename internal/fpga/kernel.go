@@ -20,9 +20,6 @@ type Kernel struct {
 	indexTransfer time.Duration
 }
 
-// Index returns the index the kernel was programmed with.
-func (k *Kernel) Index() *core.Index { return k.ix }
-
 // IndexBytes returns the BRAM bytes occupied by the resident structures
 // (succinct BWT plus the prefix table when one is resident).
 func (k *Kernel) IndexBytes() int { return k.indexBytes }
@@ -32,15 +29,6 @@ func (k *Kernel) IndexBytes() int { return k.indexBytes }
 // and its successor's side by side in one BRAM line, so a lookup is one
 // access.
 func (k *Kernel) FtabBytes() int { return k.ftabBytes }
-
-// UsesFtab reports whether the kernel's pipelines consult a BRAM-resident
-// prefix table, collapsing the first k backward-search iterations of both
-// the forward and reverse-complement pipelines into one LUT access.
-func (k *Kernel) UsesFtab() bool { return k.useFtab }
-
-// FtabDegraded reports whether Program dropped the index's prefix table
-// because structure + table exceeded the device's BRAM capacity.
-func (k *Kernel) FtabDegraded() bool { return k.ftabDegraded }
 
 // stepCycles returns the modeled cost of one backward-search step. The
 // paper's design resolves the RRR class sum with a pipelined adder tree, so
@@ -77,9 +65,6 @@ type Event struct {
 	Attempt   int
 	Shard     int
 }
-
-// Duration returns the event's execution span.
-func (e Event) Duration() time.Duration { return e.End - e.Start }
 
 // Profile decomposes a modeled run.
 type Profile struct {
@@ -178,10 +163,10 @@ type Run[R any] struct {
 }
 
 // VerifyChecksum recomputes the batch checksum over the received results and
-// returns ErrResultCorrupt on mismatch.
+// returns errResultCorrupt on mismatch.
 func (r *Run[R]) VerifyChecksum() error {
 	if r.work.sum(r.Results) != r.Checksum {
-		return ErrResultCorrupt
+		return errResultCorrupt
 	}
 	return nil
 }
@@ -244,9 +229,9 @@ type Workload[R any] interface {
 // A double-buffered pass hides the shorter of its own stream and kernel.
 func (k *Kernel) pass(cycles uint64, queries, results int) Profile {
 	p := Profile{
-		QueryTransfer:  k.dev.transfer(queries * QueryRecordBytes),
+		QueryTransfer:  k.dev.transfer(queries * queryRecordBytes),
 		KernelTime:     k.dev.cyclesToTime(cycles),
-		ResultTransfer: k.dev.transfer(results * ResultRecordBytes),
+		ResultTransfer: k.dev.transfer(results * resultRecordBytes),
 		KernelCycles:   cycles,
 	}
 	if k.dev.cfg.DoubleBuffer {
@@ -268,9 +253,9 @@ func (k *Kernel) assemble(passes Profile, indexTransfer time.Duration) Profile {
 // host.
 func validateReads(reads []dna.Seq) error {
 	for i, r := range reads {
-		if len(r) > MaxQueryBases {
+		if len(r) > maxQueryBases {
 			return fmt.Errorf("fpga: read %d has %d bases; the 512-bit query record holds at most %d",
-				i, len(r), MaxQueryBases)
+				i, len(r), maxQueryBases)
 		}
 	}
 	return nil
@@ -283,14 +268,14 @@ func validateReads(reads []dna.Seq) error {
 func (k *Kernel) rollPass(loadIndex bool) error {
 	inj := k.dev.inj
 	if loadIndex {
-		if err := inj.at(StageIndexLoad); err != nil {
+		if err := inj.at(stageIndexLoad); err != nil {
 			return err
 		}
 	}
-	if err := inj.at(StageQueryTransfer); err != nil {
+	if err := inj.at(stageQueryTransfer); err != nil {
 		return err
 	}
-	return inj.at(StageKernel)
+	return inj.at(stageKernel)
 }
 
 // runKernel is the one device run: validate the reads, roll the stages that
@@ -321,7 +306,7 @@ func runKernel[R any](k *Kernel, w Workload[R], reads []dna.Seq, opts MapRunOpti
 	// transfer fault drops the batch, a corruption fault silently flips
 	// bits afterwards for the host-side verification to catch.
 	run.Checksum = w.sum(run.Results)
-	if err := k.dev.inj.at(StageResultTransfer); err != nil {
+	if err := k.dev.inj.at(stageResultTransfer); err != nil {
 		return nil, err
 	}
 	if i, bit, hit := k.dev.inj.corrupt(len(reads)); hit {
@@ -345,7 +330,7 @@ func Exact(locate bool) Workload[core.MapResult] { return exactWork{locate} }
 
 func (exactWork) pairAligned() bool                           { return false }
 func (exactWork) admit(k *Kernel) (time.Duration, error)      { return k.indexTransfer, nil }
-func (exactWork) sum(results []core.MapResult) uint64         { return ChecksumResults(results) }
+func (exactWork) sum(results []core.MapResult) uint64         { return checksumResults(results) }
 func (exactWork) corrupt(r []core.MapResult, i int, b uint64) { r[i].Forward.Start ^= 1 << b }
 func (exactWork) mapped(*Farm, *Run[core.MapResult])          {}
 
@@ -394,7 +379,7 @@ func (k *Kernel) searchCost(n int, steps func(i int) int) Profile {
 }
 
 // MapReadsOpts maps a batch of reads on the device. Every read must fit the
-// 512-bit query record (at most MaxQueryBases bases). The search itself is
+// 512-bit query record (at most maxQueryBases bases). The search itself is
 // executed bit-for-bit (results are exact); cycles are charged per the
 // pipeline model described in the package comment.
 func (k *Kernel) MapReadsOpts(reads []dna.Seq, opts MapRunOptions) (*Run[core.MapResult], error) {

@@ -25,11 +25,11 @@ import (
 // the kernel adds only the cycle charges, the fault surface, and the batch
 // checksum.
 
-// ChecksumMemResults folds the deterministic fields of a mem batch into the
-// same FNV-1a construction ChecksumResults uses for exact batches. CIGAR
+// checksumMemResults folds the deterministic fields of a mem batch into the
+// same FNV-1a construction checksumResults uses for exact batches. CIGAR
 // bytes participate so a corrupted traceback is as detectable as a corrupted
 // position.
-func ChecksumMemResults(results []core.MemResult) uint64 {
+func checksumMemResults(results []core.MemResult) uint64 {
 	h := fnvOffset
 	for _, r := range results {
 		h.word(uint64(int64(r.Best.Pos)))
@@ -84,7 +84,7 @@ type memWork struct {
 func Mem(opts core.MemOptions) Workload[core.MemResult] { return &memWork{opts: opts} }
 
 func (w *memWork) pairAligned() bool                         { return w.opts.Paired }
-func (*memWork) sum(results []core.MemResult) uint64         { return ChecksumMemResults(results) }
+func (*memWork) sum(results []core.MemResult) uint64         { return checksumMemResults(results) }
 func (*memWork) corrupt(r []core.MemResult, i int, b uint64) { r[i].Best.Pos ^= 1 << b }
 
 // admit needs both directions' structures resident for the seeding pass and
@@ -152,7 +152,7 @@ func (w *memWork) execute(k *Kernel, run *Run[core.MemResult], reads []dna.Seq, 
 	// reconfiguration: the alignment array stays programmed and the host
 	// takes over seeding.
 	if !w.reconfigured {
-		passes.Reconfig = DefaultReconfigTime
+		passes.Reconfig = defaultReconfigTime
 	}
 	return passes, nil
 }

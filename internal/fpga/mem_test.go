@@ -67,7 +67,7 @@ func TestKernelMemMatchesHost(t *testing.T) {
 		t.Errorf("only %d/%d reads mapped", stats.MappedReads, len(reads))
 	}
 	// The two-pass profile must charge both passes and the reconfiguration.
-	if run.Profile.Reconfig != DefaultReconfigTime {
+	if run.Profile.Reconfig != defaultReconfigTime {
 		t.Errorf("reconfig charge %v", run.Profile.Reconfig)
 	}
 	if run.Profile.KernelCycles == 0 || run.Profile.KernelTime <= 0 {
@@ -105,7 +105,7 @@ func TestKernelMemRejectsOversizedRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	long := make(dna.Seq, MaxQueryBases+1)
+	long := make(dna.Seq, maxQueryBases+1)
 	if _, err := runKernel(k, Mem(core.MemOptions{}), []dna.Seq{long}, MapRunOptions{}); err == nil {
 		t.Error("oversized read accepted")
 	}

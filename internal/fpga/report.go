@@ -15,10 +15,10 @@ import (
 
 // U200 on-chip memory inventory.
 const (
-	U200BRAM36Blocks = 2160
-	U200URAMBlocks   = 960
-	BRAM36Bytes      = 4608  // 36 Kibit
-	URAMBytes        = 36864 // 288 Kibit
+	u200BRAM36Blocks = 2160
+	u200URAMBlocks   = 960
+	bram36Bytes      = 4608  // 36 Kibit
+	uramBytes        = 36864 // 288 Kibit
 )
 
 // Report summarises a programmed kernel's modeled footprint and throughput.
@@ -64,11 +64,11 @@ func (k *Kernel) Report(avgSteps float64) (Report, error) {
 	// Tile the structure: whole URAM blocks first, BRAM for the tail.
 	// Real floorplans interleave banks per pipeline port; block counts are
 	// what capacity planning needs.
-	r.URAMUsed = r.StructureBytes / URAMBytes
-	rem := r.StructureBytes - r.URAMUsed*URAMBytes
-	r.BRAMUsed = (rem + BRAM36Bytes - 1) / BRAM36Bytes
-	r.URAMPct = 100 * float64(r.URAMUsed) / float64(U200URAMBlocks)
-	r.BRAMPct = 100 * float64(r.BRAMUsed) / float64(U200BRAM36Blocks)
+	r.URAMUsed = r.StructureBytes / uramBytes
+	rem := r.StructureBytes - r.URAMUsed*uramBytes
+	r.BRAMUsed = (rem + bram36Bytes - 1) / bram36Bytes
+	r.URAMPct = 100 * float64(r.URAMUsed) / float64(u200URAMBlocks)
+	r.BRAMPct = 100 * float64(r.BRAMUsed) / float64(u200BRAM36Blocks)
 	cyclesPerRead := avgSteps*float64(r.CyclesPerStep) + float64(cfg.QueryOverheadCycles)
 	r.ReadsPerSecond = cfg.ClockHz / cyclesPerRead * float64(cfg.PEs)
 	return r, nil
@@ -82,8 +82,8 @@ func WriteReport(w io.Writer, r Report) {
 	if r.FtabBytes > 0 {
 		fmt.Fprintf(w, "  of which ftab LUT: %10d bytes\n", r.FtabBytes)
 	}
-	fmt.Fprintf(w, "URAM blocks:         %10d / %d (%.1f%%)\n", r.URAMUsed, U200URAMBlocks, r.URAMPct)
-	fmt.Fprintf(w, "BRAM36 blocks:       %10d / %d (%.1f%%)\n", r.BRAMUsed, U200BRAM36Blocks, r.BRAMPct)
+	fmt.Fprintf(w, "URAM blocks:         %10d / %d (%.1f%%)\n", r.URAMUsed, u200URAMBlocks, r.URAMPct)
+	fmt.Fprintf(w, "BRAM36 blocks:       %10d / %d (%.1f%%)\n", r.BRAMUsed, u200BRAM36Blocks, r.BRAMPct)
 	fmt.Fprintf(w, "processing elements: %10d\n", r.PEs)
 	fmt.Fprintf(w, "kernel clock:        %10.0f MHz\n", r.ClockMHz)
 	fmt.Fprintf(w, "cycles per step:     %10d\n", r.CyclesPerStep)

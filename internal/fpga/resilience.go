@@ -14,9 +14,9 @@ import (
 
 // Resilience defaults.
 const (
-	// DefaultMaxAttempts is how many times a shard is tried on one device
+	// defaultMaxAttempts is how many times a shard is tried on one device
 	// before it is redistributed.
-	DefaultMaxAttempts = 3
+	defaultMaxAttempts = 3
 	// DefaultBreakerThreshold is how many consecutive failures open a
 	// device's circuit breaker.
 	DefaultBreakerThreshold = 5
@@ -91,9 +91,9 @@ func (r *StatsRecorder) Snapshot() ResilienceStats {
 	return out
 }
 
-// ErrNoHealthyDevices is returned when every device in the farm is either
+// errNoHealthyDevices is returned when every device in the farm is either
 // breaker-open or has exhausted its retries for the run.
-var ErrNoHealthyDevices = errors.New("fpga: no healthy devices available")
+var errNoHealthyDevices = errors.New("fpga: no healthy devices available")
 
 // errCrossCheckFailed marks a sampled CPU cross-check rejection; retryable,
 // like corruption, because a re-run re-transfers the batch.
@@ -106,8 +106,8 @@ var errCrossCheckFailed = errors.New("fpga: sampled CPU cross-check failed")
 func IsDeviceFailure(err error) bool {
 	var fe *FaultError
 	return errors.As(err, &fe) ||
-		errors.Is(err, ErrNoHealthyDevices) ||
-		errors.Is(err, ErrResultCorrupt) ||
+		errors.Is(err, errNoHealthyDevices) ||
+		errors.Is(err, errResultCorrupt) ||
 		errors.Is(err, errCrossCheckFailed)
 }
 
@@ -116,7 +116,7 @@ func IsDeviceFailure(err error) bool {
 func isRetryableFault(err error) bool {
 	var fe *FaultError
 	return errors.As(err, &fe) ||
-		errors.Is(err, ErrResultCorrupt) ||
+		errors.Is(err, errResultCorrupt) ||
 		errors.Is(err, errCrossCheckFailed)
 }
 

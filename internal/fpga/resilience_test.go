@@ -116,7 +116,7 @@ func TestFarmAllDevicesBroken(t *testing.T) {
 	if err == nil {
 		t.Fatal("farm with no working devices succeeded")
 	}
-	if !errors.Is(err, ErrNoHealthyDevices) {
+	if !errors.Is(err, errNoHealthyDevices) {
 		t.Errorf("error = %v, want ErrNoHealthyDevices", err)
 	}
 	if !IsDeviceFailure(err) {

@@ -51,8 +51,8 @@ func TestMemSessionSingleReconfig(t *testing.T) {
 		}
 		off += len(batch)
 		if bi == 0 {
-			if run.Profile.Reconfig != DefaultReconfigTime {
-				t.Errorf("batch 0 reconfig charge %v, want %v", run.Profile.Reconfig, DefaultReconfigTime)
+			if run.Profile.Reconfig != defaultReconfigTime {
+				t.Errorf("batch 0 reconfig charge %v, want %v", run.Profile.Reconfig, defaultReconfigTime)
 			}
 			if run.Profile.Overlap != 0 {
 				t.Errorf("batch 0 charged overlap %v before any extension to hide behind", run.Profile.Overlap)

@@ -21,9 +21,9 @@ import (
 // CPU path runs the same one — so the device only prices it, and both passes
 // sit under the batch checksum.
 
-// DefaultReconfigTime is the modeled partial-reconfiguration cost of
+// defaultReconfigTime is the modeled partial-reconfiguration cost of
 // swapping the exact kernel for the mismatch kernel.
-const DefaultReconfigTime = 500 * time.Millisecond
+const defaultReconfigTime = 500 * time.Millisecond
 
 // twoPassWork is the two-pass flow as a device workload: exact matching over
 // every read, then the mismatch kernel over what it left unaligned.
@@ -52,7 +52,7 @@ func (w twoPassWork) admit(k *Kernel) (time.Duration, error) {
 	return k.indexTransfer, nil
 }
 
-// sum extends ChecksumResults' fold over the pass-1 ranges with every pass-2
+// sum extends checksumResults' fold over the pass-1 ranges with every pass-2
 // stratum, so a read's answer is covered whichever pass gave it.
 func (twoPassWork) sum(results []core.ApproxResult) uint64 {
 	h := fnvOffset
@@ -98,7 +98,7 @@ func (w twoPassWork) execute(k *Kernel, run *Run[core.ApproxResult], reads []dna
 		return Profile{}, err
 	}
 	passes.Merge(k.pass(k.pipelineCycles(steps, unaligned), unaligned, unaligned))
-	passes.Reconfig = DefaultReconfigTime
+	passes.Reconfig = defaultReconfigTime
 	return passes, nil
 }
 

@@ -69,7 +69,7 @@ func TestTwoPassRescuesMutatedReads(t *testing.T) {
 			t.Fatalf("read %d best stratum %d, want 1", i, best)
 		}
 	}
-	if res.Profile.Reconfig != DefaultReconfigTime {
+	if res.Profile.Reconfig != defaultReconfigTime {
 		t.Errorf("reconfiguration not charged: %v", res.Profile.Reconfig)
 	}
 	if res.Profile.Total() <= res.Profile.Reconfig {
@@ -78,7 +78,7 @@ func TestTwoPassRescuesMutatedReads(t *testing.T) {
 	// The reconfigure event must appear on the timeline.
 	found := false
 	for _, e := range res.Profile.Events {
-		if e.Name == "reconfigure" && e.Duration() == DefaultReconfigTime {
+		if e.Name == "reconfigure" && e.Duration() == defaultReconfigTime {
 			found = true
 		}
 	}
@@ -193,7 +193,7 @@ func TestTwoPassChecksumCoversPass2(t *testing.T) {
 		} else {
 			flip(&r.Reverse[0])
 		}
-		if err := tampered.VerifyChecksum(); !errors.Is(err, ErrResultCorrupt) {
+		if err := tampered.VerifyChecksum(); !errors.Is(err, errResultCorrupt) {
 			t.Errorf("VerifyChecksum = %v on a flipped stratum bit, want ErrResultCorrupt", err)
 		}
 		if err := work.verify(ix, reads, tampered.Results, 1); err == nil {
@@ -212,7 +212,7 @@ func TestTwoPassChecksumCoversPass2(t *testing.T) {
 	if err != nil {
 		t.Fatalf("corruption must not error at the device: %v", err)
 	}
-	if err := run.VerifyChecksum(); !errors.Is(err, ErrResultCorrupt) {
+	if err := run.VerifyChecksum(); !errors.Is(err, errResultCorrupt) {
 		t.Errorf("VerifyChecksum = %v after a corrupt roll on a rescued read, want ErrResultCorrupt", err)
 	}
 

@@ -17,7 +17,7 @@ import (
 // Unknown values fall back to text/info rather than failing: the logger is
 // the component reporting failures, so it must always construct.
 func NewLogger(w io.Writer, format, level string) *slog.Logger {
-	lv := ParseLevel(level)
+	lv := parseLevel(level)
 	opts := &slog.HandlerOptions{Level: lv}
 	var h slog.Handler
 	if strings.EqualFold(format, "json") {
@@ -28,8 +28,8 @@ func NewLogger(w io.Writer, format, level string) *slog.Logger {
 	return slog.New(h)
 }
 
-// ParseLevel maps a level name to a slog.Level, defaulting to Info.
-func ParseLevel(level string) slog.Level {
+// parseLevel maps a level name to a slog.Level, defaulting to Info.
+func parseLevel(level string) slog.Level {
 	switch strings.ToLower(level) {
 	case "debug":
 		return slog.LevelDebug

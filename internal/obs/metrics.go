@@ -30,15 +30,15 @@ type Kind string
 
 // The exposition types the registry supports.
 const (
-	KindCounter   Kind = "counter"
-	KindGauge     Kind = "gauge"
-	KindHistogram Kind = "histogram"
+	kindCounter   Kind = "counter"
+	kindGauge     Kind = "gauge"
+	kindHistogram Kind = "histogram"
 )
 
-// DefDurationBuckets are the default histogram buckets for durations in
+// defDurationBuckets are the default histogram buckets for durations in
 // seconds: microseconds-scale modeled kernel stages through minutes-scale
 // index builds.
-var DefDurationBuckets = []float64{
+var defDurationBuckets = []float64{
 	1e-6, 1e-5, 1e-4, 1e-3, 5e-3, 0.01, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 120,
 }
 
@@ -125,22 +125,22 @@ type HistogramVec struct{ f *family }
 
 // Counter registers (or finds) a counter family.
 func (r *Registry) Counter(name, help string, labels ...string) *CounterVec {
-	return &CounterVec{r.family(name, help, KindCounter, nil, labels)}
+	return &CounterVec{r.family(name, help, kindCounter, nil, labels)}
 }
 
 // Gauge registers (or finds) a gauge family.
 func (r *Registry) Gauge(name, help string, labels ...string) *GaugeVec {
-	return &GaugeVec{r.family(name, help, KindGauge, nil, labels)}
+	return &GaugeVec{r.family(name, help, kindGauge, nil, labels)}
 }
 
 // Histogram registers (or finds) a histogram family with the given bucket
 // upper bounds (ascending, in the metric's base unit; +Inf is implicit).
-// A nil buckets slice takes DefDurationBuckets.
+// A nil buckets slice takes defDurationBuckets.
 func (r *Registry) Histogram(name, help string, buckets []float64, labels ...string) *HistogramVec {
 	if buckets == nil {
-		buckets = DefDurationBuckets
+		buckets = defDurationBuckets
 	}
-	return &HistogramVec{r.family(name, help, KindHistogram, buckets, labels)}
+	return &HistogramVec{r.family(name, help, kindHistogram, buckets, labels)}
 }
 
 // CounterFunc attaches a scrape-time collector as a counter series: fn is
@@ -148,12 +148,12 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...str
 // Use it to surface counters another component already maintains (cache
 // hit counts, resilience totals) without double bookkeeping.
 func (r *Registry) CounterFunc(name, help string, fn func() float64, labelPairs ...string) {
-	r.registerFunc(name, help, KindCounter, fn, labelPairs)
+	r.registerFunc(name, help, kindCounter, fn, labelPairs)
 }
 
 // GaugeFunc attaches a scrape-time collector as a gauge series.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labelPairs ...string) {
-	r.registerFunc(name, help, KindGauge, fn, labelPairs)
+	r.registerFunc(name, help, kindGauge, fn, labelPairs)
 }
 
 // registerFunc wires fn under the label pairs (name1, value1, name2,
@@ -202,8 +202,8 @@ func (c *Counter) Add(delta float64) {
 	c.mu.Unlock()
 }
 
-// Value returns the current count.
-func (c *Counter) Value() float64 {
+// value returns the current count.
+func (c *Counter) value() float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.val
@@ -234,8 +234,8 @@ func (g *Gauge) Add(delta float64) {
 	g.mu.Unlock()
 }
 
-// Value returns the current value.
-func (g *Gauge) Value() float64 {
+// value returns the current value.
+func (g *Gauge) value() float64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.val
@@ -270,20 +270,6 @@ func (h *Histogram) Observe(val float64) {
 			break
 		}
 	}
-}
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
 }
 
 // WritePrometheus renders every family in the Prometheus text exposition
@@ -324,9 +310,9 @@ func (f *family) write(w io.Writer) {
 			}
 			switch v := m.(type) {
 			case *Counter:
-				fmt.Fprintf(w, "%s%s %s\n", f.name, renderLabels(f.labels, values), formatValue(v.Value()))
+				fmt.Fprintf(w, "%s%s %s\n", f.name, renderLabels(f.labels, values), formatValue(v.value()))
 			case *Gauge:
-				fmt.Fprintf(w, "%s%s %s\n", f.name, renderLabels(f.labels, values), formatValue(v.Value()))
+				fmt.Fprintf(w, "%s%s %s\n", f.name, renderLabels(f.labels, values), formatValue(v.value()))
 			case *Histogram:
 				v.write(w, f.name, f.labels, values)
 			}

@@ -86,7 +86,7 @@ func TestGetOrCreateFamilies(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("x_total", "x", "l").With("a").Inc()
 	r.Counter("x_total", "x", "l").With("a").Inc()
-	if got := r.Counter("x_total", "x", "l").With("a").Value(); got != 2 {
+	if got := r.Counter("x_total", "x", "l").With("a").value(); got != 2 {
 		t.Errorf("re-registered counter = %v, want 2", got)
 	}
 }
@@ -117,7 +117,14 @@ func TestConcurrentUse(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := r.Counter("c_total", "c", "w").With("x").Value(); got != 800 {
+	if got := r.Counter("c_total", "c", "w").With("x").value(); got != 800 {
 		t.Errorf("counter = %v, want 800", got)
 	}
+}
+
+// Count returns the total number of observations.
+func (h *Histogram) Count() uint64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.count
 }

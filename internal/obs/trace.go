@@ -2,7 +2,6 @@ package obs
 
 import (
 	"context"
-	"encoding/json"
 	"sync"
 	"time"
 )
@@ -26,9 +25,6 @@ func NewTrace(id string) *Trace {
 	return &Trace{id: id, start: time.Now()}
 }
 
-// ID returns the trace identifier.
-func (t *Trace) ID() string { return t.id }
-
 // Span is one stage of a trace. All mutation goes through the owning
 // trace's lock so snapshots can race with a running job safely.
 type Span struct {
@@ -42,10 +38,10 @@ type Span struct {
 	children []*Span
 }
 
-// StartSpan opens a root span. Safe on a nil trace (returns nil; all Span
+// startSpan opens a root span. Safe on a nil trace (returns nil; all Span
 // methods are nil-safe), so instrumented code needs no trace-presence
 // branches.
-func (t *Trace) StartSpan(name string) *Span {
+func (t *Trace) startSpan(name string) *Span {
 	if t == nil {
 		return nil
 	}
@@ -56,8 +52,8 @@ func (t *Trace) StartSpan(name string) *Span {
 	return s
 }
 
-// StartChild opens a sub-span under s.
-func (s *Span) StartChild(name string) *Span {
+// startChild opens a sub-span under s.
+func (s *Span) startChild(name string) *Span {
 	if s == nil {
 		return nil
 	}
@@ -184,11 +180,6 @@ func (s *Span) snapshotLocked(now time.Duration) SpanJSON {
 	return j
 }
 
-// MarshalJSON serializes a snapshot of the trace.
-func (t *Trace) MarshalJSON() ([]byte, error) {
-	return json.Marshal(t.Snapshot())
-}
-
 // traceKey and spanKey carry the active trace and span through a context.
 type traceKey struct{}
 type spanKey struct{}
@@ -198,8 +189,8 @@ func WithTrace(ctx context.Context, t *Trace) context.Context {
 	return context.WithValue(ctx, traceKey{}, t)
 }
 
-// TraceFrom returns the context's trace, or nil.
-func TraceFrom(ctx context.Context) *Trace {
+// traceFrom returns the context's trace, or nil.
+func traceFrom(ctx context.Context) *Trace {
 	if ctx == nil {
 		return nil
 	}
@@ -226,13 +217,13 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 		ctx = context.Background()
 	}
 	if parent := SpanFrom(ctx); parent != nil {
-		s := parent.StartChild(name)
+		s := parent.startChild(name)
 		return context.WithValue(ctx, spanKey{}, s), s
 	}
-	t := TraceFrom(ctx)
+	t := traceFrom(ctx)
 	if t == nil {
 		return ctx, nil
 	}
-	s := t.StartSpan(name)
+	s := t.startSpan(name)
 	return context.WithValue(ctx, spanKey{}, s), s
 }

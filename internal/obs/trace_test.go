@@ -36,7 +36,7 @@ func TestSpanTree(t *testing.T) {
 	if !kernel.Modeled || kernel.DurationMs != 5 || kernel.Attrs["device"] != 1 {
 		t.Errorf("modeled span = %+v", kernel)
 	}
-	if _, err := json.Marshal(tr); err != nil {
+	if _, err := json.Marshal(snap); err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
 }
@@ -55,7 +55,7 @@ func TestNoTraceIsNoop(t *testing.T) {
 		t.Fatal("no span should be attached")
 	}
 	var tr *Trace
-	if tr.StartSpan("y") != nil {
+	if tr.startSpan("y") != nil {
 		t.Fatal("nil trace should return nil span")
 	}
 }
@@ -64,7 +64,7 @@ func TestNoTraceIsNoop(t *testing.T) {
 // duration -1 — what the live /api/jobs/{id}/trace endpoint serves.
 func TestOpenSpanSnapshot(t *testing.T) {
 	tr := NewTrace("1")
-	s := tr.StartSpan("running")
+	s := tr.startSpan("running")
 	snap := tr.Snapshot()
 	if snap.Spans[0].DurationMs != -1 {
 		t.Errorf("open span duration = %v, want -1", snap.Spans[0].DurationMs)
@@ -89,8 +89,8 @@ func TestConcurrentSnapshot(t *testing.T) {
 				return
 			default:
 			}
-			s := tr.StartSpan("s")
-			c := s.StartChild("c")
+			s := tr.startSpan("s")
+			c := s.startChild("c")
 			c.SetAttr("i", 1)
 			c.End()
 			s.End()
@@ -108,7 +108,7 @@ func TestLoggerConstruction(t *testing.T) {
 		t.Fatal("NewLogger must always construct")
 	}
 	NopLogger().Info("discarded")
-	if ParseLevel("warn") != ParseLevel("WARNING") {
+	if parseLevel("warn") != parseLevel("WARNING") {
 		t.Error("level aliases disagree")
 	}
 }

@@ -23,20 +23,20 @@ import (
 const (
 	// ReasonMalformed: the record did not parse (tolerant decode skipped it).
 	ReasonMalformed = "malformed"
-	// ReasonTooShort: shorter than Policy.MinLen after trimming.
-	ReasonTooShort = "too_short"
-	// ReasonTooManyN: more ambiguous bases than Policy.MaxN.
-	ReasonTooManyN = "too_many_n"
-	// ReasonMaxEE: expected errors above Policy.MaxEE.
-	ReasonMaxEE = "max_ee"
-	// ReasonMateRejected: the read was fine but its mate was not; paired
+	// reasonTooShort: shorter than Policy.MinLen after trimming.
+	reasonTooShort = "too_short"
+	// reasonTooManyN: more ambiguous bases than Policy.MaxN.
+	reasonTooManyN = "too_many_n"
+	// reasonMaxEE: expected errors above Policy.MaxEE.
+	reasonMaxEE = "max_ee"
+	// reasonMateRejected: the read was fine but its mate was not; paired
 	// policies reject mates together so pairing never phase-shifts.
-	ReasonMateRejected = "mate_rejected"
+	reasonMateRejected = "mate_rejected"
 )
 
 // Reasons returns every reject-reason code, for metric pre-registration.
 func Reasons() []string {
-	return []string{ReasonMalformed, ReasonTooShort, ReasonTooManyN, ReasonMaxEE, ReasonMateRejected}
+	return []string{ReasonMalformed, reasonTooShort, reasonTooManyN, reasonMaxEE, reasonMateRejected}
 }
 
 // ValidReason reports whether s is one of the fixed reason codes.
@@ -114,9 +114,9 @@ type Metrics struct {
 	Meep float64
 }
 
-// Measure computes the metrics of one read. qual may be nil (FASTA input),
+// measure computes the metrics of one read. qual may be nil (FASTA input),
 // in which case the quality-derived figures are zero.
-func Measure(seq, qual []byte, offset int) Metrics {
+func measure(seq, qual []byte, offset int) Metrics {
 	m := Metrics{Length: len(seq)}
 	for _, b := range seq {
 		if _, ok := dna.FromByte(b); !ok {
@@ -145,20 +145,6 @@ func phredErrProb(q int) float64 {
 		return 1
 	}
 	return math.Pow(10, -float64(q)/10)
-}
-
-// DetectOffset inspects quality strings and picks the phred encoding base:
-// any byte below 59 proves phred+33, a byte above 74 with none below 59
-// indicates phred+64. Ambiguous input (all bytes in the overlap) defaults
-// to the modern phred+33.
-func DetectOffset(quals ...[]byte) int {
-	var ev offsetEvidence
-	for _, qual := range quals {
-		if ev.add(qual); ev.low {
-			break
-		}
-	}
-	return ev.offset()
 }
 
 // offsetEvidence is what the quality bytes seen so far say about their

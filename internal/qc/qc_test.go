@@ -17,7 +17,7 @@ func rec(id, seq, q string) string { return "@" + id + "\n" + seq + "\n+\n" + q 
 
 func TestMeasure(t *testing.T) {
 	// Four bases at phred 20: p = 0.01 each, maxEE = 0.04, meep = 1%.
-	m := Measure([]byte("ACGT"), []byte(qual(4, 20)), 33)
+	m := measure([]byte("ACGT"), []byte(qual(4, 20)), 33)
 	if m.Length != 4 || m.NCount != 0 {
 		t.Fatalf("length/ncount: %+v", m)
 	}
@@ -33,13 +33,13 @@ func TestMeasure(t *testing.T) {
 
 	// Mixed qualities: the error-probability average is dominated by the
 	// bad base, unlike a naive mean of scores.
-	m = Measure([]byte("AC"), []byte{33 + 2, 33 + 40}, 33)
+	m = measure([]byte("AC"), []byte{33 + 2, 33 + 40}, 33)
 	if m.AvgPhred > 6 {
 		t.Errorf("avgPhred = %g, want error-prob-dominated (< 6)", m.AvgPhred)
 	}
 
 	// N counting.
-	m = Measure([]byte("ANNT"), nil, 0)
+	m = measure([]byte("ANNT"), nil, 0)
 	if m.NCount != 2 || m.MaxEE != 0 {
 		t.Errorf("N metrics: %+v", m)
 	}
@@ -95,7 +95,7 @@ func TestIngestGates(t *testing.T) {
 	if r.Attempted != 4 || r.Passed != 1 || r.Malformed != 0 {
 		t.Fatalf("report = %+v", r)
 	}
-	want := map[string]int{ReasonTooShort: 1, ReasonTooManyN: 1, ReasonMaxEE: 1}
+	want := map[string]int{reasonTooShort: 1, reasonTooManyN: 1, reasonMaxEE: 1}
 	for reason, n := range want {
 		if r.Rejected[reason] != n {
 			t.Errorf("rejected[%s] = %d, want %d", reason, r.Rejected[reason], n)
@@ -135,7 +135,7 @@ func TestIngestTrimming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Seqs) != 0 || res.Report.Rejected[ReasonTooShort] != 1 {
+	if len(res.Seqs) != 0 || res.Report.Rejected[reasonTooShort] != 1 {
 		t.Fatalf("trim-to-reject: %+v", res.Report)
 	}
 }
@@ -180,7 +180,7 @@ func TestIngestPairedMateRejection(t *testing.T) {
 		t.Fatalf("survivors = %v", res.IDs)
 	}
 	r := res.Report
-	if r.Rejected[ReasonTooShort] != 1 || r.Rejected[ReasonMateRejected] != 1 {
+	if r.Rejected[reasonTooShort] != 1 || r.Rejected[reasonMateRejected] != 1 {
 		t.Fatalf("paired rejects = %+v", r.Rejected)
 	}
 }
@@ -201,7 +201,7 @@ func TestIngestPairedMalformedDoomsMate(t *testing.T) {
 	if len(res.IDs) != 2 || res.IDs[0] != "p2/1" || res.IDs[1] != "p2/2" {
 		t.Fatalf("survivors = %v (pairing phase-shifted?)", res.IDs)
 	}
-	if res.Report.Malformed != 1 || res.Report.Rejected[ReasonMateRejected] != 1 {
+	if res.Report.Malformed != 1 || res.Report.Rejected[reasonMateRejected] != 1 {
 		t.Fatalf("report = %+v", res.Report)
 	}
 }
@@ -303,4 +303,19 @@ func TestIngestFastaInput(t *testing.T) {
 	if res.Report.PhredOffset != 0 {
 		t.Errorf("offset = %d for FASTA", res.Report.PhredOffset)
 	}
+}
+
+// DetectOffset drives offsetEvidence over quality strings the way a Source
+// does, and picks the phred encoding base:
+// any byte below 59 proves phred+33, a byte above 74 with none below 59
+// indicates phred+64. Ambiguous input (all bytes in the overlap) defaults
+// to the modern phred+33.
+func DetectOffset(quals ...[]byte) int {
+	var ev offsetEvidence
+	for _, qual := range quals {
+		if ev.add(qual); ev.low {
+			break
+		}
+	}
+	return ev.offset()
 }

@@ -153,7 +153,7 @@ func (s *Source) gate(final bool) Batch {
 	}
 	if i < n && recs[i] != nil {
 		// Orphan at EOF: positional pairing has no mate for it.
-		s.reject(index+i, recs[i], ReasonMateRejected, "no mate: odd trailing read")
+		s.reject(index+i, recs[i], reasonMateRejected, "no mate: odd trailing read")
 	}
 	if s.policy.QualitySort {
 		// Stable, and before the backend split, so CPU and FPGA map the same
@@ -197,7 +197,7 @@ func (s *Source) gateUnit(b *Batch, unit []*fastx.Record, index int) {
 			}
 		case rec == nil: // malformed: its row was written by gate
 		case reasons[i] == "":
-			s.reject(index+i, rec, ReasonMateRejected, "mate failed QC")
+			s.reject(index+i, rec, reasonMateRejected, "mate failed QC")
 		default:
 			s.reject(index+i, rec, reasons[i], details[i])
 		}
@@ -218,15 +218,15 @@ func (s *Source) gateRead(rec *fastx.Record) (codes dna.Seq, ee float64, reason,
 	if s.policy.MaxEE == 0 && !s.policy.QualitySort {
 		qual = nil
 	}
-	m := Measure(seq, qual, s.offset)
+	m := measure(seq, qual, s.offset)
 	if s.policy.MinLen > 0 && m.Length < s.policy.MinLen {
-		return nil, 0, ReasonTooShort, fmt.Sprintf("%d bases after trim, need %d", m.Length, s.policy.MinLen)
+		return nil, 0, reasonTooShort, fmt.Sprintf("%d bases after trim, need %d", m.Length, s.policy.MinLen)
 	}
 	if s.policy.MaxN > 0 && m.NCount > s.policy.MaxN {
-		return nil, 0, ReasonTooManyN, fmt.Sprintf("%d ambiguous bases, max %d", m.NCount, s.policy.MaxN)
+		return nil, 0, reasonTooManyN, fmt.Sprintf("%d ambiguous bases, max %d", m.NCount, s.policy.MaxN)
 	}
 	if s.policy.MaxEE > 0 && len(qual) > 0 && m.MaxEE > s.policy.MaxEE {
-		return nil, 0, ReasonMaxEE, fmt.Sprintf("%.2f expected errors, max %.2f", m.MaxEE, s.policy.MaxEE)
+		return nil, 0, reasonMaxEE, fmt.Sprintf("%.2f expected errors, max %.2f", m.MaxEE, s.policy.MaxEE)
 	}
 	codes, _ = dna.Sanitize(seq, dna.A)
 	return codes, m.MaxEE, "", ""

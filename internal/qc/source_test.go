@@ -240,7 +240,7 @@ func TestSourceInactivePairedPolicyPassesOrphan(t *testing.T) {
 		}
 		// Any gate at all makes pairing matter: the orphan has no mate.
 		res, err := Ingest(strings.NewReader(in), Policy{Paired: true, MinLen: 1})
-		if err != nil || len(res.IDs) != 2 || res.Report.Rejected[ReasonMateRejected] != 1 {
+		if err != nil || len(res.IDs) != 2 || res.Report.Rejected[reasonMateRejected] != 1 {
 			t.Fatalf("active paired policy kept %v (%v)", res.IDs, err)
 		}
 	}

@@ -2,6 +2,7 @@ package readsim
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -35,12 +36,12 @@ func TestSimulatePairsTruth(t *testing.T) {
 		mapped++
 		insertSum += float64(p.Insert)
 		// R1 is the fragment's left end, forward strand.
-		if !p.R1.Equal(ref[p.Origin : p.Origin+50]) {
+		if !slices.Equal(p.R1, ref[p.Origin:p.Origin+50]) {
 			t.Fatalf("pair %s R1 mismatch", p.ID)
 		}
 		// R2 is the right end, reverse strand.
 		right := ref[p.Origin+p.Insert-50 : p.Origin+p.Insert]
-		if !p.R2.ReverseComplement().Equal(right) {
+		if !slices.Equal(p.R2.ReverseComplement(), right) {
 			t.Fatalf("pair %s R2 mismatch", p.ID)
 		}
 		if p.Insert < 100 || p.Origin+p.Insert > len(ref) {
@@ -106,7 +107,7 @@ func TestSimulatePairsDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range a {
-		if !a[i].R1.Equal(b[i].R1) || !a[i].R2.Equal(b[i].R2) || a[i].Origin != b[i].Origin {
+		if !slices.Equal(a[i].R1, b[i].R1) || !slices.Equal(a[i].R2, b[i].R2) || a[i].Origin != b[i].Origin {
 			t.Fatal("same seed produced different pairs")
 		}
 	}

@@ -14,14 +14,14 @@ type State int
 const (
 	Closed State = iota
 	Open
-	HalfOpen
+	halfOpen
 )
 
 func (s State) String() string {
 	switch s {
 	case Open:
 		return "open"
-	case HalfOpen:
+	case halfOpen:
 		return "half-open"
 	}
 	return "closed"
@@ -92,7 +92,7 @@ func (b *Breaker) Allow() bool {
 			b.mu.Unlock()
 			return false
 		}
-		b.state = HalfOpen
+		b.state = halfOpen
 	}
 	b.unlock(from)
 	return true
@@ -113,7 +113,7 @@ func (b *Breaker) Failure() {
 	b.mu.Lock()
 	from := b.state
 	b.consecutive++
-	if from == HalfOpen || from == Closed && b.consecutive >= b.threshold {
+	if from == halfOpen || from == Closed && b.consecutive >= b.threshold {
 		b.state, b.openedAt = Open, b.now()
 		b.trips++
 	}

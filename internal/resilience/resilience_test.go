@@ -31,7 +31,7 @@ func TestBreakerStateMachine(t *testing.T) {
 	if !b.Allow() {
 		t.Fatal("cooldown elapsed but probe rejected")
 	}
-	if b.State() != HalfOpen {
+	if b.State() != halfOpen {
 		t.Fatalf("state %v, want half-open", b.State())
 	}
 	// A failed probe reopens immediately.
@@ -75,8 +75,8 @@ func TestBreakerNotify(t *testing.T) {
 
 	want := []hop{
 		{Closed, Open},
-		{Open, HalfOpen},
-		{HalfOpen, Closed},
+		{Open, halfOpen},
+		{halfOpen, Closed},
 	}
 	if len(got) != len(want) {
 		t.Fatalf("transitions %v, want %v", got, want)
@@ -138,7 +138,7 @@ func (r *refBreaker) allow(now time.Time) bool {
 		return false
 	}
 	if r.state == Open {
-		r.state = HalfOpen
+		r.state = halfOpen
 	}
 	return true
 }
@@ -147,7 +147,7 @@ func (r *refBreaker) success() { r.state, r.consecutive = Closed, 0 }
 
 func (r *refBreaker) failure(now time.Time) {
 	r.consecutive++
-	if r.state == HalfOpen || r.state == Closed && r.consecutive >= r.threshold {
+	if r.state == halfOpen || r.state == Closed && r.consecutive >= r.threshold {
 		r.state, r.openedAt = Open, now
 		r.trips++
 	}

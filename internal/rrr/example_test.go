@@ -16,7 +16,7 @@ func ExampleSequence_Rank1() {
 		log.Fatal(err)
 	}
 	fmt.Println("ones in first 5 bits:", s.Rank1(5))
-	fmt.Println("total ones:", s.Ones())
+	fmt.Println("total ones:", s.Rank1(len(bits)))
 	// Output:
 	// ones in first 5 bits: 3
 	// total ones: 4

@@ -24,8 +24,8 @@ func FuzzRank(f *testing.F) {
 		if len(raw) > 4096 {
 			raw = raw[:4096]
 		}
-		const choices = MaxBlockSize - MinBlockSize + 1
-		b := int(bRaw)%choices + MinBlockSize
+		const choices = maxBlockSize - minBlockSize + 1
+		b := int(bRaw)%choices + minBlockSize
 		sf := int(sfRaw)%128 + 1
 		bits := make([]bool, max(0, len(raw)*8-int(bRaw)/choices%8))
 		for i := range bits {
@@ -58,7 +58,7 @@ func FuzzRank(f *testing.F) {
 				count++
 			}
 		}
-		if s.Rank1(len(bits)) != count || s.Ones() != count {
+		if s.Rank1(len(bits)) != count || s.ones() != count {
 			t.Fatalf("total rank wrong")
 		}
 	})
@@ -83,7 +83,7 @@ func FuzzRankPair(f *testing.F) {
 		if len(raw) > 4096 {
 			raw = raw[:4096]
 		}
-		b := int(bRaw)%(MaxBlockSize-MinBlockSize+1) + MinBlockSize
+		b := int(bRaw)%(maxBlockSize-minBlockSize+1) + minBlockSize
 		sf := int(sfRaw)%128 + 1
 		bits := make([]bool, len(raw)*8)
 		for i := range bits {

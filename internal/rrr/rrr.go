@@ -30,8 +30,8 @@ type Params struct {
 
 // Validate checks the parameters against the supported ranges.
 func (p Params) Validate() error {
-	if p.BlockSize < MinBlockSize || p.BlockSize > MaxBlockSize {
-		return fmt.Errorf("rrr: block size %d out of range [%d,%d]", p.BlockSize, MinBlockSize, MaxBlockSize)
+	if p.BlockSize < minBlockSize || p.BlockSize > maxBlockSize {
+		return fmt.Errorf("rrr: block size %d out of range [%d,%d]", p.BlockSize, minBlockSize, maxBlockSize)
 	}
 	if p.SuperblockFactor < 1 {
 		return fmt.Errorf("rrr: superblock factor %d must be >= 1", p.SuperblockFactor)
@@ -55,7 +55,7 @@ type Sequence struct {
 	// that byte-aligns each superblock's fields is not part of it).
 	offBits int
 
-	table *GlobalRankTable
+	table *globalRankTable
 
 	// divB and divSuper are ceil(2^64/b) and ceil(2^64/(b*sf)): the high word
 	// of their product with i < 2^32 is i/b and i/(b*sf) exactly (Lemire),
@@ -127,7 +127,7 @@ func newFromBlocks(n int, p Params, block func(blk int) uint16) (*Sequence, erro
 	if uint64(n) > math.MaxUint32 {
 		return nil, errTooLong
 	}
-	table, err := TableFor(p.BlockSize)
+	table, err := tableFor(p.BlockSize)
 	if err != nil {
 		return nil, err
 	}
@@ -142,7 +142,7 @@ func newFromBlocks(n int, p Params, block func(blk int) uint16) (*Sequence, erro
 	return s, nil
 }
 
-func newSequence(n int, p Params, table *GlobalRankTable) *Sequence {
+func newSequence(n int, p Params, table *globalRankTable) *Sequence {
 	b, sf := p.BlockSize, p.SuperblockFactor
 	nBlk := (n + b - 1) / b
 	return &Sequence{
@@ -191,11 +191,6 @@ func (s *Sequence) encode(block func(blk int) (class, offset int)) error {
 		}
 	}
 	return nil
-}
-
-// FromBools encodes a bool slice.
-func FromBools(bitsIn []bool, p Params) (*Sequence, error) {
-	return New(func(i int) bool { return bitsIn[i] }, len(bitsIn), p)
 }
 
 // blockValue extracts block blk as a b-bit LSB-first value, zero-padded past
@@ -300,15 +295,10 @@ func (s *Sequence) prefix(body []byte, k, pos, rem int) int {
 // Len returns the number of bits in the sequence.
 func (s *Sequence) Len() int { return s.n }
 
-// Ones returns the total number of set bits.
-func (s *Sequence) Ones() int {
+// ones returns the total number of set bits.
+func (s *Sequence) ones() int {
 	sum, _, _ := s.record(s.nSuper)
 	return sum
-}
-
-// Params returns the encoding parameters.
-func (s *Sequence) Params() Params {
-	return Params{BlockSize: s.b, SuperblockFactor: s.sf}
 }
 
 // Rank1 returns the number of 1 bits strictly before position i
@@ -411,18 +401,6 @@ func (s *Sequence) rankIn(i, blk, super, sum int, body []byte, pos int) int {
 	return sum + ones + s.prefix(body, k, pos+width, i-blk*s.b)
 }
 
-// Bit returns bit i, decoded through the global rank table.
-func (s *Sequence) Bit(i int) bool {
-	if i < 0 || i >= s.n {
-		panic(fmt.Sprintf("rrr: index %d out of range [0,%d)", i, s.n))
-	}
-	blk, super := s.locate(i)
-	_, body, pos := s.record(super)
-	k := blk - super*s.sf
-	_, width := s.scan(body, 0, k)
-	return s.block(body, k, pos+width)>>uint(i-blk*s.b)&1 == 1
-}
-
 // SizeBytes returns the actual memory footprint of this sequence — the
 // records, padding included, the directory and three header words —
 // excluding the shared global rank table (use SharedSizeBytes for that),
@@ -442,16 +420,3 @@ func (s *Sequence) PackedSizeBytes() int {
 
 // SharedSizeBytes returns the size of the shared global rank table.
 func (s *Sequence) SharedSizeBytes() int { return s.table.SizeBytes() }
-
-// PaperFormulaBytes evaluates the closed-form size expression from §III-B:
-//
-//	(sf+16)N/(2·sf·b) + 2^(b+1) + 4b + 7 + lambda/8
-//
-// It is used by tests to confirm the implementation matches the paper's
-// space accounting (up to rounding of the partial arrays).
-func (s *Sequence) PaperFormulaBytes() float64 {
-	n := float64(s.n)
-	b := float64(s.b)
-	sf := float64(s.sf)
-	return (sf+16)*n/(2*sf*b) + float64(int(1)<<uint(s.b+1)) + 4*b + 7 + float64(s.offBits)/8
-}

@@ -1,6 +1,7 @@
 package rrr
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
@@ -60,8 +61,8 @@ func TestParamsValidate(t *testing.T) {
 }
 
 func TestTableFor(t *testing.T) {
-	for b := MinBlockSize; b <= MaxBlockSize; b++ {
-		tab, err := TableFor(b)
+	for b := minBlockSize; b <= maxBlockSize; b++ {
+		tab, err := tableFor(b)
 		if err != nil {
 			t.Fatalf("TableFor(%d): %v", b, err)
 		}
@@ -99,17 +100,17 @@ func TestTableFor(t *testing.T) {
 			binom = binom * (b - c) / (c + 1)
 		}
 	}
-	if _, err := TableFor(1); err == nil {
+	if _, err := tableFor(1); err == nil {
 		t.Error("TableFor(1) should fail")
 	}
-	if _, err := TableFor(16); err == nil {
+	if _, err := tableFor(16); err == nil {
 		t.Error("TableFor(16) should fail")
 	}
 }
 
 func TestTableShared(t *testing.T) {
-	a, _ := TableFor(15)
-	b, _ := TableFor(15)
+	a, _ := tableFor(15)
+	b, _ := tableFor(15)
 	if a != b {
 		t.Error("TableFor(15) did not return the shared instance")
 	}
@@ -146,8 +147,8 @@ func TestRankMatchesNaive(t *testing.T) {
 						t.Fatalf("p=%+v n=%d density=%v: Rank1(%d)=%d, want %d", p, n, density, i, got, want)
 					}
 				}
-				if s.Ones() != naiveRank(in, n) {
-					t.Fatalf("Ones=%d, want %d", s.Ones(), naiveRank(in, n))
+				if s.ones() != naiveRank(in, n) {
+					t.Fatalf("Ones=%d, want %d", s.ones(), naiveRank(in, n))
 				}
 			}
 		}
@@ -163,7 +164,7 @@ func TestRankMatchesNaive(t *testing.T) {
 func TestRankPairEveryLayout(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	var h PairHead
-	for b := MinBlockSize; b <= MaxBlockSize; b++ {
+	for b := minBlockSize; b <= maxBlockSize; b++ {
 		for _, sf := range []int{1, 2, 3, 7, 50} {
 			sb := b * sf
 			for _, n := range []int{0, 1, sb - 1, sb, sb + 1, 2 * sb, 3*sb - b, 3*sb + b + 1} {
@@ -210,7 +211,7 @@ func TestRankPairEveryLayout(t *testing.T) {
 // all-zero and all-one bits, and with stray bits past n in the last word.
 func TestFromWordsMatchesNew(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	for b := MinBlockSize; b <= MaxBlockSize; b++ {
+	for b := minBlockSize; b <= maxBlockSize; b++ {
 		for _, sf := range []int{1, 3, 50} {
 			p := Params{BlockSize: b, SuperblockFactor: sf}
 			lengths := []int{0, 1, b - 1, b, b + 1, 63, 64, 65, 127, 128, 129, b*sf - 1, b * sf, b*sf + 1, 5*b*sf - 1, 1000 + rng.Intn(3000)}
@@ -454,4 +455,39 @@ func itoa(v int) string {
 		v /= 10
 	}
 	return string(buf[i:])
+}
+
+// FromBools encodes a bool slice.
+func FromBools(bitsIn []bool, p Params) (*Sequence, error) {
+	return New(func(i int) bool { return bitsIn[i] }, len(bitsIn), p)
+}
+
+// Params returns the encoding parameters.
+func (s *Sequence) Params() Params {
+	return Params{BlockSize: s.b, SuperblockFactor: s.sf}
+}
+
+// Bit returns bit i, decoded through the global rank table.
+func (s *Sequence) Bit(i int) bool {
+	if i < 0 || i >= s.n {
+		panic(fmt.Sprintf("rrr: index %d out of range [0,%d)", i, s.n))
+	}
+	blk, super := s.locate(i)
+	_, body, pos := s.record(super)
+	k := blk - super*s.sf
+	_, width := s.scan(body, 0, k)
+	return s.block(body, k, pos+width)>>uint(i-blk*s.b)&1 == 1
+}
+
+// PaperFormulaBytes evaluates the closed-form size expression from §III-B:
+//
+//	(sf+16)N/(2·sf·b) + 2^(b+1) + 4b + 7 + lambda/8
+//
+// It is used by tests to confirm the implementation matches the paper's
+// space accounting (up to rounding of the partial arrays).
+func (s *Sequence) PaperFormulaBytes() float64 {
+	n := float64(s.n)
+	b := float64(s.b)
+	sf := float64(s.sf)
+	return (sf+16)*n/(2*sf*b) + float64(int(1)<<uint(s.b+1)) + 4*b + 7 + float64(s.offBits)/8
 }

@@ -39,7 +39,7 @@ func (s *Sequence) WriteTo(w io.Writer) (int64, error) {
 	classes := make([]uint8, (s.nBlk+1)/2)
 	sums := make([]uint32, 2*s.nSuper+1) // partialSum, then offsetSum
 	offsets := make([]byte, wireOffsetBytes(s.offBits)+wireSlack)
-	sums[s.nSuper] = uint32(s.Ones())
+	sums[s.nSuper] = uint32(s.ones())
 	pos := 0
 	for super := 0; super < s.nSuper; super++ {
 		sum, body, at := s.record(super)
@@ -84,7 +84,7 @@ func ReadSequence(r io.Reader) (*Sequence, error) {
 	if nBlk != (n+b-1)/b || nSuper != (nBlk+sf-1)/sf {
 		return nil, fmt.Errorf("rrr: inconsistent header: n=%d b=%d sf=%d nBlk=%d nSuper=%d", n, b, sf, nBlk, nSuper)
 	}
-	table, err := TableFor(b)
+	table, err := tableFor(b)
 	if err != nil {
 		return nil, err
 	}

@@ -27,7 +27,7 @@ func TestSequenceSerializeRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("p=%+v n=%d: %v", p, n, err)
 			}
-			if back.Len() != n || back.Ones() != orig.Ones() || back.Params() != p {
+			if back.Len() != n || back.ones() != orig.ones() || back.Params() != p {
 				t.Fatalf("p=%+v n=%d: metadata changed", p, n)
 			}
 			for i := 0; i <= n; i += 1 + n/200 {

@@ -7,7 +7,7 @@ import (
 	"sync"
 )
 
-// GlobalRankTable is the shared permutation table of the paper (§III-B,
+// globalRankTable is the shared permutation table of the paper (§III-B,
 // Fig. 3): all 2^b possible blocks of b bits, sorted by class (popcount) and
 // then in ascending value order, together with the class-offset array that
 // points at the first permutation of each class.
@@ -15,7 +15,7 @@ import (
 // The paper stores this table once and shares it among the RRR sequences of
 // all wavelet-tree nodes; here the table is interned per block size in a
 // package-level cache so every Sequence with the same b shares one instance.
-type GlobalRankTable struct {
+type globalRankTable struct {
 	B int // block size in bits
 
 	// Permutations holds the 2^b block values sorted by (class, value).
@@ -39,24 +39,24 @@ type GlobalRankTable struct {
 	widthSum [256]uint16
 }
 
-// MinBlockSize and MaxBlockSize bound the supported block sizes. The upper
+// minBlockSize and maxBlockSize bound the supported block sizes. The upper
 // bound of 15 comes from the paper's layout: classes are stored in 4-bit
 // fields (values 0..15) and permutations in 16-bit fields.
 const (
-	MinBlockSize = 2
-	MaxBlockSize = 15
+	minBlockSize = 2
+	maxBlockSize = 15
 )
 
 var (
 	tableMu    sync.Mutex
-	tableCache = map[int]*GlobalRankTable{}
+	tableCache = map[int]*globalRankTable{}
 )
 
-// TableFor returns the shared global rank table for block size b, building
+// tableFor returns the shared global rank table for block size b, building
 // it on first use.
-func TableFor(b int) (*GlobalRankTable, error) {
-	if b < MinBlockSize || b > MaxBlockSize {
-		return nil, fmt.Errorf("rrr: block size %d out of range [%d,%d]", b, MinBlockSize, MaxBlockSize)
+func tableFor(b int) (*globalRankTable, error) {
+	if b < minBlockSize || b > maxBlockSize {
+		return nil, fmt.Errorf("rrr: block size %d out of range [%d,%d]", b, minBlockSize, maxBlockSize)
 	}
 	tableMu.Lock()
 	defer tableMu.Unlock()
@@ -68,7 +68,7 @@ func TableFor(b int) (*GlobalRankTable, error) {
 	return t, nil
 }
 
-func buildTable(b int) *GlobalRankTable {
+func buildTable(b int) *globalRankTable {
 	n := 1 << uint(b)
 	perms := make([]uint16, n)
 	for i := range perms {
@@ -103,7 +103,7 @@ func buildTable(b int) *GlobalRankTable {
 		count := classOffset[c+1] - classOffset[c] // == binomial(b, c)
 		width[c] = uint8(bits.Len32(count - 1))    // ceil(log2(count)); 0 when count==1
 	}
-	t := &GlobalRankTable{
+	t := &globalRankTable{
 		B:            b,
 		Permutations: perms,
 		ClassOffset:  classOffset,
@@ -123,18 +123,18 @@ func buildTable(b int) *GlobalRankTable {
 }
 
 // Width returns the offset-field width in bits for a block of class c.
-func (t *GlobalRankTable) Width(c int) int { return int(t.width[c]) }
+func (t *globalRankTable) Width(c int) int { return int(t.width[c]) }
 
 // OffsetOf returns the position of block value v within its class run.
-func (t *GlobalRankTable) OffsetOf(v uint16) int { return int(t.offsetOf[v]) }
+func (t *globalRankTable) OffsetOf(v uint16) int { return int(t.offsetOf[v]) }
 
 // Block reconstructs the block value for (class, offset).
-func (t *GlobalRankTable) Block(class, offset int) uint16 {
+func (t *globalRankTable) Block(class, offset int) uint16 {
 	return t.Permutations[int(t.ClassOffset[class])+offset]
 }
 
 // SizeBytes is the memory the shared table contributes: the paper counts
 // 2^(b+1) bytes for the permutations plus the class-offset array.
-func (t *GlobalRankTable) SizeBytes() int {
+func (t *globalRankTable) SizeBytes() int {
 	return len(t.Permutations)*2 + len(t.ClassOffset)*4
 }

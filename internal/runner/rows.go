@@ -68,8 +68,8 @@ func (r *Rows) Pairs() (concordant, ambiguous int) { return r.concordant, r.ambi
 // IDs: an embedded tab or newline would otherwise corrupt the results file.
 var idSanitizer = strings.NewReplacer("\t", " ", "\n", " ", "\r", " ")
 
-// SanitizeID makes a read ID safe to embed in a TSV row.
-func SanitizeID(id string) string { return idSanitizer.Replace(id) }
+// sanitizeID makes a read ID safe to embed in a TSV row.
+func sanitizeID(id string) string { return idSanitizer.Replace(id) }
 
 // samQName makes a read ID usable as a SAM QNAME: the writer rejects
 // whitespace, and an anonymous read still needs a name; i is the read's place
@@ -206,7 +206,7 @@ func (r *Rows) rejected(rejects []qc.Reject) {
 		}
 		nd := strconv.AppendInt(append(r.lines.AvailableBuffer(), `{"event":"qc_reject","index":`...), int64(rej.Index), 10)
 		if rej.ID != "" {
-			nd = appendJSONString(append(nd, `,"id":`...), SanitizeID(rej.ID))
+			nd = appendJSONString(append(nd, `,"id":`...), sanitizeID(rej.ID))
 		}
 		nd = appendJSONString(append(nd, `,"reason":`...), reason)
 		if rej.Detail != "" {
@@ -240,7 +240,7 @@ func (r *Rows) exact(off int, ids []string, reads []dna.Seq, results []core.MapR
 	r.header(off, "read\tmapped\tfw_count\tfw_positions\trc_count\trc_positions\n")
 	for i, res := range results {
 		span := len(reads[i])
-		r.str("read", SanitizeID(ids[i]))
+		r.str("read", sanitizeID(ids[i]))
 		r.flag("mapped", r.count(res.Mapped()))
 		r.num("fw_count", res.Forward.Count())
 		r.positions("fw_positions", res.ForwardPositions, span)
@@ -265,7 +265,7 @@ func (r *Rows) approx(off int, ids []string, reads []dna.Seq, results []core.App
 				return err
 			}
 		}
-		r.str("read", SanitizeID(ids[i]))
+		r.str("read", sanitizeID(ids[i]))
 		r.flag("mapped", r.count(res.Mapped()))
 		r.num("best_mismatches", best)
 		r.num("occurrences", res.Occurrences())
@@ -452,7 +452,7 @@ func (r *Rows) pairTSV(off int, ids []string, reads []dna.Seq, results []core.Ma
 	r.header(off, "pair\tconcordant\tambiguous\tplacements\tbest_pos\tbest_insert\n")
 	for i := 0; i < len(results); i += 2 {
 		kept, ambiguous := r.placePair(reads, results, i, opts)
-		r.str("pair", SanitizeID(ids[i]))
+		r.str("pair", sanitizeID(ids[i]))
 		r.flag("concordant", len(kept) > 0)
 		r.flag("ambiguous", ambiguous)
 		r.num("placements", len(kept))

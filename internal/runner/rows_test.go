@@ -14,6 +14,14 @@ import (
 	"bwaver/internal/readsim"
 )
 
+// Read IDs are user input: tabs and newlines become spaces, so they cannot
+// corrupt a row.
+func TestSanitizeID(t *testing.T) {
+	if got := sanitizeID("a\tb\nc\rd"); got != "a b c d" {
+		t.Fatalf("sanitizeID = %q", got)
+	}
+}
+
 // appendJSONString must agree with encoding/json on every string, whichever
 // of its two paths a string takes.
 func TestAppendJSONStringMatchesEncodingJSON(t *testing.T) {
@@ -185,7 +193,7 @@ func checkRejects(t *testing.T, b qc.Batch, lines []string) []string {
 		}
 		want := []field{{"event", "qc_reject"}, {"index", float64(rej.Index)}}
 		if rej.ID != "" {
-			want = append(want, field{"id", jsonText(SanitizeID(rej.ID))})
+			want = append(want, field{"id", jsonText(sanitizeID(rej.ID))})
 		}
 		want = append(want, field{"reason", reason})
 		if rej.Detail != "" {

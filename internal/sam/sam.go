@@ -14,18 +14,15 @@ import (
 
 // Flag bits (SAM spec §1.4).
 const (
-	FlagPaired        uint16 = 0x1
-	FlagProperPair    uint16 = 0x2
-	FlagUnmapped      uint16 = 0x4
-	FlagMateUnmapped  uint16 = 0x8
-	FlagReverse       uint16 = 0x10
-	FlagMateReverse   uint16 = 0x20
-	FlagFirstInPair   uint16 = 0x40
-	FlagSecondInPair  uint16 = 0x80
-	FlagSecondary     uint16 = 0x100
-	FlagQCFail        uint16 = 0x200
-	FlagDuplicate     uint16 = 0x400
-	FlagSupplementary uint16 = 0x800
+	FlagPaired       uint16 = 0x1
+	FlagProperPair   uint16 = 0x2
+	FlagUnmapped     uint16 = 0x4
+	FlagMateUnmapped uint16 = 0x8
+	FlagReverse      uint16 = 0x10
+	FlagMateReverse  uint16 = 0x20
+	FlagFirstInPair  uint16 = 0x40
+	FlagSecondInPair uint16 = 0x80
+	FlagSecondary    uint16 = 0x100
 )
 
 // RefSeq describes one @SQ header line.

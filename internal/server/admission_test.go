@@ -102,7 +102,7 @@ func TestQueueFullShedsAndCancelFrees(t *testing.T) {
 	cresp.Body.Close()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if j := getJobJSON(t, ts, 2); j.State == string(StateCanceled) {
+		if j := getJobJSON(t, ts, 2); j.State == string(stateCanceled) {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -200,7 +200,7 @@ func TestDrainingRejectsButServes(t *testing.T) {
 	submitJob(t, s, ts, map[string]string{"backend": "cpu"},
 		map[string][]byte{"reference": refFasta, "reads": readsFastq})
 	s.Wait()
-	s.BeginDrain()
+	s.beginDrain()
 
 	resp := postJob(t, ts, refFasta, readsFastq)
 	if resp.StatusCode != http.StatusServiceUnavailable {
@@ -236,7 +236,7 @@ func TestDrainingRejectsButServes(t *testing.T) {
 	}
 
 	// Existing jobs stay reachable.
-	if j := getJobJSON(t, ts, 1); j.State != string(StateDone) {
+	if j := getJobJSON(t, ts, 1); j.State != string(stateDone) {
 		t.Errorf("job 1 state %q while draining, want done", j.State)
 	}
 	if !getStats(t, ts).Admission.Draining {
@@ -277,7 +277,7 @@ func TestCancelTerminalCarriesState(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&payload); err != nil {
 		t.Fatal(err)
 	}
-	if payload.State != string(StateDone) || payload.ID != 1 {
+	if payload.State != string(stateDone) || payload.ID != 1 {
 		t.Errorf("409 payload %+v, want state done for job 1", payload)
 	}
 }

@@ -70,7 +70,7 @@ func runUpload(t *testing.T, s *Server, ts *httptest.Server, fields map[string]s
 	if _, err := fmt.Sscanf(loc, "/jobs/%d", &id); err != nil {
 		t.Fatalf("location %q", loc)
 	}
-	return waitForState(t, ts, id, StateDone)
+	return waitForState(t, ts, id, stateDone)
 }
 
 // The tentpole: the second job for one upload finds its index by the digest
@@ -245,7 +245,7 @@ func TestCorruptReferenceRecordsNoAlias(t *testing.T) {
 	corrupt[0] = '#' // no FASTA header
 	submitJob(t, s, ts, nil, map[string][]byte{"reference": corrupt, "reads": readsFastq})
 	s.Wait()
-	if j := getJobJSON(t, ts, 1); j.State != string(StateFailed) || !strings.Contains(j.Error, "reference") {
+	if j := getJobJSON(t, ts, 1); j.State != string(stateFailed) || !strings.Contains(j.Error, "reference") {
 		t.Fatalf("corrupt upload: state %s, error %q", j.State, j.Error)
 	}
 	s.cache.mu.Lock()
@@ -257,7 +257,7 @@ func TestCorruptReferenceRecordsNoAlias(t *testing.T) {
 	// The same corrupt bytes again fail the same way: nothing was cached.
 	submitJob(t, s, ts, nil, map[string][]byte{"reference": corrupt, "reads": readsFastq})
 	s.Wait()
-	if j := getJobJSON(t, ts, 2); j.State != string(StateFailed) {
+	if j := getJobJSON(t, ts, 2); j.State != string(stateFailed) {
 		t.Fatalf("corrupt retry: state %s", j.State)
 	}
 	if j := runUpload(t, s, ts, nil, refFasta, readsFastq); j.Mapped == 0 {
@@ -291,7 +291,7 @@ func TestChunkedAndReplayedJobsTakeTheAliasPath(t *testing.T) {
 
 			first := runUpload(t, s, ts, map[string]string{"backend": "cpu"}, refFasta, readsFastq)
 			id := chunkedSubmit(t, ts, refFasta, readsFastq, 1000)
-			chunked := waitForState(t, ts, id, StateDone)
+			chunked := waitForState(t, ts, id, stateDone)
 			if n := parses.Load(); n != 1 {
 				t.Errorf("%d parses, want 1: the chunked job's payload digest should have met the alias", n)
 			}
@@ -337,13 +337,13 @@ func TestChunkedAndReplayedJobsTakeTheAliasPath(t *testing.T) {
 		defer s2.Close()
 		ts2 := httptest.NewServer(s2.Handler())
 		defer ts2.Close()
-		waitForState(t, ts2, 1, StateDone)
+		waitForState(t, ts2, 1, stateDone)
 		if !bytes.Equal(fetchResults(t, ts2, 1), rows) {
 			t.Error("replayed rows differ")
 		}
 		// The replayed job hashed its payload file: the alias it left is the
 		// one the same bytes produce on the wire.
-		if s2.cache.aliasKey(RingKey(digest, DefaultB, DefaultSF, s2.cfg.FtabK)) == "" {
+		if s2.cache.aliasKey(RingKey(digest, defaultB, defaultSF, s2.cfg.FtabK)) == "" {
 			t.Fatal("the replayed job recorded no alias under its payload's digest")
 		}
 		parses := countParses(s2) // the replayed job is done: no one is reading the hook
@@ -395,7 +395,7 @@ func TestConcurrentSubmissionsOfOneNewReference(t *testing.T) {
 	s.Wait()
 	rows := fetchResults(t, ts, 1)
 	for id := 1; id <= n; id++ {
-		if j := getJobJSON(t, ts, id); j.State != string(StateDone) || j.RefName != "ctgA" || j.RefLength != 8000 {
+		if j := getJobJSON(t, ts, id); j.State != string(stateDone) || j.RefName != "ctgA" || j.RefLength != 8000 {
 			t.Fatalf("job %d: %+v", id, j)
 		}
 		if !bytes.Equal(fetchResults(t, ts, id), rows) {

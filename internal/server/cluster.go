@@ -19,8 +19,8 @@ import (
 // with the gateway so its ring-key extraction defaults match the workers'
 // admission defaults.
 const (
-	DefaultB  = 15
-	DefaultSF = 50
+	defaultB  = 15
+	defaultSF = 50
 )
 
 // TimeoutBudgetHeader is the request header carrying a job's remaining
@@ -85,16 +85,16 @@ func (s *Server) jobTimeout(job *Job) time.Duration {
 	return s.cfg.JobTimeout
 }
 
-// QueueDepth reports how many jobs hold admission queue slots (queued +
+// queueDepth reports how many jobs hold admission queue slots (queued +
 // uploading) — the figure the gateway's heartbeat reads for load-aware
 // decisions.
-func (s *Server) QueueDepth() int {
+func (s *Server) queueDepth() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.queuedCount
 }
 
-// JobsInFlight reports how many jobs are currently running a pipeline.
-func (s *Server) JobsInFlight() int {
-	return s.countJobs(StateRunning)
+// jobsInFlight reports how many jobs are currently running a pipeline.
+func (s *Server) jobsInFlight() int {
+	return s.countJobs(stateRunning)
 }

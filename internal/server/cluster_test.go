@@ -71,21 +71,21 @@ func TestRingKeyDeterministic(t *testing.T) {
 	if fromFile, err := file.digest(); err != nil || fromFile != digest {
 		t.Fatalf("digest of the payload file = %q, %v; of the bytes %q", fromFile, err, digest)
 	}
-	k1 := RingKey(digest, DefaultB, DefaultSF, 10)
-	if k1 == "" || k1 != RingKey(digest, DefaultB, DefaultSF, 10) {
+	k1 := RingKey(digest, defaultB, defaultSF, 10)
+	if k1 == "" || k1 != RingKey(digest, defaultB, defaultSF, 10) {
 		t.Fatalf("RingKey not deterministic: %q", k1)
 	}
-	if RingKey(digest, DefaultB+1, DefaultSF, 10) == k1 {
+	if RingKey(digest, defaultB+1, defaultSF, 10) == k1 {
 		t.Fatal("RingKey ignores the RRR block size")
 	}
-	if RingKey(digest, DefaultB, DefaultSF+1, 10) == k1 || RingKey(digest, DefaultB, DefaultSF, 8) == k1 {
+	if RingKey(digest, defaultB, defaultSF+1, 10) == k1 || RingKey(digest, defaultB, defaultSF, 8) == k1 {
 		t.Fatal("RingKey ignores the superblock factor or the prefix-table order")
 	}
 	other, err := bytesSpool(refFasta[:len(refFasta)-1]).digest()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if RingKey(other, DefaultB, DefaultSF, 10) == k1 {
+	if RingKey(other, defaultB, defaultSF, 10) == k1 {
 		t.Fatal("RingKey ignores the reference bytes")
 	}
 }

@@ -127,7 +127,7 @@ func TestGoldenRows(t *testing.T) {
 		{"exact", 0, "", 30},
 		{"mismatch1", 1, "", 30},
 		{"mismatch1-short", 1, "", 8},
-		{"mem-pe", 0, ModeMemPE, 0},
+		{"mem-pe", 0, modeMemPE, 0},
 	}
 	for _, c := range cases {
 		for _, run := range []string{"cpu", "fpga", "fallback"} {
@@ -150,9 +150,9 @@ type goldenCase struct {
 func goldenRun(t *testing.T, c goldenCase, run, stateDir string) {
 	s := openServer(t, Config{FtabK: 6, Devices: 1, StateDir: stateDir})
 	defer s.Close()
-	in := goldenInput(t, c.mode == ModeMemPE, c.length)
+	in := goldenInput(t, c.mode == modeMemPE, c.length)
 	// The index a served job with these parameters maps against.
-	ix, err := core.BuildIndex(in.ref, s.indexConfig(DefaultB, DefaultSF))
+	ix, err := core.BuildIndex(in.ref, s.indexConfig(defaultB, defaultSF))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func goldenRun(t *testing.T, c goldenCase, run, stateDir string) {
 	if run == "fallback" {
 		backend = "fpga"
 	}
-	job := queueJob(t, s, JobParams{Backend: backend, Mode: c.mode, B: DefaultB, SF: DefaultSF, Mismatches: c.mismatches}, "golden")
+	job := queueJob(t, s, JobParams{Backend: backend, Mode: c.mode, B: defaultB, SF: defaultSF, Mismatches: c.mismatches}, "golden")
 	// Small batches: headers must appear once, not per batch.
 	src := &sliceSource{ids: in.ids, reads: in.reads, batch: 16}
 	reads := runner.NewReads(src, nil)

@@ -92,7 +92,7 @@ func TestServedJobReadsABatchAhead(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	id := chunkedSubmit(t, ts, fasta.Bytes(), fastq.Bytes(), 50_000)
-	if j := waitForState(t, ts, id, StateDone); j.Reads != len(sim) {
+	if j := waitForState(t, ts, id, stateDone); j.Reads != len(sim) {
 		t.Fatalf("job mapped %d reads, want %d", j.Reads, len(sim))
 	}
 	s.Wait()
@@ -157,7 +157,7 @@ func TestFailedJobAccountingAddsUp(t *testing.T) {
 	defer ts.Close()
 	submitJob(t, s, ts, map[string]string{"backend": "cpu", "min_len": "20"},
 		map[string][]byte{"reference": refFasta, "reads": fastq.Bytes()})
-	j := waitForState(t, ts, 1, StateFailed)
+	j := waitForState(t, ts, 1, stateFailed)
 	s.Wait()
 	if !strings.Contains(j.Error, wantLine) {
 		t.Errorf("error %q does not carry the decoder's %s", j.Error, wantLine)
@@ -211,7 +211,7 @@ func TestFailedJobAccountingAddsUp(t *testing.T) {
 	defer s2.Close()
 	ts2 := httptest.NewServer(s2.Handler())
 	defer ts2.Close()
-	if j2 := getJobJSON(t, ts2, 1); j2.State != string(StateFailed) || !reflect.DeepEqual(j2.QCReport, rep) {
+	if j2 := getJobJSON(t, ts2, 1); j2.State != string(stateFailed) || !reflect.DeepEqual(j2.QCReport, rep) {
 		t.Errorf("replayed job %s with report %+v, want failed with %+v", j2.State, j2.QCReport, rep)
 	}
 	if st2 := getStats(t, ts2); !reflect.DeepEqual(st2.QC, st.QC) {
@@ -326,7 +326,7 @@ func (r *rejectingSource) Next() (qc.Batch, error) {
 	if r.pulls++; r.pulls == 3 {
 		r.cancel()
 	}
-	return qc.Batch{Rejects: []qc.Reject{{Index: r.pulls, Reason: qc.ReasonTooShort}}}, nil
+	return qc.Batch{Rejects: []qc.Reject{{Index: r.pulls, Reason: "too_short"}}}, nil
 }
 
 // A batch with no survivor calls no engine, and the engines are what poll the

@@ -32,17 +32,17 @@ type JobState string
 // protocol (POST /api/jobs) and are still receiving payload chunks; they
 // occupy an admission queue slot but have not launched.
 const (
-	StateUploading JobState = "uploading"
-	StateQueued    JobState = "queued"
-	StateRunning   JobState = "running"
-	StateDone      JobState = "done"
-	StateFailed    JobState = "failed"
-	StateCanceled  JobState = "canceled"
+	stateUploading JobState = "uploading"
+	stateQueued    JobState = "queued"
+	stateRunning   JobState = "running"
+	stateDone      JobState = "done"
+	stateFailed    JobState = "failed"
+	stateCanceled  JobState = "canceled"
 )
 
 // terminal reports whether the state is final.
 func (s JobState) terminal() bool {
-	return s == StateDone || s == StateFailed || s == StateCanceled
+	return s == stateDone || s == stateFailed || s == stateCanceled
 }
 
 // errJobCanceled is the cancellation cause recorded when a user cancels a
@@ -52,16 +52,16 @@ var errJobCanceled = errors.New("canceled by user")
 // Job.Mode values. The empty mode keeps the historical dispatch: exact
 // matching, or the mismatch-budget search when one is set.
 const (
-	// ModeMem maps reads with the seed-and-extend pipeline (SMEM seeding,
+	// modeMem maps reads with the seed-and-extend pipeline (SMEM seeding,
 	// collinear chaining, banded extension) and streams SAM records.
-	ModeMem = "mem"
-	// ModeMemPE is ModeMem over interleaved mate pairs (R1, R2, R1, R2, ...)
+	modeMem = "mem"
+	// modeMemPE is modeMem over interleaved mate pairs (R1, R2, R1, R2, ...)
 	// with mate rescue and proper-pair calls.
-	ModeMemPE = "mem-pe"
+	modeMemPE = "mem-pe"
 )
 
 // memMode reports whether the job runs the seed-and-extend pipeline.
-func (j *Job) memMode() bool { return j.Mode == ModeMem || j.Mode == ModeMemPE }
+func (j *Job) memMode() bool { return j.Mode == modeMem || j.Mode == modeMemPE }
 
 // Outcome is what a job comes to. Its run fills it in, the job's terminal
 // journal record carries it, and the job JSON shows it: Job, journalRecord and
@@ -159,7 +159,7 @@ func (j *Job) shown() Job {
 	v := *j
 	if v.RefName == "" && !v.State.terminal() {
 		v.RefName = "(parsing)"
-		if v.State == StateUploading {
+		if v.State == stateUploading {
 			v.RefName = "(uploading)"
 		}
 	}
@@ -172,7 +172,7 @@ func (j *Job) toJSON() jobJSON {
 		ID: j.ID, State: string(j.State), JobParams: j.JobParams, Outcome: j.shown().Outcome,
 		RequestID: j.RequestID,
 	}
-	if j.State == StateUploading && j.upload != nil {
+	if j.State == stateUploading && j.upload != nil {
 		ref, reads := j.upload.ref.size(), j.upload.reads.size()
 		out.ReferenceOffset, out.ReadsOffset = &ref, &reads
 	}
@@ -327,7 +327,7 @@ func (r *jobRun) wait(ctx context.Context) error {
 	}
 	s, job := r.s, r.job
 	s.mu.Lock()
-	s.setJobStateLocked(job, StateRunning)
+	s.setJobStateLocked(job, stateRunning)
 	s.mu.Unlock()
 	s.journal.appendBestEffort(journalRecord{Type: recRunning, Job: job.ID})
 	if hook := s.testHookBeforeRun; hook != nil {
@@ -360,7 +360,7 @@ func (r *jobRun) parse(ctx context.Context) error {
 		r.rc = hook(r.rc)
 	}
 	batch := s.cfg.StreamBatch
-	if job.Mode == ModeMemPE {
+	if job.Mode == modeMemPE {
 		batch = runner.PairAligned(batch)
 	}
 	if r.src, err = qc.NewSource(r.rc, job.policy(), batch); err != nil {
@@ -462,15 +462,15 @@ func (s *Server) runEnd(ctx context.Context, job *Job, err error) (JobState, str
 	cause := context.Cause(ctx)
 	switch {
 	case err == nil:
-		return StateDone, ""
+		return stateDone, ""
 	case !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded):
-		return StateFailed, err.Error()
+		return stateFailed, err.Error()
 	case errors.Is(cause, errJobCanceled):
-		return StateCanceled, errJobCanceled.Error()
+		return stateCanceled, errJobCanceled.Error()
 	case errors.Is(cause, context.DeadlineExceeded) || errors.Is(err, context.DeadlineExceeded):
-		return StateFailed, fmt.Sprintf("job exceeded the %v timeout", s.jobTimeout(job))
+		return stateFailed, fmt.Sprintf("job exceeded the %v timeout", s.jobTimeout(job))
 	default:
-		return StateFailed, err.Error()
+		return stateFailed, err.Error()
 	}
 }
 
@@ -503,7 +503,7 @@ func (s *Server) endJob(job *Job, by ender, state JobState, msg string) bool {
 		s.mu.Unlock()
 		return false
 	}
-	wasUploading := job.State == StateUploading
+	wasUploading := job.State == stateUploading
 	s.setJobStateLocked(job, state)
 	job.Error, job.Finished = msg, time.Now()
 	if by != endRun {
@@ -512,7 +512,7 @@ func (s *Server) endJob(job *Job, by ender, state JobState, msg string) bool {
 	if by == endUnaccepted {
 		s.releaseIdemKeyLocked(job)
 	}
-	if state == StateDone {
+	if state == stateDone {
 		parse, build, mapped := duration(job.ParseMs), duration(job.BuildMs), duration(job.MapMs)
 		s.completedJobs++
 		s.totalParse += parse
@@ -647,7 +647,7 @@ func (s *Server) mapJob(ctx context.Context, job *Job, entry *cacheEntry, in *ru
 	switch {
 	case err != nil: // no farm to map on
 	case job.memMode():
-		res, err = runner.Run(ctx, in, runner.Mem(entry.ix, core.MemOptions{Paired: job.Mode == ModeMemPE}, s.countMem), em.rows, opts)
+		res, err = runner.Run(ctx, in, runner.Mem(entry.ix, core.MemOptions{Paired: job.Mode == modeMemPE}, s.countMem), em.rows, opts)
 	case job.Mismatches > 0:
 		res, err = runner.Run(ctx, in, runner.Approx(entry.ix, job.Mismatches, true), em.rows, opts)
 	default:

@@ -330,7 +330,7 @@ func foldRecords(recs []journalRecord) map[int]*foldedJob {
 func snapshotRecord(j *Job) journalRecord {
 	rec := specRecord(recAccepted, j)
 	rec.Time = time.Now()
-	if j.State != StateQueued {
+	if j.State != stateQueued {
 		rec.Type = string(j.State)
 	}
 	if j.State.terminal() {
@@ -442,12 +442,12 @@ func (s *Server) recover() error {
 			if results, err := fileSpool(s.journal.abs(resultsName(id))); err != nil {
 				// The record promised results the disk no longer has: fail
 				// the job visibly rather than serving an empty download.
-				s.setJobStateLocked(job, StateFailed)
+				s.setJobStateLocked(job, stateFailed)
 				if job.Error == "" {
 					job.Error = fmt.Sprintf("journaled results lost: %v", err)
 				}
 			} else {
-				s.setJobStateLocked(job, StateDone)
+				s.setJobStateLocked(job, stateDone)
 				// A done job mapped every read it took; records written
 				// before the outcome carried done lack the count.
 				job.results, job.Done = results, job.Reads
@@ -462,15 +462,15 @@ func (s *Server) recover() error {
 			ref, _ := fileSpool(s.journal.abs(refRel))
 			reads, _ := fileSpool(s.journal.abs(readsRel))
 			job.upload = &uploadState{lastActivity: time.Now(), ref: ref, reads: reads}
-			s.setJobStateLocked(job, StateUploading)
+			s.setJobStateLocked(job, stateUploading)
 		default: // accepted or running: re-queue against the saved payloads
 			ref, refErr := fileSpool(s.journal.abs(refRel))
 			reads, readsErr := fileSpool(s.journal.abs(readsRel))
 			if err := firstErr(refErr, readsErr); err != nil {
-				s.setJobStateLocked(job, StateFailed)
+				s.setJobStateLocked(job, stateFailed)
 				job.Error = fmt.Sprintf("journaled payloads lost: %v", err)
 			} else {
-				s.setJobStateLocked(job, StateQueued)
+				s.setJobStateLocked(job, stateQueued)
 				relaunches = append(relaunches, relaunch{job: job, in: jobInput{ref: ref, reads: reads}})
 			}
 		}

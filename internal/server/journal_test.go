@@ -133,7 +133,7 @@ func crashRecoveryReplays(t *testing.T, finished, replayed map[string]string) {
 
 	upload := map[string][]byte{"reference": refFasta, "reads": readsFastq}
 	submitJob(t, s, ts, finished, upload)
-	waitForState(t, ts, 1, StateDone)
+	waitForState(t, ts, 1, stateDone)
 	goldenResults := fetchResults(t, ts, 1)
 
 	submitJob(t, s, ts, replayed, upload)
@@ -153,7 +153,7 @@ func crashRecoveryReplays(t *testing.T, finished, replayed map[string]string) {
 
 	// Job 1 was terminal: restored verbatim, results served again.
 	j1 := getJobJSON(t, ts2, 1)
-	if j1.State != string(StateDone) {
+	if j1.State != string(stateDone) {
 		t.Fatalf("restored job 1 state %q, want done", j1.State)
 	}
 	if got := fetchResults(t, ts2, 1); string(got) != string(goldenResults) {
@@ -162,7 +162,7 @@ func crashRecoveryReplays(t *testing.T, finished, replayed map[string]string) {
 
 	// Job 2 was mid-flight: re-queued from its journaled payloads and run
 	// to completion, producing the same mapping bit for bit.
-	waitForState(t, ts2, 2, StateDone)
+	waitForState(t, ts2, 2, stateDone)
 	if got := fetchResults(t, ts2, 2); string(got) != string(goldenResults) {
 		t.Error("replayed job results differ from the undisturbed run")
 	}
@@ -213,7 +213,7 @@ func TestRecoverDeletesStagedParts(t *testing.T) {
 	}
 	ts2 := httptest.NewServer(s2.Handler())
 	defer ts2.Close()
-	if j := waitForState(t, ts2, 1, StateDone); j.Mapped == 0 {
+	if j := waitForState(t, ts2, 1, stateDone); j.Mapped == 0 {
 		t.Errorf("replayed job mapped nothing: %+v", j)
 	}
 	if st := getStats(t, ts2); st.Admission.JobsReplayed != 1 {
@@ -264,8 +264,8 @@ func TestReplaySurvivesCacheEviction(t *testing.T) {
 	defer s2.Close()
 	ts2 := httptest.NewServer(s2.Handler())
 	defer ts2.Close()
-	waitForState(t, ts2, 1, StateDone)
-	waitForState(t, ts2, 2, StateDone)
+	waitForState(t, ts2, 1, stateDone)
+	waitForState(t, ts2, 2, stateDone)
 	if st := getStats(t, ts2); st.Admission.JobsReplayed != 2 {
 		t.Errorf("jobs_replayed = %d, want 2", st.Admission.JobsReplayed)
 	}
@@ -284,7 +284,7 @@ func TestCorruptSpillRejectedAndRebuilt(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	upload := map[string][]byte{"reference": refFasta, "reads": readsFastq}
 	submitJob(t, s, ts, map[string]string{"backend": "cpu"}, upload)
-	waitForState(t, ts, 1, StateDone)
+	waitForState(t, ts, 1, stateDone)
 	golden := fetchResults(t, ts, 1)
 	ts.Close()
 	s.Close()
@@ -318,7 +318,7 @@ func TestCorruptSpillRejectedAndRebuilt(t *testing.T) {
 	ts2 := httptest.NewServer(s2.Handler())
 	defer ts2.Close()
 	submitJob(t, s2, ts2, map[string]string{"backend": "cpu"}, upload)
-	waitForState(t, ts2, 2, StateDone)
+	waitForState(t, ts2, 2, stateDone)
 	if got := fetchResults(t, ts2, 2); string(got) != string(golden) {
 		t.Error("rebuilt index produced different results")
 	}
@@ -342,7 +342,7 @@ func TestSpillServesRestart(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	upload := map[string][]byte{"reference": refFasta, "reads": readsFastq}
 	submitJob(t, s, ts, map[string]string{"backend": "cpu"}, upload)
-	waitForState(t, ts, 1, StateDone)
+	waitForState(t, ts, 1, stateDone)
 	ts.Close()
 	s.Close()
 
@@ -354,7 +354,7 @@ func TestSpillServesRestart(t *testing.T) {
 	ts2 := httptest.NewServer(s2.Handler())
 	defer ts2.Close()
 	submitJob(t, s2, ts2, map[string]string{"backend": "cpu"}, upload)
-	j := waitForState(t, ts2, 2, StateDone)
+	j := waitForState(t, ts2, 2, stateDone)
 	if !j.CacheHit {
 		t.Error("restart repeat did not report a cache hit from the spill")
 	}
@@ -443,7 +443,7 @@ func TestDrainVersusConcurrentSubmits(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("post-drain submit returned %d, want 503", resp.StatusCode)
 	}
-	if !s.Draining() {
+	if !s.isDraining() {
 		t.Error("server not draining after Drain")
 	}
 }
@@ -460,7 +460,7 @@ func TestEvictionSurvivesRestart(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	submitJob(t, s, ts, map[string]string{"backend": "cpu"},
 		map[string][]byte{"reference": refFasta, "reads": readsFastq})
-	waitForState(t, ts, 1, StateDone)
+	waitForState(t, ts, 1, stateDone)
 	if n := s.evictExpiredJobs(time.Now().Add(time.Second)); n != 1 {
 		t.Fatalf("evicted %d jobs, want 1", n)
 	}

@@ -190,7 +190,7 @@ func TestCancelRunningJob(t *testing.T) {
 		t.Fatalf("cancel returned %d, want 202", resp.StatusCode)
 	}
 	s.Wait()
-	if j := getJobJSON(t, ts, 1); j.State != string(StateCanceled) {
+	if j := getJobJSON(t, ts, 1); j.State != string(stateCanceled) {
 		t.Errorf("job state %s, want canceled", j.State)
 	}
 
@@ -258,12 +258,12 @@ func TestCancelMidMappingReleasesSlot(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("cancel returned %d, want 202", resp.StatusCode)
 	}
-	waitFor(1, "canceled", func(j jobJSON) bool { return j.State == string(StateCanceled) })
+	waitFor(1, "canceled", func(j jobJSON) bool { return j.State == string(stateCanceled) })
 
 	// The only slot is free again: a second job runs to completion.
 	submitJob(t, s, ts, map[string]string{"backend": "cpu"},
 		map[string][]byte{"reference": refFasta, "reads": readsFastq})
-	waitFor(2, "done", func(j jobJSON) bool { return j.State == string(StateDone) })
+	waitFor(2, "done", func(j jobJSON) bool { return j.State == string(stateDone) })
 	s.Wait()
 }
 
@@ -304,7 +304,7 @@ func TestCancelQueuedJob(t *testing.T) {
 	// running job to release its slot.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if j := getJobJSON(t, ts, 2); j.State == string(StateCanceled) {
+		if j := getJobJSON(t, ts, 2); j.State == string(stateCanceled) {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -330,7 +330,7 @@ func TestJobTimeout(t *testing.T) {
 		map[string][]byte{"reference": refFasta, "reads": readsFastq})
 	s.Wait()
 	j := getJobJSON(t, ts, 1)
-	if j.State != string(StateFailed) {
+	if j.State != string(stateFailed) {
 		t.Fatalf("timed-out job state %s, want failed", j.State)
 	}
 	if !strings.Contains(j.Error, "timeout") {
@@ -354,7 +354,7 @@ func TestSubmitParseFailureFailsJob(t *testing.T) {
 	}
 	s.Wait()
 	j := getJobJSON(t, ts, 1)
-	if j.State != string(StateFailed) {
+	if j.State != string(stateFailed) {
 		t.Fatalf("job state %s, want failed", j.State)
 	}
 	if !strings.Contains(j.Error, "reference") {
@@ -409,7 +409,7 @@ func TestJobTTLEviction(t *testing.T) {
 	defer s.Close()
 	job := queueJob(t, s, cpuParams, "x")
 	s.mu.Lock()
-	job.State = StateDone
+	job.State = stateDone
 	job.Finished = time.Now().Add(-time.Hour)
 	s.mu.Unlock()
 	fresh := queueJob(t, s, cpuParams, "y")
@@ -438,9 +438,6 @@ func TestJobTTLEviction(t *testing.T) {
 // Read IDs are user input: tabs and newlines must not corrupt the TSV, exact
 // or k-mismatch.
 func TestTSVEscapesReadIDs(t *testing.T) {
-	if got := runner.SanitizeID("a\tb\nc\rd"); got != "a b c d" {
-		t.Fatalf("SanitizeID = %q", got)
-	}
 	ids := []string{"evil\tid\nsecond-line"}
 	reads := []dna.Seq{dna.MustParseSeq("ACGT")}
 	ref, err := readsim.Genome(readsim.GenomeConfig{Length: 3000, Seed: 44})

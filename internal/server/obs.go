@@ -57,7 +57,7 @@ func (s *Server) initObs() {
 	reg.GaugeFunc("bwaver_draining",
 		"1 while the server is draining (rejecting new jobs), else 0.",
 		func() float64 {
-			if s.Draining() {
+			if s.isDraining() {
 				return 1
 			}
 			return 0
@@ -81,7 +81,7 @@ func (s *Server) initObs() {
 			func() float64 { return float64(b.Trips()) }, "device", dev)
 	}
 
-	for _, st := range []JobState{StateUploading, StateQueued, StateRunning, StateDone, StateFailed, StateCanceled} {
+	for _, st := range []JobState{stateUploading, stateQueued, stateRunning, stateDone, stateFailed, stateCanceled} {
 		st := st
 		reg.GaugeFunc("bwaver_jobs",
 			"Jobs currently tracked by the server, by state.",
@@ -89,7 +89,7 @@ func (s *Server) initObs() {
 	}
 	reg.GaugeFunc("bwaver_queue_depth",
 		"Jobs waiting for a pipeline slot.",
-		func() float64 { return float64(s.countJobs(StateQueued)) })
+		func() float64 { return float64(s.countJobs(stateQueued)) })
 	reg.CounterFunc("bwaver_jobs_evicted_total",
 		"Finished jobs dropped by the TTL janitor.",
 		func() float64 { s.mu.Lock(); defer s.mu.Unlock(); return float64(s.jobsEvicted) })

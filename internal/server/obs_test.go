@@ -147,7 +147,7 @@ func TestMetricsAndTraceUnderFaults(t *testing.T) {
 	wg.Wait()
 
 	for id := 1; id <= 2; id++ {
-		if j := getJobJSON(t, ts, id); j.State != string(StateDone) {
+		if j := getJobJSON(t, ts, id); j.State != string(stateDone) {
 			t.Fatalf("job %d state %s (%s), want done", id, j.State, j.Error)
 		}
 	}
@@ -310,7 +310,7 @@ func TestCancelDuringBuildFreesSlot(t *testing.T) {
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if j := getJobJSON(t, ts, 1); j.State == string(StateCanceled) {
+		if j := getJobJSON(t, ts, 1); j.State == string(stateCanceled) {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -325,7 +325,7 @@ func TestCancelDuringBuildFreesSlot(t *testing.T) {
 		map[string][]byte{"reference": refFasta, "reads": readsFastq})
 	s.Wait()
 	j := getJobJSON(t, ts, 2)
-	if j.State != string(StateDone) {
+	if j.State != string(stateDone) {
 		t.Fatalf("follow-up job state %s (%s), want done", j.State, j.Error)
 	}
 	if j.CacheHit {
@@ -429,7 +429,7 @@ func TestJobsFinishedCountsEveryEnd(t *testing.T) {
 		t.Fatalf("stats jobs %v, want one done, one canceled, one failed", jobs)
 	}
 	text := scrapeMetrics(t, ts)
-	for _, state := range []JobState{StateDone, StateFailed, StateCanceled} {
+	for _, state := range []JobState{stateDone, stateFailed, stateCanceled} {
 		want := fmt.Sprintf("bwaver_jobs_finished_total{state=%q} %d\n", state, jobs[string(state)])
 		if !strings.Contains(text, want) {
 			t.Errorf("scrape missing %q", want)

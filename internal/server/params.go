@@ -28,8 +28,8 @@ type JobParams struct {
 	// Backend is "cpu" or "fpga".
 	Backend string `json:"backend"`
 	// Mode selects the mapping pipeline: "" (exact matching, or the
-	// branching approximate search when Mismatches > 0), ModeMem
-	// (seed-and-extend, single-end), or ModeMemPE (seed-and-extend on
+	// branching approximate search when Mismatches > 0), modeMem
+	// (seed-and-extend, single-end), or modeMemPE (seed-and-extend on
 	// interleaved mate pairs with rescue and proper-pair calls).
 	Mode string `json:"mode,omitempty"`
 	// B and SF are the RRR block size and superblock factor of the index.
@@ -43,7 +43,7 @@ type JobParams struct {
 // defaultParams is a submission that names no parameter, before validate
 // picks the backend.
 func defaultParams() JobParams {
-	return JobParams{B: DefaultB, SF: DefaultSF}
+	return JobParams{B: defaultB, SF: defaultSF}
 }
 
 // policy is the QC policy a job's reads pass through; the zero policy is a
@@ -66,9 +66,9 @@ func (p *JobParams) validate() error {
 		return fmt.Errorf("backend must be cpu or fpga")
 	}
 	switch p.Mode {
-	case "", ModeMem, ModeMemPE:
+	case "", modeMem, modeMemPE:
 	default:
-		return fmt.Errorf("mode must be %s or %s", ModeMem, ModeMemPE)
+		return fmt.Errorf("mode must be %s or %s", modeMem, modeMemPE)
 	}
 	if p.Mode != "" && p.Mismatches != 0 {
 		return fmt.Errorf("mode=%s scores alignments; the mismatch budget applies only to the default mode", p.Mode)
@@ -80,7 +80,7 @@ func (p *JobParams) validate() error {
 		return err
 	}
 	pol := p.policy()
-	pol.Paired = p.Mode == ModeMemPE
+	pol.Paired = p.Mode == modeMemPE
 	if err := pol.Validate(); err != nil {
 		return err
 	}

@@ -108,7 +108,7 @@ func TestEveryRouteDecodesTheSameJob(t *testing.T) {
 	}
 
 	fullQC := url.Values{
-		"backend": {"cpu"}, "mode": {ModeMemPE}, "b": {"12"}, "sf": {"40"},
+		"backend": {"cpu"}, "mode": {modeMemPE}, "b": {"12"}, "sf": {"40"},
 		"min_len": {"30"}, "max_ee": {"2.5"}, "max_n": {"3"}, "trim_qual": {"10"},
 		"quality_sort": {"true"}, "phred_offset": {"33"}, "tolerant": {"true"},
 	}
@@ -121,28 +121,28 @@ func TestEveryRouteDecodesTheSameJob(t *testing.T) {
 		wantErr  string
 	}{
 		{name: "empty body takes the defaults", form: url.Values{}, jsonBody: "",
-			want: JobParams{Backend: "fpga", B: DefaultB, SF: DefaultSF}},
+			want: JobParams{Backend: "fpga", B: defaultB, SF: defaultSF}},
 		{name: "every qc field", form: fullQC,
 			jsonBody: `{"backend":"cpu","mode":"mem-pe","b":12,"sf":40,"qc":{"min_len":30,"max_ee":2.5,"max_n":3,` +
 				`"trim_qual":10,"quality_sort":true,"phred_offset":33,"tolerant":true}}`,
-			want: JobParams{Backend: "cpu", Mode: ModeMemPE, B: 12, SF: 40, QC: &qc.Policy{
+			want: JobParams{Backend: "cpu", Mode: modeMemPE, B: 12, SF: 40, QC: &qc.Policy{
 				MinLen: 30, MaxEE: 2.5, MaxN: 3, TrimQual: 10, QualitySort: true, PhredOffset: 33, Paired: true, Tolerant: true,
 			}}},
 		{name: "mismatch budget", form: url.Values{"backend": {"cpu"}, "mismatches": {"2"}},
 			jsonBody: `{"backend":"cpu","mismatches":2}`,
-			want:     JobParams{Backend: "cpu", B: DefaultB, SF: DefaultSF, Mismatches: 2}},
+			want:     JobParams{Backend: "cpu", B: defaultB, SF: defaultSF, Mismatches: 2}},
 		{name: "query outranks the body, first body value wins",
 			query: url.Values{"b": {"12"}}, form: url.Values{"b": {"14"}, "sf": {"40", "45"}},
 			jsonBody: `{"b":12,"sf":40}`,
 			want:     JobParams{Backend: "fpga", B: 12, SF: 40}},
 		{name: "mode decides pairing", form: url.Values{"paired": {"true"}, "min_len": {"5"}},
 			jsonBody: `{"qc":{"paired":true,"min_len":5}}`,
-			want:     JobParams{Backend: "fpga", B: DefaultB, SF: DefaultSF, QC: &qc.Policy{MinLen: 5}}},
+			want:     JobParams{Backend: "fpga", B: defaultB, SF: defaultSF, QC: &qc.Policy{MinLen: 5}}},
 		{name: "backend", form: url.Values{"backend": {"gpu"}}, jsonBody: `{"backend":"gpu"}`,
 			wantErr: "backend must be cpu or fpga"},
 		{name: "mode", form: url.Values{"mode": {"bwa"}}, jsonBody: `{"mode":"bwa"}`,
 			wantErr: "mode must be mem or mem-pe"},
-		{name: "mismatches with a mem mode", form: url.Values{"mode": {ModeMem}, "mismatches": {"1"}},
+		{name: "mismatches with a mem mode", form: url.Values{"mode": {modeMem}, "mismatches": {"1"}},
 			jsonBody: `{"mode":"mem","mismatches":1}`, wantErr: "mismatch budget applies only to the default mode"},
 		{name: "mismatch budget range", form: url.Values{"mismatches": {"99"}}, jsonBody: `{"mismatches":99}`,
 			wantErr: fmt.Sprintf("mismatch budget must be in [0,%d]", fmindex.MaxMismatchBudget)},

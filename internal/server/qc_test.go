@@ -105,7 +105,7 @@ func TestQCDirtyCorpusEndToEnd(t *testing.T) {
 	if want.Passed == 0 || want.Malformed == 0 || want.RejectedTotal() == 0 {
 		t.Fatalf("degenerate corpus: %+v", want)
 	}
-	for _, reason := range []string{qc.ReasonTooShort, qc.ReasonTooManyN, qc.ReasonMateRejected} {
+	for _, reason := range []string{"too_short", "too_many_n", "mate_rejected"} {
 		if want.Rejected[reason] == 0 {
 			t.Fatalf("corpus exercises no %s rejections: %v", reason, want.Rejected)
 		}

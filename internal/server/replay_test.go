@@ -162,13 +162,13 @@ func TestJournalRecordsCarryWhatTheyAdd(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	upload := map[string][]byte{"reference": refFasta, "reads": readsFastq}
 	submitJob(t, s, ts, map[string]string{"backend": "cpu"}, upload)
-	waitForState(t, ts, 1, StateDone)
+	waitForState(t, ts, 1, stateDone)
 	submitJob(t, s, ts, map[string]string{"backend": "cpu", "sf": "40"}, upload) // another index: a build
 	<-entered
 	if code, _, _ := doJSON(t, http.MethodDelete, ts.URL+"/api/jobs/2", nil, nil); code != http.StatusAccepted {
 		t.Fatalf("cancel of the building job answered %d", code)
 	}
-	waitForState(t, ts, 2, StateCanceled)
+	waitForState(t, ts, 2, stateCanceled)
 	hdr := map[string]string{"Content-Type": "application/json", "Idempotency-Key": "k3"}
 	if code, _, _ := doJSON(t, http.MethodPost, ts.URL+"/api/jobs", []byte(`{"backend":"cpu"}`), hdr); code != http.StatusCreated {
 		t.Fatalf("create of job 3 answered %d", code)
@@ -427,7 +427,7 @@ func TestJobJSONSurvivesRestart(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	upload := map[string][]byte{"reference": refFasta, "reads": readsFastq}
 	submitJob(t, s, ts, map[string]string{"backend": "cpu"}, upload)
-	waitForState(t, ts, 1, StateDone)
+	waitForState(t, ts, 1, stateDone)
 
 	entered, release := make(chan struct{}), make(chan struct{})
 	s.testHookOpenReads = func(rc io.ReadCloser) io.ReadCloser {
@@ -443,7 +443,7 @@ func TestJobJSONSurvivesRestart(t *testing.T) {
 		t.Fatalf("cancel of the mapping job answered %d", code)
 	}
 	close(release)
-	waitForState(t, ts, 2, StateCanceled)
+	waitForState(t, ts, 2, stateCanceled)
 	hdr := map[string]string{"Content-Type": "application/json", "Idempotency-Key": "k3"}
 	if code, _, _ := doJSON(t, http.MethodPost, ts.URL+"/api/jobs", []byte(`{"backend":"cpu"}`), hdr); code != http.StatusCreated {
 		t.Fatalf("create of job 3 answered %d", code)
@@ -480,12 +480,12 @@ func TestJobJSONSurvivesRestart(t *testing.T) {
 // what the live one did.
 func TestRefNamePlaceholderFollowsState(t *testing.T) {
 	for state, want := range map[JobState]string{
-		StateUploading: "(uploading)",
-		StateQueued:    "(parsing)",
-		StateRunning:   "(parsing)",
-		StateDone:      "",
-		StateFailed:    "",
-		StateCanceled:  "",
+		stateUploading: "(uploading)",
+		stateQueued:    "(parsing)",
+		stateRunning:   "(parsing)",
+		stateDone:      "",
+		stateFailed:    "",
+		stateCanceled:  "",
 	} {
 		j := &Job{State: state}
 		if got := j.toJSON().RefName; got != want {

@@ -520,11 +520,11 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 			})
 		case cancel != nil:
 			writeJSON(w, http.StatusAccepted, map[string]any{"id": job.ID, "state": "canceling"})
-		case s.endJob(job, endBeforeLaunch, StateCanceled, errJobCanceled.Error()):
+		case s.endJob(job, endBeforeLaunch, stateCanceled, errJobCanceled.Error()):
 			// Never launched (still uploading, created directly, or launch
 			// still pending): canceled in place. A pending launch removes the
 			// inputs it holds when it finds the job terminal.
-			writeJSON(w, http.StatusOK, map[string]any{"id": job.ID, "state": string(StateCanceled)})
+			writeJSON(w, http.StatusOK, map[string]any{"id": job.ID, "state": string(stateCanceled)})
 		default:
 			continue // launched or ended since the look: look again
 		}
@@ -592,7 +592,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	// Queue depth is the slot-holding count the -max-queue gate sees:
 	// queued plus still-uploading jobs.
 	payload.QueueDepth = s.queuedCount
-	payload.Running = payload.Jobs[string(StateRunning)]
+	payload.Running = payload.Jobs[string(stateRunning)]
 	payload.Evicted = s.jobsEvicted
 	payload.Stage = stageJSON{
 		CompletedJobs: s.completedJobs,
@@ -632,7 +632,7 @@ type healthJSON struct {
 	// jobs are rejected while in-flight ones finish).
 	Status   string `json:"status"`
 	Draining bool   `json:"draining"`
-	// QueueDepth and JobsInFlight are the load figures cluster gateways and
+	// QueueDepth and jobsInFlight are the load figures cluster gateways and
 	// external balancers read off the heartbeat: admission-slot holders
 	// (queued + uploading) and running pipelines.
 	QueueDepth   int                  `json:"queue_depth"`
@@ -660,7 +660,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	case open > 0:
 		status = "degraded"
 	}
-	draining := s.Draining()
+	draining := s.isDraining()
 	if draining {
 		// Drain outranks device health: orchestrators must route new work
 		// elsewhere no matter how healthy the cards are.
@@ -669,16 +669,13 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, healthJSON{
 		Status:       status,
 		Draining:     draining,
-		QueueDepth:   s.QueueDepth(),
-		JobsInFlight: s.JobsInFlight(),
+		QueueDepth:   s.queueDepth(),
+		JobsInFlight: s.jobsInFlight(),
 		Devices:      devices,
 		Resilience:   s.rec.Snapshot(),
 		Fallback:     s.cfg.Fallback,
 	})
 }
-
-// Wait blocks until all running jobs finish; used by tests and shutdown.
-func (s *Server) Wait() { s.wg.Wait() }
 
 var homeTemplate = template.Must(template.New("home").Parse(`<!doctype html>
 <html><head><title>BWaveR</title></head><body>
@@ -842,7 +839,7 @@ func (s *Server) stage(r io.Reader) (*spool, error) {
 // handleSubmit validates the request parameters and stages the raw upload
 // bytes, then hands off to a job goroutine. Parsing and sanitizing the FASTA
 // and FASTQ happen on the job goroutine, so a malformed or huge upload fails
-// inside a visible job (StateFailed) instead of blocking the HTTP handler.
+// inside a visible job (stateFailed) instead of blocking the HTTP handler.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Idempotent replay first, before any gate: a retried submission must
 	// come back with the original job without consuming a rate-limit token.
@@ -887,7 +884,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // (or find the one its Idempotency-Key already names), make it durable, start
 // it, answer the client. Inputs that no job takes are removed.
 func (s *Server) admitAndLaunch(w http.ResponseWriter, r *http.Request, spec jobSpec, in jobInput) {
-	job, existing, ae := s.admitJob(spec, StateQueued)
+	job, existing, ae := s.admitJob(spec, stateQueued)
 	if ae != nil || existing {
 		in.remove()
 	}
@@ -934,17 +931,17 @@ func (s *Server) acceptAndLaunch(job *Job, in jobInput) error {
 	// so the count never dips early.
 	defer s.wg.Done()
 	if err := s.journalAccept(job, in); err != nil {
-		s.endJob(job, endUnaccepted, StateFailed, "journal: "+err.Error())
+		s.endJob(job, endUnaccepted, stateFailed, "journal: "+err.Error())
 		return err
 	}
 	s.launch(job, in)
 	return nil
 }
 
-// DefaultDemoSeed seeds the /demo dataset; pass ?seed=N to override. One
+// defaultDemoSeed seeds the /demo dataset; pass ?seed=N to override. One
 // seed drives both the genome and the reads (reads use seed+1) so repeated
 // demo runs are reproducible.
-const DefaultDemoSeed = 42
+const defaultDemoSeed = 42
 
 // handleDemo runs the pipeline on a small synthetic dataset so the UI can be
 // exercised without files at hand. The dataset is rendered to FASTA/FASTQ
@@ -960,7 +957,7 @@ func (s *Server) handleDemo(w http.ResponseWriter, r *http.Request) {
 		s.rejectAdmission(w, ae)
 		return
 	}
-	seed := int64(DefaultDemoSeed)
+	seed := int64(defaultDemoSeed)
 	if v := r.FormValue("seed"); v != "" {
 		parsed, err := strconv.ParseInt(v, 10, 64)
 		if err != nil {
@@ -984,7 +981,7 @@ func (s *Server) handleDemo(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.admitAndLaunch(w, r, jobSpec{
-		JobParams: JobParams{Backend: "fpga", B: DefaultB, SF: DefaultSF},
+		JobParams: JobParams{Backend: "fpga", B: defaultB, SF: defaultSF},
 		IdemKey:   idemKey,
 		RequestID: obs.RequestIDFrom(r.Context()),
 		Timeout:   s.effectiveTimeout(r),
@@ -1063,7 +1060,7 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	state, results, memJob := job.State, job.results, job.memMode()
 	s.mu.Unlock()
-	if state != StateDone {
+	if state != stateDone {
 		httpError(w, r, http.StatusConflict, fmt.Sprintf("job is %s; results not available", state))
 		return
 	}

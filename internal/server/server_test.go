@@ -31,13 +31,13 @@ func openServer(t testing.TB, cfg Config) *Server {
 }
 
 // cpuParams are a default exact job's params on the cpu backend.
-var cpuParams = JobParams{Backend: "cpu", B: DefaultB, SF: DefaultSF}
+var cpuParams = JobParams{Backend: "cpu", B: defaultB, SF: defaultSF}
 
 // queueJob admits a job the test drives by hand. It never launches, so the
 // drain reference admission holds for the launch is dropped here.
 func queueJob(t testing.TB, s *Server, p JobParams, refName string) *Job {
 	t.Helper()
-	job, _, ae := s.admitJob(jobSpec{JobParams: p}, StateQueued)
+	job, _, ae := s.admitJob(jobSpec{JobParams: p}, stateQueued)
 	if ae != nil {
 		t.Fatal(ae.msg)
 	}
@@ -292,7 +292,7 @@ func TestResultsBeforeDone(t *testing.T) {
 func TestHomeListsJobs(t *testing.T) {
 	s := openServer(t, Config{})
 	queueJob(t, s, cpuParams, "refA")
-	queueJob(t, s, JobParams{Backend: "fpga", B: DefaultB, SF: DefaultSF}, "refB")
+	queueJob(t, s, JobParams{Backend: "fpga", B: defaultB, SF: defaultSF}, "refB")
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/")
@@ -586,3 +586,6 @@ func TestMultiContigServerResults(t *testing.T) {
 		t.Errorf("contig-relative position missing:\n%s", tsv)
 	}
 }
+
+// Wait blocks until all running jobs finish.
+func (s *Server) Wait() { s.wg.Wait() }

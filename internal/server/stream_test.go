@@ -96,7 +96,7 @@ func TestStreamSSEReplayAndResume(t *testing.T) {
 	defer ts.Close()
 	submitJob(t, s, ts, map[string]string{"backend": "cpu"},
 		map[string][]byte{"reference": refFasta, "reads": readsFastq})
-	waitForState(t, ts, 1, StateDone)
+	waitForState(t, ts, 1, stateDone)
 
 	events := getSSE(t, ts, 1, 0)
 	if len(events) != len(sim)+1 {
@@ -112,7 +112,7 @@ func TestStreamSSEReplayAndResume(t *testing.T) {
 		}
 	}
 	term := events[len(sim)]
-	if term.event != string(StateDone) || term.id != len(sim)+1 {
+	if term.event != string(stateDone) || term.id != len(sim)+1 {
 		t.Fatalf("terminal event = {id %d, %q}", term.id, term.event)
 	}
 	var summary struct {
@@ -142,7 +142,7 @@ func TestStreamSSEReplayAndResume(t *testing.T) {
 		}
 	}
 	// Resuming past the end: just the terminal event.
-	if tail := getSSE(t, ts, 1, len(sim)+5); len(tail) != 1 || tail[0].event != string(StateDone) {
+	if tail := getSSE(t, ts, 1, len(sim)+5); len(tail) != 1 || tail[0].event != string(stateDone) {
 		t.Errorf("past-the-end resume: %+v", tail)
 	}
 }
@@ -160,7 +160,7 @@ func TestStreamBacklogLargerThanReadWindow(t *testing.T) {
 	defer ts.Close()
 	submitJob(t, s, ts, map[string]string{"backend": "cpu"},
 		map[string][]byte{"reference": refFasta, "reads": readsFastq})
-	waitForState(t, ts, 1, StateDone)
+	waitForState(t, ts, 1, stateDone)
 	golden := getSSE(t, ts, 1, 0)
 
 	old := streamReadChunk
@@ -191,7 +191,7 @@ func TestStreamNDJSON(t *testing.T) {
 	defer ts.Close()
 	submitJob(t, s, ts, map[string]string{"backend": "cpu"},
 		map[string][]byte{"reference": refFasta, "reads": readsFastq})
-	waitForState(t, ts, 1, StateDone)
+	waitForState(t, ts, 1, stateDone)
 
 	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/api/jobs/1/stream?from=0", nil)
 	req.Header.Set("Accept", "application/x-ndjson")
@@ -289,7 +289,7 @@ func TestDrainWithInFlightStream(t *testing.T) {
 	// job run. Drain must return once the job is terminal — the subscriber
 	// holds no WaitGroup reference — and the subscriber must still get every
 	// event.
-	s.BeginDrain()
+	s.beginDrain()
 	once.Do(func() { close(release) })
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -303,7 +303,7 @@ func TestDrainWithInFlightStream(t *testing.T) {
 	if len(res.events) != len(sim)+1 {
 		t.Fatalf("subscriber saw %d events, want %d + terminal", len(res.events), len(sim))
 	}
-	if last := res.events[len(res.events)-1]; last.event != string(StateDone) {
+	if last := res.events[len(res.events)-1]; last.event != string(stateDone) {
 		t.Errorf("terminal event %q, want done", last.event)
 	}
 }
@@ -317,7 +317,7 @@ func TestPeakResultBufferIsBatchBounded(t *testing.T) {
 	defer ts.Close()
 	submitJob(t, s, ts, map[string]string{"backend": "cpu"},
 		map[string][]byte{"reference": refFasta, "reads": readsFastq})
-	waitForState(t, ts, 1, StateDone)
+	waitForState(t, ts, 1, stateDone)
 
 	j := getJobJSON(t, ts, 1)
 	tsv := fetchResults(t, ts, 1)
@@ -346,7 +346,7 @@ func TestUploadReplayAfterCrash(t *testing.T) {
 
 	submitJob(t, s, ts, map[string]string{"backend": "cpu"},
 		map[string][]byte{"reference": refFasta, "reads": readsFastq})
-	waitForState(t, ts, 1, StateDone)
+	waitForState(t, ts, 1, stateDone)
 	golden := fetchResults(t, ts, 1)
 
 	// Open a chunked job and feed only part of the reference.
@@ -376,7 +376,7 @@ func TestUploadReplayAfterCrash(t *testing.T) {
 
 	// The job came back uploading, with the committed offset to resume from.
 	j := getJobJSON(t, ts2, id)
-	if j.State != string(StateUploading) || j.ReferenceOffset == nil || *j.ReferenceOffset != int64(cut) {
+	if j.State != string(stateUploading) || j.ReferenceOffset == nil || *j.ReferenceOffset != int64(cut) {
 		t.Fatalf("replayed upload job %+v, want uploading at offset %d", j, cut)
 	}
 	// The idempotency key survived: resubmitting the create replays the job.
@@ -398,7 +398,7 @@ func TestUploadReplayAfterCrash(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("finalize returned %d: %v", code, payload)
 	}
-	waitForState(t, ts2, id, StateDone)
+	waitForState(t, ts2, id, stateDone)
 	if got := fetchResults(t, ts2, id); !bytes.Equal(got, golden) {
 		t.Error("resumed chunked job results differ from the buffered run")
 	}
@@ -407,7 +407,7 @@ func TestUploadReplayAfterCrash(t *testing.T) {
 	// spill survived (or the terminal job re-ran deterministically), so a
 	// client that lost its connection in the crash resumes bit-identically.
 	events := getSSE(t, ts2, id, 0)
-	if len(events) < 2 || events[len(events)-1].event != string(StateDone) {
+	if len(events) < 2 || events[len(events)-1].event != string(stateDone) {
 		t.Fatalf("recovered stream replay: %d events", len(events))
 	}
 }
@@ -424,7 +424,7 @@ func TestStreamReplayAfterRestart(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	submitJob(t, s, ts, map[string]string{"backend": "cpu"},
 		map[string][]byte{"reference": refFasta, "reads": readsFastq})
-	waitForState(t, ts, 1, StateDone)
+	waitForState(t, ts, 1, stateDone)
 	full := getSSE(t, ts, 1, 0)
 	ts.Close()
 	s.Close()
@@ -447,7 +447,7 @@ func TestStreamReplayAfterRestart(t *testing.T) {
 			t.Errorf("restored event %d differs: %+v vs %+v", i, ev, want)
 		}
 	}
-	if resumed[3].event != string(StateDone) {
+	if resumed[3].event != string(stateDone) {
 		t.Errorf("restored terminal event %q", resumed[3].event)
 	}
 }
@@ -461,10 +461,10 @@ func TestStreamTerminalOnFailure(t *testing.T) {
 	defer ts.Close()
 	submitJob(t, s, ts, map[string]string{"backend": "cpu"},
 		map[string][]byte{"reference": []byte("garbage"), "reads": readsFastq})
-	waitForState(t, ts, 1, StateFailed)
+	waitForState(t, ts, 1, stateFailed)
 
 	events := getSSE(t, ts, 1, 0)
-	if len(events) != 1 || events[0].event != string(StateFailed) {
+	if len(events) != 1 || events[0].event != string(stateFailed) {
 		t.Fatalf("failed job stream: %+v", events)
 	}
 	var summary struct {

@@ -118,7 +118,7 @@ func submitEdgeCases(t *testing.T, stateDir string) {
 		if err := json.Unmarshal([]byte(text), &j); err != nil || j.ID == 0 {
 			t.Fatalf("no job in %s", text)
 		}
-		return waitForState(t, ts, j.ID, StateDone)
+		return waitForState(t, ts, j.ID, stateDone)
 	}
 	rejected := func(t *testing.T, wantMsg string, parts ...formPart) {
 		t.Helper()
@@ -133,7 +133,7 @@ func submitEdgeCases(t *testing.T, stateDir string) {
 
 	plain := accepted(t, "", field("backend", "cpu"), ref, reads)
 	plainRows := fetchResults(t, ts, plain.ID)
-	if plain.B != DefaultB || plain.SF != DefaultSF || plain.RefName != "testref" {
+	if plain.B != defaultB || plain.SF != defaultSF || plain.RefName != "testref" {
 		t.Fatalf("defaults: %+v", plain)
 	}
 
@@ -148,7 +148,7 @@ func submitEdgeCases(t *testing.T, stateDir string) {
 	})
 	t.Run("parameters in the URL query", func(t *testing.T) {
 		j := accepted(t, "?b=11&mode=mem", ref, reads, field("backend", "cpu"))
-		if j.B != 11 || j.Mode != ModeMem {
+		if j.B != 11 || j.Mode != modeMem {
 			t.Errorf("b=%d mode=%q, want 11 mem", j.B, j.Mode)
 		}
 		// FormValue read the query before the body.
@@ -184,7 +184,7 @@ func submitEdgeCases(t *testing.T, stateDir string) {
 		if err := json.Unmarshal([]byte(text), &j); code != http.StatusOK || err != nil {
 			t.Fatalf("chunked submit returned %d: %s", code, text)
 		}
-		waitForState(t, ts, j.ID, StateDone)
+		waitForState(t, ts, j.ID, stateDone)
 		if got := fetchResults(t, ts, j.ID); !bytes.Equal(got, plainRows) {
 			t.Error("rows of the chunked submission differ")
 		}

@@ -104,7 +104,6 @@ func (s *Server) openUpload(job *Job) error {
 const (
 	reasonTooLarge     = "too_large"
 	reasonBadOffset    = "bad_offset"
-	reasonUploadStale  = "upload_stalled"
 	reasonWrongState   = "wrong_state"
 	reasonEmptyPayload = "empty_payload"
 )
@@ -159,7 +158,7 @@ func (s *Server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 		IdemKey:   idemKey,
 		RequestID: obs.RequestIDFrom(r.Context()),
 		Timeout:   s.effectiveTimeout(r),
-	}, StateUploading)
+	}, stateUploading)
 	if ae != nil {
 		s.rejectAdmission(w, ae)
 		return
@@ -172,7 +171,7 @@ func (s *Server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 		err = s.journal.append(specRecord(recUploading, job))
 	}
 	if err != nil {
-		s.endJob(job, endBeforeLaunch, StateFailed, "journal: "+err.Error())
+		s.endJob(job, endBeforeLaunch, stateFailed, "journal: "+err.Error())
 		jsonError(w, http.StatusInternalServerError, "could not persist job")
 		return
 	}
@@ -216,7 +215,7 @@ func (s *Server) handleUploadChunk(part string) http.HandlerFunc {
 			jsonError(w, http.StatusNotFound, err.Error())
 			return
 		}
-		if s.Draining() {
+		if s.isDraining() {
 			// Mid-upload drain: the chunk is refused but the job keeps its
 			// journaled partial payload; the client resumes against the
 			// replacement instance after replay.
@@ -230,7 +229,7 @@ func (s *Server) handleUploadChunk(part string) http.HandlerFunc {
 		state := job.State
 		up := job.upload
 		s.mu.Unlock()
-		if state != StateUploading || up == nil {
+		if state != stateUploading || up == nil {
 			writeJSON(w, http.StatusConflict, map[string]any{
 				"error":  fmt.Sprintf("job %d is %s; not accepting chunks", job.ID, state),
 				"reason": reasonWrongState,
@@ -292,7 +291,7 @@ func (s *Server) handleUploadChunk(part string) http.HandlerFunc {
 			// Oversized upload: shed with the admission envelope and fail the
 			// job so its queue slot frees instead of lingering half-fed.
 			up.mu.Unlock()
-			s.endJob(job, endBeforeLaunch, StateFailed, fmt.Sprintf("upload exceeds the %d byte cap", s.cfg.MaxUploadBytes))
+			s.endJob(job, endBeforeLaunch, stateFailed, fmt.Sprintf("upload exceeds the %d byte cap", s.cfg.MaxUploadBytes))
 			up.mu.Lock()
 			writeAdmissionError(w, &admissionError{
 				status: http.StatusRequestEntityTooLarge, reason: reasonTooLarge,
@@ -344,7 +343,7 @@ func (s *Server) handleFinalize(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	if job.State != StateUploading {
+	if job.State != stateUploading {
 		payload := job.toJSON()
 		s.mu.Unlock()
 		writeJSON(w, http.StatusOK, payload)
@@ -370,7 +369,7 @@ func (s *Server) handleFinalize(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	s.setJobStateLocked(job, StateQueued)
+	s.setJobStateLocked(job, stateQueued)
 	// Seal before the payload is fsync'd and handed to the parser: a chunk
 	// PUT that passed its state check before this transition re-checks the
 	// flag under up.mu and is refused instead of appending to a live payload.
@@ -387,7 +386,7 @@ func (s *Server) handleFinalize(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, http.StatusInternalServerError, "could not persist job")
 		return
 	}
-	writeJSON(w, http.StatusAccepted, map[string]any{"id": job.ID, "state": string(StateQueued)})
+	writeJSON(w, http.StatusAccepted, map[string]any{"id": job.ID, "state": string(stateQueued)})
 }
 
 // sweepStalledUploads fails uploading jobs idle past the configured timeout,
@@ -401,7 +400,7 @@ func (s *Server) sweepStalledUploads(now time.Time) int {
 	s.mu.Lock()
 	var stalled []*Job
 	for _, j := range s.jobs {
-		if j.State != StateUploading || j.upload == nil {
+		if j.State != stateUploading || j.upload == nil {
 			continue
 		}
 		j.upload.mu.Lock()
@@ -417,7 +416,7 @@ func (s *Server) sweepStalledUploads(now time.Time) int {
 	s.mu.Unlock()
 	for _, j := range stalled {
 		s.log.Warn("failing stalled upload", "job", j.ID, "timeout", timeout)
-		s.endJob(j, endBeforeLaunch, StateFailed, fmt.Sprintf("upload stalled past the %v timeout", timeout))
+		s.endJob(j, endBeforeLaunch, stateFailed, fmt.Sprintf("upload stalled past the %v timeout", timeout))
 	}
 	return len(stalled)
 }

@@ -93,11 +93,11 @@ func TestChunkedUploadMatchesBuffered(t *testing.T) {
 
 	submitJob(t, s, ts, map[string]string{"backend": "cpu"},
 		map[string][]byte{"reference": refFasta, "reads": readsFastq})
-	waitForState(t, ts, 1, StateDone)
+	waitForState(t, ts, 1, stateDone)
 	golden := fetchResults(t, ts, 1)
 
 	id := chunkedSubmit(t, ts, refFasta, readsFastq, 777)
-	waitForState(t, ts, id, StateDone)
+	waitForState(t, ts, id, stateDone)
 	if got := fetchResults(t, ts, id); !bytes.Equal(got, golden) {
 		t.Error("chunked job results differ from the buffered run")
 	}
@@ -141,7 +141,7 @@ func TestChunkedUploadResume(t *testing.T) {
 	}
 	// The job JSON exposes the resume anchors while uploading.
 	j := getJobJSON(t, ts, id)
-	if j.State != string(StateUploading) || j.ReferenceOffset == nil || *j.ReferenceOffset != 7 {
+	if j.State != string(stateUploading) || j.ReferenceOffset == nil || *j.ReferenceOffset != 7 {
 		t.Fatalf("uploading job JSON lacks offsets: %+v", j)
 	}
 
@@ -189,10 +189,10 @@ func TestFinalizeIdempotent(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	id := chunkedSubmit(t, ts, refFasta, readsFastq, 1<<20)
-	waitForState(t, ts, id, StateDone)
+	waitForState(t, ts, id, stateDone)
 
 	code, payload, _ := doJSON(t, http.MethodPost, fmt.Sprintf("%s/api/jobs/%d/finalize", ts.URL, id), nil, nil)
-	if code != http.StatusOK || payload["state"] != string(StateDone) {
+	if code != http.StatusOK || payload["state"] != string(stateDone) {
 		t.Errorf("repeated finalize: %d %v", code, payload)
 	}
 	if code, payload := putChunk(t, ts, id, "reads", -1, []byte("late")); code != http.StatusConflict || payload["reason"] != reasonWrongState {
@@ -220,7 +220,7 @@ func TestUploadTooLargeShedsJob(t *testing.T) {
 	if payload["retry_after_seconds"] == nil {
 		t.Error("oversized rejection missing retry_after_seconds")
 	}
-	if j := getJobJSON(t, ts, id); j.State != string(StateFailed) {
+	if j := getJobJSON(t, ts, id); j.State != string(stateFailed) {
 		t.Errorf("oversized job state %q, want failed", j.State)
 	}
 	if st := getStats(t, ts); st.QueueDepth != 0 {
@@ -253,7 +253,7 @@ func TestRetransmitAtCapIsIdempotent(t *testing.T) {
 	if code != http.StatusOK || int64(payload["offset"].(float64)) != int64(len(chunk)) {
 		t.Fatalf("retransmit at the cap: %d %v, want idempotent ACK", code, payload)
 	}
-	if j := getJobJSON(t, ts, id); j.State != string(StateUploading) {
+	if j := getJobJSON(t, ts, id); j.State != string(stateUploading) {
 		t.Errorf("job state %q after retransmit, want uploading", j.State)
 	}
 	// A chunk that genuinely extends past the cap still sheds the job.
@@ -280,7 +280,7 @@ func TestStalledUploadSwept(t *testing.T) {
 	if n := s.sweepStalledUploads(time.Now().Add(2 * time.Minute)); n != 1 {
 		t.Fatalf("stalled sweep failed %d uploads, want 1", n)
 	}
-	if j := getJobJSON(t, ts, id); j.State != string(StateFailed) || !strings.Contains(j.Error, "stalled") {
+	if j := getJobJSON(t, ts, id); j.State != string(stateFailed) || !strings.Contains(j.Error, "stalled") {
 		t.Errorf("swept job %q (%q), want failed/stalled", j.State, j.Error)
 	}
 	if st := getStats(t, ts); st.QueueDepth != 0 {
@@ -330,7 +330,7 @@ func TestIdempotentSubmission(t *testing.T) {
 	}
 	// The key survives the job finishing: a late retry still replays.
 	s.Wait()
-	if code, late, _ := post("retry-me"); code != http.StatusOK || late.ID != first.ID || late.State != string(StateDone) {
+	if code, late, _ := post("retry-me"); code != http.StatusOK || late.ID != first.ID || late.State != string(stateDone) {
 		t.Fatalf("late retry: %d %+v", code, late)
 	}
 	// A different key is a different job.

@@ -3,9 +3,9 @@ package suffixarray
 import "sort"
 
 // BuildDoubling returns the suffix array of text·$ using prefix doubling
-// (Manber-Myers style, O(n log^2 n) with sort.Slice). It is retained as an
-// independent implementation for cross-checking SA-IS and for the
-// construction-algorithm ablation bench in DESIGN.md.
+// (Manber-Myers style, O(n log^2 n) with sort.Slice): an independent
+// implementation that the tests cross-check SA-IS against, and the other arm
+// of BenchmarkSuffixArrayAlgos.
 func BuildDoubling(text []uint8, sigma int) ([]int32, error) {
 	if err := checkText(text, sigma); err != nil {
 		return nil, err

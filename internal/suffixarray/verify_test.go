@@ -8,8 +8,7 @@ import (
 // Validate checks that sa is a correct suffix array of text·$: a permutation
 // of [0, len(text)] whose suffixes are in strictly increasing lexicographic
 // order (with the sentinel smaller than every symbol). It runs in O(n^2)
-// worst case and is intended for tests and for verifying deserialized
-// indexes, not hot paths.
+// worst case.
 func Validate(text []uint8, sa []int32) error {
 	n := len(text) + 1
 	if len(sa) != n {

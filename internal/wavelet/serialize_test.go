@@ -30,8 +30,8 @@ func TestTreeSerializeRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if back.Len() != orig.Len() || back.Sigma() != orig.Sigma() || back.Levels() != orig.Levels() {
-				t.Fatalf("metadata changed: %d/%d/%d", back.Len(), back.Sigma(), back.Levels())
+			if back.Len() != orig.Len() || back.Sigma() != orig.Sigma() || back.levels != orig.levels {
+				t.Fatalf("metadata changed: %d/%d/%d", back.Len(), back.Sigma(), back.levels)
 			}
 			for i := 0; i < len(data); i += 7 {
 				if back.Access(i) != data[i] {

@@ -258,9 +258,6 @@ func (t *Tree) Len() int { return t.n }
 // Sigma returns the alphabet size.
 func (t *Tree) Sigma() int { return t.sigma }
 
-// Levels returns the tree depth, ceil(log2(sigma)).
-func (t *Tree) Levels() int { return t.levels }
-
 // checkRank panics unless i is a rank position of the string.
 func (t *Tree) checkRank(i int) {
 	if i < 0 || i > t.n {
@@ -507,20 +504,4 @@ func (t *Tree) NodeStats() []NodeStat {
 	}
 	walk(t.root, 0)
 	return out
-}
-
-// NodeCount returns the number of internal nodes (bit-vectors) in the tree.
-func (t *Tree) NodeCount() int {
-	count := 0
-	var walk func(*node)
-	walk = func(nd *node) {
-		if nd == nil {
-			return
-		}
-		count++
-		walk(nd.zero)
-		walk(nd.on)
-	}
-	walk(t.root)
-	return count
 }
